@@ -19,7 +19,6 @@ from .linalg import (
     as_matrix,
     is_hermitian,
     operator_norm,
-    sqrt_psd,
     trace_norm,
 )
 
@@ -359,7 +358,3 @@ def channel_from_leaf_povm(diagonals: np.ndarray, dims: PartyDims) -> KrausSet:
     rng = np.arange(d)
     ops[:, rng, rng] = np.sqrt(np.clip(diag, 0.0, None))
     return KrausSet(ops, dims, dims)
-
-
-def povm_element_sqrt(element: np.ndarray) -> np.ndarray:
-    return sqrt_psd(element)

@@ -25,6 +25,7 @@ from .channels import (
 )
 from .linalg import trace_norm
 from .protocols import (
+    ProtocolParams,
     build_protocol_pq,
     path_distance_bound,
     main_branch_path,
@@ -167,8 +168,19 @@ def _cmd_zonoid_check(args) -> dict:
     return {"checks": checks, "values": values}
 
 
+def _protocol_params(args) -> ProtocolParams:
+    # Checked before anything is built: the tree holds 2^P x 2^P matrices.
+    if args.parties > pq.MAX_PARTIES:
+        raise InputError(f"--parties must be at most {pq.MAX_PARTIES}")
+    try:
+        return ProtocolParams(args.parties, args.nu, args.c)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _cmd_protocol(args) -> dict:
-    tree = build_protocol_pq(args.parties, args.nu, args.c)
+    params = _protocol_params(args)
+    tree = build_protocol_pq(params.parties, params.rounds, params.exponent)
     report = verify_tree(tree)
     checks = [
         _check("node-sums", report.max_node_sum_defect, 1e-9),
@@ -191,8 +203,9 @@ def _cmd_protocol(args) -> dict:
 
 
 def _cmd_paths(args) -> dict:
-    report = path_distance_bound(args.parties, args.nu, args.c,
-                                 grid_points=args.grid)
+    params = _protocol_params(args)
+    report = path_distance_bound(params.parties, params.rounds,
+                                 params.exponent, grid_points=args.grid)
     checks = [_check("limit-gap-bound", report.max_distance,
                      report.bound + 1e-12)]
     values = {

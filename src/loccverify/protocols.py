@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .channels import COMPLETENESS_TOL
 from .linalg import (
     PartyDims,
     as_matrix,
@@ -40,7 +41,6 @@ from .zonoid import (
 
 NODE_SUM_TOL = 1e-9
 LOCALITY_TOL = 1e-10
-COMPLETENESS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,13 @@ class ProtocolNode:
     """One node of a protocol tree.
 
     ``acting_party`` names the party measuring at this node (children are
-    its outcomes); leaves carry None. ``path`` is the tuple of child
-    indices from the root: index 0 is the halt outcome, index 1 continues.
+    its outcomes); leaves carry None. Child index 0 is the halt outcome,
+    index 1 continues.
     """
 
     povm_element: np.ndarray
     acting_party: int | None
     children: list["ProtocolNode"] = field(default_factory=list)
-    path: tuple[int, ...] = ()
 
     @property
     def is_leaf(self) -> bool:
@@ -119,36 +118,37 @@ class ProtocolTree:
         return sum(1 for _ in self.iter_nodes())
 
 
-def _advanced_factor(eta: float, n: int) -> np.ndarray:
-    # Local POVM diagonal after n passed rounds.
-    return np.array([eta ** n, 1.0])
+def _step_rows(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+    """Halt and continue diagonals of every step, in protocol order.
 
-
-def _leaf_and_node_diagonals(params: ProtocolParams):
-    """Yield (kind, n, party, diagonal) in protocol order.
-
-    kind is "halt" for side leaves and "cont" for the node reached when the
-    acting party continues; the main leaf is the last "cont" entry.
+    Both arrays have shape (parties * rounds, 2**parties); row n*P + l - 1
+    belongs to party l measuring in cycle n. Each row is the Kronecker
+    product of the local diagonals diag(eta^(n+1), 1) for the parties ahead
+    of l, diag(eta^n, 1) for those behind it, and for party l itself
+    diag(eps * eta^n, 0) on halting or diag(eta^(n+1), 1) on continuing,
+    eta = 1 - eps. The product is built one party at a time, left to right.
     """
-    p = params.parties
+    p, rounds = params.parties, params.rounds
     eps = params.epsilon
     eta = 1.0 - eps
-    for n in range(params.rounds):
-        for l in range(1, p + 1):
-            ahead = [_advanced_factor(eta, n + 1)] * (l - 1)
-            behind = [_advanced_factor(eta, n)] * (p - l)
-            halt = np.array([eps * eta ** n, 0.0])
-            halt_diag = ahead + [halt] + behind
-            cont_diag = ahead + [_advanced_factor(eta, n + 1)] + behind
-            yield "halt", n, l, _kron_vectors(halt_diag)
-            yield "cont", n, l, _kron_vectors(cont_diag)
-
-
-def _kron_vectors(vecs: Sequence[np.ndarray]) -> np.ndarray:
-    out = vecs[0]
-    for v in vecs[1:]:
-        out = np.kron(out, v)
-    return out
+    # Python powers: np.power differs from them by an ulp in some entries.
+    powers = np.array([eta ** k for k in range(rounds + 1)])
+    n = np.repeat(np.arange(rounds), p)
+    acting = np.tile(np.arange(1, p + 1), rounds)
+    now, later = powers[n], powers[n + 1]
+    halt = np.ones((n.size, 1))
+    cont = np.ones((n.size, 1))
+    for party in range(1, p + 1):
+        ahead = party < acting
+        halt_zero = np.where(ahead, later,
+                             np.where(party == acting, eps * now, now))
+        halt_one = np.where(party == acting, 0.0, 1.0)
+        cont_zero = np.where(party <= acting, later, now)
+        halt = np.stack([halt * halt_zero[:, None], halt * halt_one[:, None]],
+                        axis=2).reshape(n.size, -1)
+        cont = np.stack([cont * cont_zero[:, None], cont],
+                        axis=2).reshape(n.size, -1)
+    return halt, cont
 
 
 def build_protocol_pq(parties: int, rounds: int, exponent: float
@@ -157,25 +157,20 @@ def build_protocol_pq(parties: int, rounds: int, exponent: float
     params = ProtocolParams(parties, rounds, exponent)
     dims = PartyDims((2,) * parties)
     d = dims.total
+    halt, cont = _step_rows(params)
+    steps = halt.shape[0]
+    idx = np.arange(d)
+    elements = np.zeros((2, steps, d, d), dtype=np.complex128)
+    elements[0][:, idx, idx] = halt
+    elements[1][:, idx, idx] = cont
     root = ProtocolNode(np.eye(d, dtype=np.complex128), acting_party=1)
     current = root
-    for kind, n, l, diag in _leaf_and_node_diagonals(params):
-        mat = np.diag(diag.astype(np.complex128))
-        if kind == "halt":
-            current.children.append(
-                ProtocolNode(mat, None, path=current.path + (0,))
-            )
-        else:
-            last = n == rounds - 1 and l == parties
-            nxt = None if last else (l % parties) + 1
-            child = ProtocolNode(mat, nxt, path=current.path + (1,))
-            current.children.append(child)
-            current = child
+    for k in range(steps):
+        nxt = (k + 1) % parties + 1 if k + 1 < steps else None
+        child = ProtocolNode(elements[1, k], nxt)
+        current.children = [ProtocolNode(elements[0, k], None), child]
+        current = child
     return ProtocolTree(root, dims, params)
-
-
-def build_protocol_2q(rounds: int, exponent: float) -> ProtocolTree:
-    return build_protocol_pq(2, rounds, exponent)
 
 
 def protocol_leaf_diagonals(parties: int, rounds: int, exponent: float
@@ -185,16 +180,8 @@ def protocol_leaf_diagonals(parties: int, rounds: int, exponent: float
     the main leaf last. Shape (parties * rounds + 1, 2**parties). This skips
     tree construction entirely, which matters for large round counts.
     """
-    params = ProtocolParams(parties, rounds, exponent)
-    rows = []
-    last_cont = None
-    for kind, _, _, diag in _leaf_and_node_diagonals(params):
-        if kind == "halt":
-            rows.append(diag)
-        else:
-            last_cont = diag
-    rows.append(last_cont)
-    return np.array(rows)
+    halt, cont = _step_rows(ProtocolParams(parties, rounds, exponent))
+    return np.vstack([halt, cont[-1:]])
 
 
 @dataclass(frozen=True)
@@ -248,12 +235,17 @@ def verify_tree(tree: ProtocolTree, sum_tol: float = NODE_SUM_TOL,
     order = list(tree.iter_nodes())
     dims = tree.dims
     leaf_sum: dict[int, np.ndarray] = {}
-    failures: list[TreeFailure] = []
+    # (parent, child index) of every child; node paths are rebuilt from
+    # these only for the nodes that fail.
+    parent: dict[int, tuple[ProtocolNode, int]] = {}
+    failed: list[tuple[ProtocolNode, str, float]] = []
     max_sum = 0.0
     for node in reversed(order):
         if node.is_leaf:
             leaf_sum[id(node)] = node.povm_element
             continue
+        for i, ch in enumerate(node.children):
+            parent[id(ch)] = (node, i)
         acc = leaf_sum[id(node.children[0])].copy()
         for ch in node.children[1:]:
             acc = acc + leaf_sum[id(ch)]
@@ -261,7 +253,7 @@ def verify_tree(tree: ProtocolTree, sum_tol: float = NODE_SUM_TOL,
         defect = float(np.abs(node.povm_element - acc).max())
         max_sum = max(max_sum, defect)
         if defect > sum_tol:
-            failures.append(TreeFailure(node.path, "leaf-sum", defect))
+            failed.append((node, "leaf-sum", defect))
 
     max_prod = 0.0
     max_loc = 0.0
@@ -271,7 +263,7 @@ def verify_tree(tree: ProtocolTree, sum_tol: float = NODE_SUM_TOL,
         factors[id(node)] = facs
         max_prod = max(max_prod, pdef if facs is not None else 1.0)
         if facs is None or pdef > locality_tol:
-            failures.append(TreeFailure(node.path, "product", pdef))
+            failed.append((node, "product", pdef))
     for node in order:
         if node.is_leaf:
             continue
@@ -286,18 +278,25 @@ def verify_tree(tree: ProtocolTree, sum_tol: float = NODE_SUM_TOL,
                 d = float(np.linalg.norm(pf[p - 1] - cf[p - 1]))
                 max_loc = max(max_loc, d)
                 if d > locality_tol:
-                    failures.append(
-                        TreeFailure(ch.path, f"locality-party-{p}", d)
-                    )
+                    failed.append((ch, f"locality-party-{p}", d))
 
     total = leaf_sum[id(tree.root)]
     comp = float(np.abs(total - np.eye(dims.total)).max())
     if comp > completeness_tol:
-        failures.append(TreeFailure((), "completeness", comp))
+        failed.append((tree.root, "completeness", comp))
+
+    def node_path(node: ProtocolNode) -> tuple[int, ...]:
+        steps = []
+        while id(node) in parent:
+            node, i = parent[id(node)]
+            steps.append(i)
+        return tuple(reversed(steps))
+
+    failures = tuple(TreeFailure(node_path(node), kind, defect)
+                     for node, kind, defect in failed)
     n_leaves = sum(1 for n in order if n.is_leaf)
-    ok = not failures
-    return TreeReport(ok, len(order), n_leaves, max_sum, max_loc, max_prod,
-                      comp, tuple(failures))
+    return TreeReport(not failures, len(order), n_leaves, max_sum, max_loc,
+                      max_prod, comp, failures)
 
 
 @dataclass
@@ -349,17 +348,14 @@ class PiecewisePath:
         return lam * self.operators[k] + (1.0 - lam) * self.operators[k + 1]
 
 
-def branch_path(tree: ProtocolTree, leaf) -> PiecewisePath:
-    """Path from the root to ``leaf`` (a node or a child-index tuple)."""
-    if isinstance(leaf, ProtocolNode):
-        steps = leaf.path
-    else:
-        steps = tuple(int(i) for i in leaf)
+def branch_path(tree: ProtocolTree, steps: Sequence[int]) -> PiecewisePath:
+    """Path from the root along the child indices ``steps`` to a leaf.
+
+    ``steps`` is a node path such as :attr:`TreeFailure.node_path`.
+    """
     nodes = [tree.root]
     for i in steps:
-        nodes.append(nodes[-1].children[i])
-    if isinstance(leaf, ProtocolNode) and nodes[-1] is not leaf:
-        raise ValueError("leaf does not belong to this tree")
+        nodes.append(nodes[-1].children[int(i)])
     if not nodes[-1].is_leaf:
         raise ValueError("path does not end at a leaf")
     s = np.array([n.trace for n in nodes])
@@ -374,20 +370,21 @@ def main_branch_path(parties: int, rounds: int, exponent: float
     those zero-length segments are dropped (their operators agree to the
     same precision).
     """
-    params = ProtocolParams(parties, rounds, exponent)
-    diags = [np.ones(2 ** parties)]
-    for kind, _, _, diag in _leaf_and_node_diagonals(params):
-        if kind == "cont":
-            diags.append(diag)
-    s_list: list[float] = []
-    ops: list[np.ndarray] = []
-    for d in diags:
-        s = float(d.sum())
-        if s_list and not s < s_list[-1] * (1.0 - 1e-15):
-            continue
-        s_list.append(s)
-        ops.append(np.diag(d.astype(np.complex128)))
-    return PiecewisePath(np.array(s_list), ops)
+    _, cont = _step_rows(ProtocolParams(parties, rounds, exponent))
+    diags = np.vstack([np.ones((1, 2 ** parties)), cont])
+    traces = diags.sum(axis=1)
+    keep: list[int] = []
+    last = np.inf
+    # Sequential on purpose: a breakpoint is compared with the last one
+    # kept, not with its neighbour.
+    for k, s in enumerate(traces.tolist()):
+        if not keep or s < last * (1.0 - 1e-15):
+            keep.append(k)
+            last = s
+    d = diags.shape[1]
+    ops = np.zeros((len(keep), d, d), dtype=np.complex128)
+    ops[:, np.arange(d), np.arange(d)] = diags[keep]
+    return PiecewisePath(traces[keep], list(ops))
 
 
 def limit_path(parties: int, s: float) -> np.ndarray:

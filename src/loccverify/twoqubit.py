@@ -27,10 +27,13 @@ from .channels import (
     ChoiOperator,
     Instrument,
     KrausSet,
-    choi,
-    choi_distance,
     channel_from_leaf_povm,
     kraus_from_operators,
+)
+from .pqubit import (
+    multiplier_distance,
+    pqubit_coefficients,
+    prelimit_coefficients,
 )
 from .protocols import (
     CheckedPath,
@@ -50,6 +53,13 @@ T2 = np.diag([1.0, 2.0]).astype(np.complex128) / np.sqrt(6.0)
 
 def _diag4(a, b, c, d) -> np.ndarray:
     return np.diag([a, b, c, d]).astype(np.complex128)
+
+
+def _halt_diag(x, which: int) -> np.ndarray:
+    """diag(x, 0, 1, 0) for outcome 2 (B halts), else diag(x, 1, 0, 0)."""
+    if which == 2:
+        return _diag4(x, 0.0, 1.0, 0.0)
+    return _diag4(x, 1.0, 0.0, 0.0)
 
 
 # Five product Kraus operators, grouped (0,), (1, 2), (3, 4) by outcome.
@@ -139,9 +149,8 @@ def limiting_choi_2q(nodes: int = 64) -> ChoiOperator:
     mat = np.outer(v1, v1.conj())
 
     def halt_term(sigma: float) -> np.ndarray:
-        k2 = _diag4(np.sqrt(sigma), 0.0, 1.0, 0.0)
-        k3 = _diag4(np.sqrt(sigma), 1.0, 0.0, 0.0)
-        v2, v3 = ket(k2), ket(k3)
+        v2 = ket(_halt_diag(np.sqrt(sigma), 2))
+        v3 = ket(_halt_diag(np.sqrt(sigma), 3))
         return np.outer(v2, v2.conj()) + np.outer(v3, v3.conj())
 
     mat = mat + integrate_sqrt_smooth(halt_term, nodes=nodes)
@@ -197,11 +206,10 @@ def blocked_isometry_check(sigma_samples: int = 101,
     worst_coef = 0.0
     for sigma in np.linspace(0.0, 1.0, sigma_samples):
         rt = np.sqrt(sigma)
-        k2 = _diag4(rt, 0.0, 1.0, 0.0)
-        k3 = _diag4(rt, 1.0, 0.0, 0.0)
         want = np.array([np.sqrt(3.0) * (2.0 * rt - 1.0),
                          np.sqrt(6.0) * (1.0 - rt)])
-        for vec, block in ((k2, (1, 2)), (k3, (3, 4))):
+        for which, block in ((2, (1, 2)), (3, (3, 4))):
+            vec = _halt_diag(rt, which)
             a = K_GROUPED[list(block)].reshape(2, 16).T
             coef, *_ = np.linalg.lstsq(a, vec.reshape(16), rcond=None)
             recon = (a @ coef).reshape(4, 4)
@@ -232,8 +240,8 @@ def coarse_grain_check(nodes: int = 64, tol: float = 1e-9) -> CoarseGrainCheck:
             unit[i, j] = 1.0
 
             def integrand(sigma: float, unit=unit) -> np.ndarray:
-                k2 = _diag4(np.sqrt(sigma), 0.0, 1.0, 0.0)
-                k3 = _diag4(np.sqrt(sigma), 1.0, 0.0, 0.0)
+                k2 = _halt_diag(np.sqrt(sigma), 2)
+                k3 = _halt_diag(np.sqrt(sigma), 3)
                 top = k2 @ unit @ k2.conj().T
                 bot = k3 @ unit @ k3.conj().T
                 return np.stack([top, bot])
@@ -292,11 +300,7 @@ def wstate_analysis(nodes: int = 64) -> WStateReport:
     k1_norm = float(np.linalg.norm(kron([e1, eye2]) @ w))
 
     def outcome(sigma: float, which: int) -> np.ndarray:
-        if which == 2:
-            k = _diag4(np.sqrt(sigma), 0.0, 1.0, 0.0)
-        else:
-            k = _diag4(np.sqrt(sigma), 1.0, 0.0, 0.0)
-        v = kron([k, eye2]) @ w
+        v = kron([_halt_diag(np.sqrt(sigma), which), eye2]) @ w
         return np.outer(v, v.conj())
 
     rho2 = integrate_sqrt_smooth(lambda sg: outcome(sg, 2), nodes=nodes)
@@ -318,13 +322,15 @@ def prelimit_channel(rounds: int, exponent: float) -> KrausSet:
 
 
 def prelimit_choi_distance(rounds_list, exponent: float = 0.5) -> list[float]:
-    """Normalized Choi distances from the stopped protocol to the limit."""
-    target = two_qubit_instrument().minimal
-    out = []
-    for nu in rounds_list:
-        approx = prelimit_channel(int(nu), exponent)
-        out.append(choi_distance(choi(approx), choi(target)))
-    return out
+    """Normalized Choi distances from the stopped protocol to the limit.
+
+    Both channels are Hadamard multipliers, so this is the P = 2 case of
+    :func:`multiplier_distance`.
+    """
+    limit = pqubit_coefficients(2)
+    return [multiplier_distance(2, prelimit_coefficients(2, int(nu), exponent),
+                                limit)
+            for nu in rounds_list]
 
 
 def channel_zonoid() -> ZonoidSpec:
@@ -351,19 +357,12 @@ def limiting_family(spec: ZonoidSpec | None = None):
         endpoint_c=c_matrix_family("C1", 1.0),
     )
 
-    def density(which: int):
-        def f(sigma: float) -> np.ndarray:
-            if which == 2:
-                return _diag4(sigma, 0.0, 1.0, 0.0)
-            return _diag4(sigma, 1.0, 0.0, 0.0)
-        return f
-
     fams = []
     for which, name in ((2, "C2"), (3, "C3")):
         fams.append(EndpointFamily(
             label=f"halt-{'B' if which == 2 else 'A'}",
             parent=main,
-            density_at=density(which),
+            density_at=lambda sg, w=which: _halt_diag(sg, w),
             cdensity_at=lambda sg, nm=name: c_matrix_family(
                 nm, (1.0 + sg) ** 2),
             attach_s=lambda sg: (1.0 + sg) ** 2,
@@ -406,26 +405,17 @@ def blocked_limiting_family(spec: ZonoidSpec | None = None):
             np.stack([ops[j] for j in block]).reshape(len(block), 16).T)
 
         def f(sigma: float) -> CoefficientMatrix:
-            rt = np.sqrt(sigma)
-            k = (_diag4(rt, 0.0, 1.0, 0.0) if which == 2
-                 else _diag4(rt, 1.0, 0.0, 0.0))
+            k = _halt_diag(np.sqrt(sigma), which)
             w = np.zeros(spec.kappa, dtype=np.complex128)
             w[list(block)] = a @ k.reshape(16)
             return CoefficientMatrix(np.outer(w, w.conj()))
-        return f
-
-    def density(which: int):
-        def f(sigma: float) -> np.ndarray:
-            if which == 2:
-                return _diag4(sigma, 0.0, 1.0, 0.0)
-            return _diag4(sigma, 1.0, 0.0, 0.0)
         return f
 
     fams = [
         EndpointFamily(
             label=f"halt-{'B' if which == 2 else 'A'}",
             parent=main,
-            density_at=density(which),
+            density_at=lambda sg, w=which: _halt_diag(sg, w),
             cdensity_at=blocked_density(which),
             attach_s=lambda sg: (1.0 + sg) ** 2,
             block=which - 1,

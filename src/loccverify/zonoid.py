@@ -10,7 +10,7 @@ its own block and the boxes combine independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -45,28 +45,6 @@ class CoefficientMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
-
-    def is_psd(self, tol: float = 1e-10) -> bool:
-        w = self.eigenvalues()
-        scale = 1.0 + float(np.abs(w).max())
-        return float(w[0]) >= -tol * scale
-
-    def in_unit_box(self, tol: float = 1e-10) -> bool:
-        """True when 0 <= C <= 1 up to ``tol``.
-
-        Families given as densities with respect to a parameter measure are
-        allowed to leave the box; only actual witnesses must pass this.
-        """
-        w = self.eigenvalues()
-        return float(w[0]) >= -tol and float(w[-1]) <= 1.0 + tol
-
-    def block_offdiag_norm(self, blocks: Sequence[Sequence[int]]) -> float:
-        mask = np.zeros(self.matrix.shape, dtype=bool)
-        for blk in blocks:
-            idx = np.asarray(list(blk), dtype=int)
-            mask[np.ix_(idx, idx)] = True
-        off = np.where(mask, 0.0, self.matrix)
-        return float(np.linalg.norm(off))
 
 
 @dataclass

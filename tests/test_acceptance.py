@@ -20,7 +20,6 @@ from loccverify import (
     PartyDims,
     ZonoidSpec,
     blocked_isometry_check,
-    build_protocol_2q,
     build_protocol_pq,
     c_matrix_family,
     channel_zonoid,
@@ -311,7 +310,7 @@ def test_criterion_9_protocol_validity(capsys):
     green = True
     details = []
     for nu in (1, 10, 100, 10000):
-        rep = verify_tree(build_protocol_2q(nu, 0.5))
+        rep = verify_tree(build_protocol_pq(2, nu, 0.5))
         green = green and rep.ok and rep.max_node_sum_defect <= 1e-9 \
             and rep.max_locality_defect <= 1e-10 \
             and rep.completeness_defect <= 1e-9
@@ -321,7 +320,7 @@ def test_criterion_9_protocol_validity(capsys):
         green = green and rep.ok
 
     # fault injection: a rescaled leaf must be flagged at its ancestors
-    tree = build_protocol_2q(4, 0.5)
+    tree = build_protocol_pq(2, 4, 0.5)
     victim = tree.node_at((1, 1, 0))
     victim.povm_element = 1.01 * victim.povm_element
     bad = verify_tree(tree)

@@ -59,6 +59,38 @@ class TestExitCodes:
                            "--basis", "bogus"])
         assert status == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["protocol", "--nu", "0"],
+        ["protocol", "--parties", "1"],
+        ["protocol", "--c", "1.5"],
+        ["paths", "--c", "1.5"],
+        ["paths", "--nu", "0"],
+        ["paths", "--parties", "1"],
+    ])
+    def test_bad_protocol_parameters_are_2(self, capsys, argv):
+        status = cli.main(argv)
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["protocol", "paths"])
+    def test_too_many_parties_rejected_before_building(self, capsys,
+                                                       monkeypatch, command):
+        # 30 parties would need 2^60-entry arrays; fail loudly if the
+        # guard lets the call through instead of allocating.
+        def refuse(*args, **kwargs):
+            raise AssertionError("oversized protocol reached the builder")
+
+        monkeypatch.setattr(cli, "build_protocol_pq", refuse)
+        monkeypatch.setattr(cli, "path_distance_bound", refuse)
+        status = cli.main([command, "--parties", "30"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
     def test_failed_check_is_1(self, capsys):
         big = matrix_to_json(1.5 * np.eye(4, dtype=complex))
         status, rep = run(capsys, "zonoid-check", "--z", dumps(big, indent=0),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from loccverify import (
     ProtocolParams,
     blocked_limiting_family,
-    build_protocol_2q,
+    branch_path,
     build_protocol_pq,
     c_matrix_family,
     channel_zonoid,
@@ -48,20 +48,23 @@ class TestTreeStructure:
         tree = build_protocol_pq(parties, rounds, 0.5)
         assert len(tree.leaves()) == parties * rounds + 1
 
-    def test_2q_builder_matches_pq(self):
-        a = build_protocol_2q(5, 0.5)
-        b = build_protocol_pq(2, 5, 0.5)
-        la, lb = a.leaves(), b.leaves()
-        assert len(la) == len(lb)
-        for x, y in zip(la, lb):
-            np.testing.assert_allclose(x.povm_element, y.povm_element,
-                                       atol=1e-15)
-
     def test_main_leaf_is_last(self):
-        tree = build_protocol_pq(2, 3, 0.5)
-        main = tree.leaves()[-1]
+        parties, rounds = 2, 3
+        tree = build_protocol_pq(parties, rounds, 0.5)
         # the main branch never halts, so its path is all continue moves
-        assert all(i == 1 for i in main.path)
+        assert tree.node_at((1,) * (parties * rounds)) is tree.leaves()[-1]
+
+    def test_branch_path_follows_child_indices(self):
+        tree = build_protocol_pq(2, 3, 0.5)
+        main = branch_path(tree, (1,) * 6)
+        np.testing.assert_allclose(main.s_values,
+                                   main_branch_path(2, 3, 0.5).s_values,
+                                   rtol=0, atol=1e-15)
+        side = branch_path(tree, (1, 1, 0))
+        assert side.s_values.size == 4
+        assert side.operators[-1] is tree.node_at((1, 1, 0)).povm_element
+        with pytest.raises(ValueError):
+            branch_path(tree, (1,))
 
     def test_node_at_navigates(self):
         tree = build_protocol_pq(2, 2, 0.5)
@@ -73,7 +76,7 @@ class TestTreeStructure:
 class TestVerifyTree:
     @pytest.mark.parametrize("rounds", [1, 5, 20])
     def test_2q_trees_pass(self, rounds):
-        rep = verify_tree(build_protocol_2q(rounds, 0.5))
+        rep = verify_tree(build_protocol_pq(2, rounds, 0.5))
         assert rep.ok
         assert rep.n_leaves == 2 * rounds + 1
         assert rep.max_node_sum_defect <= 1e-9
@@ -133,6 +136,73 @@ class TestLeafDiagonals:
     def test_rows_nonnegative(self):
         diags = protocol_leaf_diagonals(2, 6, 0.3)
         assert diags.min() >= 0.0
+
+
+def _reference_steps(parties, rounds, exponent):
+    """Halt and continue diagonals, each step the kron of its local factors."""
+    eps = ProtocolParams(parties, rounds, exponent).epsilon
+    eta = 1.0 - eps
+    halt, cont = [], []
+    for n in range(rounds):
+        for l in range(1, parties + 1):
+            ahead = [np.array([eta ** (n + 1), 1.0])] * (l - 1)
+            behind = [np.array([eta ** n, 1.0])] * (parties - l)
+            for rows, own in ((halt, np.array([eps * eta ** n, 0.0])),
+                              (cont, np.array([eta ** (n + 1), 1.0]))):
+                out = (ahead + [own] + behind)[0]
+                for v in (ahead + [own] + behind)[1:]:
+                    out = np.kron(out, v)
+                rows.append(out)
+    return np.array(halt), np.array(cont)
+
+
+def _reference_main_branch(parties, rounds, exponent):
+    """Main-branch breakpoints, dropping those whose trace is not below the
+    last kept trace by a relative 1e-15."""
+    _, cont = _reference_steps(parties, rounds, exponent)
+    s_list, ops = [], []
+    for d in [np.ones(2 ** parties)] + list(cont):
+        s = float(d.sum())
+        if s_list and not s < s_list[-1] * (1.0 - 1e-15):
+            continue
+        s_list.append(s)
+        ops.append(np.diag(d.astype(np.complex128)))
+    return np.array(s_list), ops
+
+
+def _assert_matches_reference(parties, rounds, exponent):
+    halt, cont = _reference_steps(parties, rounds, exponent)
+    assert np.array_equal(protocol_leaf_diagonals(parties, rounds, exponent),
+                          np.vstack([halt, cont[-1:]]))
+    s_ref, ops_ref = _reference_main_branch(parties, rounds, exponent)
+    path = main_branch_path(parties, rounds, exponent)
+    assert np.array_equal(path.s_values, s_ref)
+    assert len(path.operators) == len(ops_ref)
+    for got, want in zip(path.operators, ops_ref):
+        assert np.array_equal(got, want)
+    node = build_protocol_pq(parties, rounds, exponent).root
+    assert np.array_equal(node.povm_element, np.eye(2 ** parties))
+    for h, c in zip(halt, cont):
+        assert len(node.children) == 2 and node.children[0].is_leaf
+        assert np.array_equal(node.children[0].povm_element,
+                              np.diag(h.astype(np.complex128)))
+        node = node.children[1]
+        assert np.array_equal(node.povm_element,
+                              np.diag(c.astype(np.complex128)))
+    assert node.is_leaf
+
+
+class TestAgainstKronReference:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 60), st.floats(0.05, 0.95))
+    def test_tables_match_exactly(self, parties, rounds, exponent):
+        _assert_matches_reference(parties, rounds, exponent)
+
+    def test_drop_rule_case(self):
+        # long enough that trailing breakpoints stop decreasing in trace
+        _assert_matches_reference(2, 900, 0.4)
+        s_ref, _ = _reference_main_branch(2, 900, 0.4)
+        assert s_ref.size < 2 * 900 + 1
 
 
 class TestPaths:
