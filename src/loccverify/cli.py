@@ -300,8 +300,22 @@ def _cmd_paper2q(args) -> dict:
     return {"checks": checks, "values": values}
 
 
+def _rounds_list(text: str) -> list[int]:
+    """The --nu-list value: comma-separated round counts, each at least 1."""
+    try:
+        rounds = [int(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise InputError(f"--nu-list: {exc}") from exc
+    if min(rounds) < 1:
+        raise InputError("--nu-list entries must be at least 1")
+    return rounds
+
+
 def _cmd_paperpq(args) -> dict:
-    nu_list = [int(v) for v in args.nu_list.split(",")]
+    if not pq.MIN_PARTIES <= args.parties <= pq.LIMIT_CHECK_MAX_PARTIES:
+        raise InputError(f"--parties must lie in [{pq.MIN_PARTIES}, "
+                         f"{pq.LIMIT_CHECK_MAX_PARTIES}]")
+    nu_list = _rounds_list(args.nu_list)
     report = pq.pqubit_limit_check(args.parties, nu_list, args.c,
                                    nodes=args.nodes)
     checks = [
@@ -335,7 +349,7 @@ def _cmd_wstate(args) -> dict:
 
 
 def _cmd_hausdorff(args) -> dict:
-    nu_list = [int(v) for v in args.nu_list.split(",")]
+    nu_list = _rounds_list(args.nu_list)
     limit_spec = twoqubit.channel_zonoid()
     dists = []
     for nu in nu_list:

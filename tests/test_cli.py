@@ -66,6 +66,12 @@ class TestExitCodes:
         ["paths", "--c", "1.5"],
         ["paths", "--nu", "0"],
         ["paths", "--parties", "1"],
+        ["paper-pq", "--parties", "7"],
+        ["paper-pq", "--parties", "1"],
+        ["paper-pq", "--nu-list", "10,x"],
+        ["paper-pq", "--nu-list", "0"],
+        ["hausdorff", "--nu-list", "10,x"],
+        ["hausdorff", "--nu-list", "0"],
     ])
     def test_bad_protocol_parameters_are_2(self, capsys, argv):
         status = cli.main(argv)

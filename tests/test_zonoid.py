@@ -13,6 +13,7 @@ from loccverify import (
     cmatrix_resolution_check,
     endpoint_cmatrix,
     hausdorff_estimate,
+    instrument_zonoid,
     kraus_from_operators,
     limit_path,
     membership,
@@ -24,8 +25,12 @@ from loccverify import (
     two_qubit_instrument,
 )
 from loccverify import twoqubit
+from loccverify.zonoid import _directions
+
+from conftest import haar_unitary
 
 D2 = PartyDims((2,))
+ZONOIDS = {"channel": channel_zonoid, "instrument": instrument_zonoid}
 
 
 def square_spec():
@@ -160,6 +165,24 @@ class TestMembershipReports:
             worst = max(worst, rep.residual)
         assert worst <= 1e-7
 
+    def test_degenerate_face_point_has_exact_box_witness(self):
+        # diag(0.9, 0.9, 1, 1) is the first asymmetric breakpoint of the
+        # 100-round main branch; this witness sits on a face of the box.
+        spec = channel_zonoid()
+        c = np.diag([1.0, 1.0, 0.9, 0.5]).astype(complex)
+        w = np.linalg.eigvalsh(c)
+        assert w[0] >= 0.0 and w[-1] <= 1.0
+        image = np.einsum("mn,mnac->ac", c, _gram(spec))
+        target = np.diag([0.9, 0.9, 1.0, 1.0])
+        assert np.linalg.norm(image - target) <= 1e-15
+
+    @pytest.mark.xfail(strict=True, reason="projected gradient stalls near "
+                       "the degenerate box face (residual 1.5e-8 after "
+                       "10000 iterations)")
+    def test_degenerate_face_point_is_feasible(self):
+        z = np.diag([0.9, 0.9, 1.0, 1.0]).astype(complex)
+        assert membership(z, channel_zonoid(), tol=1e-9).feasible
+
     def test_non_hermitian_rejected(self):
         spec = square_spec()
         z = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -224,6 +247,33 @@ class TestHausdorff:
         g2 = hausdorff_estimate(a, b, samples=150, seed=3)
         assert g1 == g2
 
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_directions_open_with_canonical_basis(self, d):
+        r = 1.0 / np.sqrt(2.0)
+        basis = []
+        for i in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, i] = 1.0
+            basis.append(e)
+        for i in range(d):
+            for j in range(i + 1, d):
+                e = np.zeros((d, d), dtype=complex)
+                e[i, j] = e[j, i] = r
+                f = np.zeros((d, d), dtype=complex)
+                f[i, j], f[j, i] = -1j * r, 1j * r
+                basis += [e, f]
+        xs = _directions(d, 5, 0)
+        assert xs.shape == (d * d + 5, d, d)
+        np.testing.assert_array_equal(xs[:d * d], np.array(basis))
+
+    def test_directions_extend_with_samples(self):
+        short = _directions(4, 40, 11)
+        long = _directions(4, 100, 11)
+        np.testing.assert_array_equal(long[:len(short)], short)
+        norms = np.linalg.norm(long, axis=(1, 2))
+        np.testing.assert_allclose(norms, 1.0, rtol=1e-14)
+        np.testing.assert_array_equal(long, long.conj().transpose(0, 2, 1))
+
     def test_shrinks_with_rounds(self):
         b = channel_zonoid()
         gaps = [
@@ -252,6 +302,24 @@ class TestSupportFunction:
         t = float(r.uniform(0.1, 3.0))
         assert support_function(t * x, spec) == pytest.approx(t * sx)
 
+    @pytest.mark.parametrize("name", sorted(ZONOIDS))
+    def test_batched_matches_per_direction_loop(self, name):
+        spec = ZONOIDS[name]()
+        gram = _gram(spec)
+        xs = _directions(spec.dim, 200, 5)
+        want = []
+        for x in xs:
+            a = np.einsum("ab,mpba->pm", x, gram)
+            total = 0.0
+            for blk in spec.block_list():
+                w = np.linalg.eigvalsh(a[np.ix_(blk, blk)])
+                total += w[w > 0.0].sum()
+            want.append(total)
+        got = spec.solver().support(xs)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert support_function(xs[-1], spec) == pytest.approx(got[-1],
+                                                              rel=1e-12)
+
     def test_dominates_members(self):
         # support in any direction bounds the pairing with any member
         spec = channel_zonoid()
@@ -259,3 +327,84 @@ class TestSupportFunction:
         direction = np.diag([1.0, 0.5, 0.25, 2.0]).astype(complex)
         pairing = float(np.real(np.trace(direction @ z)))
         assert support_function(direction, spec) >= pairing - 1e-9
+
+
+def _gram(spec):
+    ops = spec.basis.operators
+    return np.einsum("mba,nbc->mnac", ops.conj(), ops)
+
+
+def _herm_unit(r, d):
+    g = r.standard_normal((d, d)) + 1j * r.standard_normal((d, d))
+    h = g + g.conj().T
+    return h / np.linalg.norm(h)
+
+
+def _random_box(spec, r, pin):
+    """Block-diagonal 0 <= C <= 1, optionally with one eigenvalue at 0 or 1
+    in every block, which puts C on a face of the box."""
+    c = np.zeros((spec.kappa, spec.kappa), dtype=complex)
+    for blk in spec.block_list():
+        w = r.uniform(0.0, 1.0, len(blk))
+        if pin:
+            w[r.integers(len(blk))] = float(r.integers(2))
+        u = haar_unitary(len(blk), r)
+        c[np.ix_(blk, blk)] = (u * w) @ u.conj().T
+    return c
+
+
+def _support_maximiser(spec, x):
+    """A box point C with Re<x, L(C)> = h(x): the projector onto the
+    positive eigenvectors of A[p, m] = Tr(x K_m^dag K_p) in each block."""
+    a = np.einsum("ab,mpba->pm", x, _gram(spec))
+    c = np.zeros_like(a)
+    for blk in spec.block_list():
+        w, v = np.linalg.eigh(a[np.ix_(blk, blk)])
+        pos = v[:, w > 0.0]
+        c[np.ix_(blk, blk)] = pos @ pos.conj().T
+    return c
+
+
+@pytest.mark.parametrize("name", sorted(ZONOIDS))
+class TestMembershipProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_box_image_is_feasible_with_checkable_witness(self, name, seed,
+                                                           pin):
+        spec = ZONOIDS[name]()
+        gram = _gram(spec)
+        c = _random_box(spec, np.random.default_rng(seed), pin)
+        z = np.einsum("mn,mnac->ac", c, gram)
+        z = 0.5 * (z + z.conj().T)
+        rep = membership(z, spec)
+        assert rep.feasible, rep.residual
+        w = rep.witness.matrix
+        mask = np.zeros(w.shape, dtype=bool)
+        for blk in spec.block_list():
+            mask[np.ix_(blk, blk)] = True
+            eig = np.linalg.eigvalsh(w[np.ix_(blk, blk)])
+            assert eig[0] >= -1e-12 and eig[-1] <= 1.0 + 1e-12
+        assert np.all(w[~mask] == 0.0)
+        image = np.einsum("mn,mnac->ac", w, gram)
+        assert np.linalg.norm(image - z) <= 1e-7
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_support_bounds_every_member(self, name, seed, pin):
+        spec = ZONOIDS[name]()
+        r = np.random.default_rng(seed)
+        z = np.einsum("mn,mnac->ac", _random_box(spec, r, pin), _gram(spec))
+        x = _herm_unit(r, spec.dim)
+        pairing = float(np.real(np.vdot(x, z)))
+        assert pairing <= support_function(x, spec) + 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1e-1))
+    def test_push_past_support_is_infeasible(self, name, seed, margin):
+        spec = ZONOIDS[name]()
+        x = _herm_unit(np.random.default_rng(seed), spec.dim)
+        y = np.einsum("mn,mnac->ac", _support_maximiser(spec, x), _gram(spec))
+        z = y + margin * x
+        z = 0.5 * (z + z.conj().T)
+        assert not membership(z, spec).feasible
+        assert separation_gap(z, spec) > 0.0
