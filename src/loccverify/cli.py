@@ -17,6 +17,7 @@ import numpy as np
 
 from . import serialize
 from .channels import (
+    COMPLETENESS_TOL,
     KrausSet,
     choi,
     choi_distance,
@@ -25,6 +26,8 @@ from .channels import (
 )
 from .linalg import trace_norm
 from .protocols import (
+    LOCALITY_TOL,
+    NODE_SUM_TOL,
     ProtocolParams,
     build_protocol_pq,
     path_distance_bound,
@@ -168,24 +171,32 @@ def _cmd_zonoid_check(args) -> dict:
     return {"checks": checks, "values": values}
 
 
-def _protocol_params(args) -> ProtocolParams:
+def _at_least(value: int, flag: str, low: int) -> int:
+    if value < low:
+        raise InputError(f"{flag} must be at least {low}")
+    return value
+
+
+def _protocol_params(parties: int, rounds: int, exponent: float
+                     ) -> ProtocolParams:
     # Checked before anything is built: the tree holds 2^P x 2^P matrices.
-    if args.parties > pq.MAX_PARTIES:
+    if parties > pq.MAX_PARTIES:
         raise InputError(f"--parties must be at most {pq.MAX_PARTIES}")
     try:
-        return ProtocolParams(args.parties, args.nu, args.c)
+        return ProtocolParams(parties, rounds, exponent)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
 def _cmd_protocol(args) -> dict:
-    params = _protocol_params(args)
+    params = _protocol_params(args.parties, args.nu, args.c)
     tree = build_protocol_pq(params.parties, params.rounds, params.exponent)
     report = verify_tree(tree)
     checks = [
-        _check("node-sums", report.max_node_sum_defect, 1e-9),
-        _check("locality", report.max_locality_defect, 1e-10),
-        _check("completeness", report.completeness_defect, 1e-9),
+        _check("node-sums", report.max_node_sum_defect, NODE_SUM_TOL),
+        _check("product", report.max_product_defect, LOCALITY_TOL),
+        _check("locality", report.max_locality_defect, LOCALITY_TOL),
+        _check("completeness", report.completeness_defect, COMPLETENESS_TOL),
     ]
     values = {
         "parties": args.parties,
@@ -203,9 +214,10 @@ def _cmd_protocol(args) -> dict:
 
 
 def _cmd_paths(args) -> dict:
-    params = _protocol_params(args)
+    params = _protocol_params(args.parties, args.nu, args.c)
+    grid = _at_least(args.grid, "--grid", 1)
     report = path_distance_bound(params.parties, params.rounds,
-                                 params.exponent, grid_points=args.grid)
+                                 params.exponent, grid_points=grid)
     checks = [_check("limit-gap-bound", report.max_distance,
                      report.bound + 1e-12)]
     values = {
@@ -217,7 +229,16 @@ def _cmd_paths(args) -> dict:
     return {"checks": checks, "values": values}
 
 
+def _theorem_samples(args) -> None:
+    # --samples 0 selects the dense default grid.
+    _at_least(args.samples, "--samples", 0)
+    _at_least(args.sigma_samples, "--sigma-samples", 1)
+
+
 def _cmd_theorem1(args) -> dict:
+    _theorem_samples(args)
+    if args.nu:
+        _protocol_params(2, args.nu, args.c)
     spec = twoqubit.channel_zonoid()
     paths, fams = twoqubit.limiting_family(spec)
     report = verify_theorem_conditions(
@@ -245,6 +266,8 @@ def _cmd_theorem1(args) -> dict:
 
 
 def _cmd_theorem8(args) -> dict:
+    _theorem_samples(args)
+    _at_least(args.nodes, "--nodes", 1)
     spec = twoqubit.instrument_zonoid()
     paths, fams = twoqubit.blocked_limiting_family(spec)
     report = verify_theorem_conditions(
@@ -279,6 +302,8 @@ def _cmd_theorem8(args) -> dict:
 
 
 def _cmd_paper2q(args) -> dict:
+    _protocol_params(2, args.nu, args.c)
+    _at_least(args.nodes, "--nodes", 1)
     gap = path_distance_bound(2, args.nu, args.c)
     omega = twoqubit.limiting_choi_2q(nodes=args.nodes)
     offdiag = float(np.real(omega.matrix[0, 10]))
@@ -300,14 +325,15 @@ def _cmd_paper2q(args) -> dict:
     return {"checks": checks, "values": values}
 
 
-def _rounds_list(text: str) -> list[int]:
-    """The --nu-list value: comma-separated round counts, each at least 1."""
+def _rounds_list(text: str, parties: int, exponent: float) -> list[int]:
+    """The --nu-list value: comma-separated round counts, each a valid
+    protocol with ``parties`` and ``exponent``."""
     try:
         rounds = [int(v) for v in text.split(",")]
     except ValueError as exc:
         raise InputError(f"--nu-list: {exc}") from exc
-    if min(rounds) < 1:
-        raise InputError("--nu-list entries must be at least 1")
+    for nu in rounds:
+        _protocol_params(parties, nu, exponent)
     return rounds
 
 
@@ -315,7 +341,8 @@ def _cmd_paperpq(args) -> dict:
     if not pq.MIN_PARTIES <= args.parties <= pq.LIMIT_CHECK_MAX_PARTIES:
         raise InputError(f"--parties must lie in [{pq.MIN_PARTIES}, "
                          f"{pq.LIMIT_CHECK_MAX_PARTIES}]")
-    nu_list = _rounds_list(args.nu_list)
+    nu_list = _rounds_list(args.nu_list, args.parties, args.c)
+    _at_least(args.nodes, "--nodes", 1)
     report = pq.pqubit_limit_check(args.parties, nu_list, args.c,
                                    nodes=args.nodes)
     checks = [
@@ -333,6 +360,7 @@ def _cmd_paperpq(args) -> dict:
 
 
 def _cmd_wstate(args) -> dict:
+    _at_least(args.nodes, "--nodes", 1)
     report = twoqubit.wstate_analysis(nodes=args.nodes)
     checks = [
         _check("all-ones-annihilates", report.k1_image_norm, 1e-12),
@@ -349,7 +377,8 @@ def _cmd_wstate(args) -> dict:
 
 
 def _cmd_hausdorff(args) -> dict:
-    nu_list = _rounds_list(args.nu_list)
+    nu_list = _rounds_list(args.nu_list, 2, args.c)
+    _at_least(args.samples, "--samples", 0)
     limit_spec = twoqubit.channel_zonoid()
     dists = []
     for nu in nu_list:

@@ -16,7 +16,6 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-9
-FACTOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -68,30 +67,45 @@ def _dims_tuple(dims) -> tuple[int, ...]:
     return tuple(int(d) for d in dims)
 
 
+def _kron_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
+    return prod.reshape(prod.shape[:-4] + (rows, cols))
+
+
 def kron(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Tensor product of the factors, first factor most significant."""
-    mats = [as_matrix(f) for f in factors]
+    """Tensor product of the factors, first factor most significant.
+
+    Each factor is a matrix or a stack of matrices, shape (..., r, c);
+    stacks are multiplied entry by entry along their leading axes.
+    """
+    mats = [np.asarray(f, dtype=np.complex128) for f in factors]
     if not mats:
         raise ValueError("kron needs at least one factor")
-    return reduce(np.kron, mats)
+    if any(a.ndim < 2 for a in mats):
+        raise ValueError("kron factors must be matrices")
+    return reduce(_kron_pair, mats)
 
 
 def partial_trace(m, dims, keep: Iterable[int]) -> np.ndarray:
     """Trace out all parties not listed in ``keep`` (1-based indices).
 
-    The kept parties stay in their original relative order.
+    ``m`` is a matrix or a stack of matrices, shape (..., D, D); the trace
+    acts on the last two axes. The kept parties stay in their original
+    relative order.
     """
-    a = as_matrix(m)
+    a = np.asarray(m, dtype=np.complex128)
     d = _dims_tuple(dims)
     n = len(d)
     total = int(np.prod(d))
-    if a.shape != (total, total):
+    if a.shape[-2:] != (total, total):
         raise ValueError(f"shape {a.shape} does not match dims {d}")
     kept = sorted(set(int(k) for k in keep))
     if any(k < 1 or k > n for k in kept):
         raise ValueError(f"keep indices {kept} out of range 1..{n}")
 
-    t = a.reshape(d + d)
+    batch = a.shape[:-2]
+    t = a.reshape(batch + d + d)
     # Traced parties get the same einsum letter on row and column axes.
     letters = "abcdefghijklmnopqrstuvwxyz"
     if 2 * n > len(letters):
@@ -104,9 +118,10 @@ def partial_trace(m, dims, keep: Iterable[int]) -> np.ndarray:
     out_sub = "".join(row_sub[p - 1] for p in kept) + "".join(
         col_sub[p - 1] for p in kept
     )
-    res = np.einsum("".join(row_sub) + "".join(col_sub) + "->" + out_sub, t)
+    res = np.einsum("..." + "".join(row_sub) + "".join(col_sub) + "->..."
+                    + out_sub, t)
     dk = int(np.prod([d[p - 1] for p in kept])) if kept else 1
-    return res.reshape(dk, dk)
+    return res.reshape(batch + (dk, dk))
 
 
 def dagger(m) -> np.ndarray:
@@ -215,86 +230,10 @@ def integrate_sqrt_smooth(f: Callable[[float], np.ndarray], nodes: int = 64):
                           nodes)
 
 
-def _unit_trace_factor(f: np.ndarray) -> np.ndarray:
-    tr = np.trace(f)
-    if abs(tr) > 1e-12 * (1.0 + float(np.abs(f).max(initial=0.0))) * f.shape[0]:
-        return f / tr
-    nrm = np.linalg.norm(f)
-    if nrm == 0.0:
-        return f
-    # Traceless factor: normalize in Frobenius norm and pin the phase of the
-    # largest entry so the representative is unique.
-    g = f / nrm
-    idx = np.unravel_index(np.argmax(np.abs(g)), g.shape)
-    ph = g[idx] / abs(g[idx])
-    return g / ph
-
-
-def product_factor_check(m, dims, tol: float = FACTOR_TOL):
-    """Decide whether ``m`` factors as a tensor product over the parties.
-
-    Returns the list of factors (party 1 first) when
-    ``||m - kron(factors)||_F <= tol * max(1, ||m||_F)``, else None. Factors
-    after the first are normalized (unit trace when possible) with all scale
-    pushed into party 1's factor.
-    """
-    a = as_matrix(m)
-    d = _dims_tuple(dims)
-    total = int(np.prod(d))
-    if a.shape != (total, total):
-        raise ValueError(f"shape {a.shape} does not match dims {d}")
-    if len(d) == 1:
-        return [a]
-
-    norm_a = np.linalg.norm(a)
-    if norm_a == 0.0:
-        return [np.zeros((d[0], d[0]), dtype=np.complex128)] + [
-            np.eye(dd, dtype=np.complex128) / dd for dd in d[1:]
-        ]
-
-    factors: list[np.ndarray] = []
-    rest = a
-    rest_dims = list(d)
-    while len(rest_dims) > 1:
-        d1 = rest_dims[0]
-        d2 = int(np.prod(rest_dims[1:]))
-        # Realign so a product becomes a rank-1 matrix of vectorized factors.
-        r = rest.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(
-            d1 * d1, d2 * d2
-        )
-        u, s, vh = np.linalg.svd(r, full_matrices=False)
-        if s.size > 1 and s[1] > tol * max(1.0, s[0]):
-            return None
-        # The realignment of F (x) G is vec(F) vec(G)^T, no conjugation.
-        f1 = (u[:, 0] * s[0]).reshape(d1, d1)
-        f2 = vh[0].reshape(d2, d2)
-        g2 = _unit_trace_factor(f2)
-        # Rescale so f1 (x) g2 still reproduces the slab.
-        inner = np.vdot(g2, f2)
-        f1 = f1 * inner / max(np.linalg.norm(g2) ** 2, 1e-300)
-        factors.append(f1)
-        rest = g2
-        rest_dims = rest_dims[1:]
-    factors.append(rest)
-
-    # Scales sit on intermediate factors; sweep them all into party 1.
-    cleaned = [factors[0]]
-    for f in factors[1:]:
-        g = _unit_trace_factor(f)
-        c = np.vdot(g, f) / max(np.linalg.norm(g) ** 2, 1e-300)
-        cleaned[0] = cleaned[0] * c
-        cleaned.append(g)
-    recon = kron(cleaned)
-    if np.linalg.norm(a - recon) > tol * max(1.0, norm_a):
-        return None
-    return cleaned
-
-
 def product_defect(m, dims) -> float:
     """Relative distance from the nearest single-cut product structure.
 
-    Zero (to rounding) on exact tensor products; used as a continuous
-    companion to product_factor_check.
+    Zero (to rounding) on exact tensor products.
     """
     a = as_matrix(m)
     d = _dims_tuple(dims)

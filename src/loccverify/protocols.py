@@ -203,100 +203,113 @@ class TreeReport:
     failures: tuple[TreeFailure, ...]
 
 
-def _unit_trace_factors(m: np.ndarray, dims: PartyDims):
-    """Per-party unit-trace factors of a product operator, or None.
-
-    Also returns the relative reconstruction defect so callers can treat
-    near-products quantitatively.
-    """
-    tr = np.trace(m)
-    scale = max(float(np.linalg.norm(m)), 1e-300)
-    if abs(tr) < 1e-13 * scale:
-        return None, 1.0
-    facs = []
-    for p in range(1, dims.n_parties + 1):
-        facs.append(partial_trace(m, dims, [p]) / tr)
-    recon = tr * kron(facs)
-    defect = float(np.linalg.norm(m - recon)) / max(1.0, float(np.linalg.norm(m)))
-    return facs, defect
+# Node elements stacked per factor pass: about this many matrix entries, so
+# the pass's memory does not grow with the tree.
+_CHUNK_ENTRIES = 2 ** 16
 
 
-def verify_tree(tree: ProtocolTree, sum_tol: float = NODE_SUM_TOL,
-                locality_tol: float = LOCALITY_TOL,
-                completeness_tol: float = COMPLETENESS_TOL) -> TreeReport:
+def verify_tree(tree: ProtocolTree) -> TreeReport:
     """Structural verification of a protocol tree.
 
-    Checks, with the defect localized to a node path on failure:
-    every node element equals the sum of its descendant leaves; every node
-    element is a tensor product over the parties; along each edge only the
-    parent's acting party changes its factor; the leaves form a complete
-    measurement.
+    Checks, with the defect localized to a node path on failure: every node
+    element equals the sum of its descendant leaves (to NODE_SUM_TOL); every
+    node element is a tensor product over the parties, and along each edge
+    only the parent's acting party changes its unit-trace factor (both to
+    LOCALITY_TOL); the leaves form a complete measurement (to
+    COMPLETENESS_TOL). Failures are listed leaf sums first (bottom-up), then
+    products (preorder), locality (by parent, child, party) and
+    completeness. Node elements are read when this is called.
     """
-    order = list(tree.iter_nodes())
     dims = tree.dims
-    leaf_sum: dict[int, np.ndarray] = {}
-    # (parent, child index) of every child; node paths are rebuilt from
-    # these only for the nodes that fail.
-    parent: dict[int, tuple[ProtocolNode, int]] = {}
-    failed: list[tuple[ProtocolNode, str, float]] = []
+    # One preorder walk. Node i keeps its parent's index (-1 at the root),
+    # its child index there, its acting party (0 for none) and its number
+    # of children.
+    elements, parent, child, acting, arity = [], [], [], [], []
+    stack = [(tree.root, -1, 0)]
+    while stack:
+        node, up, i = stack.pop()
+        me = len(elements)
+        elements.append(node.povm_element)
+        parent.append(up)
+        child.append(i)
+        acting.append(node.acting_party or 0)
+        arity.append(len(node.children))
+        stack.extend((ch, me, j) for j, ch in
+                     reversed(list(enumerate(node.children))))
+    n = len(elements)
+    failed: list[tuple[int, str, float]] = []
+
+    # Leaf sums in reverse preorder. A node's children's sums are on top of
+    # the stack, child 0 uppermost, so only sums still owed are kept.
+    owed = []
     max_sum = 0.0
-    for node in reversed(order):
-        if node.is_leaf:
-            leaf_sum[id(node)] = node.povm_element
+    for i in range(n - 1, -1, -1):
+        if not arity[i]:
+            owed.append(elements[i])
             continue
-        for i, ch in enumerate(node.children):
-            parent[id(ch)] = (node, i)
-        acc = leaf_sum[id(node.children[0])].copy()
-        for ch in node.children[1:]:
-            acc = acc + leaf_sum[id(ch)]
-        leaf_sum[id(node)] = acc
-        defect = float(np.abs(node.povm_element - acc).max())
+        acc = owed.pop()
+        for _ in range(arity[i] - 1):
+            acc = acc + owed.pop()
+        defect = float(np.abs(elements[i] - acc).max())
         max_sum = max(max_sum, defect)
-        if defect > sum_tol:
-            failed.append((node, "leaf-sum", defect))
+        if defect > NODE_SUM_TOL:
+            failed.append((i, "leaf-sum", defect))
+        owed.append(acc)
+    comp = float(np.abs(owed.pop() - np.eye(dims.total)).max())
 
-    max_prod = 0.0
-    max_loc = 0.0
-    factors: dict[int, list[np.ndarray] | None] = {}
-    for node in order:
-        facs, pdef = _unit_trace_factors(node.povm_element, dims)
-        factors[id(node)] = facs
-        max_prod = max(max_prod, pdef if facs is not None else 1.0)
-        if facs is None or pdef > locality_tol:
-            failed.append((node, "product", pdef))
-    for node in order:
-        if node.is_leaf:
-            continue
-        pf = factors[id(node)]
-        for ch in node.children:
-            cf = factors[id(ch)]
-            if pf is None or cf is None:
-                continue
-            for p in range(1, dims.n_parties + 1):
-                if p == node.acting_party:
-                    continue
-                d = float(np.linalg.norm(pf[p - 1] - cf[p - 1]))
-                max_loc = max(max_loc, d)
-                if d > locality_tol:
-                    failed.append((ch, f"locality-party-{p}", d))
+    # Unit-trace party factors and the relative product defect, one stacked
+    # chunk of elements at a time. A (near) traceless element has no
+    # factors; its product defect is 1.
+    factors = [np.empty((n, k, k), dtype=np.complex128) for k in dims]
+    prod = np.empty(n)
+    traceless = np.empty(n, dtype=bool)
+    step = max(1, _CHUNK_ENTRIES // dims.total ** 2)
+    for lo in range(0, n, step):
+        part = slice(lo, lo + step)
+        m = np.array(elements[part], dtype=np.complex128)
+        norm = np.linalg.norm(m, axis=(1, 2))
+        tr = np.trace(m, axis1=1, axis2=2)
+        zero = np.abs(tr) < 1e-13 * np.maximum(norm, 1e-300)
+        tr = np.where(zero, 1.0, tr)[:, None, None]
+        facs = [partial_trace(m, dims, [p]) / tr
+                for p in range(1, dims.n_parties + 1)]
+        defect = np.linalg.norm(m - tr * kron(facs), axis=(1, 2))
+        prod[part] = np.where(zero, 1.0, defect / np.maximum(1.0, norm))
+        traceless[part] = zero
+        for full, f in zip(factors, facs):
+            full[part] = f
+    failed.extend((int(i), "product", float(prod[i]))
+                  for i in np.flatnonzero(prod > LOCALITY_TOL))
 
-    total = leaf_sum[id(tree.root)]
-    comp = float(np.abs(total - np.eye(dims.total)).max())
-    if comp > completeness_tol:
-        failed.append((tree.root, "completeness", comp))
+    # Locality over every edge, ordered by parent then child index; the
+    # parent's acting party and edges at traceless nodes are masked.
+    up = np.array(parent)
+    kids = np.lexsort((np.array(child)[1:], up[1:])) + 1
+    ups = up[kids]
+    loc = np.stack([np.linalg.norm(f[kids] - f[ups], axis=(1, 2))
+                    for f in factors], axis=1)
+    parties = np.arange(1, dims.n_parties + 1)
+    compared = ((parties != np.array(acting)[ups][:, None])
+                & ~(traceless[kids] | traceless[ups])[:, None])
+    loc = np.where(compared, loc, 0.0)
+    failed.extend((int(kids[e]), f"locality-party-{p + 1}", float(loc[e, p]))
+                  for e, p in zip(*np.nonzero(loc > LOCALITY_TOL)))
 
-    def node_path(node: ProtocolNode) -> tuple[int, ...]:
+    if comp > COMPLETENESS_TOL:
+        failed.append((0, "completeness", comp))
+
+    def node_path(i: int) -> tuple[int, ...]:
         steps = []
-        while id(node) in parent:
-            node, i = parent[id(node)]
-            steps.append(i)
+        while parent[i] >= 0:
+            steps.append(child[i])
+            i = parent[i]
         return tuple(reversed(steps))
 
-    failures = tuple(TreeFailure(node_path(node), kind, defect)
-                     for node, kind, defect in failed)
-    n_leaves = sum(1 for n in order if n.is_leaf)
-    return TreeReport(not failures, len(order), n_leaves, max_sum, max_loc,
-                      max_prod, comp, failures)
+    failures = tuple(TreeFailure(node_path(i), kind, defect)
+                     for i, kind, defect in failed)
+    return TreeReport(not failures, n, arity.count(0), max_sum,
+                      float(loc.max(initial=0.0)), float(prod.max()), comp,
+                      failures)
 
 
 @dataclass

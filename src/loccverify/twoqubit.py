@@ -39,6 +39,7 @@ from .protocols import (
     CheckedPath,
     EndpointFamily,
     c_matrix_family,
+    derivative_outcomes,
     limit_path,
     protocol_leaf_diagonals,
 )
@@ -106,24 +107,18 @@ def two_qubit_instrument() -> TwoQubitExample:
     return TwoQubitExample(inst, minimal, W_GROUPING.copy())
 
 
-def _m_factor(s: float) -> np.ndarray:
-    return np.diag([np.sqrt(s) - 1.0, 1.0]).astype(np.complex128)
-
-
 def limiting_povm(s: float):
     """Limit outcomes at trace parameter s in [1, 4].
 
     Returns the all-ones projector and the two halt densities with respect
-    to d sigma, sigma = sqrt(s) - 1. Their square roots are the limiting
-    measurement operators.
+    to d sigma, sigma = sqrt(s) - 1: party 2 halting, then party 1 (the
+    two-party derivative outcomes in reverse order). Their square roots are
+    the limiting measurement operators.
     """
     if not 1.0 - 1e-12 <= s <= 4.0 + 1e-12:
         raise ValueError("s must lie in [1, 4]")
-    s = min(max(s, 1.0), 4.0)
-    m = _m_factor(s)
-    zero = _diag4(1.0, 0.0, 0.0, 0.0)[:2, :2]
-    e1 = _diag4(0.0, 0.0, 0.0, 1.0)
-    return e1, kron([m, zero]), kron([zero, m])
+    first, second = derivative_outcomes(2, min(max(s, 1.0), 4.0))
+    return _diag4(0.0, 0.0, 0.0, 1.0), second, first
 
 
 def limiting_kraus(s: float):

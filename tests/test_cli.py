@@ -72,6 +72,16 @@ class TestExitCodes:
         ["paper-pq", "--nu-list", "0"],
         ["hausdorff", "--nu-list", "10,x"],
         ["hausdorff", "--nu-list", "0"],
+        ["paper-pq", "--c", "1.5"],
+        ["hausdorff", "--c", "1.5"],
+        ["paper-2q", "--c", "1.5"],
+        ["theorem1", "--nu", "10", "--c", "1.5"],
+        ["hausdorff", "--samples", "-1"],
+        ["paths", "--grid", "0"],
+        ["paths", "--grid", "-5"],
+        ["theorem1", "--sigma-samples", "0"],
+        ["theorem8", "--samples", "-1"],
+        ["wstate", "--nodes", "0"],
     ])
     def test_bad_protocol_parameters_are_2(self, capsys, argv):
         status = cli.main(argv)
@@ -139,6 +149,27 @@ class TestSubcommands:
         assert rep["values"]["leaves"] == 21
         assert {"node-sums", "locality", "completeness"} <= \
             set(check_names(rep))
+
+    def test_protocol_fails_on_non_product_leaves(self, capsys, monkeypatch):
+        # Opposite Bell-like bumps on the last two sibling leaves leave
+        # every leaf sum, the completeness and every party factor as they
+        # were, so only the product check can see them.
+        build = cli.build_protocol_pq
+
+        def bumped(*args):
+            tree = build(*args)
+            halt, main = tree.node_at((1,) * 19).children
+            bump = np.zeros((4, 4))
+            bump[0, 3] = bump[3, 0] = 0.05
+            halt.povm_element = halt.povm_element + bump
+            main.povm_element = main.povm_element - bump
+            return tree
+
+        monkeypatch.setattr(cli, "build_protocol_pq", bumped)
+        status, rep = run(capsys, "protocol", "--nu", "10")
+        assert status == 1
+        assert [c["name"] for c in rep["checks"] if not c["pass"]] == \
+            ["product"]
 
     def test_paths(self, capsys):
         status, rep = run(capsys, "paths", "--parties", "2", "--nu", "100",

@@ -12,7 +12,6 @@ from loccverify import (
     kron,
     partial_trace,
     product_defect,
-    product_factor_check,
     psd_check,
     sqrt_psd,
     trace_norm,
@@ -67,6 +66,17 @@ class TestPartialTrace:
         m = complex_matrix(rng, (6, 6))
         red = partial_trace(m, PartyDims((2, 3)), keep=(2,))
         assert np.trace(red) == pytest.approx(np.trace(m))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2), (2, 3, 2)])
+    def test_stack_matches_per_matrix_call(self, rng, dims):
+        d = int(np.prod(dims))
+        n = len(dims)
+        stack = complex_matrix(rng, (2, 3, d, d))
+        for keep in [(p,) for p in range(1, n + 1)] + [(1, n)]:
+            got = partial_trace(stack, PartyDims(dims), keep=keep)
+            want = [[partial_trace(m, PartyDims(dims), keep=keep)
+                     for m in row] for row in stack]
+            np.testing.assert_array_equal(got, np.array(want))
 
 
 class TestNorms:
@@ -164,15 +174,11 @@ class TestProductStructure:
         b = complex_matrix(rng, (2, 2))
         m = np.kron(a, b)
         assert product_defect(m, PartyDims((2, 2))) < 1e-12
-        factors = product_factor_check(m, PartyDims((2, 2)))
-        assert factors is not None
-        np.testing.assert_allclose(kron(factors), m, atol=1e-10)
 
     def test_entangled_operator_rejected(self):
         bell = np.zeros((4, 4))
         bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
         assert product_defect(bell, PartyDims((2, 2))) > 0.4
-        assert product_factor_check(bell, PartyDims((2, 2))) is None
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -180,6 +186,11 @@ class TestProductStructure:
         r = np.random.default_rng(seed)
         mats = [complex_matrix(r, (2, 2)) for _ in range(3)]
         assert product_defect(kron(mats), PartyDims((2, 2, 2))) < 1e-10
+
+    def test_kron_stack_matches_per_matrix_call(self, rng):
+        stacks = [complex_matrix(rng, (5, d, d)) for d in (2, 3, 2)]
+        want = [np.kron(np.kron(a, b), c) for a, b, c in zip(*stacks)]
+        np.testing.assert_array_equal(kron(stacks), np.array(want))
 
     def test_density_product(self, rng):
         rho = kron([random_density(2, rng), random_density(2, rng)])

@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loccverify import (
+    PartyDims,
+    ProtocolNode,
     ProtocolParams,
+    ProtocolTree,
+    TreeReport,
     blocked_limiting_family,
     branch_path,
     build_protocol_pq,
@@ -19,12 +23,14 @@ from loccverify import (
     limit_path,
     limiting_family,
     main_branch_path,
+    partial_trace,
     path_distance_bound,
     protocol_leaf_diagonals,
     trace_norm,
     verify_theorem_conditions,
     verify_tree,
 )
+from loccverify.protocols import TreeFailure
 
 
 class TestParams:
@@ -123,6 +129,181 @@ class TestVerifyTree:
     def test_random_small_trees_pass(self, rounds, exponent):
         rep = verify_tree(build_protocol_pq(2, rounds, exponent))
         assert rep.ok
+
+
+def _reference_verify_tree(tree):
+    """Node-by-node verification: per-node partial traces, per-edge factor
+    comparisons and leaf sums in id()-keyed dicts."""
+    sum_tol, locality_tol, completeness_tol = 1e-9, 1e-10, 1e-9
+    order = list(tree.iter_nodes())
+    dims = tree.dims
+    p_count = dims.n_parties
+
+    def unit_trace_factors(m):
+        tr = np.trace(m)
+        scale = max(float(np.linalg.norm(m)), 1e-300)
+        if abs(tr) < 1e-13 * scale:
+            return None, 1.0
+        facs = [partial_trace(m, dims, [p]) / tr
+                for p in range(1, p_count + 1)]
+        recon = tr * kron(facs)
+        return facs, float(np.linalg.norm(m - recon)) / max(
+            1.0, float(np.linalg.norm(m)))
+
+    leaf_sum, parent, failed = {}, {}, []
+    max_sum = 0.0
+    for node in reversed(order):
+        if node.is_leaf:
+            leaf_sum[id(node)] = node.povm_element
+            continue
+        for i, ch in enumerate(node.children):
+            parent[id(ch)] = (node, i)
+        acc = leaf_sum[id(node.children[0])].copy()
+        for ch in node.children[1:]:
+            acc = acc + leaf_sum[id(ch)]
+        leaf_sum[id(node)] = acc
+        defect = float(np.abs(node.povm_element - acc).max())
+        max_sum = max(max_sum, defect)
+        if defect > sum_tol:
+            failed.append((node, "leaf-sum", defect))
+    max_prod = max_loc = 0.0
+    factors = {}
+    for node in order:
+        facs, pdef = unit_trace_factors(node.povm_element)
+        factors[id(node)] = facs
+        max_prod = max(max_prod, pdef if facs is not None else 1.0)
+        if facs is None or pdef > locality_tol:
+            failed.append((node, "product", pdef))
+    for node in order:
+        pf = factors[id(node)]
+        for ch in node.children:
+            cf = factors[id(ch)]
+            if pf is None or cf is None:
+                continue
+            for p in range(1, p_count + 1):
+                if p == node.acting_party:
+                    continue
+                d = float(np.linalg.norm(pf[p - 1] - cf[p - 1]))
+                max_loc = max(max_loc, d)
+                if d > locality_tol:
+                    failed.append((ch, f"locality-party-{p}", d))
+    comp = float(np.abs(leaf_sum[id(tree.root)] - np.eye(dims.total)).max())
+    if comp > completeness_tol:
+        failed.append((tree.root, "completeness", comp))
+
+    def node_path(node):
+        steps = []
+        while id(node) in parent:
+            node, i = parent[id(node)]
+            steps.append(i)
+        return tuple(reversed(steps))
+
+    return TreeReport(
+        not failed, len(order), sum(1 for n in order if n.is_leaf), max_sum,
+        max_loc, max_prod, comp,
+        tuple(TreeFailure(node_path(n), k, d) for n, k, d in failed))
+
+
+def _inject_one_fault_of_each_kind(tree, picks):
+    """Scale a halt leaf, bump an off-diagonal entry, add a Bell-like
+    corner bump and make an element traceless, at the drawn nodes."""
+    nodes = list(tree.iter_nodes())
+    leaves = [n for n in nodes if n.is_leaf]
+    parties, d = tree.dims.n_parties, tree.dims.total
+    leaf = leaves[picks[0] % len(leaves)]
+    leaf.povm_element = 1.01 * leaf.povm_element
+    node = nodes[picks[1] % len(nodes)]
+    bumped = node.povm_element.copy()
+    bumped[0, 1] += 0.03
+    bumped[1, 0] += 0.03
+    node.povm_element = bumped
+    node = nodes[picks[2] % len(nodes)]
+    bell = np.zeros((d, d))
+    bell[0, d - 1] = bell[d - 1, 0] = 0.05
+    node.povm_element = node.povm_element + bell
+    node = nodes[picks[3] % len(nodes)]
+    node.povm_element = kron([np.diag([1.0, -1.0])]
+                             + [np.eye(2)] * (parties - 1))
+
+
+def _assert_same_report(got, want):
+    assert (got.ok, got.n_nodes, got.n_leaves) == \
+        (want.ok, want.n_nodes, want.n_leaves)
+    # leaf sums are added in the same order, so these agree bitwise
+    assert got.max_node_sum_defect == want.max_node_sum_defect
+    assert got.completeness_defect == want.completeness_defect
+    assert got.max_locality_defect == pytest.approx(
+        want.max_locality_defect, rel=0, abs=1e-12)
+    assert got.max_product_defect == pytest.approx(
+        want.max_product_defect, rel=0, abs=1e-12)
+    assert [(f.node_path, f.kind) for f in got.failures] == \
+        [(f.node_path, f.kind) for f in want.failures]
+    for g, w in zip(got.failures, want.failures):
+        assert g.defect == pytest.approx(w.defect, rel=0, abs=1e-12)
+
+
+def _branching_tree(parties, depth, outcomes):
+    """Complete tree: at level k party k mod P + 1 measures ``outcomes``
+    diagonal outcomes that sum to the identity."""
+    w = np.linspace(1.0, 2.0, outcomes)
+    w = w / w.sum()
+    local = [np.diag([a, b]) for a, b in zip(w, w[::-1])]
+
+    def grow(element, level):
+        party = level % parties + 1
+        if level == depth:
+            return ProtocolNode(element, None)
+        node = ProtocolNode(element, party)
+        for f in local:
+            step = kron([f if p == party else np.eye(2)
+                         for p in range(1, parties + 1)])
+            node.children.append(grow(element @ step, level + 1))
+        return node
+
+    return ProtocolTree(grow(np.eye(2 ** parties, dtype=complex), 0),
+                        PartyDims((2,) * parties),
+                        ProtocolParams(parties, depth, 0.5))
+
+
+class TestVerifyTreeAgainstReference:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 40), st.floats(0.05, 0.95),
+           st.lists(st.integers(0, 2 ** 20), min_size=4, max_size=4))
+    def test_reports_match(self, parties, rounds, exponent, picks):
+        tree = build_protocol_pq(parties, rounds, exponent)
+        _assert_same_report(verify_tree(tree), _reference_verify_tree(tree))
+        _inject_one_fault_of_each_kind(tree, picks)
+        got = verify_tree(tree)
+        assert not got.ok
+        _assert_same_report(got, _reference_verify_tree(tree))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 3), st.integers(1, 4), st.integers(2, 3),
+           st.lists(st.integers(0, 2 ** 20), min_size=8, max_size=8))
+    def test_branching_trees_match(self, parties, depth, outcomes, picks):
+        # Several children per node: the owed-sum stack runs deep, and with
+        # two faults of each kind locality failures must follow (parent,
+        # child), not the child's preorder.
+        tree = _branching_tree(parties, depth, outcomes)
+        rep = verify_tree(tree)
+        assert rep.ok and rep.n_leaves == outcomes ** depth
+        _assert_same_report(rep, _reference_verify_tree(tree))
+        _inject_one_fault_of_each_kind(tree, picks[:4])
+        _inject_one_fault_of_each_kind(tree, picks[4:])
+        _assert_same_report(verify_tree(tree), _reference_verify_tree(tree))
+
+    def test_locality_failures_follow_parent_then_child(self):
+        # Both children of the root change both party factors: party 2
+        # fails on the root's edges, party 1 on each child's own edges.
+        tree = _branching_tree(2, 2, 2)
+        for node in tree.root.children:
+            bumped = node.povm_element.copy()
+            bumped[0, 1] = bumped[1, 0] = bumped[0, 2] = bumped[2, 0] = 0.03
+            node.povm_element = bumped
+        rep = verify_tree(tree)
+        _assert_same_report(rep, _reference_verify_tree(tree))
+        assert [f.node_path for f in rep.failures
+                if f.kind.startswith("locality")][:3] == [(0,), (1,), (0, 0)]
 
 
 class TestLeafDiagonals:
