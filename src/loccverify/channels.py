@@ -21,10 +21,9 @@ from .linalg import (
     operator_norm,
     trace_norm,
 )
-
-COMPLETENESS_TOL = 1e-9
-RANK_TOL = 1e-8
-ISOMETRY_TOL = 1e-10
+from .tolerances import (COMPLETENESS_TOL, DENSITY_TRACE_TOL,
+                         INPUT_HERMITICITY_TOL, ISOMETRY_IDENTITY_TOL,
+                         ISOMETRY_TOL, PSD_TOL, RANK_TOL, ROUNDING_TOL)
 
 
 def _stack_operators(operators) -> np.ndarray:
@@ -85,8 +84,8 @@ class KrausSet:
         acc = np.einsum("mba,mbc->ac", ops.conj(), ops)
         return operator_norm(acc - np.eye(self.input_dim))
 
-    def is_trace_preserving(self, tol: float = COMPLETENESS_TOL) -> bool:
-        return self.completeness_defect() <= tol
+    def is_trace_preserving(self) -> bool:
+        return self.completeness_defect() <= COMPLETENESS_TOL
 
 
 def kraus_from_operators(operators: Sequence, input_dims, output_dims=None
@@ -172,17 +171,17 @@ def choi(k: KrausSet, normalized: bool = True) -> ChoiOperator:
     return ChoiOperator(mat, d, do, normalized)
 
 
-def kraus_rank(k: KrausSet, tol: float = RANK_TOL) -> int:
+def kraus_rank(k: KrausSet) -> int:
     """Number of independent Kraus directions (rank of the Choi operator)."""
     mat = choi(k, normalized=False).matrix
     w = np.linalg.eigvalsh(mat)
     top = float(w.max(initial=0.0))
     if top <= 0.0:
         return 0
-    return int(np.sum(w > tol * top))
+    return int(np.sum(w > RANK_TOL * top))
 
 
-def minimal_kraus(k: KrausSet, tol: float = RANK_TOL) -> KrausSet:
+def minimal_kraus(k: KrausSet) -> KrausSet:
     """Extract a minimal Kraus set by eigendecomposition of the Choi operator.
 
     Operators come out ordered by decreasing Choi eigenvalue, each scaled by
@@ -194,7 +193,7 @@ def minimal_kraus(k: KrausSet, tol: float = RANK_TOL) -> KrausSet:
     top = float(w.max(initial=0.0))
     if top <= 0.0:
         raise ValueError("zero channel has no Kraus decomposition")
-    keep = np.where(w > tol * top)[0][::-1]
+    keep = np.where(w > RANK_TOL * top)[0][::-1]
     d, do = k.input_dim, k.output_dim
     out = []
     for i in keep:
@@ -205,7 +204,7 @@ def minimal_kraus(k: KrausSet, tol: float = RANK_TOL) -> KrausSet:
     return KrausSet(np.array(out), k.input_dims, k.output_dims)
 
 
-def isometric_relation(a: KrausSet, b: KrausSet, tol: float = ISOMETRY_TOL):
+def isometric_relation(a: KrausSet, b: KrausSet):
     """Matrix W with a_j = sum_m W[j, m] b_m, or None.
 
     Requires the operators of ``b`` to be linearly independent; returns None
@@ -220,16 +219,16 @@ def isometric_relation(a: KrausSet, b: KrausSet, tol: float = ISOMETRY_TOL):
     amat = a.operators.reshape(na, -1)
     gram = bmat.conj() @ bmat.T
     gw = np.linalg.eigvalsh(gram)
-    if gw[0] <= tol * max(1.0, gw[-1]):
+    if gw[0] <= ISOMETRY_TOL * max(1.0, gw[-1]):
         return None
     # Least squares b^T x = a^T, one column per operator of a.
     x, *_ = np.linalg.lstsq(bmat.T, amat.T, rcond=None)
     w = x.T
     resid = amat - w @ bmat
     row_res = np.linalg.norm(resid, axis=1)
-    if row_res.max(initial=0.0) > tol:
+    if row_res.max(initial=0.0) > ISOMETRY_TOL:
         return None
-    if operator_norm(w.conj().T @ w - np.eye(nb)) > max(tol, 1e-10) * 10:
+    if operator_norm(w.conj().T @ w - np.eye(nb)) > ISOMETRY_IDENTITY_TOL:
         return None
     return w
 
@@ -254,11 +253,12 @@ def complementary(k: KrausSet) -> KrausSet:
 def _check_density(rho: np.ndarray, dim: int):
     if rho.shape != (dim, dim):
         raise ValueError(f"state shape {rho.shape} does not match dim {dim}")
-    ok = is_hermitian(rho, 1e-10)
+    ok = is_hermitian(rho, INPUT_HERMITICITY_TOL)
     if ok:
         w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
         scale = 1.0 + float(np.abs(w).max(initial=0.0))
-        ok = w.min(initial=0.0) >= -1e-9 * scale and abs(w.sum() - 1.0) <= 1e-8
+        ok = (w.min(initial=0.0) >= -PSD_TOL * scale
+              and abs(w.sum() - 1.0) <= DENSITY_TRACE_TOL)
     if not ok:
         warnings.warn("input is not a density matrix", stacklevel=3)
 
@@ -351,7 +351,7 @@ def channel_from_leaf_povm(diagonals: np.ndarray, dims: PartyDims) -> KrausSet:
     diag = np.asarray(diagonals, dtype=np.float64)
     if diag.ndim != 2:
         raise ValueError("expected a 2-D array of POVM diagonals")
-    if diag.min(initial=0.0) < -1e-12:
+    if diag.min(initial=0.0) < -ROUNDING_TOL:
         raise ValueError("POVM diagonals must be nonnegative")
     n, d = diag.shape
     ops = np.zeros((n, d, d), dtype=np.complex128)

@@ -10,24 +10,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
 import numpy as np
 
 from . import serialize
+from . import tolerances
 from .channels import (
-    COMPLETENESS_TOL,
     KrausSet,
     choi,
     choi_distance,
     kraus_from_operators,
     qc_embed,
 )
-from .linalg import trace_norm
+from .linalg import is_hermitian, trace_norm
 from .protocols import (
-    LOCALITY_TOL,
-    NODE_SUM_TOL,
     ProtocolParams,
     build_protocol_pq,
     path_distance_bound,
@@ -132,9 +131,21 @@ def _resolve_target(token: str, spec: ZonoidSpec) -> np.ndarray:
         return np.eye(spec.dim, dtype=np.complex128)
     obj = _load_obj(token)
     try:
-        return serialize.matrix_from_json(obj)
+        z = serialize.matrix_from_json(obj)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    if z.shape != (spec.dim, spec.dim):
+        raise InputError(f"--z has shape {z.shape}, the basis acts on "
+                         f"dimension {spec.dim}")
+    if not is_hermitian(z, tolerances.INPUT_HERMITICITY_TOL):
+        raise InputError("--z is not Hermitian")
+    return z
+
+
+def _membership_tol(value: float) -> float:
+    if not (math.isfinite(value) and value > 0.0):
+        raise InputError("--tol must be finite and positive")
+    return value
 
 
 def _cmd_choi(args) -> dict:
@@ -143,7 +154,8 @@ def _cmd_choi(args) -> dict:
     want = 1.0 if not args.unnormalized else float(kraus.input_dim)
     tr = float(np.real(np.trace(c.matrix)))
     return {
-        "checks": [_value_check("choi-trace", tr, want, 1e-10)],
+        "checks": [_value_check("choi-trace", tr, want,
+                                tolerances.CHOI_TRACE_TOL)],
         "values": {"normalized": not args.unnormalized,
                    "matrix": serialize.matrix_to_json(c.matrix)},
     }
@@ -157,9 +169,10 @@ def _cmd_distance(args) -> dict:
 
 
 def _cmd_zonoid_check(args) -> dict:
+    mtol = _membership_tol(args.tol)
     spec = _resolve_basis(args.basis)
     z = _resolve_target(args.z, spec)
-    report = membership(z, spec, tol=args.tol)
+    report = membership(z, spec, tol=mtol)
     values = {
         "feasible": report.feasible,
         "residual": float(report.residual),
@@ -167,7 +180,7 @@ def _cmd_zonoid_check(args) -> dict:
         "support_identity": float(
             support_function(np.eye(spec.dim, dtype=np.complex128), spec)),
     }
-    checks = [_check("membership", report.residual, args.tol)]
+    checks = [_check("membership", report.residual, mtol)]
     return {"checks": checks, "values": values}
 
 
@@ -193,10 +206,13 @@ def _cmd_protocol(args) -> dict:
     tree = build_protocol_pq(params.parties, params.rounds, params.exponent)
     report = verify_tree(tree)
     checks = [
-        _check("node-sums", report.max_node_sum_defect, NODE_SUM_TOL),
-        _check("product", report.max_product_defect, LOCALITY_TOL),
-        _check("locality", report.max_locality_defect, LOCALITY_TOL),
-        _check("completeness", report.completeness_defect, COMPLETENESS_TOL),
+        _check("node-sums", report.max_node_sum_defect,
+               tolerances.NODE_SUM_TOL),
+        _check("product", report.max_product_defect, tolerances.PRODUCT_TOL),
+        _check("locality", report.max_locality_defect,
+               tolerances.LOCALITY_TOL),
+        _check("completeness", report.completeness_defect,
+               tolerances.COMPLETENESS_TOL),
     ]
     values = {
         "parties": args.parties,
@@ -219,7 +235,7 @@ def _cmd_paths(args) -> dict:
     report = path_distance_bound(params.parties, params.rounds,
                                  params.exponent, grid_points=grid)
     checks = [_check("limit-gap-bound", report.max_distance,
-                     report.bound + 1e-12)]
+                     report.bound + tolerances.ROUNDING_TOL)]
     values = {
         "observed": float(report.max_distance),
         "bound": float(report.bound),
@@ -229,31 +245,36 @@ def _cmd_paths(args) -> dict:
     return {"checks": checks, "values": values}
 
 
-def _theorem_samples(args) -> None:
+def _theorem_flags(args) -> float:
+    """Validate the flags theorem1 and theorem8 share; return --tol."""
+    mtol = _membership_tol(args.tol)
     # --samples 0 selects the dense default grid.
     _at_least(args.samples, "--samples", 0)
     _at_least(args.sigma_samples, "--sigma-samples", 1)
+    return mtol
+
+
+def _theorem_checks(args, spec: ZonoidSpec, family, mtol: float) -> list:
+    paths, fams = family(spec)
+    report = verify_theorem_conditions(
+        spec, paths, fams, s_samples=args.samples or None,
+        sigma_samples=args.sigma_samples, membership_tol=mtol)
+    return [_check(c.name, c.defect, c.tol, c.where) for c in report.checks]
 
 
 def _cmd_theorem1(args) -> dict:
-    _theorem_samples(args)
+    mtol = _theorem_flags(args)
     if args.nu:
         _protocol_params(2, args.nu, args.c)
     spec = twoqubit.channel_zonoid()
-    paths, fams = twoqubit.limiting_family(spec)
-    report = verify_theorem_conditions(
-        spec, paths, fams, s_samples=args.samples or None,
-        sigma_samples=args.sigma_samples, membership_tol=args.tol)
-    checks = [
-        _check(c.name, c.defect, c.tol, c.where) for c in report.checks
-    ]
+    checks = _theorem_checks(args, spec, twoqubit.limiting_family, mtol)
     values = {}
     if args.nu:
         pre = main_branch_path(2, args.nu, args.c)
         grid = np.linspace(4.0, 1.0, 11)
         residuals = []
         for s in grid:
-            rep = membership(pre.at(float(s), clamp=True), spec, tol=args.tol)
+            rep = membership(pre.at(float(s), clamp=True), spec, tol=mtol)
             residuals.append(float(rep.residual))
         values["prelimit"] = {
             "rounds": args.nu,
@@ -266,14 +287,10 @@ def _cmd_theorem1(args) -> dict:
 
 
 def _cmd_theorem8(args) -> dict:
-    _theorem_samples(args)
+    mtol = _theorem_flags(args)
     _at_least(args.nodes, "--nodes", 1)
-    spec = twoqubit.instrument_zonoid()
-    paths, fams = twoqubit.blocked_limiting_family(spec)
-    report = verify_theorem_conditions(
-        spec, paths, fams, s_samples=args.samples or None,
-        sigma_samples=args.sigma_samples, membership_tol=args.tol)
-    checks = [_check(c.name, c.defect, c.tol, c.where) for c in report.checks]
+    checks = _theorem_checks(args, twoqubit.instrument_zonoid(),
+                             twoqubit.blocked_limiting_family, mtol)
 
     inst = twoqubit.two_qubit_instrument().instrument
     embedded = qc_embed(inst)
@@ -284,20 +301,19 @@ def _cmd_theorem8(args) -> dict:
     # Outcome flag is the last output factor; off-diagonal flag sectors
     # must vanish for a quantum-classical embedding.
     sectors = cmat.reshape(d, do, n_out, d, do, n_out)
-    cross = 0.0
-    for r in range(n_out):
-        for rp in range(n_out):
-            if r != rp:
-                block = sectors[:, :, r, :, :, rp]
-                cross = max(cross, float(np.abs(block).max()))
-    checks.append(_check("cross-sector", cross, 1e-12))
+    off = ~np.eye(n_out, dtype=bool)
+    cross = float(np.abs(sectors.transpose(2, 5, 0, 1, 3, 4)[off])
+                  .max(initial=0.0))
+    checks.append(_check("cross-sector", cross, tolerances.ROUNDING_TOL))
 
     iso = twoqubit.blocked_isometry_check()
-    checks.append(_check("blocked-isometry", iso.max_row_residual, 1e-10))
+    checks.append(_check("blocked-isometry", iso.max_row_residual,
+                         tolerances.ISOMETRY_TOL))
     checks.append(_check("blocked-coefficients", iso.coefficient_defect,
-                         1e-10))
+                         tolerances.ISOMETRY_TOL))
     grain = twoqubit.coarse_grain_check(nodes=args.nodes)
-    checks.append(_check("coarse-grain", grain.max_defect, 1e-9))
+    checks.append(_check("coarse-grain", grain.max_defect,
+                         tolerances.COARSE_GRAIN_TOL))
     return {"checks": checks, "values": {}}
 
 
@@ -311,11 +327,15 @@ def _cmd_paper2q(args) -> dict:
     quad_defect = trace_norm(omega.matrix - direct.matrix)
     iso = twoqubit.continuous_isometry_check(nodes=args.nodes)
     checks = [
-        _check("lemma1-bound", gap.max_distance, gap.bound + 1e-12),
-        _value_check("choi-offdiag", offdiag, 2.0 / 3.0, 1e-9),
-        _check("choi-quadrature", quad_defect, 1e-8),
-        _value_check("column-norm", iso.last_column_norm, 1.0, 1e-10),
-        _value_check("column-cross", iso.cross_overlap, 0.0, 1e-10),
+        _check("lemma1-bound", gap.max_distance,
+               gap.bound + tolerances.ROUNDING_TOL),
+        _value_check("choi-offdiag", offdiag, 2.0 / 3.0,
+                     tolerances.CLOSED_FORM_TOL),
+        _check("choi-quadrature", quad_defect, tolerances.CHOI_QUADRATURE_TOL),
+        _value_check("column-norm", iso.last_column_norm, 1.0,
+                     tolerances.ISOMETRY_TOL),
+        _value_check("column-cross", iso.cross_overlap, 0.0,
+                     tolerances.ISOMETRY_TOL),
     ]
     values = {
         "lemma1_max_distance": float(gap.max_distance),
@@ -346,8 +366,10 @@ def _cmd_paperpq(args) -> dict:
     report = pq.pqubit_limit_check(args.parties, nu_list, args.c,
                                    nodes=args.nodes)
     checks = [
-        _check("quadrature-match", report.quadrature_defect, 1e-10),
-        _check("party-reduction", report.reduction_defect, 1e-10),
+        _check("quadrature-match", report.quadrature_defect,
+               tolerances.QUADRATURE_TOL),
+        _check("party-reduction", report.reduction_defect,
+               tolerances.QUADRATURE_TOL),
         _check("distances-decreasing",
                0.0 if report.strictly_decreasing else 1.0, 0.5),
     ]
@@ -363,9 +385,12 @@ def _cmd_wstate(args) -> dict:
     _at_least(args.nodes, "--nodes", 1)
     report = twoqubit.wstate_analysis(nodes=args.nodes)
     checks = [
-        _check("all-ones-annihilates", report.k1_image_norm, 1e-12),
-        _value_check("probability", report.probability, 0.5, 1e-9),
-        _value_check("concurrence", report.concurrence, 8.0 / 9.0, 1e-9),
+        _check("all-ones-annihilates", report.k1_image_norm,
+               tolerances.ROUNDING_TOL),
+        _value_check("probability", report.probability, 0.5,
+                     tolerances.CLOSED_FORM_TOL),
+        _value_check("concurrence", report.concurrence, 8.0 / 9.0,
+                     tolerances.CLOSED_FORM_TOL),
     ]
     values = {
         "probability": float(report.probability),
@@ -392,96 +417,99 @@ def _cmd_hausdorff(args) -> dict:
     return {"checks": checks, "values": values}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as InputError: exit 2 with one stderr line."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="loccverify",
         description="Verification workflows for asymptotically "
                     "LOCC-implementable channels.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, nu_default=None):
-        sp.add_argument("--tol", type=float, default=1e-7)
-        sp.add_argument("--nodes", type=int, default=64)
-        sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument("--c", type=float, default=0.5)
-        if nu_default is not None:
-            sp.add_argument("--nu", type=int, default=nu_default)
+    # Flags shared by several subcommands; each subcommand declares only
+    # the ones its handler reads.
+    shared = {
+        "tol": dict(type=float, default=tolerances.MEMBERSHIP_TOL,
+                    help="membership tolerance (finite, > 0)"),
+        "nodes": dict(type=int, default=tolerances.QUAD_NODES,
+                      help="quadrature nodes"),
+        "c": dict(type=float, default=0.5, help="decay exponent in (0, 1)"),
+        "sigma-samples": dict(type=int, default=tolerances.SIGMA_SAMPLES),
+        "nu-list": dict(default="100,1000,10000",
+                        help="comma-separated round counts"),
+    }
 
-    sp = sub.add_parser("choi", help="Choi operator of a Kraus set")
+    def command(name, func, summary, *flags, nu=None):
+        sp = sub.add_parser(name, help=summary)
+        for flag in flags:
+            sp.add_argument("--" + flag, **shared[flag])
+        if nu is not None:
+            sp.add_argument("--nu", type=int, default=nu)
+        sp.set_defaults(func=func)
+        return sp
+
+    sp = command("choi", _cmd_choi, "Choi operator of a Kraus set")
     sp.add_argument("--kraus", required=True,
                     help="kraus JSON file, inline JSON, or builtin token")
     sp.add_argument("--unnormalized", action="store_true")
-    common(sp)
-    sp.set_defaults(func=_cmd_choi)
 
-    sp = sub.add_parser("distance", help="normalized Choi distance")
+    sp = command("distance", _cmd_distance, "normalized Choi distance")
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
-    common(sp)
-    sp.set_defaults(func=_cmd_distance)
 
-    sp = sub.add_parser("zonoid-check", help="zonoid membership of a target")
+    sp = command("zonoid-check", _cmd_zonoid_check,
+                 "zonoid membership of a target", "tol")
     sp.add_argument("--z", default="identity",
                     help="'identity', matrix JSON file, or inline JSON")
     sp.add_argument("--basis", default="twoqubit-minimal",
                     help="basis token (twoqubit-minimal, twoqubit-blocks, "
                          "square, interval) or kraus JSON")
-    common(sp)
-    sp.set_defaults(func=_cmd_zonoid_check)
 
-    sp = sub.add_parser("protocol", help="build and verify a protocol tree")
+    sp = command("protocol", _cmd_protocol,
+                 "build and verify a protocol tree", "c", nu=10)
     sp.add_argument("--parties", type=int, default=2)
-    common(sp, nu_default=10)
-    sp.set_defaults(func=_cmd_protocol)
 
-    sp = sub.add_parser("paths", help="main-branch gap to the limit path")
+    sp = command("paths", _cmd_paths, "main-branch gap to the limit path",
+                 "c", nu=100)
     sp.add_argument("--parties", type=int, default=2)
     sp.add_argument("--grid", type=int, default=401)
-    common(sp, nu_default=100)
-    sp.set_defaults(func=_cmd_paths)
 
-    sp = sub.add_parser("theorem1",
-                        help="path conditions for the limit channel")
+    sp = command("theorem1", _cmd_theorem1,
+                 "path conditions for the limit channel",
+                 "tol", "c", "sigma-samples", nu=0)
     sp.add_argument("--samples", type=int, default=0,
                     help="s samples per path (0: dense default grid)")
-    sp.add_argument("--sigma-samples", type=int, default=101)
-    common(sp, nu_default=0)
-    sp.set_defaults(func=_cmd_theorem1)
 
-    sp = sub.add_parser("theorem8",
-                        help="blocked path conditions for the instrument")
+    sp = command("theorem8", _cmd_theorem8,
+                 "blocked path conditions for the instrument",
+                 "tol", "nodes", "sigma-samples")
     sp.add_argument("--samples", type=int, default=0)
-    sp.add_argument("--sigma-samples", type=int, default=101)
-    common(sp)
-    sp.set_defaults(func=_cmd_theorem8)
 
-    sp = sub.add_parser("paper-2q", help="worked two-qubit example checks")
-    common(sp, nu_default=10000)
-    sp.set_defaults(func=_cmd_paper2q)
+    command("paper-2q", _cmd_paper2q, "worked two-qubit example checks",
+            "c", "nodes", nu=10000)
 
-    sp = sub.add_parser("paper-pq", help="multi-party limit checks")
+    sp = command("paper-pq", _cmd_paperpq, "multi-party limit checks",
+                 "c", "nodes", "nu-list")
     sp.add_argument("--parties", type=int, default=3)
-    sp.add_argument("--nu-list", default="100,1000,10000")
-    common(sp)
-    sp.set_defaults(func=_cmd_paperpq)
 
-    sp = sub.add_parser("wstate", help="W-state outcome analysis")
-    common(sp)
-    sp.set_defaults(func=_cmd_wstate)
+    command("wstate", _cmd_wstate, "W-state outcome analysis", "nodes")
 
-    sp = sub.add_parser("hausdorff", help="zonoid convergence estimates")
-    sp.add_argument("--nu-list", default="100,1000,10000")
+    sp = command("hausdorff", _cmd_hausdorff, "zonoid convergence estimates",
+                 "c", "nu-list")
     sp.add_argument("--samples", type=int, default=2000)
-    common(sp)
-    sp.set_defaults(func=_cmd_hausdorff)
+    sp.add_argument("--seed", type=int, default=42)
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    start = time.monotonic()
     try:
+        args = _build_parser().parse_args(argv)
+        start = time.monotonic()
         body = args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,8 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-12
-PSD_TOL = 1e-9
+from .tolerances import HERMITICITY_TOL, PSD_TOL, QUAD_NODES
 
 
 @dataclass(frozen=True)
@@ -124,10 +123,6 @@ def partial_trace(m, dims, keep: Iterable[int]) -> np.ndarray:
     return res.reshape(batch + (dk, dk))
 
 
-def dagger(m) -> np.ndarray:
-    return as_matrix(m).conj().T
-
-
 def trace_norm(m) -> float:
     """Sum of singular values."""
     return float(np.linalg.svd(as_matrix(m), compute_uv=False).sum())
@@ -158,11 +153,11 @@ class PsdReport:
     min_eigenvalue: float
 
 
-def psd_check(m, tol: float = PSD_TOL) -> PsdReport:
-    """Check positive semidefiniteness up to ``tol`` times the spectral scale.
+def psd_check(m) -> PsdReport:
+    """Check positive semidefiniteness up to PSD_TOL times the spectral scale.
 
-    Raises ValueError if the input is not Hermitian to 1e-12; positivity is
-    only meaningful for Hermitian operators.
+    Raises ValueError if the input is not Hermitian to HERMITICITY_TOL;
+    positivity is only meaningful for Hermitian operators.
     """
     a = as_matrix(m)
     if not is_hermitian(a):
@@ -170,20 +165,20 @@ def psd_check(m, tol: float = PSD_TOL) -> PsdReport:
     w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
     scale = 1.0 + float(np.abs(w).max(initial=0.0))
     lo = float(w.min(initial=0.0))
-    return PsdReport(ok=lo >= -tol * scale, min_eigenvalue=lo)
+    return PsdReport(ok=lo >= -PSD_TOL * scale, min_eigenvalue=lo)
 
 
-def sqrt_psd(m, tol: float = PSD_TOL) -> np.ndarray:
+def sqrt_psd(m) -> np.ndarray:
     """Hermitian square root of a PSD matrix. Small negative eigenvalues
 
-    (within ``tol`` of zero, relative to the spectral scale) are clipped.
+    (within PSD_TOL of zero, relative to the spectral scale) are clipped.
     """
     a = as_matrix(m)
     if not is_hermitian(a):
         raise ValueError("sqrt_psd requires a Hermitian matrix")
     w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
     scale = 1.0 + float(np.abs(w).max(initial=0.0))
-    if w.min(initial=0.0) < -tol * scale:
+    if w.min(initial=0.0) < -PSD_TOL * scale:
         raise ValueError(f"matrix is not PSD (min eigenvalue {w.min():.3e})")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
@@ -195,7 +190,7 @@ def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_legendre(f: Callable[[float], np.ndarray], a: float, b: float,
-                   nodes: int = 64):
+                   nodes: int = QUAD_NODES):
     """Fixed-order Gauss-Legendre quadrature of ``f`` over [a, b].
 
     Exact for polynomial integrands up to degree 2*nodes - 1. ``f`` may
@@ -219,7 +214,8 @@ def gauss_legendre(f: Callable[[float], np.ndarray], a: float, b: float,
     return out
 
 
-def integrate_sqrt_smooth(f: Callable[[float], np.ndarray], nodes: int = 64):
+def integrate_sqrt_smooth(f: Callable[[float], np.ndarray],
+                          nodes: int = QUAD_NODES):
     """Integrate f(sigma) over [0, 1] when f is smooth in sqrt(sigma).
 
     Substitutes sigma = u^2 so integrands polynomial in sqrt(sigma) become

@@ -16,6 +16,7 @@ import numpy as np
 from .linalg import as_matrix, integrate_sqrt_smooth, trace_norm
 from .channels import ChoiOperator
 from .protocols import protocol_leaf_diagonals
+from .tolerances import QUAD_NODES, QUADRATURE_TOL
 
 MIN_PARTIES = 2
 MAX_PARTIES = 6
@@ -66,13 +67,23 @@ def pqubit_coefficients(parties: int) -> np.ndarray:
     return s
 
 
-def pqubit_choi_formula(parties: int) -> ChoiOperator:
-    """Normalized Choi operator of the limit channel, input copy first."""
-    s = pqubit_coefficients(parties)
-    d = 2 ** parties
+def multiplier_choi_matrix(s: np.ndarray) -> np.ndarray:
+    """Choi matrix of the Hadamard multiplier rho -> s * rho.
+
+    The channel has diagonal Kraus operators, so its Choi operator (input
+    copy first) is ``s`` placed on the matched pairs |i>|i>.
+    """
+    d = s.shape[0]
     mat = np.zeros((d * d, d * d), dtype=np.complex128)
     ii = np.arange(d) * d + np.arange(d)
-    mat[np.ix_(ii, ii)] = s / d
+    mat[np.ix_(ii, ii)] = s
+    return mat
+
+
+def pqubit_choi_formula(parties: int) -> ChoiOperator:
+    """Normalized Choi operator of the limit channel, input copy first."""
+    d = 2 ** parties
+    mat = multiplier_choi_matrix(pqubit_coefficients(parties) / d)
     return ChoiOperator(mat, d, d, normalized=True)
 
 
@@ -108,7 +119,7 @@ def multiplier_distance(parties: int, s_a: np.ndarray,
     return trace_norm(np.asarray(s_a) - np.asarray(s_b)) / d
 
 
-def moment_identity_check(nodes: int = 64) -> float:
+def moment_identity_check(nodes: int = QUAD_NODES) -> float:
     """Closed-form 2/(l + l') against quadrature over the halt parameter.
 
     The limit coefficients integrate sigma^((l + l' - 2)/2); the check
@@ -123,7 +134,8 @@ def moment_identity_check(nodes: int = 64) -> float:
     return worst
 
 
-def quadrature_coefficients(parties: int, nodes: int = 64) -> np.ndarray:
+def quadrature_coefficients(parties: int, nodes: int = QUAD_NODES
+                            ) -> np.ndarray:
     """Assemble the limit multiplier by integrating the halt densities."""
     spec = pqubit_spec(parties)
     d = 2 ** parties
@@ -151,7 +163,7 @@ class LimitCheckReport:
 
 def pqubit_limit_check(parties: int, rounds_list,
                        exponent: float = 0.5,
-                       nodes: int = 64) -> LimitCheckReport:
+                       nodes: int = QUAD_NODES) -> LimitCheckReport:
     """Convergence and consistency of the stopped protocols for one P.
 
     Checks that the Choi distance to the limit strictly decreases along
@@ -183,6 +195,7 @@ def pqubit_limit_check(parties: int, rounds_list,
         sub = s_limit[1::2, 1::2]
         red_defect = float(np.abs(sub - small).max())
 
-    ok = (decreasing and quad_defect <= 1e-10 and red_defect <= 1e-10)
+    ok = (decreasing and quad_defect <= QUADRATURE_TOL
+          and red_defect <= QUADRATURE_TOL)
     return LimitCheckReport(parties, rounds_list, dists, decreasing,
                             quad_defect, red_defect, ok)

@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import COMPLETENESS_TOL
 from .linalg import (
     PartyDims,
     as_matrix,
@@ -31,6 +30,10 @@ from .linalg import (
     sqrt_psd,
     trace_norm,
 )
+from .tolerances import (COMPLETENESS_TOL, LOCALITY_TOL, MEMBERSHIP_TOL,
+                         MIXTURE_PSD_TOL, NODE_SUM_TOL, PRODUCT_TOL, RECON_TOL,
+                         RESOLUTION_TOL, ROUNDING_TOL, SIGMA_SAMPLES,
+                         TRACE_TOL)
 from .zonoid import (
     CoefficientMatrix,
     ZonoidSpec,
@@ -38,9 +41,6 @@ from .zonoid import (
     endpoint_cmatrix,
     membership,
 )
-
-NODE_SUM_TOL = 1e-9
-LOCALITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,6 @@ class ProtocolTree:
         node = self.root
         for i in path:
             node = node.children[i]
-        return node
-
-    def main_leaf(self) -> ProtocolNode:
-        node = self.root
-        while node.children:
-            node = node.children[-1]
         return node
 
     @property
@@ -213,9 +207,9 @@ def verify_tree(tree: ProtocolTree) -> TreeReport:
 
     Checks, with the defect localized to a node path on failure: every node
     element equals the sum of its descendant leaves (to NODE_SUM_TOL); every
-    node element is a tensor product over the parties, and along each edge
-    only the parent's acting party changes its unit-trace factor (both to
-    LOCALITY_TOL); the leaves form a complete measurement (to
+    node element is a tensor product over the parties (to PRODUCT_TOL), and
+    along each edge only the parent's acting party changes its unit-trace
+    factor (to LOCALITY_TOL); the leaves form a complete measurement (to
     COMPLETENESS_TOL). Failures are listed leaf sums first (bottom-up), then
     products (preorder), locality (by parent, child, party) and
     completeness. Node elements are read when this is called.
@@ -279,7 +273,7 @@ def verify_tree(tree: ProtocolTree) -> TreeReport:
         for full, f in zip(factors, facs):
             full[part] = f
     failed.extend((int(i), "product", float(prod[i]))
-                  for i in np.flatnonzero(prod > LOCALITY_TOL))
+                  for i in np.flatnonzero(prod > PRODUCT_TOL))
 
     # Locality over every edge, ordered by parent then child index; the
     # parent's acting party and edges at traceless nodes are masked.
@@ -341,16 +335,12 @@ class PiecewisePath:
     def s_bottom(self) -> float:
         return float(self.s_values[-1])
 
-    @property
-    def n_segments(self) -> int:
-        return self.s_values.size - 1
-
     def at(self, s: float, clamp: bool = False) -> np.ndarray:
         """Operator at trace value s; clamp=True pins s into the domain."""
         sv = self.s_values
         if clamp:
             s = min(max(s, float(sv[-1])), float(sv[0]))
-        elif not sv[-1] - 1e-12 <= s <= sv[0] + 1e-12:
+        elif not sv[-1] - ROUNDING_TOL <= s <= sv[0] + ROUNDING_TOL:
             raise ValueError(
                 f"s={s} outside path domain [{sv[-1]}, {sv[0]}]"
             )
@@ -403,7 +393,7 @@ def main_branch_path(parties: int, rounds: int, exponent: float
 def limit_path(parties: int, s: float) -> np.ndarray:
     """Limiting main path M(s)^(x P), M(s) = (s^(1/P)-1)|0><0| + |1><1|."""
     top = float(2 ** parties)
-    if not 1.0 - 1e-12 <= s <= top + 1e-12:
+    if not 1.0 - ROUNDING_TOL <= s <= top + ROUNDING_TOL:
         raise ValueError(f"s={s} outside [1, {top}]")
     s = min(max(s, 1.0), top)
     m = np.diag([s ** (1.0 / parties) - 1.0, 1.0]).astype(np.complex128)
@@ -439,7 +429,8 @@ def path_distance_bound(parties: int, rounds: int, exponent: float,
         grid = np.linspace(1.0, top, grid_points)
     else:
         grid = np.asarray(list(s_grid), dtype=float)
-        if grid.size == 0 or grid.min() < 1.0 - 1e-12 or grid.max() > top + 1e-12:
+        if (grid.size == 0 or grid.min() < 1.0 - ROUNDING_TOL
+                or grid.max() > top + ROUNDING_TOL):
             raise ValueError(f"s grid must be nonempty inside [1, {top}]")
     worst = 0.0
     for s in grid:
@@ -452,7 +443,7 @@ def path_distance_bound(parties: int, rounds: int, exponent: float,
         bound = parties * 2.0 ** (parties / 2.0) * eps
     return PathDistanceReport(parties, rounds, exponent, eps, worst,
                               float(bound), len(grid),
-                              worst <= bound + 1e-12)
+                              worst <= bound + ROUNDING_TOL)
 
 
 def derivative_outcomes(parties: int, s: float) -> list[np.ndarray]:
@@ -475,7 +466,7 @@ def derivative_outcomes(parties: int, s: float) -> list[np.ndarray]:
 
 
 def _c1_matrix(s: float) -> np.ndarray:
-    if not 1.0 - 1e-12 <= s <= 4.0 + 1e-12:
+    if not 1.0 - ROUNDING_TOL <= s <= 4.0 + ROUNDING_TOL:
         raise ValueError("main-path coefficients need s in [1, 4]")
     s = min(max(s, 1.0), 4.0)
     sigma = np.sqrt(s) - 1.0
@@ -513,7 +504,7 @@ def c_matrix_family(name: str, s: float, x: float | None = None
         return CoefficientMatrix(_c1_matrix(s))
     if name not in ("C2", "C3"):
         raise ValueError(f"unknown family {name!r}")
-    if not 1.0 - 1e-12 <= s <= 4.0 + 1e-12:
+    if not 1.0 - ROUNDING_TOL <= s <= 4.0 + ROUNDING_TOL:
         raise ValueError("halt families need s in [1, 4]")
     sigma = np.sqrt(min(max(s, 1.0), 4.0)) - 1.0
     w = _side_weight(sigma, 1 if name == "C2" else 2)
@@ -545,26 +536,14 @@ class CheckedPath:
     cmatrix_at: Callable[[float], CoefficientMatrix] | None = None
     endpoint_c: CoefficientMatrix | None = None
     block: int | None = None
-    joints: tuple[float, ...] = ()
-
-    @classmethod
-    def from_piecewise(cls, label: str, path: PiecewisePath, dims: PartyDims,
-                       **kw) -> "CheckedPath":
-        kw.setdefault("joints", tuple(float(s) for s in path.s_values))
-        return cls(label, lambda s: path.at(s, clamp=True), path.s_top,
-                   path.s_bottom, dims, **kw)
 
     def sample_grid(self, s_samples: int | None) -> np.ndarray:
-        """Uniform s grid; None means 101 points per unit plus all joints."""
+        """Uniform s grid from the top; None means a spacing near 0.01."""
         if s_samples is not None:
             return np.linspace(self.s_top, self.s_bottom, s_samples)
         span = self.s_top - self.s_bottom
         n = max(2, int(round(100.0 * span)) + 1)
-        grid = np.linspace(self.s_bottom, self.s_top, n)
-        if self.joints:
-            grid = np.union1d(grid, np.clip(self.joints, self.s_bottom,
-                                            self.s_top))
-        return grid[::-1]
+        return np.linspace(self.s_bottom, self.s_top, n)[::-1]
 
 
 @dataclass
@@ -589,8 +568,11 @@ class ConditionCheck:
     name: str
     defect: float
     tol: float
-    passed: bool
     where: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.defect <= self.tol
 
 
 @dataclass(frozen=True)
@@ -624,17 +606,10 @@ def _endpoint_check(path: CheckedPath, spec: ZonoidSpec):
 
 def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
                               families: Sequence[EndpointFamily] = (),
-                              partition: Sequence[int | None] | None = None,
                               s_samples: int | None = None,
-                              sigma_samples: int = 101,
-                              x_samples: int = 11,
-                              membership_tol: float = 1e-7,
-                              product_tol: float = 1e-10,
-                              trace_tol: float = 1e-10,
-                              psd_tol: float = 1e-10,
-                              recon_tol: float = 1e-8,
-                              resolution_tol: float = 1e-7,
-                              quad_nodes: int = 64) -> PathConditionReport:
+                              sigma_samples: int = SIGMA_SAMPLES,
+                              membership_tol: float = MEMBERSHIP_TOL
+                              ) -> PathConditionReport:
     """Check the zonoid-path conditions for an implementable instrument.
 
     For each path: trace linearity, tensor-product structure, zonoid
@@ -642,89 +617,70 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     For each halt family: positivity of the segment mixtures, product
     structure and basis reconstruction of the densities. Finally the
     endpoint matrices and integrated halt densities must resolve the
-    identity (per block for a blocked basis). ``partition`` optionally
-    overrides the paths' block assignments positionally. Family densities
-    are assumed smooth in sqrt(sigma); integrals substitute accordingly.
+    identity (per block for a blocked basis). Family densities are assumed
+    smooth in sqrt(sigma); integrals substitute accordingly. Tolerances
+    come from :mod:`loccverify.tolerances`.
     """
-    if partition is not None and len(partition) != len(paths):
-        raise ValueError("partition must assign a block per path")
     checks: list[ConditionCheck] = []
     resolution_parts: dict[int | None, list[np.ndarray]] = {}
+    solver = spec.solver()
 
-    for i, path in enumerate(paths):
-        block = partition[i] if partition is not None else path.block
-        svals = path.sample_grid(s_samples)
-        trace_defect = 0.0
-        prod_defect = 0.0
-        mem_worst = 0.0
+    for path in paths:
+        trace_defect = prod_defect = mem_worst = fam_defect = 0.0
         mem_where = ""
-        for s in svals:
-            op = as_matrix(path.op_at(float(s)))
+        for s in path.sample_grid(s_samples):
+            s = float(s)
+            op = as_matrix(path.op_at(s))
             trace_defect = max(trace_defect,
-                               abs(float(np.real(np.trace(op))) - float(s)))
+                               abs(float(np.real(np.trace(op))) - s))
             prod_defect = max(prod_defect, product_defect(op, path.dims))
             rep = membership(op, spec, tol=membership_tol)
             if rep.residual > mem_worst:
-                mem_worst = rep.residual
-                mem_where = f"s={float(s):.6g}"
-        lbl = path.label
-        checks.append(ConditionCheck(f"{lbl}:trace", trace_defect, trace_tol,
-                                     trace_defect <= trace_tol))
-        checks.append(ConditionCheck(f"{lbl}:product", prod_defect,
-                                     product_tol, prod_defect <= product_tol))
-        checks.append(ConditionCheck(f"{lbl}:membership", mem_worst,
-                                     membership_tol,
-                                     mem_worst <= membership_tol, mem_where))
-        c_end, end_defect = _endpoint_check(path, spec)
-        checks.append(ConditionCheck(f"{lbl}:endpoint", end_defect, recon_tol,
-                                     end_defect <= recon_tol))
-        resolution_parts.setdefault(block, []).append(c_end.matrix)
-        if path.cmatrix_at is not None:
-            fam_defect = 0.0
-            for s in svals:
-                c = path.cmatrix_at(float(s))
-                solver = spec.solver()
+                mem_worst, mem_where = rep.residual, f"s={s:.6g}"
+            if path.cmatrix_at is not None:
+                c = path.cmatrix_at(s).matrix
                 fam_defect = max(fam_defect, float(np.linalg.norm(
-                    solver.image(c.matrix) - as_matrix(path.op_at(float(s)))
-                )))
+                    solver.image(c) - op)))
+        lbl = path.label
+        c_end, end_defect = _endpoint_check(path, spec)
+        checks += [
+            ConditionCheck(f"{lbl}:trace", trace_defect, TRACE_TOL),
+            ConditionCheck(f"{lbl}:product", prod_defect, PRODUCT_TOL),
+            ConditionCheck(f"{lbl}:membership", mem_worst, membership_tol,
+                           mem_where),
+            ConditionCheck(f"{lbl}:endpoint", end_defect, RECON_TOL),
+        ]
+        if path.cmatrix_at is not None:
             checks.append(ConditionCheck(f"{lbl}:witness-family", fam_defect,
-                                         recon_tol, fam_defect <= recon_tol))
+                                         RECON_TOL))
+        resolution_parts.setdefault(path.block, []).append(c_end.matrix)
 
     for fam in families:
-        sig = np.linspace(0.0, 1.0, sigma_samples)
-        xs = np.linspace(0.0, 1.0, x_samples)
         min_eig = np.inf
-        prod_defect = 0.0
-        recon_defect = 0.0
-        solver = spec.solver()
-        for sv in sig:
-            dens = as_matrix(fam.density_at(float(sv)))
-            cd = fam.cdensity_at(float(sv))
+        prod_defect = recon_defect = 0.0
+        for sv in np.linspace(0.0, 1.0, sigma_samples):
+            sv = float(sv)
+            dens = as_matrix(fam.density_at(sv))
+            cd = fam.cdensity_at(sv).matrix
             prod_defect = max(prod_defect,
                               product_defect(dens, fam.parent.dims))
             recon_defect = max(recon_defect, float(np.linalg.norm(
-                solver.image(cd.matrix) - dens
-            )))
+                solver.image(cd) - dens)))
+            # lambda_min is concave, so the segment mixtures
+            # (1 - x) C_parent + x C_r are lowest at x = 0 or x = 1.
+            ends = [cd]
             if fam.parent.cmatrix_at is not None:
-                base = fam.parent.cmatrix_at(fam.attach_s(float(sv))).matrix
-                for xv in xs:
-                    mix = (1.0 - xv) * base + xv * cd.matrix
-                    min_eig = min(min_eig, float(
-                        np.linalg.eigvalsh(mix).min()
-                    ))
-            else:
-                min_eig = min(min_eig, float(cd.eigenvalues().min()))
+                ends.append(fam.parent.cmatrix_at(fam.attach_s(sv)).matrix)
+            for m in ends:
+                min_eig = min(min_eig, float(np.linalg.eigvalsh(m).min()))
         lbl = fam.label
-        psd_defect = max(0.0, -float(min_eig))
-        checks.append(ConditionCheck(f"{lbl}:psd", psd_defect, psd_tol,
-                                     psd_defect <= psd_tol))
-        checks.append(ConditionCheck(f"{lbl}:product", prod_defect,
-                                     product_tol, prod_defect <= product_tol))
-        checks.append(ConditionCheck(f"{lbl}:reconstruction", recon_defect,
-                                     recon_tol, recon_defect <= recon_tol))
+        checks += [
+            ConditionCheck(f"{lbl}:psd", max(0.0, -min_eig), MIXTURE_PSD_TOL),
+            ConditionCheck(f"{lbl}:product", prod_defect, PRODUCT_TOL),
+            ConditionCheck(f"{lbl}:reconstruction", recon_defect, RECON_TOL),
+        ]
         integral = integrate_sqrt_smooth(
-            lambda u: fam.cdensity_at(float(u)).matrix, nodes=quad_nodes
-        )
+            lambda u: fam.cdensity_at(float(u)).matrix)
         resolution_parts.setdefault(fam.block, []).append(integral)
 
     blocks = spec.block_list()
@@ -738,7 +694,7 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
             idx = list(blocks[key])
             target[idx, idx] = 1.0
             name = f"resolution[{key}]"
-        ok, defect = cmatrix_resolution_check(parts, target, resolution_tol)
-        checks.append(ConditionCheck(name, defect, resolution_tol, ok))
+        _, defect = cmatrix_resolution_check(parts, target)
+        checks.append(ConditionCheck(name, defect, RESOLUTION_TOL))
 
     return PathConditionReport(tuple(checks))

@@ -30,11 +30,7 @@ from .channels import (
     channel_from_leaf_povm,
     kraus_from_operators,
 )
-from .pqubit import (
-    multiplier_distance,
-    pqubit_coefficients,
-    prelimit_coefficients,
-)
+from .pqubit import multiplier_choi_matrix, quadrature_coefficients
 from .protocols import (
     CheckedPath,
     EndpointFamily,
@@ -43,7 +39,9 @@ from .protocols import (
     limit_path,
     protocol_leaf_diagonals,
 )
-from .zonoid import CoefficientMatrix, ZonoidSpec
+from .tolerances import (COARSE_GRAIN_TOL, DENSITY_TRACE_TOL, ISOMETRY_TOL,
+                         QUAD_NODES, ROUNDING_TOL, SIGMA_SAMPLES)
+from .zonoid import CoefficientMatrix, ZonoidSpec, zonoid_spec_for_instrument
 
 DIMS_2Q = PartyDims((2, 2))
 
@@ -115,7 +113,7 @@ def limiting_povm(s: float):
     two-party derivative outcomes in reverse order). Their square roots are
     the limiting measurement operators.
     """
-    if not 1.0 - 1e-12 <= s <= 4.0 + 1e-12:
+    if not 1.0 - ROUNDING_TOL <= s <= 4.0 + ROUNDING_TOL:
         raise ValueError("s must lie in [1, 4]")
     first, second = derivative_outcomes(2, min(max(s, 1.0), 4.0))
     return _diag4(0.0, 0.0, 0.0, 1.0), second, first
@@ -127,29 +125,16 @@ def limiting_kraus(s: float):
     return e1, sqrt_psd(d2), sqrt_psd(d3)
 
 
-def limiting_choi_2q(nodes: int = 64) -> ChoiOperator:
+def limiting_choi_2q(nodes: int = QUAD_NODES) -> ChoiOperator:
     """Unnormalized Choi operator assembled from the limit outcomes.
 
-    The two halt continua contribute rank-1 integrands that are smooth in
-    sqrt(sigma), so the substituted quadrature rule is exact to rounding.
+    Every limit outcome is diagonal, so this is the matched-pair embedding
+    of the two-party multiplier integrated over the halt continua; the
+    integrands are smooth in sqrt(sigma), so the substituted quadrature
+    rule is exact to rounding.
     """
-    d = 4
-
-    def ket(op: np.ndarray) -> np.ndarray:
-        # Input-major vectorization: component (i, a) holds op[a, i].
-        return op.T.reshape(d * d)
-
-    e1 = _diag4(0.0, 0.0, 0.0, 1.0)
-    v1 = ket(e1)
-    mat = np.outer(v1, v1.conj())
-
-    def halt_term(sigma: float) -> np.ndarray:
-        v2 = ket(_halt_diag(np.sqrt(sigma), 2))
-        v3 = ket(_halt_diag(np.sqrt(sigma), 3))
-        return np.outer(v2, v2.conj()) + np.outer(v3, v3.conj())
-
-    mat = mat + integrate_sqrt_smooth(halt_term, nodes=nodes)
-    return ChoiOperator(mat, d, d, normalized=False)
+    s = quadrature_coefficients(2, nodes=nodes)
+    return ChoiOperator(multiplier_choi_matrix(s), 4, 4, normalized=False)
 
 
 @dataclass(frozen=True)
@@ -160,8 +145,7 @@ class IntegralCheck:
     passed: bool
 
 
-def continuous_isometry_check(nodes: int = 64,
-                              tol: float = 1e-10) -> IntegralCheck:
+def continuous_isometry_check(nodes: int = QUAD_NODES) -> IntegralCheck:
     """Column orthonormality of the continuum-to-reduced expansion.
 
     The halt operators expand over the reduced set with weights
@@ -174,8 +158,8 @@ def continuous_isometry_check(nodes: int = 64,
     cross = integrate_sqrt_smooth(lambda t: 3.0 * np.sqrt(t) - 2.0,
                                   nodes=nodes)
     weight = gauss_legendre(lambda t: 1.0, 0.0, 1.0, nodes=nodes)
-    ok = (abs(norm_last - 1.0) <= tol and abs(cross) <= tol
-          and abs(weight - 1.0) <= tol)
+    ok = (abs(norm_last - 1.0) <= ISOMETRY_TOL and abs(cross) <= ISOMETRY_TOL
+          and abs(weight - 1.0) <= ISOMETRY_TOL)
     return IntegralCheck(float(norm_last), float(cross), float(weight), ok)
 
 
@@ -186,8 +170,7 @@ class BlockedIsometryCheck:
     passed: bool
 
 
-def blocked_isometry_check(sigma_samples: int = 101,
-                           tol: float = 1e-10) -> BlockedIsometryCheck:
+def blocked_isometry_check() -> BlockedIsometryCheck:
     """Expansion of the halt continua over the grouped operators.
 
     Each halt operator recombines within a single outcome group, with
@@ -199,7 +182,7 @@ def blocked_isometry_check(sigma_samples: int = 101,
     """
     worst_res = 0.0
     worst_coef = 0.0
-    for sigma in np.linspace(0.0, 1.0, sigma_samples):
+    for sigma in np.linspace(0.0, 1.0, SIGMA_SAMPLES):
         rt = np.sqrt(sigma)
         want = np.array([np.sqrt(3.0) * (2.0 * rt - 1.0),
                          np.sqrt(6.0) * (1.0 - rt)])
@@ -211,7 +194,7 @@ def blocked_isometry_check(sigma_samples: int = 101,
             worst_res = max(worst_res,
                             float(np.linalg.norm(recon - vec)))
             worst_coef = max(worst_coef, float(np.abs(coef - want).max()))
-    ok = worst_res <= tol and worst_coef <= tol
+    ok = worst_res <= ISOMETRY_TOL and worst_coef <= ISOMETRY_TOL
     return BlockedIsometryCheck(worst_res, worst_coef, ok)
 
 
@@ -221,7 +204,7 @@ class CoarseGrainCheck:
     passed: bool
 
 
-def coarse_grain_check(nodes: int = 64, tol: float = 1e-9) -> CoarseGrainCheck:
+def coarse_grain_check(nodes: int = QUAD_NODES) -> CoarseGrainCheck:
     """Integrated halt continua against the grouped CP maps.
 
     On every matrix unit, integrating k(sigma) rho k(sigma) over the halt
@@ -249,7 +232,7 @@ def coarse_grain_check(nodes: int = 64, tol: float = 1e-9) -> CoarseGrainCheck:
             worst = max(worst,
                         float(np.linalg.norm(got[0] - want2)),
                         float(np.linalg.norm(got[1] - want3)))
-    return CoarseGrainCheck(worst, worst <= tol)
+    return CoarseGrainCheck(worst, worst <= COARSE_GRAIN_TOL)
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -258,7 +241,7 @@ def concurrence(rho: np.ndarray) -> float:
     if rho.shape != (4, 4):
         raise ValueError("concurrence needs a two-qubit density matrix")
     tr = float(np.real(np.trace(rho)))
-    if abs(tr - 1.0) > 1e-8:
+    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise ValueError(f"density matrix must have unit trace, got {tr}")
     sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
     yy = np.kron(sy, sy)
@@ -279,7 +262,7 @@ class WStateReport:
     concurrence: float
 
 
-def wstate_analysis(nodes: int = 64) -> WStateReport:
+def wstate_analysis(nodes: int = QUAD_NODES) -> WStateReport:
     """Halt outcomes of the limit measurement applied to the W state.
 
     The all-ones outcome annihilates the state. Each halt continuum fires
@@ -314,18 +297,6 @@ def prelimit_channel(rounds: int, exponent: float) -> KrausSet:
     """Channel implemented by the halting protocol stopped after ``rounds``."""
     diags = protocol_leaf_diagonals(2, rounds, exponent)
     return channel_from_leaf_povm(diags, (2, 2))
-
-
-def prelimit_choi_distance(rounds_list, exponent: float = 0.5) -> list[float]:
-    """Normalized Choi distances from the stopped protocol to the limit.
-
-    Both channels are Hadamard multipliers, so this is the P = 2 case of
-    :func:`multiplier_distance`.
-    """
-    limit = pqubit_coefficients(2)
-    return [multiplier_distance(2, prelimit_coefficients(2, int(nu), exponent),
-                                limit)
-            for nu in rounds_list]
 
 
 def channel_zonoid() -> ZonoidSpec:
@@ -367,8 +338,6 @@ def limiting_family(spec: ZonoidSpec | None = None):
 
 def instrument_zonoid() -> ZonoidSpec:
     """Blocked zonoid over the per-outcome minimal bases (sizes 1, 2, 2)."""
-    from .zonoid import zonoid_spec_for_instrument
-
     return zonoid_spec_for_instrument(two_qubit_instrument().instrument)
 
 

@@ -16,11 +16,11 @@ import numpy as np
 
 from .channels import Instrument, KrausSet, minimal_kraus
 from .linalg import as_matrix, is_hermitian
+from .tolerances import (INDEPENDENCE_TOL, INPUT_HERMITICITY_TOL,
+                         MEMBERSHIP_TOL, RESOLUTION_TOL, ROUNDING_TOL,
+                         SPAN_TOL)
 
-MEMBERSHIP_TOL = 1e-7
 MEMBERSHIP_MAX_ITER = 10000
-CANDIDATE_TOL = 1e-12
-INDEPENDENCE_TOL = 1e-10
 
 
 class NotInSpanError(ValueError):
@@ -37,7 +37,7 @@ class CoefficientMatrix:
         m = as_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError("coefficient matrix must be square")
-        if not is_hermitian(m, 1e-10):
+        if not is_hermitian(m, INPUT_HERMITICITY_TOL):
             raise ValueError("coefficient matrix must be Hermitian")
         self.matrix = 0.5 * (m + m.conj().T)
 
@@ -165,11 +165,11 @@ class _MembershipSolver:
             out[grid] = (v * np.clip(w, 0.0, 1.0)) @ v.conj().T
         return out
 
-    def in_box(self, c: np.ndarray, tol: float = 1e-12) -> bool:
+    def in_box(self, c: np.ndarray) -> bool:
         for grid in self.grids:
             sub = c[grid]
             w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
-            if w[0] < -tol or w[-1] > 1.0 + tol:
+            if w[0] < -ROUNDING_TOL or w[-1] > 1.0 + ROUNDING_TOL:
                 return False
         return True
 
@@ -208,14 +208,13 @@ class _MembershipSolver:
     def _candidates(self, z: np.ndarray, c0: np.ndarray):
         ident = np.where(self.mask, np.eye(self.kappa, dtype=np.complex128),
                          0.0)
-        if self.residual(ident, z) <= CANDIDATE_TOL:
+        if self.residual(ident, z) <= ROUNDING_TOL:
             return ident
-        if self.in_box(c0) and self.residual(c0, z) <= CANDIDATE_TOL:
+        if self.in_box(c0) and self.residual(c0, z) <= ROUNDING_TOL:
             return c0
         return None
 
-    def _descend(self, z: np.ndarray, c0: np.ndarray, max_iter: int,
-                 tol: float):
+    def _descend(self, z: np.ndarray, c0: np.ndarray, tol: float):
         step = 1.0 / max(self.lipschitz, 1e-300)
         c = self.project_box(c0)
         y = c
@@ -224,7 +223,7 @@ class _MembershipSolver:
         best_res = self.residual(c, z)
         last_improve = 0
         iters = 0
-        for it in range(max_iter):
+        for it in range(MEMBERSHIP_MAX_ITER):
             iters = it + 1
             grad = self.adjoint(self.image(y) - z)
             cn = self.project_box(y - step * grad)
@@ -252,8 +251,7 @@ class _MembershipSolver:
                 break
         return best, best_res, iters
 
-    def solve(self, z: np.ndarray, tol: float, max_iter: int
-              ) -> MembershipReport:
+    def solve(self, z: np.ndarray, tol: float) -> MembershipReport:
         c0 = self.project_affine(
             np.zeros((self.kappa, self.kappa), dtype=np.complex128),
             z.reshape(-1))
@@ -261,28 +259,28 @@ class _MembershipSolver:
         if cand is not None:
             res = self.residual(cand, z)
             return MembershipReport(True, CoefficientMatrix(cand), res, 0)
-        best, best_res, iters = self._descend(z, c0, max_iter, tol)
+        best, best_res, iters = self._descend(z, c0, tol)
         return MembershipReport(best_res <= tol, CoefficientMatrix(best),
                                 float(best_res), iters)
 
 
-def membership(z, spec: ZonoidSpec, tol: float = MEMBERSHIP_TOL,
-               max_iter: int = MEMBERSHIP_MAX_ITER) -> MembershipReport:
+def membership(z, spec: ZonoidSpec, tol: float = MEMBERSHIP_TOL
+               ) -> MembershipReport:
     """Decide whether ``z`` lies in the zonoid of ``spec``.
 
     The report's residual is ||L(C) - z||_F at the returned witness, which
     is always box feasible; ``feasible`` is the comparison against ``tol``.
     A point outside the affine span can never be feasible and shows up with
-    a residual at least its distance to the span. ``max_iter`` bounds the
-    descent iterations of the whole solve.
+    a residual at least its distance to the span. MEMBERSHIP_MAX_ITER
+    bounds the descent iterations of the whole solve.
     """
     z = as_matrix(z)
     d = spec.dim
     if z.shape != (d, d):
         raise ValueError(f"operator shape {z.shape} does not match dim {d}")
-    if not is_hermitian(z, 1e-10):
+    if not is_hermitian(z, INPUT_HERMITICITY_TOL):
         raise ValueError("membership expects a Hermitian operator")
-    return spec.solver().solve(z, tol, max_iter)
+    return spec.solver().solve(z, tol)
 
 
 def support_function(x, spec: ZonoidSpec) -> float:
@@ -292,7 +290,7 @@ def support_function(x, spec: ZonoidSpec) -> float:
     A[m', m] = Tr(x Khat_m^dag Khat_m'), blockwise when blocks are present.
     """
     x = as_matrix(x)
-    if not is_hermitian(x, 1e-10):
+    if not is_hermitian(x, INPUT_HERMITICITY_TOL):
         raise ValueError("support directions must be Hermitian")
     return float(spec.solver().support(x[None])[0])
 
@@ -355,8 +353,7 @@ def separation_gap(z, spec: ZonoidSpec, samples: int = 500, seed: int = 7
     return float(np.max(pairing - spec.solver().support(xs)))
 
 
-def endpoint_cmatrix(k_leaf, spec: ZonoidSpec, tol: float = 1e-8
-                     ) -> CoefficientMatrix:
+def endpoint_cmatrix(k_leaf, spec: ZonoidSpec) -> CoefficientMatrix:
     """Rank-one coefficient matrix of a path endpoint.
 
     Expands the leaf operator over the basis, k = sum_m w_m Khat_m (within
@@ -383,7 +380,7 @@ def endpoint_cmatrix(k_leaf, spec: ZonoidSpec, tol: float = 1e-8
             w = np.zeros(spec.kappa, dtype=np.complex128)
             w[list(blk)] = x
             best_w = w
-    if best_w is None or best_res > tol * scale:
+    if best_w is None or best_res > SPAN_TOL * scale:
         raise NotInSpanError(
             f"endpoint operator is outside the basis span "
             f"(best residual {best_res:.3e})"
@@ -391,8 +388,7 @@ def endpoint_cmatrix(k_leaf, spec: ZonoidSpec, tol: float = 1e-8
     return CoefficientMatrix(np.outer(best_w.conj(), best_w))
 
 
-def cmatrix_resolution_check(cmats: Iterable, target,
-                             tol: float = 1e-7) -> tuple[bool, float]:
+def cmatrix_resolution_check(cmats: Iterable, target) -> tuple[bool, float]:
     """Check that the coefficient matrices sum to ``target``.
 
     Returns (ok, Frobenius defect). Endpoint matrices of a complete path
@@ -405,16 +401,15 @@ def cmatrix_resolution_check(cmats: Iterable, target,
         m = c.matrix if isinstance(c, CoefficientMatrix) else as_matrix(c)
         acc = acc + m
     defect = float(np.linalg.norm(acc - target))
-    return defect <= tol, defect
+    return defect <= RESOLUTION_TOL, defect
 
 
-def zonoid_spec_for_channel(k: KrausSet, tol: float = 1e-8) -> ZonoidSpec:
+def zonoid_spec_for_channel(k: KrausSet) -> ZonoidSpec:
     """Zonoid of a channel over its minimal Kraus basis."""
-    return ZonoidSpec(minimal_kraus(k, tol))
+    return ZonoidSpec(minimal_kraus(k))
 
 
-def zonoid_spec_for_instrument(inst: Instrument, tol: float = 1e-8
-                               ) -> ZonoidSpec:
+def zonoid_spec_for_instrument(inst: Instrument) -> ZonoidSpec:
     """Blocked zonoid of an instrument.
 
     Each outcome contributes the minimal Kraus set of its branch as one
@@ -424,7 +419,7 @@ def zonoid_spec_for_instrument(inst: Instrument, tol: float = 1e-8
     blocks = []
     at = 0
     for r in range(inst.n_outcomes):
-        mk = minimal_kraus(inst.branch(r), tol)
+        mk = minimal_kraus(inst.branch(r))
         ops.extend(mk.operators)
         blocks.append(tuple(range(at, at + mk.n_operators)))
         at += mk.n_operators

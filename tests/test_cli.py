@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line entry point."""
 
+import argparse
 import json
 
 import numpy as np
@@ -17,6 +18,10 @@ def run(capsys, *argv):
 
 def check_names(report):
     return [c["name"] for c in report["checks"]]
+
+
+def inline(m):
+    return dumps(matrix_to_json(np.asarray(m, dtype=complex)), indent=0)
 
 
 class TestReportShape:
@@ -82,6 +87,18 @@ class TestExitCodes:
         ["theorem1", "--sigma-samples", "0"],
         ["theorem8", "--samples", "-1"],
         ["wstate", "--nodes", "0"],
+        ["zonoid-check", "--z", inline(np.eye(2))],
+        ["zonoid-check", "--z", inline([[1, 1, 0, 0], [0, 1, 0, 0],
+                                        [0, 0, 1, 0], [0, 0, 0, 1]])],
+        ["zonoid-check", "--tol", "-1"],
+        ["zonoid-check", "--tol", "0"],
+        ["zonoid-check", "--tol", "inf"],
+        ["zonoid-check", "--tol", "nan"],
+        ["theorem1", "--tol", "-1"],
+        ["theorem8", "--tol", "nan"],
+        ["choi", "--kraus", "twoqubit-minimal", "--tol", "1e-7"],
+        ["wstate", "--c", "9"],
+        ["protocol", "--seed", "1"],
     ])
     def test_bad_protocol_parameters_are_2(self, capsys, argv):
         status = cli.main(argv)
@@ -114,6 +131,53 @@ class TestExitCodes:
         assert status == 1
         assert rep["pass"] is False
         assert rep["values"]["feasible"] is False
+
+
+class ReadRecorder(argparse.Namespace):
+    """Namespace that records the names of the attributes read from it."""
+
+    def __init__(self):
+        super().__init__()
+        object.__setattr__(self, "_reads", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# Cheap arguments per subcommand; theorem1 reads --c only with --nu.
+CHEAP_ARGV = {
+    "choi": ["--kraus", "twoqubit-minimal"],
+    "distance": ["--a", "twoqubit-minimal", "--b", "twoqubit-grouped"],
+    "zonoid-check": [],
+    "protocol": ["--nu", "2"],
+    "paths": ["--nu", "2", "--grid", "3"],
+    "theorem1": ["--nu", "10", "--samples", "2", "--sigma-samples", "2"],
+    "theorem8": ["--samples", "2", "--sigma-samples", "2", "--nodes", "2"],
+    "paper-2q": ["--nu", "10", "--nodes", "2"],
+    "paper-pq": ["--parties", "2", "--nu-list", "10,20", "--nodes", "2"],
+    "wstate": ["--nodes", "2"],
+    "hausdorff": ["--nu-list", "10,20", "--samples", "1"],
+}
+
+
+class TestDeclaredFlags:
+    def test_every_declared_flag_is_read(self):
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(CHEAP_ARGV)
+        unread = {}
+        for command, argv in CHEAP_ARGV.items():
+            ns = cli._build_parser().parse_args([command] + argv,
+                                                namespace=ReadRecorder())
+            declared = set(vars(ns)) - {"_reads", "command", "func"}
+            func = ns.func
+            ns._reads.clear()
+            func(ns)
+            if declared - ns._reads:
+                unread[command] = sorted(declared - ns._reads)
+        assert unread == {}
 
 
 class TestSubcommands:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loccverify import (
+    CoefficientMatrix,
     PartyDims,
     ProtocolNode,
     ProtocolParams,
@@ -559,21 +560,48 @@ class TestVerifyTheoremConditions:
         paths, fams = blocked_limiting_family()
         rep = verify_theorem_conditions(instrument_zonoid(), paths,
                                         families=fams, s_samples=11,
-                                        sigma_samples=31, x_samples=5)
+                                        sigma_samples=31)
         assert rep.passed
         names = {c.name for c in rep.checks}
         assert {"resolution[0]", "resolution[1]", "resolution[2]"} <= names
-
-    def test_partition_length_checked(self):
-        paths, fams = limiting_family()
-        with pytest.raises(ValueError):
-            verify_theorem_conditions(channel_zonoid(), paths, families=fams,
-                                      partition=[0, 1])
 
     def test_report_lookup(self):
         paths, fams = limiting_family()
         rep = verify_theorem_conditions(channel_zonoid(), paths,
                                         families=fams, s_samples=5,
-                                        sigma_samples=11, x_samples=3)
+                                        sigma_samples=11)
         with pytest.raises(KeyError):
             rep.check("no-such-check")
+
+    def test_shifted_density_fails_psd(self):
+        # The mixtures are checked at their ends only, so a density pushed
+        # below zero by 1e-6 must still show up with that defect.
+        paths, fams = limiting_family()
+        fam = fams[0]
+        fam.cdensity_at = lambda sg, f=fam.cdensity_at: CoefficientMatrix(
+            f(sg).matrix - 1e-6 * np.eye(4))
+        rep = verify_theorem_conditions(channel_zonoid(), paths,
+                                        families=fams, s_samples=5,
+                                        sigma_samples=11)
+        psd = rep.check(f"{fam.label}:psd")
+        assert not psd.passed
+        assert psd.defect == pytest.approx(1e-6, rel=1e-6)
+        assert rep.check(f"{fams[1].label}:psd").passed
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1),
+           st.floats(0.0, 1.0))
+    def test_lowest_eigenvalue_of_a_mixture_is_at_least_its_ends(
+            self, d, seed, x):
+        # lambda_min is concave, which is why mixture positivity is only
+        # checked at x = 0 and x = 1.
+        rng = np.random.default_rng(seed)
+
+        def hermitian():
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            return (g + g.conj().T) * rng.choice([1e-3, 1.0, 1e3])
+
+        a, b = hermitian(), hermitian()
+        low = min(np.linalg.eigvalsh(a)[0], np.linalg.eigvalsh(b)[0])
+        slack = 1e-12 * (1.0 + np.linalg.norm(a, 2) + np.linalg.norm(b, 2))
+        assert np.linalg.eigvalsh((1.0 - x) * a + x * b)[0] >= low - slack

@@ -17,12 +17,15 @@ from loccverify import (
     limiting_kraus,
     limiting_povm,
     minimal_kraus,
+    multiplier_distance,
+    pqubit_coefficients,
     prelimit_channel,
-    prelimit_choi_distance,
+    prelimit_coefficients,
     two_qubit_instrument,
     trace_norm,
     wstate_analysis,
 )
+from loccverify.linalg import integrate_sqrt_smooth
 from loccverify.twoqubit import K_GROUPED, K_REDUCED, W_GROUPING
 
 from conftest import random_density
@@ -151,6 +154,30 @@ class TestLimitingChoi:
         w = np.linalg.eigvalsh(limiting_choi_2q().matrix)
         assert w[0] >= -1e-10
 
+    @pytest.mark.parametrize("nodes", [1, 2, 8, 64])
+    def test_matches_halt_continuum_quadrature(self, nodes):
+        # Reference: the all-ones outcome plus the integrated rank-one halt
+        # terms, each Kraus operator vectorized input-major.
+        def ket(op):
+            return op.T.reshape(16)
+
+        def halt(x, which):
+            d = [x, 0.0, 1.0, 0.0] if which == 2 else [x, 1.0, 0.0, 0.0]
+            return np.diag(d).astype(complex)
+
+        v1 = ket(np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex))
+
+        def halt_term(sigma):
+            v2 = ket(halt(np.sqrt(sigma), 2))
+            v3 = ket(halt(np.sqrt(sigma), 3))
+            return np.outer(v2, v2.conj()) + np.outer(v3, v3.conj())
+
+        want = np.outer(v1, v1.conj()) + integrate_sqrt_smooth(
+            halt_term, nodes=nodes)
+        got = limiting_choi_2q(nodes)
+        assert not got.normalized
+        assert np.array_equal(got.matrix, want)
+
 
 class TestIsometryIntegrals:
     def test_continuous_relation(self):
@@ -224,10 +251,15 @@ class TestPrelimit:
         rho = random_density(4, rng)
         assert np.trace(apply(k, rho)) == pytest.approx(1.0)
 
+    @staticmethod
+    def distance(rounds, exponent=0.5):
+        return multiplier_distance(
+            2, prelimit_coefficients(2, rounds, exponent),
+            pqubit_coefficients(2))
+
     def test_choi_distance_decreases(self):
-        vals = prelimit_choi_distance([10, 100, 1000])
+        vals = [self.distance(nu) for nu in (10, 100, 1000)]
         assert vals[0] > vals[1] > vals[2] > 0.0
 
     def test_small_round_count_is_far(self):
-        vals = prelimit_choi_distance([1])
-        assert vals[0] > 0.05
+        assert self.distance(1) > 0.05
