@@ -50,6 +50,11 @@ class InputError(Exception):
     """Bad user input (file, JSON, or token); maps to exit status 2."""
 
 
+# Bytes of node elements `protocol` may build: the tree has 2 P rounds + 1
+# nodes, each holding a dense 2^P x 2^P complex matrix.
+TREE_BYTES_BUDGET = 2 ** 28
+
+
 def _check(name: str, defect: float, tol: float, where: str = "") -> dict:
     entry = {
         "name": name,
@@ -203,6 +208,13 @@ def _protocol_params(parties: int, rounds: int, exponent: float
 
 def _cmd_protocol(args) -> dict:
     params = _protocol_params(args.parties, args.nu, args.c)
+    nodes = 2 * params.parties * params.rounds + 1
+    tree_bytes = nodes * 16 * 4 ** params.parties
+    if tree_bytes > TREE_BYTES_BUDGET:
+        raise InputError(
+            f"--nu {params.rounds} at --parties {params.parties} needs "
+            f"{nodes} tree nodes ({tree_bytes / 2 ** 20:.0f} MiB), above the "
+            f"{TREE_BYTES_BUDGET // 2 ** 20} MiB budget")
     tree = build_protocol_pq(params.parties, params.rounds, params.exponent)
     report = verify_tree(tree)
     checks = [

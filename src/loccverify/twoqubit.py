@@ -304,6 +304,16 @@ def channel_zonoid() -> ZonoidSpec:
     return ZonoidSpec(kraus_from_operators(list(K_REDUCED), (2, 2)))
 
 
+def _s_of(sigma: float) -> float:
+    """Main-path trace s = (1 + sigma)^2 where halt parameter sigma attaches."""
+    return (1.0 + sigma) ** 2
+
+
+def _sigma_of(s: float) -> float:
+    """Inverse of :func:`_s_of`."""
+    return float(np.sqrt(s)) - 1.0
+
+
 def limiting_family(spec: ZonoidSpec | None = None):
     """Main path and halt families of the limit, ready for verification.
 
@@ -329,9 +339,9 @@ def limiting_family(spec: ZonoidSpec | None = None):
             label=f"halt-{'B' if which == 2 else 'A'}",
             parent=main,
             density_at=lambda sg, w=which: _halt_diag(sg, w),
-            cdensity_at=lambda sg, nm=name: c_matrix_family(
-                nm, (1.0 + sg) ** 2),
-            attach_s=lambda sg: (1.0 + sg) ** 2,
+            cdensity_at=lambda sg, nm=name: c_matrix_family(nm, _s_of(sg)),
+            attach_s=_s_of,
+            sigma_at=_sigma_of,
         ))
     return [main], fams
 
@@ -381,7 +391,8 @@ def blocked_limiting_family(spec: ZonoidSpec | None = None):
             parent=main,
             density_at=lambda sg, w=which: _halt_diag(sg, w),
             cdensity_at=blocked_density(which),
-            attach_s=lambda sg: (1.0 + sg) ** 2,
+            attach_s=_s_of,
+            sigma_at=_sigma_of,
             block=which - 1,
         )
         for which in (2, 3)

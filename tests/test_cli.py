@@ -99,8 +99,13 @@ class TestExitCodes:
         ["choi", "--kraus", "twoqubit-minimal", "--tol", "1e-7"],
         ["wstate", "--c", "9"],
         ["protocol", "--seed", "1"],
+        ["protocol", "--parties", "2", "--nu", "100000000"],
     ])
-    def test_bad_protocol_parameters_are_2(self, capsys, argv):
+    def test_bad_protocol_parameters_are_2(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("refused input reached the builder")
+
+        monkeypatch.setattr(cli, "build_protocol_pq", refuse)
         status = cli.main(argv)
         captured = capsys.readouterr()
         assert status == 2

@@ -16,7 +16,8 @@ from loccverify import (
     sqrt_psd,
     trace_norm,
 )
-from loccverify.linalg import frobenius, is_hermitian, operator_norm
+from loccverify.linalg import (cumulative_sqrt_smooth, frobenius,
+                               is_hermitian, operator_norm)
 
 from conftest import haar_unitary, random_density
 
@@ -162,6 +163,26 @@ class TestQuadrature:
         assert abs(plain - 2.0 / 3.0) > 1e-8
         sub = integrate_sqrt_smooth(lambda s: np.sqrt(s))
         assert sub == pytest.approx(2.0 / 3.0, abs=1e-14)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_cumulative_rule_matches_closed_form(self, sigmas):
+        # int_0^sigma (3 sqrt(t) - 2) dt = 2 sigma^(3/2) - 2 sigma, for every
+        # point of an unsorted grid with repeats.
+        got = cumulative_sqrt_smooth(lambda t: 3.0 * np.sqrt(t) - 2.0,
+                                     sigmas + sigmas[:1])
+        want = [2.0 * s ** 1.5 - 2.0 * s for s in sigmas + sigmas[:1]]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+    def test_cumulative_rule_ends_at_the_full_integral(self):
+        def f(t):
+            return np.array([[t, np.sqrt(t)], [1.0, t ** 1.5]])
+
+        got = cumulative_sqrt_smooth(f, np.linspace(0.0, 1.0, 7))
+        assert got.shape == (7, 2, 2)
+        np.testing.assert_array_equal(got[0], np.zeros((2, 2)))
+        np.testing.assert_allclose(got[-1], integrate_sqrt_smooth(f),
+                                   rtol=0.0, atol=1e-14)
 
     def test_interval_scaling(self):
         got = gauss_legendre(np.cos, 0.0, np.pi / 2, nodes=32)

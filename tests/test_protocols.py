@@ -1,5 +1,7 @@
 """Tests for protocol trees, operator paths, and the condition verifier."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,8 @@ from loccverify import (
     verify_theorem_conditions,
     verify_tree,
 )
+from loccverify import protocols
+from loccverify.linalg import cumulative_sqrt_smooth
 from loccverify.protocols import TreeFailure
 
 
@@ -588,6 +592,46 @@ class TestVerifyTheoremConditions:
         assert psd.defect == pytest.approx(1e-6, rel=1e-6)
         assert rep.check(f"{fams[1].label}:psd").passed
 
+    def test_scaled_density_falls_back_to_the_solver(self, monkeypatch):
+        # A family whose density is 1% off no longer assembles a witness, so
+        # the solver answers membership and the resolution still fails.
+        paths, fams = limiting_family()
+        fams[0] = dataclasses.replace(
+            fams[0], cdensity_at=lambda sg, f=fams[0].cdensity_at:
+            CoefficientMatrix(1.01 * f(sg).matrix))
+        calls = _count_membership_calls(monkeypatch)
+        rep = verify_theorem_conditions(channel_zonoid(), paths,
+                                        families=fams, s_samples=11,
+                                        sigma_samples=11)
+        mem = rep.check("main:membership")
+        assert calls
+        assert mem.passed
+        assert mem.where.endswith(f"; solver {len(calls)}/11")
+        assert not rep.check("resolution").passed
+
+    def test_path_without_families_asks_the_solver_everywhere(
+            self, monkeypatch):
+        paths, _ = limiting_family()
+        calls = _count_membership_calls(monkeypatch)
+        rep = verify_theorem_conditions(channel_zonoid(), paths,
+                                        s_samples=5)
+        assert len(calls) == 5
+        assert rep.check("main:membership").passed
+        assert rep.check("main:membership").where.endswith("; solver 5/5")
+
+    @pytest.mark.parametrize("family, spec", [
+        (limiting_family, channel_zonoid),
+        (blocked_limiting_family, instrument_zonoid),
+    ])
+    def test_default_grid_needs_no_solver(self, monkeypatch, family, spec):
+        paths, fams = family()
+        calls = _count_membership_calls(monkeypatch)
+        rep = verify_theorem_conditions(spec(), paths, families=fams)
+        mem = rep.check("main:membership")
+        assert not calls
+        assert mem.defect <= 1e-12
+        assert mem.where.endswith("; solver 0/301")
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1),
            st.floats(0.0, 1.0))
@@ -605,3 +649,54 @@ class TestVerifyTheoremConditions:
         low = min(np.linalg.eigvalsh(a)[0], np.linalg.eigvalsh(b)[0])
         slack = 1e-12 * (1.0 + np.linalg.norm(a, 2) + np.linalg.norm(b, 2))
         assert np.linalg.eigvalsh((1.0 - x) * a + x * b)[0] >= low - slack
+
+
+def _count_membership_calls(monkeypatch) -> list:
+    """Record each membership call of the condition verifier."""
+    calls = []
+    real = protocols.membership
+
+    def counting(z, spec, tol):
+        calls.append(z)
+        return real(z, spec, tol=tol)
+
+    monkeypatch.setattr(protocols, "membership", counting)
+    return calls
+
+
+class TestIntegratedWitness:
+    """C(sigma) = C_end + sum_f int_0^sigma cdensity_f certifies the path."""
+
+    @pytest.mark.parametrize("family, spec", [
+        (limiting_family, channel_zonoid),
+        (blocked_limiting_family, instrument_zonoid),
+    ])
+    @settings(max_examples=40, deadline=None)
+    @given(sigmas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    def test_assembled_witness_certifies_the_limit_path(self, family, spec,
+                                                        sigmas):
+        spec = spec()
+        solver = spec.solver()
+        (main,), fams = family(spec)
+        c_end, _ = protocols._endpoint_check(main, spec)
+        cs = c_end.matrix + sum(
+            cumulative_sqrt_smooth(
+                lambda t, f=fam: f.cdensity_at(float(t)).matrix, sigmas)
+            for fam in fams)
+        for sigma, c in zip(sigmas, cs):
+            assert np.abs(np.where(solver.mask, 0.0, c)).max() == 0.0
+            for grid in solver.grids:
+                w = np.linalg.eigvalsh(c[grid])
+                assert w[0] >= -1e-12 and w[-1] <= 1.0 + 1e-12
+            np.testing.assert_allclose(solver.image(c),
+                                       limit_path(2, (1.0 + sigma) ** 2),
+                                       rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("family", [limiting_family,
+                                        blocked_limiting_family])
+    @pytest.mark.parametrize("s_samples", [None, 11, 25])
+    def test_sigma_at_inverts_attach_s(self, family, s_samples):
+        (main,), fams = family()
+        for fam in fams:
+            for s in main.sample_grid(s_samples):
+                assert abs(fam.attach_s(fam.sigma_at(float(s))) - s) <= 1e-15
