@@ -31,6 +31,7 @@ from .protocols import (
     build_protocol_pq,
     path_distance_bound,
     main_branch_path,
+    protocol_tree_bytes,
     verify_theorem_conditions,
     verify_tree,
 )
@@ -50,8 +51,8 @@ class InputError(Exception):
     """Bad user input (file, JSON, or token); maps to exit status 2."""
 
 
-# Bytes of node elements `protocol` may build: the tree has 2 P rounds + 1
-# nodes, each holding a dense 2^P x 2^P complex matrix.
+# Largest tree `protocol` builds, in bytes as `protocol_tree_bytes` counts
+# them (node elements and node objects).
 TREE_BYTES_BUDGET = 2 ** 28
 
 
@@ -208,12 +209,11 @@ def _protocol_params(parties: int, rounds: int, exponent: float
 
 def _cmd_protocol(args) -> dict:
     params = _protocol_params(args.parties, args.nu, args.c)
-    nodes = 2 * params.parties * params.rounds + 1
-    tree_bytes = nodes * 16 * 4 ** params.parties
+    tree_bytes = protocol_tree_bytes(params.parties, params.rounds)
     if tree_bytes > TREE_BYTES_BUDGET:
         raise InputError(
-            f"--nu {params.rounds} at --parties {params.parties} needs "
-            f"{nodes} tree nodes ({tree_bytes / 2 ** 20:.0f} MiB), above the "
+            f"--nu {params.rounds} at --parties {params.parties} needs a "
+            f"{tree_bytes / 2 ** 20:.1f} MiB tree, above the "
             f"{TREE_BYTES_BUDGET // 2 ** 20} MiB budget")
     tree = build_protocol_pq(params.parties, params.rounds, params.exponent)
     report = verify_tree(tree)

@@ -168,6 +168,23 @@ def build_protocol_pq(parties: int, rounds: int, exponent: float
     return ProtocolTree(root, dims, params)
 
 
+# Bytes a tree node holds besides its element's entries: the ProtocolNode,
+# its children list and the ndarray view of the element (290 to 300 bytes
+# under tracemalloc on CPython 3.11).
+NODE_OVERHEAD_BYTES = 320
+
+
+def protocol_tree_bytes(parties: int, rounds: int) -> int:
+    """Memory a :func:`build_protocol_pq` tree holds, in bytes.
+
+    The tree has 2 P rounds + 1 nodes, each a dense 2^P x 2^P complex
+    element plus ``NODE_OVERHEAD_BYTES`` of Python objects. It is computed
+    without building anything, so callers can refuse a tree too large.
+    """
+    nodes = 2 * parties * rounds + 1
+    return nodes * (16 * 4 ** parties + NODE_OVERHEAD_BYTES)
+
+
 def protocol_leaf_diagonals(parties: int, rounds: int, exponent: float
                             ) -> np.ndarray:
     """POVM diagonals of all leaves, halt leaves in protocol order first,
@@ -614,24 +631,23 @@ def _witness_defects(solver, c_end: np.ndarray,
 
     The halt families peel off the path continuously, so
     C(s) = C_end + sum_f int_0^sigma_f(s) cdensity_f is a coefficient
-    matrix for op(s). The defect is the largest of ||L(C) - op(s)||_F, the
-    distance of each block's eigenvalues from [0, 1] and the norm of the
-    entries coupling blocks; it is computed from the assembled C, so
-    quadrature error can raise it but never hide a bad witness.
+    matrix for op(s). A sample's witness is the block-supported Hermitian
+    part of C(s); it counts only if it passes the solver's box test and
+    differs from C(s) by rounding, and then its defect is
+    ||L(C) - op(s)||_F. Every other sample gets an infinite defect, which
+    sends it to the solver. The test is exact on the assembled C, so
+    quadrature error can raise a defect but never hide a bad witness.
     """
     cs = np.broadcast_to(c_end, (len(grid),) + c_end.shape)
     for fam in families:
         sigmas = [fam.sigma_at(s) for s in grid]
         cs = cs + cumulative_sqrt_smooth(
             lambda t, f=fam: f.cdensity_at(float(t)).matrix, sigmas)
-    images = np.einsum("kmn,mnac->kac", cs, solver.gram_ops)
-    defect = np.maximum(
-        np.linalg.norm(images - ops, axis=(1, 2)),
-        np.linalg.norm(np.where(solver.mask, 0.0, cs), axis=(1, 2)))
-    for rows, cols in solver.grids:
-        w = np.linalg.eigvalsh(cs[:, rows, cols])
-        defect = np.maximum(defect, np.maximum(-w[:, 0], w[:, -1] - 1.0))
-    return defect
+    herm = np.where(solver.mask, 0.5 * (cs + cs.conj().transpose(0, 2, 1)),
+                    0.0)
+    exact = np.linalg.norm(cs - herm, axis=(1, 2)) <= ROUNDING_TOL
+    return np.array([solver.residual(c, op) if ok and solver.in_box(c)
+                     else np.inf for c, op, ok in zip(herm, ops, exact)])
 
 
 def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],

@@ -1,6 +1,7 @@
 """Tests for protocol trees, operator paths, and the condition verifier."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from loccverify import (
 )
 from loccverify import protocols
 from loccverify.linalg import cumulative_sqrt_smooth
-from loccverify.protocols import TreeFailure
+from loccverify.protocols import TreeFailure, protocol_tree_bytes
 
 
 class TestParams:
@@ -82,6 +83,18 @@ class TestTreeStructure:
         assert tree.node_at(()) is tree.root
         child = tree.node_at((1,))
         assert child is tree.root.children[1]
+
+    @pytest.mark.parametrize("parties,rounds", [(2, 300), (3, 100), (5, 8)])
+    def test_tree_bytes_bound_the_built_tree(self, parties, rounds):
+        tracemalloc.start()
+        try:
+            tree = build_protocol_pq(parties, rounds, 0.5)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tree.n_nodes == 2 * parties * rounds + 1
+        estimate = protocol_tree_bytes(parties, rounds)
+        assert held <= estimate <= 1.25 * held
 
 
 class TestVerifyTree:
@@ -608,6 +621,44 @@ class TestVerifyTheoremConditions:
         assert mem.passed
         assert mem.where.endswith(f"; solver {len(calls)}/11")
         assert not rep.check("resolution").passed
+
+    @pytest.mark.parametrize("flaw", ["outside-box", "block-coupling",
+                                      "anti-hermitian"])
+    def test_witness_off_by_more_than_rounding_goes_to_the_solver(
+            self, monkeypatch, flaw):
+        # Each flaw has size 1e-9, so the witness residual stays far below
+        # membership_tol; the witness counts only where it is a valid
+        # coefficient matrix to rounding, as the solver's candidates are.
+        spec = instrument_zonoid()
+        paths, fams = blocked_limiting_family(spec)
+        blocks = spec.block_list()
+        bump = np.zeros((spec.kappa, spec.kappa))
+        real = fams[0].cdensity_at
+
+        def flawed(sg):
+            c = real(sg)
+            if flaw == "outside-box":
+                return CoefficientMatrix((1.0 + 1e-9) * c.matrix)
+            if flaw == "block-coupling":
+                bump[blocks[0][0], blocks[1][0]] = 1e-9
+                return CoefficientMatrix(c.matrix + bump + bump.T)
+            # CoefficientMatrix symmetrises on construction, but its matrix
+            # can still be replaced afterwards.
+            bump[blocks[1][0], blocks[1][1]] = 1e-9
+            c.matrix = c.matrix + bump - bump.T
+            return c
+
+        fams[0] = dataclasses.replace(fams[0], cdensity_at=flawed)
+        calls = _count_membership_calls(monkeypatch)
+        rep = verify_theorem_conditions(spec, paths, families=fams,
+                                        s_samples=11, sigma_samples=11)
+        mem = rep.check("main:membership")
+        assert calls
+        assert mem.passed
+        assert mem.where.endswith(f"; solver {len(calls)}/11")
+        if flaw != "outside-box":
+            # Only the bottom sample, sigma = 0, integrates nothing.
+            assert len(calls) == 10
 
     def test_path_without_families_asks_the_solver_everywhere(
             self, monkeypatch):
