@@ -29,9 +29,9 @@ from .linalg import is_hermitian, trace_norm
 from .protocols import (
     ProtocolParams,
     build_protocol_pq,
+    main_branch_diagonals,
     path_distance_bound,
-    main_branch_path,
-    protocol_tree_bytes,
+    protocol_check_bytes,
     verify_theorem_conditions,
     verify_tree,
 )
@@ -51,8 +51,8 @@ class InputError(Exception):
     """Bad user input (file, JSON, or token); maps to exit status 2."""
 
 
-# Largest tree `protocol` builds, in bytes as `protocol_tree_bytes` counts
-# them (node elements and node objects).
+# Largest peak memory `protocol` may need to build and check its tree, in
+# bytes as `protocol_check_bytes` counts them.
 TREE_BYTES_BUDGET = 2 ** 28
 
 
@@ -209,12 +209,12 @@ def _protocol_params(parties: int, rounds: int, exponent: float
 
 def _cmd_protocol(args) -> dict:
     params = _protocol_params(args.parties, args.nu, args.c)
-    tree_bytes = protocol_tree_bytes(params.parties, params.rounds)
-    if tree_bytes > TREE_BYTES_BUDGET:
+    need = protocol_check_bytes(params.parties, params.rounds)
+    if need > TREE_BYTES_BUDGET:
         raise InputError(
-            f"--nu {params.rounds} at --parties {params.parties} needs a "
-            f"{tree_bytes / 2 ** 20:.1f} MiB tree, above the "
-            f"{TREE_BYTES_BUDGET // 2 ** 20} MiB budget")
+            f"--nu {params.rounds} at --parties {params.parties} needs "
+            f"{need / 2 ** 20:.1f} MiB to build and check the tree, above "
+            f"the {TREE_BYTES_BUDGET // 2 ** 20} MiB budget")
     tree = build_protocol_pq(params.parties, params.rounds, params.exponent)
     report = verify_tree(tree)
     checks = [
@@ -247,7 +247,8 @@ def _cmd_paths(args) -> dict:
     report = path_distance_bound(params.parties, params.rounds,
                                  params.exponent, grid_points=grid)
     checks = [_check("limit-gap-bound", report.max_distance,
-                     report.bound + tolerances.ROUNDING_TOL)]
+                     report.bound + tolerances.ROUNDING_TOL,
+                     f"s={report.worst_s:.6g}")]
     values = {
         "observed": float(report.max_distance),
         "bound": float(report.bound),
@@ -282,12 +283,11 @@ def _cmd_theorem1(args) -> dict:
     checks = _theorem_checks(args, spec, twoqubit.limiting_family, mtol)
     values = {}
     if args.nu:
-        pre = main_branch_path(2, args.nu, args.c)
         grid = np.linspace(4.0, 1.0, 11)
-        residuals = []
-        for s in grid:
-            rep = membership(pre.at(float(s), clamp=True), spec, tol=mtol)
-            residuals.append(float(rep.residual))
+        pre = main_branch_diagonals(2, args.nu, args.c, grid)
+        residuals = [float(membership(np.diag(d).astype(np.complex128),
+                                      spec, tol=mtol).residual)
+                     for d in pre]
         values["prelimit"] = {
             "rounds": args.nu,
             "exponent": args.c,
@@ -340,7 +340,7 @@ def _cmd_paper2q(args) -> dict:
     iso = twoqubit.continuous_isometry_check(nodes=args.nodes)
     checks = [
         _check("lemma1-bound", gap.max_distance,
-               gap.bound + tolerances.ROUNDING_TOL),
+               gap.bound + tolerances.ROUNDING_TOL, f"s={gap.worst_s:.6g}"),
         _value_check("choi-offdiag", offdiag, 2.0 / 3.0,
                      tolerances.CLOSED_FORM_TOL),
         _check("choi-quadrature", quad_defect, tolerances.CHOI_QUADRATURE_TOL),

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, integrate_sqrt_smooth, trace_norm
-from .channels import ChoiOperator
-from .protocols import protocol_leaf_diagonals
+from .channels import ChoiOperator, KrausSet
+from .protocols import ProtocolParams, prefix_zeros
 from .tolerances import QUAD_NODES, QUADRATURE_TOL
 
 MIN_PARTIES = 2
@@ -29,24 +29,23 @@ class PQubitSpec:
 
     ``zeros[i]`` counts the parties seeing |0> in basis index i (party 1 is
     the most significant bit); ``joint_zeros[i, j]`` counts positions where
-    both indices do.
+    both indices do. ``prefix_zeros[i, l]`` counts the zeros of i among
+    parties 1..l, for l = 0..P.
     """
 
     parties: int
     zeros: np.ndarray
     joint_zeros: np.ndarray
+    prefix_zeros: np.ndarray
 
 
 def pqubit_spec(parties: int) -> PQubitSpec:
     if not MIN_PARTIES <= parties <= MAX_PARTIES:
         raise ValueError(
             f"parties must lie in [{MIN_PARTIES}, {MAX_PARTIES}]")
-    d = 2 ** parties
-    idx = np.arange(d)
-    bits = (idx[:, None] >> np.arange(parties - 1, -1, -1)) & 1
-    zeros = parties - bits.sum(axis=1)
-    joint = (1 - bits)[:, None, :] * (1 - bits)[None, :, :]
-    return PQubitSpec(parties, zeros, joint.sum(axis=2))
+    prefix = prefix_zeros(parties)
+    zero = np.diff(prefix, axis=1)
+    return PQubitSpec(parties, prefix[:, -1], zero @ zero.T, prefix)
 
 
 def pqubit_coefficients(parties: int) -> np.ndarray:
@@ -96,16 +95,57 @@ def pqubit_apply(parties: int, rho: np.ndarray) -> np.ndarray:
     return pqubit_coefficients(parties) * rho
 
 
+def multiplier_kraus(s: np.ndarray, dims) -> KrausSet:
+    """Diagonal Kraus operators of the multiplier channel rho -> s * rho.
+
+    With s = V diag(w) V^dag by ``eigh`` and R[m] = sqrt(w_m) V[:, m], the
+    operators diag(R[m]) give sum_m R[m]_i conj(R[m]_j) = s[i, j]. Only
+    positive eigenvalues are kept, so there are at most d operators.
+    """
+    w, v = np.linalg.eigh(np.asarray(s))
+    keep = np.flatnonzero(w > 0.0)[::-1]
+    roots = (v[:, keep] * np.sqrt(w[keep])).T
+    d = roots.shape[1]
+    ops = np.zeros((keep.size, d, d), dtype=np.complex128)
+    ops[:, np.arange(d), np.arange(d)] = roots
+    return KrausSet(ops, dims, dims)
+
+
 def prelimit_coefficients(parties: int, rounds: int,
                           exponent: float) -> np.ndarray:
     """Multiplier of the protocol stopped after ``rounds`` cycles.
 
-    Every leaf operator is diagonal, so the stopped channel is also a
-    Hadamard multiplier: the Gram matrix of the leaf square-root columns.
+    Every leaf operator is diagonal, so the stopped channel is a Hadamard
+    multiplier: the Gram matrix of the leaf square-root columns. Summing
+    the halt leaves of each party over the cycles gives, with
+    eta = 1 - eps, h = (Z_i + Z_j) / 2 and q = eta^h,
+
+        S[i, j] = eta^(rounds h) + eps sum_l [i_l = j_l = 0]
+                  eta^((z_<l(i) + z_<l(j)) / 2) (1 - q^rounds) / (1 - q),
+
+    where Z counts the zeros of an index and z_<l its zeros among the
+    parties before l. The geometric sum is taken with ``log1p`` and
+    ``expm1``. At eta = 0 (one round, or eps rounding to 1) it keeps only
+    its first term, 1.
     """
-    diags = protocol_leaf_diagonals(parties, rounds, exponent)
-    roots = np.sqrt(diags)
-    return roots.T @ roots
+    spec = pqubit_spec(parties)
+    eps = ProtocolParams(parties, rounds, exponent).epsilon
+    eta = 1.0 - eps
+    zeros = spec.zeros.astype(float)
+    h = 0.5 * (zeros[:, None] + zeros[None, :])
+    # Column l of w is [i_l = 0] eta^(z_<l(i) / 2).
+    w = np.diff(spec.prefix_zeros, axis=1) * eta ** (
+        0.5 * spec.prefix_zeros[:, :-1])
+    if eta == 0.0:
+        geometric = np.ones_like(h)
+    else:
+        # eta as rounded, like the leaf table; q = 1 (h = 0, or eta
+        # rounding to 1) sums to ``rounds``.
+        log_q = h * np.log1p(eta - 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            geometric = np.where(log_q < 0.0, np.expm1(rounds * log_q)
+                                 / np.expm1(log_q), float(rounds))
+    return eta ** (rounds * h) + eps * (w @ w.T) * geometric
 
 
 def multiplier_distance(parties: int, s_a: np.ndarray,

@@ -27,17 +27,16 @@ from .channels import (
     ChoiOperator,
     Instrument,
     KrausSet,
-    channel_from_leaf_povm,
     kraus_from_operators,
 )
-from .pqubit import multiplier_choi_matrix, quadrature_coefficients
+from .pqubit import (multiplier_choi_matrix, multiplier_kraus,
+                     prelimit_coefficients, quadrature_coefficients)
 from .protocols import (
     CheckedPath,
     EndpointFamily,
     c_matrix_family,
     derivative_outcomes,
     limit_path,
-    protocol_leaf_diagonals,
 )
 from .tolerances import (COARSE_GRAIN_TOL, DENSITY_TRACE_TOL, ISOMETRY_TOL,
                          QUAD_NODES, ROUNDING_TOL, SIGMA_SAMPLES)
@@ -204,34 +203,30 @@ class CoarseGrainCheck:
     passed: bool
 
 
+def _conjugate(ops: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """sum_k K_k rho K_k^dag for every rho of the stack ``rhos``."""
+    return np.einsum("kab,ubc,kdc->uad", ops, rhos, ops.conj())
+
+
 def coarse_grain_check(nodes: int = QUAD_NODES) -> CoarseGrainCheck:
     """Integrated halt continua against the grouped CP maps.
 
     On every matrix unit, integrating k(sigma) rho k(sigma) over the halt
-    parameter must reproduce the corresponding two-operator CP map.
+    parameter must reproduce the corresponding two-operator CP map. The 16
+    units are stacked, so one quadrature covers them all.
     """
     ex = two_qubit_instrument()
-    worst = 0.0
-    for i in range(4):
-        for j in range(4):
-            unit = np.zeros((4, 4), dtype=np.complex128)
-            unit[i, j] = 1.0
+    units = np.eye(16, dtype=np.complex128).reshape(16, 4, 4)
 
-            def integrand(sigma: float, unit=unit) -> np.ndarray:
-                k2 = _halt_diag(np.sqrt(sigma), 2)
-                k3 = _halt_diag(np.sqrt(sigma), 3)
-                top = k2 @ unit @ k2.conj().T
-                bot = k3 @ unit @ k3.conj().T
-                return np.stack([top, bot])
+    def integrand(sigma: float) -> np.ndarray:
+        return np.stack([
+            _conjugate(_halt_diag(np.sqrt(sigma), which)[None], units)
+            for which in (2, 3)])
 
-            got = integrate_sqrt_smooth(integrand, nodes=nodes)
-            want2 = sum(k @ unit @ k.conj().T
-                        for k in ex.instrument.branch(1).operators)
-            want3 = sum(k @ unit @ k.conj().T
-                        for k in ex.instrument.branch(2).operators)
-            worst = max(worst,
-                        float(np.linalg.norm(got[0] - want2)),
-                        float(np.linalg.norm(got[1] - want3)))
+    got = integrate_sqrt_smooth(integrand, nodes=nodes)
+    want = np.stack([_conjugate(ex.instrument.branch(r).operators, units)
+                     for r in (1, 2)])
+    worst = float(np.linalg.norm(got - want, axis=(2, 3)).max())
     return CoarseGrainCheck(worst, worst <= COARSE_GRAIN_TOL)
 
 
@@ -294,9 +289,15 @@ def wstate_analysis(nodes: int = QUAD_NODES) -> WStateReport:
 
 
 def prelimit_channel(rounds: int, exponent: float) -> KrausSet:
-    """Channel implemented by the halting protocol stopped after ``rounds``."""
-    diags = protocol_leaf_diagonals(2, rounds, exponent)
-    return channel_from_leaf_povm(diags, (2, 2))
+    """Channel implemented by the halting protocol stopped after ``rounds``.
+
+    The stopped channel is the Hadamard multiplier
+    ``prelimit_coefficients(2, rounds, exponent)``; its Kraus operators
+    come from the factorisation of that multiplier, at most four of them,
+    so the cost does not grow with ``rounds``.
+    """
+    return multiplier_kraus(prelimit_coefficients(2, rounds, exponent),
+                            (2, 2))
 
 
 def channel_zonoid() -> ZonoidSpec:

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from loccverify import cli
+from loccverify import cli, protocols
 from loccverify.serialize import dumps, matrix_to_json
 
 
@@ -129,6 +129,21 @@ class TestExitCodes:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
 
+    def test_protocol_budget_counts_the_check(self, capsys, monkeypatch):
+        # The tree alone (about 250 MiB) fits the 256 MiB budget; building
+        # and checking it does not.
+        def refuse(*args, **kwargs):
+            raise AssertionError("refused input reached the builder")
+
+        monkeypatch.setattr(cli, "build_protocol_pq", refuse)
+        assert protocols.protocol_tree_bytes(2, 110000) <= \
+            cli.TREE_BYTES_BUDGET
+        status = cli.main(["protocol", "--parties", "2", "--nu", "110000"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.err.startswith("error:")
+        assert "to build and check the tree" in captured.err
+
     def test_failed_check_is_1(self, capsys):
         big = matrix_to_json(1.5 * np.eye(4, dtype=complex))
         status, rep = run(capsys, "zonoid-check", "--z", dumps(big, indent=0),
@@ -246,6 +261,15 @@ class TestSubcommands:
         assert status == 0
         assert rep["values"]["observed"] <= rep["values"]["bound"]
 
+    def test_paths_names_the_worst_s(self, capsys):
+        status, rep = run(capsys, "paths", "--nu", "100")
+        assert status == 0
+        (check,) = rep["checks"]
+        assert check["where"] == "s=3.7975"
+        status, rep = run(capsys, "paper-2q", "--nu", "100", "--nodes", "8")
+        assert rep["checks"][0]["name"] == "lemma1-bound"
+        assert rep["checks"][0]["where"] == "s=3.7975"
+
     def test_theorem1(self, capsys):
         status, rep = run(capsys, "theorem1", "--samples", "7")
         assert status == 0
@@ -296,3 +320,24 @@ class TestSubcommands:
         status, rep = run(capsys, "zonoid-check", "--z", str(p),
                           "--basis", "twoqubit-minimal")
         assert status == 0
+
+
+class TestHugeRounds:
+    """Pre-limit subcommands at 10^12 rounds never build the step table."""
+
+    @pytest.mark.parametrize("argv", [
+        ["paths", "--parties", "6", "--nu", "1000000000000"],
+        ["paper-2q", "--nu", "1000000000000", "--nodes", "8"],
+        ["hausdorff", "--nu-list", "10,1000000000000", "--samples", "50"],
+        ["paper-pq", "--parties", "4", "--nu-list", "10,100,1000000000000"],
+        ["theorem1", "--nu", "1000000000000", "--samples", "3",
+         "--sigma-samples", "3"],
+    ])
+    def test_runs_without_the_step_table(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("step table built")
+
+        monkeypatch.setattr(protocols, "_step_rows", refuse)
+        status, rep = run(capsys, *argv)
+        assert status == 0
+        assert rep["pass"] is True

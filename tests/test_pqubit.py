@@ -10,14 +10,17 @@ from loccverify import (
     limiting_choi_2q,
     moment_identity_check,
     multiplier_distance,
+    multiplier_kraus,
     pqubit_apply,
     pqubit_choi_formula,
     pqubit_coefficients,
     pqubit_limit_check,
     pqubit_spec,
     prelimit_coefficients,
+    protocol_leaf_diagonals,
     quadrature_coefficients,
 )
+from loccverify import protocols
 
 from conftest import random_density
 
@@ -159,6 +162,54 @@ class TestPrelimit:
         s = prelimit_coefficients(parties, rounds, 0.5)
         assert s.min() >= -1e-12
         assert s.max() <= 1.0 + 1e-12
+
+
+def _table_coefficients(parties, rounds, exponent):
+    """The stopped multiplier from the step table: the Gram matrix of the
+    square roots of all P * rounds + 1 leaf diagonals."""
+    roots = np.sqrt(protocol_leaf_diagonals(parties, rounds, exponent))
+    return roots.T @ roots
+
+
+class TestClosedFormMultiplier:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6),
+           st.one_of(st.just(1), st.integers(1, 5000)),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_matches_table(self, parties, rounds, exponent):
+        np.testing.assert_allclose(
+            prelimit_coefficients(parties, rounds, exponent),
+            _table_coefficients(parties, rounds, exponent),
+            rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("parties", [2, 4, 6])
+    def test_one_round(self, parties):
+        # eta = 0: only the first halt of each pattern and no main leaf.
+        np.testing.assert_array_equal(
+            prelimit_coefficients(parties, 1, 0.5),
+            _table_coefficients(parties, 1, 0.5))
+
+    def test_huge_rounds_without_the_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("step table built")
+
+        monkeypatch.setattr(protocols, "_step_rows", refuse)
+        dist = multiplier_distance(3, prelimit_coefficients(3, 10 ** 12, 0.5),
+                                   pqubit_coefficients(3))
+        assert dist == pytest.approx(0.227e-6, rel=0.01)
+
+    @pytest.mark.parametrize("parties,rounds", [(2, 1), (2, 50), (4, 30)])
+    def test_kraus_factorisation(self, parties, rounds, rng):
+        s = prelimit_coefficients(parties, rounds, 0.5)
+        k = multiplier_kraus(s, (2,) * parties)
+        assert k.n_operators <= 2 ** parties
+        np.testing.assert_allclose(
+            np.einsum("mii,mjj->ij", k.operators, k.operators.conj()), s,
+            rtol=0.0, atol=1e-14)
+        rho = random_density(2 ** parties, rng)
+        np.testing.assert_allclose(
+            sum(op @ rho @ op.conj().T for op in k.operators), s * rho,
+            rtol=0.0, atol=1e-14)
 
 
 class TestLimitCheck:

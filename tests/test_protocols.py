@@ -26,6 +26,7 @@ from loccverify import (
     kron,
     limit_path,
     limiting_family,
+    main_branch_diagonals,
     main_branch_path,
     partial_trace,
     path_distance_bound,
@@ -36,7 +37,8 @@ from loccverify import (
 )
 from loccverify import protocols
 from loccverify.linalg import cumulative_sqrt_smooth
-from loccverify.protocols import TreeFailure, protocol_tree_bytes
+from loccverify.protocols import (TreeFailure, protocol_check_bytes,
+                                  protocol_tree_bytes)
 
 
 class TestParams:
@@ -95,6 +97,19 @@ class TestTreeStructure:
         assert tree.n_nodes == 2 * parties * rounds + 1
         estimate = protocol_tree_bytes(parties, rounds)
         assert held <= estimate <= 1.25 * held
+
+    @pytest.mark.parametrize("parties,rounds", [(2, 1000), (4, 200), (6, 20)])
+    def test_check_bytes_bound_build_and_verify(self, parties, rounds):
+        # The CLI budget counts the peak of building and checking a tree.
+        tracemalloc.start()
+        try:
+            report = verify_tree(build_protocol_pq(parties, rounds, 0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        estimate = protocol_check_bytes(parties, rounds)
+        assert peak <= estimate <= 1.5 * peak
 
 
 class TestVerifyTree:
@@ -475,6 +490,87 @@ class TestPathDistanceBound:
             path_distance_bound(2, 10, 0.5, s_grid=[0.5, 2.0])
 
 
+def _table_gap(parties, rounds, exponent, grid):
+    """Gap of path_distance_bound by the step table: one trace norm per
+    grid point of the clamped main-branch path against the limit path."""
+    path = main_branch_path(parties, rounds, exponent)
+    gaps = [trace_norm(path.at(float(s), clamp=True) - limit_path(parties, s))
+            for s in grid]
+    return max(gaps)
+
+
+@st.composite
+def _branch_grids(draw):
+    """(parties, rounds, exponent, grid) with breakpoints of the finite
+    branch, points below its floor and the ends of [1, 2^P]."""
+    parties = draw(st.integers(2, 4))
+    rounds = draw(st.integers(1, 400))
+    exponent = draw(st.floats(0.05, 0.95))
+    path = main_branch_path(parties, rounds, exponent)
+    top = 2.0 ** parties
+    picks = draw(st.lists(st.integers(0, path.s_values.size - 1),
+                          min_size=1, max_size=8))
+    free = draw(st.lists(st.floats(1.0, top), max_size=8))
+    floor = path.s_bottom
+    below = [1.0 + (floor - 1.0) * f for f in (0.0, 0.5, 1.0 - 1e-9)]
+    grid = np.array([path.s_values[i] for i in picks] + free + below
+                    + [1.0, top])
+    return parties, rounds, exponent, np.clip(grid, 1.0, top)
+
+
+class TestClosedFormMainBranch:
+    @settings(max_examples=40, deadline=None)
+    @given(_branch_grids())
+    def test_diagonals_match_table_path(self, case):
+        parties, rounds, exponent, grid = case
+        got = main_branch_diagonals(parties, rounds, exponent, grid)
+        path = main_branch_path(parties, rounds, exponent)
+        want = np.array([np.diagonal(path.at(float(s), clamp=True)).real
+                         for s in grid])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_branch_grids())
+    def test_gap_matches_trace_norm_route(self, case):
+        parties, rounds, exponent, grid = case
+        rep = path_distance_bound(parties, rounds, exponent, s_grid=grid)
+        want = _table_gap(parties, rounds, exponent, grid)
+        # The SVD inside trace_norm is exact only to about 1e-16 per
+        # singular value, which decides gaps at rounding level (grids that
+        # sit on the floor), hence the absolute floor.
+        slack = 1e-12 * want + 1e-14
+        assert abs(rep.max_distance - want) <= slack
+        assert rep.worst_s in grid
+        at_worst = _table_gap(parties, rounds, exponent, [rep.worst_s])
+        assert abs(at_worst - want) <= 2.0 * slack
+
+    def test_breakpoints_are_table_rows_bit_for_bit(self):
+        path = main_branch_path(3, 40, 0.5)
+        got = main_branch_diagonals(3, 40, 0.5, path.s_values)
+        want = np.array([np.diagonal(op).real for op in path.operators])
+        assert np.array_equal(got, want)
+
+    def test_clamped_outside_the_domain(self):
+        d = main_branch_diagonals(2, 10, 0.5, [4.0 + 1e-13, 0.5])
+        np.testing.assert_array_equal(d[0], np.ones(4))
+        eta = 1.0 - 10 ** -0.5
+        np.testing.assert_allclose(d[1], np.kron([eta ** 10, 1.0],
+                                                 [eta ** 10, 1.0]),
+                                   rtol=1e-14)
+
+    def test_huge_rounds_without_the_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("step table built")
+
+        monkeypatch.setattr(protocols, "_step_rows", refuse)
+        rep = path_distance_bound(6, 10 ** 12, 0.5)
+        assert rep.passed
+        assert 0.0 < rep.max_distance <= rep.bound
+        d = main_branch_diagonals(6, 10 ** 12, 0.5, np.linspace(1, 64, 9))
+        np.testing.assert_allclose(d.sum(axis=1), np.linspace(1, 64, 9),
+                                   rtol=1e-12)
+
+
 class TestDerivativeOutcomes:
     @pytest.mark.parametrize("parties", [2, 3, 4])
     def test_completeness_against_quadrature(self, parties):
@@ -742,6 +838,16 @@ class TestIntegratedWitness:
             np.testing.assert_allclose(solver.image(c),
                                        limit_path(2, (1.0 + sigma) ** 2),
                                        rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("s_samples", [0, -1])
+    def test_no_samples_is_rejected(self, s_samples):
+        # An empty grid would pass every path check vacuously.
+        paths, fams = limiting_family()
+        with pytest.raises(ValueError):
+            verify_theorem_conditions(channel_zonoid(), paths, families=fams,
+                                      s_samples=s_samples)
+        with pytest.raises(ValueError):
+            paths[0].sample_grid(s_samples)
 
     @pytest.mark.parametrize("family", [limiting_family,
                                         blocked_limiting_family])

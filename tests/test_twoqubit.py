@@ -6,6 +6,7 @@ import pytest
 from loccverify import (
     apply,
     blocked_isometry_check,
+    channel_from_leaf_povm,
     choi,
     choi_distance,
     coarse_grain_check,
@@ -21,12 +22,16 @@ from loccverify import (
     pqubit_coefficients,
     prelimit_channel,
     prelimit_coefficients,
+    protocol_leaf_diagonals,
     two_qubit_instrument,
     trace_norm,
     wstate_analysis,
 )
+from loccverify import twoqubit, zonoid_spec_for_channel
 from loccverify.linalg import integrate_sqrt_smooth
-from loccverify.twoqubit import K_GROUPED, K_REDUCED, W_GROUPING
+from loccverify.pqubit import multiplier_choi_matrix
+from loccverify.twoqubit import K_GROUPED, K_REDUCED, W_GROUPING, _halt_diag
+from loccverify.zonoid import _directions
 
 from conftest import random_density
 
@@ -198,6 +203,44 @@ class TestIsometryIntegrals:
         assert rep.passed
         assert rep.max_defect <= 1e-9
 
+    @pytest.mark.parametrize("nodes", [1, 8, 64])
+    def test_coarse_grain_matches_per_unit_loop(self, nodes):
+        got = coarse_grain_check(nodes=nodes).max_defect
+        assert abs(got - _coarse_grain_per_unit(nodes)) <= 1e-15
+
+    def test_coarse_grain_catches_a_scaled_branch_operator(self,
+                                                           monkeypatch):
+        scaled = K_GROUPED.copy()
+        scaled[1] *= 1.01
+        monkeypatch.setattr(twoqubit, "K_GROUPED", scaled)
+        rep = coarse_grain_check()
+        assert not rep.passed
+        assert rep.max_defect == pytest.approx(_coarse_grain_per_unit(64),
+                                               abs=1e-15)
+
+
+def _coarse_grain_per_unit(nodes):
+    """Coarse-grain defect with one quadrature per matrix unit."""
+    ex = two_qubit_instrument()
+    worst = 0.0
+    for i in range(4):
+        for j in range(4):
+            unit = np.zeros((4, 4), dtype=np.complex128)
+            unit[i, j] = 1.0
+
+            def integrand(sigma, unit=unit):
+                k2 = _halt_diag(np.sqrt(sigma), 2)
+                k3 = _halt_diag(np.sqrt(sigma), 3)
+                return np.stack([k2 @ unit @ k2.conj().T,
+                                 k3 @ unit @ k3.conj().T])
+
+            got = integrate_sqrt_smooth(integrand, nodes=nodes)
+            for r, part in ((1, got[0]), (2, got[1])):
+                want = sum(k @ unit @ k.conj().T
+                           for k in ex.instrument.branch(r).operators)
+                worst = max(worst, float(np.linalg.norm(part - want)))
+    return worst
+
 
 class TestConcurrence:
     def test_bell_state(self):
@@ -260,6 +303,21 @@ class TestPrelimit:
     def test_choi_distance_decreases(self):
         vals = [self.distance(nu) for nu in (10, 100, 1000)]
         assert vals[0] > vals[1] > vals[2] > 0.0
+
+    @pytest.mark.parametrize("rounds", [1, 2, 100, 1000, 2000])
+    def test_factorised_zonoid_matches_leaf_route(self, rounds):
+        pre = prelimit_channel(rounds, 0.5)
+        assert pre.n_operators <= 4
+        leaves = channel_from_leaf_povm(
+            protocol_leaf_diagonals(2, rounds, 0.5), (2, 2))
+        xs = _directions(4, 300, 3)
+        got = zonoid_spec_for_channel(pre).solver().support(xs)
+        want = zonoid_spec_for_channel(leaves).solver().support(xs)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            choi(pre, normalized=False).matrix,
+            multiplier_choi_matrix(prelimit_coefficients(2, rounds, 0.5)),
+            rtol=0.0, atol=1e-14)
 
     def test_small_round_count_is_far(self):
         assert self.distance(1) > 0.05
