@@ -29,14 +29,12 @@ class PQubitSpec:
 
     ``zeros[i]`` counts the parties seeing |0> in basis index i (party 1 is
     the most significant bit); ``joint_zeros[i, j]`` counts positions where
-    both indices do. ``prefix_zeros[i, l]`` counts the zeros of i among
-    parties 1..l, for l = 0..P.
+    both indices do.
     """
 
     parties: int
     zeros: np.ndarray
     joint_zeros: np.ndarray
-    prefix_zeros: np.ndarray
 
 
 def pqubit_spec(parties: int) -> PQubitSpec:
@@ -44,8 +42,8 @@ def pqubit_spec(parties: int) -> PQubitSpec:
         raise ValueError(
             f"parties must lie in [{MIN_PARTIES}, {MAX_PARTIES}]")
     prefix = prefix_zeros(parties)
-    zero = np.diff(prefix, axis=1)
-    return PQubitSpec(parties, prefix[:, -1], zero @ zero.T, prefix)
+    zero = prefix[:, 1:] - prefix[:, :-1]
+    return PQubitSpec(parties, zero.sum(axis=1), zero @ zero.T)
 
 
 def pqubit_coefficients(parties: int) -> np.ndarray:
@@ -128,23 +126,21 @@ def prelimit_coefficients(parties: int, rounds: int,
     ``expm1``. At eta = 0 (one round, or eps rounding to 1) it keeps only
     its first term, 1.
     """
-    spec = pqubit_spec(parties)
     eps = ProtocolParams(parties, rounds, exponent).epsilon
     eta = 1.0 - eps
-    zeros = spec.zeros.astype(float)
-    h = 0.5 * (zeros[:, None] + zeros[None, :])
+    prefix = prefix_zeros(parties)
+    h = 0.5 * (prefix[:, -1, None] + prefix[None, :, -1])
     # Column l of w is [i_l = 0] eta^(z_<l(i) / 2).
-    w = np.diff(spec.prefix_zeros, axis=1) * eta ** (
-        0.5 * spec.prefix_zeros[:, :-1])
+    w = (prefix[:, 1:] - prefix[:, :-1]) * eta ** (0.5 * prefix[:, :-1])
     if eta == 0.0:
         geometric = np.ones_like(h)
     else:
         # eta as rounded, like the leaf table; q = 1 (h = 0, or eta
         # rounding to 1) sums to ``rounds``.
         log_q = h * np.log1p(eta - 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            geometric = np.where(log_q < 0.0, np.expm1(rounds * log_q)
-                                 / np.expm1(log_q), float(rounds))
+        below = log_q < 0.0
+        geometric = np.where(below, np.expm1(rounds * log_q), rounds) / \
+            np.where(below, np.expm1(log_q), 1.0)
     return eta ** (rounds * h) + eps * (w @ w.T) * geometric
 
 

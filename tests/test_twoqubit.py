@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loccverify import (
     apply,
@@ -304,19 +306,23 @@ class TestPrelimit:
         vals = [self.distance(nu) for nu in (10, 100, 1000)]
         assert vals[0] > vals[1] > vals[2] > 0.0
 
-    @pytest.mark.parametrize("rounds", [1, 2, 100, 1000, 2000])
-    def test_factorised_zonoid_matches_leaf_route(self, rounds):
-        pre = prelimit_channel(rounds, 0.5)
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(st.sampled_from([1, 2, 100, 1000, 2000]),
+                     st.integers(1, 3000)),
+           st.floats(0.05, 0.95))
+    def test_factorised_zonoid_matches_leaf_route(self, rounds, exponent):
+        pre = prelimit_channel(rounds, exponent)
         assert pre.n_operators <= 4
         leaves = channel_from_leaf_povm(
-            protocol_leaf_diagonals(2, rounds, 0.5), (2, 2))
+            protocol_leaf_diagonals(2, rounds, exponent), (2, 2))
         xs = _directions(4, 300, 3)
         got = zonoid_spec_for_channel(pre).solver().support(xs)
         want = zonoid_spec_for_channel(leaves).solver().support(xs)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(
             choi(pre, normalized=False).matrix,
-            multiplier_choi_matrix(prelimit_coefficients(2, rounds, 0.5)),
+            multiplier_choi_matrix(
+                prelimit_coefficients(2, rounds, exponent)),
             rtol=0.0, atol=1e-14)
 
     def test_small_round_count_is_far(self):
