@@ -16,6 +16,7 @@ s |-> M(s)^(x P) with M(s) = (s^(1/P) - 1)|0><0| + |1><1|.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -425,16 +426,22 @@ def main_branch_path(parties: int, rounds: int, exponent: float
     return PiecewisePath(traces[keep], list(ops))
 
 
+# Cached: building the table costs about a third of a closed-form
+# multiplier or gap evaluation, which are otherwise a few dozen numpy calls.
+@lru_cache(maxsize=8)
 def prefix_zeros(parties: int) -> np.ndarray:
     """Zeros among the first parties of every basis index.
 
     Entry [i, l] counts the parties 1..l that see |0> in index i (party 1
-    is the most significant bit), for l = 0..P; shape (2^P, P + 1).
+    is the most significant bit), for l = 0..P; shape (2^P, P + 1). The
+    array is shared between callers, so it is read-only.
     """
     bits = (np.arange(2 ** parties)[:, None]
             >> np.arange(parties - 1, -1, -1)) & 1
-    return np.concatenate([np.zeros((2 ** parties, 1), dtype=int),
-                           np.cumsum(1 - bits, axis=1)], axis=1)
+    table = np.concatenate([np.zeros((2 ** parties, 1), dtype=int),
+                            np.cumsum(1 - bits, axis=1)], axis=1)
+    table.flags.writeable = False
+    return table
 
 
 def main_branch_diagonals(parties: int, rounds: int, exponent: float,

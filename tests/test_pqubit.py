@@ -172,6 +172,13 @@ def _table_coefficients(parties, rounds, exponent):
 
 
 class TestClosedFormMultiplier:
+    def test_shared_prefix_table_is_read_only(self):
+        table = protocols.prefix_zeros(3)
+        assert table is protocols.prefix_zeros(3)
+        with pytest.raises(ValueError):
+            table[0, 1] = 5
+        np.testing.assert_array_equal(table[:, -1], pqubit_spec(3).zeros)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 6),
            st.one_of(st.just(1), st.integers(1, 5000)),
