@@ -488,7 +488,7 @@ def main_branch_diagonals(parties: int, rounds: int, exponent: float,
 
     # Invariant: node_trace(lo) >= s > node_trace(hi), so the bracket
     # halves to a single segment. Below the branch's floor lo = hi = last;
-    # above 2^P it closes at lo = hi = 0. Both clamp.
+    # above 2^P it ends at (0, 1) and the weight clips to 1. Both clamp.
     lo = np.where(s <= node_trace(np.array([last])), last, 0.0)
     hi = np.full(s.shape, last)
     for _ in range(int(np.ceil(np.log2(last)))):

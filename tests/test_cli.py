@@ -133,7 +133,7 @@ class TestExitCodes:
         # The tree alone (about 250 MiB) fits the 256 MiB budget; building
         # and checking it does not.
         def refuse(*args, **kwargs):
-            raise AssertionError("refused input reached the builder")
+            raise AssertionError("refused input reached build_protocol_pq")
 
         monkeypatch.setattr(cli, "build_protocol_pq", refuse)
         assert protocols.protocol_tree_bytes(2, 110000) <= \

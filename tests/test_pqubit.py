@@ -189,13 +189,6 @@ class TestClosedFormMultiplier:
             _table_coefficients(parties, rounds, exponent),
             rtol=0.0, atol=1e-13)
 
-    @pytest.mark.parametrize("parties", [2, 4, 6])
-    def test_one_round(self, parties):
-        # eta = 0: only the first halt of each pattern and no main leaf.
-        np.testing.assert_array_equal(
-            prelimit_coefficients(parties, 1, 0.5),
-            _table_coefficients(parties, 1, 0.5))
-
     def test_huge_rounds_without_the_table(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("step table built")
