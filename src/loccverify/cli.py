@@ -183,6 +183,7 @@ def _cmd_zonoid_check(args) -> dict:
         "feasible": report.feasible,
         "residual": float(report.residual),
         "iterations": int(report.iterations),
+        "stop": report.stop,
         "support_identity": float(
             support_function(np.eye(spec.dim, dtype=np.complex128), spec)),
     }

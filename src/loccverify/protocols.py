@@ -57,6 +57,14 @@ class ProtocolParams:
             raise ValueError("need at least one round")
         if not 0.0 < self.exponent < 1.0:
             raise ValueError("decay exponent must lie in (0, 1)")
+        try:
+            eta_is_one = 1.0 - self.epsilon == 1.0
+        except OverflowError:
+            eta_is_one = True
+        if eta_is_one:
+            raise ValueError(
+                f"rounds too large at exponent {self.exponent}: "
+                "eta = 1 - rounds^(-c) rounds to 1")
 
     @property
     def epsilon(self) -> float:

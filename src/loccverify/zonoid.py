@@ -9,6 +9,7 @@ its own block and the boxes combine independently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -23,13 +24,21 @@ from .tolerances import (INDEPENDENCE_TOL, INPUT_HERMITICITY_TOL,
 MEMBERSHIP_MAX_ITER = 10000
 
 
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a complex vector, by the same two dot products."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 class NotInSpanError(ValueError):
     """An operator could not be expanded over the basis."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoefficientMatrix:
-    """Hermitian coefficient matrix over a zonoid basis."""
+    """Hermitian coefficient matrix over a zonoid basis.
+
+    Frozen, so the matrix checked and symmetrised here is the one it keeps.
+    """
 
     matrix: np.ndarray
 
@@ -39,7 +48,7 @@ class CoefficientMatrix:
             raise ValueError("coefficient matrix must be square")
         if not is_hermitian(m, INPUT_HERMITICITY_TOL):
             raise ValueError("coefficient matrix must be Hermitian")
-        self.matrix = 0.5 * (m + m.conj().T)
+        object.__setattr__(self, "matrix", 0.5 * (m + m.conj().T))
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
@@ -104,10 +113,22 @@ class ZonoidSpec:
 
 @dataclass
 class MembershipReport:
+    """Answer of one membership solve.
+
+    ``stop`` says how it was reached: ``identity`` or ``affine`` when an
+    exact candidate answered, otherwise the descent's stop rule:
+    ``converged`` (residual <= 0.005 * tol), ``small-step`` (the iterate
+    moved by <= 1e-13), ``stalled`` (400 iterations without a relative
+    gain of 1e-6), ``outside`` (a separating direction certified the
+    point infeasible) or ``max-iter``. It is empty on a report built
+    without one.
+    """
+
     feasible: bool
     witness: CoefficientMatrix | None
     residual: float
     iterations: int
+    stop: str = ""
 
 
 class _MembershipSolver:
@@ -120,6 +141,10 @@ class _MembershipSolver:
     over the box, restarting its momentum whenever the step goes uphill
     (O'Donoghue and Candes 2015), so every iterate is box feasible and the
     residual of the best one decides the answer.
+
+    The descent carries C as the vector of its block-supported entries,
+    so L is the matrix ``a`` and a gradient step is one matvec with the
+    normal operator I - step * a^H a.
     """
 
     def __init__(self, spec: ZonoidSpec):
@@ -138,32 +163,35 @@ class _MembershipSolver:
         self.a_pinv = np.linalg.pinv(self.a, rcond=1e-13)
         sv = np.linalg.svd(self.a, compute_uv=False)
         self.lipschitz = float(sv[0] ** 2) if sv.size else 1.0
+        self.step = 1.0 / max(self.lipschitz, 1e-300)
+        self.a_h = np.ascontiguousarray(self.a.conj().T)
+        self.normal = (np.eye(self.a.shape[1])
+                       - self.step * (self.a_h @ self.a))
 
     def image(self, c: np.ndarray) -> np.ndarray:
         return np.einsum("mn,mnac->ac", c, self.gram_ops)
 
-    def adjoint(self, x: np.ndarray) -> np.ndarray:
-        g = np.einsum("mnac,ac->mn", self.gram_ops.conj(), x)
-        return np.where(self.mask, g, 0.0)
-
     def residual(self, c: np.ndarray, z: np.ndarray) -> float:
         return float(np.linalg.norm(self.image(c) - z))
 
-    def project_affine(self, c: np.ndarray, zvec: np.ndarray) -> np.ndarray:
-        x = c.reshape(-1)[self.mask.reshape(-1)]
-        x = x + self.a_pinv @ (zvec - self.a @ x)
+    def to_matrix(self, x: np.ndarray) -> np.ndarray:
+        """Scatter a masked vector into its kappa x kappa matrix."""
         out = np.zeros((self.kappa, self.kappa), dtype=np.complex128)
-        out.reshape(-1)[self.mask.reshape(-1)] = x
+        out[self.mask] = x
         return out
 
-    def project_box(self, c: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.kappa, self.kappa), dtype=np.complex128)
-        for grid in self.grids:
-            sub = c[grid]
-            sub = 0.5 * (sub + sub.conj().T)
-            w, v = np.linalg.eigh(sub)
-            out[grid] = (v * np.clip(w, 0.0, 1.0)) @ v.conj().T
-        return out
+    def project_box(self, x: np.ndarray) -> np.ndarray:
+        """Nearest point of the box {0 <= C <= 1} to the masked vector x.
+
+        One eigh of the whole masked matrix serves every block: clipping
+        the spectrum is a spectral function, so it keeps the block
+        structure even where blocks share eigenvalues, and the gather
+        drops any rounding outside the blocks.
+        """
+        m = self.to_matrix(x)
+        w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+        w = np.minimum(np.maximum(w, 0.0), 1.0)
+        return ((v * w) @ v.conj().T)[self.mask]
 
     def in_box(self, c: np.ndarray) -> bool:
         for grid in self.grids:
@@ -190,14 +218,14 @@ class _MembershipSolver:
 
     def outside_certified(self, z: np.ndarray, c: np.ndarray, tol: float
                           ) -> bool:
-        """Separating-direction test at the current iterate.
+        """Separating-direction test at the current iterate (masked vector).
 
         With x the unit normal from L(c) toward z, any zonoid point y obeys
         Re<x, y> <= h(x), so dist(z, zonoid) >= Re<x, z> - h(x). A gap above
         ``tol`` settles infeasibility without running the descent to
         convergence.
         """
-        diff = z - self.image(c)
+        diff = z - (self.a @ c).reshape(z.shape)
         nrm = float(np.linalg.norm(diff))
         if nrm == 0.0:
             return False
@@ -205,63 +233,73 @@ class _MembershipSolver:
         gap = float(np.real(np.vdot(x, z))) - float(self.support(x[None])[0])
         return gap > tol
 
-    def _candidates(self, z: np.ndarray, c0: np.ndarray):
-        ident = np.where(self.mask, np.eye(self.kappa, dtype=np.complex128),
-                         0.0)
-        if self.residual(ident, z) <= ROUNDING_TOL:
-            return ident
-        if self.in_box(c0) and self.residual(c0, z) <= ROUNDING_TOL:
-            return c0
-        return None
+    def _candidates(self, zvec: np.ndarray, c0: np.ndarray):
+        ident = np.eye(self.kappa, dtype=np.complex128)[self.mask]
+        if np.linalg.norm(self.a @ ident - zvec) <= ROUNDING_TOL:
+            return ident, "identity"
+        if (self.in_box(self.to_matrix(c0))
+                and np.linalg.norm(self.a @ c0 - zvec) <= ROUNDING_TOL):
+            return c0, "affine"
+        return None, ""
 
     def _descend(self, z: np.ndarray, c0: np.ndarray, tol: float):
-        step = 1.0 / max(self.lipschitz, 1e-300)
+        zvec = z.reshape(-1)
+        shift = self.step * (self.a_h @ zvec)
+        normal = self.normal
         c = self.project_box(c0)
         y = c
         t = 1.0
         best = c
-        best_res = self.residual(c, z)
+        best_res = _norm(self.a @ c - zvec)
         last_improve = 0
         iters = 0
+        stop = "max-iter"
         for it in range(MEMBERSHIP_MAX_ITER):
             iters = it + 1
-            grad = self.adjoint(self.image(y) - z)
-            cn = self.project_box(y - step * grad)
-            if np.real(np.vdot(grad, cn - c)) > 0.0:
+            g = normal @ y + shift
+            cn = self.project_box(g)
+            # y - g = step * grad, so this is the sign of Re<grad, cn - c>.
+            if np.vdot(y - g, cn - c).real > 0.0:
                 # The momentum step went uphill: restart from c.
                 t = 1.0
-                y = c
-                grad = self.adjoint(self.image(y) - z)
-                cn = self.project_box(y - step * grad)
-            tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y = cn + ((t - 1.0) / tn) * (cn - c)
-            move = float(np.linalg.norm(cn - c))
+                cn = self.project_box(normal @ c + shift)
+            delta = cn - c
+            tn = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y = cn + ((t - 1.0) / tn) * delta
+            move = _norm(delta)
             c, t = cn, tn
-            res = self.residual(c, z)
+            res = _norm(self.a @ c - zvec)
             if res < best_res - max(1e-15, 1e-6 * best_res):
                 last_improve = it
             if res < best_res:
                 best_res = res
                 best = c
-            if res <= 0.005 * tol or move <= 1e-13:
+            if res <= 0.005 * tol:
+                stop = "converged"
+                break
+            if move <= 1e-13:
+                stop = "small-step"
                 break
             if it - last_improve >= 400:
+                stop = "stalled"
                 break
             if it % 100 == 99 and self.outside_certified(z, c, tol):
+                stop = "outside"
                 break
-        return best, best_res, iters
+        return best, best_res, iters, stop
 
     def solve(self, z: np.ndarray, tol: float) -> MembershipReport:
-        c0 = self.project_affine(
-            np.zeros((self.kappa, self.kappa), dtype=np.complex128),
-            z.reshape(-1))
-        cand = self._candidates(z, c0)
+        zvec = z.reshape(-1)
+        c0 = self.a_pinv @ zvec
+        cand, stop = self._candidates(zvec, c0)
         if cand is not None:
-            res = self.residual(cand, z)
-            return MembershipReport(True, CoefficientMatrix(cand), res, 0)
-        best, best_res, iters = self._descend(z, c0, tol)
-        return MembershipReport(best_res <= tol, CoefficientMatrix(best),
-                                float(best_res), iters)
+            c = self.to_matrix(cand)
+            return MembershipReport(True, CoefficientMatrix(c),
+                                    self.residual(c, z), 0, stop)
+        best, best_res, iters, stop = self._descend(z, c0, tol)
+        return MembershipReport(best_res <= tol,
+                                CoefficientMatrix(self.to_matrix(best)),
+                                float(best_res), iters, stop)
 
 
 def membership(z, spec: ZonoidSpec, tol: float = MEMBERSHIP_TOL
@@ -300,8 +338,9 @@ def _directions(d: int, samples: int, seed: int) -> np.ndarray:
     matrices, then ``samples`` seeded Gaussian Hermitian directions of unit
     Frobenius norm.
 
-    The Gaussian stream is drawn one direction at a time, so a larger
-    ``samples`` extends the same direction set.
+    Each direction takes the real then the imaginary part of a d x d draw
+    from one sequential stream, so a larger ``samples`` extends the same
+    direction set.
     """
     r = 1.0 / np.sqrt(2.0)
     basis = np.zeros((d * d, d, d), dtype=np.complex128)
@@ -313,15 +352,17 @@ def _directions(d: int, samples: int, seed: int) -> np.ndarray:
             basis[k + 1, i, j] = -1j * r
             basis[k + 1, j, i] = 1j * r
             k += 2
-    rng = np.random.default_rng(seed)
-    drawn = []
-    for _ in range(samples):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h = 0.5 * (g + g.conj().T)
-        nrm = np.linalg.norm(h)
-        if nrm > 0.0:
-            drawn.append(h / nrm)
-    return np.concatenate([basis, np.reshape(drawn, (-1, d, d))])
+    draw = np.random.default_rng(seed).standard_normal((samples, 2, d, d))
+    g = draw[:, 0] + 1j * draw[:, 1]
+    h = 0.5 * (g + g.conj().transpose(0, 2, 1))
+    # The dot products np.linalg.norm takes on the real and imaginary
+    # views, one per direction, so each norm is bitwise the unbatched one.
+    flat = h.reshape(samples, 1, d * d)
+    sq = (flat.real @ flat.real.transpose(0, 2, 1)
+          + flat.imag @ flat.imag.transpose(0, 2, 1))
+    nrm = np.sqrt(sq.reshape(samples))
+    keep = nrm > 0.0
+    return np.concatenate([basis, h[keep] / nrm[keep, None, None]])
 
 
 def hausdorff_estimate(a: ZonoidSpec, b: ZonoidSpec, samples: int = 2000,

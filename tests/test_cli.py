@@ -100,6 +100,8 @@ class TestExitCodes:
         ["wstate", "--c", "9"],
         ["protocol", "--seed", "1"],
         ["protocol", "--parties", "2", "--nu", "100000000"],
+        ["paths", "--nu", str(10 ** 40)],
+        ["paper-pq", "--parties", "2", "--nu-list", f"10,{10 ** 40}"],
     ])
     def test_bad_protocol_parameters_are_2(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -54,6 +55,12 @@ class TestParams:
     def test_positive_rounds(self):
         with pytest.raises(ValueError):
             ProtocolParams(2, 0, 0.5)
+
+    @pytest.mark.parametrize("rounds", [10 ** 40, 10 ** 400])
+    def test_rounds_where_eta_rounds_to_one(self, rounds):
+        with pytest.raises(ValueError, match="rounds to 1"):
+            ProtocolParams(2, rounds, 0.5)
+        assert 1.0 - ProtocolParams(2, 10 ** 12, 0.5).epsilon < 1.0
 
 
 class TestTreeStructure:
@@ -738,11 +745,10 @@ class TestVerifyTheoremConditions:
             if flaw == "block-coupling":
                 bump[blocks[0][0], blocks[1][0]] = 1e-9
                 return CoefficientMatrix(c.matrix + bump + bump.T)
-            # CoefficientMatrix symmetrises on construction, but its matrix
-            # can still be replaced afterwards.
+            # CoefficientMatrix refuses a non-Hermitian matrix, so a
+            # stand-in carries it; the witness assembly reads only .matrix.
             bump[blocks[1][0], blocks[1][1]] = 1e-9
-            c.matrix = c.matrix + bump - bump.T
-            return c
+            return types.SimpleNamespace(matrix=c.matrix + bump - bump.T)
 
         fams[0] = dataclasses.replace(fams[0], cdensity_at=flawed)
         calls = _count_membership_calls(monkeypatch)

@@ -24,7 +24,8 @@ from loccverify import (
     zonoid_spec_for_instrument,
     two_qubit_instrument,
 )
-from loccverify import twoqubit
+from loccverify import twoqubit, zonoid
+from loccverify.tolerances import MEMBERSHIP_TOL, ROUNDING_TOL
 from loccverify.zonoid import _directions
 
 from conftest import haar_unitary
@@ -408,3 +409,184 @@ class TestMembershipProperties:
         z = 0.5 * (z + z.conj().T)
         assert not membership(z, spec).feasible
         assert separation_gap(z, spec) > 0.0
+
+
+# The four built-in bases of ``zonoid-check``.
+BASES = {"square": square_spec, "interval": interval_spec,
+         "twoqubit-minimal": channel_zonoid,
+         "twoqubit-blocks": instrument_zonoid}
+
+
+def _block_box(grids, kappa, c):
+    """Box projection one block at a time, each by its own eigh."""
+    out = np.zeros((kappa, kappa), dtype=complex)
+    for grid in grids:
+        sub = c[grid]
+        w, v = np.linalg.eigh(0.5 * (sub + sub.conj().T))
+        out[grid] = (v * np.clip(w, 0.0, 1.0)) @ v.conj().T
+    return out
+
+
+def _reference_feasible(spec, z, tol=MEMBERSHIP_TOL):
+    """The membership verdict of the same solve run on kappa x kappa
+    matrices: einsum image and adjoint, one eigh per block, the same
+    candidates, FISTA restart rule and stop rules."""
+    s = spec.solver()
+    gram, mask, kappa = _gram(spec), s.mask, spec.kappa
+
+    def image(c):
+        return np.einsum("mn,mnac->ac", c, gram)
+
+    def adjoint(x):
+        return np.where(mask, np.einsum("mnac,ac->mn", gram.conj(), x), 0.0)
+
+    def residual(c):
+        return float(np.linalg.norm(image(c) - z))
+
+    def box(c):
+        return _block_box(s.grids, kappa, c)
+
+    c0 = np.zeros((kappa, kappa), dtype=complex)
+    c0[mask] = np.linalg.pinv(s.a, rcond=1e-13) @ z.reshape(-1)
+    if residual(np.where(mask, np.eye(kappa), 0.0)) <= ROUNDING_TOL:
+        return True
+    if s.in_box(c0) and residual(c0) <= ROUNDING_TOL:
+        return True
+    step = 1.0 / np.linalg.svd(s.a, compute_uv=False)[0] ** 2
+    c = y = best = box(c0)
+    t, best_res, last_improve = 1.0, residual(c), 0
+    for it in range(zonoid.MEMBERSHIP_MAX_ITER):
+        grad = adjoint(image(y) - z)
+        cn = box(y - step * grad)
+        if np.real(np.vdot(grad, cn - c)) > 0.0:
+            t, y = 1.0, c
+            cn = box(y - step * adjoint(image(y) - z))
+        tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = cn + ((t - 1.0) / tn) * (cn - c)
+        move = float(np.linalg.norm(cn - c))
+        c, t = cn, tn
+        res = residual(c)
+        if res < best_res - max(1e-15, 1e-6 * best_res):
+            last_improve = it
+        best_res = min(best_res, res)
+        if res <= 0.005 * tol or move <= 1e-13 or it - last_improve >= 400:
+            break
+        if it % 100 == 99:
+            diff = z - image(c)
+            x = diff / np.linalg.norm(diff)
+            if np.real(np.vdot(x, z)) - s.support(x[None])[0] > tol:
+                break
+    return best_res <= tol
+
+
+def _old_directions(d, samples, seed):
+    """The Gaussian part of the direction set, drawn one at a time."""
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(samples):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = 0.5 * (g + g.conj().T)
+        drawn.append(h / np.linalg.norm(h))
+    return np.reshape(drawn, (-1, d, d))
+
+
+@st.composite
+def _partitioned_boxes(draw):
+    """A spec over a random partition of kappa <= 8 basis operators into
+    blocks, and a block-diagonal Hermitian C whose spectrum mixes values
+    below 0, exactly 0, inside (0, 1), exactly 1 and above 1, with values
+    shared between blocks."""
+    kappa = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(kappa)))
+    cuts = sorted(draw(st.sets(st.integers(1, kappa - 1))) if kappa > 1
+                  else [])
+    blocks = tuple(tuple(order[a:b])
+                   for a, b in zip([0] + cuts, cuts + [kappa]))
+    r = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ops = r.standard_normal((kappa, 3, 3)) + 1j * r.standard_normal(
+        (kappa, 3, 3))
+    spec = ZonoidSpec(kraus_from_operators(list(ops), PartyDims((3,))),
+                      blocks)
+    pool = [-0.4, 0.0, 0.25, 0.5, 1.0, 1.3]
+    c = np.zeros((kappa, kappa), dtype=complex)
+    for blk in blocks:
+        w = np.array(draw(st.lists(st.sampled_from(pool), min_size=len(blk),
+                                   max_size=len(blk))))
+        u = haar_unitary(len(blk), r)
+        c[np.ix_(blk, blk)] = (u * w) @ u.conj().T
+    return spec, c
+
+
+class TestDescentKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(_partitioned_boxes())
+    def test_one_eigh_box_matches_per_block(self, case):
+        spec, c = case
+        s = spec.solver()
+        got = s.to_matrix(s.project_box(c[s.mask]))
+        want = _block_box(s.grids, spec.kappa, c)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+        assert np.all(got[~s.mask] == 0.0)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("n", [0, 1, 500])
+    def test_directions_are_the_per_direction_stream(self, d, n):
+        xs = _directions(d, n, 17)
+        np.testing.assert_array_equal(xs[d * d:], _old_directions(d, n, 17))
+        longer = _directions(d, n + 7, 17)
+        np.testing.assert_array_equal(longer[:len(xs)], xs)
+
+    def test_verdicts_match_matrix_form_descent(self):
+        r = np.random.default_rng(90210)
+        checked = 0
+        for name, make in BASES.items():
+            spec = make()
+            gram = _gram(spec)
+            targets = []
+            for pin in (False, True):
+                for _ in range(5):
+                    c = _random_box(spec, r, pin)
+                    targets.append(np.einsum("mn,mnac->ac", c, gram))
+            for _ in range(5):
+                x = _herm_unit(r, spec.dim)
+                y = np.einsum("mn,mnac->ac", _support_maximiser(spec, x),
+                              gram)
+                targets.append(y + float(r.uniform(1e-3, 1e-1)) * x)
+            for z in targets:
+                z = 0.5 * (z + z.conj().T)
+                rep = membership(z, spec)
+                assert rep.feasible == _reference_feasible(spec, z), name
+                checked += 1
+                if not rep.feasible:
+                    continue
+                w = rep.witness.matrix
+                mask = spec.solver().mask
+                assert np.all(w[~mask] == 0.0)
+                for blk in spec.block_list():
+                    eig = np.linalg.eigvalsh(w[np.ix_(blk, blk)])
+                    assert eig[0] >= -1e-12 and eig[-1] <= 1.0 + 1e-12
+                image = np.einsum("mn,mnac->ac", w, gram)
+                assert np.linalg.norm(image - z) <= MEMBERSHIP_TOL
+        assert checked == 60
+
+
+class TestStopReasons:
+    @pytest.mark.parametrize("stop,target", [
+        ("identity", np.eye(4)),
+        ("affine", np.diag([0.0, 0.0, 0.0, 1.0])),
+        ("converged", limit_path(2, 2.5)),
+        ("small-step", 1.5 * np.eye(4)),
+        ("stalled", np.diag([0.9, 0.9, 1.0, 1.0 + 1e-6])),
+        ("outside", np.diag([0.9, 0.9, 1.0, 1.01])),
+    ])
+    def test_each_stop_rule_is_reported(self, stop, target):
+        rep = membership(np.asarray(target, dtype=complex), channel_zonoid())
+        assert rep.stop == stop
+        assert (rep.iterations == 0) == (stop in ("identity", "affine"))
+        assert rep.feasible == (stop in ("identity", "affine", "converged"))
+
+    def test_iteration_cap_is_reported(self, monkeypatch):
+        monkeypatch.setattr(zonoid, "MEMBERSHIP_MAX_ITER", 5)
+        rep = membership(limit_path(2, 2.5), channel_zonoid())
+        assert rep.stop == "max-iter"
+        assert rep.iterations == 5
