@@ -45,12 +45,11 @@ SUBCOMMANDS = {
 
 
 def commands() -> dict[str, list[str]]:
-    """Name -> argv of every timed command."""
+    """Name -> argv of every timed command, run from the checkout root."""
     py = sys.executable
     out = {
-        "battery": [py, str(ROOT / "scripts" / "run_verification_suite.py")],
-        "convergence-study": [py, str(ROOT / "scripts" /
-                                      "convergence_study.py")],
+        "battery": [py, "scripts/run_verification_suite.py"],
+        "convergence-study": [py, "scripts/convergence_study.py"],
     }
     for name, flags in SUBCOMMANDS.items():
         out[name] = [py, "-m", "loccverify.cli", name, *flags]

@@ -162,8 +162,8 @@ class _MembershipSolver:
         self.a = a_full[:, mask.reshape(-1)]
         self.a_pinv = np.linalg.pinv(self.a, rcond=1e-13)
         sv = np.linalg.svd(self.a, compute_uv=False)
-        self.lipschitz = float(sv[0] ** 2) if sv.size else 1.0
-        self.step = 1.0 / max(self.lipschitz, 1e-300)
+        lipschitz = float(sv[0] ** 2) if sv.size else 1.0
+        self.step = 1.0 / max(lipschitz, 1e-300)
         self.a_h = np.ascontiguousarray(self.a.conj().T)
         self.normal = (np.eye(self.a.shape[1])
                        - self.step * (self.a_h @ self.a))

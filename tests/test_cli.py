@@ -219,6 +219,7 @@ class TestSubcommands:
                           "--basis", "twoqubit-minimal")
         assert status == 0
         assert rep["values"]["residual"] < 1e-12
+        assert rep["values"]["stop"] == "identity"
         assert rep["values"]["support_identity"] == pytest.approx(4.0)
 
     def test_zonoid_check_small_bases(self, capsys):

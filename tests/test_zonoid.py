@@ -427,7 +427,7 @@ def _block_box(grids, kappa, c):
     return out
 
 
-def _reference_feasible(spec, z, tol=MEMBERSHIP_TOL):
+def _reference_feasible(spec, z):
     """The membership verdict of the same solve run on kappa x kappa
     matrices: einsum image and adjoint, one eigh per block, the same
     candidates, FISTA restart rule and stop rules."""
@@ -469,14 +469,16 @@ def _reference_feasible(spec, z, tol=MEMBERSHIP_TOL):
         if res < best_res - max(1e-15, 1e-6 * best_res):
             last_improve = it
         best_res = min(best_res, res)
-        if res <= 0.005 * tol or move <= 1e-13 or it - last_improve >= 400:
+        if (res <= 0.005 * MEMBERSHIP_TOL or move <= 1e-13
+                or it - last_improve >= 400):
             break
         if it % 100 == 99:
             diff = z - image(c)
             x = diff / np.linalg.norm(diff)
-            if np.real(np.vdot(x, z)) - s.support(x[None])[0] > tol:
+            gap = np.real(np.vdot(x, z)) - s.support(x[None])[0]
+            if gap > MEMBERSHIP_TOL:
                 break
-    return best_res <= tol
+    return best_res <= MEMBERSHIP_TOL
 
 
 def _old_directions(d, samples, seed):
