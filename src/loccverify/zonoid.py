@@ -24,11 +24,6 @@ from .tolerances import (INDEPENDENCE_TOL, INPUT_HERMITICITY_TOL,
 MEMBERSHIP_MAX_ITER = 10000
 
 
-def _norm(x: np.ndarray) -> float:
-    """np.linalg.norm of a complex vector, by the same two dot products."""
-    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
-
-
 class NotInSpanError(ValueError):
     """An operator could not be expanded over the basis."""
 
@@ -37,7 +32,8 @@ class NotInSpanError(ValueError):
 class CoefficientMatrix:
     """Hermitian coefficient matrix over a zonoid basis.
 
-    Frozen, so the matrix checked and symmetrised here is the one it keeps.
+    Frozen, with a read-only array, so the matrix checked and symmetrised
+    here is the one it keeps.
     """
 
     matrix: np.ndarray
@@ -48,7 +44,9 @@ class CoefficientMatrix:
             raise ValueError("coefficient matrix must be square")
         if not is_hermitian(m, INPUT_HERMITICITY_TOL):
             raise ValueError("coefficient matrix must be Hermitian")
-        object.__setattr__(self, "matrix", 0.5 * (m + m.conj().T))
+        sym = 0.5 * (m + m.conj().T)
+        sym.setflags(write=False)
+        object.__setattr__(self, "matrix", sym)
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
@@ -250,7 +248,7 @@ class _MembershipSolver:
         y = c
         t = 1.0
         best = c
-        best_res = _norm(self.a @ c - zvec)
+        best_res = float(np.linalg.norm(self.a @ c - zvec))
         last_improve = 0
         iters = 0
         stop = "max-iter"
@@ -266,9 +264,9 @@ class _MembershipSolver:
             delta = cn - c
             tn = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             y = cn + ((t - 1.0) / tn) * delta
-            move = _norm(delta)
+            move = float(np.linalg.norm(delta))
             c, t = cn, tn
-            res = _norm(self.a @ c - zvec)
+            res = float(np.linalg.norm(self.a @ c - zvec))
             if res < best_res - max(1e-15, 1e-6 * best_res):
                 last_improve = it
             if res < best_res:

@@ -1,5 +1,7 @@
 """Tests for zonoid membership, support functions, and coefficient fits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from loccverify import (
 )
 from loccverify import twoqubit, zonoid
 from loccverify.tolerances import MEMBERSHIP_TOL, ROUNDING_TOL
-from loccverify.zonoid import _directions
+from loccverify.zonoid import CoefficientMatrix, _directions
 
 from conftest import haar_unitary
 
@@ -183,6 +185,22 @@ class TestMembershipReports:
     def test_degenerate_face_point_is_feasible(self):
         z = np.diag([0.9, 0.9, 1.0, 1.0]).astype(complex)
         assert membership(z, channel_zonoid(), tol=1e-9).feasible
+
+    def test_witness_matrix_cannot_be_replaced_or_written(self):
+        rep = membership(limit_path(2, 2.5), channel_zonoid())
+        c = rep.witness
+        kept = c.matrix.copy()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.matrix = np.zeros_like(kept)
+        with pytest.raises(ValueError):
+            c.matrix[0, 1] = 5.0
+        np.testing.assert_array_equal(c.matrix, kept)
+
+    def test_coefficient_matrix_leaves_its_input_writeable_and_unshared(self):
+        m = np.diag([0.25, 0.75]).astype(complex)
+        c = CoefficientMatrix(m)
+        m[0, 1] = 1.0
+        assert c.matrix[0, 1] == 0.0
 
     def test_non_hermitian_rejected(self):
         spec = square_spec()
