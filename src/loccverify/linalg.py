@@ -189,12 +189,29 @@ def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(nodes)
 
 
-def gauss_legendre(f: Callable[[float], np.ndarray], a: float, b: float,
+def _per_node(v: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Scale each node's slice of the stack ``vals`` by its entry of ``v``."""
+    return v.reshape(v.shape + (1,) * (vals.ndim - 1)) * vals
+
+
+def _node_values(f: Callable[[np.ndarray], np.ndarray],
+                 x: np.ndarray) -> np.ndarray:
+    """f called once on every node; one value per node on the first axis."""
+    vals = np.asarray(f(x))
+    if vals.shape[:1] != x.shape:
+        raise ValueError(f"integrand returned shape {vals.shape} for "
+                         f"{x.size} nodes; it must return one value per node")
+    return vals
+
+
+def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                    nodes: int = QUAD_NODES):
     """Fixed-order Gauss-Legendre quadrature of ``f`` over [a, b].
 
-    Exact for polynomial integrands up to degree 2*nodes - 1. ``f`` may
-    return scalars or arrays; the result has the same shape.
+    Exact for polynomial integrands up to degree 2*nodes - 1. ``f`` is
+    called once, on the 1-D array of all nodes, and returns its values
+    stacked along a new first axis: shape (nodes,) for a scalar integrand,
+    (nodes, ...) for an array one. The result has the shape of one value.
     """
     if nodes < 1:
         raise ValueError("need at least one node")
@@ -203,36 +220,26 @@ def gauss_legendre(f: Callable[[float], np.ndarray], a: float, b: float,
     x, w = _leggauss(int(nodes))
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    total = None
-    for xi, wi in zip(x, w):
-        val = f(mid + half * xi)
-        term = wi * np.asarray(val)
-        total = term if total is None else total + term
-    out = half * total
+    out = half * _per_node(w, _node_values(f, mid + half * x)).sum(axis=0)
     if out.ndim == 0:
         return out[()]
     return out
 
 
-def integrate_sqrt_smooth(f: Callable[[float], np.ndarray],
+def integrate_sqrt_smooth(f: Callable[[np.ndarray], np.ndarray],
                           nodes: int = QUAD_NODES):
     """Integrate f(sigma) over [0, 1] when f is smooth in sqrt(sigma).
 
     Substitutes sigma = u^2 so integrands polynomial in sqrt(sigma) become
     polynomial in u and the fixed-order rule is exact. Plain Gauss-Legendre
-    on such integrands stalls around 1e-6.
+    on such integrands stalls around 1e-6. ``f`` is stacked as for
+    :func:`gauss_legendre`.
     """
-    return _sqrt_substituted(f, 0.0, 1.0, nodes)
+    return gauss_legendre(lambda u: _per_node(2.0 * u, _node_values(f, u * u)),
+                          0.0, 1.0, nodes)
 
 
-def _sqrt_substituted(f: Callable[[float], np.ndarray], lo: float, hi: float,
-                      nodes: int):
-    """Integral of f(sigma) over [lo^2, hi^2], taken in u = sqrt(sigma)."""
-    return gauss_legendre(lambda u: 2.0 * u * np.asarray(f(u * u)), lo, hi,
-                          nodes)
-
-
-def cumulative_sqrt_smooth(f: Callable[[float], np.ndarray],
+def cumulative_sqrt_smooth(f: Callable[[np.ndarray], np.ndarray],
                            sigmas: Sequence[float],
                            nodes: int = QUAD_NODES) -> np.ndarray:
     """Integrals of f over [0, sigma] for every sigma of ``sigmas`` in [0, 1].
@@ -240,44 +247,50 @@ def cumulative_sqrt_smooth(f: Callable[[float], np.ndarray],
     The composite form of :func:`integrate_sqrt_smooth`: the sorted knots
     u = sqrt(sigma) cut [0, max u] into segments, each gets a share of
     ``nodes`` in proportion to its length in u (at least two nodes), and
-    the segment integrals are summed in order. A grid of n points costs
-    about nodes + 2n evaluations of f instead of nodes * n. Results are
-    stacked along a new first axis in the order of ``sigmas``.
+    the segment integrals are summed in order. ``f`` is called once, on
+    the nodes of every segment together (about nodes + 2n of them for a
+    grid of n points), and is stacked as for :func:`gauss_legendre`.
+    Results are stacked along a new first axis in the order of ``sigmas``.
     """
     u = np.sqrt(np.asarray(sigmas, dtype=float))
-    out = [None] * len(u)
-    total, lo = None, 0.0
-    for i in np.argsort(u):
-        hi = float(u[i])
-        if total is None or hi > lo:
-            n = max(2, int(np.ceil(nodes * (hi - lo))))
-            segment = _sqrt_substituted(f, lo, hi, n)
-            total = segment if total is None else total + segment
-            lo = hi
-        out[i] = total
-    return np.stack(out)
+    if u.ndim != 1 or u.size == 0:
+        raise ValueError("need a nonempty 1-D array of sigmas")
+    hi = np.unique(u)
+    lo = np.concatenate([[0.0], hi[:-1]])
+    counts = [max(2, int(np.ceil(nodes * (b - a)))) for a, b in zip(lo, hi)]
+    rules = [_leggauss(n) for n in counts]
+    x = np.concatenate([r[0] for r in rules])
+    w = np.concatenate([r[1] for r in rules])
+    mid = np.repeat(0.5 * (lo + hi), counts)
+    half = 0.5 * (hi - lo)
+    t = mid + np.repeat(half, counts) * x
+    vals = _per_node(w, _per_node(2.0 * t, _node_values(f, t * t)))
+    starts = np.cumsum([0] + counts[:-1])
+    segments = _per_node(half, np.add.reduceat(vals, starts, axis=0))
+    return np.cumsum(segments, axis=0)[np.searchsorted(hi, u)]
 
 
-def product_defect(m, dims) -> float:
+def product_defect(m, dims):
     """Relative distance from the nearest single-cut product structure.
 
-    Zero (to rounding) on exact tensor products.
+    ``m`` is a matrix or a stack of matrices, shape (..., D, D); a matrix
+    gives a float, a stack one defect per matrix. Zero (to rounding) on
+    exact tensor products.
     """
-    a = as_matrix(m)
+    a = np.asarray(m, dtype=np.complex128)
     d = _dims_tuple(dims)
-    if len(d) == 1:
-        return 0.0
-    norm_a = np.linalg.norm(a)
-    if norm_a == 0.0:
-        return 0.0
-    worst = 0.0
+    total = int(np.prod(d))
+    if a.ndim < 2 or a.shape[-2:] != (total, total):
+        raise ValueError(f"shape {a.shape} does not match dims {d}")
+    batch = a.shape[:-2]
+    worst = np.zeros(batch)
     for cut in range(1, len(d)):
         d1 = int(np.prod(d[:cut]))
         d2 = int(np.prod(d[cut:]))
-        r = a.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(
-            d1 * d1, d2 * d2
-        )
+        r = a.reshape(batch + (d1, d2, d1, d2)).swapaxes(-3, -2).reshape(
+            batch + (d1 * d1, d2 * d2))
         s = np.linalg.svd(r, compute_uv=False)
-        if s.size > 1:
-            worst = max(worst, float(s[1] / max(s[0], 1e-300)))
-    return worst
+        if s.shape[-1] > 1:
+            worst = np.maximum(worst,
+                               s[..., 1] / np.maximum(s[..., 0], 1e-300))
+    return float(worst) if not batch else worst

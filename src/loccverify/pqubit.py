@@ -177,9 +177,10 @@ def quadrature_coefficients(parties: int, nodes: int = QUAD_NODES
     d = 2 ** parties
     l = spec.zeros
 
-    def integrand(sigma: float) -> np.ndarray:
-        root = np.where(l > 0, np.sqrt(sigma) ** np.maximum(l - 1, 0), 0.0)
-        return spec.joint_zeros * np.outer(root, root)
+    def integrand(sigma: np.ndarray) -> np.ndarray:
+        root = np.where(l > 0,
+                        np.sqrt(sigma)[:, None] ** np.maximum(l - 1, 0), 0.0)
+        return spec.joint_zeros * (root[:, :, None] * root[:, None, :])
 
     s = integrate_sqrt_smooth(integrand, nodes=nodes)
     s[d - 1, d - 1] = 1.0

@@ -23,7 +23,6 @@ import numpy as np
 
 from .linalg import (
     PartyDims,
-    as_matrix,
     cumulative_sqrt_smooth,
     integrate_sqrt_smooth,
     kron,
@@ -39,6 +38,7 @@ from .zonoid import (
     CoefficientMatrix,
     ZonoidSpec,
     cmatrix_resolution_check,
+    coefficient_stack,
     endpoint_cmatrix,
     membership,
 )
@@ -513,14 +513,29 @@ def main_branch_diagonals(parties: int, rounds: int, exponent: float,
     return lam * top + (1.0 - lam) * bottom
 
 
+def _clamped(s, top: float, message: str) -> np.ndarray:
+    """s clipped to [1, top]; ValueError if an entry is further out than
+    rounding."""
+    s = np.asarray(s, dtype=float)
+    inside = (s >= 1.0 - ROUNDING_TOL) & (s <= top + ROUNDING_TOL)
+    if not inside.all():
+        raise ValueError(f"{message} (got s={s[~inside].flat[0]})")
+    return np.clip(s, 1.0, top)
+
+
+def limit_path_stack(parties: int, s) -> np.ndarray:
+    """:func:`limit_path` at every s of a 1-D array, shape (n, 2^P, 2^P)."""
+    top = float(2 ** parties)
+    s = _clamped(s, top, f"s outside [1, {top}]")
+    m = np.zeros(s.shape + (2, 2), dtype=np.complex128)
+    m[..., 0, 0] = s ** (1.0 / parties) - 1.0
+    m[..., 1, 1] = 1.0
+    return kron([m] * parties)
+
+
 def limit_path(parties: int, s: float) -> np.ndarray:
     """Limiting main path M(s)^(x P), M(s) = (s^(1/P)-1)|0><0| + |1><1|."""
-    top = float(2 ** parties)
-    if not 1.0 - ROUNDING_TOL <= s <= top + ROUNDING_TOL:
-        raise ValueError(f"s={s} outside [1, {top}]")
-    s = min(max(s, 1.0), top)
-    m = np.diag([s ** (1.0 / parties) - 1.0, 1.0]).astype(np.complex128)
-    return kron([m] * parties)
+    return limit_path_stack(parties, [s])[0]
 
 
 @dataclass(frozen=True)
@@ -594,26 +609,42 @@ def derivative_outcomes(parties: int, s: float) -> list[np.ndarray]:
     return out
 
 
-def _c1_matrix(s: float) -> np.ndarray:
-    if not 1.0 - ROUNDING_TOL <= s <= 4.0 + ROUNDING_TOL:
-        raise ValueError("main-path coefficients need s in [1, 4]")
-    s = min(max(s, 1.0), 4.0)
+def _c1_matrix(s) -> np.ndarray:
+    """Main-path witness C1 at every s of an array, shape s.shape + (4, 4)."""
+    s = _clamped(s, 4.0, "main-path coefficients need s in [1, 4]")
     sigma = np.sqrt(s) - 1.0
     beta = 2.0 * (np.sqrt(sigma) - 1.0)
     gamma = 9.0 * sigma + 8.0 - 16.0 * np.sqrt(sigma)
-    c = np.zeros((4, 4))
-    c[0, 0] = 1.0
-    c[1, 1] = c[2, 2] = sigma
-    c[1, 3] = c[3, 1] = c[2, 3] = c[3, 2] = sigma * beta
-    c[3, 3] = sigma * gamma
+    c = np.zeros(s.shape + (4, 4))
+    c[..., 0, 0] = 1.0
+    c[..., 1, 1] = c[..., 2, 2] = sigma
+    c[..., 1, 3] = c[..., 3, 1] = c[..., 2, 3] = c[..., 3, 2] = sigma * beta
+    c[..., 3, 3] = sigma * gamma
     return c.astype(np.complex128)
 
 
-def _side_weight(sigma: float, which: int) -> np.ndarray:
-    w = np.zeros(4)
-    w[which] = 1.0
-    w[3] = 3.0 * np.sqrt(sigma) - 2.0
+def _side_weight(sigma, which: int) -> np.ndarray:
+    """Halt weight vector at every sigma of an array, shape + (4,)."""
+    w = np.zeros(np.shape(sigma) + (4,))
+    w[..., which] = 1.0
+    w[..., 3] = 3.0 * np.sqrt(sigma) - 2.0
     return w
+
+
+def c_matrix_stack(name: str, s) -> np.ndarray:
+    """:func:`c_matrix_family` (without ``x``) at every s of a 1-D array.
+
+    Returns the raw (n, 4, 4) stack; a caller that needs checked
+    coefficient matrices passes it through
+    :func:`~loccverify.zonoid.coefficient_stack`.
+    """
+    if name == "C1":
+        return _c1_matrix(s)
+    if name not in ("C2", "C3"):
+        raise ValueError(f"unknown family {name!r}")
+    sigma = np.sqrt(_clamped(s, 4.0, "halt families need s in [1, 4]")) - 1.0
+    w = _side_weight(sigma, 1 if name == "C2" else 2)
+    return (w[..., :, None] * w[..., None, :]).astype(np.complex128)
 
 
 def c_matrix_family(name: str, s: float, x: float | None = None
@@ -627,17 +658,9 @@ def c_matrix_family(name: str, s: float, x: float | None = None
     The densities themselves may leave the unit box; only assembled
     witnesses are box constrained.
     """
-    if name == "C1":
-        if x is not None:
-            raise ValueError("x only applies to the halt families")
-        return CoefficientMatrix(_c1_matrix(s))
-    if name not in ("C2", "C3"):
-        raise ValueError(f"unknown family {name!r}")
-    if not 1.0 - ROUNDING_TOL <= s <= 4.0 + ROUNDING_TOL:
-        raise ValueError("halt families need s in [1, 4]")
-    sigma = np.sqrt(min(max(s, 1.0), 4.0)) - 1.0
-    w = _side_weight(sigma, 1 if name == "C2" else 2)
-    c = np.outer(w, w).astype(np.complex128)
+    if name == "C1" and x is not None:
+        raise ValueError("x only applies to the halt families")
+    c = c_matrix_stack(name, [s])[0]
     if x is None:
         return CoefficientMatrix(c)
     if not 0.0 <= x <= 1.0:
@@ -649,20 +672,22 @@ def c_matrix_family(name: str, s: float, x: float | None = None
 class CheckedPath:
     """A path handed to the condition verifier.
 
-    ``op_at`` evaluates the operator at trace parameter s on
-    [s_bottom, s_top]. ``cmatrix_at`` optionally supplies a closed-form
-    witness family; ``endpoint_c`` optionally overrides the endpoint
-    coefficient matrix otherwise derived from the endpoint operator.
-    ``block`` ties the path to one block of a blocked basis for the
-    resolution bookkeeping.
+    ``op_at`` evaluates the operator at every trace parameter s of a 1-D
+    array on [s_bottom, s_top] and returns the stack (n, d, d).
+    ``cmatrix_at`` optionally supplies a closed-form witness family, as a
+    stack (n, kappa, kappa) of coefficient matrices that the verifier
+    checks and symmetrises by the rule of :class:`CoefficientMatrix`.
+    ``endpoint_c`` optionally overrides the endpoint coefficient matrix
+    otherwise derived from the endpoint operator. ``block`` ties the path
+    to one block of a blocked basis for the resolution bookkeeping.
     """
 
     label: str
-    op_at: Callable[[float], np.ndarray]
+    op_at: Callable[[np.ndarray], np.ndarray]
     s_top: float
     s_bottom: float
     dims: PartyDims
-    cmatrix_at: Callable[[float], CoefficientMatrix] | None = None
+    cmatrix_at: Callable[[np.ndarray], np.ndarray] | None = None
     endpoint_c: CoefficientMatrix | None = None
     block: int | None = None
 
@@ -685,18 +710,21 @@ class CheckedPath:
 class EndpointFamily:
     """Continuum of halt outcomes peeling off a parent path.
 
-    ``density_at`` gives the operator density at sigma in [0, 1] and
-    ``cdensity_at`` its coefficient density; ``attach_s`` maps sigma to the
-    parent path parameter where the outcome branches off, and ``sigma_at``
-    is its inverse, with sigma = 0 at the parent's bottom end.
+    ``density_at`` gives the operator densities at every sigma of a 1-D
+    array in [0, 1], stacked (n, d, d), and ``cdensity_at`` their
+    coefficient densities, stacked (n, kappa, kappa) and checked as
+    :class:`CheckedPath` checks ``cmatrix_at``. ``attach_s`` maps sigma to
+    the parent path parameter where the outcome branches off, and
+    ``sigma_at`` is its inverse, with sigma = 0 at the parent's bottom end;
+    both act elementwise on arrays.
     """
 
     label: str
     parent: CheckedPath
-    density_at: Callable[[float], np.ndarray]
-    cdensity_at: Callable[[float], CoefficientMatrix]
-    attach_s: Callable[[float], float]
-    sigma_at: Callable[[float], float]
+    density_at: Callable[[np.ndarray], np.ndarray]
+    cdensity_at: Callable[[np.ndarray], np.ndarray]
+    attach_s: Callable[[np.ndarray], np.ndarray]
+    sigma_at: Callable[[np.ndarray], np.ndarray]
     block: int | None = None
 
 
@@ -727,8 +755,31 @@ class PathConditionReport:
         raise KeyError(name)
 
 
+def _operators(stack, n: int, dim: int, what: str) -> np.ndarray:
+    """A callback's operator stack, checked to have shape (n, dim, dim)."""
+    ops = np.asarray(stack, dtype=np.complex128)
+    if ops.shape != (n, dim, dim):
+        raise ValueError(f"{what} returned shape {ops.shape} for {n} "
+                         f"parameters; expected {(n, dim, dim)}")
+    return ops
+
+
+def _coefficients(stack, n: int, kappa: int, what: str) -> np.ndarray:
+    """A callback's coefficient stack, checked and symmetrised."""
+    return coefficient_stack(_operators(stack, n, kappa, what))
+
+
+def _worst(name: str, defects: np.ndarray, tol: float, param: str,
+           values: np.ndarray) -> ConditionCheck:
+    """Check reporting the largest defect and the parameter where it is."""
+    i = int(np.argmax(defects))
+    return ConditionCheck(name, float(defects[i]), tol,
+                          f"{param}={values[i]:.6g}")
+
+
 def _endpoint_check(path: CheckedPath, spec: ZonoidSpec):
-    op = as_matrix(path.op_at(path.s_bottom))
+    op = _operators(path.op_at(np.array([path.s_bottom])), 1, spec.dim,
+                    f"{path.label} op_at")[0]
     if path.endpoint_c is not None:
         c = path.endpoint_c
     else:
@@ -742,7 +793,7 @@ def _endpoint_check(path: CheckedPath, spec: ZonoidSpec):
 
 
 def _witness_defects(solver, c_end: np.ndarray,
-                     families: Sequence[EndpointFamily], grid: Sequence[float],
+                     families: Sequence[EndpointFamily], grid: np.ndarray,
                      ops: np.ndarray) -> np.ndarray:
     """Membership defect of the integrated witness at each sample s.
 
@@ -755,16 +806,19 @@ def _witness_defects(solver, c_end: np.ndarray,
     sends it to the solver. The test is exact on the assembled C, so
     quadrature error can raise a defect but never hide a bad witness.
     """
+    kappa = solver.kappa
     cs = np.broadcast_to(c_end, (len(grid),) + c_end.shape)
     for fam in families:
-        sigmas = [fam.sigma_at(s) for s in grid]
         cs = cs + cumulative_sqrt_smooth(
-            lambda t, f=fam: f.cdensity_at(float(t)).matrix, sigmas)
-    herm = np.where(solver.mask, 0.5 * (cs + cs.conj().transpose(0, 2, 1)),
+            lambda t, f=fam: _coefficients(f.cdensity_at(t), len(t), kappa,
+                                           f"{f.label} cdensity_at"),
+            fam.sigma_at(grid))
+    herm = np.where(solver.mask, 0.5 * (cs + cs.conj().swapaxes(-1, -2)),
                     0.0)
-    exact = np.linalg.norm(cs - herm, axis=(1, 2)) <= ROUNDING_TOL
-    return np.array([solver.residual(c, op) if ok and solver.in_box(c)
-                     else np.inf for c, op, ok in zip(herm, ops, exact)])
+    ok = ((np.linalg.norm(cs - herm, axis=(1, 2)) <= ROUNDING_TOL)
+          & solver.in_box(herm))
+    residuals = np.linalg.norm(solver.image(herm) - ops, axis=(1, 2))
+    return np.where(ok, residuals, np.inf)
 
 
 def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
@@ -786,84 +840,87 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     identity (per block for a blocked basis). Family densities are assumed
     smooth in sqrt(sigma); integrals substitute accordingly. Tolerances
     come from :mod:`loccverify.tolerances`. ``s_samples`` None selects
-    each path's dense grid; a value below 1 raises ValueError.
+    each path's dense grid; ``s_samples`` or ``sigma_samples`` below 1
+    raises ValueError.
+
+    Every callback is called on a whole grid at once, so the number of
+    calls does not depend on the sample counts. Sampled checks report the
+    s or sigma of their largest defect as ``where``.
     """
     if s_samples is not None and s_samples < 1:
         raise ValueError("s_samples must be at least 1")
+    if sigma_samples < 1:
+        raise ValueError("sigma_samples must be at least 1")
     checks: list[ConditionCheck] = []
     resolution_parts: dict[int | None, list[np.ndarray]] = {}
     solver = spec.solver()
+    kappa, dim = spec.kappa, spec.dim
 
     for path in paths:
+        lbl = path.label
         c_end, end_defect = _endpoint_check(path, spec)
-        grid = [float(s) for s in path.sample_grid(s_samples)]
-        trace_defect = prod_defect = fam_defect = 0.0
-        ops = np.empty((len(grid), spec.dim, spec.dim), dtype=np.complex128)
-        for i, s in enumerate(grid):
-            op = ops[i] = as_matrix(path.op_at(s))
-            trace_defect = max(trace_defect,
-                               abs(float(np.real(np.trace(op))) - s))
-            prod_defect = max(prod_defect, product_defect(op, path.dims))
-            if path.cmatrix_at is not None:
-                c = path.cmatrix_at(s).matrix
-                fam_defect = max(fam_defect, float(np.linalg.norm(
-                    solver.image(c) - op)))
+        grid = path.sample_grid(s_samples)
+        n = len(grid)
+        ops = _operators(path.op_at(grid), n, dim, f"{lbl} op_at")
+        trace = np.abs(np.trace(ops, axis1=1, axis2=2).real - grid)
         attached = [fam for fam in families if fam.parent is path]
-        if attached and grid:
+        if attached:
             defects = _witness_defects(solver, c_end.matrix, attached, grid,
                                        ops)
         else:
-            defects = np.full(len(grid), np.inf)
+            defects = np.full(n, np.inf)
         # The solver answers only where the integrated witness does not.
-        mem_worst, worst_s, solved = 0.0, None, 0
-        for s, op, defect in zip(grid, ops, defects):
-            if defect > membership_tol:
-                defect = membership(op, spec, tol=membership_tol).residual
-                solved += 1
-            if defect > mem_worst:
-                mem_worst, worst_s = float(defect), s
-        mem_where = f"solver {solved}/{len(grid)}"
-        if worst_s is not None:
-            mem_where = f"s={worst_s:.6g}; {mem_where}"
-        lbl = path.label
+        solve = np.flatnonzero(defects > membership_tol)
+        for i in solve:
+            defects[i] = membership(ops[i], spec, tol=membership_tol).residual
+        mem_where = f"solver {len(solve)}/{n}"
+        worst = int(np.argmax(defects))
+        if defects[worst] > 0.0:
+            mem_where = f"s={grid[worst]:.6g}; {mem_where}"
         checks += [
-            ConditionCheck(f"{lbl}:trace", trace_defect, TRACE_TOL),
-            ConditionCheck(f"{lbl}:product", prod_defect, PRODUCT_TOL),
-            ConditionCheck(f"{lbl}:membership", mem_worst, membership_tol,
-                           mem_where),
+            _worst(f"{lbl}:trace", trace, TRACE_TOL, "s", grid),
+            _worst(f"{lbl}:product", product_defect(ops, path.dims),
+                   PRODUCT_TOL, "s", grid),
+            ConditionCheck(f"{lbl}:membership", float(defects[worst]),
+                           membership_tol, mem_where),
             ConditionCheck(f"{lbl}:endpoint", end_defect, RECON_TOL),
         ]
         if path.cmatrix_at is not None:
-            checks.append(ConditionCheck(f"{lbl}:witness-family", fam_defect,
-                                         RECON_TOL))
+            cm = _coefficients(path.cmatrix_at(grid), n, kappa,
+                               f"{lbl} cmatrix_at")
+            checks.append(_worst(
+                f"{lbl}:witness-family",
+                np.linalg.norm(solver.image(cm) - ops, axis=(1, 2)),
+                RECON_TOL, "s", grid))
         resolution_parts.setdefault(path.block, []).append(c_end.matrix)
 
+    sigmas = np.linspace(0.0, 1.0, sigma_samples)
     for fam in families:
-        min_eig = np.inf
-        prod_defect = recon_defect = 0.0
-        for sv in np.linspace(0.0, 1.0, sigma_samples):
-            sv = float(sv)
-            dens = as_matrix(fam.density_at(sv))
-            cd = fam.cdensity_at(sv).matrix
-            prod_defect = max(prod_defect,
-                              product_defect(dens, fam.parent.dims))
-            recon_defect = max(recon_defect, float(np.linalg.norm(
-                solver.image(cd) - dens)))
-            # lambda_min is concave, so the segment mixtures
-            # (1 - x) C_parent + x C_r are lowest at x = 0 or x = 1.
-            ends = [cd]
-            if fam.parent.cmatrix_at is not None:
-                ends.append(fam.parent.cmatrix_at(fam.attach_s(sv)).matrix)
-            for m in ends:
-                min_eig = min(min_eig, float(np.linalg.eigvalsh(m).min()))
         lbl = fam.label
+        dens = _operators(fam.density_at(sigmas), sigma_samples, dim,
+                          f"{lbl} density_at")
+        cd = _coefficients(fam.cdensity_at(sigmas), sigma_samples, kappa,
+                           f"{lbl} cdensity_at")
+        # lambda_min is concave, so the segment mixtures
+        # (1 - x) C_parent + x C_r are lowest at x = 0 or x = 1.
+        low = np.linalg.eigvalsh(cd)[:, 0]
+        if fam.parent.cmatrix_at is not None:
+            parent = _coefficients(
+                fam.parent.cmatrix_at(fam.attach_s(sigmas)), sigma_samples,
+                kappa, f"{fam.parent.label} cmatrix_at")
+            low = np.minimum(low, np.linalg.eigvalsh(parent)[:, 0])
         checks += [
-            ConditionCheck(f"{lbl}:psd", max(0.0, -min_eig), MIXTURE_PSD_TOL),
-            ConditionCheck(f"{lbl}:product", prod_defect, PRODUCT_TOL),
-            ConditionCheck(f"{lbl}:reconstruction", recon_defect, RECON_TOL),
+            _worst(f"{lbl}:psd", np.maximum(0.0, -low), MIXTURE_PSD_TOL,
+                   "sigma", sigmas),
+            _worst(f"{lbl}:product", product_defect(dens, fam.parent.dims),
+                   PRODUCT_TOL, "sigma", sigmas),
+            _worst(f"{lbl}:reconstruction",
+                   np.linalg.norm(solver.image(cd) - dens, axis=(1, 2)),
+                   RECON_TOL, "sigma", sigmas),
         ]
         integral = integrate_sqrt_smooth(
-            lambda u: fam.cdensity_at(float(u)).matrix)
+            lambda u, f=fam: _coefficients(f.cdensity_at(u), len(u), kappa,
+                                           f"{f.label} cdensity_at"))
         resolution_parts.setdefault(fam.block, []).append(integral)
 
     blocks = spec.block_list()

@@ -35,12 +35,13 @@ from .protocols import (
     CheckedPath,
     EndpointFamily,
     c_matrix_family,
+    c_matrix_stack,
     derivative_outcomes,
-    limit_path,
+    limit_path_stack,
 )
 from .tolerances import (COARSE_GRAIN_TOL, DENSITY_TRACE_TOL, ISOMETRY_TOL,
                          QUAD_NODES, ROUNDING_TOL, SIGMA_SAMPLES)
-from .zonoid import CoefficientMatrix, ZonoidSpec, zonoid_spec_for_instrument
+from .zonoid import ZonoidSpec, zonoid_spec_for_instrument
 
 DIMS_2Q = PartyDims((2, 2))
 
@@ -54,10 +55,15 @@ def _diag4(a, b, c, d) -> np.ndarray:
 
 
 def _halt_diag(x, which: int) -> np.ndarray:
-    """diag(x, 0, 1, 0) for outcome 2 (B halts), else diag(x, 1, 0, 0)."""
-    if which == 2:
-        return _diag4(x, 0.0, 1.0, 0.0)
-    return _diag4(x, 1.0, 0.0, 0.0)
+    """diag(x, 0, 1, 0) for outcome 2 (B halts), else diag(x, 1, 0, 0).
+
+    An array x gives the stack of these matrices, shape x.shape + (4, 4).
+    """
+    out = np.zeros(np.shape(x) + (4, 4), dtype=np.complex128)
+    out[..., 0, 0] = x
+    one = 2 if which == 2 else 1
+    out[..., one, one] = 1.0
+    return out
 
 
 # Five product Kraus operators, grouped (0,), (1, 2), (3, 4) by outcome.
@@ -156,7 +162,7 @@ def continuous_isometry_check(nodes: int = QUAD_NODES) -> IntegralCheck:
         lambda t: 9.0 * t - 12.0 * np.sqrt(t) + 4.0, nodes=nodes)
     cross = integrate_sqrt_smooth(lambda t: 3.0 * np.sqrt(t) - 2.0,
                                   nodes=nodes)
-    weight = gauss_legendre(lambda t: 1.0, 0.0, 1.0, nodes=nodes)
+    weight = gauss_legendre(np.ones_like, 0.0, 1.0, nodes=nodes)
     ok = (abs(norm_last - 1.0) <= ISOMETRY_TOL and abs(cross) <= ISOMETRY_TOL
           and abs(weight - 1.0) <= ISOMETRY_TOL)
     return IntegralCheck(float(norm_last), float(cross), float(weight), ok)
@@ -177,22 +183,22 @@ def blocked_isometry_check() -> BlockedIsometryCheck:
     sqrt(6) (1 - sqrt(sigma)) on the second. Rows are fit by least squares
     against their own group (the full five-operator set is linearly
     dependent, so a global fit cannot localize blocks); the fitted
-    coefficients are also compared against the closed form.
+    coefficients are also compared against the closed form. A block's
+    matrix does not depend on sigma, so one least-squares solve per block
+    takes every sigma sample as a right-hand side.
     """
+    rt = np.sqrt(np.linspace(0.0, 1.0, SIGMA_SAMPLES))
+    want = np.stack([np.sqrt(3.0) * (2.0 * rt - 1.0),
+                     np.sqrt(6.0) * (1.0 - rt)])
     worst_res = 0.0
     worst_coef = 0.0
-    for sigma in np.linspace(0.0, 1.0, SIGMA_SAMPLES):
-        rt = np.sqrt(sigma)
-        want = np.array([np.sqrt(3.0) * (2.0 * rt - 1.0),
-                         np.sqrt(6.0) * (1.0 - rt)])
-        for which, block in ((2, (1, 2)), (3, (3, 4))):
-            vec = _halt_diag(rt, which)
-            a = K_GROUPED[list(block)].reshape(2, 16).T
-            coef, *_ = np.linalg.lstsq(a, vec.reshape(16), rcond=None)
-            recon = (a @ coef).reshape(4, 4)
-            worst_res = max(worst_res,
-                            float(np.linalg.norm(recon - vec)))
-            worst_coef = max(worst_coef, float(np.abs(coef - want).max()))
+    for which, block in ((2, (1, 2)), (3, (3, 4))):
+        vecs = _halt_diag(rt, which).reshape(-1, 16).T
+        a = K_GROUPED[list(block)].reshape(2, 16).T
+        coef, *_ = np.linalg.lstsq(a, vecs, rcond=None)
+        worst_res = max(worst_res, float(
+            np.linalg.norm(a @ coef - vecs, axis=0).max()))
+        worst_coef = max(worst_coef, float(np.abs(coef - want).max()))
     ok = worst_res <= ISOMETRY_TOL and worst_coef <= ISOMETRY_TOL
     return BlockedIsometryCheck(worst_res, worst_coef, ok)
 
@@ -212,18 +218,22 @@ def coarse_grain_check(nodes: int = QUAD_NODES) -> CoarseGrainCheck:
     """Integrated halt continua against the grouped CP maps.
 
     On every matrix unit, integrating k(sigma) rho k(sigma) over the halt
-    parameter must reproduce the corresponding two-operator CP map. The 16
-    units are stacked, so one quadrature covers them all.
+    parameter must reproduce the corresponding two-operator CP map. The
+    halt operators are diagonal, so k rho k^dag is rho times the matrix
+    k_a conj(k_d) entry by entry: one einsum gives that matrix for both
+    halt continua at every quadrature node, and its integral acts on all
+    16 units at once.
     """
     ex = two_qubit_instrument()
     units = np.eye(16, dtype=np.complex128).reshape(16, 4, 4)
 
-    def integrand(sigma: float) -> np.ndarray:
-        return np.stack([
-            _conjugate(_halt_diag(np.sqrt(sigma), which)[None], units)
-            for which in (2, 3)])
+    def integrand(sigma: np.ndarray) -> np.ndarray:
+        k = np.stack([_halt_diag(np.sqrt(sigma), which) for which in (2, 3)],
+                     axis=1)
+        kd = np.diagonal(k, axis1=-2, axis2=-1)
+        return np.einsum("nra,nrd->nrad", kd, kd.conj())
 
-    got = integrate_sqrt_smooth(integrand, nodes=nodes)
+    got = integrate_sqrt_smooth(integrand, nodes=nodes)[:, None] * units
     want = np.stack([_conjugate(ex.instrument.branch(r).operators, units)
                      for r in (1, 2)])
     worst = float(np.linalg.norm(got - want, axis=(2, 3)).max())
@@ -272,9 +282,9 @@ def wstate_analysis(nodes: int = QUAD_NODES) -> WStateReport:
     e1 = _diag4(0.0, 0.0, 0.0, 1.0)
     k1_norm = float(np.linalg.norm(kron([e1, eye2]) @ w))
 
-    def outcome(sigma: float, which: int) -> np.ndarray:
+    def outcome(sigma: np.ndarray, which: int) -> np.ndarray:
         v = kron([_halt_diag(np.sqrt(sigma), which), eye2]) @ w
-        return np.outer(v, v.conj())
+        return v[:, :, None] * v[:, None, :].conj()
 
     rho2 = integrate_sqrt_smooth(lambda sg: outcome(sg, 2), nodes=nodes)
     rho3 = integrate_sqrt_smooth(lambda sg: outcome(sg, 3), nodes=nodes)
@@ -305,14 +315,14 @@ def channel_zonoid() -> ZonoidSpec:
     return ZonoidSpec(kraus_from_operators(list(K_REDUCED), (2, 2)))
 
 
-def _s_of(sigma: float) -> float:
+def _s_of(sigma):
     """Main-path trace s = (1 + sigma)^2 where halt parameter sigma attaches."""
     return (1.0 + sigma) ** 2
 
 
-def _sigma_of(s: float) -> float:
+def _sigma_of(s):
     """Inverse of :func:`_s_of`."""
-    return float(np.sqrt(s)) - 1.0
+    return np.sqrt(s) - 1.0
 
 
 def limiting_family(spec: ZonoidSpec | None = None):
@@ -326,11 +336,11 @@ def limiting_family(spec: ZonoidSpec | None = None):
         spec = channel_zonoid()
     main = CheckedPath(
         label="main",
-        op_at=lambda s: limit_path(2, s),
+        op_at=lambda s: limit_path_stack(2, s),
         s_top=4.0,
         s_bottom=1.0,
         dims=DIMS_2Q,
-        cmatrix_at=lambda s: c_matrix_family("C1", s),
+        cmatrix_at=lambda s: c_matrix_stack("C1", s),
         endpoint_c=c_matrix_family("C1", 1.0),
     )
 
@@ -340,7 +350,7 @@ def limiting_family(spec: ZonoidSpec | None = None):
             label=f"halt-{'B' if which == 2 else 'A'}",
             parent=main,
             density_at=lambda sg, w=which: _halt_diag(sg, w),
-            cdensity_at=lambda sg, nm=name: c_matrix_family(nm, _s_of(sg)),
+            cdensity_at=lambda sg, nm=name: c_matrix_stack(nm, _s_of(sg)),
             attach_s=_s_of,
             sigma_at=_sigma_of,
         ))
@@ -367,7 +377,7 @@ def blocked_limiting_family(spec: ZonoidSpec | None = None):
 
     main = CheckedPath(
         label="main",
-        op_at=lambda s: limit_path(2, s),
+        op_at=lambda s: limit_path_stack(2, s),
         s_top=4.0,
         s_bottom=1.0,
         dims=DIMS_2Q,
@@ -375,15 +385,14 @@ def blocked_limiting_family(spec: ZonoidSpec | None = None):
     )
 
     def blocked_density(which: int):
-        block = blocks[which - 1]
-        a = np.linalg.pinv(
-            np.stack([ops[j] for j in block]).reshape(len(block), 16).T)
+        block = list(blocks[which - 1])
+        a = np.linalg.pinv(ops[block].reshape(len(block), 16).T)
 
-        def f(sigma: float) -> CoefficientMatrix:
-            k = _halt_diag(np.sqrt(sigma), which)
-            w = np.zeros(spec.kappa, dtype=np.complex128)
-            w[list(block)] = a @ k.reshape(16)
-            return CoefficientMatrix(np.outer(w, w.conj()))
+        def f(sigma: np.ndarray) -> np.ndarray:
+            k = _halt_diag(np.sqrt(sigma), which).reshape(-1, 16)
+            w = np.zeros((len(k), spec.kappa), dtype=np.complex128)
+            w[:, block] = k @ a.T
+            return w[:, :, None] * w[:, None, :].conj()
         return f
 
     fams = [

@@ -28,6 +28,24 @@ class NotInSpanError(ValueError):
     """An operator could not be expanded over the basis."""
 
 
+def coefficient_stack(m) -> np.ndarray:
+    """Hermitian parts of a coefficient matrix or a stack (..., k, k) of them.
+
+    Raises ValueError unless every matrix is square and Hermitian to
+    INPUT_HERMITICITY_TOL relative to 1 + its largest entry, the rule of
+    :class:`CoefficientMatrix`, which keeps the result for one matrix.
+    """
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError("coefficient matrix must be square")
+    ah = a.conj().swapaxes(-1, -2)
+    scale = 1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0)
+    skew = np.abs(a - ah).max(axis=(-2, -1), initial=0.0)
+    if np.any(~(skew <= INPUT_HERMITICITY_TOL * scale)):
+        raise ValueError("coefficient matrix must be Hermitian")
+    return 0.5 * (a + ah)
+
+
 @dataclass(frozen=True)
 class CoefficientMatrix:
     """Hermitian coefficient matrix over a zonoid basis.
@@ -39,12 +57,7 @@ class CoefficientMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError("coefficient matrix must be square")
-        if not is_hermitian(m, INPUT_HERMITICITY_TOL):
-            raise ValueError("coefficient matrix must be Hermitian")
-        sym = 0.5 * (m + m.conj().T)
+        sym = coefficient_stack(as_matrix(self.matrix))
         sym.setflags(write=False)
         object.__setattr__(self, "matrix", sym)
 
@@ -167,7 +180,8 @@ class _MembershipSolver:
                        - self.step * (self.a_h @ self.a))
 
     def image(self, c: np.ndarray) -> np.ndarray:
-        return np.einsum("mn,mnac->ac", c, self.gram_ops)
+        """L(C) of a coefficient matrix, or of each of a stack (..., k, k)."""
+        return np.einsum("...mn,mnac->...ac", c, self.gram_ops)
 
     def residual(self, c: np.ndarray, z: np.ndarray) -> float:
         return float(np.linalg.norm(self.image(c) - z))
@@ -191,13 +205,18 @@ class _MembershipSolver:
         w = np.minimum(np.maximum(w, 0.0), 1.0)
         return ((v * w) @ v.conj().T)[self.mask]
 
-    def in_box(self, c: np.ndarray) -> bool:
-        for grid in self.grids:
-            sub = c[grid]
-            w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
-            if w[0] < -ROUNDING_TOL or w[-1] > 1.0 + ROUNDING_TOL:
-                return False
-        return True
+    def in_box(self, c: np.ndarray):
+        """Whether 0 <= C <= 1 holds to rounding on every block.
+
+        For a stack (..., k, k), one answer per matrix.
+        """
+        ok = np.ones(c.shape[:-2], dtype=bool)
+        for rows, cols in self.grids:
+            sub = c[..., rows, cols]
+            w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().swapaxes(-1, -2)))
+            ok &= (w[..., 0] >= -ROUNDING_TOL) & (w[..., -1]
+                                                  <= 1.0 + ROUNDING_TOL)
+        return bool(ok) if ok.ndim == 0 else ok
 
     def support(self, xs: np.ndarray) -> np.ndarray:
         """h(x) for each direction of the stack ``xs``, shape (k, d, d).

@@ -55,7 +55,7 @@ from loccverify import (
 )
 from loccverify.twoqubit import K_GROUPED, K_REDUCED
 
-from conftest import random_channel, random_density
+from conftest import random_channel, random_density, stacked
 
 
 def announce(capsys, number: str, ok: bool, detail: str = ""):
@@ -137,8 +137,8 @@ def test_criterion_4_limit_membership(capsys):
         for name in ("C2", "C3") for sg in sigmas for x in xs)
     total = c_matrix_family("C1", 1.0).matrix.copy()
     for name in ("C2", "C3"):
-        total += integrate_sqrt_smooth(
-            lambda u, n=name: c_matrix_family(n, float((1 + u) ** 2)).matrix)
+        total += integrate_sqrt_smooth(stacked(
+            lambda u, n=name: c_matrix_family(n, float((1 + u) ** 2)).matrix))
     res_defect = float(np.abs(total - np.eye(4)).max())
     spec = channel_zonoid()
     mem_worst = max(membership(limit_path(2, float(s)), spec).residual

@@ -19,11 +19,57 @@ from loccverify import (
 from loccverify.linalg import (cumulative_sqrt_smooth, frobenius,
                                is_hermitian, operator_norm)
 
-from conftest import haar_unitary, random_density
+from conftest import (haar_unitary, loop_gauss_legendre, loop_sqrt_smooth,
+                      random_density, stacked)
 
 
 def complex_matrix(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _mixed_integrand(t):
+    """Vector-valued, complex, smooth in sqrt(t); a float gives shape (3,),
+    an array of n nodes the stack (n, 3)."""
+    t = np.asarray(t)
+    return np.stack([t, np.sqrt(t) + 2.0, np.cos(3.0 * t) + 1j * t ** 2],
+                    axis=-1)
+
+
+def _loop_cumulative(f, sigmas, nodes=64):
+    """Per-segment, per-node form of cumulative_sqrt_smooth (scalar f)."""
+    u = np.sqrt(np.asarray(sigmas, dtype=float))
+    out = [None] * len(u)
+    total, lo = None, 0.0
+    for i in np.argsort(u):
+        hi = float(u[i])
+        if total is None or hi > lo:
+            n = max(2, int(np.ceil(nodes * (hi - lo))))
+            segment = loop_sqrt_smooth(f, lo, hi, n)
+            total = segment if total is None else total + segment
+            lo = hi
+        out[i] = total
+    return np.stack(out)
+
+
+def _loop_product_defect(m, dims):
+    """One matrix at a time: the product defect before it took stacks."""
+    a = np.asarray(m, dtype=np.complex128)
+    d = tuple(dims)
+    if len(d) == 1 or np.linalg.norm(a) == 0.0:
+        return 0.0
+    worst = 0.0
+    for cut in range(1, len(d)):
+        d1, d2 = int(np.prod(d[:cut])), int(np.prod(d[cut:]))
+        r = a.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(
+            d1 * d1, d2 * d2)
+        s = np.linalg.svd(r, compute_uv=False)
+        if s.size > 1:
+            worst = max(worst, float(s[1] / max(s[0], 1e-300)))
+    return worst
+
+
+def _relative_gap(got, want) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
 
 
 class TestPartyDims:
@@ -146,7 +192,8 @@ class TestQuadrature:
 
     def test_matrix_valued(self):
         got = gauss_legendre(
-            lambda x: np.array([[x, x ** 2], [0.0, 1.0]]), 0.0, 2.0, nodes=8)
+            stacked(lambda x: np.array([[x, x ** 2], [0.0, 1.0]])), 0.0, 2.0,
+            nodes=8)
         np.testing.assert_allclose(
             got, np.array([[2.0, 8.0 / 3.0], [0.0, 2.0]]), atol=1e-12)
 
@@ -175,9 +222,7 @@ class TestQuadrature:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
     def test_cumulative_rule_ends_at_the_full_integral(self):
-        def f(t):
-            return np.array([[t, np.sqrt(t)], [1.0, t ** 1.5]])
-
+        f = stacked(lambda t: np.array([[t, np.sqrt(t)], [1.0, t ** 1.5]]))
         got = cumulative_sqrt_smooth(f, np.linspace(0.0, 1.0, 7))
         assert got.shape == (7, 2, 2)
         np.testing.assert_array_equal(got[0], np.zeros((2, 2)))
@@ -187,6 +232,42 @@ class TestQuadrature:
     def test_interval_scaling(self):
         got = gauss_legendre(np.cos, 0.0, np.pi / 2, nodes=32)
         assert got == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("nodes", [1, 2, 7, 16, 64])
+    @pytest.mark.parametrize("f", [np.cos, np.sqrt, _mixed_integrand])
+    def test_stacked_rules_match_the_node_loop(self, f, nodes):
+        got = gauss_legendre(f, 0.25, 2.0, nodes=nodes)
+        assert np.shape(got) == np.shape(f(1.0))
+        assert _relative_gap(got, loop_gauss_legendre(
+            f, 0.25, 2.0, nodes)) <= 1e-15
+        assert _relative_gap(integrate_sqrt_smooth(f, nodes=nodes),
+                             loop_sqrt_smooth(f, 0.0, 1.0, nodes)) <= 1e-15
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    def test_cumulative_rule_matches_the_segment_loop(self, sigmas):
+        got = cumulative_sqrt_smooth(_mixed_integrand, sigmas)
+        want = _loop_cumulative(_mixed_integrand, sigmas)
+        assert got.shape == want.shape == (len(sigmas), 3)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(
+            initial=1.0)
+
+    def test_cumulative_rule_calls_the_integrand_once(self):
+        calls = []
+
+        def f(t):
+            calls.append(t.shape)
+            return 3.0 * np.sqrt(t) - 2.0
+
+        cumulative_sqrt_smooth(f, np.linspace(0.0, 1.0, 101))
+        integrate_sqrt_smooth(f)
+        assert len(calls) == 2
+
+    def test_integrand_must_return_one_value_per_node(self):
+        with pytest.raises(ValueError, match="one value per node"):
+            gauss_legendre(lambda x: 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="one value per node"):
+            integrate_sqrt_smooth(lambda x: np.eye(2))
 
 
 class TestProductStructure:
@@ -216,3 +297,20 @@ class TestProductStructure:
     def test_density_product(self, rng):
         rho = kron([random_density(2, rng), random_density(2, rng)])
         assert product_defect(rho, PartyDims((2, 2))) < 1e-12
+
+    @pytest.mark.parametrize("dims", [(4,), (2, 2), (2, 3), (2, 2, 2),
+                                      (3, 2, 2)])
+    def test_stack_equals_the_per_matrix_loop(self, rng, dims):
+        d = int(np.prod(dims))
+        products = kron([complex_matrix(rng, (3, k, k)) for k in dims])
+        stack = np.concatenate([complex_matrix(rng, (4, d, d)), products,
+                                np.zeros((1, d, d))])
+        got = product_defect(stack.reshape(2, 4, d, d), PartyDims(dims))
+        assert got.shape == (2, 4)
+        want = [_loop_product_defect(m, dims) for m in stack]
+        np.testing.assert_array_equal(got.reshape(-1), want)
+        assert product_defect(stack[0], dims) == want[0]
+
+    def test_shape_must_match_dims(self):
+        with pytest.raises(ValueError):
+            product_defect(np.eye(4), (2, 3))

@@ -2,7 +2,6 @@
 
 import dataclasses
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loccverify import (
-    CoefficientMatrix,
     PartyDims,
     ProtocolNode,
     ProtocolParams,
@@ -38,8 +36,10 @@ from loccverify import (
 )
 from loccverify import protocols
 from loccverify.linalg import cumulative_sqrt_smooth
-from loccverify.protocols import (TreeFailure, protocol_check_bytes,
-                                  protocol_tree_bytes)
+from loccverify.protocols import (TreeFailure, limit_path_stack,
+                                  protocol_check_bytes, protocol_tree_bytes)
+
+from conftest import stacked
 
 
 class TestParams:
@@ -585,9 +585,9 @@ class TestDerivativeOutcomes:
         # the path bottom is the projector onto the all-ones corner
         total = limit_path(parties, 1.0).copy()
         for alpha in range(parties):
-            total = total + integrate_sqrt_smooth(
+            total = total + integrate_sqrt_smooth(stacked(
                 lambda u, a=alpha: np.real(
-                    derivative_outcomes(parties, _s_of(parties, u))[a]))
+                    derivative_outcomes(parties, _s_of(parties, u))[a])))
         np.testing.assert_allclose(np.diagonal(total), np.ones(d), atol=1e-10)
 
     def test_outcome_shapes_and_positions(self):
@@ -662,8 +662,8 @@ class TestCMatrixFamily:
     def test_resolution_of_identity(self):
         total = c_matrix_family("C1", 1.0).matrix.copy()
         for name in ("C2", "C3"):
-            total += integrate_sqrt_smooth(
-                lambda u, n=name: c_matrix_family(n, _s_of(2, u)).matrix)
+            total += integrate_sqrt_smooth(stacked(
+                lambda u, n=name: c_matrix_family(n, _s_of(2, u)).matrix))
         np.testing.assert_allclose(total, np.eye(4), atol=1e-8)
 
 
@@ -698,8 +698,8 @@ class TestVerifyTheoremConditions:
         # below zero by 1e-6 must still show up with that defect.
         paths, fams = limiting_family()
         fam = fams[0]
-        fam.cdensity_at = lambda sg, f=fam.cdensity_at: CoefficientMatrix(
-            f(sg).matrix - 1e-6 * np.eye(4))
+        fam.cdensity_at = lambda sg, f=fam.cdensity_at: (f(sg)
+                                                         - 1e-6 * np.eye(4))
         rep = verify_theorem_conditions(channel_zonoid(), paths,
                                         families=fams, s_samples=5,
                                         sigma_samples=11)
@@ -708,13 +708,99 @@ class TestVerifyTheoremConditions:
         assert psd.defect == pytest.approx(1e-6, rel=1e-6)
         assert rep.check(f"{fams[1].label}:psd").passed
 
+    def test_psd_names_the_sigma_of_the_lowest_eigenvalue(self):
+        # A dip of depth 1e-6 centred on sigma = 0.3, a grid point.
+        paths, fams = limiting_family()
+        fam = fams[0]
+        fam.cdensity_at = lambda sg, f=fam.cdensity_at: f(sg) - 1e-6 * (
+            np.exp(-((sg - 0.3) / 0.1) ** 2)[:, None, None] * np.eye(4))
+        rep = verify_theorem_conditions(channel_zonoid(), paths,
+                                        families=fams, s_samples=5,
+                                        sigma_samples=11)
+        psd = rep.check(f"{fam.label}:psd")
+        assert psd.defect == pytest.approx(1e-6, rel=1e-6)
+        assert psd.where == "sigma=0.3"
+
+    def test_path_checks_name_their_worst_s(self):
+        # A bump on the |00><00| entry, largest at s = 2.5, breaks the
+        # trace, the product structure and the C1 reconstruction there.
+        paths, fams = limiting_family()
+
+        def bumped(s):
+            op = limit_path_stack(2, s)
+            op[:, 0, 0] += 1e-6 * np.exp(-((s - 2.5) / 0.3) ** 2)
+            return op
+
+        paths[0].op_at = bumped
+        rep = verify_theorem_conditions(channel_zonoid(), paths,
+                                        families=fams, s_samples=7,
+                                        sigma_samples=11)
+        for name in ("trace", "product", "witness-family"):
+            check = rep.check(f"main:{name}")
+            assert not check.passed
+            assert check.where == "s=2.5"
+
+    @pytest.mark.parametrize("family, spec", [
+        (limiting_family, channel_zonoid),
+        (blocked_limiting_family, instrument_zonoid),
+    ])
+    def test_callbacks_are_called_once_per_grid(self, family, spec):
+        # Each callback answers a whole grid, so its call count cannot
+        # depend on the number of samples; a per-sample loop would.
+        def counted(owner, attr, calls, key):
+            real = getattr(owner, attr)
+            if real is None:
+                return
+
+            def wrapper(x):
+                calls[key] = calls.get(key, 0) + 1
+                return real(x)
+            setattr(owner, attr, wrapper)
+
+        counts = []
+        for samples in (11, 101):
+            paths, fams = family()
+            calls = {}
+            for path in paths:
+                for attr in ("op_at", "cmatrix_at"):
+                    counted(path, attr, calls, f"{path.label}.{attr}")
+            for fam in fams:
+                for attr in ("density_at", "cdensity_at", "attach_s",
+                             "sigma_at"):
+                    counted(fam, attr, calls, f"{fam.label}.{attr}")
+            rep = verify_theorem_conditions(spec(), paths, families=fams,
+                                            s_samples=samples,
+                                            sigma_samples=samples)
+            assert rep.passed
+            counts.append(calls)
+        assert counts[0] == counts[1]
+        assert counts[0]["main.op_at"] == 2
+        assert all(counts[0][f"{fam.label}.cdensity_at"] == 3 for fam in fams)
+
+    def test_non_hermitian_coefficient_stack_is_refused(self):
+        # The verifier applies CoefficientMatrix's rule to every stack.
+        paths, fams = limiting_family()
+        skew = np.zeros((4, 4))
+        skew[1, 3] = 1e-6
+        fams[0].cdensity_at = lambda sg, f=fams[0].cdensity_at: f(sg) + skew
+        with pytest.raises(ValueError, match="Hermitian"):
+            verify_theorem_conditions(channel_zonoid(), paths, families=fams,
+                                      s_samples=5, sigma_samples=11)
+
+    def test_callback_answering_one_parameter_is_refused(self):
+        paths, fams = limiting_family()
+        fams[0].density_at = lambda sg, w=fams[0].density_at: w(sg)[0]
+        with pytest.raises(ValueError, match="density_at returned shape"):
+            verify_theorem_conditions(channel_zonoid(), paths, families=fams,
+                                      s_samples=5, sigma_samples=11)
+
     def test_scaled_density_falls_back_to_the_solver(self, monkeypatch):
         # A family whose density is 1% off no longer assembles a witness, so
         # the solver answers membership and the resolution still fails.
         paths, fams = limiting_family()
         fams[0] = dataclasses.replace(
             fams[0], cdensity_at=lambda sg, f=fams[0].cdensity_at:
-            CoefficientMatrix(1.01 * f(sg).matrix))
+            1.01 * f(sg))
         calls = _count_membership_calls(monkeypatch)
         rep = verify_theorem_conditions(channel_zonoid(), paths,
                                         families=fams, s_samples=11,
@@ -741,15 +827,18 @@ class TestVerifyTheoremConditions:
         def flawed(sg):
             c = real(sg)
             if flaw == "outside-box":
-                return CoefficientMatrix((1.0 + 1e-9) * c.matrix)
+                return (1.0 + 1e-9) * c
             if flaw == "block-coupling":
                 bump[blocks[0][0], blocks[1][0]] = 1e-9
-                return CoefficientMatrix(c.matrix + bump + bump.T)
-            # CoefficientMatrix refuses a non-Hermitian matrix, so a
-            # stand-in carries it; the witness assembly reads only .matrix.
+                return c + bump + bump.T
             bump[blocks[1][0], blocks[1][1]] = 1e-9
-            return types.SimpleNamespace(matrix=c.matrix + bump - bump.T)
+            return c + bump - bump.T
 
+        if flaw == "anti-hermitian":
+            # The verifier refuses a non-Hermitian coefficient stack, so its
+            # check is lifted here; the witness gate must still catch it.
+            monkeypatch.setattr(protocols, "coefficient_stack",
+                                lambda m: np.asarray(m, dtype=complex))
         fams[0] = dataclasses.replace(fams[0], cdensity_at=flawed)
         calls = _count_membership_calls(monkeypatch)
         rep = verify_theorem_conditions(spec, paths, families=fams,
@@ -832,10 +921,8 @@ class TestIntegratedWitness:
         solver = spec.solver()
         (main,), fams = family(spec)
         c_end, _ = protocols._endpoint_check(main, spec)
-        cs = c_end.matrix + sum(
-            cumulative_sqrt_smooth(
-                lambda t, f=fam: f.cdensity_at(float(t)).matrix, sigmas)
-            for fam in fams)
+        cs = c_end.matrix + sum(cumulative_sqrt_smooth(fam.cdensity_at, sigmas)
+                                for fam in fams)
         for sigma, c in zip(sigmas, cs):
             assert np.abs(np.where(solver.mask, 0.0, c)).max() == 0.0
             for grid in solver.grids:
@@ -854,6 +941,18 @@ class TestIntegratedWitness:
                                       s_samples=s_samples)
         with pytest.raises(ValueError):
             paths[0].sample_grid(s_samples)
+
+    @pytest.mark.parametrize("sigma_samples", [0, -1])
+    def test_no_sigma_samples_is_rejected(self, sigma_samples):
+        # Without sigma samples every family check would pass unchecked,
+        # even for a density shifted below zero.
+        paths, fams = limiting_family()
+        fams[0].cdensity_at = lambda sg, f=fams[0].cdensity_at: (
+            f(sg) - 1e-6 * np.eye(4))
+        with pytest.raises(ValueError, match="sigma_samples"):
+            verify_theorem_conditions(channel_zonoid(), paths, families=fams,
+                                      s_samples=5,
+                                      sigma_samples=sigma_samples)
 
     @pytest.mark.parametrize("family", [limiting_family,
                                         blocked_limiting_family])

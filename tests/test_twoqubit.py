@@ -35,7 +35,7 @@ from loccverify.pqubit import multiplier_choi_matrix
 from loccverify.twoqubit import K_GROUPED, K_REDUCED, W_GROUPING, _halt_diag
 from loccverify.zonoid import _directions
 
-from conftest import random_density
+from conftest import loop_sqrt_smooth, random_density, stacked
 
 
 def ket(*bits):
@@ -180,7 +180,7 @@ class TestLimitingChoi:
             return np.outer(v2, v2.conj()) + np.outer(v3, v3.conj())
 
         want = np.outer(v1, v1.conj()) + integrate_sqrt_smooth(
-            halt_term, nodes=nodes)
+            stacked(halt_term), nodes=nodes)
         got = limiting_choi_2q(nodes)
         assert not got.normalized
         assert np.array_equal(got.matrix, want)
@@ -199,6 +199,12 @@ class TestIsometryIntegrals:
         assert rep.passed
         assert rep.max_row_residual <= 1e-10
         assert rep.coefficient_defect <= 1e-10
+
+    def test_blocked_relation_matches_per_sample_loop(self):
+        rep = blocked_isometry_check()
+        res, coef = _blocked_isometry_per_sample()
+        assert abs(rep.max_row_residual - res) <= 1e-15
+        assert abs(rep.coefficient_defect - coef) <= 1e-15
 
     def test_coarse_grain(self):
         rep = coarse_grain_check()
@@ -221,8 +227,26 @@ class TestIsometryIntegrals:
                                                abs=1e-15)
 
 
+def _blocked_isometry_per_sample():
+    """Blocked isometry defects with one least-squares fit per sigma."""
+    worst_res = worst_coef = 0.0
+    for sigma in np.linspace(0.0, 1.0, 101):
+        rt = np.sqrt(sigma)
+        want = np.array([np.sqrt(3.0) * (2.0 * rt - 1.0),
+                         np.sqrt(6.0) * (1.0 - rt)])
+        for which, block in ((2, (1, 2)), (3, (3, 4))):
+            vec = _halt_diag(rt, which)
+            a = K_GROUPED[list(block)].reshape(2, 16).T
+            coef, *_ = np.linalg.lstsq(a, vec.reshape(16), rcond=None)
+            recon = (a @ coef).reshape(4, 4)
+            worst_res = max(worst_res, float(np.linalg.norm(recon - vec)))
+            worst_coef = max(worst_coef, float(np.abs(coef - want).max()))
+    return worst_res, worst_coef
+
+
 def _coarse_grain_per_unit(nodes):
-    """Coarse-grain defect with one quadrature per matrix unit."""
+    """Coarse-grain defect with one node-by-node quadrature per matrix
+    unit."""
     ex = two_qubit_instrument()
     worst = 0.0
     for i in range(4):
@@ -236,7 +260,7 @@ def _coarse_grain_per_unit(nodes):
                 return np.stack([k2 @ unit @ k2.conj().T,
                                  k3 @ unit @ k3.conj().T])
 
-            got = integrate_sqrt_smooth(integrand, nodes=nodes)
+            got = loop_sqrt_smooth(integrand, 0.0, 1.0, nodes)
             for r, part in ((1, got[0]), (2, got[1])):
                 want = sum(k @ unit @ k.conj().T
                            for k in ex.instrument.branch(r).operators)

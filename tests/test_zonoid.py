@@ -28,7 +28,8 @@ from loccverify import (
 )
 from loccverify import twoqubit, zonoid
 from loccverify.tolerances import MEMBERSHIP_TOL, ROUNDING_TOL
-from loccverify.zonoid import CoefficientMatrix, _directions
+from loccverify.zonoid import (CoefficientMatrix, _directions,
+                               coefficient_stack)
 
 from conftest import haar_unitary
 
@@ -201,6 +202,36 @@ class TestMembershipReports:
         c = CoefficientMatrix(m)
         m[0, 1] = 1.0
         assert c.matrix[0, 1] == 0.0
+
+    def test_coefficient_stack_follows_the_coefficient_matrix_rule(self, rng):
+        g = rng.standard_normal((6, 5, 5)) + 1j * rng.standard_normal((6, 5, 5))
+        stack = 0.5 * (g + g.conj().transpose(0, 2, 1))
+        stack[2, 0, 1] += 1e-12  # skew inside INPUT_HERMITICITY_TOL
+        got = coefficient_stack(stack)
+        for m, c in zip(stack, got):
+            np.testing.assert_array_equal(c, CoefficientMatrix(m).matrix)
+        stack[4, 1, 3] += 1e-7
+        with pytest.raises(ValueError, match="Hermitian"):
+            CoefficientMatrix(stack[4])
+        with pytest.raises(ValueError, match="Hermitian"):
+            coefficient_stack(stack)
+        with pytest.raises(ValueError, match="square"):
+            coefficient_stack(stack[:, :, :4])
+
+    @pytest.mark.parametrize("spec", [channel_zonoid, instrument_zonoid])
+    def test_stacked_image_and_box_test_match_single_calls(self, spec, rng):
+        solver = spec().solver()
+        k = solver.kappa
+        g = rng.standard_normal((7, k, k)) + 1j * rng.standard_normal((7, k, k))
+        cs = np.where(solver.mask, 0.1 * (g + g.conj().transpose(0, 2, 1)),
+                      0.0) + 0.5 * np.eye(k)
+        cs[3] *= 4.0
+        images = solver.image(cs)
+        boxes = solver.in_box(cs)
+        assert boxes.dtype == bool and not boxes.all() and boxes.any()
+        for c, image, box in zip(cs, images, boxes):
+            np.testing.assert_array_equal(image, solver.image(c))
+            assert solver.in_box(c) is bool(box)
 
     def test_non_hermitian_rejected(self):
         spec = square_spec()
