@@ -255,7 +255,8 @@ def cumulative_sqrt_smooth(f: Callable[[np.ndarray], np.ndarray],
     u = np.sqrt(np.asarray(sigmas, dtype=float))
     if u.ndim != 1 or u.size == 0:
         raise ValueError("need a nonempty 1-D array of sigmas")
-    hi = np.unique(u)
+    hi = np.sort(u)
+    hi = hi[np.concatenate([[True], hi[1:] > hi[:-1]])]
     lo = np.concatenate([[0.0], hi[:-1]])
     counts = [max(2, int(np.ceil(nodes * (b - a)))) for a, b in zip(lo, hi)]
     rules = [_leggauss(n) for n in counts]

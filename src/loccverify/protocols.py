@@ -816,7 +816,7 @@ def _witness_defects(solver, c_end: np.ndarray,
     herm = np.where(solver.mask, 0.5 * (cs + cs.conj().swapaxes(-1, -2)),
                     0.0)
     ok = ((np.linalg.norm(cs - herm, axis=(1, 2)) <= ROUNDING_TOL)
-          & solver.in_box(herm))
+          & solver.in_box_each(herm))
     residuals = np.linalg.norm(solver.image(herm) - ops, axis=(1, 2))
     return np.where(ok, residuals, np.inf)
 

@@ -41,7 +41,7 @@ def coefficient_stack(m) -> np.ndarray:
     ah = a.conj().swapaxes(-1, -2)
     scale = 1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0)
     skew = np.abs(a - ah).max(axis=(-2, -1), initial=0.0)
-    if np.any(~(skew <= INPUT_HERMITICITY_TOL * scale)):
+    if not (skew <= INPUT_HERMITICITY_TOL * scale).all():
         raise ValueError("coefficient matrix must be Hermitian")
     return 0.5 * (a + ah)
 
@@ -205,18 +205,26 @@ class _MembershipSolver:
         w = np.minimum(np.maximum(w, 0.0), 1.0)
         return ((v * w) @ v.conj().T)[self.mask]
 
-    def in_box(self, c: np.ndarray):
-        """Whether 0 <= C <= 1 holds to rounding on every block.
+    def in_box(self, c: np.ndarray) -> bool:
+        for grid in self.grids:
+            sub = c[grid]
+            w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
+            if w[0] < -ROUNDING_TOL or w[-1] > 1.0 + ROUNDING_TOL:
+                return False
+        return True
 
-        For a stack (..., k, k), one answer per matrix.
+    def in_box_each(self, cs: np.ndarray) -> np.ndarray:
+        """:meth:`in_box` of every matrix of the stack ``cs``, (n, k, k).
+
+        The same rule as one array operation per block; ``in_box`` keeps
+        its early exit, since the candidate test calls it on one matrix.
         """
-        ok = np.ones(c.shape[:-2], dtype=bool)
+        ok = np.ones(len(cs), dtype=bool)
         for rows, cols in self.grids:
-            sub = c[..., rows, cols]
-            w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().swapaxes(-1, -2)))
-            ok &= (w[..., 0] >= -ROUNDING_TOL) & (w[..., -1]
-                                                  <= 1.0 + ROUNDING_TOL)
-        return bool(ok) if ok.ndim == 0 else ok
+            sub = cs[:, rows, cols]
+            w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().transpose(0, 2, 1)))
+            ok &= (w[:, 0] >= -ROUNDING_TOL) & (w[:, -1] <= 1.0 + ROUNDING_TOL)
+        return ok
 
     def support(self, xs: np.ndarray) -> np.ndarray:
         """h(x) for each direction of the stack ``xs``, shape (k, d, d).

@@ -227,7 +227,7 @@ class TestMembershipReports:
                       0.0) + 0.5 * np.eye(k)
         cs[3] *= 4.0
         images = solver.image(cs)
-        boxes = solver.in_box(cs)
+        boxes = solver.in_box_each(cs)
         assert boxes.dtype == bool and not boxes.all() and boxes.any()
         for c, image, box in zip(cs, images, boxes):
             np.testing.assert_array_equal(image, solver.image(c))
