@@ -233,23 +233,6 @@ def isometric_relation(a: KrausSet, b: KrausSet):
     return w
 
 
-def stinespring(k: KrausSet) -> np.ndarray:
-    """Isometry V = sum_j |j>_env (x) K_j, environment factor first.
-
-    Only trace-preserving sets dilate to an isometry.
-    """
-    if not k.is_trace_preserving():
-        raise ValueError("Kraus set is not trace preserving")
-    n, do, d = k.operators.shape
-    return k.operators.reshape(n * do, d)
-
-
-def complementary(k: KrausSet) -> KrausSet:
-    """Channel to the environment: (Q_l)_{j i} = (K_j)_{l i}."""
-    q = k.operators.transpose(1, 0, 2)
-    return KrausSet(q.copy(), k.input_dims, PartyDims((k.n_operators,)))
-
-
 def _check_density(rho: np.ndarray, dim: int):
     if rho.shape != (dim, dim):
         raise ValueError(f"state shape {rho.shape} does not match dim {dim}")

@@ -135,10 +135,6 @@ def operator_norm(m) -> float:
     return float(np.linalg.svd(a, compute_uv=False).max())
 
 
-def frobenius(m) -> float:
-    return float(np.linalg.norm(as_matrix(m)))
-
-
 def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:

@@ -395,20 +395,6 @@ class PiecewisePath:
         return lam * self.operators[k] + (1.0 - lam) * self.operators[k + 1]
 
 
-def branch_path(tree: ProtocolTree, steps: Sequence[int]) -> PiecewisePath:
-    """Path from the root along the child indices ``steps`` to a leaf.
-
-    ``steps`` is a node path such as :attr:`TreeFailure.node_path`.
-    """
-    nodes = [tree.root]
-    for i in steps:
-        nodes.append(nodes[-1].children[int(i)])
-    if not nodes[-1].is_leaf:
-        raise ValueError("path does not end at a leaf")
-    s = np.array([n.trace for n in nodes])
-    return PiecewisePath(s, [n.povm_element for n in nodes])
-
-
 def main_branch_path(parties: int, rounds: int, exponent: float
                      ) -> PiecewisePath:
     """Main-branch path built directly, without the tree.

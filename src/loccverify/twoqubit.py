@@ -21,7 +21,6 @@ from .linalg import (
     integrate_sqrt_smooth,
     kron,
     partial_trace,
-    sqrt_psd,
 )
 from .channels import (
     ChoiOperator,
@@ -122,12 +121,6 @@ def limiting_povm(s: float):
         raise ValueError("s must lie in [1, 4]")
     first, second = derivative_outcomes(2, min(max(s, 1.0), 4.0))
     return _diag4(0.0, 0.0, 0.0, 1.0), second, first
-
-
-def limiting_kraus(s: float):
-    """Square roots of the halt densities, plus the main-branch endpoint."""
-    e1, d2, d3 = limiting_povm(s)
-    return e1, sqrt_psd(d2), sqrt_psd(d3)
 
 
 def limiting_choi_2q(nodes: int = QUAD_NODES) -> ChoiOperator:

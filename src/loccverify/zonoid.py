@@ -9,6 +9,7 @@ its own block and the boxes combine independently.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -118,7 +119,10 @@ class ZonoidSpec:
 
     def solver(self) -> "_MembershipSolver":
         if self._solver is None:
-            self._solver = _MembershipSolver(self)
+            ops = self.basis.operators
+            self._solver = _MembershipSolver(
+                np.einsum("mba,nbc->mnac", ops.conj(), ops),
+                self.block_list())
         return self._solver
 
 
@@ -126,13 +130,18 @@ class ZonoidSpec:
 class MembershipReport:
     """Answer of one membership solve.
 
-    ``stop`` says how it was reached: ``identity`` or ``affine`` when an
+    ``phase`` says which problem answered: ``candidate`` (an exact
+    candidate), ``descent`` (the descent on the whole box) or ``face-<k>``
+    (the descent on a face reached by k facial-reduction steps; only
+    feasible answers come from a face). ``face_x`` is then the canonical
+    direction that exposed the first face, else None. ``stop`` says how
+    the answering problem stopped: ``identity`` or ``affine`` when an
     exact candidate answered, otherwise the descent's stop rule:
     ``converged`` (residual <= 0.005 * tol), ``small-step`` (the iterate
     moved by <= 1e-13), ``stalled`` (400 iterations without a relative
     gain of 1e-6), ``outside`` (a separating direction certified the
-    point infeasible) or ``max-iter``. It is empty on a report built
-    without one.
+    point infeasible) or ``max-iter``. ``stop`` and ``phase`` are empty
+    on a report built without them.
     """
 
     feasible: bool
@@ -140,6 +149,8 @@ class MembershipReport:
     residual: float
     iterations: int
     stop: str = ""
+    phase: str = ""
+    face_x: np.ndarray | None = None
 
 
 class _MembershipSolver:
@@ -156,15 +167,21 @@ class _MembershipSolver:
     The descent carries C as the vector of its block-supported entries,
     so L is the matrix ``a`` and a gradient step is one matvec with the
     normal operator I - step * a^H a.
+
+    Where the slice meets the box only on a face there is no Slater point
+    and the descent crawls. So a descent that has neither converged nor
+    been certified outside by iteration 100 looks once for such a face and
+    solves there (``_face_solve``); if that fails to reach ``tol`` it
+    carries on, so every infeasible answer comes from the whole problem.
     """
 
-    def __init__(self, spec: ZonoidSpec):
-        ops = spec.basis.operators
-        kappa, _, d = ops.shape
+    def __init__(self, gram_ops: np.ndarray, blocks):
+        # gram_ops[m, n] = Khat_m^dag Khat_n on the input space.
+        kappa, _, d, _ = gram_ops.shape
         self.kappa = kappa
-        self.grids = [np.ix_(blk, blk) for blk in spec.block_list()]
-        # G[m, n] = Khat_m^dag Khat_n on the input space.
-        self.gram_ops = np.einsum("mba,nbc->mnac", ops.conj(), ops)
+        self.blocks = [list(blk) for blk in blocks]
+        self.grids = [np.ix_(blk, blk) for blk in self.blocks]
+        self.gram_ops = gram_ops
         mask = np.zeros((kappa, kappa), dtype=bool)
         for grid in self.grids:
             mask[grid] = True
@@ -178,6 +195,14 @@ class _MembershipSolver:
         self.a_h = np.ascontiguousarray(self.a.conj().T)
         self.normal = (np.eye(self.a.shape[1])
                        - self.step * (self.a_h @ self.a))
+        self.canonical = _directions(d, 0, 0)
+
+    def restricted(self, cols: np.ndarray, blocks) -> "_MembershipSolver":
+        """The solver over the basis K'_a = sum_n conj(cols[n, a]) Khat_n,
+        so that L'(Y) = L(cols Y cols^H)."""
+        gram = np.einsum("ma,nb,mnij->abij", cols, cols.conj(),
+                         self.gram_ops)
+        return _MembershipSolver(gram, blocks)
 
     def image(self, c: np.ndarray) -> np.ndarray:
         """L(C) of a coefficient matrix, or of each of a stack (..., k, k)."""
@@ -226,13 +251,17 @@ class _MembershipSolver:
             ok &= (w[:, 0] >= -ROUNDING_TOL) & (w[:, -1] <= 1.0 + ROUNDING_TOL)
         return ok
 
+    def overlap(self, xs: np.ndarray) -> np.ndarray:
+        """A[m', m] = Tr(x Khat_m^dag Khat_m') of each direction of ``xs``."""
+        return np.einsum("kab,mpba->kpm", xs, self.gram_ops)
+
     def support(self, xs: np.ndarray) -> np.ndarray:
         """h(x) for each direction of the stack ``xs``, shape (k, d, d).
 
         h(x) is the sum of the positive eigenvalues of the overlap matrix
-        A[m', m] = Tr(x Khat_m^dag Khat_m'), taken block by block.
+        A(x), taken block by block.
         """
-        overlap = np.einsum("kab,mpba->kpm", xs, self.gram_ops)
+        overlap = self.overlap(xs)
         total = np.zeros(len(xs))
         for rows, cols in self.grids:
             sub = overlap[:, rows, cols]
@@ -267,7 +296,83 @@ class _MembershipSolver:
             return c0, "affine"
         return None, ""
 
-    def _descend(self, z: np.ndarray, c0: np.ndarray, tol: float):
+    def expose_face(self, z: np.ndarray):
+        """A proper face of the zonoid that holds z, or None.
+
+        The first canonical direction x with A(x) nonzero and
+        |Re<x, z> - h(x)| <= ROUNDING_TOL exposes it. Every box point C
+        with Re<x, L(C)> = h(x) is 1 on the positive eigenspace of A(x) and
+        0 on the negative one, so the face is the image of C = P + V0 Y V0^H
+        with P the projector onto the positive eigenvectors and 0 <= Y <= 1
+        on the kernel columns V0. Returns (x, P, V0, blocks of Y); the
+        columns of V0 keep the block order, so Y stays block diagonal.
+        """
+        xs = self.canonical
+        pairing = np.real(np.einsum("kab,ab->k", xs.conj(), z))
+        gaps = np.abs(pairing - self.support(xs))
+        for k in np.flatnonzero(gaps <= ROUNDING_TOL):
+            a = self.overlap(xs[k:k + 1])[0]
+            pos, ker, blocks = [], [], []
+            width = 0
+            for blk, grid in zip(self.blocks, self.grids):
+                sub = a[grid]
+                w, v = np.linalg.eigh(0.5 * (sub + sub.conj().T))
+                cols = np.zeros((self.kappa, len(blk)), dtype=np.complex128)
+                cols[blk] = v
+                zero = np.abs(w) <= ROUNDING_TOL
+                pos.append(cols[:, w > ROUNDING_TOL])
+                ker.append(cols[:, zero])
+                if zero.any():
+                    blocks.append(tuple(range(width, width + zero.sum())))
+                    width += int(zero.sum())
+            if width < self.kappa:
+                p = np.hstack(pos)
+                return xs[k], p @ p.conj().T, np.hstack(ker), blocks
+        return None
+
+    def _face_solve(self, z: np.ndarray, tol: float, budget: int,
+                    c: np.ndarray) -> MembershipReport | None:
+        """Answer z on the face of the zonoid that holds it, or None.
+
+        Facial reduction (Borwein and Wolkowicz 1981; Permenter and Parrilo
+        2018): while a canonical direction exposes a face, fix C on it and
+        keep the kernel columns, each step dropping at least one dimension.
+        The descent on the last face needs no Slater point of the whole
+        box; it starts from the compression V0^H C V0 of the descent's
+        iterate ``c`` (a masked vector). Its witness is lifted back to a
+        kappa x kappa one and judged by the box and image rules of the
+        whole problem; the report is feasible only if that witness passes.
+        """
+        solver, target, steps = self, z, []
+        start = self.to_matrix(c)
+        while solver is not None:
+            face = solver.expose_face(target)
+            if face is None:
+                break
+            x, proj, ker, blocks = face
+            steps.append((x, proj, ker))
+            target = target - solver.image(proj)
+            start = ker.conj().T @ start @ ker
+            solver = solver.restricted(ker, blocks) if blocks else None
+        if not steps:
+            return None
+        if solver is None:
+            # The face pins C: the one point of the slice is the candidate.
+            inner, iters, stop = np.zeros((0, 0)), 0, "affine"
+        else:
+            rep = solver.solve(target, tol, budget, faces=False,
+                               start=start[solver.mask])
+            inner, iters, stop = rep.witness.matrix, rep.iterations, rep.stop
+        for _, proj, ker in reversed(steps):
+            inner = proj + ker @ inner @ ker.conj().T
+        witness = CoefficientMatrix(self.to_matrix(inner[self.mask]))
+        res = self.residual(witness.matrix, z)
+        return MembershipReport(self.in_box(witness.matrix) and res <= tol,
+                                witness, res, iters, stop,
+                                f"face-{len(steps)}", steps[0][0])
+
+    def _descend(self, z: np.ndarray, c0: np.ndarray, tol: float,
+                 budget: int, faces: bool) -> MembershipReport:
         zvec = z.reshape(-1)
         shift = self.step * (self.a_h @ zvec)
         normal = self.normal
@@ -277,10 +382,13 @@ class _MembershipSolver:
         best = c
         best_res = float(np.linalg.norm(self.a @ c - zvec))
         last_improve = 0
+        # it counts this descent's steps, iters those of the whole solve.
         iters = 0
+        it = -1
         stop = "max-iter"
-        for it in range(MEMBERSHIP_MAX_ITER):
-            iters = it + 1
+        while iters < budget:
+            it += 1
+            iters += 1
             g = normal @ y + shift
             cn = self.project_box(g)
             # y - g = step * grad, so this is the sign of Re<grad, cn - c>.
@@ -308,23 +416,37 @@ class _MembershipSolver:
             if it - last_improve >= 400:
                 stop = "stalled"
                 break
-            if it % 100 == 99 and self.outside_certified(z, c, tol):
-                stop = "outside"
-                break
-        return best, best_res, iters, stop
+            if it % 100 == 99:
+                if self.outside_certified(z, c, tol):
+                    stop = "outside"
+                    break
+                if it == 99 and faces:
+                    found = self._face_solve(z, tol, budget - iters, c)
+                    if found is not None:
+                        iters += found.iterations
+                        if found.feasible:
+                            return dataclasses.replace(found,
+                                                       iterations=iters)
+        return MembershipReport(best_res <= tol,
+                                CoefficientMatrix(self.to_matrix(best)),
+                                float(best_res), iters, stop, "descent")
 
-    def solve(self, z: np.ndarray, tol: float) -> MembershipReport:
+    def solve(self, z: np.ndarray, tol: float, budget: int,
+              faces: bool = True, start: np.ndarray | None = None
+              ) -> MembershipReport:
+        """Candidates, then the descent with at most ``budget`` iterations,
+        face steps included. ``faces`` allows the facial reduction;
+        ``start`` (a masked vector) replaces the descent's start a_pinv z.
+        """
         zvec = z.reshape(-1)
         c0 = self.a_pinv @ zvec
         cand, stop = self._candidates(zvec, c0)
         if cand is not None:
             c = self.to_matrix(cand)
             return MembershipReport(True, CoefficientMatrix(c),
-                                    self.residual(c, z), 0, stop)
-        best, best_res, iters, stop = self._descend(z, c0, tol)
-        return MembershipReport(best_res <= tol,
-                                CoefficientMatrix(self.to_matrix(best)),
-                                float(best_res), iters, stop)
+                                    self.residual(c, z), 0, stop, "candidate")
+        return self._descend(z, c0 if start is None else start, tol, budget,
+                             faces)
 
 
 def membership(z, spec: ZonoidSpec, tol: float = MEMBERSHIP_TOL
@@ -335,7 +457,8 @@ def membership(z, spec: ZonoidSpec, tol: float = MEMBERSHIP_TOL
     is always box feasible; ``feasible`` is the comparison against ``tol``.
     A point outside the affine span can never be feasible and shows up with
     a residual at least its distance to the span. MEMBERSHIP_MAX_ITER
-    bounds the descent iterations of the whole solve.
+    bounds the descent iterations of the whole solve, those on a face of
+    the zonoid included.
     """
     z = as_matrix(z)
     d = spec.dim
@@ -343,7 +466,7 @@ def membership(z, spec: ZonoidSpec, tol: float = MEMBERSHIP_TOL
         raise ValueError(f"operator shape {z.shape} does not match dim {d}")
     if not is_hermitian(z, INPUT_HERMITICITY_TOL):
         raise ValueError("membership expects a Hermitian operator")
-    return spec.solver().solve(z, tol)
+    return spec.solver().solve(z, tol, MEMBERSHIP_MAX_ITER)
 
 
 def support_function(x, spec: ZonoidSpec) -> float:

@@ -12,13 +12,11 @@ from loccverify import (
     channel_from_leaf_povm,
     choi,
     choi_distance,
-    complementary,
     isometric_relation,
     kraus_from_operators,
     kraus_rank,
     minimal_kraus,
     qc_embed,
-    stinespring,
     trace_norm,
 )
 
@@ -150,20 +148,6 @@ class TestIsometricRelation:
         a = minimal_kraus(random_channel(D22, 2, rng))
         b = minimal_kraus(random_channel(D22, 2, rng))
         assert isometric_relation(a, b) is None
-
-
-class TestStinespring:
-    def test_isometry_property(self, rng):
-        k = random_channel(D22, 3, rng)
-        v = stinespring(k)
-        np.testing.assert_allclose(v.conj().T @ v, np.eye(4), atol=1e-12)
-
-    def test_complementary_is_trace_preserving(self, rng):
-        k = random_channel(D2, 3, rng)
-        comp = complementary(k)
-        assert comp.output_dim == 3
-        s = np.einsum("mij,mik->jk", comp.operators.conj(), comp.operators)
-        np.testing.assert_allclose(s, np.eye(2), atol=1e-12)
 
 
 class TestApply:

@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line entry point."""
 
 import argparse
+import contextlib
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from loccverify import cli, protocols
+from loccverify import cli, linalg, protocols
 from loccverify.serialize import dumps, matrix_to_json
 
 
@@ -102,6 +105,16 @@ class TestExitCodes:
         ["protocol", "--parties", "2", "--nu", "100000000"],
         ["paths", "--nu", str(10 ** 40)],
         ["paper-pq", "--parties", "2", "--nu-list", f"10,{10 ** 40}"],
+        ["theorem1", "--samples", "100000000"],
+        ["theorem1", "--sigma-samples", "100000000"],
+        ["theorem8", "--samples", "100000000"],
+        ["theorem8", "--sigma-samples", "100000000"],
+        ["theorem8", "--nodes", "100000"],
+        ["paths", "--grid", "100000000"],
+        ["paths", "--parties", "6", "--grid", "200000"],
+        ["paper-2q", "--nodes", "100000"],
+        ["paper-pq", "--nodes", "100000"],
+        ["wstate", "--nodes", "100000"],
     ])
     def test_bad_protocol_parameters_are_2(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
@@ -145,6 +158,72 @@ class TestExitCodes:
         assert status == 2
         assert captured.err.startswith("error:")
         assert "to build and check the tree" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["theorem1", "--samples", "200000"],
+        ["theorem1", "--sigma-samples", "200000"],
+        ["theorem8", "--samples", "100000", "--nodes", "8"],
+        ["theorem8", "--sigma-samples", "200000"],
+        ["theorem8", "--nodes", "6000"],
+        ["paths", "--grid", "1000000"],
+        ["paths", "--parties", "6", "--grid", "200000"],
+        ["paper-2q", "--nodes", "6000"],
+        ["paper-pq", "--nodes", "6000"],
+        ["wstate", "--nodes", "6000"],
+    ])
+    def test_memory_budget_refuses_before_any_work(self, capsys, monkeypatch,
+                                                   argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("refused run reached the checker")
+
+        for name in ("channel_zonoid", "instrument_zonoid",
+                     "limiting_choi_2q", "wstate_analysis"):
+            monkeypatch.setattr(cli.twoqubit, name, refuse)
+        monkeypatch.setattr(cli.pq, "pqubit_limit_check", refuse)
+        monkeypatch.setattr(cli, "verify_theorem_conditions", refuse)
+        monkeypatch.setattr(cli, "path_distance_bound", refuse)
+        monkeypatch.setattr(linalg, "_leggauss", refuse)
+        assert cli.work_bytes(cli._build_parser().parse_args(argv)) > \
+            cli.TREE_BYTES_BUDGET
+        status = cli.main(argv)
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error:")
+        assert "MiB budget" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["theorem1", "--samples", "2000", "--sigma-samples", "11"],
+        ["theorem1", "--samples", "11", "--sigma-samples", "4000"],
+        ["theorem8", "--samples", "2000", "--sigma-samples", "11",
+         "--nodes", "8"],
+        ["theorem8", "--samples", "11", "--sigma-samples", "4000",
+         "--nodes", "8"],
+        ["theorem8", "--samples", "11", "--sigma-samples", "11",
+         "--nodes", "1000"],
+        ["paths", "--grid", "40000"],
+        ["paths", "--parties", "6", "--grid", "20000"],
+        ["paper-2q", "--nodes", "1000"],
+        ["paper-pq", "--nodes", "1000"],
+        ["wstate", "--nodes", "1000"],
+    ])
+    def test_work_bytes_bound_the_run(self, argv):
+        # A small run first, so lazily built tables are not counted.
+        small = [v if not v.isdigit() or v == "6" else "3" for v in argv]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(small) in (0, 1)
+        linalg._leggauss.cache_clear()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        estimate = cli.work_bytes(cli._build_parser().parse_args(argv))
+        assert peak <= estimate <= 1.5 * peak
 
     def test_failed_check_is_1(self, capsys):
         big = matrix_to_json(1.5 * np.eye(4, dtype=complex))

@@ -15,7 +15,6 @@ from loccverify import (
     ProtocolTree,
     TreeReport,
     blocked_limiting_family,
-    branch_path,
     build_protocol_pq,
     c_matrix_family,
     channel_zonoid,
@@ -74,18 +73,6 @@ class TestTreeStructure:
         tree = build_protocol_pq(parties, rounds, 0.5)
         # the main branch never halts, so its path is all continue moves
         assert tree.node_at((1,) * (parties * rounds)) is tree.leaves()[-1]
-
-    def test_branch_path_follows_child_indices(self):
-        tree = build_protocol_pq(2, 3, 0.5)
-        main = branch_path(tree, (1,) * 6)
-        np.testing.assert_allclose(main.s_values,
-                                   main_branch_path(2, 3, 0.5).s_values,
-                                   rtol=0, atol=1e-15)
-        side = branch_path(tree, (1, 1, 0))
-        assert side.s_values.size == 4
-        assert side.operators[-1] is tree.node_at((1, 1, 0)).povm_element
-        with pytest.raises(ValueError):
-            branch_path(tree, (1,))
 
     def test_node_at_navigates(self):
         tree = build_protocol_pq(2, 2, 0.5)

@@ -17,7 +17,6 @@ from loccverify import (
     isometric_relation,
     kraus_rank,
     limiting_choi_2q,
-    limiting_kraus,
     limiting_povm,
     minimal_kraus,
     multiplier_distance,
@@ -133,13 +132,6 @@ class TestLimitingPovm:
             limiting_povm(0.5)
         with pytest.raises(ValueError):
             limiting_povm(4.5)
-
-    def test_kraus_are_sqrt(self):
-        for s in (1.3, 3.6):
-            es = limiting_povm(s)
-            ks = limiting_kraus(s)
-            for e, k in zip(es, ks):
-                np.testing.assert_allclose(k @ k, e, atol=1e-10)
 
 
 class TestLimitingChoi:

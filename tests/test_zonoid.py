@@ -18,6 +18,8 @@ from loccverify import (
     instrument_zonoid,
     kraus_from_operators,
     limit_path,
+    main_branch_diagonals,
+    main_branch_path,
     membership,
     prelimit_channel,
     separation_gap,
@@ -180,12 +182,72 @@ class TestMembershipReports:
         target = np.diag([0.9, 0.9, 1.0, 1.0])
         assert np.linalg.norm(image - target) <= 1e-15
 
-    @pytest.mark.xfail(strict=True, reason="projected gradient stalls near "
-                       "the degenerate box face (residual 1.5e-8 after "
-                       "10000 iterations)")
     def test_degenerate_face_point_is_feasible(self):
+        # The descent alone stalls here (residual 1.5e-8 after 10000
+        # iterations); the faces <10|.|10> = 1 and then <11|.|11> = 1
+        # answer it exactly.
         z = np.diag([0.9, 0.9, 1.0, 1.0]).astype(complex)
-        assert membership(z, channel_zonoid(), tol=1e-9).feasible
+        rep = membership(z, channel_zonoid(), tol=1e-9)
+        assert rep.feasible
+        assert _k_reduced_witness_residual(rep.witness.matrix, z) <= 1e-9
+        assert rep.phase == "face-2"
+        np.testing.assert_array_equal(rep.face_x, np.diag([0, 0, 1, 0]))
+
+    def test_asymmetric_breakpoints_are_feasible(self):
+        # Every odd breakpoint diag(uv, u, v, 1), u = eta^(n+1), v = eta^n,
+        # of the 100-round main branch lies on the face <11|.|11> = 1.
+        breakpoints = main_branch_path(2, 100, 0.5).operators[1::2]
+        assert len(breakpoints) == 100
+        for n, z in enumerate(breakpoints):
+            rep = membership(z, channel_zonoid(), tol=1e-9)
+            assert rep.feasible, n
+            assert _k_reduced_witness_residual(rep.witness.matrix, z) \
+                <= 1e-9, n
+
+    def test_prelimit_sweep_needs_few_iterations(self):
+        # The s = 3.4 sample ran into the 10000-iteration cap and s = 3.7
+        # took 4126 iterations before the face step: 14417 in all.
+        spec = channel_zonoid()
+        total = 0
+        for d in main_branch_diagonals(2, 10, 0.5, np.linspace(4.0, 1.0, 11)):
+            rep = membership(np.diag(d).astype(complex), spec)
+            assert rep.feasible
+            total += rep.iterations
+        assert total < 1000
+
+    def test_phase_and_face_direction_are_reported(self):
+        spec = channel_zonoid()
+        for target, phase in [(np.eye(4), "candidate"),
+                              (limit_path(2, 2.5), "descent"),
+                              (np.diag([0.9, 0.9, 1.0, 1.0 + 1e-6]),
+                               "descent")]:
+            rep = membership(np.asarray(target, dtype=complex), spec)
+            assert rep.phase == phase
+            assert rep.face_x is None
+        rep = membership(main_branch_path(2, 100, 0.5).operators[81], spec,
+                         tol=1e-9)
+        assert rep.feasible and rep.phase == "face-1"
+        np.testing.assert_array_equal(rep.face_x, np.diag([0, 0, 0, 1]))
+        assert zonoid.MembershipReport(True, None, 0.0, 0).phase == ""
+
+    def test_face_that_pins_every_coefficient(self):
+        # On the unit square, diag(1, 1) lies on the face <0|.|0> = 1 and
+        # then on <1|.|1> = 1, which together fix C: the slice is one point.
+        solver = square_spec().solver()
+        rep = solver._face_solve(np.eye(2, dtype=complex), 1e-9, 100,
+                                 np.zeros(4, dtype=complex))
+        assert rep.feasible and rep.phase == "face-2"
+        assert rep.iterations == 0 and rep.stop == "affine"
+        np.testing.assert_allclose(rep.witness.matrix, np.eye(2), atol=1e-15)
+
+    def test_iteration_cap_counts_face_iterations(self, monkeypatch):
+        # This breakpoint converges on its face after about 290 iterations.
+        z = main_branch_path(2, 100, 0.5).operators[121]
+        assert membership(z, channel_zonoid(), tol=1e-9).phase == "face-1"
+        monkeypatch.setattr(zonoid, "MEMBERSHIP_MAX_ITER", 150)
+        rep = membership(z, channel_zonoid(), tol=1e-9)
+        assert rep.iterations == 150
+        assert rep.phase == "descent"
 
     def test_witness_matrix_cannot_be_replaced_or_written(self):
         rep = membership(limit_path(2, 2.5), channel_zonoid())
@@ -384,6 +446,17 @@ def _gram(spec):
     return np.einsum("mba,nbc->mnac", ops.conj(), ops)
 
 
+def _k_reduced_witness_residual(c, z):
+    """||L(C) - z|| with L rebuilt from K_REDUCED, after checking that C is
+    Hermitian with its eigenvalues in [0, 1] to 1e-12."""
+    k = twoqubit.K_REDUCED
+    np.testing.assert_array_equal(c, c.conj().T)
+    w = np.linalg.eigvalsh(c)
+    assert w[0] >= -1e-12 and w[-1] <= 1.0 + 1e-12
+    image = np.einsum("mn,mba,nbc->ac", c, k.conj(), k)
+    return float(np.linalg.norm(image - z))
+
+
 def _herm_unit(r, d):
     g = r.standard_normal((d, d)) + 1j * r.standard_normal((d, d))
     h = g + g.conj().T
@@ -437,6 +510,37 @@ class TestMembershipProperties:
         assert np.all(w[~mask] == 0.0)
         image = np.einsum("mn,mnac->ac", w, gram)
         assert np.linalg.norm(image - z) <= 1e-7
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_projector_block_image_is_feasible(self, name, seed):
+        # One block of C has every eigenvalue exactly 0 or 1, so C sits on
+        # a face of the box that may be a face of the zonoid too.
+        spec = ZONOIDS[name]()
+        r = np.random.default_rng(seed)
+        blocks = spec.block_list()
+        pinned = r.integers(len(blocks))
+        c = np.zeros((spec.kappa, spec.kappa), dtype=complex)
+        for i, blk in enumerate(blocks):
+            w = (r.integers(0, 2, len(blk)).astype(float) if i == pinned
+                 else r.uniform(0.0, 1.0, len(blk)))
+            u = haar_unitary(len(blk), r)
+            c[np.ix_(blk, blk)] = (u * w) @ u.conj().T
+        gram = _gram(spec)
+        z = np.einsum("mn,mnac->ac", c, gram)
+        z = 0.5 * (z + z.conj().T)
+        rep = membership(z, spec)
+        assert rep.feasible, rep.residual
+        assert (rep.face_x is None) == (not rep.phase.startswith("face-"))
+        w = rep.witness.matrix
+        mask = np.zeros(w.shape, dtype=bool)
+        for blk in blocks:
+            mask[np.ix_(blk, blk)] = True
+            eig = np.linalg.eigvalsh(w[np.ix_(blk, blk)])
+            assert eig[0] >= -1e-12 and eig[-1] <= 1.0 + 1e-12
+        assert np.all(w[~mask] == 0.0)
+        image = np.einsum("mn,mnac->ac", w, gram)
+        assert np.linalg.norm(image - z) <= MEMBERSHIP_TOL
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.booleans())
