@@ -195,7 +195,7 @@ class _MembershipSolver:
         self.a_h = np.ascontiguousarray(self.a.conj().T)
         self.normal = (np.eye(self.a.shape[1])
                        - self.step * (self.a_h @ self.a))
-        self.canonical = _directions(d, 0, 0)
+        self.canonical = _canonical_directions(d)
 
     def restricted(self, cols: np.ndarray, blocks) -> "_MembershipSolver":
         """The solver over the basis K'_a = sum_n conj(cols[n, a]) Khat_n,
@@ -481,15 +481,10 @@ def support_function(x, spec: ZonoidSpec) -> float:
     return float(spec.solver().support(x[None])[0])
 
 
-def _directions(d: int, samples: int, seed: int) -> np.ndarray:
-    """Probe directions, stacked: the canonical Hermitian basis of d x d
-    matrices, then ``samples`` seeded Gaussian Hermitian directions of unit
-    Frobenius norm.
-
-    Each direction takes the real then the imaginary part of a d x d draw
-    from one sequential stream, so a larger ``samples`` extends the same
-    direction set.
-    """
+def _canonical_directions(d: int) -> np.ndarray:
+    """The canonical Hermitian basis of d x d matrices, stacked: the
+    diagonal units, then the real and imaginary off-diagonal pair of each
+    i < j, all of unit Frobenius norm."""
     r = 1.0 / np.sqrt(2.0)
     basis = np.zeros((d * d, d, d), dtype=np.complex128)
     basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
@@ -500,6 +495,17 @@ def _directions(d: int, samples: int, seed: int) -> np.ndarray:
             basis[k + 1, i, j] = -1j * r
             basis[k + 1, j, i] = 1j * r
             k += 2
+    return basis
+
+
+def _directions(d: int, samples: int, seed: int) -> np.ndarray:
+    """Probe directions, stacked: the canonical Hermitian basis, then
+    ``samples`` seeded Gaussian Hermitian directions of unit Frobenius norm.
+
+    Each direction takes the real then the imaginary part of a d x d draw
+    from one sequential stream, so a larger ``samples`` extends the same
+    direction set.
+    """
     draw = np.random.default_rng(seed).standard_normal((samples, 2, d, d))
     g = draw[:, 0] + 1j * draw[:, 1]
     h = 0.5 * (g + g.conj().transpose(0, 2, 1))
@@ -510,7 +516,8 @@ def _directions(d: int, samples: int, seed: int) -> np.ndarray:
           + flat.imag @ flat.imag.transpose(0, 2, 1))
     nrm = np.sqrt(sq.reshape(samples))
     keep = nrm > 0.0
-    return np.concatenate([basis, h[keep] / nrm[keep, None, None]])
+    return np.concatenate([_canonical_directions(d),
+                           h[keep] / nrm[keep, None, None]])
 
 
 def hausdorff_estimate(a: ZonoidSpec, b: ZonoidSpec, samples: int = 2000,
