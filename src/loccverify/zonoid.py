@@ -197,13 +197,6 @@ class _MembershipSolver:
                        - self.step * (self.a_h @ self.a))
         self.canonical = _canonical_directions(d)
 
-    def restricted(self, cols: np.ndarray, blocks) -> "_MembershipSolver":
-        """The solver over the basis K'_a = sum_n conj(cols[n, a]) Khat_n,
-        so that L'(Y) = L(cols Y cols^H)."""
-        gram = np.einsum("ma,nb,mnij->abij", cols, cols.conj(),
-                         self.gram_ops)
-        return _MembershipSolver(gram, blocks)
-
     def image(self, c: np.ndarray) -> np.ndarray:
         """L(C) of a coefficient matrix, or of each of a stack (..., k, k)."""
         return np.einsum("...mn,mnac->...ac", c, self.gram_ops)
@@ -322,9 +315,10 @@ class _MembershipSolver:
                 zero = np.abs(w) <= ROUNDING_TOL
                 pos.append(cols[:, w > ROUNDING_TOL])
                 ker.append(cols[:, zero])
-                if zero.any():
-                    blocks.append(tuple(range(width, width + zero.sum())))
-                    width += int(zero.sum())
+                n0 = int(zero.sum())
+                if n0:
+                    blocks.append(tuple(range(width, width + n0)))
+                    width += n0
             if width < self.kappa:
                 p = np.hstack(pos)
                 return xs[k], p @ p.conj().T, np.hstack(ker), blocks
@@ -343,17 +337,25 @@ class _MembershipSolver:
         kappa x kappa one and judged by the box and image rules of the
         whole problem; the report is feasible only if that witness passes.
         """
-        solver, target, steps = self, z, []
+        solver, target, steps, face_x = self, z, [], None
         start = self.to_matrix(c)
-        while solver is not None:
+        while True:
             face = solver.expose_face(target)
             if face is None:
                 break
             x, proj, ker, blocks = face
-            steps.append((x, proj, ker))
+            face_x = x if face_x is None else face_x
+            steps.append((proj, ker))
             target = target - solver.image(proj)
             start = ker.conj().T @ start @ ker
-            solver = solver.restricted(ker, blocks) if blocks else None
+            if not blocks:
+                solver = None
+                break
+            # The basis K'_a = sum_n conj(ker[n, a]) Khat_n, so that
+            # L'(Y) = L(ker Y ker^H).
+            gram = np.einsum("ma,nb,mnij->abij", ker, ker.conj(),
+                             solver.gram_ops)
+            solver = _MembershipSolver(gram, blocks)
         if not steps:
             return None
         if solver is None:
@@ -363,13 +365,13 @@ class _MembershipSolver:
             rep = solver.solve(target, tol, budget, faces=False,
                                start=start[solver.mask])
             inner, iters, stop = rep.witness.matrix, rep.iterations, rep.stop
-        for _, proj, ker in reversed(steps):
+        for proj, ker in reversed(steps):
             inner = proj + ker @ inner @ ker.conj().T
         witness = CoefficientMatrix(self.to_matrix(inner[self.mask]))
         res = self.residual(witness.matrix, z)
         return MembershipReport(self.in_box(witness.matrix) and res <= tol,
                                 witness, res, iters, stop,
-                                f"face-{len(steps)}", steps[0][0])
+                                f"face-{len(steps)}", face_x)
 
     def _descend(self, z: np.ndarray, c0: np.ndarray, tol: float,
                  budget: int, faces: bool) -> MembershipReport:
