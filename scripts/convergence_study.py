@@ -14,6 +14,7 @@ import sys
 import time
 
 import loccverify as lv
+from loccverify import cli
 
 
 def study_row(nu: int, exponent: float, samples: int, seed: int) -> dict:
@@ -50,6 +51,11 @@ def main() -> int:
     parser.add_argument("--csv", default="",
                         help="optional path for a CSV copy of the table")
     args = parser.parse_args()
+    try:
+        cli.check_hausdorff_samples(args.samples)
+    except cli.InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     nus = [int(tok) for tok in args.nu_list.split(",") if tok.strip()]
     rows = []

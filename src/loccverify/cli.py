@@ -59,6 +59,8 @@ TREE_BYTES_BUDGET = 2 ** 28
 # sample of a theorem check holds.
 _FIXED_BYTES = 2 ** 19
 _THEOREM_SAMPLE_BYTES = {"theorem1": (2560, 1792), "theorem8": (3712, 2176)}
+# Bytes each direction of a two-qubit Hausdorff estimate holds.
+_HAUSDORFF_SAMPLE_BYTES = 1344
 _SIZE_FLAGS = ("samples", "sigma_samples", "grid", "nodes")
 
 
@@ -155,16 +157,17 @@ def _resolve_target(token: str, spec: ZonoidSpec) -> np.ndarray:
 
 
 def work_bytes(args) -> int:
-    """Peak memory of a theorem1, theorem8, paths, paper-2q, paper-pq or
-    wstate run, in bytes, from its validated flags alone.
+    """Peak memory of a theorem1, theorem8, paths, paper-2q, paper-pq,
+    wstate or hausdorff run, in bytes, from its validated flags alone.
 
     Each part grows with one size flag: the theorem checks with their s
     and sigma samples, the path gap with its grid (2^P entries a point),
-    and Gauss-Legendre rules with --nodes (numpy's rule diagonalises an
-    n x n companion matrix). The parts are held one after another, so the
-    estimate is a fixed part plus the largest. Fitted under tracemalloc on
-    CPython 3.11 and numpy 2.4: at least the measured peak, and within 1.5
-    times it once one part passes a few MiB.
+    Gauss-Legendre rules with --nodes (numpy's rule diagonalises an n x n
+    companion matrix) and Hausdorff estimates with their directions. The
+    parts are held one after another, so the estimate is a fixed part plus
+    the largest. Fitted under tracemalloc on CPython 3.11 and numpy 2.4: at
+    least the measured peak, and within 1.5 times it once one part passes a
+    few MiB.
     """
     parts = [0]
     if args.command in _THEOREM_SAMPLE_BYTES:
@@ -176,6 +179,8 @@ def work_bytes(args) -> int:
         parts.append(args.grid * (36 * 2 ** args.parties + 192))
     if hasattr(args, "nodes"):
         parts.append(8 * args.nodes ** 2 + 1024 * args.nodes)
+    if args.command == "hausdorff":
+        parts.append(_HAUSDORFF_SAMPLE_BYTES * args.samples)
     return _FIXED_BYTES + max(parts)
 
 
@@ -188,6 +193,15 @@ def _refuse_over_budget(args) -> None:
                          for name in _SIZE_FLAGS if hasattr(args, name))
         raise InputError(f"{flags} needs {need / 2 ** 20:.1f} MiB, above "
                          f"the {TREE_BYTES_BUDGET // 2 ** 20} MiB budget")
+
+
+def check_hausdorff_samples(samples: int) -> None:
+    """InputError, before any direction is drawn, unless ``samples``
+    Hausdorff directions are at least 0 and fit the budget. Checks the
+    --samples of ``hausdorff`` and of the convergence study."""
+    _at_least(samples, "--samples", 0)
+    _refuse_over_budget(argparse.Namespace(command="hausdorff",
+                                           samples=samples))
 
 
 def _membership_tol(value: float) -> float:
@@ -468,7 +482,7 @@ def _cmd_wstate(args) -> dict:
 
 def _cmd_hausdorff(args) -> dict:
     nu_list = _rounds_list(args.nu_list, 2, args.c)
-    _at_least(args.samples, "--samples", 0)
+    check_hausdorff_samples(args.samples)
     limit_spec = twoqubit.channel_zonoid()
     dists = []
     for nu in nu_list:

@@ -15,8 +15,10 @@ s |-> M(s)^(x P) with M(s) = (s^(1/P) - 1)|0><0| + |1><1|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -193,8 +195,9 @@ def protocol_tree_bytes(parties: int, rounds: int) -> int:
     return nodes * (16 * 4 ** parties + NODE_OVERHEAD_BYTES)
 
 
-# Node elements stacked per factor pass of verify_tree: about this many
-# matrix entries, so the pass's memory does not grow with the tree.
+# Entries verify_tree stacks at a time: of dense node elements while it
+# reads them, of diagonals in its factor and leaf-sum passes. Its memory
+# beyond one diagonal per node does not grow with the tree.
 _CHUNK_ENTRIES = 2 ** 16
 
 
@@ -203,17 +206,20 @@ def protocol_check_bytes(parties: int, rounds: int) -> int:
     it, in bytes.
 
     On top of :func:`protocol_tree_bytes`, ``verify_tree`` holds per node
-    its walk lists, one unit-trace factor per party and the locality
-    temporaries (256 + 64 P bytes), up to four stacked chunks of node
-    elements in its factor pass, and 64 KiB of fixed objects. Fitted under
-    tracemalloc on CPython 3.11: at least the measured peak for P = 2..6,
-    and within 1.5 times it once the tree holds a few hundred nodes.
+    its diagonal (16 * 2^P bytes), its party factors' diagonals (32 P) and
+    its walk arrays, defects and leaf-sum indices (128); at once, one
+    stacked chunk of dense elements or up to three chunks of diagonals;
+    and 16 KiB of fixed objects. Fitted under tracemalloc on CPython 3.11:
+    at least 1.02 times the measured peak for P = 2..6, and within 1.5
+    times it once the tree holds a few dozen nodes.
     """
     nodes = 2 * parties * rounds + 1
-    entries = 4 ** parties
-    chunk = 16 * entries * min(nodes, max(1, _CHUNK_ENTRIES // entries))
+    width, entries = 2 ** parties, 4 ** parties
+    dense = 16 * entries * min(nodes, max(1, _CHUNK_ENTRIES // entries))
+    diagonals = 16 * width * min(nodes, _CHUNK_ENTRIES // width)
     return (protocol_tree_bytes(parties, rounds)
-            + nodes * (256 + 64 * parties) + 4 * chunk + 2 ** 16)
+            + nodes * (128 + 16 * width + 32 * parties) + dense
+            + 3 * diagonals + 2 ** 14)
 
 
 def protocol_leaf_diagonals(parties: int, rounds: int, exponent: float
@@ -246,6 +252,212 @@ class TreeReport:
     failures: tuple[TreeFailure, ...]
 
 
+def _preorder(root: ProtocolNode):
+    """One preorder walk. Returns the node elements and, per node, its
+    parent's index (-1 at the root), its child index there, its acting
+    party (0 for none) and its number of children."""
+    elements, parent, child, acting, arity = [], [], [], [], []
+    stack = [(root, -1, 0)]
+    while stack:
+        node, up, i = stack.pop()
+        me = len(elements)
+        elements.append(node.povm_element)
+        parent.append(up)
+        child.append(i)
+        acting.append(node.acting_party or 0)
+        kids = node.children
+        k = len(kids)
+        arity.append(k)
+        if k:
+            stack.extend(zip(reversed(kids), repeat(me, k),
+                             range(k - 1, -1, -1)))
+    return (elements, np.array(parent), np.array(child), np.array(acting),
+            np.array(arity))
+
+
+def _dense_factors(m: np.ndarray, dims: PartyDims):
+    """Unit-trace party factors, traceless flags and relative product
+    defects of a stack of elements, shape (c, D, D). A (near) traceless
+    element has no factors; its product defect is 1."""
+    norm = np.linalg.norm(m, axis=(1, 2))
+    tr = np.trace(m, axis1=1, axis2=2)
+    zero = np.abs(tr) < 1e-13 * np.maximum(norm, 1e-300)
+    tr = np.where(zero, 1.0, tr)[:, None, None]
+    facs = [partial_trace(m, dims, [p]) / tr
+            for p in range(1, dims.n_parties + 1)]
+    defect = np.linalg.norm(m - tr * kron(facs), axis=(1, 2))
+    return facs, zero, np.where(zero, 1.0, defect / np.maximum(1.0, norm))
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each row of a complex stack, without temporaries
+    of the stack's size."""
+    v = a.view(np.float64)
+    v = v.reshape(len(v), math.prod(v.shape[1:]))
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
+
+
+def _diagonal_factors(e: np.ndarray, dims: PartyDims):
+    """:func:`_dense_factors` of exactly diagonal elements from their
+    diagonals, shape (c, D): the factors are marginal sums, returned as
+    (c, k) diagonals."""
+    c, axes = len(e), range(1, dims.n_parties + 1)
+    t = e.reshape((c,) + dims.dims)
+    marginals = [t.sum(axis=tuple(a for a in axes if a != p)) for p in axes]
+    norm = _row_norms(e)
+    tr = e.sum(axis=1)
+    zero = np.abs(tr) < 1e-13 * np.maximum(norm, 1e-300)
+    tr = np.where(zero, 1.0, tr)[:, None]
+    for mg in marginals:
+        mg /= tr
+    product = marginals[0]
+    for f in marginals[1:]:
+        product = (product[:, :, None] * f[:, None, :]).reshape(c, -1)
+    product *= tr
+    defect = _row_norms(np.subtract(e, product, out=product))
+    return marginals, zero, np.where(zero, 1.0, defect / np.maximum(1.0, norm))
+
+
+def _read_chunk(chunk: list, dims: PartyDims):
+    """Stack a chunk of elements. Returns their diagonals and, if some
+    element has a nonzero off-diagonal entry, those elements' positions in
+    the chunk, their entries with the diagonal zeroed (flattened) and their
+    :func:`_dense_factors`."""
+    d = dims.total
+    m = np.array(chunk, dtype=np.complex128)
+    if m.shape[1:] != (d, d):
+        raise ValueError(f"node elements of shape {m.shape[1:]} do not "
+                         f"match dims {dims.dims}")
+    flat = m.reshape(len(m), d * d)
+    diag = flat[:, ::d + 1].copy()
+    flat[:, ::d + 1] = 0
+    hit = np.flatnonzero(flat.view(np.float64).any(axis=1))
+    if not hit.size:
+        return diag, None
+    off = flat[hit]
+    flat[:, ::d + 1] = diag
+    return diag, (hit, off, _dense_factors(m[hit], dims))
+
+
+def _read_elements(elements: list, dims: PartyDims):
+    """Read the node elements once, stacked in chunks of about
+    ``_CHUNK_ENTRIES`` entries.
+
+    Returns an (n, D + m) array of every node's diagonal followed by the m
+    off-diagonal entries that some element sets (all others are zero in
+    every element), and for the nodes with a nonzero off-diagonal entry
+    their indices and :func:`_dense_factors`.
+    """
+    d, n = dims.total, len(elements)
+    diag = np.empty((n, d), dtype=np.complex128)
+    hits, offs, dense = [], [], []
+    step = max(1, _CHUNK_ENTRIES // d ** 2)
+    for lo in range(0, n, step):
+        diag[lo:lo + step], found = _read_chunk(elements[lo:lo + step], dims)
+        if found:
+            hits.append(lo + found[0])
+            offs.append(found[1])
+            dense.append(found[2])
+    if not hits:
+        return diag, []
+    off = np.concatenate(offs)
+    rows = np.concatenate(hits)
+    cols = np.flatnonzero(off.view(np.float64).reshape(len(off), -1, 2)
+                          .any(axis=(0, 2)))
+    x = np.zeros((n, d + cols.size), dtype=np.complex128)
+    x[:, :d] = diag
+    x[rows, d:] = off[:, cols]
+    return x, list(zip(hits, dense))
+
+
+def _leaf_sums(x: np.ndarray, parent: np.ndarray, child: np.ndarray,
+               arity: np.ndarray) -> np.ndarray:
+    """Replace each row of ``x`` (node values in preorder) by the node's
+    sum of descendant leaves; return each node's largest entry deviation
+    from that sum (0 at leaves).
+
+    Each node adds its children's sums left to right, bitwise as a
+    bottom-up fold would. The tree splits into chains that follow last
+    children: along a chain S(v) = A(v) + S(last child of v), with A(v)
+    the sum of the other children, so a cumulative sum from the chain's
+    bottom covers it, in segments of about ``_CHUNK_ENTRIES`` entries.
+    Chains run from the highest head index down, so every A(v) reads
+    finished sums.
+    """
+    n, width = x.shape
+    idx = np.arange(n)
+    last = np.zeros(n, dtype=bool)
+    last[1:] = child[1:] == arity[parent[1:]] - 1
+    below = np.empty(n, dtype=np.intp)
+    below[parent[last]] = idx[last]
+    head = np.where(last, parent, idx)
+    while True:
+        nxt = head[head]
+        if np.array_equal(nxt, head):
+            break
+        head = nxt
+    if arity.max() > 2:
+        kid = np.zeros((n, arity.max()), dtype=np.intp)
+        kid[parent[1:], child[1:]] = idx[1:]
+    defects = np.zeros(n)
+    inner = np.flatnonzero(arity)
+    inner = inner[np.lexsort((-inner, -head[inner]))]
+    step = max(1, _CHUNK_ENTRIES // width)
+    for chain in np.split(inner, np.flatnonzero(np.diff(head[inner])) + 1):
+        for lo in range(0, chain.size, step):
+            seg = chain[lo:lo + step]
+            k = arity[seg]
+            seq = np.zeros((seg.size + 1, width), dtype=x.dtype)
+            seq[0] = x[below[seg[0]]]
+            a = seq[1:]
+            a[k > 1] = x[seg[k > 1] + 1]
+            for j in range(1, int(k.max()) - 1):
+                more = k > j + 1
+                a[more] += x[kid[seg[more], j]]
+            np.cumsum(seq, axis=0, out=seq)
+            gap = x[seg]
+            gap -= a
+            defects[seg] = np.abs(gap).max(axis=1)
+            x[seg] = a
+    return defects
+
+
+def _party_factors(diag: np.ndarray, dense: list, dims: PartyDims):
+    """Unit-trace party factors, traceless flags and product defects of
+    every node: from the diagonals in chunks of about ``_CHUNK_ENTRIES``
+    entries, then the dense nodes' own. Each party's factors are an (n, k)
+    stack of diagonals if every node is diagonal, else (n, k, k)."""
+    n, d = diag.shape
+    factors = [np.empty((n, k), dtype=np.complex128) for k in dims]
+    traceless = np.empty(n, dtype=bool)
+    prod = np.empty(n)
+    step = max(1, _CHUNK_ENTRIES // d)
+    for lo in range(0, n, step):
+        part = slice(lo, lo + step)
+        facs, traceless[part], prod[part] = _diagonal_factors(diag[part],
+                                                              dims)
+        for full, f in zip(factors, facs):
+            full[part] = f
+    if dense:
+        factors = [f[:, :, None] * np.eye(f.shape[1]) for f in factors]
+    for rows, (facs, zero, defect) in dense:
+        traceless[rows], prod[rows] = zero, defect
+        for full, f in zip(factors, facs):
+            full[rows] = f
+    return factors, traceless, prod
+
+
+def _edge_distances(factors: list, parent: np.ndarray) -> np.ndarray:
+    """Frobenius distance between each non-root node's party factors and
+    its parent's, shape (n - 1, parties), in preorder. The factors are one
+    stack per party, of diagonals or of matrices."""
+    out = np.empty((len(parent) - 1, len(factors)))
+    for p, f in enumerate(factors):
+        g = f[parent[1:]]
+        out[:, p] = _row_norms(np.subtract(f[1:], g, out=g))
+    return out
+
+
 def verify_tree(tree: ProtocolTree) -> TreeReport:
     """Structural verification of a protocol tree.
 
@@ -257,77 +469,35 @@ def verify_tree(tree: ProtocolTree) -> TreeReport:
     COMPLETENESS_TOL). Failures are listed leaf sums first (bottom-up), then
     products (preorder), locality (by parent, child, party) and
     completeness. Node elements are read when this is called.
+
+    Every check runs on stacked arrays: the node elements are read once, an
+    exactly diagonal element through its diagonal alone.
     """
     dims = tree.dims
-    # One preorder walk. Node i keeps its parent's index (-1 at the root),
-    # its child index there, its acting party (0 for none) and its number
-    # of children.
-    elements, parent, child, acting, arity = [], [], [], [], []
-    stack = [(tree.root, -1, 0)]
-    while stack:
-        node, up, i = stack.pop()
-        me = len(elements)
-        elements.append(node.povm_element)
-        parent.append(up)
-        child.append(i)
-        acting.append(node.acting_party or 0)
-        arity.append(len(node.children))
-        stack.extend((ch, me, j) for j, ch in
-                     reversed(list(enumerate(node.children))))
+    d = dims.total
+    elements, up, child, acting, arity = _preorder(tree.root)
     n = len(elements)
+    x, dense = _read_elements(elements, dims)
     failed: list[tuple[int, str, float]] = []
 
-    # Leaf sums in reverse preorder. A node's children's sums are on top of
-    # the stack, child 0 uppermost, so only sums still owed are kept.
-    owed = []
-    max_sum = 0.0
-    for i in range(n - 1, -1, -1):
-        if not arity[i]:
-            owed.append(elements[i])
-            continue
-        acc = owed.pop()
-        for _ in range(arity[i] - 1):
-            acc = acc + owed.pop()
-        defect = float(np.abs(elements[i] - acc).max())
-        max_sum = max(max_sum, defect)
-        if defect > NODE_SUM_TOL:
-            failed.append((i, "leaf-sum", defect))
-        owed.append(acc)
-    comp = float(np.abs(owed.pop() - np.eye(dims.total)).max())
-
-    # Unit-trace party factors and the relative product defect, one stacked
-    # chunk of elements at a time. A (near) traceless element has no
-    # factors; its product defect is 1.
-    factors = [np.empty((n, k, k), dtype=np.complex128) for k in dims]
-    prod = np.empty(n)
-    traceless = np.empty(n, dtype=bool)
-    step = max(1, _CHUNK_ENTRIES // dims.total ** 2)
-    for lo in range(0, n, step):
-        part = slice(lo, lo + step)
-        m = np.array(elements[part], dtype=np.complex128)
-        norm = np.linalg.norm(m, axis=(1, 2))
-        tr = np.trace(m, axis1=1, axis2=2)
-        zero = np.abs(tr) < 1e-13 * np.maximum(norm, 1e-300)
-        tr = np.where(zero, 1.0, tr)[:, None, None]
-        facs = [partial_trace(m, dims, [p]) / tr
-                for p in range(1, dims.n_parties + 1)]
-        defect = np.linalg.norm(m - tr * kron(facs), axis=(1, 2))
-        prod[part] = np.where(zero, 1.0, defect / np.maximum(1.0, norm))
-        traceless[part] = zero
-        for full, f in zip(factors, facs):
-            full[part] = f
+    factors, traceless, prod = _party_factors(x[:, :d], dense, dims)
+    sums = _leaf_sums(x, up, child, arity)
+    eye = np.zeros(x.shape[1])
+    eye[:d] = 1.0
+    comp = float(np.abs(x[0] - eye).max())
+    del x  # freed before the locality pass allocates
+    failed.extend((int(i), "leaf-sum", float(sums[i]))
+                  for i in np.flatnonzero(sums > NODE_SUM_TOL)[::-1])
     failed.extend((int(i), "product", float(prod[i]))
                   for i in np.flatnonzero(prod > PRODUCT_TOL))
 
     # Locality over every edge, ordered by parent then child index; the
     # parent's acting party and edges at traceless nodes are masked.
-    up = np.array(parent)
-    kids = np.lexsort((np.array(child)[1:], up[1:])) + 1
+    kids = np.lexsort((child[1:], up[1:])) + 1
     ups = up[kids]
-    loc = np.stack([np.linalg.norm(f[kids] - f[ups], axis=(1, 2))
-                    for f in factors], axis=1)
+    loc = _edge_distances(factors, up)[kids - 1]
     parties = np.arange(1, dims.n_parties + 1)
-    compared = ((parties != np.array(acting)[ups][:, None])
+    compared = ((parties != acting[ups][:, None])
                 & ~(traceless[kids] | traceless[ups])[:, None])
     loc = np.where(compared, loc, 0.0)
     failed.extend((int(kids[e]), f"locality-party-{p + 1}", float(loc[e, p]))
@@ -336,18 +506,20 @@ def verify_tree(tree: ProtocolTree) -> TreeReport:
     if comp > COMPLETENESS_TOL:
         failed.append((0, "completeness", comp))
 
+    parent, index = up.tolist(), child.tolist()
+
     def node_path(i: int) -> tuple[int, ...]:
         steps = []
         while parent[i] >= 0:
-            steps.append(child[i])
+            steps.append(index[i])
             i = parent[i]
         return tuple(reversed(steps))
 
     failures = tuple(TreeFailure(node_path(i), kind, defect)
                      for i, kind, defect in failed)
-    return TreeReport(not failures, n, arity.count(0), max_sum,
-                      float(loc.max(initial=0.0)), float(prod.max()), comp,
-                      failures)
+    return TreeReport(not failures, n, n - int(np.count_nonzero(arity)),
+                      float(sums.max()), float(loc.max(initial=0.0)),
+                      float(prod.max()), comp, failures)
 
 
 @dataclass

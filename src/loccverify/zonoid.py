@@ -224,24 +224,18 @@ class _MembershipSolver:
         return ((v * w) @ v.conj().T)[self.mask]
 
     def in_box(self, c: np.ndarray) -> bool:
-        for grid in self.grids:
-            sub = c[grid]
-            w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
-            if w[0] < -ROUNDING_TOL or w[-1] > 1.0 + ROUNDING_TOL:
-                return False
-        return True
+        """:meth:`in_box_each` of the one matrix ``c``."""
+        return bool(self.in_box_each(c[None])[0])
 
     def in_box_each(self, cs: np.ndarray) -> np.ndarray:
-        """:meth:`in_box` of every matrix of the stack ``cs``, (n, k, k).
-
-        The same rule as one array operation per block; ``in_box`` keeps
-        its early exit, since the candidate test calls it on one matrix.
-        """
-        ok = np.ones(len(cs), dtype=bool)
+        """Whether each matrix of the stack ``cs``, (n, k, k), lies in the
+        box: every block's eigenvalues in [0, 1] to ``ROUNDING_TOL``."""
+        ok = np.True_
         for rows, cols in self.grids:
             sub = cs[:, rows, cols]
             w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().transpose(0, 2, 1)))
-            ok &= (w[:, 0] >= -ROUNDING_TOL) & (w[:, -1] <= 1.0 + ROUNDING_TOL)
+            ok = (ok & (w[:, 0] >= -ROUNDING_TOL)
+                  & (w[:, -1] <= 1.0 + ROUNDING_TOL))
         return ok
 
     def overlap(self, xs: np.ndarray) -> np.ndarray:

@@ -4,13 +4,19 @@ import argparse
 import contextlib
 import io
 import json
+import runpy
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from loccverify import cli, linalg, protocols
+from loccverify import cli, linalg, protocols, zonoid
 from loccverify.serialize import dumps, matrix_to_json
+
+STUDY = (Path(__file__).resolve().parent.parent / "scripts"
+         / "convergence_study.py")
 
 
 def run(capsys, *argv):
@@ -115,6 +121,7 @@ class TestExitCodes:
         ["paper-2q", "--nodes", "100000"],
         ["paper-pq", "--nodes", "100000"],
         ["wstate", "--nodes", "100000"],
+        ["hausdorff", "--samples", "100000000"],
     ])
     def test_bad_protocol_parameters_are_2(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
@@ -170,6 +177,7 @@ class TestExitCodes:
         ["paper-2q", "--nodes", "6000"],
         ["paper-pq", "--nodes", "6000"],
         ["wstate", "--nodes", "6000"],
+        ["hausdorff", "--samples", "300000"],
     ])
     def test_memory_budget_refuses_before_any_work(self, capsys, monkeypatch,
                                                    argv):
@@ -207,6 +215,7 @@ class TestExitCodes:
         ["paper-2q", "--nodes", "1000"],
         ["paper-pq", "--nodes", "1000"],
         ["wstate", "--nodes", "1000"],
+        ["hausdorff", "--samples", "20000"],
     ])
     def test_work_bytes_bound_the_run(self, argv):
         # A small run first, so lazily built tables are not counted.
@@ -224,6 +233,23 @@ class TestExitCodes:
         assert status == 0
         estimate = cli.work_bytes(cli._build_parser().parse_args(argv))
         assert peak <= estimate <= 1.5 * peak
+
+    @pytest.mark.parametrize("samples", ["-1", "100000000"])
+    def test_convergence_study_refuses_samples_before_drawing(
+            self, capsys, monkeypatch, samples):
+        def refuse(*args, **kwargs):
+            raise AssertionError("refused run drew directions")
+
+        monkeypatch.setattr(zonoid, "_directions", refuse)
+        monkeypatch.setattr(sys, "argv", ["convergence_study.py",
+                                          "--samples", samples])
+        with pytest.raises(SystemExit) as stop:
+            runpy.run_path(str(STUDY), run_name="__main__")
+        captured = capsys.readouterr()
+        assert stop.value.code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error:")
 
     def test_failed_check_is_1(self, capsys):
         big = matrix_to_json(1.5 * np.eye(4, dtype=complex))

@@ -151,6 +151,13 @@ class TestVerifyTree:
                          if f.kind == "product"}
         assert (1,) in product_paths
 
+    def test_single_node_tree(self):
+        tree = ProtocolTree(ProtocolNode(np.eye(4, dtype=complex), None),
+                            PartyDims((2, 2)), ProtocolParams(2, 1, 0.5))
+        rep = verify_tree(tree)
+        assert rep.ok and (rep.n_nodes, rep.n_leaves) == (1, 1)
+        _assert_same_report(rep, _reference_verify_tree(tree))
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(1, 12), st.floats(0.2, 0.8))
     def test_random_small_trees_pass(self, rounds, exponent):
@@ -292,6 +299,28 @@ def _branching_tree(parties, depth, outcomes):
                         ProtocolParams(parties, depth, 0.5))
 
 
+def _mixed_caterpillar(parties, arities, positions):
+    """Main branch whose k-th node has ``arities[k]`` children: party
+    k mod P + 1 measures that many diagonal outcomes summing to the
+    identity (one child repeats its parent), the branch goes on at child
+    ``positions[k] % arities[k]`` and the other children are leaves."""
+    root = ProtocolNode(np.eye(2 ** parties, dtype=complex), None)
+    node = root
+    for k, (outcomes, position) in enumerate(zip(arities, positions)):
+        party = k % parties + 1
+        w = np.linspace(1.0, 2.0, outcomes)
+        w = w / w.sum()
+        node.acting_party = party
+        node.children = [
+            ProtocolNode(node.povm_element @ kron(
+                [np.diag([a, b]) if p == party else np.eye(2)
+                 for p in range(1, parties + 1)]), None)
+            for a, b in zip(w, w[::-1])]
+        node = node.children[position % outcomes]
+    return ProtocolTree(root, PartyDims((2,) * parties),
+                        ProtocolParams(parties, 1, 0.5))
+
+
 class TestVerifyTreeAgainstReference:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 4), st.integers(1, 40), st.floats(0.05, 0.95),
@@ -318,6 +347,62 @@ class TestVerifyTreeAgainstReference:
         _inject_one_fault_of_each_kind(tree, picks[:4])
         _inject_one_fault_of_each_kind(tree, picks[4:])
         _assert_same_report(verify_tree(tree), _reference_verify_tree(tree))
+
+    @pytest.mark.parametrize("parties", [5, 6])
+    @pytest.mark.parametrize("rounds", [1, 2, 3, 4])
+    def test_five_and_six_party_caterpillars_match(self, parties, rounds):
+        tree = build_protocol_pq(parties, rounds, 0.5)
+        rep = verify_tree(tree)
+        assert rep.ok
+        _assert_same_report(rep, _reference_verify_tree(tree))
+        picks = np.random.default_rng([parties, rounds]).integers(
+            0, 2 ** 20, 4).tolist()
+        _inject_one_fault_of_each_kind(tree, picks)
+        got = verify_tree(tree)
+        assert not got.ok
+        _assert_same_report(got, _reference_verify_tree(tree))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 3),
+           st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)),
+                    min_size=1, max_size=14),
+           st.lists(st.integers(0, 2 ** 20), min_size=4, max_size=4))
+    def test_mixed_arity_caterpillars_match(self, parties, steps, picks):
+        # Single children and three or four children along the branch; a
+        # branch that goes on before the last child ends the chain of last
+        # children there, so the leaf sums run over several chains.
+        arities, positions = zip(*steps)
+        tree = _mixed_caterpillar(parties, arities, positions)
+        rep = verify_tree(tree)
+        assert rep.ok
+        _assert_same_report(rep, _reference_verify_tree(tree))
+        _inject_one_fault_of_each_kind(tree, picks)
+        _assert_same_report(verify_tree(tree), _reference_verify_tree(tree))
+
+    def test_large_tree_and_one_offdiagonal_leaf_match(self, monkeypatch):
+        tree = build_protocol_pq(2, 2000, 0.5)
+        rep = verify_tree(tree)
+        assert rep.ok
+        _assert_same_report(rep, _reference_verify_tree(tree))
+        # Only the bumped leaf takes the dense factor path.
+        dense_rows = []
+        dense_factors = protocols._dense_factors
+
+        def counted(m, dims):
+            dense_rows.append(len(m))
+            return dense_factors(m, dims)
+
+        monkeypatch.setattr(protocols, "_dense_factors", counted)
+        leaf = tree.node_at((1,) * 6 + (0,))
+        bumped = leaf.povm_element.copy()
+        bumped[0, 1] = bumped[1, 0] = 0.01
+        leaf.povm_element = bumped
+        got = verify_tree(tree)
+        assert dense_rows == [1]
+        assert not got.ok
+        assert ((1,) * 6, "leaf-sum") in {
+            (f.node_path, f.kind) for f in got.failures}
+        _assert_same_report(got, _reference_verify_tree(tree))
 
     def test_locality_failures_follow_parent_then_child(self):
         # Both children of the root change both party factors: party 2
