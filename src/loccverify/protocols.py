@@ -95,11 +95,30 @@ class ProtocolNode:
         return float(np.real(np.trace(self.povm_element)))
 
 
-@dataclass(eq=False)
 class ProtocolTree:
-    root: ProtocolNode
-    dims: PartyDims
-    params: ProtocolParams
+    """A protocol tree: its root node, party dimensions and parameters.
+
+    A tree from :func:`build_protocol_pq` holds only its preorder diagonal
+    table, one row per node: the root, then the halt leaf and continue node
+    of each step. Its :class:`ProtocolNode` objects are made on the first
+    request for them (``root``, ``node_at``, ``iter_nodes``, ``leaves``);
+    from then on they are the tree and the table is dropped, so an element
+    replaced on a node is what :func:`verify_tree` reads.
+    """
+
+    def __init__(self, root: ProtocolNode | None, dims: PartyDims,
+                 params: ProtocolParams, table: np.ndarray | None = None):
+        self._root = root
+        self._table = table
+        self.dims = dims
+        self.params = params
+
+    @property
+    def root(self) -> ProtocolNode:
+        if self._root is None:
+            self._root = _caterpillar_nodes(self._table, self.params.parties)
+            self._table = None
+        return self._root
 
     def iter_nodes(self):
         """Preorder traversal, iterative: trees get deep for large rounds."""
@@ -120,6 +139,8 @@ class ProtocolTree:
 
     @property
     def n_nodes(self) -> int:
+        if self._table is not None:
+            return len(self._table)
         return sum(1 for _ in self.iter_nodes())
 
 
@@ -158,41 +179,57 @@ def _step_rows(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
 
 def build_protocol_pq(parties: int, rounds: int, exponent: float
                       ) -> ProtocolTree:
-    """Full protocol tree for the P-party halt-or-continue protocol."""
+    """Full protocol tree for the P-party halt-or-continue protocol, held
+    as its preorder diagonal table of 2 P rounds + 1 rows: row 0 is the
+    root, rows 2k + 1 and 2k + 2 the halt leaf and continue node of step k
+    (:func:`_step_rows`). No node object is made until one is asked for."""
     params = ProtocolParams(parties, rounds, exponent)
-    dims = PartyDims((2,) * parties)
-    d = dims.total
     halt, cont = _step_rows(params)
-    steps = halt.shape[0]
+    table = np.empty((2 * halt.shape[0] + 1, 2 ** parties),
+                     dtype=np.complex128)
+    table[0] = 1.0
+    table[1::2] = halt
+    table[2::2] = cont
+    return ProtocolTree(None, PartyDims((2,) * parties), params, table)
+
+
+def _caterpillar_links(n: int, parties: int):
+    """Parent index, child index, acting party and arity of each node of an
+    n-node caterpillar in preorder, as :func:`_preorder` walks them: node
+    2k + 1 is the halt leaf of step k and node 2k + 2 its continue node,
+    both children of node 2k, where party k mod P + 1 measures."""
+    i = np.arange(n)
+    up = np.where(i > 0, (i - 1) // 2 * 2, -1)
+    child = np.where(i > 0, 1 - i % 2, 0)
+    arity = np.where((i % 2 == 0) & (i < n - 1), 2, 0)
+    acting = np.where(arity > 0, i // 2 % parties + 1, 0)
+    return up, child, acting, arity
+
+
+def _caterpillar_nodes(table: np.ndarray, parties: int) -> ProtocolNode:
+    """The :class:`ProtocolNode` objects of a caterpillar's diagonal table,
+    each element the dense diagonal matrix of its row; returns the root."""
+    n, d = table.shape
+    elements = np.zeros((n, d, d), dtype=np.complex128)
     idx = np.arange(d)
-    elements = np.zeros((2, steps, d, d), dtype=np.complex128)
-    elements[0][:, idx, idx] = halt
-    elements[1][:, idx, idx] = cont
-    root = ProtocolNode(np.eye(d, dtype=np.complex128), acting_party=1)
-    current = root
-    for k in range(steps):
-        nxt = (k + 1) % parties + 1 if k + 1 < steps else None
-        child = ProtocolNode(elements[1, k], nxt)
-        current.children = [ProtocolNode(elements[0, k], None), child]
-        current = child
-    return ProtocolTree(root, dims, params)
-
-
-# Bytes a tree node holds besides its element's entries: the ProtocolNode,
-# its children list and the ndarray view of the element (290 to 300 bytes
-# under tracemalloc on CPython 3.11).
-NODE_OVERHEAD_BYTES = 320
+    elements[:, idx, idx] = table
+    acting = _caterpillar_links(n, parties)[2].tolist()
+    nodes = [ProtocolNode(e, a or None) for e, a in zip(elements, acting)]
+    for k in range(0, n - 1, 2):
+        nodes[k].children = [nodes[k + 1], nodes[k + 2]]
+    return nodes[0]
 
 
 def protocol_tree_bytes(parties: int, rounds: int) -> int:
     """Memory a :func:`build_protocol_pq` tree holds, in bytes.
 
-    The tree has 2 P rounds + 1 nodes, each a dense 2^P x 2^P complex
-    element plus ``NODE_OVERHEAD_BYTES`` of Python objects. It is computed
-    without building anything, so callers can refuse a tree too large.
+    The tree holds one complex diagonal of 2^P entries for each of its
+    2 P rounds + 1 nodes, and up to 4 KiB of fixed objects and numpy's
+    small-buffer cache. It is computed without building anything, so
+    callers can refuse a tree too large.
     """
     nodes = 2 * parties * rounds + 1
-    return nodes * (16 * 4 ** parties + NODE_OVERHEAD_BYTES)
+    return nodes * 16 * 2 ** parties + 2 ** 12
 
 
 # Entries verify_tree stacks at a time: of dense node elements while it
@@ -206,20 +243,19 @@ def protocol_check_bytes(parties: int, rounds: int) -> int:
     it, in bytes.
 
     On top of :func:`protocol_tree_bytes`, ``verify_tree`` holds per node
-    its diagonal (16 * 2^P bytes), its party factors' diagonals (32 P) and
-    its walk arrays, defects and leaf-sum indices (128); at once, one
-    stacked chunk of dense elements or up to three chunks of diagonals;
-    and 16 KiB of fixed objects. Fitted under tracemalloc on CPython 3.11:
-    at least 1.02 times the measured peak for P = 2..6, and within 1.5
-    times it once the tree holds a few dozen nodes.
+    a copy of its table row (16 * 2^P bytes), its party factors' diagonals
+    (32 P) and its link arrays, defects and leaf-sum indices (128); at
+    once, up to four chunks of diagonals; and 8 KiB of fixed objects. A
+    built tree is read from its table, so no dense element is stacked.
+    Fitted under tracemalloc on CPython 3.11 over 63 (P, rounds) points,
+    P = 2..6 and 5 to 80001 nodes: 1.03 to 1.47 times the measured peak.
     """
     nodes = 2 * parties * rounds + 1
-    width, entries = 2 ** parties, 4 ** parties
-    dense = 16 * entries * min(nodes, max(1, _CHUNK_ENTRIES // entries))
+    width = 2 ** parties
     diagonals = 16 * width * min(nodes, _CHUNK_ENTRIES // width)
     return (protocol_tree_bytes(parties, rounds)
-            + nodes * (128 + 16 * width + 32 * parties) + dense
-            + 3 * diagonals + 2 ** 14)
+            + nodes * (128 + 16 * width + 32 * parties)
+            + 4 * diagonals + 2 ** 13)
 
 
 def protocol_leaf_diagonals(parties: int, rounds: int, exponent: float
@@ -468,16 +504,24 @@ def verify_tree(tree: ProtocolTree) -> TreeReport:
     factor (to LOCALITY_TOL); the leaves form a complete measurement (to
     COMPLETENESS_TOL). Failures are listed leaf sums first (bottom-up), then
     products (preorder), locality (by parent, child, party) and
-    completeness. Node elements are read when this is called.
+    completeness. The tree is read when this is called: a built tree whose
+    nodes were never made through its diagonal table, any other tree
+    through its nodes' current elements.
 
     Every check runs on stacked arrays: the node elements are read once, an
     exactly diagonal element through its diagonal alone.
     """
     dims = tree.dims
     d = dims.total
-    elements, up, child, acting, arity = _preorder(tree.root)
-    n = len(elements)
-    x, dense = _read_elements(elements, dims)
+    if tree._table is None:
+        elements, up, child, acting, arity = _preorder(tree.root)
+        x, dense = _read_elements(elements, dims)
+    else:
+        # A copy: the leaf-sum pass writes into it.
+        x, dense = tree._table.copy(), []
+        up, child, acting, arity = _caterpillar_links(len(x),
+                                                      dims.n_parties)
+    n = len(x)
     failed: list[tuple[int, str, float]] = []
 
     factors, traceless, prod = _party_factors(x[:, :d], dense, dims)

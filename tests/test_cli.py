@@ -152,15 +152,15 @@ class TestExitCodes:
         assert len(captured.err.splitlines()) == 1
 
     def test_protocol_budget_counts_the_check(self, capsys, monkeypatch):
-        # The tree alone (about 250 MiB) fits the 256 MiB budget; building
+        # The tree alone (about 244 MiB) fits the 256 MiB budget; building
         # and checking it does not.
         def refuse(*args, **kwargs):
             raise AssertionError("refused input reached build_protocol_pq")
 
         monkeypatch.setattr(cli, "build_protocol_pq", refuse)
-        assert protocols.protocol_tree_bytes(2, 110000) <= \
+        assert protocols.protocol_tree_bytes(2, 1000000) <= \
             cli.TREE_BYTES_BUDGET
-        status = cli.main(["protocol", "--parties", "2", "--nu", "110000"])
+        status = cli.main(["protocol", "--parties", "2", "--nu", "1000000"])
         captured = capsys.readouterr()
         assert status == 2
         assert captured.err.startswith("error:")

@@ -418,6 +418,92 @@ class TestVerifyTreeAgainstReference:
                 if f.kind.startswith("locality")][:3] == [(0,), (1,), (0, 0)]
 
 
+def _corrupt_rows(table, picks):
+    """Scale a halt row, bump one entry of a continue row so that it is no
+    longer a product, and make a row traceless, at the drawn rows."""
+    steps = (len(table) - 1) // 2
+    table[2 * (picks[0] % steps) + 1] *= 1.01
+    table[2 * (picks[1] % steps) + 2, 0] += 0.03
+    row = table[picks[2] % len(table)]
+    row[:] = 1.0
+    row[: len(row) // 2] = -1.0
+
+
+class TestTableTree:
+    """A built tree is checked from its diagonal table until its nodes are
+    asked for, then from the nodes."""
+
+    @pytest.mark.parametrize("parties,rounds", [
+        (2, 1), (2, 7), (2, 300), (3, 1), (3, 40), (4, 2), (4, 25),
+        (5, 1), (5, 6), (6, 1), (6, 3)])
+    @pytest.mark.parametrize("exponent", [0.1, 0.5, 0.9])
+    def test_table_and_walk_reports_are_equal(self, parties, rounds,
+                                              exponent):
+        trees = [build_protocol_pq(parties, rounds, exponent)
+                 for _ in range(2)]
+        picks = np.random.default_rng([parties, rounds]).integers(
+            0, 2 ** 20, 3).tolist()
+        _corrupt_rows(trees[1]._table, picks)
+        reports = []
+        for tree in trees:
+            table = tree._table.copy()
+            got = verify_tree(tree)
+            assert verify_tree(tree) == got
+            assert np.array_equal(tree._table, table)
+            tree.root  # makes the nodes
+            assert tree._table is None
+            assert verify_tree(tree) == got
+            if tree.n_nodes <= 400:
+                _assert_same_report(got, _reference_verify_tree(tree))
+            reports.append(got)
+        assert reports[0].ok and not reports[1].ok
+
+    @pytest.mark.parametrize("parties,rounds", [(2, 5), (3, 3), (5, 2)])
+    def test_nodes_are_made_from_the_table(self, parties, rounds):
+        tree = build_protocol_pq(parties, rounds, 0.5)
+        assert tree.n_nodes == 2 * parties * rounds + 1
+        table = tree._table.copy()
+        assert tree._table is not None  # counting made no nodes
+        nodes = list(tree.iter_nodes())
+        d = 2 ** parties
+        for node, row in zip(nodes, table, strict=True):
+            e = node.povm_element
+            assert e.shape == (d, d) and e.dtype == np.complex128
+            assert np.array_equal(e, np.diag(np.diagonal(e)))
+            assert np.array_equal(np.diagonal(e), row)
+        main = [tree.node_at((1,) * k) for k in range(parties * rounds + 1)]
+        assert [n.acting_party for n in main] == \
+            [k % parties + 1 for k in range(parties * rounds)] + [None]
+        leaves = tree.leaves()
+        assert all(n.acting_party is None for n in leaves)
+        assert leaves[-1] is main[-1] and not main[-1].children
+        assert np.array_equal(
+            np.array([np.diagonal(n.povm_element) for n in leaves]),
+            protocol_leaf_diagonals(parties, rounds, 0.5))
+        assert tree.n_nodes == len(nodes)
+
+    def test_element_replaced_after_a_check_is_seen(self):
+        tree = build_protocol_pq(2, 3, 0.5)
+        assert verify_tree(tree).ok
+        victim = tree.node_at((1, 1, 0))
+        victim.povm_element = 1.01 * victim.povm_element
+        rep = verify_tree(tree)
+        assert not rep.ok
+        assert {"leaf-sum", "completeness"} <= {f.kind for f in rep.failures}
+        assert (1, 1) in {f.node_path for f in rep.failures
+                          if f.kind == "leaf-sum"}
+        _assert_same_report(rep, _reference_verify_tree(tree))
+
+    def test_hand_built_tree_keeps_its_nodes(self):
+        root = ProtocolNode(np.eye(4, dtype=complex), 1)
+        root.children = [ProtocolNode(np.diag([0.5, 0.5, 0, 0]), None),
+                         ProtocolNode(np.diag([0.5, 0.5, 1, 1]), None)]
+        tree = ProtocolTree(root, PartyDims((2, 2)),
+                            ProtocolParams(2, 1, 0.5))
+        assert tree.root is root and tree.n_nodes == 3
+        _assert_same_report(verify_tree(tree), _reference_verify_tree(tree))
+
+
 class TestLeafDiagonals:
     @pytest.mark.parametrize("parties,rounds", [(2, 4), (3, 3)])
     def test_completeness(self, parties, rounds):
