@@ -25,7 +25,7 @@ from .channels import (
     kraus_from_operators,
     qc_embed,
 )
-from .linalg import is_hermitian, trace_norm
+from .linalg import has_finite_norm, is_hermitian, trace_norm
 from .protocols import (
     ProtocolParams,
     build_protocol_pq,
@@ -151,6 +151,8 @@ def _resolve_target(token: str, spec: ZonoidSpec) -> np.ndarray:
     if z.shape != (spec.dim, spec.dim):
         raise InputError(f"--z has shape {z.shape}, the basis acts on "
                          f"dimension {spec.dim}")
+    if not has_finite_norm(z):
+        raise InputError("--z must have finite entries and a finite norm")
     if not is_hermitian(z, tolerances.INPUT_HERMITICITY_TOL):
         raise InputError("--z is not Hermitian")
     return z
@@ -243,6 +245,9 @@ def _cmd_zonoid_check(args) -> dict:
         "phase": report.phase,
         "face_x": (None if report.face_x is None
                    else serialize.matrix_to_json(report.face_x)),
+        "separating": (None if report.separating is None
+                       else serialize.matrix_to_json(report.separating)),
+        "gap": None if report.gap is None else float(report.gap),
         "support_identity": float(
             support_function(np.eye(spec.dim, dtype=np.complex128), spec)),
     }

@@ -8,6 +8,7 @@ party 1 occupies the most significant part of the row index and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable, Iterable, Sequence
@@ -133,6 +134,14 @@ def operator_norm(m) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False).max())
+
+
+def has_finite_norm(m) -> bool:
+    """Whether the Frobenius norm of m is finite: every entry finite and
+    the sum of their squares below overflow. A dot product, unlike a
+    ufunc, raises no floating-point warning when it overflows."""
+    a = as_matrix(m)
+    return math.isfinite(float(np.vdot(a, a).real))
 
 
 def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:

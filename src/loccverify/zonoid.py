@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .channels import Instrument, KrausSet, minimal_kraus
-from .linalg import as_matrix, is_hermitian
+from .linalg import as_matrix, has_finite_norm, is_hermitian
 from .tolerances import (INDEPENDENCE_TOL, INPUT_HERMITICITY_TOL,
                          MEMBERSHIP_TOL, RESOLUTION_TOL, ROUNDING_TOL,
                          SPAN_TOL)
@@ -131,17 +131,26 @@ class MembershipReport:
     """Answer of one membership solve.
 
     ``phase`` says which problem answered: ``candidate`` (an exact
-    candidate), ``descent`` (the descent on the whole box) or ``face-<k>``
-    (the descent on a face reached by k facial-reduction steps; only
-    feasible answers come from a face). ``face_x`` is then the canonical
-    direction that exposed the first face, else None. ``stop`` says how
-    the answering problem stopped: ``identity`` or ``affine`` when an
-    exact candidate answered, otherwise the descent's stop rule:
-    ``converged`` (residual <= 0.005 * tol), ``small-step`` (the iterate
-    moved by <= 1e-13), ``stalled`` (400 iterations without a relative
-    gain of 1e-6), ``outside`` (a separating direction certified the
-    point infeasible) or ``max-iter``. ``stop`` and ``phase`` are empty
-    on a report built without them.
+    candidate), ``span`` (z lies outside the linear span of the Gram
+    operators, certified before any descent), ``descent`` (the descent on
+    the whole box) or ``face-<k>`` (the descent on a face reached by k
+    facial-reduction steps; only feasible answers come from a face).
+    ``face_x`` is then the canonical direction that exposed the first
+    face, else None. ``stop`` says how the answering problem stopped:
+    ``identity`` or ``affine`` when an exact candidate answered, otherwise
+    the descent's stop rule: ``converged`` (residual <= 0.005 * tol),
+    ``small-step`` (the iterate moved by <= 1e-13), ``stalled`` (400
+    iterations without a relative gain of 1e-6), ``outside`` (a separating
+    direction certified the point infeasible; the one stop of ``span``)
+    or ``max-iter``. ``stop`` and ``phase`` are empty on a report built
+    without them.
+
+    An ``outside`` answer carries its certificate: ``separating`` is the
+    unit Hermitian direction x and ``gap`` is Re<x, z> - h(x) > tol, a
+    lower bound on the distance from z to the zonoid that anyone can
+    recompute with :func:`support_function`. Every other answer, the
+    infeasible ``small-step``, ``stalled`` and ``max-iter`` ones included,
+    leaves both None.
     """
 
     feasible: bool
@@ -151,6 +160,8 @@ class MembershipReport:
     stop: str = ""
     phase: str = ""
     face_x: np.ndarray | None = None
+    separating: np.ndarray | None = None
+    gap: float | None = None
 
 
 class _MembershipSolver:
@@ -158,7 +169,8 @@ class _MembershipSolver:
 
     The feasible set is the intersection of the affine slice
     {C block-supported : L(C) = z} with the spectral box {0 <= C <= 1}.
-    Exact candidates are tried first. Otherwise accelerated projected
+    Exact candidates are tried first, then a point outside the span of L
+    is certified outside at once. Otherwise accelerated projected
     gradient (FISTA, Beck and Teboulle 2009) minimises ||L(C) - z||^2 / 2
     over the box, restarting its momentum whenever the step goes uphill
     (O'Donoghue and Candes 2015), so every iterate is box feasible and the
@@ -257,29 +269,31 @@ class _MembershipSolver:
             total += np.where(w > 0.0, w, 0.0).sum(axis=1)
         return total
 
-    def outside_certified(self, z: np.ndarray, c: np.ndarray, tol: float
-                          ) -> bool:
-        """Separating-direction test at the current iterate (masked vector).
+    def outside_certified(self, z: np.ndarray, diff: np.ndarray, tol: float
+                          ) -> tuple[np.ndarray, float] | None:
+        """Separating-direction test of z against a point L(c).
 
-        With x the unit normal from L(c) toward z, any zonoid point y obeys
-        Re<x, y> <= h(x), so dist(z, zonoid) >= Re<x, z> - h(x). A gap above
-        ``tol`` settles infeasibility without running the descent to
-        convergence.
+        ``diff`` is z - L(c), flattened. With x the unit Hermitian part of
+        it, any zonoid point y obeys Re<x, y> <= h(x), so
+        dist(z, zonoid) >= Re<x, z> - h(x). Returns (x, gap) when that gap
+        is above ``tol``, else None. The gap is at most ||diff|| when c is
+        in the box or diff is orthogonal to the span of L, the two uses
+        here, so a shorter difference costs one dot product.
         """
-        diff = z - (self.a @ c).reshape(z.shape)
-        nrm = float(np.linalg.norm(diff))
-        if nrm == 0.0:
-            return False
-        x = diff / nrm
+        if not np.vdot(diff, diff).real > tol * tol:
+            return None
+        diff = diff.reshape(z.shape)
+        diff = 0.5 * (diff + diff.conj().T)
+        x = diff / float(np.linalg.norm(diff))
         gap = float(np.real(np.vdot(x, z))) - float(self.support(x[None])[0])
-        return gap > tol
+        return (x, gap) if gap > tol else None
 
-    def _candidates(self, zvec: np.ndarray, c0: np.ndarray):
+    def _candidates(self, zvec: np.ndarray, c0: np.ndarray, off: np.ndarray):
         ident = np.eye(self.kappa, dtype=np.complex128)[self.mask]
         if np.linalg.norm(self.a @ ident - zvec) <= ROUNDING_TOL:
             return ident, "identity"
         if (self.in_box(self.to_matrix(c0))
-                and np.linalg.norm(self.a @ c0 - zvec) <= ROUNDING_TOL):
+                and np.linalg.norm(off) <= ROUNDING_TOL):
             return c0, "affine"
         return None, ""
 
@@ -378,6 +392,7 @@ class _MembershipSolver:
         best = c
         best_res = float(np.linalg.norm(self.a @ c - zvec))
         last_improve = 0
+        cert = None
         # it counts this descent's steps, iters those of the whole solve.
         iters = 0
         it = -1
@@ -413,7 +428,8 @@ class _MembershipSolver:
                 stop = "stalled"
                 break
             if it % 100 == 99:
-                if self.outside_certified(z, c, tol):
+                cert = self.outside_certified(z, zvec - self.a @ c, tol)
+                if cert is not None:
                     stop = "outside"
                     break
                 if it == 99 and faces:
@@ -423,24 +439,42 @@ class _MembershipSolver:
                         if found.feasible:
                             return dataclasses.replace(found,
                                                        iterations=iters)
+        x, gap = (None, None) if cert is None else cert
         return MembershipReport(best_res <= tol,
                                 CoefficientMatrix(self.to_matrix(best)),
-                                float(best_res), iters, stop, "descent")
+                                float(best_res), iters, stop, "descent",
+                                separating=x, gap=gap)
 
     def solve(self, z: np.ndarray, tol: float, budget: int,
               faces: bool = True, start: np.ndarray | None = None
               ) -> MembershipReport:
-        """Candidates, then the descent with at most ``budget`` iterations,
-        face steps included. ``faces`` allows the facial reduction;
-        ``start`` (a masked vector) replaces the descent's start a_pinv z.
+        """Candidates, then the span test, then the descent with at most
+        ``budget`` iterations, face steps included. ``faces`` allows the
+        facial reduction; ``start`` (a masked vector) replaces the
+        descent's start a_pinv z.
+
+        The span test is :meth:`outside_certified` at c0 = a_pinv z:
+        z - L(c0) is the part of z outside the span of the Gram operators,
+        a span the adjoint maps onto itself. On a basis of diagonal Kraus
+        operators it is the off-diagonal part of z. h need not vanish on
+        its direction up to rounding, so the gap is still taken from
+        ``support``.
         """
         zvec = z.reshape(-1)
         c0 = self.a_pinv @ zvec
-        cand, stop = self._candidates(zvec, c0)
+        off = zvec - self.a @ c0
+        cand, stop = self._candidates(zvec, c0, off)
         if cand is not None:
             c = self.to_matrix(cand)
             return MembershipReport(True, CoefficientMatrix(c),
                                     self.residual(c, z), 0, stop, "candidate")
+        cert = self.outside_certified(z, off, tol)
+        if cert is not None:
+            witness = CoefficientMatrix(self.to_matrix(self.project_box(c0)))
+            return MembershipReport(False, witness,
+                                    self.residual(witness.matrix, z), 0,
+                                    "outside", "span", separating=cert[0],
+                                    gap=cert[1])
         return self._descend(z, c0 if start is None else start, tol, budget,
                              faces)
 
@@ -451,15 +485,21 @@ def membership(z, spec: ZonoidSpec, tol: float = MEMBERSHIP_TOL
 
     The report's residual is ||L(C) - z||_F at the returned witness, which
     is always box feasible; ``feasible`` is the comparison against ``tol``.
-    A point outside the affine span can never be feasible and shows up with
-    a residual at least its distance to the span. MEMBERSHIP_MAX_ITER
-    bounds the descent iterations of the whole solve, those on a face of
-    the zonoid included.
+    A point whose part outside the linear span of the Gram operators
+    K_m^dag K_n separates it from the zonoid by more than ``tol`` is
+    answered before any descent (phase ``span``, 0 iterations) with that
+    part, normalised, as the separating direction; its residual is at
+    least its distance to the span.
+    MEMBERSHIP_MAX_ITER bounds the descent iterations of the whole solve,
+    those on a face of the zonoid included. Raises ValueError unless z is
+    a Hermitian d x d operator with finite entries and a finite norm.
     """
     z = as_matrix(z)
     d = spec.dim
     if z.shape != (d, d):
         raise ValueError(f"operator shape {z.shape} does not match dim {d}")
+    if not has_finite_norm(z):
+        raise ValueError("membership expects a finite operator")
     if not is_hermitian(z, INPUT_HERMITICITY_TOL):
         raise ValueError("membership expects a Hermitian operator")
     return spec.solver().solve(z, tol, MEMBERSHIP_MAX_ITER)

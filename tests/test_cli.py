@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from loccverify import cli, linalg, protocols, zonoid
-from loccverify.serialize import dumps, matrix_to_json
+from loccverify.serialize import dumps, matrix_from_json, matrix_to_json
 
 STUDY = (Path(__file__).resolve().parent.parent / "scripts"
          / "convergence_study.py")
@@ -122,6 +122,12 @@ class TestExitCodes:
         ["paper-pq", "--nodes", "100000"],
         ["wstate", "--nodes", "100000"],
         ["hausdorff", "--samples", "100000000"],
+        ["zonoid-check", "--basis", "square",
+         "--z", inline(np.diag([1e160, 1e160]))],
+        ["zonoid-check", "--basis", "square",
+         "--z", inline(np.diag([1e308, 1e308]))],
+        ["zonoid-check", "--basis", "square", "--z",
+         '{"rows": 2, "cols": 2, "data": [[NaN, 0], [0, 0], [0, 0], [1, 0]]}'],
     ])
     def test_bad_protocol_parameters_are_2(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
@@ -326,6 +332,23 @@ class TestSubcommands:
         assert rep["values"]["residual"] < 1e-12
         assert rep["values"]["stop"] == "identity"
         assert rep["values"]["support_identity"] == pytest.approx(4.0)
+
+    def test_zonoid_check_reports_the_separating_direction(self, capsys):
+        z = inline([[0.5, 0.3], [0.3, 0.5]])
+        status, rep = run(capsys, "zonoid-check", "--z", z,
+                          "--basis", "square")
+        assert status == 1
+        values = rep["values"]
+        assert (values["stop"], values["phase"]) == ("outside", "span")
+        assert values["iterations"] == 0
+        assert values["gap"] == pytest.approx(0.3 * np.sqrt(2.0), abs=1e-12)
+        np.testing.assert_allclose(matrix_from_json(values["separating"]),
+                                   [[0.0, 0.5 ** 0.5], [0.5 ** 0.5, 0.0]],
+                                   rtol=0.0, atol=1e-15)
+        status, rep = run(capsys, "zonoid-check", "--z", "identity",
+                          "--basis", "square")
+        assert rep["values"]["separating"] is None
+        assert rep["values"]["gap"] is None
 
     def test_zonoid_check_small_bases(self, capsys):
         for basis in ("square", "interval"):

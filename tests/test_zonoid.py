@@ -301,6 +301,13 @@ class TestMembershipReports:
         with pytest.raises(ValueError):
             membership(z, spec)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e308, np.inf, np.nan])
+    def test_non_finite_target_rejected(self, scale):
+        # 1e160 and 1e308 are finite entries whose norm overflows.
+        z = np.diag([scale, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match="finite"):
+            membership(z, square_spec())
+
 
 class TestEndpointFits:
     def test_grouped_third_operator(self):
@@ -745,3 +752,109 @@ class TestStopReasons:
         rep = membership(limit_path(2, 2.5), channel_zonoid())
         assert rep.stop == "max-iter"
         assert rep.iterations == 5
+
+    def test_outside_answers_carry_their_direction(self):
+        # Off the diagonal span of the square basis: answered before any
+        # descent, with the normalised off-diagonal part as direction.
+        z = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
+        rep = membership(z, square_spec())
+        assert (rep.stop, rep.phase, rep.iterations) == ("outside", "span", 0)
+        assert rep.gap == pytest.approx(np.sqrt(2.0) * 0.3, abs=1e-12)
+        np.testing.assert_allclose(
+            rep.separating, np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0),
+            rtol=0.0, atol=1e-15)
+        # In the span, certified by the descent's own test.
+        rep = membership(np.diag([0.9, 0.9, 1.0, 1.01]).astype(complex),
+                         channel_zonoid())
+        assert (rep.stop, rep.phase) == ("outside", "descent")
+        assert rep.iterations > 0
+        assert rep.separating is not None and rep.gap > MEMBERSHIP_TOL
+        # Infeasible answers without a certificate claim none.
+        for target in (1.5 * np.eye(4), np.diag([0.9, 0.9, 1.0, 1.0 + 1e-6])):
+            rep = membership(np.asarray(target, dtype=complex),
+                             channel_zonoid())
+            assert rep.stop in ("small-step", "stalled")
+            assert not rep.feasible
+            assert rep.separating is None and rep.gap is None
+
+
+def _check_certificate(rep, z, spec):
+    """The separating direction of an outside answer is a unit Hermitian x
+    whose gap, recomputed from the support function, is the reported one
+    and above the tolerance; the residual, recomputed at the box witness,
+    is at least that gap, up to rounding where the witness is the nearest
+    point of the zonoid."""
+    assert (rep.separating is None) == (rep.stop != "outside")
+    assert (rep.gap is None) == (rep.separating is None)
+    if rep.separating is None:
+        return
+    x = rep.separating
+    assert not rep.feasible
+    w = rep.witness.matrix
+    for blk in spec.block_list():
+        eig = np.linalg.eigvalsh(w[np.ix_(blk, blk)])
+        assert eig[0] >= -1e-12 and eig[-1] <= 1.0 + 1e-12
+    image = np.einsum("mn,mnac->ac", w, _gram(spec))
+    assert abs(np.linalg.norm(image - z) - rep.residual) <= 1e-12
+    np.testing.assert_allclose(x, x.conj().T, rtol=0.0, atol=1e-12)
+    assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+    gap = float(np.real(np.vdot(x, z))) - support_function(x, spec)
+    assert gap > MEMBERSHIP_TOL
+    assert abs(gap - rep.gap) <= 1e-10
+    assert rep.gap <= rep.residual + ROUNDING_TOL
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+class TestSeparatingCertificate:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1e-1))
+    def test_off_span_push_is_certified(self, name, seed, margin):
+        spec = BASES[name]()
+        x = _herm_unit(np.random.default_rng(seed), spec.dim)
+        y = np.einsum("mn,mnac->ac", _support_maximiser(spec, x), _gram(spec))
+        z = y + margin * x
+        z = 0.5 * (z + z.conj().T)
+        rep = membership(z, spec)
+        assert not rep.feasible
+        _check_certificate(rep, z, spec)
+        if name != "interval":
+            # These bases span only diagonal operators, and a Gaussian x
+            # has an off-diagonal part, so the span test answers.
+            assert (rep.phase, rep.iterations) == ("span", 0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_box_images_skip_the_span_exit(self, name, seed, pin):
+        # The span test returns nothing on a box image, so the answer is
+        # the candidate or bitwise the descent from a_pinv z.
+        spec = BASES[name]()
+        c = _random_box(spec, np.random.default_rng(seed), pin)
+        z = np.einsum("mn,mnac->ac", c, _gram(spec))
+        z = 0.5 * (z + z.conj().T)
+        rep = membership(z, spec)
+        assert rep.feasible
+        assert rep.phase != "span"
+        assert rep.separating is None and rep.gap is None
+        if rep.phase == "candidate":
+            return
+        s = spec.solver()
+        ref = s._descend(z, s.a_pinv @ z.reshape(-1), MEMBERSHIP_TOL,
+                         zonoid.MEMBERSHIP_MAX_ITER, True)
+        np.testing.assert_array_equal(rep.witness.matrix, ref.witness.matrix)
+        assert (rep.residual, rep.iterations, rep.stop, rep.phase) == \
+            (ref.residual, ref.iterations, ref.stop, ref.phase)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1e-1))
+def test_in_span_push_is_certified_by_the_descent(seed, margin):
+    spec = channel_zonoid()
+    r = np.random.default_rng(seed)
+    x = np.diag(r.standard_normal(spec.dim)).astype(complex)
+    x /= np.linalg.norm(x)
+    y = np.einsum("mn,mnac->ac", _support_maximiser(spec, x), _gram(spec))
+    z = np.diag(np.diag(y + margin * x).real).astype(complex)
+    rep = membership(z, spec)
+    assert not rep.feasible
+    assert rep.phase == "descent"
+    _check_certificate(rep, z, spec)
