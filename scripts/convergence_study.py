@@ -52,12 +52,12 @@ def main() -> int:
                         help="optional path for a CSV copy of the table")
     args = parser.parse_args()
     try:
+        nus = cli._rounds_list(args.nu_list, 2, args.c)
         cli.check_hausdorff_samples(args.samples)
     except cli.InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    nus = [int(tok) for tok in args.nu_list.split(",") if tok.strip()]
     rows = []
     for nu in nus:
         t0 = time.monotonic()

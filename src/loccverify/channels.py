@@ -21,9 +21,9 @@ from .linalg import (
     operator_norm,
     trace_norm,
 )
-from .tolerances import (COMPLETENESS_TOL, DENSITY_TRACE_TOL,
-                         INPUT_HERMITICITY_TOL, ISOMETRY_IDENTITY_TOL,
-                         ISOMETRY_TOL, PSD_TOL, RANK_TOL, ROUNDING_TOL)
+from .tolerances import (DENSITY_TRACE_TOL, INPUT_HERMITICITY_TOL,
+                         ISOMETRY_IDENTITY_TOL, ISOMETRY_TOL, PSD_TOL,
+                         RANK_TOL, ROUNDING_TOL)
 
 
 def _stack_operators(operators) -> np.ndarray:
@@ -83,9 +83,6 @@ class KrausSet:
         ops = self.operators
         acc = np.einsum("mba,mbc->ac", ops.conj(), ops)
         return operator_norm(acc - np.eye(self.input_dim))
-
-    def is_trace_preserving(self) -> bool:
-        return self.completeness_defect() <= COMPLETENESS_TOL
 
 
 def kraus_from_operators(operators: Sequence, input_dims, output_dims=None

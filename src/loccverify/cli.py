@@ -228,6 +228,9 @@ def _cmd_choi(args) -> dict:
 def _cmd_distance(args) -> dict:
     a = _resolve_kraus(args.a)
     b = _resolve_kraus(args.b)
+    if a.input_dim != b.input_dim:
+        raise InputError(f"--a and --b differ in input dimension "
+                         f"({a.input_dim} and {b.input_dim})")
     dist = choi_distance(choi(a), choi(b))
     return {"checks": [], "values": {"choi_distance": float(dist)}}
 

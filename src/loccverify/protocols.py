@@ -879,9 +879,9 @@ class CheckedPath:
     ``cmatrix_at`` optionally supplies a closed-form witness family, as a
     stack (n, kappa, kappa) of coefficient matrices that the verifier
     checks and symmetrises by the rule of :class:`CoefficientMatrix`.
-    ``endpoint_c`` optionally overrides the endpoint coefficient matrix
-    otherwise derived from the endpoint operator. ``block`` ties the path
-    to one block of a blocked basis for the resolution bookkeeping.
+    The endpoint coefficient matrix is always derived from the operator at
+    ``s_bottom``. ``block`` ties the path to one block of a blocked basis
+    for the resolution bookkeeping.
     """
 
     label: str
@@ -890,7 +890,6 @@ class CheckedPath:
     s_bottom: float
     dims: PartyDims
     cmatrix_at: Callable[[np.ndarray], np.ndarray] | None = None
-    endpoint_c: CoefficientMatrix | None = None
     block: int | None = None
 
     def sample_grid(self, s_samples: int | None) -> np.ndarray:
@@ -982,10 +981,7 @@ def _worst(name: str, defects: np.ndarray, tol: float, param: str,
 def _endpoint_check(path: CheckedPath, spec: ZonoidSpec):
     op = _operators(path.op_at(np.array([path.s_bottom])), 1, spec.dim,
                     f"{path.label} op_at")[0]
-    if path.endpoint_c is not None:
-        c = path.endpoint_c
-    else:
-        c = endpoint_cmatrix(sqrt_psd(op), spec)
+    c = endpoint_cmatrix(sqrt_psd(op), spec)
     solver = spec.solver()
     recon = float(np.linalg.norm(solver.image(c.matrix) - op))
     w = np.sort(c.eigenvalues())[::-1]

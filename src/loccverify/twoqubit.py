@@ -33,7 +33,6 @@ from .pqubit import (multiplier_choi_matrix, multiplier_kraus,
 from .protocols import (
     CheckedPath,
     EndpointFamily,
-    c_matrix_family,
     c_matrix_stack,
     derivative_outcomes,
     limit_path_stack,
@@ -43,10 +42,6 @@ from .tolerances import (COARSE_GRAIN_TOL, DENSITY_TRACE_TOL, ISOMETRY_TOL,
 from .zonoid import ZonoidSpec, zonoid_spec_for_instrument
 
 DIMS_2Q = PartyDims((2, 2))
-
-# Single-party pieces of the outcome grouping.
-T1 = np.diag([1.0, 1.0]).astype(np.complex128) / np.sqrt(3.0)
-T2 = np.diag([1.0, 2.0]).astype(np.complex128) / np.sqrt(6.0)
 
 
 def _diag4(a, b, c, d) -> np.ndarray:
@@ -318,36 +313,50 @@ def _sigma_of(s):
     return np.sqrt(s) - 1.0
 
 
-def limiting_family(spec: ZonoidSpec | None = None):
-    """Main path and halt families of the limit, ready for verification.
+def _limit_family(cdensity, blocked: bool):
+    """Main path and the halt-B and halt-A continua of the limit.
 
-    Returns (paths, families) over the reduced basis: the main path with
-    its closed-form witness family, and the two halt continua whose
-    coefficient densities integrate into the identity resolution.
+    ``cdensity(which)`` gives the coefficient-density callback of halt
+    outcome ``which`` (2 when party B halts, 3 when party A does). A blocked
+    basis ties the main path to block 0 and each halt family to its own
+    outcome block; the reduced basis instead attaches the closed-form C1
+    witness family to the main path.
     """
-    if spec is None:
-        spec = channel_zonoid()
     main = CheckedPath(
         label="main",
         op_at=lambda s: limit_path_stack(2, s),
         s_top=4.0,
         s_bottom=1.0,
         dims=DIMS_2Q,
-        cmatrix_at=lambda s: c_matrix_stack("C1", s),
-        endpoint_c=c_matrix_family("C1", 1.0),
+        cmatrix_at=None if blocked else lambda s: c_matrix_stack("C1", s),
+        block=0 if blocked else None,
     )
-
-    fams = []
-    for which, name in ((2, "C2"), (3, "C3")):
-        fams.append(EndpointFamily(
+    fams = [
+        EndpointFamily(
             label=f"halt-{'B' if which == 2 else 'A'}",
             parent=main,
             density_at=lambda sg, w=which: _halt_diag(sg, w),
-            cdensity_at=lambda sg, nm=name: c_matrix_stack(nm, _s_of(sg)),
+            cdensity_at=cdensity(which),
             attach_s=_s_of,
             sigma_at=_sigma_of,
-        ))
+            block=which - 1 if blocked else None,
+        )
+        for which in (2, 3)
+    ]
     return [main], fams
+
+
+def limiting_family(spec: ZonoidSpec | None = None):
+    """Main path and halt families of the limit, ready for verification.
+
+    Returns (paths, families) over the reduced basis: the main path with
+    its closed-form witness family, and the two halt continua whose
+    closed-form coefficient densities C2 and C3 integrate into the identity
+    resolution. The densities are closed forms, so ``spec`` is not read.
+    """
+    return _limit_family(
+        lambda which: lambda sg: c_matrix_stack(f"C{which}", _s_of(sg)),
+        blocked=False)
 
 
 def instrument_zonoid() -> ZonoidSpec:
@@ -368,15 +377,6 @@ def blocked_limiting_family(spec: ZonoidSpec | None = None):
     blocks = spec.block_list()
     ops = spec.basis.operators
 
-    main = CheckedPath(
-        label="main",
-        op_at=lambda s: limit_path_stack(2, s),
-        s_top=4.0,
-        s_bottom=1.0,
-        dims=DIMS_2Q,
-        block=0,
-    )
-
     def blocked_density(which: int):
         block = list(blocks[which - 1])
         a = np.linalg.pinv(ops[block].reshape(len(block), 16).T)
@@ -388,16 +388,4 @@ def blocked_limiting_family(spec: ZonoidSpec | None = None):
             return w[:, :, None] * w[:, None, :].conj()
         return f
 
-    fams = [
-        EndpointFamily(
-            label=f"halt-{'B' if which == 2 else 'A'}",
-            parent=main,
-            density_at=lambda sg, w=which: _halt_diag(sg, w),
-            cdensity_at=blocked_density(which),
-            attach_s=_s_of,
-            sigma_at=_sigma_of,
-            block=which - 1,
-        )
-        for which in (2, 3)
-    ]
-    return [main], fams
+    return _limit_family(blocked_density, blocked=True)

@@ -12,11 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import loccverify
 from loccverify import cli, linalg, protocols, zonoid
-from loccverify.serialize import dumps, matrix_from_json, matrix_to_json
+from loccverify.channels import kraus_from_operators
+from loccverify.serialize import (dumps, kraus_to_json, matrix_from_json,
+                                  matrix_to_json)
 
-STUDY = (Path(__file__).resolve().parent.parent / "scripts"
-         / "convergence_study.py")
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+STUDY = SCRIPTS / "convergence_study.py"
+SUITE = SCRIPTS / "run_verification_suite.py"
 
 
 def run(capsys, *argv):
@@ -31,6 +35,12 @@ def check_names(report):
 
 def inline(m):
     return dumps(matrix_to_json(np.asarray(m, dtype=complex)), indent=0)
+
+
+def inline_identity_kraus(d):
+    """One-operator Kraus set of the identity channel on C^d, inline."""
+    k = kraus_from_operators([np.eye(d, dtype=complex)], (d,))
+    return dumps(kraus_to_json(k), indent=0)
 
 
 class TestReportShape:
@@ -128,6 +138,8 @@ class TestExitCodes:
          "--z", inline(np.diag([1e308, 1e308]))],
         ["zonoid-check", "--basis", "square", "--z",
          '{"rows": 2, "cols": 2, "data": [[NaN, 0], [0, 0], [0, 0], [1, 0]]}'],
+        ["distance", "--a", inline_identity_kraus(2),
+         "--b", inline_identity_kraus(4)],
     ])
     def test_bad_protocol_parameters_are_2(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
@@ -249,6 +261,26 @@ class TestExitCodes:
         monkeypatch.setattr(zonoid, "_directions", refuse)
         monkeypatch.setattr(sys, "argv", ["convergence_study.py",
                                           "--samples", samples])
+        with pytest.raises(SystemExit) as stop:
+            runpy.run_path(str(STUDY), run_name="__main__")
+        captured = capsys.readouterr()
+        assert stop.value.code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["--nu-list", "10,x"],
+        ["--nu-list", "0"],
+        ["--c", "1.5"],
+    ])
+    def test_convergence_study_refuses_rounds_before_any_row(
+            self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("refused run computed a row")
+
+        monkeypatch.setattr(loccverify, "path_distance_bound", refuse)
+        monkeypatch.setattr(sys, "argv", ["convergence_study.py", *argv])
         with pytest.raises(SystemExit) as stop:
             runpy.run_path(str(STUDY), run_name="__main__")
         captured = capsys.readouterr()
@@ -472,3 +504,16 @@ class TestHugeRounds:
         status, rep = run(capsys, *argv)
         assert status == 0
         assert rep["pass"] is True
+
+
+class TestVerificationSuite:
+    def test_every_battery_command_passes(self, capsys, monkeypatch):
+        suite = runpy.run_path(str(SUITE))
+        monkeypatch.setattr(sys, "argv", ["run_verification_suite.py"])
+        assert suite["main"]() == 0
+        lines = capsys.readouterr().out.splitlines()
+        ok = [line for line in lines if line.startswith("[ok  ]")]
+        assert len(suite["BATTERY"]) == 12
+        assert len(ok) == 12
+        for line, (argv, _) in zip(ok, suite["BATTERY"]):
+            assert line.startswith(f"[ok  ] {' '.join(argv)} ")

@@ -1120,3 +1120,30 @@ class TestIntegratedWitness:
         for fam in fams:
             for s in main.sample_grid(s_samples):
                 assert abs(fam.attach_s(fam.sigma_at(float(s))) - s) <= 1e-15
+
+
+class TestLimitFamilies:
+    """The reduced and blocked families share their paths and densities."""
+
+    def test_derived_endpoint_is_the_closed_form_c1(self):
+        (main,), _ = limiting_family()
+        c_end, defect = protocols._endpoint_check(main, channel_zonoid())
+        assert np.array_equal(c_end.matrix,
+                              c_matrix_family("C1", 1.0).matrix)
+        assert defect <= 1e-12
+
+    def test_reduced_and_blocked_families_agree(self):
+        (main,), fams = limiting_family()
+        (bmain,), bfams = blocked_limiting_family()
+        assert (main.s_top, main.s_bottom, main.dims) == (
+            bmain.s_top, bmain.s_bottom, bmain.dims)
+        grid = main.sample_grid(None)
+        assert np.array_equal(grid, bmain.sample_grid(None))
+        assert np.array_equal(main.op_at(grid), bmain.op_at(grid))
+        sigmas = np.linspace(0.0, 1.0, 101)
+        assert [f.label for f in fams] == [f.label for f in bfams]
+        for fam, bfam in zip(fams, bfams):
+            assert np.array_equal(fam.density_at(sigmas),
+                                  bfam.density_at(sigmas))
+            assert np.array_equal(fam.attach_s(sigmas), bfam.attach_s(sigmas))
+            assert np.array_equal(fam.sigma_at(grid), bfam.sigma_at(grid))
