@@ -619,8 +619,8 @@ def main_branch_path(parties: int, rounds: int, exponent: float
     those zero-length segments are dropped (their operators agree to the
     same precision).
     """
-    _, cont = _step_rows(ProtocolParams(parties, rounds, exponent))
-    diags = np.vstack([np.ones((1, 2 ** parties)), cont])
+    eta = 1.0 - ProtocolParams(parties, rounds, exponent).epsilon
+    diags = _node_diagonals(parties, eta, np.arange(parties * rounds + 1.0))
     traces = diags.sum(axis=1)
     keep: list[int] = []
     last = np.inf
@@ -654,14 +654,35 @@ def prefix_zeros(parties: int) -> np.ndarray:
     return table
 
 
+def _node_diagonals(parties: int, eta: float, k: np.ndarray) -> np.ndarray:
+    """Diagonals of the main-branch nodes after ``k`` steps (whole numbers
+    held as floats); shape (len(k), 2^P).
+
+    The node after k = n P + l steps (0 <= l < P) is the product of
+    diag(eta^(n+1), 1) for parties 1..l and diag(eta^n, 1) for the others.
+    Python powers and a left-to-right product, as in :func:`_step_rows`,
+    so each row equals the table's continue row bit for bit.
+    """
+    n = np.floor(k / parties)
+    l = k - n * parties
+    cycles, at = np.unique(np.concatenate([n, n + 1.0]),
+                           return_inverse=True)
+    now, later = np.split(
+        np.array([eta ** x for x in cycles.tolist()])[at], 2)
+    diag = np.ones((k.size, 1))
+    for party in range(1, parties + 1):
+        factor = np.where(party <= l, later, now)[:, None]
+        diag = np.stack([diag * factor, diag], axis=2).reshape(k.size, -1)
+    return diag
+
+
 def main_branch_diagonals(parties: int, rounds: int, exponent: float,
                           s: Sequence[float]) -> np.ndarray:
     """Diagonals of the finite main branch at the traces ``s``, in closed
     form; shape (len(s), 2^P).
 
-    The node after k = n P + l steps (0 <= l < P) is the product of
-    diag(eta^(n+1), 1) for parties 1..l and diag(eta^n, 1) for the others,
-    so its trace (1 + eta^(n+1))^l (1 + eta^n)^(P - l) decreases in k.
+    The node after k = n P + l steps (0 <= l < P, :func:`_node_diagonals`)
+    has trace (1 + eta^(n+1))^l (1 + eta^n)^(P - l), which decreases in k.
     Each s is placed on its segment by bisection over k, and the two node
     diagonals at the ends of that segment are interpolated linearly in
     trace. Values of s outside the branch's domain are clamped into it, as
@@ -672,29 +693,11 @@ def main_branch_diagonals(parties: int, rounds: int, exponent: float,
     s = np.asarray(s, dtype=float).reshape(-1)
     last = float(parties * rounds)
 
-    def split(k):
-        n = np.floor(k / parties)
-        return n, k - n * parties
-
     def node_trace(k):
-        n, l = split(k)
+        n = np.floor(k / parties)
+        l = k - n * parties
         now = eta ** n
         return (1.0 + eta * now) ** l * (1.0 + now) ** (parties - l)
-
-    def node_diag(k):
-        # Python powers and a left-to-right product, as in _step_rows, so
-        # breakpoint diagonals equal the table's bit for bit.
-        n, l = split(k)
-        cycles, at = np.unique(np.concatenate([n, n + 1.0]),
-                               return_inverse=True)
-        now, later = np.split(
-            np.array([eta ** x for x in cycles.tolist()])[at], 2)
-        diag = np.ones((k.size, 1))
-        for party in range(1, parties + 1):
-            factor = np.where(party <= l, later, now)[:, None]
-            diag = np.stack([diag * factor, diag],
-                            axis=2).reshape(k.size, -1)
-        return diag
 
     # Invariant: node_trace(lo) >= s > node_trace(hi), so the bracket
     # halves to a single segment. Below the branch's floor lo = hi = last;
@@ -706,7 +709,8 @@ def main_branch_diagonals(parties: int, rounds: int, exponent: float,
         above = node_trace(mid) >= s
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
-    top, bottom = np.split(node_diag(np.concatenate([lo, hi])), 2)
+    top, bottom = np.split(
+        _node_diagonals(parties, eta, np.concatenate([lo, hi])), 2)
     t_top, t_bottom = top.sum(axis=1), bottom.sum(axis=1)
     span = t_top - t_bottom
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -135,8 +135,8 @@ class MembershipReport:
     operators, certified before any descent), ``descent`` (the descent on
     the whole box) or ``face-<k>`` (the descent on a face reached by k
     facial-reduction steps; only feasible answers come from a face).
-    ``face_x`` is then the canonical direction that exposed the first
-    face, else None. ``stop`` says how the answering problem stopped:
+    ``face_x`` is then the canonical direction, or its negative, that
+    exposed the first face, else None. ``stop`` says how the answering problem stopped:
     ``identity`` or ``affine`` when an exact candidate answered, otherwise
     the descent's stop rule: ``converged`` (residual <= 0.005 * tol),
     ``small-step`` (the iterate moved by <= 1e-13), ``stalled`` (400
@@ -171,14 +171,18 @@ class _MembershipSolver:
     {C block-supported : L(C) = z} with the spectral box {0 <= C <= 1}.
     Exact candidates are tried first, then a point outside the span of L
     is certified outside at once. Otherwise accelerated projected
-    gradient (FISTA, Beck and Teboulle 2009) minimises ||L(C) - z||^2 / 2
-    over the box, restarting its momentum whenever the step goes uphill
-    (O'Donoghue and Candes 2015), so every iterate is box feasible and the
-    residual of the best one decides the answer.
+    gradient (FISTA, Beck and Teboulle 2009) minimises half the squared
+    distance from C to the slice over the box, restarting its momentum
+    whenever the step goes uphill (O'Donoghue and Candes 2015), so every
+    iterate is box feasible and the residual ||L(C) - z|| of the best one
+    decides the answer.
 
     The descent carries C as the vector of its block-supported entries,
-    so L is the matrix ``a`` and a gradient step is one matvec with the
-    normal operator I - step * a^H a.
+    so L is the matrix ``a`` and the distance to the slice is
+    ||a^+ (a c - z)||. Its gradient a^+ a c - a^+ z applies the projector
+    onto the row space of ``a``, so the Lipschitz constant is 1 in every
+    direction, however ill-conditioned L is, and a step of length 1 is
+    one matvec with ``normal`` = I - a^+ a plus the shift a^+ z.
 
     Where the slice meets the box only on a face there is no Slater point
     and the descent crawls. So a descent that has neither converged nor
@@ -201,12 +205,11 @@ class _MembershipSolver:
         a_full = self.gram_ops.reshape(kappa * kappa, d * d).T
         self.a = a_full[:, mask.reshape(-1)]
         self.a_pinv = np.linalg.pinv(self.a, rcond=1e-13)
-        sv = np.linalg.svd(self.a, compute_uv=False)
-        lipschitz = float(sv[0] ** 2) if sv.size else 1.0
-        self.step = 1.0 / max(lipschitz, 1e-300)
-        self.a_h = np.ascontiguousarray(self.a.conj().T)
-        self.normal = (np.eye(self.a.shape[1])
-                       - self.step * (self.a_h @ self.a))
+        # I minus the projector onto the row space of a.
+        self.normal = np.eye(self.a.shape[1]) - self.a_pinv @ self.a
+        # overlap_ops[(a, b), (p, m)] = gram_ops[m, p, b, a].
+        self.overlap_ops = np.ascontiguousarray(
+            gram_ops.transpose(3, 2, 1, 0).reshape(d * d, kappa * kappa))
         self.canonical = _canonical_directions(d)
 
     def image(self, c: np.ndarray) -> np.ndarray:
@@ -251,17 +254,19 @@ class _MembershipSolver:
         return ok
 
     def overlap(self, xs: np.ndarray) -> np.ndarray:
-        """A[m', m] = Tr(x Khat_m^dag Khat_m') of each direction of ``xs``."""
-        return np.einsum("kab,mpba->kpm", xs, self.gram_ops)
+        """A[m', m] = Tr(x Khat_m^dag Khat_m') of each direction of ``xs``:
+        one product of the flattened directions with ``overlap_ops``."""
+        n, k = len(xs), self.kappa
+        return (xs.reshape(n, -1) @ self.overlap_ops).reshape(n, k, k)
 
     def support(self, xs: np.ndarray) -> np.ndarray:
-        """h(x) for each direction of the stack ``xs``, shape (k, d, d).
+        """h(x) for each direction of the stack ``xs``, shape (k, d, d)."""
+        return self.support_of(self.overlap(xs))
 
-        h(x) is the sum of the positive eigenvalues of the overlap matrix
-        A(x), taken block by block.
-        """
-        overlap = self.overlap(xs)
-        total = np.zeros(len(xs))
+    def support_of(self, overlap: np.ndarray) -> np.ndarray:
+        """h(x) from the overlap matrices A(x) of a stack of directions: the
+        sum of the positive eigenvalues of A(x), taken block by block."""
+        total = np.zeros(len(overlap))
         for rows, cols in self.grids:
             sub = overlap[:, rows, cols]
             w = np.linalg.eigvalsh(
@@ -269,22 +274,24 @@ class _MembershipSolver:
             total += np.where(w > 0.0, w, 0.0).sum(axis=1)
         return total
 
-    def outside_certified(self, z: np.ndarray, diff: np.ndarray, tol: float
+    def outside_certified(self, z: np.ndarray, r: np.ndarray,
+                          x: np.ndarray, tol: float
                           ) -> tuple[np.ndarray, float] | None:
         """Separating-direction test of z against a point L(c).
 
-        ``diff`` is z - L(c), flattened. With x the unit Hermitian part of
-        it, any zonoid point y obeys Re<x, y> <= h(x), so
+        ``r`` is z - L(c), flattened, and ``x`` the flattened direction to
+        test. With x replaced by its unit Hermitian part, any zonoid point
+        y obeys Re<x, y> <= h(x), so
         dist(z, zonoid) >= Re<x, z> - h(x). Returns (x, gap) when that gap
-        is above ``tol``, else None. The gap is at most ||diff|| when c is
-        in the box or diff is orthogonal to the span of L, the two uses
-        here, so a shorter difference costs one dot product.
+        is above ``tol``, else None. The gap is at most the distance, which
+        is at most ||r|| when c is in the box or r is orthogonal to the
+        span of L, the two uses here, so a shorter r costs one dot product.
         """
-        if not np.vdot(diff, diff).real > tol * tol:
+        if not np.vdot(r, r).real > tol * tol:
             return None
-        diff = diff.reshape(z.shape)
-        diff = 0.5 * (diff + diff.conj().T)
-        x = diff / float(np.linalg.norm(diff))
+        x = x.reshape(z.shape)
+        x = 0.5 * (x + x.conj().T)
+        x = x / float(np.linalg.norm(x))
         gap = float(np.real(np.vdot(x, z))) - float(self.support(x[None])[0])
         return (x, gap) if gap > tol else None
 
@@ -300,19 +307,23 @@ class _MembershipSolver:
     def expose_face(self, z: np.ndarray):
         """A proper face of the zonoid that holds z, or None.
 
-        The first canonical direction x with A(x) nonzero and
-        |Re<x, z> - h(x)| <= ROUNDING_TOL exposes it. Every box point C
-        with Re<x, L(C)> = h(x) is 1 on the positive eigenspace of A(x) and
-        0 on the negative one, so the face is the image of C = P + V0 Y V0^H
-        with P the projector onto the positive eigenvectors and 0 <= Y <= 1
-        on the kernel columns V0. Returns (x, P, V0, blocks of Y); the
-        columns of V0 keep the block order, so Y stays block diagonal.
+        The first direction x, among the canonical directions and then
+        their negatives, with A(x) nonzero and |Re<x, z> - h(x)| <=
+        ROUNDING_TOL exposes it. The negatives expose the faces on which
+        C vanishes on some vector, such as a zero block. Every box point
+        C with Re<x, L(C)> = h(x) is 1 on the positive eigenspace of A(x)
+        and 0 on the negative one, so the face is the image of
+        C = P + V0 Y V0^H with P the projector onto the positive
+        eigenvectors and 0 <= Y <= 1 on the kernel columns V0. Returns
+        (x, P, V0, blocks of Y); the columns of V0 keep the block order,
+        so Y stays block diagonal.
         """
-        xs = self.canonical
+        xs = np.concatenate([self.canonical, -self.canonical])
+        overlaps = self.overlap(xs)
         pairing = np.real(np.einsum("kab,ab->k", xs.conj(), z))
-        gaps = np.abs(pairing - self.support(xs))
+        gaps = np.abs(pairing - self.support_of(overlaps))
         for k in np.flatnonzero(gaps <= ROUNDING_TOL):
-            a = self.overlap(xs[k:k + 1])[0]
+            a = overlaps[k]
             pos, ker, blocks = [], [], []
             width = 0
             for blk, grid in zip(self.blocks, self.grids):
@@ -337,13 +348,14 @@ class _MembershipSolver:
         """Answer z on the face of the zonoid that holds it, or None.
 
         Facial reduction (Borwein and Wolkowicz 1981; Permenter and Parrilo
-        2018): while a canonical direction exposes a face, fix C on it and
-        keep the kernel columns, each step dropping at least one dimension.
-        The descent on the last face needs no Slater point of the whole
-        box; it starts from the compression V0^H C V0 of the descent's
-        iterate ``c`` (a masked vector). Its witness is lifted back to a
-        kappa x kappa one and judged by the box and image rules of the
-        whole problem; the report is feasible only if that witness passes.
+        2018): while a canonical direction or its negative exposes a face
+        (:meth:`expose_face`), fix C on it and keep the kernel columns,
+        each step dropping at least one dimension. The descent on the last
+        face needs no Slater point of the whole box; it starts from the
+        compression V0^H C V0 of the descent's iterate ``c`` (a masked
+        vector). Its witness is lifted back to a kappa x kappa one and
+        judged by the box and image rules of the whole problem; the report
+        is feasible only if that witness passes.
         """
         solver, target, steps, face_x = self, z, [], None
         start = self.to_matrix(c)
@@ -360,9 +372,11 @@ class _MembershipSolver:
                 solver = None
                 break
             # The basis K'_a = sum_n conj(ker[n, a]) Khat_n, so that
-            # L'(Y) = L(ker Y ker^H).
-            gram = np.einsum("ma,nb,mnij->abij", ker, ker.conj(),
-                             solver.gram_ops)
+            # L'(Y) = L(ker Y ker^H): gram[a, b] = sum_mn ker[m, a]
+            # conj(ker[n, b]) gram_ops[m, n], one index at a time.
+            gram = np.tensordot(
+                np.tensordot(ker, solver.gram_ops, axes=(0, 0)),
+                ker.conj(), axes=(1, 0)).transpose(0, 3, 1, 2)
             solver = _MembershipSolver(gram, blocks)
         if not steps:
             return None
@@ -384,7 +398,7 @@ class _MembershipSolver:
     def _descend(self, z: np.ndarray, c0: np.ndarray, tol: float,
                  budget: int, faces: bool) -> MembershipReport:
         zvec = z.reshape(-1)
-        shift = self.step * (self.a_h @ zvec)
+        shift = self.a_pinv @ zvec
         normal = self.normal
         c = self.project_box(c0)
         y = c
@@ -402,7 +416,7 @@ class _MembershipSolver:
             iters += 1
             g = normal @ y + shift
             cn = self.project_box(g)
-            # y - g = step * grad, so this is the sign of Re<grad, cn - c>.
+            # y - g is the gradient, so this is the sign of Re<grad, cn - c>.
             if np.vdot(y - g, cn - c).real > 0.0:
                 # The momentum step went uphill: restart from c.
                 t = 1.0
@@ -428,7 +442,11 @@ class _MembershipSolver:
                 stop = "stalled"
                 break
             if it % 100 == 99:
-                cert = self.outside_certified(z, zvec - self.a @ c, tol)
+                r = zvec - self.a @ c
+                # Near the minimiser a^H (a a^H)^+ r lies in the normal
+                # cone of the box at c, so (a a^H)^+ r is the direction.
+                cert = self.outside_certified(
+                    z, r, self.a_pinv.conj().T @ (self.a_pinv @ r), tol)
                 if cert is not None:
                     stop = "outside"
                     break
@@ -453,10 +471,11 @@ class _MembershipSolver:
         facial reduction; ``start`` (a masked vector) replaces the
         descent's start a_pinv z.
 
-        The span test is :meth:`outside_certified` at c0 = a_pinv z:
-        z - L(c0) is the part of z outside the span of the Gram operators,
-        a span the adjoint maps onto itself. On a basis of diagonal Kraus
-        operators it is the off-diagonal part of z. h need not vanish on
+        The span test is :meth:`outside_certified` at c0 = a_pinv z in
+        the direction of r = z - L(c0) itself, the part of z outside the
+        span of the Gram operators, a span the adjoint maps onto itself.
+        On a basis of diagonal Kraus operators it is the off-diagonal part
+        of z. h need not vanish on
         its direction up to rounding, so the gap is still taken from
         ``support``.
         """
@@ -468,7 +487,7 @@ class _MembershipSolver:
             c = self.to_matrix(cand)
             return MembershipReport(True, CoefficientMatrix(c),
                                     self.residual(c, z), 0, stop, "candidate")
-        cert = self.outside_certified(z, off, tol)
+        cert = self.outside_certified(z, off, off, tol)
         if cert is not None:
             witness = CoefficientMatrix(self.to_matrix(self.project_box(c0)))
             return MembershipReport(False, witness,

@@ -21,6 +21,7 @@ from loccverify import (
     main_branch_diagonals,
     main_branch_path,
     membership,
+    pqubit_coefficients,
     prelimit_channel,
     separation_gap,
     support_function,
@@ -215,6 +216,49 @@ class TestMembershipReports:
             total += rep.iterations
         assert total < 1000
 
+    def test_instrument_box_images_need_few_iterations(self):
+        # Box images, interior or pinned to a face of the box, converge in
+        # about ten iterations each, however ill-conditioned L is.
+        spec = instrument_zonoid()
+        gram = _gram(spec)
+        r = np.random.default_rng(2024)
+        total = 0
+        for pin in [False] * 20 + [True] * 20:
+            z = np.einsum("mn,mnac->ac", _random_box(spec, r, pin), gram)
+            rep = membership(0.5 * (z + z.conj().T), spec)
+            assert rep.feasible
+            total += rep.iterations
+        assert total < 800
+
+    def test_zero_block_faces_are_feasible_on_their_face(self):
+        # C = 0 on a whole block of instrument_zonoid puts L(C) on a face
+        # that only a negated canonical direction exposes; without it the
+        # descent crawls to the iteration cap.
+        spec = instrument_zonoid()
+        gram = _gram(spec)
+        r = np.random.default_rng(0)
+        total = 0
+        for zero in [(1, 2), (3, 4)] * 10:
+            c = np.zeros((spec.kappa, spec.kappa), dtype=complex)
+            for blk in spec.block_list():
+                if blk != zero:
+                    w = r.uniform(0.0, 1.0, len(blk))
+                    u = haar_unitary(len(blk), r)
+                    c[np.ix_(blk, blk)] = (u * w) @ u.conj().T
+            z = np.einsum("mn,mnac->ac", c, gram)
+            rep = membership(0.5 * (z + z.conj().T), spec, tol=1e-9)
+            assert rep.feasible
+            total += rep.iterations
+        assert total < 3000
+
+    @pytest.mark.parametrize("s", [15.0, 12.0])
+    def test_four_party_limit_path_needs_no_face(self, s):
+        # The descent reaches these points before the facial reduction at
+        # iteration 100 would start.
+        rep = membership(limit_path(4, s), _multiplier_spec(4))
+        assert rep.feasible and rep.stop == "converged"
+        assert rep.phase == "descent" and rep.iterations < 100
+
     def test_phase_and_face_direction_are_reported(self):
         spec = channel_zonoid()
         for target, phase in [(np.eye(4), "candidate"),
@@ -224,7 +268,7 @@ class TestMembershipReports:
             rep = membership(np.asarray(target, dtype=complex), spec)
             assert rep.phase == phase
             assert rep.face_x is None
-        rep = membership(main_branch_path(2, 100, 0.5).operators[81], spec,
+        rep = membership(main_branch_path(2, 100, 0.5).operators[91], spec,
                          tol=1e-9)
         assert rep.feasible and rep.phase == "face-1"
         np.testing.assert_array_equal(rep.face_x, np.diag([0, 0, 0, 1]))
@@ -241,8 +285,8 @@ class TestMembershipReports:
         np.testing.assert_allclose(rep.witness.matrix, np.eye(2), atol=1e-15)
 
     def test_iteration_cap_counts_face_iterations(self, monkeypatch):
-        # This breakpoint converges on its face after about 290 iterations.
-        z = main_branch_path(2, 100, 0.5).operators[121]
+        # This breakpoint converges on its face after about 750 iterations.
+        z = main_branch_path(2, 100, 0.5).operators[133]
         assert membership(z, channel_zonoid(), tol=1e-9).phase == "face-1"
         monkeypatch.setattr(zonoid, "MEMBERSHIP_MAX_ITER", 150)
         rep = membership(z, channel_zonoid(), tol=1e-9)
@@ -462,6 +506,19 @@ def _k_reduced_witness_residual(c, z):
     assert w[0] >= -1e-12 and w[-1] <= 1.0 + 1e-12
     image = np.einsum("mn,mba,nbc->ac", c, k.conj(), k)
     return float(np.linalg.norm(image - z))
+
+
+def _multiplier_spec(parties):
+    """Zonoid of the P-party limit multiplier S: diagonal Kraus operators
+    diag(sqrt(w_m) v_m) from eigh of S, keeping the eigenvalues above
+    1e-12 times the largest."""
+    w, v = np.linalg.eigh(pqubit_coefficients(parties))
+    keep = np.flatnonzero(w > 1e-12 * w[-1])[::-1]
+    d = 2 ** parties
+    ops = np.zeros((keep.size, d, d), dtype=complex)
+    ops[:, np.arange(d), np.arange(d)] = (v[:, keep] * np.sqrt(w[keep])).T
+    return ZonoidSpec(kraus_from_operators(list(ops),
+                                           PartyDims((2,) * parties)))
 
 
 def _herm_unit(r, d):
@@ -698,6 +755,16 @@ class TestDescentKernel:
         longer = _directions(d, n + 7, 17)
         np.testing.assert_array_equal(longer[:len(xs)], xs)
 
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_normal_is_the_kernel_projector(self, name):
+        # The descent steps with length 1 because normal = I - a^+ a is the
+        # orthogonal projector onto the kernel of a.
+        s = BASES[name]().solver()
+        n = s.normal
+        np.testing.assert_allclose(n, n.conj().T, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(n @ n, n, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(s.a @ n, 0.0, rtol=0.0, atol=1e-12)
+
     def test_verdicts_match_matrix_form_descent(self):
         r = np.random.default_rng(90210)
         checked = 0
@@ -845,16 +912,43 @@ class TestSeparatingCertificate:
             (ref.residual, ref.iterations, ref.stop, ref.phase)
 
 
+def _diagonal_push(spec, r, margin):
+    """y + margin x on the diagonal, y a support maximiser of a random unit
+    diagonal x: outside the zonoid, and in the span of a diagonal basis."""
+    x = np.diag(r.standard_normal(spec.dim)).astype(complex)
+    x /= np.linalg.norm(x)
+    y = np.einsum("mn,mnac->ac", _support_maximiser(spec, x), _gram(spec))
+    return np.diag(np.diag(y + margin * x).real).astype(complex)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1e-1))
 def test_in_span_push_is_certified_by_the_descent(seed, margin):
     spec = channel_zonoid()
-    r = np.random.default_rng(seed)
-    x = np.diag(r.standard_normal(spec.dim)).astype(complex)
-    x /= np.linalg.norm(x)
-    y = np.einsum("mn,mnac->ac", _support_maximiser(spec, x), _gram(spec))
-    z = np.diag(np.diag(y + margin * x).real).astype(complex)
+    z = _diagonal_push(spec, np.random.default_rng(seed), margin)
     rep = membership(z, spec)
     assert not rep.feasible
     assert rep.phase == "descent"
     _check_certificate(rep, z, spec)
+
+
+@pytest.mark.parametrize("name", sorted(ZONOIDS))
+def test_descent_checkpoint_certifies_in_span_pushes(name):
+    # Every descent that reaches its checkpoint at iteration 100 is
+    # certified there by the direction (a a^H)^+ r; one that stops moving
+    # before then ends `small-step`, uncertified.
+    spec = ZONOIDS[name]()
+    certified = 0
+    for seed in range(12):
+        r = np.random.default_rng(seed)
+        z = _diagonal_push(spec, r, float(r.uniform(1e-3, 1e-1)))
+        rep = membership(z, spec)
+        assert not rep.feasible and rep.phase == "descent"
+        _check_certificate(rep, z, spec)
+        if rep.stop == "outside":
+            assert rep.iterations == 100
+            certified += 1
+        else:
+            assert rep.stop == "small-step" and rep.iterations < 100
+    # 6 (channel) and 8 (instrument) of these 12 reach the checkpoint.
+    assert certified >= 6
