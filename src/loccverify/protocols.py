@@ -672,7 +672,8 @@ def _node_diagonals(parties: int, eta: float, k: np.ndarray) -> np.ndarray:
     diag = np.ones((k.size, 1))
     for party in range(1, parties + 1):
         factor = np.where(party <= l, later, now)[:, None]
-        diag = np.stack([diag * factor, diag], axis=2).reshape(k.size, -1)
+        diag = np.stack([diag * factor, diag], axis=2)
+        diag = diag.reshape(k.size, 2 ** party)
     return diag
 
 

@@ -131,13 +131,17 @@ class MembershipReport:
     """Answer of one membership solve.
 
     ``phase`` says which problem answered: ``candidate`` (an exact
-    candidate), ``span`` (z lies outside the linear span of the Gram
-    operators, certified before any descent), ``descent`` (the descent on
-    the whole box) or ``face-<k>`` (the descent on a face reached by k
-    facial-reduction steps; only feasible answers come from a face).
+    candidate with a residual at most min(tol, ROUNDING_TOL): the
+    identity, the slice point nearest the box centre or the minimum-norm
+    slice point a^+ z), ``span`` (z lies outside the linear span of the
+    Gram operators, certified before any descent), ``descent`` (the
+    descent on the whole box) or ``face-<k>`` (the descent on a face
+    reached by k facial-reduction steps; only feasible answers come from
+    a face).
     ``face_x`` is then the canonical direction, or its negative, that
-    exposed the first face, else None. ``stop`` says how the answering problem stopped:
-    ``identity`` or ``affine`` when an exact candidate answered, otherwise
+    exposed the first face, else None. ``stop`` says how the answering
+    problem stopped: ``identity`` when the identity answered, ``affine``
+    when one of the two slice points did (or a face pinned C), otherwise
     the descent's stop rule: ``converged`` (residual <= 0.005 * tol),
     ``small-step`` (the iterate moved by <= 1e-13), ``stalled`` (400
     iterations without a relative gain of 1e-6), ``outside`` (a separating
@@ -169,13 +173,14 @@ class _MembershipSolver:
 
     The feasible set is the intersection of the affine slice
     {C block-supported : L(C) = z} with the spectral box {0 <= C <= 1}.
-    Exact candidates are tried first, then a point outside the span of L
-    is certified outside at once. Otherwise accelerated projected
-    gradient (FISTA, Beck and Teboulle 2009) minimises half the squared
-    distance from C to the slice over the box, restarting its momentum
-    whenever the step goes uphill (O'Donoghue and Candes 2015), so every
-    iterate is box feasible and the residual ||L(C) - z|| of the best one
-    decides the answer.
+    Exact candidates are tried first (:meth:`_candidates`: the identity,
+    the slice point nearest the box centre and the minimum-norm slice
+    point a^+ z), then a point outside the span of L is certified outside
+    at once. Otherwise accelerated projected gradient (FISTA, Beck and
+    Teboulle 2009) minimises half the squared distance from C to the slice
+    over the box, restarting its momentum whenever the step goes uphill
+    (O'Donoghue and Candes 2015), so every iterate is box feasible and the
+    residual ||L(C) - z|| of the best one decides the answer.
 
     The descent carries C as the vector of its block-supported entries,
     so L is the matrix ``a`` and the distance to the slice is
@@ -207,6 +212,10 @@ class _MembershipSolver:
         self.a_pinv = np.linalg.pinv(self.a, rcond=1e-13)
         # I minus the projector onto the row space of a.
         self.normal = np.eye(self.a.shape[1]) - self.a_pinv @ self.a
+        self.ident = np.eye(kappa, dtype=np.complex128)[mask]
+        self.ident_image = self.a @ self.ident
+        # a^+ z + mid is the slice point nearest the box centre I/2.
+        self.mid = self.normal @ (0.5 * self.ident)
         # overlap_ops[(a, b), (p, m)] = gram_ops[m, p, b, a].
         self.overlap_ops = np.ascontiguousarray(
             gram_ops.transpose(3, 2, 1, 0).reshape(d * d, kappa * kappa))
@@ -244,14 +253,13 @@ class _MembershipSolver:
 
     def in_box_each(self, cs: np.ndarray) -> np.ndarray:
         """Whether each matrix of the stack ``cs``, (n, k, k), lies in the
-        box: every block's eigenvalues in [0, 1] to ``ROUNDING_TOL``."""
-        ok = np.True_
-        for rows, cols in self.grids:
-            sub = cs[:, rows, cols]
-            w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().transpose(0, 2, 1)))
-            ok = (ok & (w[:, 0] >= -ROUNDING_TOL)
-                  & (w[:, -1] <= 1.0 + ROUNDING_TOL))
-        return ok
+        box: every block's eigenvalues in [0, 1] to ``ROUNDING_TOL``. One
+        eigvalsh of each masked Hermitian part serves every block: that
+        matrix is block diagonal up to a permutation, so its spectrum is
+        the union of its blocks' spectra."""
+        m = np.where(self.mask, 0.5 * (cs + cs.conj().swapaxes(-1, -2)), 0.0)
+        w = np.linalg.eigvalsh(m)
+        return (w[:, 0] >= -ROUNDING_TOL) & (w[:, -1] <= 1.0 + ROUNDING_TOL)
 
     def overlap(self, xs: np.ndarray) -> np.ndarray:
         """A[m', m] = Tr(x Khat_m^dag Khat_m') of each direction of ``xs``:
@@ -295,12 +303,25 @@ class _MembershipSolver:
         gap = float(np.real(np.vdot(x, z))) - float(self.support(x[None])[0])
         return (x, gap) if gap > tol else None
 
-    def _candidates(self, zvec: np.ndarray, c0: np.ndarray, off: np.ndarray):
-        ident = np.eye(self.kappa, dtype=np.complex128)[self.mask]
-        if np.linalg.norm(self.a @ ident - zvec) <= ROUNDING_TOL:
-            return ident, "identity"
-        if (self.in_box(self.to_matrix(c0))
-                and np.linalg.norm(off) <= ROUNDING_TOL):
+    def _candidates(self, zvec: np.ndarray, c0: np.ndarray, off: np.ndarray,
+                    gate: float):
+        """An exact witness of z, or (None, ""): the identity, then two
+        points of the slice, the point c0 + mid nearest the box centre I/2
+        in Frobenius norm (the box is the operator-norm ball of radius 1/2
+        about I/2) and c0 = a^+ z. A candidate answers when its own
+        residual ||a c - z|| is at most ``gate`` and it lies in the box.
+        The residual of c0 is ||off||, the part of z off the span of a;
+        that of every slice point is at least it, so a large ``off`` skips
+        both before any eigenvalue call."""
+        if np.linalg.norm(self.ident_image - zvec) <= gate:
+            return self.ident, "identity"
+        if np.linalg.norm(off) > gate:
+            return None, ""
+        centre = c0 + self.mid
+        if (np.linalg.norm(self.a @ centre - zvec) <= gate
+                and self.in_box(self.to_matrix(centre))):
+            return centre, "affine"
+        if self.in_box(self.to_matrix(c0)):
             return c0, "affine"
         return None, ""
 
@@ -467,9 +488,12 @@ class _MembershipSolver:
               faces: bool = True, start: np.ndarray | None = None
               ) -> MembershipReport:
         """Candidates, then the span test, then the descent with at most
-        ``budget`` iterations, face steps included. ``faces`` allows the
-        facial reduction; ``start`` (a masked vector) replaces the
-        descent's start a_pinv z.
+        ``budget`` iterations, face steps included. The candidates are the
+        identity and two slice points, the point nearest the box centre
+        and c0 = a_pinv z; each needs a residual at most
+        min(tol, ROUNDING_TOL), and the descent starts at c0 either way.
+        ``faces`` allows the facial reduction; ``start`` (a masked vector)
+        replaces the descent's start c0.
 
         The span test is :meth:`outside_certified` at c0 = a_pinv z in
         the direction of r = z - L(c0) itself, the part of z outside the
@@ -482,7 +506,8 @@ class _MembershipSolver:
         zvec = z.reshape(-1)
         c0 = self.a_pinv @ zvec
         off = zvec - self.a @ c0
-        cand, stop = self._candidates(zvec, c0, off)
+        cand, stop = self._candidates(zvec, c0, off,
+                                      min(tol, ROUNDING_TOL))
         if cand is not None:
             c = self.to_matrix(cand)
             return MembershipReport(True, CoefficientMatrix(c),

@@ -723,6 +723,11 @@ class TestClosedFormMainBranch:
                                                  [eta ** 10, 1.0]),
                                    rtol=1e-14)
 
+    @pytest.mark.parametrize("parties", [2, 3, 5])
+    def test_empty_trace_list_gives_no_rows(self, parties):
+        d = main_branch_diagonals(parties, 10, 0.5, [])
+        assert d.shape == (0, 2 ** parties) and d.dtype == float
+
     def test_huge_rounds_without_the_table(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("step table built")

@@ -138,6 +138,24 @@ class TestMembershipReports:
         assert rep.iterations == 0
         assert rep.residual < 1e-12
 
+    @pytest.mark.parametrize("stop", ["identity", "affine"])
+    def test_candidates_answer_only_within_tol(self, stop):
+        # An off-span part of norm 1.4e-13 keeps each candidate within
+        # 1e-12 of z but not within a caller's tol of 1e-14.
+        spec = channel_zonoid()
+        z = np.eye(4, dtype=complex) if stop == "identity" \
+            else limit_path(2, 2.5)
+        z[0, 1] += 1e-13
+        z[1, 0] += 1e-13
+        rep = membership(z, spec)
+        assert rep.feasible
+        assert (rep.phase, rep.stop, rep.iterations) == ("candidate", stop, 0)
+        assert 1e-13 < rep.residual < 1e-12
+        rep = membership(z, spec, tol=1e-14)
+        assert not rep.feasible
+        assert rep.phase != "candidate"
+        assert rep.residual > 1e-14
+
     def test_witness_reproduces_point(self):
         spec = channel_zonoid()
         z = limit_path(2, 2.5)
@@ -185,10 +203,17 @@ class TestMembershipReports:
 
     def test_degenerate_face_point_is_feasible(self):
         # The descent alone stalls here (residual 1.5e-8 after 10000
-        # iterations); the faces <10|.|10> = 1 and then <11|.|11> = 1
-        # answer it exactly.
+        # iterations). The slice point nearest the box centre answers it
+        # exactly, and so do the faces <10|.|10> = 1 and then <11|.|11> = 1.
         z = np.diag([0.9, 0.9, 1.0, 1.0]).astype(complex)
-        rep = membership(z, channel_zonoid(), tol=1e-9)
+        spec = channel_zonoid()
+        rep = membership(z, spec, tol=1e-9)
+        assert rep.feasible
+        assert _k_reduced_witness_residual(rep.witness.matrix, z) <= 1e-9
+        assert (rep.phase, rep.iterations) == ("candidate", 0)
+        s = spec.solver()
+        rep = s._face_solve(z, 1e-9, zonoid.MEMBERSHIP_MAX_ITER,
+                            s.a_pinv @ z.reshape(-1))
         assert rep.feasible
         assert _k_reduced_witness_residual(rep.witness.matrix, z) <= 1e-9
         assert rep.phase == "face-2"
@@ -230,6 +255,20 @@ class TestMembershipReports:
             total += rep.iterations
         assert total < 800
 
+    def test_interior_box_images_are_exact_candidates(self):
+        # The slice point nearest the box centre lies inside the box for
+        # 39 of these 40 interior box images, and a^+ z for 18.
+        spec = instrument_zonoid()
+        gram = _gram(spec)
+        r = np.random.default_rng(2024)
+        exact = 0
+        for _ in range(40):
+            z = np.einsum("mn,mnac->ac", _random_box(spec, r, False), gram)
+            rep = membership(0.5 * (z + z.conj().T), spec)
+            assert rep.feasible
+            exact += rep.iterations == 0
+        assert exact >= 36
+
     def test_zero_block_faces_are_feasible_on_their_face(self):
         # C = 0 on a whole block of instrument_zonoid puts L(C) on a face
         # that only a negated canonical direction exposes; without it the
@@ -253,16 +292,23 @@ class TestMembershipReports:
 
     @pytest.mark.parametrize("s", [15.0, 12.0])
     def test_four_party_limit_path_needs_no_face(self, s):
-        # The descent reaches these points before the facial reduction at
-        # iteration 100 would start.
+        # The descent reaches s = 15 before the facial reduction at
+        # iteration 100 would start; the slice point nearest the box
+        # centre answers s = 12 exactly.
         rep = membership(limit_path(4, s), _multiplier_spec(4))
-        assert rep.feasible and rep.stop == "converged"
-        assert rep.phase == "descent" and rep.iterations < 100
+        assert rep.feasible
+        if s == 15.0:
+            assert rep.stop == "converged"
+            assert rep.phase == "descent" and rep.iterations < 100
+        else:
+            assert (rep.stop, rep.phase, rep.iterations) == \
+                ("affine", "candidate", 0)
 
     def test_phase_and_face_direction_are_reported(self):
         spec = channel_zonoid()
         for target, phase in [(np.eye(4), "candidate"),
-                              (limit_path(2, 2.5), "descent"),
+                              (limit_path(2, 2.5), "candidate"),
+                              (limit_path(2, 1.2), "descent"),
                               (np.diag([0.9, 0.9, 1.0, 1.0 + 1e-6]),
                                "descent")]:
             rep = membership(np.asarray(target, dtype=complex), spec)
@@ -634,6 +680,44 @@ BASES = {"square": square_spec, "interval": interval_spec,
          "twoqubit-blocks": instrument_zonoid}
 
 
+@pytest.mark.parametrize("name", sorted(BASES))
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_candidate_answers_are_exact_box_witnesses(name, seed, pin):
+    # Every candidate answer passes the box rule and reproduces z from the
+    # basis operators; an `affine` one is a^+ z or the slice point nearest
+    # the box centre, whose offset from I/2 has no part in the kernel of a.
+    spec = BASES[name]()
+    s = spec.solver()
+    z = np.einsum("mn,mnac->ac", _random_box(
+        spec, np.random.default_rng(seed), pin), _gram(spec))
+    z = 0.5 * (z + z.conj().T)
+    zvec = z.reshape(-1)
+    pinv = np.linalg.pinv(s.a, rcond=1e-13)
+    c0 = pinv @ zvec
+    centre = c0 + s.mid
+    kernel = np.eye(s.a.shape[1]) - pinv @ s.a
+    half = 0.5 * np.eye(spec.kappa)[s.mask]
+    np.testing.assert_allclose(kernel @ (centre - half), 0.0, rtol=0.0,
+                               atol=1e-12)
+    np.testing.assert_allclose(s.a @ centre, zvec, rtol=0.0, atol=1e-12)
+    rep = membership(z, spec)
+    assert rep.feasible
+    if rep.phase != "candidate":
+        return
+    w = rep.witness.matrix
+    assert np.all(w[~s.mask] == 0.0)
+    for blk in spec.block_list():
+        eig = np.linalg.eigvalsh(w[np.ix_(blk, blk)])
+        assert eig[0] >= -ROUNDING_TOL and eig[-1] <= 1.0 + ROUNDING_TOL
+    ops = spec.basis.operators
+    image = np.einsum("mn,mba,nbc->ac", w, ops.conj(), ops)
+    assert np.linalg.norm(image - z) <= 1e-12
+    if rep.stop == "affine":
+        assert any(np.allclose(w[s.mask], c, rtol=0.0, atol=1e-14)
+                   for c in (c0, centre))
+
+
 def _block_box(grids, kappa, c):
     """Box projection one block at a time, each by its own eigh."""
     out = np.zeros((kappa, kappa), dtype=complex)
@@ -646,8 +730,8 @@ def _block_box(grids, kappa, c):
 
 def _reference_feasible(spec, z):
     """The membership verdict of the same solve run on kappa x kappa
-    matrices: einsum image and adjoint, one eigh per block, the same
-    candidates, FISTA restart rule and stop rules."""
+    matrices: einsum image and adjoint, one eigh per block, the identity
+    and a^+ z as candidates, the same FISTA restart rule and stop rules."""
     s = spec.solver()
     gram, mask, kappa = _gram(spec), s.mask, spec.kappa
 
@@ -746,6 +830,14 @@ class TestDescentKernel:
         want = _block_box(s.grids, spec.kappa, c)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
         assert np.all(got[~s.mask] == 0.0)
+        # The box test of the whole masked matrix, whatever lies outside
+        # the blocks, against each block's own spectrum.
+        inside = all(
+            -ROUNDING_TOL <= w[0] and w[-1] <= 1.0 + ROUNDING_TOL
+            for w in (np.linalg.eigvalsh(c[grid]) for grid in s.grids))
+        noisy = np.where(s.mask, c, 5.0)
+        assert s.in_box(c) is inside
+        assert s.in_box_each(np.stack([c, noisy])).tolist() == [inside] * 2
 
     @pytest.mark.parametrize("d", [2, 4])
     @pytest.mark.parametrize("n", [0, 1, 500])
@@ -803,7 +895,7 @@ class TestStopReasons:
     @pytest.mark.parametrize("stop,target", [
         ("identity", np.eye(4)),
         ("affine", np.diag([0.0, 0.0, 0.0, 1.0])),
-        ("converged", limit_path(2, 2.5)),
+        ("converged", limit_path(2, 1.2)),
         ("small-step", 1.5 * np.eye(4)),
         ("stalled", np.diag([0.9, 0.9, 1.0, 1.0 + 1e-6])),
         ("outside", np.diag([0.9, 0.9, 1.0, 1.01])),
@@ -815,8 +907,9 @@ class TestStopReasons:
         assert rep.feasible == (stop in ("identity", "affine", "converged"))
 
     def test_iteration_cap_is_reported(self, monkeypatch):
+        # limit_path(2, 1.2) converges after 23 iterations uncapped.
         monkeypatch.setattr(zonoid, "MEMBERSHIP_MAX_ITER", 5)
-        rep = membership(limit_path(2, 2.5), channel_zonoid())
+        rep = membership(limit_path(2, 1.2), channel_zonoid())
         assert rep.stop == "max-iter"
         assert rep.iterations == 5
 
