@@ -333,19 +333,36 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
+@lru_cache(maxsize=8)
+def _marginal_selector(dims: tuple[int, ...]) -> np.ndarray:
+    """0/1 matrix taking a diagonal over the product basis to every
+    party's marginal, parties one after another: entry [i, j] is 1 when
+    column j belongs to party p and index i has digit j - offset_p there.
+    Each entry is doubled into a 2 x 2 identity, so it acts on a complex
+    diagonal's interleaved real and imaginary parts; shape
+    (2 D, 2 sum k_p). Shared between callers, so read-only."""
+    digits = np.unravel_index(np.arange(math.prod(dims)), dims)
+    sel = np.hstack([digit[:, None] == np.arange(k)
+                     for digit, k in zip(digits, dims)])
+    sel = np.kron(sel.astype(np.float64), np.eye(2))
+    sel.flags.writeable = False
+    return sel
+
+
 def _diagonal_factors(e: np.ndarray, dims: PartyDims):
     """:func:`_dense_factors` of exactly diagonal elements from their
     diagonals, shape (c, D): the factors are marginal sums, returned as
-    (c, k) diagonals."""
-    c, axes = len(e), range(1, dims.n_parties + 1)
-    t = e.reshape((c,) + dims.dims)
-    marginals = [t.sum(axis=tuple(a for a in axes if a != p)) for p in axes]
+    (c, k) diagonals. All marginals come from one real product of the
+    diagonals' real and imaginary parts with :func:`_marginal_selector`."""
+    c = len(e)
+    both = (e.view(np.float64) @ _marginal_selector(dims.dims)).view(
+        np.complex128)
     norm = _row_norms(e)
     tr = e.sum(axis=1)
     zero = np.abs(tr) < 1e-13 * np.maximum(norm, 1e-300)
     tr = np.where(zero, 1.0, tr)[:, None]
-    for mg in marginals:
-        mg /= tr
+    both /= tr
+    marginals = np.split(both, np.cumsum(dims.dims)[:-1], axis=1)
     product = marginals[0]
     for f in marginals[1:]:
         product = (product[:, :, None] * f[:, None, :]).reshape(c, -1)
@@ -494,6 +511,23 @@ def _edge_distances(factors: list, parent: np.ndarray) -> np.ndarray:
     return out
 
 
+def _node_paths(nodes: list[int], parent: list[int], index: list[int]
+                ) -> dict[int, tuple[int, ...]]:
+    """Child-index path from the root of each of ``nodes``, given in
+    ascending preorder index, keyed by node. Ancestors come first in
+    preorder, so each path is its nearest already-known ancestor's path
+    extended by the steps below it: a chain of failing ancestors costs one
+    step each, not a walk to the root each."""
+    known = {0: ()}
+    for i in nodes:
+        steps, j = [], i
+        while j not in known:
+            steps.append(index[j])
+            j = parent[j]
+        known[i] = known[j] + tuple(reversed(steps))
+    return known
+
+
 def verify_tree(tree: ProtocolTree) -> TreeReport:
     """Structural verification of a protocol tree.
 
@@ -550,17 +584,12 @@ def verify_tree(tree: ProtocolTree) -> TreeReport:
     if comp > COMPLETENESS_TOL:
         failed.append((0, "completeness", comp))
 
-    parent, index = up.tolist(), child.tolist()
-
-    def node_path(i: int) -> tuple[int, ...]:
-        steps = []
-        while parent[i] >= 0:
-            steps.append(index[i])
-            i = parent[i]
-        return tuple(reversed(steps))
-
-    failures = tuple(TreeFailure(node_path(i), kind, defect)
-                     for i, kind, defect in failed)
+    failures = ()
+    if failed:
+        paths = _node_paths(sorted({i for i, _, _ in failed}), up.tolist(),
+                            child.tolist())
+        failures = tuple(TreeFailure(paths[i], kind, defect)
+                         for i, kind, defect in failed)
     return TreeReport(not failures, n, n - int(np.count_nonzero(arity)),
                       float(sums.max()), float(loc.max(initial=0.0)),
                       float(prod.max()), comp, failures)
@@ -570,19 +599,22 @@ def verify_tree(tree: ProtocolTree) -> TreeReport:
 class PiecewisePath:
     """Piecewise linear operator path, parametrized by trace.
 
-    ``s_values`` decrease from the top of the path; ``operators[k]`` is the
-    node at ``s_values[k]``. Between breakpoints the operator interpolates
+    ``s_values`` decrease from the top of the path; ``operators`` is one
+    (n, d, d) complex array whose k-th matrix is the node at
+    ``s_values[k]``. Between breakpoints the operator interpolates
     linearly, so the trace of ``at(s)`` is exactly s.
     """
 
     s_values: np.ndarray
-    operators: list[np.ndarray]
+    operators: np.ndarray
 
     def __post_init__(self):
         self.s_values = np.asarray(self.s_values, dtype=np.float64)
+        self.operators = np.asarray(self.operators, dtype=np.complex128)
         if self.s_values.ndim != 1 or self.s_values.size < 2:
             raise ValueError("a path needs at least two breakpoints")
-        if len(self.operators) != self.s_values.size:
+        if (self.operators.ndim != 3
+                or len(self.operators) != self.s_values.size):
             raise ValueError("one operator per breakpoint required")
         if not np.all(np.diff(self.s_values) < 0.0):
             raise ValueError("breakpoint traces must strictly decrease")
@@ -615,25 +647,49 @@ def main_branch_path(parties: int, rounds: int, exponent: float
                      ) -> PiecewisePath:
     """Main-branch path built directly, without the tree.
 
-    Deep in a long protocol consecutive node traces coincide to rounding;
-    those zero-length segments are dropped (their operators agree to the
-    same precision).
+    The node rows index one table of Python powers eta^n, n = 0..rounds + 1,
+    by cycle, so each equals the tree's continue row bit for bit. Deep in
+    a long protocol consecutive node traces coincide to rounding; a
+    breakpoint whose trace is not below the last kept one by a relative
+    1e-15 is dropped (:func:`_kept_breakpoints`), and its operator agrees
+    with the kept one to the same precision. The kept operators are one
+    (n, 2^P, 2^P) array.
     """
     eta = 1.0 - ProtocolParams(parties, rounds, exponent).epsilon
-    diags = _node_diagonals(parties, eta, np.arange(parties * rounds + 1.0))
+    powers = np.array([eta ** n for n in range(rounds + 2)])
+    cycle, ahead = np.divmod(np.arange(parties * rounds + 1), parties)
+    diags = _node_diagonals(parties, powers[cycle], powers[cycle + 1], ahead)
     traces = diags.sum(axis=1)
-    keep: list[int] = []
-    last = np.inf
-    # Sequential on purpose: a breakpoint is compared with the last one
-    # kept, not with its neighbour.
-    for k, s in enumerate(traces.tolist()):
-        if not keep or s < last * (1.0 - 1e-15):
-            keep.append(k)
-            last = s
+    keep = _kept_breakpoints(traces)
     d = diags.shape[1]
-    ops = np.zeros((len(keep), d, d), dtype=np.complex128)
+    ops = np.zeros((keep.size, d, d), dtype=np.complex128)
     ops[:, np.arange(d), np.arange(d)] = diags[keep]
-    return PiecewisePath(traces[keep], list(ops))
+    return PiecewisePath(traces[keep], ops)
+
+
+def _kept_breakpoints(traces: np.ndarray) -> np.ndarray:
+    """Indices of the traces that the drop rule keeps: the first, then each
+    one below the last kept by a relative 1e-15.
+
+    The rule compares with the last kept trace, not with the neighbour,
+    but every trace before the last kept one is at least that one. So
+    while consecutive traces drop by more than the margin all are kept
+    (the head, one vectorised comparison); after it, the next kept index
+    is the first at which the running minimum falls below the margin, one
+    ``searchsorted`` on the negated running minimum per kept breakpoint.
+    """
+    drop = 1.0 - 1e-15
+    steep = traces[1:] < traces[:-1] * drop
+    last = steep.size if steep.all() else int(np.argmin(steep))
+    floor = -np.minimum.accumulate(traces[last:])
+    tail, j = [], 0
+    while True:
+        j = int(np.searchsorted(floor, -(traces[last + j] * drop),
+                                side="right"))
+        if j == floor.size:
+            break
+        tail.append(last + j)
+    return np.concatenate([np.arange(last + 1), np.array(tail, dtype=int)])
 
 
 # Cached: building the table costs about a third of a closed-form
@@ -654,26 +710,22 @@ def prefix_zeros(parties: int) -> np.ndarray:
     return table
 
 
-def _node_diagonals(parties: int, eta: float, k: np.ndarray) -> np.ndarray:
-    """Diagonals of the main-branch nodes after ``k`` steps (whole numbers
-    held as floats); shape (len(k), 2^P).
+def _node_diagonals(parties: int, now: np.ndarray, later: np.ndarray,
+                    ahead: np.ndarray) -> np.ndarray:
+    """Diagonals of main-branch nodes; shape (len(ahead), 2^P).
 
     The node after k = n P + l steps (0 <= l < P) is the product of
-    diag(eta^(n+1), 1) for parties 1..l and diag(eta^n, 1) for the others.
-    Python powers and a left-to-right product, as in :func:`_step_rows`,
-    so each row equals the table's continue row bit for bit.
+    diag(eta^(n+1), 1) for parties 1..l and diag(eta^n, 1) for the others;
+    ``now`` and ``later`` hold eta^n and eta^(n+1) per node and ``ahead``
+    holds l. Given Python powers, this left-to-right product is the one of
+    :func:`_step_rows`, so each row equals the table's continue row bit
+    for bit.
     """
-    n = np.floor(k / parties)
-    l = k - n * parties
-    cycles, at = np.unique(np.concatenate([n, n + 1.0]),
-                           return_inverse=True)
-    now, later = np.split(
-        np.array([eta ** x for x in cycles.tolist()])[at], 2)
-    diag = np.ones((k.size, 1))
+    diag = np.ones((ahead.size, 1))
     for party in range(1, parties + 1):
-        factor = np.where(party <= l, later, now)[:, None]
+        factor = np.where(party <= ahead, later, now)[:, None]
         diag = np.stack([diag * factor, diag], axis=2)
-        diag = diag.reshape(k.size, 2 ** party)
+        diag = diag.reshape(ahead.size, 2 ** party)
     return diag
 
 
@@ -710,8 +762,14 @@ def main_branch_diagonals(parties: int, rounds: int, exponent: float,
         above = node_trace(mid) >= s
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
+    k = np.concatenate([lo, hi])
+    n = np.floor(k / parties)
+    # Python powers of the few cycles the grid needs, as in _step_rows.
+    cycles, at = np.unique(np.concatenate([n, n + 1.0]), return_inverse=True)
+    now, later = np.split(
+        np.array([eta ** x for x in cycles.tolist()])[at], 2)
     top, bottom = np.split(
-        _node_diagonals(parties, eta, np.concatenate([lo, hi])), 2)
+        _node_diagonals(parties, now, later, k - n * parties), 2)
     t_top, t_bottom = top.sum(axis=1), bottom.sum(axis=1)
     span = t_top - t_bottom
     with np.errstate(divide="ignore", invalid="ignore"):

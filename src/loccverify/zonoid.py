@@ -149,12 +149,19 @@ class MembershipReport:
     or ``max-iter``. ``stop`` and ``phase`` are empty on a report built
     without them.
 
-    An ``outside`` answer carries its certificate: ``separating`` is the
-    unit Hermitian direction x and ``gap`` is Re<x, z> - h(x) > tol, a
-    lower bound on the distance from z to the zonoid that anyone can
-    recompute with :func:`support_function`. Every other answer, the
-    infeasible ``small-step``, ``stalled`` and ``max-iter`` ones included,
-    leaves both None.
+    A descent that ends infeasible with any other stop (``small-step``,
+    ``stalled``, ``max-iter``) is tested once more at its best witness W,
+    in the directions r = z - L(W) and then (a a^H)^+ r; if either
+    certifies, its stop becomes ``outside``. An ``outside`` answer
+    carries its certificate: ``separating`` is the unit Hermitian
+    direction x and ``gap`` is Re<x, z> - h(x) > tol, a lower bound on the
+    distance from z to the zonoid that anyone can recompute with
+    :func:`support_function`. Every other answer leaves both None.
+
+    ``residual`` is ||L(W) - z||_F of the returned witness W itself, not
+    a distance to the zonoid. For a ``span`` answer W is the box
+    projection of a^+ z, so the residual can lie far above that distance;
+    ``gap`` is the certified lower bound on it.
     """
 
     feasible: bool
@@ -478,6 +485,16 @@ class _MembershipSolver:
                         if found.feasible:
                             return dataclasses.replace(found,
                                                        iterations=iters)
+        if cert is None and best_res > tol:
+            # Any other infeasible stop: test r = z - L(C) at the best
+            # witness, then the checkpoint's direction (a a^H)^+ r, the
+            # one that certifies where the descent stopped moving.
+            r = zvec - self.a @ best
+            cert = (self.outside_certified(z, r, r, tol)
+                    or self.outside_certified(
+                        z, r, self.a_pinv.conj().T @ (self.a_pinv @ r), tol))
+            if cert is not None:
+                stop = "outside"
         x, gap = (None, None) if cert is None else cert
         return MembershipReport(best_res <= tol,
                                 CoefficientMatrix(self.to_matrix(best)),
@@ -532,8 +549,10 @@ def membership(z, spec: ZonoidSpec, tol: float = MEMBERSHIP_TOL
     A point whose part outside the linear span of the Gram operators
     K_m^dag K_n separates it from the zonoid by more than ``tol`` is
     answered before any descent (phase ``span``, 0 iterations) with that
-    part, normalised, as the separating direction; its residual is at
-    least its distance to the span.
+    part, normalised, as the separating direction; its residual, that of
+    the box projection of a^+ z, is at least its distance to the span but
+    may lie far above its distance to the zonoid, which ``gap`` bounds
+    from below.
     MEMBERSHIP_MAX_ITER bounds the descent iterations of the whole solve,
     those on a face of the zonoid included. Raises ValueError unless z is
     a Hermitian d x d operator with finite entries and a finite norm.

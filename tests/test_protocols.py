@@ -404,6 +404,24 @@ class TestVerifyTreeAgainstReference:
             (f.node_path, f.kind) for f in got.failures}
         _assert_same_report(got, _reference_verify_tree(tree))
 
+    @pytest.mark.parametrize("parties,rounds,step", [(3, 500, 750),
+                                                     (2, 2000, 400)])
+    def test_deep_fault_paths_match(self, parties, rounds, step):
+        # A halt leaf scaled deep in the branch fails the leaf sum of every
+        # ancestor: step + 1 paths of growing depth, and completeness.
+        tree = build_protocol_pq(parties, rounds, 0.5)
+        table = build_protocol_pq(parties, rounds, 0.5)
+        table._table[2 * step + 1] *= 1.01
+        leaf = tree.node_at((1,) * step + (0,))
+        leaf.povm_element = leaf.povm_element * 1.01
+        got = verify_tree(tree)
+        assert len(got.failures) == step + 2
+        assert [f.node_path for f in got.failures[:-1]] == \
+            [(1,) * k for k in range(step, -1, -1)]
+        assert got.failures[-1].kind == "completeness"
+        _assert_same_report(got, _reference_verify_tree(tree))
+        assert verify_tree(table) == got
+
     def test_locality_failures_follow_parent_then_child(self):
         # Both children of the root change both party factors: party 2
         # fails on the root's edges, party 1 on each child's own edges.
@@ -549,16 +567,24 @@ def _reference_main_branch(parties, rounds, exponent):
     return np.array(s_list), ops
 
 
+def _assert_branch_matches_reference(parties, rounds, exponent):
+    """The main-branch path equals the sequential drop rule bit for bit,
+    its operators stacked in one array; returns the number kept."""
+    s_ref, ops_ref = _reference_main_branch(parties, rounds, exponent)
+    path = main_branch_path(parties, rounds, exponent)
+    d = 2 ** parties
+    assert isinstance(path.operators, np.ndarray)
+    assert path.operators.shape == (s_ref.size, d, d)
+    assert np.array_equal(path.s_values, s_ref)
+    assert np.array_equal(path.operators, np.array(ops_ref))
+    return s_ref.size
+
+
 def _assert_matches_reference(parties, rounds, exponent):
     halt, cont = _reference_steps(parties, rounds, exponent)
     assert np.array_equal(protocol_leaf_diagonals(parties, rounds, exponent),
                           np.vstack([halt, cont[-1:]]))
-    s_ref, ops_ref = _reference_main_branch(parties, rounds, exponent)
-    path = main_branch_path(parties, rounds, exponent)
-    assert np.array_equal(path.s_values, s_ref)
-    assert len(path.operators) == len(ops_ref)
-    for got, want in zip(path.operators, ops_ref):
-        assert np.array_equal(got, want)
+    _assert_branch_matches_reference(parties, rounds, exponent)
     node = build_protocol_pq(parties, rounds, exponent).root
     assert np.array_equal(node.povm_element, np.eye(2 ** parties))
     for h, c in zip(halt, cont):
@@ -582,6 +608,29 @@ class TestAgainstKronReference:
         _assert_matches_reference(2, 900, 0.4)
         s_ref, _ = _reference_main_branch(2, 900, 0.4)
         assert s_ref.size < 2 * 900 + 1
+
+    @pytest.mark.parametrize("parties,rounds,exponent,kept", [
+        (2, 9000, 0.4, 2371), (2, 9000, 0.5, 5766), (2, 9000, 0.6, 13946),
+        (3, 900, 0.4, 1430), (4, 270, 0.6, 1081)])
+    def test_drop_rule_at_benchmark_sizes(self, parties, rounds, exponent,
+                                          kept):
+        # The longest convergence-study rows: most breakpoints are kept
+        # while consecutive traces still drop, the rest only after a run
+        # of equal or rising traces.
+        assert _assert_branch_matches_reference(parties, rounds,
+                                                exponent) == kept
+
+    @pytest.mark.parametrize("traces,kept", [
+        ([4.0, 3.0, 2.0], [0, 1, 2]),
+        ([4.0, 4.0, 3.0, 3.0, 2.0], [0, 2, 4]),
+        # After the rise to 3.5, a trace is compared with the kept 3, so
+        # one a relative 5e-16 below 3 is dropped.
+        ([4.0, 3.0, 3.5, 3.0 * (1 - 5e-16), 2.0], [0, 1, 4]),
+        ([4.0, 4.0 * (1 - 5e-16), 4.0 * (1 - 2e-15)], [0, 2]),
+    ])
+    def test_kept_breakpoints_follow_the_last_kept(self, traces, kept):
+        got = protocols._kept_breakpoints(np.array(traces))
+        assert got.tolist() == kept
 
 
 class TestPaths:

@@ -896,7 +896,9 @@ class TestStopReasons:
         ("identity", np.eye(4)),
         ("affine", np.diag([0.0, 0.0, 0.0, 1.0])),
         ("converged", limit_path(2, 1.2)),
-        ("small-step", 1.5 * np.eye(4)),
+        # Outside (a diagonal direction separates it by 0.0139), but
+        # neither direction tested at the best witness certifies it.
+        ("small-step", np.diag([0.36, 0.42, 1.0, 0.7])),
         ("stalled", np.diag([0.9, 0.9, 1.0, 1.0 + 1e-6])),
         ("outside", np.diag([0.9, 0.9, 1.0, 1.01])),
     ])
@@ -912,6 +914,17 @@ class TestStopReasons:
         rep = membership(limit_path(2, 1.2), channel_zonoid())
         assert rep.stop == "max-iter"
         assert rep.iterations == 5
+        assert rep.separating is None and rep.gap is None
+
+    def test_capped_outside_point_is_certified_at_its_witness(
+            self, monkeypatch):
+        # The cap stops the descent before any checkpoint; the test at
+        # the best witness still separates 1.5 I.
+        monkeypatch.setattr(zonoid, "MEMBERSHIP_MAX_ITER", 5)
+        z = 1.5 * np.eye(4, dtype=complex)
+        rep = membership(z, channel_zonoid())
+        assert (rep.stop, rep.iterations) == ("outside", 5)
+        _check_certificate(rep, z, channel_zonoid())
 
     def test_outside_answers_carry_their_direction(self):
         # Off the diagonal span of the square basis: answered before any
@@ -929,8 +942,16 @@ class TestStopReasons:
         assert (rep.stop, rep.phase) == ("outside", "descent")
         assert rep.iterations > 0
         assert rep.separating is not None and rep.gap > MEMBERSHIP_TOL
+        # A descent that stops moving is tested once more at its best
+        # witness: 1.5 I stops small-step after 23 iterations, certified.
+        z = 1.5 * np.eye(4, dtype=complex)
+        rep = membership(z, channel_zonoid())
+        assert (rep.stop, rep.phase, rep.iterations) == \
+            ("outside", "descent", 23)
+        _check_certificate(rep, z, channel_zonoid())
         # Infeasible answers without a certificate claim none.
-        for target in (1.5 * np.eye(4), np.diag([0.9, 0.9, 1.0, 1.0 + 1e-6])):
+        for target in (np.diag([0.36, 0.42, 1.0, 0.7]),
+                       np.diag([0.9, 0.9, 1.0, 1.0 + 1e-6])):
             rep = membership(np.asarray(target, dtype=complex),
                              channel_zonoid())
             assert rep.stop in ("small-step", "stalled")
@@ -1029,7 +1050,7 @@ def test_in_span_push_is_certified_by_the_descent(seed, margin):
 def test_descent_checkpoint_certifies_in_span_pushes(name):
     # Every descent that reaches its checkpoint at iteration 100 is
     # certified there by the direction (a a^H)^+ r; one that stops moving
-    # before then ends `small-step`, uncertified.
+    # before then is certified by the tests at its best witness.
     spec = ZONOIDS[name]()
     certified = 0
     for seed in range(12):
@@ -1037,11 +1058,9 @@ def test_descent_checkpoint_certifies_in_span_pushes(name):
         z = _diagonal_push(spec, r, float(r.uniform(1e-3, 1e-1)))
         rep = membership(z, spec)
         assert not rep.feasible and rep.phase == "descent"
+        assert rep.stop == "outside"
         _check_certificate(rep, z, spec)
-        if rep.stop == "outside":
-            assert rep.iterations == 100
-            certified += 1
-        else:
-            assert rep.stop == "small-step" and rep.iterations < 100
+        assert rep.iterations <= 100
+        certified += rep.iterations == 100
     # 6 (channel) and 8 (instrument) of these 12 reach the checkpoint.
     assert certified >= 6
