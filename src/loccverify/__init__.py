@@ -57,9 +57,7 @@ from .protocols import (
     ProtocolTree,
     TreeReport,
     build_protocol_pq,
-    c_matrix_family,
     derivative_outcomes,
-    limit_path,
     main_branch_diagonals,
     main_branch_path,
     path_distance_bound,
@@ -82,7 +80,6 @@ from .twoqubit import (
     instrument_zonoid,
     limiting_choi_2q,
     limiting_family,
-    limiting_povm,
     prelimit_channel,
     two_qubit_instrument,
     wstate_analysis,
@@ -118,18 +115,15 @@ __all__ = [
     "zonoid_spec_for_channel", "zonoid_spec_for_instrument",
     "CheckedPath", "EndpointFamily", "PathConditionReport", "PiecewisePath",
     "ProtocolNode", "ProtocolParams", "ProtocolTree", "TreeReport",
-    "build_protocol_pq",
-    "c_matrix_family", "derivative_outcomes", "limit_path",
-    "main_branch_diagonals", "main_branch_path", "path_distance_bound",
-    "protocol_leaf_diagonals",
+    "build_protocol_pq", "derivative_outcomes", "main_branch_diagonals",
+    "main_branch_path", "path_distance_bound", "protocol_leaf_diagonals",
     "verify_theorem_conditions", "verify_tree",
     "BlockedIsometryCheck", "CoarseGrainCheck", "IntegralCheck",
     "TwoQubitExample", "WStateReport", "blocked_isometry_check",
     "blocked_limiting_family", "channel_zonoid", "coarse_grain_check",
     "concurrence", "continuous_isometry_check", "instrument_zonoid",
-    "limiting_choi_2q", "limiting_family",
-    "limiting_povm", "prelimit_channel", "two_qubit_instrument",
-    "wstate_analysis",
+    "limiting_choi_2q", "limiting_family", "prelimit_channel",
+    "two_qubit_instrument", "wstate_analysis",
     "LimitCheckReport", "PQubitSpec", "moment_identity_check",
     "multiplier_distance", "multiplier_kraus", "pqubit_apply",
     "pqubit_choi_formula", "pqubit_coefficients", "pqubit_limit_check",

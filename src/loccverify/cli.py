@@ -19,6 +19,7 @@ import numpy as np
 from . import serialize
 from . import tolerances
 from .channels import (
+    Instrument,
     KrausSet,
     choi,
     choi_distance,
@@ -61,6 +62,9 @@ _FIXED_BYTES = 2 ** 19
 _THEOREM_SAMPLE_BYTES = {"theorem1": (2560, 1792), "theorem8": (3712, 2176)}
 # Bytes each direction of a two-qubit Hausdorff estimate holds.
 _HAUSDORFF_SAMPLE_BYTES = 1344
+# Bytes each entry of a Choi matrix holds: in `choi` with its printed JSON,
+# in `distance` as the padded Choi matrices and their difference.
+_CHOI_ENTRY_BYTES = {"choi": 410, "distance": 52}
 _SIZE_FLAGS = ("samples", "sigma_samples", "grid", "nodes")
 
 
@@ -109,19 +113,30 @@ def _interval_basis() -> KrausSet:
     return kraus_from_operators([proj, shift], (2,))
 
 
-def _resolve_kraus(token: str) -> KrausSet:
+def _finite(kraus: KrausSet, flag: str) -> None:
+    """InputError unless the operator stack has a finite norm."""
+    if not has_finite_norm(kraus.operators.reshape(kraus.n_operators, -1)):
+        raise InputError(f"{flag} must have finite entries and a finite norm")
+
+
+def _resolve_kraus(token: str, flag: str) -> KrausSet:
     if token == "twoqubit-minimal":
         return twoqubit.two_qubit_instrument().minimal
     if token == "twoqubit-grouped":
         return twoqubit.two_qubit_instrument().instrument.kraus
     obj = _load_obj(token)
     try:
-        return serialize.kraus_from_json(obj)
+        kraus = serialize.kraus_from_json(obj)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    _finite(kraus, flag)
+    return kraus
 
 
-def _resolve_basis(token: str) -> ZonoidSpec:
+def _resolve_basis(args) -> ZonoidSpec:
+    """The zonoid of --basis. A JSON basis is refused, before its zonoid
+    is built, if it is not finite or would not fit the budget."""
+    token = args.basis
     if token == "twoqubit-minimal":
         return twoqubit.channel_zonoid()
     if token == "twoqubit-blocks":
@@ -132,10 +147,16 @@ def _resolve_basis(token: str) -> ZonoidSpec:
         return ZonoidSpec(_interval_basis())
     obj = _load_obj(token)
     try:
-        if "partition" in obj:
-            return zonoid_spec_for_instrument(
-                serialize.instrument_from_json(obj))
-        return ZonoidSpec(serialize.kraus_from_json(obj))
+        if isinstance(obj, dict) and "partition" in obj:
+            basis = serialize.instrument_from_json(obj)
+            _finite(basis.kraus, "--basis")
+        else:
+            basis = serialize.kraus_from_json(obj)
+            _finite(basis, "--basis")
+        _refuse_over_budget(args, basis)
+        if isinstance(basis, Instrument):
+            return zonoid_spec_for_instrument(basis)
+        return ZonoidSpec(basis)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -158,20 +179,46 @@ def _resolve_target(token: str, spec: ZonoidSpec) -> np.ndarray:
     return z
 
 
-def work_bytes(args) -> int:
-    """Peak memory of a theorem1, theorem8, paths, paper-2q, paper-pq,
-    wstate or hausdorff run, in bytes, from its validated flags alone.
+def work_bytes(args, *inputs) -> int:
+    """Peak memory of a run, in bytes: of a theorem1, theorem8, paths,
+    paper-2q, paper-pq, wstate or hausdorff run from its validated flags
+    alone, of a choi, distance or zonoid-check run from the shapes of its
+    parsed ``inputs`` (the Kraus sets, or the basis as a KrausSet or an
+    Instrument).
 
-    Each part grows with one size flag: the theorem checks with their s
-    and sigma samples, the path gap with its grid (2^P entries a point),
-    Gauss-Legendre rules with --nodes (numpy's rule diagonalises an n x n
-    companion matrix) and Hausdorff estimates with their directions. The
-    parts are held one after another, so the estimate is a fixed part plus
-    the largest. Fitted under tracemalloc on CPython 3.11 and numpy 2.4: at
-    least the measured peak, and within 1.5 times it once one part passes a
-    few MiB.
+    Each part grows with one size flag or input: the theorem checks with
+    their s and sigma samples, the path gap with its grid (2^P entries a
+    point), Gauss-Legendre rules with --nodes (numpy's rule diagonalises an
+    n x n companion matrix), Hausdorff estimates with their directions,
+    and choi and distance with the (d d_out)^2 entries of a Choi matrix. A
+    basis of kappa operators on dimension d whose blocks support m
+    coefficients holds its Gram operators and their transpose (kappa^2
+    d^2 entries each), the linear map, its pseudo-inverse and their
+    product's complement ``normal`` (d^2 m, d^2 m and m^2 entries, with
+    temporaries) and the d^2 canonical directions (d^4 entries); an
+    instrument's minimal Kraus sets come first, one Choi matrix and its
+    eigenvectors per outcome. The parts are held one after another, so
+    the estimate is a fixed part plus the largest. Fitted under
+    tracemalloc on CPython 3.11 and numpy 2.4: at least the measured peak,
+    and within 1.5 times it once one part passes a few MiB.
     """
     parts = [0]
+    if args.command in _CHOI_ENTRY_BYTES:
+        d = inputs[0].input_dim
+        out = max(k.output_dim for k in inputs)
+        parts.append(_CHOI_ENTRY_BYTES[args.command] * (d * out) ** 2)
+    if args.command == "zonoid-check":
+        (basis,) = inputs
+        if isinstance(basis, Instrument):
+            blocks = basis.partition
+            basis = basis.kraus
+            parts.append(36 * (basis.input_dim * basis.output_dim) ** 2)
+        else:
+            blocks = [range(basis.n_operators)]
+        kappa, d = basis.n_operators, basis.input_dim
+        m = sum(len(b) ** 2 for b in blocks)
+        parts.append(32 * kappa ** 2 * d ** 2 + 48 * d ** 2 * m
+                     + 40 * m ** 2 + 16 * d ** 4)
     if args.command in _THEOREM_SAMPLE_BYTES:
         per_s, per_sigma = _THEOREM_SAMPLE_BYTES[args.command]
         # --samples 0 is the dense grid: spacing 0.01 on [1, 4].
@@ -186,15 +233,21 @@ def work_bytes(args) -> int:
     return _FIXED_BYTES + max(parts)
 
 
-def _refuse_over_budget(args) -> None:
+def _refuse_over_budget(args, *inputs) -> None:
     """InputError, before any work, for a run ``work_bytes`` puts above
     the budget."""
-    need = work_bytes(args)
+    need = work_bytes(args, *inputs)
     if need > TREE_BYTES_BUDGET:
-        flags = " ".join(f"--{name.replace('_', '-')} {getattr(args, name)}"
-                         for name in _SIZE_FLAGS if hasattr(args, name))
-        raise InputError(f"{flags} needs {need / 2 ** 20:.1f} MiB, above "
-                         f"the {TREE_BYTES_BUDGET // 2 ** 20} MiB budget")
+        sizes = [f"--{name.replace('_', '-')} {getattr(args, name)}"
+                 for name in _SIZE_FLAGS if hasattr(args, name)]
+        if inputs:
+            shapes = [(x.kraus if isinstance(x, Instrument) else x)
+                      .operators.shape for x in inputs]
+            sizes.append("operators of shape "
+                         + " and ".join(map(str, shapes)))
+        raise InputError(f"{' '.join(sizes)} needs {need / 2 ** 20:.1f} "
+                         f"MiB, above the {TREE_BYTES_BUDGET // 2 ** 20} "
+                         "MiB budget")
 
 
 def check_hausdorff_samples(samples: int) -> None:
@@ -213,7 +266,8 @@ def _membership_tol(value: float) -> float:
 
 
 def _cmd_choi(args) -> dict:
-    kraus = _resolve_kraus(args.kraus)
+    kraus = _resolve_kraus(args.kraus, "--kraus")
+    _refuse_over_budget(args, kraus)
     c = choi(kraus, normalized=not args.unnormalized)
     want = 1.0 if not args.unnormalized else float(kraus.input_dim)
     tr = float(np.real(np.trace(c.matrix)))
@@ -226,18 +280,19 @@ def _cmd_choi(args) -> dict:
 
 
 def _cmd_distance(args) -> dict:
-    a = _resolve_kraus(args.a)
-    b = _resolve_kraus(args.b)
+    a = _resolve_kraus(args.a, "--a")
+    b = _resolve_kraus(args.b, "--b")
     if a.input_dim != b.input_dim:
         raise InputError(f"--a and --b differ in input dimension "
                          f"({a.input_dim} and {b.input_dim})")
+    _refuse_over_budget(args, a, b)
     dist = choi_distance(choi(a), choi(b))
     return {"checks": [], "values": {"choi_distance": float(dist)}}
 
 
 def _cmd_zonoid_check(args) -> dict:
     mtol = _membership_tol(args.tol)
-    spec = _resolve_basis(args.basis)
+    spec = _resolve_basis(args)
     z = _resolve_target(args.z, spec)
     report = membership(z, spec, tol=mtol)
     values = {

@@ -37,7 +37,6 @@ from .tolerances import (COMPLETENESS_TOL, LOCALITY_TOL, MEMBERSHIP_TOL,
                          RESOLUTION_TOL, ROUNDING_TOL, SIGMA_SAMPLES,
                          TRACE_TOL)
 from .zonoid import (
-    CoefficientMatrix,
     ZonoidSpec,
     cmatrix_resolution_check,
     coefficient_stack,
@@ -89,10 +88,6 @@ class ProtocolNode:
     @property
     def is_leaf(self) -> bool:
         return not self.children
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.povm_element)))
 
 
 class ProtocolTree:
@@ -147,34 +142,21 @@ class ProtocolTree:
 def _step_rows(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     """Halt and continue diagonals of every step, in protocol order.
 
-    Both arrays have shape (parties * rounds, 2**parties); row n*P + l - 1
-    belongs to party l measuring in cycle n. Each row is the Kronecker
-    product of the local diagonals diag(eta^(n+1), 1) for the parties ahead
-    of l, diag(eta^n, 1) for those behind it, and for party l itself
-    diag(eps * eta^n, 0) on halting or diag(eta^(n+1), 1) on continuing,
-    eta = 1 - eps. The product is built one party at a time, left to right.
+    Both arrays have shape (parties * rounds, 2**parties); row n*P + l
+    belongs to party l + 1 measuring in cycle n. The continue row is the
+    node after the step and the halt row the node before it, with the
+    acting party's factor set to diag(eps * eta^n, 0), eta = 1 - eps
+    (:func:`_node_diagonals`).
     """
     p, rounds = params.parties, params.rounds
     eps = params.epsilon
     eta = 1.0 - eps
     # Python powers: np.power differs from them by an ulp in some entries.
     powers = np.array([eta ** k for k in range(rounds + 1)])
-    n = np.repeat(np.arange(rounds), p)
-    acting = np.tile(np.arange(1, p + 1), rounds)
+    n, ahead = np.divmod(np.arange(p * rounds), p)
     now, later = powers[n], powers[n + 1]
-    halt = np.ones((n.size, 1))
-    cont = np.ones((n.size, 1))
-    for party in range(1, p + 1):
-        ahead = party < acting
-        halt_zero = np.where(ahead, later,
-                             np.where(party == acting, eps * now, now))
-        halt_one = np.where(party == acting, 0.0, 1.0)
-        cont_zero = np.where(party <= acting, later, now)
-        halt = np.stack([halt * halt_zero[:, None], halt * halt_one[:, None]],
-                        axis=2).reshape(n.size, -1)
-        cont = np.stack([cont * cont_zero[:, None], cont],
-                        axis=2).reshape(n.size, -1)
-    return halt, cont
+    halt = _node_diagonals(p, now, later, ahead, halt=eps * now)
+    return halt, _node_diagonals(p, now, later, ahead + 1)
 
 
 def build_protocol_pq(parties: int, rounds: int, exponent: float
@@ -711,20 +693,28 @@ def prefix_zeros(parties: int) -> np.ndarray:
 
 
 def _node_diagonals(parties: int, now: np.ndarray, later: np.ndarray,
-                    ahead: np.ndarray) -> np.ndarray:
+                    ahead: np.ndarray, halt: np.ndarray | None = None
+                    ) -> np.ndarray:
     """Diagonals of main-branch nodes; shape (len(ahead), 2^P).
 
-    The node after k = n P + l steps (0 <= l < P) is the product of
+    The node after k = n P + l steps (0 <= l <= P) is the product of
     diag(eta^(n+1), 1) for parties 1..l and diag(eta^n, 1) for the others;
     ``now`` and ``later`` hold eta^n and eta^(n+1) per node and ``ahead``
-    holds l. Given Python powers, this left-to-right product is the one of
-    :func:`_step_rows`, so each row equals the table's continue row bit
-    for bit.
+    holds l. With ``halt``, each row is instead the halt leaf of the step
+    from that node: party l + 1's factor is diag(halt, 0). The product is
+    built one party at a time, left to right, so given Python powers every
+    row that :func:`_step_rows` and :func:`main_branch_path` share is the
+    same bit for bit.
     """
     diag = np.ones((ahead.size, 1))
     for party in range(1, parties + 1):
-        factor = np.where(party <= ahead, later, now)[:, None]
-        diag = np.stack([diag * factor, diag], axis=2)
+        zero = np.where(party <= ahead, later, now)[:, None]
+        one = diag
+        if halt is not None:
+            acting = (party == ahead + 1)[:, None]
+            zero = np.where(acting, halt[:, None], zero)
+            one = np.where(acting, 0.0, diag)
+        diag = np.stack([diag * zero, one], axis=2)
         diag = diag.reshape(ahead.size, 2 ** party)
     return diag
 
@@ -738,12 +728,15 @@ def main_branch_diagonals(parties: int, rounds: int, exponent: float,
     has trace (1 + eta^(n+1))^l (1 + eta^n)^(P - l), which decreases in k.
     Each s is placed on its segment by bisection over k, and the two node
     diagonals at the ends of that segment are interpolated linearly in
-    trace. Values of s outside the branch's domain are clamped into it, as
-    ``main_branch_path(...).at(s, clamp=True)`` does; nothing is built per
-    step, so the cost does not grow with ``rounds``.
+    trace. Finite values of s outside the branch's domain are clamped into
+    it, as ``main_branch_path(...).at(s, clamp=True)`` does, and a
+    non-finite s raises ValueError; nothing is built per step, so the cost
+    does not grow with ``rounds``.
     """
     eta = 1.0 - ProtocolParams(parties, rounds, exponent).epsilon
     s = np.asarray(s, dtype=float).reshape(-1)
+    if not np.isfinite(s).all():
+        raise ValueError("traces s must be finite")
     last = float(parties * rounds)
 
     def node_trace(k):
@@ -789,18 +782,14 @@ def _clamped(s, top: float, message: str) -> np.ndarray:
 
 
 def limit_path_stack(parties: int, s) -> np.ndarray:
-    """:func:`limit_path` at every s of a 1-D array, shape (n, 2^P, 2^P)."""
+    """Limiting main path M(s)^(x P), M(s) = (s^(1/P)-1)|0><0| + |1><1|,
+    at every s of a 1-D array in [1, 2^P]; shape (n, 2^P, 2^P)."""
     top = float(2 ** parties)
     s = _clamped(s, top, f"s outside [1, {top}]")
     m = np.zeros(s.shape + (2, 2), dtype=np.complex128)
     m[..., 0, 0] = s ** (1.0 / parties) - 1.0
     m[..., 1, 1] = 1.0
     return kron([m] * parties)
-
-
-def limit_path(parties: int, s: float) -> np.ndarray:
-    """Limiting main path M(s)^(x P), M(s) = (s^(1/P)-1)|0><0| + |1><1|."""
-    return limit_path_stack(parties, [s])[0]
 
 
 @dataclass(frozen=True)
@@ -828,7 +817,9 @@ def path_distance_bound(parties: int, rounds: int, exponent: float,
     diagonal, so the trace norm is the sum of absolute diagonal
     differences; the finite branch comes from :func:`main_branch_diagonals`
     and the limit's entry i is (s^(1/P) - 1)^(zeros of i). The bound is
-    sqrt(3) * eps for two parties and P * 2^(P/2) * eps in general.
+    sqrt(3) * eps for two parties and P * 2^(P/2) * eps in general. An
+    empty grid, or one with a point outside [1, 2^P] by more than rounding
+    or not a number, raises ValueError.
     """
     params = ProtocolParams(parties, rounds, exponent)
     top = float(2 ** parties)
@@ -836,11 +827,11 @@ def path_distance_bound(parties: int, rounds: int, exponent: float,
         grid = np.linspace(1.0, top, grid_points)
     else:
         grid = np.asarray(list(s_grid), dtype=float)
-        if (grid.size == 0 or grid.min() < 1.0 - ROUNDING_TOL
-                or grid.max() > top + ROUNDING_TOL):
-            raise ValueError(f"s grid must be nonempty inside [1, {top}]")
+        if grid.size == 0:
+            raise ValueError("s grid must be nonempty")
+    sigma = _clamped(grid, top, f"s grid must lie inside [1, {top}]")
+    sigma = sigma ** (1.0 / parties) - 1.0
     pre = main_branch_diagonals(parties, rounds, exponent, grid)
-    sigma = np.clip(grid, 1.0, top) ** (1.0 / parties) - 1.0
     limit = sigma[:, None] ** prefix_zeros(parties)[:, -1]
     gaps = np.abs(pre - limit).sum(axis=1)
     worst = int(np.argmax(gaps))
@@ -855,82 +846,65 @@ def path_distance_bound(parties: int, rounds: int, exponent: float,
                               float(gaps[worst]) <= bound + ROUNDING_TOL)
 
 
-def derivative_outcomes(parties: int, s: float) -> list[np.ndarray]:
-    """Halt densities peeling off the limiting main path at s.
+def derivative_outcomes(parties: int, sigma) -> np.ndarray:
+    """Halt densities peeling off the limiting main path, at every sigma of
+    an array in [0, 1]; shape sigma.shape + (P, 2^P, 2^P).
 
-    Outcome alpha replaces party alpha's factor by |0><0|; the densities
-    are taken with respect to d(s^(1/P)), so with sigma = s^(1/P) - 1 the
-    all-ones projector plus the integral of their sum over sigma in [0, 1]
-    resolves the identity.
+    Outcome alpha (0-based: party alpha + 1 halts) is the product of
+    diag(1, 0) for that party and diag(sigma, 1) for the others, taken left
+    to right, so every entry is exactly a power of sigma or 0. The
+    densities are taken with respect to d(s^(1/P)), sigma = s^(1/P) - 1, so
+    the all-ones projector plus the integral of their sum over sigma in
+    [0, 1] resolves the identity. They are diagonal, so their entrywise
+    square roots are the limiting measurement operators.
     """
-    if not 1.0 <= s <= float(2 ** parties):
-        raise ValueError("s outside the path domain")
-    m = np.diag([s ** (1.0 / parties) - 1.0, 1.0]).astype(np.complex128)
-    zero = np.diag([1.0, 0.0]).astype(np.complex128)
-    out = []
-    for alpha in range(1, parties + 1):
-        facs = [m] * (alpha - 1) + [zero] + [m] * (parties - alpha)
-        out.append(kron(facs))
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.size and not 0.0 <= sigma.min() <= sigma.max() <= 1.0:
+        raise ValueError("sigma outside [0, 1]")
+    # factors[..., alpha, p, :] is party p's diagonal in outcome alpha.
+    factors = np.empty(sigma.shape + (parties, parties, 2))
+    factors[..., 0] = sigma[..., None, None]
+    factors[..., 1] = 1.0
+    factors.reshape(sigma.shape + (parties * parties, 2))[
+        ..., ::parties + 1, :] = (1.0, 0.0)
+    diag = factors[..., 0, :]
+    for p in range(1, parties):
+        diag = (diag[..., :, None] * factors[..., p, None, :]).reshape(
+            sigma.shape + (parties, 2 ** (p + 1)))
+    d = 2 ** parties
+    out = np.zeros(sigma.shape + (parties, d, d), dtype=np.complex128)
+    out.reshape(sigma.shape + (parties, d * d))[..., ::d + 1] = diag
     return out
 
 
-def _c1_matrix(s) -> np.ndarray:
-    """Main-path witness C1 at every s of an array, shape s.shape + (4, 4)."""
-    s = _clamped(s, 4.0, "main-path coefficients need s in [1, 4]")
-    sigma = np.sqrt(s) - 1.0
-    beta = 2.0 * (np.sqrt(sigma) - 1.0)
-    gamma = 9.0 * sigma + 8.0 - 16.0 * np.sqrt(sigma)
-    c = np.zeros(s.shape + (4, 4))
-    c[..., 0, 0] = 1.0
-    c[..., 1, 1] = c[..., 2, 2] = sigma
-    c[..., 1, 3] = c[..., 3, 1] = c[..., 2, 3] = c[..., 3, 2] = sigma * beta
-    c[..., 3, 3] = sigma * gamma
-    return c.astype(np.complex128)
-
-
-def _side_weight(sigma, which: int) -> np.ndarray:
-    """Halt weight vector at every sigma of an array, shape + (4,)."""
-    w = np.zeros(np.shape(sigma) + (4,))
-    w[..., which] = 1.0
-    w[..., 3] = 3.0 * np.sqrt(sigma) - 2.0
-    return w
-
-
 def c_matrix_stack(name: str, s) -> np.ndarray:
-    """:func:`c_matrix_family` (without ``x``) at every s of a 1-D array.
+    """Closed-form coefficient families of the worked two-qubit channel at
+    every s of a 1-D array in [1, 4]; shape (n, 4, 4).
 
-    Returns the raw (n, 4, 4) stack; a caller that needs checked
-    coefficient matrices passes it through
-    :func:`~loccverify.zonoid.coefficient_stack`.
+    With sigma = sqrt(s) - 1, "C1" is the main-path witness, and "C2" and
+    "C3" are the rank-1 halt densities w w^T with respect to d sigma, w
+    weighting operator 2 or 3 by 1 and operator 4 by 3 sqrt(sigma) - 2. The
+    densities may leave the unit box; only assembled witnesses are box
+    constrained. A caller that needs checked coefficient matrices passes
+    the stack through :func:`~loccverify.zonoid.coefficient_stack`.
     """
-    if name == "C1":
-        return _c1_matrix(s)
-    if name not in ("C2", "C3"):
+    if name not in ("C1", "C2", "C3"):
         raise ValueError(f"unknown family {name!r}")
-    sigma = np.sqrt(_clamped(s, 4.0, "halt families need s in [1, 4]")) - 1.0
-    w = _side_weight(sigma, 1 if name == "C2" else 2)
+    sigma = np.sqrt(_clamped(s, 4.0, f"{name} needs s in [1, 4]")) - 1.0
+    if name == "C1":
+        beta = 2.0 * (np.sqrt(sigma) - 1.0)
+        gamma = 9.0 * sigma + 8.0 - 16.0 * np.sqrt(sigma)
+        c = np.zeros(sigma.shape + (4, 4))
+        c[..., 0, 0] = 1.0
+        c[..., 1, 1] = c[..., 2, 2] = sigma
+        c[..., 1, 3] = c[..., 3, 1] = sigma * beta
+        c[..., 2, 3] = c[..., 3, 2] = sigma * beta
+        c[..., 3, 3] = sigma * gamma
+        return c.astype(np.complex128)
+    w = np.zeros(sigma.shape + (4,))
+    w[..., 1 if name == "C2" else 2] = 1.0
+    w[..., 3] = 3.0 * np.sqrt(sigma) - 2.0
     return (w[..., :, None] * w[..., None, :]).astype(np.complex128)
-
-
-def c_matrix_family(name: str, s: float, x: float | None = None
-                    ) -> CoefficientMatrix:
-    """Closed-form coefficient families of the worked two-qubit channel.
-
-    All three families are parametrized by s in [1, 4] (internally
-    sigma = sqrt(s) - 1). "C1" is the main-path witness. "C2" and "C3"
-    are the rank-1 halt densities with respect to d sigma; for these an
-    optional ``x`` returns the segment mixture (1 - x) C1(s) + x C_r(s).
-    The densities themselves may leave the unit box; only assembled
-    witnesses are box constrained.
-    """
-    if name == "C1" and x is not None:
-        raise ValueError("x only applies to the halt families")
-    c = c_matrix_stack(name, [s])[0]
-    if x is None:
-        return CoefficientMatrix(c)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("mixture weight x must lie in [0, 1]")
-    return CoefficientMatrix((1.0 - x) * _c1_matrix(s) + x * c)
 
 
 @dataclass
@@ -941,7 +915,8 @@ class CheckedPath:
     array on [s_bottom, s_top] and returns the stack (n, d, d).
     ``cmatrix_at`` optionally supplies a closed-form witness family, as a
     stack (n, kappa, kappa) of coefficient matrices that the verifier
-    checks and symmetrises by the rule of :class:`CoefficientMatrix`.
+    checks and symmetrises by the rule of
+    :class:`~loccverify.zonoid.CoefficientMatrix`.
     The endpoint coefficient matrix is always derived from the operator at
     ``s_bottom``. ``block`` ties the path to one block of a blocked basis
     for the resolution bookkeeping.

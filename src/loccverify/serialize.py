@@ -1,4 +1,5 @@
-"""JSON interchange for matrices, Kraus sets, instruments, and reports.
+"""JSON interchange for matrices and Kraus sets, instrument input, and
+reports.
 
 Floats are printed with 17 significant digits so every value round-trips
 exactly; keys are emitted sorted so identical inputs produce byte-identical
@@ -33,7 +34,10 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if len(flat) != rows * cols:
         raise ValueError("matrix data length does not match rows * cols")
-    return np.array(flat, dtype=np.complex128).reshape(rows, cols)
+    m = np.array(flat, dtype=np.complex128).reshape(rows, cols)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    return m
 
 
 def kraus_to_json(k: KrausSet) -> dict:
@@ -52,12 +56,6 @@ def kraus_from_json(obj: dict) -> KrausSet:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed Kraus set: {exc}") from exc
     return kraus_from_operators(ops, din, dout)
-
-
-def instrument_to_json(inst: Instrument) -> dict:
-    out = kraus_to_json(inst.kraus)
-    out["partition"] = [list(part) for part in inst.partition]
-    return out
 
 
 def instrument_from_json(obj: dict) -> Instrument:

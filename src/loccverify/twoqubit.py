@@ -5,7 +5,9 @@ coarse-grained halt map per party). Everything here is built from two
 competing descriptions of it: the five product Kraus operators grouped by
 outcome, and the four-operator reduced set spanning the same channel. The
 continuum limit of the halting protocol supplies a third description as a
-one-parameter family, and the functions below cross-check all three.
+one-parameter family, and the functions below cross-check all three. Its
+halt outcomes 2 (party B halts) and 3 (party A halts) are the two-party
+derivative outcomes of party index 1 and 0.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .protocols import (
     limit_path_stack,
 )
 from .tolerances import (COARSE_GRAIN_TOL, DENSITY_TRACE_TOL, ISOMETRY_TOL,
-                         QUAD_NODES, ROUNDING_TOL, SIGMA_SAMPLES)
+                         QUAD_NODES, SIGMA_SAMPLES)
 from .zonoid import ZonoidSpec, zonoid_spec_for_instrument
 
 DIMS_2Q = PartyDims((2, 2))
@@ -46,18 +48,6 @@ DIMS_2Q = PartyDims((2, 2))
 
 def _diag4(a, b, c, d) -> np.ndarray:
     return np.diag([a, b, c, d]).astype(np.complex128)
-
-
-def _halt_diag(x, which: int) -> np.ndarray:
-    """diag(x, 0, 1, 0) for outcome 2 (B halts), else diag(x, 1, 0, 0).
-
-    An array x gives the stack of these matrices, shape x.shape + (4, 4).
-    """
-    out = np.zeros(np.shape(x) + (4, 4), dtype=np.complex128)
-    out[..., 0, 0] = x
-    one = 2 if which == 2 else 1
-    out[..., one, one] = 1.0
-    return out
 
 
 # Five product Kraus operators, grouped (0,), (1, 2), (3, 4) by outcome.
@@ -102,20 +92,6 @@ def two_qubit_instrument() -> TwoQubitExample:
     inst = Instrument(grouped, ((0,), (1, 2), (3, 4)))
     minimal = kraus_from_operators(list(K_REDUCED), (2, 2))
     return TwoQubitExample(inst, minimal, W_GROUPING.copy())
-
-
-def limiting_povm(s: float):
-    """Limit outcomes at trace parameter s in [1, 4].
-
-    Returns the all-ones projector and the two halt densities with respect
-    to d sigma, sigma = sqrt(s) - 1: party 2 halting, then party 1 (the
-    two-party derivative outcomes in reverse order). Their square roots are
-    the limiting measurement operators.
-    """
-    if not 1.0 - ROUNDING_TOL <= s <= 4.0 + ROUNDING_TOL:
-        raise ValueError("s must lie in [1, 4]")
-    first, second = derivative_outcomes(2, min(max(s, 1.0), 4.0))
-    return _diag4(0.0, 0.0, 0.0, 1.0), second, first
 
 
 def limiting_choi_2q(nodes: int = QUAD_NODES) -> ChoiOperator:
@@ -175,13 +151,15 @@ def blocked_isometry_check() -> BlockedIsometryCheck:
     matrix does not depend on sigma, so one least-squares solve per block
     takes every sigma sample as a right-hand side.
     """
-    rt = np.sqrt(np.linspace(0.0, 1.0, SIGMA_SAMPLES))
+    sigmas = np.linspace(0.0, 1.0, SIGMA_SAMPLES)
+    rt = np.sqrt(sigmas)
     want = np.stack([np.sqrt(3.0) * (2.0 * rt - 1.0),
                      np.sqrt(6.0) * (1.0 - rt)])
+    kraus = np.sqrt(derivative_outcomes(2, sigmas))
     worst_res = 0.0
     worst_coef = 0.0
-    for which, block in ((2, (1, 2)), (3, (3, 4))):
-        vecs = _halt_diag(rt, which).reshape(-1, 16).T
+    for party, block in ((1, (1, 2)), (0, (3, 4))):
+        vecs = kraus[:, party].reshape(-1, 16).T
         a = K_GROUPED[list(block)].reshape(2, 16).T
         coef, *_ = np.linalg.lstsq(a, vecs, rcond=None)
         worst_res = max(worst_res, float(
@@ -216,9 +194,9 @@ def coarse_grain_check(nodes: int = QUAD_NODES) -> CoarseGrainCheck:
     units = np.eye(16, dtype=np.complex128).reshape(16, 4, 4)
 
     def integrand(sigma: np.ndarray) -> np.ndarray:
-        k = np.stack([_halt_diag(np.sqrt(sigma), which) for which in (2, 3)],
-                     axis=1)
-        kd = np.diagonal(k, axis1=-2, axis2=-1)
+        # Outcomes 2 and 3, in the order of the branches below.
+        kd = np.sqrt(np.diagonal(derivative_outcomes(2, sigma)[:, ::-1],
+                                 axis1=-2, axis2=-1))
         return np.einsum("nra,nrd->nrad", kd, kd.conj())
 
     got = integrate_sqrt_smooth(integrand, nodes=nodes)[:, None] * units
@@ -270,12 +248,12 @@ def wstate_analysis(nodes: int = QUAD_NODES) -> WStateReport:
     e1 = _diag4(0.0, 0.0, 0.0, 1.0)
     k1_norm = float(np.linalg.norm(kron([e1, eye2]) @ w))
 
-    def outcome(sigma: np.ndarray, which: int) -> np.ndarray:
-        v = kron([_halt_diag(np.sqrt(sigma), which), eye2]) @ w
+    def outcome(sigma: np.ndarray, party: int) -> np.ndarray:
+        v = kron([np.sqrt(derivative_outcomes(2, sigma)[:, party]), eye2]) @ w
         return v[:, :, None] * v[:, None, :].conj()
 
-    rho2 = integrate_sqrt_smooth(lambda sg: outcome(sg, 2), nodes=nodes)
-    rho3 = integrate_sqrt_smooth(lambda sg: outcome(sg, 3), nodes=nodes)
+    rho2 = integrate_sqrt_smooth(lambda sg: outcome(sg, 1), nodes=nodes)
+    rho3 = integrate_sqrt_smooth(lambda sg: outcome(sg, 0), nodes=nodes)
     prob = float(np.real(np.trace(rho2)))
 
     dims3 = PartyDims((2, 2, 2))
@@ -316,11 +294,12 @@ def _sigma_of(s):
 def _limit_family(cdensity, blocked: bool):
     """Main path and the halt-B and halt-A continua of the limit.
 
-    ``cdensity(which)`` gives the coefficient-density callback of halt
-    outcome ``which`` (2 when party B halts, 3 when party A does). A blocked
-    basis ties the main path to block 0 and each halt family to its own
-    outcome block; the reduced basis instead attaches the closed-form C1
-    witness family to the main path.
+    Halt family ``party`` (1 for B, 0 for A) has the derivative outcome of
+    that party as its density and ``cdensity(party)`` as its
+    coefficient-density callback; it is instrument outcome 3 - party. A
+    blocked basis ties the main path to block 0 and each halt family to
+    its outcome's block; the reduced basis instead attaches the
+    closed-form C1 witness family to the main path.
     """
     main = CheckedPath(
         label="main",
@@ -333,15 +312,17 @@ def _limit_family(cdensity, blocked: bool):
     )
     fams = [
         EndpointFamily(
-            label=f"halt-{'B' if which == 2 else 'A'}",
+            label=f"halt-{'AB'[party]}",
             parent=main,
-            density_at=lambda sg, w=which: _halt_diag(sg, w),
-            cdensity_at=cdensity(which),
+            # A copy, so the other party's half of the stack is freed.
+            density_at=lambda sg, a=party: (
+                derivative_outcomes(2, sg)[:, a].copy()),
+            cdensity_at=cdensity(party),
             attach_s=_s_of,
             sigma_at=_sigma_of,
-            block=which - 1 if blocked else None,
+            block=2 - party if blocked else None,
         )
-        for which in (2, 3)
+        for party in (1, 0)
     ]
     return [main], fams
 
@@ -355,7 +336,7 @@ def limiting_family(spec: ZonoidSpec | None = None):
     resolution. The densities are closed forms, so ``spec`` is not read.
     """
     return _limit_family(
-        lambda which: lambda sg: c_matrix_stack(f"C{which}", _s_of(sg)),
+        lambda party: lambda sg: c_matrix_stack(f"C{3 - party}", _s_of(sg)),
         blocked=False)
 
 
@@ -377,14 +358,14 @@ def blocked_limiting_family(spec: ZonoidSpec | None = None):
     blocks = spec.block_list()
     ops = spec.basis.operators
 
-    def blocked_density(which: int):
-        block = list(blocks[which - 1])
+    def blocked_density(party: int):
+        block = list(blocks[2 - party])
         a = np.linalg.pinv(ops[block].reshape(len(block), 16).T)
 
         def f(sigma: np.ndarray) -> np.ndarray:
-            k = _halt_diag(np.sqrt(sigma), which).reshape(-1, 16)
+            k = np.sqrt(derivative_outcomes(2, sigma)[:, party])
             w = np.zeros((len(k), spec.kappa), dtype=np.complex128)
-            w[:, block] = k @ a.T
+            w[:, block] = k.reshape(-1, 16) @ a.T
             return w[:, :, None] * w[:, None, :].conj()
         return f
 

@@ -21,7 +21,6 @@ from loccverify import (
     ZonoidSpec,
     blocked_isometry_check,
     build_protocol_pq,
-    c_matrix_family,
     channel_zonoid,
     choi,
     choi_distance,
@@ -34,7 +33,6 @@ from loccverify import (
     isometric_relation,
     kraus_from_operators,
     kraus_rank,
-    limit_path,
     limiting_choi_2q,
     main_branch_path,
     membership,
@@ -53,9 +51,10 @@ from loccverify import (
     verify_tree,
     wstate_analysis,
 )
+from loccverify.protocols import c_matrix_stack, limit_path_stack
 from loccverify.twoqubit import K_GROUPED, K_REDUCED
 
-from conftest import random_channel, random_density, stacked
+from conftest import random_channel, random_density
 
 
 def announce(capsys, number: str, ok: bool, detail: str = ""):
@@ -124,25 +123,23 @@ def test_criterion_3_isometry_identities(capsys):
 
 
 def test_criterion_4_limit_membership(capsys):
-    sigmas = np.linspace(0.0, 1.0, 101)
+    s = (1.0 + np.linspace(0.0, 1.0, 101)) ** 2
     xs = np.linspace(0.0, 1.0, 11)
-    min_main = min(
-        float(np.linalg.eigvalsh(
-            c_matrix_family("C1", float((1 + sg) ** 2)).matrix)[0])
-        for sg in sigmas)
+    c1 = c_matrix_stack("C1", s)
+    min_main = float(np.linalg.eigvalsh(c1)[:, 0].min())
+    # Segment mixtures (1 - x) C1 + x C_r of the halt families.
     min_halt = min(
-        float(np.linalg.eigvalsh(
-            c_matrix_family(name, float((1 + sg) ** 2), x=float(x))
-            .matrix)[0])
-        for name in ("C2", "C3") for sg in sigmas for x in xs)
-    total = c_matrix_family("C1", 1.0).matrix.copy()
+        float(np.linalg.eigvalsh((1.0 - x) * c1
+                                 + x * c_matrix_stack(name, s))[:, 0].min())
+        for name in ("C2", "C3") for x in xs)
+    total = c_matrix_stack("C1", [1.0])[0]
     for name in ("C2", "C3"):
-        total += integrate_sqrt_smooth(stacked(
-            lambda u, n=name: c_matrix_family(n, float((1 + u) ** 2)).matrix))
+        total += integrate_sqrt_smooth(
+            lambda u, n=name: c_matrix_stack(n, (1.0 + u) ** 2))
     res_defect = float(np.abs(total - np.eye(4)).max())
     spec = channel_zonoid()
-    mem_worst = max(membership(limit_path(2, float(s)), spec).residual
-                    for s in np.linspace(1.0, 4.0, 11))
+    mem_worst = max(membership(z, spec).residual
+                    for z in limit_path_stack(2, np.linspace(1.0, 4.0, 11)))
     ok = (min_main >= -1e-10 and min_halt >= -1e-10
           and res_defect <= 1e-8 and mem_worst <= 1e-7)
     announce(capsys, "4 (limit membership)", ok,

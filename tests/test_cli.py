@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import loccverify
-from loccverify import cli, linalg, protocols, zonoid
+from loccverify import cli, linalg, protocols, serialize, zonoid
 from loccverify.channels import kraus_from_operators
 from loccverify.serialize import (dumps, kraus_to_json, matrix_from_json,
                                   matrix_to_json)
@@ -37,10 +37,31 @@ def inline(m):
     return dumps(matrix_to_json(np.asarray(m, dtype=complex)), indent=0)
 
 
+def inline_kraus(ops, din, dout, partition=None):
+    """Kraus set, or instrument with ``partition``, inline."""
+    obj = kraus_to_json(kraus_from_operators(list(ops), din, dout))
+    if partition is not None:
+        obj["partition"] = partition
+    return dumps(obj, indent=0)
+
+
 def inline_identity_kraus(d):
     """One-operator Kraus set of the identity channel on C^d, inline."""
-    k = kraus_from_operators([np.eye(d, dtype=complex)], (d,))
-    return dumps(kraus_to_json(k), indent=0)
+    return inline_kraus([np.eye(d)], (d,), (d,))
+
+
+def inline_kraus_with(value):
+    """One-operator Kraus set on C^2, inline, whose first entry is the JSON
+    number ``value`` (NaN and Infinity included)."""
+    return ('{"dims": {"in": [2], "out": [2]}, "operators": [{"rows": 2, '
+            f'"cols": 2, "data": [[{value}, 0], [0, 0], [0, 0], [1, 0]]}}]}}')
+
+
+def matrix_units(d):
+    """The d^2 matrix units of d x d, stacked."""
+    units = np.zeros((d * d, d, d))
+    units[np.arange(d * d), np.arange(d * d) // d, np.arange(d * d) % d] = 1
+    return units
 
 
 class TestReportShape:
@@ -77,6 +98,15 @@ class TestExitCodes:
     def test_missing_file_is_2(self, capsys):
         status = cli.main(["choi", "--kraus", "/tmp/no-such-file-xyz.json"])
         assert status == 2
+
+    @pytest.mark.parametrize("flag", ["--basis", "--z"])
+    def test_json_file_without_an_object_is_2(self, capsys, tmp_path, flag):
+        path = tmp_path / "five.json"
+        path.write_text("5")
+        status = cli.main(["zonoid-check", flag, str(path)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.err.startswith("error:")
 
     def test_unknown_basis_token_is_2(self, capsys):
         status = cli.main(["zonoid-check", "--z", "identity",
@@ -140,6 +170,12 @@ class TestExitCodes:
          '{"rows": 2, "cols": 2, "data": [[NaN, 0], [0, 0], [0, 0], [1, 0]]}'],
         ["distance", "--a", inline_identity_kraus(2),
          "--b", inline_identity_kraus(4)],
+        *[[*head, inline_kraus_with(value), *tail]
+          for value in ("NaN", "Infinity", "1e300")
+          for head, tail in ((["choi", "--kraus"], []),
+                             (["distance", "--a"],
+                              ["--b", inline_identity_kraus(2)]),
+                             (["zonoid-check", "--basis"], []))],
     ])
     def test_bad_protocol_parameters_are_2(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
@@ -250,6 +286,63 @@ class TestExitCodes:
             tracemalloc.stop()
         assert status == 0
         estimate = cli.work_bytes(cli._build_parser().parse_args(argv))
+        assert peak <= estimate <= 1.5 * peak
+
+    @pytest.mark.parametrize("argv", [
+        ["choi", "--kraus", inline_kraus([np.ones((1, 4096))], (4096,), (1,))],
+        ["distance", "--a", inline_kraus([np.ones((1, 4096))], (4096,), (1,)),
+         "--b", inline_kraus([np.ones((1, 4096))], (4096,), (1,))],
+        ["zonoid-check", "--basis", inline_kraus(matrix_units(8), (8,), (8,))],
+        ["zonoid-check", "--basis",
+         inline_kraus([np.eye(64)], (64,), (64,), [[0]])],
+    ])
+    def test_oversized_inputs_are_refused_before_any_work(
+            self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("refused input reached the checker")
+
+        for name in ("choi", "choi_distance", "membership",
+                     "zonoid_spec_for_instrument"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(zonoid, "membership", refuse)
+        monkeypatch.setattr(zonoid, "_MembershipSolver", refuse)
+        status = cli.main(argv)
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "MiB budget" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["choi", "--kraus",
+         inline_kraus(np.arange(192.0).reshape(2, 6, 16), (16,), (6,))],
+        ["distance", "--a", inline_kraus(np.ones((1, 4, 32)), (32,), (4,)),
+         "--b", inline_kraus(np.ones((3, 8, 32)), (32,), (8,))],
+        ["zonoid-check", "--basis", inline_kraus(matrix_units(5), (5,), (5,))],
+        ["zonoid-check", "--basis",
+         inline_kraus(np.random.default_rng(5).standard_normal((16, 16, 16)),
+                      (16,), (16,))],
+        ["zonoid-check", "--basis",
+         inline_kraus([np.eye(24)], (24,), (24,), [[0]])],
+    ])
+    def test_input_work_bytes_bound_the_run(self, argv):
+        # The same run first, so lazily built tables are not counted.
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) in (0, 1)
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status in (0, 1)
+        inputs = [serialize.instrument_from_json(json.loads(v))
+                  if "partition" in v
+                  else serialize.kraus_from_json(json.loads(v))
+                  for v in argv[2::2]]
+        estimate = cli.work_bytes(cli._build_parser().parse_args(argv),
+                                  *inputs)
         assert peak <= estimate <= 1.5 * peak
 
     @pytest.mark.parametrize("samples", ["-1", "100000000"])

@@ -16,13 +16,11 @@ from loccverify import (
     TreeReport,
     blocked_limiting_family,
     build_protocol_pq,
-    c_matrix_family,
     channel_zonoid,
     derivative_outcomes,
     instrument_zonoid,
     integrate_sqrt_smooth,
     kron,
-    limit_path,
     limiting_family,
     main_branch_diagonals,
     main_branch_path,
@@ -35,10 +33,11 @@ from loccverify import (
 )
 from loccverify import protocols
 from loccverify.linalg import cumulative_sqrt_smooth
-from loccverify.protocols import (TreeFailure, limit_path_stack,
-                                  protocol_check_bytes, protocol_tree_bytes)
+from loccverify.protocols import (TreeFailure, c_matrix_stack,
+                                  limit_path_stack, protocol_check_bytes,
+                                  protocol_tree_bytes)
+from loccverify.zonoid import coefficient_stack
 
-from conftest import stacked
 
 
 class TestParams:
@@ -636,18 +635,20 @@ class TestAgainstKronReference:
 class TestPaths:
     def test_limit_path_trace_parametrization(self):
         for parties in (2, 3):
-            for s in np.linspace(1.0, 2.0 ** parties, 9):
-                op = limit_path(parties, float(s))
-                assert np.trace(op) == pytest.approx(s, abs=1e-12)
+            grid = np.linspace(1.0, 2.0 ** parties, 9)
+            ops = limit_path_stack(parties, grid)
+            np.testing.assert_allclose(np.trace(ops, axis1=1, axis2=2), grid,
+                                       rtol=0.0, atol=1e-12)
 
     def test_limit_path_endpoints(self):
-        np.testing.assert_allclose(limit_path(2, 4.0), np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(limit_path(2, 1.0),
-                                   np.diag([0.0, 0.0, 0.0, 1.0]), atol=1e-12)
+        top, bottom = limit_path_stack(2, [4.0, 1.0])
+        np.testing.assert_allclose(top, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(bottom, np.diag([0.0, 0.0, 0.0, 1.0]),
+                                   atol=1e-12)
 
     def test_limit_path_is_product(self):
         # each party's factor carries the per-party trace s**(1/P)
-        m = limit_path(3, 3.7)
+        (m,) = limit_path_stack(3, [3.7])
         factor = np.diag([3.7 ** (1.0 / 3.0) - 1.0, 1.0])
         np.testing.assert_allclose(m, kron([factor] * 3), atol=1e-12)
 
@@ -700,16 +701,24 @@ class TestPathDistanceBound:
         assert r4.max_distance > 4 * eps
 
     def test_custom_grid_validation(self):
-        with pytest.raises(ValueError):
-            path_distance_bound(2, 10, 0.5, s_grid=[0.5, 2.0])
+        for grid in ([0.5, 2.0], [2.0, 4.5], [np.nan, 2.0], [2.0, np.inf],
+                     []):
+            with pytest.raises(ValueError):
+                path_distance_bound(2, 10, 0.5, s_grid=grid)
+        # Points within rounding of [1, 4] are clamped, and reported as
+        # given.
+        rep = path_distance_bound(2, 10, 0.5, s_grid=[4.0 + 1e-13,
+                                                      1.0 - 1e-13])
+        assert rep.worst_s == 1.0 - 1e-13
 
 
 def _table_gap(parties, rounds, exponent, grid):
     """Gap of path_distance_bound by the step table: one trace norm per
     grid point of the clamped main-branch path against the limit path."""
     path = main_branch_path(parties, rounds, exponent)
-    gaps = [trace_norm(path.at(float(s), clamp=True) - limit_path(parties, s))
-            for s in grid]
+    limit = limit_path_stack(parties, grid)
+    gaps = [trace_norm(path.at(float(s), clamp=True) - op)
+            for s, op in zip(grid, limit)]
     return max(gaps)
 
 
@@ -772,6 +781,11 @@ class TestClosedFormMainBranch:
                                                  [eta ** 10, 1.0]),
                                    rtol=1e-14)
 
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+    def test_non_finite_traces_are_refused(self, s):
+        with pytest.raises(ValueError, match="finite"):
+            main_branch_diagonals(2, 10, 0.5, [2.0, s])
+
     @pytest.mark.parametrize("parties", [2, 3, 5])
     def test_empty_trace_list_gives_no_rows(self, parties):
         d = main_branch_diagonals(parties, 10, 0.5, [])
@@ -795,36 +809,51 @@ class TestDerivativeOutcomes:
     def test_completeness_against_quadrature(self, parties):
         d = 2 ** parties
         # the path bottom is the projector onto the all-ones corner
-        total = limit_path(parties, 1.0).copy()
-        for alpha in range(parties):
-            total = total + integrate_sqrt_smooth(stacked(
-                lambda u, a=alpha: np.real(
-                    derivative_outcomes(parties, _s_of(parties, u))[a])))
+        total = limit_path_stack(parties, [1.0])[0] + integrate_sqrt_smooth(
+            lambda u: np.real(derivative_outcomes(parties, u)).sum(axis=1))
         np.testing.assert_allclose(np.diagonal(total), np.ones(d), atol=1e-10)
 
+    def test_two_party_outcomes_bit_for_bit(self):
+        # The densities and their square roots, the Kraus operators, are
+        # exact: sigma (or its root), 1 and 0.
+        sigma = np.linspace(0.0, 1.0, 101)
+        outs = derivative_outcomes(2, sigma)
+        assert outs.shape == (101, 2, 4, 4) and outs.dtype == np.complex128
+        for s, (first, second), (k1, k2) in zip(sigma, outs, np.sqrt(outs)):
+            assert np.array_equal(first, np.diag([s, 1.0, 0.0, 0.0]))
+            assert np.array_equal(second, np.diag([s, 0.0, 1.0, 0.0]))
+            r = np.sqrt(s)
+            assert np.array_equal(k1, np.diag([r, 1.0, 0.0, 0.0]))
+            assert np.array_equal(k2, np.diag([r, 0.0, 1.0, 0.0]))
+
     def test_outcome_shapes_and_positions(self):
-        outs = derivative_outcomes(3, 2.0)
-        assert len(outs) == 3
+        outs = derivative_outcomes(3, [0.26])[0]
+        assert outs.shape == (3, 8, 8)
         for alpha, op in enumerate(outs):
-            assert op.shape == (8, 8)
+            assert np.linalg.eigvalsh(op)[0] >= 0.0
             # the halting party contributes the ket-0 projector factor
             diag = np.real(np.diagonal(op))
             bit = 2 - alpha  # party 1 is the most significant bit
             for idx in range(8):
                 if (idx >> bit) & 1:
-                    assert diag[idx] == pytest.approx(0.0, abs=1e-14)
+                    assert diag[idx] == 0.0
 
 
-def _s_of(parties: int, sigma: float) -> float:
-    return float((1.0 + sigma) ** parties)
+def _s_of(parties: int, sigma):
+    return (1.0 + sigma) ** parties
+
+
+def _mixture(name: str, s, x: float) -> np.ndarray:
+    """Segment mixture (1 - x) C1(s) + x C_name(s) of a halt family."""
+    return (1.0 - x) * c_matrix_stack("C1", s) + x * c_matrix_stack(name, s)
 
 
 class TestCMatrixFamily:
     def test_c1_endpoints(self):
-        np.testing.assert_allclose(c_matrix_family("C1", 4.0).matrix,
-                                   np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(c_matrix_family("C1", 1.0).matrix,
-                                   np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-12)
+        top, bottom = c_matrix_stack("C1", [4.0, 1.0])
+        np.testing.assert_allclose(top, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(bottom, np.diag([1.0, 0.0, 0.0, 0.0]),
+                                   atol=1e-12)
 
     def test_c1_frozen_spectrum(self):
         # independent reduction at sigma = 0.5: the corner contributes the
@@ -838,8 +867,8 @@ class TestCMatrixFamily:
         mean, half = (a + b) / 2, (b - a) / 2
         disc = np.sqrt(half ** 2 + off ** 2)
         expect = sorted([1.0, sig, mean - disc, mean + disc])
-        w = np.sort(np.linalg.eigvalsh(c_matrix_family("C1", (1 + sig) ** 2)
-                                       .matrix))
+        w = np.sort(np.linalg.eigvalsh(
+            c_matrix_stack("C1", [(1 + sig) ** 2])[0]))
         np.testing.assert_allclose(w, expect, atol=1e-12)
         # coarse digits for the record
         np.testing.assert_allclose(w, [0.1297, 0.5, 0.9634, 1.0], atol=1e-4)
@@ -847,35 +876,33 @@ class TestCMatrixFamily:
     def test_c1_reconstructs_limit_path(self):
         spec = channel_zonoid()
         solver = spec.solver()
-        for s in np.linspace(1.0, 4.0, 7):
-            c = c_matrix_family("C1", float(s)).matrix
-            np.testing.assert_allclose(solver.image(c), limit_path(2, float(s)),
-                                       atol=1e-10)
+        grid = np.linspace(1.0, 4.0, 7)
+        np.testing.assert_allclose(solver.image(c_matrix_stack("C1", grid)),
+                                   limit_path_stack(2, grid), atol=1e-10)
 
     @pytest.mark.parametrize("name", ["C2", "C3"])
     def test_halt_densities_rank_one_psd(self, name):
-        for s in np.linspace(1.0, 4.0, 7):
-            c = c_matrix_family(name, float(s)).matrix
+        for c in c_matrix_stack(name, np.linspace(1.0, 4.0, 7)):
             w = np.sort(np.linalg.eigvalsh(c))
             assert w[0] >= -1e-12
             assert np.sum(w > 1e-10) <= 1
 
     @pytest.mark.parametrize("name", ["C2", "C3"])
     def test_mixtures_stay_psd(self, name):
-        for s in np.linspace(1.0, 4.0, 11):
-            for x in np.linspace(0.0, 1.0, 5):
-                c = c_matrix_family(name, float(s), x=float(x)).matrix
-                assert np.linalg.eigvalsh(c)[0] >= -1e-10
+        grid = np.linspace(1.0, 4.0, 11)
+        for x in np.linspace(0.0, 1.0, 5):
+            low = np.linalg.eigvalsh(_mixture(name, grid, x))[:, 0]
+            assert low.min() >= -1e-10
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
-            c_matrix_family("C9", 2.0)
+            c_matrix_stack("C9", [2.0])
 
     def test_resolution_of_identity(self):
-        total = c_matrix_family("C1", 1.0).matrix.copy()
+        total = c_matrix_stack("C1", [1.0])[0]
         for name in ("C2", "C3"):
-            total += integrate_sqrt_smooth(stacked(
-                lambda u, n=name: c_matrix_family(n, _s_of(2, u)).matrix))
+            total += integrate_sqrt_smooth(
+                lambda u, n=name: c_matrix_stack(n, _s_of(2, u)))
         np.testing.assert_allclose(total, np.eye(4), atol=1e-8)
 
 
@@ -1140,9 +1167,9 @@ class TestIntegratedWitness:
             for grid in solver.grids:
                 w = np.linalg.eigvalsh(c[grid])
                 assert w[0] >= -1e-12 and w[-1] <= 1.0 + 1e-12
-            np.testing.assert_allclose(solver.image(c),
-                                       limit_path(2, (1.0 + sigma) ** 2),
-                                       rtol=0.0, atol=1e-12)
+            (want,) = limit_path_stack(2, [(1.0 + sigma) ** 2])
+            np.testing.assert_allclose(solver.image(c), want, rtol=0.0,
+                                       atol=1e-12)
 
     @pytest.mark.parametrize("s_samples", [0, -1])
     def test_no_samples_is_rejected(self, s_samples):
@@ -1182,8 +1209,8 @@ class TestLimitFamilies:
     def test_derived_endpoint_is_the_closed_form_c1(self):
         (main,), _ = limiting_family()
         c_end, defect = protocols._endpoint_check(main, channel_zonoid())
-        assert np.array_equal(c_end.matrix,
-                              c_matrix_family("C1", 1.0).matrix)
+        (c1,) = coefficient_stack(c_matrix_stack("C1", [1.0]))
+        assert np.array_equal(c_end.matrix, c1)
         assert defect <= 1e-12
 
     def test_reduced_and_blocked_families_agree(self):

@@ -17,7 +17,6 @@ from loccverify import (
     isometric_relation,
     kraus_rank,
     limiting_choi_2q,
-    limiting_povm,
     minimal_kraus,
     multiplier_distance,
     pqubit_coefficients,
@@ -31,7 +30,8 @@ from loccverify import (
 from loccverify import twoqubit, zonoid_spec_for_channel
 from loccverify.linalg import integrate_sqrt_smooth
 from loccverify.pqubit import multiplier_choi_matrix
-from loccverify.twoqubit import K_GROUPED, K_REDUCED, W_GROUPING, _halt_diag
+from loccverify.protocols import derivative_outcomes
+from loccverify.twoqubit import K_GROUPED, K_REDUCED, W_GROUPING
 from loccverify.zonoid import _directions
 
 from conftest import loop_sqrt_smooth, random_density, stacked
@@ -120,18 +120,20 @@ class TestGroupingIsometry:
 
 
 class TestLimitingPovm:
-    def test_elements_psd_and_shapes(self):
-        for s in (1.0, 2.2, 4.0):
-            e1, e2, e3 = limiting_povm(s)
-            for e in (e1, e2, e3):
-                assert e.shape == (4, 4)
-                assert np.linalg.eigvalsh(e)[0] >= -1e-12
+    """The limit outcomes: the all-ones projector and the two-party
+    derivative outcomes at sigma = sqrt(s) - 1."""
 
-    def test_domain_validation(self):
+    def test_elements_psd_and_shapes(self):
+        sigma = np.sqrt([1.0, 2.2, 4.0]) - 1.0
+        halts = derivative_outcomes(2, sigma)
+        assert halts.shape == (3, 2, 4, 4)
+        for e in [np.diag([0.0, 0.0, 0.0, 1.0]), *halts.reshape(6, 4, 4)]:
+            assert np.linalg.eigvalsh(e)[0] >= -1e-12
+
+    @pytest.mark.parametrize("sigma", [-0.3, 1.1, np.nan])
+    def test_domain_validation(self, sigma):
         with pytest.raises(ValueError):
-            limiting_povm(0.5)
-        with pytest.raises(ValueError):
-            limiting_povm(4.5)
+            derivative_outcomes(2, [0.5, sigma])
 
 
 class TestLimitingChoi:
@@ -226,8 +228,9 @@ def _blocked_isometry_per_sample():
         rt = np.sqrt(sigma)
         want = np.array([np.sqrt(3.0) * (2.0 * rt - 1.0),
                          np.sqrt(6.0) * (1.0 - rt)])
-        for which, block in ((2, (1, 2)), (3, (3, 4))):
-            vec = _halt_diag(rt, which)
+        for halt, block in (([rt, 0.0, 1.0, 0.0], (1, 2)),
+                            ([rt, 1.0, 0.0, 0.0], (3, 4))):
+            vec = np.diag(halt).astype(complex)
             a = K_GROUPED[list(block)].reshape(2, 16).T
             coef, *_ = np.linalg.lstsq(a, vec.reshape(16), rcond=None)
             recon = (a @ coef).reshape(4, 4)
@@ -247,8 +250,9 @@ def _coarse_grain_per_unit(nodes):
             unit[i, j] = 1.0
 
             def integrand(sigma, unit=unit):
-                k2 = _halt_diag(np.sqrt(sigma), 2)
-                k3 = _halt_diag(np.sqrt(sigma), 3)
+                rt = np.sqrt(sigma)
+                k2 = np.diag([rt, 0.0, 1.0, 0.0])
+                k3 = np.diag([rt, 1.0, 0.0, 0.0])
                 return np.stack([k2 @ unit @ k2.conj().T,
                                  k3 @ unit @ k3.conj().T])
 

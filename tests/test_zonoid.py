@@ -17,7 +17,6 @@ from loccverify import (
     hausdorff_estimate,
     instrument_zonoid,
     kraus_from_operators,
-    limit_path,
     main_branch_diagonals,
     main_branch_path,
     membership,
@@ -30,6 +29,7 @@ from loccverify import (
     two_qubit_instrument,
 )
 from loccverify import twoqubit, zonoid
+from loccverify.protocols import limit_path_stack
 from loccverify.tolerances import MEMBERSHIP_TOL, ROUNDING_TOL
 from loccverify.zonoid import (CoefficientMatrix, _directions,
                                coefficient_stack)
@@ -144,7 +144,7 @@ class TestMembershipReports:
         # 1e-12 of z but not within a caller's tol of 1e-14.
         spec = channel_zonoid()
         z = np.eye(4, dtype=complex) if stop == "identity" \
-            else limit_path(2, 2.5)
+            else limit_path_stack(2, [2.5])[0]
         z[0, 1] += 1e-13
         z[1, 0] += 1e-13
         rep = membership(z, spec)
@@ -158,7 +158,7 @@ class TestMembershipReports:
 
     def test_witness_reproduces_point(self):
         spec = channel_zonoid()
-        z = limit_path(2, 2.5)
+        z = limit_path_stack(2, [2.5])[0]
         rep = membership(z, spec)
         assert rep.feasible
         solver = spec.solver()
@@ -185,7 +185,7 @@ class TestMembershipReports:
         spec = channel_zonoid()
         worst = 0.0
         for s in np.linspace(1.0, 4.0, 11):
-            rep = membership(limit_path(2, float(s)), spec)
+            rep = membership(limit_path_stack(2, [s])[0], spec)
             assert rep.feasible, s
             worst = max(worst, rep.residual)
         assert worst <= 1e-7
@@ -295,7 +295,7 @@ class TestMembershipReports:
         # The descent reaches s = 15 before the facial reduction at
         # iteration 100 would start; the slice point nearest the box
         # centre answers s = 12 exactly.
-        rep = membership(limit_path(4, s), _multiplier_spec(4))
+        rep = membership(limit_path_stack(4, [s])[0], _multiplier_spec(4))
         assert rep.feasible
         if s == 15.0:
             assert rep.stop == "converged"
@@ -307,8 +307,8 @@ class TestMembershipReports:
     def test_phase_and_face_direction_are_reported(self):
         spec = channel_zonoid()
         for target, phase in [(np.eye(4), "candidate"),
-                              (limit_path(2, 2.5), "candidate"),
-                              (limit_path(2, 1.2), "descent"),
+                              (limit_path_stack(2, [2.5])[0], "candidate"),
+                              (limit_path_stack(2, [1.2])[0], "descent"),
                               (np.diag([0.9, 0.9, 1.0, 1.0 + 1e-6]),
                                "descent")]:
             rep = membership(np.asarray(target, dtype=complex), spec)
@@ -340,7 +340,7 @@ class TestMembershipReports:
         assert rep.phase == "descent"
 
     def test_witness_matrix_cannot_be_replaced_or_written(self):
-        rep = membership(limit_path(2, 2.5), channel_zonoid())
+        rep = membership(limit_path_stack(2, [2.5])[0], channel_zonoid())
         c = rep.witness
         kept = c.matrix.copy()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -532,7 +532,7 @@ class TestSupportFunction:
     def test_dominates_members(self):
         # support in any direction bounds the pairing with any member
         spec = channel_zonoid()
-        z = limit_path(2, 3.0)
+        z = limit_path_stack(2, [3.0])[0]
         direction = np.diag([1.0, 0.5, 0.25, 2.0]).astype(complex)
         pairing = float(np.real(np.trace(direction @ z)))
         assert support_function(direction, spec) >= pairing - 1e-9
@@ -895,7 +895,7 @@ class TestStopReasons:
     @pytest.mark.parametrize("stop,target", [
         ("identity", np.eye(4)),
         ("affine", np.diag([0.0, 0.0, 0.0, 1.0])),
-        ("converged", limit_path(2, 1.2)),
+        ("converged", limit_path_stack(2, [1.2])[0]),
         # Outside (a diagonal direction separates it by 0.0139), but
         # neither direction tested at the best witness certifies it.
         ("small-step", np.diag([0.36, 0.42, 1.0, 0.7])),
@@ -909,9 +909,9 @@ class TestStopReasons:
         assert rep.feasible == (stop in ("identity", "affine", "converged"))
 
     def test_iteration_cap_is_reported(self, monkeypatch):
-        # limit_path(2, 1.2) converges after 23 iterations uncapped.
+        # The limit path at s = 1.2 converges after 23 iterations uncapped.
         monkeypatch.setattr(zonoid, "MEMBERSHIP_MAX_ITER", 5)
-        rep = membership(limit_path(2, 1.2), channel_zonoid())
+        rep = membership(limit_path_stack(2, [1.2])[0], channel_zonoid())
         assert rep.stop == "max-iter"
         assert rep.iterations == 5
         assert rep.separating is None and rep.gap is None
