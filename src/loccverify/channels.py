@@ -42,8 +42,8 @@ class KrausSet:
     """A finite family of Kraus operators with shared shapes.
 
     ``operators`` has shape (n, d_out, d_in). The set need not be
-    trace preserving; completeness is queried, not enforced, so the same
-    type carries channel branches and operator bases.
+    trace preserving, so the same type carries channel branches and
+    operator bases.
     """
 
     operators: np.ndarray
@@ -77,12 +77,6 @@ class KrausSet:
     @property
     def output_dim(self) -> int:
         return self.operators.shape[1]
-
-    def completeness_defect(self) -> float:
-        """Operator norm of sum_m K_m^dag K_m - identity."""
-        ops = self.operators
-        acc = np.einsum("mba,mbc->ac", ops.conj(), ops)
-        return operator_norm(acc - np.eye(self.input_dim))
 
 
 def kraus_from_operators(operators: Sequence, input_dims, output_dims=None

@@ -64,7 +64,7 @@ _THEOREM_SAMPLE_BYTES = {"theorem1": (2560, 1792), "theorem8": (3712, 2176)}
 _HAUSDORFF_SAMPLE_BYTES = 1344
 # Bytes each entry of a Choi matrix holds: in `choi` with its printed JSON,
 # in `distance` as the padded Choi matrices and their difference.
-_CHOI_ENTRY_BYTES = {"choi": 410, "distance": 52}
+_CHOI_ENTRY_BYTES = {"choi": 300, "distance": 52}
 _SIZE_FLAGS = ("samples", "sigma_samples", "grid", "nodes")
 
 

@@ -44,15 +44,6 @@ class PartyDims:
     def __iter__(self):
         return iter(self.dims)
 
-    def __len__(self):
-        return len(self.dims)
-
-    def __getitem__(self, party: int) -> int:
-        """Dimension of the given 1-based party."""
-        if not 1 <= party <= len(self.dims):
-            raise IndexError(f"party {party} out of range 1..{len(self.dims)}")
-        return self.dims[party - 1]
-
 
 def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
@@ -189,7 +180,14 @@ def sqrt_psd(m) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-@lru_cache(maxsize=8)
+# Gauss-Legendre rules kept. A theorem check asks for the segment orders of
+# cumulative_sqrt_smooth and the full order; a run of theorem1 and theorem8
+# checks at a handful of s_samples values asks for about two dozen, so
+# repeating the run rebuilds none.
+_LEGGAUSS_RULES = 128
+
+
+@lru_cache(maxsize=_LEGGAUSS_RULES)
 def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(nodes)
 

@@ -3,13 +3,11 @@ reports.
 
 Floats are printed with 17 significant digits so every value round-trips
 exactly; keys are emitted sorted so identical inputs produce byte-identical
-documents. The encoder is iterative, which keeps very deep structures (for
-instance flattened protocol trees) away from the recursion limit.
+documents.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from typing import Any
 
@@ -82,16 +80,12 @@ def _format_float(x: float) -> str:
 
 
 def _normalize(obj: Any) -> Any:
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
         return matrix_to_json(obj) if obj.ndim == 2 else list(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
     if isinstance(obj, tuple):
         return list(obj)
     return obj
@@ -100,71 +94,36 @@ def _normalize(obj: Any) -> Any:
 def dumps(obj: Any, indent: int = 2) -> str:
     """Deterministic JSON with a fixed float format.
 
-    Containers are walked with an explicit stack; each frame emits one
-    fragment per visit, so nesting depth never touches Python recursion.
+    Keys are sorted; a list whose items are all numbers or strings (no
+    bools) stays on one line, and every other nonempty container puts one
+    item on each line.
     """
-    frags: list[str] = []
-    # Each entry: (value, depth, trailing) where trailing is the suffix
-    # appended after the value (comma separators and closers are pushed as
-    # literal fragments).
-    stack: list[Any] = [(obj, 0)]
     pad = " " * indent
 
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            frags.append(item)
-            continue
-        value, depth = item
+    def write(value: Any, depth: int) -> str:
         value = _normalize(value)
-        if value is None:
-            frags.append("null")
-        elif value is True:
-            frags.append("true")
-        elif value is False:
-            frags.append("false")
-        elif isinstance(value, str):
-            frags.append(json.dumps(value))
-        elif isinstance(value, int):
-            frags.append(str(value))
-        elif isinstance(value, float):
-            frags.append(_format_float(value))
-        elif isinstance(value, dict):
-            if not value:
-                frags.append("{}")
-                continue
-            frags.append("{\n")
-            inner: list[Any] = []
-            keys = sorted(value, key=str)
-            for i, key in enumerate(keys):
-                inner.append(pad * (depth + 1) + json.dumps(str(key)) + ": ")
-                inner.append((value[key], depth + 1))
-                inner.append(",\n" if i < len(keys) - 1 else "\n")
-            inner.append(pad * depth + "}")
-            stack.extend(reversed(inner))
+        if value is None or isinstance(value, (bool, str)):
+            return json.dumps(value)
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, float):
+            return _format_float(value)
+        if isinstance(value, dict):
+            items = [json.dumps(str(key)) + ": " + write(value[key], depth + 1)
+                     for key in sorted(value, key=str)]
+            ends = "{}"
         elif isinstance(value, list):
-            if not value:
-                frags.append("[]")
-                continue
-            simple = all(isinstance(_normalize(v), (int, float, str))
-                         and not isinstance(v, bool) for v in value)
-            if simple:
-                parts = []
-                for v in value:
-                    v = _normalize(v)
-                    parts.append(_format_float(v) if isinstance(v, float)
-                                 else (json.dumps(v) if isinstance(v, str)
-                                       else str(v)))
-                frags.append("[" + ", ".join(parts) + "]")
-                continue
-            frags.append("[\n")
-            inner = []
-            for i, v in enumerate(value):
-                inner.append(pad * (depth + 1))
-                inner.append((v, depth + 1))
-                inner.append(",\n" if i < len(value) - 1 else "\n")
-            inner.append(pad * depth + "]")
-            stack.extend(reversed(inner))
+            items = [write(v, depth + 1) for v in value]
+            if all(isinstance(_normalize(v), (int, float, str))
+                   and not isinstance(v, bool) for v in value):
+                return "[" + ", ".join(items) + "]"
+            ends = "[]"
         else:
             raise TypeError(f"cannot serialize {type(value).__name__}")
-    return "".join(frags)
+        if not items:
+            return ends
+        inner = "\n" + pad * (depth + 1)
+        return (ends[0] + inner + ("," + inner).join(items)
+                + "\n" + pad * depth + ends[1])
+
+    return write(obj, 0)

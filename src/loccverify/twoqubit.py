@@ -84,14 +84,13 @@ class TwoQubitExample:
 
     instrument: Instrument
     minimal: KrausSet
-    w_iso: np.ndarray
 
 
 def two_qubit_instrument() -> TwoQubitExample:
     grouped = kraus_from_operators(list(K_GROUPED), (2, 2))
     inst = Instrument(grouped, ((0,), (1, 2), (3, 4)))
     minimal = kraus_from_operators(list(K_REDUCED), (2, 2))
-    return TwoQubitExample(inst, minimal, W_GROUPING.copy())
+    return TwoQubitExample(inst, minimal)
 
 
 def limiting_choi_2q(nodes: int = QUAD_NODES) -> ChoiOperator:

@@ -21,6 +21,7 @@ from loccverify.serialize import (dumps, kraus_to_json, matrix_from_json,
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 STUDY = SCRIPTS / "convergence_study.py"
 SUITE = SCRIPTS / "run_verification_suite.py"
+BATTERY = [argv for argv, _ in runpy.run_path(str(SUITE))["BATTERY"]]
 
 
 def run(capsys, *argv):
@@ -106,6 +107,17 @@ class TestExitCodes:
         status = cli.main(["zonoid-check", flag, str(path)])
         captured = capsys.readouterr()
         assert status == 2
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("flag", ["--basis", "--z"])
+    def test_json_file_that_does_not_parse_is_2(self, capsys, tmp_path, flag):
+        path = tmp_path / "broken.json"
+        path.write_text("{broken")
+        status = cli.main(["zonoid-check", flag, str(path)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error:")
 
     def test_unknown_basis_token_is_2(self, capsys):
@@ -475,6 +487,16 @@ class TestSubcommands:
         assert rep["values"]["separating"] is None
         assert rep["values"]["gap"] is None
 
+    def test_zonoid_check_reports_the_face_direction(self, capsys):
+        # Breakpoint 111 of this main branch is answered on a face.
+        z = protocols.main_branch_path(2, 100, 0.5).operators[111]
+        status, rep = run(capsys, "zonoid-check", "--z", inline(z))
+        assert status == 0
+        assert rep["values"]["phase"].startswith("face-")
+        face_x = matrix_from_json(rep["values"]["face_x"])
+        assert face_x.shape == (4, 4)
+        assert np.linalg.norm(face_x) == pytest.approx(1.0, abs=1e-12)
+
     def test_zonoid_check_small_bases(self, capsys):
         for basis in ("square", "interval"):
             status, rep = run(capsys, "zonoid-check", "--z", "identity",
@@ -610,3 +632,9 @@ class TestVerificationSuite:
         assert len(ok) == 12
         for line, (argv, _) in zip(ok, suite["BATTERY"]):
             assert line.startswith(f"[ok  ] {' '.join(argv)} ")
+
+    @pytest.mark.parametrize("argv", BATTERY)
+    def test_every_battery_report_is_a_dumps_fixed_point(self, capsys, argv):
+        cli.main(argv)
+        out = capsys.readouterr().out
+        assert out == dumps(json.loads(out)) + "\n"

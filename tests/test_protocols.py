@@ -31,7 +31,7 @@ from loccverify import (
     verify_theorem_conditions,
     verify_tree,
 )
-from loccverify import protocols
+from loccverify import linalg, protocols
 from loccverify.linalg import cumulative_sqrt_smooth
 from loccverify.protocols import (TreeFailure, c_matrix_stack,
                                   limit_path_stack, protocol_check_bytes,
@@ -1112,6 +1112,23 @@ class TestVerifyTheoremConditions:
         assert not calls
         assert mem.defect <= 1e-12
         assert mem.where.endswith("; solver 0/301")
+
+    def test_a_repeated_run_builds_no_quadrature_rule(self):
+        # One run at two s_samples values asks for more Gauss-Legendre
+        # orders than a small cache holds; an identical second run finds
+        # every rule cached.
+        spec = instrument_zonoid()
+
+        def run():
+            for s_samples in (12, 17):
+                paths, fams = blocked_limiting_family(spec)
+                verify_theorem_conditions(spec, paths, fams,
+                                          s_samples=s_samples)
+
+        run()
+        misses = linalg._leggauss.cache_info().misses
+        run()
+        assert linalg._leggauss.cache_info().misses == misses
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1),

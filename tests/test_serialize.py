@@ -25,6 +25,41 @@ finite = st.floats(allow_nan=False, allow_infinity=False,
                    min_value=-1e12, max_value=1e12)
 
 
+# dumps of the object in TestDumps.test_exact_layout at indent=2.
+EXACT_LAYOUT = r"""{
+  "empty": {
+    "dict": {},
+    "list": []
+  },
+  "flags": [
+    null,
+    true,
+    false,
+    3
+  ],
+  "floats": [2.0, -0.5, 0.10000000000000001, 0.33333333333333331, 1e-300, 1e+20],
+  "ints": [1, -2, 30],
+  "matrix": {
+    "cols": 2,
+    "data": [
+      [1.0, 0.0],
+      [0.0, 2.0],
+      [-0.5, 0.0],
+      [1.0, 1.0]
+    ],
+    "rows": 2
+  },
+  "numpy": {
+    "f": 0.25,
+    "h": 1.5,
+    "i": 7,
+    "row": [0, 1, 2]
+  },
+  "scalar": 12,
+  "text": ["say \"hi\"", "back\\slash", "tab\tline\n", "\u00e9"]
+}"""
+
+
 class TestMatrixRoundTrip:
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.float64, (3, 4), elements=finite),
@@ -107,12 +142,21 @@ class TestDumps:
         np.testing.assert_array_equal(
             matrix_from_json(parsed["m"]), np.eye(2))
 
-    def test_deep_nesting_no_recursion_error(self):
-        obj = {"leaf": 0.0}
-        for _ in range(5000):
-            obj = {"next": obj}
-        text = dumps(obj, indent=0)
-        assert text.count('"next"') == 5000
+    def test_exact_layout(self):
+        obj = {
+            "ints": [1, -2, 30],
+            "floats": [2.0, -0.5, 0.1, 1 / 3, 1e-300, 1e20],
+            "numpy": {"f": np.float64(0.25), "h": np.float32(1.5),
+                      "i": np.int64(7), "row": np.arange(3)},
+            "text": ['say "hi"', "back\\slash", "tab\tline\n", "\u00e9"],
+            "flags": [None, True, False, 3],
+            "empty": {"dict": {}, "list": []},
+            "matrix": np.array([[1.0, 2.0j], [-0.5, 1.0 + 1.0j]]),
+            "scalar": 12,
+        }
+        assert dumps(obj, indent=2) == EXACT_LAYOUT
+        assert dumps(obj, indent=0) == "\n".join(
+            line.lstrip() for line in EXACT_LAYOUT.splitlines())
 
     def test_determinism(self):
         obj = {"z": [1.0, {"k": 2.5}], "a": (1, 2)}
