@@ -50,6 +50,7 @@ from .zonoid import (
 from .protocols import (
     CheckedPath,
     EndpointFamily,
+    NodeView,
     PathConditionReport,
     PiecewisePath,
     ProtocolNode,
@@ -113,8 +114,8 @@ __all__ = [
     "cmatrix_resolution_check", "endpoint_cmatrix", "hausdorff_estimate",
     "membership", "separation_gap", "support_function",
     "zonoid_spec_for_channel", "zonoid_spec_for_instrument",
-    "CheckedPath", "EndpointFamily", "PathConditionReport", "PiecewisePath",
-    "ProtocolNode", "ProtocolParams", "ProtocolTree", "TreeReport",
+    "CheckedPath", "EndpointFamily", "NodeView", "PathConditionReport",
+    "PiecewisePath", "ProtocolNode", "ProtocolParams", "ProtocolTree", "TreeReport",
     "build_protocol_pq", "derivative_outcomes", "main_branch_diagonals",
     "main_branch_path", "path_distance_bound", "protocol_leaf_diagonals",
     "verify_theorem_conditions", "verify_tree",

@@ -9,7 +9,7 @@ party 1 occupies the most significant part of the row index and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Callable, Iterable, Sequence
 
@@ -26,16 +26,15 @@ class PartyDims:
     """
 
     dims: tuple[int, ...]
+    # The full dimension, computed once: callers read it on every check.
+    total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"invalid party dimensions {self.dims!r}")
         object.__setattr__(self, "dims", dims)
-
-    @property
-    def total(self) -> int:
-        return int(np.prod(self.dims))
+        object.__setattr__(self, "total", math.prod(dims))
 
     @property
     def n_parties(self) -> int:
@@ -78,6 +77,16 @@ def kron(factors: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(_kron_pair, mats)
 
 
+def diagonal_stack(diag) -> np.ndarray:
+    """Diagonal matrices of a stack of diagonals, shape (..., d) to
+    complex (..., d, d), written in one scatter."""
+    diag = np.asarray(diag)
+    d = diag.shape[-1]
+    out = np.zeros(diag.shape + (d,), dtype=np.complex128)
+    out.reshape(diag.shape[:-1] + (d * d,))[..., ::d + 1] = diag
+    return out
+
+
 def partial_trace(m, dims, keep: Iterable[int]) -> np.ndarray:
     """Trace out all parties not listed in ``keep`` (1-based indices).
 
@@ -88,7 +97,7 @@ def partial_trace(m, dims, keep: Iterable[int]) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     d = _dims_tuple(dims)
     n = len(d)
-    total = int(np.prod(d))
+    total = math.prod(d)
     if a.shape[-2:] != (total, total):
         raise ValueError(f"shape {a.shape} does not match dims {d}")
     kept = sorted(set(int(k) for k in keep))
@@ -111,7 +120,7 @@ def partial_trace(m, dims, keep: Iterable[int]) -> np.ndarray:
     )
     res = np.einsum("..." + "".join(row_sub) + "".join(col_sub) + "->..."
                     + out_sub, t)
-    dk = int(np.prod([d[p - 1] for p in kept])) if kept else 1
+    dk = math.prod(d[p - 1] for p in kept)
     return res.reshape(batch + (dk, dk))
 
 
@@ -283,14 +292,14 @@ def product_defect(m, dims):
     """
     a = np.asarray(m, dtype=np.complex128)
     d = _dims_tuple(dims)
-    total = int(np.prod(d))
+    total = math.prod(d)
     if a.ndim < 2 or a.shape[-2:] != (total, total):
         raise ValueError(f"shape {a.shape} does not match dims {d}")
     batch = a.shape[:-2]
     worst = np.zeros(batch)
     for cut in range(1, len(d)):
-        d1 = int(np.prod(d[:cut]))
-        d2 = int(np.prod(d[cut:]))
+        d1 = math.prod(d[:cut])
+        d2 = math.prod(d[cut:])
         r = a.reshape(batch + (d1, d2, d1, d2)).swapaxes(-3, -2).reshape(
             batch + (d1 * d1, d2 * d2))
         s = np.linalg.svd(r, compute_uv=False)

@@ -16,6 +16,7 @@ s |-> M(s)^(x P) with M(s) = (s^(1/P) - 1)|0><0| + |1><1|.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
@@ -26,6 +27,7 @@ import numpy as np
 from .linalg import (
     PartyDims,
     cumulative_sqrt_smooth,
+    diagonal_stack,
     integrate_sqrt_smooth,
     kron,
     partial_trace,
@@ -74,11 +76,12 @@ class ProtocolParams:
 
 @dataclass(eq=False)
 class ProtocolNode:
-    """One node of a protocol tree.
+    """One node of a hand-built protocol tree.
 
     ``acting_party`` names the party measuring at this node (children are
     its outcomes); leaves carry None. Child index 0 is the halt outcome,
-    index 1 continues.
+    index 1 continues. A :class:`ProtocolTree` reads these nodes once, when
+    it is made.
     """
 
     povm_element: np.ndarray
@@ -90,53 +93,154 @@ class ProtocolNode:
         return not self.children
 
 
-class ProtocolTree:
-    """A protocol tree: its root node, party dimensions and parameters.
+class NodeView:
+    """A node of a :class:`ProtocolTree`: the tree and a preorder index.
 
-    A tree from :func:`build_protocol_pq` holds only its preorder diagonal
-    table, one row per node: the root, then the halt leaf and continue node
-    of each step. Its :class:`ProtocolNode` objects are made on the first
-    request for them (``root``, ``node_at``, ``iter_nodes``, ``leaves``);
-    from then on they are the tree and the table is dropped, so an element
-    replaced on a node is what :func:`verify_tree` reads.
+    ``povm_element`` reads the node's element as a read-only dense matrix;
+    assigning to it replaces the element in the tree. ``children`` are the
+    outcomes' nodes in order, and ``acting_party`` the party measuring
+    here, None at a leaf.
+    """
+
+    __slots__ = ("_tree", "_index", "__weakref__")
+
+    def __init__(self, tree: "ProtocolTree", index: int):
+        self._tree = tree
+        self._index = index
+
+    @property
+    def povm_element(self) -> np.ndarray:
+        return self._tree._element(self._index)
+
+    @povm_element.setter
+    def povm_element(self, element) -> None:
+        self._tree._store(self._index, element)
+
+    @property
+    def acting_party(self) -> int | None:
+        return self._tree._acting(self._index)
+
+    @property
+    def children(self) -> list["NodeView"]:
+        tree = self._tree
+        return [tree._view(j) for j in tree._child_rows(self._index)]
+
+    @property
+    def is_leaf(self) -> bool:
+        return not self._tree._child_rows(self._index)
+
+
+class ProtocolTree:
+    """A protocol tree: its nodes, party dimensions and parameters.
+
+    The nodes are one real preorder table, a row per node holding the
+    diagonal of its element, and a dict of dense overrides for the elements
+    that are not real diagonal matrices. A tree from
+    :func:`build_protocol_pq` is a caterpillar: row 0 is the root, rows
+    2k + 1 and 2k + 2 the halt leaf and continue node of step k, and its
+    links follow in closed form. A tree made from a :class:`ProtocolNode`
+    root is read into a table, links and overrides when it is made, so
+    later changes to those node objects do not reach it.
+
+    ``root``, ``node_at``, ``iter_nodes`` and ``leaves`` give
+    :class:`NodeView` objects, made on request: a node gives the same view
+    while one is held. No dense element is made until one is read.
     """
 
     def __init__(self, root: ProtocolNode | None, dims: PartyDims,
                  params: ProtocolParams, table: np.ndarray | None = None):
-        self._root = root
-        self._table = table
         self.dims = dims
         self.params = params
+        self._overrides: dict[int, np.ndarray] = {}
+        # Weak: a view holds its tree, so a strong cache would be a cycle
+        # that keeps a dropped tree's table until the collector runs.
+        self._views = weakref.WeakValueDictionary()
+        if table is not None:
+            self._table, self._links, self._children = table, None, None
+            return
+        elements, *links = _preorder(root)
+        self._links = tuple(links)
+        self._children = [[] for _ in elements]
+        for j, i in enumerate(links[0][1:].tolist(), 1):
+            self._children[i].append(j)
+        self._table = np.empty((len(elements), dims.total))
+        for i, element in enumerate(elements):
+            self._store(i, element)
 
     @property
-    def root(self) -> ProtocolNode:
-        if self._root is None:
-            self._root = _caterpillar_nodes(self._table, self.params.parties)
-            self._table = None
-        return self._root
+    def root(self) -> NodeView:
+        return self._view(0)
 
     def iter_nodes(self):
-        """Preorder traversal, iterative: trees get deep for large rounds."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
+        """The nodes in preorder, which is the table's row order."""
+        return map(self._view, range(self.n_nodes))
 
-    def leaves(self) -> list[ProtocolNode]:
-        return [n for n in self.iter_nodes() if n.is_leaf]
+    def leaves(self) -> list[NodeView]:
+        arity = self._link_arrays()[3]
+        return [self._view(i) for i in np.flatnonzero(arity == 0).tolist()]
 
-    def node_at(self, path: Sequence[int]) -> ProtocolNode:
-        node = self.root
-        for i in path:
-            node = node.children[i]
-        return node
+    def node_at(self, path: Sequence[int]) -> NodeView:
+        """The node reached from the root through the child indices of
+        ``path``; IndexError if it leaves the tree. On a built tree the
+        row is found in closed form (:func:`_caterpillar_row`)."""
+        if self._children is None:
+            return self._view(_caterpillar_row(path, self.n_nodes))
+        i = 0
+        for step in path:
+            i = self._children[i][step]
+        return self._view(i)
 
     @property
     def n_nodes(self) -> int:
-        if self._table is not None:
-            return len(self._table)
-        return sum(1 for _ in self.iter_nodes())
+        return len(self._table)
+
+    def _view(self, i: int) -> NodeView:
+        view = self._views.get(i)
+        if view is None:
+            view = self._views[i] = NodeView(self, i)
+        return view
+
+    def _link_arrays(self):
+        """Parent, child index, acting party and arity of every row
+        (:func:`_preorder`)."""
+        if self._links is None:
+            return _caterpillar_links(self.n_nodes, self.dims.n_parties)
+        return self._links
+
+    def _child_rows(self, i: int):
+        if self._children is not None:
+            return self._children[i]
+        return (i + 1, i + 2) if i % 2 == 0 and i < self.n_nodes - 1 else ()
+
+    def _acting(self, i: int) -> int | None:
+        if self._links is not None:
+            return int(self._links[2][i]) or None
+        if not self._child_rows(i):
+            return None
+        return i // 2 % self.dims.n_parties + 1
+
+    def _element(self, i: int) -> np.ndarray:
+        element = self._overrides.get(i)
+        if element is None:
+            element = np.diag(self._table[i].astype(np.complex128))
+            element.flags.writeable = False
+        return element
+
+    def _store(self, i: int, element) -> None:
+        """Put ``element`` at row i: its real diagonal into the table, and
+        the element itself into the overrides unless it is that diagonal."""
+        d = self.dims.total
+        element = np.array(element, dtype=np.complex128)
+        if element.shape != (d, d):
+            raise ValueError(f"node element of shape {element.shape} does "
+                             f"not match dims {self.dims.dims}")
+        row = element.diagonal().real
+        self._table[i] = row
+        if np.array_equal(element, np.diag(row)):
+            self._overrides.pop(i, None)
+        else:
+            element.flags.writeable = False
+            self._overrides[i] = element
 
 
 def _step_rows(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
@@ -162,13 +266,12 @@ def _step_rows(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
 def build_protocol_pq(parties: int, rounds: int, exponent: float
                       ) -> ProtocolTree:
     """Full protocol tree for the P-party halt-or-continue protocol, held
-    as its preorder diagonal table of 2 P rounds + 1 rows: row 0 is the
-    root, rows 2k + 1 and 2k + 2 the halt leaf and continue node of step k
-    (:func:`_step_rows`). No node object is made until one is asked for."""
+    as its real preorder diagonal table of 2 P rounds + 1 rows: row 0 is
+    the root, rows 2k + 1 and 2k + 2 the halt leaf and continue node of
+    step k (:func:`_step_rows`)."""
     params = ProtocolParams(parties, rounds, exponent)
     halt, cont = _step_rows(params)
-    table = np.empty((2 * halt.shape[0] + 1, 2 ** parties),
-                     dtype=np.complex128)
+    table = np.empty((2 * halt.shape[0] + 1, 2 ** parties))
     table[0] = 1.0
     table[1::2] = halt
     table[2::2] = cont
@@ -188,35 +291,39 @@ def _caterpillar_links(n: int, parties: int):
     return up, child, acting, arity
 
 
-def _caterpillar_nodes(table: np.ndarray, parties: int) -> ProtocolNode:
-    """The :class:`ProtocolNode` objects of a caterpillar's diagonal table,
-    each element the dense diagonal matrix of its row; returns the root."""
-    n, d = table.shape
-    elements = np.zeros((n, d, d), dtype=np.complex128)
-    idx = np.arange(d)
-    elements[:, idx, idx] = table
-    acting = _caterpillar_links(n, parties)[2].tolist()
-    nodes = [ProtocolNode(e, a or None) for e, a in zip(elements, acting)]
-    for k in range(0, n - 1, 2):
-        nodes[k].children = [nodes[k + 1], nodes[k + 2]]
-    return nodes[0]
+def _caterpillar_row(path: Sequence[int], n: int) -> int:
+    """Preorder row of the node at ``path`` in an n-node caterpillar:
+    (1,) * k is row 2k and (1,) * k + (0,) row 2k + 1. Entries index the
+    two children as a list does, so -1 continues too; a path that leaves
+    the tree raises IndexError."""
+    steps = np.asarray(path)
+    if steps.size == 0:
+        return 0
+    if steps.ndim != 1 or steps.dtype.kind not in "iu":
+        raise TypeError("a node path is a sequence of integers")
+    parent = 2 * (steps.size - 1)
+    last = int(steps[-1])
+    if (parent >= n - 1 or not -2 <= last <= 1
+            or not np.isin(steps[:-1], (1, -1)).all()):
+        raise IndexError(f"no node at this path of depth {steps.size}")
+    return parent + 1 + last % 2
 
 
 def protocol_tree_bytes(parties: int, rounds: int) -> int:
     """Memory a :func:`build_protocol_pq` tree holds, in bytes.
 
-    The tree holds one complex diagonal of 2^P entries for each of its
-    2 P rounds + 1 nodes, and up to 4 KiB of fixed objects and numpy's
-    small-buffer cache. It is computed without building anything, so
-    callers can refuse a tree too large.
+    The tree holds one real diagonal of 2^P entries for each of its
+    2 P rounds + 1 nodes, and up to 6 KiB of fixed objects, numpy's
+    small-buffer cache and the interpreter's float free list. It is
+    computed without building anything, so callers can refuse a tree too
+    large.
     """
     nodes = 2 * parties * rounds + 1
-    return nodes * 16 * 2 ** parties + 2 ** 12
+    return nodes * 8 * 2 ** parties + 6 * 2 ** 10
 
 
-# Entries verify_tree stacks at a time: of dense node elements while it
-# reads them, of diagonals in its factor and leaf-sum passes. Its memory
-# beyond one diagonal per node does not grow with the tree.
+# Entries verify_tree stacks at a time in its factor and leaf-sum passes.
+# Its memory beyond a few values per node does not grow with the tree.
 _CHUNK_ENTRIES = 2 ** 16
 
 
@@ -225,19 +332,19 @@ def protocol_check_bytes(parties: int, rounds: int) -> int:
     it, in bytes.
 
     On top of :func:`protocol_tree_bytes`, ``verify_tree`` holds per node
-    a copy of its table row (16 * 2^P bytes), its party factors' diagonals
-    (32 P) and its link arrays, defects and leaf-sum indices (128); at
-    once, up to four chunks of diagonals; and 8 KiB of fixed objects. A
-    built tree is read from its table, so no dense element is stacked.
-    Fitted under tracemalloc on CPython 3.11 over 63 (P, rounds) points,
-    P = 2..6 and 5 to 80001 nodes: 1.03 to 1.47 times the measured peak.
+    a copy of its table row (8 * 2^P bytes), its party factors' diagonals
+    and edge distances (32 P) and its link arrays, defects and leaf-sum
+    indices (64); at once, up to 28 bytes per entry of a chunk of
+    diagonals; and 8 KiB of fixed objects. Fitted under tracemalloc on
+    CPython 3.11 over 57 (P, rounds) points, P = 2..6 and 5 to 80001
+    nodes: 1.02 to 1.39 times the measured peak. A tree with dense
+    overrides needs in addition a few times their size.
     """
     nodes = 2 * parties * rounds + 1
     width = 2 ** parties
-    diagonals = 16 * width * min(nodes, _CHUNK_ENTRIES // width)
+    chunk = 28 * width * min(nodes, _CHUNK_ENTRIES // width)
     return (protocol_tree_bytes(parties, rounds)
-            + nodes * (128 + 16 * width + 32 * parties)
-            + 4 * diagonals + 2 ** 13)
+            + nodes * (64 + 8 * width + 32 * parties) + chunk + 2 ** 13)
 
 
 def protocol_leaf_diagonals(parties: int, rounds: int, exponent: float
@@ -308,8 +415,8 @@ def _dense_factors(m: np.ndarray, dims: PartyDims):
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each row of a complex stack, without temporaries
-    of the stack's size."""
+    """Frobenius norm of each row of a real or complex stack, without
+    temporaries of the stack's size."""
     v = a.view(np.float64)
     v = v.reshape(len(v), math.prod(v.shape[1:]))
     return np.sqrt(np.einsum("ij,ij->i", v, v))
@@ -319,26 +426,22 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 def _marginal_selector(dims: tuple[int, ...]) -> np.ndarray:
     """0/1 matrix taking a diagonal over the product basis to every
     party's marginal, parties one after another: entry [i, j] is 1 when
-    column j belongs to party p and index i has digit j - offset_p there.
-    Each entry is doubled into a 2 x 2 identity, so it acts on a complex
-    diagonal's interleaved real and imaginary parts; shape
-    (2 D, 2 sum k_p). Shared between callers, so read-only."""
+    column j belongs to party p and index i has digit j - offset_p there;
+    shape (D, sum k_p). Shared between callers, so read-only."""
     digits = np.unravel_index(np.arange(math.prod(dims)), dims)
     sel = np.hstack([digit[:, None] == np.arange(k)
-                     for digit, k in zip(digits, dims)])
-    sel = np.kron(sel.astype(np.float64), np.eye(2))
+                     for digit, k in zip(digits, dims)]).astype(np.float64)
     sel.flags.writeable = False
     return sel
 
 
 def _diagonal_factors(e: np.ndarray, dims: PartyDims):
-    """:func:`_dense_factors` of exactly diagonal elements from their
+    """:func:`_dense_factors` of real diagonal elements from their
     diagonals, shape (c, D): the factors are marginal sums, returned as
-    (c, k) diagonals. All marginals come from one real product of the
-    diagonals' real and imaginary parts with :func:`_marginal_selector`."""
+    (c, k) diagonals. All marginals come from one product of the diagonals
+    with :func:`_marginal_selector`."""
     c = len(e)
-    both = (e.view(np.float64) @ _marginal_selector(dims.dims)).view(
-        np.complex128)
+    both = e @ _marginal_selector(dims.dims)
     norm = _row_norms(e)
     tr = e.sum(axis=1)
     zero = np.abs(tr) < 1e-13 * np.maximum(norm, 1e-300)
@@ -353,63 +456,52 @@ def _diagonal_factors(e: np.ndarray, dims: PartyDims):
     return marginals, zero, np.where(zero, 1.0, defect / np.maximum(1.0, norm))
 
 
-def _read_chunk(chunk: list, dims: PartyDims):
-    """Stack a chunk of elements. Returns their diagonals and, if some
-    element has a nonzero off-diagonal entry, those elements' positions in
-    the chunk, their entries with the diagonal zeroed (flattened) and their
-    :func:`_dense_factors`."""
-    d = dims.total
-    m = np.array(chunk, dtype=np.complex128)
-    if m.shape[1:] != (d, d):
-        raise ValueError(f"node elements of shape {m.shape[1:]} do not "
-                         f"match dims {dims.dims}")
-    flat = m.reshape(len(m), d * d)
-    diag = flat[:, ::d + 1].copy()
-    flat[:, ::d + 1] = 0
-    hit = np.flatnonzero(flat.view(np.float64).any(axis=1))
-    if not hit.size:
-        return diag, None
-    off = flat[hit]
-    flat[:, ::d + 1] = diag
-    return diag, (hit, off, _dense_factors(m[hit], dims))
+def _summed_entries(table: np.ndarray, rows: np.ndarray, dense: np.ndarray):
+    """The entries the leaf-sum pass adds, as one real (n, D + 2 m) array
+    of every node: its diagonal, then m complex entries as (real,
+    imaginary) pairs. The m entries are the positions where some dense
+    override ``dense`` (at preorder ``rows``, shape (c, D, D)) holds what
+    a real diagonal cannot: an off-diagonal entry, or an imaginary part on
+    the diagonal, whose column then moves into the pairs whole. Also
+    returns the identity in this layout."""
+    n, d = table.shape
+    flat = dense.reshape(len(dense), d * d)
+    on = np.zeros(d * d, dtype=bool)
+    on[::d + 1] = True
+    cols = np.flatnonzero(((flat.imag != 0.0)
+                           | (~on & (flat.real != 0.0))).any(axis=0))
+    moved = on[cols]
+    diagonal = cols[moved] // (d + 1)
+    x = np.empty((n, d + 2 * cols.size))
+    x[:, :d] = table
+    x[:, diagonal] = 0.0
+    pairs = x[:, d:].view(np.complex128)
+    pairs[:] = 0.0
+    pairs[:, moved] = table[:, diagonal]
+    pairs[rows] = flat[:, cols]
+    eye = np.zeros(x.shape[1])
+    eye[:d] = 1.0
+    eye[diagonal] = 0.0
+    eye[d:].view(np.complex128)[moved] = 1.0
+    return x, eye
 
 
-def _read_elements(elements: list, dims: PartyDims):
-    """Read the node elements once, stacked in chunks of about
-    ``_CHUNK_ENTRIES`` entries.
-
-    Returns an (n, D + m) array of every node's diagonal followed by the m
-    off-diagonal entries that some element sets (all others are zero in
-    every element), and for the nodes with a nonzero off-diagonal entry
-    their indices and :func:`_dense_factors`.
-    """
-    d, n = dims.total, len(elements)
-    diag = np.empty((n, d), dtype=np.complex128)
-    hits, offs, dense = [], [], []
-    step = max(1, _CHUNK_ENTRIES // d ** 2)
-    for lo in range(0, n, step):
-        diag[lo:lo + step], found = _read_chunk(elements[lo:lo + step], dims)
-        if found:
-            hits.append(lo + found[0])
-            offs.append(found[1])
-            dense.append(found[2])
-    if not hits:
-        return diag, []
-    off = np.concatenate(offs)
-    rows = np.concatenate(hits)
-    cols = np.flatnonzero(off.view(np.float64).reshape(len(off), -1, 2)
-                          .any(axis=(0, 2)))
-    x = np.zeros((n, d + cols.size), dtype=np.complex128)
-    x[:, :d] = diag
-    x[rows, d:] = off[:, cols]
-    return x, list(zip(hits, dense))
+def _largest_entries(a: np.ndarray, d: int) -> np.ndarray:
+    """Largest entry modulus in each row of a real stack laid out as
+    :func:`_summed_entries` lays it out, with D = d."""
+    big = np.abs(a[:, :d]).max(axis=1)
+    if a.shape[1] > d:
+        np.maximum(big, np.abs(a[:, d:].view(np.complex128)).max(axis=1),
+                   out=big)
+    return big
 
 
 def _leaf_sums(x: np.ndarray, parent: np.ndarray, child: np.ndarray,
-               arity: np.ndarray) -> np.ndarray:
-    """Replace each row of ``x`` (node values in preorder) by the node's
-    sum of descendant leaves; return each node's largest entry deviation
-    from that sum (0 at leaves).
+               arity: np.ndarray, d: int) -> np.ndarray:
+    """Replace each row of ``x`` (node entries in preorder, laid out as
+    :func:`_summed_entries` lays them out) by the node's sum of descendant
+    leaves; return each node's largest entry deviation from that sum (0 at
+    leaves).
 
     Each node adds its children's sums left to right, bitwise as a
     bottom-up fold would. The tree splits into chains that follow last
@@ -442,7 +534,7 @@ def _leaf_sums(x: np.ndarray, parent: np.ndarray, child: np.ndarray,
         for lo in range(0, chain.size, step):
             seg = chain[lo:lo + step]
             k = arity[seg]
-            seq = np.zeros((seg.size + 1, width), dtype=x.dtype)
+            seq = np.zeros((seg.size + 1, width))
             seq[0] = x[below[seg[0]]]
             a = seq[1:]
             a[k > 1] = x[seg[k > 1] + 1]
@@ -452,44 +544,58 @@ def _leaf_sums(x: np.ndarray, parent: np.ndarray, child: np.ndarray,
             np.cumsum(seq, axis=0, out=seq)
             gap = x[seg]
             gap -= a
-            defects[seg] = np.abs(gap).max(axis=1)
+            defects[seg] = _largest_entries(gap, d)
             x[seg] = a
     return defects
 
 
-def _party_factors(diag: np.ndarray, dense: list, dims: PartyDims):
+def _party_factors(table: np.ndarray, dims: PartyDims):
     """Unit-trace party factors, traceless flags and product defects of
-    every node: from the diagonals in chunks of about ``_CHUNK_ENTRIES``
-    entries, then the dense nodes' own. Each party's factors are an (n, k)
-    stack of diagonals if every node is diagonal, else (n, k, k)."""
-    n, d = diag.shape
-    factors = [np.empty((n, k), dtype=np.complex128) for k in dims]
+    every row of the table, in chunks of about ``_CHUNK_ENTRIES`` entries.
+    Each party's factors are an (n, k) stack of diagonals."""
+    n, d = table.shape
+    factors = [np.empty((n, k)) for k in dims]
     traceless = np.empty(n, dtype=bool)
     prod = np.empty(n)
     step = max(1, _CHUNK_ENTRIES // d)
     for lo in range(0, n, step):
         part = slice(lo, lo + step)
-        facs, traceless[part], prod[part] = _diagonal_factors(diag[part],
+        facs, traceless[part], prod[part] = _diagonal_factors(table[part],
                                                               dims)
         for full, f in zip(factors, facs):
             full[part] = f
-    if dense:
-        factors = [f[:, :, None] * np.eye(f.shape[1]) for f in factors]
-    for rows, (facs, zero, defect) in dense:
-        traceless[rows], prod[rows] = zero, defect
-        for full, f in zip(factors, facs):
-            full[rows] = f
     return factors, traceless, prod
 
 
-def _edge_distances(factors: list, parent: np.ndarray) -> np.ndarray:
+def _factor_matrices(f: np.ndarray, g: np.ndarray, at: np.ndarray,
+                     nodes: np.ndarray) -> np.ndarray:
+    """One party's factors of ``nodes`` as matrices: a dense node's own,
+    ``g[at[node]]``, and every other node's diagonal from ``f``."""
+    m = diagonal_stack(f[nodes])
+    own = at[nodes] >= 0
+    m[own] = g[at[nodes[own]]]
+    return m
+
+
+def _edge_distances(factors: list, parent: np.ndarray, rows: np.ndarray,
+                    dense: list) -> np.ndarray:
     """Frobenius distance between each non-root node's party factors and
-    its parent's, shape (n - 1, parties), in preorder. The factors are one
-    stack per party, of diagonals or of matrices."""
+    its parent's, shape (n - 1, parties), in preorder. ``factors`` holds
+    one stack of diagonals per party; an edge at one of the dense
+    ``rows`` is measured on the matrices, with ``dense`` holding those
+    rows' factors per party."""
     out = np.empty((len(parent) - 1, len(factors)))
     for p, f in enumerate(factors):
         g = f[parent[1:]]
         out[:, p] = _row_norms(np.subtract(f[1:], g, out=g))
+    if rows.size:
+        at = np.full(len(parent), -1)
+        at[rows] = np.arange(rows.size)
+        edges = np.flatnonzero((at[1:] >= 0) | (at[parent[1:]] >= 0))
+        for p, (f, g) in enumerate(zip(factors, dense)):
+            out[edges, p] = _row_norms(
+                _factor_matrices(f, g, at, edges + 1)
+                - _factor_matrices(f, g, at, parent[edges + 1]))
     return out
 
 
@@ -520,31 +626,31 @@ def verify_tree(tree: ProtocolTree) -> TreeReport:
     factor (to LOCALITY_TOL); the leaves form a complete measurement (to
     COMPLETENESS_TOL). Failures are listed leaf sums first (bottom-up), then
     products (preorder), locality (by parent, child, party) and
-    completeness. The tree is read when this is called: a built tree whose
-    nodes were never made through its diagonal table, any other tree
-    through its nodes' current elements.
+    completeness. The tree is read as it is when this is called.
 
-    Every check runs on stacked arrays: the node elements are read once, an
-    exactly diagonal element through its diagonal alone.
+    Every check runs on stacked real arrays read from the tree's diagonal
+    table. Only the dense overrides go through :func:`_dense_factors`, and
+    only the entries they set off the real diagonal are added to the leaf
+    sums as extra columns.
     """
     dims = tree.dims
     d = dims.total
-    if tree._table is None:
-        elements, up, child, acting, arity = _preorder(tree.root)
-        x, dense = _read_elements(elements, dims)
-    else:
-        # A copy: the leaf-sum pass writes into it.
-        x, dense = tree._table.copy(), []
-        up, child, acting, arity = _caterpillar_links(len(x),
-                                                      dims.n_parties)
-    n = len(x)
+    table = tree._table
+    up, child, acting, arity = tree._link_arrays()
+    rows = np.array(sorted(tree._overrides), dtype=np.intp)
+    dense = np.array([tree._overrides[i] for i in rows.tolist()],
+                     dtype=np.complex128).reshape(-1, d, d)
+    x, eye = _summed_entries(table, rows, dense)
+    n = len(table)
     failed: list[tuple[int, str, float]] = []
 
-    factors, traceless, prod = _party_factors(x[:, :d], dense, dims)
-    sums = _leaf_sums(x, up, child, arity)
-    eye = np.zeros(x.shape[1])
-    eye[:d] = 1.0
-    comp = float(np.abs(x[0] - eye).max())
+    factors, traceless, prod = _party_factors(table, dims)
+    dense_factors = []
+    if rows.size:
+        dense_factors, traceless[rows], prod[rows] = _dense_factors(dense,
+                                                                    dims)
+    sums = _leaf_sums(x, up, child, arity, d)
+    comp = float(_largest_entries(x[:1] - eye, d)[0])
     del x  # freed before the locality pass allocates
     failed.extend((int(i), "leaf-sum", float(sums[i]))
                   for i in np.flatnonzero(sums > NODE_SUM_TOL)[::-1])
@@ -555,7 +661,7 @@ def verify_tree(tree: ProtocolTree) -> TreeReport:
     # parent's acting party and edges at traceless nodes are masked.
     kids = np.lexsort((child[1:], up[1:])) + 1
     ups = up[kids]
-    loc = _edge_distances(factors, up)[kids - 1]
+    loc = _edge_distances(factors, up, rows, dense_factors)[kids - 1]
     parties = np.arange(1, dims.n_parties + 1)
     compared = ((parties != acting[ups][:, None])
                 & ~(traceless[kids] | traceless[ups])[:, None])
@@ -579,25 +685,25 @@ def verify_tree(tree: ProtocolTree) -> TreeReport:
 
 @dataclass
 class PiecewisePath:
-    """Piecewise linear operator path, parametrized by trace.
+    """Piecewise linear path of diagonal operators, parametrized by trace.
 
-    ``s_values`` decrease from the top of the path; ``operators`` is one
-    (n, d, d) complex array whose k-th matrix is the node at
+    ``s_values`` decrease from the top of the path; ``diagonals`` is one
+    real (n, d) array whose k-th row is the diagonal of the operator at
     ``s_values[k]``. Between breakpoints the operator interpolates
     linearly, so the trace of ``at(s)`` is exactly s.
     """
 
     s_values: np.ndarray
-    operators: np.ndarray
+    diagonals: np.ndarray
 
     def __post_init__(self):
         self.s_values = np.asarray(self.s_values, dtype=np.float64)
-        self.operators = np.asarray(self.operators, dtype=np.complex128)
+        self.diagonals = np.asarray(self.diagonals, dtype=np.float64)
         if self.s_values.ndim != 1 or self.s_values.size < 2:
             raise ValueError("a path needs at least two breakpoints")
-        if (self.operators.ndim != 3
-                or len(self.operators) != self.s_values.size):
-            raise ValueError("one operator per breakpoint required")
+        if (self.diagonals.ndim != 2
+                or len(self.diagonals) != self.s_values.size):
+            raise ValueError("one diagonal per breakpoint required")
         if not np.all(np.diff(self.s_values) < 0.0):
             raise ValueError("breakpoint traces must strictly decrease")
 
@@ -610,7 +716,8 @@ class PiecewisePath:
         return float(self.s_values[-1])
 
     def at(self, s: float, clamp: bool = False) -> np.ndarray:
-        """Operator at trace value s; clamp=True pins s into the domain."""
+        """Operator at trace value s, a dense (d, d) matrix; clamp=True
+        pins s into the domain."""
         sv = self.s_values
         if clamp:
             s = min(max(s, float(sv[-1])), float(sv[0]))
@@ -622,7 +729,8 @@ class PiecewisePath:
         k = min(max(k, 0), sv.size - 2)
         hi, lo = sv[k], sv[k + 1]
         lam = 0.0 if hi == lo else (s - lo) / (hi - lo)
-        return lam * self.operators[k] + (1.0 - lam) * self.operators[k + 1]
+        return diagonal_stack(lam * self.diagonals[k]
+                              + (1.0 - lam) * self.diagonals[k + 1])
 
 
 def main_branch_path(parties: int, rounds: int, exponent: float
@@ -634,8 +742,8 @@ def main_branch_path(parties: int, rounds: int, exponent: float
     a long protocol consecutive node traces coincide to rounding; a
     breakpoint whose trace is not below the last kept one by a relative
     1e-15 is dropped (:func:`_kept_breakpoints`), and its operator agrees
-    with the kept one to the same precision. The kept operators are one
-    (n, 2^P, 2^P) array.
+    with the kept one to the same precision. The path holds the kept
+    diagonals, so its memory is O(n 2^P).
     """
     eta = 1.0 - ProtocolParams(parties, rounds, exponent).epsilon
     powers = np.array([eta ** n for n in range(rounds + 2)])
@@ -643,10 +751,7 @@ def main_branch_path(parties: int, rounds: int, exponent: float
     diags = _node_diagonals(parties, powers[cycle], powers[cycle + 1], ahead)
     traces = diags.sum(axis=1)
     keep = _kept_breakpoints(traces)
-    d = diags.shape[1]
-    ops = np.zeros((keep.size, d, d), dtype=np.complex128)
-    ops[:, np.arange(d), np.arange(d)] = diags[keep]
-    return PiecewisePath(traces[keep], ops)
+    return PiecewisePath(traces[keep], diags[keep])
 
 
 def _kept_breakpoints(traces: np.ndarray) -> np.ndarray:
@@ -846,17 +951,13 @@ def path_distance_bound(parties: int, rounds: int, exponent: float,
                               float(gaps[worst]) <= bound + ROUNDING_TOL)
 
 
-def derivative_outcomes(parties: int, sigma) -> np.ndarray:
-    """Halt densities peeling off the limiting main path, at every sigma of
-    an array in [0, 1]; shape sigma.shape + (P, 2^P, 2^P).
+def derivative_diagonals(parties: int, sigma) -> np.ndarray:
+    """Diagonals of :func:`derivative_outcomes`, real; shape
+    sigma.shape + (P, 2^P).
 
     Outcome alpha (0-based: party alpha + 1 halts) is the product of
     diag(1, 0) for that party and diag(sigma, 1) for the others, taken left
-    to right, so every entry is exactly a power of sigma or 0. The
-    densities are taken with respect to d(s^(1/P)), sigma = s^(1/P) - 1, so
-    the all-ones projector plus the integral of their sum over sigma in
-    [0, 1] resolves the identity. They are diagonal, so their entrywise
-    square roots are the limiting measurement operators.
+    to right, so every entry is exactly a power of sigma or 0.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.size and not 0.0 <= sigma.min() <= sigma.max() <= 1.0:
@@ -871,10 +972,21 @@ def derivative_outcomes(parties: int, sigma) -> np.ndarray:
     for p in range(1, parties):
         diag = (diag[..., :, None] * factors[..., p, None, :]).reshape(
             sigma.shape + (parties, 2 ** (p + 1)))
-    d = 2 ** parties
-    out = np.zeros(sigma.shape + (parties, d, d), dtype=np.complex128)
-    out.reshape(sigma.shape + (parties, d * d))[..., ::d + 1] = diag
-    return out
+    return diag
+
+
+def derivative_outcomes(parties: int, sigma) -> np.ndarray:
+    """Halt densities peeling off the limiting main path, at every sigma of
+    an array in [0, 1]; shape sigma.shape + (P, 2^P, 2^P).
+
+    The densities are the diagonal matrices of
+    :func:`derivative_diagonals`, taken with respect to d(s^(1/P)),
+    sigma = s^(1/P) - 1, so the all-ones projector plus the integral of
+    their sum over sigma in [0, 1] resolves the identity. Their entrywise
+    square roots, ``diagonal_stack(np.sqrt(derivative_diagonals(P,
+    sigma)))``, are the limiting measurement operators.
+    """
+    return diagonal_stack(derivative_diagonals(parties, sigma))
 
 
 def c_matrix_stack(name: str, s) -> np.ndarray:

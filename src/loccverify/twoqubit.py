@@ -19,6 +19,7 @@ import numpy as np
 from .linalg import (
     PartyDims,
     as_matrix,
+    diagonal_stack,
     gauss_legendre,
     integrate_sqrt_smooth,
     kron,
@@ -36,7 +37,7 @@ from .protocols import (
     CheckedPath,
     EndpointFamily,
     c_matrix_stack,
-    derivative_outcomes,
+    derivative_diagonals,
     limit_path_stack,
 )
 from .tolerances import (COARSE_GRAIN_TOL, DENSITY_TRACE_TOL, ISOMETRY_TOL,
@@ -154,7 +155,7 @@ def blocked_isometry_check() -> BlockedIsometryCheck:
     rt = np.sqrt(sigmas)
     want = np.stack([np.sqrt(3.0) * (2.0 * rt - 1.0),
                      np.sqrt(6.0) * (1.0 - rt)])
-    kraus = np.sqrt(derivative_outcomes(2, sigmas))
+    kraus = diagonal_stack(np.sqrt(derivative_diagonals(2, sigmas)))
     worst_res = 0.0
     worst_coef = 0.0
     for party, block in ((1, (1, 2)), (0, (3, 4))):
@@ -194,9 +195,8 @@ def coarse_grain_check(nodes: int = QUAD_NODES) -> CoarseGrainCheck:
 
     def integrand(sigma: np.ndarray) -> np.ndarray:
         # Outcomes 2 and 3, in the order of the branches below.
-        kd = np.sqrt(np.diagonal(derivative_outcomes(2, sigma)[:, ::-1],
-                                 axis1=-2, axis2=-1))
-        return np.einsum("nra,nrd->nrad", kd, kd.conj())
+        kd = np.sqrt(derivative_diagonals(2, sigma)[:, ::-1])
+        return np.einsum("nra,nrd->nrad", kd, kd)
 
     got = integrate_sqrt_smooth(integrand, nodes=nodes)[:, None] * units
     want = np.stack([_conjugate(ex.instrument.branch(r).operators, units)
@@ -248,7 +248,8 @@ def wstate_analysis(nodes: int = QUAD_NODES) -> WStateReport:
     k1_norm = float(np.linalg.norm(kron([e1, eye2]) @ w))
 
     def outcome(sigma: np.ndarray, party: int) -> np.ndarray:
-        v = kron([np.sqrt(derivative_outcomes(2, sigma)[:, party]), eye2]) @ w
+        k = diagonal_stack(np.sqrt(derivative_diagonals(2, sigma)[:, party]))
+        v = kron([k, eye2]) @ w
         return v[:, :, None] * v[:, None, :].conj()
 
     rho2 = integrate_sqrt_smooth(lambda sg: outcome(sg, 1), nodes=nodes)
@@ -313,9 +314,8 @@ def _limit_family(cdensity, blocked: bool):
         EndpointFamily(
             label=f"halt-{'AB'[party]}",
             parent=main,
-            # A copy, so the other party's half of the stack is freed.
-            density_at=lambda sg, a=party: (
-                derivative_outcomes(2, sg)[:, a].copy()),
+            density_at=lambda sg, a=party: diagonal_stack(
+                derivative_diagonals(2, sg)[:, a]),
             cdensity_at=cdensity(party),
             attach_s=_s_of,
             sigma_at=_sigma_of,
@@ -362,7 +362,8 @@ def blocked_limiting_family(spec: ZonoidSpec | None = None):
         a = np.linalg.pinv(ops[block].reshape(len(block), 16).T)
 
         def f(sigma: np.ndarray) -> np.ndarray:
-            k = np.sqrt(derivative_outcomes(2, sigma)[:, party])
+            k = diagonal_stack(
+                np.sqrt(derivative_diagonals(2, sigma)[:, party]))
             w = np.zeros((len(k), spec.kappa), dtype=np.complex128)
             w[:, block] = k.reshape(-1, 16) @ a.T
             return w[:, :, None] * w[:, None, :].conj()

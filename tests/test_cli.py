@@ -489,7 +489,8 @@ class TestSubcommands:
 
     def test_zonoid_check_reports_the_face_direction(self, capsys):
         # Breakpoint 111 of this main branch is answered on a face.
-        z = protocols.main_branch_path(2, 100, 0.5).operators[111]
+        z = linalg.diagonal_stack(
+            protocols.main_branch_path(2, 100, 0.5).diagonals[111])
         status, rep = run(capsys, "zonoid-check", "--z", inline(z))
         assert status == 0
         assert rep["values"]["phase"].startswith("face-")

@@ -75,8 +75,14 @@ def _relative_gap(got, want) -> float:
 class TestPartyDims:
     def test_total_and_count(self):
         d = PartyDims((2, 3, 2))
-        assert d.total == 12
+        assert d.total == 12 and isinstance(d.total, int)
         assert d.n_parties == 3
+        # The total is derived: it takes no part in equality or the repr.
+        assert d == PartyDims([2, 3, 2])
+        assert hash(d) == hash(PartyDims((2, 3, 2)))
+        assert repr(d) == "PartyDims(dims=(2, 3, 2))"
+        with pytest.raises(TypeError):
+            PartyDims((2, 3), total=6)
 
     def test_rejects_empty_and_nonpositive(self):
         with pytest.raises(ValueError):

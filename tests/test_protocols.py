@@ -32,10 +32,10 @@ from loccverify import (
     verify_tree,
 )
 from loccverify import linalg, protocols
-from loccverify.linalg import cumulative_sqrt_smooth
+from loccverify.linalg import cumulative_sqrt_smooth, diagonal_stack
 from loccverify.protocols import (TreeFailure, c_matrix_stack,
-                                  limit_path_stack, protocol_check_bytes,
-                                  protocol_tree_bytes)
+                                  derivative_diagonals, limit_path_stack,
+                                  protocol_check_bytes, protocol_tree_bytes)
 from loccverify.zonoid import coefficient_stack
 
 
@@ -259,7 +259,9 @@ def _inject_one_fault_of_each_kind(tree, picks):
                              + [np.eye(2)] * (parties - 1))
 
 
-def _assert_same_report(got, want):
+def _assert_same_report(got, want, tol=1e-12):
+    """Equal reports: the largest defects to 1e-12, which is rounding on
+    a clean tree, and each failure's defect to ``tol``."""
     assert (got.ok, got.n_nodes, got.n_leaves) == \
         (want.ok, want.n_nodes, want.n_leaves)
     # leaf sums are added in the same order, so these agree bitwise
@@ -272,7 +274,7 @@ def _assert_same_report(got, want):
     assert [(f.node_path, f.kind) for f in got.failures] == \
         [(f.node_path, f.kind) for f in want.failures]
     for g, w in zip(got.failures, want.failures):
-        assert g.defect == pytest.approx(w.defect, rel=0, abs=1e-12)
+        assert g.defect == pytest.approx(w.defect, rel=0, abs=tol)
 
 
 def _branching_tree(parties, depth, outcomes):
@@ -447,8 +449,8 @@ def _corrupt_rows(table, picks):
 
 
 class TestTableTree:
-    """A built tree is checked from its diagonal table until its nodes are
-    asked for, then from the nodes."""
+    """A tree is its real diagonal table and dense overrides; its nodes
+    are views of the table's rows, and making them changes nothing."""
 
     @pytest.mark.parametrize("parties,rounds", [
         (2, 1), (2, 7), (2, 300), (3, 1), (3, 40), (4, 2), (4, 25),
@@ -467,8 +469,9 @@ class TestTableTree:
             got = verify_tree(tree)
             assert verify_tree(tree) == got
             assert np.array_equal(tree._table, table)
-            tree.root  # makes the nodes
-            assert tree._table is None
+            nodes = list(tree.iter_nodes())  # makes every view
+            assert len(nodes) == tree.n_nodes and not tree._overrides
+            assert np.array_equal(tree._table, table)
             assert verify_tree(tree) == got
             if tree.n_nodes <= 400:
                 _assert_same_report(got, _reference_verify_tree(tree))
@@ -480,9 +483,9 @@ class TestTableTree:
         tree = build_protocol_pq(parties, rounds, 0.5)
         assert tree.n_nodes == 2 * parties * rounds + 1
         table = tree._table.copy()
-        assert tree._table is not None  # counting made no nodes
-        nodes = list(tree.iter_nodes())
         d = 2 ** parties
+        assert table.shape == (tree.n_nodes, d) and table.dtype == np.float64
+        nodes = list(tree.iter_nodes())
         for node, row in zip(nodes, table, strict=True):
             e = node.povm_element
             assert e.shape == (d, d) and e.dtype == np.complex128
@@ -498,6 +501,7 @@ class TestTableTree:
             np.array([np.diagonal(n.povm_element) for n in leaves]),
             protocol_leaf_diagonals(parties, rounds, 0.5))
         assert tree.n_nodes == len(nodes)
+        assert np.array_equal(tree._table, table) and not tree._overrides
 
     def test_element_replaced_after_a_check_is_seen(self):
         tree = build_protocol_pq(2, 3, 0.5)
@@ -512,13 +516,146 @@ class TestTableTree:
         _assert_same_report(rep, _reference_verify_tree(tree))
 
     def test_hand_built_tree_keeps_its_nodes(self):
+        # The nodes are read into the table when the tree is made: the
+        # views give their elements and links, and later changes to the
+        # node objects do not reach the tree.
         root = ProtocolNode(np.eye(4, dtype=complex), 1)
         root.children = [ProtocolNode(np.diag([0.5, 0.5, 0, 0]), None),
                          ProtocolNode(np.diag([0.5, 0.5, 1, 1]), None)]
         tree = ProtocolTree(root, PartyDims((2, 2)),
                             ProtocolParams(2, 1, 0.5))
-        assert tree.root is root and tree.n_nodes == 3
-        _assert_same_report(verify_tree(tree), _reference_verify_tree(tree))
+        assert tree.root is tree.node_at(()) and tree.n_nodes == 3
+        views = [tree.root] + tree.root.children
+        for view, node in zip(views, [root] + root.children, strict=True):
+            assert np.array_equal(view.povm_element, node.povm_element)
+            assert view.acting_party == node.acting_party
+            assert view.is_leaf == node.is_leaf
+        assert tree.leaves() == views[1:]
+        want = verify_tree(tree)
+        root.children[0].povm_element = np.eye(4)
+        root.children.pop()
+        assert verify_tree(tree) == want
+        _assert_same_report(want, _reference_verify_tree(tree))
+
+
+class TestNodeViews:
+    """Nodes are views of table rows, found from their paths in closed
+    form; reading an element makes one dense matrix, and only elements
+    that are not real diagonals are kept dense."""
+
+    def test_paths_map_to_rows(self):
+        tree = build_protocol_pq(3, 4, 0.5)
+        assert tree.node_at(()) is tree.root
+        nodes = list(tree.iter_nodes())
+        for k in range(13):
+            assert tree.node_at((1,) * k) is nodes[2 * k]
+            assert tree.node_at((-1,) * k) is nodes[2 * k]
+        for k in range(12):
+            assert tree.node_at((1,) * k + (0,)) is nodes[2 * k + 1]
+            assert tree.node_at((1,) * k + (-2,)) is nodes[2 * k + 1]
+            assert nodes[2 * k].children == nodes[2 * k + 1:2 * k + 3]
+        # A path that leaves the tree fails as list indexing fails.
+        for bad in [(0, 0), (0, 1), (2,), (-3,), (1, 0, 1), (1,) * 13,
+                    (1,) * 12 + (0,)]:
+            with pytest.raises(IndexError):
+                tree.node_at(bad)
+        with pytest.raises(TypeError):
+            tree.node_at((1.0,))
+
+    def test_assigned_elements(self):
+        tree = build_protocol_pq(2, 3, 0.5)
+        leaf = tree.node_at((1, 0))
+        element = leaf.povm_element
+        assert element.dtype == np.complex128 and not element.flags.writeable
+        with pytest.raises(ValueError):
+            element[0, 0] = 1.0
+        # A real diagonal goes into the table row; nothing is kept dense.
+        leaf.povm_element = 2.0 * element
+        assert not tree._overrides
+        assert np.array_equal(tree._table[3], 2.0 * np.diagonal(element).real)
+        assert np.array_equal(leaf.povm_element, 2.0 * element)
+        bumped = element.copy()
+        bumped[0, 1] = 0.01j
+        leaf.povm_element = bumped
+        assert list(tree._overrides) == [3]
+        assert np.array_equal(tree.node_at((1, 0)).povm_element, bumped)
+        bumped[0, 1] = 0.0  # the tree holds its own copy
+        assert tree.node_at((1, 0)).povm_element[0, 1] == 0.01j
+        leaf.povm_element = element
+        assert not tree._overrides
+        with pytest.raises(ValueError, match="does not match dims"):
+            leaf.povm_element = np.eye(8)
+
+    def test_complex_diagonal_override_matches_reference(self):
+        # An imaginary part on the diagonal moves that column out of the
+        # real table into the leaf sums' complex entries.
+        tree = build_protocol_pq(2, 4, 0.5)
+        leaf = tree.node_at((1, 1, 0))
+        element = leaf.povm_element.copy()
+        element[2, 2] += 0.003j
+        leaf.povm_element = element
+        got = verify_tree(tree)
+        assert ((1, 1), "leaf-sum") in {(f.node_path, f.kind)
+                                        for f in got.failures}
+        _assert_same_report(got, _reference_verify_tree(tree), tol=4.4e-16)
+
+    def test_main_branch_path_memory(self):
+        main_branch_path(6, 5, 0.5)
+        tracemalloc.start()
+        try:
+            path = main_branch_path(6, 500, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.diagonals.shape == (path.s_values.size, 64)
+        assert peak < 4e6
+
+    def test_faulted_check_memory(self):
+        # One scaled leaf costs its dense element and its scaled copy.
+        verify_tree(build_protocol_pq(6, 2, 0.5))
+        tracemalloc.start()
+        try:
+            tree = build_protocol_pq(6, 100, 0.5)
+            leaf = tree.node_at((1,) * 7 + (0,))
+            leaf.povm_element = 1.01 * leaf.povm_element
+            report = verify_tree(tree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not report.ok
+        assert peak <= protocol_check_bytes(6, 100) + 2 * 64 * 64 * 16
+
+    @pytest.mark.parametrize("parties,rounds", [(2, 2000), (3, 500),
+                                                (6, 100)])
+    @pytest.mark.parametrize("fault", ["leaf-scale", "offdiag", "each-kind"])
+    def test_faulted_trees_match_the_reference(self, parties, rounds, fault):
+        tree = build_protocol_pq(parties, rounds, 0.5)
+        rng = np.random.default_rng([parties, rounds])
+        expect = None
+        if fault == "leaf-scale":
+            # A halt leaf whose 1% change is visible, scaled as the
+            # benchmark scales it.
+            size = protocol_leaf_diagonals(parties, rounds, 0.5)[:-1].max(1)
+            step = int(rng.choice(np.flatnonzero(size >= 1e-6)))
+            leaf = tree.node_at((1,) * step + (0,))
+            leaf.povm_element = leaf.povm_element * 1.01
+            expect = ((1,) * step, "leaf-sum")
+        elif fault == "offdiag":
+            depth = int(rng.integers(1, parties * rounds + 1))
+            node = tree.node_at((1,) * depth)
+            bumped = node.povm_element.copy()
+            bumped[0, 1] += 1e-6
+            bumped[1, 0] += 1e-6
+            node.povm_element = bumped
+            expect = ((1,) * depth, "product")
+        else:
+            _inject_one_fault_of_each_kind(
+                tree, rng.integers(0, 2 ** 20, 4).tolist())
+        got = verify_tree(tree)
+        assert not got.ok
+        if expect:
+            assert expect in {(f.node_path, f.kind) for f in got.failures}
+        _assert_same_report(got, _reference_verify_tree(tree), tol=4.4e-16)
 
 
 class TestLeafDiagonals:
@@ -568,14 +705,20 @@ def _reference_main_branch(parties, rounds, exponent):
 
 def _assert_branch_matches_reference(parties, rounds, exponent):
     """The main-branch path equals the sequential drop rule bit for bit,
-    its operators stacked in one array; returns the number kept."""
+    its diagonals stacked in one real array and its operator at each
+    breakpoint the reference operator; returns the number kept."""
     s_ref, ops_ref = _reference_main_branch(parties, rounds, exponent)
     path = main_branch_path(parties, rounds, exponent)
     d = 2 ** parties
-    assert isinstance(path.operators, np.ndarray)
-    assert path.operators.shape == (s_ref.size, d, d)
+    assert isinstance(path.diagonals, np.ndarray)
+    assert path.diagonals.shape == (s_ref.size, d)
+    assert path.diagonals.dtype == np.float64
     assert np.array_equal(path.s_values, s_ref)
-    assert np.array_equal(path.operators, np.array(ops_ref))
+    assert np.array_equal(path.diagonals,
+                          np.array([np.diagonal(op).real for op in ops_ref]))
+    for s, op in zip(s_ref, ops_ref, strict=True):
+        got = path.at(float(s))
+        assert got.dtype == np.complex128 and np.array_equal(got, op)
     return s_ref.size
 
 
@@ -669,7 +812,7 @@ class TestPaths:
         path = main_branch_path(2, 2, 0.5)
         eps = 2.0 ** -0.5
         f = np.diag([(1 - eps) ** 2, 1.0])
-        np.testing.assert_allclose(path.operators[-1], np.kron(f, f),
+        np.testing.assert_allclose(path.at(path.s_bottom), np.kron(f, f),
                                    atol=1e-12)
 
 
@@ -770,8 +913,7 @@ class TestClosedFormMainBranch:
     def test_breakpoints_are_table_rows_bit_for_bit(self):
         path = main_branch_path(3, 40, 0.5)
         got = main_branch_diagonals(3, 40, 0.5, path.s_values)
-        want = np.array([np.diagonal(op).real for op in path.operators])
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, path.diagonals)
 
     def test_clamped_outside_the_domain(self):
         d = main_branch_diagonals(2, 10, 0.5, [4.0 + 1e-13, 0.5])
@@ -825,6 +967,19 @@ class TestDerivativeOutcomes:
             r = np.sqrt(s)
             assert np.array_equal(k1, np.diag([r, 1.0, 0.0, 0.0]))
             assert np.array_equal(k2, np.diag([r, 0.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("parties", [2, 3])
+    def test_kraus_operators_from_the_diagonals(self, parties):
+        # The square roots of the real diagonals, made matrices, are the
+        # entrywise square roots of the dense densities, bit for bit.
+        sigma = np.linspace(0.0, 1.0, 11)
+        diags = derivative_diagonals(parties, sigma)
+        assert diags.shape == (11, parties, 2 ** parties)
+        assert diags.dtype == np.float64
+        assert np.array_equal(derivative_outcomes(parties, sigma),
+                              diagonal_stack(diags))
+        assert np.array_equal(np.sqrt(derivative_outcomes(parties, sigma)),
+                              diagonal_stack(np.sqrt(diags)))
 
     def test_outcome_shapes_and_positions(self):
         outs = derivative_outcomes(3, [0.26])[0]

@@ -29,6 +29,7 @@ from loccverify import (
     two_qubit_instrument,
 )
 from loccverify import twoqubit, zonoid
+from loccverify.linalg import diagonal_stack
 from loccverify.protocols import limit_path_stack
 from loccverify.tolerances import MEMBERSHIP_TOL, ROUNDING_TOL
 from loccverify.zonoid import (CoefficientMatrix, _directions,
@@ -222,7 +223,8 @@ class TestMembershipReports:
     def test_asymmetric_breakpoints_are_feasible(self):
         # Every odd breakpoint diag(uv, u, v, 1), u = eta^(n+1), v = eta^n,
         # of the 100-round main branch lies on the face <11|.|11> = 1.
-        breakpoints = main_branch_path(2, 100, 0.5).operators[1::2]
+        breakpoints = diagonal_stack(
+            main_branch_path(2, 100, 0.5).diagonals[1::2])
         assert len(breakpoints) == 100
         for n, z in enumerate(breakpoints):
             rep = membership(z, channel_zonoid(), tol=1e-9)
@@ -314,8 +316,8 @@ class TestMembershipReports:
             rep = membership(np.asarray(target, dtype=complex), spec)
             assert rep.phase == phase
             assert rep.face_x is None
-        rep = membership(main_branch_path(2, 100, 0.5).operators[91], spec,
-                         tol=1e-9)
+        z = diagonal_stack(main_branch_path(2, 100, 0.5).diagonals[91])
+        rep = membership(z, spec, tol=1e-9)
         assert rep.feasible and rep.phase == "face-1"
         np.testing.assert_array_equal(rep.face_x, np.diag([0, 0, 0, 1]))
         assert zonoid.MembershipReport(True, None, 0.0, 0).phase == ""
@@ -332,7 +334,7 @@ class TestMembershipReports:
 
     def test_iteration_cap_counts_face_iterations(self, monkeypatch):
         # This breakpoint converges on its face after about 750 iterations.
-        z = main_branch_path(2, 100, 0.5).operators[133]
+        z = diagonal_stack(main_branch_path(2, 100, 0.5).diagonals[133])
         assert membership(z, channel_zonoid(), tol=1e-9).phase == "face-1"
         monkeypatch.setattr(zonoid, "MEMBERSHIP_MAX_ITER", 150)
         rep = membership(z, channel_zonoid(), tol=1e-9)
