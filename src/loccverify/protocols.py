@@ -118,16 +118,16 @@ class NodeView:
 
     @property
     def acting_party(self) -> int | None:
-        return self._tree._acting(self._index)
+        return self._tree._shape.acting(self._index)
 
     @property
     def children(self) -> list["NodeView"]:
         tree = self._tree
-        return [tree._view(j) for j in tree._child_rows(self._index)]
+        return [tree._view(j) for j in tree._shape.child_rows(self._index)]
 
     @property
     def is_leaf(self) -> bool:
-        return not self._tree._child_rows(self._index)
+        return not self._tree._shape.child_rows(self._index)
 
 
 class ProtocolTree:
@@ -135,12 +135,18 @@ class ProtocolTree:
 
     The nodes are one real preorder table, a row per node holding the
     diagonal of its element, and a dict of dense overrides for the elements
-    that are not real diagonal matrices. A tree from
+    that are not real diagonal matrices. The table is column-major: rows
+    index it as (n, D), and its transpose is a contiguous (D, n) array, so
+    :func:`verify_tree` reduces over long columns, one per diagonal entry.
+    The tree's shape (each node's children and acting party, its edges and
+    the chains of its leaf sums) is held apart from the elements, so
+    assigning an element leaves it as it is. A tree from
     :func:`build_protocol_pq` is a caterpillar: row 0 is the root, rows
     2k + 1 and 2k + 2 the halt leaf and continue node of step k, and its
-    links follow in closed form. A tree made from a :class:`ProtocolNode`
-    root is read into a table, links and overrides when it is made, so
-    later changes to those node objects do not reach it.
+    shape follows in closed form (:class:`_Caterpillar`). A tree made from
+    a :class:`ProtocolNode` root is read into a table, overrides and shape
+    (:class:`_Walk`) when it is made, so later changes to those node
+    objects do not reach it.
 
     ``root``, ``node_at``, ``iter_nodes`` and ``leaves`` give
     :class:`NodeView` objects, made on request: a node gives the same view
@@ -156,14 +162,12 @@ class ProtocolTree:
         # that keeps a dropped tree's table until the collector runs.
         self._views = weakref.WeakValueDictionary()
         if table is not None:
-            self._table, self._links, self._children = table, None, None
+            self._table = table
+            self._shape = _Caterpillar(len(table), dims.n_parties)
             return
-        elements, *links = _preorder(root)
-        self._links = tuple(links)
-        self._children = [[] for _ in elements]
-        for j, i in enumerate(links[0][1:].tolist(), 1):
-            self._children[i].append(j)
-        self._table = np.empty((len(elements), dims.total))
+        elements, parent, child, acting = _preorder(root)
+        self._shape = _Walk(parent, child, acting)
+        self._table = np.empty((dims.total, len(elements))).T
         for i, element in enumerate(elements):
             self._store(i, element)
 
@@ -176,19 +180,13 @@ class ProtocolTree:
         return map(self._view, range(self.n_nodes))
 
     def leaves(self) -> list[NodeView]:
-        arity = self._link_arrays()[3]
-        return [self._view(i) for i in np.flatnonzero(arity == 0).tolist()]
+        return [self._view(i) for i in self._shape.leaf_rows()]
 
     def node_at(self, path: Sequence[int]) -> NodeView:
         """The node reached from the root through the child indices of
         ``path``; IndexError if it leaves the tree. On a built tree the
-        row is found in closed form (:func:`_caterpillar_row`)."""
-        if self._children is None:
-            return self._view(_caterpillar_row(path, self.n_nodes))
-        i = 0
-        for step in path:
-            i = self._children[i][step]
-        return self._view(i)
+        row is found in closed form (:meth:`_Caterpillar.row`)."""
+        return self._view(self._shape.row(path))
 
     @property
     def n_nodes(self) -> int:
@@ -199,25 +197,6 @@ class ProtocolTree:
         if view is None:
             view = self._views[i] = NodeView(self, i)
         return view
-
-    def _link_arrays(self):
-        """Parent, child index, acting party and arity of every row
-        (:func:`_preorder`)."""
-        if self._links is None:
-            return _caterpillar_links(self.n_nodes, self.dims.n_parties)
-        return self._links
-
-    def _child_rows(self, i: int):
-        if self._children is not None:
-            return self._children[i]
-        return (i + 1, i + 2) if i % 2 == 0 and i < self.n_nodes - 1 else ()
-
-    def _acting(self, i: int) -> int | None:
-        if self._links is not None:
-            return int(self._links[2][i]) or None
-        if not self._child_rows(i):
-            return None
-        return i // 2 % self.dims.n_parties + 1
 
     def _element(self, i: int) -> np.ndarray:
         element = self._overrides.get(i)
@@ -243,14 +222,134 @@ class ProtocolTree:
             self._overrides[i] = element
 
 
-def _step_rows(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
-    """Halt and continue diagonals of every step, in protocol order.
+class _Caterpillar:
+    """Shape of an n-node caterpillar in preorder, in closed form: rows
+    2k + 1 and 2k + 2 are the halt leaf and continue node of step k, both
+    children of row 2k, where party k mod P + 1 measures.
 
-    Both arrays have shape (parties * rounds, 2**parties); row n*P + l
-    belongs to party l + 1 measuring in cycle n. The continue row is the
-    node after the step and the halt row the node before it, with the
-    acting party's factor set to diag(eps * eta^n, 0), eta = 1 - eps
-    (:func:`_node_diagonals`).
+    The methods here and on :class:`_Walk` are what a tree reads of its
+    shape: ``edges`` and ``chains`` in the form :func:`verify_tree` takes
+    them, the rest for node views and failure paths.
+    """
+
+    def __init__(self, n: int, parties: int):
+        self.n, self.parties = n, parties
+        self.n_leaves = (n + 1) // 2
+
+    def child_rows(self, i: int):
+        return (i + 1, i + 2) if i % 2 == 0 and i < self.n - 1 else ()
+
+    def acting(self, i: int) -> int | None:
+        return i // 2 % self.parties + 1 if self.child_rows(i) else None
+
+    def leaf_rows(self) -> list[int]:
+        """The halt leaves, the odd rows, then the main leaf, the last."""
+        return [*range(1, self.n - 1, 2), self.n - 1]
+
+    def row(self, path: Sequence[int]) -> int:
+        """(1,) * k is row 2k and (1,) * k + (0,) row 2k + 1. Entries index
+        the two children as a list does, so -1 continues too; a path that
+        leaves the tree raises IndexError."""
+        steps = np.asarray(path)
+        if steps.size == 0:
+            return 0
+        if steps.ndim != 1 or steps.dtype.kind not in "iu":
+            raise TypeError("a node path is a sequence of integers")
+        parent = 2 * (steps.size - 1)
+        last = int(steps[-1])
+        if (parent >= self.n - 1 or not -2 <= last <= 1
+                or not np.isin(steps[:-1], (1, -1)).all()):
+            raise IndexError(f"no node at this path of depth {steps.size}")
+        return parent + 1 + last % 2
+
+    def edges(self):
+        """Parent row, child row and the parent's acting party of every
+        edge, ordered by parent then child index, which here is preorder."""
+        steps = np.arange(self.n // 2)
+        return (2 * steps.repeat(2), np.arange(1, self.n),
+                (steps % self.parties + 1).repeat(2))
+
+    def chains(self):
+        """One chain of last children: the main branch, bottom-up from the
+        main leaf, each node adding its halt leaf (:func:`_leaf_sums`)."""
+        return [(self.n - 1, np.arange(self.n - 3, -1, -2),
+                 np.arange(self.n - 2, 0, -2)[None])]
+
+    def paths(self, rows: list[int]) -> dict[int, tuple[int, ...]]:
+        return {i: (1,) * (i // 2) + (0,) * (i % 2) for i in rows}
+
+
+class _Walk:
+    """Shape of a hand-built tree, read once from its preorder walk
+    (:func:`_preorder`): each row's parent, child index, acting party (0
+    for none) and children, and from them the arrays of
+    :meth:`_Caterpillar.edges` and :meth:`_Caterpillar.chains`."""
+
+    def __init__(self, parent: list[int], child: list[int],
+                 acting: list[int]):
+        n = len(parent)
+        self._parent, self._child, self._acting = parent, child, acting
+        kids = self._kids = [[] for _ in range(n)]
+        for j in range(1, n):
+            kids[parent[j]].append(j)
+        self.n_leaves = sum(not k for k in kids)
+        kid = np.array([j for ks in kids for j in ks], dtype=np.intp)
+        up = np.array(parent, dtype=np.intp)[kid]
+        self._edges = up, kid, np.array(acting)[up]
+        # A chain starts at the root or at a child that is not its parent's
+        # last, and follows last children down to a leaf. Chains run from
+        # the highest head down, so every other child's sum is finished
+        # when its parent's chain reads it. A node with fewer other
+        # children than the widest of its chain points the rest at column
+        # n, which the leaf-sum pass keeps zero.
+        self._chains = []
+        for v in sorted([0] + [j for ks in kids for j in ks[:-1]],
+                        reverse=True):
+            nodes = []
+            while kids[v]:
+                nodes.append(v)
+                v = kids[v][-1]
+            if nodes:
+                others = np.full((max(len(kids[u]) for u in nodes) - 1 or 1,
+                                  len(nodes)), n, dtype=np.intp)
+                for j, u in enumerate(reversed(nodes)):
+                    others[:len(kids[u]) - 1, j] = kids[u][:-1]
+                self._chains.append((v, np.array(nodes[::-1]), others))
+
+    def child_rows(self, i: int) -> list[int]:
+        return self._kids[i]
+
+    def acting(self, i: int) -> int | None:
+        return self._acting[i] or None
+
+    def leaf_rows(self) -> list[int]:
+        return [i for i, k in enumerate(self._kids) if not k]
+
+    def row(self, path: Sequence[int]) -> int:
+        i = 0
+        for step in path:
+            i = self._kids[i][step]
+        return i
+
+    def edges(self):
+        return self._edges
+
+    def chains(self):
+        return self._chains
+
+    def paths(self, rows: list[int]) -> dict[int, tuple[int, ...]]:
+        return _node_paths(rows, self._parent, self._child)
+
+
+def _built_table(params: ProtocolParams) -> np.ndarray:
+    """The preorder diagonal table of the built tree, column-major: shape
+    (2**parties, 2 parties rounds + 1), column j the diagonal of row j.
+
+    Column 0 is the root. Step n*P + l, party l + 1 measuring in cycle n,
+    has its halt leaf in column 2(n P + l) + 1 and its continue node in the
+    next. The continue node is the node after the step and the halt leaf
+    the node before it, with the acting party's factor set to
+    diag(eps * eta^n, 0), eta = 1 - eps (:func:`_node_diagonals`).
     """
     p, rounds = params.parties, params.rounds
     eps = params.epsilon
@@ -259,8 +358,11 @@ def _step_rows(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     powers = np.array([eta ** k for k in range(rounds + 1)])
     n, ahead = np.divmod(np.arange(p * rounds), p)
     now, later = powers[n], powers[n + 1]
-    halt = _node_diagonals(p, now, later, ahead, halt=eps * now)
-    return halt, _node_diagonals(p, now, later, ahead + 1)
+    cols = np.empty((2 ** p, 2 * p * rounds + 1))
+    cols[:, 0] = 1.0
+    _node_diagonals(p, now, later, ahead, halt=eps * now, out=cols[:, 1::2])
+    _node_diagonals(p, now, later, ahead + 1, out=cols[:, 2::2])
+    return cols
 
 
 def build_protocol_pq(parties: int, rounds: int, exponent: float
@@ -268,45 +370,10 @@ def build_protocol_pq(parties: int, rounds: int, exponent: float
     """Full protocol tree for the P-party halt-or-continue protocol, held
     as its real preorder diagonal table of 2 P rounds + 1 rows: row 0 is
     the root, rows 2k + 1 and 2k + 2 the halt leaf and continue node of
-    step k (:func:`_step_rows`)."""
+    step k (:func:`_built_table`)."""
     params = ProtocolParams(parties, rounds, exponent)
-    halt, cont = _step_rows(params)
-    table = np.empty((2 * halt.shape[0] + 1, 2 ** parties))
-    table[0] = 1.0
-    table[1::2] = halt
-    table[2::2] = cont
-    return ProtocolTree(None, PartyDims((2,) * parties), params, table)
-
-
-def _caterpillar_links(n: int, parties: int):
-    """Parent index, child index, acting party and arity of each node of an
-    n-node caterpillar in preorder, as :func:`_preorder` walks them: node
-    2k + 1 is the halt leaf of step k and node 2k + 2 its continue node,
-    both children of node 2k, where party k mod P + 1 measures."""
-    i = np.arange(n)
-    up = np.where(i > 0, (i - 1) // 2 * 2, -1)
-    child = np.where(i > 0, 1 - i % 2, 0)
-    arity = np.where((i % 2 == 0) & (i < n - 1), 2, 0)
-    acting = np.where(arity > 0, i // 2 % parties + 1, 0)
-    return up, child, acting, arity
-
-
-def _caterpillar_row(path: Sequence[int], n: int) -> int:
-    """Preorder row of the node at ``path`` in an n-node caterpillar:
-    (1,) * k is row 2k and (1,) * k + (0,) row 2k + 1. Entries index the
-    two children as a list does, so -1 continues too; a path that leaves
-    the tree raises IndexError."""
-    steps = np.asarray(path)
-    if steps.size == 0:
-        return 0
-    if steps.ndim != 1 or steps.dtype.kind not in "iu":
-        raise TypeError("a node path is a sequence of integers")
-    parent = 2 * (steps.size - 1)
-    last = int(steps[-1])
-    if (parent >= n - 1 or not -2 <= last <= 1
-            or not np.isin(steps[:-1], (1, -1)).all()):
-        raise IndexError(f"no node at this path of depth {steps.size}")
-    return parent + 1 + last % 2
+    return ProtocolTree(None, PartyDims((2,) * parties), params,
+                        _built_table(params).T)
 
 
 def protocol_tree_bytes(parties: int, rounds: int) -> int:
@@ -322,7 +389,7 @@ def protocol_tree_bytes(parties: int, rounds: int) -> int:
     return nodes * 8 * 2 ** parties + 6 * 2 ** 10
 
 
-# Entries verify_tree stacks at a time in its factor and leaf-sum passes.
+# Entries verify_tree reads at a time in its factor and leaf-sum passes.
 # Its memory beyond a few values per node does not grow with the tree.
 _CHUNK_ENTRIES = 2 ** 16
 
@@ -332,19 +399,19 @@ def protocol_check_bytes(parties: int, rounds: int) -> int:
     it, in bytes.
 
     On top of :func:`protocol_tree_bytes`, ``verify_tree`` holds per node
-    a copy of its table row (8 * 2^P bytes), its party factors' diagonals
-    and edge distances (32 P) and its link arrays, defects and leaf-sum
-    indices (64); at once, up to 28 bytes per entry of a chunk of
-    diagonals; and 8 KiB of fixed objects. Fitted under tracemalloc on
-    CPython 3.11 over 57 (P, rounds) points, P = 2..6 and 5 to 80001
-    nodes: 1.02 to 1.39 times the measured peak. A tree with dense
+    a copy of its table column (8 * 2^P bytes), its party factors'
+    diagonals and edge distances (18 P) and its edge arrays, flags and
+    defects (72); at once, up to 30 bytes per entry of a column range of
+    diagonals; and 4 KiB of fixed objects. Fitted under tracemalloc on
+    CPython 3.11 over 61 (P, rounds) points, P = 2..6 and 5 to 80001
+    nodes: 1.03 to 1.45 times the measured peak. A tree with dense
     overrides needs in addition a few times their size.
     """
     nodes = 2 * parties * rounds + 1
     width = 2 ** parties
-    chunk = 28 * width * min(nodes, _CHUNK_ENTRIES // width)
+    chunk = 30 * width * min(nodes, _CHUNK_ENTRIES // width)
     return (protocol_tree_bytes(parties, rounds)
-            + nodes * (64 + 8 * width + 32 * parties) + chunk + 2 ** 13)
+            + nodes * (72 + 8 * width + 18 * parties) + chunk + 2 ** 12)
 
 
 def protocol_leaf_diagonals(parties: int, rounds: int, exponent: float
@@ -354,8 +421,8 @@ def protocol_leaf_diagonals(parties: int, rounds: int, exponent: float
     the main leaf last. Shape (parties * rounds + 1, 2**parties). This skips
     tree construction entirely, which matters for large round counts.
     """
-    halt, cont = _step_rows(ProtocolParams(parties, rounds, exponent))
-    return np.vstack([halt, cont[-1:]])
+    cols = _built_table(ProtocolParams(parties, rounds, exponent))
+    return np.hstack([cols[:, 1::2], cols[:, -1:]]).T
 
 
 @dataclass(frozen=True)
@@ -379,9 +446,9 @@ class TreeReport:
 
 def _preorder(root: ProtocolNode):
     """One preorder walk. Returns the node elements and, per node, its
-    parent's index (-1 at the root), its child index there, its acting
-    party (0 for none) and its number of children."""
-    elements, parent, child, acting, arity = [], [], [], [], []
+    parent's index (-1 at the root), its child index there and its acting
+    party (0 for none), as lists."""
+    elements, parent, child, acting = [], [], [], []
     stack = [(root, -1, 0)]
     while stack:
         node, up, i = stack.pop()
@@ -392,12 +459,10 @@ def _preorder(root: ProtocolNode):
         acting.append(node.acting_party or 0)
         kids = node.children
         k = len(kids)
-        arity.append(k)
         if k:
             stack.extend(zip(reversed(kids), repeat(me, k),
                              range(k - 1, -1, -1)))
-    return (elements, np.array(parent), np.array(child), np.array(acting),
-            np.array(arity))
+    return elements, parent, child, acting
 
 
 def _dense_factors(m: np.ndarray, dims: PartyDims):
@@ -422,14 +487,19 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of a real (k, c) array."""
+    return np.sqrt(np.einsum("ij,ij->j", a, a))
+
+
 @lru_cache(maxsize=8)
 def _marginal_selector(dims: tuple[int, ...]) -> np.ndarray:
     """0/1 matrix taking a diagonal over the product basis to every
-    party's marginal, parties one after another: entry [i, j] is 1 when
-    column j belongs to party p and index i has digit j - offset_p there;
-    shape (D, sum k_p). Shared between callers, so read-only."""
+    party's marginal, parties one after another: entry [j, i] is 1 when
+    row j belongs to party p and index i has digit j - offset_p there;
+    shape (sum k_p, D). Shared between callers, so read-only."""
     digits = np.unravel_index(np.arange(math.prod(dims)), dims)
-    sel = np.hstack([digit[:, None] == np.arange(k)
+    sel = np.vstack([np.arange(k)[:, None] == digit
                      for digit, k in zip(digits, dims)]).astype(np.float64)
     sel.flags.writeable = False
     return sel
@@ -437,165 +507,158 @@ def _marginal_selector(dims: tuple[int, ...]) -> np.ndarray:
 
 def _diagonal_factors(e: np.ndarray, dims: PartyDims):
     """:func:`_dense_factors` of real diagonal elements from their
-    diagonals, shape (c, D): the factors are marginal sums, returned as
-    (c, k) diagonals. All marginals come from one product of the diagonals
-    with :func:`_marginal_selector`."""
-    c = len(e)
-    both = e @ _marginal_selector(dims.dims)
-    norm = _row_norms(e)
-    tr = e.sum(axis=1)
+    diagonals, the columns of ``e``, shape (D, c): the factors are marginal
+    sums, returned as (k, c) columns of diagonals. All marginals come from
+    one product of :func:`_marginal_selector` with the diagonals."""
+    c = e.shape[1]
+    both = _marginal_selector(dims.dims) @ e
+    norm = _column_norms(e)
+    tr = _traces(e)
     zero = np.abs(tr) < 1e-13 * np.maximum(norm, 1e-300)
-    tr = np.where(zero, 1.0, tr)[:, None]
+    tr = np.where(zero, 1.0, tr)
     both /= tr
-    marginals = np.split(both, np.cumsum(dims.dims)[:-1], axis=1)
+    ends = np.cumsum(dims.dims).tolist()
+    marginals = [both[i - k:i] for i, k in zip(ends, dims.dims)]
     product = marginals[0]
     for f in marginals[1:]:
-        product = (product[:, :, None] * f[:, None, :]).reshape(c, -1)
+        product = (product[:, None] * f[None]).reshape(-1, c)
     product *= tr
-    defect = _row_norms(np.subtract(e, product, out=product))
+    defect = _column_norms(np.subtract(e, product, out=product))
     return marginals, zero, np.where(zero, 1.0, defect / np.maximum(1.0, norm))
 
 
-def _summed_entries(table: np.ndarray, rows: np.ndarray, dense: np.ndarray):
-    """The entries the leaf-sum pass adds, as one real (n, D + 2 m) array
-    of every node: its diagonal, then m complex entries as (real,
-    imaginary) pairs. The m entries are the positions where some dense
-    override ``dense`` (at preorder ``rows``, shape (c, D, D)) holds what
-    a real diagonal cannot: an off-diagonal entry, or an imaginary part on
-    the diagonal, whose column then moves into the pairs whole. Also
-    returns the identity in this layout."""
-    n, d = table.shape
+def _summed_entries(cols: np.ndarray, rows: np.ndarray, dense: np.ndarray):
+    """The entries the leaf-sum pass adds, as one real (D + 2 m, n + 1)
+    array, a column per node and a last column of zeros: the node's
+    diagonal, then m complex entries as (real, imaginary) pairs of rows.
+    The m entries are the positions where some dense override ``dense``
+    (at preorder ``rows``, shape (c, D, D)) holds what a real diagonal
+    cannot: an off-diagonal entry, or an imaginary part on the diagonal,
+    whose row then moves into the pairs whole. ``cols`` is the (D, n)
+    table. Also returns the identity in this layout."""
+    d, n = cols.shape
     flat = dense.reshape(len(dense), d * d)
-    on = np.zeros(d * d, dtype=bool)
-    on[::d + 1] = True
-    cols = np.flatnonzero(((flat.imag != 0.0)
-                           | (~on & (flat.real != 0.0))).any(axis=0))
-    moved = on[cols]
-    diagonal = cols[moved] // (d + 1)
-    x = np.empty((n, d + 2 * cols.size))
-    x[:, :d] = table
-    x[:, diagonal] = 0.0
-    pairs = x[:, d:].view(np.complex128)
-    pairs[:] = 0.0
-    pairs[:, moved] = table[:, diagonal]
-    pairs[rows] = flat[:, cols]
-    eye = np.zeros(x.shape[1])
+    on = np.eye(d, dtype=bool).reshape(-1)
+    entries = np.flatnonzero(((flat.imag != 0.0)
+                              | (~on & (flat.real != 0.0))).any(axis=0))
+    moved = on[entries]
+    diagonal = entries[moved] // (d + 1)
+    x = np.zeros((d + 2 * entries.size, n + 1))
+    x[:d, :n] = cols
+    x[diagonal] = 0.0
+    re, im = x[d::2], x[d + 1::2]
+    re[moved, :n] = cols[diagonal]
+    re[:, rows] = flat[:, entries].real.T
+    im[:, rows] = flat[:, entries].imag.T
+    eye = np.zeros(len(x))
     eye[:d] = 1.0
     eye[diagonal] = 0.0
-    eye[d:].view(np.complex128)[moved] = 1.0
+    eye[d::2][moved] = 1.0
     return x, eye
 
 
 def _largest_entries(a: np.ndarray, d: int) -> np.ndarray:
-    """Largest entry modulus in each row of a real stack laid out as
+    """Largest entry modulus in each column of a real stack laid out as
     :func:`_summed_entries` lays it out, with D = d."""
-    big = np.abs(a[:, :d]).max(axis=1)
-    if a.shape[1] > d:
-        np.maximum(big, np.abs(a[:, d:].view(np.complex128)).max(axis=1),
-                   out=big)
+    big = np.abs(a[:d]).max(axis=0)
+    if len(a) > d:
+        pairs = np.empty(((len(a) - d) // 2, a.shape[1]), np.complex128)
+        pairs.real, pairs.imag = a[d::2], a[d + 1::2]
+        np.maximum(big, np.abs(pairs).max(axis=0), out=big)
     return big
 
 
-def _leaf_sums(x: np.ndarray, parent: np.ndarray, child: np.ndarray,
-               arity: np.ndarray, d: int) -> np.ndarray:
-    """Replace each row of ``x`` (node entries in preorder, laid out as
-    :func:`_summed_entries` lays them out) by the node's sum of descendant
-    leaves; return each node's largest entry deviation from that sum (0 at
-    leaves).
+def _leaf_sums(x: np.ndarray, chains, d: int) -> np.ndarray:
+    """Each node's largest entry deviation from its sum of descendant
+    leaves (0 at leaves), from ``x``, the node entries in preorder laid
+    out as :func:`_summed_entries` lays them out. The column of each
+    chain's head, which is the root or a child that another chain reads,
+    is replaced by its sum.
 
     Each node adds its children's sums left to right, bitwise as a
-    bottom-up fold would. The tree splits into chains that follow last
-    children: along a chain S(v) = A(v) + S(last child of v), with A(v)
-    the sum of the other children, so a cumulative sum from the chain's
-    bottom covers it, in segments of about ``_CHUNK_ENTRIES`` entries.
-    Chains run from the highest head index down, so every A(v) reads
-    finished sums.
+    bottom-up fold would. ``chains`` are the tree's chains of last
+    children, each its bottom leaf, its inner nodes bottom-up and, a row
+    per child position, their other children (the zero column where a
+    node has fewer), in an order in which a chain reads only finished
+    sums. Along a chain S(v) = A(v) + S(last child of v), with A(v) the
+    sum of the other children, so a cumulative sum from the chain's bottom
+    covers it, in column ranges of about ``_CHUNK_ENTRIES`` entries with
+    the running sum carried from one range to the next. A built tree's one
+    chain is its main branch, and A(v) the halt leaf: its leaf sums are a
+    reversed cumulative sum over the halt columns, and only the root's
+    column is written.
     """
-    n, width = x.shape
-    idx = np.arange(n)
-    last = np.zeros(n, dtype=bool)
-    last[1:] = child[1:] == arity[parent[1:]] - 1
-    below = np.empty(n, dtype=np.intp)
-    below[parent[last]] = idx[last]
-    head = np.where(last, parent, idx)
-    while True:
-        nxt = head[head]
-        if np.array_equal(nxt, head):
-            break
-        head = nxt
-    if arity.max() > 2:
-        kid = np.zeros((n, arity.max()), dtype=np.intp)
-        kid[parent[1:], child[1:]] = idx[1:]
+    width, n = len(x), x.shape[1] - 1
     defects = np.zeros(n)
-    inner = np.flatnonzero(arity)
-    inner = inner[np.lexsort((-inner, -head[inner]))]
     step = max(1, _CHUNK_ENTRIES // width)
-    for chain in np.split(inner, np.flatnonzero(np.diff(head[inner])) + 1):
-        for lo in range(0, chain.size, step):
-            seg = chain[lo:lo + step]
-            k = arity[seg]
-            seq = np.zeros((seg.size + 1, width))
-            seq[0] = x[below[seg[0]]]
-            a = seq[1:]
-            a[k > 1] = x[seg[k > 1] + 1]
-            for j in range(1, int(k.max()) - 1):
-                more = k > j + 1
-                a[more] += x[kid[seg[more], j]]
-            np.cumsum(seq, axis=0, out=seq)
-            gap = x[seg]
+    for bottom, nodes, others in chains:
+        below = x[:, bottom]
+        for lo in range(0, nodes.size, step):
+            seg = nodes[lo:lo + step]
+            seq = np.empty((width, seg.size + 1))
+            seq[:, 0] = below
+            a = seq[:, 1:]
+            a[:] = x.take(others[0, lo:lo + step], axis=1)
+            for more in others[1:, lo:lo + step]:
+                a += x.take(more, axis=1)
+            np.cumsum(seq, axis=1, out=seq)
+            gap = x.take(seg, axis=1)
             gap -= a
             defects[seg] = _largest_entries(gap, d)
-            x[seg] = a
+            below = seq[:, -1]
+        if nodes.size:
+            x[:, nodes[-1]] = below
     return defects
 
 
-def _party_factors(table: np.ndarray, dims: PartyDims):
+def _party_factors(cols: np.ndarray, dims: PartyDims):
     """Unit-trace party factors, traceless flags and product defects of
-    every row of the table, in chunks of about ``_CHUNK_ENTRIES`` entries.
-    Each party's factors are an (n, k) stack of diagonals."""
-    n, d = table.shape
-    factors = [np.empty((n, k)) for k in dims]
+    every column of the (D, n) table, in column ranges of about
+    ``_CHUNK_ENTRIES`` entries. Each party's factors are a (k, n) stack of
+    diagonals, one column per node."""
+    d, n = cols.shape
+    factors = [np.empty((k, n)) for k in dims]
     traceless = np.empty(n, dtype=bool)
     prod = np.empty(n)
     step = max(1, _CHUNK_ENTRIES // d)
     for lo in range(0, n, step):
         part = slice(lo, lo + step)
-        facs, traceless[part], prod[part] = _diagonal_factors(table[part],
+        facs, traceless[part], prod[part] = _diagonal_factors(cols[:, part],
                                                               dims)
         for full, f in zip(factors, facs):
-            full[part] = f
+            full[:, part] = f
     return factors, traceless, prod
 
 
 def _factor_matrices(f: np.ndarray, g: np.ndarray, at: np.ndarray,
                      nodes: np.ndarray) -> np.ndarray:
     """One party's factors of ``nodes`` as matrices: a dense node's own,
-    ``g[at[node]]``, and every other node's diagonal from ``f``."""
-    m = diagonal_stack(f[nodes])
+    ``g[at[node]]``, and every other node's diagonal, a column of ``f``."""
+    m = diagonal_stack(f[:, nodes].T)
     own = at[nodes] >= 0
     m[own] = g[at[nodes[own]]]
     return m
 
 
-def _edge_distances(factors: list, parent: np.ndarray, rows: np.ndarray,
-                    dense: list) -> np.ndarray:
-    """Frobenius distance between each non-root node's party factors and
-    its parent's, shape (n - 1, parties), in preorder. ``factors`` holds
-    one stack of diagonals per party; an edge at one of the dense
-    ``rows`` is measured on the matrices, with ``dense`` holding those
-    rows' factors per party."""
-    out = np.empty((len(parent) - 1, len(factors)))
+def _edge_distances(factors: list, up: np.ndarray, kid: np.ndarray,
+                    rows: np.ndarray, dense: list) -> np.ndarray:
+    """Frobenius distance between the party factors of each edge's child
+    ``kid`` and its parent ``up``, shape (parties, edges). ``factors``
+    holds one (k, n) stack of diagonals per party; an edge at one of the
+    dense ``rows`` is measured on the matrices, with ``dense`` holding
+    those rows' factors per party."""
+    out = np.empty((len(factors), kid.size))
     for p, f in enumerate(factors):
-        g = f[parent[1:]]
-        out[:, p] = _row_norms(np.subtract(f[1:], g, out=g))
+        g = f.take(up, axis=1)
+        out[p] = _column_norms(np.subtract(f.take(kid, axis=1), g, out=g))
     if rows.size:
-        at = np.full(len(parent), -1)
+        at = np.full(factors[0].shape[1], -1)
         at[rows] = np.arange(rows.size)
-        edges = np.flatnonzero((at[1:] >= 0) | (at[parent[1:]] >= 0))
+        edges = np.flatnonzero((at[kid] >= 0) | (at[up] >= 0))
         for p, (f, g) in enumerate(zip(factors, dense)):
-            out[edges, p] = _row_norms(
-                _factor_matrices(f, g, at, edges + 1)
-                - _factor_matrices(f, g, at, parent[edges + 1]))
+            out[p, edges] = _row_norms(
+                _factor_matrices(f, g, at, kid[edges])
+                - _factor_matrices(f, g, at, up[edges]))
     return out
 
 
@@ -628,29 +691,32 @@ def verify_tree(tree: ProtocolTree) -> TreeReport:
     products (preorder), locality (by parent, child, party) and
     completeness. The tree is read as it is when this is called.
 
-    Every check runs on stacked real arrays read from the tree's diagonal
-    table. Only the dense overrides go through :func:`_dense_factors`, and
-    only the entries they set off the real diagonal are added to the leaf
-    sums as extra columns.
+    Every check runs on real arrays read from the transpose of the tree's
+    column-major table, a contiguous (D, n) array, with every reduction
+    over its long node axis, in column ranges of about ``_CHUNK_ENTRIES``
+    entries. The edges and the leaf-sum chains come from the tree's shape,
+    in closed form on a built tree. Only the dense overrides go through
+    :func:`_dense_factors`, and only the entries they set off the real
+    diagonal are added to the leaf sums as extra rows.
     """
     dims = tree.dims
     d = dims.total
-    table = tree._table
-    up, child, acting, arity = tree._link_arrays()
+    cols = tree._table.T
+    shape = tree._shape
     rows = np.array(sorted(tree._overrides), dtype=np.intp)
     dense = np.array([tree._overrides[i] for i in rows.tolist()],
                      dtype=np.complex128).reshape(-1, d, d)
-    x, eye = _summed_entries(table, rows, dense)
-    n = len(table)
+    x, eye = _summed_entries(cols, rows, dense)
+    n = cols.shape[1]
     failed: list[tuple[int, str, float]] = []
 
-    factors, traceless, prod = _party_factors(table, dims)
+    factors, traceless, prod = _party_factors(cols, dims)
     dense_factors = []
     if rows.size:
         dense_factors, traceless[rows], prod[rows] = _dense_factors(dense,
                                                                     dims)
-    sums = _leaf_sums(x, up, child, arity, d)
-    comp = float(_largest_entries(x[:1] - eye, d)[0])
+    sums = _leaf_sums(x, shape.chains(), d)
+    comp = float(_largest_entries(x[:, :1] - eye[:, None], d)[0])
     del x  # freed before the locality pass allocates
     failed.extend((int(i), "leaf-sum", float(sums[i]))
                   for i in np.flatnonzero(sums > NODE_SUM_TOL)[::-1])
@@ -659,28 +725,27 @@ def verify_tree(tree: ProtocolTree) -> TreeReport:
 
     # Locality over every edge, ordered by parent then child index; the
     # parent's acting party and edges at traceless nodes are masked.
-    kids = np.lexsort((child[1:], up[1:])) + 1
-    ups = up[kids]
-    loc = _edge_distances(factors, up, rows, dense_factors)[kids - 1]
-    parties = np.arange(1, dims.n_parties + 1)
-    compared = ((parties != acting[ups][:, None])
-                & ~(traceless[kids] | traceless[ups])[:, None])
+    up, kid, acting = shape.edges()
+    loc = _edge_distances(factors, up, kid, rows, dense_factors)
+    parties = np.arange(1, dims.n_parties + 1)[:, None]
+    compared = (parties != acting) & ~(traceless.take(kid)
+                                       | traceless.take(up))
     loc = np.where(compared, loc, 0.0)
-    failed.extend((int(kids[e]), f"locality-party-{p + 1}", float(loc[e, p]))
-                  for e, p in zip(*np.nonzero(loc > LOCALITY_TOL)))
+    over = zip(*np.divmod(np.flatnonzero(loc > LOCALITY_TOL), kid.size))
+    failed.extend((int(kid[e]), f"locality-party-{p + 1}", float(loc[p, e]))
+                  for p, e in sorted(over, key=lambda pe: pe[1]))
 
     if comp > COMPLETENESS_TOL:
         failed.append((0, "completeness", comp))
 
     failures = ()
     if failed:
-        paths = _node_paths(sorted({i for i, _, _ in failed}), up.tolist(),
-                            child.tolist())
+        paths = shape.paths(sorted({i for i, _, _ in failed}))
         failures = tuple(TreeFailure(paths[i], kind, defect)
                          for i, kind, defect in failed)
-    return TreeReport(not failures, n, n - int(np.count_nonzero(arity)),
-                      float(sums.max()), float(loc.max(initial=0.0)),
-                      float(prod.max()), comp, failures)
+    return TreeReport(not failures, n, shape.n_leaves, float(sums.max()),
+                      float(loc.max(initial=0.0)), float(prod.max()), comp,
+                      failures)
 
 
 @dataclass
@@ -743,15 +808,33 @@ def main_branch_path(parties: int, rounds: int, exponent: float
     breakpoint whose trace is not below the last kept one by a relative
     1e-15 is dropped (:func:`_kept_breakpoints`), and its operator agrees
     with the kept one to the same precision. The path holds the kept
-    diagonals, so its memory is O(n 2^P).
+    diagonals, so its memory is O(n 2^P). They are built as columns, and
+    their traces are added in the order of a row sum (:func:`_traces`).
     """
     eta = 1.0 - ProtocolParams(parties, rounds, exponent).epsilon
     powers = np.array([eta ** n for n in range(rounds + 2)])
     cycle, ahead = np.divmod(np.arange(parties * rounds + 1), parties)
-    diags = _node_diagonals(parties, powers[cycle], powers[cycle + 1], ahead)
-    traces = diags.sum(axis=1)
+    cols = _node_diagonals(parties, powers[cycle], powers[cycle + 1], ahead)
+    traces = _traces(cols)
     keep = _kept_breakpoints(traces)
-    return PiecewisePath(traces[keep], diags[keep])
+    return PiecewisePath(traces[keep], cols[:, keep].T)
+
+
+def _traces(cols: np.ndarray) -> np.ndarray:
+    """Column sums of a (D, n) stack of diagonals, D a power of two,
+    added in the order in which numpy sums each row of the C-ordered (n, D)
+    transpose, so they equal its traces bit for bit: one entry after
+    another below 8 entries, into 8 running sums joined pairwise up to 128,
+    and above that as the sum of the two halves."""
+    d = len(cols)
+    if d < 8:
+        return cols.sum(axis=0)
+    if d > 128:
+        return _traces(cols[:d // 2]) + _traces(cols[d // 2:])
+    r = cols[:8].copy()
+    for i in range(8, d, 8):
+        r += cols[i:i + 8]
+    return ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
 
 
 def _kept_breakpoints(traces: np.ndarray) -> np.ndarray:
@@ -798,29 +881,34 @@ def prefix_zeros(parties: int) -> np.ndarray:
 
 
 def _node_diagonals(parties: int, now: np.ndarray, later: np.ndarray,
-                    ahead: np.ndarray, halt: np.ndarray | None = None
-                    ) -> np.ndarray:
-    """Diagonals of main-branch nodes; shape (len(ahead), 2^P).
+                    ahead: np.ndarray, halt: np.ndarray | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Diagonals of main-branch nodes as columns, shape (2^P, len(ahead)),
+    written into ``out`` when it is given.
 
     The node after k = n P + l steps (0 <= l <= P) is the product of
     diag(eta^(n+1), 1) for parties 1..l and diag(eta^n, 1) for the others;
     ``now`` and ``later`` hold eta^n and eta^(n+1) per node and ``ahead``
-    holds l. With ``halt``, each row is instead the halt leaf of the step
+    holds l. With ``halt``, each column is instead the halt leaf of the step
     from that node: party l + 1's factor is diag(halt, 0). The product is
     built one party at a time, left to right, so given Python powers every
-    row that :func:`_step_rows` and :func:`main_branch_path` share is the
-    same bit for bit.
+    column that :func:`_built_table` and :func:`main_branch_path` share is
+    the same bit for bit.
     """
-    diag = np.ones((ahead.size, 1))
+    if out is None:
+        out = np.empty((2 ** parties, ahead.size))
+    diag = np.ones((1, ahead.size))
     for party in range(1, parties + 1):
-        zero = np.where(party <= ahead, later, now)[:, None]
+        zero = np.where(party <= ahead, later, now)
         one = diag
         if halt is not None:
-            acting = (party == ahead + 1)[:, None]
-            zero = np.where(acting, halt[:, None], zero)
+            acting = party == ahead + 1
+            zero = np.where(acting, halt, zero)
             one = np.where(acting, 0.0, diag)
-        diag = np.stack([diag * zero, one], axis=2)
-        diag = diag.reshape(ahead.size, 2 ** party)
+        nxt = out if party == parties else np.empty((2 ** party, ahead.size))
+        np.multiply(diag, zero, out=nxt[0::2])
+        nxt[1::2] = one
+        diag = nxt
     return diag
 
 
@@ -862,18 +950,18 @@ def main_branch_diagonals(parties: int, rounds: int, exponent: float,
         hi = np.where(above, hi, mid)
     k = np.concatenate([lo, hi])
     n = np.floor(k / parties)
-    # Python powers of the few cycles the grid needs, as in _step_rows.
+    # Python powers of the few cycles the grid needs, as in _built_table.
     cycles, at = np.unique(np.concatenate([n, n + 1.0]), return_inverse=True)
     now, later = np.split(
         np.array([eta ** x for x in cycles.tolist()])[at], 2)
     top, bottom = np.split(
-        _node_diagonals(parties, now, later, k - n * parties), 2)
-    t_top, t_bottom = top.sum(axis=1), bottom.sum(axis=1)
+        _node_diagonals(parties, now, later, k - n * parties), 2, axis=1)
+    t_top, t_bottom = _traces(top), _traces(bottom)
     span = t_top - t_bottom
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.where(span > 0.0, (s - t_bottom) / span, 0.0)
-    lam = np.clip(lam, 0.0, 1.0)[:, None]
-    return lam * top + (1.0 - lam) * bottom
+    lam = np.clip(lam, 0.0, 1.0)
+    return np.ascontiguousarray((lam * top + (1.0 - lam) * bottom).T)
 
 
 def _clamped(s, top: float, message: str) -> np.ndarray:

@@ -616,7 +616,7 @@ class TestHugeRounds:
         def refuse(*args, **kwargs):
             raise AssertionError("step table built")
 
-        monkeypatch.setattr(protocols, "_step_rows", refuse)
+        monkeypatch.setattr(protocols, "_built_table", refuse)
         status, rep = run(capsys, *argv)
         assert status == 0
         assert rep["pass"] is True

@@ -193,7 +193,7 @@ class TestClosedFormMultiplier:
         def refuse(*args, **kwargs):
             raise AssertionError("step table built")
 
-        monkeypatch.setattr(protocols, "_step_rows", refuse)
+        monkeypatch.setattr(protocols, "_built_table", refuse)
         dist = multiplier_distance(3, prelimit_coefficients(3, 10 ** 12, 0.5),
                                    pqubit_coefficients(3))
         assert dist == pytest.approx(0.227e-6, rel=0.01)

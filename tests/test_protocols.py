@@ -437,6 +437,56 @@ class TestVerifyTreeAgainstReference:
                 if f.kind.startswith("locality")][:3] == [(0,), (1,), (0, 0)]
 
 
+class TestChunkBoundaries:
+    """verify_tree in column ranges of a few columns: the running
+    leaf sum is carried from one range to the next, and a hand-built
+    tree's chains, read when it is made, still hold after its elements
+    are assigned."""
+
+    @pytest.fixture(autouse=True)
+    def few_columns(self, monkeypatch):
+        # Two columns a range at 2^P = 8 entries, one once an override
+        # adds a pair of rows, four at 2^P = 4.
+        monkeypatch.setattr(protocols, "_CHUNK_ENTRIES", 16)
+
+    def test_built_tree_faults_in_different_ranges(self):
+        tree = build_protocol_pq(3, 40, 0.5)
+        _assert_same_report(verify_tree(tree), _reference_verify_tree(tree))
+        leaf = tree.node_at((1,) * 10 + (0,))
+        leaf.povm_element = 1.01 * leaf.povm_element
+        node = tree.node_at((1,) * 50)
+        bumped = node.povm_element.copy()
+        bumped[0, 1] += 1e-3
+        bumped[1, 0] += 1e-3
+        node.povm_element = bumped
+        got = verify_tree(tree)
+        # Bottom-up: the bumped node, then every ancestor of the leaf.
+        assert [f.node_path for f in got.failures if f.kind == "leaf-sum"] \
+            == [(1,) * 50] + [(1,) * k for k in range(10, -1, -1)]
+        assert ((1,) * 50, "product") in {(f.node_path, f.kind)
+                                          for f in got.failures}
+        _assert_same_report(got, _reference_verify_tree(tree))
+
+    @pytest.mark.parametrize("make", [
+        # One chain of last children through arities 1 to 4.
+        lambda: _mixed_caterpillar(3, (2, 4, 1, 3, 2, 4, 3, 2, 1, 4, 2, 3),
+                                   (1, 3, 0, 2, 1, 3, 2, 1, 0, 3, 1, 2)),
+        # The branch goes on at a first child at step 6: two long chains.
+        lambda: _mixed_caterpillar(3, (2, 4, 1, 3, 2, 4, 3, 2, 1, 4, 2, 3),
+                                   (1, 3, 0, 2, 1, 3, 0, 1, 0, 3, 1, 2)),
+        lambda: _branching_tree(2, 5, 2),
+    ], ids=["one-chain", "two-chains", "branching"])
+    def test_hand_built_trees_after_assignment(self, make):
+        tree = make()
+        rep = verify_tree(tree)
+        assert rep.ok
+        _assert_same_report(rep, _reference_verify_tree(tree))
+        _inject_one_fault_of_each_kind(tree, [5, 11, 17, 23])
+        got = verify_tree(tree)
+        assert not got.ok
+        _assert_same_report(got, _reference_verify_tree(tree))
+
+
 def _corrupt_rows(table, picks):
     """Scale a halt row, bump one entry of a continue row so that it is no
     longer a product, and make a row traceless, at the drawn rows."""
@@ -937,7 +987,7 @@ class TestClosedFormMainBranch:
         def refuse(*args, **kwargs):
             raise AssertionError("step table built")
 
-        monkeypatch.setattr(protocols, "_step_rows", refuse)
+        monkeypatch.setattr(protocols, "_built_table", refuse)
         rep = path_distance_bound(6, 10 ** 12, 0.5)
         assert rep.passed
         assert 0.0 < rep.max_distance <= rep.bound
