@@ -177,18 +177,22 @@ def minimal_kraus(k: KrausSet) -> KrausSet:
 
     Operators come out ordered by decreasing Choi eigenvalue, each scaled by
     the square root of its eigenvalue, with the phase of the largest entry
-    pinned to the positive real axis so reruns are bit-stable.
+    pinned to the positive real axis so reruns are bit-stable. A single
+    nonzero operator is its own minimal set: only its phase is pinned, and
+    no Choi matrix is built.
     """
-    mat = choi(k, normalized=False).matrix
-    w, vecs = np.linalg.eigh(mat)
-    top = float(w.max(initial=0.0))
+    if k.n_operators == 1:
+        ops, top = k.operators, float(np.abs(k.operators).max())
+    else:
+        w, vecs = np.linalg.eigh(choi(k, normalized=False).matrix)
+        top = float(w.max(initial=0.0))
+        d, do = k.input_dim, k.output_dim
+        ops = [vecs[:, i].reshape(d, do).T * np.sqrt(w[i])
+               for i in np.where(w > RANK_TOL * top)[0][::-1]]
     if top <= 0.0:
         raise ValueError("zero channel has no Kraus decomposition")
-    keep = np.where(w > RANK_TOL * top)[0][::-1]
-    d, do = k.input_dim, k.output_dim
     out = []
-    for i in keep:
-        op = vecs[:, i].reshape(d, do).T * np.sqrt(w[i])
+    for op in ops:
         j = np.unravel_index(np.argmax(np.abs(op)), op.shape)
         ph = op[j] / abs(op[j])
         out.append(op * ph.conj())

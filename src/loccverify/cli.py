@@ -41,6 +41,7 @@ from .zonoid import (
     hausdorff_estimate,
     membership,
     support_function,
+    zonoid_bytes,
     zonoid_spec_for_channel,
     zonoid_spec_for_instrument,
 )
@@ -65,6 +66,8 @@ _HAUSDORFF_SAMPLE_BYTES = 1344
 # Bytes each entry of a Choi matrix holds: in `choi` with its printed JSON,
 # in `distance` as the padded Choi matrices and their difference.
 _CHOI_ENTRY_BYTES = {"choi": 300, "distance": 52}
+# Bytes each operator entry of a zonoid-check basis holds as parsed JSON.
+_BASIS_ENTRY_BYTES = 200
 _SIZE_FLAGS = ("samples", "sigma_samples", "grid", "nodes")
 
 
@@ -191,16 +194,11 @@ def work_bytes(args, *inputs) -> int:
     point), Gauss-Legendre rules with --nodes (numpy's rule diagonalises an
     n x n companion matrix), Hausdorff estimates with their directions,
     and choi and distance with the (d d_out)^2 entries of a Choi matrix. A
-    basis of kappa operators on dimension d whose blocks support m
-    coefficients holds its Gram operators and their transpose (kappa^2
-    d^2 entries each), the linear map, its pseudo-inverse and their
-    product's complement ``normal`` (d^2 m, d^2 m and m^2 entries, with
-    temporaries) and the d^2 canonical directions (d^4 entries); an
-    instrument's minimal Kraus sets come first, one Choi matrix and its
-    eigenvectors per outcome. The parts are held one after another, so
-    the estimate is a fixed part plus the largest. Fitted under
-    tracemalloc on CPython 3.11 and numpy 2.4: at least the measured peak,
-    and within 1.5 times it once one part passes a few MiB.
+    zonoid-check basis is parsed, then builds its zonoid and answers as
+    :func:`~loccverify.zonoid.zonoid_bytes` counts it. The parts are held
+    one after another, so the estimate is a fixed part plus the largest.
+    Fitted under tracemalloc on CPython 3.11 and numpy 2.4: at least the
+    measured peak, and within 1.5 times it once one part passes a few MiB.
     """
     parts = [0]
     if args.command in _CHOI_ENTRY_BYTES:
@@ -209,16 +207,9 @@ def work_bytes(args, *inputs) -> int:
         parts.append(_CHOI_ENTRY_BYTES[args.command] * (d * out) ** 2)
     if args.command == "zonoid-check":
         (basis,) = inputs
-        if isinstance(basis, Instrument):
-            blocks = basis.partition
-            basis = basis.kraus
-            parts.append(36 * (basis.input_dim * basis.output_dim) ** 2)
-        else:
-            blocks = [range(basis.n_operators)]
-        kappa, d = basis.n_operators, basis.input_dim
-        m = sum(len(b) ** 2 for b in blocks)
-        parts.append(32 * kappa ** 2 * d ** 2 + 48 * d ** 2 * m
-                     + 40 * m ** 2 + 16 * d ** 4)
+        kraus = basis.kraus if isinstance(basis, Instrument) else basis
+        parts += [_BASIS_ENTRY_BYTES * kraus.operators.size,
+                  zonoid_bytes(basis)]
     if args.command in _THEOREM_SAMPLE_BYTES:
         per_s, per_sigma = _THEOREM_SAMPLE_BYTES[args.command]
         # --samples 0 is the dense grid: spacing 0.01 on [1, 4].

@@ -119,10 +119,8 @@ class ZonoidSpec:
 
     def solver(self) -> "_MembershipSolver":
         if self._solver is None:
-            ops = self.basis.operators
-            self._solver = _MembershipSolver(
-                np.einsum("mba,nbc->mnac", ops.conj(), ops),
-                self.block_list())
+            self._solver = _MembershipSolver(self.basis.operators,
+                                             self.block_list())
         return self._solver
 
 
@@ -189,12 +187,13 @@ class _MembershipSolver:
     (O'Donoghue and Candes 2015), so every iterate is box feasible and the
     residual ||L(C) - z|| of the best one decides the answer.
 
-    The descent carries C as the vector of its block-supported entries,
-    so L is the matrix ``a`` and the distance to the slice is
-    ||a^+ (a c - z)||. Its gradient a^+ a c - a^+ z applies the projector
-    onto the row space of ``a``, so the Lipschitz constant is 1 in every
-    direction, however ill-conditioned L is, and a step of length 1 is
-    one matvec with ``normal`` = I - a^+ a plus the shift a^+ z.
+    L is held once, as ``lmap`` on the output entries (``rows``, ``cols``)
+    that the basis ``ops`` reaches; it is zero on the others. The descent
+    carries C as the vector of its block-supported entries and z as
+    :meth:`target`, so L is the matrix ``a`` and the distance to the slice
+    is ||a^+ (a c - z)||. Its gradient a^+ (a c - z) applies the projector
+    onto the row space of ``a``, so the Lipschitz constant is 1 however
+    ill-conditioned L is, and a step of length 1 is y - a^+ (a y - z).
 
     Where the slice meets the box only on a face there is no Slater point
     and the descent crawls. So a descent that has neither converged nor
@@ -203,37 +202,43 @@ class _MembershipSolver:
     carries on, so every infeasible answer comes from the whole problem.
     """
 
-    def __init__(self, gram_ops: np.ndarray, blocks):
-        # gram_ops[m, n] = Khat_m^dag Khat_n on the input space.
-        kappa, _, d, _ = gram_ops.shape
-        self.kappa = kappa
+    def __init__(self, ops: np.ndarray, blocks):
+        kappa, _, d = ops.shape
+        self.ops, self.kappa, self.dim = ops, kappa, d
+        self.rows, self.cols = rows, cols = _reached_entries(ops)
+        # lmap[e, m, n] = (Khat_m^dag Khat_n)[rows[e], cols[e]].
+        self.lmap = lmap = np.einsum("mbe,nbe->emn", ops[:, :, rows].conj(),
+                                     ops[:, :, cols])
+        # The flat reached entries, then a slot for the norm of z off them.
+        self.slots = np.append(rows * d + cols, 0)
+        self.off = np.delete(np.arange(d * d), self.slots[:-1])
         self.blocks = [list(blk) for blk in blocks]
         self.grids = [np.ix_(blk, blk) for blk in self.blocks]
-        self.gram_ops = gram_ops
-        mask = np.zeros((kappa, kappa), dtype=bool)
+        self.mask = mask = np.zeros((kappa, kappa), dtype=bool)
         for grid in self.grids:
             mask[grid] = True
-        self.mask = mask
-        a_full = self.gram_ops.reshape(kappa * kappa, d * d).T
-        self.a = a_full[:, mask.reshape(-1)]
+        # L on the masked entries, then a zero row for that slot.
+        self.a = np.vstack([lmap[:, mask], np.zeros(int(mask.sum()))])
         self.a_pinv = np.linalg.pinv(self.a, rcond=1e-13)
-        # I minus the projector onto the row space of a.
-        self.normal = np.eye(self.a.shape[1]) - self.a_pinv @ self.a
         self.ident = np.eye(kappa, dtype=np.complex128)[mask]
         self.ident_image = self.a @ self.ident
         # a^+ z + mid is the slice point nearest the box centre I/2.
-        self.mid = self.normal @ (0.5 * self.ident)
-        # overlap_ops[(a, b), (p, m)] = gram_ops[m, p, b, a].
-        self.overlap_ops = np.ascontiguousarray(
-            gram_ops.transpose(3, 2, 1, 0).reshape(d * d, kappa * kappa))
-        self.canonical = _canonical_directions(d)
+        self.mid = 0.5 * (self.ident - self.a_pinv @ self.ident_image)
+
+    def target(self, z: np.ndarray) -> np.ndarray:
+        """z at the reached entries, then the norm of its part off them, so
+        that ||a c - target(z)|| = ||L(C) - z|| for every masked vector c."""
+        zvec, off = z.take(self.slots), z.take(self.off)
+        zvec[-1] = math.sqrt(np.vdot(off, off).real)
+        return zvec
 
     def image(self, c: np.ndarray) -> np.ndarray:
-        """L(C) of a coefficient matrix, or of each of a stack (..., k, k)."""
-        return np.einsum("...mn,mnac->...ac", c, self.gram_ops)
-
-    def residual(self, c: np.ndarray, z: np.ndarray) -> float:
-        return float(np.linalg.norm(self.image(c) - z))
+        """L(C) of a coefficient matrix, or of each of a stack (..., k, k):
+        the map's values scattered into zero d x d matrices."""
+        out = np.zeros(c.shape[:-2] + (self.dim, self.dim), dtype=complex)
+        out[..., self.rows, self.cols] = np.einsum("...mn,emn->...e", c,
+                                                   self.lmap)
+        return out
 
     def to_matrix(self, x: np.ndarray) -> np.ndarray:
         """Scatter a masked vector into its kappa x kappa matrix."""
@@ -268,15 +273,17 @@ class _MembershipSolver:
         w = np.linalg.eigvalsh(m)
         return (w[:, 0] >= -ROUNDING_TOL) & (w[:, -1] <= 1.0 + ROUNDING_TOL)
 
-    def overlap(self, xs: np.ndarray) -> np.ndarray:
-        """A[m', m] = Tr(x Khat_m^dag Khat_m') of each direction of ``xs``:
-        one product of the flattened directions with ``overlap_ops``."""
-        n, k = len(xs), self.kappa
-        return (xs.reshape(n, -1) @ self.overlap_ops).reshape(n, k, k)
+    def overlap(self, xt: np.ndarray) -> np.ndarray:
+        """A[m', m] = Tr(x Khat_m^dag Khat_m') of each direction x of a
+        stack, given by its values x[cols, rows] at the transposed reached
+        entries: one product with the map."""
+        n, k = len(xt), self.kappa
+        lmap_t = self.lmap.transpose(0, 2, 1).reshape(-1, k * k)
+        return (xt @ lmap_t).reshape(n, k, k)
 
     def support(self, xs: np.ndarray) -> np.ndarray:
         """h(x) for each direction of the stack ``xs``, shape (k, d, d)."""
-        return self.support_of(self.overlap(xs))
+        return self.support_of(self.overlap(xs[:, self.cols, self.rows]))
 
     def support_of(self, overlap: np.ndarray) -> np.ndarray:
         """h(x) from the overlap matrices A(x) of a stack of directions: the
@@ -294,9 +301,10 @@ class _MembershipSolver:
                           ) -> tuple[np.ndarray, float] | None:
         """Separating-direction test of z against a point L(c).
 
-        ``r`` is z - L(c), flattened, and ``x`` the flattened direction to
-        test. With x replaced by its unit Hermitian part, any zonoid point
-        y obeys Re<x, y> <= h(x), so
+        ``r`` is target(z) - a c and ``x`` the direction to test, which
+        holds x[-1] / r[-1] times the part of z off the reached entries.
+        With x replaced by its unit Hermitian part, any zonoid point y
+        obeys Re<x, y> <= h(x), so
         dist(z, zonoid) >= Re<x, z> - h(x). Returns (x, gap) when that gap
         is above ``tol``, else None. The gap is at most the distance, which
         is at most ||r|| when c is in the box or r is orthogonal to the
@@ -304,51 +312,54 @@ class _MembershipSolver:
         """
         if not np.vdot(r, r).real > tol * tol:
             return None
-        x = x.reshape(z.shape)
-        x = 0.5 * (x + x.conj().T)
-        x = x / float(np.linalg.norm(x))
-        gap = float(np.real(np.vdot(x, z))) - float(self.support(x[None])[0])
-        return (x, gap) if gap > tol else None
+        u = z * (x[-1] / r[-1]) if r[-1] else np.zeros_like(z)
+        u[self.rows, self.cols] = x[:-1]
+        u = 0.5 * (u + u.conj().T)
+        u = u / float(np.linalg.norm(u))
+        gap = float(np.real(np.vdot(u, z))) - float(self.support(u[None])[0])
+        return (u, gap) if gap > tol else None
 
     def _candidates(self, zvec: np.ndarray, c0: np.ndarray, off: np.ndarray,
                     gate: float):
-        """An exact witness of z, or (None, ""): the identity, then two
-        points of the slice, the point c0 + mid nearest the box centre I/2
-        in Frobenius norm (the box is the operator-norm ball of radius 1/2
-        about I/2) and c0 = a^+ z. A candidate answers when its own
-        residual ||a c - z|| is at most ``gate`` and it lies in the box.
-        The residual of c0 is ||off||, the part of z off the span of a;
-        that of every slice point is at least it, so a large ``off`` skips
-        both before any eigenvalue call."""
-        if np.linalg.norm(self.ident_image - zvec) <= gate:
-            return self.ident, "identity"
-        if np.linalg.norm(off) > gate:
-            return None, ""
+        """An exact witness of z, its stop and its residual, or None: the
+        identity, then two points of the slice, the point c0 + mid nearest
+        the box centre I/2 in Frobenius norm (the box is the operator-norm
+        ball of radius 1/2 about I/2) and c0 = a^+ z. A candidate answers
+        when its own residual ||a c - z|| is at most ``gate`` and it lies
+        in the box. The residual of c0 is ||off||, the part of z off the
+        span of a; that of every slice point is at least it, so a large
+        ``off`` skips both before any eigenvalue call."""
+        res = float(np.linalg.norm(self.ident_image - zvec))
+        if res <= gate:
+            return self.ident, "identity", res
+        res = float(np.linalg.norm(off))
+        if res > gate:
+            return None
         centre = c0 + self.mid
-        if (np.linalg.norm(self.a @ centre - zvec) <= gate
-                and self.in_box(self.to_matrix(centre))):
-            return centre, "affine"
-        if self.in_box(self.to_matrix(c0)):
-            return c0, "affine"
-        return None, ""
+        near = float(np.linalg.norm(self.a @ centre - zvec))
+        if near <= gate and self.in_box(self.to_matrix(centre)):
+            return centre, "affine", near
+        return (c0, "affine", res) if self.in_box(self.to_matrix(c0)) else None
 
     def expose_face(self, z: np.ndarray):
         """A proper face of the zonoid that holds z, or None.
 
-        The first direction x, among the canonical directions and then
-        their negatives, with A(x) nonzero and |Re<x, z> - h(x)| <=
-        ROUNDING_TOL exposes it. The negatives expose the faces on which
-        C vanishes on some vector, such as a zero block. Every box point
-        C with Re<x, L(C)> = h(x) is 1 on the positive eigenspace of A(x)
-        and 0 on the negative one, so the face is the image of
-        C = P + V0 Y V0^H with P the projector onto the positive
+        The first direction x, among the canonical directions on the
+        reached entries and then their negatives, with A(x) nonzero and
+        |Re<x, z> - h(x)| <= ROUNDING_TOL exposes it. The negatives expose
+        the faces on which C vanishes on some vector, such as a zero block.
+        Every box point C with Re<x, L(C)> = h(x) is 1 on the positive
+        eigenspace of A(x) and 0 on the negative one, so the face is the
+        image of C = P + V0 Y V0^H with P the projector onto the positive
         eigenvectors and 0 <= Y <= 1 on the kernel columns V0. Returns
         (x, P, V0, blocks of Y); the columns of V0 keep the block order,
         so Y stays block diagonal.
         """
-        xs = np.concatenate([self.canonical, -self.canonical])
-        overlaps = self.overlap(xs)
-        pairing = np.real(np.einsum("kab,ab->k", xs.conj(), z))
+        xs = _canonical_directions(self.rows, self.cols)
+        xs = np.concatenate([xs, -xs])
+        # A Hermitian x holds conj(x[a, c]) at the transposed entry (c, a).
+        overlaps = self.overlap(xs.conj())
+        pairing = np.real(xs.conj() @ z[self.rows, self.cols])
         gaps = np.abs(pairing - self.support_of(overlaps))
         for k in np.flatnonzero(gaps <= ROUNDING_TOL):
             a = overlaps[k]
@@ -368,7 +379,9 @@ class _MembershipSolver:
                     width += n0
             if width < self.kappa:
                 p = np.hstack(pos)
-                return xs[k], p @ p.conj().T, np.hstack(ker), blocks
+                x = np.zeros((self.dim, self.dim), dtype=complex)
+                x[self.rows, self.cols] = xs[k]
+                return x, p @ p.conj().T, np.hstack(ker), blocks
         return None
 
     def _face_solve(self, z: np.ndarray, tol: float, budget: int,
@@ -400,12 +413,9 @@ class _MembershipSolver:
                 solver = None
                 break
             # The basis K'_a = sum_n conj(ker[n, a]) Khat_n, so that
-            # L'(Y) = L(ker Y ker^H): gram[a, b] = sum_mn ker[m, a]
-            # conj(ker[n, b]) gram_ops[m, n], one index at a time.
-            gram = np.tensordot(
-                np.tensordot(ker, solver.gram_ops, axes=(0, 0)),
-                ker.conj(), axes=(1, 0)).transpose(0, 3, 1, 2)
-            solver = _MembershipSolver(gram, blocks)
+            # L'(Y) = L(ker Y ker^H).
+            solver = _MembershipSolver(
+                np.einsum("na,nbc->abc", ker.conj(), solver.ops), blocks)
         if not steps:
             return None
         if solver is None:
@@ -418,16 +428,15 @@ class _MembershipSolver:
         for proj, ker in reversed(steps):
             inner = proj + ker @ inner @ ker.conj().T
         witness = CoefficientMatrix(self.to_matrix(inner[self.mask]))
-        res = self.residual(witness.matrix, z)
+        res = float(np.linalg.norm(self.a @ witness.matrix[self.mask]
+                                   - self.target(z)))
         return MembershipReport(self.in_box(witness.matrix) and res <= tol,
                                 witness, res, iters, stop,
                                 f"face-{len(steps)}", face_x)
 
     def _descend(self, z: np.ndarray, c0: np.ndarray, tol: float,
                  budget: int, faces: bool) -> MembershipReport:
-        zvec = z.reshape(-1)
-        shift = self.a_pinv @ zvec
-        normal = self.normal
+        zvec = self.target(z)
         c = self.project_box(c0)
         y = c
         t = 1.0
@@ -442,13 +451,13 @@ class _MembershipSolver:
         while iters < budget:
             it += 1
             iters += 1
-            g = normal @ y + shift
+            g = y - self.a_pinv @ (self.a @ y - zvec)
             cn = self.project_box(g)
             # y - g is the gradient, so this is the sign of Re<grad, cn - c>.
             if np.vdot(y - g, cn - c).real > 0.0:
                 # The momentum step went uphill: restart from c.
                 t = 1.0
-                cn = self.project_box(normal @ c + shift)
+                cn = self.project_box(c - self.a_pinv @ (self.a @ c - zvec))
             delta = cn - c
             tn = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             y = cn + ((t - 1.0) / tn) * delta
@@ -516,26 +525,26 @@ class _MembershipSolver:
         the direction of r = z - L(c0) itself, the part of z outside the
         span of the Gram operators, a span the adjoint maps onto itself.
         On a basis of diagonal Kraus operators it is the off-diagonal part
-        of z. h need not vanish on
-        its direction up to rounding, so the gap is still taken from
-        ``support``.
+        of z. h need not vanish on its direction up to rounding, so the gap
+        is still taken from ``support``.
         """
-        zvec = z.reshape(-1)
+        zvec = self.target(z)
         c0 = self.a_pinv @ zvec
         off = zvec - self.a @ c0
-        cand, stop = self._candidates(zvec, c0, off,
-                                      min(tol, ROUNDING_TOL))
-        if cand is not None:
-            c = self.to_matrix(cand)
-            return MembershipReport(True, CoefficientMatrix(c),
-                                    self.residual(c, z), 0, stop, "candidate")
+        found = self._candidates(zvec, c0, off, min(tol, ROUNDING_TOL))
+        if found is not None:
+            cand, stop, res = found
+            return MembershipReport(True,
+                                    CoefficientMatrix(self.to_matrix(cand)),
+                                    res, 0, stop, "candidate")
         cert = self.outside_certified(z, off, off, tol)
         if cert is not None:
-            witness = CoefficientMatrix(self.to_matrix(self.project_box(c0)))
-            return MembershipReport(False, witness,
-                                    self.residual(witness.matrix, z), 0,
-                                    "outside", "span", separating=cert[0],
-                                    gap=cert[1])
+            box = self.project_box(c0)
+            res = float(np.linalg.norm(self.a @ box - zvec))
+            return MembershipReport(False,
+                                    CoefficientMatrix(self.to_matrix(box)),
+                                    res, 0, "outside", "span",
+                                    separating=cert[0], gap=cert[1])
         return self._descend(z, c0 if start is None else start, tol, budget,
                              faces)
 
@@ -580,21 +589,46 @@ def support_function(x, spec: ZonoidSpec) -> float:
     return float(spec.solver().support(x[None])[0])
 
 
-def _canonical_directions(d: int) -> np.ndarray:
-    """The canonical Hermitian basis of d x d matrices, stacked: the
-    diagonal units, then the real and imaginary off-diagonal pair of each
-    i < j, all of unit Frobenius norm."""
+def _reached_entries(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns, row-major, of the entries (a, c) of Khat_m^dag
+    Khat_n that some output row b with nonzero (b, a) and (b, c) reaches."""
+    reach = (ops != 0).any(axis=0).astype(float)
+    return np.nonzero(reach.T @ reach)
+
+
+def zonoid_bytes(basis: KrausSet | Instrument) -> int:
+    """Traced peak bytes of building the zonoid of ``basis`` and answering
+    on it without a face step (which can take twice this): a Choi matrix
+    for each outcome of two or more operators, then the map on its E
+    entries while pinv takes ``a``, its conjugate, singular vectors and
+    result."""
+    choi_part = 0
+    if isinstance(basis, Instrument):
+        blocks, basis = basis.partition, basis.kraus
+        if max(map(len, blocks)) > 1:
+            choi_part = 36 * (basis.input_dim * basis.output_dim) ** 2
+    else:
+        blocks = [range(basis.n_operators)]
+    n = len(_reached_entries(basis.operators)[0]) + 1
+    m = sum(len(b) ** 2 for b in blocks)
+    return max(choi_part,
+               16 * n * (basis.n_operators ** 2 + 4 * m + 2 * min(n, m)))
+
+
+def _canonical_directions(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Values at row-major entries closed under transposition of the unit
+    Hermitian directions on them: the diagonal units, then the real and the
+    imaginary pair of each i < j; on all d^2 entries, the canonical basis."""
     r = 1.0 / np.sqrt(2.0)
-    basis = np.zeros((d * d, d, d), dtype=np.complex128)
-    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            basis[k, i, j] = basis[k, j, i] = r
-            basis[k + 1, i, j] = -1j * r
-            basis[k + 1, j, i] = 1j * r
-            k += 2
-    return basis
+    # Entry t[e] is the transpose of entry e.
+    t = np.lexsort((rows, cols))
+    diag, upper = np.flatnonzero(rows == cols), np.flatnonzero(rows < cols)
+    xs = np.zeros((len(rows), len(rows)), dtype=complex)
+    xs[np.arange(len(diag)), diag] = 1.0
+    k = len(diag) + 2 * np.arange(len(upper))
+    xs[k, upper] = xs[k, t[upper]] = r
+    xs[k + 1, upper], xs[k + 1, t[upper]] = -1j * r, 1j * r
+    return xs
 
 
 def _directions(d: int, samples: int, seed: int) -> np.ndarray:
@@ -615,7 +649,8 @@ def _directions(d: int, samples: int, seed: int) -> np.ndarray:
           + flat.imag @ flat.imag.transpose(0, 2, 1))
     nrm = np.sqrt(sq.reshape(samples))
     keep = nrm > 0.0
-    return np.concatenate([_canonical_directions(d),
+    every = np.indices((d, d)).reshape(2, -1)
+    return np.concatenate([_canonical_directions(*every).reshape(-1, d, d),
                            h[keep] / nrm[keep, None, None]])
 
 

@@ -304,9 +304,11 @@ class TestExitCodes:
         ["choi", "--kraus", inline_kraus([np.ones((1, 4096))], (4096,), (1,))],
         ["distance", "--a", inline_kraus([np.ones((1, 4096))], (4096,), (1,)),
          "--b", inline_kraus([np.ones((1, 4096))], (4096,), (1,))],
-        ["zonoid-check", "--basis", inline_kraus(matrix_units(8), (8,), (8,))],
         ["zonoid-check", "--basis",
-         inline_kraus([np.eye(64)], (64,), (64,), [[0]])],
+         inline_kraus(matrix_units(16), (16,), (16,))],
+        ["zonoid-check", "--basis",
+         inline_kraus(np.random.default_rng(6).standard_normal((2, 64, 64)),
+                      (64,), (64,), [[0, 1]])],
     ])
     def test_oversized_inputs_are_refused_before_any_work(
             self, capsys, monkeypatch, argv):
@@ -335,7 +337,8 @@ class TestExitCodes:
          inline_kraus(np.random.default_rng(5).standard_normal((16, 16, 16)),
                       (16,), (16,))],
         ["zonoid-check", "--basis",
-         inline_kraus([np.eye(24)], (24,), (24,), [[0]])],
+         inline_kraus([np.eye(24) / np.sqrt(2.0)] * 2, (24,), (24,),
+                      [[0, 1]])],
     ])
     def test_input_work_bytes_bound_the_run(self, argv):
         # The same run first, so lazily built tables are not counted.

@@ -1,6 +1,9 @@
 """Tests for zonoid membership, support functions, and coefficient fits."""
 
 import dataclasses
+import functools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loccverify import (
+    Instrument,
     NotInSpanError,
     PartyDims,
     ZonoidSpec,
     channel_zonoid,
+    choi,
     cmatrix_resolution_check,
     endpoint_cmatrix,
     hausdorff_estimate,
@@ -20,6 +25,7 @@ from loccverify import (
     main_branch_diagonals,
     main_branch_path,
     membership,
+    minimal_kraus,
     pqubit_coefficients,
     prelimit_channel,
     separation_gap,
@@ -70,6 +76,41 @@ class TestSpecConstruction:
         spec = zonoid_spec_for_instrument(two_qubit_instrument().instrument)
         assert spec.kappa == 5
         assert spec.blocks == ((0,), (1, 2), (3, 4))
+
+    def test_one_operator_outcomes_skip_the_choi_matrix(self):
+        inst = two_qubit_instrument().instrument
+        want = np.concatenate([_choi_route(inst.branch(r))
+                               for r in range(inst.n_outcomes)])
+        got = zonoid_spec_for_instrument(inst).basis.operators
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        # One 32 x 32 operator; its Choi matrix alone would hold 16 MiB.
+        u = haar_unitary(32, np.random.default_rng(4))
+        big = Instrument(kraus_from_operators([u], PartyDims((32,))),
+                         ((0,),))
+        tracemalloc.start()
+        try:
+            spec = zonoid_spec_for_instrument(big)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        j = np.unravel_index(np.argmax(np.abs(u)), u.shape)
+        np.testing.assert_array_equal(spec.basis.operators[0],
+                                      u * (u[j] / abs(u[j])).conj())
+        with pytest.raises(ValueError, match="zero channel"):
+            minimal_kraus(kraus_from_operators([np.zeros((2, 2))], D2))
+
+
+def _choi_route(k):
+    """The minimal Kraus set from the eigenvectors of the Choi matrix,
+    the largest entry of each made real and positive."""
+    w, v = np.linalg.eigh(choi(k, normalized=False).matrix)
+    ops = []
+    for i in np.flatnonzero(w > 1e-8 * w[-1])[::-1]:
+        op = v[:, i].reshape(k.input_dim, k.output_dim).T * np.sqrt(w[i])
+        j = np.unravel_index(np.argmax(np.abs(op)), op.shape)
+        ops.append(op * (op[j] / abs(op[j])).conj())
+    return np.array(ops)
 
 
 class TestSquareExample:
@@ -212,9 +253,10 @@ class TestMembershipReports:
         assert rep.feasible
         assert _k_reduced_witness_residual(rep.witness.matrix, z) <= 1e-9
         assert (rep.phase, rep.iterations) == ("candidate", 0)
-        s = spec.solver()
-        rep = s._face_solve(z, 1e-9, zonoid.MEMBERSHIP_MAX_ITER,
-                            s.a_pinv @ z.reshape(-1))
+        a, _ = _dense_map(spec)
+        rep = spec.solver()._face_solve(
+            z, 1e-9, zonoid.MEMBERSHIP_MAX_ITER,
+            np.linalg.pinv(a, rcond=1e-13) @ z.reshape(-1))
         assert rep.feasible
         assert _k_reduced_witness_residual(rep.witness.matrix, z) <= 1e-9
         assert rep.phase == "face-2"
@@ -545,6 +587,16 @@ def _gram(spec):
     return np.einsum("mba,nbc->mnac", ops.conj(), ops)
 
 
+def _dense_map(spec):
+    """L as the d^2 x m matrix on the m block-supported coefficients,
+    built from ``_gram``, and the kappa x kappa mask of those."""
+    mask = np.zeros((spec.kappa, spec.kappa), dtype=bool)
+    for blk in spec.block_list():
+        mask[np.ix_(blk, blk)] = True
+    flat = _gram(spec).reshape(spec.kappa ** 2, spec.dim ** 2).T
+    return flat[:, mask.reshape(-1)], mask
+
+
 def _k_reduced_witness_residual(c, z):
     """||L(C) - z|| with L rebuilt from K_REDUCED, after checking that C is
     Hermitian with its eigenvalues in [0, 1] to 1e-12."""
@@ -690,25 +742,25 @@ def test_candidate_answers_are_exact_box_witnesses(name, seed, pin):
     # basis operators; an `affine` one is a^+ z or the slice point nearest
     # the box centre, whose offset from I/2 has no part in the kernel of a.
     spec = BASES[name]()
-    s = spec.solver()
+    a, mask = _dense_map(spec)
     z = np.einsum("mn,mnac->ac", _random_box(
         spec, np.random.default_rng(seed), pin), _gram(spec))
     z = 0.5 * (z + z.conj().T)
     zvec = z.reshape(-1)
-    pinv = np.linalg.pinv(s.a, rcond=1e-13)
+    pinv = np.linalg.pinv(a, rcond=1e-13)
     c0 = pinv @ zvec
-    centre = c0 + s.mid
-    kernel = np.eye(s.a.shape[1]) - pinv @ s.a
-    half = 0.5 * np.eye(spec.kappa)[s.mask]
+    centre = c0 + spec.solver().mid
+    kernel = np.eye(a.shape[1]) - pinv @ a
+    half = 0.5 * np.eye(spec.kappa)[mask]
     np.testing.assert_allclose(kernel @ (centre - half), 0.0, rtol=0.0,
                                atol=1e-12)
-    np.testing.assert_allclose(s.a @ centre, zvec, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(a @ centre, zvec, rtol=0.0, atol=1e-12)
     rep = membership(z, spec)
     assert rep.feasible
     if rep.phase != "candidate":
         return
     w = rep.witness.matrix
-    assert np.all(w[~s.mask] == 0.0)
+    assert np.all(w[~mask] == 0.0)
     for blk in spec.block_list():
         eig = np.linalg.eigvalsh(w[np.ix_(blk, blk)])
         assert eig[0] >= -ROUNDING_TOL and eig[-1] <= 1.0 + ROUNDING_TOL
@@ -716,7 +768,7 @@ def test_candidate_answers_are_exact_box_witnesses(name, seed, pin):
     image = np.einsum("mn,mba,nbc->ac", w, ops.conj(), ops)
     assert np.linalg.norm(image - z) <= 1e-12
     if rep.stop == "affine":
-        assert any(np.allclose(w[s.mask], c, rtol=0.0, atol=1e-14)
+        assert any(np.allclose(w[mask], c, rtol=0.0, atol=1e-14)
                    for c in (c0, centre))
 
 
@@ -735,7 +787,8 @@ def _reference_feasible(spec, z):
     matrices: einsum image and adjoint, one eigh per block, the identity
     and a^+ z as candidates, the same FISTA restart rule and stop rules."""
     s = spec.solver()
-    gram, mask, kappa = _gram(spec), s.mask, spec.kappa
+    gram, kappa = _gram(spec), spec.kappa
+    a, mask = _dense_map(spec)
 
     def image(c):
         return np.einsum("mn,mnac->ac", c, gram)
@@ -750,12 +803,12 @@ def _reference_feasible(spec, z):
         return _block_box(s.grids, kappa, c)
 
     c0 = np.zeros((kappa, kappa), dtype=complex)
-    c0[mask] = np.linalg.pinv(s.a, rcond=1e-13) @ z.reshape(-1)
+    c0[mask] = np.linalg.pinv(a, rcond=1e-13) @ z.reshape(-1)
     if residual(np.where(mask, np.eye(kappa), 0.0)) <= ROUNDING_TOL:
         return True
     if s.in_box(c0) and residual(c0) <= ROUNDING_TOL:
         return True
-    step = 1.0 / np.linalg.svd(s.a, compute_uv=False)[0] ** 2
+    step = 1.0 / np.linalg.svd(a, compute_uv=False)[0] ** 2
     c = y = best = box(c0)
     t, best_res, last_improve = 1.0, residual(c), 0
     for it in range(zonoid.MEMBERSHIP_MAX_ITER):
@@ -793,6 +846,22 @@ def _old_directions(d, samples, seed):
         h = 0.5 * (g + g.conj().T)
         drawn.append(h / np.linalg.norm(h))
     return np.reshape(drawn, (-1, d, d))
+
+
+def _loop_canonical(d):
+    """The canonical Hermitian basis, one entry at a time: the diagonal
+    units, then the real and imaginary pair of each i < j."""
+    r = 1.0 / np.sqrt(2.0)
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    k = d
+    for i in range(d):
+        for j in range(i + 1, d):
+            basis[k, i, j] = basis[k, j, i] = r
+            basis[k + 1, i, j] = -1j * r
+            basis[k + 1, j, i] = 1j * r
+            k += 2
+    return basis
 
 
 @st.composite
@@ -845,19 +914,28 @@ class TestDescentKernel:
     @pytest.mark.parametrize("n", [0, 1, 500])
     def test_directions_are_the_per_direction_stream(self, d, n):
         xs = _directions(d, n, 17)
+        np.testing.assert_array_equal(xs[:d * d], _loop_canonical(d))
         np.testing.assert_array_equal(xs[d * d:], _old_directions(d, n, 17))
         longer = _directions(d, n + 7, 17)
         np.testing.assert_array_equal(longer[:len(xs)], xs)
 
     @pytest.mark.parametrize("name", sorted(BASES))
     def test_normal_is_the_kernel_projector(self, name):
-        # The descent steps with length 1 because normal = I - a^+ a is the
-        # orthogonal projector onto the kernel of a.
-        s = BASES[name]().solver()
-        n = s.normal
+        # The descent steps with length 1 because y -> y - a^+ (a y) is
+        # the orthogonal projector onto the kernel of L, the one the dense
+        # map gives.
+        spec = BASES[name]()
+        s = spec.solver()
+        eye = np.eye(s.a.shape[1])
+        n = eye - s.a_pinv @ (s.a @ eye)
         np.testing.assert_allclose(n, n.conj().T, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(n @ n, n, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(s.a @ n, 0.0, rtol=0.0, atol=1e-12)
+        a, _ = _dense_map(spec)
+        np.testing.assert_allclose(a @ n, 0.0, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            n, eye - np.linalg.pinv(a, rcond=1e-13) @ a, rtol=0.0,
+            atol=1e-12)
 
     def test_verdicts_match_matrix_form_descent(self):
         r = np.random.default_rng(90210)
@@ -1020,9 +1098,15 @@ class TestSeparatingCertificate:
         assert rep.separating is None and rep.gap is None
         if rep.phase == "candidate":
             return
-        s = spec.solver()
-        ref = s._descend(z, s.a_pinv @ z.reshape(-1), MEMBERSHIP_TOL,
-                         zonoid.MEMBERSHIP_MAX_ITER, True)
+        # a^+ z from the rows of the dense map that L reaches, and a zero
+        # row for the rest of z, which a^+ ignores.
+        a, _ = _dense_map(spec)
+        on = np.flatnonzero(np.abs(a).sum(axis=1))
+        a = np.vstack([a[on], np.zeros(a.shape[1])])
+        c0 = np.linalg.pinv(a, rcond=1e-13) @ np.append(
+            z.reshape(-1)[on], 0)
+        ref = spec.solver()._descend(z, c0, MEMBERSHIP_TOL,
+                                     zonoid.MEMBERSHIP_MAX_ITER, True)
         np.testing.assert_array_equal(rep.witness.matrix, ref.witness.matrix)
         assert (rep.residual, rep.iterations, rep.stop, rep.phase) == \
             (ref.residual, ref.iterations, ref.stop, ref.phase)
@@ -1066,3 +1150,70 @@ def test_descent_checkpoint_certifies_in_span_pushes(name):
         certified += rep.iterations == 100
     # 6 (channel) and 8 (instrument) of these 12 reach the checkpoint.
     assert certified >= 6
+
+
+# The built-in bases and the P-party multipliers, P = 2..5: diagonal
+# bases but one, ``interval``, whose map reaches every entry.
+ENTRY_SPECS = dict(BASES, **{f"multiplier-{p}":
+                             functools.partial(_multiplier_spec, p)
+                             for p in range(2, 6)})
+
+
+def _dense_overlaps(spec, xs):
+    """A[p, m] = Tr(x K_m^dag K_p) of each direction of ``xs``."""
+    return np.einsum("kab,mpba->kpm", xs, _gram(spec))
+
+
+class TestEntryMap:
+    @pytest.mark.parametrize("name", sorted(ENTRY_SPECS))
+    def test_image_and_support_match_the_dense_map(self, name):
+        spec = ENTRY_SPECS[name]()
+        s = spec.solver()
+        r = np.random.default_rng(11)
+        g = r.standard_normal((2, spec.kappa, spec.kappa))
+        # Box points, and a Hermitian C off the blocks as well.
+        cs = np.stack([_random_box(spec, r, pin) for pin in (0, 1) * 3]
+                      + [g[0] + g[0].T + 1j * (g[1] - g[1].T)])
+        np.testing.assert_allclose(
+            s.image(cs), np.einsum("smn,mnac->sac", cs, _gram(spec)),
+            rtol=0.0, atol=1e-12)
+        xs = _directions(spec.dim, 40, 3)
+        xs = xs[r.choice(len(xs), min(len(xs), 80), replace=False)]
+        dense = _dense_overlaps(spec, xs)
+        np.testing.assert_allclose(s.overlap(xs[:, s.cols, s.rows]), dense,
+                                   rtol=0.0, atol=1e-12)
+        want = np.zeros(len(xs))
+        for blk in spec.block_list():
+            w = np.linalg.eigvalsh(dense[:, blk][:, :, blk])
+            want += np.where(w > 0.0, w, 0.0).sum(axis=1)
+        np.testing.assert_allclose(s.support(xs), want, rtol=0.0,
+                                   atol=1e-12)
+
+    # d <= 16, so the dense overlaps of all d^2 directions stay cheap.
+    @pytest.mark.parametrize("name", sorted(set(ENTRY_SPECS)
+                                            - {"multiplier-5"}))
+    def test_canonical_directions_are_those_with_an_overlap(self, name):
+        spec = ENTRY_SPECS[name]()
+        s, d = spec.solver(), spec.dim
+        every = zonoid._canonical_directions(
+            *np.indices((d, d)).reshape(2, -1)).reshape(-1, d, d)
+        np.testing.assert_array_equal(every, _loop_canonical(d))
+        reaching = np.abs(_dense_overlaps(spec, every)).max(axis=(1, 2)) > 0
+        mine = zonoid._canonical_directions(s.rows, s.cols)
+        got = np.zeros((len(mine), d, d), dtype=complex)
+        got[:, s.rows, s.cols] = mine
+        np.testing.assert_array_equal(got, every[reaching])
+
+
+def test_six_party_solver_is_small_and_fast():
+    spec = _multiplier_spec(6)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        spec.solver()
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 32 * 2 ** 20
