@@ -186,8 +186,10 @@ def minimal_kraus(k: KrausSet) -> KrausSet:
     else:
         w, vecs = np.linalg.eigh(choi(k, normalized=False).matrix)
         top = float(w.max(initial=0.0))
-        d, do = k.input_dim, k.output_dim
-        ops = [vecs[:, i].reshape(d, do).T * np.sqrt(w[i])
+        # They lie in the span of k's operators: keep its zeros exact.
+        zero = (k.operators == 0).all(axis=0)
+        ops = [np.where(zero, 0.0, vecs[:, i].reshape(k.input_dim, -1).T
+                        * np.sqrt(w[i]))
                for i in np.where(w > RANK_TOL * top)[0][::-1]]
     if top <= 0.0:
         raise ValueError("zero channel has no Kraus decomposition")

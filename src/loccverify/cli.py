@@ -66,8 +66,6 @@ _HAUSDORFF_SAMPLE_BYTES = 1344
 # Bytes each entry of a Choi matrix holds: in `choi` with its printed JSON,
 # in `distance` as the padded Choi matrices and their difference.
 _CHOI_ENTRY_BYTES = {"choi": 300, "distance": 52}
-# Bytes each operator entry of a zonoid-check basis holds as parsed JSON.
-_BASIS_ENTRY_BYTES = 200
 _SIZE_FLAGS = ("samples", "sigma_samples", "grid", "nodes")
 
 
@@ -194,9 +192,9 @@ def work_bytes(args, *inputs) -> int:
     point), Gauss-Legendre rules with --nodes (numpy's rule diagonalises an
     n x n companion matrix), Hausdorff estimates with their directions,
     and choi and distance with the (d d_out)^2 entries of a Choi matrix. A
-    zonoid-check basis is parsed, then builds its zonoid and answers as
-    :func:`~loccverify.zonoid.zonoid_bytes` counts it. The parts are held
-    one after another, so the estimate is a fixed part plus the largest.
+    zonoid-check run is as :func:`~loccverify.zonoid.zonoid_bytes` counts
+    it. The parts are held one after another, so the estimate is a fixed
+    part plus the largest.
     Fitted under tracemalloc on CPython 3.11 and numpy 2.4: at least the
     measured peak, and within 1.5 times it once one part passes a few MiB.
     """
@@ -206,10 +204,7 @@ def work_bytes(args, *inputs) -> int:
         out = max(k.output_dim for k in inputs)
         parts.append(_CHOI_ENTRY_BYTES[args.command] * (d * out) ** 2)
     if args.command == "zonoid-check":
-        (basis,) = inputs
-        kraus = basis.kraus if isinstance(basis, Instrument) else basis
-        parts += [_BASIS_ENTRY_BYTES * kraus.operators.size,
-                  zonoid_bytes(basis)]
+        parts.append(zonoid_bytes(*inputs))
     if args.command in _THEOREM_SAMPLE_BYTES:
         per_s, per_sigma = _THEOREM_SAMPLE_BYTES[args.command]
         # --samples 0 is the dense grid: spacing 0.01 on [1, 4].

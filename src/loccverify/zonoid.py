@@ -205,7 +205,10 @@ class _MembershipSolver:
     def __init__(self, ops: np.ndarray, blocks):
         kappa, _, d = ops.shape
         self.ops, self.kappa, self.dim = ops, kappa, d
-        self.rows, self.cols = rows, cols = _reached_entries(ops)
+        # The entries (a, c) of Khat_m^dag Khat_n that some output row b
+        # with nonzero (b, a) and (b, c) reaches, row-major.
+        reach = (ops != 0).any(axis=0).astype(float)
+        self.rows, self.cols = rows, cols = np.nonzero(reach.T @ reach)
         # lmap[e, m, n] = (Khat_m^dag Khat_n)[rows[e], cols[e]].
         self.lmap = lmap = np.einsum("mbe,nbe->emn", ops[:, :, rows].conj(),
                                      ops[:, :, cols])
@@ -296,15 +299,15 @@ class _MembershipSolver:
             total += np.where(w > 0.0, w, 0.0).sum(axis=1)
         return total
 
-    def outside_certified(self, z: np.ndarray, r: np.ndarray,
-                          x: np.ndarray, tol: float
+    def outside_certified(self, z: np.ndarray, r: np.ndarray, tol: float,
+                          x: np.ndarray | None = None
                           ) -> tuple[np.ndarray, float] | None:
         """Separating-direction test of z against a point L(c).
 
-        ``r`` is target(z) - a c and ``x`` the direction to test, which
-        holds x[-1] / r[-1] times the part of z off the reached entries.
-        With x replaced by its unit Hermitian part, any zonoid point y
-        obeys Re<x, y> <= h(x), so
+        ``r`` is target(z) - a c and ``x`` the direction to test: by
+        default r itself, whose last slot stands for the part of z off the
+        reached entries; any other x is 0 there. With x replaced by its
+        unit Hermitian part, any zonoid point y obeys Re<x, y> <= h(x), so
         dist(z, zonoid) >= Re<x, z> - h(x). Returns (x, gap) when that gap
         is above ``tol``, else None. The gap is at most the distance, which
         is at most ||r|| when c is in the box or r is orthogonal to the
@@ -312,8 +315,8 @@ class _MembershipSolver:
         """
         if not np.vdot(r, r).real > tol * tol:
             return None
-        u = z * (x[-1] / r[-1]) if r[-1] else np.zeros_like(z)
-        u[self.rows, self.cols] = x[:-1]
+        u = z.copy() if x is None else np.zeros_like(z)
+        u[self.rows, self.cols] = (r if x is None else x)[:-1]
         u = 0.5 * (u + u.conj().T)
         u = u / float(np.linalg.norm(u))
         gap = float(np.real(np.vdot(u, z))) - float(self.support(u[None])[0])
@@ -353,16 +356,26 @@ class _MembershipSolver:
         image of C = P + V0 Y V0^H with P the projector onto the positive
         eigenvectors and 0 <= Y <= 1 on the kernel columns V0. Returns
         (x, P, V0, blocks of Y); the columns of V0 keep the block order,
-        so Y stays block diagonal.
+        so Y stays block diagonal. The spectra are taken an eighth of the
+        directions at a time, and h(-x) is h(x) - Tr A(x).
         """
-        xs = _canonical_directions(self.rows, self.cols)
-        xs = np.concatenate([xs, -xs])
-        # A Hermitian x holds conj(x[a, c]) at the transposed entry (c, a).
-        overlaps = self.overlap(xs.conj())
-        pairing = np.real(xs.conj() @ z[self.rows, self.cols])
-        gaps = np.abs(pairing - self.support_of(overlaps))
+        ents, vals = _canonical_directions(self.rows, self.cols)
+        # A Hermitian x holds conj(x[a, c]) at the transposed entry (c, a),
+        # so A(x) sums conj(value) lmap_t[entry] over its two terms.
+        lmap_t, n = self.lmap.transpose(0, 2, 1), len(ents)
+        h = np.concatenate([self.support_of(np.einsum(
+            "kj,kjmn->kmn", vals[ks].conj(), lmap_t[ents[ks]]))
+            for ks in np.array_split(np.arange(n), min(n, 8))])
+        pairing = np.real((vals.conj() * z[self.rows, self.cols][ents]).sum(1))
+        trace = np.real(
+            (vals.conj() * np.einsum("emm->e", self.lmap)[ents]).sum(1))
+        gaps = np.abs(np.concatenate([pairing - h, trace - h - pairing]))
         for k in np.flatnonzero(gaps <= ROUNDING_TOL):
-            a = overlaps[k]
+            x = np.zeros((self.dim, self.dim), dtype=complex)
+            for e, v in zip(ents[k % n, ::-1], vals[k % n, ::-1]):
+                x[self.rows[e], self.cols[e]] = v
+            x = x if k < n else -x
+            a = self.overlap(x[self.cols, self.rows][None])[0]
             pos, ker, blocks = [], [], []
             width = 0
             for blk, grid in zip(self.blocks, self.grids):
@@ -379,8 +392,6 @@ class _MembershipSolver:
                     width += n0
             if width < self.kappa:
                 p = np.hstack(pos)
-                x = np.zeros((self.dim, self.dim), dtype=complex)
-                x[self.rows, self.cols] = xs[k]
                 return x, p @ p.conj().T, np.hstack(ker), blocks
         return None
 
@@ -413,9 +424,9 @@ class _MembershipSolver:
                 solver = None
                 break
             # The basis K'_a = sum_n conj(ker[n, a]) Khat_n, so that
-            # L'(Y) = L(ker Y ker^H).
-            solver = _MembershipSolver(
-                np.einsum("na,nbc->abc", ker.conj(), solver.ops), blocks)
+            # L'(Y) = L(ker Y ker^H); the last face's solver is let go first.
+            ops, solver = np.einsum("na,nbc->abc", ker.conj(), solver.ops), None
+            solver = _MembershipSolver(ops, blocks)
         if not steps:
             return None
         if solver is None:
@@ -483,7 +494,7 @@ class _MembershipSolver:
                 # Near the minimiser a^H (a a^H)^+ r lies in the normal
                 # cone of the box at c, so (a a^H)^+ r is the direction.
                 cert = self.outside_certified(
-                    z, r, self.a_pinv.conj().T @ (self.a_pinv @ r), tol)
+                    z, r, tol, self.a_pinv.conj().T @ (self.a_pinv @ r))
                 if cert is not None:
                     stop = "outside"
                     break
@@ -499,9 +510,9 @@ class _MembershipSolver:
             # witness, then the checkpoint's direction (a a^H)^+ r, the
             # one that certifies where the descent stopped moving.
             r = zvec - self.a @ best
-            cert = (self.outside_certified(z, r, r, tol)
+            cert = (self.outside_certified(z, r, tol)
                     or self.outside_certified(
-                        z, r, self.a_pinv.conj().T @ (self.a_pinv @ r), tol))
+                        z, r, tol, self.a_pinv.conj().T @ (self.a_pinv @ r)))
             if cert is not None:
                 stop = "outside"
         x, gap = (None, None) if cert is None else cert
@@ -537,7 +548,7 @@ class _MembershipSolver:
             return MembershipReport(True,
                                     CoefficientMatrix(self.to_matrix(cand)),
                                     res, 0, stop, "candidate")
-        cert = self.outside_certified(z, off, off, tol)
+        cert = self.outside_certified(z, off, tol)
         if cert is not None:
             box = self.project_box(c0)
             res = float(np.linalg.norm(self.a @ box - zvec))
@@ -589,46 +600,42 @@ def support_function(x, spec: ZonoidSpec) -> float:
     return float(spec.solver().support(x[None])[0])
 
 
-def _reached_entries(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns, row-major, of the entries (a, c) of Khat_m^dag
-    Khat_n that some output row b with nonzero (b, a) and (b, c) reaches."""
-    reach = (ops != 0).any(axis=0).astype(float)
-    return np.nonzero(reach.T @ reach)
-
-
 def zonoid_bytes(basis: KrausSet | Instrument) -> int:
-    """Traced peak bytes of building the zonoid of ``basis`` and answering
-    on it without a face step (which can take twice this): a Choi matrix
-    for each outcome of two or more operators, then the map on its E
-    entries while pinv takes ``a``, its conjugate, singular vectors and
-    result."""
-    choi_part = 0
-    if isinstance(basis, Instrument):
-        blocks, basis = basis.partition, basis.kraus
-        if max(map(len, blocks)) > 1:
-            choi_part = 36 * (basis.input_dim * basis.output_dim) ** 2
-    else:
-        blocks = [range(basis.n_operators)]
-    n = len(_reached_entries(basis.operators)[0]) + 1
+    """Traced peak bytes of a zonoid-check run on ``basis`` as parsed from
+    JSON (200 bytes an operator entry): a Choi matrix for each outcome of
+    two or more operators, then the map on E entries while pinv takes
+    ``a``, its conjugate, singular vectors and result, and 300 bytes an
+    entry of the d x d target and report. E is bounded without a d x d
+    array: each distinct nonzero pattern S of an output row reaches S x S.
+    A face step's direction search holds less; its face solver is not
+    counted."""
+    kraus = basis.kraus if isinstance(basis, Instrument) else basis
+    blocks = getattr(basis, "partition", [range(kraus.n_operators)])
+    ops, d = kraus.operators, kraus.input_dim
+    rows = np.unique((ops != 0).any(axis=0), axis=0)
+    n = min(d * d, int((rows.sum(axis=1) ** 2).sum())) + 1
     m = sum(len(b) ** 2 for b in blocks)
-    return max(choi_part,
-               16 * n * (basis.n_operators ** 2 + 4 * m + 2 * min(n, m)))
+    choi = kraus is not basis and max(map(len, blocks)) > 1
+    return max(36 * choi * (d * kraus.output_dim) ** 2, 200 * ops.size,
+               16 * n * (len(ops) ** 2 + 4 * m + 2 * min(n, m)) + 300 * d * d)
 
 
-def _canonical_directions(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Values at row-major entries closed under transposition of the unit
-    Hermitian directions on them: the diagonal units, then the real and the
-    imaginary pair of each i < j; on all d^2 entries, the canonical basis."""
+def _canonical_directions(rows: np.ndarray, cols: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """The unit Hermitian directions on row-major entries closed under
+    transposition, each as two (entry, value) terms, the second zero for
+    a diagonal unit: the diagonal units, then the real and the imaginary
+    pair of each i < j; on all d^2 entries, the canonical basis."""
     r = 1.0 / np.sqrt(2.0)
     # Entry t[e] is the transpose of entry e.
     t = np.lexsort((rows, cols))
     diag, upper = np.flatnonzero(rows == cols), np.flatnonzero(rows < cols)
-    xs = np.zeros((len(rows), len(rows)), dtype=complex)
-    xs[np.arange(len(diag)), diag] = 1.0
-    k = len(diag) + 2 * np.arange(len(upper))
-    xs[k, upper] = xs[k, t[upper]] = r
-    xs[k + 1, upper], xs[k + 1, t[upper]] = -1j * r, 1j * r
-    return xs
+    pairs = np.repeat(np.stack([upper, t[upper]], axis=1), 2, axis=0)
+    ents = np.concatenate([np.stack([diag, diag], axis=1), pairs])
+    vals = np.concatenate([np.tile([1.0, 0.0], (len(diag), 1)),
+                           np.tile([[r, r], [-1j * r, 1j * r]],
+                                   (len(upper), 1))])
+    return ents, vals
 
 
 def _directions(d: int, samples: int, seed: int) -> np.ndarray:
@@ -649,8 +656,12 @@ def _directions(d: int, samples: int, seed: int) -> np.ndarray:
           + flat.imag @ flat.imag.transpose(0, 2, 1))
     nrm = np.sqrt(sq.reshape(samples))
     keep = nrm > 0.0
-    every = np.indices((d, d)).reshape(2, -1)
-    return np.concatenate([_canonical_directions(*every).reshape(-1, d, d),
+    ents, vals = _canonical_directions(*np.indices((d, d)).reshape(2, -1))
+    table = np.zeros((d * d, d * d), dtype=complex)
+    # Second terms first: a diagonal unit's zero one shares its entry.
+    for j in (1, 0):
+        table[np.arange(d * d), ents[:, j]] = vals[:, j]
+    return np.concatenate([table.reshape(-1, d, d),
                            h[keep] / nrm[keep, None, None]])
 
 

@@ -65,6 +65,20 @@ def matrix_units(d):
     return units
 
 
+def _face_search_argv():
+    """zonoid-check of a point 1% inside the boundary, which the descent
+    reaches only after iteration 100, so it first looks for a face."""
+    rng = np.random.default_rng(1)
+    ops = rng.standard_normal((20, 4, 8))
+    gram = np.einsum("mba,nbc->mnac", ops, ops)
+    g = rng.standard_normal((8, 8))
+    w, v = np.linalg.eigh(np.einsum("ab,mnba->nm", g + g.T, gram))
+    c = 0.99 * v[:, w > 0] @ v[:, w > 0].T + 0.005 * np.eye(20)
+    z = np.einsum("mn,mnac->ac", c, gram)
+    return ["zonoid-check", "--basis", inline_kraus(ops, (8,), (4,)),
+            "--z", inline(0.5 * (z + z.T))]
+
+
 class TestReportShape:
     def test_schema(self, capsys):
         status, rep = run(capsys, "choi", "--kraus", "twoqubit-minimal")
@@ -309,6 +323,11 @@ class TestExitCodes:
         ["zonoid-check", "--basis",
          inline_kraus(np.random.default_rng(6).standard_normal((2, 64, 64)),
                       (64,), (64,), [[0, 1]])],
+        # Wide bases: a d x d array on the input space alone is 8 GiB.
+        ["zonoid-check", "--basis",
+         inline_kraus([np.ones((1, 2 ** 15))], (2 ** 15,), (1,))],
+        ["zonoid-check", "--basis",
+         inline_kraus([np.eye(1, 2 ** 15)], (2 ** 15,), (1,))],
     ])
     def test_oversized_inputs_are_refused_before_any_work(
             self, capsys, monkeypatch, argv):
@@ -320,7 +339,13 @@ class TestExitCodes:
             monkeypatch.setattr(cli, name, refuse)
         monkeypatch.setattr(zonoid, "membership", refuse)
         monkeypatch.setattr(zonoid, "_MembershipSolver", refuse)
-        status = cli.main(argv)
+        tracemalloc.start()
+        try:
+            status = cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
         captured = capsys.readouterr()
         assert status == 2
         assert captured.out == ""
@@ -339,6 +364,7 @@ class TestExitCodes:
         ["zonoid-check", "--basis",
          inline_kraus([np.eye(24) / np.sqrt(2.0)] * 2, (24,), (24,),
                       [[0, 1]])],
+        _face_search_argv(),
     ])
     def test_input_work_bytes_bound_the_run(self, argv):
         # The same run first, so lazily built tables are not counted.
@@ -355,10 +381,21 @@ class TestExitCodes:
         inputs = [serialize.instrument_from_json(json.loads(v))
                   if "partition" in v
                   else serialize.kraus_from_json(json.loads(v))
-                  for v in argv[2::2]]
+                  for flag, v in zip(argv[1::2], argv[2::2])
+                  if flag != "--z"]
         estimate = cli.work_bytes(cli._build_parser().parse_args(argv),
                                   *inputs)
         assert peak <= estimate <= 1.5 * peak
+
+    def test_the_face_search_run_looks_for_a_face(self, capsys, monkeypatch):
+        calls = []
+        search = zonoid._MembershipSolver.expose_face
+        monkeypatch.setattr(zonoid._MembershipSolver, "expose_face",
+                            lambda s, z: calls.append(z) or search(s, z))
+        status, rep = run(capsys, *_face_search_argv())
+        assert status == 0 and len(calls) == 1
+        assert rep["values"]["phase"] == "descent"
+        assert rep["values"]["iterations"] > 100
 
     @pytest.mark.parametrize("samples", ["-1", "100000000"])
     def test_convergence_study_refuses_samples_before_drawing(

@@ -100,6 +100,19 @@ class TestSpecConstruction:
         with pytest.raises(ValueError, match="zero channel"):
             minimal_kraus(kraus_from_operators([np.zeros((2, 2))], D2))
 
+    def test_choi_route_keeps_the_zeros_of_its_operators(self):
+        # Rounding in the Choi eigenvectors off the diagonal would let the
+        # map of these two diagonal operators reach all d^2 entries.
+        rng = np.random.default_rng(8)
+        ops = rng.standard_normal((2, 16, 2)) @ np.array([1.0, 1j])
+        inst = Instrument(kraus_from_operators(list(map(np.diag, ops)),
+                                               PartyDims((16,))), ((0, 1),))
+        spec = zonoid_spec_for_instrument(inst)
+        assert len(spec.solver().rows) == 16
+        np.testing.assert_allclose(spec.basis.operators,
+                                   _choi_route(inst.branch(0)),
+                                   rtol=0.0, atol=1e-12)
+
 
 def _choi_route(k):
     """The minimal Kraus set from the eigenvectors of the Choi matrix,
@@ -1195,13 +1208,14 @@ class TestEntryMap:
     def test_canonical_directions_are_those_with_an_overlap(self, name):
         spec = ENTRY_SPECS[name]()
         s, d = spec.solver(), spec.dim
-        every = zonoid._canonical_directions(
-            *np.indices((d, d)).reshape(2, -1)).reshape(-1, d, d)
-        np.testing.assert_array_equal(every, _loop_canonical(d))
+        every = _directions(d, 0, 0)
+        assert every.tobytes() == _loop_canonical(d).tobytes()
         reaching = np.abs(_dense_overlaps(spec, every)).max(axis=(1, 2)) > 0
-        mine = zonoid._canonical_directions(s.rows, s.cols)
-        got = np.zeros((len(mine), d, d), dtype=complex)
-        got[:, s.rows, s.cols] = mine
+        ents, vals = zonoid._canonical_directions(s.rows, s.cols)
+        got = np.zeros((len(ents), d, d), dtype=complex)
+        for j in (1, 0):
+            got[np.arange(len(ents)), s.rows[ents[:, j]],
+                s.cols[ents[:, j]]] = vals[:, j]
         np.testing.assert_array_equal(got, every[reaching])
 
 
