@@ -12,7 +12,13 @@ import json
 import sys
 import time
 
-from loccverify import cli
+from loccverify import cli, linalg, protocols, serialize
+
+# Breakpoint 111 of the 100-round two-party main branch, inline: it lies on
+# the face <11|.|11> = 1 of the zonoid, so no candidate answers it and the
+# barrier solve decides it.
+FACE_POINT = json.dumps(serialize.matrix_to_json(linalg.diagonal_stack(
+    protocols.main_branch_path(2, 100, 0.5).diagonals[111])))
 
 # (argv, rough purpose) pairs; order goes from cheap sanity to the slow
 # geometry checks so a broken install fails fast.
@@ -28,6 +34,9 @@ BATTERY = [
      "main-branch path converges to the limit path"),
     (["zonoid-check", "--z", "identity", "--basis", "twoqubit-minimal"],
      "identity sits inside the product zonoid"),
+    (["zonoid-check", "--basis", "twoqubit-minimal", "--tol", "1e-9",
+      "--z", FACE_POINT],
+     "main-branch breakpoint on a face of the zonoid is inside"),
     (["theorem1", "--samples", "11"],
      "limiting family satisfies the implementability conditions"),
     (["theorem8"], "blocked family keeps outcome sectors separated"),

@@ -204,7 +204,7 @@ def work_bytes(args, *inputs) -> int:
         out = max(k.output_dim for k in inputs)
         parts.append(_CHOI_ENTRY_BYTES[args.command] * (d * out) ** 2)
     if args.command == "zonoid-check":
-        parts.append(zonoid_bytes(*inputs))
+        parts.append(zonoid_bytes(*inputs, _real_target(args.z)))
     if args.command in _THEOREM_SAMPLE_BYTES:
         per_s, per_sigma = _THEOREM_SAMPLE_BYTES[args.command]
         # --samples 0 is the dense grid: spacing 0.01 on [1, 4].
@@ -217,6 +217,17 @@ def work_bytes(args, *inputs) -> int:
     if args.command == "hausdorff":
         parts.append(_HAUSDORFF_SAMPLE_BYTES * args.samples)
     return _FIXED_BYTES + max(parts)
+
+
+def _real_target(token: str) -> bool:
+    """Whether --z is a real matrix. One that does not parse counts as
+    complex, the larger case; reading it later reports the error."""
+    if token == "identity":
+        return True
+    try:
+        return not serialize.matrix_from_json(_load_obj(token)).imag.any()
+    except (InputError, ValueError):
+        return False
 
 
 def _refuse_over_budget(args, *inputs) -> None:
@@ -287,8 +298,6 @@ def _cmd_zonoid_check(args) -> dict:
         "iterations": int(report.iterations),
         "stop": report.stop,
         "phase": report.phase,
-        "face_x": (None if report.face_x is None
-                   else serialize.matrix_to_json(report.face_x)),
         "separating": (None if report.separating is None
                        else serialize.matrix_to_json(report.separating)),
         "gap": None if report.gap is None else float(report.gap),

@@ -98,10 +98,13 @@ def multiplier_kraus(s: np.ndarray, dims) -> KrausSet:
 
     With s = V diag(w) V^dag by ``eigh`` and R[m] = sqrt(w_m) V[:, m], the
     operators diag(R[m]) give sum_m R[m]_i conj(R[m]_j) = s[i, j]. Only
-    positive eigenvalues are kept, so there are at most d operators.
+    eigenvalues above 1e-12 times the largest are kept, so there are at
+    most d operators and they are linearly independent: the kernel of a
+    singular s, such as the P-party limit multiplier, is dropped however
+    ``eigh`` rounds it.
     """
     w, v = np.linalg.eigh(np.asarray(s))
-    keep = np.flatnonzero(w > 0.0)[::-1]
+    keep = np.flatnonzero(w > 1e-12 * w[-1])[::-1]
     roots = (v[:, keep] * np.sqrt(w[keep])).T
     d = roots.shape[1]
     ops = np.zeros((keep.size, d, d), dtype=np.complex128)

@@ -1281,7 +1281,9 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
 
     Every callback is called on a whole grid at once, so the number of
     calls does not depend on the sample counts. Sampled checks report the
-    s or sigma of their largest defect as ``where``.
+    s or sigma of their largest defect as ``where``; a membership check
+    also reports how many samples the solver answered and, when any,
+    how many of those it left undecided.
     """
     if s_samples is not None and s_samples < 1:
         raise ValueError("s_samples must be at least 1")
@@ -1307,9 +1309,14 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
             defects = np.full(n, np.inf)
         # The solver answers only where the integrated witness does not.
         solve = np.flatnonzero(defects > membership_tol)
+        undecided = 0
         for i in solve:
-            defects[i] = membership(ops[i], spec, tol=membership_tol).residual
+            rep = membership(ops[i], spec, tol=membership_tol)
+            defects[i] = rep.residual
+            undecided += rep.stop == "undecided"
         mem_where = f"solver {len(solve)}/{n}"
+        if undecided:
+            mem_where += f"; undecided {undecided}"
         worst = int(np.argmax(defects))
         if defects[worst] > 0.0:
             mem_where = f"s={grid[worst]:.6g}; {mem_where}"

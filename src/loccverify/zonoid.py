@@ -9,7 +9,6 @@ its own block and the boxes combine independently.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -132,34 +131,23 @@ class MembershipReport:
     candidate with a residual at most min(tol, ROUNDING_TOL): the
     identity, the slice point nearest the box centre or the minimum-norm
     slice point a^+ z), ``span`` (z lies outside the linear span of the
-    Gram operators, certified before any descent), ``descent`` (the
-    descent on the whole box) or ``face-<k>`` (the descent on a face
-    reached by k facial-reduction steps; only feasible answers come from
-    a face).
-    ``face_x`` is then the canonical direction, or its negative, that
-    exposed the first face, else None. ``stop`` says how the answering
-    problem stopped: ``identity`` when the identity answered, ``affine``
-    when one of the two slice points did (or a face pinned C), otherwise
-    the descent's stop rule: ``converged`` (residual <= 0.005 * tol),
-    ``small-step`` (the iterate moved by <= 1e-13), ``stalled`` (400
-    iterations without a relative gain of 1e-6), ``outside`` (a separating
-    direction certified the point infeasible; the one stop of ``span``)
-    or ``max-iter``. ``stop`` and ``phase`` are empty on a report built
-    without them.
+    Gram operators) or ``barrier`` (the barrier solve). ``stop`` says how:
+    ``identity`` or ``affine`` (which candidate), ``outside`` (a
+    separating direction certified z infeasible), ``interior`` (the
+    barrier reached t >= 0: its iterate is a witness), ``face`` (its
+    iterate clipped to the box reproduces z, as it must for a point on a
+    face of the zonoid, where t cannot become positive) or ``undecided``
+    (neither a witness within ``tol`` nor a certificate within
+    MEMBERSHIP_MAX_ITER Newton steps; the answer is infeasible). ``stop``
+    and ``phase`` are empty on a report built without them.
 
-    A descent that ends infeasible with any other stop (``small-step``,
-    ``stalled``, ``max-iter``) is tested once more at its best witness W,
-    in the directions r = z - L(W) and then (a a^H)^+ r; if either
-    certifies, its stop becomes ``outside``. An ``outside`` answer
-    carries its certificate: ``separating`` is the unit Hermitian
-    direction x and ``gap`` is Re<x, z> - h(x) > tol, a lower bound on the
-    distance from z to the zonoid that anyone can recompute with
-    :func:`support_function`. Every other answer leaves both None.
-
-    ``residual`` is ||L(W) - z||_F of the returned witness W itself, not
-    a distance to the zonoid. For a ``span`` answer W is the box
-    projection of a^+ z, so the residual can lie far above that distance;
-    ``gap`` is the certified lower bound on it.
+    An ``outside`` answer carries its certificate: ``separating`` is the
+    unit Hermitian direction x and ``gap`` is Re<x, z> - h(x) > tol, a
+    lower bound on the distance from z to the zonoid that anyone can
+    recompute with :func:`support_function`. Every other answer leaves
+    both None. ``residual`` is ||L(W) - z||_F of the returned box witness
+    W itself; for an ``outside`` answer it can lie far above the distance
+    to the zonoid, which ``gap`` bounds from below.
     """
 
     feasible: bool
@@ -168,47 +156,39 @@ class MembershipReport:
     iterations: int
     stop: str = ""
     phase: str = ""
-    face_x: np.ndarray | None = None
     separating: np.ndarray | None = None
     gap: float | None = None
 
 
 class _MembershipSolver:
-    """Projection machinery shared by every membership query on one spec.
+    """Membership machinery shared by every query on one spec.
 
     The feasible set is the intersection of the affine slice
     {C block-supported : L(C) = z} with the spectral box {0 <= C <= 1}.
     Exact candidates are tried first (:meth:`_candidates`: the identity,
     the slice point nearest the box centre and the minimum-norm slice
     point a^+ z), then a point outside the span of L is certified outside
-    at once. Otherwise accelerated projected gradient (FISTA, Beck and
-    Teboulle 2009) minimises half the squared distance from C to the slice
-    over the box, restarting its momentum whenever the step goes uphill
-    (O'Donoghue and Candes 2015), so every iterate is box feasible and the
-    residual ||L(C) - z|| of the best one decides the answer.
+    at once. Otherwise one barrier solve (:meth:`_barrier`) returns a box
+    witness or a separating direction.
 
     L is held once, as ``lmap`` on the output entries (``rows``, ``cols``)
-    that the basis ``ops`` reaches; it is zero on the others. The descent
-    carries C as the vector of its block-supported entries and z as
-    :meth:`target`, so L is the matrix ``a`` and the distance to the slice
-    is ||a^+ (a c - z)||. Its gradient a^+ (a c - z) applies the projector
-    onto the row space of ``a``, so the Lipschitz constant is 1 however
-    ill-conditioned L is, and a step of length 1 is y - a^+ (a y - z).
-
-    Where the slice meets the box only on a face there is no Slater point
-    and the descent crawls. So a descent that has neither converged nor
-    been certified outside by iteration 100 looks once for such a face and
-    solves there (``_face_solve``); if that fails to reach ``tol`` it
-    carries on, so every infeasible answer comes from the whole problem.
+    that the basis ``ops`` reaches; it is zero on the others. The
+    candidates carry C as the vector of its block-supported entries and z
+    as :meth:`target`, so L is the matrix ``a`` and a^+ z is the
+    minimum-norm slice point. The barrier holds the slice as orthonormal
+    Hermitian constraints (:meth:`constraints`), built on first use.
     """
 
     def __init__(self, ops: np.ndarray, blocks):
         kappa, _, d = ops.shape
         self.ops, self.kappa, self.dim = ops, kappa, d
+        self.real = not ops.imag.any()
         # The entries (a, c) of Khat_m^dag Khat_n that some output row b
         # with nonzero (b, a) and (b, c) reaches, row-major.
         reach = (ops != 0).any(axis=0).astype(float)
         self.rows, self.cols = rows, cols = np.nonzero(reach.T @ reach)
+        # Those on or above the diagonal; the others mirror them.
+        self.upper = np.flatnonzero(rows <= cols)
         # lmap[e, m, n] = (Khat_m^dag Khat_n)[rows[e], cols[e]].
         self.lmap = lmap = np.einsum("mbe,nbe->emn", ops[:, :, rows].conj(),
                                      ops[:, :, cols])
@@ -227,6 +207,7 @@ class _MembershipSolver:
         self.ident_image = self.a @ self.ident
         # a^+ z + mid is the slice point nearest the box centre I/2.
         self.mid = 0.5 * (self.ident - self.a_pinv @ self.ident_image)
+        self._stacks: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
 
     def target(self, z: np.ndarray) -> np.ndarray:
         """z at the reached entries, then the norm of its part off them, so
@@ -344,193 +325,182 @@ class _MembershipSolver:
             return centre, "affine", near
         return (c0, "affine", res) if self.in_box(self.to_matrix(c0)) else None
 
-    def expose_face(self, z: np.ndarray):
-        """A proper face of the zonoid that holds z, or None.
+    def constraints(self, real: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The slice L(C) = z as <G_j, C> = b_j, built on first use.
 
-        The first direction x, among the canonical directions on the
-        reached entries and then their negatives, with A(x) nonzero and
-        |Re<x, z> - h(x)| <= ROUNDING_TOL exposes it. The negatives expose
-        the faces on which C vanishes on some vector, such as a zero block.
-        Every box point C with Re<x, L(C)> = h(x) is 1 on the positive
-        eigenspace of A(x) and 0 on the negative one, so the face is the
-        image of C = P + V0 Y V0^H with P the projector onto the positive
-        eigenvectors and 0 <= Y <= 1 on the kernel columns V0. Returns
-        (x, P, V0, blocks of Y); the columns of V0 keep the block order,
-        so Y stays block diagonal. The spectra are taken an eighth of the
-        directions at a time, and h(-x) is h(x) - Tr A(x).
+        L is written as a real matrix from an orthonormal basis of the
+        block-supported Hermitian C (the diagonal units, (E_ij + E_ji)/√2
+        and i (E_ij - E_ji)/√2 for i < j) to the real and imaginary parts
+        of z on the reached entries on or above the diagonal. Its SVD
+        U S V^T, cut at 1e-13 of the largest singular value as ``a_pinv``
+        is, gives the orthonormal Hermitian G_j of the rows of V^T and
+        b = (U S^-1)^T zr, zr the real parts of z and then its imaginary
+        parts; a multiplier vector nu maps to the direction U S^-1 nu on
+        the same entries. ``real`` keeps the real symmetric basis and the
+        real parts alone, which is enough when the operators and z are
+        real: the real part of a witness is then a witness. Returns
+        (G, U S^-1).
         """
-        ents, vals = _canonical_directions(self.rows, self.cols)
-        # A Hermitian x holds conj(x[a, c]) at the transposed entry (c, a),
-        # so A(x) sums conj(value) lmap_t[entry] over its two terms.
-        lmap_t, n = self.lmap.transpose(0, 2, 1), len(ents)
-        h = np.concatenate([self.support_of(np.einsum(
-            "kj,kjmn->kmn", vals[ks].conj(), lmap_t[ents[ks]]))
-            for ks in np.array_split(np.arange(n), min(n, 8))])
-        pairing = np.real((vals.conj() * z[self.rows, self.cols][ents]).sum(1))
-        trace = np.real(
-            (vals.conj() * np.einsum("emm->e", self.lmap)[ents]).sum(1))
-        gaps = np.abs(np.concatenate([pairing - h, trace - h - pairing]))
-        for k in np.flatnonzero(gaps <= ROUNDING_TOL):
-            x = np.zeros((self.dim, self.dim), dtype=complex)
-            for e, v in zip(ents[k % n, ::-1], vals[k % n, ::-1]):
-                x[self.rows[e], self.cols[e]] = v
-            x = x if k < n else -x
-            a = self.overlap(x[self.cols, self.rows][None])[0]
-            pos, ker, blocks = [], [], []
-            width = 0
-            for blk, grid in zip(self.blocks, self.grids):
-                sub = a[grid]
-                w, v = np.linalg.eigh(0.5 * (sub + sub.conj().T))
-                cols = np.zeros((self.kappa, len(blk)), dtype=np.complex128)
-                cols[blk] = v
-                zero = np.abs(w) <= ROUNDING_TOL
-                pos.append(cols[:, w > ROUNDING_TOL])
-                ker.append(cols[:, zero])
-                n0 = int(zero.sum())
-                if n0:
-                    blocks.append(tuple(range(width, width + n0)))
-                    width += n0
-            if width < self.kappa:
-                p = np.hstack(pos)
-                return x, p @ p.conj().T, np.hstack(ker), blocks
-        return None
+        found = self._stacks.get(real)
+        if found is None:
+            i, j = np.nonzero(np.triu(self.mask))
+            pair = i < j
+            coef = np.where(pair, math.sqrt(0.5), 1.0)
+            lmap = self.lmap[self.upper]
+            image = coef * (lmap[:, i, j] + pair * lmap[:, j, i])
+            if real:
+                image = image.real
+            else:
+                ip, jp = i[pair], j[pair]
+                image = np.hstack([image, 1j * math.sqrt(0.5)
+                                   * (lmap[:, ip, jp] - lmap[:, jp, ip])])
+                image = np.vstack([image.real, image.imag])
+            u, s, vt = np.linalg.svd(image, full_matrices=False)
+            keep = s > 1e-13 * s[0]
+            vt = vt[keep]
+            g = np.zeros((len(vt), self.kappa, self.kappa),
+                         dtype=float if real else complex)
+            g[:, i, j] = g[:, j, i] = coef * vt[:, :len(i)]
+            if not real:
+                anti = 1j * math.sqrt(0.5) * vt[:, len(i):]
+                g[:, ip, jp] += anti
+                g[:, jp, ip] -= anti
+            found = self._stacks[real] = (g, u[:, keep] / s[keep])
+        return found
 
-    def _face_solve(self, z: np.ndarray, tol: float, budget: int,
-                    c: np.ndarray) -> MembershipReport | None:
-        """Answer z on the face of the zonoid that holds it, or None.
+    def _barrier(self, z: np.ndarray, zvec: np.ndarray, c0: np.ndarray,
+                 tol: float, budget: int) -> MembershipReport:
+        """Phase I by a barrier method (Boyd and Vandenberghe 2004, 11.4).
 
-        Facial reduction (Borwein and Wolkowicz 1981; Permenter and Parrilo
-        2018): while a canonical direction or its negative exposes a face
-        (:meth:`expose_face`), fix C on it and keep the kernel columns,
-        each step dropping at least one dimension. The descent on the last
-        face needs no Slater point of the whole box; it starts from the
-        compression V0^H C V0 of the descent's iterate ``c`` (a masked
-        vector). Its witness is lifted back to a kappa x kappa one and
-        judged by the box and image rules of the whole problem; the report
-        is feasible only if that witness passes.
+        z is certified outside at once when the box projection W of a^+ z
+        is, in the direction r = z - L(W) or (a a^H)^+ r. Otherwise the
+        solve maximises t subject to L(C) = z and tI <= C <= (1 - t)I by
+        minimising -t / mu - log det(C - tI) - log det((1 - t)I - C) on
+        the slice, from its point nearest the box centre. mu starts at
+        1 / (2 kappa), where the duality gap 2 kappa mu is the width of
+        the box, and shrinks by 0.01 after each centring (Newton
+        decrement^2 <= 0.1).
+
+        In the eigenbasis of C, with p = lambda - t and q = 1 - t - lambda,
+        the Hessian in C is entrywise, W_ab = 1/(p_a p_b) + 1/(q_a q_b), so
+        a Newton step is one eigh and one QR for the multipliers nu of the
+        constraints and the step in t. The damped length
+        1 / (1 + decrement) keeps the step inside the Dikin ellipsoid of
+        the self-concordant barrier, so both slacks stay positive. z is
+        inside once t >= 0 or once C clipped to the box has residual at
+        most 0.005 tol. At a centre Z1 = mu (C - tI)^-1 and
+        Z2 = mu ((1 - t)I - C)^-1 have traces summing to 1, so the
+        constraint direction Z2 - Z1 separates z by at least
+        -t - 2 kappa mu up to its norm: while that bound is positive,
+        x = U S^-1 nu is tested with :meth:`outside_certified` after each
+        centring. After ``budget`` steps the clipped C answers if its
+        residual is within ``tol``; otherwise z is ``undecided``.
         """
-        solver, target, steps, face_x = self, z, [], None
-        start = self.to_matrix(c)
+        box = self.project_box(c0)
+        r = zvec - self.a @ box
+        cert = self.outside_certified(z, r, tol) or self.outside_certified(
+            z, r, tol, self.a_pinv.conj().T @ (self.a_pinv @ r))
+        if cert is not None:
+            return MembershipReport(False, CoefficientMatrix(
+                self.to_matrix(box)), float(np.linalg.norm(r)), 0,
+                "outside", "barrier", *cert)
+        zr = z[self.rows[self.upper], self.cols[self.upper]]
+        real = self.real and not zr.imag.any()
+        g, scaled = self.constraints(real)
+        b = scaled.T @ (zr.real if real
+                        else np.concatenate([zr.real, zr.imag]))
+        n, k = len(g), self.kappa
+        flat = g.reshape(n, -1).conj()
+        dia, eye = np.arange(k) * (k + 1), np.eye(k)
+        # The slice point nearest the box centre I/2.
+        c = 0.5 * eye + np.tensordot(
+            b - 0.5 * np.trace(g, axis1=1, axis2=2).real, g, 1)
+        lam, v = np.linalg.eigh(c)
+        t, mu, steps, stop, cert = min(lam[0], 1.0 - lam[-1]) - 1.0, \
+            0.5 / k, 0, "", None
         while True:
-            face = solver.expose_face(target)
-            if face is None:
+            vh = v.T if real else v.conj().T
+            w = (v * np.clip(lam, 0.0, 1.0)) @ vh
+            r = zvec - self.a @ w[self.mask]
+            if t >= 0.0:
+                stop = "interior"
+            elif np.vdot(r, r).real <= (0.005 * tol) ** 2:
+                stop = "face"
+            elif steps == budget or not (lam[0] > t and lam[-1] < 1.0 - t):
+                # The step cap, or slacks lost to rounding.
+                stop = "undecided"
+            if stop:
                 break
-            x, proj, ker, blocks = face
-            face_x = x if face_x is None else face_x
-            steps.append((proj, ker))
-            target = target - solver.image(proj)
-            start = ker.conj().T @ start @ ker
-            if not blocks:
-                solver = None
-                break
-            # The basis K'_a = sum_n conj(ker[n, a]) Khat_n, so that
-            # L'(Y) = L(ker Y ker^H); the last face's solver is let go first.
-            ops, solver = np.einsum("na,nbc->abc", ker.conj(), solver.ops), None
-            solver = _MembershipSolver(ops, blocks)
-        if not steps:
-            return None
-        if solver is None:
-            # The face pins C: the one point of the slice is the candidate.
-            inner, iters, stop = np.zeros((0, 0)), 0, "affine"
-        else:
-            rep = solver.solve(target, tol, budget, faces=False,
-                               start=start[solver.mask])
-            inner, iters, stop = rep.witness.matrix, rep.iterations, rep.stop
-        for proj, ker in reversed(steps):
-            inner = proj + ker @ inner @ ker.conj().T
-        witness = CoefficientMatrix(self.to_matrix(inner[self.mask]))
-        res = float(np.linalg.norm(self.a @ witness.matrix[self.mask]
-                                   - self.target(z)))
-        return MembershipReport(self.in_box(witness.matrix) and res <= tol,
-                                witness, res, iters, stop,
-                                f"face-{len(steps)}", face_x)
-
-    def _descend(self, z: np.ndarray, c0: np.ndarray, tol: float,
-                 budget: int, faces: bool) -> MembershipReport:
-        zvec = self.target(z)
-        c = self.project_box(c0)
-        y = c
-        t = 1.0
-        best = c
-        best_res = float(np.linalg.norm(self.a @ c - zvec))
-        last_improve = 0
-        cert = None
-        # it counts this descent's steps, iters those of the whole solve.
-        iters = 0
-        it = -1
-        stop = "max-iter"
-        while iters < budget:
-            it += 1
-            iters += 1
-            g = y - self.a_pinv @ (self.a @ y - zvec)
-            cn = self.project_box(g)
-            # y - g is the gradient, so this is the sign of Re<grad, cn - c>.
-            if np.vdot(y - g, cn - c).real > 0.0:
-                # The momentum step went uphill: restart from c.
-                t = 1.0
-                cn = self.project_box(c - self.a_pinv @ (self.a @ c - zvec))
-            delta = cn - c
-            tn = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = cn + ((t - 1.0) / tn) * delta
-            move = float(np.linalg.norm(delta))
-            c, t = cn, tn
-            res = float(np.linalg.norm(self.a @ c - zvec))
-            if res < best_res - max(1e-15, 1e-6 * best_res):
-                last_improve = it
-            if res < best_res:
-                best_res = res
-                best = c
-            if res <= 0.005 * tol:
-                stop = "converged"
-                break
-            if move <= 1e-13:
-                stop = "small-step"
-                break
-            if it - last_improve >= 400:
-                stop = "stalled"
-                break
-            if it % 100 == 99:
-                r = zvec - self.a @ c
-                # Near the minimiser a^H (a a^H)^+ r lies in the normal
-                # cone of the box at c, so (a a^H)^+ r is the direction.
-                cert = self.outside_certified(
-                    z, r, tol, self.a_pinv.conj().T @ (self.a_pinv @ r))
-                if cert is not None:
-                    stop = "outside"
+            ip, iq = 1.0 / (lam - t), 1.0 / (1.0 - t - lam)
+            pp, qq = np.multiply.outer(ip, ip), np.multiply.outer(iq, iq)
+            root, diag = np.sqrt(pp + qq), ip * ip + iq * iq
+            # The step S = root o dC in the eigenbasis solves a
+            # least-squares problem in the constraints F_j = G_j / root,
+            # here by one QR: the multipliers grow like the inverse slacks,
+            # and normal equations would cancel them. The t column and the
+            # gradient are diagonal.
+            f = (vh @ g @ v / root).reshape(n, -1)
+            if not real:
+                f = np.hstack([f.real, f.imag])
+            q, tri = np.linalg.qr(f.T)
+            qd = q[dia]
+            pull = (iq - ip) / np.sqrt(diag)
+            along = pull * (iq + ip)
+            qg, qh = pull @ qd, along @ qd
+            fix = np.linalg.solve(tri.T, b - (flat @ c.reshape(-1)).real)
+            # The Schur complement in t and its right side, in forms
+            # without cancellation.
+            cross = ip * iq / diag
+            curve = 4.0 * (cross * ip * iq).sum() + qh @ qh
+            push = 2.0 * (cross * (ip + iq)).sum() + qh @ (fix + qg)
+            while True:
+                dt = (1.0 / mu - push) / curve
+                coef = fix + qg + dt * qh
+                step_s = q @ coef
+                step_s[dia] -= pull + dt * along
+                dc = (step_s if real else step_s[:k * k]
+                      + 1j * step_s[k * k:]).reshape(k, k) / root
+                # Rounding in Q leaves a skew part that no constraint
+                # sees but L does; drop it.
+                dc = 0.5 * (dc + dc.conj().T)
+                # The decrement^2: the slack steps, scaled by the slacks.
+                sx, sy = dc - dt * eye, dc + dt * eye
+                dec = (np.vdot(sx * pp, sx) + np.vdot(sy * qq, sy)).real
+                if dec > 0.1:
                     break
-                if it == 99 and faces:
-                    found = self._face_solve(z, tol, budget - iters, c)
-                    if found is not None:
-                        iters += found.iterations
-                        if found.feasible:
-                            return dataclasses.replace(found,
-                                                       iterations=iters)
-        if cert is None and best_res > tol:
-            # Any other infeasible stop: test r = z - L(C) at the best
-            # witness, then the checkpoint's direction (a a^H)^+ r, the
-            # one that certifies where the descent stopped moving.
-            r = zvec - self.a @ best
-            cert = (self.outside_certified(z, r, tol)
-                    or self.outside_certified(
-                        z, r, tol, self.a_pinv.conj().T @ (self.a_pinv @ r)))
+                if -t > 2.0 * k * mu:
+                    x = np.zeros(len(zvec), dtype=complex)
+                    y = scaled @ np.linalg.solve(tri, coef)
+                    x[self.upper] = y if real else \
+                        y[:len(zr)] + 1j * y[len(zr):]
+                    cert = self.outside_certified(z, r, tol, x)
+                    if cert is not None:
+                        break
+                mu *= 0.01
             if cert is not None:
                 stop = "outside"
-        x, gap = (None, None) if cert is None else cert
-        return MembershipReport(best_res <= tol,
-                                CoefficientMatrix(self.to_matrix(best)),
-                                float(best_res), iters, stop, "descent",
-                                separating=x, gap=gap)
+                break
+            step = 1.0 / (1.0 + math.sqrt(dec))
+            c = c + step * np.where(self.mask, v @ dc @ vh, 0.0)
+            t += step * dt
+            steps += 1
+            lam, v = np.linalg.eigh(c)
+        res = float(np.linalg.norm(r))
+        feasible = stop != "outside" and res <= tol
+        if stop != "outside":
+            # A capped iterate answers too, clipped, if it reproduces z.
+            stop = ("face" if stop == "undecided" else stop) if feasible \
+                else "undecided"
+        return MembershipReport(feasible, CoefficientMatrix(self.to_matrix(
+            w[self.mask])), res, steps, stop, "barrier",
+            *(cert or (None, None)))
 
-    def solve(self, z: np.ndarray, tol: float, budget: int,
-              faces: bool = True, start: np.ndarray | None = None
+    def solve(self, z: np.ndarray, tol: float, budget: int
               ) -> MembershipReport:
-        """Candidates, then the span test, then the descent with at most
-        ``budget`` iterations, face steps included. The candidates are the
-        identity and two slice points, the point nearest the box centre
-        and c0 = a_pinv z; each needs a residual at most
-        min(tol, ROUNDING_TOL), and the descent starts at c0 either way.
-        ``faces`` allows the facial reduction; ``start`` (a masked vector)
-        replaces the descent's start c0.
+        """Candidates, then the span test, then the barrier solve with at
+        most ``budget`` Newton steps. The candidates are the identity and
+        two slice points, the point nearest the box centre and
+        c0 = a_pinv z; each needs a residual at most min(tol, ROUNDING_TOL).
 
         The span test is :meth:`outside_certified` at c0 = a_pinv z in
         the direction of r = z - L(c0) itself, the part of z outside the
@@ -556,8 +526,7 @@ class _MembershipSolver:
                                     CoefficientMatrix(self.to_matrix(box)),
                                     res, 0, "outside", "span",
                                     separating=cert[0], gap=cert[1])
-        return self._descend(z, c0 if start is None else start, tol, budget,
-                             faces)
+        return self._barrier(z, zvec, c0, tol, budget)
 
 
 def membership(z, spec: ZonoidSpec, tol: float = MEMBERSHIP_TOL
@@ -568,14 +537,11 @@ def membership(z, spec: ZonoidSpec, tol: float = MEMBERSHIP_TOL
     is always box feasible; ``feasible`` is the comparison against ``tol``.
     A point whose part outside the linear span of the Gram operators
     K_m^dag K_n separates it from the zonoid by more than ``tol`` is
-    answered before any descent (phase ``span``, 0 iterations) with that
-    part, normalised, as the separating direction; its residual, that of
-    the box projection of a^+ z, is at least its distance to the span but
-    may lie far above its distance to the zonoid, which ``gap`` bounds
-    from below.
-    MEMBERSHIP_MAX_ITER bounds the descent iterations of the whole solve,
-    those on a face of the zonoid included. Raises ValueError unless z is
-    a Hermitian d x d operator with finite entries and a finite norm.
+    answered before any Newton step (phase ``span``, 0 iterations) with
+    that part, normalised, as the separating direction.
+    MEMBERSHIP_MAX_ITER bounds the Newton steps of the barrier solve.
+    Raises ValueError unless z is a Hermitian d x d operator with finite
+    entries and a finite norm.
     """
     z = as_matrix(z)
     d = spec.dim
@@ -600,24 +566,35 @@ def support_function(x, spec: ZonoidSpec) -> float:
     return float(spec.solver().support(x[None])[0])
 
 
-def zonoid_bytes(basis: KrausSet | Instrument) -> int:
+def zonoid_bytes(basis: KrausSet | Instrument, real_target: bool) -> int:
     """Traced peak bytes of a zonoid-check run on ``basis`` as parsed from
     JSON (200 bytes an operator entry): a Choi matrix for each outcome of
     two or more operators, then the map on E entries while pinv takes
-    ``a``, its conjugate, singular vectors and result, and 300 bytes an
-    entry of the d x d target and report. E is bounded without a d x d
-    array: each distinct nonzero pattern S of an output row reaches S x S.
-    A face step's direction search holds less; its face solver is not
-    counted."""
+    ``a``, its conjugate, singular vectors and result, or, if larger, the
+    map, ``a`` and ``a^+`` while the barrier solve holds eight copies of
+    its r constraints of kappa^2 entries, and 300 bytes an entry of the
+    d x d target and report. E is bounded without a d x d array: each
+    distinct nonzero pattern S of an output row reaches S x S. The
+    constraints are real, r at most the reached entries on or above the
+    diagonal, when the basis and the target are real; otherwise they are
+    complex and r is at most E."""
     kraus = basis.kraus if isinstance(basis, Instrument) else basis
     blocks = getattr(basis, "partition", [range(kraus.n_operators)])
     ops, d = kraus.operators, kraus.input_dim
     rows = np.unique((ops != 0).any(axis=0), axis=0)
     n = min(d * d, int((rows.sum(axis=1) ** 2).sum())) + 1
     m = sum(len(b) ** 2 for b in blocks)
+    k2 = len(ops) ** 2
+    if real_target and not ops.imag.any():
+        width, r = 8, min((n - 1 + d) // 2,
+                          sum(len(b) * (len(b) + 1) // 2 for b in blocks))
+    else:
+        width, r = 16, min(n - 1, m)
+    build = 16 * n * (k2 + 4 * m + 2 * min(n, m))
+    solve = 16 * n * (k2 + 2 * m) + 8 * width * r * k2
     choi = kraus is not basis and max(map(len, blocks)) > 1
     return max(36 * choi * (d * kraus.output_dim) ** 2, 200 * ops.size,
-               16 * n * (len(ops) ** 2 + 4 * m + 2 * min(n, m)) + 300 * d * d)
+               max(build, solve) + 300 * d * d)
 
 
 def _canonical_directions(rows: np.ndarray, cols: np.ndarray

@@ -31,7 +31,7 @@ from loccverify import (
     verify_theorem_conditions,
     verify_tree,
 )
-from loccverify import linalg, protocols
+from loccverify import linalg, protocols, zonoid
 from loccverify.linalg import cumulative_sqrt_smooth, diagonal_stack
 from loccverify.protocols import (TreeFailure, c_matrix_stack,
                                   derivative_diagonals, limit_path_stack,
@@ -1304,6 +1304,26 @@ class TestVerifyTheoremConditions:
         assert len(calls) == 5
         assert rep.check("main:membership").passed
         assert rep.check("main:membership").where.endswith("; solver 5/5")
+
+    def test_undecided_samples_are_counted(self, monkeypatch):
+        # With no Newton step allowed, a sample that reaches the barrier
+        # solve is left undecided, and the where says how many were.
+        paths, _ = limiting_family()
+        monkeypatch.setattr(zonoid, "MEMBERSHIP_MAX_ITER", 0)
+        reports = []
+        real = protocols.membership
+
+        def recording(z, spec, tol):
+            reports.append(real(z, spec, tol=tol))
+            return reports[-1]
+
+        monkeypatch.setattr(protocols, "membership", recording)
+        rep = verify_theorem_conditions(channel_zonoid(), paths,
+                                        s_samples=41)
+        mem = rep.check("main:membership")
+        undecided = sum(r.stop == "undecided" for r in reports)
+        assert undecided > 0 and not mem.passed
+        assert mem.where.endswith(f"; solver 41/41; undecided {undecided}")
 
     @pytest.mark.parametrize("family, spec", [
         (limiting_family, channel_zonoid),
