@@ -21,7 +21,10 @@ from .tolerances import (INDEPENDENCE_TOL, INPUT_HERMITICITY_TOL,
                          MEMBERSHIP_TOL, RESOLUTION_TOL, ROUNDING_TOL,
                          SPAN_TOL)
 
-MEMBERSHIP_MAX_ITER = 10000
+# Newton steps of the barrier solve: about 2.5 times the longest solve
+# measured to answer before it. A target within about tol of the zonoid,
+# which neither a witness nor a certificate may decide, can end here.
+MEMBERSHIP_MAX_ITER = 2000
 
 
 class NotInSpanError(ValueError):
@@ -266,13 +269,11 @@ class _MembershipSolver:
         return (xt @ lmap_t).reshape(n, k, k)
 
     def support(self, xs: np.ndarray) -> np.ndarray:
-        """h(x) for each direction of the stack ``xs``, shape (k, d, d)."""
-        return self.support_of(self.overlap(xs[:, self.cols, self.rows]))
-
-    def support_of(self, overlap: np.ndarray) -> np.ndarray:
-        """h(x) from the overlap matrices A(x) of a stack of directions: the
-        sum of the positive eigenvalues of A(x), taken block by block."""
-        total = np.zeros(len(overlap))
+        """h(x) for each direction of the stack ``xs``, shape (k, d, d):
+        the sum of the positive eigenvalues of the overlap matrix A(x),
+        taken block by block."""
+        overlap = self.overlap(xs[:, self.cols, self.rows])
+        total = np.zeros(len(xs))
         for rows, cols in self.grids:
             sub = overlap[:, rows, cols]
             w = np.linalg.eigvalsh(
@@ -332,14 +333,21 @@ class _MembershipSolver:
         block-supported Hermitian C (the diagonal units, (E_ij + E_ji)/√2
         and i (E_ij - E_ji)/√2 for i < j) to the real and imaginary parts
         of z on the reached entries on or above the diagonal. Its SVD
-        U S V^T, cut at 1e-13 of the largest singular value as ``a_pinv``
-        is, gives the orthonormal Hermitian G_j of the rows of V^T and
+        U S V^T, cut at 1e-10 of the largest singular value, gives the
+        orthonormal Hermitian G_j of the rows of V^T and
         b = (U S^-1)^T zr, zr the real parts of z and then its imaginary
         parts; a multiplier vector nu maps to the direction U S^-1 nu on
         the same entries. ``real`` keeps the real symmetric basis and the
         real parts alone, which is enough when the operators and z are
         real: the real part of a witness is then a witness. Returns
         (G, U S^-1).
+
+        The cut is above the 1e-13 of ``a_pinv``: b divides the rounding
+        of z by S, and a rank-deficient map leaves singular values of
+        about 1e-13 of the largest (five of the P = 6 limit multiplier's
+        64), whose b_j carry rounding noise of about 1e-3: the slice then
+        misses the witnesses of a face point, and the barrier stalls at
+        t < 0 and answers undecided.
         """
         found = self._stacks.get(real)
         if found is None:
@@ -356,7 +364,7 @@ class _MembershipSolver:
                                    * (lmap[:, ip, jp] - lmap[:, jp, ip])])
                 image = np.vstack([image.real, image.imag])
             u, s, vt = np.linalg.svd(image, full_matrices=False)
-            keep = s > 1e-13 * s[0]
+            keep = s > 1e-10 * s[0]
             vt = vt[keep]
             g = np.zeros((len(vt), self.kappa, self.kappa),
                          dtype=float if real else complex)
@@ -597,22 +605,17 @@ def zonoid_bytes(basis: KrausSet | Instrument, real_target: bool) -> int:
                max(build, solve) + 300 * d * d)
 
 
-def _canonical_directions(rows: np.ndarray, cols: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """The unit Hermitian directions on row-major entries closed under
-    transposition, each as two (entry, value) terms, the second zero for
-    a diagonal unit: the diagonal units, then the real and the imaginary
-    pair of each i < j; on all d^2 entries, the canonical basis."""
+def _canonical_directions(d: int) -> np.ndarray:
+    """The canonical Hermitian basis of d x d, stacked: the diagonal units,
+    then the real and the imaginary pair of each i < j, row-major."""
     r = 1.0 / np.sqrt(2.0)
-    # Entry t[e] is the transpose of entry e.
-    t = np.lexsort((rows, cols))
-    diag, upper = np.flatnonzero(rows == cols), np.flatnonzero(rows < cols)
-    pairs = np.repeat(np.stack([upper, t[upper]], axis=1), 2, axis=0)
-    ents = np.concatenate([np.stack([diag, diag], axis=1), pairs])
-    vals = np.concatenate([np.tile([1.0, 0.0], (len(diag), 1)),
-                           np.tile([[r, r], [-1j * r, 1j * r]],
-                                   (len(upper), 1))])
-    return ents, vals
+    i, j = np.triu_indices(d, 1)
+    re = d + 2 * np.arange(len(i))
+    out = np.zeros((d + 2 * len(i), d, d), dtype=complex)
+    out[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    out[re, i, j] = out[re, j, i] = r
+    out[re + 1, i, j], out[re + 1, j, i] = -1j * r, 1j * r
+    return out
 
 
 def _directions(d: int, samples: int, seed: int) -> np.ndarray:
@@ -633,12 +636,7 @@ def _directions(d: int, samples: int, seed: int) -> np.ndarray:
           + flat.imag @ flat.imag.transpose(0, 2, 1))
     nrm = np.sqrt(sq.reshape(samples))
     keep = nrm > 0.0
-    ents, vals = _canonical_directions(*np.indices((d, d)).reshape(2, -1))
-    table = np.zeros((d * d, d * d), dtype=complex)
-    # Second terms first: a diagonal unit's zero one shares its entry.
-    for j in (1, 0):
-        table[np.arange(d * d), ents[:, j]] = vals[:, j]
-    return np.concatenate([table.reshape(-1, d, d),
+    return np.concatenate([_canonical_directions(d),
                            h[keep] / nrm[keep, None, None]])
 
 

@@ -377,10 +377,20 @@ class TestMembershipReports:
     def test_face_that_pins_every_coefficient(self):
         # On the unit square, diag(1, 1) lies on the face <0|.|0> = 1 and
         # on <1|.|1> = 1, which together fix C: the slice meets the box in
-        # the one point I, which the barrier solve alone reaches.
-        rep = _barrier_only(square_spec(), np.eye(2, dtype=complex), 1e-9)
+        # the one point I. The identity candidate answers it exactly. The
+        # barrier solve alone reaches I up to its face stop, a residual of
+        # 0.005 tol: here L(C) = diag(C), and 0 <= C <= I bounds |C_01| by
+        # the diagonal defects, so every entry of C - I is within it.
+        z = np.eye(2, dtype=complex)
+        rep = membership(z, square_spec(), tol=1e-9)
+        assert rep.feasible and (rep.phase, rep.stop) == ("candidate",
+                                                          "identity")
+        assert rep.iterations == 0
+        np.testing.assert_allclose(rep.witness.matrix, np.eye(2), atol=1e-15)
+        rep = _barrier_only(square_spec(), z, 1e-9)
         assert rep.feasible and (rep.phase, rep.stop) == ("barrier", "face")
-        np.testing.assert_allclose(rep.witness.matrix, np.eye(2), atol=1e-9)
+        np.testing.assert_allclose(rep.witness.matrix, np.eye(2), rtol=0.0,
+                                   atol=0.005 * 1e-9)
 
     def test_iteration_cap_counts_face_iterations(self, monkeypatch):
         # This breakpoint lies on the face <11|.|11> = 1; the cap counts
@@ -830,7 +840,7 @@ def _reference_feasible(spec, z):
     step = 1.0 / np.linalg.svd(a, compute_uv=False)[0] ** 2
     c = y = best = box(c0)
     t, best_res, last_improve = 1.0, residual(c), 0
-    for it in range(zonoid.MEMBERSHIP_MAX_ITER):
+    for it in range(10000):
         grad = adjoint(image(y) - z)
         cn = box(y - step * grad)
         if np.real(np.vdot(grad, cn - c)) > 0.0:
@@ -1218,12 +1228,12 @@ class TestEntryMap:
         every = _directions(d, 0, 0)
         assert every.tobytes() == _loop_canonical(d).tobytes()
         reaching = np.abs(_dense_overlaps(spec, every)).max(axis=(1, 2)) > 0
-        ents, vals = zonoid._canonical_directions(s.rows, s.cols)
-        got = np.zeros((len(ents), d, d), dtype=complex)
-        for j in (1, 0):
-            got[np.arange(len(ents)), s.rows[ents[:, j]],
-                s.cols[ents[:, j]]] = vals[:, j]
-        np.testing.assert_array_equal(got, every[reaching])
+        # A direction has an overlap exactly when it lies on the reached
+        # entries.
+        reached = np.zeros((d, d), dtype=bool)
+        reached[s.rows, s.cols] = True
+        on_reached = ~((every != 0) & ~reached).any(axis=(1, 2))
+        np.testing.assert_array_equal(reaching, on_reached)
 
 
 def test_six_party_solver_is_small_and_fast():
@@ -1281,6 +1291,23 @@ class TestBoundaryPoints:
         z = limit_path_stack(parties, [s])[0]
         rep = membership(z, spec)
         assert rep.feasible and rep.phase == "barrier"
+        assert _kraus_witness_residual(spec, rep.witness.matrix, z) \
+            <= MEMBERSHIP_TOL
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_six_party_face_of_a_diagonal_direction_is_inside(self, seed):
+        # The P = 6 limit multiplier's map has rank 59 on its 64 diagonal
+        # entries. The barrier must drop its five rounding directions:
+        # as constraints they are noise that moves the slice off the
+        # witnesses of this face point.
+        spec = _multiplier_spec(6)
+        k = np.diagonal(spec.basis.operators, axis1=1, axis2=2)
+        x = np.random.default_rng(seed).standard_normal(spec.dim)
+        w, v = np.linalg.eigh(np.einsum("a,ma,pa->pm", x, k.conj(), k))
+        p = v[:, w > 0.0] @ v[:, w > 0.0].conj().T
+        z = np.diag(np.einsum("mn,ma,na->a", p, k.conj(), k).real)
+        rep = membership(z, spec)
+        assert rep.feasible and (rep.phase, rep.stop) == ("barrier", "face")
         assert _kraus_witness_residual(spec, rep.witness.matrix, z) \
             <= MEMBERSHIP_TOL
 
