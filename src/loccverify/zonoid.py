@@ -132,17 +132,15 @@ class MembershipReport:
 
     ``phase`` says which problem answered: ``candidate`` (an exact
     candidate with a residual at most min(tol, ROUNDING_TOL): the
-    identity, the slice point nearest the box centre or the minimum-norm
-    slice point a^+ z), ``span`` (z lies outside the linear span of the
-    Gram operators) or ``barrier`` (the barrier solve). ``stop`` says how:
-    ``identity`` or ``affine`` (which candidate), ``outside`` (a
-    separating direction certified z infeasible), ``interior`` (the
-    barrier reached t >= 0: its iterate is a witness), ``face`` (its
-    iterate clipped to the box reproduces z, as it must for a point on a
-    face of the zonoid, where t cannot become positive) or ``undecided``
-    (neither a witness within ``tol`` nor a certificate within
-    MEMBERSHIP_MAX_ITER Newton steps; the answer is infeasible). ``stop``
-    and ``phase`` are empty on a report built without them.
+    identity or a point of the slice, sum_j b_j G_j or the one nearest
+    the box centre), ``span`` (z lies outside the linear span of the Gram
+    operators) or ``barrier``. ``stop`` says how: ``identity`` or
+    ``affine`` (which candidate), ``outside`` (a separating direction
+    certified z infeasible), ``interior`` (the barrier reached t >= 0),
+    ``face`` (its iterate clipped to the box reproduces z, as it must on
+    a face of the zonoid, where t cannot become positive) or
+    ``undecided`` (neither a witness within ``tol`` nor a certificate;
+    infeasible). Both are empty on a report built without them.
 
     An ``outside`` answer carries its certificate: ``separating`` is the
     unit Hermitian direction x and ``gap`` is Re<x, z> - h(x) > tol, a
@@ -168,23 +166,21 @@ class _MembershipSolver:
 
     The feasible set is the intersection of the affine slice
     {C block-supported : L(C) = z} with the spectral box {0 <= C <= 1}.
-    Exact candidates are tried first (:meth:`_candidates`: the identity,
-    the slice point nearest the box centre and the minimum-norm slice
-    point a^+ z), then a point outside the span of L is certified outside
-    at once. Otherwise one barrier solve (:meth:`_barrier`) returns a box
-    witness or a separating direction.
+    Exact candidates are tried first (:meth:`_candidates`), then a point
+    outside the span of L is certified outside at once. Otherwise one
+    barrier solve (:meth:`_barrier`) returns a box witness or a
+    separating direction.
 
     L is held once, as ``lmap`` on the output entries (``rows``, ``cols``)
-    that the basis ``ops`` reaches; it is zero on the others. The
-    candidates carry C as the vector of its block-supported entries and z
-    as :meth:`target`, so L is the matrix ``a`` and a^+ z is the
-    minimum-norm slice point. The barrier holds the slice as orthonormal
-    Hermitian constraints (:meth:`constraints`), built on first use.
+    that the basis ``ops`` reaches; it is zero on the others. Residuals
+    carry C as the vector of its block-supported entries and z as
+    :meth:`target`, so L is the matrix ``a``. The slice is held once, from
+    one SVD of L (:meth:`constraints`), for every stage.
     """
 
     def __init__(self, ops: np.ndarray, blocks):
         kappa, _, d = ops.shape
-        self.ops, self.kappa, self.dim = ops, kappa, d
+        self.kappa, self.dim = kappa, d
         self.real = not ops.imag.any()
         # The entries (a, c) of Khat_m^dag Khat_n that some output row b
         # with nonzero (b, a) and (b, c) reaches, row-major.
@@ -198,19 +194,15 @@ class _MembershipSolver:
         # The flat reached entries, then a slot for the norm of z off them.
         self.slots = np.append(rows * d + cols, 0)
         self.off = np.delete(np.arange(d * d), self.slots[:-1])
-        self.blocks = [list(blk) for blk in blocks]
-        self.grids = [np.ix_(blk, blk) for blk in self.blocks]
+        self.grids = [np.ix_(blk, blk) for blk in blocks]
         self.mask = mask = np.zeros((kappa, kappa), dtype=bool)
         for grid in self.grids:
             mask[grid] = True
         # L on the masked entries, then a zero row for that slot.
         self.a = np.vstack([lmap[:, mask], np.zeros(int(mask.sum()))])
-        self.a_pinv = np.linalg.pinv(self.a, rcond=1e-13)
         self.ident = np.eye(kappa, dtype=np.complex128)[mask]
         self.ident_image = self.a @ self.ident
-        # a^+ z + mid is the slice point nearest the box centre I/2.
-        self.mid = 0.5 * (self.ident - self.a_pinv @ self.ident_image)
-        self._stacks: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
+        self._slices: dict[bool, tuple] = {}
 
     def target(self, z: np.ndarray) -> np.ndarray:
         """z at the reached entries, then the norm of its part off them, so
@@ -304,15 +296,13 @@ class _MembershipSolver:
         gap = float(np.real(np.vdot(u, z))) - float(self.support(u[None])[0])
         return (u, gap) if gap > tol else None
 
-    def _candidates(self, zvec: np.ndarray, c0: np.ndarray, off: np.ndarray,
-                    gate: float):
+    def _candidates(self, zvec: np.ndarray, c0: np.ndarray,
+                    centre: np.ndarray, off: np.ndarray, gate: float):
         """An exact witness of z, its stop and its residual, or None: the
-        identity, then two points of the slice, the point c0 + mid nearest
-        the box centre I/2 in Frobenius norm (the box is the operator-norm
-        ball of radius 1/2 about I/2) and c0 = a^+ z. A candidate answers
-        when its own residual ||a c - z|| is at most ``gate`` and it lies
-        in the box. The residual of c0 is ||off||, the part of z off the
-        span of a; that of every slice point is at least it, so a large
+        identity, then the slice points ``centre`` and c0 of :meth:`points`.
+        One answers when its own residual ||a c - z|| is at most ``gate``
+        and it lies in the box. That of c0 is ||off||, the part of z off the
+        slice's span, and every slice point's is at least it, so a large
         ``off`` skips both before any eigenvalue call."""
         res = float(np.linalg.norm(self.ident_image - zvec))
         if res <= gate:
@@ -320,36 +310,29 @@ class _MembershipSolver:
         res = float(np.linalg.norm(off))
         if res > gate:
             return None
-        centre = c0 + self.mid
         near = float(np.linalg.norm(self.a @ centre - zvec))
         if near <= gate and self.in_box(self.to_matrix(centre)):
             return centre, "affine", near
         return (c0, "affine", res) if self.in_box(self.to_matrix(c0)) else None
 
-    def constraints(self, real: bool) -> tuple[np.ndarray, np.ndarray]:
+    def constraints(self, real: bool) -> tuple:
         """The slice L(C) = z as <G_j, C> = b_j, built on first use.
 
         L is written as a real matrix from an orthonormal basis of the
         block-supported Hermitian C (the diagonal units, (E_ij + E_ji)/√2
-        and i (E_ij - E_ji)/√2 for i < j) to the real and imaginary parts
-        of z on the reached entries on or above the diagonal. Its SVD
-        U S V^T, cut at 1e-10 of the largest singular value, gives the
-        orthonormal Hermitian G_j of the rows of V^T and
-        b = (U S^-1)^T zr, zr the real parts of z and then its imaginary
-        parts; a multiplier vector nu maps to the direction U S^-1 nu on
-        the same entries. ``real`` keeps the real symmetric basis and the
-        real parts alone, which is enough when the operators and z are
-        real: the real part of a witness is then a witness. Returns
-        (G, U S^-1).
-
-        The cut is above the 1e-13 of ``a_pinv``: b divides the rounding
-        of z by S, and a rank-deficient map leaves singular values of
-        about 1e-13 of the largest (five of the P = 6 limit multiplier's
-        64), whose b_j carry rounding noise of about 1e-3: the slice then
-        misses the witnesses of a face point, and the barrier stalls at
-        t < 0 and answers undecided.
+        and i (E_ij - E_ji)/√2 for i < j) to the :meth:`coords` of z. Its
+        SVD U S V^T, cut at 1e-10 of the largest singular value, gives the
+        orthonormal G_j of the rows of V^T and b = (U S^-1)^T coords(z).
+        The cut drops the singular values only rounding leaves on a
+        rank-deficient map (five near 1e-13 of the largest at P = 6),
+        whose b_j would carry that rounding divided by S. ``real`` keeps
+        the real symmetric basis and real parts, enough when the operators
+        and z are real: the real part of a witness is then a witness.
+        Returns (G, U S^-1, lift, half): ``lift`` maps coords(z) to the
+        masked c0 = sum_j b_j G_j, and c0 + half is the slice point nearest
+        I/2, half = (I - sum_j Tr(G_j) G_j) / 2.
         """
-        found = self._stacks.get(real)
+        found = self._slices.get(real)
         if found is None:
             i, j = np.nonzero(np.triu(self.mask))
             pair = i < j
@@ -362,10 +345,10 @@ class _MembershipSolver:
                 ip, jp = i[pair], j[pair]
                 image = np.hstack([image, 1j * math.sqrt(0.5)
                                    * (lmap[:, ip, jp] - lmap[:, jp, ip])])
-                image = np.vstack([image.real, image.imag])
+                image = np.ascontiguousarray(image.T).view(float).T
             u, s, vt = np.linalg.svd(image, full_matrices=False)
             keep = s > 1e-10 * s[0]
-            vt = vt[keep]
+            vt, scaled = vt[keep], u[:, keep] / s[keep]
             g = np.zeros((len(vt), self.kappa, self.kappa),
                          dtype=float if real else complex)
             g[:, i, j] = g[:, j, i] = coef * vt[:, :len(i)]
@@ -373,59 +356,87 @@ class _MembershipSolver:
                 anti = 1j * math.sqrt(0.5) * vt[:, len(i):]
                 g[:, ip, jp] += anti
                 g[:, jp, ip] -= anti
-            found = self._stacks[real] = (g, u[:, keep] / s[keep])
+            gm = g[:, self.mask]
+            half = 0.5 * (np.eye(self.kappa)[self.mask]
+                          - np.trace(g, axis1=1, axis2=2).real @ gm)
+            found = self._slices[real] = (g, scaled, gm.T @ scaled.T, half)
         return found
 
-    def _barrier(self, z: np.ndarray, zvec: np.ndarray, c0: np.ndarray,
-                 tol: float, budget: int) -> MembershipReport:
+    def coords(self, v: np.ndarray, real: bool) -> np.ndarray:
+        """Real coordinates of a vector on the reached entries: its values
+        on or above the diagonal, as real parts or as (real, imag) pairs."""
+        v = v[self.upper]
+        return v.real if real else v.view(float)
+
+    def direction(self, nu: np.ndarray, real: bool) -> np.ndarray:
+        """The direction U S^-1 nu of multipliers ``nu``, for
+        :meth:`outside_certified`: its Hermitian part pairs with z as the
+        coordinates pair with coords(z)."""
+        y = self.constraints(real)[1] @ nu
+        x = np.zeros(len(self.slots), dtype=complex)
+        x[self.upper] = y if real else y.view(complex)
+        return x
+
+    def points(self, zvec: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
+        """The route (real when the basis and coords(z) are), the slice's
+        minimum-norm point c0 and its point nearest I/2 in Frobenius norm,
+        the centre of the box, the operator-norm ball of radius 1/2."""
+        real = self.real and not np.count_nonzero(zvec[self.upper].imag)
+        _, _, lift, half = self.constraints(real)
+        c0 = lift @ self.coords(zvec, real)
+        return real, c0, c0 + half
+
+    def _separated(self, z: np.ndarray, r: np.ndarray, real: bool,
+                   tol: float) -> tuple[np.ndarray, float] | None:
+        """:meth:`outside_certified` of the residual ``r`` of a box point
+        in the direction r, then in (a a^H)^+ r = U S^-2 U^T r."""
+        return self.outside_certified(z, r, tol) or self.outside_certified(
+            z, r, tol, self.direction(self.constraints(real)[1].T
+                                      @ self.coords(r, real), real))
+
+    def _barrier(self, z: np.ndarray, zvec: np.ndarray, real: bool,
+                 c0: np.ndarray, centre: np.ndarray, tol: float,
+                 budget: int) -> MembershipReport:
         """Phase I by a barrier method (Boyd and Vandenberghe 2004, 11.4).
 
-        z is certified outside at once when the box projection W of a^+ z
-        is, in the direction r = z - L(W) or (a a^H)^+ r. Otherwise the
-        solve maximises t subject to L(C) = z and tI <= C <= (1 - t)I by
-        minimising -t / mu - log det(C - tI) - log det((1 - t)I - C) on
-        the slice, from its point nearest the box centre. mu starts at
-        1 / (2 kappa), where the duality gap 2 kappa mu is the width of
-        the box, and shrinks by 0.01 after each centring (Newton
-        decrement^2 <= 0.1).
+        z is certified outside at once when the box projection W of c0 is
+        (:meth:`_separated`). Otherwise the solve maximises t subject to
+        L(C) = z and tI <= C <= (1 - t)I by minimising
+        -t / mu - log det(C - tI) - log det((1 - t)I - C) on the slice,
+        from ``centre``. mu starts at 1 / (2 kappa), where the duality gap
+        2 kappa mu is the box's width, and shrinks by 0.01 after each
+        centring (Newton decrement^2 <= 0.1).
 
         In the eigenbasis of C, with p = lambda - t and q = 1 - t - lambda,
         the Hessian in C is entrywise, W_ab = 1/(p_a p_b) + 1/(q_a q_b), so
-        a Newton step is one eigh and one QR for the multipliers nu of the
-        constraints and the step in t. The damped length
-        1 / (1 + decrement) keeps the step inside the Dikin ellipsoid of
-        the self-concordant barrier, so both slacks stay positive. z is
-        inside once t >= 0 or once C clipped to the box has residual at
-        most 0.005 tol. At a centre Z1 = mu (C - tI)^-1 and
-        Z2 = mu ((1 - t)I - C)^-1 have traces summing to 1, so the
-        constraint direction Z2 - Z1 separates z by at least
-        -t - 2 kappa mu up to its norm: while that bound is positive,
-        x = U S^-1 nu is tested with :meth:`outside_certified` after each
-        centring. After ``budget`` steps the clipped C answers if its
-        residual is within ``tol``; otherwise z is ``undecided``.
+        a Newton step is one eigh and one QR for the multipliers nu and the
+        step in t. The damped length 1 / (1 + decrement) stays inside the
+        Dikin ellipsoid, so both slacks stay positive. z is inside once
+        t >= 0 or once C clipped to the box has residual at most 0.005 tol.
+        At a centre Z1 = mu (C - tI)^-1 and Z2 = mu ((1 - t)I - C)^-1 have
+        traces summing to 1, so Z2 - Z1 separates z by at least
+        -t - 2 kappa mu up to its norm: while that bound is positive, the
+        :meth:`direction` of nu is tested after each centring. After
+        ``budget`` steps, or when the slacks round away, the clipped C's
+        residual gets the tests of W; failing them, the clipped C answers
+        if its residual is within ``tol``, and z is otherwise
+        ``undecided``.
         """
         box = self.project_box(c0)
         r = zvec - self.a @ box
-        cert = self.outside_certified(z, r, tol) or self.outside_certified(
-            z, r, tol, self.a_pinv.conj().T @ (self.a_pinv @ r))
+        cert = self._separated(z, r, real, tol)
         if cert is not None:
             return MembershipReport(False, CoefficientMatrix(
                 self.to_matrix(box)), float(np.linalg.norm(r)), 0,
                 "outside", "barrier", *cert)
-        zr = z[self.rows[self.upper], self.cols[self.upper]]
-        real = self.real and not zr.imag.any()
-        g, scaled = self.constraints(real)
-        b = scaled.T @ (zr.real if real
-                        else np.concatenate([zr.real, zr.imag]))
+        g, scaled = self.constraints(real)[:2]
+        b = scaled.T @ self.coords(zvec, real)
         n, k = len(g), self.kappa
         flat = g.reshape(n, -1).conj()
         dia, eye = np.arange(k) * (k + 1), np.eye(k)
-        # The slice point nearest the box centre I/2.
-        c = 0.5 * eye + np.tensordot(
-            b - 0.5 * np.trace(g, axis1=1, axis2=2).real, g, 1)
+        c = self.to_matrix(centre).real if real else self.to_matrix(centre)
         lam, v = np.linalg.eigh(c)
-        t, mu, steps, stop, cert = min(lam[0], 1.0 - lam[-1]) - 1.0, \
-            0.5 / k, 0, "", None
+        t, mu, steps, stop = min(lam[0], 1.0 - lam[-1]) - 1.0, 0.5 / k, 0, ""
         while True:
             vh = v.T if real else v.conj().T
             w = (v * np.clip(lam, 0.0, 1.0)) @ vh
@@ -436,7 +447,7 @@ class _MembershipSolver:
                 stop = "face"
             elif steps == budget or not (lam[0] > t and lam[-1] < 1.0 - t):
                 # The step cap, or slacks lost to rounding.
-                stop = "undecided"
+                stop, cert = "undecided", self._separated(z, r, real, tol)
             if stop:
                 break
             ip, iq = 1.0 / (lam - t), 1.0 / (1.0 - t - lam)
@@ -477,16 +488,12 @@ class _MembershipSolver:
                 if dec > 0.1:
                     break
                 if -t > 2.0 * k * mu:
-                    x = np.zeros(len(zvec), dtype=complex)
-                    y = scaled @ np.linalg.solve(tri, coef)
-                    x[self.upper] = y if real else \
-                        y[:len(zr)] + 1j * y[len(zr):]
-                    cert = self.outside_certified(z, r, tol, x)
+                    cert = self.outside_certified(z, r, tol, self.direction(
+                        np.linalg.solve(tri, coef), real))
                     if cert is not None:
                         break
                 mu *= 0.01
             if cert is not None:
-                stop = "outside"
                 break
             step = 1.0 / (1.0 + math.sqrt(dec))
             c = c + step * np.where(self.mask, v @ dc @ vh, 0.0)
@@ -494,47 +501,39 @@ class _MembershipSolver:
             steps += 1
             lam, v = np.linalg.eigh(c)
         res = float(np.linalg.norm(r))
-        feasible = stop != "outside" and res <= tol
-        if stop != "outside":
-            # A capped iterate answers too, clipped, if it reproduces z.
-            stop = ("face" if stop == "undecided" else stop) if feasible \
-                else "undecided"
+        feasible = cert is None and res <= tol
+        # A capped iterate answers too, clipped, if it reproduces z.
+        stop = "outside" if cert else "undecided" if not feasible else \
+            "face" if stop == "undecided" else stop
         return MembershipReport(feasible, CoefficientMatrix(self.to_matrix(
             w[self.mask])), res, steps, stop, "barrier",
             *(cert or (None, None)))
 
     def solve(self, z: np.ndarray, tol: float, budget: int
               ) -> MembershipReport:
-        """Candidates, then the span test, then the barrier solve with at
-        most ``budget`` Newton steps. The candidates are the identity and
-        two slice points, the point nearest the box centre and
-        c0 = a_pinv z; each needs a residual at most min(tol, ROUNDING_TOL).
-
-        The span test is :meth:`outside_certified` at c0 = a_pinv z in
-        the direction of r = z - L(c0) itself, the part of z outside the
-        span of the Gram operators, a span the adjoint maps onto itself.
-        On a basis of diagonal Kraus operators it is the off-diagonal part
-        of z. h need not vanish on its direction up to rounding, so the gap
-        is still taken from ``support``.
+        """Candidates (:meth:`_candidates`, gated at min(tol,
+        ROUNDING_TOL)), then the span test, then the barrier solve with at
+        most ``budget`` Newton steps. The span test is
+        :meth:`outside_certified` at c0 in the direction r = target(z) - a c0,
+        the part of z off the span of the Gram operators (a span the adjoint
+        maps onto itself): on a diagonal Kraus basis, z's off-diagonal part.
+        h need not vanish on r up to rounding, so the gap is taken from
+        ``support``.
         """
         zvec = self.target(z)
-        c0 = self.a_pinv @ zvec
+        real, c0, centre = self.points(zvec)
         off = zvec - self.a @ c0
-        found = self._candidates(zvec, c0, off, min(tol, ROUNDING_TOL))
+        found = self._candidates(zvec, c0, centre, off, min(tol, ROUNDING_TOL))
         if found is not None:
-            cand, stop, res = found
-            return MembershipReport(True,
-                                    CoefficientMatrix(self.to_matrix(cand)),
-                                    res, 0, stop, "candidate")
+            return MembershipReport(True, CoefficientMatrix(self.to_matrix(
+                found[0])), found[2], 0, found[1], "candidate")
         cert = self.outside_certified(z, off, tol)
         if cert is not None:
             box = self.project_box(c0)
-            res = float(np.linalg.norm(self.a @ box - zvec))
-            return MembershipReport(False,
-                                    CoefficientMatrix(self.to_matrix(box)),
-                                    res, 0, "outside", "span",
-                                    separating=cert[0], gap=cert[1])
-        return self._barrier(z, zvec, c0, tol, budget)
+            return MembershipReport(False, CoefficientMatrix(self.to_matrix(
+                box)), float(np.linalg.norm(self.a @ box - zvec)), 0,
+                "outside", "span", *cert)
+        return self._barrier(z, zvec, real, c0, centre, tol, budget)
 
 
 def membership(z, spec: ZonoidSpec, tol: float = MEMBERSHIP_TOL
@@ -577,15 +576,14 @@ def support_function(x, spec: ZonoidSpec) -> float:
 def zonoid_bytes(basis: KrausSet | Instrument, real_target: bool) -> int:
     """Traced peak bytes of a zonoid-check run on ``basis`` as parsed from
     JSON (200 bytes an operator entry): a Choi matrix for each outcome of
-    two or more operators, then the map on E entries while pinv takes
-    ``a``, its conjugate, singular vectors and result, or, if larger, the
-    map, ``a`` and ``a^+`` while the barrier solve holds eight copies of
-    its r constraints of kappa^2 entries, and 300 bytes an entry of the
-    d x d target and report. E is bounded without a d x d array: each
-    distinct nonzero pattern S of an output row reaches S x S. The
-    constraints are real, r at most the reached entries on or above the
-    diagonal, when the basis and the target are real; otherwise they are
-    complex and r is at most E."""
+    two or more operators, or, if larger, the map on E entries, ``a``, the
+    slice's lift from the coordinates of z to the m masked coefficients
+    and six copies of its r constraints of kappa^2 entries in the barrier
+    solve, with 300 bytes an entry of the d x d target and report. E is
+    bounded without a d x d array: each distinct nonzero pattern S of an
+    output row reaches S x S. With a real basis and target the slice is
+    real, on the real parts of at most (E + d) / 2 entries with r at most
+    that; otherwise complex, with twice the coordinates and r <= E."""
     kraus = basis.kraus if isinstance(basis, Instrument) else basis
     blocks = getattr(basis, "partition", [range(kraus.n_operators)])
     ops, d = kraus.operators, kraus.input_dim
@@ -593,16 +591,16 @@ def zonoid_bytes(basis: KrausSet | Instrument, real_target: bool) -> int:
     n = min(d * d, int((rows.sum(axis=1) ** 2).sum())) + 1
     m = sum(len(b) ** 2 for b in blocks)
     k2 = len(ops) ** 2
+    coords = (n - 1 + d) // 2
     if real_target and not ops.imag.any():
-        width, r = 8, min((n - 1 + d) // 2,
-                          sum(len(b) * (len(b) + 1) // 2 for b in blocks))
+        width, r = 8, min(coords, sum(len(b) * (len(b) + 1) // 2
+                                      for b in blocks))
     else:
-        width, r = 16, min(n - 1, m)
-    build = 16 * n * (k2 + 4 * m + 2 * min(n, m))
-    solve = 16 * n * (k2 + 2 * m) + 8 * width * r * k2
+        width, r, coords = 16, min(n - 1, m), 2 * coords
     choi = kraus is not basis and max(map(len, blocks)) > 1
     return max(36 * choi * (d * kraus.output_dim) ** 2, 200 * ops.size,
-               max(build, solve) + 300 * d * d)
+               16 * n * (k2 + m) + width * (m * coords + 6 * r * k2)
+               + 300 * d * d)
 
 
 def _canonical_directions(d: int) -> np.ndarray:

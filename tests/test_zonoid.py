@@ -638,8 +638,21 @@ def _barrier_only(spec, z, tol):
     candidates would have answered."""
     s = spec.solver()
     zvec = s.target(z)
-    return s._barrier(z, zvec, s.a_pinv @ zvec, tol,
+    return s._barrier(z, zvec, *s.points(zvec), tol,
                       zonoid.MEMBERSHIP_MAX_ITER)
+
+
+def _hermitian_units(mask, real):
+    """The orthonormal Hermitian units supported on ``mask``, stacked: E_ii,
+    (E_ij + E_ji)/√2 and, unless ``real``, i (E_ij - E_ji)/√2, i < j."""
+    units = []
+    for i, j in zip(*np.nonzero(np.triu(mask))):
+        for phase in ((1.0,) if i == j else (1.0, 1j)[:1 + (not real)]):
+            u = np.zeros(mask.shape, dtype=complex)
+            u[i, j] = phase
+            u[j, i] = np.conj(phase)
+            units.append(u / np.linalg.norm(u))
+    return np.array(units)
 
 
 def _multiplier_spec(parties):
@@ -769,7 +782,9 @@ def test_candidate_answers_are_exact_box_witnesses(name, seed, pin):
     # Every candidate answer passes the box rule and reproduces z from the
     # basis operators; an `affine` one is a^+ z or the slice point nearest
     # the box centre, whose offset from I/2 has no part in the kernel of a.
+    # a^+ z comes from the dense map, the offset from the solver's slice.
     spec = BASES[name]()
+    s = spec.solver()
     a, mask = _dense_map(spec)
     z = np.einsum("mn,mnac->ac", _random_box(
         spec, np.random.default_rng(seed), pin), _gram(spec))
@@ -777,7 +792,7 @@ def test_candidate_answers_are_exact_box_witnesses(name, seed, pin):
     zvec = z.reshape(-1)
     pinv = np.linalg.pinv(a, rcond=1e-13)
     c0 = pinv @ zvec
-    centre = c0 + spec.solver().mid
+    centre = c0 + s.constraints(s.points(s.target(z))[0])[3]
     kernel = np.eye(a.shape[1]) - pinv @ a
     half = 0.5 * np.eye(spec.kappa)[mask]
     np.testing.assert_allclose(kernel @ (centre - half), 0.0, rtol=0.0,
@@ -950,20 +965,29 @@ class TestDescentKernel:
 
     @pytest.mark.parametrize("name", sorted(BASES))
     def test_normal_is_the_kernel_projector(self, name):
-        # y -> y - a^+ (a y) is the orthogonal projector onto the kernel of
-        # L, the one the dense map gives; ``mid`` applies it to I/2.
+        # C -> C - sum_j <G_j, C> G_j, over the Hermitian C of either route
+        # (real symmetric on the real one), is the orthogonal projector
+        # onto the kernel of L, the one the dense map gives; the slice's
+        # centre offset applies it to I/2.
         spec = BASES[name]()
         s = spec.solver()
-        eye = np.eye(s.a.shape[1])
-        n = eye - s.a_pinv @ (s.a @ eye)
-        np.testing.assert_allclose(n, n.conj().T, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(n @ n, n, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(s.a @ n, 0.0, rtol=0.0, atol=1e-12)
         a, _ = _dense_map(spec)
-        np.testing.assert_allclose(a @ n, 0.0, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(
-            n, eye - np.linalg.pinv(a, rcond=1e-13) @ a, rtol=0.0,
-            atol=1e-12)
+        kernel = np.eye(a.shape[1]) - np.linalg.pinv(a, rcond=1e-13) @ a
+        for real in (False, True):
+            g, _, _, half = s.constraints(real)
+            units = _hermitian_units(s.mask, real)[:, s.mask]
+            gm = g[:, s.mask]
+            n = units - (gm.conj() @ units.T).real.T @ gm
+            p = (units.conj() @ n.T).real
+            np.testing.assert_allclose(p, p.T, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(p @ p, p, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(s.a @ n.T, 0.0, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(a @ n.T, 0.0, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(n.T, kernel @ units.T, rtol=0.0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(
+                half, kernel @ (0.5 * np.eye(spec.kappa)[s.mask]),
+                rtol=0.0, atol=1e-12)
 
     def test_verdicts_match_matrix_form_descent(self):
         r = np.random.default_rng(90210)
@@ -1115,7 +1139,8 @@ class TestSeparatingCertificate:
     @given(st.integers(0, 2 ** 32 - 1), st.booleans())
     def test_box_images_skip_the_span_exit(self, name, seed, pin):
         # The span test returns nothing on a box image, so the answer is
-        # the candidate or bitwise the barrier solve from a_pinv z.
+        # the candidate or bitwise the barrier solve from a^+ z and the
+        # slice point nearest the box centre.
         spec = BASES[name]()
         c = _random_box(spec, np.random.default_rng(seed), pin)
         z = np.einsum("mn,mnac->ac", c, _gram(spec))
@@ -1133,9 +1158,11 @@ class TestSeparatingCertificate:
         a = np.vstack([a[on], np.zeros(a.shape[1])])
         c0 = np.linalg.pinv(a, rcond=1e-13) @ np.append(
             z.reshape(-1)[on], 0)
-        ref = spec.solver()._barrier(z, np.append(z.reshape(-1)[on], 0), c0,
-                                     MEMBERSHIP_TOL,
-                                     zonoid.MEMBERSHIP_MAX_ITER)
+        s = spec.solver()
+        real, near, centre = s.points(s.target(z))
+        np.testing.assert_allclose(near, c0, rtol=0.0, atol=1e-14)
+        ref = s._barrier(z, np.append(z.reshape(-1)[on], 0), real, c0,
+                         centre, MEMBERSHIP_TOL, zonoid.MEMBERSHIP_MAX_ITER)
         np.testing.assert_array_equal(rep.witness.matrix, ref.witness.matrix)
         assert (rep.residual, rep.iterations, rep.stop, rep.phase) == \
             (ref.residual, ref.iterations, ref.stop, ref.phase)
@@ -1148,6 +1175,26 @@ def _diagonal_push(spec, r, margin):
     x /= np.linalg.norm(x)
     y = np.einsum("mn,mnac->ac", _support_maximiser(spec, x), _gram(spec))
     return np.diag(np.diag(y + margin * x).real).astype(complex)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-7])
+@pytest.mark.parametrize("seed", [1, 11])
+def test_rounding_guard_certifies_a_near_push(seed, tol):
+    # 1.1 tol outside a face, the barrier loses its slacks to rounding
+    # before its multiplier direction clears tol. The clipped iterate's
+    # residual, tested as the box projection of c0 is, still separates z.
+    spec = channel_zonoid()
+    x = np.diag(np.random.default_rng(seed).standard_normal(
+        spec.dim)).astype(complex)
+    x /= np.linalg.norm(x)
+    z = np.einsum("mn,mnac->ac", _support_maximiser(spec, x),
+                  _gram(spec)) + 1.1 * tol * x
+    rep = membership(z, spec, tol=tol)
+    assert (rep.phase, rep.stop) == ("barrier", "outside")
+    assert rep.iterations > 0
+    gap = float(np.real(np.vdot(rep.separating, z))) - support_function(
+        rep.separating, spec)
+    assert gap > tol and abs(gap - rep.gap) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -1234,6 +1281,23 @@ class TestEntryMap:
         reached[s.rows, s.cols] = True
         on_reached = ~((every != 0) & ~reached).any(axis=(1, 2))
         np.testing.assert_array_equal(reaching, on_reached)
+
+
+def test_six_party_box_images_are_candidates():
+    # The P = 6 map has five rounding singular directions. The slice drops
+    # them, so the candidates answer interior box images exactly: a
+    # minimum-norm point a^+ z with them kept carries their noise and
+    # leaves every one of these to the barrier.
+    spec = _multiplier_spec(6)
+    ops = spec.basis.operators
+    for seed in range(20):
+        c = _random_box(spec, np.random.default_rng(seed), False)
+        z = np.einsum("mn,mba,nbc->ac", c, ops.conj(), ops, optimize=True)
+        rep = membership(0.5 * (z + z.conj().T), spec)
+        assert (rep.feasible, rep.phase, rep.iterations) == \
+            (True, "candidate", 0), seed
+        assert _kraus_witness_residual(spec, rep.witness.matrix, z) \
+            <= 1e-12, seed
 
 
 def test_six_party_solver_is_small_and_fast():
