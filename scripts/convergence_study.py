@@ -39,21 +39,29 @@ def study_row(nu: int, exponent: float, samples: int, seed: int) -> dict:
     }
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+def build_parser() -> cli._Parser:
+    """The study's flags, with the CLI's ranges: a bad one exits 2 with
+    one stderr line."""
+    parser = cli._Parser(description=__doc__)
     parser.add_argument("--nu-list", default="10,100,1000,10000",
                         help="comma-separated round counts")
-    parser.add_argument("--c", type=float, default=0.5,
+    parser.add_argument("--c", type=cli._EXPONENT, default=0.5,
                         help="halting bias exponent in (0, 1)")
-    parser.add_argument("--samples", type=int, default=1000,
+    parser.add_argument("--samples", type=cli._COUNT, default=1000,
                         help="directions for the Hausdorff estimate")
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=cli._COUNT, default=42)
     parser.add_argument("--csv", default="",
                         help="optional path for a CSV copy of the table")
-    args = parser.parse_args()
+    return parser
+
+
+def main() -> int:
     try:
+        args = build_parser().parse_args()
         nus = cli._rounds_list(args.nu_list, 2, args.c)
-        cli.check_hausdorff_samples(args.samples)
+        # The study's Hausdorff estimates are sized as hausdorff's.
+        cli._refuse_over_budget(argparse.Namespace(command="hausdorff",
+                                                   samples=args.samples))
     except cli.InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

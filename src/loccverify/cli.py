@@ -67,6 +67,7 @@ _HAUSDORFF_SAMPLE_BYTES = 1344
 # in `distance` as the padded Choi matrices and their difference.
 _CHOI_ENTRY_BYTES = {"choi": 300, "distance": 52}
 _SIZE_FLAGS = ("samples", "sigma_samples", "grid", "nodes")
+_INPUT_COMMANDS = ("choi", "distance", "zonoid-check")
 
 
 def _check(name: str, defect: float, tol: float, where: str = "") -> dict:
@@ -134,18 +135,18 @@ def _resolve_kraus(token: str, flag: str) -> KrausSet:
     return kraus
 
 
-def _resolve_basis(args) -> ZonoidSpec:
-    """The zonoid of --basis. A JSON basis is refused, before its zonoid
-    is built, if it is not finite or would not fit the budget."""
-    token = args.basis
-    if token == "twoqubit-minimal":
-        return twoqubit.channel_zonoid()
-    if token == "twoqubit-blocks":
-        return twoqubit.instrument_zonoid()
-    if token == "square":
-        return ZonoidSpec(_square_basis())
-    if token == "interval":
-        return ZonoidSpec(_interval_basis())
+_BASES = {
+    "twoqubit-minimal": lambda: twoqubit.two_qubit_instrument().minimal,
+    "twoqubit-blocks": lambda: twoqubit.two_qubit_instrument().instrument,
+    "square": _square_basis,
+    "interval": _interval_basis,
+}
+
+
+def _resolve_basis(token: str) -> KrausSet | Instrument:
+    """The basis of --basis: a builtin, a Kraus set or an instrument."""
+    if token in _BASES:
+        return _BASES[token]()
     obj = _load_obj(token)
     try:
         if isinstance(obj, dict) and "partition" in obj:
@@ -154,25 +155,23 @@ def _resolve_basis(args) -> ZonoidSpec:
         else:
             basis = serialize.kraus_from_json(obj)
             _finite(basis, "--basis")
-        _refuse_over_budget(args, basis)
-        if isinstance(basis, Instrument):
-            return zonoid_spec_for_instrument(basis)
-        return ZonoidSpec(basis)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    return basis
 
 
-def _resolve_target(token: str, spec: ZonoidSpec) -> np.ndarray:
+def _resolve_target(token: str, dim: int) -> np.ndarray | None:
+    """The matrix of --z on C^dim, None for 'identity'."""
     if token == "identity":
-        return np.eye(spec.dim, dtype=np.complex128)
+        return None
     obj = _load_obj(token)
     try:
         z = serialize.matrix_from_json(obj)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if z.shape != (spec.dim, spec.dim):
+    if z.shape != (dim, dim):
         raise InputError(f"--z has shape {z.shape}, the basis acts on "
-                         f"dimension {spec.dim}")
+                         f"dimension {dim}")
     if not has_finite_norm(z):
         raise InputError("--z must have finite entries and a finite norm")
     if not is_hermitian(z, tolerances.INPUT_HERMITICITY_TOL):
@@ -180,12 +179,12 @@ def _resolve_target(token: str, spec: ZonoidSpec) -> np.ndarray:
     return z
 
 
-def work_bytes(args, *inputs) -> int:
+def work_bytes(args, *inputs, z: np.ndarray | None = None) -> int:
     """Peak memory of a run, in bytes: of a theorem1, theorem8, paths,
-    paper-2q, paper-pq, wstate or hausdorff run from its validated flags
+    paper-2q, paper-pq, wstate or hausdorff run from its parsed flags
     alone, of a choi, distance or zonoid-check run from the shapes of its
     parsed ``inputs`` (the Kraus sets, or the basis as a KrausSet or an
-    Instrument).
+    Instrument) and the parsed target ``z`` (None for the identity).
 
     Each part grows with one size flag or input: the theorem checks with
     their s and sigma samples, the path gap with its grid (2^P entries a
@@ -204,7 +203,7 @@ def work_bytes(args, *inputs) -> int:
         out = max(k.output_dim for k in inputs)
         parts.append(_CHOI_ENTRY_BYTES[args.command] * (d * out) ** 2)
     if args.command == "zonoid-check":
-        parts.append(zonoid_bytes(*inputs, _real_target(args.z)))
+        parts.append(zonoid_bytes(*inputs, z is None or not z.imag.any()))
     if args.command in _THEOREM_SAMPLE_BYTES:
         per_s, per_sigma = _THEOREM_SAMPLE_BYTES[args.command]
         # --samples 0 is the dense grid: spacing 0.01 on [1, 4].
@@ -219,21 +218,10 @@ def work_bytes(args, *inputs) -> int:
     return _FIXED_BYTES + max(parts)
 
 
-def _real_target(token: str) -> bool:
-    """Whether --z is a real matrix. One that does not parse counts as
-    complex, the larger case; reading it later reports the error."""
-    if token == "identity":
-        return True
-    try:
-        return not serialize.matrix_from_json(_load_obj(token)).imag.any()
-    except (InputError, ValueError):
-        return False
-
-
-def _refuse_over_budget(args, *inputs) -> None:
+def _refuse_over_budget(args, *inputs, z: np.ndarray | None = None) -> None:
     """InputError, before any work, for a run ``work_bytes`` puts above
     the budget."""
-    need = work_bytes(args, *inputs)
+    need = work_bytes(args, *inputs, z=z)
     if need > TREE_BYTES_BUDGET:
         sizes = [f"--{name.replace('_', '-')} {getattr(args, name)}"
                  for name in _SIZE_FLAGS if hasattr(args, name)]
@@ -245,21 +233,6 @@ def _refuse_over_budget(args, *inputs) -> None:
         raise InputError(f"{' '.join(sizes)} needs {need / 2 ** 20:.1f} "
                          f"MiB, above the {TREE_BYTES_BUDGET // 2 ** 20} "
                          "MiB budget")
-
-
-def check_hausdorff_samples(samples: int) -> None:
-    """InputError, before any direction is drawn, unless ``samples``
-    Hausdorff directions are at least 0 and fit the budget. Checks the
-    --samples of ``hausdorff`` and of the convergence study."""
-    _at_least(samples, "--samples", 0)
-    _refuse_over_budget(argparse.Namespace(command="hausdorff",
-                                           samples=samples))
-
-
-def _membership_tol(value: float) -> float:
-    if not (math.isfinite(value) and value > 0.0):
-        raise InputError("--tol must be finite and positive")
-    return value
 
 
 def _cmd_choi(args) -> dict:
@@ -288,10 +261,18 @@ def _cmd_distance(args) -> dict:
 
 
 def _cmd_zonoid_check(args) -> dict:
-    mtol = _membership_tol(args.tol)
-    spec = _resolve_basis(args)
-    z = _resolve_target(args.z, spec)
-    report = membership(z, spec, tol=mtol)
+    basis = _resolve_basis(args.basis)
+    kraus = basis.kraus if isinstance(basis, Instrument) else basis
+    z = _resolve_target(args.z, kraus.input_dim)
+    _refuse_over_budget(args, basis, z=z)
+    try:
+        spec = (zonoid_spec_for_instrument(basis)
+                if isinstance(basis, Instrument) else ZonoidSpec(basis))
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    if z is None:
+        z = np.eye(spec.dim, dtype=np.complex128)
+    report = membership(z, spec, tol=args.tol)
     values = {
         "feasible": report.feasible,
         "residual": float(report.residual),
@@ -304,21 +285,15 @@ def _cmd_zonoid_check(args) -> dict:
         "support_identity": float(
             support_function(np.eye(spec.dim, dtype=np.complex128), spec)),
     }
-    checks = [_check("membership", report.residual, mtol)]
+    checks = [_check("membership", report.residual, args.tol)]
     return {"checks": checks, "values": values}
-
-
-def _at_least(value: int, flag: str, low: int) -> int:
-    if value < low:
-        raise InputError(f"{flag} must be at least {low}")
-    return value
 
 
 def _protocol_params(parties: int, rounds: int, exponent: float
                      ) -> ProtocolParams:
-    # Checked before anything is built: the tree holds 2^P x 2^P matrices.
-    if parties > pq.MAX_PARTIES:
-        raise InputError(f"--parties must be at most {pq.MAX_PARTIES}")
+    """The protocol of --parties, --nu and --c. The parser holds each
+    flag's range; this refuses the rounds at which eta = 1 - rounds^(-c)
+    rounds to 1."""
     try:
         return ProtocolParams(parties, rounds, exponent)
     except ValueError as exc:
@@ -361,10 +336,8 @@ def _cmd_protocol(args) -> dict:
 
 def _cmd_paths(args) -> dict:
     params = _protocol_params(args.parties, args.nu, args.c)
-    grid = _at_least(args.grid, "--grid", 1)
-    _refuse_over_budget(args)
     report = path_distance_bound(params.parties, params.rounds,
-                                 params.exponent, grid_points=grid)
+                                 params.exponent, grid_points=args.grid)
     checks = [_check("limit-gap-bound", report.max_distance,
                      report.bound + tolerances.ROUNDING_TOL,
                      f"s={report.worst_s:.6g}")]
@@ -377,39 +350,26 @@ def _cmd_paths(args) -> dict:
     return {"checks": checks, "values": values}
 
 
-def _theorem_flags(args) -> float:
-    """Validate the flags of theorem1 and theorem8, refuse a run over the
-    memory budget, and return --tol."""
-    mtol = _membership_tol(args.tol)
-    # --samples 0 selects the dense default grid.
-    _at_least(args.samples, "--samples", 0)
-    _at_least(args.sigma_samples, "--sigma-samples", 1)
-    if hasattr(args, "nodes"):
-        _at_least(args.nodes, "--nodes", 1)
-    _refuse_over_budget(args)
-    return mtol
-
-
-def _theorem_checks(args, spec: ZonoidSpec, family, mtol: float) -> list:
+def _theorem_checks(args, spec: ZonoidSpec, family) -> list:
     paths, fams = family(spec)
+    # --samples 0 selects the dense default grid.
     report = verify_theorem_conditions(
         spec, paths, fams, s_samples=args.samples or None,
-        sigma_samples=args.sigma_samples, membership_tol=mtol)
+        sigma_samples=args.sigma_samples, membership_tol=args.tol)
     return [_check(c.name, c.defect, c.tol, c.where) for c in report.checks]
 
 
 def _cmd_theorem1(args) -> dict:
-    mtol = _theorem_flags(args)
     if args.nu:
         _protocol_params(2, args.nu, args.c)
     spec = twoqubit.channel_zonoid()
-    checks = _theorem_checks(args, spec, twoqubit.limiting_family, mtol)
+    checks = _theorem_checks(args, spec, twoqubit.limiting_family)
     values = {}
     if args.nu:
         grid = np.linspace(4.0, 1.0, 11)
         pre = main_branch_diagonals(2, args.nu, args.c, grid)
         residuals = [float(membership(np.diag(d).astype(np.complex128),
-                                      spec, tol=mtol).residual)
+                                      spec, tol=args.tol).residual)
                      for d in pre]
         values["prelimit"] = {
             "rounds": args.nu,
@@ -422,9 +382,8 @@ def _cmd_theorem1(args) -> dict:
 
 
 def _cmd_theorem8(args) -> dict:
-    mtol = _theorem_flags(args)
     checks = _theorem_checks(args, twoqubit.instrument_zonoid(),
-                             twoqubit.blocked_limiting_family, mtol)
+                             twoqubit.blocked_limiting_family)
 
     inst = twoqubit.two_qubit_instrument().instrument
     embedded = qc_embed(inst)
@@ -453,8 +412,6 @@ def _cmd_theorem8(args) -> dict:
 
 def _cmd_paper2q(args) -> dict:
     _protocol_params(2, args.nu, args.c)
-    _at_least(args.nodes, "--nodes", 1)
-    _refuse_over_budget(args)
     gap = path_distance_bound(2, args.nu, args.c)
     omega = twoqubit.limiting_choi_2q(nodes=args.nodes)
     offdiag = float(np.real(omega.matrix[0, 10]))
@@ -493,12 +450,7 @@ def _rounds_list(text: str, parties: int, exponent: float) -> list[int]:
 
 
 def _cmd_paperpq(args) -> dict:
-    if not pq.MIN_PARTIES <= args.parties <= pq.LIMIT_CHECK_MAX_PARTIES:
-        raise InputError(f"--parties must lie in [{pq.MIN_PARTIES}, "
-                         f"{pq.LIMIT_CHECK_MAX_PARTIES}]")
     nu_list = _rounds_list(args.nu_list, args.parties, args.c)
-    _at_least(args.nodes, "--nodes", 1)
-    _refuse_over_budget(args)
     report = pq.pqubit_limit_check(args.parties, nu_list, args.c,
                                    nodes=args.nodes)
     checks = [
@@ -518,8 +470,6 @@ def _cmd_paperpq(args) -> dict:
 
 
 def _cmd_wstate(args) -> dict:
-    _at_least(args.nodes, "--nodes", 1)
-    _refuse_over_budget(args)
     report = twoqubit.wstate_analysis(nodes=args.nodes)
     checks = [
         _check("all-ones-annihilates", report.k1_image_norm,
@@ -540,7 +490,6 @@ def _cmd_wstate(args) -> dict:
 
 def _cmd_hausdorff(args) -> dict:
     nu_list = _rounds_list(args.nu_list, 2, args.c)
-    check_hausdorff_samples(args.samples)
     limit_spec = twoqubit.channel_zonoid()
     dists = []
     for nu in nu_list:
@@ -552,6 +501,32 @@ def _cmd_hausdorff(args) -> dict:
     checks = [_check("hausdorff-decreasing", 0.0 if decreasing else 1.0, 0.5)]
     values = {"rounds_list": nu_list, "estimates": dists}
     return {"checks": checks, "values": values}
+
+
+def _ranged(kind, low, high=math.inf, *, open_ends: bool = False):
+    """An argparse type: a number of ``kind`` in [low, high], or with
+    ``open_ends`` in (low, high), which refuses inf and NaN too."""
+    if open_ends:
+        rule = (f"must be finite and above {low}" if high == math.inf
+                else f"must lie in ({low}, {high})")
+    else:
+        rule = (f"must be at least {low}" if high == math.inf
+                else f"must lie in [{low}, {high}]")
+
+    def parse(text: str):
+        value = kind(text)
+        if not (low < value < high if open_ends else low <= value <= high):
+            raise argparse.ArgumentTypeError(rule)
+        return value
+
+    # argparse names the type in "invalid int value: 'x'".
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_COUNT = _ranged(int, 0)
+_POSITIVE = _ranged(int, 1)
+_EXPONENT = _ranged(float, 0, 1, open_ends=True)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -567,16 +542,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Verification workflows for asymptotically "
                     "LOCC-implementable channels.")
     sub = p.add_subparsers(dest="command", required=True)
+    # The tree and the path gap hold 2^P x 2^P matrices.
+    parties = _ranged(int, pq.MIN_PARTIES, pq.MAX_PARTIES)
 
     # Flags shared by several subcommands; each subcommand declares only
     # the ones its handler reads.
     shared = {
-        "tol": dict(type=float, default=tolerances.MEMBERSHIP_TOL,
+        "tol": dict(type=_ranged(float, 0, open_ends=True),
+                    default=tolerances.MEMBERSHIP_TOL,
                     help="membership tolerance (finite, > 0)"),
-        "nodes": dict(type=int, default=tolerances.QUAD_NODES,
+        "nodes": dict(type=_POSITIVE, default=tolerances.QUAD_NODES,
                       help="quadrature nodes"),
-        "c": dict(type=float, default=0.5, help="decay exponent in (0, 1)"),
-        "sigma-samples": dict(type=int, default=tolerances.SIGMA_SAMPLES),
+        "c": dict(type=_EXPONENT, default=0.5,
+                  help="decay exponent in (0, 1)"),
+        "sigma-samples": dict(type=_POSITIVE,
+                              default=tolerances.SIGMA_SAMPLES),
         "nu-list": dict(default="100,1000,10000",
                         help="comma-separated round counts"),
     }
@@ -586,7 +566,9 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             sp.add_argument("--" + flag, **shared[flag])
         if nu is not None:
-            sp.add_argument("--nu", type=int, default=nu)
+            # theorem1's default --nu 0 adds no pre-limit values.
+            sp.add_argument("--nu", type=_POSITIVE if nu else _COUNT,
+                            default=nu)
         sp.set_defaults(func=func)
         return sp
 
@@ -609,43 +591,49 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = command("protocol", _cmd_protocol,
                  "build and verify a protocol tree", "c", nu=10)
-    sp.add_argument("--parties", type=int, default=2)
+    sp.add_argument("--parties", type=parties, default=2)
 
     sp = command("paths", _cmd_paths, "main-branch gap to the limit path",
                  "c", nu=100)
-    sp.add_argument("--parties", type=int, default=2)
-    sp.add_argument("--grid", type=int, default=401)
+    sp.add_argument("--parties", type=parties, default=2)
+    sp.add_argument("--grid", type=_POSITIVE, default=401)
 
     sp = command("theorem1", _cmd_theorem1,
                  "path conditions for the limit channel",
                  "tol", "c", "sigma-samples", nu=0)
-    sp.add_argument("--samples", type=int, default=0,
+    sp.add_argument("--samples", type=_COUNT, default=0,
                     help="s samples per path (0: dense default grid)")
 
     sp = command("theorem8", _cmd_theorem8,
                  "blocked path conditions for the instrument",
                  "tol", "nodes", "sigma-samples")
-    sp.add_argument("--samples", type=int, default=0)
+    sp.add_argument("--samples", type=_COUNT, default=0)
 
     command("paper-2q", _cmd_paper2q, "worked two-qubit example checks",
             "c", "nodes", nu=10000)
 
     sp = command("paper-pq", _cmd_paperpq, "multi-party limit checks",
                  "c", "nodes", "nu-list")
-    sp.add_argument("--parties", type=int, default=3)
+    sp.add_argument("--parties", default=3, type=_ranged(
+        int, pq.MIN_PARTIES, pq.LIMIT_CHECK_MAX_PARTIES))
 
     command("wstate", _cmd_wstate, "W-state outcome analysis", "nodes")
 
     sp = command("hausdorff", _cmd_hausdorff, "zonoid convergence estimates",
                  "c", "nu-list")
-    sp.add_argument("--samples", type=int, default=2000)
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--samples", type=_COUNT, default=2000)
+    sp.add_argument("--seed", type=_COUNT, default=42)
     return p
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        # Runs sized by their flags are refused here; choi, distance and
+        # zonoid-check once their inputs are parsed, and protocol by the
+        # bytes of its tree.
+        if args.command not in _INPUT_COMMANDS:
+            _refuse_over_budget(args)
         start = time.monotonic()
         body = args.func(args)
     except InputError as exc:

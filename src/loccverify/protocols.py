@@ -16,7 +16,6 @@ s |-> M(s)^(x P) with M(s) = (s^(1/P) - 1)|0><0| + |1><1|.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
@@ -99,14 +98,22 @@ class NodeView:
     ``povm_element`` reads the node's element as a read-only dense matrix;
     assigning to it replaces the element in the tree. ``children`` are the
     outcomes' nodes in order, and ``acting_party`` the party measuring
-    here, None at a leaf.
+    here, None at a leaf. Two views of one node of one tree compare equal.
     """
 
-    __slots__ = ("_tree", "_index", "__weakref__")
+    __slots__ = ("_tree", "_index")
 
     def __init__(self, tree: "ProtocolTree", index: int):
         self._tree = tree
         self._index = index
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NodeView):
+            return NotImplemented
+        return self._tree is other._tree and self._index == other._index
+
+    def __hash__(self) -> int:
+        return hash((id(self._tree), self._index))
 
     @property
     def povm_element(self) -> np.ndarray:
@@ -123,7 +130,7 @@ class NodeView:
     @property
     def children(self) -> list["NodeView"]:
         tree = self._tree
-        return [tree._view(j) for j in tree._shape.child_rows(self._index)]
+        return [NodeView(tree, j) for j in tree._shape.child_rows(self._index)]
 
     @property
     def is_leaf(self) -> bool:
@@ -149,8 +156,8 @@ class ProtocolTree:
     objects do not reach it.
 
     ``root``, ``node_at``, ``iter_nodes`` and ``leaves`` give
-    :class:`NodeView` objects, made on request: a node gives the same view
-    while one is held. No dense element is made until one is read.
+    :class:`NodeView` objects, made on request; views of one node compare
+    equal. No dense element is made until one is read.
     """
 
     def __init__(self, root: ProtocolNode | None, dims: PartyDims,
@@ -158,9 +165,6 @@ class ProtocolTree:
         self.dims = dims
         self.params = params
         self._overrides: dict[int, np.ndarray] = {}
-        # Weak: a view holds its tree, so a strong cache would be a cycle
-        # that keeps a dropped tree's table until the collector runs.
-        self._views = weakref.WeakValueDictionary()
         if table is not None:
             self._table = table
             self._shape = _Caterpillar(len(table), dims.n_parties)
@@ -173,30 +177,24 @@ class ProtocolTree:
 
     @property
     def root(self) -> NodeView:
-        return self._view(0)
+        return NodeView(self, 0)
 
     def iter_nodes(self):
         """The nodes in preorder, which is the table's row order."""
-        return map(self._view, range(self.n_nodes))
+        return (NodeView(self, i) for i in range(self.n_nodes))
 
     def leaves(self) -> list[NodeView]:
-        return [self._view(i) for i in self._shape.leaf_rows()]
+        return [NodeView(self, i) for i in self._shape.leaf_rows()]
 
     def node_at(self, path: Sequence[int]) -> NodeView:
         """The node reached from the root through the child indices of
         ``path``; IndexError if it leaves the tree. On a built tree the
         row is found in closed form (:meth:`_Caterpillar.row`)."""
-        return self._view(self._shape.row(path))
+        return NodeView(self, self._shape.row(path))
 
     @property
     def n_nodes(self) -> int:
         return len(self._table)
-
-    def _view(self, i: int) -> NodeView:
-        view = self._views.get(i)
-        if view is None:
-            view = self._views[i] = NodeView(self, i)
-        return view
 
     def _element(self, i: int) -> np.ndarray:
         element = self._overrides.get(i)

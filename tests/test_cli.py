@@ -184,6 +184,7 @@ class TestExitCodes:
         ["paper-2q", "--c", "1.5"],
         ["theorem1", "--nu", "10", "--c", "1.5"],
         ["hausdorff", "--samples", "-1"],
+        ["hausdorff", "--seed", "-1"],
         ["paths", "--grid", "0"],
         ["paths", "--grid", "-5"],
         ["theorem1", "--sigma-samples", "0"],
@@ -223,6 +224,12 @@ class TestExitCodes:
          '{"rows": 2, "cols": 2, "data": [[NaN, 0], [0, 0], [0, 0], [1, 0]]}'],
         ["distance", "--a", inline_identity_kraus(2),
          "--b", inline_identity_kraus(4)],
+        # Bases whose zonoid cannot be built: dependent operators, and an
+        # instrument outcome that is the zero channel.
+        ["zonoid-check", "--basis",
+         inline_kraus([np.eye(2), 2 * np.eye(2)], (2,), (2,))],
+        ["zonoid-check", "--basis",
+         inline_kraus([np.eye(2), np.zeros((2, 2))], (2,), (2,), [[0], [1]])],
         *[[*head, inline_kraus_with(value), *tail]
           for value in ("NaN", "Infinity", "1e300")
           for head, tail in ((["choi", "--kraus"], []),
@@ -412,8 +419,10 @@ class TestExitCodes:
                   else serialize.kraus_from_json(json.loads(v))
                   for flag, v in zip(argv[1::2], argv[2::2])
                   if flag != "--z"]
-        estimate = cli.work_bytes(cli._build_parser().parse_args(argv),
-                                  *inputs)
+        args = cli._build_parser().parse_args(argv)
+        z = getattr(args, "z", "identity")
+        z = None if z == "identity" else matrix_from_json(json.loads(z))
+        estimate = cli.work_bytes(args, *inputs, z=z)
         assert peak <= estimate <= 1.5 * peak
 
     @pytest.mark.parametrize("samples", ["-1", "100000000"])
@@ -437,6 +446,7 @@ class TestExitCodes:
         ["--nu-list", "10,x"],
         ["--nu-list", "0"],
         ["--c", "1.5"],
+        ["--seed", "-1"],
     ])
     def test_convergence_study_refuses_rounds_before_any_row(
             self, capsys, monkeypatch, argv):
@@ -491,7 +501,32 @@ CHEAP_ARGV = {
 }
 
 
+def options(parser):
+    """(prog, action) for every option of ``parser`` and its subparsers."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sp in action.choices.values():
+                yield from options(sp)
+        else:
+            yield parser.prog, action
+
+
 class TestDeclaredFlags:
+    def test_every_numeric_flag_has_a_range(self):
+        # A bare int or float type lets any value through, as --seed -1
+        # once reached numpy; each default lies in its flag's range.
+        parsers = [cli._build_parser(),
+                   runpy.run_path(str(STUDY))["build_parser"]()]
+        bare, outside = [], []
+        for parser in parsers:
+            for prog, action in options(parser):
+                if action.type in (int, float):
+                    bare.append((prog, action.dest))
+                elif action.type is not None and action.default is not None:
+                    if action.type(str(action.default)) != action.default:
+                        outside.append((prog, action.dest))
+        assert bare == [] and outside == []
+
     def test_every_declared_flag_is_read(self):
         sub = next(a for a in cli._build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))

@@ -71,13 +71,13 @@ class TestTreeStructure:
         parties, rounds = 2, 3
         tree = build_protocol_pq(parties, rounds, 0.5)
         # the main branch never halts, so its path is all continue moves
-        assert tree.node_at((1,) * (parties * rounds)) is tree.leaves()[-1]
+        assert tree.node_at((1,) * (parties * rounds)) == tree.leaves()[-1]
 
     def test_node_at_navigates(self):
         tree = build_protocol_pq(2, 2, 0.5)
-        assert tree.node_at(()) is tree.root
+        assert tree.node_at(()) == tree.root
         child = tree.node_at((1,))
-        assert child is tree.root.children[1]
+        assert child == tree.root.children[1]
 
     @pytest.mark.parametrize("parties,rounds", [(2, 300), (3, 100), (5, 8)])
     def test_tree_bytes_bound_the_built_tree(self, parties, rounds):
@@ -166,7 +166,7 @@ class TestVerifyTree:
 
 def _reference_verify_tree(tree):
     """Node-by-node verification: per-node partial traces, per-edge factor
-    comparisons and leaf sums in id()-keyed dicts."""
+    comparisons and leaf sums in dicts keyed by node view."""
     sum_tol, locality_tol, completeness_tol = 1e-9, 1e-10, 1e-9
     order = list(tree.iter_nodes())
     dims = tree.dims
@@ -187,14 +187,14 @@ def _reference_verify_tree(tree):
     max_sum = 0.0
     for node in reversed(order):
         if node.is_leaf:
-            leaf_sum[id(node)] = node.povm_element
+            leaf_sum[node] = node.povm_element
             continue
         for i, ch in enumerate(node.children):
-            parent[id(ch)] = (node, i)
-        acc = leaf_sum[id(node.children[0])].copy()
+            parent[ch] = (node, i)
+        acc = leaf_sum[node.children[0]].copy()
         for ch in node.children[1:]:
-            acc = acc + leaf_sum[id(ch)]
-        leaf_sum[id(node)] = acc
+            acc = acc + leaf_sum[ch]
+        leaf_sum[node] = acc
         defect = float(np.abs(node.povm_element - acc).max())
         max_sum = max(max_sum, defect)
         if defect > sum_tol:
@@ -203,14 +203,14 @@ def _reference_verify_tree(tree):
     factors = {}
     for node in order:
         facs, pdef = unit_trace_factors(node.povm_element)
-        factors[id(node)] = facs
+        factors[node] = facs
         max_prod = max(max_prod, pdef if facs is not None else 1.0)
         if facs is None or pdef > locality_tol:
             failed.append((node, "product", pdef))
     for node in order:
-        pf = factors[id(node)]
+        pf = factors[node]
         for ch in node.children:
-            cf = factors[id(ch)]
+            cf = factors[ch]
             if pf is None or cf is None:
                 continue
             for p in range(1, p_count + 1):
@@ -220,14 +220,14 @@ def _reference_verify_tree(tree):
                 max_loc = max(max_loc, d)
                 if d > locality_tol:
                     failed.append((ch, f"locality-party-{p}", d))
-    comp = float(np.abs(leaf_sum[id(tree.root)] - np.eye(dims.total)).max())
+    comp = float(np.abs(leaf_sum[tree.root] - np.eye(dims.total)).max())
     if comp > completeness_tol:
         failed.append((tree.root, "completeness", comp))
 
     def node_path(node):
         steps = []
-        while id(node) in parent:
-            node, i = parent[id(node)]
+        while node in parent:
+            node, i = parent[node]
             steps.append(i)
         return tuple(reversed(steps))
 
@@ -546,7 +546,7 @@ class TestTableTree:
             [k % parties + 1 for k in range(parties * rounds)] + [None]
         leaves = tree.leaves()
         assert all(n.acting_party is None for n in leaves)
-        assert leaves[-1] is main[-1] and not main[-1].children
+        assert leaves[-1] == main[-1] and not main[-1].children
         assert np.array_equal(
             np.array([np.diagonal(n.povm_element) for n in leaves]),
             protocol_leaf_diagonals(parties, rounds, 0.5))
@@ -574,7 +574,7 @@ class TestTableTree:
                          ProtocolNode(np.diag([0.5, 0.5, 1, 1]), None)]
         tree = ProtocolTree(root, PartyDims((2, 2)),
                             ProtocolParams(2, 1, 0.5))
-        assert tree.root is tree.node_at(()) and tree.n_nodes == 3
+        assert tree.root == tree.node_at(()) and tree.n_nodes == 3
         views = [tree.root] + tree.root.children
         for view, node in zip(views, [root] + root.children, strict=True):
             assert np.array_equal(view.povm_element, node.povm_element)
@@ -595,14 +595,14 @@ class TestNodeViews:
 
     def test_paths_map_to_rows(self):
         tree = build_protocol_pq(3, 4, 0.5)
-        assert tree.node_at(()) is tree.root
+        assert tree.node_at(()) == tree.root
         nodes = list(tree.iter_nodes())
         for k in range(13):
-            assert tree.node_at((1,) * k) is nodes[2 * k]
-            assert tree.node_at((-1,) * k) is nodes[2 * k]
+            assert tree.node_at((1,) * k) == nodes[2 * k]
+            assert tree.node_at((-1,) * k) == nodes[2 * k]
         for k in range(12):
-            assert tree.node_at((1,) * k + (0,)) is nodes[2 * k + 1]
-            assert tree.node_at((1,) * k + (-2,)) is nodes[2 * k + 1]
+            assert tree.node_at((1,) * k + (0,)) == nodes[2 * k + 1]
+            assert tree.node_at((1,) * k + (-2,)) == nodes[2 * k + 1]
             assert nodes[2 * k].children == nodes[2 * k + 1:2 * k + 3]
         # A path that leaves the tree fails as list indexing fails.
         for bad in [(0, 0), (0, 1), (2,), (-3,), (1, 0, 1), (1,) * 13,
@@ -611,6 +611,14 @@ class TestNodeViews:
                 tree.node_at(bad)
         with pytest.raises(TypeError):
             tree.node_at((1.0,))
+
+    def test_views_are_values_of_tree_and_row(self):
+        tree, twin = build_protocol_pq(2, 3, 0.5), build_protocol_pq(2, 3, 0.5)
+        assert tree.node_at((1, 0)) == tree.leaves()[1]
+        assert tree.node_at((1, 0)) != twin.node_at((1, 0))
+        assert tree.root != tree.root.children[1] and tree.root != 0
+        assert len({*tree.iter_nodes(), *tree.iter_nodes()}) == tree.n_nodes
+        assert len({tree.root, twin.root}) == 2
 
     def test_assigned_elements(self):
         tree = build_protocol_pq(2, 3, 0.5)
