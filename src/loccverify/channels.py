@@ -37,6 +37,19 @@ def _stack_operators(operators) -> np.ndarray:
     return ops
 
 
+def index_partition(groups, n: int, what: str) -> tuple[tuple[int, ...], ...]:
+    """``groups`` as tuples of ints: nonempty ``what``s that together hold
+    each index of range(n) once. ValueError otherwise."""
+    part = tuple(tuple(int(i) for i in group) for group in groups)
+    held = sorted(i for group in part for i in group)
+    if not all(part):
+        raise ValueError(f"empty {what}")
+    if held != list(range(n)):
+        raise ValueError(f"the {what}s must hold each index 0..{n - 1} "
+                         f"once, not {held}")
+    return part
+
+
 @dataclass
 class KrausSet:
     """A finite family of Kraus operators with shared shapes.
@@ -99,20 +112,8 @@ class Instrument:
     partition: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        part = tuple(tuple(int(i) for i in block) for block in self.partition)
-        seen: set[int] = set()
-        for block in part:
-            if not block:
-                raise ValueError("empty outcome in partition")
-            for i in block:
-                if i in seen:
-                    raise ValueError(f"index {i} appears in two outcomes")
-                seen.add(i)
-        if seen != set(range(self.kraus.n_operators)):
-            raise ValueError(
-                "partition must cover all Kraus indices exactly once"
-            )
-        self.partition = part
+        self.partition = index_partition(self.partition,
+                                         self.kraus.n_operators, "outcome")
 
     @property
     def n_outcomes(self) -> int:

@@ -403,7 +403,10 @@ def protocol_check_bytes(parties: int, rounds: int) -> int:
     diagonals; and 4 KiB of fixed objects. Fitted under tracemalloc on
     CPython 3.11 over 61 (P, rounds) points, P = 2..6 and 5 to 80001
     nodes: 1.03 to 1.45 times the measured peak. A tree with dense
-    overrides needs in addition a few times their size.
+    overrides needs in addition a few times their size. When one of them
+    has an imaginary part, the leaf sums are complex: up to 8 (D + 2 m)
+    bytes more per node, m the off-diagonal entries the overrides set, and
+    16 more per entry of one column range (``_CHUNK_ENTRIES`` entries).
     """
     nodes = 2 * parties * rounds + 1
     width = 2 ** parties
@@ -526,52 +529,31 @@ def _diagonal_factors(e: np.ndarray, dims: PartyDims):
 
 
 def _summed_entries(cols: np.ndarray, rows: np.ndarray, dense: np.ndarray):
-    """The entries the leaf-sum pass adds, as one real (D + 2 m, n + 1)
-    array, a column per node and a last column of zeros: the node's
-    diagonal, then m complex entries as (real, imaginary) pairs of rows.
-    The m entries are the positions where some dense override ``dense``
-    (at preorder ``rows``, shape (c, D, D)) holds what a real diagonal
-    cannot: an off-diagonal entry, or an imaginary part on the diagonal,
-    whose row then moves into the pairs whole. ``cols`` is the (D, n)
-    table. Also returns the identity in this layout."""
+    """The entries the leaf-sum pass adds, as one (D + m, n + 1) array, a
+    column per node and a last column of zeros: the node's diagonal, then
+    the m off-diagonal entries that some dense override ``dense`` (at
+    preorder ``rows``, shape (c, D, D)) sets. ``cols`` is the (D, n) table;
+    an override's column holds its own diagonal. The array is complex when
+    some override has an imaginary part, and real otherwise."""
     d, n = cols.shape
     flat = dense.reshape(len(dense), d * d)
-    on = np.eye(d, dtype=bool).reshape(-1)
-    entries = np.flatnonzero(((flat.imag != 0.0)
-                              | (~on & (flat.real != 0.0))).any(axis=0))
-    moved = on[entries]
-    diagonal = entries[moved] // (d + 1)
-    x = np.zeros((d + 2 * entries.size, n + 1))
+    if not flat.imag.any():
+        flat = flat.real
+    off = ~np.eye(d, dtype=bool).reshape(-1)
+    entries = np.flatnonzero(off & flat.any(axis=0))
+    x = np.zeros((d + entries.size, n + 1), flat.dtype)
     x[:d, :n] = cols
-    x[diagonal] = 0.0
-    re, im = x[d::2], x[d + 1::2]
-    re[moved, :n] = cols[diagonal]
-    re[:, rows] = flat[:, entries].real.T
-    im[:, rows] = flat[:, entries].imag.T
-    eye = np.zeros(len(x))
-    eye[:d] = 1.0
-    eye[diagonal] = 0.0
-    eye[d::2][moved] = 1.0
-    return x, eye
+    x[:d, rows] = flat[:, ::d + 1].T
+    x[d:, rows] = flat[:, entries].T
+    return x
 
 
-def _largest_entries(a: np.ndarray, d: int) -> np.ndarray:
-    """Largest entry modulus in each column of a real stack laid out as
-    :func:`_summed_entries` lays it out, with D = d."""
-    big = np.abs(a[:d]).max(axis=0)
-    if len(a) > d:
-        pairs = np.empty(((len(a) - d) // 2, a.shape[1]), np.complex128)
-        pairs.real, pairs.imag = a[d::2], a[d + 1::2]
-        np.maximum(big, np.abs(pairs).max(axis=0), out=big)
-    return big
-
-
-def _leaf_sums(x: np.ndarray, chains, d: int) -> np.ndarray:
-    """Each node's largest entry deviation from its sum of descendant
-    leaves (0 at leaves), from ``x``, the node entries in preorder laid
-    out as :func:`_summed_entries` lays them out. The column of each
-    chain's head, which is the root or a child that another chain reads,
-    is replaced by its sum.
+def _leaf_sums(x: np.ndarray, chains) -> np.ndarray:
+    """Each node's largest entry modulus of deviation from its sum of
+    descendant leaves (0 at leaves), from ``x``, the node entries in
+    preorder laid out as :func:`_summed_entries` lays them out, real or
+    complex. The column of each chain's head, which is the root or a child
+    that another chain reads, is replaced by its sum.
 
     Each node adds its children's sums left to right, bitwise as a
     bottom-up fold would. ``chains`` are the tree's chains of last
@@ -593,7 +575,7 @@ def _leaf_sums(x: np.ndarray, chains, d: int) -> np.ndarray:
         below = x[:, bottom]
         for lo in range(0, nodes.size, step):
             seg = nodes[lo:lo + step]
-            seq = np.empty((width, seg.size + 1))
+            seq = np.empty((width, seg.size + 1), x.dtype)
             seq[:, 0] = below
             a = seq[:, 1:]
             a[:] = x.take(others[0, lo:lo + step], axis=1)
@@ -602,7 +584,7 @@ def _leaf_sums(x: np.ndarray, chains, d: int) -> np.ndarray:
             np.cumsum(seq, axis=1, out=seq)
             gap = x.take(seg, axis=1)
             gap -= a
-            defects[seg] = _largest_entries(gap, d)
+            defects[seg] = np.abs(gap).max(axis=0)
             below = seq[:, -1]
         if nodes.size:
             x[:, nodes[-1]] = below
@@ -689,13 +671,14 @@ def verify_tree(tree: ProtocolTree) -> TreeReport:
     products (preorder), locality (by parent, child, party) and
     completeness. The tree is read as it is when this is called.
 
-    Every check runs on real arrays read from the transpose of the tree's
+    Every check runs on arrays read from the transpose of the tree's
     column-major table, a contiguous (D, n) array, with every reduction
     over its long node axis, in column ranges of about ``_CHUNK_ENTRIES``
     entries. The edges and the leaf-sum chains come from the tree's shape,
     in closed form on a built tree. Only the dense overrides go through
-    :func:`_dense_factors`, and only the entries they set off the real
-    diagonal are added to the leaf sums as extra rows.
+    :func:`_dense_factors`. The leaf sums take the overrides' diagonals
+    whole and the off-diagonal entries they set as extra rows, in complex
+    arithmetic when one of them has an imaginary part.
     """
     dims = tree.dims
     d = dims.total
@@ -704,7 +687,7 @@ def verify_tree(tree: ProtocolTree) -> TreeReport:
     rows = np.array(sorted(tree._overrides), dtype=np.intp)
     dense = np.array([tree._overrides[i] for i in rows.tolist()],
                      dtype=np.complex128).reshape(-1, d, d)
-    x, eye = _summed_entries(cols, rows, dense)
+    x = _summed_entries(cols, rows, dense)
     n = cols.shape[1]
     failed: list[tuple[int, str, float]] = []
 
@@ -713,8 +696,9 @@ def verify_tree(tree: ProtocolTree) -> TreeReport:
     if rows.size:
         dense_factors, traceless[rows], prod[rows] = _dense_factors(dense,
                                                                     dims)
-    sums = _leaf_sums(x, shape.chains(), d)
-    comp = float(_largest_entries(x[:, :1] - eye[:, None], d)[0])
+    sums = _leaf_sums(x, shape.chains())
+    x[:d, 0] -= 1.0
+    comp = float(np.abs(x[:, 0]).max())
     del x  # freed before the locality pass allocates
     failed.extend((int(i), "leaf-sum", float(sums[i]))
                   for i in np.flatnonzero(sums > NODE_SUM_TOL)[::-1])

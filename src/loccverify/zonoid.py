@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import Instrument, KrausSet, minimal_kraus
+from .channels import Instrument, KrausSet, index_partition, minimal_kraus
 from .linalg import as_matrix, has_finite_norm, is_hermitian
 from .tolerances import (INDEPENDENCE_TOL, INPUT_HERMITICITY_TOL,
                          MEMBERSHIP_TOL, RESOLUTION_TOL, ROUNDING_TOL,
@@ -85,18 +85,8 @@ class ZonoidSpec:
 
     def __post_init__(self):
         if self.blocks is not None:
-            blocks = tuple(tuple(int(i) for i in blk) for blk in self.blocks)
-            seen: set[int] = set()
-            for blk in blocks:
-                if not blk:
-                    raise ValueError("empty block")
-                for i in blk:
-                    if i in seen:
-                        raise ValueError(f"basis index {i} in two blocks")
-                    seen.add(i)
-            if seen != set(range(self.basis.n_operators)):
-                raise ValueError("blocks must cover every basis operator")
-            self.blocks = blocks
+            self.blocks = index_partition(self.blocks,
+                                          self.basis.n_operators, "block")
         for blk in self.block_list():
             flat = self.basis.operators[list(blk)].reshape(len(blk), -1)
             gram = flat.conj() @ flat.T

@@ -277,6 +277,16 @@ def _assert_same_report(got, want, tol=1e-12):
         assert g.defect == pytest.approx(w.defect, rel=0, abs=tol)
 
 
+def _bump_complex(node):
+    """Add a complex off-diagonal pair and an imaginary part on the last
+    diagonal entry to the node's element."""
+    element = node.povm_element.copy()
+    element[0, 1] += 1e-3 + 2e-3j
+    element[1, 0] += 1e-3 - 2e-3j
+    element[-1, -1] += 2e-3j
+    node.povm_element = element
+
+
 def _branching_tree(parties, depth, outcomes):
     """Complete tree: at level k party k mod P + 1 measures ``outcomes``
     diagonal outcomes that sum to the identity."""
@@ -644,17 +654,27 @@ class TestNodeViews:
         with pytest.raises(ValueError, match="does not match dims"):
             leaf.povm_element = np.eye(8)
 
-    def test_complex_diagonal_override_matches_reference(self):
-        # An imaginary part on the diagonal moves that column out of the
-        # real table into the leaf sums' complex entries.
-        tree = build_protocol_pq(2, 4, 0.5)
-        leaf = tree.node_at((1, 1, 0))
-        element = leaf.povm_element.copy()
-        element[2, 2] += 0.003j
-        leaf.povm_element = element
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 40), (6, 10),
+                                       "branching"],
+                             ids=["2-4", "3-40", "6-10", "branching"])
+    def test_complex_diagonal_override_matches_reference(self, shape):
+        # An imaginary part on a diagonal makes the leaf sums complex: a
+        # leaf's, and a node's that also sets a complex off-diagonal pair.
+        if shape == "branching":
+            tree = _branching_tree(3, 3, 3)
+            leaf, node = (2, 0, 1), (1, 2)
+        else:
+            tree = build_protocol_pq(*shape, 0.5)
+            leaf, node = (1, 1, 0), (1, 1, 1)
+        d = tree.dims.total
+        view = tree.node_at(leaf)
+        element = view.povm_element.copy()
+        element[d // 2, d // 2] += 0.003j
+        view.povm_element = element
+        _bump_complex(tree.node_at(node))
         got = verify_tree(tree)
-        assert ((1, 1), "leaf-sum") in {(f.node_path, f.kind)
-                                        for f in got.failures}
+        assert {(leaf[:-1], "leaf-sum"), (node, "leaf-sum")} <= {
+            (f.node_path, f.kind) for f in got.failures}
         _assert_same_report(got, _reference_verify_tree(tree), tol=4.4e-16)
 
     def test_main_branch_path_memory(self):
@@ -682,6 +702,25 @@ class TestNodeViews:
             tracemalloc.stop()
         assert not report.ok
         assert peak <= protocol_check_bytes(6, 100) + 2 * 64 * 64 * 16
+
+    def test_complex_override_check_memory(self):
+        # An imaginary part makes the leaf sums complex: up to 8 (D + 2 m)
+        # bytes more per node and 16 per entry of one column range, on top
+        # of the override's dense copies.
+        verify_tree(build_protocol_pq(6, 2, 0.5))
+        tracemalloc.start()
+        try:
+            tree = build_protocol_pq(6, 100, 0.5)
+            _bump_complex(tree.node_at((1,) * 7))
+            report = verify_tree(tree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not report.ok
+        d, m = 64, 2
+        assert peak <= (protocol_check_bytes(6, 100)
+                        + 8 * (d + 2 * m) * tree.n_nodes
+                        + 16 * protocols._CHUNK_ENTRIES + 2 * d * d * 16)
 
     @pytest.mark.parametrize("parties,rounds", [(2, 2000), (3, 500),
                                                 (6, 100)])
