@@ -24,11 +24,22 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
+def _count(value, least: int = 0) -> int:
+    """A count read from JSON: a whole number, at least ``least``. A float
+    counts only when it is whole; anything else raises ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int or value < least:
+        raise ValueError(f"count {value!r} is not a whole number "
+                         f"of at least {least}")
+    return value
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = _count(obj["rows"]), _count(obj["cols"])
         flat = [complex(re, im) for re, im in obj["data"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if len(flat) != rows * cols:
         raise ValueError("matrix data length does not match rows * cols")
@@ -48,8 +59,8 @@ def kraus_to_json(k: KrausSet) -> dict:
 
 def kraus_from_json(obj: dict) -> KrausSet:
     try:
-        din = tuple(int(d) for d in obj["dims"]["in"])
-        dout = tuple(int(d) for d in obj["dims"]["out"])
+        din = tuple(_count(d, 1) for d in obj["dims"]["in"])
+        dout = tuple(_count(d, 1) for d in obj["dims"]["out"])
         ops = [matrix_from_json(o) for o in obj["operators"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed Kraus set: {exc}") from exc
@@ -59,7 +70,7 @@ def kraus_from_json(obj: dict) -> KrausSet:
 def instrument_from_json(obj: dict) -> Instrument:
     kraus = kraus_from_json(obj)
     try:
-        partition = tuple(tuple(int(i) for i in part)
+        partition = tuple(tuple(_count(i) for i in part)
                           for part in obj["partition"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed instrument: {exc}") from exc

@@ -27,6 +27,12 @@ from .tolerances import (INDEPENDENCE_TOL, INPUT_HERMITICITY_TOL,
 MEMBERSHIP_MAX_ITER = 2000
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a complex vector by its own formula, without the
+    wrapper's cost."""
+    return math.sqrt(v.real @ v.real + v.imag @ v.imag)
+
+
 class NotInSpanError(ValueError):
     """An operator could not be expanded over the basis."""
 
@@ -54,7 +60,8 @@ class CoefficientMatrix:
     """Hermitian coefficient matrix over a zonoid basis.
 
     Frozen, with a read-only array, so the matrix checked and symmetrised
-    here is the one it keeps.
+    here is the one it keeps. The membership solver wraps the witnesses it
+    builds by :func:`_witness`, which skips the check.
     """
 
     matrix: np.ndarray
@@ -66,6 +73,17 @@ class CoefficientMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
+
+
+def _witness(m: np.ndarray) -> CoefficientMatrix:
+    """The :class:`CoefficientMatrix` of a witness the solver built, without
+    the input check: its Hermitian part, by the arithmetic of
+    :func:`coefficient_stack`, made read-only."""
+    sym = 0.5 * (m + m.conj().T)
+    sym.setflags(write=False)
+    c = object.__new__(CoefficientMatrix)
+    object.__setattr__(c, "matrix", sym)
+    return c
 
 
 @dataclass
@@ -229,8 +247,10 @@ class _MembershipSolver:
         return ((v * w) @ v.conj().T)[self.mask]
 
     def in_box(self, c: np.ndarray) -> bool:
-        """:meth:`in_box_each` of the one matrix ``c``."""
-        return bool(self.in_box_each(c[None])[0])
+        """:meth:`in_box_each` of one matrix ``c`` that is already masked
+        and Hermitian, as the candidates are: one eigvalsh of ``c``."""
+        w = np.linalg.eigvalsh(c)
+        return bool(w[0] >= -ROUNDING_TOL and w[-1] <= 1.0 + ROUNDING_TOL)
 
     def in_box_each(self, cs: np.ndarray) -> np.ndarray:
         """Whether each matrix of the stack ``cs``, (n, k, k), lies in the
@@ -294,13 +314,13 @@ class _MembershipSolver:
         and it lies in the box. That of c0 is ||off||, the part of z off the
         slice's span, and every slice point's is at least it, so a large
         ``off`` skips both before any eigenvalue call."""
-        res = float(np.linalg.norm(self.ident_image - zvec))
+        res = _norm(self.ident_image - zvec)
         if res <= gate:
             return self.ident, "identity", res
-        res = float(np.linalg.norm(off))
+        res = _norm(off)
         if res > gate:
             return None
-        near = float(np.linalg.norm(self.a @ centre - zvec))
+        near = _norm(self.a @ centre - zvec)
         if near <= gate and self.in_box(self.to_matrix(centre)):
             return centre, "affine", near
         return (c0, "affine", res) if self.in_box(self.to_matrix(c0)) else None
@@ -416,9 +436,9 @@ class _MembershipSolver:
         r = zvec - self.a @ box
         cert = self._separated(z, r, real, tol)
         if cert is not None:
-            return MembershipReport(False, CoefficientMatrix(
-                self.to_matrix(box)), float(np.linalg.norm(r)), 0,
-                "outside", "barrier", *cert)
+            return MembershipReport(False, _witness(self.to_matrix(box)),
+                                    float(np.linalg.norm(r)), 0, "outside",
+                                    "barrier", *cert)
         g, scaled = self.constraints(real)[:2]
         b = scaled.T @ self.coords(zvec, real)
         n, k = len(g), self.kappa
@@ -495,7 +515,7 @@ class _MembershipSolver:
         # A capped iterate answers too, clipped, if it reproduces z.
         stop = "outside" if cert else "undecided" if not feasible else \
             "face" if stop == "undecided" else stop
-        return MembershipReport(feasible, CoefficientMatrix(self.to_matrix(
+        return MembershipReport(feasible, _witness(self.to_matrix(
             w[self.mask])), res, steps, stop, "barrier",
             *(cert or (None, None)))
 
@@ -515,14 +535,15 @@ class _MembershipSolver:
         off = zvec - self.a @ c0
         found = self._candidates(zvec, c0, centre, off, min(tol, ROUNDING_TOL))
         if found is not None:
-            return MembershipReport(True, CoefficientMatrix(self.to_matrix(
-                found[0])), found[2], 0, found[1], "candidate")
+            return MembershipReport(True, _witness(self.to_matrix(found[0])),
+                                    found[2], 0, found[1], "candidate")
         cert = self.outside_certified(z, off, tol)
         if cert is not None:
             box = self.project_box(c0)
-            return MembershipReport(False, CoefficientMatrix(self.to_matrix(
-                box)), float(np.linalg.norm(self.a @ box - zvec)), 0,
-                "outside", "span", *cert)
+            return MembershipReport(
+                False, _witness(self.to_matrix(box)),
+                float(np.linalg.norm(self.a @ box - zvec)), 0, "outside",
+                "span", *cert)
         return self._barrier(z, zvec, real, c0, centre, tol, budget)
 
 

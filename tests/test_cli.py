@@ -236,6 +236,23 @@ class TestExitCodes:
                              (["distance", "--a"],
                               ["--b", inline_identity_kraus(2)]),
                              (["zonoid-check", "--basis"], []))],
+        # Counts that overflow (JSON reads 1e999 as inf), are not whole or
+        # are negative, and an entry too large for a float.
+        *[["zonoid-check", "--basis", "square", "--z",
+           '{"rows": %s, "cols": %s, "data": [%s]}' % (rows, cols, data)]
+          for rows, cols, data in (
+              ("1e999", "2", ""), ("2", "1e999", ""),
+              ("2.5", "2", "[1, 0], [0, 0], [0, 0], [1, 0]"),
+              ("-2", "-2", "[1, 0], [0, 0], [0, 0], [1, 0]"),
+              ("2", "2", "[1%s, 0], [0, 0], [0, 0], [1, 0]" % ("0" * 400)))],
+        *[[*head, inline_kraus([np.eye(2)], (2,), (2,)).replace(
+            '"in": [2]', f'"in": [{dim}]')]
+          for dim in ("1e999", "2.5", "0")
+          for head in (["choi", "--kraus"], ["zonoid-check", "--basis"])],
+        *[["zonoid-check", "--basis", inline_kraus(
+            [np.eye(2), np.diag([1.0, 0.0])], (2,), (2,),
+            [[0], [777]]).replace("777", index)]
+          for index in ("1e999", "1.5", "-1")],
     ])
     def test_bad_protocol_parameters_are_2(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):

@@ -83,6 +83,19 @@ class TestMatrixRoundTrip:
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 2, "data": []})
 
+    @pytest.mark.parametrize("rows, cols", [
+        (float("inf"), 2), (2, float("inf")), (2.5, 2), (-2, -2),
+        (True, 4), ("2", 2)])
+    def test_counts_are_whole_numbers(self, rows, cols):
+        data = [[1.0, 0.0]] * 4
+        with pytest.raises(ValueError, match="whole number"):
+            matrix_from_json({"rows": rows, "cols": cols, "data": data})
+
+    def test_whole_float_counts_are_read(self):
+        got = matrix_from_json({"rows": 2.0, "cols": 1.0,
+                                "data": [[1.0, 0.0], [2.0, 0.0]]})
+        np.testing.assert_array_equal(got, [[1.0], [2.0]])
+
 
 class TestChannelRoundTrip:
     def test_kraus(self, rng):

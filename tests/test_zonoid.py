@@ -798,6 +798,14 @@ def test_candidate_answers_are_exact_box_witnesses(name, seed, pin):
     np.testing.assert_allclose(kernel @ (centre - half), 0.0, rtol=0.0,
                                atol=1e-12)
     np.testing.assert_allclose(a @ centre, zvec, rtol=0.0, atol=1e-12)
+    # The solver's own candidates are masked and exactly Hermitian, the
+    # precondition of its one-eigvalsh box test, which then answers as the
+    # stacked test does.
+    for c in (s.ident, *s.points(s.target(z))[1:]):
+        c = s.to_matrix(c)
+        assert np.all(c[~mask] == 0.0)
+        np.testing.assert_array_equal(c, c.conj().T)
+        assert s.in_box(c) is bool(s.in_box_each(c[None])[0])
     rep = membership(z, spec)
     assert rep.feasible
     if rep.phase != "candidate":
@@ -1234,6 +1242,49 @@ def test_descent_checkpoint_certifies_in_span_pushes(name):
 ENTRY_SPECS = dict(BASES, **{f"multiplier-{p}":
                              functools.partial(_multiplier_spec, p)
                              for p in range(2, 6)})
+
+
+CONTRACT_SPECS = dict(ENTRY_SPECS, **{
+    "multiplier-6": functools.partial(_multiplier_spec, 6)})
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_SPECS))
+def test_every_witness_is_a_checked_coefficient_matrix(name):
+    # The solver wraps its witnesses without CoefficientMatrix's input
+    # check, so each must already be what that check would keep: frozen,
+    # read-only, zero off the block mask, exactly Hermitian and bitwise
+    # CoefficientMatrix of itself. The identity and box images reach the
+    # candidates, a box image pushed off the diagonal the span answer of a
+    # diagonal basis, and 1.5 I, outside every one of these zonoids, the
+    # barrier.
+    spec = CONTRACT_SPECS[name]()
+    ops, eye = spec.basis.operators, np.eye(spec.dim)
+    mask = spec.solver().mask
+    push = np.zeros((spec.dim, spec.dim))
+    push[0, 1] = push[1, 0] = 0.01
+    targets = [eye, 1.5 * eye]
+    for seed in range(4):
+        r = np.random.default_rng(seed)
+        for pin in (False, True):
+            y = np.einsum("mn,mba,nbc->ac", _random_box(spec, r, pin),
+                          ops.conj(), ops, optimize=True)
+            targets += [y, y + push]
+    phases = set()
+    for z in targets:
+        rep = membership(0.5 * (z + z.conj().T), spec)
+        phases.add(rep.phase)
+        c = rep.witness
+        assert type(c) is CoefficientMatrix
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.matrix = c.matrix.copy()
+        w = c.matrix
+        assert w.dtype == np.complex128 and not w.flags.writeable
+        assert np.all(w[~mask] == 0.0)
+        np.testing.assert_array_equal(w, 0.5 * (w + w.conj().T))
+        assert CoefficientMatrix(w).matrix.tobytes() == w.tobytes()
+    # ``interval``'s Gram operators span every 2 x 2 operator.
+    assert phases == ({"candidate", "barrier"} if name == "interval"
+                      else {"candidate", "span", "barrier"}), phases
 
 
 def _dense_overlaps(spec, xs):
