@@ -66,7 +66,7 @@ _HAUSDORFF_SAMPLE_BYTES = 1344
 # Bytes each entry of a Choi matrix holds: in `choi` with its printed JSON,
 # in `distance` as the padded Choi matrices and their difference.
 _CHOI_ENTRY_BYTES = {"choi": 300, "distance": 52}
-_SIZE_FLAGS = ("samples", "sigma_samples", "grid", "nodes")
+_SIZE_FLAGS = ("samples", "sigma_samples", "grid")
 _INPUT_COMMANDS = ("choi", "distance", "zonoid-check")
 
 
@@ -188,9 +188,8 @@ def work_bytes(args, *inputs, z: np.ndarray | None = None) -> int:
 
     Each part grows with one size flag or input: the theorem checks with
     their s and sigma samples, the path gap with its grid (2^P entries a
-    point), Gauss-Legendre rules with --nodes (numpy's rule diagonalises an
-    n x n companion matrix), Hausdorff estimates with their directions,
-    and choi and distance with the (d d_out)^2 entries of a Choi matrix. A
+    point), Hausdorff estimates with their directions, and choi and
+    distance with the (d d_out)^2 entries of a Choi matrix. A
     zonoid-check run is as :func:`~loccverify.zonoid.zonoid_bytes` counts
     it. The parts are held one after another, so the estimate is a fixed
     part plus the largest.
@@ -211,8 +210,6 @@ def work_bytes(args, *inputs, z: np.ndarray | None = None) -> int:
                   per_sigma * args.sigma_samples]
     if args.command == "paths":
         parts.append(args.grid * (36 * 2 ** args.parties + 192))
-    if hasattr(args, "nodes"):
-        parts.append(8 * args.nodes ** 2 + 1024 * args.nodes)
     if args.command == "hausdorff":
         parts.append(_HAUSDORFF_SAMPLE_BYTES * args.samples)
     return _FIXED_BYTES + max(parts)
@@ -404,7 +401,7 @@ def _cmd_theorem8(args) -> dict:
                          tolerances.ISOMETRY_TOL))
     checks.append(_check("blocked-coefficients", iso.coefficient_defect,
                          tolerances.ISOMETRY_TOL))
-    grain = twoqubit.coarse_grain_check(nodes=args.nodes)
+    grain = twoqubit.coarse_grain_check()
     checks.append(_check("coarse-grain", grain.max_defect,
                          tolerances.COARSE_GRAIN_TOL))
     return {"checks": checks, "values": {}}
@@ -413,11 +410,11 @@ def _cmd_theorem8(args) -> dict:
 def _cmd_paper2q(args) -> dict:
     _protocol_params(2, args.nu, args.c)
     gap = path_distance_bound(2, args.nu, args.c)
-    omega = twoqubit.limiting_choi_2q(nodes=args.nodes)
+    omega = twoqubit.limiting_choi_2q()
     offdiag = float(np.real(omega.matrix[0, 10]))
     direct = choi(twoqubit.two_qubit_instrument().minimal, normalized=False)
     quad_defect = trace_norm(omega.matrix - direct.matrix)
-    iso = twoqubit.continuous_isometry_check(nodes=args.nodes)
+    iso = twoqubit.continuous_isometry_check()
     checks = [
         _check("lemma1-bound", gap.max_distance,
                gap.bound + tolerances.ROUNDING_TOL, f"s={gap.worst_s:.6g}"),
@@ -451,8 +448,7 @@ def _rounds_list(text: str, parties: int, exponent: float) -> list[int]:
 
 def _cmd_paperpq(args) -> dict:
     nu_list = _rounds_list(args.nu_list, args.parties, args.c)
-    report = pq.pqubit_limit_check(args.parties, nu_list, args.c,
-                                   nodes=args.nodes)
+    report = pq.pqubit_limit_check(args.parties, nu_list, args.c)
     checks = [
         _check("quadrature-match", report.quadrature_defect,
                tolerances.QUADRATURE_TOL),
@@ -470,7 +466,7 @@ def _cmd_paperpq(args) -> dict:
 
 
 def _cmd_wstate(args) -> dict:
-    report = twoqubit.wstate_analysis(nodes=args.nodes)
+    report = twoqubit.wstate_analysis()
     checks = [
         _check("all-ones-annihilates", report.k1_image_norm,
                tolerances.ROUNDING_TOL),
@@ -551,8 +547,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "tol": dict(type=_ranged(float, 0, open_ends=True),
                     default=tolerances.MEMBERSHIP_TOL,
                     help="membership tolerance (finite, > 0)"),
-        "nodes": dict(type=_POSITIVE, default=tolerances.QUAD_NODES,
-                      help="quadrature nodes"),
         "c": dict(type=_EXPONENT, default=0.5,
                   help="decay exponent in (0, 1)"),
         "sigma-samples": dict(type=_POSITIVE,
@@ -606,18 +600,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = command("theorem8", _cmd_theorem8,
                  "blocked path conditions for the instrument",
-                 "tol", "nodes", "sigma-samples")
+                 "tol", "sigma-samples")
     sp.add_argument("--samples", type=_COUNT, default=0)
 
     command("paper-2q", _cmd_paper2q, "worked two-qubit example checks",
-            "c", "nodes", nu=10000)
+            "c", nu=10000)
 
     sp = command("paper-pq", _cmd_paperpq, "multi-party limit checks",
-                 "c", "nodes", "nu-list")
+                 "c", "nu-list")
     sp.add_argument("--parties", default=3, type=_ranged(
         int, pq.MIN_PARTIES, pq.LIMIT_CHECK_MAX_PARTIES))
 
-    command("wstate", _cmd_wstate, "W-state outcome analysis", "nodes")
+    command("wstate", _cmd_wstate, "W-state outcome analysis")
 
     sp = command("hausdorff", _cmd_hausdorff, "zonoid convergence estimates",
                  "c", "nu-list")

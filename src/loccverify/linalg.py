@@ -252,15 +252,14 @@ def integrate_sqrt_smooth(f: Callable[[np.ndarray], np.ndarray],
 
 
 def cumulative_sqrt_smooth(f: Callable[[np.ndarray], np.ndarray],
-                           sigmas: Sequence[float],
-                           nodes: int = QUAD_NODES) -> np.ndarray:
+                           sigmas: Sequence[float]) -> np.ndarray:
     """Integrals of f over [0, sigma] for every sigma of ``sigmas`` in [0, 1].
 
     The composite form of :func:`integrate_sqrt_smooth`: the sorted knots
     u = sqrt(sigma) cut [0, max u] into segments, each gets a share of
-    ``nodes`` in proportion to its length in u (at least two nodes), and
+    QUAD_NODES in proportion to its length in u (at least two nodes), and
     the segment integrals are summed in order. ``f`` is called once, on
-    the nodes of every segment together (about nodes + 2n of them for a
+    the nodes of every segment together (about QUAD_NODES + 2n of them for a
     grid of n points), and is stacked as for :func:`gauss_legendre`.
     Results are stacked along a new first axis in the order of ``sigmas``.
     """
@@ -270,7 +269,8 @@ def cumulative_sqrt_smooth(f: Callable[[np.ndarray], np.ndarray],
     hi = np.sort(u)
     hi = hi[np.concatenate([[True], hi[1:] > hi[:-1]])]
     lo = np.concatenate([[0.0], hi[:-1]])
-    counts = [max(2, int(np.ceil(nodes * (b - a)))) for a, b in zip(lo, hi)]
+    counts = [max(2, int(np.ceil(QUAD_NODES * (b - a))))
+              for a, b in zip(lo, hi)]
     rules = [_leggauss(n) for n in counts]
     x = np.concatenate([r[0] for r in rules])
     w = np.concatenate([r[1] for r in rules])

@@ -16,7 +16,7 @@ import numpy as np
 from .linalg import as_matrix, integrate_sqrt_smooth, trace_norm
 from .channels import ChoiOperator, KrausSet
 from .protocols import ProtocolParams, prefix_zeros
-from .tolerances import QUAD_NODES, QUADRATURE_TOL
+from .tolerances import QUADRATURE_TOL
 
 MIN_PARTIES = 2
 MAX_PARTIES = 6
@@ -153,12 +153,18 @@ def multiplier_distance(parties: int, s_a: np.ndarray,
 
     Both Choi operators live on the matched-pair subspace, so the distance
     collapses to the trace norm of the coefficient difference over d.
+    Raises ValueError unless both multipliers are finite (d, d) arrays.
     """
     d = 2 ** parties
-    return trace_norm(np.asarray(s_a) - np.asarray(s_b)) / d
+    s_a, s_b = np.asarray(s_a), np.asarray(s_b)
+    for s in (s_a, s_b):
+        if s.shape != (d, d) or not np.isfinite(s).all():
+            raise ValueError(f"multipliers must be finite {d} x {d} arrays "
+                             f"for {parties} parties, got shape {s.shape}")
+    return trace_norm(s_a - s_b) / d
 
 
-def moment_identity_check(nodes: int = QUAD_NODES) -> float:
+def moment_identity_check() -> float:
     """Closed-form 2/(l + l') against quadrature over the halt parameter.
 
     The limit coefficients integrate sigma^((l + l' - 2)/2); the check
@@ -168,13 +174,12 @@ def moment_identity_check(nodes: int = QUAD_NODES) -> float:
     worst = 0.0
     for total in range(2, 2 * MAX_PARTIES + 1):
         got = integrate_sqrt_smooth(
-            lambda sg, t=total: sg ** ((t - 2) / 2.0), nodes=nodes)
+            lambda sg, t=total: sg ** ((t - 2) / 2.0))
         worst = max(worst, abs(float(got) - 2.0 / total))
     return worst
 
 
-def quadrature_coefficients(parties: int, nodes: int = QUAD_NODES
-                            ) -> np.ndarray:
+def quadrature_coefficients(parties: int) -> np.ndarray:
     """Assemble the limit multiplier by integrating the halt densities."""
     spec = pqubit_spec(parties)
     d = 2 ** parties
@@ -185,7 +190,7 @@ def quadrature_coefficients(parties: int, nodes: int = QUAD_NODES
                         np.sqrt(sigma)[:, None] ** np.maximum(l - 1, 0), 0.0)
         return spec.joint_zeros * (root[:, :, None] * root[:, None, :])
 
-    s = integrate_sqrt_smooth(integrand, nodes=nodes)
+    s = integrate_sqrt_smooth(integrand)
     s[d - 1, d - 1] = 1.0
     return s
 
@@ -202,8 +207,7 @@ class LimitCheckReport:
 
 
 def pqubit_limit_check(parties: int, rounds_list,
-                       exponent: float = 0.5,
-                       nodes: int = QUAD_NODES) -> LimitCheckReport:
+                       exponent: float = 0.5) -> LimitCheckReport:
     """Convergence and consistency of the stopped protocols for one P.
 
     Checks that the Choi distance to the limit strictly decreases along
@@ -225,8 +229,8 @@ def pqubit_limit_check(parties: int, rounds_list,
     decreasing = all(a > b for a, b in zip(dists, dists[1:]))
 
     quad_defect = float(np.abs(
-        quadrature_coefficients(parties, nodes=nodes) - s_limit).max())
-    quad_defect = max(quad_defect, moment_identity_check(nodes=nodes))
+        quadrature_coefficients(parties) - s_limit).max())
+    quad_defect = max(quad_defect, moment_identity_check())
 
     red_defect = 0.0
     if parties > MIN_PARTIES:

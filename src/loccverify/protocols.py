@@ -764,7 +764,9 @@ class PiecewisePath:
 
     def at(self, s: float, clamp: bool = False) -> np.ndarray:
         """Operator at trace value s, a dense (d, d) matrix; clamp=True
-        pins s into the domain."""
+        pins s into the domain. A non-finite s raises ValueError."""
+        if not math.isfinite(s):
+            raise ValueError(f"s={s} must be finite")
         sv = self.s_values
         if clamp:
             s = min(max(s, float(sv[-1])), float(sv[0]))
@@ -994,11 +996,13 @@ def path_distance_bound(parties: int, rounds: int, exponent: float,
     and the limit's entry i is (s^(1/P) - 1)^(zeros of i). The bound is
     sqrt(3) * eps for two parties and P * 2^(P/2) * eps in general. An
     empty grid, or one with a point outside [1, 2^P] by more than rounding
-    or not a number, raises ValueError.
+    or not a number, raises ValueError, and so does ``grid_points`` < 1.
     """
     params = ProtocolParams(parties, rounds, exponent)
     top = float(2 ** parties)
     if s_grid is None:
+        if grid_points < 1:
+            raise ValueError("grid_points must be at least 1")
         grid = np.linspace(1.0, top, grid_points)
     else:
         grid = np.asarray(list(s_grid), dtype=float)

@@ -94,7 +94,7 @@ def two_qubit_instrument() -> TwoQubitExample:
     return TwoQubitExample(inst, minimal)
 
 
-def limiting_choi_2q(nodes: int = QUAD_NODES) -> ChoiOperator:
+def limiting_choi_2q() -> ChoiOperator:
     """Unnormalized Choi operator assembled from the limit outcomes.
 
     Every limit outcome is diagonal, so this is the matched-pair embedding
@@ -102,7 +102,7 @@ def limiting_choi_2q(nodes: int = QUAD_NODES) -> ChoiOperator:
     integrands are smooth in sqrt(sigma), so the substituted quadrature
     rule is exact to rounding.
     """
-    s = quadrature_coefficients(2, nodes=nodes)
+    s = quadrature_coefficients(2)
     return ChoiOperator(multiplier_choi_matrix(s), 4, 4, normalized=False)
 
 
@@ -114,7 +114,7 @@ class IntegralCheck:
     passed: bool
 
 
-def continuous_isometry_check(nodes: int = QUAD_NODES) -> IntegralCheck:
+def continuous_isometry_check() -> IntegralCheck:
     """Column orthonormality of the continuum-to-reduced expansion.
 
     The halt operators expand over the reduced set with weights
@@ -123,10 +123,9 @@ def continuous_isometry_check(nodes: int = QUAD_NODES) -> IntegralCheck:
     in sqrt(sigma), so the substituted rule evaluates them exactly.
     """
     norm_last = 2.0 * integrate_sqrt_smooth(
-        lambda t: 9.0 * t - 12.0 * np.sqrt(t) + 4.0, nodes=nodes)
-    cross = integrate_sqrt_smooth(lambda t: 3.0 * np.sqrt(t) - 2.0,
-                                  nodes=nodes)
-    weight = gauss_legendre(np.ones_like, 0.0, 1.0, nodes=nodes)
+        lambda t: 9.0 * t - 12.0 * np.sqrt(t) + 4.0)
+    cross = integrate_sqrt_smooth(lambda t: 3.0 * np.sqrt(t) - 2.0)
+    weight = gauss_legendre(np.ones_like, 0.0, 1.0)
     ok = (abs(norm_last - 1.0) <= ISOMETRY_TOL and abs(cross) <= ISOMETRY_TOL
           and abs(weight - 1.0) <= ISOMETRY_TOL)
     return IntegralCheck(float(norm_last), float(cross), float(weight), ok)
@@ -188,7 +187,8 @@ def coarse_grain_check(nodes: int = QUAD_NODES) -> CoarseGrainCheck:
     halt operators are diagonal, so k rho k^dag is rho times the matrix
     k_a conj(k_d) entry by entry: one einsum gives that matrix for both
     halt continua at every quadrature node, and its integral acts on all
-    16 units at once.
+    16 units at once. Every check runs the default order QUAD_NODES;
+    ``nodes`` stays only because ``perfbench/workloads.py`` passes it.
     """
     ex = two_qubit_instrument()
     units = np.eye(16, dtype=np.complex128).reshape(16, 4, 4)
@@ -232,7 +232,7 @@ class WStateReport:
     concurrence: float
 
 
-def wstate_analysis(nodes: int = QUAD_NODES) -> WStateReport:
+def wstate_analysis() -> WStateReport:
     """Halt outcomes of the limit measurement applied to the W state.
 
     The all-ones outcome annihilates the state. Each halt continuum fires
@@ -252,8 +252,8 @@ def wstate_analysis(nodes: int = QUAD_NODES) -> WStateReport:
         v = kron([k, eye2]) @ w
         return v[:, :, None] * v[:, None, :].conj()
 
-    rho2 = integrate_sqrt_smooth(lambda sg: outcome(sg, 1), nodes=nodes)
-    rho3 = integrate_sqrt_smooth(lambda sg: outcome(sg, 0), nodes=nodes)
+    rho2 = integrate_sqrt_smooth(lambda sg: outcome(sg, 1))
+    rho3 = integrate_sqrt_smooth(lambda sg: outcome(sg, 0))
     prob = float(np.real(np.trace(rho2)))
 
     dims3 = PartyDims((2, 2, 2))

@@ -561,15 +561,23 @@ def membership(z, spec: ZonoidSpec, tol: float = MEMBERSHIP_TOL
     Raises ValueError unless z is a Hermitian d x d operator with finite
     entries and a finite norm.
     """
-    z = as_matrix(z)
-    d = spec.dim
-    if z.shape != (d, d):
-        raise ValueError(f"operator shape {z.shape} does not match dim {d}")
-    if not has_finite_norm(z):
-        raise ValueError("membership expects a finite operator")
-    if not is_hermitian(z, INPUT_HERMITICITY_TOL):
-        raise ValueError("membership expects a Hermitian operator")
+    z = _hermitian_input(z, spec.dim, "membership")
     return spec.solver().solve(z, tol, MEMBERSHIP_MAX_ITER)
+
+
+def _hermitian_input(z, d: int, caller: str) -> np.ndarray:
+    """``z`` as a d x d matrix; ValueError, naming ``caller``, unless it
+    has that shape, finite entries and a finite norm, and is Hermitian to
+    INPUT_HERMITICITY_TOL."""
+    z = as_matrix(z)
+    if z.shape != (d, d):
+        raise ValueError(f"{caller} expects a {d} x {d} operator, got shape "
+                         f"{z.shape}")
+    if not has_finite_norm(z):
+        raise ValueError(f"{caller} expects a finite operator")
+    if not is_hermitian(z, INPUT_HERMITICITY_TOL):
+        raise ValueError(f"{caller} expects a Hermitian operator")
+    return z
 
 
 def support_function(x, spec: ZonoidSpec) -> float:
@@ -577,10 +585,9 @@ def support_function(x, spec: ZonoidSpec) -> float:
 
     Equal to the sum of positive eigenvalues of the basis overlap matrix
     A[m', m] = Tr(x Khat_m^dag Khat_m'), blockwise when blocks are present.
+    Raises ValueError as :func:`membership` does.
     """
-    x = as_matrix(x)
-    if not is_hermitian(x, INPUT_HERMITICITY_TOL):
-        raise ValueError("support directions must be Hermitian")
+    x = _hermitian_input(x, spec.dim, "support_function")
     return float(spec.solver().support(x[None])[0])
 
 
@@ -670,9 +677,10 @@ def separation_gap(z, spec: ZonoidSpec, samples: int = 500, seed: int = 7
     """Best found value of Re<x, z> - h(x) over sampled directions.
 
     The directions are those of ``hausdorff_estimate``. A positive value
-    certifies that ``z`` is outside the zonoid.
+    certifies that ``z`` is outside the zonoid. Raises ValueError as
+    :func:`membership` does.
     """
-    z = as_matrix(z)
+    z = _hermitian_input(z, spec.dim, "separation_gap")
     xs = _directions(spec.dim, samples, seed)
     pairing = np.real(np.einsum("kab,ab->k", xs.conj(), z))
     return float(np.max(pairing - spec.solver().support(xs)))

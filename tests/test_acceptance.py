@@ -103,7 +103,7 @@ def test_criterion_2_path_convergence_bound(capsys):
 
 
 def test_criterion_3_isometry_identities(capsys):
-    cont = continuous_isometry_check(nodes=64)
+    cont = continuous_isometry_check()
     norm_defect = abs(cont.last_column_norm - 1.0)
     cross_defect = abs(cont.cross_overlap)
     got = isometric_relation(two_qubit_instrument().instrument.kraus,

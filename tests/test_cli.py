@@ -17,6 +17,8 @@ from loccverify import cli, linalg, protocols, serialize, zonoid
 from loccverify.channels import kraus_from_operators
 from loccverify.serialize import (dumps, kraus_to_json, matrix_from_json,
                                   matrix_to_json)
+from loccverify.tolerances import QUAD_NODES
+from loccverify.twoqubit import coarse_grain_check
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 STUDY = SCRIPTS / "convergence_study.py"
@@ -300,14 +302,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["theorem1", "--samples", "200000"],
         ["theorem1", "--sigma-samples", "200000"],
-        ["theorem8", "--samples", "100000", "--nodes", "8"],
+        ["theorem8", "--samples", "100000"],
         ["theorem8", "--sigma-samples", "200000"],
-        ["theorem8", "--nodes", "6000"],
         ["paths", "--grid", "1000000"],
         ["paths", "--parties", "6", "--grid", "200000"],
-        ["paper-2q", "--nodes", "6000"],
-        ["paper-pq", "--nodes", "6000"],
-        ["wstate", "--nodes", "6000"],
         ["hausdorff", "--samples", "300000"],
     ])
     def test_memory_budget_refuses_before_any_work(self, capsys, monkeypatch,
@@ -335,17 +333,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["theorem1", "--samples", "2000", "--sigma-samples", "11"],
         ["theorem1", "--samples", "11", "--sigma-samples", "4000"],
-        ["theorem8", "--samples", "2000", "--sigma-samples", "11",
-         "--nodes", "8"],
-        ["theorem8", "--samples", "11", "--sigma-samples", "4000",
-         "--nodes", "8"],
-        ["theorem8", "--samples", "11", "--sigma-samples", "11",
-         "--nodes", "1000"],
+        ["theorem8", "--samples", "2000", "--sigma-samples", "11"],
+        ["theorem8", "--samples", "11", "--sigma-samples", "4000"],
         ["paths", "--grid", "40000"],
         ["paths", "--parties", "6", "--grid", "20000"],
-        ["paper-2q", "--nodes", "1000"],
-        ["paper-pq", "--nodes", "1000"],
-        ["wstate", "--nodes", "1000"],
         ["hausdorff", "--samples", "20000"],
     ])
     def test_work_bytes_bound_the_run(self, argv):
@@ -510,10 +501,10 @@ CHEAP_ARGV = {
     "protocol": ["--nu", "2"],
     "paths": ["--nu", "2", "--grid", "3"],
     "theorem1": ["--nu", "10", "--samples", "2", "--sigma-samples", "2"],
-    "theorem8": ["--samples", "2", "--sigma-samples", "2", "--nodes", "2"],
-    "paper-2q": ["--nu", "10", "--nodes", "2"],
-    "paper-pq": ["--parties", "2", "--nu-list", "10,20", "--nodes", "2"],
-    "wstate": ["--nodes", "2"],
+    "theorem8": ["--samples", "2", "--sigma-samples", "2"],
+    "paper-2q": ["--nu", "10"],
+    "paper-pq": ["--parties", "2", "--nu-list", "10,20"],
+    "wstate": [],
     "hausdorff": ["--nu-list", "10,20", "--samples", "1"],
 }
 
@@ -658,7 +649,7 @@ class TestSubcommands:
         assert status == 0
         (check,) = rep["checks"]
         assert check["where"] == "s=3.7975"
-        status, rep = run(capsys, "paper-2q", "--nu", "100", "--nodes", "8")
+        status, rep = run(capsys, "paper-2q", "--nu", "100")
         assert rep["checks"][0]["name"] == "lemma1-bound"
         assert rep["checks"][0]["where"] == "s=3.7975"
 
@@ -714,12 +705,52 @@ class TestSubcommands:
         assert status == 0
 
 
+def use_rule_for_quad_nodes(monkeypatch, order):
+    """Give every request for the QUAD_NODES rule the ``order``-node rule."""
+    exact = linalg._leggauss
+    monkeypatch.setattr(linalg, "_leggauss", lambda nodes: exact(
+        order if nodes == QUAD_NODES else nodes))
+
+
+class TestQuadratureOrder:
+    """Why every check integrates at QUAD_NODES and no flag changes it:
+    the integrands have degree at most 11 in u = sqrt(sigma), so any rule
+    of 6 or more nodes gives the same reports, and 5 nodes do not."""
+
+    @pytest.mark.parametrize("argv", [
+        ["paper-2q"],
+        ["paper-pq", "--parties", "2"],
+        ["paper-pq", "--parties", "3"],
+        ["paper-pq", "--parties", "4"],
+        ["wstate"],
+    ])
+    def test_six_nodes_give_the_same_checks(self, capsys, monkeypatch, argv):
+        _, want = run(capsys, *argv)
+        use_rule_for_quad_nodes(monkeypatch, 6)
+        _, got = run(capsys, *argv)
+        assert [(c["name"], c["pass"]) for c in got["checks"]] == \
+            [(c["name"], c["pass"]) for c in want["checks"]]
+        for g, w in zip(got["checks"], want["checks"]):
+            assert abs(g["defect"] - w["defect"]) <= 1e-12
+
+    def test_coarse_grain_at_six_nodes(self):
+        assert abs(coarse_grain_check(nodes=6).max_defect
+                   - coarse_grain_check().max_defect) <= 1e-12
+
+    def test_five_nodes_fail_the_quadrature_match(self, capsys, monkeypatch):
+        use_rule_for_quad_nodes(monkeypatch, 5)
+        status, rep = run(capsys, "paper-pq")
+        assert status == 1
+        assert [c["name"] for c in rep["checks"] if not c["pass"]] == \
+            ["quadrature-match"]
+
+
 class TestHugeRounds:
     """Pre-limit subcommands at 10^12 rounds never build the step table."""
 
     @pytest.mark.parametrize("argv", [
         ["paths", "--parties", "6", "--nu", "1000000000000"],
-        ["paper-2q", "--nu", "1000000000000", "--nodes", "8"],
+        ["paper-2q", "--nu", "1000000000000"],
         ["hausdorff", "--nu-list", "10,1000000000000", "--samples", "50"],
         ["paper-pq", "--parties", "4", "--nu-list", "10,100,1000000000000"],
         ["theorem1", "--nu", "1000000000000", "--samples", "3",

@@ -156,6 +156,21 @@ class TestPrelimit:
         assert multiplier_distance(2, a, b) == multiplier_distance(2, b, a)
         assert multiplier_distance(2, a, a) == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("sizes", [(2, 2), (2, 3), (3, 2)])
+    def test_distance_refuses_multipliers_of_another_size(self, sizes):
+        # Two 4 x 4 multipliers at P = 3 once gave the P = 2 distance over 8.
+        a, b = (prelimit_coefficients(p, 10, 0.5) for p in sizes)
+        with pytest.raises(ValueError, match="8 x 8"):
+            multiplier_distance(3, a, b)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_distance_refuses_non_finite_multipliers(self, value, which):
+        pair = [prelimit_coefficients(2, 10, 0.5), pqubit_coefficients(2)]
+        pair[which][1, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            multiplier_distance(2, *pair)
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(2, 4), st.integers(1, 40))
     def test_prelimit_entries_in_unit_interval(self, parties, rounds):

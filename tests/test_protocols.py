@@ -912,6 +912,14 @@ class TestPaths:
         np.testing.assert_allclose(path.at(path.s_bottom), np.kron(f, f),
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+    def test_at_refuses_a_non_finite_s(self, s, clamp):
+        # Clamping once mapped nan to a nan operator and +-inf to the ends.
+        path = main_branch_path(2, 10, 0.5)
+        with pytest.raises(ValueError, match="must be finite"):
+            path.at(s, clamp=clamp)
+
 
 class TestPathDistanceBound:
     def test_frozen_2q_values(self):
@@ -939,6 +947,11 @@ class TestPathDistanceBound:
         assert r3.max_distance <= 3 * eps
         r4 = path_distance_bound(4, 100, 0.5, grid_points=201)
         assert r4.max_distance > 4 * eps
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_grid_points_below_one_refused(self, points):
+        with pytest.raises(ValueError, match="grid_points must be at least 1"):
+            path_distance_bound(2, 10, 0.5, grid_points=points)
 
     def test_custom_grid_validation(self):
         for grid in ([0.5, 2.0], [2.0, 4.5], [np.nan, 2.0], [2.0, np.inf],

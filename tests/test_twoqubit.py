@@ -31,6 +31,7 @@ from loccverify import twoqubit, zonoid_spec_for_channel
 from loccverify.linalg import integrate_sqrt_smooth
 from loccverify.pqubit import multiplier_choi_matrix
 from loccverify.protocols import derivative_outcomes
+from loccverify.tolerances import QUAD_NODES
 from loccverify.twoqubit import K_GROUPED, K_REDUCED, W_GROUPING
 from loccverify.zonoid import _directions
 
@@ -155,8 +156,7 @@ class TestLimitingChoi:
         w = np.linalg.eigvalsh(limiting_choi_2q().matrix)
         assert w[0] >= -1e-10
 
-    @pytest.mark.parametrize("nodes", [1, 2, 8, 64])
-    def test_matches_halt_continuum_quadrature(self, nodes):
+    def test_matches_halt_continuum_quadrature(self):
         # Reference: the all-ones outcome plus the integrated rank-one halt
         # terms, each Kraus operator vectorized input-major.
         def ket(op):
@@ -174,8 +174,8 @@ class TestLimitingChoi:
             return np.outer(v2, v2.conj()) + np.outer(v3, v3.conj())
 
         want = np.outer(v1, v1.conj()) + integrate_sqrt_smooth(
-            stacked(halt_term), nodes=nodes)
-        got = limiting_choi_2q(nodes)
+            stacked(halt_term), nodes=QUAD_NODES)
+        got = limiting_choi_2q()
         assert not got.normalized
         assert np.array_equal(got.matrix, want)
 

@@ -468,6 +468,31 @@ class TestMembershipReports:
             membership(z, square_spec())
 
 
+class TestInputRule:
+    """membership, support_function and separation_gap refuse the same
+    inputs, in the same order, each naming itself."""
+
+    ENTRY_POINTS = {
+        "membership": membership,
+        "support_function": support_function,
+        "separation_gap": separation_gap,
+    }
+
+    @pytest.mark.parametrize("caller", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("z, message", [
+        (np.eye(5), "expects a 4 x 4 operator, got shape"),
+        (np.eye(3), "expects a 4 x 4 operator, got shape"),
+        (np.eye(4)[:, :3], "expects a 4 x 4 operator, got shape"),
+        (np.diag([np.inf, 1.0, 1.0, 1.0]), "expects a finite operator"),
+        (np.full((4, 4), np.nan), "expects a finite operator"),
+        (np.diag([1e160, 0.0, 0.0, 0.0]), "expects a finite operator"),
+        (np.triu(np.ones((4, 4))), "expects a Hermitian operator"),
+    ])
+    def test_bad_input_is_refused(self, caller, z, message):
+        with pytest.raises(ValueError, match=f"^{caller} {message}"):
+            self.ENTRY_POINTS[caller](z, channel_zonoid())
+
+
 class TestEndpointFits:
     def test_grouped_third_operator(self):
         c = endpoint_cmatrix(twoqubit.K_GROUPED[2], channel_zonoid()).matrix
