@@ -26,7 +26,7 @@ from .channels import (
     kraus_from_operators,
     qc_embed,
 )
-from .linalg import has_finite_norm, is_hermitian, trace_norm
+from .linalg import has_finite_norm, trace_norm
 from .protocols import (
     ProtocolParams,
     build_protocol_pq,
@@ -38,6 +38,7 @@ from .protocols import (
 )
 from .zonoid import (
     ZonoidSpec,
+    _hermitian_input,
     hausdorff_estimate,
     membership,
     support_function,
@@ -60,7 +61,7 @@ TREE_BYTES_BUDGET = 2 ** 28
 # Fixed part of `work_bytes`, and the bytes each s sample and each sigma
 # sample of a theorem check holds.
 _FIXED_BYTES = 2 ** 19
-_THEOREM_SAMPLE_BYTES = {"theorem1": (2560, 1792), "theorem8": (3712, 2176)}
+_THEOREM_SAMPLE_BYTES = {"theorem1": (1344, 1792), "theorem8": (1920, 2176)}
 # Bytes each direction of a two-qubit Hausdorff estimate holds.
 _HAUSDORFF_SAMPLE_BYTES = 1344
 # Bytes each entry of a Choi matrix holds: in `choi` with its printed JSON,
@@ -166,17 +167,9 @@ def _resolve_target(token: str, dim: int) -> np.ndarray | None:
         return None
     obj = _load_obj(token)
     try:
-        z = serialize.matrix_from_json(obj)
+        return _hermitian_input(serialize.matrix_from_json(obj), dim, "--z")
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if z.shape != (dim, dim):
-        raise InputError(f"--z has shape {z.shape}, the basis acts on "
-                         f"dimension {dim}")
-    if not has_finite_norm(z):
-        raise InputError("--z must have finite entries and a finite norm")
-    if not is_hermitian(z, tolerances.INPUT_HERMITICITY_TOL):
-        raise InputError("--z is not Hermitian")
-    return z
 
 
 def work_bytes(args, *inputs, z: np.ndarray | None = None) -> int:
@@ -608,8 +601,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = command("paper-pq", _cmd_paperpq, "multi-party limit checks",
                  "c", "nu-list")
-    sp.add_argument("--parties", default=3, type=_ranged(
-        int, pq.MIN_PARTIES, pq.LIMIT_CHECK_MAX_PARTIES))
+    sp.add_argument("--parties", type=parties, default=3)
 
     command("wstate", _cmd_wstate, "W-state outcome analysis")
 

@@ -20,7 +20,6 @@ from .tolerances import QUADRATURE_TOL
 
 MIN_PARTIES = 2
 MAX_PARTIES = 6
-LIMIT_CHECK_MAX_PARTIES = 4
 
 
 @dataclass(frozen=True)
@@ -215,9 +214,6 @@ def pqubit_limit_check(parties: int, rounds_list,
     closed form, and that appending always-one parties embeds the smaller
     example exactly (so larger P inherit the two- and three-party cases).
     """
-    if parties > LIMIT_CHECK_MAX_PARTIES:
-        raise ValueError(f"limit check supports at most "
-                         f"{LIMIT_CHECK_MAX_PARTIES} parties")
     rounds_list = tuple(int(nu) for nu in rounds_list)
     s_limit = pqubit_coefficients(parties)
     dists = tuple(

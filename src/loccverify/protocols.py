@@ -205,12 +205,15 @@ class ProtocolTree:
 
     def _store(self, i: int, element) -> None:
         """Put ``element`` at row i: its real diagonal into the table, and
-        the element itself into the overrides unless it is that diagonal."""
+        the element itself into the overrides unless it is that diagonal.
+        ValueError unless it is finite: NaN passes every verify_tree check."""
         d = self.dims.total
         element = np.array(element, dtype=np.complex128)
         if element.shape != (d, d):
             raise ValueError(f"node element of shape {element.shape} does "
                              f"not match dims {self.dims.dims}")
+        if not np.isfinite(element).all():
+            raise ValueError("node element has a non-finite entry")
         row = element.diagonal().real
         self._table[i] = row
         if np.array_equal(element, np.diag(row)):
@@ -1181,11 +1184,13 @@ class PathConditionReport:
 
 
 def _operators(stack, n: int, dim: int, what: str) -> np.ndarray:
-    """A callback's operator stack, checked to have shape (n, dim, dim)."""
+    """A callback's operator stack: shape (n, dim, dim), finite entries."""
     ops = np.asarray(stack, dtype=np.complex128)
     if ops.shape != (n, dim, dim):
         raise ValueError(f"{what} returned shape {ops.shape} for {n} "
                          f"parameters; expected {(n, dim, dim)}")
+    if not np.isfinite(ops).all():
+        raise ValueError(f"{what} returned a non-finite entry")
     return ops
 
 

@@ -5,7 +5,10 @@ The library checks and the CLI reports read these names, so a report's
 to an algorithm (solver stop rules, divide guards) stay with it.
 """
 
-QUAD_NODES = 64      # Gauss-Legendre nodes of every quadrature
+# Gauss-Legendre nodes in u = sqrt(sigma) of every halt-parameter integral:
+# exact to degree 31 in u, and to 15 in the cumulative integral; no integrand
+# passes 11 (a P-party halt density 2P - 1, moment_identity_check 11).
+QUAD_NODES = 16
 SIGMA_SAMPLES = 101  # uniform samples of the halt parameter sigma in [0, 1]
 
 # Zero up to rounding: exact candidate witnesses, entries and norms that

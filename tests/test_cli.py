@@ -302,7 +302,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["theorem1", "--samples", "200000"],
         ["theorem1", "--sigma-samples", "200000"],
-        ["theorem8", "--samples", "100000"],
+        ["theorem8", "--samples", "200000"],
         ["theorem8", "--sigma-samples", "200000"],
         ["paths", "--grid", "1000000"],
         ["paths", "--parties", "6", "--grid", "200000"],
@@ -677,6 +677,13 @@ class TestSubcommands:
                           "--nu-list", "10,100")
         assert status == 0
 
+    @pytest.mark.parametrize("parties", ["5", "6"])
+    def test_paper_pq_over_the_whole_party_range(self, capsys, parties):
+        status, rep = run(capsys, "paper-pq", "--parties", parties)
+        assert status == 0
+        assert rep["pass"] is True
+        assert rep["values"]["parties"] == int(parties)
+
     def test_wstate(self, capsys):
         status, rep = run(capsys, "wstate")
         assert status == 0
@@ -714,8 +721,10 @@ def use_rule_for_quad_nodes(monkeypatch, order):
 
 class TestQuadratureOrder:
     """Why every check integrates at QUAD_NODES and no flag changes it:
-    the integrands have degree at most 11 in u = sqrt(sigma), so any rule
-    of 6 or more nodes gives the same reports, and 5 nodes do not."""
+    the integrands have degree at most 11 in u = sqrt(sigma), so the Gauss
+    sum of any rule of 6 or more nodes gives the same reports, and 5 nodes
+    do not. The cumulative integrals of the theorem checks interpolate at
+    the nodes instead, which is exact below QUAD_NODES = 16 in degree."""
 
     @pytest.mark.parametrize("argv", [
         ["paper-2q"],

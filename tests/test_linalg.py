@@ -18,6 +18,7 @@ from loccverify import (
 )
 from loccverify.linalg import (cumulative_sqrt_smooth,
                                is_hermitian, operator_norm)
+from loccverify.tolerances import QUAD_NODES
 
 from conftest import (haar_unitary, loop_gauss_legendre, loop_sqrt_smooth,
                       random_density, stacked)
@@ -35,20 +36,14 @@ def _mixed_integrand(t):
                     axis=-1)
 
 
-def _loop_cumulative(f, sigmas, nodes=64):
-    """Per-segment, per-node form of cumulative_sqrt_smooth (scalar f)."""
-    u = np.sqrt(np.asarray(sigmas, dtype=float))
-    out = [None] * len(u)
-    total, lo = None, 0.0
-    for i in np.argsort(u):
-        hi = float(u[i])
-        if total is None or hi > lo:
-            n = max(2, int(np.ceil(nodes * (hi - lo))))
-            segment = loop_sqrt_smooth(f, lo, hi, n)
-            total = segment if total is None else total + segment
-            lo = hi
-        out[i] = total
-    return np.stack(out)
+def _monomial_error(sigmas) -> float:
+    """Largest error of the cumulative rule on sigma^(k/2), k <= 14, whose
+    integrals from 0 are 2 u^(k+2) / (k + 2), u = sqrt(sigma). In u the
+    integrands 2 u^(k+1) have degree below QUAD_NODES."""
+    k = np.arange(15)
+    got = cumulative_sqrt_smooth(lambda t: np.sqrt(t)[:, None] ** k, sigmas)
+    u = np.sqrt(np.asarray(sigmas, dtype=float))[:, None]
+    return float(np.abs(got - 2.0 * u ** (k + 2) / (k + 2)).max())
 
 
 def _loop_product_defect(m, dims):
@@ -211,7 +206,7 @@ class TestQuadrature:
 
     def test_sqrt_rule_beats_plain_rule_at_sqrt(self):
         # sqrt has unbounded derivatives at 0, which caps the plain rule
-        # around 1e-6 at 64 nodes; the substituted rule is exact
+        # around 2e-5 at 16 nodes; the substituted rule is exact
         plain = gauss_legendre(np.sqrt, 0.0, 1.0)
         assert abs(plain - 2.0 / 3.0) > 1e-8
         sub = integrate_sqrt_smooth(lambda s: np.sqrt(s))
@@ -249,25 +244,41 @@ class TestQuadrature:
         assert _relative_gap(integrate_sqrt_smooth(f, nodes=nodes),
                              loop_sqrt_smooth(f, 0.0, 1.0, nodes)) <= 1e-15
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
-    def test_cumulative_rule_matches_the_segment_loop(self, sigmas):
-        got = cumulative_sqrt_smooth(_mixed_integrand, sigmas)
-        want = _loop_cumulative(_mixed_integrand, sigmas)
-        assert got.shape == want.shape == (len(sigmas), 3)
-        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(
-            initial=1.0)
+    def test_cumulative_rule_is_exact_below_its_node_count(self, sigmas):
+        assert _monomial_error(sigmas) <= 2e-15
+
+    @pytest.mark.parametrize("samples", [11, 201, 301, 6301])
+    @pytest.mark.parametrize("parties", [2, 3, 4, 5, 6])
+    def test_cumulative_rule_is_exact_on_limit_path_grids(self, parties,
+                                                          samples):
+        # sigma = s^(1/P) - 1 on the P-party limit path's s grid
+        s = np.linspace(2.0 ** parties, 1.0, samples)
+        assert _monomial_error(s ** (1.0 / parties) - 1.0) <= 2e-15
 
     def test_cumulative_rule_calls_the_integrand_once(self):
-        calls = []
+        for samples in (1, 2, 101, 6301):
+            calls = []
 
-        def f(t):
-            calls.append(t.shape)
-            return 3.0 * np.sqrt(t) - 2.0
+            def f(t):
+                calls.append(t.shape)
+                return 3.0 * np.sqrt(t) - 2.0
 
-        cumulative_sqrt_smooth(f, np.linspace(0.0, 1.0, 101))
-        integrate_sqrt_smooth(f)
-        assert len(calls) == 2
+            cumulative_sqrt_smooth(f, np.linspace(0.0, 1.0, samples))
+            integrate_sqrt_smooth(f)
+            assert calls == [(QUAD_NODES,)] * 2
+
+    def test_cumulative_rule_of_zero_sigmas_is_zero(self):
+        got = cumulative_sqrt_smooth(lambda t: np.ones((t.size, 2)),
+                                     [0.0, 0.0])
+        np.testing.assert_array_equal(got, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("sigmas", [[np.nan], [0.5, -1e-300],
+                                        [0.25, np.inf], [-np.inf]])
+    def test_cumulative_rule_refuses_bad_sigmas(self, sigmas):
+        with pytest.raises(ValueError, match="finite and at least 0"):
+            cumulative_sqrt_smooth(np.sqrt, sigmas)
 
     def test_integrand_must_return_one_value_per_node(self):
         with pytest.raises(ValueError, match="one value per node"):

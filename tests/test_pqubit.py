@@ -237,6 +237,13 @@ class TestLimitCheck:
         assert rep.distances[0] == pytest.approx(0.0261238845, abs=1e-9)
         assert rep.distances[1] == pytest.approx(0.0072859532, abs=1e-9)
 
-    def test_party_guard(self):
-        with pytest.raises(ValueError):
-            pqubit_limit_check(5, [10])
+    @pytest.mark.parametrize("parties", [5, 6])
+    def test_five_and_six_parties_pass(self, parties):
+        rep = pqubit_limit_check(parties, [10, 100, 1000])
+        assert rep.passed and rep.strictly_decreasing
+        assert rep.quadrature_defect <= 1e-14
+        assert rep.reduction_defect == 0.0
+
+    def test_seven_parties_refused(self):
+        with pytest.raises(ValueError, match=r"parties must lie in \[2, 6\]"):
+            pqubit_limit_check(7, [10])

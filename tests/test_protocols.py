@@ -150,6 +150,23 @@ class TestVerifyTree:
                          if f.kind == "product"}
         assert (1,) in product_paths
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(1, 1), (0, 3)])
+    def test_non_finite_element_is_refused(self, bad, entry):
+        # A NaN element once passed verify_tree: NaN > tol is false.
+        element = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        element[entry] = bad
+        victim = build_protocol_pq(2, 5, 0.5).node_at((1, 1, 0))
+        before = victim.povm_element
+        with pytest.raises(ValueError, match="non-finite entry"):
+            victim.povm_element = element
+        assert np.array_equal(victim.povm_element, before)
+        root = ProtocolNode(np.eye(4, dtype=complex), 1)
+        root.children = [ProtocolNode(element, None),
+                         ProtocolNode(np.eye(4) - element, None)]
+        with pytest.raises(ValueError, match="non-finite entry"):
+            ProtocolTree(root, PartyDims((2, 2)), ProtocolParams(2, 1, 0.5))
+
     def test_single_node_tree(self):
         tree = ProtocolTree(ProtocolNode(np.eye(4, dtype=complex), None),
                             PartyDims((2, 2)), ProtocolParams(2, 1, 0.5))
@@ -1291,6 +1308,26 @@ class TestVerifyTheoremConditions:
             verify_theorem_conditions(channel_zonoid(), paths, families=fams,
                                       s_samples=5, sigma_samples=11)
 
+    @pytest.mark.parametrize("owner, attr", [
+        ("path", "op_at"), ("path", "cmatrix_at"),
+        ("family", "density_at"), ("family", "cdensity_at")])
+    def test_non_finite_callback_stack_is_refused(self, owner, attr):
+        # Before, NaN operators ended in an SVD that did not converge and
+        # NaN coefficients in "must be Hermitian".
+        paths, fams = limiting_family()
+        obj = paths[0] if owner == "path" else fams[0]
+
+        def poisoned(x, real=getattr(obj, attr)):
+            out = np.array(real(x))
+            out[-1, 0, 0] = np.nan
+            return out
+
+        setattr(obj, attr, poisoned)
+        with pytest.raises(ValueError, match=f"{obj.label} {attr} returned "
+                           "a non-finite entry"):
+            verify_theorem_conditions(channel_zonoid(), paths, families=fams,
+                                      s_samples=5, sigma_samples=11)
+
     def test_callback_answering_one_parameter_is_refused(self):
         paths, fams = limiting_family()
         fams[0].density_at = lambda sg, w=fams[0].density_at: w(sg)[0]
@@ -1399,9 +1436,9 @@ class TestVerifyTheoremConditions:
         assert mem.where.endswith("; solver 0/301")
 
     def test_a_repeated_run_builds_no_quadrature_rule(self):
-        # One run at two s_samples values asks for more Gauss-Legendre
-        # orders than a small cache holds; an identical second run finds
-        # every rule cached.
+        # Every integral of a run, at any s_samples, takes the QUAD_NODES
+        # rule with its antiderivative map; an identical second run finds
+        # it cached.
         spec = instrument_zonoid()
 
         def run():
