@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Paired in-process A/B of one perfbench workload: a git revision of the
+package against the working tree.
+
+    python3 scripts/ab.py REV --workload {protocol,theorem,geometry} \\
+        --seed N --rounds R
+
+``git archive REV src/loccverify`` is unpacked into a temporary directory
+and imported as ``loccverify_base`` beside the working tree's
+``loccverify``. Both run one job list drawn by ``perfbench/workloads.py``,
+after an untimed warm-up pass each. Every round times one pass on each
+side, and the side that goes first alternates, so drift of a shared host
+reaches both sides alike. BLAS is capped at one thread, as in
+``perfbench/run.py``.
+
+Per job kind it prints the median over rounds of the paired relative
+difference (tree - base) / base, its interquartile range, and in how many
+rounds the working tree was faster. Run ``HEAD`` against an unmodified
+tree first: that reads the noise floor of the host. A bad REV exits 2
+with one line on stderr.
+"""
+
+import argparse
+import importlib.util
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # leave no cache files in the checkout
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import BLAS_ENV, BLAS_THREADS  # noqa: E402
+
+# Before numpy loads: BLAS reads its thread count once.
+os.environ.update({name: BLAS_THREADS for name in BLAS_ENV})
+
+import numpy as np  # noqa: E402
+
+import workloads as wl  # noqa: E402
+
+
+def load_base(rev: str, into: Path):
+    """The package at ``rev``, imported as ``loccverify_base``; ValueError
+    if git cannot read it."""
+    try:
+        out = subprocess.run(["git", "archive", rev, "src/loccverify"],
+                             cwd=ROOT, capture_output=True)
+    except OSError as exc:
+        raise ValueError(f"cannot run git: {exc}") from exc
+    if out.returncode != 0:
+        why = out.stderr.decode(errors="replace").strip().splitlines()
+        raise ValueError(f"cannot read src/loccverify at {rev}: "
+                         f"{why[-1] if why else 'git archive failed'}")
+    with tarfile.open(fileobj=io.BytesIO(out.stdout)) as tar:
+        tar.extractall(into, filter="data")
+    pkg = into / "src" / "loccverify"
+    spec = importlib.util.spec_from_file_location(
+        "loccverify_base", pkg / "__init__.py",
+        submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["loccverify_base"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def timed_pass(work, jobs) -> dict:
+    """Seconds per job kind of one pass."""
+    spent = {}
+    for job in jobs:
+        t0 = time.perf_counter()
+        work.run(job)
+        spent[job["kind"]] = (spent.get(job["kind"], 0.0)
+                              + time.perf_counter() - t0)
+    return spent
+
+
+def summary(base: list, tree: list) -> str:
+    base, tree = np.array(base), np.array(tree)
+    rel = tree / base - 1.0
+    q1, mid, q3 = np.percentile(rel, [25, 50, 75])
+    return (f"{np.median(base):10.6f} {np.median(tree):10.6f} "
+            f"{100 * mid:+8.1f}% {100 * (q3 - q1):7.1f}% "
+            f"{int((rel < 0).sum()):4d}/{len(rel)}")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("rev", help="git revision to compare against")
+    parser.add_argument("--workload", required=True, choices=wl.WORKLOADS)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--rounds", type=int, default=21)
+    args = parser.parse_args()
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        try:
+            base = load_base(args.rev, Path(tmp))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        sys.path.insert(0, str(ROOT / "src"))
+        import loccverify as tree
+        jobs = wl.make_jobs(args.workload, args.seed, 1)[0]
+        ref = wl.load_reference()
+        sides = {}
+        for name, lv in (("base", base), ("tree", tree)):
+            work = wl.Workload(lv, args.workload, ref)
+            prepared = work.prepare(jobs)
+            timed_pass(work, prepared)
+            sides[name] = (work, prepared)
+
+        times = {"base": [], "tree": []}
+        for r in range(args.rounds):
+            order = ("base", "tree") if r % 2 == 0 else ("tree", "base")
+            for name in order:
+                times[name].append(timed_pass(*sides[name]))
+
+    print(f"{args.workload}, seed {args.seed}, {args.rounds} rounds: "
+          f"base {args.rev} against the working tree")
+    print(f"{'kind':10s} {'base_s':>10s} {'tree_s':>10s} {'median':>9s} "
+          f"{'iqr':>8s} {'won':>6s}")
+    kinds = sorted({job["kind"] for job in jobs})
+    for kind in kinds:
+        print(f"{kind:10s} " + summary([t[kind] for t in times["base"]],
+                                       [t[kind] for t in times["tree"]]))
+    print(f"{'all':10s} " + summary(
+        [sum(t.values()) for t in times["base"]],
+        [sum(t.values()) for t in times["tree"]]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -428,12 +428,15 @@ def _cmd_paper2q(args) -> dict:
 
 
 def _rounds_list(text: str, parties: int, exponent: float) -> list[int]:
-    """The --nu-list value: comma-separated round counts, each a valid
-    protocol with ``parties`` and ``exponent``."""
+    """The --nu-list value: two or more comma-separated round counts,
+    each a valid protocol with ``parties`` and ``exponent``. One count
+    would pass every "decreasing" check vacuously."""
     try:
         rounds = [int(v) for v in text.split(",")]
     except ValueError as exc:
         raise InputError(f"--nu-list: {exc}") from exc
+    if len(rounds) < 2:
+        raise InputError("--nu-list needs at least two round counts")
     for nu in rounds:
         _protocol_params(parties, nu, exponent)
     return rounds

@@ -213,9 +213,13 @@ def pqubit_limit_check(parties: int, rounds_list,
     ``rounds_list``, that the quadrature-assembled multiplier matches the
     closed form, and that appending always-one parties embeds the smaller
     example exactly (so larger P inherit the two- and three-party cases).
+    ValueError for fewer than two round counts, which would pass the
+    decrease vacuously.
     """
     rounds_list = tuple(int(nu) for nu in rounds_list)
     s_limit = pqubit_coefficients(parties)
+    if len(rounds_list) < 2:
+        raise ValueError("rounds_list needs at least two round counts")
     dists = tuple(
         multiplier_distance(parties,
                             prelimit_coefficients(parties, nu, exponent),

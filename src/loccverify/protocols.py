@@ -39,7 +39,6 @@ from .tolerances import (COMPLETENESS_TOL, LOCALITY_TOL, MEMBERSHIP_TOL,
                          TRACE_TOL)
 from .zonoid import (
     ZonoidSpec,
-    cmatrix_resolution_check,
     coefficient_stack,
     endpoint_cmatrix,
     membership,
@@ -138,7 +137,7 @@ class NodeView:
 
 
 class ProtocolTree:
-    """A protocol tree: its nodes, party dimensions and parameters.
+    """A protocol tree: its nodes and party dimensions.
 
     The nodes are one real preorder table, a row per node holding the
     diagonal of its element, and a dict of dense overrides for the elements
@@ -160,10 +159,9 @@ class ProtocolTree:
     equal. No dense element is made until one is read.
     """
 
-    def __init__(self, root: ProtocolNode | None, dims: PartyDims,
-                 params: ProtocolParams, table: np.ndarray | None = None):
+    def __init__(self, root: ProtocolNode | None, dims: PartyDims, *,
+                 table: np.ndarray | None = None):
         self.dims = dims
-        self.params = params
         self._overrides: dict[int, np.ndarray] = {}
         if table is not None:
             self._table = table
@@ -372,22 +370,21 @@ def build_protocol_pq(parties: int, rounds: int, exponent: float
     as its real preorder diagonal table of 2 P rounds + 1 rows: row 0 is
     the root, rows 2k + 1 and 2k + 2 the halt leaf and continue node of
     step k (:func:`_built_table`)."""
-    params = ProtocolParams(parties, rounds, exponent)
-    return ProtocolTree(None, PartyDims((2,) * parties), params,
-                        _built_table(params).T)
+    table = _built_table(ProtocolParams(parties, rounds, exponent))
+    return ProtocolTree(None, PartyDims((2,) * parties), table=table.T)
 
 
 def protocol_tree_bytes(parties: int, rounds: int) -> int:
     """Memory a :func:`build_protocol_pq` tree holds, in bytes.
 
     The tree holds one real diagonal of 2^P entries for each of its
-    2 P rounds + 1 nodes, and up to 6 KiB of fixed objects, numpy's
+    2 P rounds + 1 nodes, and up to 5 KiB of fixed objects, numpy's
     small-buffer cache and the interpreter's float free list. It is
     computed without building anything, so callers can refuse a tree too
     large.
     """
     nodes = 2 * parties * rounds + 1
-    return nodes * 8 * 2 ** parties + 6 * 2 ** 10
+    return nodes * 8 * 2 ** parties + 5 * 2 ** 10
 
 
 # Entries verify_tree reads at a time in its factor and leaf-sum passes.
@@ -1107,17 +1104,15 @@ class CheckedPath:
     checks and symmetrises by the rule of
     :class:`~loccverify.zonoid.CoefficientMatrix`.
     The endpoint coefficient matrix is always derived from the operator at
-    ``s_bottom``. ``block`` ties the path to one block of a blocked basis
-    for the resolution bookkeeping.
+    ``s_bottom``. The parties and blocks the path is checked against come
+    from the verifier's spec.
     """
 
     label: str
     op_at: Callable[[np.ndarray], np.ndarray]
     s_top: float
     s_bottom: float
-    dims: PartyDims
     cmatrix_at: Callable[[np.ndarray], np.ndarray] | None = None
-    block: int | None = None
 
     def sample_grid(self, s_samples: int | None) -> np.ndarray:
         """Uniform s grid from the top; None means a spacing near 0.01.
@@ -1153,7 +1148,6 @@ class EndpointFamily:
     cdensity_at: Callable[[np.ndarray], np.ndarray]
     attach_s: Callable[[np.ndarray], np.ndarray]
     sigma_at: Callable[[np.ndarray], np.ndarray]
-    block: int | None = None
 
 
 @dataclass(frozen=True)
@@ -1262,13 +1256,16 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     attached to the path; the solver answers only the samples where that
     witness fails, or every sample of a path without families.
     For each halt family: positivity of the segment mixtures, product
-    structure and basis reconstruction of the densities. Finally the
-    endpoint matrices and integrated halt densities must resolve the
-    identity (per block for a blocked basis). Family densities are assumed
-    smooth in sqrt(sigma); integrals substitute accordingly. Tolerances
-    come from :mod:`loccverify.tolerances`. ``s_samples`` None selects
-    each path's dense grid; ``s_samples`` or ``sigma_samples`` below 1
-    raises ValueError.
+    structure and basis reconstruction of the densities. Product checks
+    take the parties of the spec's basis. Finally the endpoint matrices
+    and integrated halt densities must sum to the identity: one check,
+    ``resolution``, for an unblocked spec, and for a blocked one a check
+    ``resolution[b]`` on the rows of each block b of
+    ``spec.block_list()``, so a block that nothing covers fails. Family
+    densities are assumed smooth in sqrt(sigma); integrals substitute
+    accordingly. Tolerances come from :mod:`loccverify.tolerances`.
+    ``s_samples`` None selects each path's dense grid; ``s_samples`` or
+    ``sigma_samples`` below 1 raises ValueError.
 
     Every callback is called on a whole grid at once, so the number of
     calls does not depend on the sample counts. Sampled checks report the
@@ -1281,9 +1278,9 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     if sigma_samples < 1:
         raise ValueError("sigma_samples must be at least 1")
     checks: list[ConditionCheck] = []
-    resolution_parts: dict[int | None, list[np.ndarray]] = {}
     solver = spec.solver()
-    kappa, dim = spec.kappa, spec.dim
+    kappa, dim, dims = spec.kappa, spec.dim, spec.basis.input_dims
+    total = np.zeros((kappa, kappa), dtype=np.complex128)
 
     for path in paths:
         lbl = path.label
@@ -1313,7 +1310,7 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
             mem_where = f"s={grid[worst]:.6g}; {mem_where}"
         checks += [
             _worst(f"{lbl}:trace", trace, TRACE_TOL, "s", grid),
-            _worst(f"{lbl}:product", product_defect(ops, path.dims),
+            _worst(f"{lbl}:product", product_defect(ops, dims),
                    PRODUCT_TOL, "s", grid),
             ConditionCheck(f"{lbl}:membership", float(defects[worst]),
                            membership_tol, mem_where),
@@ -1326,7 +1323,7 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
                 f"{lbl}:witness-family",
                 np.linalg.norm(solver.image(cm) - ops, axis=(1, 2)),
                 RECON_TOL, "s", grid))
-        resolution_parts.setdefault(path.block, []).append(c_end.matrix)
+        total = total + c_end.matrix
 
     sigmas = np.linspace(0.0, 1.0, sigma_samples)
     for fam in families:
@@ -1346,29 +1343,25 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
         checks += [
             _worst(f"{lbl}:psd", np.maximum(0.0, -low), MIXTURE_PSD_TOL,
                    "sigma", sigmas),
-            _worst(f"{lbl}:product", product_defect(dens, fam.parent.dims),
+            _worst(f"{lbl}:product", product_defect(dens, dims),
                    PRODUCT_TOL, "sigma", sigmas),
             _worst(f"{lbl}:reconstruction",
                    np.linalg.norm(solver.image(cd) - dens, axis=(1, 2)),
                    RECON_TOL, "sigma", sigmas),
         ]
-        integral = integrate_sqrt_smooth(
+        total = total + integrate_sqrt_smooth(
             lambda u, f=fam: _coefficients(f.cdensity_at(u), len(u), kappa,
                                            f"{f.label} cdensity_at"))
-        resolution_parts.setdefault(fam.block, []).append(integral)
 
-    blocks = spec.block_list()
-    for key, parts in sorted(resolution_parts.items(),
-                             key=lambda kv: (kv[0] is not None, kv[0] or 0)):
-        if key is None:
-            target = np.eye(spec.kappa, dtype=np.complex128)
-            name = "resolution"
-        else:
-            target = np.zeros((spec.kappa, spec.kappa), dtype=np.complex128)
-            idx = list(blocks[key])
-            target[idx, idx] = 1.0
-            name = f"resolution[{key}]"
-        _, defect = cmatrix_resolution_check(parts, target)
-        checks.append(ConditionCheck(name, defect, RESOLUTION_TOL))
+    # A valid endpoint or integral is zero outside its own block, so the
+    # rows of block b of the total are the sum of that block's parts.
+    gap = total - np.eye(kappa)
+    for b, block in enumerate(spec.block_list()):
+        rows = np.zeros((kappa, 1), dtype=bool)
+        rows[list(block)] = True
+        name = "resolution" if spec.blocks is None else f"resolution[{b}]"
+        checks.append(ConditionCheck(
+            name, float(np.linalg.norm(np.where(rows, gap, 0.0))),
+            RESOLUTION_TOL))
 
     return PathConditionReport(tuple(checks))

@@ -44,8 +44,6 @@ from .tolerances import (COARSE_GRAIN_TOL, DENSITY_TRACE_TOL, ISOMETRY_TOL,
                          QUAD_NODES, SIGMA_SAMPLES)
 from .zonoid import ZonoidSpec, zonoid_spec_for_instrument
 
-DIMS_2Q = PartyDims((2, 2))
-
 
 def _diag4(a, b, c, d) -> np.ndarray:
     return np.diag([a, b, c, d]).astype(np.complex128)
@@ -291,24 +289,20 @@ def _sigma_of(s):
     return np.sqrt(s) - 1.0
 
 
-def _limit_family(cdensity, blocked: bool):
+def _limit_family(cdensity, cmatrix_at):
     """Main path and the halt-B and halt-A continua of the limit.
 
     Halt family ``party`` (1 for B, 0 for A) has the derivative outcome of
     that party as its density and ``cdensity(party)`` as its
-    coefficient-density callback; it is instrument outcome 3 - party. A
-    blocked basis ties the main path to block 0 and each halt family to
-    its outcome's block; the reduced basis instead attaches the
-    closed-form C1 witness family to the main path.
+    coefficient-density callback; it is instrument outcome 3 - party. The
+    main path carries ``cmatrix_at`` as its witness family, or none.
     """
     main = CheckedPath(
         label="main",
         op_at=lambda s: limit_path_stack(2, s),
         s_top=4.0,
         s_bottom=1.0,
-        dims=DIMS_2Q,
-        cmatrix_at=None if blocked else lambda s: c_matrix_stack("C1", s),
-        block=0 if blocked else None,
+        cmatrix_at=cmatrix_at,
     )
     fams = [
         EndpointFamily(
@@ -319,7 +313,6 @@ def _limit_family(cdensity, blocked: bool):
             cdensity_at=cdensity(party),
             attach_s=_s_of,
             sigma_at=_sigma_of,
-            block=2 - party if blocked else None,
         )
         for party in (1, 0)
     ]
@@ -336,7 +329,7 @@ def limiting_family(spec: ZonoidSpec | None = None):
     """
     return _limit_family(
         lambda party: lambda sg: c_matrix_stack(f"C{3 - party}", _s_of(sg)),
-        blocked=False)
+        lambda s: c_matrix_stack("C1", s))
 
 
 def instrument_zonoid() -> ZonoidSpec:
@@ -369,4 +362,4 @@ def blocked_limiting_family(spec: ZonoidSpec | None = None):
             return w[:, :, None] * w[:, None, :].conj()
         return f
 
-    return _limit_family(blocked_density, blocked=True)
+    return _limit_family(blocked_density, None)

@@ -255,6 +255,9 @@ class TestExitCodes:
             [np.eye(2), np.diag([1.0, 0.0])], (2,), (2,),
             [[0], [777]]).replace("777", index)]
           for index in ("1e999", "1.5", "-1")],
+        # One round count would pass "decreasing" vacuously.
+        ["paper-pq", "--nu-list", "100"],
+        ["hausdorff", "--nu-list", "100"],
     ])
     def test_bad_protocol_parameters_are_2(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
@@ -300,7 +303,7 @@ class TestExitCodes:
         assert "to build and check the tree" in captured.err
 
     @pytest.mark.parametrize("argv", [
-        ["theorem1", "--samples", "200000"],
+        ["theorem1", "--samples", "400000"],
         ["theorem1", "--sigma-samples", "200000"],
         ["theorem8", "--samples", "200000"],
         ["theorem8", "--sigma-samples", "200000"],
@@ -455,6 +458,7 @@ class TestExitCodes:
         ["--nu-list", "0"],
         ["--c", "1.5"],
         ["--seed", "-1"],
+        ["--nu-list", "100"],
     ])
     def test_convergence_study_refuses_rounds_before_any_row(
             self, capsys, monkeypatch, argv):

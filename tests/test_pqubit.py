@@ -247,3 +247,9 @@ class TestLimitCheck:
     def test_seven_parties_refused(self):
         with pytest.raises(ValueError, match=r"parties must lie in \[2, 6\]"):
             pqubit_limit_check(7, [10])
+
+    @pytest.mark.parametrize("rounds_list", [[], [100]])
+    def test_fewer_than_two_round_counts_refused(self, rounds_list):
+        # One distance, or none, is "strictly decreasing" vacuously.
+        with pytest.raises(ValueError, match="at least two round counts"):
+            pqubit_limit_check(3, rounds_list)

@@ -165,14 +165,21 @@ class TestVerifyTree:
         root.children = [ProtocolNode(element, None),
                          ProtocolNode(np.eye(4) - element, None)]
         with pytest.raises(ValueError, match="non-finite entry"):
-            ProtocolTree(root, PartyDims((2, 2)), ProtocolParams(2, 1, 0.5))
+            ProtocolTree(root, PartyDims((2, 2)))
 
     def test_single_node_tree(self):
         tree = ProtocolTree(ProtocolNode(np.eye(4, dtype=complex), None),
-                            PartyDims((2, 2)), ProtocolParams(2, 1, 0.5))
+                            PartyDims((2, 2)))
         rep = verify_tree(tree)
         assert rep.ok and (rep.n_nodes, rep.n_leaves) == (1, 1)
         _assert_same_report(rep, _reference_verify_tree(tree))
+
+    def test_parameters_are_not_a_tree_argument(self):
+        # A tree holds no protocol parameters, and its table is keyword
+        # only: a call that passes parameters third fails loudly.
+        with pytest.raises(TypeError):
+            ProtocolTree(ProtocolNode(np.eye(4, dtype=complex), None),
+                         PartyDims((2, 2)), ProtocolParams(2, 1, 0.5))
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(1, 12), st.floats(0.2, 0.8))
@@ -323,8 +330,7 @@ def _branching_tree(parties, depth, outcomes):
         return node
 
     return ProtocolTree(grow(np.eye(2 ** parties, dtype=complex), 0),
-                        PartyDims((2,) * parties),
-                        ProtocolParams(parties, depth, 0.5))
+                        PartyDims((2,) * parties))
 
 
 def _mixed_caterpillar(parties, arities, positions):
@@ -345,8 +351,7 @@ def _mixed_caterpillar(parties, arities, positions):
                  for p in range(1, parties + 1)]), None)
             for a, b in zip(w, w[::-1])]
         node = node.children[position % outcomes]
-    return ProtocolTree(root, PartyDims((2,) * parties),
-                        ProtocolParams(parties, 1, 0.5))
+    return ProtocolTree(root, PartyDims((2,) * parties))
 
 
 class TestVerifyTreeAgainstReference:
@@ -599,8 +604,7 @@ class TestTableTree:
         root = ProtocolNode(np.eye(4, dtype=complex), 1)
         root.children = [ProtocolNode(np.diag([0.5, 0.5, 0, 0]), None),
                          ProtocolNode(np.diag([0.5, 0.5, 1, 1]), None)]
-        tree = ProtocolTree(root, PartyDims((2, 2)),
-                            ProtocolParams(2, 1, 0.5))
+        tree = ProtocolTree(root, PartyDims((2, 2)))
         assert tree.root == tree.node_at(()) and tree.n_nodes == 3
         views = [tree.root] + tree.root.children
         for view, node in zip(views, [root] + root.children, strict=True):
@@ -1206,6 +1210,40 @@ class TestVerifyTheoremConditions:
         names = {c.name for c in rep.checks}
         assert {"resolution[0]", "resolution[1]", "resolution[2]"} <= names
 
+    @pytest.mark.parametrize("dropped", [0, 1])
+    def test_uncovered_block_fails_its_resolution(self, dropped):
+        # Halt family k is outcome k + 1's block. Without it, nothing
+        # covers that block, whose rows of the sum then miss the 2 x 2
+        # identity by sqrt(2); every other check still passes.
+        spec = instrument_zonoid()
+        paths, fams = blocked_limiting_family(spec)
+        del fams[dropped]
+        rep = verify_theorem_conditions(spec, paths, families=fams,
+                                        s_samples=11, sigma_samples=11)
+        failed = [c for c in rep.checks if not c.passed]
+        assert [c.name for c in failed] == [f"resolution[{dropped + 1}]"]
+        assert failed[0].defect == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert [c.name for c in rep.checks
+                if c.name.startswith("resolution")] == [
+            "resolution[0]", "resolution[1]", "resolution[2]"]
+
+    def test_product_check_takes_the_spec_parties(self):
+        # A Bell projector added along the main path entangles the spec's
+        # two qubits; the product check reads them from the spec, so no
+        # path can restate them as one party of dimension 4.
+        paths, fams = limiting_family()
+        bell = np.zeros((4, 4))
+        bell[np.ix_([0, 3], [0, 3])] = 0.5
+        paths[0].op_at = lambda s, f=paths[0].op_at: f(s) + 0.01 * (
+            np.asarray(s) - 1.0)[:, None, None] * bell
+        rep = verify_theorem_conditions(channel_zonoid(), paths,
+                                        families=fams, s_samples=11,
+                                        sigma_samples=11)
+        product = rep.check("main:product")
+        assert not product.passed
+        assert product.defect == pytest.approx(7.444e-3, rel=1e-3)
+        assert product.where == "s=4"
+
     def test_report_lookup(self):
         paths, fams = limiting_family()
         rep = verify_theorem_conditions(channel_zonoid(), paths,
@@ -1555,8 +1593,7 @@ class TestLimitFamilies:
     def test_reduced_and_blocked_families_agree(self):
         (main,), fams = limiting_family()
         (bmain,), bfams = blocked_limiting_family()
-        assert (main.s_top, main.s_bottom, main.dims) == (
-            bmain.s_top, bmain.s_bottom, bmain.dims)
+        assert (main.s_top, main.s_bottom) == (bmain.s_top, bmain.s_bottom)
         grid = main.sample_grid(None)
         assert np.array_equal(grid, bmain.sample_grid(None))
         assert np.array_equal(main.op_at(grid), bmain.op_at(grid))
