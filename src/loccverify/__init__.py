@@ -9,13 +9,11 @@ certifies which limits finite protocols can reach.
 
 from .linalg import (
     PartyDims,
-    PsdReport,
     gauss_legendre,
     integrate_sqrt_smooth,
     kron,
     partial_trace,
     product_defect,
-    psd_check,
     sqrt_psd,
     trace_norm,
 )
@@ -38,7 +36,6 @@ from .zonoid import (
     MembershipReport,
     NotInSpanError,
     ZonoidSpec,
-    cmatrix_resolution_check,
     endpoint_cmatrix,
     hausdorff_estimate,
     membership,
@@ -103,16 +100,15 @@ from .pqubit import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PartyDims", "PsdReport", "gauss_legendre", "integrate_sqrt_smooth",
-    "kron", "partial_trace", "product_defect", "psd_check", "sqrt_psd",
-    "trace_norm",
+    "PartyDims", "gauss_legendre", "integrate_sqrt_smooth", "kron",
+    "partial_trace", "product_defect", "sqrt_psd", "trace_norm",
     "ChoiOperator", "Instrument", "KrausSet", "apply",
     "channel_from_leaf_povm", "choi", "choi_distance",
     "isometric_relation", "kraus_from_operators", "kraus_rank",
     "minimal_kraus", "qc_embed",
     "CoefficientMatrix", "MembershipReport", "NotInSpanError", "ZonoidSpec",
-    "cmatrix_resolution_check", "endpoint_cmatrix", "hausdorff_estimate",
-    "membership", "separation_gap", "support_function",
+    "endpoint_cmatrix", "hausdorff_estimate", "membership",
+    "separation_gap", "support_function",
     "zonoid_spec_for_channel", "zonoid_spec_for_instrument",
     "CheckedPath", "EndpointFamily", "NodeView", "PathConditionReport",
     "PiecewisePath", "ProtocolNode", "ProtocolParams", "ProtocolTree", "TreeReport",

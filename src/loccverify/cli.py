@@ -58,16 +58,16 @@ class InputError(Exception):
 # `protocol_check_bytes` counts it, the others as `work_bytes` does.
 TREE_BYTES_BUDGET = 2 ** 28
 
-# Fixed part of `work_bytes`, and the bytes each s sample and each sigma
-# sample of a theorem check holds.
+# Fixed part of `work_bytes`, and the bytes each s sample of a theorem
+# check holds.
 _FIXED_BYTES = 2 ** 19
-_THEOREM_SAMPLE_BYTES = {"theorem1": (1344, 1792), "theorem8": (1920, 2176)}
+_THEOREM_SAMPLE_BYTES = {"theorem1": 1344, "theorem8": 1920}
 # Bytes each direction of a two-qubit Hausdorff estimate holds.
 _HAUSDORFF_SAMPLE_BYTES = 1344
 # Bytes each entry of a Choi matrix holds: in `choi` with its printed JSON,
 # in `distance` as the padded Choi matrices and their difference.
 _CHOI_ENTRY_BYTES = {"choi": 300, "distance": 52}
-_SIZE_FLAGS = ("samples", "sigma_samples", "grid")
+_SIZE_FLAGS = ("samples", "grid")
 _INPUT_COMMANDS = ("choi", "distance", "zonoid-check")
 
 
@@ -180,7 +180,7 @@ def work_bytes(args, *inputs, z: np.ndarray | None = None) -> int:
     Instrument) and the parsed target ``z`` (None for the identity).
 
     Each part grows with one size flag or input: the theorem checks with
-    their s and sigma samples, the path gap with its grid (2^P entries a
+    their s samples, the path gap with its grid (2^P entries a
     point), Hausdorff estimates with their directions, and choi and
     distance with the (d d_out)^2 entries of a Choi matrix. A
     zonoid-check run is as :func:`~loccverify.zonoid.zonoid_bytes` counts
@@ -197,10 +197,9 @@ def work_bytes(args, *inputs, z: np.ndarray | None = None) -> int:
     if args.command == "zonoid-check":
         parts.append(zonoid_bytes(*inputs, z is None or not z.imag.any()))
     if args.command in _THEOREM_SAMPLE_BYTES:
-        per_s, per_sigma = _THEOREM_SAMPLE_BYTES[args.command]
         # --samples 0 is the dense grid: spacing 0.01 on [1, 4].
-        parts += [per_s * (args.samples or 301),
-                  per_sigma * args.sigma_samples]
+        parts.append(_THEOREM_SAMPLE_BYTES[args.command]
+                     * (args.samples or 301))
     if args.command == "paths":
         parts.append(args.grid * (36 * 2 ** args.parties + 192))
     if args.command == "hausdorff":
@@ -345,7 +344,7 @@ def _theorem_checks(args, spec: ZonoidSpec, family) -> list:
     # --samples 0 selects the dense default grid.
     report = verify_theorem_conditions(
         spec, paths, fams, s_samples=args.samples or None,
-        sigma_samples=args.sigma_samples, membership_tol=args.tol)
+        membership_tol=args.tol)
     return [_check(c.name, c.defect, c.tol, c.where) for c in report.checks]
 
 
@@ -545,8 +544,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="membership tolerance (finite, > 0)"),
         "c": dict(type=_EXPONENT, default=0.5,
                   help="decay exponent in (0, 1)"),
-        "sigma-samples": dict(type=_POSITIVE,
-                              default=tolerances.SIGMA_SAMPLES),
         "nu-list": dict(default="100,1000,10000",
                         help="comma-separated round counts"),
     }
@@ -590,13 +587,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = command("theorem1", _cmd_theorem1,
                  "path conditions for the limit channel",
-                 "tol", "c", "sigma-samples", nu=0)
+                 "tol", "c", nu=0)
     sp.add_argument("--samples", type=_COUNT, default=0,
                     help="s samples per path (0: dense default grid)")
 
     sp = command("theorem8", _cmd_theorem8,
                  "blocked path conditions for the instrument",
-                 "tol", "sigma-samples")
+                 "tol")
     sp.add_argument("--samples", type=_COUNT, default=0)
 
     command("paper-2q", _cmd_paper2q, "worked two-qubit example checks",

@@ -152,27 +152,6 @@ def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
     return float(np.abs(a - a.conj().T).max(initial=0.0)) <= tol * scale
 
 
-@dataclass(frozen=True)
-class PsdReport:
-    ok: bool
-    min_eigenvalue: float
-
-
-def psd_check(m) -> PsdReport:
-    """Check positive semidefiniteness up to PSD_TOL times the spectral scale.
-
-    Raises ValueError if the input is not Hermitian to HERMITICITY_TOL;
-    positivity is only meaningful for Hermitian operators.
-    """
-    a = as_matrix(m)
-    if not is_hermitian(a):
-        raise ValueError("psd_check requires a Hermitian matrix")
-    w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
-    scale = 1.0 + float(np.abs(w).max(initial=0.0))
-    lo = float(w.min(initial=0.0))
-    return PsdReport(ok=lo >= -PSD_TOL * scale, min_eigenvalue=lo)
-
-
 def sqrt_psd(m) -> np.ndarray:
     """Hermitian square root of a PSD matrix. Small negative eigenvalues
 

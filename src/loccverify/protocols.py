@@ -1245,7 +1245,6 @@ def _witness_defects(solver, c_end: np.ndarray,
 def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
                               families: Sequence[EndpointFamily] = (),
                               s_samples: int | None = None,
-                              sigma_samples: int = SIGMA_SAMPLES,
                               membership_tol: float = MEMBERSHIP_TOL
                               ) -> PathConditionReport:
     """Check the zonoid-path conditions for an implementable instrument.
@@ -1264,8 +1263,9 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     ``spec.block_list()``, so a block that nothing covers fails. Family
     densities are assumed smooth in sqrt(sigma); integrals substitute
     accordingly. Tolerances come from :mod:`loccverify.tolerances`.
-    ``s_samples`` None selects each path's dense grid; ``s_samples`` or
-    ``sigma_samples`` below 1 raises ValueError.
+    ``s_samples`` None selects each path's dense grid; ``s_samples``
+    below 1 raises ValueError. Halt families are sampled at
+    ``SIGMA_SAMPLES`` values of sigma.
 
     Every callback is called on a whole grid at once, so the number of
     calls does not depend on the sample counts. Sampled checks report the
@@ -1275,8 +1275,6 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     """
     if s_samples is not None and s_samples < 1:
         raise ValueError("s_samples must be at least 1")
-    if sigma_samples < 1:
-        raise ValueError("sigma_samples must be at least 1")
     checks: list[ConditionCheck] = []
     solver = spec.solver()
     kappa, dim, dims = spec.kappa, spec.dim, spec.basis.input_dims
@@ -1325,23 +1323,24 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
                 RECON_TOL, "s", grid))
         total = total + c_end.matrix
 
-    sigmas = np.linspace(0.0, 1.0, sigma_samples)
+    sigmas = np.linspace(0.0, 1.0, SIGMA_SAMPLES)
     for fam in families:
         lbl = fam.label
-        dens = _operators(fam.density_at(sigmas), sigma_samples, dim,
+        dens = _operators(fam.density_at(sigmas), SIGMA_SAMPLES, dim,
                           f"{lbl} density_at")
-        cd = _coefficients(fam.cdensity_at(sigmas), sigma_samples, kappa,
+        cd = _coefficients(fam.cdensity_at(sigmas), SIGMA_SAMPLES, kappa,
                            f"{lbl} cdensity_at")
         # lambda_min is concave, so the segment mixtures
         # (1 - x) C_parent + x C_r are lowest at x = 0 or x = 1.
         low = np.linalg.eigvalsh(cd)[:, 0]
         if fam.parent.cmatrix_at is not None:
             parent = _coefficients(
-                fam.parent.cmatrix_at(fam.attach_s(sigmas)), sigma_samples,
+                fam.parent.cmatrix_at(fam.attach_s(sigmas)), SIGMA_SAMPLES,
                 kappa, f"{fam.parent.label} cmatrix_at")
             low = np.minimum(low, np.linalg.eigvalsh(parent)[:, 0])
         checks += [
-            _worst(f"{lbl}:psd", np.maximum(0.0, -low), MIXTURE_PSD_TOL,
+            # On a tie np.maximum returns its second argument: +0.0, not -0.0.
+            _worst(f"{lbl}:psd", np.maximum(-low, 0.0), MIXTURE_PSD_TOL,
                    "sigma", sigmas),
             _worst(f"{lbl}:product", product_defect(dens, dims),
                    PRODUCT_TOL, "sigma", sigmas),

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
 from .channels import Instrument, KrausSet, index_partition, minimal_kraus
 from .linalg import as_matrix, has_finite_norm, is_hermitian
 from .tolerances import (INDEPENDENCE_TOL, INPUT_HERMITICITY_TOL,
-                         MEMBERSHIP_TOL, RESOLUTION_TOL, ROUNDING_TOL,
-                         SPAN_TOL)
+                         MEMBERSHIP_TOL, ROUNDING_TOL, SPAN_TOL)
 
 # Newton steps of the barrier solve: about 2.5 times the longest solve
 # measured to answer before it. A target within about tol of the zonoid,
@@ -719,22 +717,6 @@ def endpoint_cmatrix(k_leaf, spec: ZonoidSpec) -> CoefficientMatrix:
             f"(best residual {best_res:.3e})"
         )
     return CoefficientMatrix(np.outer(best_w.conj(), best_w))
-
-
-def cmatrix_resolution_check(cmats: Iterable, target) -> tuple[bool, float]:
-    """Check that the coefficient matrices sum to ``target``.
-
-    Returns (ok, Frobenius defect). Endpoint matrices of a complete path
-    assembly must resolve the identity (or a block projector) for the
-    underlying protocol to be trace preserving.
-    """
-    target = as_matrix(target)
-    acc = np.zeros_like(target)
-    for c in cmats:
-        m = c.matrix if isinstance(c, CoefficientMatrix) else as_matrix(c)
-        acc = acc + m
-    defect = float(np.linalg.norm(acc - target))
-    return defect <= RESOLUTION_TOL, defect
 
 
 def zonoid_spec_for_channel(k: KrausSet) -> ZonoidSpec:

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import runpy
 import sys
 import tracemalloc
@@ -18,9 +19,12 @@ from loccverify.channels import kraus_from_operators
 from loccverify.serialize import (dumps, kraus_to_json, matrix_from_json,
                                   matrix_to_json)
 from loccverify.tolerances import QUAD_NODES
-from loccverify.twoqubit import coarse_grain_check
+from loccverify.twoqubit import (blocked_limiting_family, coarse_grain_check,
+                                 limiting_family)
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+SCRIPTS = ROOT / "scripts"
 STUDY = SCRIPTS / "convergence_study.py"
 SUITE = SCRIPTS / "run_verification_suite.py"
 BATTERY = [argv for argv, _ in runpy.run_path(str(SUITE))["BATTERY"]]
@@ -30,6 +34,26 @@ def run(capsys, *argv):
     status = cli.main(list(argv))
     out = capsys.readouterr().out
     return status, json.loads(out) if out.strip() else None
+
+
+def traced_peak(argv):
+    """Peak bytes that tracemalloc sees in a passing CLI run of ``argv``.
+
+    A small run goes first, so lazily built tables are not counted.
+    """
+    small = [v if not v.isdigit() or v == "6" else "3" for v in argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(small) in (0, 1)
+    linalg._leggauss.cache_clear()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    return peak
 
 
 def check_names(report):
@@ -304,9 +328,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["theorem1", "--samples", "400000"],
-        ["theorem1", "--sigma-samples", "200000"],
         ["theorem8", "--samples", "200000"],
-        ["theorem8", "--sigma-samples", "200000"],
         ["paths", "--grid", "1000000"],
         ["paths", "--parties", "6", "--grid", "200000"],
         ["hausdorff", "--samples", "300000"],
@@ -333,31 +355,47 @@ class TestExitCodes:
         assert captured.err.startswith("error:")
         assert "MiB budget" in captured.err
 
+    def test_theorem_refusal_names_its_samples(self, capsys):
+        assert cli.main(["theorem8", "--samples", "200000"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --samples 200000 needs ")
+
     @pytest.mark.parametrize("argv", [
-        ["theorem1", "--samples", "2000", "--sigma-samples", "11"],
-        ["theorem1", "--samples", "11", "--sigma-samples", "4000"],
-        ["theorem8", "--samples", "2000", "--sigma-samples", "11"],
-        ["theorem8", "--samples", "11", "--sigma-samples", "4000"],
+        ["theorem1", "--samples", "2000"],
+        ["theorem8", "--samples", "2000"],
         ["paths", "--grid", "40000"],
         ["paths", "--parties", "6", "--grid", "20000"],
         ["hausdorff", "--samples", "20000"],
     ])
     def test_work_bytes_bound_the_run(self, argv):
-        # A small run first, so lazily built tables are not counted.
-        small = [v if not v.isdigit() or v == "6" else "3" for v in argv]
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(small) in (0, 1)
-        linalg._leggauss.cache_clear()
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                status = cli.main(argv)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert status == 0
+        peak = traced_peak(argv)
         estimate = cli.work_bytes(cli._build_parser().parse_args(argv))
         assert peak <= estimate <= 1.5 * peak
+
+    @pytest.mark.parametrize("argv", [
+        ["theorem1", "--samples", "1"],
+        ["theorem1"],
+        ["theorem8", "--samples", "1"],
+        ["theorem8"],
+    ])
+    def test_work_bytes_cover_small_theorem_runs(self, argv):
+        # The fixed part dominates runs this small, so the estimate can be
+        # twice the peak; it must still not fall below it.
+        peak = traced_peak(argv)
+        assert peak <= cli.work_bytes(cli._build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("command, family", [
+        ("theorem1", limiting_family),
+        ("theorem8", blocked_limiting_family),
+    ])
+    def test_theorem_estimate_counts_the_default_grid(self, command, family):
+        # --samples 0 runs the verifier's dense grid; the estimate must
+        # count as many s samples as that grid holds.
+        (main,), _ = family()
+        n = len(main.sample_grid(None))
+        parse = cli._build_parser().parse_args
+        assert cli.work_bytes(parse([command, "--samples", "0"])) == \
+            cli.work_bytes(parse([command, "--samples", str(n)]))
 
     @pytest.mark.parametrize("argv", [
         ["choi", "--kraus", inline_kraus([np.ones((1, 4096))], (4096,), (1,))],
@@ -504,8 +542,8 @@ CHEAP_ARGV = {
     "zonoid-check": [],
     "protocol": ["--nu", "2"],
     "paths": ["--nu", "2", "--grid", "3"],
-    "theorem1": ["--nu", "10", "--samples", "2", "--sigma-samples", "2"],
-    "theorem8": ["--samples", "2", "--sigma-samples", "2"],
+    "theorem1": ["--nu", "10", "--samples", "2"],
+    "theorem8": ["--samples", "2"],
     "paper-2q": ["--nu", "10"],
     "paper-pq": ["--parties", "2", "--nu-list", "10,20"],
     "wstate": [],
@@ -554,6 +592,36 @@ class TestDeclaredFlags:
             if declared - ns._reads:
                 unread[command] = sorted(declared - ns._reads)
         assert unread == {}
+
+    def test_readme_table_matches_the_parser(self):
+        # Each row of README's subcommand table lists exactly the flags the
+        # subcommand declares, each with the parser's default: in
+        # parentheses up to any ":", or for --c and --tol in the sentence
+        # above the table. A flag with neither is required or a switch.
+        text = README.read_text()
+        stated = dict(re.findall(
+            r"`(--[\w-]+)`\s+is\s+the\s[^,]*,\s+default\s+([^;)]+)", text))
+        assert set(stated) == {"--c", "--tol"}
+        rows = dict(re.findall(r"^\| `([\w-]+)` \|[^|]*\| (.*) \|$", text,
+                               re.MULTILINE))
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert sorted(rows) == sorted(sub.choices)
+        for command, flags in rows.items():
+            listed = dict(re.findall(r"`(--[\w-]+)`(?: \(([^):]*))?",
+                                     flags))
+            declared = {a.option_strings[0]: a
+                        for a in sub.choices[command]._actions
+                        if not isinstance(a, argparse._HelpAction)}
+            assert sorted(listed) == sorted(declared), command
+            for flag, default in listed.items():
+                action = declared[flag]
+                default = default or stated.get(flag)
+                if default is None:
+                    assert action.required or action.default is False
+                else:
+                    assert (action.type or str)(default) == action.default, \
+                        (command, flag)
 
 
 class TestSubcommands:
@@ -766,8 +834,7 @@ class TestHugeRounds:
         ["paper-2q", "--nu", "1000000000000"],
         ["hausdorff", "--nu-list", "10,1000000000000", "--samples", "50"],
         ["paper-pq", "--parties", "4", "--nu-list", "10,100,1000000000000"],
-        ["theorem1", "--nu", "1000000000000", "--samples", "3",
-         "--sigma-samples", "3"],
+        ["theorem1", "--nu", "1000000000000", "--samples", "3"],
     ])
     def test_runs_without_the_step_table(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):

@@ -12,7 +12,6 @@ from loccverify import (
     kron,
     partial_trace,
     product_defect,
-    psd_check,
     sqrt_psd,
     trace_norm,
 )
@@ -161,17 +160,6 @@ class TestNorms:
 
 
 class TestPsd:
-    def test_psd_check_accepts_gram(self, rng):
-        g = complex_matrix(rng, (4, 4))
-        rep = psd_check(g @ g.conj().T)
-        assert rep.ok
-        assert rep.min_eigenvalue >= -1e-12
-
-    def test_psd_check_flags_negative_direction(self):
-        rep = psd_check(np.diag([1.0, -0.5]))
-        assert not rep.ok
-        assert rep.min_eigenvalue == pytest.approx(-0.5)
-
     def test_sqrt_squares_back(self, rng):
         g = complex_matrix(rng, (4, 4))
         p = g @ g.conj().T

@@ -5,7 +5,7 @@ import types
 import pytest
 
 import loccverify
-from loccverify import protocols, serialize, twoqubit
+from loccverify import linalg, protocols, serialize, twoqubit, zonoid
 
 
 def test_all_names_exactly_the_bound_public_names():
@@ -23,6 +23,9 @@ def test_all_names_exactly_the_bound_public_names():
     (twoqubit, "_halt_diag"),
     (serialize, "instrument_to_json"),
     (protocols.ProtocolNode, "trace"),
+    (zonoid, "cmatrix_resolution_check"),
+    (linalg, "psd_check"),
+    (linalg, "PsdReport"),
 ])
 def test_retired_names_are_gone(module, name):
     assert not hasattr(module, name)

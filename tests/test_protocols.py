@@ -1,6 +1,7 @@
 """Tests for protocol trees, operator paths, and the condition verifier."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -1204,8 +1205,7 @@ class TestVerifyTheoremConditions:
     def test_blocked_family_passes(self):
         paths, fams = blocked_limiting_family()
         rep = verify_theorem_conditions(instrument_zonoid(), paths,
-                                        families=fams, s_samples=11,
-                                        sigma_samples=31)
+                                        families=fams, s_samples=11)
         assert rep.passed
         names = {c.name for c in rep.checks}
         assert {"resolution[0]", "resolution[1]", "resolution[2]"} <= names
@@ -1219,7 +1219,7 @@ class TestVerifyTheoremConditions:
         paths, fams = blocked_limiting_family(spec)
         del fams[dropped]
         rep = verify_theorem_conditions(spec, paths, families=fams,
-                                        s_samples=11, sigma_samples=11)
+                                        s_samples=11)
         failed = [c for c in rep.checks if not c.passed]
         assert [c.name for c in failed] == [f"resolution[{dropped + 1}]"]
         assert failed[0].defect == pytest.approx(np.sqrt(2.0), abs=1e-12)
@@ -1237,8 +1237,7 @@ class TestVerifyTheoremConditions:
         paths[0].op_at = lambda s, f=paths[0].op_at: f(s) + 0.01 * (
             np.asarray(s) - 1.0)[:, None, None] * bell
         rep = verify_theorem_conditions(channel_zonoid(), paths,
-                                        families=fams, s_samples=11,
-                                        sigma_samples=11)
+                                        families=fams, s_samples=11)
         product = rep.check("main:product")
         assert not product.passed
         assert product.defect == pytest.approx(7.444e-3, rel=1e-3)
@@ -1247,8 +1246,7 @@ class TestVerifyTheoremConditions:
     def test_report_lookup(self):
         paths, fams = limiting_family()
         rep = verify_theorem_conditions(channel_zonoid(), paths,
-                                        families=fams, s_samples=5,
-                                        sigma_samples=11)
+                                        families=fams, s_samples=5)
         with pytest.raises(KeyError):
             rep.check("no-such-check")
 
@@ -1260,8 +1258,7 @@ class TestVerifyTheoremConditions:
         fam.cdensity_at = lambda sg, f=fam.cdensity_at: (f(sg)
                                                          - 1e-6 * np.eye(4))
         rep = verify_theorem_conditions(channel_zonoid(), paths,
-                                        families=fams, s_samples=5,
-                                        sigma_samples=11)
+                                        families=fams, s_samples=5)
         psd = rep.check(f"{fam.label}:psd")
         assert not psd.passed
         assert psd.defect == pytest.approx(1e-6, rel=1e-6)
@@ -1274,8 +1271,7 @@ class TestVerifyTheoremConditions:
         fam.cdensity_at = lambda sg, f=fam.cdensity_at: f(sg) - 1e-6 * (
             np.exp(-((sg - 0.3) / 0.1) ** 2)[:, None, None] * np.eye(4))
         rep = verify_theorem_conditions(channel_zonoid(), paths,
-                                        families=fams, s_samples=5,
-                                        sigma_samples=11)
+                                        families=fams, s_samples=5)
         psd = rep.check(f"{fam.label}:psd")
         assert psd.defect == pytest.approx(1e-6, rel=1e-6)
         assert psd.where == "sigma=0.3"
@@ -1292,8 +1288,7 @@ class TestVerifyTheoremConditions:
 
         paths[0].op_at = bumped
         rep = verify_theorem_conditions(channel_zonoid(), paths,
-                                        families=fams, s_samples=7,
-                                        sigma_samples=11)
+                                        families=fams, s_samples=7)
         for name in ("trace", "product", "witness-family"):
             check = rep.check(f"main:{name}")
             assert not check.passed
@@ -1305,7 +1300,7 @@ class TestVerifyTheoremConditions:
     ])
     def test_callbacks_are_called_once_per_grid(self, family, spec):
         # Each callback answers a whole grid, so its call count cannot
-        # depend on the number of samples; a per-sample loop would.
+        # depend on the number of s samples; a per-sample loop would.
         def counted(owner, attr, calls, key):
             real = getattr(owner, attr)
             if real is None:
@@ -1328,8 +1323,7 @@ class TestVerifyTheoremConditions:
                              "sigma_at"):
                     counted(fam, attr, calls, f"{fam.label}.{attr}")
             rep = verify_theorem_conditions(spec(), paths, families=fams,
-                                            s_samples=samples,
-                                            sigma_samples=samples)
+                                            s_samples=samples)
             assert rep.passed
             counts.append(calls)
         assert counts[0] == counts[1]
@@ -1344,7 +1338,7 @@ class TestVerifyTheoremConditions:
         fams[0].cdensity_at = lambda sg, f=fams[0].cdensity_at: f(sg) + skew
         with pytest.raises(ValueError, match="Hermitian"):
             verify_theorem_conditions(channel_zonoid(), paths, families=fams,
-                                      s_samples=5, sigma_samples=11)
+                                      s_samples=5)
 
     @pytest.mark.parametrize("owner, attr", [
         ("path", "op_at"), ("path", "cmatrix_at"),
@@ -1364,14 +1358,14 @@ class TestVerifyTheoremConditions:
         with pytest.raises(ValueError, match=f"{obj.label} {attr} returned "
                            "a non-finite entry"):
             verify_theorem_conditions(channel_zonoid(), paths, families=fams,
-                                      s_samples=5, sigma_samples=11)
+                                      s_samples=5)
 
     def test_callback_answering_one_parameter_is_refused(self):
         paths, fams = limiting_family()
         fams[0].density_at = lambda sg, w=fams[0].density_at: w(sg)[0]
         with pytest.raises(ValueError, match="density_at returned shape"):
             verify_theorem_conditions(channel_zonoid(), paths, families=fams,
-                                      s_samples=5, sigma_samples=11)
+                                      s_samples=5)
 
     def test_scaled_density_falls_back_to_the_solver(self, monkeypatch):
         # A family whose density is 1% off no longer assembles a witness, so
@@ -1382,8 +1376,7 @@ class TestVerifyTheoremConditions:
             1.01 * f(sg))
         calls = _count_membership_calls(monkeypatch)
         rep = verify_theorem_conditions(channel_zonoid(), paths,
-                                        families=fams, s_samples=11,
-                                        sigma_samples=11)
+                                        families=fams, s_samples=11)
         mem = rep.check("main:membership")
         assert calls
         assert mem.passed
@@ -1421,7 +1414,7 @@ class TestVerifyTheoremConditions:
         fams[0] = dataclasses.replace(fams[0], cdensity_at=flawed)
         calls = _count_membership_calls(monkeypatch)
         rep = verify_theorem_conditions(spec, paths, families=fams,
-                                        s_samples=11, sigma_samples=11)
+                                        s_samples=11)
         mem = rep.check("main:membership")
         assert calls
         assert mem.passed
@@ -1558,17 +1551,23 @@ class TestIntegratedWitness:
         with pytest.raises(ValueError):
             paths[0].sample_grid(s_samples)
 
-    @pytest.mark.parametrize("sigma_samples", [0, -1])
-    def test_no_sigma_samples_is_rejected(self, sigma_samples):
-        # Without sigma samples every family check would pass unchecked,
-        # even for a density shifted below zero.
+    def test_sigma_samples_is_not_an_argument(self):
+        # Families are sampled at SIGMA_SAMPLES; no caller sets the count.
         paths, fams = limiting_family()
-        fams[0].cdensity_at = lambda sg, f=fams[0].cdensity_at: (
-            f(sg) - 1e-6 * np.eye(4))
-        with pytest.raises(ValueError, match="sigma_samples"):
+        with pytest.raises(TypeError, match="sigma_samples"):
             verify_theorem_conditions(channel_zonoid(), paths, families=fams,
-                                      s_samples=5,
-                                      sigma_samples=sigma_samples)
+                                      s_samples=5, sigma_samples=11)
+
+    def test_zero_density_reports_a_positive_zero_psd_defect(self):
+        # A lowest eigenvalue of exactly +0.0 negates to -0.0, which the
+        # psd check must not report as its defect.
+        paths, fams = limiting_family()
+        fams[0].cdensity_at = lambda sg: np.zeros((len(sg), 4, 4))
+        rep = verify_theorem_conditions(channel_zonoid(), paths,
+                                        families=fams, s_samples=5)
+        psd = rep.check(f"{fams[0].label}:psd")
+        assert psd.defect == 0.0
+        assert math.copysign(1.0, psd.defect) == 1.0
 
     @pytest.mark.parametrize("family", [limiting_family,
                                         blocked_limiting_family])

@@ -17,7 +17,6 @@ from loccverify import (
     ZonoidSpec,
     channel_zonoid,
     choi,
-    cmatrix_resolution_check,
     endpoint_cmatrix,
     hausdorff_estimate,
     instrument_zonoid,
@@ -511,20 +510,6 @@ class TestEndpointFits:
         off[0, 1] = 1.0
         with pytest.raises(NotInSpanError):
             endpoint_cmatrix(off, channel_zonoid())
-
-    def test_resolution_check_accepts_identity_split(self):
-        parts = [np.diag([1.0, 0.0, 0.0, 0.0]),
-                 np.diag([0.0, 1.0, 1.0, 0.5]),
-                 np.diag([0.0, 0.0, 0.0, 0.5])]
-        ok, defect = cmatrix_resolution_check(parts, np.eye(4))
-        assert ok
-        assert defect < 1e-12
-
-    def test_resolution_check_flags_gap(self):
-        ok, defect = cmatrix_resolution_check(
-            [np.diag([1.0, 1.0, 1.0, 0.9])], np.eye(4))
-        assert not ok
-        assert defect == pytest.approx(0.1)
 
 
 class TestHausdorff:
