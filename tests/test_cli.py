@@ -328,7 +328,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["theorem1", "--samples", "400000"],
+        ["theorem1", "--nu", "1000", "--samples", "400000"],
         ["theorem8", "--samples", "200000"],
+        ["theorem8", "--tol", "1e-3", "--samples", "200000"],
         ["paths", "--grid", "1000000"],
         ["paths", "--parties", "6", "--grid", "200000"],
         ["hausdorff", "--samples", "300000"],
@@ -362,7 +364,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["theorem1", "--samples", "2000"],
+        ["theorem1", "--samples", "4000", "--nu", "1000"],
         ["theorem8", "--samples", "2000"],
+        ["theorem8", "--samples", "4000"],
         ["paths", "--grid", "40000"],
         ["paths", "--parties", "6", "--grid", "20000"],
         ["hausdorff", "--samples", "20000"],
