@@ -50,7 +50,6 @@ from .protocols import (
     NodeView,
     PathConditionReport,
     PiecewisePath,
-    ProtocolNode,
     ProtocolParams,
     ProtocolTree,
     TreeReport,
@@ -111,7 +110,7 @@ __all__ = [
     "separation_gap", "support_function",
     "zonoid_spec_for_channel", "zonoid_spec_for_instrument",
     "CheckedPath", "EndpointFamily", "NodeView", "PathConditionReport",
-    "PiecewisePath", "ProtocolNode", "ProtocolParams", "ProtocolTree", "TreeReport",
+    "PiecewisePath", "ProtocolParams", "ProtocolTree", "TreeReport",
     "build_protocol_pq", "derivative_outcomes", "main_branch_diagonals",
     "main_branch_path", "path_distance_bound", "protocol_leaf_diagonals",
     "verify_theorem_conditions", "verify_tree",

@@ -90,17 +90,17 @@ def _value_check(name: str, value: float, target: float, tol: float) -> dict:
 
 
 def _load_obj(text: str):
-    if text.lstrip().startswith("{"):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"inline JSON does not parse: {exc}") from exc
+    """The JSON value of an inline object or of a file; InputError if it
+    cannot be read or parsed, also for a file that is not UTF-8 and for a
+    value nested past the parser's recursion limit."""
+    inline = text.lstrip().startswith("{")
     try:
-        return serialize.load_json(text)
+        return json.loads(text) if inline else serialize.load_json(text)
     except OSError as exc:
         raise InputError(f"cannot read {text!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{text!r} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        source = "the inline object" if inline else repr(text)
+        raise InputError(f"{source} is not valid JSON: {exc}") from exc
 
 
 def _square_basis() -> KrausSet:

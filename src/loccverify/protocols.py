@@ -16,9 +16,8 @@ s |-> M(s)^(x P) with M(s) = (s^(1/P) - 1)|0><0| + |1><1|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +35,7 @@ from .linalg import (
 from .tolerances import (COMPLETENESS_TOL, LOCALITY_TOL, MEMBERSHIP_TOL,
                          MIXTURE_PSD_TOL, NODE_SUM_TOL, PRODUCT_TOL, RECON_TOL,
                          RESOLUTION_TOL, ROUNDING_TOL, SIGMA_SAMPLES,
-                         TRACE_TOL)
+                         TRACE_TOL, TRACELESS_TOL)
 from .zonoid import (
     ZonoidSpec,
     coefficient_stack,
@@ -72,25 +71,6 @@ class ProtocolParams:
         return float(self.rounds) ** (-self.exponent)
 
 
-@dataclass(eq=False)
-class ProtocolNode:
-    """One node of a hand-built protocol tree.
-
-    ``acting_party`` names the party measuring at this node (children are
-    its outcomes); leaves carry None. Child index 0 is the halt outcome,
-    index 1 continues. A :class:`ProtocolTree` reads these nodes once, when
-    it is made.
-    """
-
-    povm_element: np.ndarray
-    acting_party: int | None
-    children: list["ProtocolNode"] = field(default_factory=list)
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-
 class NodeView:
     """A node of a :class:`ProtocolTree`: the tree and a preorder index.
 
@@ -124,54 +104,42 @@ class NodeView:
 
     @property
     def acting_party(self) -> int | None:
-        return self._tree._shape.acting(self._index)
+        return self._tree._acting(self._index)
 
     @property
     def children(self) -> list["NodeView"]:
         tree = self._tree
-        return [NodeView(tree, j) for j in tree._shape.child_rows(self._index)]
+        return [NodeView(tree, j) for j in tree._child_rows(self._index)]
 
     @property
     def is_leaf(self) -> bool:
-        return not self._tree._shape.child_rows(self._index)
+        return not self._tree._child_rows(self._index)
 
 
 class ProtocolTree:
     """A protocol tree: its nodes and party dimensions.
+
+    The tree is a caterpillar, as :func:`build_protocol_pq` builds it: row
+    0 is the root, and rows 2k + 1 and 2k + 2 are the halt leaf and
+    continue node of step k, both children of row 2k, where party
+    k mod P + 1 measures. So its shape follows in closed form from its
+    number of rows, and assigning an element leaves it as it is.
 
     The nodes are one real preorder table, a row per node holding the
     diagonal of its element, and a dict of dense overrides for the elements
     that are not real diagonal matrices. The table is column-major: rows
     index it as (n, D), and its transpose is a contiguous (D, n) array, so
     :func:`verify_tree` reduces over long columns, one per diagonal entry.
-    The tree's shape (each node's children and acting party, its edges and
-    the chains of its leaf sums) is held apart from the elements, so
-    assigning an element leaves it as it is. A tree from
-    :func:`build_protocol_pq` is a caterpillar: row 0 is the root, rows
-    2k + 1 and 2k + 2 the halt leaf and continue node of step k, and its
-    shape follows in closed form (:class:`_Caterpillar`). A tree made from
-    a :class:`ProtocolNode` root is read into a table, overrides and shape
-    (:class:`_Walk`) when it is made, so later changes to those node
-    objects do not reach it.
 
     ``root``, ``node_at``, ``iter_nodes`` and ``leaves`` give
     :class:`NodeView` objects, made on request; views of one node compare
     equal. No dense element is made until one is read.
     """
 
-    def __init__(self, root: ProtocolNode | None, dims: PartyDims, *,
-                 table: np.ndarray | None = None):
+    def __init__(self, table: np.ndarray, dims: PartyDims):
+        self._table = table
         self.dims = dims
         self._overrides: dict[int, np.ndarray] = {}
-        if table is not None:
-            self._table = table
-            self._shape = _Caterpillar(len(table), dims.n_parties)
-            return
-        elements, parent, child, acting = _preorder(root)
-        self._shape = _Walk(parent, child, acting)
-        self._table = np.empty((dims.total, len(elements))).T
-        for i, element in enumerate(elements):
-            self._store(i, element)
 
     @property
     def root(self) -> NodeView:
@@ -182,13 +150,34 @@ class ProtocolTree:
         return (NodeView(self, i) for i in range(self.n_nodes))
 
     def leaves(self) -> list[NodeView]:
-        return [NodeView(self, i) for i in self._shape.leaf_rows()]
+        """The halt leaves, the odd rows, then the main leaf, the last."""
+        n = self.n_nodes
+        return [NodeView(self, i) for i in [*range(1, n - 1, 2), n - 1]]
 
     def node_at(self, path: Sequence[int]) -> NodeView:
         """The node reached from the root through the child indices of
-        ``path``; IndexError if it leaves the tree. On a built tree the
-        row is found in closed form (:meth:`_Caterpillar.row`)."""
-        return NodeView(self, self._shape.row(path))
+        ``path``: (1,) * k is row 2k and (1,) * k + (0,) row 2k + 1.
+        Entries index the two children as a list does, so -1 continues too;
+        a path that leaves the tree raises IndexError."""
+        steps = np.asarray(path)
+        if steps.size == 0:
+            return NodeView(self, 0)
+        if steps.ndim != 1 or steps.dtype.kind not in "iu":
+            raise TypeError("a node path is a sequence of integers")
+        parent = 2 * (steps.size - 1)
+        last = int(steps[-1])
+        if (parent >= self.n_nodes - 1 or not -2 <= last <= 1
+                or not np.isin(steps[:-1], (1, -1)).all()):
+            raise IndexError(f"no node at this path of depth {steps.size}")
+        return NodeView(self, parent + 1 + last % 2)
+
+    def _child_rows(self, i: int):
+        return (i + 1, i + 2) if i % 2 == 0 and i < self.n_nodes - 1 else ()
+
+    def _acting(self, i: int) -> int | None:
+        if not self._child_rows(i):
+            return None
+        return i // 2 % self.dims.n_parties + 1
 
     @property
     def n_nodes(self) -> int:
@@ -219,125 +208,6 @@ class ProtocolTree:
         else:
             element.flags.writeable = False
             self._overrides[i] = element
-
-
-class _Caterpillar:
-    """Shape of an n-node caterpillar in preorder, in closed form: rows
-    2k + 1 and 2k + 2 are the halt leaf and continue node of step k, both
-    children of row 2k, where party k mod P + 1 measures.
-
-    The methods here and on :class:`_Walk` are what a tree reads of its
-    shape: ``edges`` and ``chains`` in the form :func:`verify_tree` takes
-    them, the rest for node views and failure paths.
-    """
-
-    def __init__(self, n: int, parties: int):
-        self.n, self.parties = n, parties
-        self.n_leaves = (n + 1) // 2
-
-    def child_rows(self, i: int):
-        return (i + 1, i + 2) if i % 2 == 0 and i < self.n - 1 else ()
-
-    def acting(self, i: int) -> int | None:
-        return i // 2 % self.parties + 1 if self.child_rows(i) else None
-
-    def leaf_rows(self) -> list[int]:
-        """The halt leaves, the odd rows, then the main leaf, the last."""
-        return [*range(1, self.n - 1, 2), self.n - 1]
-
-    def row(self, path: Sequence[int]) -> int:
-        """(1,) * k is row 2k and (1,) * k + (0,) row 2k + 1. Entries index
-        the two children as a list does, so -1 continues too; a path that
-        leaves the tree raises IndexError."""
-        steps = np.asarray(path)
-        if steps.size == 0:
-            return 0
-        if steps.ndim != 1 or steps.dtype.kind not in "iu":
-            raise TypeError("a node path is a sequence of integers")
-        parent = 2 * (steps.size - 1)
-        last = int(steps[-1])
-        if (parent >= self.n - 1 or not -2 <= last <= 1
-                or not np.isin(steps[:-1], (1, -1)).all()):
-            raise IndexError(f"no node at this path of depth {steps.size}")
-        return parent + 1 + last % 2
-
-    def edges(self):
-        """Parent row, child row and the parent's acting party of every
-        edge, ordered by parent then child index, which here is preorder."""
-        steps = np.arange(self.n // 2)
-        return (2 * steps.repeat(2), np.arange(1, self.n),
-                (steps % self.parties + 1).repeat(2))
-
-    def chains(self):
-        """One chain of last children: the main branch, bottom-up from the
-        main leaf, each node adding its halt leaf (:func:`_leaf_sums`)."""
-        return [(self.n - 1, np.arange(self.n - 3, -1, -2),
-                 np.arange(self.n - 2, 0, -2)[None])]
-
-    def paths(self, rows: list[int]) -> dict[int, tuple[int, ...]]:
-        return {i: (1,) * (i // 2) + (0,) * (i % 2) for i in rows}
-
-
-class _Walk:
-    """Shape of a hand-built tree, read once from its preorder walk
-    (:func:`_preorder`): each row's parent, child index, acting party (0
-    for none) and children, and from them the arrays of
-    :meth:`_Caterpillar.edges` and :meth:`_Caterpillar.chains`."""
-
-    def __init__(self, parent: list[int], child: list[int],
-                 acting: list[int]):
-        n = len(parent)
-        self._parent, self._child, self._acting = parent, child, acting
-        kids = self._kids = [[] for _ in range(n)]
-        for j in range(1, n):
-            kids[parent[j]].append(j)
-        self.n_leaves = sum(not k for k in kids)
-        kid = np.array([j for ks in kids for j in ks], dtype=np.intp)
-        up = np.array(parent, dtype=np.intp)[kid]
-        self._edges = up, kid, np.array(acting)[up]
-        # A chain starts at the root or at a child that is not its parent's
-        # last, and follows last children down to a leaf. Chains run from
-        # the highest head down, so every other child's sum is finished
-        # when its parent's chain reads it. A node with fewer other
-        # children than the widest of its chain points the rest at column
-        # n, which the leaf-sum pass keeps zero.
-        self._chains = []
-        for v in sorted([0] + [j for ks in kids for j in ks[:-1]],
-                        reverse=True):
-            nodes = []
-            while kids[v]:
-                nodes.append(v)
-                v = kids[v][-1]
-            if nodes:
-                others = np.full((max(len(kids[u]) for u in nodes) - 1 or 1,
-                                  len(nodes)), n, dtype=np.intp)
-                for j, u in enumerate(reversed(nodes)):
-                    others[:len(kids[u]) - 1, j] = kids[u][:-1]
-                self._chains.append((v, np.array(nodes[::-1]), others))
-
-    def child_rows(self, i: int) -> list[int]:
-        return self._kids[i]
-
-    def acting(self, i: int) -> int | None:
-        return self._acting[i] or None
-
-    def leaf_rows(self) -> list[int]:
-        return [i for i, k in enumerate(self._kids) if not k]
-
-    def row(self, path: Sequence[int]) -> int:
-        i = 0
-        for step in path:
-            i = self._kids[i][step]
-        return i
-
-    def edges(self):
-        return self._edges
-
-    def chains(self):
-        return self._chains
-
-    def paths(self, rows: list[int]) -> dict[int, tuple[int, ...]]:
-        return _node_paths(rows, self._parent, self._child)
 
 
 def _built_table(params: ProtocolParams) -> np.ndarray:
@@ -371,7 +241,7 @@ def build_protocol_pq(parties: int, rounds: int, exponent: float
     the root, rows 2k + 1 and 2k + 2 the halt leaf and continue node of
     step k (:func:`_built_table`)."""
     table = _built_table(ProtocolParams(parties, rounds, exponent))
-    return ProtocolTree(None, PartyDims((2,) * parties), table=table.T)
+    return ProtocolTree(table.T, PartyDims((2,) * parties))
 
 
 def protocol_tree_bytes(parties: int, rounds: int) -> int:
@@ -445,25 +315,10 @@ class TreeReport:
     failures: tuple[TreeFailure, ...]
 
 
-def _preorder(root: ProtocolNode):
-    """One preorder walk. Returns the node elements and, per node, its
-    parent's index (-1 at the root), its child index there and its acting
-    party (0 for none), as lists."""
-    elements, parent, child, acting = [], [], [], []
-    stack = [(root, -1, 0)]
-    while stack:
-        node, up, i = stack.pop()
-        me = len(elements)
-        elements.append(node.povm_element)
-        parent.append(up)
-        child.append(i)
-        acting.append(node.acting_party or 0)
-        kids = node.children
-        k = len(kids)
-        if k:
-            stack.extend(zip(reversed(kids), repeat(me, k),
-                             range(k - 1, -1, -1)))
-    return elements, parent, child, acting
+def _traceless(tr: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Whether each element, of trace ``tr`` and Frobenius norm ``norm``,
+    is traceless to ``TRACELESS_TOL`` relative to its norm."""
+    return np.abs(tr) < TRACELESS_TOL * np.maximum(norm, 1e-300)
 
 
 def _dense_factors(m: np.ndarray, dims: PartyDims):
@@ -472,7 +327,7 @@ def _dense_factors(m: np.ndarray, dims: PartyDims):
     element has no factors; its product defect is 1."""
     norm = np.linalg.norm(m, axis=(1, 2))
     tr = np.trace(m, axis1=1, axis2=2)
-    zero = np.abs(tr) < 1e-13 * np.maximum(norm, 1e-300)
+    zero = _traceless(tr, norm)
     tr = np.where(zero, 1.0, tr)[:, None, None]
     facs = [partial_trace(m, dims, [p]) / tr
             for p in range(1, dims.n_parties + 1)]
@@ -515,7 +370,7 @@ def _diagonal_factors(e: np.ndarray, dims: PartyDims):
     both = _marginal_selector(dims.dims) @ e
     norm = _column_norms(e)
     tr = _traces(e)
-    zero = np.abs(tr) < 1e-13 * np.maximum(norm, 1e-300)
+    zero = _traceless(tr, norm)
     tr = np.where(zero, 1.0, tr)
     both /= tr
     ends = np.cumsum(dims.dims).tolist()
@@ -529,65 +384,54 @@ def _diagonal_factors(e: np.ndarray, dims: PartyDims):
 
 
 def _summed_entries(cols: np.ndarray, rows: np.ndarray, dense: np.ndarray):
-    """The entries the leaf-sum pass adds, as one (D + m, n + 1) array, a
-    column per node and a last column of zeros: the node's diagonal, then
-    the m off-diagonal entries that some dense override ``dense`` (at
-    preorder ``rows``, shape (c, D, D)) sets. ``cols`` is the (D, n) table;
-    an override's column holds its own diagonal. The array is complex when
-    some override has an imaginary part, and real otherwise."""
+    """The entries the leaf-sum pass adds, as one (D + m, n) array, a
+    column per node: the node's diagonal, then the m off-diagonal entries
+    that some dense override ``dense`` (at preorder ``rows``, shape
+    (c, D, D)) sets. ``cols`` is the (D, n) table; an override's column
+    holds its own diagonal. The array is complex when some override has an
+    imaginary part, and real otherwise."""
     d, n = cols.shape
     flat = dense.reshape(len(dense), d * d)
     if not flat.imag.any():
         flat = flat.real
     off = ~np.eye(d, dtype=bool).reshape(-1)
     entries = np.flatnonzero(off & flat.any(axis=0))
-    x = np.zeros((d + entries.size, n + 1), flat.dtype)
-    x[:d, :n] = cols
+    x = np.zeros((d + entries.size, n), flat.dtype)
+    x[:d] = cols
     x[:d, rows] = flat[:, ::d + 1].T
     x[d:, rows] = flat[:, entries].T
     return x
 
 
-def _leaf_sums(x: np.ndarray, chains) -> np.ndarray:
+def _leaf_sums(x: np.ndarray) -> np.ndarray:
     """Each node's largest entry modulus of deviation from its sum of
     descendant leaves (0 at leaves), from ``x``, the node entries in
     preorder laid out as :func:`_summed_entries` lays them out, real or
-    complex. The column of each chain's head, which is the root or a child
-    that another chain reads, is replaced by its sum.
+    complex. The root's column is replaced by its sum.
 
-    Each node adds its children's sums left to right, bitwise as a
-    bottom-up fold would. ``chains`` are the tree's chains of last
-    children, each its bottom leaf, its inner nodes bottom-up and, a row
-    per child position, their other children (the zero column where a
-    node has fewer), in an order in which a chain reads only finished
-    sums. Along a chain S(v) = A(v) + S(last child of v), with A(v) the
-    sum of the other children, so a cumulative sum from the chain's bottom
-    covers it, in column ranges of about ``_CHUNK_ENTRIES`` entries with
-    the running sum carried from one range to the next. A built tree's one
-    chain is its main branch, and A(v) the halt leaf: its leaf sums are a
-    reversed cumulative sum over the halt columns, and only the root's
-    column is written.
+    The inner nodes form the main branch, and each one's sum is its halt
+    leaf plus the sum of its continue node, S(2k) = x(2k + 1) + S(2k + 2),
+    bitwise as a bottom-up fold adds them. So the sums are one cumulative
+    sum of the halt columns from the main leaf up, in column ranges of
+    about ``_CHUNK_ENTRIES`` entries with the running sum carried from one
+    range to the next.
     """
-    width, n = len(x), x.shape[1] - 1
+    width, n = x.shape
     defects = np.zeros(n)
     step = max(1, _CHUNK_ENTRIES // width)
-    for bottom, nodes, others in chains:
-        below = x[:, bottom]
-        for lo in range(0, nodes.size, step):
-            seg = nodes[lo:lo + step]
-            seq = np.empty((width, seg.size + 1), x.dtype)
-            seq[:, 0] = below
-            a = seq[:, 1:]
-            a[:] = x.take(others[0, lo:lo + step], axis=1)
-            for more in others[1:, lo:lo + step]:
-                a += x.take(more, axis=1)
-            np.cumsum(seq, axis=1, out=seq)
-            gap = x.take(seg, axis=1)
-            gap -= a
-            defects[seg] = np.abs(gap).max(axis=0)
-            below = seq[:, -1]
-        if nodes.size:
-            x[:, nodes[-1]] = below
+    nodes = np.arange(n - 3, -1, -2)
+    below = x[:, n - 1]
+    for lo in range(0, nodes.size, step):
+        seg = nodes[lo:lo + step]
+        seq = np.empty((width, seg.size + 1), x.dtype)
+        seq[:, 0] = below
+        seq[:, 1:] = x.take(seg + 1, axis=1)
+        np.cumsum(seq, axis=1, out=seq)
+        gap = x.take(seg, axis=1)
+        gap -= seq[:, 1:]
+        defects[seg] = np.abs(gap).max(axis=0)
+        below = seq[:, -1]
+    x[:, 0] = below
     return defects
 
 
@@ -642,23 +486,6 @@ def _edge_distances(factors: list, up: np.ndarray, kid: np.ndarray,
     return out
 
 
-def _node_paths(nodes: list[int], parent: list[int], index: list[int]
-                ) -> dict[int, tuple[int, ...]]:
-    """Child-index path from the root of each of ``nodes``, given in
-    ascending preorder index, keyed by node. Ancestors come first in
-    preorder, so each path is its nearest already-known ancestor's path
-    extended by the steps below it: a chain of failing ancestors costs one
-    step each, not a walk to the root each."""
-    known = {0: ()}
-    for i in nodes:
-        steps, j = [], i
-        while j not in known:
-            steps.append(index[j])
-            j = parent[j]
-        known[i] = known[j] + tuple(reversed(steps))
-    return known
-
-
 def verify_tree(tree: ProtocolTree) -> TreeReport:
     """Structural verification of a protocol tree.
 
@@ -674,16 +501,16 @@ def verify_tree(tree: ProtocolTree) -> TreeReport:
     Every check runs on arrays read from the transpose of the tree's
     column-major table, a contiguous (D, n) array, with every reduction
     over its long node axis, in column ranges of about ``_CHUNK_ENTRIES``
-    entries. The edges and the leaf-sum chains come from the tree's shape,
-    in closed form on a built tree. Only the dense overrides go through
-    :func:`_dense_factors`. The leaf sums take the overrides' diagonals
-    whole and the off-diagonal entries they set as extra rows, in complex
-    arithmetic when one of them has an imaginary part.
+    entries. The edges, the leaf sums along the main branch and each
+    failure's node path follow from the caterpillar's shape in closed
+    form. Only the dense overrides go through :func:`_dense_factors`. The
+    leaf sums take the overrides' diagonals whole and the off-diagonal
+    entries they set as extra rows, in complex arithmetic when one of them
+    has an imaginary part.
     """
     dims = tree.dims
     d = dims.total
     cols = tree._table.T
-    shape = tree._shape
     rows = np.array(sorted(tree._overrides), dtype=np.intp)
     dense = np.array([tree._overrides[i] for i in rows.tolist()],
                      dtype=np.complex128).reshape(-1, d, d)
@@ -696,7 +523,7 @@ def verify_tree(tree: ProtocolTree) -> TreeReport:
     if rows.size:
         dense_factors, traceless[rows], prod[rows] = _dense_factors(dense,
                                                                     dims)
-    sums = _leaf_sums(x, shape.chains())
+    sums = _leaf_sums(x)
     x[:d, 0] -= 1.0
     comp = float(np.abs(x[:, 0]).max())
     del x  # freed before the locality pass allocates
@@ -705,9 +532,12 @@ def verify_tree(tree: ProtocolTree) -> TreeReport:
     failed.extend((int(i), "product", float(prod[i]))
                   for i in np.flatnonzero(prod > PRODUCT_TOL))
 
-    # Locality over every edge, ordered by parent then child index; the
-    # parent's acting party and edges at traceless nodes are masked.
-    up, kid, acting = shape.edges()
+    # Locality over every edge, ordered by parent then child index, which
+    # is preorder: step k's edges run from row 2k to rows 2k + 1 and 2k + 2.
+    # The parent's acting party and edges at traceless nodes are masked.
+    steps = np.arange(n // 2)
+    up, kid = 2 * steps.repeat(2), np.arange(1, n)
+    acting = (steps % dims.n_parties + 1).repeat(2)
     loc = _edge_distances(factors, up, kid, rows, dense_factors)
     parties = np.arange(1, dims.n_parties + 1)[:, None]
     compared = (parties != acting) & ~(traceless.take(kid)
@@ -720,12 +550,9 @@ def verify_tree(tree: ProtocolTree) -> TreeReport:
     if comp > COMPLETENESS_TOL:
         failed.append((0, "completeness", comp))
 
-    failures = ()
-    if failed:
-        paths = shape.paths(sorted({i for i, _, _ in failed}))
-        failures = tuple(TreeFailure(paths[i], kind, defect)
-                         for i, kind, defect in failed)
-    return TreeReport(not failures, n, shape.n_leaves, float(sums.max()),
+    failures = tuple(TreeFailure((1,) * (i // 2) + (0,) * (i % 2), kind,
+                                 defect) for i, kind, defect in failed)
+    return TreeReport(not failures, n, (n + 1) // 2, float(sums.max()),
                       float(loc.max(initial=0.0)), float(prod.max()), comp,
                       failures)
 
@@ -1237,7 +1064,7 @@ def _witness_defects(solver, c_end: np.ndarray,
     herm = np.where(solver.mask, 0.5 * (cs + cs.conj().swapaxes(-1, -2)),
                     0.0)
     ok = ((np.linalg.norm(cs - herm, axis=(1, 2)) <= ROUNDING_TOL)
-          & solver.in_box_each(herm))
+          & solver.in_box(herm))
     residuals = np.linalg.norm(solver.image(herm) - ops, axis=(1, 2))
     return np.where(ok, residuals, np.inf)
 

@@ -31,6 +31,7 @@ RECON_TOL = 1e-8              # basis reconstruction of paths and densities
 NODE_SUM_TOL = 1e-9           # tree node element minus the sum of its leaves
 COMPLETENESS_TOL = 1e-9       # sum_m K_m^dag K_m - identity
 PRODUCT_TOL = 1e-10           # relative distance from a tensor product
+TRACELESS_TOL = 1e-13         # |Tr e| relative to ||e||: no unit-trace factors
 LOCALITY_TOL = 1e-10          # non-acting party's factor change along an edge
 TRACE_TOL = 1e-10             # |Tr op(s) - s| along a path
 MIXTURE_PSD_TOL = 1e-10       # negativity of (1 - x) C_parent + x C_r

@@ -244,21 +244,17 @@ class _MembershipSolver:
         w = np.minimum(np.maximum(w, 0.0), 1.0)
         return ((v * w) @ v.conj().T)[self.mask]
 
-    def in_box(self, c: np.ndarray) -> bool:
-        """:meth:`in_box_each` of one matrix ``c`` that is already masked
-        and Hermitian, as the candidates are: one eigvalsh of ``c``."""
-        w = np.linalg.eigvalsh(c)
-        return bool(w[0] >= -ROUNDING_TOL and w[-1] <= 1.0 + ROUNDING_TOL)
-
-    def in_box_each(self, cs: np.ndarray) -> np.ndarray:
-        """Whether each matrix of the stack ``cs``, (n, k, k), lies in the
-        box: every block's eigenvalues in [0, 1] to ``ROUNDING_TOL``. One
-        eigvalsh of each masked Hermitian part serves every block: that
-        matrix is block diagonal up to a permutation, so its spectrum is
-        the union of its blocks' spectra."""
-        m = np.where(self.mask, 0.5 * (cs + cs.conj().swapaxes(-1, -2)), 0.0)
-        w = np.linalg.eigvalsh(m)
-        return (w[:, 0] >= -ROUNDING_TOL) & (w[:, -1] <= 1.0 + ROUNDING_TOL)
+    def in_box(self, cs: np.ndarray) -> np.ndarray:
+        """Whether each matrix of the stack ``cs``, (..., k, k), already
+        masked and Hermitian, lies in the box: every block's eigenvalues in
+        [0, 1] to ``ROUNDING_TOL``. One eigvalsh of each matrix serves
+        every block: a masked matrix is block diagonal up to a permutation,
+        so its spectrum is the union of its blocks' spectra."""
+        # Transposed, the extreme eigenvalues are rows 0 and -1 for any
+        # stack, and plain scalars for one matrix, as on the candidate path,
+        # where 0-d arrays would cost more than the comparison.
+        w = np.linalg.eigvalsh(cs).T
+        return ((w[0] >= -ROUNDING_TOL) & (w[-1] <= 1.0 + ROUNDING_TOL)).T
 
     def overlap(self, xt: np.ndarray) -> np.ndarray:
         """A[m', m] = Tr(x Khat_m^dag Khat_m') of each direction x of a

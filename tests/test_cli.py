@@ -187,6 +187,32 @@ class TestExitCodes:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["choi", "--kraus", "X"],
+        ["distance", "--a", "X", "--b", "twoqubit-minimal"],
+        ["distance", "--a", "twoqubit-minimal", "--b", "X"],
+        ["zonoid-check", "--basis", "X"],
+        ["zonoid-check", "--z", "X"],
+    ], ids=["kraus", "a", "b", "basis", "z"])
+    @pytest.mark.parametrize("kind", ["not-utf8", "deep-file", "deep-inline"])
+    def test_undecodable_or_deeply_nested_json_is_2(self, capsys, tmp_path,
+                                                    argv, kind):
+        # These once ended in a UnicodeDecodeError or RecursionError
+        # traceback with exit 1, the status of a failed check.
+        deep = '{"a": ' + "[" * 5000 + "]" * 5000 + "}"
+        token = deep
+        if kind != "deep-inline":
+            path = tmp_path / "input.json"
+            path.write_bytes(b"\xff\xfe" if kind == "not-utf8"
+                             else deep.encode())
+            token = str(path)
+        status = cli.main([token if v == "X" else v for v in argv])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error:")
+
     def test_unknown_basis_token_is_2(self, capsys):
         status = cli.main(["zonoid-check", "--z", "identity",
                            "--basis", "bogus"])

@@ -1,11 +1,15 @@
 """The package's exported names."""
 
+import re
 import types
+from pathlib import Path
 
 import pytest
 
 import loccverify
 from loccverify import linalg, protocols, serialize, twoqubit, zonoid
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_names_exactly_the_bound_public_names():
@@ -22,7 +26,7 @@ def test_all_names_exactly_the_bound_public_names():
     (twoqubit, "limiting_povm"),
     (twoqubit, "_halt_diag"),
     (serialize, "instrument_to_json"),
-    (protocols.ProtocolNode, "trace"),
+    (protocols, "ProtocolNode"),
     (zonoid, "cmatrix_resolution_check"),
     (linalg, "psd_check"),
     (linalg, "PsdReport"),
@@ -30,3 +34,5 @@ def test_all_names_exactly_the_bound_public_names():
 def test_retired_names_are_gone(module, name):
     assert not hasattr(module, name)
     assert not hasattr(loccverify, name)
+    # As a whole word: limit_path_stack is not the retired limit_path.
+    assert not re.search(rf"(?<!\w){name}(?!\w)", README.read_text())
