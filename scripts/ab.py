@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Paired in-process A/B of one perfbench workload: a git revision of the
-package against the working tree.
+"""Paired in-process A/B of one perfbench workload, or an A/B of the CLI
+reports: a git revision of the package against the working tree.
 
     python3 scripts/ab.py REV --workload {protocol,theorem,geometry} \\
         --seed N --rounds R
+    python3 scripts/ab.py REV --reports [--only COMMAND]
 
 ``git archive REV src/loccverify`` is unpacked into a temporary directory
 and imported as ``loccverify_base`` beside the working tree's
@@ -16,13 +17,24 @@ reaches both sides alike. BLAS is capped at one thread, as in
 Per job kind it prints the median over rounds of the paired relative
 difference (tree - base) / base, its interquartile range, and in how many
 rounds the working tree was faster. Run ``HEAD`` against an unmodified
-tree first: that reads the noise floor of the host. A bad REV exits 2
-with one line on stderr.
+tree first: that reads the noise floor of the host.
+
+With ``--reports`` it runs each command of the verification battery,
+then those of ``EXTRA_REPORTS`` (``theorem1 --nu 1000`` and ``paper-pq
+--parties 6``), as a fresh ``python -m loccverify.cli`` process on each
+side. Per report it
+prints whether stdout matches byte for byte once the ``wall_time_s``
+line is dropped, and whether the check names, verdicts and exit status
+match; under a report whose bytes differ it lists each check whose defect
+or ``where`` moved, base -> tree. ``--only`` keeps the runs of one
+subcommand. It exits 1 when some verdict differs.
+A bad REV exits 2 with one line on stderr.
 """
 
 import argparse
 import importlib.util
 import io
+import json
 import os
 import subprocess
 import sys
@@ -44,9 +56,9 @@ import numpy as np  # noqa: E402
 import workloads as wl  # noqa: E402
 
 
-def load_base(rev: str, into: Path):
-    """The package at ``rev``, imported as ``loccverify_base``; ValueError
-    if git cannot read it."""
+def unpack_base(rev: str, into: Path) -> Path:
+    """Unpack ``src/loccverify`` at ``rev`` under ``into``; the ``src``
+    directory. ValueError if git cannot read it."""
     try:
         out = subprocess.run(["git", "archive", rev, "src/loccverify"],
                              cwd=ROOT, capture_output=True)
@@ -58,7 +70,13 @@ def load_base(rev: str, into: Path):
                          f"{why[-1] if why else 'git archive failed'}")
     with tarfile.open(fileobj=io.BytesIO(out.stdout)) as tar:
         tar.extractall(into, filter="data")
-    pkg = into / "src" / "loccverify"
+    return into / "src"
+
+
+def load_base(rev: str, into: Path):
+    """The package at ``rev``, imported as ``loccverify_base``; ValueError
+    if git cannot read it."""
+    pkg = unpack_base(rev, into) / "loccverify"
     spec = importlib.util.spec_from_file_location(
         "loccverify_base", pkg / "__init__.py",
         submodule_search_locations=[str(pkg)])
@@ -88,23 +106,101 @@ def summary(base: list, tree: list) -> str:
             f"{int((rel < 0).sum()):4d}/{len(rel)}")
 
 
+# Runs beyond the battery whose reports an A/B also compares.
+EXTRA_REPORTS = (["theorem1", "--nu", "1000"], ["paper-pq", "--parties", "6"])
+
+
+def report_argvs() -> list:
+    """The verification battery's argv lists, then ``EXTRA_REPORTS``."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
+    from run_verification_suite import BATTERY
+    return [argv for argv, _ in BATTERY] + [list(a) for a in EXTRA_REPORTS]
+
+
+def run_report(src: Path, argv: list) -> tuple[int, str]:
+    """Exit status and stdout of one CLI run on the package under ``src``,
+    in a fresh process with BLAS at one thread."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
+               **{name: BLAS_THREADS for name in BLAS_ENV})
+    out = subprocess.run([sys.executable, "-m", "loccverify.cli", *argv],
+                         cwd=src, env=env, capture_output=True, text=True)
+    return out.returncode, out.stdout
+
+
+def without_wall_time(text: str) -> str:
+    return "\n".join(line for line in text.splitlines()
+                     if "wall_time" not in line)
+
+
+def checks_of(text: str) -> list:
+    """(name, pass, defect, where) of each check of a report; none when
+    the run printed no report."""
+    try:
+        report = json.loads(text)
+    except ValueError:
+        return []
+    return [(c["name"], c["pass"], c["defect"], c.get("where", ""))
+            for c in report["checks"]]
+
+
+def compare_reports(base_src: Path, argvs: list) -> int:
+    """Print the report A/B of every argv; 1 when a verdict differs."""
+    differ = 0
+    for argv in argvs:
+        (b_status, b_out), (t_status, t_out) = (
+            run_report(base_src, argv), run_report(ROOT / "src", argv))
+        same_bytes = without_wall_time(b_out) == without_wall_time(t_out)
+        b_checks, t_checks = checks_of(b_out), checks_of(t_out)
+        same_verdicts = (b_status == t_status and [c[:2] for c in b_checks]
+                         == [c[:2] for c in t_checks])
+        differ += not same_verdicts
+        print(f"bytes {'same' if same_bytes else 'DIFF'}  verdicts "
+              f"{'same' if same_verdicts else 'DIFF'}  exit {b_status}/"
+              f"{t_status}  {' '.join(argv)[:70]}")
+        if not same_bytes:
+            for b, t in zip(b_checks, t_checks):
+                if b[2:] != t[2:]:
+                    print(f"    {b[0]}: {b[2]!r} at {b[3]!r} -> "
+                          f"{t[2]!r} at {t[3]!r}")
+    print(f"{len(argvs)} reports, verdicts differ in {differ}")
+    return 1 if differ else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     parser.add_argument("rev", help="git revision to compare against")
-    parser.add_argument("--workload", required=True, choices=wl.WORKLOADS)
-    parser.add_argument("--seed", type=int, required=True)
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload", choices=wl.WORKLOADS)
+    mode.add_argument("--reports", action="store_true",
+                      help="compare the CLI reports instead of timings")
+    parser.add_argument("--only", metavar="COMMAND",
+                        help="with --reports, the runs of this subcommand")
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--rounds", type=int, default=21)
     args = parser.parse_args()
+    if args.workload and args.seed is None:
+        parser.error("--workload needs --seed")
+    argvs = report_argvs() if args.reports else []
+    if args.only:
+        argvs = [argv for argv in argvs if argv[0] == args.only]
+        if not argvs:
+            parser.error("--only needs --reports and a subcommand they run")
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         try:
-            base = load_base(args.rev, Path(tmp))
+            if args.reports:
+                base_src = unpack_base(args.rev, Path(tmp))
+            else:
+                base = load_base(args.rev, Path(tmp))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        if args.reports:
+            print(f"reports: base {args.rev} against the working tree")
+            return compare_reports(base_src, argvs)
         sys.path.insert(0, str(ROOT / "src"))
         import loccverify as tree
         jobs = wl.make_jobs(args.workload, args.seed, 1)[0]

@@ -59,9 +59,10 @@ class InputError(Exception):
 TREE_BYTES_BUDGET = 2 ** 28
 
 # Fixed part of `work_bytes`, and the bytes each s sample of a theorem
-# check holds.
+# check holds: its operator is a real diagonal, and its coefficient
+# stacks, dense kappa x kappa, hold the rest.
 _FIXED_BYTES = 2 ** 19
-_THEOREM_SAMPLE_BYTES = {"theorem1": 1344, "theorem8": 1920}
+_THEOREM_SAMPLE_BYTES = {"theorem1": 1248, "theorem8": 1856}
 # Bytes each direction of a two-qubit Hausdorff estimate holds.
 _HAUSDORFF_SAMPLE_BYTES = 1344
 # Bytes each entry of a Choi matrix holds: in `choi` with its printed JSON,

@@ -156,16 +156,28 @@ def sqrt_psd(m) -> np.ndarray:
     """Hermitian square root of a PSD matrix. Small negative eigenvalues
 
     (within PSD_TOL of zero, relative to the spectral scale) are clipped.
+    A 1-D ``m`` is the diagonal of a diagonal matrix, real: its root is the
+    entrywise root, as a 1-D array, under the same rule.
     """
-    a = as_matrix(m)
+    a = np.asarray(m)
+    if a.ndim == 1:
+        if a.dtype.kind not in "biuf":
+            raise ValueError("sqrt_psd requires a real diagonal")
+        return np.sqrt(_clipped_spectrum(a.astype(np.float64)))
+    a = as_matrix(a)
     if not is_hermitian(a):
         raise ValueError("sqrt_psd requires a Hermitian matrix")
     w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    return (v * np.sqrt(_clipped_spectrum(w))) @ v.conj().T
+
+
+def _clipped_spectrum(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues w clipped at 0; ValueError when one is below zero by
+    more than PSD_TOL relative to 1 + the largest modulus."""
     scale = 1.0 + float(np.abs(w).max(initial=0.0))
     if w.min(initial=0.0) < -PSD_TOL * scale:
         raise ValueError(f"matrix is not PSD (min eigenvalue {w.min():.3e})")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return np.clip(w, 0.0, None)
 
 
 @lru_cache
@@ -232,6 +244,57 @@ def integrate_sqrt_smooth(f: Callable[[np.ndarray], np.ndarray],
                           0.0, 1.0, nodes)
 
 
+def _legendre_rows(y: np.ndarray, degree: int) -> np.ndarray:
+    """P_0..P_degree at the points ``y``, one row per degree; shape
+    (degree + 1, len(y)). The three-term recurrence of
+    ``np.polynomial.legendre.legvander``, P_i = (P_{i-1} y (2i - 1) -
+    P_{i-2} (i - 1)) / i, in its order of operations, so the values equal
+    its transpose bit for bit, written in place row by row."""
+    v = np.empty((degree + 1, y.size))
+    v[0] = 1.0
+    if degree > 0:
+        v[1] = y
+    scratch = np.empty(y.size)
+    for i in range(2, degree + 1):
+        row = v[i]
+        np.multiply(v[i - 1], y, out=row)
+        np.multiply(row, 2.0 * i - 1.0, out=row)
+        np.multiply(v[i - 2], i - 1.0, out=scratch)
+        np.subtract(row, scratch, out=row)
+        np.divide(row, float(i), out=row)
+    return v
+
+
+def sqrt_smooth_nodes(top: float = 1.0) -> np.ndarray:
+    """The points t of [0, top] at whose squares sigma = t^2
+    :func:`cumulative_sqrt_smooth` samples its integrand: t = top (x + 1) / 2
+    for the QUAD_NODES Gauss-Legendre nodes x."""
+    x, _, _ = _leggauss(QUAD_NODES)
+    return 0.5 * top * (x + 1.0)
+
+
+def cumulative_weights(u: np.ndarray, top: float = 1.0) -> np.ndarray:
+    """Weights of the node values 2 t f(t^2), t the nodes of
+    :func:`sqrt_smooth_nodes` on [0, top], in the integrals of f over
+    [0, u^2] for every u of ``u`` in [0, top]; shape (len(u), QUAD_NODES).
+    The product of these weights with the node values is
+    :func:`cumulative_sqrt_smooth`."""
+    x, _, antiderivative = _leggauss(QUAD_NODES)
+    # Minus P_k(-1) = (-1)^k, the value at u = 0: sigma = 0 gives exactly 0,
+    # and so do all-zero sigmas.
+    ends = _legendre_rows(2.0 * u / (top or 1.0) - 1.0, x.size)
+    ends -= ((-1.0) ** np.arange(x.size + 1))[:, None]
+    return 0.5 * top * (ends.T @ antiderivative)
+
+
+def sqrt_smooth_total(vals: np.ndarray) -> np.ndarray:
+    """The integral of f over [0, 1] from its values 2 t f(t^2) at the
+    nodes t of :func:`sqrt_smooth_nodes` on [0, 1], stacked on the first
+    axis: the Gauss-Legendre rule of :func:`integrate_sqrt_smooth`."""
+    _, w, _ = _leggauss(QUAD_NODES)
+    return 0.5 * _per_node(w, vals).sum(axis=0)
+
+
 def cumulative_sqrt_smooth(f: Callable[[np.ndarray], np.ndarray],
                            sigmas: Sequence[float]) -> np.ndarray:
     """Integrals of f over [0, sigma] for every sigma of ``sigmas``.
@@ -251,38 +314,39 @@ def cumulative_sqrt_smooth(f: Callable[[np.ndarray], np.ndarray],
         raise ValueError("sigmas must be finite and at least 0")
     u = np.sqrt(sigmas)
     top = float(u.max())
-    x, _, antiderivative = _leggauss(QUAD_NODES)
-    t = 0.5 * top * (x + 1.0)
+    t = sqrt_smooth_nodes(top)
     vals = _per_node(2.0 * t, _node_values(f, t * t))
-    # Minus P_k(-1) = (-1)^k, the value at u = 0: sigma = 0 gives exactly 0,
-    # and so do all-zero sigmas.
-    y = 2.0 * u / (top or 1.0) - 1.0
-    ends = np.polynomial.legendre.legvander(y, x.size)
-    ends -= (-1.0) ** np.arange(x.size + 1)
-    weights = 0.5 * top * (ends @ antiderivative)
-    out = weights @ vals.reshape(x.size, -1)
+    out = cumulative_weights(u, top) @ vals.reshape(t.size, -1)
     return out.reshape(u.shape + vals.shape[1:])
 
 
-def product_defect(m, dims):
+def product_defect(m, dims, diagonal: bool = False):
     """Relative distance from the nearest single-cut product structure.
 
     ``m`` is a matrix or a stack of matrices, shape (..., D, D); a matrix
     gives a float, a stack one defect per matrix. Zero (to rounding) on
-    exact tensor products.
+    exact tensor products. With ``diagonal``, ``m`` holds the real
+    diagonals of diagonal matrices, shape (..., D): the realignment of a
+    diagonal matrix at a cut D1 x D2 has its nonzeros at the entries
+    (i i, j j), so its singular values are those of the (D1, D2) reshape of
+    the diagonal, and each cut takes one real SVD of that reshape.
     """
-    a = np.asarray(m, dtype=np.complex128)
+    a = np.asarray(m, dtype=np.float64 if diagonal else np.complex128)
     d = _dims_tuple(dims)
     total = math.prod(d)
-    if a.ndim < 2 or a.shape[-2:] != (total, total):
+    shape = (total,) if diagonal else (total, total)
+    if a.ndim < len(shape) or a.shape[a.ndim - len(shape):] != shape:
         raise ValueError(f"shape {a.shape} does not match dims {d}")
-    batch = a.shape[:-2]
+    batch = a.shape[:a.ndim - len(shape)]
     worst = np.zeros(batch)
     for cut in range(1, len(d)):
         d1 = math.prod(d[:cut])
         d2 = math.prod(d[cut:])
-        r = a.reshape(batch + (d1, d2, d1, d2)).swapaxes(-3, -2).reshape(
-            batch + (d1 * d1, d2 * d2))
+        if diagonal:
+            r = a.reshape(batch + (d1, d2))
+        else:
+            r = a.reshape(batch + (d1, d2, d1, d2)).swapaxes(-3, -2).reshape(
+                batch + (d1 * d1, d2 * d2))
         s = np.linalg.svd(r, compute_uv=False)
         if s.shape[-1] > 1:
             worst = np.maximum(worst,

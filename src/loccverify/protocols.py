@@ -24,13 +24,14 @@ import numpy as np
 
 from .linalg import (
     PartyDims,
-    cumulative_sqrt_smooth,
+    cumulative_weights,
     diagonal_stack,
-    integrate_sqrt_smooth,
     kron,
     partial_trace,
     product_defect,
     sqrt_psd,
+    sqrt_smooth_nodes,
+    sqrt_smooth_total,
 )
 from .tolerances import (COMPLETENESS_TOL, LOCALITY_TOL, MEMBERSHIP_TOL,
                          MIXTURE_PSD_TOL, NODE_SUM_TOL, PRODUCT_TOL, RECON_TOL,
@@ -137,6 +138,17 @@ class ProtocolTree:
     """
 
     def __init__(self, table: np.ndarray, dims: PartyDims):
+        """ValueError unless ``table`` has the caterpillar's shape, an odd
+        number of rows of ``dims.total`` entries, and finite entries."""
+        table = np.asarray(table)
+        shape = table.shape
+        if len(shape) != 2 or shape[0] % 2 == 0 or shape[1] != dims.total:
+            raise ValueError(
+                f"table of shape {shape} is not a caterpillar's: it needs "
+                f"an odd number of rows of {dims.total} entries")
+        # min and max carry any NaN or infinity, without a temporary.
+        if not np.isfinite([table.min(), table.max()]).all():
+            raise ValueError("table has a non-finite entry")
         self._table = table
         self.dims = dims
         self._overrides: dict[int, np.ndarray] = {}
@@ -729,13 +741,16 @@ def main_branch_diagonals(parties: int, rounds: int, exponent: float,
     form; shape (len(s), 2^P).
 
     The node after k = n P + l steps (0 <= l < P, :func:`_node_diagonals`)
-    has trace (1 + eta^(n+1))^l (1 + eta^n)^(P - l), which decreases in k.
-    Each s is placed on its segment by bisection over k, and the two node
-    diagonals at the ends of that segment are interpolated linearly in
-    trace. Finite values of s outside the branch's domain are clamped into
-    it, as ``main_branch_path(...).at(s, clamp=True)`` does, and a
-    non-finite s raises ValueError; nothing is built per step, so the cost
-    does not grow with ``rounds``.
+    has trace T(k) = (1 + eta^(n+1))^l (1 + eta^n)^(P - l), which
+    decreases in k. Each s is placed on its segment [k, k + 1], the one
+    with T(k) >= s > T(k + 1), and the two node diagonals at its ends are
+    interpolated linearly in trace. The segment is read off in closed form
+    (:func:`_placement_guess`) and kept where T confirms it; only the
+    other points are placed by bisection over k. Finite values of s
+    outside the branch's domain are clamped into it, as
+    ``main_branch_path(...).at(s, clamp=True)`` does, and a non-finite s
+    raises ValueError; nothing is built per step, so the cost does not
+    grow with ``rounds``.
     """
     eta = 1.0 - ProtocolParams(parties, rounds, exponent).epsilon
     s = np.asarray(s, dtype=float).reshape(-1)
@@ -752,13 +767,23 @@ def main_branch_diagonals(parties: int, rounds: int, exponent: float,
     # Invariant: node_trace(lo) >= s > node_trace(hi), so the bracket
     # halves to a single segment. Below the branch's floor lo = hi = last;
     # above 2^P it ends at (0, 1) and the weight clips to 1. Both clamp.
-    lo = np.where(s <= node_trace(np.array([last])), last, 0.0)
+    floor = s <= node_trace(np.array([last]))
+    lo = np.where(floor, last, 0.0)
     hi = np.full(s.shape, last)
-    for _ in range(int(np.ceil(np.log2(last)))):
-        mid = np.floor(0.5 * (lo + hi))
-        above = node_trace(mid) >= s
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
+    guess = _placement_guess(parties, rounds, eta, s)
+    # One node_trace call over [k, k + 1] tests every guess.
+    ends = node_trace(np.concatenate([guess, guess + 1.0]))
+    found = ~floor & (ends[:s.size] >= s) & (s > ends[s.size:])
+    lo[found], hi[found] = guess[found], guess[found] + 1.0
+    rest = np.flatnonzero(~floor & ~found)
+    if rest.size:
+        left, right, target = lo[rest], hi[rest], s[rest]
+        for _ in range(int(np.ceil(np.log2(last)))):
+            mid = np.floor(0.5 * (left + right))
+            above = node_trace(mid) >= target
+            left = np.where(above, mid, left)
+            right = np.where(above, right, mid)
+        lo[rest], hi[rest] = left, right
     k = np.concatenate([lo, hi])
     n = np.floor(k / parties)
     # Python powers of the few cycles the grid needs, as in _built_table.
@@ -775,25 +800,63 @@ def main_branch_diagonals(parties: int, rounds: int, exponent: float,
     return np.ascontiguousarray((lam * top + (1.0 - lam) * bottom).T)
 
 
-def _clamped(s, top: float, message: str) -> np.ndarray:
-    """s clipped to [1, top]; ValueError if an entry is further out than
-    rounding."""
+def _placement_guess(parties: int, rounds: int, eta: float,
+                     s: np.ndarray) -> np.ndarray:
+    """The step k = n P + l of the main-branch segment holding each s, in
+    closed form, as a float.
+
+    In cycle n the traces run from (1 + eta^n)^P down to
+    (1 + eta^(n+1))^P, so n = floor(log(s^(1/P) - 1) / log eta); within
+    it log T(n P + l) falls linearly in l by log1p(eta^n) -
+    log1p(eta^(n+1)), which gives l. Both are clipped into the branch, n
+    to [0, rounds - 1] and l to [0, P - 1]; at eta = 0 the one cycle is
+    n = 0. Rounding can put a guess one segment off, so callers confirm it.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if eta > 0.0:
+            n = np.floor(np.log(s ** (1.0 / parties) - 1.0) / math.log(eta))
+            n = np.clip(np.nan_to_num(n, nan=0.0, posinf=rounds - 1.0,
+                                      neginf=0.0), 0.0, rounds - 1.0)
+        else:
+            n = np.zeros(s.shape)
+        now = np.log1p(eta ** n)
+        l = np.floor((parties * now - np.log(s))
+                     / (now - np.log1p(eta ** (n + 1.0))))
+    l = np.clip(np.nan_to_num(l, nan=0.0, posinf=parties - 1.0, neginf=0.0),
+                0.0, parties - 1.0)
+    return n * parties + l
+
+
+def _clamped(s, top: float, message: str, bottom: float = 1.0
+             ) -> np.ndarray:
+    """s clipped to [bottom, top]; ValueError if an entry is further out
+    than rounding."""
     s = np.asarray(s, dtype=float)
-    inside = (s >= 1.0 - ROUNDING_TOL) & (s <= top + ROUNDING_TOL)
+    inside = (s >= bottom - ROUNDING_TOL) & (s <= top + ROUNDING_TOL)
     if not inside.all():
         raise ValueError(f"{message} (got s={s[~inside].flat[0]})")
-    return np.clip(s, 1.0, top)
+    return np.clip(s, bottom, top)
+
+
+def limit_path_diagonals(parties: int, s) -> np.ndarray:
+    """Diagonals of the limiting main path M(s)^(x P),
+    M(s) = (s^(1/P)-1)|0><0| + |1><1|, at every s of a 1-D array in
+    [1, 2^P]; real, shape (n, 2^P). The outer product of the factors
+    (s^(1/P) - 1, 1), taken left to right as :func:`~loccverify.linalg.kron`
+    takes them."""
+    top = float(2 ** parties)
+    s = _clamped(s, top, f"s outside [1, {top}]")
+    factor = np.stack([s ** (1.0 / parties) - 1.0, np.ones_like(s)], axis=-1)
+    diag = factor
+    for _ in range(parties - 1):
+        diag = (diag[..., :, None] * factor[..., None, :]).reshape(
+            s.shape + (-1,))
+    return diag
 
 
 def limit_path_stack(parties: int, s) -> np.ndarray:
-    """Limiting main path M(s)^(x P), M(s) = (s^(1/P)-1)|0><0| + |1><1|,
-    at every s of a 1-D array in [1, 2^P]; shape (n, 2^P, 2^P)."""
-    top = float(2 ** parties)
-    s = _clamped(s, top, f"s outside [1, {top}]")
-    m = np.zeros(s.shape + (2, 2), dtype=np.complex128)
-    m[..., 0, 0] = s ** (1.0 / parties) - 1.0
-    m[..., 1, 1] = 1.0
-    return kron([m] * parties)
+    """:func:`limit_path_diagonals` as matrices; shape (n, 2^P, 2^P)."""
+    return diagonal_stack(limit_path_diagonals(parties, s))
 
 
 @dataclass(frozen=True)
@@ -925,7 +988,8 @@ class CheckedPath:
     """A path handed to the condition verifier.
 
     ``op_at`` evaluates the operator at every trace parameter s of a 1-D
-    array on [s_bottom, s_top] and returns the stack (n, d, d).
+    array on [s_bottom, s_top] and returns the stack (n, d, d), or, for
+    diagonal operators, their real diagonals (n, d).
     ``cmatrix_at`` optionally supplies a closed-form witness family, as a
     stack (n, kappa, kappa) of coefficient matrices that the verifier
     checks and symmetrises by the rule of
@@ -961,12 +1025,13 @@ class EndpointFamily:
     """Continuum of halt outcomes peeling off a parent path.
 
     ``density_at`` gives the operator densities at every sigma of a 1-D
-    array in [0, 1], stacked (n, d, d), and ``cdensity_at`` their
-    coefficient densities, stacked (n, kappa, kappa) and checked as
-    :class:`CheckedPath` checks ``cmatrix_at``. ``attach_s`` maps sigma to
-    the parent path parameter where the outcome branches off, and
-    ``sigma_at`` is its inverse, with sigma = 0 at the parent's bottom end;
-    both act elementwise on arrays.
+    array in [0, 1], stacked (n, d, d) or as real diagonals (n, d), and
+    ``cdensity_at`` their coefficient densities, stacked (n, kappa, kappa)
+    and checked as :class:`CheckedPath` checks ``cmatrix_at``.
+    ``attach_s`` maps sigma to the parent path parameter where the outcome
+    branches off, and ``sigma_at`` is its inverse, with sigma = 0 at the
+    parent's bottom end and at most 1 on the parent's grid; both act
+    elementwise on arrays.
     """
 
     label: str
@@ -1004,20 +1069,41 @@ class PathConditionReport:
         raise KeyError(name)
 
 
-def _operators(stack, n: int, dim: int, what: str) -> np.ndarray:
-    """A callback's operator stack: shape (n, dim, dim), finite entries."""
-    ops = np.asarray(stack, dtype=np.complex128)
-    if ops.shape != (n, dim, dim):
-        raise ValueError(f"{what} returned shape {ops.shape} for {n} "
-                         f"parameters; expected {(n, dim, dim)}")
-    if not np.isfinite(ops).all():
+def _checked(a: np.ndarray, shape: tuple, what: str, hint: str = ""
+             ) -> np.ndarray:
+    """``a``, a stack that the callback ``what`` returned, if it has
+    ``shape`` and finite entries; ValueError otherwise."""
+    if a.shape != shape:
+        raise ValueError(f"{what} returned shape {a.shape} for {shape[0]} "
+                         f"parameters; expected {shape}{hint}")
+    if not np.isfinite(a).all():
         raise ValueError(f"{what} returned a non-finite entry")
-    return ops
+    return a
+
+
+def _operators(stack, n: int, dim: int, what: str) -> np.ndarray:
+    """A callback's operator stack: matrices, complex (n, dim, dim), or the
+    real diagonals of diagonal operators, (n, dim)."""
+    ops = np.asarray(stack)
+    if ops.ndim == 2 and ops.dtype.kind in "biuf":
+        return _checked(ops.astype(np.float64, copy=False), (n, dim), what)
+    return _checked(ops.astype(np.complex128, copy=False), (n, dim, dim),
+                    what, f", or real diagonals {(n, dim)}")
 
 
 def _coefficients(stack, n: int, kappa: int, what: str) -> np.ndarray:
     """A callback's coefficient stack, checked and symmetrised."""
-    return coefficient_stack(_operators(stack, n, kappa, what))
+    return coefficient_stack(_checked(np.asarray(stack, dtype=np.complex128),
+                                      (n, kappa, kappa), what))
+
+
+def _residuals(solver, cs: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """||L(C) - op||_F for each pair of coefficient matrices ``cs`` and
+    operators ``ops``, matrices or real diagonals as :func:`_operators`
+    returns them."""
+    if ops.ndim == cs.ndim - 1:
+        return solver.diagonal_residuals(cs, ops)
+    return np.linalg.norm(solver.image(cs) - ops, axis=(-2, -1))
 
 
 def _worst(name: str, defects: np.ndarray, tol: float, param: str,
@@ -1028,45 +1114,67 @@ def _worst(name: str, defects: np.ndarray, tol: float, param: str,
                           f"{param}={values[i]:.6g}")
 
 
+def _as_matrix(op: np.ndarray) -> np.ndarray:
+    """An operator as :func:`_operators` returns it, as a matrix."""
+    return diagonal_stack(op) if op.ndim == 1 else op
+
+
 def _endpoint_check(path: CheckedPath, spec: ZonoidSpec):
     op = _operators(path.op_at(np.array([path.s_bottom])), 1, spec.dim,
                     f"{path.label} op_at")[0]
-    c = endpoint_cmatrix(sqrt_psd(op), spec)
-    solver = spec.solver()
-    recon = float(np.linalg.norm(solver.image(c.matrix) - op))
+    c = endpoint_cmatrix(_as_matrix(sqrt_psd(op)), spec)
+    recon = float(_residuals(spec.solver(), c.matrix, op))
     w = np.sort(c.eigenvalues())[::-1]
     rank_excess = float(np.abs(w[1:]).max(initial=0.0))
     box_excess = max(0.0, float(w[0]) - 1.0, -float(w.min(initial=0.0)))
     return c, max(recon, rank_excess, box_excess)
 
 
+def _family_values(fam: EndpointFamily, sigmas: np.ndarray, kappa: int):
+    """A halt family's coefficient densities from its one ``cdensity_at``
+    call: the node values 2 t C(t^2) at the nodes t of
+    :func:`~loccverify.linalg.sqrt_smooth_nodes`, and C at each sigma of
+    ``sigmas``."""
+    t = sqrt_smooth_nodes()
+    at = np.concatenate([t * t, sigmas])
+    cd = _coefficients(fam.cdensity_at(at), at.size, kappa,
+                       f"{fam.label} cdensity_at")
+    return (2.0 * t)[:, None, None] * cd[:t.size], cd[t.size:]
+
+
 def _witness_defects(solver, c_end: np.ndarray,
-                     families: Sequence[EndpointFamily], grid: np.ndarray,
-                     ops: np.ndarray) -> np.ndarray:
+                     families: Sequence[tuple[EndpointFamily, np.ndarray]],
+                     grid: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """Membership defect of the integrated witness at each sample s.
 
     The halt families peel off the path continuously, so
     C(s) = C_end + sum_f int_0^sigma_f(s) cdensity_f is a coefficient
-    matrix for op(s). A sample's witness is the block-supported Hermitian
-    part of C(s); it counts only if it passes the solver's box test and
-    differs from C(s) by rounding, and then its defect is
+    matrix for op(s). ``families`` pairs each family with its node values
+    (:func:`_family_values`), and the integrals are those of
+    :func:`~loccverify.linalg.cumulative_sqrt_smooth` on [0, 1] from them.
+    A sample's witness is the block-supported
+    Hermitian part of C(s); it counts only if it passes the solver's box
+    test and differs from C(s) by rounding, and then its defect is
     ||L(C) - op(s)||_F. Every other sample gets an infinite defect, which
     sends it to the solver. The test is exact on the assembled C, so
     quadrature error can raise a defect but never hide a bad witness.
     """
     kappa = solver.kappa
     cs = np.broadcast_to(c_end, (len(grid),) + c_end.shape)
-    for fam in families:
-        cs = cs + cumulative_sqrt_smooth(
-            lambda t, f=fam: _coefficients(f.cdensity_at(t), len(t), kappa,
-                                           f"{f.label} cdensity_at"),
-            fam.sigma_at(grid))
+    sigma, weights = None, None
+    for fam, nodes in families:
+        at = _clamped(fam.sigma_at(grid), 1.0,
+                      f"{fam.label} sigma_at leaves [0, 1]", 0.0)
+        # Families that attach alike share their weights.
+        if sigma is None or not np.array_equal(at, sigma):
+            sigma, weights = at, cumulative_weights(np.sqrt(at))
+        cs = cs + (weights @ nodes.reshape(len(nodes), -1)).reshape(
+            len(grid), kappa, kappa)
     herm = np.where(solver.mask, 0.5 * (cs + cs.conj().swapaxes(-1, -2)),
                     0.0)
     ok = ((np.linalg.norm(cs - herm, axis=(1, 2)) <= ROUNDING_TOL)
           & solver.in_box(herm))
-    residuals = np.linalg.norm(solver.image(herm) - ops, axis=(1, 2))
-    return np.where(ok, residuals, np.inf)
+    return np.where(ok, _residuals(solver, herm, ops), np.inf)
 
 
 def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
@@ -1095,10 +1203,19 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     ``SIGMA_SAMPLES`` values of sigma.
 
     Every callback is called on a whole grid at once, so the number of
-    calls does not depend on the sample counts. Sampled checks report the
-    s or sigma of their largest defect as ``where``; a membership check
-    also reports how many samples the solver answered and, when any,
-    how many of those it left undecided.
+    calls does not depend on the sample counts. Each family's
+    ``cdensity_at`` is called once, on the Gauss nodes of
+    :func:`~loccverify.linalg.sqrt_smooth_nodes` and the sigma samples
+    together: the node values give its witness integrals and its part of
+    the resolution, the samples its psd and reconstruction checks.
+    Operators and densities that come as real diagonals are checked as
+    diagonals: the trace is a row sum, the product defect takes the SVD
+    of each cut's reshape of the diagonal, the endpoint root is the
+    entrywise root, and residuals are taken on the solver's reached
+    entries; only samples sent to the solver are made matrices.
+    Sampled checks report the s or sigma of their largest defect as
+    ``where``; a membership check also reports how many samples the
+    solver answered and, when any, how many of those it left undecided.
     """
     if s_samples is not None and s_samples < 1:
         raise ValueError("s_samples must be at least 1")
@@ -1106,6 +1223,8 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     solver = spec.solver()
     kappa, dim, dims = spec.kappa, spec.dim, spec.basis.input_dims
     total = np.zeros((kappa, kappa), dtype=np.complex128)
+    sigmas = np.linspace(0.0, 1.0, SIGMA_SAMPLES)
+    values = [_family_values(fam, sigmas, kappa) for fam in families]
 
     for path in paths:
         lbl = path.label
@@ -1113,8 +1232,13 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
         grid = path.sample_grid(s_samples)
         n = len(grid)
         ops = _operators(path.op_at(grid), n, dim, f"{lbl} op_at")
-        trace = np.abs(np.trace(ops, axis1=1, axis2=2).real - grid)
-        attached = [fam for fam in families if fam.parent is path]
+        diagonal = ops.ndim == 2
+        if diagonal:
+            trace = np.abs(ops.sum(axis=1) - grid)
+        else:
+            trace = np.abs(np.trace(ops, axis1=1, axis2=2).real - grid)
+        attached = [(fam, nodes) for fam, (nodes, _) in zip(families, values)
+                    if fam.parent is path]
         if attached:
             defects = _witness_defects(solver, c_end.matrix, attached, grid,
                                        ops)
@@ -1124,7 +1248,7 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
         solve = np.flatnonzero(defects > membership_tol)
         undecided = 0
         for i in solve:
-            rep = membership(ops[i], spec, tol=membership_tol)
+            rep = membership(_as_matrix(ops[i]), spec, tol=membership_tol)
             defects[i] = rep.residual
             undecided += rep.stop == "undecided"
         mem_where = f"solver {len(solve)}/{n}"
@@ -1135,7 +1259,7 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
             mem_where = f"s={grid[worst]:.6g}; {mem_where}"
         checks += [
             _worst(f"{lbl}:trace", trace, TRACE_TOL, "s", grid),
-            _worst(f"{lbl}:product", product_defect(ops, dims),
+            _worst(f"{lbl}:product", product_defect(ops, dims, diagonal),
                    PRODUCT_TOL, "s", grid),
             ConditionCheck(f"{lbl}:membership", float(defects[worst]),
                            membership_tol, mem_where),
@@ -1144,22 +1268,18 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
         if path.cmatrix_at is not None:
             cm = _coefficients(path.cmatrix_at(grid), n, kappa,
                                f"{lbl} cmatrix_at")
-            checks.append(_worst(
-                f"{lbl}:witness-family",
-                np.linalg.norm(solver.image(cm) - ops, axis=(1, 2)),
-                RECON_TOL, "s", grid))
+            checks.append(_worst(f"{lbl}:witness-family",
+                                 _residuals(solver, cm, ops), RECON_TOL, "s",
+                                 grid))
         total = total + c_end.matrix
 
-    sigmas = np.linspace(0.0, 1.0, SIGMA_SAMPLES)
-    for fam in families:
+    for fam, (nodes, samples) in zip(families, values):
         lbl = fam.label
         dens = _operators(fam.density_at(sigmas), SIGMA_SAMPLES, dim,
                           f"{lbl} density_at")
-        cd = _coefficients(fam.cdensity_at(sigmas), SIGMA_SAMPLES, kappa,
-                           f"{lbl} cdensity_at")
         # lambda_min is concave, so the segment mixtures
         # (1 - x) C_parent + x C_r are lowest at x = 0 or x = 1.
-        low = np.linalg.eigvalsh(cd)[:, 0]
+        low = np.linalg.eigvalsh(samples)[:, 0]
         if fam.parent.cmatrix_at is not None:
             parent = _coefficients(
                 fam.parent.cmatrix_at(fam.attach_s(sigmas)), SIGMA_SAMPLES,
@@ -1169,15 +1289,14 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
             # On a tie np.maximum returns its second argument: +0.0, not -0.0.
             _worst(f"{lbl}:psd", np.maximum(-low, 0.0), MIXTURE_PSD_TOL,
                    "sigma", sigmas),
-            _worst(f"{lbl}:product", product_defect(dens, dims),
-                   PRODUCT_TOL, "sigma", sigmas),
+            _worst(f"{lbl}:product",
+                   product_defect(dens, dims, dens.ndim == 2), PRODUCT_TOL,
+                   "sigma", sigmas),
             _worst(f"{lbl}:reconstruction",
-                   np.linalg.norm(solver.image(cd) - dens, axis=(1, 2)),
-                   RECON_TOL, "sigma", sigmas),
+                   _residuals(solver, samples, dens), RECON_TOL, "sigma",
+                   sigmas),
         ]
-        total = total + integrate_sqrt_smooth(
-            lambda u, f=fam: _coefficients(f.cdensity_at(u), len(u), kappa,
-                                           f"{f.label} cdensity_at"))
+        total = total + sqrt_smooth_total(nodes)
 
     # A valid endpoint or integral is zero outside its own block, so the
     # rows of block b of the total are the sum of that block's parts.

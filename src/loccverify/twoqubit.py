@@ -38,7 +38,7 @@ from .protocols import (
     EndpointFamily,
     c_matrix_stack,
     derivative_diagonals,
-    limit_path_stack,
+    limit_path_diagonals,
 )
 from .tolerances import (COARSE_GRAIN_TOL, DENSITY_TRACE_TOL, ISOMETRY_TOL,
                          QUAD_NODES, SIGMA_SAMPLES)
@@ -146,18 +146,20 @@ def blocked_isometry_check() -> BlockedIsometryCheck:
     dependent, so a global fit cannot localize blocks); the fitted
     coefficients are also compared against the closed form. A block's
     matrix does not depend on sigma, so one least-squares solve per block
-    takes every sigma sample as a right-hand side.
+    takes every sigma sample as a right-hand side. The halt and grouped
+    operators are all diagonal, so the fit runs on their diagonals.
     """
     sigmas = np.linspace(0.0, 1.0, SIGMA_SAMPLES)
     rt = np.sqrt(sigmas)
     want = np.stack([np.sqrt(3.0) * (2.0 * rt - 1.0),
                      np.sqrt(6.0) * (1.0 - rt)])
-    kraus = diagonal_stack(np.sqrt(derivative_diagonals(2, sigmas)))
+    kraus = np.sqrt(derivative_diagonals(2, sigmas))
+    grouped = K_GROUPED.diagonal(axis1=1, axis2=2).real
     worst_res = 0.0
     worst_coef = 0.0
     for party, block in ((1, (1, 2)), (0, (3, 4))):
-        vecs = kraus[:, party].reshape(-1, 16).T
-        a = K_GROUPED[list(block)].reshape(2, 16).T
+        vecs = kraus[:, party].T
+        a = grouped[list(block)].T
         coef, *_ = np.linalg.lstsq(a, vecs, rcond=None)
         worst_res = max(worst_res, float(
             np.linalg.norm(a @ coef - vecs, axis=0).max()))
@@ -172,34 +174,32 @@ class CoarseGrainCheck:
     passed: bool
 
 
-def _conjugate(ops: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """sum_k K_k rho K_k^dag for every rho of the stack ``rhos``."""
-    return np.einsum("kab,ubc,kdc->uad", ops, rhos, ops.conj())
-
-
 def coarse_grain_check(nodes: int = QUAD_NODES) -> CoarseGrainCheck:
     """Integrated halt continua against the grouped CP maps.
 
     On every matrix unit, integrating k(sigma) rho k(sigma) over the halt
-    parameter must reproduce the corresponding two-operator CP map. The
-    halt operators are diagonal, so k rho k^dag is rho times the matrix
-    k_a conj(k_d) entry by entry: one einsum gives that matrix for both
-    halt continua at every quadrature node, and its integral acts on all
-    16 units at once. Every check runs the default order QUAD_NODES;
-    ``nodes`` stays only because ``perfbench/workloads.py`` passes it.
+    parameter must reproduce the corresponding two-operator CP map. Every
+    operator here is diagonal, and for diagonal K, K rho K^dag is rho times
+    the matrix k conj(k)^T entry by entry. So the image of the unit
+    |a><d| is that matrix's entry (a, d) there, and comparing the
+    integrated multiplier matrix with the branch's own, entry by entry,
+    gives the defect of all 16 units at once. Every check runs the default
+    order QUAD_NODES; ``nodes`` stays only because
+    ``perfbench/workloads.py`` passes it.
     """
     ex = two_qubit_instrument()
-    units = np.eye(16, dtype=np.complex128).reshape(16, 4, 4)
 
     def integrand(sigma: np.ndarray) -> np.ndarray:
         # Outcomes 2 and 3, in the order of the branches below.
         kd = np.sqrt(derivative_diagonals(2, sigma)[:, ::-1])
         return np.einsum("nra,nrd->nrad", kd, kd)
 
-    got = integrate_sqrt_smooth(integrand, nodes=nodes)[:, None] * units
-    want = np.stack([_conjugate(ex.instrument.branch(r).operators, units)
-                     for r in (1, 2)])
-    worst = float(np.linalg.norm(got - want, axis=(2, 3)).max())
+    got = integrate_sqrt_smooth(integrand, nodes=nodes)
+    want = []
+    for r in (1, 2):
+        k = ex.instrument.branch(r).operators.diagonal(axis1=1, axis2=2)
+        want.append(np.einsum("ka,kd->ad", k, k.conj()))
+    worst = float(np.abs(got - np.stack(want)).max())
     return CoarseGrainCheck(worst, worst <= COARSE_GRAIN_TOL)
 
 
@@ -292,14 +292,15 @@ def _sigma_of(s):
 def _limit_family(cdensity, cmatrix_at):
     """Main path and the halt-B and halt-A continua of the limit.
 
-    Halt family ``party`` (1 for B, 0 for A) has the derivative outcome of
-    that party as its density and ``cdensity(party)`` as its
+    The main path and the halt densities come as real diagonals. Halt
+    family ``party`` (1 for B, 0 for A) has the derivative outcome of that
+    party as its density and ``cdensity(party)`` as its
     coefficient-density callback; it is instrument outcome 3 - party. The
     main path carries ``cmatrix_at`` as its witness family, or none.
     """
     main = CheckedPath(
         label="main",
-        op_at=lambda s: limit_path_stack(2, s),
+        op_at=lambda s: limit_path_diagonals(2, s),
         s_top=4.0,
         s_bottom=1.0,
         cmatrix_at=cmatrix_at,
@@ -308,8 +309,7 @@ def _limit_family(cdensity, cmatrix_at):
         EndpointFamily(
             label=f"halt-{'AB'[party]}",
             parent=main,
-            density_at=lambda sg, a=party: diagonal_stack(
-                derivative_diagonals(2, sg)[:, a]),
+            density_at=lambda sg, a=party: derivative_diagonals(2, sg)[:, a],
             cdensity_at=cdensity(party),
             attach_s=_s_of,
             sigma_at=_sigma_of,
@@ -349,16 +349,18 @@ def blocked_limiting_family(spec: ZonoidSpec | None = None):
         spec = instrument_zonoid()
     blocks = spec.block_list()
     ops = spec.basis.operators
+    d = spec.dim
 
     def blocked_density(party: int):
         block = list(blocks[2 - party])
-        a = np.linalg.pinv(ops[block].reshape(len(block), 16).T)
+        # The expansion of a diagonal k reads only the diagonal entries of
+        # k, so it needs only the columns of the pseudo-inverse there.
+        a = np.linalg.pinv(ops[block].reshape(len(block), d * d).T)[:, ::d + 1]
 
         def f(sigma: np.ndarray) -> np.ndarray:
-            k = diagonal_stack(
-                np.sqrt(derivative_diagonals(2, sigma)[:, party]))
+            k = np.sqrt(derivative_diagonals(2, sigma)[:, party])
             w = np.zeros((len(k), spec.kappa), dtype=np.complex128)
-            w[:, block] = k.reshape(-1, 16) @ a.T
+            w[:, block] = k @ a.T
             return w[:, :, None] * w[:, None, :].conj()
         return f
 

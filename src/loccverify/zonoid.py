@@ -200,6 +200,12 @@ class _MembershipSolver:
         # The flat reached entries, then a slot for the norm of z off them.
         self.slots = np.append(rows * d + cols, 0)
         self.off = np.delete(np.arange(d * d), self.slots[:-1])
+        # The reached entries on the diagonal, and the diagonal indices
+        # that no entry reaches.
+        self.on_diagonal = np.flatnonzero(rows == cols)
+        unreached = np.ones(d, dtype=bool)
+        unreached[rows[self.on_diagonal]] = False
+        self.off_diagonal = np.flatnonzero(unreached)
         self.grids = [np.ix_(blk, blk) for blk in blocks]
         self.mask = mask = np.zeros((kappa, kappa), dtype=bool)
         for grid in self.grids:
@@ -224,6 +230,19 @@ class _MembershipSolver:
         out[..., self.rows, self.cols] = np.einsum("...mn,emn->...e", c,
                                                    self.lmap)
         return out
+
+    def diagonal_residuals(self, c: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """||L(C) - diag v||_F for a coefficient matrix and a real diagonal,
+        or pairwise for stacks (..., k, k) and (..., d): the gap on the
+        reached entries, where diag v is v on the diagonal ones and 0 on
+        the others, and the entries of v that no entry reaches, as
+        :meth:`target` splits z."""
+        gap = np.einsum("...mn,emn->...e", c, self.lmap)
+        gap[..., self.on_diagonal] -= v[..., self.rows[self.on_diagonal]]
+        off = v[..., self.off_diagonal]
+        return np.sqrt(np.einsum("...e,...e->...", gap.real, gap.real)
+                       + np.einsum("...e,...e->...", gap.imag, gap.imag)
+                       + np.einsum("...e,...e->...", off, off))
 
     def to_matrix(self, x: np.ndarray) -> np.ndarray:
         """Scatter a masked vector into its kappa x kappa matrix."""

@@ -43,3 +43,27 @@ def test_bad_revision_is_2():
     assert out.stdout == ""
     assert len(out.stderr.splitlines()) == 1
     assert out.stderr.startswith("error:")
+
+
+def test_reports_of_one_subcommand_against_head():
+    out = _ab("HEAD", "--reports", "--only", "theorem1")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    runs = [line for line in lines if line.startswith("bytes ")]
+    assert [line.split("  ")[-1] for line in runs] == [
+        "theorem1 --samples 11", "theorem1 --nu 1000"]
+    assert all("verdicts same  exit 0/0" in line for line in runs)
+    assert lines[-1] == "2 reports, verdicts differ in 0"
+
+
+def test_reports_need_a_known_subcommand():
+    out = _ab("HEAD", "--reports", "--only", "no-such-command")
+    assert out.returncode == 2
+    assert "--only" in out.stderr
+
+
+def test_reports_against_a_bad_revision_are_2():
+    out = _ab("no-such-revision", "--reports")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:")

@@ -15,8 +15,10 @@ from loccverify import (
     sqrt_psd,
     trace_norm,
 )
-from loccverify.linalg import (cumulative_sqrt_smooth,
-                               is_hermitian, operator_norm)
+from loccverify import linalg
+from loccverify.linalg import (cumulative_sqrt_smooth, cumulative_weights,
+                               diagonal_stack, is_hermitian, operator_norm,
+                               sqrt_smooth_nodes, sqrt_smooth_total)
 from loccverify.tolerances import QUAD_NODES
 
 from conftest import (haar_unitary, loop_gauss_legendre, loop_sqrt_smooth,
@@ -171,8 +173,45 @@ class TestPsd:
         with pytest.raises(ValueError):
             sqrt_psd(np.diag([1.0, -1.0]))
 
+    def test_diagonal_root_is_the_entrywise_root(self):
+        # A 1-D argument is a diagonal: the root is entrywise, and the
+        # matrix rule clips a rounding-size negative entry and refuses a
+        # larger one.
+        v = np.array([0.25, 0.0, 4.0, -1e-17])
+        assert np.array_equal(sqrt_psd(v), [0.5, 0.0, 2.0, 0.0])
+        np.testing.assert_allclose(diagonal_stack(sqrt_psd(v)),
+                                   sqrt_psd(np.diag(v)), atol=1e-15)
+        with pytest.raises(ValueError, match="not PSD"):
+            sqrt_psd(np.array([1.0, -1e-6]))
+        with pytest.raises(ValueError, match="real diagonal"):
+            sqrt_psd(np.array([1.0, 1j]))
+
 
 class TestQuadrature:
+    @pytest.mark.parametrize("size", [1, 12, 301])
+    def test_legendre_rows_equal_legvander(self, rng, size):
+        # The recurrence keeps legvander's order of operations, so its
+        # values are the same bit for bit.
+        y = rng.uniform(-1.0, 1.0, size)
+        y[:2] = (-1.0, 1.0)[:size]
+        for degree in (0, 1, QUAD_NODES):
+            assert np.array_equal(
+                linalg._legendre_rows(y, degree).T,
+                np.polynomial.legendre.legvander(y, degree))
+
+    def test_node_values_give_both_integrals(self):
+        # From one set of node values: the cumulative integrals at any
+        # sigma in [0, 1] equal cumulative_sqrt_smooth's when 1 is among
+        # the sigmas, and the total equals integrate_sqrt_smooth's.
+        t = sqrt_smooth_nodes()
+        vals = 2.0 * t[:, None] * _mixed_integrand(t * t)
+        sigmas = np.array([0.0, 0.09, 0.5, 1.0])
+        assert np.array_equal(
+            cumulative_weights(np.sqrt(sigmas)) @ vals,
+            cumulative_sqrt_smooth(_mixed_integrand, sigmas))
+        assert np.array_equal(sqrt_smooth_total(vals),
+                              integrate_sqrt_smooth(_mixed_integrand))
+
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 19, 31])
     def test_monomials_exact(self, k):
         # 16-node Gauss-Legendre integrates degree <= 31 exactly
@@ -319,3 +358,24 @@ class TestProductStructure:
     def test_shape_must_match_dims(self):
         with pytest.raises(ValueError):
             product_defect(np.eye(4), (2, 3))
+        with pytest.raises(ValueError):
+            product_defect(np.ones((3, 5)), (2, 2), diagonal=True)
+
+    @pytest.mark.parametrize("dims", [(4,), (2, 2), (2, 3), (2, 2, 2),
+                                      (3, 2, 2)])
+    def test_diagonals_match_their_matrices(self, rng, dims):
+        # The SVD of a cut's reshape of the diagonal has the singular values
+        # of the dense realignment, so both routes agree to rounding.
+        d = int(np.prod(dims))
+        factors = [rng.uniform(0.0, 1.0, (3, k)) for k in dims]
+        products = factors[0]
+        for f in factors[1:]:
+            products = (products[:, :, None] * f[:, None, :]).reshape(3, -1)
+        diags = np.concatenate([rng.uniform(-1.0, 1.0, (4, d)), products,
+                                np.zeros((1, d))])
+        got = product_defect(diags, dims, diagonal=True)
+        want = product_defect(diagonal_stack(diags), dims)
+        assert got.shape == (8,)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+        assert (got[4:] <= 1e-15).all()
+        assert product_defect(diags[0], dims, diagonal=True) == got[0]

@@ -162,6 +162,16 @@ class TestVerifyTree:
             victim.povm_element = element
         assert np.array_equal(victim.povm_element, before)
 
+    @pytest.mark.parametrize("table", [
+        np.eye(4),  # an even row count
+        np.ones((5, 8)),  # rows wider than the dims' 4
+        np.ones(5),  # not 2-D
+        np.where(np.eye(5, 4) > 0, np.nan, 0.25),
+    ])
+    def test_table_must_be_a_caterpillars(self, table):
+        with pytest.raises(ValueError, match="table"):
+            ProtocolTree(table, PartyDims((2, 2)))
+
     def test_parameters_are_not_a_tree_argument(self):
         # A tree holds no protocol parameters: a call that passes them
         # third fails loudly.
@@ -865,6 +875,40 @@ def _branch_grids(draw):
     return parties, rounds, exponent, np.clip(grid, 1.0, top)
 
 
+def _bisected_diagonals(parties, rounds, exponent, s):
+    """main_branch_diagonals with every s placed by bisection over k."""
+    eta = 1.0 - ProtocolParams(parties, rounds, exponent).epsilon
+    s = np.asarray(s, dtype=float).reshape(-1)
+    last = float(parties * rounds)
+
+    def node_trace(k):
+        n = np.floor(k / parties)
+        l = k - n * parties
+        now = eta ** n
+        return (1.0 + eta * now) ** l * (1.0 + now) ** (parties - l)
+
+    lo = np.where(s <= node_trace(np.array([last])), last, 0.0)
+    hi = np.full(s.shape, last)
+    for _ in range(int(np.ceil(np.log2(last)))):
+        mid = np.floor(0.5 * (lo + hi))
+        above = node_trace(mid) >= s
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    k = np.concatenate([lo, hi])
+    n = np.floor(k / parties)
+    cycles, at = np.unique(np.concatenate([n, n + 1.0]), return_inverse=True)
+    now, later = np.split(
+        np.array([eta ** x for x in cycles.tolist()])[at], 2)
+    top, bottom = np.split(protocols._node_diagonals(
+        parties, now, later, k - n * parties), 2, axis=1)
+    t_top, t_bottom = protocols._traces(top), protocols._traces(bottom)
+    span = t_top - t_bottom
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.where(span > 0.0, (s - t_bottom) / span, 0.0)
+    lam = np.clip(lam, 0.0, 1.0)
+    return np.ascontiguousarray((lam * top + (1.0 - lam) * bottom).T)
+
+
 class TestClosedFormMainBranch:
     @settings(max_examples=40, deadline=None)
     @given(_branch_grids())
@@ -890,6 +934,26 @@ class TestClosedFormMainBranch:
         assert rep.worst_s in grid
         at_worst = _table_gap(parties, rounds, exponent, [rep.worst_s])
         assert abs(at_worst - want) <= 2.0 * slack
+
+    @pytest.mark.parametrize("parties", [2, 3, 4, 5, 6])
+    def test_placement_matches_the_bisection(self, parties):
+        # The closed-form placement keeps each segment that T confirms and
+        # bisects the rest; on every grid it equals bisecting all points.
+        rng = np.random.default_rng(parties)
+        for rounds in (1, 2, 3, 10, 100, 10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6,
+                       10 ** 7):
+            for c in np.linspace(0.05, 0.95, 5):
+                try:
+                    ProtocolParams(parties, rounds, c)
+                except ValueError:
+                    continue
+                top = 2.0 ** parties
+                for grid in (np.linspace(1.0, top, 201),
+                             rng.uniform(1.0, top, 201),
+                             rng.uniform(0.5, top + 1.0, 201)):
+                    assert np.array_equal(
+                        main_branch_diagonals(parties, rounds, c, grid),
+                        _bisected_diagonals(parties, rounds, c, grid))
 
     def test_breakpoints_are_table_rows_bit_for_bit(self):
         path = main_branch_path(3, 40, 0.5)
@@ -1083,8 +1147,8 @@ class TestVerifyTheoremConditions:
         paths, fams = limiting_family()
         bell = np.zeros((4, 4))
         bell[np.ix_([0, 3], [0, 3])] = 0.5
-        paths[0].op_at = lambda s, f=paths[0].op_at: f(s) + 0.01 * (
-            np.asarray(s) - 1.0)[:, None, None] * bell
+        paths[0].op_at = lambda s, f=paths[0].op_at: diagonal_stack(
+            f(s)) + 0.01 * (np.asarray(s) - 1.0)[:, None, None] * bell
         rep = verify_theorem_conditions(channel_zonoid(), paths,
                                         families=fams, s_samples=11)
         product = rep.check("main:product")
@@ -1177,7 +1241,106 @@ class TestVerifyTheoremConditions:
             counts.append(calls)
         assert counts[0] == counts[1]
         assert counts[0]["main.op_at"] == 2
-        assert all(counts[0][f"{fam.label}.cdensity_at"] == 3 for fam in fams)
+        assert all(counts[0][f"{fam.label}.cdensity_at"] == 1 for fam in fams)
+
+    def test_non_product_diagonal_density_fails_product(self):
+        # Halt-B's diagonal (sigma, 1, 0, 0) reshapes to a rank-one 2 x 2
+        # matrix; a weight on |11> makes it rank two at every sigma > 0.
+        paths, fams = limiting_family()
+        fams[0].density_at = lambda sg, f=fams[0].density_at: f(sg) + (
+            0.01 * np.asarray(sg)[:, None] * np.array([0.0, 0.0, 0.0, 1.0]))
+        rep = verify_theorem_conditions(channel_zonoid(), paths,
+                                        families=fams, s_samples=5)
+        product = rep.check("halt-B:product")
+        assert not product.passed
+        assert product.defect > 1e-3
+        assert rep.check("halt-A:product").passed
+        dense = dataclasses.replace(
+            fams[0], density_at=lambda sg, f=fams[0].density_at:
+            diagonal_stack(f(sg)))
+        twin = verify_theorem_conditions(channel_zonoid(), paths,
+                                         families=[dense, fams[1]],
+                                         s_samples=5).check("halt-B:product")
+        assert twin.where == product.where
+        assert twin.defect == pytest.approx(product.defect, abs=1e-14)
+
+    def test_diagonal_trace_off_fails_trace_at_its_s(self):
+        # A bump on the |11> entry of the diagonal, largest at s = 2.5.
+        paths, fams = limiting_family()
+        paths[0].op_at = lambda s, f=paths[0].op_at: f(s) + 1e-6 * np.exp(
+            -((np.asarray(s) - 2.5) / 0.3) ** 2)[:, None] * np.array(
+            [0.0, 0.0, 0.0, 1.0])
+        rep = verify_theorem_conditions(channel_zonoid(), paths,
+                                        families=fams, s_samples=7)
+        trace = rep.check("main:trace")
+        assert not trace.passed
+        assert trace.where == "s=2.5"
+        assert trace.defect == pytest.approx(1e-6, rel=1e-9)
+
+    @pytest.mark.parametrize("owner, attr", [("path", "op_at"),
+                                             ("family", "density_at")])
+    @pytest.mark.parametrize("flaw, message", [
+        ("wide", "returned shape"), ("nan", "returned a non-finite entry"),
+        ("complex", "returned shape")])
+    def test_bad_diagonal_stack_is_refused(self, owner, attr, flaw,
+                                           message):
+        paths, fams = limiting_family()
+        obj = paths[0] if owner == "path" else fams[0]
+
+        def bad(x, real=getattr(obj, attr)):
+            out = real(x)
+            if flaw == "wide":
+                return np.hstack([out, np.zeros((len(out), 1))])
+            if flaw == "complex":
+                return out + 0j
+            out = out.copy()
+            out[-1, 0] = np.nan
+            return out
+
+        setattr(obj, attr, bad)
+        with pytest.raises(ValueError, match=f"{obj.label} {attr} {message}"):
+            verify_theorem_conditions(channel_zonoid(), paths, families=fams,
+                                      s_samples=5)
+
+    def test_sigma_outside_the_unit_interval_is_refused(self):
+        paths, fams = limiting_family()
+        fams[0].sigma_at = lambda s: np.sqrt(s)
+        with pytest.raises(ValueError, match="sigma_at leaves"):
+            verify_theorem_conditions(channel_zonoid(), paths, families=fams,
+                                      s_samples=5)
+
+    @pytest.mark.parametrize("family, spec", [
+        (limiting_family, channel_zonoid),
+        (blocked_limiting_family, instrument_zonoid),
+    ])
+    @pytest.mark.parametrize("s_samples", [None, 11, 25])
+    def test_dense_callbacks_give_the_same_report(self, family, spec,
+                                                  s_samples):
+        # The built-in families answer with diagonals; made matrices, they
+        # take the dense route, with the same checks to rounding. Where the
+        # two routes' defects differ, both are rounding values, and so is
+        # the position of their largest: main:product's.
+        reports = []
+        for dense in (False, True):
+            paths, fams = family()
+            if dense:
+                for path in paths:
+                    path.op_at = lambda s, f=path.op_at: diagonal_stack(f(s))
+                for fam in fams:
+                    fam.density_at = lambda sg, f=fam.density_at: (
+                        diagonal_stack(f(sg)))
+            reports.append(verify_theorem_conditions(
+                spec(), paths, families=fams, s_samples=s_samples))
+        diag, dense = reports
+        assert [(c.name, c.passed) for c in diag.checks] == [
+            (c.name, c.passed) for c in dense.checks]
+        for a, b in zip(diag.checks, dense.checks):
+            assert abs(a.defect - b.defect) <= 1e-14, a.name
+            if a.defect != b.defect:
+                assert a.name == "main:product"
+                assert max(a.defect, b.defect) <= 1e-15
+            else:
+                assert a.where == b.where, a.name
 
     def test_non_hermitian_coefficient_stack_is_refused(self):
         # The verifier applies CoefficientMatrix's rule to every stack.
@@ -1200,6 +1363,8 @@ class TestVerifyTheoremConditions:
 
         def poisoned(x, real=getattr(obj, attr)):
             out = np.array(real(x))
+            if out.ndim == 2:
+                out = diagonal_stack(out)
             out[-1, 0, 0] = np.nan
             return out
 

@@ -1476,3 +1476,29 @@ class TestBoundaryPoints:
             - support_function(rep.separating, spec)
         assert gap > MEMBERSHIP_TOL and abs(gap - rep.gap) <= 1e-10
         _check_certificate(rep, z, spec)
+
+
+class TestDiagonalResiduals:
+    """||L(C) - diag v|| on the reached entries, plus the unreached ones."""
+
+    @pytest.mark.parametrize("make", [
+        channel_zonoid, instrument_zonoid, square_spec, interval_spec,
+        # Entry (2, 2) is reached by no operator.
+        lambda: ZonoidSpec(kraus_from_operators(
+            [np.diag([1.0, 0.0, 0.0]).astype(complex),
+             np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)],
+            PartyDims((3,)))),
+    ])
+    def test_equal_the_dense_residuals(self, rng, make):
+        spec = make()
+        s = spec.solver()
+        k = spec.kappa
+        g = (rng.standard_normal((6, k, k))
+             + 1j * rng.standard_normal((6, k, k)))
+        cs = g + g.conj().swapaxes(1, 2)
+        v = rng.uniform(-1.0, 1.0, (6, spec.dim))
+        want = np.linalg.norm(s.image(cs) - diagonal_stack(v), axis=(1, 2))
+        np.testing.assert_allclose(s.diagonal_residuals(cs, v), want,
+                                   rtol=1e-14, atol=0.0)
+        assert s.diagonal_residuals(cs[0], v[0]) == pytest.approx(
+            want[0], rel=1e-14)
