@@ -4,7 +4,7 @@ reports: a git revision of the package against the working tree.
 
     python3 scripts/ab.py REV --workload {protocol,theorem,geometry} \\
         --seed N --rounds R
-    python3 scripts/ab.py REV --reports [--only COMMAND]
+    python3 scripts/ab.py REV --reports
 
 ``git archive REV src/loccverify`` is unpacked into a temporary directory
 and imported as ``loccverify_base`` beside the working tree's
@@ -22,12 +22,11 @@ tree first: that reads the noise floor of the host.
 With ``--reports`` it runs each command of the verification battery,
 then those of ``EXTRA_REPORTS`` (``theorem1 --nu 1000`` and ``paper-pq
 --parties 6``), as a fresh ``python -m loccverify.cli`` process on each
-side. Per report it
-prints whether stdout matches byte for byte once the ``wall_time_s``
-line is dropped, and whether the check names, verdicts and exit status
-match; under a report whose bytes differ it lists each check whose defect
-or ``where`` moved, base -> tree. ``--only`` keeps the runs of one
-subcommand. It exits 1 when some verdict differs.
+side. Per report it prints whether stdout matches byte for byte once the
+``wall_time_s`` line is dropped, and whether the check names, verdicts and
+exit status match; under a report whose bytes differ it lists each check
+whose defect or ``where`` moved, base -> tree. It exits 1 when some
+verdict differs.
 A bad REV exits 2 with one line on stderr.
 """
 
@@ -174,18 +173,11 @@ def main() -> int:
     mode.add_argument("--workload", choices=wl.WORKLOADS)
     mode.add_argument("--reports", action="store_true",
                       help="compare the CLI reports instead of timings")
-    parser.add_argument("--only", metavar="COMMAND",
-                        help="with --reports, the runs of this subcommand")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--rounds", type=int, default=21)
     args = parser.parse_args()
     if args.workload and args.seed is None:
         parser.error("--workload needs --seed")
-    argvs = report_argvs() if args.reports else []
-    if args.only:
-        argvs = [argv for argv in argvs if argv[0] == args.only]
-        if not argvs:
-            parser.error("--only needs --reports and a subcommand they run")
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 
@@ -200,7 +192,7 @@ def main() -> int:
             return 2
         if args.reports:
             print(f"reports: base {args.rev} against the working tree")
-            return compare_reports(base_src, argvs)
+            return compare_reports(base_src, report_argvs())
         sys.path.insert(0, str(ROOT / "src"))
         import loccverify as tree
         jobs = wl.make_jobs(args.workload, args.seed, 1)[0]

@@ -238,10 +238,18 @@ def integrate_sqrt_smooth(f: Callable[[np.ndarray], np.ndarray],
     Substitutes sigma = u^2 so integrands polynomial in sqrt(sigma) become
     polynomial in u and the fixed-order rule is exact. Plain Gauss-Legendre
     converges slowly on such integrands: 2e-5 off on sqrt(sigma) at 16
-    nodes. ``f`` is stacked as for :func:`gauss_legendre`.
+    nodes. ``f`` is stacked as for :func:`gauss_legendre`: it is called
+    once, at the squares of :func:`sqrt_smooth_nodes`, and
+    :func:`sqrt_smooth_total` sums its node values.
     """
-    return gauss_legendre(lambda u: _per_node(2.0 * u, _node_values(f, u * u)),
-                          0.0, 1.0, nodes)
+    if nodes < 1:
+        raise ValueError("need at least one node")
+    t = sqrt_smooth_nodes(nodes=nodes)
+    out = sqrt_smooth_total(_per_node(2.0 * t, _node_values(f, t * t)),
+                            nodes)
+    if out.ndim == 0:
+        return out[()]
+    return out
 
 
 def _legendre_rows(y: np.ndarray, degree: int) -> np.ndarray:
@@ -265,11 +273,13 @@ def _legendre_rows(y: np.ndarray, degree: int) -> np.ndarray:
     return v
 
 
-def sqrt_smooth_nodes(top: float = 1.0) -> np.ndarray:
+def sqrt_smooth_nodes(top: float = 1.0,
+                      nodes: int = QUAD_NODES) -> np.ndarray:
     """The points t of [0, top] at whose squares sigma = t^2
-    :func:`cumulative_sqrt_smooth` samples its integrand: t = top (x + 1) / 2
-    for the QUAD_NODES Gauss-Legendre nodes x."""
-    x, _, _ = _leggauss(QUAD_NODES)
+    :func:`integrate_sqrt_smooth` and :func:`cumulative_sqrt_smooth` sample
+    their integrand: t = top (x + 1) / 2 for the ``nodes`` Gauss-Legendre
+    nodes x."""
+    x, _, _ = _leggauss(int(nodes))
     return 0.5 * top * (x + 1.0)
 
 
@@ -287,11 +297,12 @@ def cumulative_weights(u: np.ndarray, top: float = 1.0) -> np.ndarray:
     return 0.5 * top * (ends.T @ antiderivative)
 
 
-def sqrt_smooth_total(vals: np.ndarray) -> np.ndarray:
+def sqrt_smooth_total(vals: np.ndarray,
+                      nodes: int = QUAD_NODES) -> np.ndarray:
     """The integral of f over [0, 1] from its values 2 t f(t^2) at the
-    nodes t of :func:`sqrt_smooth_nodes` on [0, 1], stacked on the first
-    axis: the Gauss-Legendre rule of :func:`integrate_sqrt_smooth`."""
-    _, w, _ = _leggauss(QUAD_NODES)
+    ``nodes`` nodes t of :func:`sqrt_smooth_nodes` on [0, 1], stacked on the
+    first axis: the Gauss-Legendre rule of :func:`integrate_sqrt_smooth`."""
+    _, w, _ = _leggauss(int(nodes))
     return 0.5 * _per_node(w, vals).sum(axis=0)
 
 

@@ -854,11 +854,6 @@ def limit_path_diagonals(parties: int, s) -> np.ndarray:
     return diag
 
 
-def limit_path_stack(parties: int, s) -> np.ndarray:
-    """:func:`limit_path_diagonals` as matrices; shape (n, 2^P, 2^P)."""
-    return diagonal_stack(limit_path_diagonals(parties, s))
-
-
 @dataclass(frozen=True)
 class PathDistanceReport:
     parties: int

@@ -51,7 +51,8 @@ from loccverify import (
     verify_tree,
     wstate_analysis,
 )
-from loccverify.protocols import c_matrix_stack, limit_path_stack
+from loccverify.linalg import diagonal_stack
+from loccverify.protocols import c_matrix_stack, limit_path_diagonals
 from loccverify.twoqubit import K_GROUPED, K_REDUCED
 
 from conftest import random_channel, random_density
@@ -138,8 +139,8 @@ def test_criterion_4_limit_membership(capsys):
             lambda u, n=name: c_matrix_stack(n, (1.0 + u) ** 2))
     res_defect = float(np.abs(total - np.eye(4)).max())
     spec = channel_zonoid()
-    mem_worst = max(membership(z, spec).residual
-                    for z in limit_path_stack(2, np.linspace(1.0, 4.0, 11)))
+    path = diagonal_stack(limit_path_diagonals(2, np.linspace(1.0, 4.0, 11)))
+    mem_worst = max(membership(z, spec).residual for z in path)
     ok = (min_main >= -1e-10 and min_halt >= -1e-10
           and res_defect <= 1e-8 and mem_worst <= 1e-7)
     announce(capsys, "4 (limit membership)", ok,

@@ -28,11 +28,12 @@ def test_all_names_exactly_the_bound_public_names():
     (serialize, "instrument_to_json"),
     (protocols, "ProtocolNode"),
     (zonoid, "cmatrix_resolution_check"),
+    (protocols, "limit_path_stack"),
     (linalg, "psd_check"),
     (linalg, "PsdReport"),
 ])
 def test_retired_names_are_gone(module, name):
     assert not hasattr(module, name)
     assert not hasattr(loccverify, name)
-    # As a whole word: limit_path_stack is not the retired limit_path.
+    # As a whole word: limit_path_diagonals is not the retired limit_path.
     assert not re.search(rf"(?<!\w){name}(?!\w)", README.read_text())

@@ -34,7 +34,7 @@ from loccverify import (
 from loccverify import linalg, protocols, zonoid
 from loccverify.linalg import cumulative_sqrt_smooth, diagonal_stack
 from loccverify.protocols import (TreeFailure, c_matrix_stack,
-                                  derivative_diagonals, limit_path_stack,
+                                  derivative_diagonals, limit_path_diagonals,
                                   protocol_check_bytes, protocol_tree_bytes)
 from loccverify.zonoid import coefficient_stack
 
@@ -757,19 +757,19 @@ class TestPaths:
     def test_limit_path_trace_parametrization(self):
         for parties in (2, 3):
             grid = np.linspace(1.0, 2.0 ** parties, 9)
-            ops = limit_path_stack(parties, grid)
+            ops = diagonal_stack(limit_path_diagonals(parties, grid))
             np.testing.assert_allclose(np.trace(ops, axis1=1, axis2=2), grid,
                                        rtol=0.0, atol=1e-12)
 
     def test_limit_path_endpoints(self):
-        top, bottom = limit_path_stack(2, [4.0, 1.0])
+        top, bottom = diagonal_stack(limit_path_diagonals(2, [4.0, 1.0]))
         np.testing.assert_allclose(top, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(bottom, np.diag([0.0, 0.0, 0.0, 1.0]),
                                    atol=1e-12)
 
     def test_limit_path_is_product(self):
         # each party's factor carries the per-party trace s**(1/P)
-        (m,) = limit_path_stack(3, [3.7])
+        (m,) = diagonal_stack(limit_path_diagonals(3, [3.7]))
         factor = np.diag([3.7 ** (1.0 / 3.0) - 1.0, 1.0])
         np.testing.assert_allclose(m, kron([factor] * 3), atol=1e-12)
 
@@ -850,7 +850,7 @@ def _table_gap(parties, rounds, exponent, grid):
     """Gap of path_distance_bound by the step table: one trace norm per
     grid point of the clamped main-branch path against the limit path."""
     path = main_branch_path(parties, rounds, exponent)
-    limit = limit_path_stack(parties, grid)
+    limit = diagonal_stack(limit_path_diagonals(parties, grid))
     gaps = [trace_norm(path.at(float(s), clamp=True) - op)
             for s, op in zip(grid, limit)]
     return max(gaps)
@@ -955,6 +955,21 @@ class TestClosedFormMainBranch:
                         main_branch_diagonals(parties, rounds, c, grid),
                         _bisected_diagonals(parties, rounds, c, grid))
 
+    @pytest.mark.parametrize("parties, rounds, c", [
+        (3, 40, 0.5), (5, 9000, 0.3), (6, 1000, 0.7), (4, 10 ** 5, 0.3),
+        (6, 10 ** 5, 0.1), (2, 10 ** 6, 0.5), (3, 10 ** 6, 0.2)])
+    def test_placement_matches_the_bisection_at_breakpoints(self, parties,
+                                                            rounds, c):
+        # At the breakpoints, and one ulp to either side, neighbouring node
+        # traces can tie or fall out of order on the plateau, so two
+        # segments may both pass the check T(k) >= s > T(k + 1).
+        s = main_branch_path(parties, rounds, c).s_values
+        for grid in (s, np.nextafter(s, np.inf), np.nextafter(s, -np.inf)):
+            grid = np.clip(grid, 1.0, 2.0 ** parties)
+            assert np.array_equal(
+                main_branch_diagonals(parties, rounds, c, grid),
+                _bisected_diagonals(parties, rounds, c, grid))
+
     def test_breakpoints_are_table_rows_bit_for_bit(self):
         path = main_branch_path(3, 40, 0.5)
         got = main_branch_diagonals(3, 40, 0.5, path.s_values)
@@ -996,8 +1011,9 @@ class TestDerivativeOutcomes:
     def test_completeness_against_quadrature(self, parties):
         d = 2 ** parties
         # the path bottom is the projector onto the all-ones corner
-        total = limit_path_stack(parties, [1.0])[0] + integrate_sqrt_smooth(
-            lambda u: np.real(derivative_outcomes(parties, u)).sum(axis=1))
+        total = (np.diag(limit_path_diagonals(parties, [1.0])[0])
+                 + integrate_sqrt_smooth(lambda u: np.real(
+                     derivative_outcomes(parties, u)).sum(axis=1)))
         np.testing.assert_allclose(np.diagonal(total), np.ones(d), atol=1e-10)
 
     def test_two_party_outcomes_bit_for_bit(self):
@@ -1077,8 +1093,9 @@ class TestCMatrixFamily:
         spec = channel_zonoid()
         solver = spec.solver()
         grid = np.linspace(1.0, 4.0, 7)
-        np.testing.assert_allclose(solver.image(c_matrix_stack("C1", grid)),
-                                   limit_path_stack(2, grid), atol=1e-10)
+        np.testing.assert_allclose(
+            solver.image(c_matrix_stack("C1", grid)),
+            diagonal_stack(limit_path_diagonals(2, grid)), atol=1e-10)
 
     @pytest.mark.parametrize("name", ["C2", "C3"])
     def test_halt_densities_rank_one_psd(self, name):
@@ -1195,7 +1212,7 @@ class TestVerifyTheoremConditions:
         paths, fams = limiting_family()
 
         def bumped(s):
-            op = limit_path_stack(2, s)
+            op = diagonal_stack(limit_path_diagonals(2, s))
             op[:, 0, 0] += 1e-6 * np.exp(-((s - 2.5) / 0.3) ** 2)
             return op
 
@@ -1551,7 +1568,8 @@ class TestIntegratedWitness:
             for grid in solver.grids:
                 w = np.linalg.eigvalsh(c[grid])
                 assert w[0] >= -1e-12 and w[-1] <= 1.0 + 1e-12
-            (want,) = limit_path_stack(2, [(1.0 + sigma) ** 2])
+            (want,) = diagonal_stack(
+                limit_path_diagonals(2, [(1.0 + sigma) ** 2]))
             np.testing.assert_allclose(solver.image(c), want, rtol=0.0,
                                        atol=1e-12)
 

@@ -36,7 +36,7 @@ from loccverify import (
 )
 from loccverify import twoqubit, zonoid
 from loccverify.linalg import diagonal_stack
-from loccverify.protocols import limit_path_stack
+from loccverify.protocols import limit_path_diagonals
 from loccverify.tolerances import MEMBERSHIP_TOL, ROUNDING_TOL
 from loccverify.zonoid import (CoefficientMatrix, _directions,
                                coefficient_stack)
@@ -45,6 +45,11 @@ from conftest import haar_unitary
 
 D2 = PartyDims((2,))
 ZONOIDS = {"channel": channel_zonoid, "instrument": instrument_zonoid}
+
+
+def _limit_point(parties, s):
+    """The limit path's operator at one s, as a matrix."""
+    return diagonal_stack(limit_path_diagonals(parties, [s]))[0]
 
 
 def square_spec():
@@ -199,7 +204,7 @@ class TestMembershipReports:
         # 1e-12 of z but not within a caller's tol of 1e-14.
         spec = channel_zonoid()
         z = np.eye(4, dtype=complex) if stop == "identity" \
-            else limit_path_stack(2, [2.5])[0]
+            else _limit_point(2, 2.5)
         z[0, 1] += 1e-13
         z[1, 0] += 1e-13
         rep = membership(z, spec)
@@ -213,7 +218,7 @@ class TestMembershipReports:
 
     def test_witness_reproduces_point(self):
         spec = channel_zonoid()
-        z = limit_path_stack(2, [2.5])[0]
+        z = _limit_point(2, 2.5)
         rep = membership(z, spec)
         assert rep.feasible
         solver = spec.solver()
@@ -240,7 +245,7 @@ class TestMembershipReports:
         spec = channel_zonoid()
         worst = 0.0
         for s in np.linspace(1.0, 4.0, 11):
-            rep = membership(limit_path_stack(2, [s])[0], spec)
+            rep = membership(_limit_point(2, s), spec)
             assert rep.feasible, s
             worst = max(worst, rep.residual)
         assert worst <= 1e-7
@@ -346,7 +351,7 @@ class TestMembershipReports:
     def test_four_party_limit_path_needs_no_face(self, s):
         # The barrier solve answers s = 15 in a few Newton steps; the
         # slice point nearest the box centre answers s = 12 exactly.
-        rep = membership(limit_path_stack(4, [s])[0], _multiplier_spec(4))
+        rep = membership(_limit_point(4, s), _multiplier_spec(4))
         assert rep.feasible
         if s == 15.0:
             assert rep.stop in ("interior", "face")
@@ -360,8 +365,8 @@ class TestMembershipReports:
         # so a report carries no face direction.
         spec = channel_zonoid()
         for target, phase in [(np.eye(4), "candidate"),
-                              (limit_path_stack(2, [2.5])[0], "candidate"),
-                              (limit_path_stack(2, [1.2])[0], "barrier"),
+                              (_limit_point(2, 2.5), "candidate"),
+                              (_limit_point(2, 1.2), "barrier"),
                               (np.diag([0.9, 0.9, 1.0, 1.0 + 1e-6]),
                                "barrier")]:
             rep = membership(np.asarray(target, dtype=complex), spec)
@@ -408,7 +413,7 @@ class TestMembershipReports:
         assert rep.separating is None and rep.gap is None
 
     def test_witness_matrix_cannot_be_replaced_or_written(self):
-        rep = membership(limit_path_stack(2, [2.5])[0], channel_zonoid())
+        rep = membership(_limit_point(2, 2.5), channel_zonoid())
         c = rep.witness
         kept = c.matrix.copy()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -611,7 +616,7 @@ class TestSupportFunction:
     def test_dominates_members(self):
         # support in any direction bounds the pairing with any member
         spec = channel_zonoid()
-        z = limit_path_stack(2, [3.0])[0]
+        z = _limit_point(2, 3.0)
         direction = np.diag([1.0, 0.5, 0.25, 2.0]).astype(complex)
         pairing = float(np.real(np.trace(direction @ z)))
         assert support_function(direction, spec) >= pairing - 1e-9
@@ -1044,7 +1049,7 @@ class TestStopReasons:
     @pytest.mark.parametrize("stop,target", [
         ("identity", np.eye(4)),
         ("affine", np.diag([0.0, 0.0, 0.0, 1.0])),
-        ("face", limit_path_stack(2, [1.2])[0]),
+        ("face", _limit_point(2, 1.2)),
         # Certified by the box projection of a^+ z, before any step.
         ("outside", np.diag([0.36, 0.42, 1.0, 0.7])),
         # Outside by about 1e-6; certified after some centrings.
@@ -1068,7 +1073,7 @@ class TestStopReasons:
         # The limit path at s = 1.2 is answered after 4 Newton steps
         # uncapped; capped at 2, it is undecided and claims no certificate.
         monkeypatch.setattr(zonoid, "MEMBERSHIP_MAX_ITER", 2)
-        rep = membership(limit_path_stack(2, [1.2])[0], channel_zonoid())
+        rep = membership(_limit_point(2, 1.2), channel_zonoid())
         assert (rep.stop, rep.feasible) == ("undecided", False)
         assert rep.iterations == 2
         assert rep.separating is None and rep.gap is None
@@ -1412,7 +1417,7 @@ class TestBoundaryPoints:
                                            (5, 30.0)])
     def test_limit_path_is_inside(self, parties, s):
         spec = _multiplier_spec(parties)
-        z = limit_path_stack(parties, [s])[0]
+        z = _limit_point(parties, s)
         rep = membership(z, spec)
         assert rep.feasible and rep.phase == "barrier"
         assert _kraus_witness_residual(spec, rep.witness.matrix, z) \
