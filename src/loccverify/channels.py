@@ -50,13 +50,15 @@ def index_partition(groups, n: int, what: str) -> tuple[tuple[int, ...], ...]:
     return part
 
 
-@dataclass
+@dataclass(frozen=True)
 class KrausSet:
     """A finite family of Kraus operators with shared shapes.
 
     ``operators`` has shape (n, d_out, d_in). The set need not be
     trace preserving, so the same type carries channel branches and
-    operator bases.
+    operator bases. Its fields cannot be rebound; the operator array is
+    the caller's when it is already a complex stack, and its writeable
+    flag is left as the caller set it.
     """
 
     operators: np.ndarray
@@ -64,11 +66,12 @@ class KrausSet:
     output_dims: PartyDims
 
     def __post_init__(self):
-        self.operators = _stack_operators(self.operators)
-        if isinstance(self.input_dims, (tuple, list)):
-            self.input_dims = PartyDims(tuple(self.input_dims))
-        if isinstance(self.output_dims, (tuple, list)):
-            self.output_dims = PartyDims(tuple(self.output_dims))
+        object.__setattr__(self, "operators",
+                           _stack_operators(self.operators))
+        for name in ("input_dims", "output_dims"):
+            dims = getattr(self, name)
+            if isinstance(dims, (tuple, list)):
+                object.__setattr__(self, name, PartyDims(tuple(dims)))
         n, do, d = self.operators.shape
         if d != self.input_dims.total:
             raise ValueError(

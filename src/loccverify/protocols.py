@@ -621,26 +621,49 @@ class PiecewisePath:
                               + (1.0 - lam) * self.diagonals[k + 1])
 
 
+# Entries of the main-branch columns that main_branch_path builds at a
+# time (8 MiB).
+_PATH_CHUNK_ENTRIES = 2 ** 20
+
+
 def main_branch_path(parties: int, rounds: int, exponent: float
                      ) -> PiecewisePath:
     """Main-branch path built directly, without the tree.
 
-    The node rows index one table of Python powers eta^n, n = 0..rounds + 1,
-    by cycle, so each equals the tree's continue row bit for bit. Deep in
-    a long protocol consecutive node traces coincide to rounding; a
-    breakpoint whose trace is not below the last kept one by a relative
-    1e-15 is dropped (:func:`_kept_breakpoints`), and its operator agrees
-    with the kept one to the same precision. The path holds the kept
-    diagonals, so its memory is O(n 2^P). They are built as columns, and
-    their traces are added in the order of a row sum (:func:`_traces`).
+    The node rows index Python powers eta^n by cycle, so each equals the
+    tree's continue row bit for bit. Deep in a long protocol consecutive
+    node traces coincide to rounding; a breakpoint whose trace is not below
+    the last kept one by a relative 1e-15 is dropped
+    (:func:`_kept_breakpoints`), and its operator agrees with the kept one
+    to the same precision. The nodes are built as columns, about
+    ``_PATH_CHUNK_ENTRIES`` entries at a time, each range with the powers
+    of its own cycles, and the rule runs on each range behind the last
+    trace kept before it; their traces are added in the order of a row sum
+    (:func:`_traces`). So the memory is that of the n kept diagonals,
+    O(n 2^P), plus one range.
     """
     eta = 1.0 - ProtocolParams(parties, rounds, exponent).epsilon
-    powers = np.array([eta ** n for n in range(rounds + 2)])
-    cycle, ahead = np.divmod(np.arange(parties * rounds + 1), parties)
-    cols = _node_diagonals(parties, powers[cycle], powers[cycle + 1], ahead)
-    traces = _traces(cols)
-    keep = _kept_breakpoints(traces)
-    return PiecewisePath(traces[keep], cols[:, keep].T)
+    nodes = parties * rounds + 1
+    step = max(1, _PATH_CHUNK_ENTRIES >> parties)
+    kept_s, kept_d, last = [], [], np.empty(0)
+    for start in range(0, nodes, step):
+        cycle, ahead = np.divmod(np.arange(start, min(start + step, nodes)),
+                                 parties)
+        first = int(cycle[0])
+        powers = np.array([eta ** n for n in range(first, int(cycle[-1]) + 2)])
+        cols = _node_diagonals(parties, powers[cycle - first],
+                               powers[cycle + 1 - first], ahead)
+        traces = np.concatenate([last, _traces(cols)])
+        keep = _kept_breakpoints(traces)[last.size:]
+        kept_s.append(traces[keep])
+        kept_d.append(cols[:, keep - last.size].T)
+        if keep.size:
+            last = traces[keep[-1:]]
+    if len(kept_d) == 1:
+        # One range, as every branch of up to 2e4 columns at P <= 5: its
+        # kept diagonals need no second copy.
+        return PiecewisePath(kept_s[0], kept_d[0])
+    return PiecewisePath(np.concatenate(kept_s), np.concatenate(kept_d))
 
 
 def _traces(cols: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ derivative outcomes of party index 1 and 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -75,6 +76,11 @@ W_GROUPING = np.array([
     [0.0, 0.0, np.sqrt(1.0 / 3.0), np.sqrt(1.0 / 3.0)],
     [0.0, 0.0, np.sqrt(2.0 / 3.0), -np.sqrt(1.0 / 6.0)],
 ], dtype=np.complex128)
+
+# Every caller shares these three arrays, so they are read-only.
+K_GROUPED.setflags(write=False)
+K_REDUCED.setflags(write=False)
+W_GROUPING.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -274,9 +280,23 @@ def prelimit_channel(rounds: int, exponent: float) -> KrausSet:
                             (2, 2))
 
 
+def _shared_spec(spec: ZonoidSpec) -> ZonoidSpec:
+    """``spec`` with its operators made read-only, for a builder whose
+    spec every caller shares; the builder made the array, so no caller's
+    array changes."""
+    spec.basis.operators.setflags(write=False)
+    return spec
+
+
+@cache
 def channel_zonoid() -> ZonoidSpec:
-    """Zonoid over the reduced four-operator basis."""
-    return ZonoidSpec(kraus_from_operators(list(K_REDUCED), (2, 2)))
+    """Zonoid over the reduced four-operator basis.
+
+    Built once per process: every caller shares the one frozen spec, its
+    read-only operators and its solver.
+    """
+    return _shared_spec(
+        ZonoidSpec(kraus_from_operators(list(K_REDUCED), (2, 2))))
 
 
 def _s_of(sigma):
@@ -332,9 +352,14 @@ def limiting_family(spec: ZonoidSpec | None = None):
         lambda s: c_matrix_stack("C1", s))
 
 
+@cache
 def instrument_zonoid() -> ZonoidSpec:
-    """Blocked zonoid over the per-outcome minimal bases (sizes 1, 2, 2)."""
-    return zonoid_spec_for_instrument(two_qubit_instrument().instrument)
+    """Blocked zonoid over the per-outcome minimal bases (sizes 1, 2, 2).
+
+    Built once per process and shared, as :func:`channel_zonoid` is.
+    """
+    return _shared_spec(
+        zonoid_spec_for_instrument(two_qubit_instrument().instrument))
 
 
 def blocked_limiting_family(spec: ZonoidSpec | None = None):
@@ -343,19 +368,20 @@ def blocked_limiting_family(spec: ZonoidSpec | None = None):
     Same geometry as :func:`limiting_family`, but coefficient densities are
     expanded block by block so the per-outcome identity resolutions can be
     checked. The halt density at each sigma stays inside its own block; the
-    coefficients are recovered by least squares against that block.
+    coefficients are recovered by least squares against that block, through
+    the block's expansion map, which the spec's solver holds.
     """
     if spec is None:
         spec = instrument_zonoid()
     blocks = spec.block_list()
-    ops = spec.basis.operators
+    maps = spec.solver().expansions()
     d = spec.dim
 
     def blocked_density(party: int):
         block = list(blocks[2 - party])
         # The expansion of a diagonal k reads only the diagonal entries of
-        # k, so it needs only the columns of the pseudo-inverse there.
-        a = np.linalg.pinv(ops[block].reshape(len(block), d * d).T)[:, ::d + 1]
+        # k, so it needs only the map's columns there.
+        a = maps[2 - party][1][:, ::d + 1]
 
         def f(sigma: np.ndarray) -> np.ndarray:
             k = np.sqrt(derivative_diagonals(2, sigma)[:, party])

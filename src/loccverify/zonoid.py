@@ -10,7 +10,7 @@ its own block and the boxes combine independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,25 +84,23 @@ def _witness(m: np.ndarray) -> CoefficientMatrix:
     return c
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZonoidSpec:
     """Basis operators defining a zonoid, optionally split into blocks.
 
     Blocks are tuples of 0-based indices into the basis. Within each block
     the operators must be linearly independent; across blocks they need not
-    be, since the coefficient matrix never couples blocks.
+    be, since the coefficient matrix never couples blocks. Frozen, so one
+    spec and its solver can be shared between callers.
     """
 
     basis: KrausSet
     blocks: tuple[tuple[int, ...], ...] | None = None
-    _solver: "_MembershipSolver | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.blocks is not None:
-            self.blocks = index_partition(self.blocks,
-                                          self.basis.n_operators, "block")
+            object.__setattr__(self, "blocks", index_partition(
+                self.blocks, self.basis.n_operators, "block"))
         for blk in self.block_list():
             flat = self.basis.operators[list(blk)].reshape(len(blk), -1)
             gram = flat.conj() @ flat.T
@@ -126,9 +124,10 @@ class ZonoidSpec:
         return self.blocks
 
     def solver(self) -> "_MembershipSolver":
-        if self._solver is None:
-            self._solver = _MembershipSolver(self.basis.operators,
-                                             self.block_list())
+        """The membership machinery of this spec, built on first use."""
+        if "_solver" not in self.__dict__:
+            object.__setattr__(self, "_solver", _MembershipSolver(
+                self.basis.operators, self.block_list()))
         return self._solver
 
 
@@ -181,12 +180,15 @@ class _MembershipSolver:
     that the basis ``ops`` reaches; it is zero on the others. Residuals
     carry C as the vector of its block-supported entries and z as
     :meth:`target`, so L is the matrix ``a``. The slice is held once, from
-    one SVD of L (:meth:`constraints`), for every stage.
+    one SVD of L (:meth:`constraints`), for every stage, and so are the
+    blocks' expansion maps (:meth:`expansions`).
     """
 
     def __init__(self, ops: np.ndarray, blocks):
         kappa, _, d = ops.shape
         self.kappa, self.dim = kappa, d
+        self.ops, self.blocks = ops, blocks
+        self._expansions = None
         self.real = not ops.imag.any()
         # The entries (a, c) of Khat_m^dag Khat_n that some output row b
         # with nonzero (b, a) and (b, c) reaches, row-major.
@@ -215,6 +217,23 @@ class _MembershipSolver:
         self.ident = np.eye(kappa, dtype=np.complex128)[mask]
         self.ident_image = self.a @ self.ident
         self._slices: dict[bool, tuple] = {}
+
+    def expansions(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per block, its operators flattened into the columns of a
+        (d^2, m) matrix B and the expansion map B^+, (m, d^2): B^+ k is the
+        least-squares expansion of a flattened operator k over the block.
+        Built on first use and read-only, since every caller of the spec
+        reads the same arrays."""
+        if self._expansions is None:
+            maps = []
+            for blk in self.blocks:
+                cols = self.ops[list(blk)].reshape(len(blk), -1).T
+                pinv = np.linalg.pinv(cols)
+                cols.setflags(write=False)
+                pinv.setflags(write=False)
+                maps.append((cols, pinv))
+            self._expansions = tuple(maps)
+        return self._expansions
 
     def target(self, z: np.ndarray) -> np.ndarray:
         """z at the reached entries, then the norm of its part off them, so
@@ -717,10 +736,10 @@ def endpoint_cmatrix(k_leaf, spec: ZonoidSpec) -> CoefficientMatrix:
     scale = max(1.0, float(np.linalg.norm(kvec)))
     best_res = np.inf
     best_w = None
-    for blk in spec.block_list():
-        bmat = ops[list(blk)].reshape(len(blk), -1)
-        x, *_ = np.linalg.lstsq(bmat.T, kvec, rcond=None)
-        res = float(np.linalg.norm(bmat.T @ x - kvec))
+    for blk, (cols, pinv) in zip(spec.block_list(),
+                                 spec.solver().expansions()):
+        x = pinv @ kvec
+        res = float(np.linalg.norm(cols @ x - kvec))
         if res < best_res:
             best_res = res
             w = np.zeros(spec.kappa, dtype=np.complex128)

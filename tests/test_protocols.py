@@ -14,12 +14,14 @@ from loccverify import (
     ProtocolParams,
     ProtocolTree,
     TreeReport,
+    ZonoidSpec,
     blocked_limiting_family,
     build_protocol_pq,
     channel_zonoid,
     derivative_outcomes,
     instrument_zonoid,
     integrate_sqrt_smooth,
+    kraus_from_operators,
     kron,
     limiting_family,
     main_branch_diagonals,
@@ -28,14 +30,17 @@ from loccverify import (
     path_distance_bound,
     protocol_leaf_diagonals,
     trace_norm,
+    two_qubit_instrument,
     verify_theorem_conditions,
     verify_tree,
+    zonoid_spec_for_instrument,
 )
 from loccverify import linalg, protocols, zonoid
 from loccverify.linalg import cumulative_sqrt_smooth, diagonal_stack
 from loccverify.protocols import (TreeFailure, c_matrix_stack,
                                   derivative_diagonals, limit_path_diagonals,
                                   protocol_check_bytes, protocol_tree_bytes)
+from loccverify.twoqubit import K_REDUCED
 from loccverify.zonoid import coefficient_stack
 
 
@@ -753,6 +758,44 @@ class TestAgainstKronReference:
         assert got.tolist() == kept
 
 
+class TestMainBranchRanges:
+    """main_branch_path builds its columns a range at a time."""
+
+    @pytest.mark.parametrize("parties,rounds,exponent", [
+        (2, 900, 0.4), (2, 9000, 0.5), (3, 900, 0.4), (4, 270, 0.6),
+        (6, 40, 0.3)])
+    @pytest.mark.parametrize("columns", [1, 2, 3, 7, 64])
+    def test_ranges_give_the_whole_branch(self, monkeypatch, parties, rounds,
+                                          exponent, columns):
+        # Ranges of a few columns cross the head of steadily falling
+        # traces, the plateau and every cycle boundary; the path is the one
+        # a single range builds, bit for bit.
+        whole = main_branch_path(parties, rounds, exponent)
+        monkeypatch.setattr(protocols, "_PATH_CHUNK_ENTRIES",
+                            columns << parties)
+        got = main_branch_path(parties, rounds, exponent)
+        assert got.s_values.tobytes() == whole.s_values.tobytes()
+        assert got.diagonals.tobytes() == whole.diagonals.tobytes()
+
+    @pytest.mark.parametrize("columns", [1, 5])
+    def test_ranges_follow_the_sequential_rule(self, monkeypatch, columns):
+        monkeypatch.setattr(protocols, "_PATH_CHUNK_ENTRIES", columns << 2)
+        assert _assert_branch_matches_reference(2, 900, 0.4) < 2 * 900 + 1
+
+    def test_memory_follows_the_kept_breakpoints(self):
+        # Built whole, the 2e6 + 1 columns peak at 208 MiB to keep 101
+        # breakpoints; a range of 2^20 entries at a time peaks near 37.
+        main_branch_path(2, 10, 0.05)
+        tracemalloc.start()
+        try:
+            path = main_branch_path(2, 10 ** 6, 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.s_values.size == 101
+        assert peak < 64 * 2 ** 20
+
+
 class TestPaths:
     def test_limit_path_trace_parametrization(self):
         for parties in (2, 3):
@@ -1172,6 +1215,22 @@ class TestVerifyTheoremConditions:
         assert not product.passed
         assert product.defect == pytest.approx(7.444e-3, rel=1e-3)
         assert product.where == "s=4"
+
+    @pytest.mark.parametrize("family", [limiting_family,
+                                        blocked_limiting_family])
+    def test_scaled_main_path_fails_endpoint(self, family):
+        # Four times the path: its root at s = 1 is 2 e_0, so the derived
+        # endpoint is C = 4 e_0 e_0^T, whose top eigenvalue leaves the box
+        # by exactly 3.
+        spec = (channel_zonoid() if family is limiting_family
+                else instrument_zonoid())
+        paths, fams = family(spec)
+        paths[0].op_at = lambda s, f=paths[0].op_at: 4.0 * f(s)
+        rep = verify_theorem_conditions(spec, paths, families=fams,
+                                        s_samples=11)
+        endpoint = rep.check("main:endpoint")
+        assert not endpoint.passed
+        assert endpoint.defect == 3.0
 
     def test_report_lookup(self):
         paths, fams = limiting_family()
@@ -1620,6 +1679,30 @@ class TestLimitFamilies:
         (c1,) = coefficient_stack(c_matrix_stack("C1", [1.0]))
         assert np.array_equal(c_end.matrix, c1)
         assert defect <= 1e-12
+
+    @pytest.mark.parametrize("s_samples", [5, 25, None])
+    @pytest.mark.parametrize("family", [limiting_family,
+                                        blocked_limiting_family])
+    def test_shared_specs_report_as_fresh_ones(self, family, s_samples):
+        # The shared spec, its solver already used by earlier tests, gives
+        # the report of a spec built afresh, check by check and bitwise.
+        if family is limiting_family:
+            shared = channel_zonoid()
+            fresh = ZonoidSpec(kraus_from_operators(list(K_REDUCED), (2, 2)))
+        else:
+            shared = instrument_zonoid()
+            fresh = zonoid_spec_for_instrument(
+                two_qubit_instrument().instrument)
+        assert fresh is not shared
+
+        def checks(spec):
+            paths, fams = family(spec)
+            rep = verify_theorem_conditions(spec, paths, families=fams,
+                                            s_samples=s_samples)
+            return [(c.name, c.defect.hex(), c.tol, c.where)
+                    for c in rep.checks]
+
+        assert checks(shared) == checks(fresh)
 
     def test_reduced_and_blocked_families_agree(self):
         (main,), fams = limiting_family()

@@ -1,5 +1,7 @@
 """Tests for the worked two-qubit instrument and its limiting channel."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,13 @@ from loccverify import (
     apply,
     blocked_isometry_check,
     channel_from_leaf_povm,
+    channel_zonoid,
     choi,
     choi_distance,
     coarse_grain_check,
     concurrence,
     continuous_isometry_check,
+    instrument_zonoid,
     isometric_relation,
     kraus_rank,
     limiting_choi_2q,
@@ -84,6 +88,57 @@ class TestInstrumentDefinition:
         rho = random_density(4, rng)
         probs = [p for _, p in apply(inst, rho)]
         assert sum(probs) == pytest.approx(1.0)
+
+
+class TestSharedSpecs:
+    """The built-in zonoids are built once and shared read-only."""
+
+    @pytest.mark.parametrize("build", [channel_zonoid, instrument_zonoid])
+    def test_one_spec_per_process(self, build):
+        spec = build()
+        assert build() is spec
+        assert spec.solver() is build().solver()
+
+    @pytest.mark.parametrize("build", [channel_zonoid, instrument_zonoid])
+    def test_fields_cannot_be_rebound(self, build):
+        spec = build()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.blocks = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.basis = spec.basis
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.basis.operators = spec.basis.operators.copy()
+
+    @pytest.mark.parametrize("build", [channel_zonoid, instrument_zonoid])
+    def test_shared_arrays_are_read_only(self, build):
+        spec = build()
+        with pytest.raises(ValueError, match="read-only"):
+            spec.basis.operators[0, 0, 0] = 2.0
+        for cols, pinv in spec.solver().expansions():
+            with pytest.raises(ValueError, match="read-only"):
+                pinv[0, 0] = 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                cols[0, 0] = 2.0
+
+    @pytest.mark.parametrize("name", ["K_GROUPED", "K_REDUCED", "W_GROUPING"])
+    def test_module_constants_are_read_only(self, name):
+        constant = getattr(twoqubit, name)
+        before = constant.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            constant[0] *= 2.0
+        assert np.array_equal(constant, before)
+
+    def test_kraus_set_keeps_the_callers_flag(self):
+        # A KrausSet holds a complex stack it is given as it is; only the
+        # builders of the shared specs make their own arrays read-only.
+        ops = K_REDUCED.copy()
+        kraus = twoqubit.KrausSet(ops, (2, 2), (2, 2))
+        assert kraus.operators is ops and ops.flags.writeable
+        assert not twoqubit.KrausSet(K_REDUCED, (2, 2),
+                                     (2, 2)).operators.flags.writeable
+        channel_zonoid(), instrument_zonoid()
+        fresh = two_qubit_instrument().instrument.kraus.operators
+        assert fresh.flags.writeable
 
 
 class TestGroupingIsometry:

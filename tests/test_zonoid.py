@@ -516,6 +516,41 @@ class TestEndpointFits:
         with pytest.raises(NotInSpanError):
             endpoint_cmatrix(off, channel_zonoid())
 
+    @pytest.mark.parametrize("basis", ["channel", "instrument", 3, 4])
+    def test_expansion_maps_match_least_squares(self, basis):
+        # Random operators in the span of each block, fit through the
+        # solver's expansion maps and by a least-squares solve per block:
+        # the same block answers, and the two rank-one matrices agree to
+        # the rounding a fit of condition number cond(B) allows.
+        spec = (ZONOIDS[basis]() if basis in ZONOIDS
+                else _multiplier_spec(basis))
+        ops = spec.basis.operators
+        rng = np.random.default_rng(37)
+        eps = np.finfo(float).eps
+        for b, blk in enumerate(spec.block_list()):
+            cond = np.linalg.cond(ops[list(blk)].reshape(len(blk), -1))
+            for _ in range(20):
+                w = (rng.standard_normal(len(blk))
+                     + 1j * rng.standard_normal(len(blk)))
+                k = np.einsum("m,mij->ij", w, ops[list(blk)])
+                fits = []
+                for other in spec.block_list():
+                    bmat = ops[list(other)].reshape(len(other), -1).T
+                    x, *_ = np.linalg.lstsq(bmat, k.reshape(-1), rcond=None)
+                    fits.append((np.linalg.norm(bmat @ x - k.reshape(-1)),
+                                 other, x))
+                res, other, x = min(fits, key=lambda fit: fit[0])
+                assert other == blk
+                want = np.zeros(spec.kappa, dtype=complex)
+                want[list(blk)] = x
+                want = np.outer(want.conj(), want)
+                got = endpoint_cmatrix(k, spec).matrix
+                outside = np.ones(got.shape, dtype=bool)
+                outside[np.ix_(blk, blk)] = False
+                assert not got[outside].any()
+                assert np.abs(got - want).max() <= \
+                    8 * eps * cond * np.abs(want).max()
+
 
 class TestHausdorff:
     def test_same_spec_is_zero(self):
