@@ -4,7 +4,7 @@ reports: a git revision of the package against the working tree.
 
     python3 scripts/ab.py REV --workload {protocol,theorem,geometry} \\
         --seed N --rounds R
-    python3 scripts/ab.py REV --reports
+    python3 scripts/ab.py REV --reports [--kernels CORE[,CORE...]]
 
 ``git archive REV src/loccverify`` is unpacked into a temporary directory
 and imported as ``loccverify_base`` beside the working tree's
@@ -25,8 +25,11 @@ then those of ``EXTRA_REPORTS`` (``theorem1 --nu 1000`` and ``paper-pq
 side. Per report it prints whether stdout matches byte for byte once the
 ``wall_time_s`` line is dropped, and whether the check names, verdicts and
 exit status match; under a report whose bytes differ it lists each check
-whose defect or ``where`` moved, base -> tree. It exits 1 when some
-verdict differs.
+whose defect or ``where`` moved, base -> tree. With ``--kernels`` it
+runs the tree's side again under each named BLAS kernel
+(``OPENBLAS_CORETYPE``, for example ``Haswell,Prescott``) and compares
+each run with the tree's run under the default kernel in the same way. It
+exits 1 when some verdict differs, between the sides or across kernels.
 A bad REV exits 2 with one line on stderr.
 """
 
@@ -116,11 +119,15 @@ def report_argvs() -> list:
     return [argv for argv, _ in BATTERY] + [list(a) for a in EXTRA_REPORTS]
 
 
-def run_report(src: Path, argv: list) -> tuple[int, str]:
+def run_report(src: Path, argv: list, kernel: str | None = None
+               ) -> tuple[int, str]:
     """Exit status and stdout of one CLI run on the package under ``src``,
-    in a fresh process with BLAS at one thread."""
+    in a fresh process with BLAS at one thread, and with OpenBLAS forced to
+    ``kernel`` when one is named."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
                **{name: BLAS_THREADS for name in BLAS_ENV})
+    if kernel:
+        env["OPENBLAS_CORETYPE"] = kernel
     out = subprocess.run([sys.executable, "-m", "loccverify.cli", *argv],
                          cwd=src, env=env, capture_output=True, text=True)
     return out.returncode, out.stdout
@@ -142,27 +149,46 @@ def checks_of(text: str) -> list:
             for c in report["checks"]]
 
 
-def compare_reports(base_src: Path, argvs: list) -> int:
-    """Print the report A/B of every argv; 1 when a verdict differs."""
-    differ = 0
+def compare_runs(base: tuple[int, str], tree: tuple[int, str],
+                 label: str) -> bool:
+    """Print whether two runs of one report match, in bytes apart from
+    ``wall_time_s`` and in check names, verdicts and exit status, then
+    each check whose defect or ``where`` moved; whether the verdicts
+    match."""
+    (b_status, b_out), (t_status, t_out) = base, tree
+    same_bytes = without_wall_time(b_out) == without_wall_time(t_out)
+    b_checks, t_checks = checks_of(b_out), checks_of(t_out)
+    same_verdicts = (b_status == t_status and [c[:2] for c in b_checks]
+                     == [c[:2] for c in t_checks])
+    print(f"bytes {'same' if same_bytes else 'DIFF'}  verdicts "
+          f"{'same' if same_verdicts else 'DIFF'}  exit {b_status}/"
+          f"{t_status}  {label}")
+    if not same_bytes:
+        for b, t in zip(b_checks, t_checks):
+            if b[2:] != t[2:]:
+                print(f"    {b[0]}: {b[2]!r} at {b[3]!r} -> "
+                      f"{t[2]!r} at {t[3]!r}")
+    return same_verdicts
+
+
+def compare_reports(base_src: Path, argvs: list, kernels=()) -> int:
+    """Print the report A/B of every argv, then, per kernel of
+    ``kernels``, the tree's run under it against its run under the
+    default kernel; 1 when a verdict differs."""
+    differ = across = 0
     for argv in argvs:
-        (b_status, b_out), (t_status, t_out) = (
-            run_report(base_src, argv), run_report(ROOT / "src", argv))
-        same_bytes = without_wall_time(b_out) == without_wall_time(t_out)
-        b_checks, t_checks = checks_of(b_out), checks_of(t_out)
-        same_verdicts = (b_status == t_status and [c[:2] for c in b_checks]
-                         == [c[:2] for c in t_checks])
-        differ += not same_verdicts
-        print(f"bytes {'same' if same_bytes else 'DIFF'}  verdicts "
-              f"{'same' if same_verdicts else 'DIFF'}  exit {b_status}/"
-              f"{t_status}  {' '.join(argv)[:70]}")
-        if not same_bytes:
-            for b, t in zip(b_checks, t_checks):
-                if b[2:] != t[2:]:
-                    print(f"    {b[0]}: {b[2]!r} at {b[3]!r} -> "
-                          f"{t[2]!r} at {t[3]!r}")
+        label = " ".join(argv)[:70]
+        tree = run_report(ROOT / "src", argv)
+        differ += not compare_runs(run_report(base_src, argv), tree, label)
+        for kernel in kernels:
+            across += not compare_runs(
+                tree, run_report(ROOT / "src", argv, kernel),
+                f"{label} under {kernel}")
     print(f"{len(argvs)} reports, verdicts differ in {differ}")
-    return 1 if differ else 0
+    if kernels:
+        print(f"{len(argvs) * len(kernels)} runs under "
+              f"{','.join(kernels)}, verdicts differ in {across}")
+    return 1 if differ or across else 0
 
 
 def main() -> int:
@@ -173,11 +199,20 @@ def main() -> int:
     mode.add_argument("--workload", choices=wl.WORKLOADS)
     mode.add_argument("--reports", action="store_true",
                       help="compare the CLI reports instead of timings")
+    parser.add_argument("--kernels", help="with --reports: the tree's "
+                        "runs again under these OPENBLAS_CORETYPE values, "
+                        "comma-separated")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--rounds", type=int, default=21)
     args = parser.parse_args()
     if args.workload and args.seed is None:
         parser.error("--workload needs --seed")
+    kernels = [k for k in (args.kernels or "").split(",") if k]
+    if args.kernels is not None and not args.reports:
+        parser.error("--kernels needs --reports")
+    if args.kernels is not None and (
+            not kernels or not all(k.isalnum() for k in kernels)):
+        parser.error("--kernels takes comma-separated kernel names")
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 
@@ -192,7 +227,7 @@ def main() -> int:
             return 2
         if args.reports:
             print(f"reports: base {args.rev} against the working tree")
-            return compare_reports(base_src, report_argvs())
+            return compare_reports(base_src, report_argvs(), kernels)
         sys.path.insert(0, str(ROOT / "src"))
         import loccverify as tree
         jobs = wl.make_jobs(args.workload, args.seed, 1)[0]

@@ -50,7 +50,7 @@ def index_partition(groups, n: int, what: str) -> tuple[tuple[int, ...], ...]:
     return part
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausSet:
     """A finite family of Kraus operators with shared shapes.
 
@@ -58,7 +58,8 @@ class KrausSet:
     trace preserving, so the same type carries channel branches and
     operator bases. Its fields cannot be rebound; the operator array is
     the caller's when it is already a complex stack, and its writeable
-    flag is left as the caller set it.
+    flag is left as the caller set it. Sets are compared and hashed by
+    identity.
     """
 
     operators: np.ndarray
@@ -311,19 +312,20 @@ def qc_embed(inst: Instrument) -> KrausSet:
 
     Each K_m becomes K_m (x) |r(m)>, where r(m) is the outcome owning index
     m. The Choi operator of the result is block diagonal over the register.
+    The stack is built by one scatter of every K_m into the slot r(m) of a
+    zero (n, d_out, R, d_in) array, whose reshape is the Kronecker product.
     """
+    ops = inst.kraus.operators
+    n, do, d = ops.shape
     n_out = inst.n_outcomes
-    owner = {}
+    owner = np.empty(n, dtype=int)
     for r, block in enumerate(inst.partition):
-        for i in block:
-            owner[i] = r
-    ops = []
-    for m in range(inst.kraus.n_operators):
-        flag = np.zeros((n_out, 1), dtype=np.complex128)
-        flag[owner[m], 0] = 1.0
-        ops.append(np.kron(inst.kraus.operators[m], flag))
+        owner[list(block)] = r
+    out = np.zeros((n, do, n_out, d), dtype=np.complex128)
+    out[np.arange(n), :, owner, :] = ops
     out_dims = PartyDims(inst.kraus.output_dims.dims + (n_out,))
-    return KrausSet(np.array(ops), inst.kraus.input_dims, out_dims)
+    return KrausSet(out.reshape(n, do * n_out, d), inst.kraus.input_dims,
+                    out_dims)
 
 
 def channel_from_leaf_povm(diagonals: np.ndarray, dims: PartyDims) -> KrausSet:

@@ -189,23 +189,20 @@ def coarse_grain_check(nodes: int = QUAD_NODES) -> CoarseGrainCheck:
     the matrix k conj(k)^T entry by entry. So the image of the unit
     |a><d| is that matrix's entry (a, d) there, and comparing the
     integrated multiplier matrix with the branch's own, entry by entry,
-    gives the defect of all 16 units at once. Every check runs the default
-    order QUAD_NODES; ``nodes`` stays only because
-    ``perfbench/workloads.py`` passes it.
+    gives the defect of all 16 units at once. The branches are outcomes 1
+    and 2 of the worked instrument, the grouped pairs (1, 2) and (3, 4) of
+    K_GROUPED. Every check runs the default order QUAD_NODES; ``nodes``
+    stays only because ``perfbench/workloads.py`` passes it.
     """
-    ex = two_qubit_instrument()
-
     def integrand(sigma: np.ndarray) -> np.ndarray:
         # Outcomes 2 and 3, in the order of the branches below.
         kd = np.sqrt(derivative_diagonals(2, sigma)[:, ::-1])
         return np.einsum("nra,nrd->nrad", kd, kd)
 
     got = integrate_sqrt_smooth(integrand, nodes=nodes)
-    want = []
-    for r in (1, 2):
-        k = ex.instrument.branch(r).operators.diagonal(axis1=1, axis2=2)
-        want.append(np.einsum("ka,kd->ad", k, k.conj()))
-    worst = float(np.abs(got - np.stack(want)).max())
+    k = K_GROUPED[1:].diagonal(axis1=1, axis2=2).reshape(2, 2, -1)
+    want = np.einsum("rka,rkd->rad", k, k.conj())
+    worst = float(np.abs(got - want).max())
     return CoarseGrainCheck(worst, worst <= COARSE_GRAIN_TOL)
 
 

@@ -19,10 +19,15 @@ from .linalg import as_matrix, has_finite_norm, is_hermitian
 from .tolerances import (INDEPENDENCE_TOL, INPUT_HERMITICITY_TOL,
                          MEMBERSHIP_TOL, ROUNDING_TOL, SPAN_TOL)
 
-# Newton steps of the barrier solve: about 2.5 times the longest solve
-# measured to answer before it. A target within about tol of the zonoid,
-# which neither a witness nor a certificate may decide, can end here.
+# Newton steps of a membership solve, the presolve's and the barrier's
+# together: about 2.5 times the longest solve measured to answer before it.
+# A target within about tol of the zonoid, which neither a witness nor a
+# certificate may decide, can end here.
 MEMBERSHIP_MAX_ITER = 2000
+
+# The face finish of the barrier solve fixes the iterate's eigenvalues below
+# this at 0 and those above 1 minus it at 1.
+FACE_SPLIT = 0.01
 
 
 def _norm(v: np.ndarray) -> float:
@@ -53,12 +58,13 @@ def coefficient_stack(m) -> np.ndarray:
     return 0.5 * (a + ah)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientMatrix:
     """Hermitian coefficient matrix over a zonoid basis.
 
     Frozen, with a read-only array, so the matrix checked and symmetrised
-    here is the one it keeps. The membership solver wraps the witnesses it
+    here is the one it keeps; compared and hashed by identity, as arrays
+    have no truth value. The membership solver wraps the witnesses it
     builds by :func:`_witness`, which skips the check.
     """
 
@@ -84,14 +90,15 @@ def _witness(m: np.ndarray) -> CoefficientMatrix:
     return c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZonoidSpec:
     """Basis operators defining a zonoid, optionally split into blocks.
 
     Blocks are tuples of 0-based indices into the basis. Within each block
     the operators must be linearly independent; across blocks they need not
     be, since the coefficient matrix never couples blocks. Frozen, so one
-    spec and its solver can be shared between callers.
+    spec and its solver can be shared between callers, and compared and
+    hashed by identity.
     """
 
     basis: KrausSet
@@ -138,12 +145,15 @@ class MembershipReport:
     ``phase`` says which problem answered: ``candidate`` (an exact
     candidate with a residual at most min(tol, ROUNDING_TOL): the
     identity or a point of the slice, sum_j b_j G_j or the one nearest
-    the box centre), ``span`` (z lies outside the linear span of the Gram
-    operators) or ``barrier``. ``stop`` says how: ``identity`` or
-    ``affine`` (which candidate), ``outside`` (a separating direction
-    certified z infeasible), ``interior`` (the barrier reached t >= 0),
-    ``face`` (its iterate clipped to the box reproduces z, as it must on
-    a face of the zonoid, where t cannot become positive) or
+    the box centre, or such a point of the slice with its slice-pinned
+    coefficients fixed at 0 or 1), ``span`` (z lies outside the linear
+    span of the Gram operators) or ``barrier``. ``stop`` says how:
+    ``identity`` or ``affine`` (which candidate), ``outside`` (a
+    separating direction certified z infeasible), ``interior`` (the
+    barrier reached t >= 0), ``face`` (a box point on a face of the box
+    reproduces z, as it must on a face of the zonoid, where t cannot
+    become positive: the barrier's iterate clipped to the box, its face
+    finish, or a barrier witness with slice-pinned coefficients fixed) or
     ``undecided`` (neither a witness within ``tol`` nor a certificate;
     infeasible). Both are empty on a report built without them.
 
@@ -172,7 +182,9 @@ class _MembershipSolver:
     The feasible set is the intersection of the affine slice
     {C block-supported : L(C) = z} with the spectral box {0 <= C <= 1}.
     Exact candidates are tried first (:meth:`_candidates`), then a point
-    outside the span of L is certified outside at once. Otherwise one
+    outside the span of L is certified outside at once. A target that
+    fixes some coefficient C_ii at 0 or 1 is then solved without it
+    (:meth:`_presolve`). Otherwise, or when that finds no witness, one
     barrier solve (:meth:`_barrier`) returns a box witness or a
     separating direction.
 
@@ -216,7 +228,12 @@ class _MembershipSolver:
         self.a = np.vstack([lmap[:, mask], np.zeros(int(mask.sum()))])
         self.ident = np.eye(kappa, dtype=np.complex128)[mask]
         self.ident_image = self.a @ self.ident
+        # Where each diagonal entry C_ii sits in a masked vector.
+        self.diagonal_slots = np.flatnonzero(mask).searchsorted(
+            np.arange(kappa) * (kappa + 1))
         self._slices: dict[bool, tuple] = {}
+        self._pins: dict[bool, np.ndarray] = {}
+        self._reduced: dict[tuple, _MembershipSolver] = {}
 
     def expansions(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per block, its operators flattened into the columns of a
@@ -404,6 +421,32 @@ class _MembershipSolver:
             found = self._slices[real] = (g, scaled, gm.T @ scaled.T, half)
         return found
 
+    def pinned(self, real: bool) -> np.ndarray:
+        """Indices i whose coefficient C_ii the slice fixes, built on first
+        use: those whose unit E_ii lies in the row space of the orthonormal
+        G_j, sum_j G_j[i, i]^2 = 1 to 1e-12. Every slice point then has the
+        C_ii of c0."""
+        found = self._pins.get(real)
+        if found is None:
+            g = self.constraints(real)[0]
+            weight = np.square(np.abs(np.diagonal(g, axis1=1, axis2=2))).sum(
+                axis=0)
+            found = self._pins[real] = np.flatnonzero(
+                np.abs(weight - 1.0) <= 1e-12)
+        return found
+
+    def reduced(self, keep: tuple[int, ...]) -> "_MembershipSolver":
+        """The solver of the basis operators ``keep``, each block cut to
+        them, built on first use."""
+        found = self._reduced.get(keep)
+        if found is None:
+            where = {m: n for n, m in enumerate(keep)}
+            blocks = tuple(tuple(where[m] for m in blk if m in where)
+                           for blk in self.blocks)
+            found = self._reduced[keep] = _MembershipSolver(
+                self.ops[list(keep)], tuple(blk for blk in blocks if blk))
+        return found
+
     def coords(self, v: np.ndarray, real: bool) -> np.ndarray:
         """Real coordinates of a vector on the reached entries: its values
         on or above the diagonal, as real parts or as (real, imag) pairs."""
@@ -436,6 +479,93 @@ class _MembershipSolver:
             z, r, tol, self.direction(self.constraints(real)[1].T
                                       @ self.coords(r, real), real))
 
+    def _presolve(self, z: np.ndarray, zvec: np.ndarray, real: bool,
+                  c0: np.ndarray, tol: float, budget: int
+                  ) -> tuple[MembershipReport | None, int]:
+        """A witness of z with its slice-pinned coefficients fixed, and the
+        Newton steps spent looking for it.
+
+        A pinned C_ii (:meth:`pinned`) that c0 puts within ROUNDING_TOL of 1
+        or 0 is fixed there: 0 <= C <= 1 then leaves row i of every box
+        witness zero off the diagonal. The solver without those indices
+        (:meth:`reduced`) answers z minus the K_i^dag K_i of those at 1,
+        with at most ``budget`` steps. Its witness, lifted, must lie in the
+        box and reproduce z within the gate of its kind: min(tol,
+        ROUNDING_TOL) for a candidate, reported ``affine``, and ``tol`` for
+        a barrier witness, reported ``face``. Otherwise the report is None.
+        """
+        pins = self.pinned(real)
+        value = c0[self.diagonal_slots[pins]].real
+        one = np.abs(value - 1.0) <= ROUNDING_TOL
+        fixed = one | (np.abs(value) <= ROUNDING_TOL)
+        if not fixed.any() or fixed.sum() == self.kappa:
+            return None, 0
+        kept = np.ones(self.kappa, dtype=bool)
+        kept[pins[fixed]] = False
+        keep = tuple(np.flatnonzero(kept).tolist())
+        top = np.zeros((self.kappa, self.kappa), dtype=np.complex128)
+        top[pins[one], pins[one]] = 1.0
+        rep = self.reduced(keep).solve(z - self.image(top), tol, budget)
+        if not rep.feasible:
+            return None, rep.iterations
+        lifted = top
+        lifted[np.ix_(keep, keep)] = rep.witness.matrix
+        x = lifted[self.mask]
+        res = _norm(zvec - self.a @ x)
+        candidate = rep.phase == "candidate"
+        if res > (min(tol, ROUNDING_TOL) if candidate else tol) \
+                or not self.in_box(lifted):
+            return None, rep.iterations
+        return MembershipReport(
+            True, _witness(lifted), res, rep.iterations,
+            "affine" if candidate else "face",
+            "candidate" if candidate else "barrier"), rep.iterations
+
+    def _finish(self, lam: np.ndarray, v: np.ndarray, g: np.ndarray,
+                b: np.ndarray, zvec: np.ndarray, tol: float
+                ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The barrier iterate V diag(lam) V^H finished on its face.
+
+        Its eigenvalues split at FACE_SPLIT into L (towards 0), H (towards
+        1) and F, the rest. The slice <G_j, W> = b_j is solved in least
+        squares over W = V_H V_H^H + V_F X V_F^H, X Hermitian, by the
+        minimum-norm change of X from diag(lam_F). The masked W and its
+        residual target(z) - a W answer when W lies in the box and the
+        residual is at most 0.005 tol, the barrier's face rule; otherwise
+        None, as when L and H are both empty.
+        """
+        low, high = lam < FACE_SPLIT, lam > 1.0 - FACE_SPLIT
+        if not (low.any() or high.any()):
+            return None
+        free = ~(low | high)
+        vf = v[:, free]
+        vfh = vf.conj().T
+        ends = np.where(high, 1.0, np.where(low, 0.0, lam))
+        w = (v * ends) @ v.conj().T
+        f = int(free.sum())
+        if f:
+            # The constraints on X, in the orthonormal Hermitian units of
+            # the f x f block: E_ii, (E_ij + E_ji)/√2, i (E_ij - E_ji)/√2.
+            gf = vfh @ g @ vf
+            i, j = np.triu_indices(f, 1)
+            cols = [np.diagonal(gf, axis1=1, axis2=2).real,
+                    math.sqrt(2.0) * gf[:, i, j].real]
+            if np.iscomplexobj(gf):
+                cols.append(math.sqrt(2.0) * gf[:, i, j].imag)
+            rhs = b - (g.reshape(len(g), -1).conj() @ w.reshape(-1)).real
+            dx = np.linalg.lstsq(np.hstack(cols), rhs, rcond=None)[0]
+            x = np.diag(dx[:f]).astype(w.dtype)
+            x[i, j] = dx[f:f + len(i)] * math.sqrt(0.5)
+            if len(dx) > f + len(i):
+                x[i, j] += 1j * math.sqrt(0.5) * dx[f + len(i):]
+            x[j, i] = x[i, j].conj()
+            w = w + vf @ x @ vfh
+        w = self.to_matrix(0.5 * (w + w.conj().T)[self.mask])
+        r = zvec - self.a @ w[self.mask]
+        if np.vdot(r, r).real <= (0.005 * tol) ** 2 and self.in_box(w):
+            return w, r
+        return None
+
     def _barrier(self, z: np.ndarray, zvec: np.ndarray, real: bool,
                  c0: np.ndarray, centre: np.ndarray, tol: float,
                  budget: int) -> MembershipReport:
@@ -454,7 +584,9 @@ class _MembershipSolver:
         a Newton step is one eigh and one QR for the multipliers nu and the
         step in t. The damped length 1 / (1 + decrement) stays inside the
         Dikin ellipsoid, so both slacks stay positive. z is inside once
-        t >= 0 or once C clipped to the box has residual at most 0.005 tol.
+        t >= 0 or once C clipped to the box has residual at most 0.005 tol,
+        or, tried once for each value of mu, once :meth:`_finish` answers
+        on the face that C nears.
         At a centre Z1 = mu (C - tI)^-1 and Z2 = mu ((1 - t)I - C)^-1 have
         traces summing to 1, so Z2 - Z1 separates z by at least
         -t - 2 kappa mu up to its norm: while that bound is positive, the
@@ -479,6 +611,7 @@ class _MembershipSolver:
         c = self.to_matrix(centre).real if real else self.to_matrix(centre)
         lam, v = np.linalg.eigh(c)
         t, mu, steps, stop = min(lam[0], 1.0 - lam[-1]) - 1.0, 0.5 / k, 0, ""
+        finished = None
         while True:
             vh = v.T if real else v.conj().T
             w = (v * np.clip(lam, 0.0, 1.0)) @ vh
@@ -487,9 +620,13 @@ class _MembershipSolver:
                 stop = "interior"
             elif np.vdot(r, r).real <= (0.005 * tol) ** 2:
                 stop = "face"
+            elif finished != mu and (face := self._finish(
+                    lam, v, g, b, zvec, tol)) is not None:
+                (w, r), stop = face, "face"
             elif steps == budget or not (lam[0] > t and lam[-1] < 1.0 - t):
                 # The step cap, or slacks lost to rounding.
                 stop, cert = "undecided", self._separated(z, r, real, tol)
+            finished = mu
             if stop:
                 break
             ip, iq = 1.0 / (lam - t), 1.0 / (1.0 - t - lam)
@@ -554,8 +691,9 @@ class _MembershipSolver:
     def solve(self, z: np.ndarray, tol: float, budget: int
               ) -> MembershipReport:
         """Candidates (:meth:`_candidates`, gated at min(tol,
-        ROUNDING_TOL)), then the span test, then the barrier solve with at
-        most ``budget`` Newton steps. The span test is
+        ROUNDING_TOL)), then the span test, then the presolve
+        (:meth:`_presolve`) and, unless it answers, the barrier solve, with
+        at most ``budget`` Newton steps in all. The span test is
         :meth:`outside_certified` at c0 in the direction r = target(z) - a c0,
         the part of z off the span of the Gram operators (a span the adjoint
         maps onto itself): on a diagonal Kraus basis, z's off-diagonal part.
@@ -576,7 +714,12 @@ class _MembershipSolver:
                 False, _witness(self.to_matrix(box)),
                 float(np.linalg.norm(self.a @ box - zvec)), 0, "outside",
                 "span", *cert)
-        return self._barrier(z, zvec, real, c0, centre, tol, budget)
+        found, spent = self._presolve(z, zvec, real, c0, tol, budget)
+        if found is not None:
+            return found
+        rep = self._barrier(z, zvec, real, c0, centre, tol, budget - spent)
+        rep.iterations += spent
+        return rep
 
 
 def membership(z, spec: ZonoidSpec, tol: float = MEMBERSHIP_TOL
@@ -589,7 +732,8 @@ def membership(z, spec: ZonoidSpec, tol: float = MEMBERSHIP_TOL
     K_m^dag K_n separates it from the zonoid by more than ``tol`` is
     answered before any Newton step (phase ``span``, 0 iterations) with
     that part, normalised, as the separating direction.
-    MEMBERSHIP_MAX_ITER bounds the Newton steps of the barrier solve.
+    MEMBERSHIP_MAX_ITER bounds the Newton steps of the presolve and the
+    barrier solve together.
     Raises ValueError unless z is a Hermitian d x d operator with finite
     entries and a finite norm.
     """

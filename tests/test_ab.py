@@ -65,6 +65,35 @@ def test_reports_of_one_run_against_head(tmp_path):
     assert lines[-1] == "1 reports, verdicts differ in 0"
 
 
+def test_reports_of_one_run_across_kernels(tmp_path):
+    # The tree's run again under the portable Prescott kernel, which
+    # every x86-64 host can run; elsewhere OpenBLAS ignores the name.
+    code = ("import runpy, sys\n"
+            "from pathlib import Path\n"
+            "ab = runpy.run_path(sys.argv[1])\n"
+            "src = ab['unpack_base']('HEAD', Path(sys.argv[2]))\n"
+            "sys.exit(ab['compare_reports'](\n"
+            "    src, [['theorem1', '--samples', '11']], ['Prescott']))\n")
+    out = subprocess.run([sys.executable, "-c", code, str(AB), str(tmp_path)],
+                         cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = [line for line in out.stdout.splitlines()
+             if line.startswith("bytes ")]
+    assert len(lines) == 2
+    assert lines[1].endswith("verdicts same  exit 0/0  theorem1 --samples 11"
+                             " under Prescott")
+    assert out.stdout.splitlines()[-2:] == [
+        "1 reports, verdicts differ in 0",
+        "1 runs under Prescott, verdicts differ in 0"]
+
+
+def test_kernels_need_reports():
+    out = _ab("HEAD", "--workload", "protocol", "--seed", "1",
+              "--kernels", "Prescott")
+    assert out.returncode == 2
+    assert "--kernels needs --reports" in out.stderr
+
+
 def test_reports_against_a_bad_revision_are_2():
     out = _ab("no-such-revision", "--reports")
     assert out.returncode == 2

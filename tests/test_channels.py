@@ -18,6 +18,7 @@ from loccverify import (
     minimal_kraus,
     qc_embed,
     trace_norm,
+    two_qubit_instrument,
 )
 
 from conftest import haar_isometry, haar_unitary, random_channel, random_density
@@ -219,6 +220,49 @@ class TestQcEmbed:
                  for r in range(2)]
         expect = [p for _, p in apply(inst, rho)]
         np.testing.assert_allclose(probs, expect, atol=1e-12)
+
+
+def _kron_embed(inst):
+    """The embedded stack of :func:`qc_embed` by one np.kron per operator,
+    K_m (x) |r(m)>."""
+    flags = np.zeros((inst.kraus.n_operators, inst.n_outcomes, 1))
+    for r, block in enumerate(inst.partition):
+        flags[list(block), r, 0] = 1.0
+    return np.array([np.kron(k, f)
+                     for k, f in zip(inst.kraus.operators, flags)])
+
+
+class TestQcEmbedScatter:
+    """The scattered embedding against the Kronecker construction; zero
+    signs may differ, which array_equal ignores."""
+
+    def test_worked_instrument(self):
+        inst = two_qubit_instrument().instrument
+        emb = qc_embed(inst)
+        np.testing.assert_array_equal(emb.operators, _kron_embed(inst))
+        assert emb.operators.shape == (5, 12, 4)
+        assert emb.output_dims == PartyDims((2, 2, 3))
+        kron = kraus_from_operators(list(_kron_embed(inst)), D22,
+                                    PartyDims((2, 2, 3)))
+        np.testing.assert_array_equal(choi(emb, normalized=False).matrix,
+                                      choi(kron, normalized=False).matrix)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_instruments(self, seed):
+        r = np.random.default_rng(seed)
+        n = int(r.integers(1, 7))
+        d_in, d_out = (int(x) for x in r.integers(1, 5, size=2))
+        ops = (r.standard_normal((n, d_out, d_in))
+               + 1j * r.standard_normal((n, d_out, d_in)))
+        labels = r.integers(0, n, size=n)
+        partition = [tuple(np.flatnonzero(labels == lab).tolist())
+                     for lab in np.unique(labels)]
+        order = r.permutation(len(partition))
+        inst = Instrument(kraus_from_operators(
+            list(ops), PartyDims((d_in,)), PartyDims((d_out,))),
+            tuple(partition[i] for i in order))
+        np.testing.assert_array_equal(qc_embed(inst).operators,
+                                      _kron_embed(inst))
 
 
 class TestLeafPovmChannel:

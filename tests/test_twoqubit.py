@@ -19,6 +19,7 @@ from loccverify import (
     continuous_isometry_check,
     instrument_zonoid,
     isometric_relation,
+    kraus_from_operators,
     kraus_rank,
     limiting_choi_2q,
     minimal_kraus,
@@ -30,14 +31,15 @@ from loccverify import (
     two_qubit_instrument,
     trace_norm,
     wstate_analysis,
+    ZonoidSpec,
 )
 from loccverify import twoqubit, zonoid_spec_for_channel
 from loccverify.linalg import integrate_sqrt_smooth
 from loccverify.pqubit import multiplier_choi_matrix
-from loccverify.protocols import derivative_outcomes
+from loccverify.protocols import derivative_diagonals, derivative_outcomes
 from loccverify.tolerances import QUAD_NODES
 from loccverify.twoqubit import K_GROUPED, K_REDUCED, W_GROUPING
-from loccverify.zonoid import _directions
+from loccverify.zonoid import CoefficientMatrix, _directions
 
 from conftest import loop_sqrt_smooth, random_density, stacked
 
@@ -139,6 +141,21 @@ class TestSharedSpecs:
         channel_zonoid(), instrument_zonoid()
         fresh = two_qubit_instrument().instrument.kraus.operators
         assert fresh.flags.writeable
+
+    def test_equality_and_hash_are_identity(self):
+        # Comparing the operator arrays would raise, as an array has no
+        # truth value; specs, sets and coefficient matrices compare as
+        # objects instead, and hash as objects.
+        spec = channel_zonoid()
+        twin = ZonoidSpec(kraus_from_operators(list(K_REDUCED), (2, 2)))
+        assert (spec == twin) is False and spec != twin
+        assert (spec.basis == twin.basis) is False
+        assert spec == spec and spec.basis == spec.basis
+        c = CoefficientMatrix(np.eye(4))
+        assert (c == CoefficientMatrix(np.eye(4))) is False and c == c
+        for obj in (spec, twin, spec.basis, c):
+            assert hash(obj) == hash(obj)
+        assert len({spec, twin, spec, spec.basis, twin.basis}) == 4
 
 
 class TestGroupingIsometry:
@@ -264,6 +281,25 @@ class TestIsometryIntegrals:
     def test_coarse_grain_matches_per_unit_loop(self, nodes):
         got = coarse_grain_check(nodes=nodes).max_defect
         assert abs(got - _coarse_grain_per_unit(nodes)) <= 1e-15
+
+    @pytest.mark.parametrize("nodes", [1, 8, QUAD_NODES, 64])
+    def test_coarse_grain_reads_the_grouped_pairs_bitwise(self, nodes):
+        # The defect from K_GROUPED's pairs (1, 2) and (3, 4) is bitwise
+        # the one from the worked instrument's branches 1 and 2.
+        branches = two_qubit_instrument().instrument
+        want = []
+        for r in (1, 2):
+            k = branches.branch(r).operators.diagonal(axis1=1, axis2=2)
+            want.append(np.einsum("ka,kd->ad", k, k.conj()))
+
+        def integrand(sigma):
+            kd = np.sqrt(derivative_diagonals(2, sigma)[:, ::-1])
+            return np.einsum("nra,nrd->nrad", kd, kd)
+
+        got = integrate_sqrt_smooth(integrand, nodes=nodes)
+        worst = float(np.abs(got - np.stack(want)).max())
+        assert coarse_grain_check(nodes=nodes).max_defect.hex() == \
+            worst.hex()
 
     def test_coarse_grain_catches_a_scaled_branch_operator(self,
                                                            monkeypatch):

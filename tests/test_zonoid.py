@@ -289,15 +289,16 @@ class TestMembershipReports:
                 <= 1e-9, n
 
     def test_prelimit_sweep_needs_few_iterations(self):
-        # Every sample lies on the face <11|.|11> = 1; the barrier solves
-        # take 47 Newton steps in all.
+        # Every sample lies on the face <11|.|11> = 1, which pins C_00 at
+        # 1. The barrier solves took 40 Newton steps in all without the
+        # presolve and the face finish; with them they take none.
         spec = channel_zonoid()
         total = 0
         for d in main_branch_diagonals(2, 10, 0.5, np.linspace(4.0, 1.0, 11)):
             rep = membership(np.diag(d).astype(complex), spec)
             assert rep.feasible
             total += rep.iterations
-        assert total < 100
+        assert total < 10
 
     def test_instrument_box_images_need_few_iterations(self):
         # Box images, interior or pinned to a face of the box, take a few
@@ -398,8 +399,8 @@ class TestMembershipReports:
 
     def test_iteration_cap_counts_face_iterations(self, monkeypatch):
         # This breakpoint lies on the face <11|.|11> = 1; the cap counts
-        # the barrier's Newton steps, and a capped solve that has not yet
-        # reproduced z is undecided.
+        # the Newton steps of the presolve and the barrier together, and a
+        # capped solve that has not yet reproduced z is undecided.
         z = diagonal_stack(main_branch_path(2, 100, 0.5).diagonals[133])
         full = membership(z, channel_zonoid(), tol=1e-9)
         assert full.feasible and (full.phase, full.stop) == ("barrier",
@@ -1084,7 +1085,9 @@ class TestStopReasons:
     @pytest.mark.parametrize("stop,target", [
         ("identity", np.eye(4)),
         ("affine", np.diag([0.0, 0.0, 0.0, 1.0])),
-        ("face", _limit_point(2, 1.2)),
+        # A breakpoint whose presolve takes Newton steps; the face finish
+        # answers the limit point at s = 1.2 before any.
+        ("face", diagonal_stack(main_branch_path(2, 100, 0.5).diagonals[133])),
         # Certified by the box projection of a^+ z, before any step.
         ("outside", np.diag([0.36, 0.42, 1.0, 0.7])),
         # Outside by about 1e-6; certified after some centrings.
@@ -1105,10 +1108,13 @@ class TestStopReasons:
         _check_certificate(rep, z, channel_zonoid())
 
     def test_iteration_cap_is_reported(self, monkeypatch):
-        # The limit path at s = 1.2 is answered after 4 Newton steps
-        # uncapped; capped at 2, it is undecided and claims no certificate.
+        # The last breakpoint of the 100-round main branch is answered
+        # after 18 Newton steps uncapped; capped at 2, it is undecided and
+        # claims no certificate.
+        z = diagonal_stack(main_branch_path(2, 100, 0.5).diagonals[199])
+        assert membership(z, channel_zonoid()).iterations == 18
         monkeypatch.setattr(zonoid, "MEMBERSHIP_MAX_ITER", 2)
-        rep = membership(_limit_point(2, 1.2), channel_zonoid())
+        rep = membership(z, channel_zonoid())
         assert (rep.stop, rep.feasible) == ("undecided", False)
         assert rep.iterations == 2
         assert rep.separating is None and rep.gap is None
@@ -1196,8 +1202,9 @@ class TestSeparatingCertificate:
     @given(st.integers(0, 2 ** 32 - 1), st.booleans())
     def test_box_images_skip_the_span_exit(self, name, seed, pin):
         # The span test returns nothing on a box image, so the answer is
-        # the candidate or bitwise the barrier solve from a^+ z and the
-        # slice point nearest the box centre.
+        # the candidate, or bitwise the presolve's answer or else the
+        # barrier solve from a^+ z and the slice point nearest the box
+        # centre.
         spec = BASES[name]()
         c = _random_box(spec, np.random.default_rng(seed), pin)
         z = np.einsum("mn,mnac->ac", c, _gram(spec))
@@ -1218,8 +1225,13 @@ class TestSeparatingCertificate:
         s = spec.solver()
         real, near, centre = s.points(s.target(z))
         np.testing.assert_allclose(near, c0, rtol=0.0, atol=1e-14)
-        ref = s._barrier(z, np.append(z.reshape(-1)[on], 0), real, c0,
-                         centre, MEMBERSHIP_TOL, zonoid.MEMBERSHIP_MAX_ITER)
+        zvec = np.append(z.reshape(-1)[on], 0)
+        ref, spent = s._presolve(z, zvec, real, c0, MEMBERSHIP_TOL,
+                                 zonoid.MEMBERSHIP_MAX_ITER)
+        if ref is None:
+            ref = s._barrier(z, zvec, real, c0, centre, MEMBERSHIP_TOL,
+                             zonoid.MEMBERSHIP_MAX_ITER - spent)
+            ref.iterations += spent
         np.testing.assert_array_equal(rep.witness.matrix, ref.witness.matrix)
         assert (rep.residual, rep.iterations, rep.stop, rep.phase) == \
             (ref.residual, ref.iterations, ref.stop, ref.phase)
@@ -1516,6 +1528,209 @@ class TestBoundaryPoints:
             - support_function(rep.separating, spec)
         assert gap > MEMBERSHIP_TOL and abs(gap - rep.gap) <= 1e-10
         _check_certificate(rep, z, spec)
+
+
+def _breakpoint(n):
+    """Kept breakpoint ``n`` of the 100-round main branch, c = 1/2."""
+    return diagonal_stack(main_branch_path(2, 100, 0.5).diagonals[n])
+
+
+def _rotated_channel():
+    """The channel basis on an input turned by a Haar unitary V, and V:
+    Gram operators V^H K_m^H K_n V, complex, so that a target V^H z V
+    takes the complex route, with the slice's pins of the channel basis."""
+    v = haar_unitary(4, np.random.default_rng(5))
+    return ZonoidSpec(kraus_from_operators(
+        list(twoqubit.K_REDUCED @ v), (2, 2))), v
+
+
+def _without_finish(monkeypatch):
+    monkeypatch.setattr(zonoid._MembershipSolver, "_finish",
+                        lambda *args: None)
+
+
+def _presolved(spec, z, tol):
+    """The presolve's report on z, or None, and its Newton steps."""
+    s = spec.solver()
+    zvec = s.target(z)
+    real, c0, _ = s.points(zvec)
+    return s._presolve(z, zvec, real, c0, tol, zonoid.MEMBERSHIP_MAX_ITER)
+
+
+class TestFacePresolveAndFinish:
+    """Targets on faces that fix a coefficient C_ii, answered without it
+    (the presolve), and barrier iterates finished on their face."""
+
+    def test_pins_are_the_units_in_the_row_space(self):
+        # K_0 alone reaches entry (3, 3), K_1 (2, 2) and K_2 (1, 1); all
+        # four reach (0, 0), so C_33 is free.
+        for real in (True, False):
+            assert channel_zonoid().solver().pinned(real).tolist() == \
+                [0, 1, 2]
+        assert instrument_zonoid().solver().pinned(True).tolist() == [0]
+        rotated, _ = _rotated_channel()
+        assert not rotated.solver().real
+        assert rotated.solver().pinned(False).tolist() == [0, 1, 2]
+
+    def test_presolve_pinned_at_one(self):
+        # z_33 = 1 pins C_00 at 1. The full route's candidates miss; those
+        # of the solve without index 0 answer, with no Newton step.
+        z = np.diag([0.85, 0.85, 1.0, 1.0]).astype(complex)
+        spec = channel_zonoid()
+        s = spec.solver()
+        zvec = s.target(z)
+        real, c0, centre = s.points(zvec)
+        assert s._candidates(zvec, c0, centre, zvec - s.a @ c0,
+                             ROUNDING_TOL) is None
+        assert _barrier_only(spec, z, 1e-9).iterations > 0
+        rep = membership(z, spec, tol=1e-9)
+        assert (rep.feasible, rep.phase, rep.stop, rep.iterations) == \
+            (True, "candidate", "affine", 0)
+        w = rep.witness.matrix
+        assert w[0, 0] == 1.0 and not w[0, 1:].any() and not w[1:, 0].any()
+        assert _kraus_witness_residual(spec, w, z) <= ROUNDING_TOL
+        assert s.reduced((1, 2, 3)) is s.reduced((1, 2, 3))
+
+    def test_presolve_pinned_at_zero(self):
+        # A breakpoint less K_0^dag K_0: z_33 = 0 pins C_00 at 0, and the
+        # presolve answers on the face of the other three.
+        z = _breakpoint(61)
+        z[3, 3] = 0.0
+        spec = channel_zonoid()
+        rep = membership(z, spec, tol=1e-9)
+        found, _ = _presolved(spec, z, 1e-9)
+        assert found is not None
+        assert (rep.feasible, rep.phase, rep.stop) == (True, "barrier",
+                                                       "face")
+        np.testing.assert_array_equal(rep.witness.matrix,
+                                      found.witness.matrix)
+        w = rep.witness.matrix
+        assert not w[0].any() and not w[:, 0].any()
+        assert _kraus_witness_residual(spec, w, z) <= 1e-9
+
+    def test_blocked_presolve(self):
+        # On the instrument basis C_00, a block of its own, is pinned at 1
+        # on every breakpoint; the presolve's barrier answers.
+        spec = instrument_zonoid()
+        for n in (17, 22, 23):
+            z = _breakpoint(n)
+            rep = membership(z, spec, tol=1e-9)
+            found, spent = _presolved(spec, z, 1e-9)
+            assert found is not None and spent == rep.iterations
+            assert (rep.feasible, rep.phase, rep.stop) == (True, "barrier",
+                                                           "face")
+            np.testing.assert_array_equal(rep.witness.matrix,
+                                          found.witness.matrix)
+            assert rep.witness.matrix[0, 0] == 1.0
+            assert _kraus_witness_residual(spec, rep.witness.matrix, z) \
+                <= 1e-9
+
+    def test_complex_route_presolve(self):
+        spec, v = _rotated_channel()
+        for n in (41, 60, 133):
+            z = v.conj().T @ _breakpoint(n) @ v
+            z = 0.5 * (z + z.conj().T)
+            s = spec.solver()
+            assert not s.points(s.target(z))[0]
+            rep = membership(z, spec, tol=1e-9)
+            found, _ = _presolved(spec, z, 1e-9)
+            assert found is not None
+            assert (rep.feasible, rep.phase, rep.stop) == (True, "barrier",
+                                                           "face")
+            np.testing.assert_array_equal(rep.witness.matrix,
+                                          found.witness.matrix)
+            w = rep.witness.matrix
+            assert w[0, 0] == 1.0 and not w[0, 1:].any()
+            assert _kraus_witness_residual(spec, w, z) <= 1e-9
+
+    def test_complex_route_finish(self, monkeypatch):
+        # The barrier alone, from the centre, on rotated breakpoints: the
+        # finish answers before any Newton step, where the iterate
+        # clipped to the box needs several.
+        spec, v = _rotated_channel()
+        zs = [v.conj().T @ _breakpoint(n) @ v for n in (41, 50, 60)]
+        zs = [0.5 * (z + z.conj().T) for z in zs]
+        reps = [_barrier_only(spec, z, 1e-9) for z in zs]
+        for z, rep in zip(zs, reps):
+            assert (rep.feasible, rep.stop, rep.iterations) == (True, "face",
+                                                                0)
+            assert _kraus_witness_residual(spec, rep.witness.matrix, z) \
+                <= 0.005 * 1e-9 + 1e-15
+        _without_finish(monkeypatch)
+        for z in zs:
+            rep = _barrier_only(spec, z, 1e-9)
+            assert rep.feasible and rep.iterations > 0
+
+    def test_blocked_finish(self, monkeypatch):
+        # C = 0 on a whole block of instrument_zonoid: the barrier alone
+        # is finished on that face before any Newton step on most of
+        # these, where the clipped iterate needs 8 to 12.
+        spec = instrument_zonoid()
+        gram = _gram(spec)
+        r = np.random.default_rng(0)
+        zs = []
+        for zero in [(1, 2), (3, 4)] * 5:
+            c = np.zeros((spec.kappa, spec.kappa), dtype=complex)
+            for blk in spec.block_list():
+                if blk != zero:
+                    w = r.uniform(0.0, 1.0, len(blk))
+                    u = haar_unitary(len(blk), r)
+                    c[np.ix_(blk, blk)] = (u * w) @ u.conj().T
+            z = np.einsum("mn,mnac->ac", c, gram)
+            zs.append(0.5 * (z + z.conj().T))
+        reps = [_barrier_only(spec, z, 1e-9) for z in zs]
+        for z, rep in zip(zs, reps):
+            assert rep.feasible and rep.stop == "face"
+            assert _kraus_witness_residual(spec, rep.witness.matrix, z) \
+                <= 1e-9
+        assert sum(rep.iterations == 0 for rep in reps) >= 8
+        _without_finish(monkeypatch)
+        assert all(_barrier_only(spec, z, 1e-9).iterations > 0 for z in zs)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-7])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_push_off_a_pinned_face_stays_outside(self, seed, tol):
+        # A support point of a diagonal x with x_33 = 0 has C_00 = 0, so
+        # the presolve runs on z = y + 1.1 tol x, finds no witness and
+        # falls back: the answer is the barrier's on the full basis, with
+        # the presolve's steps counted and taken from the budget.
+        spec = channel_zonoid()
+        x = np.diag(np.append(np.random.default_rng(seed).standard_normal(3),
+                              0.0)).astype(complex)
+        x /= np.linalg.norm(x)
+        z = np.einsum("mn,mnac->ac", _support_maximiser(spec, x),
+                      _gram(spec)) + 1.1 * tol * x
+        rep = membership(z, spec, tol=tol)
+        assert rep.stop in ("outside", "undecided") and not rep.feasible
+        found, spent = _presolved(spec, z, tol)
+        assert found is None and spent > 0
+        s = spec.solver()
+        zvec = s.target(z)
+        full = s._barrier(z, zvec, *s.points(zvec), tol,
+                          zonoid.MEMBERSHIP_MAX_ITER - spent)
+        assert (rep.stop, rep.iterations) == (full.stop,
+                                              full.iterations + spent)
+        np.testing.assert_array_equal(rep.witness.matrix, full.witness.matrix)
+        np.testing.assert_array_equal(rep.separating, full.separating)
+        assert rep.gap == full.gap
+        if rep.stop == "outside":
+            gap = float(np.real(np.vdot(rep.separating, z))) \
+                - support_function(rep.separating, spec)
+            assert gap > tol and abs(gap - rep.gap) <= 1e-12
+
+    def test_every_kept_breakpoint_is_feasible_in_few_steps(self):
+        # All 201 kept breakpoints at tol 1e-9. Without the presolve and
+        # the finish the barrier took 2389 Newton steps; with them, 722.
+        spec = channel_zonoid()
+        zs = diagonal_stack(main_branch_path(2, 100, 0.5).diagonals)
+        total = 0
+        for n, z in enumerate(zs):
+            rep = membership(z, spec, tol=1e-9)
+            assert rep.feasible, n
+            assert _kraus_witness_residual(spec, rep.witness.matrix, z) \
+                <= 1e-9, n
+            total += rep.iterations
+        assert total < 1000
 
 
 class TestDiagonalResiduals:
