@@ -21,7 +21,6 @@ from .channels import (
     ChoiOperator,
     Instrument,
     KrausSet,
-    apply,
     channel_from_leaf_povm,
     choi,
     choi_distance,
@@ -54,7 +53,6 @@ from .protocols import (
     ProtocolTree,
     TreeReport,
     build_protocol_pq,
-    derivative_outcomes,
     main_branch_diagonals,
     main_branch_path,
     path_distance_bound,
@@ -101,7 +99,7 @@ __version__ = "0.1.0"
 __all__ = [
     "PartyDims", "gauss_legendre", "integrate_sqrt_smooth", "kron",
     "partial_trace", "product_defect", "sqrt_psd", "trace_norm",
-    "ChoiOperator", "Instrument", "KrausSet", "apply",
+    "ChoiOperator", "Instrument", "KrausSet",
     "channel_from_leaf_povm", "choi", "choi_distance",
     "isometric_relation", "kraus_from_operators", "kraus_rank",
     "minimal_kraus", "qc_embed",
@@ -111,7 +109,7 @@ __all__ = [
     "zonoid_spec_for_channel", "zonoid_spec_for_instrument",
     "CheckedPath", "EndpointFamily", "NodeView", "PathConditionReport",
     "PiecewisePath", "ProtocolParams", "ProtocolTree", "TreeReport",
-    "build_protocol_pq", "derivative_outcomes", "main_branch_diagonals",
+    "build_protocol_pq", "main_branch_diagonals",
     "main_branch_path", "path_distance_bound", "protocol_leaf_diagonals",
     "verify_theorem_conditions", "verify_tree",
     "BlockedIsometryCheck", "CoarseGrainCheck", "IntegralCheck",

@@ -8,7 +8,6 @@ sum_m |v_m><v_m| with |v_m> = sum_i |i> (x) K_m |i>.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,13 +16,11 @@ import numpy as np
 from .linalg import (
     PartyDims,
     as_matrix,
-    is_hermitian,
     operator_norm,
     trace_norm,
 )
-from .tolerances import (DENSITY_TRACE_TOL, INPUT_HERMITICITY_TOL,
-                         ISOMETRY_IDENTITY_TOL, ISOMETRY_TOL, PSD_TOL,
-                         RANK_TOL, ROUNDING_TOL)
+from .tolerances import (ISOMETRY_IDENTITY_TOL, ISOMETRY_TOL, RANK_TOL,
+                         ROUNDING_TOL)
 
 
 def _stack_operators(operators) -> np.ndarray:
@@ -233,42 +230,6 @@ def isometric_relation(a: KrausSet, b: KrausSet):
     if operator_norm(w.conj().T @ w - np.eye(nb)) > ISOMETRY_IDENTITY_TOL:
         return None
     return w
-
-
-def _check_density(rho: np.ndarray, dim: int):
-    if rho.shape != (dim, dim):
-        raise ValueError(f"state shape {rho.shape} does not match dim {dim}")
-    ok = is_hermitian(rho, INPUT_HERMITICITY_TOL)
-    if ok:
-        w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-        scale = 1.0 + float(np.abs(w).max(initial=0.0))
-        ok = (w.min(initial=0.0) >= -PSD_TOL * scale
-              and abs(w.sum() - 1.0) <= DENSITY_TRACE_TOL)
-    if not ok:
-        warnings.warn("input is not a density matrix", stacklevel=3)
-
-
-def apply(obj, rho) -> np.ndarray | list:
-    """Apply a channel or instrument to a state.
-
-    For a KrausSet returns sum_m K_m rho K_m^dag. For an Instrument returns
-    a list of (unnormalized branch output, branch probability) pairs; the
-    branch outputs sum to the channel output.
-    """
-    rho = as_matrix(rho)
-    if isinstance(obj, Instrument):
-        _check_density(rho, obj.kraus.input_dim)
-        out = []
-        for r in range(obj.n_outcomes):
-            ops = obj.kraus.operators[list(obj.partition[r])]
-            res = np.einsum("mab,bc,mdc->ad", ops, rho, ops.conj())
-            out.append((res, float(np.real(np.trace(res)))))
-        return out
-    if not isinstance(obj, KrausSet):
-        raise TypeError(f"cannot apply object of type {type(obj).__name__}")
-    _check_density(rho, obj.input_dim)
-    ops = obj.operators
-    return np.einsum("mab,bc,mdc->ad", ops, rho, ops.conj())
 
 
 def _as_normalized_choi(x) -> ChoiOperator:

@@ -273,28 +273,26 @@ def _legendre_rows(y: np.ndarray, degree: int) -> np.ndarray:
     return v
 
 
-def sqrt_smooth_nodes(top: float = 1.0,
-                      nodes: int = QUAD_NODES) -> np.ndarray:
-    """The points t of [0, top] at whose squares sigma = t^2
-    :func:`integrate_sqrt_smooth` and :func:`cumulative_sqrt_smooth` sample
-    their integrand: t = top (x + 1) / 2 for the ``nodes`` Gauss-Legendre
-    nodes x."""
+def sqrt_smooth_nodes(nodes: int = QUAD_NODES) -> np.ndarray:
+    """The points t of [0, 1] at whose squares sigma = t^2
+    :func:`integrate_sqrt_smooth` samples its integrand: t = (x + 1) / 2
+    for the ``nodes`` Gauss-Legendre nodes x."""
     x, _, _ = _leggauss(int(nodes))
-    return 0.5 * top * (x + 1.0)
+    return 0.5 * (x + 1.0)
 
 
-def cumulative_weights(u: np.ndarray, top: float = 1.0) -> np.ndarray:
-    """Weights of the node values 2 t f(t^2), t the nodes of
-    :func:`sqrt_smooth_nodes` on [0, top], in the integrals of f over
-    [0, u^2] for every u of ``u`` in [0, top]; shape (len(u), QUAD_NODES).
-    The product of these weights with the node values is
-    :func:`cumulative_sqrt_smooth`."""
+def cumulative_weights(u: np.ndarray) -> np.ndarray:
+    """Weights of the node values 2 t f(t^2), t the QUAD_NODES nodes of
+    :func:`sqrt_smooth_nodes`, in the integrals of f over [0, u^2] for
+    every u of ``u`` in [0, 1]; shape (len(u), QUAD_NODES). These integrate
+    the interpolant of 2 t f(t^2) at the nodes from 0 to u, so they are
+    exact when 2 t f(t^2) is a polynomial in t of degree below
+    QUAD_NODES."""
     x, _, antiderivative = _leggauss(QUAD_NODES)
-    # Minus P_k(-1) = (-1)^k, the value at u = 0: sigma = 0 gives exactly 0,
-    # and so do all-zero sigmas.
-    ends = _legendre_rows(2.0 * u / (top or 1.0) - 1.0, x.size)
+    # Minus P_k(-1) = (-1)^k, the value at u = 0: sigma = 0 gives exactly 0.
+    ends = _legendre_rows(2.0 * u - 1.0, x.size)
     ends -= ((-1.0) ** np.arange(x.size + 1))[:, None]
-    return 0.5 * top * (ends.T @ antiderivative)
+    return 0.5 * (ends.T @ antiderivative)
 
 
 def sqrt_smooth_total(vals: np.ndarray,
@@ -304,31 +302,6 @@ def sqrt_smooth_total(vals: np.ndarray,
     first axis: the Gauss-Legendre rule of :func:`integrate_sqrt_smooth`."""
     _, w, _ = _leggauss(int(nodes))
     return 0.5 * _per_node(w, vals).sum(axis=0)
-
-
-def cumulative_sqrt_smooth(f: Callable[[np.ndarray], np.ndarray],
-                           sigmas: Sequence[float]) -> np.ndarray:
-    """Integrals of f over [0, sigma] for every sigma of ``sigmas``.
-
-    The cumulative form of :func:`integrate_sqrt_smooth`: the interpolant
-    of 2u f(u^2) at the QUAD_NODES Gauss-Legendre nodes of [0, max u],
-    integrated from 0 to every u = sqrt(sigma). Exact when 2u f(u^2) is a
-    polynomial in u of degree below QUAD_NODES. ``f`` is called once, on
-    those nodes, and is stacked as for :func:`gauss_legendre`. Results are
-    stacked along a new first axis in the order of ``sigmas``; ValueError
-    unless every sigma is finite and at least 0.
-    """
-    sigmas = np.asarray(sigmas, dtype=float)
-    if sigmas.ndim != 1 or sigmas.size == 0:
-        raise ValueError("need a nonempty 1-D array of sigmas")
-    if not (sigmas.min() >= 0.0 and np.isfinite(sigmas.max())):
-        raise ValueError("sigmas must be finite and at least 0")
-    u = np.sqrt(sigmas)
-    top = float(u.max())
-    t = sqrt_smooth_nodes(top)
-    vals = _per_node(2.0 * t, _node_values(f, t * t))
-    out = cumulative_weights(u, top) @ vals.reshape(t.size, -1)
-    return out.reshape(u.shape + vals.shape[1:])
 
 
 def product_defect(m, dims, diagonal: bool = False):

@@ -76,9 +76,7 @@ class NodeView:
     """A node of a :class:`ProtocolTree`: the tree and a preorder index.
 
     ``povm_element`` reads the node's element as a read-only dense matrix;
-    assigning to it replaces the element in the tree. ``children`` are the
-    outcomes' nodes in order, and ``acting_party`` the party measuring
-    here, None at a leaf. Two views of one node of one tree compare equal.
+    assigning to it replaces the element in the tree.
     """
 
     __slots__ = ("_tree", "_index")
@@ -87,14 +85,6 @@ class NodeView:
         self._tree = tree
         self._index = index
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NodeView):
-            return NotImplemented
-        return self._tree is other._tree and self._index == other._index
-
-    def __hash__(self) -> int:
-        return hash((id(self._tree), self._index))
-
     @property
     def povm_element(self) -> np.ndarray:
         return self._tree._element(self._index)
@@ -102,19 +92,6 @@ class NodeView:
     @povm_element.setter
     def povm_element(self, element) -> None:
         self._tree._store(self._index, element)
-
-    @property
-    def acting_party(self) -> int | None:
-        return self._tree._acting(self._index)
-
-    @property
-    def children(self) -> list["NodeView"]:
-        tree = self._tree
-        return [NodeView(tree, j) for j in tree._child_rows(self._index)]
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self._tree._child_rows(self._index)
 
 
 class ProtocolTree:
@@ -132,9 +109,8 @@ class ProtocolTree:
     index it as (n, D), and its transpose is a contiguous (D, n) array, so
     :func:`verify_tree` reduces over long columns, one per diagonal entry.
 
-    ``root``, ``node_at``, ``iter_nodes`` and ``leaves`` give
-    :class:`NodeView` objects, made on request; views of one node compare
-    equal. No dense element is made until one is read.
+    ``node_at`` gives a :class:`NodeView`, made on request. No dense
+    element is made until one is read.
     """
 
     def __init__(self, table: np.ndarray, dims: PartyDims):
@@ -153,19 +129,6 @@ class ProtocolTree:
         self.dims = dims
         self._overrides: dict[int, np.ndarray] = {}
 
-    @property
-    def root(self) -> NodeView:
-        return NodeView(self, 0)
-
-    def iter_nodes(self):
-        """The nodes in preorder, which is the table's row order."""
-        return (NodeView(self, i) for i in range(self.n_nodes))
-
-    def leaves(self) -> list[NodeView]:
-        """The halt leaves, the odd rows, then the main leaf, the last."""
-        n = self.n_nodes
-        return [NodeView(self, i) for i in [*range(1, n - 1, 2), n - 1]]
-
     def node_at(self, path: Sequence[int]) -> NodeView:
         """The node reached from the root through the child indices of
         ``path``: (1,) * k is row 2k and (1,) * k + (0,) row 2k + 1.
@@ -182,14 +145,6 @@ class ProtocolTree:
                 or not np.isin(steps[:-1], (1, -1)).all()):
             raise IndexError(f"no node at this path of depth {steps.size}")
         return NodeView(self, parent + 1 + last % 2)
-
-    def _child_rows(self, i: int):
-        return (i + 1, i + 2) if i % 2 == 0 and i < self.n_nodes - 1 else ()
-
-    def _acting(self, i: int) -> int | None:
-        if not self._child_rows(i):
-            return None
-        return i // 2 % self.dims.n_parties + 1
 
     @property
     def n_nodes(self) -> int:
@@ -891,33 +846,24 @@ class PathDistanceReport:
 
 
 def path_distance_bound(parties: int, rounds: int, exponent: float,
-                        s_grid: Sequence[float] | None = None,
                         grid_points: int = 401) -> PathDistanceReport:
     """Trace-norm gap between the finite main branch and its limit.
 
-    The gap is maximized over ``s_grid`` (default: a uniform grid of
-    ``grid_points`` values on [1, 2^P]; the finite path is clamped below
-    its own domain floor, which costs at most the floor offset), and
-    ``worst_s`` is the first grid point attaining it. Both paths are
-    diagonal, so the trace norm is the sum of absolute diagonal
-    differences; the finite branch comes from :func:`main_branch_diagonals`
-    and the limit's entry i is (s^(1/P) - 1)^(zeros of i). The bound is
-    sqrt(3) * eps for two parties and P * 2^(P/2) * eps in general. An
-    empty grid, or one with a point outside [1, 2^P] by more than rounding
-    or not a number, raises ValueError, and so does ``grid_points`` < 1.
+    The gap is maximized over a uniform grid of ``grid_points`` values on
+    [1, 2^P] (the finite path is clamped below its own domain floor, which
+    costs at most the floor offset), and ``worst_s`` is the first grid
+    point attaining it. Both paths are diagonal, so the trace norm is the
+    sum of absolute diagonal differences; the finite branch comes from
+    :func:`main_branch_diagonals` and the limit's entry i is
+    (s^(1/P) - 1)^(zeros of i). The bound is sqrt(3) * eps for two parties
+    and P * 2^(P/2) * eps in general. ``grid_points`` < 1 raises
+    ValueError.
     """
     params = ProtocolParams(parties, rounds, exponent)
-    top = float(2 ** parties)
-    if s_grid is None:
-        if grid_points < 1:
-            raise ValueError("grid_points must be at least 1")
-        grid = np.linspace(1.0, top, grid_points)
-    else:
-        grid = np.asarray(list(s_grid), dtype=float)
-        if grid.size == 0:
-            raise ValueError("s grid must be nonempty")
-    sigma = _clamped(grid, top, f"s grid must lie inside [1, {top}]")
-    sigma = sigma ** (1.0 / parties) - 1.0
+    if grid_points < 1:
+        raise ValueError("grid_points must be at least 1")
+    grid = np.linspace(1.0, float(2 ** parties), grid_points)
+    sigma = grid ** (1.0 / parties) - 1.0
     pre = main_branch_diagonals(parties, rounds, exponent, grid)
     limit = sigma[:, None] ** prefix_zeros(parties)[:, -1]
     gaps = np.abs(pre - limit).sum(axis=1)
@@ -934,12 +880,17 @@ def path_distance_bound(parties: int, rounds: int, exponent: float,
 
 
 def derivative_diagonals(parties: int, sigma) -> np.ndarray:
-    """Diagonals of :func:`derivative_outcomes`, real; shape
-    sigma.shape + (P, 2^P).
+    """Halt densities peeling off the limiting main path, as diagonals, at
+    every sigma of an array in [0, 1]; real, shape sigma.shape + (P, 2^P).
 
     Outcome alpha (0-based: party alpha + 1 halts) is the product of
     diag(1, 0) for that party and diag(sigma, 1) for the others, taken left
-    to right, so every entry is exactly a power of sigma or 0.
+    to right, so every entry is exactly a power of sigma or 0. The
+    densities are taken with respect to d(s^(1/P)), sigma = s^(1/P) - 1,
+    so the all-ones projector plus the integral of their sum over sigma in
+    [0, 1] resolves the identity. Their entrywise square roots, as
+    matrices through :func:`~loccverify.linalg.diagonal_stack`, are the
+    limiting measurement operators.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.size and not 0.0 <= sigma.min() <= sigma.max() <= 1.0:
@@ -955,20 +906,6 @@ def derivative_diagonals(parties: int, sigma) -> np.ndarray:
         diag = (diag[..., :, None] * factors[..., p, None, :]).reshape(
             sigma.shape + (parties, 2 ** (p + 1)))
     return diag
-
-
-def derivative_outcomes(parties: int, sigma) -> np.ndarray:
-    """Halt densities peeling off the limiting main path, at every sigma of
-    an array in [0, 1]; shape sigma.shape + (P, 2^P, 2^P).
-
-    The densities are the diagonal matrices of
-    :func:`derivative_diagonals`, taken with respect to d(s^(1/P)),
-    sigma = s^(1/P) - 1, so the all-ones projector plus the integral of
-    their sum over sigma in [0, 1] resolves the identity. Their entrywise
-    square roots, ``diagonal_stack(np.sqrt(derivative_diagonals(P,
-    sigma)))``, are the limiting measurement operators.
-    """
-    return diagonal_stack(derivative_diagonals(parties, sigma))
 
 
 def c_matrix_stack(name: str, s) -> np.ndarray:
@@ -1168,8 +1105,8 @@ def _witness_defects(solver, c_end: np.ndarray,
     The halt families peel off the path continuously, so
     C(s) = C_end + sum_f int_0^sigma_f(s) cdensity_f is a coefficient
     matrix for op(s). ``families`` pairs each family with its node values
-    (:func:`_family_values`), and the integrals are those of
-    :func:`~loccverify.linalg.cumulative_sqrt_smooth` on [0, 1] from them.
+    (:func:`_family_values`), and the integrals over [0, sigma_f(s)] are
+    their products with :func:`~loccverify.linalg.cumulative_weights`.
     A sample's witness is the block-supported
     Hermitian part of C(s); it counts only if it passes the solver's box
     test and differs from C(s) by rounding, and then its defect is

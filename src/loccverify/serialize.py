@@ -39,6 +39,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     try:
         rows, cols = _count(obj["rows"]), _count(obj["cols"])
         flat = [complex(re, im) for re, im in obj["data"]]
+        if any(isinstance(v, bool) for pair in obj["data"] for v in pair):
+            raise ValueError("matrix entries must be numbers, not booleans")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if len(flat) != rows * cols:

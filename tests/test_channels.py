@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from loccverify import (
     Instrument,
     PartyDims,
-    apply,
     channel_from_leaf_povm,
     choi,
     choi_distance,
@@ -21,7 +20,8 @@ from loccverify import (
     two_qubit_instrument,
 )
 
-from conftest import haar_isometry, haar_unitary, random_channel, random_density
+from conftest import (apply_branches, apply_kraus, haar_isometry,
+                      haar_unitary, random_channel, random_density)
 
 D2 = PartyDims((2,))
 D22 = PartyDims((2, 2))
@@ -155,7 +155,7 @@ class TestApply:
     def test_channel_preserves_trace(self, rng):
         k = random_channel(D22, 3, rng)
         rho = random_density(4, rng)
-        out = apply(k, rho)
+        out = apply_kraus(k.operators, rho)
         assert np.trace(out) == pytest.approx(1.0)
         assert np.linalg.eigvalsh(out)[0] >= -1e-12
 
@@ -163,16 +163,11 @@ class TestApply:
         k = random_channel(D22, 4, rng)
         inst = Instrument(k, ((0, 1), (2, 3)))
         rho = random_density(4, rng)
-        branches = apply(inst, rho)
+        branches = apply_branches(inst, rho)
         assert len(branches) == 2
-        total = sum(b for b, _ in branches)
-        np.testing.assert_allclose(total, apply(k, rho), atol=1e-12)
-        assert sum(p for _, p in branches) == pytest.approx(1.0)
-
-    def test_apply_warns_on_non_density(self, rng):
-        k = random_channel(D2, 2, rng)
-        with pytest.warns(UserWarning):
-            apply(Instrument(k, ((0,), (1,))), np.eye(2, dtype=complex))
+        np.testing.assert_allclose(
+            sum(branches), apply_kraus(k.operators, rho), atol=1e-12)
+        assert sum(np.trace(b).real for b in branches) == pytest.approx(1.0)
 
 
 class TestChoiDistance:
@@ -206,19 +201,19 @@ class TestQcEmbed:
         inst = Instrument(k, ((0, 1), (2, 3)))
         emb = qc_embed(inst)
         rho = random_density(4, rng)
-        red = apply(emb, rho).reshape(4, 2, 4, 2)
+        red = apply_kraus(emb.operators, rho).reshape(4, 2, 4, 2)
         np.testing.assert_allclose(np.trace(red, axis1=1, axis2=3),
-                                   apply(k, rho), atol=1e-12)
+                                   apply_kraus(k.operators, rho), atol=1e-12)
 
     def test_flag_sector_probabilities(self, rng):
         k = random_channel(D22, 4, rng)
         inst = Instrument(k, ((0, 1), (2, 3)))
         emb = qc_embed(inst)
         rho = random_density(4, rng)
-        out = apply(emb, rho).reshape(4, 2, 4, 2)
+        out = apply_kraus(emb.operators, rho).reshape(4, 2, 4, 2)
         probs = [float(np.real(np.trace(out[:, r, :, r])))
                  for r in range(2)]
-        expect = [p for _, p in apply(inst, rho)]
+        expect = [np.trace(b).real for b in apply_branches(inst, rho)]
         np.testing.assert_allclose(probs, expect, atol=1e-12)
 
 
@@ -276,7 +271,7 @@ class TestLeafPovmChannel:
         diags = np.array([[0.5, 0.5, 0.5, 0.5]])
         k = channel_from_leaf_povm(diags, D22)
         rho = random_density(4, rng)
-        assert np.trace(apply(k, rho)) == pytest.approx(0.5)
+        assert np.trace(apply_kraus(k.operators, rho)) == pytest.approx(0.5)
 
     def test_negative_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -287,4 +282,4 @@ class TestLeafPovmChannel:
         diags = np.stack([p, 1.0 - p])
         k = channel_from_leaf_povm(diags, D22)
         rho = random_density(4, rng)
-        assert np.trace(apply(k, rho)) == pytest.approx(1.0)
+        assert np.trace(apply_kraus(k.operators, rho)) == pytest.approx(1.0)

@@ -219,6 +219,22 @@ class TestExitCodes:
         assert status == 2
 
     @pytest.mark.parametrize("argv", [
+        ["zonoid-check", "--basis", "square", "--z",
+         '{"rows": 2, "cols": 2, '
+         '"data": [[true, 0], [0, 0], [0, 0], [false, 0]]}'],
+        ["choi", "--kraus", inline_kraus_with("1").replace(
+            "[0, 0], [0, 0]", "[true, false], [0, 0]")],
+    ], ids=["z", "kraus"])
+    def test_boolean_matrix_entry_is_2(self, capsys, argv):
+        # complex(True, False) is 1, so these once ran as numbers.
+        status = cli.main(argv)
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
         ["protocol", "--nu", "0"],
         ["protocol", "--parties", "1"],
         ["protocol", "--c", "1.5"],
@@ -727,7 +743,8 @@ class TestSubcommands:
 
         def bumped(*args):
             tree = build(*args)
-            halt, main = tree.node_at((1,) * 19).children
+            halt = tree.node_at((1,) * 19 + (0,))
+            main = tree.node_at((1,) * 20)
             bump = np.zeros((4, 4))
             bump[0, 3] = bump[3, 0] = 0.05
             halt.povm_element = halt.povm_element + bump

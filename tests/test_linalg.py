@@ -16,13 +16,14 @@ from loccverify import (
     trace_norm,
 )
 from loccverify import linalg
-from loccverify.linalg import (cumulative_sqrt_smooth, cumulative_weights,
-                               diagonal_stack, is_hermitian, operator_norm,
-                               sqrt_smooth_nodes, sqrt_smooth_total)
+from loccverify.linalg import (cumulative_weights, diagonal_stack,
+                               is_hermitian, operator_norm, sqrt_smooth_nodes,
+                               sqrt_smooth_total)
 from loccverify.tolerances import QUAD_NODES
 
-from conftest import (haar_unitary, loop_gauss_legendre, loop_sqrt_smooth,
-                      random_density, stacked)
+from conftest import (cumulative_integrals, haar_unitary,
+                      loop_gauss_legendre, loop_sqrt_smooth, random_density,
+                      stacked)
 
 
 def complex_matrix(rng, shape):
@@ -42,7 +43,7 @@ def _monomial_error(sigmas) -> float:
     integrals from 0 are 2 u^(k+2) / (k + 2), u = sqrt(sigma). In u the
     integrands 2 u^(k+1) have degree below QUAD_NODES."""
     k = np.arange(15)
-    got = cumulative_sqrt_smooth(lambda t: np.sqrt(t)[:, None] ** k, sigmas)
+    got = cumulative_integrals(lambda t: np.sqrt(t)[:, None] ** k, sigmas)
     u = np.sqrt(np.asarray(sigmas, dtype=float))[:, None]
     return float(np.abs(got - 2.0 * u ** (k + 2) / (k + 2)).max())
 
@@ -200,15 +201,16 @@ class TestQuadrature:
                 np.polynomial.legendre.legvander(y, degree))
 
     def test_node_values_give_both_integrals(self):
-        # From one set of node values: the cumulative integrals at any
-        # sigma in [0, 1] equal cumulative_sqrt_smooth's when 1 is among
-        # the sigmas, and the total equals integrate_sqrt_smooth's.
+        # From one set of node values: the cumulative integrals start at
+        # exactly 0 and end at the total, which equals
+        # integrate_sqrt_smooth's bit for bit.
         t = sqrt_smooth_nodes()
         vals = 2.0 * t[:, None] * _mixed_integrand(t * t)
         sigmas = np.array([0.0, 0.09, 0.5, 1.0])
-        assert np.array_equal(
-            cumulative_weights(np.sqrt(sigmas)) @ vals,
-            cumulative_sqrt_smooth(_mixed_integrand, sigmas))
+        got = cumulative_weights(np.sqrt(sigmas)) @ vals
+        assert np.array_equal(got[0], np.zeros(3))
+        np.testing.assert_allclose(got[-1], sqrt_smooth_total(vals),
+                                   rtol=0.0, atol=1e-14)
         assert np.array_equal(sqrt_smooth_total(vals),
                               integrate_sqrt_smooth(_mixed_integrand))
 
@@ -244,14 +246,14 @@ class TestQuadrature:
     def test_cumulative_rule_matches_closed_form(self, sigmas):
         # int_0^sigma (3 sqrt(t) - 2) dt = 2 sigma^(3/2) - 2 sigma, for every
         # point of an unsorted grid with repeats.
-        got = cumulative_sqrt_smooth(lambda t: 3.0 * np.sqrt(t) - 2.0,
-                                     sigmas + sigmas[:1])
+        got = cumulative_integrals(lambda t: 3.0 * np.sqrt(t) - 2.0,
+                                   sigmas + sigmas[:1])
         want = [2.0 * s ** 1.5 - 2.0 * s for s in sigmas + sigmas[:1]]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
     def test_cumulative_rule_ends_at_the_full_integral(self):
         f = stacked(lambda t: np.array([[t, np.sqrt(t)], [1.0, t ** 1.5]]))
-        got = cumulative_sqrt_smooth(f, np.linspace(0.0, 1.0, 7))
+        got = cumulative_integrals(f, np.linspace(0.0, 1.0, 7))
         assert got.shape == (7, 2, 2)
         np.testing.assert_array_equal(got[0], np.zeros((2, 2)))
         np.testing.assert_allclose(got[-1], integrate_sqrt_smooth(f),
@@ -285,27 +287,24 @@ class TestQuadrature:
         assert _monomial_error(s ** (1.0 / parties) - 1.0) <= 2e-15
 
     def test_cumulative_rule_calls_the_integrand_once(self):
+        # The weights need only the QUAD_NODES node values, whatever the
+        # number of samples, and the total calls its integrand once.
         for samples in (1, 2, 101, 6301):
-            calls = []
+            weights = cumulative_weights(np.sqrt(np.linspace(0.0, 1.0,
+                                                             samples)))
+            assert weights.shape == (samples, QUAD_NODES)
+        calls = []
 
-            def f(t):
-                calls.append(t.shape)
-                return 3.0 * np.sqrt(t) - 2.0
+        def f(t):
+            calls.append(t.shape)
+            return 3.0 * np.sqrt(t) - 2.0
 
-            cumulative_sqrt_smooth(f, np.linspace(0.0, 1.0, samples))
-            integrate_sqrt_smooth(f)
-            assert calls == [(QUAD_NODES,)] * 2
+        integrate_sqrt_smooth(f)
+        assert calls == [(QUAD_NODES,)]
 
     def test_cumulative_rule_of_zero_sigmas_is_zero(self):
-        got = cumulative_sqrt_smooth(lambda t: np.ones((t.size, 2)),
-                                     [0.0, 0.0])
-        np.testing.assert_array_equal(got, np.zeros((2, 2)))
-
-    @pytest.mark.parametrize("sigmas", [[np.nan], [0.5, -1e-300],
-                                        [0.25, np.inf], [-np.inf]])
-    def test_cumulative_rule_refuses_bad_sigmas(self, sigmas):
-        with pytest.raises(ValueError, match="finite and at least 0"):
-            cumulative_sqrt_smooth(np.sqrt, sigmas)
+        np.testing.assert_array_equal(cumulative_weights(np.zeros(2)),
+                                      np.zeros((2, QUAD_NODES)))
 
     def test_integrand_must_return_one_value_per_node(self):
         with pytest.raises(ValueError, match="one value per node"):

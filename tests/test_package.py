@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import loccverify
-from loccverify import linalg, protocols, serialize, twoqubit, zonoid
+from loccverify import (channels, linalg, protocols, serialize, twoqubit,
+                        zonoid)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,9 +32,22 @@ def test_all_names_exactly_the_bound_public_names():
     (protocols, "limit_path_stack"),
     (linalg, "psd_check"),
     (linalg, "PsdReport"),
+    (channels, "apply"),
+    (channels, "_check_density"),
+    (linalg, "cumulative_sqrt_smooth"),
+    (protocols, "derivative_outcomes"),
 ])
 def test_retired_names_are_gone(module, name):
     assert not hasattr(module, name)
     assert not hasattr(loccverify, name)
     # As a whole word: limit_path_diagonals is not the retired limit_path.
     assert not re.search(rf"(?<!\w){name}(?!\w)", README.read_text())
+
+
+def test_tree_navigation_views_are_gone():
+    # Nodes are reached through node_at; the caterpillar's shape is closed
+    # form, so a tree has no walking API.
+    for name in ("root", "iter_nodes", "leaves"):
+        assert not hasattr(protocols.ProtocolTree, name)
+    for name in ("children", "acting_party", "is_leaf"):
+        assert not hasattr(protocols.NodeView, name)

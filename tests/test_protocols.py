@@ -18,7 +18,6 @@ from loccverify import (
     blocked_limiting_family,
     build_protocol_pq,
     channel_zonoid,
-    derivative_outcomes,
     instrument_zonoid,
     integrate_sqrt_smooth,
     kraus_from_operators,
@@ -36,12 +35,14 @@ from loccverify import (
     zonoid_spec_for_instrument,
 )
 from loccverify import linalg, protocols, zonoid
-from loccverify.linalg import cumulative_sqrt_smooth, diagonal_stack
+from loccverify.linalg import diagonal_stack
 from loccverify.protocols import (TreeFailure, c_matrix_stack,
                                   derivative_diagonals, limit_path_diagonals,
                                   protocol_check_bytes, protocol_tree_bytes)
 from loccverify.twoqubit import K_REDUCED
 from loccverify.zonoid import coefficient_stack
+
+from conftest import cumulative_integrals
 
 
 
@@ -70,19 +71,30 @@ class TestTreeStructure:
     @pytest.mark.parametrize("parties,rounds", [(2, 1), (2, 7), (3, 4), (4, 2)])
     def test_leaf_count(self, parties, rounds):
         tree = build_protocol_pq(parties, rounds, 0.5)
-        assert len(tree.leaves()) == parties * rounds + 1
+        leaves = [_node_path(j) for j in range(tree.n_nodes)
+                  if _is_leaf(tree, j)]
+        assert len(leaves) == parties * rounds + 1
+        assert len(protocol_leaf_diagonals(parties, rounds, 0.5)) == \
+            len(leaves)
+        for path in leaves:
+            with pytest.raises(IndexError):
+                tree.node_at(path + (0,))
 
     def test_main_leaf_is_last(self):
         parties, rounds = 2, 3
         tree = build_protocol_pq(parties, rounds, 0.5)
         # the main branch never halts, so its path is all continue moves
-        assert tree.node_at((1,) * (parties * rounds)) == tree.leaves()[-1]
+        main = tree.node_at((1,) * (parties * rounds))
+        assert main._index == tree.n_nodes - 1
+        assert np.array_equal(
+            np.diagonal(main.povm_element),
+            protocol_leaf_diagonals(parties, rounds, 0.5)[-1])
 
     def test_node_at_navigates(self):
         tree = build_protocol_pq(2, 2, 0.5)
-        assert tree.node_at(()) == tree.root
-        child = tree.node_at((1,))
-        assert child == tree.root.children[1]
+        assert tree.node_at(())._index == 0
+        assert tree.node_at((0,))._index == 1
+        assert tree.node_at((1,))._index == 2
 
     @pytest.mark.parametrize("parties,rounds", [(2, 300), (3, 100), (5, 8)])
     def test_tree_bytes_bound_the_built_tree(self, parties, rounds):
@@ -191,13 +203,32 @@ class TestVerifyTree:
         assert rep.ok
 
 
+def _node_path(j):
+    """Row j's path from the caterpillar's closed form: the continue node
+    of step k, row 2k, is (1,) * k, and its halt leaf, row 2k + 1, is
+    (1,) * k + (0,)."""
+    return (1,) * (j // 2) + (0,) * (j % 2)
+
+
+def _is_leaf(tree, j):
+    """Halt leaves are the odd rows; the main leaf is the last row."""
+    return j % 2 == 1 or j == tree.n_nodes - 1
+
+
 def _reference_verify_tree(tree):
     """Node-by-node verification: per-node partial traces, per-edge factor
-    comparisons and leaf sums in dicts keyed by node view."""
+    comparisons and leaf sums in dicts keyed by row. Elements are read
+    through ``node_at``; the caterpillar's closed form gives the edges (row
+    2k has the children 2k + 1 and 2k + 2) and the acting party (party
+    k mod P + 1 measures at row 2k)."""
     sum_tol, locality_tol, completeness_tol = 1e-9, 1e-10, 1e-9
-    order = list(tree.iter_nodes())
+    order = range(tree.n_nodes)
     dims = tree.dims
     p_count = dims.n_parties
+    element = [tree.node_at(_node_path(j)).povm_element for j in order]
+
+    def children(j):
+        return () if _is_leaf(tree, j) else (j + 1, j + 2)
 
     def unit_trace_factors(m):
         tr = np.trace(m)
@@ -210,78 +241,70 @@ def _reference_verify_tree(tree):
         return facs, float(np.linalg.norm(m - recon)) / max(
             1.0, float(np.linalg.norm(m)))
 
-    leaf_sum, parent, failed = {}, {}, []
+    leaf_sum, failed = {}, []
     max_sum = 0.0
-    for node in reversed(order):
-        if node.is_leaf:
-            leaf_sum[node] = node.povm_element
+    for j in reversed(order):
+        if _is_leaf(tree, j):
+            leaf_sum[j] = element[j]
             continue
-        for i, ch in enumerate(node.children):
-            parent[ch] = (node, i)
-        acc = leaf_sum[node.children[0]].copy()
-        for ch in node.children[1:]:
+        first, *rest = children(j)
+        acc = leaf_sum[first].copy()
+        for ch in rest:
             acc = acc + leaf_sum[ch]
-        leaf_sum[node] = acc
-        defect = float(np.abs(node.povm_element - acc).max())
+        leaf_sum[j] = acc
+        defect = float(np.abs(element[j] - acc).max())
         max_sum = max(max_sum, defect)
         if defect > sum_tol:
-            failed.append((node, "leaf-sum", defect))
+            failed.append((j, "leaf-sum", defect))
     max_prod = max_loc = 0.0
     factors = {}
-    for node in order:
-        facs, pdef = unit_trace_factors(node.povm_element)
-        factors[node] = facs
+    for j in order:
+        facs, pdef = unit_trace_factors(element[j])
+        factors[j] = facs
         max_prod = max(max_prod, pdef if facs is not None else 1.0)
         if facs is None or pdef > locality_tol:
-            failed.append((node, "product", pdef))
-    for node in order:
-        pf = factors[node]
-        for ch in node.children:
+            failed.append((j, "product", pdef))
+    for j in order:
+        pf = factors[j]
+        for ch in children(j):
             cf = factors[ch]
             if pf is None or cf is None:
                 continue
             for p in range(1, p_count + 1):
-                if p == node.acting_party:
+                if p == j // 2 % p_count + 1:
                     continue
                 d = float(np.linalg.norm(pf[p - 1] - cf[p - 1]))
                 max_loc = max(max_loc, d)
                 if d > locality_tol:
                     failed.append((ch, f"locality-party-{p}", d))
-    comp = float(np.abs(leaf_sum[tree.root] - np.eye(dims.total)).max())
+    comp = float(np.abs(leaf_sum[0] - np.eye(dims.total)).max())
     if comp > completeness_tol:
-        failed.append((tree.root, "completeness", comp))
-
-    def node_path(node):
-        steps = []
-        while node in parent:
-            node, i = parent[node]
-            steps.append(i)
-        return tuple(reversed(steps))
+        failed.append((0, "completeness", comp))
 
     return TreeReport(
-        not failed, len(order), sum(1 for n in order if n.is_leaf), max_sum,
-        max_loc, max_prod, comp,
-        tuple(TreeFailure(node_path(n), k, d) for n, k, d in failed))
+        not failed, len(order), sum(1 for j in order if _is_leaf(tree, j)),
+        max_sum, max_loc, max_prod, comp,
+        tuple(TreeFailure(_node_path(j), k, d) for j, k, d in failed))
 
 
 def _inject_one_fault_of_each_kind(tree, picks):
     """Scale a halt leaf, bump an off-diagonal entry, add a Bell-like
     corner bump and make an element traceless, at the drawn nodes."""
-    nodes = list(tree.iter_nodes())
-    leaves = [n for n in nodes if n.is_leaf]
+    n = tree.n_nodes
+    leaves = [j for j in range(n) if _is_leaf(tree, j)]
     parties, d = tree.dims.n_parties, tree.dims.total
-    leaf = leaves[picks[0] % len(leaves)]
+    leaf = tree.node_at(_node_path(leaves[picks[0] % len(leaves)]))
     leaf.povm_element = 1.01 * leaf.povm_element
-    node = nodes[picks[1] % len(nodes)]
+    node = tree.node_at(_node_path(picks[1] % n))
     bumped = node.povm_element.copy()
     bumped[0, 1] += 0.03
     bumped[1, 0] += 0.03
     node.povm_element = bumped
-    node = nodes[picks[2] % len(nodes)]
+    node = tree.node_at(_node_path(picks[2] % n))
     bell = np.zeros((d, d))
     bell[0, d - 1] = bell[d - 1, 0] = 0.05
     node.povm_element = node.povm_element + bell
-    node = nodes[picks[3] % len(nodes)]
+    node = tree.node_at(_node_path(picks[3] % n))
     node.povm_element = kron([np.diag([1.0, -1.0])]
                              + [np.eye(2)] * (parties - 1))
 
@@ -443,7 +466,8 @@ class TestTableTree:
             got = verify_tree(tree)
             assert verify_tree(tree) == got
             assert np.array_equal(tree._table, table)
-            nodes = list(tree.iter_nodes())  # makes every view
+            nodes = [tree.node_at(_node_path(j))  # makes every view
+                     for j in range(tree.n_nodes)]
             assert len(nodes) == tree.n_nodes and not tree._overrides
             assert np.array_equal(tree._table, table)
             assert verify_tree(tree) == got
@@ -459,18 +483,13 @@ class TestTableTree:
         table = tree._table.copy()
         d = 2 ** parties
         assert table.shape == (tree.n_nodes, d) and table.dtype == np.float64
-        nodes = list(tree.iter_nodes())
+        nodes = [tree.node_at(_node_path(j)) for j in range(tree.n_nodes)]
         for node, row in zip(nodes, table, strict=True):
             e = node.povm_element
             assert e.shape == (d, d) and e.dtype == np.complex128
             assert np.array_equal(e, np.diag(np.diagonal(e)))
             assert np.array_equal(np.diagonal(e), row)
-        main = [tree.node_at((1,) * k) for k in range(parties * rounds + 1)]
-        assert [n.acting_party for n in main] == \
-            [k % parties + 1 for k in range(parties * rounds)] + [None]
-        leaves = tree.leaves()
-        assert all(n.acting_party is None for n in leaves)
-        assert leaves[-1] == main[-1] and not main[-1].children
+        leaves = [n for j, n in enumerate(nodes) if _is_leaf(tree, j)]
         assert np.array_equal(
             np.array([np.diagonal(n.povm_element) for n in leaves]),
             protocol_leaf_diagonals(parties, rounds, 0.5))
@@ -496,15 +515,13 @@ class TestNodeViews:
 
     def test_paths_map_to_rows(self):
         tree = build_protocol_pq(3, 4, 0.5)
-        assert tree.node_at(()) == tree.root
-        nodes = list(tree.iter_nodes())
+        assert tree.node_at(())._index == 0
         for k in range(13):
-            assert tree.node_at((1,) * k) == nodes[2 * k]
-            assert tree.node_at((-1,) * k) == nodes[2 * k]
+            assert tree.node_at((1,) * k)._index == 2 * k
+            assert tree.node_at((-1,) * k)._index == 2 * k
         for k in range(12):
-            assert tree.node_at((1,) * k + (0,)) == nodes[2 * k + 1]
-            assert tree.node_at((1,) * k + (-2,)) == nodes[2 * k + 1]
-            assert nodes[2 * k].children == nodes[2 * k + 1:2 * k + 3]
+            assert tree.node_at((1,) * k + (0,))._index == 2 * k + 1
+            assert tree.node_at((1,) * k + (-2,))._index == 2 * k + 1
         # A path that leaves the tree fails as list indexing fails.
         for bad in [(0, 0), (0, 1), (2,), (-3,), (1, 0, 1), (1,) * 13,
                     (1,) * 12 + (0,)]:
@@ -512,14 +529,6 @@ class TestNodeViews:
                 tree.node_at(bad)
         with pytest.raises(TypeError):
             tree.node_at((1.0,))
-
-    def test_views_are_values_of_tree_and_row(self):
-        tree, twin = build_protocol_pq(2, 3, 0.5), build_protocol_pq(2, 3, 0.5)
-        assert tree.node_at((1, 0)) == tree.leaves()[1]
-        assert tree.node_at((1, 0)) != twin.node_at((1, 0))
-        assert tree.root != tree.root.children[1] and tree.root != 0
-        assert len({*tree.iter_nodes(), *tree.iter_nodes()}) == tree.n_nodes
-        assert len({tree.root, twin.root}) == 2
 
     def test_assigned_elements(self):
         tree = build_protocol_pq(2, 3, 0.5)
@@ -710,16 +719,14 @@ def _assert_matches_reference(parties, rounds, exponent):
     assert np.array_equal(protocol_leaf_diagonals(parties, rounds, exponent),
                           np.vstack([halt, cont[-1:]]))
     _assert_branch_matches_reference(parties, rounds, exponent)
-    node = build_protocol_pq(parties, rounds, exponent).root
-    assert np.array_equal(node.povm_element, np.eye(2 ** parties))
-    for h, c in zip(halt, cont):
-        assert len(node.children) == 2 and node.children[0].is_leaf
-        assert np.array_equal(node.children[0].povm_element,
+    tree = build_protocol_pq(parties, rounds, exponent)
+    assert tree.n_nodes == 2 * len(halt) + 1
+    assert np.array_equal(tree.node_at(()).povm_element, np.eye(2 ** parties))
+    for k, (h, c) in enumerate(zip(halt, cont)):
+        assert np.array_equal(tree.node_at((1,) * k + (0,)).povm_element,
                               np.diag(h.astype(np.complex128)))
-        node = node.children[1]
-        assert np.array_equal(node.povm_element,
+        assert np.array_equal(tree.node_at((1,) * (k + 1)).povm_element,
                               np.diag(c.astype(np.complex128)))
-    assert node.is_leaf
 
 
 class TestAgainstKronReference:
@@ -878,15 +885,18 @@ class TestPathDistanceBound:
             path_distance_bound(2, 10, 0.5, grid_points=points)
 
     def test_custom_grid_validation(self):
-        for grid in ([0.5, 2.0], [2.0, 4.5], [np.nan, 2.0], [2.0, np.inf],
-                     []):
+        # The limit path is read only on [1, 4], up to rounding; points
+        # within rounding are clamped, and a non-finite trace is refused on
+        # the finite branch too.
+        for grid in ([0.5, 2.0], [2.0, 4.5], [np.nan, 2.0], [2.0, np.inf]):
             with pytest.raises(ValueError):
-                path_distance_bound(2, 10, 0.5, s_grid=grid)
-        # Points within rounding of [1, 4] are clamped, and reported as
-        # given.
-        rep = path_distance_bound(2, 10, 0.5, s_grid=[4.0 + 1e-13,
-                                                      1.0 - 1e-13])
-        assert rep.worst_s == 1.0 - 1e-13
+                limit_path_diagonals(2, grid)
+        for grid in ([np.nan, 2.0], [2.0, np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                main_branch_diagonals(2, 10, 0.5, grid)
+        assert np.array_equal(
+            limit_path_diagonals(2, [4.0 + 1e-13, 1.0 - 1e-13]),
+            limit_path_diagonals(2, [4.0, 1.0]))
 
 
 def _table_gap(parties, rounds, exponent, grid):
@@ -966,17 +976,26 @@ class TestClosedFormMainBranch:
     @settings(max_examples=30, deadline=None)
     @given(_branch_grids())
     def test_gap_matches_trace_norm_route(self, case):
+        # The closed-form gap, the sum of absolute diagonal differences of
+        # the finite branch and the limit, against one trace norm per point.
         parties, rounds, exponent, grid = case
-        rep = path_distance_bound(parties, rounds, exponent, s_grid=grid)
+        gaps = np.abs(main_branch_diagonals(parties, rounds, exponent, grid)
+                      - limit_path_diagonals(parties, grid)).sum(axis=1)
         want = _table_gap(parties, rounds, exponent, grid)
         # The SVD inside trace_norm is exact only to about 1e-16 per
         # singular value, which decides gaps at rounding level (grids that
         # sit on the floor), hence the absolute floor.
         slack = 1e-12 * want + 1e-14
-        assert abs(rep.max_distance - want) <= slack
-        assert rep.worst_s in grid
-        at_worst = _table_gap(parties, rounds, exponent, [rep.worst_s])
+        assert abs(gaps.max() - want) <= slack
+        worst_s = grid[np.argmax(gaps)]
+        at_worst = _table_gap(parties, rounds, exponent, [worst_s])
         assert abs(at_worst - want) <= 2.0 * slack
+        # path_distance_bound takes the same gap on its uniform grid.
+        uniform = np.linspace(1.0, 2.0 ** parties, 17)
+        rep = path_distance_bound(parties, rounds, exponent, grid_points=17)
+        want = _table_gap(parties, rounds, exponent, uniform)
+        assert abs(rep.max_distance - want) <= 1e-12 * want + 1e-14
+        assert rep.worst_s in uniform
 
     @pytest.mark.parametrize("parties", [2, 3, 4, 5, 6])
     def test_placement_matches_the_bisection(self, parties):
@@ -1054,16 +1073,16 @@ class TestDerivativeOutcomes:
     def test_completeness_against_quadrature(self, parties):
         d = 2 ** parties
         # the path bottom is the projector onto the all-ones corner
-        total = (np.diag(limit_path_diagonals(parties, [1.0])[0])
-                 + integrate_sqrt_smooth(lambda u: np.real(
-                     derivative_outcomes(parties, u)).sum(axis=1)))
-        np.testing.assert_allclose(np.diagonal(total), np.ones(d), atol=1e-10)
+        total = (limit_path_diagonals(parties, [1.0])[0]
+                 + integrate_sqrt_smooth(
+                     lambda u: derivative_diagonals(parties, u).sum(axis=1)))
+        np.testing.assert_allclose(total, np.ones(d), atol=1e-10)
 
     def test_two_party_outcomes_bit_for_bit(self):
         # The densities and their square roots, the Kraus operators, are
         # exact: sigma (or its root), 1 and 0.
         sigma = np.linspace(0.0, 1.0, 101)
-        outs = derivative_outcomes(2, sigma)
+        outs = diagonal_stack(derivative_diagonals(2, sigma))
         assert outs.shape == (101, 2, 4, 4) and outs.dtype == np.complex128
         for s, (first, second), (k1, k2) in zip(sigma, outs, np.sqrt(outs)):
             assert np.array_equal(first, np.diag([s, 1.0, 0.0, 0.0]))
@@ -1080,13 +1099,11 @@ class TestDerivativeOutcomes:
         diags = derivative_diagonals(parties, sigma)
         assert diags.shape == (11, parties, 2 ** parties)
         assert diags.dtype == np.float64
-        assert np.array_equal(derivative_outcomes(parties, sigma),
-                              diagonal_stack(diags))
-        assert np.array_equal(np.sqrt(derivative_outcomes(parties, sigma)),
+        assert np.array_equal(np.sqrt(diagonal_stack(diags)),
                               diagonal_stack(np.sqrt(diags)))
 
     def test_outcome_shapes_and_positions(self):
-        outs = derivative_outcomes(3, [0.26])[0]
+        outs = diagonal_stack(derivative_diagonals(3, [0.26]))[0]
         assert outs.shape == (3, 8, 8)
         for alpha, op in enumerate(outs):
             assert np.linalg.eigvalsh(op)[0] >= 0.0
@@ -1623,7 +1640,7 @@ class TestIntegratedWitness:
         solver = spec.solver()
         (main,), fams = family(spec)
         c_end, _ = protocols._endpoint_check(main, spec)
-        cs = c_end.matrix + sum(cumulative_sqrt_smooth(fam.cdensity_at, sigmas)
+        cs = c_end.matrix + sum(cumulative_integrals(fam.cdensity_at, sigmas)
                                 for fam in fams)
         for sigma, c in zip(sigmas, cs):
             assert np.abs(np.where(solver.mask, 0.0, c)).max() == 0.0

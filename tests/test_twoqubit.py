@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loccverify import (
-    apply,
     blocked_isometry_check,
     channel_from_leaf_povm,
     channel_zonoid,
@@ -34,14 +33,15 @@ from loccverify import (
     ZonoidSpec,
 )
 from loccverify import twoqubit, zonoid_spec_for_channel
-from loccverify.linalg import integrate_sqrt_smooth
+from loccverify.linalg import diagonal_stack, integrate_sqrt_smooth
 from loccverify.pqubit import multiplier_choi_matrix
-from loccverify.protocols import derivative_diagonals, derivative_outcomes
+from loccverify.protocols import derivative_diagonals
 from loccverify.tolerances import QUAD_NODES
 from loccverify.twoqubit import K_GROUPED, K_REDUCED, W_GROUPING
 from loccverify.zonoid import CoefficientMatrix, _directions
 
-from conftest import loop_sqrt_smooth, random_density, stacked
+from conftest import (apply_branches, apply_kraus, loop_sqrt_smooth,
+                      random_density, stacked)
 
 
 def ket(*bits):
@@ -73,22 +73,22 @@ class TestInstrumentDefinition:
     def test_branch_action_on_basis_states(self, rng):
         # frozen by hand: the second branch halves |00> and keeps |10>
         inst = two_qubit_instrument().instrument
-        out00 = apply(inst, np.outer(ket(0, 0), ket(0, 0)))
-        np.testing.assert_allclose(out00[1][0],
+        out00 = apply_branches(inst, np.outer(ket(0, 0), ket(0, 0)))
+        np.testing.assert_allclose(out00[1],
                                    0.5 * np.outer(ket(0, 0), ket(0, 0)),
                                    atol=1e-12)
-        out10 = apply(inst, np.outer(ket(1, 0), ket(1, 0)))
-        np.testing.assert_allclose(out10[1][0],
+        out10 = apply_branches(inst, np.outer(ket(1, 0), ket(1, 0)))
+        np.testing.assert_allclose(out10[1],
                                    np.outer(ket(1, 0), ket(1, 0)), atol=1e-12)
         # and the first branch fires only on |11>
-        out11 = apply(inst, np.outer(ket(1, 1), ket(1, 1)))
-        assert out11[0][1] == pytest.approx(1.0)
-        assert out00[0][1] == pytest.approx(0.0, abs=1e-14)
+        out11 = apply_branches(inst, np.outer(ket(1, 1), ket(1, 1)))
+        assert np.trace(out11[0]).real == pytest.approx(1.0)
+        assert np.trace(out00[0]).real == pytest.approx(0.0, abs=1e-14)
 
     def test_branch_probabilities_sum(self, rng):
         inst = two_qubit_instrument().instrument
         rho = random_density(4, rng)
-        probs = [p for _, p in apply(inst, rho)]
+        probs = [np.trace(b).real for b in apply_branches(inst, rho)]
         assert sum(probs) == pytest.approx(1.0)
 
 
@@ -198,7 +198,7 @@ class TestLimitingPovm:
 
     def test_elements_psd_and_shapes(self):
         sigma = np.sqrt([1.0, 2.2, 4.0]) - 1.0
-        halts = derivative_outcomes(2, sigma)
+        halts = diagonal_stack(derivative_diagonals(2, sigma))
         assert halts.shape == (3, 2, 4, 4)
         for e in [np.diag([0.0, 0.0, 0.0, 1.0]), *halts.reshape(6, 4, 4)]:
             assert np.linalg.eigvalsh(e)[0] >= -1e-12
@@ -206,7 +206,7 @@ class TestLimitingPovm:
     def test_domain_validation(self):
         for sigma in (-0.3, 1.1, np.nan):
             with pytest.raises(ValueError):
-                derivative_outcomes(2, [0.5, sigma])
+                derivative_diagonals(2, [0.5, sigma])
 
 
 class TestLimitingChoi:
@@ -405,7 +405,7 @@ class TestPrelimit:
     def test_channel_is_trace_preserving(self, rng):
         k = prelimit_channel(25, 0.5)
         rho = random_density(4, rng)
-        assert np.trace(apply(k, rho)) == pytest.approx(1.0)
+        assert np.trace(apply_kraus(k.operators, rho)) == pytest.approx(1.0)
 
     @staticmethod
     def distance(rounds, exponent=0.5):
