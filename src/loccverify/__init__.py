@@ -44,10 +44,7 @@ from .zonoid import (
     zonoid_spec_for_instrument,
 )
 from .protocols import (
-    CheckedPath,
-    EndpointFamily,
     NodeView,
-    PathConditionReport,
     PiecewisePath,
     ProtocolParams,
     ProtocolTree,
@@ -57,8 +54,13 @@ from .protocols import (
     main_branch_path,
     path_distance_bound,
     protocol_leaf_diagonals,
-    verify_theorem_conditions,
     verify_tree,
+)
+from .conditions import (
+    CheckedPath,
+    EndpointFamily,
+    PathConditionReport,
+    verify_theorem_conditions,
 )
 from .twoqubit import (
     BlockedIsometryCheck,

@@ -33,9 +33,9 @@ from .protocols import (
     main_branch_diagonals,
     path_distance_bound,
     protocol_check_bytes,
-    verify_theorem_conditions,
     verify_tree,
 )
+from .conditions import verify_theorem_conditions
 from .zonoid import (
     ZonoidSpec,
     _hermitian_input,

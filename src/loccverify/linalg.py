@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .tolerances import HERMITICITY_TOL, PSD_TOL, QUAD_NODES
+from .tolerances import HERMITICITY_TOL, PSD_TOL, QUAD_NODES, ROUNDING_TOL
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,16 @@ def diagonal_stack(diag) -> np.ndarray:
     out = np.zeros(diag.shape + (d,), dtype=np.complex128)
     out.reshape(diag.shape[:-1] + (d * d,))[..., ::d + 1] = diag
     return out
+
+
+def clamped(s, top: float, message: str, bottom: float = 1.0) -> np.ndarray:
+    """s clipped to [bottom, top]; ValueError if an entry is further out
+    than rounding."""
+    s = np.asarray(s, dtype=float)
+    inside = (s >= bottom - ROUNDING_TOL) & (s <= top + ROUNDING_TOL)
+    if not inside.all():
+        raise ValueError(f"{message} (got s={s[~inside].flat[0]})")
+    return np.clip(s, bottom, top)
 
 
 def partial_trace(m, dims, keep: Iterable[int]) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 from .linalg import (
     PartyDims,
     as_matrix,
+    clamped,
     diagonal_stack,
     gauss_legendre,
     integrate_sqrt_smooth,
@@ -34,13 +35,8 @@ from .channels import (
 )
 from .pqubit import (multiplier_choi_matrix, multiplier_kraus,
                      prelimit_coefficients, quadrature_coefficients)
-from .protocols import (
-    CheckedPath,
-    EndpointFamily,
-    c_matrix_stack,
-    derivative_diagonals,
-    limit_path_diagonals,
-)
+from .conditions import CheckedPath, EndpointFamily
+from .protocols import derivative_diagonals, limit_path_diagonals
 from .tolerances import (COARSE_GRAIN_TOL, DENSITY_TRACE_TOL, ISOMETRY_TOL,
                          QUAD_NODES, SIGMA_SAMPLES)
 from .zonoid import ZonoidSpec, zonoid_spec_for_instrument
@@ -81,6 +77,36 @@ W_GROUPING = np.array([
 K_GROUPED.setflags(write=False)
 K_REDUCED.setflags(write=False)
 W_GROUPING.setflags(write=False)
+
+
+def c_matrix_stack(name: str, s) -> np.ndarray:
+    """Closed-form coefficient families of the worked two-qubit channel over
+    :data:`K_REDUCED`, at every s of a 1-D array in [1, 4]; shape (n, 4, 4).
+
+    With sigma = sqrt(s) - 1, "C1" is the main-path witness, and "C2" and
+    "C3" are the rank-1 halt densities w w^T with respect to d sigma, w
+    weighting operator 2 or 3 by 1 and operator 4 by 3 sqrt(sigma) - 2. The
+    densities may leave the unit box; only assembled witnesses are box
+    constrained. A caller that needs checked coefficient matrices passes
+    the stack through :func:`~loccverify.zonoid.coefficient_stack`.
+    """
+    if name not in ("C1", "C2", "C3"):
+        raise ValueError(f"unknown family {name!r}")
+    sigma = np.sqrt(clamped(s, 4.0, f"{name} needs s in [1, 4]")) - 1.0
+    if name == "C1":
+        beta = 2.0 * (np.sqrt(sigma) - 1.0)
+        gamma = 9.0 * sigma + 8.0 - 16.0 * np.sqrt(sigma)
+        c = np.zeros(sigma.shape + (4, 4))
+        c[..., 0, 0] = 1.0
+        c[..., 1, 1] = c[..., 2, 2] = sigma
+        c[..., 1, 3] = c[..., 3, 1] = sigma * beta
+        c[..., 2, 3] = c[..., 3, 2] = sigma * beta
+        c[..., 3, 3] = sigma * gamma
+        return c.astype(np.complex128)
+    w = np.zeros(sigma.shape + (4,))
+    w[..., 1 if name == "C2" else 2] = 1.0
+    w[..., 3] = 3.0 * np.sqrt(sigma) - 2.0
+    return (w[..., :, None] * w[..., None, :]).astype(np.complex128)
 
 
 @dataclass(frozen=True)

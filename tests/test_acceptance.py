@@ -52,8 +52,8 @@ from loccverify import (
     wstate_analysis,
 )
 from loccverify.linalg import diagonal_stack
-from loccverify.protocols import c_matrix_stack, limit_path_diagonals
-from loccverify.twoqubit import K_GROUPED, K_REDUCED
+from loccverify.protocols import limit_path_diagonals
+from loccverify.twoqubit import K_GROUPED, K_REDUCED, c_matrix_stack
 
 from conftest import random_channel, random_density
 

@@ -4,14 +4,20 @@ passing run, an input that makes that check, and only it, fail.
 A check that can never fail shows nothing, so each twin pins that the
 check reads what it claims to read. Each test runs the command as it is
 (exit 0, the check's defect exactly 0.0) and then its twin (exit 1, the
-check alone failing).
+check alone failing). Checks of the condition verifier are twinned on its
+reports the same way; where the mathematics makes a second check fail with
+the first, the twin names both.
 """
 
+import dataclasses
 import json
 
 import numpy as np
+import pytest
 
-from loccverify import cli
+from loccverify import (blocked_limiting_family, channel_zonoid, cli,
+                        instrument_zonoid, limiting_family,
+                        verify_theorem_conditions)
 from loccverify.channels import KrausSet
 
 
@@ -88,3 +94,44 @@ def test_cross_sector(capsys, monkeypatch):
     assert [n for n, c in checks.items() if not c["pass"]] == ["cross-sector"]
     assert checks["cross-sector"]["defect"] > 0.01
 
+
+def failed(report):
+    return {c.name: c for c in report.checks if not c.passed}
+
+
+def test_uncovered_block_fails_its_resolution():
+    # Without the main path nothing covers block 0, the all-ones outcome,
+    # whose one diagonal entry of the identity is then left over.
+    spec = instrument_zonoid()
+    paths, fams = blocked_limiting_family(spec)
+    rep = verify_theorem_conditions(spec, paths, fams)
+    assert rep.passed and rep.check("resolution[0]").defect == 0.0
+    twin = failed(verify_theorem_conditions(spec, [], fams))
+    assert list(twin) == ["resolution[0]"]
+    assert twin["resolution[0]"].defect == 1.0
+
+
+@pytest.mark.parametrize("label", ["halt-A", "halt-B"])
+def test_non_product_halt_density_fails_product(label):
+    # The constant density diag(1, 0, 0, 1) is |00><00| + |11><11|, not a
+    # product, and w w^T with w = (1, 0, 0, 3) reconstructs it: w weights
+    # the reduced basis to diag(1, 0, 0, 1), whose square it is. Such a
+    # density cannot also resolve the identity (see CHANGES.md), so the
+    # resolution fails with it.
+    spec = channel_zonoid()
+    paths, fams = limiting_family(spec)
+    rep = verify_theorem_conditions(spec, paths, fams, s_samples=11)
+    assert rep.passed and rep.check(f"{label}:product").defect == 0.0
+    w = np.array([1.0, 0.0, 0.0, 3.0])
+    i = [f.label for f in fams].index(label)
+    fams[i] = dataclasses.replace(
+        fams[i],
+        density_at=lambda sg: np.tile([1.0, 0.0, 0.0, 1.0], (len(sg), 1)),
+        cdensity_at=lambda sg: np.broadcast_to(np.outer(w, w),
+                                               (len(sg), 4, 4)))
+    twin = failed(verify_theorem_conditions(spec, paths, fams, s_samples=11))
+    assert sorted(twin) == sorted([f"{label}:product", "resolution"])
+    product = twin[f"{label}:product"]
+    assert product.defect == pytest.approx(1.0, abs=1e-12)
+    assert product.where == "sigma=0"
+    assert twin["resolution"].defect == pytest.approx(9.6047, abs=1e-4)

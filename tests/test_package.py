@@ -1,5 +1,8 @@
-"""The package's exported names."""
+"""The package's exported names and the seams between its modules."""
 
+import ast
+import importlib
+import importlib.util
 import re
 import types
 from pathlib import Path
@@ -10,7 +13,9 @@ import loccverify
 from loccverify import (channels, linalg, protocols, serialize, twoqubit,
                         zonoid)
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+PACKAGE = Path(loccverify.__file__).resolve().parent
 
 
 def test_all_names_exactly_the_bound_public_names():
@@ -51,3 +56,36 @@ def test_tree_navigation_views_are_gone():
         assert not hasattr(protocols.ProtocolTree, name)
     for name in ("children", "acting_party", "is_leaf"):
         assert not hasattr(protocols.NodeView, name)
+
+
+def test_every_benchmark_span_target_is_bound_on_its_module():
+    # The benchmark wraps these functions by home module and name, so a
+    # move that drops a binding breaks its traced runs.
+    loader = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    for mod, funcs in spans.TARGETS.items():
+        home = importlib.import_module(f"{spans.PACKAGE}.{mod}")
+        for fn in funcs:
+            assert callable(getattr(home, fn, None)), f"{mod}.{fn}"
+
+
+def test_module_seams():
+    # The finite protocol does not reach the zonoid layer, the condition
+    # verifier is generic over paths, and the worked example's closed
+    # forms live beside the basis whose order they assume.
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in PACKAGE.glob("*.py")}
+
+    def sources(name):
+        return {node.module for node in ast.walk(trees[name])
+                if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+    assert "zonoid" not in sources("protocols")
+    assert not sources("conditions") & {"protocols", "twoqubit"}
+    defines = [name for name, tree in trees.items()
+               if any(isinstance(node, ast.FunctionDef)
+                      and node.name == "c_matrix_stack"
+                      for node in tree.body)]
+    assert defines == ["twoqubit"]

@@ -34,12 +34,12 @@ from loccverify import (
     verify_tree,
     zonoid_spec_for_instrument,
 )
-from loccverify import linalg, protocols, zonoid
+from loccverify import conditions, linalg, protocols, zonoid
 from loccverify.linalg import diagonal_stack
-from loccverify.protocols import (TreeFailure, c_matrix_stack,
-                                  derivative_diagonals, limit_path_diagonals,
-                                  protocol_check_bytes, protocol_tree_bytes)
-from loccverify.twoqubit import K_REDUCED
+from loccverify.protocols import (TreeFailure, derivative_diagonals,
+                                  limit_path_diagonals, protocol_check_bytes,
+                                  protocol_tree_bytes)
+from loccverify.twoqubit import K_REDUCED, c_matrix_stack
 from loccverify.zonoid import coefficient_stack
 
 from conftest import cumulative_integrals
@@ -1115,6 +1115,49 @@ class TestDerivativeOutcomes:
                     assert diag[idx] == 0.0
 
 
+def _own_loop_limit(parties, s):
+    """Reference for limit_path_diagonals: one broadcast outer product per
+    party, left to right."""
+    factor = np.stack([s ** (1.0 / parties) - 1.0, np.ones_like(s)], axis=-1)
+    diag = factor
+    for _ in range(parties - 1):
+        diag = (diag[..., :, None] * factor[..., None, :]).reshape(
+            s.shape + (-1,))
+    return diag
+
+
+def _own_loop_derivative(parties, sigma):
+    """Reference for derivative_diagonals: one broadcast outer product per
+    party, left to right."""
+    factors = np.empty(sigma.shape + (parties, parties, 2))
+    factors[..., 0] = sigma[..., None, None]
+    factors[..., 1] = 1.0
+    factors.reshape(sigma.shape + (parties * parties, 2))[
+        ..., ::parties + 1, :] = (1.0, 0.0)
+    diag = factors[..., 0, :]
+    for p in range(1, parties):
+        diag = (diag[..., :, None] * factors[..., p, None, :]).reshape(
+            sigma.shape + (parties, 2 ** (p + 1)))
+    return diag
+
+
+class TestPartyProduct:
+    """The limit path and its halt densities, built by one party loop,
+    are bitwise the broadcast outer products in the same order."""
+
+    @pytest.mark.parametrize("parties", [2, 3, 4, 5, 6])
+    def test_both_builders_are_bitwise_their_own_loops(self, parties):
+        rng = np.random.default_rng(4100 + parties)
+        s = 1.0 + (2.0 ** parties - 1.0) * rng.random(257)
+        s[:2] = 1.0, 2.0 ** parties
+        assert np.array_equal(limit_path_diagonals(parties, s),
+                              _own_loop_limit(parties, s))
+        sigma = rng.random((3, 43))
+        sigma[0, :2] = 0.0, 1.0
+        assert np.array_equal(derivative_diagonals(parties, sigma),
+                              _own_loop_derivative(parties, sigma))
+
+
 def _s_of(parties: int, sigma):
     return (1.0 + sigma) ** parties
 
@@ -1516,7 +1559,7 @@ class TestVerifyTheoremConditions:
         if flaw == "anti-hermitian":
             # The verifier refuses a non-Hermitian coefficient stack, so its
             # check is lifted here; the witness gate must still catch it.
-            monkeypatch.setattr(protocols, "coefficient_stack",
+            monkeypatch.setattr(conditions, "coefficient_stack",
                                 lambda m: np.asarray(m, dtype=complex))
         fams[0] = dataclasses.replace(fams[0], cdensity_at=flawed)
         calls = _count_membership_calls(monkeypatch)
@@ -1549,13 +1592,13 @@ class TestVerifyTheoremConditions:
         paths, _ = blocked_limiting_family()
         monkeypatch.setattr(zonoid, "MEMBERSHIP_MAX_ITER", 0)
         reports = []
-        real = protocols.membership
+        real = conditions.membership
 
         def recording(z, spec, tol):
             reports.append(real(z, spec, tol=tol))
             return reports[-1]
 
-        monkeypatch.setattr(protocols, "membership", recording)
+        monkeypatch.setattr(conditions, "membership", recording)
         rep = verify_theorem_conditions(instrument_zonoid(), paths,
                                         s_samples=41)
         mem = rep.check("main:membership")
@@ -1615,13 +1658,13 @@ class TestVerifyTheoremConditions:
 def _count_membership_calls(monkeypatch) -> list:
     """Record each membership call of the condition verifier."""
     calls = []
-    real = protocols.membership
+    real = conditions.membership
 
     def counting(z, spec, tol):
         calls.append(z)
         return real(z, spec, tol=tol)
 
-    monkeypatch.setattr(protocols, "membership", counting)
+    monkeypatch.setattr(conditions, "membership", counting)
     return calls
 
 
@@ -1639,7 +1682,7 @@ class TestIntegratedWitness:
         spec = spec()
         solver = spec.solver()
         (main,), fams = family(spec)
-        c_end, _ = protocols._endpoint_check(main, spec)
+        c_end, _ = conditions._endpoint_check(main, spec)
         cs = c_end.matrix + sum(cumulative_integrals(fam.cdensity_at, sigmas)
                                 for fam in fams)
         for sigma, c in zip(sigmas, cs):
@@ -1695,7 +1738,7 @@ class TestLimitFamilies:
 
     def test_derived_endpoint_is_the_closed_form_c1(self):
         (main,), _ = limiting_family()
-        c_end, defect = protocols._endpoint_check(main, channel_zonoid())
+        c_end, defect = conditions._endpoint_check(main, channel_zonoid())
         (c1,) = coefficient_stack(c_matrix_stack("C1", [1.0]))
         assert np.array_equal(c_end.matrix, c1)
         assert defect <= 1e-12
