@@ -6,7 +6,9 @@ check reads what it claims to read. Each test runs the command as it is
 (exit 0, the check's defect exactly 0.0) and then its twin (exit 1, the
 check alone failing). Checks of the condition verifier are twinned on its
 reports the same way; where the mathematics makes a second check fail with
-the first, the twin names both.
+the first, the twin names both. Some twins patch a function the command
+calls instead; the link twins among them alter a quantity a check reads
+from another module, and pin that the check, and only it, sees it.
 """
 
 import dataclasses
@@ -16,8 +18,8 @@ import numpy as np
 import pytest
 
 from loccverify import (blocked_limiting_family, channel_zonoid, cli,
-                        instrument_zonoid, limiting_family,
-                        verify_theorem_conditions)
+                        instrument_zonoid, limiting_family, pqubit,
+                        twoqubit, verify_theorem_conditions)
 from loccverify.channels import KrausSet
 
 
@@ -46,6 +48,20 @@ def assert_twin(capsys, argv, twin, name):
     return checks
 
 
+def assert_patched_twin(capsys, monkeypatch, argv, module, attr, altered,
+                        name):
+    """``argv`` passes; with ``module.attr`` replaced by
+    ``altered(original)`` it exits 1 with ``name`` the only failed check.
+    Returns that check from both runs."""
+    status, base = run(capsys, argv)
+    assert status == 0 and all(c["pass"] for c in base.values())
+    monkeypatch.setattr(module, attr, altered(getattr(module, attr)))
+    status, checks = run(capsys, argv)
+    assert status == 1
+    assert [n for n, c in checks.items() if not c["pass"]] == [name]
+    return base[name], checks[name]
+
+
 def test_choi_trace(capsys):
     # 2 I has normalized Choi trace 4, so the defect is 3.
     checks = assert_twin(
@@ -60,6 +76,63 @@ def test_distances_decreasing(capsys):
         ["paper-pq", "--parties", "3", "--nu-list", "1000,100"],
         "distances-decreasing")
     assert checks["distances-decreasing"]["defect"] == 1.0
+
+
+def test_party_reduction(capsys, monkeypatch):
+    # The two-party multiplier that three parties must embed, 1% too
+    # large: its all-ones entry 1 moves by 0.01.
+    def altered(coefficients):
+        return lambda parties: coefficients(parties) * (
+            1.01 if parties == 2 else 1.0)
+
+    base, twin = assert_patched_twin(
+        capsys, monkeypatch, ["paper-pq", "--parties", "3"], pqubit,
+        "pqubit_coefficients", altered, "party-reduction")
+    assert base["defect"] == 0.0
+    assert twin["defect"] == pytest.approx(0.01, abs=1e-12)
+
+
+def test_quadrature_reads_the_verified_halt_densities(capsys, monkeypatch):
+    # Party 1's halt density 1% too large: the multiplier entry of the
+    # index where only party 1 sees |0>, the integral of 1, moves by 0.01.
+    def altered(diagonals):
+        def scaled(parties, sigma):
+            out = diagonals(parties, sigma)
+            out[..., 0, :] *= 1.01
+            return out
+        return scaled
+
+    _, twin = assert_patched_twin(
+        capsys, monkeypatch,
+        ["paper-pq", "--parties", "3", "--nu-list", "100,1000"],
+        pqubit, "derivative_diagonals", altered, "quadrature-match")
+    assert twin["defect"] == pytest.approx(0.01, abs=1e-12)
+
+
+def test_column_norm_reads_the_verified_halt_weights(capsys, monkeypatch):
+    # C2 1% too large: C2 and C3 each integrate to 1/2 at (3, 3), so the
+    # last column's norm reads 1.005.
+    def altered(stack):
+        return lambda name, s: stack(name, s) * (
+            1.01 if name == "C2" else 1.0)
+
+    _, twin = assert_patched_twin(
+        capsys, monkeypatch, ["paper-2q", "--nu", "1000"], twoqubit,
+        "c_matrix_stack", altered, "column-norm")
+    assert twin["defect"] == pytest.approx(0.005, abs=1e-12)
+
+
+def test_all_ones_annihilates(capsys, monkeypatch):
+    # The all-ones projector built reversed is |00><00|, which keeps the W
+    # state's |001> term, of norm 1/sqrt(3).
+    def altered(diag4):
+        return lambda a, b, c, d: diag4(d, c, b, a)
+
+    base, twin = assert_patched_twin(
+        capsys, monkeypatch, ["wstate"], twoqubit, "_diag4", altered,
+        "all-ones-annihilates")
+    assert base["defect"] == 0.0
+    assert twin["defect"] == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-12)
 
 
 def test_hausdorff_decreasing(capsys):

@@ -21,6 +21,7 @@ from loccverify import (
     quadrature_coefficients,
 )
 from loccverify import protocols
+from loccverify.tolerances import QUADRATURE_TOL
 
 from conftest import random_density
 
@@ -230,7 +231,8 @@ class TestClosedFormMultiplier:
 class TestLimitCheck:
     def test_three_party_report(self):
         rep = pqubit_limit_check(3, [100, 1000])
-        assert rep.passed
+        assert rep.quadrature_defect <= QUADRATURE_TOL
+        assert rep.reduction_defect <= QUADRATURE_TOL
         assert rep.strictly_decreasing
         assert rep.quadrature_defect <= 1e-10
         assert rep.reduction_defect <= 1e-10
@@ -240,7 +242,9 @@ class TestLimitCheck:
     @pytest.mark.parametrize("parties", [5, 6])
     def test_five_and_six_parties_pass(self, parties):
         rep = pqubit_limit_check(parties, [10, 100, 1000])
-        assert rep.passed and rep.strictly_decreasing
+        assert rep.quadrature_defect <= QUADRATURE_TOL
+        assert rep.reduction_defect <= QUADRATURE_TOL
+        assert rep.strictly_decreasing
         assert rep.quadrature_defect <= 1e-14
         assert rep.reduction_defect == 0.0
 

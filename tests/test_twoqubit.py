@@ -36,7 +36,8 @@ from loccverify import twoqubit, zonoid_spec_for_channel
 from loccverify.linalg import diagonal_stack, integrate_sqrt_smooth
 from loccverify.pqubit import multiplier_choi_matrix
 from loccverify.protocols import derivative_diagonals
-from loccverify.tolerances import QUAD_NODES
+from loccverify.tolerances import (COARSE_GRAIN_TOL, ISOMETRY_TOL,
+                                   QUAD_NODES)
 from loccverify.twoqubit import K_GROUPED, K_REDUCED, W_GROUPING
 from loccverify.zonoid import CoefficientMatrix, _directions
 
@@ -255,14 +256,17 @@ class TestLimitingChoi:
 class TestIsometryIntegrals:
     def test_continuous_relation(self):
         rep = continuous_isometry_check()
-        assert rep.passed
+        assert abs(rep.last_column_norm - 1.0) <= ISOMETRY_TOL
+        assert abs(rep.cross_overlap) <= ISOMETRY_TOL
+        assert abs(rep.weight - 1.0) <= ISOMETRY_TOL
         assert rep.last_column_norm == pytest.approx(1.0, abs=1e-10)
         assert rep.cross_overlap == pytest.approx(0.0, abs=1e-10)
         assert rep.weight == pytest.approx(1.0, abs=1e-10)
 
     def test_blocked_relation(self):
         rep = blocked_isometry_check()
-        assert rep.passed
+        assert rep.max_row_residual <= ISOMETRY_TOL
+        assert rep.coefficient_defect <= ISOMETRY_TOL
         assert rep.max_row_residual <= 1e-10
         assert rep.coefficient_defect <= 1e-10
 
@@ -274,7 +278,7 @@ class TestIsometryIntegrals:
 
     def test_coarse_grain(self):
         rep = coarse_grain_check()
-        assert rep.passed
+        assert rep.max_defect <= COARSE_GRAIN_TOL
         assert rep.max_defect <= 1e-9
 
     @pytest.mark.parametrize("nodes", [1, 8, 64])
@@ -307,7 +311,7 @@ class TestIsometryIntegrals:
         scaled[1] *= 1.01
         monkeypatch.setattr(twoqubit, "K_GROUPED", scaled)
         rep = coarse_grain_check()
-        assert not rep.passed
+        assert rep.max_defect > COARSE_GRAIN_TOL
         assert rep.max_defect == pytest.approx(_coarse_grain_per_unit(64),
                                                abs=1e-15)
 
