@@ -60,9 +60,9 @@ TREE_BYTES_BUDGET = 2 ** 28
 
 # Fixed part of `work_bytes`, and the bytes each s sample of a theorem
 # check holds: its operator is a real diagonal, and its coefficient
-# stacks, dense kappa x kappa, hold the rest.
+# stacks, real and dense kappa x kappa, hold the rest.
 _FIXED_BYTES = 2 ** 19
-_THEOREM_SAMPLE_BYTES = {"theorem1": 1248, "theorem8": 1856}
+_THEOREM_SAMPLE_BYTES = {"theorem1": 728, "theorem8": 1024}
 # Bytes each direction of a two-qubit Hausdorff estimate holds.
 _HAUSDORFF_SAMPLE_BYTES = 1344
 # Bytes each entry of a Choi matrix holds: in `choi` with its printed JSON,

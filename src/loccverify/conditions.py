@@ -132,9 +132,10 @@ def _operators(stack, n: int, dim: int, what: str) -> np.ndarray:
 
 
 def _coefficients(stack, n: int, kappa: int, what: str) -> np.ndarray:
-    """A callback's coefficient stack, checked and symmetrised."""
-    return coefficient_stack(_checked(np.asarray(stack, dtype=np.complex128),
-                                      (n, kappa, kappa), what))
+    """A callback's coefficient stack, checked and symmetrised: real when
+    the callback's is, complex otherwise."""
+    return coefficient_stack(_checked(np.asarray(stack), (n, kappa, kappa),
+                                      what))
 
 
 def _residuals(solver, cs: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -164,9 +165,11 @@ def _endpoint_check(path: CheckedPath, spec: ZonoidSpec):
                     f"{path.label} op_at")[0]
     c = endpoint_cmatrix(_as_matrix(sqrt_psd(op)), spec)
     recon = float(_residuals(spec.solver(), c.matrix, op))
-    w = np.sort(c.eigenvalues())[::-1]
-    rank_excess = float(np.abs(w[1:]).max(initial=0.0))
-    box_excess = max(0.0, float(w[0]) - 1.0, -float(w.min(initial=0.0)))
+    # Ascending: the largest eigenvalue is the last, the rank excess is
+    # every other one, and the lowest is the first.
+    w = c.eigenvalues()
+    rank_excess = float(np.abs(w[:-1]).max(initial=0.0))
+    box_excess = max(0.0, float(w[-1]) - 1.0, -float(w[0]))
     return c, max(recon, rank_excess, box_excess)
 
 
@@ -200,6 +203,9 @@ def _witness_defects(solver, c_end: np.ndarray,
     quadrature error can raise a defect but never hide a bad witness.
     """
     kappa = solver.kappa
+    # A real endpoint keeps C(s) real when the node values are.
+    if not c_end.imag.any():
+        c_end = c_end.real
     cs = np.broadcast_to(c_end, (len(grid),) + c_end.shape)
     sigma, weights = None, None
     for fam, nodes in families:
@@ -215,6 +221,71 @@ def _witness_defects(solver, c_end: np.ndarray,
     ok = ((np.linalg.norm(cs - herm, axis=(1, 2)) <= ROUNDING_TOL)
           & solver.in_box(herm))
     return np.where(ok, _residuals(solver, herm, ops), np.inf)
+
+
+def _parent_lows(families: Sequence[EndpointFamily], sigmas: np.ndarray,
+                 kappa: int) -> list:
+    """Per family, the lowest eigenvalue of its parent's witness at each
+    sigma, or None when the parent has no ``cmatrix_at``: one
+    ``cmatrix_at`` call and one eigvalsh for each (parent, ``attach_s``)
+    pair, which families attached alike share."""
+    found: dict[tuple[int, int], np.ndarray] = {}
+    lows = []
+    for fam in families:
+        parent = fam.parent
+        if parent.cmatrix_at is None:
+            lows.append(None)
+            continue
+        key = (id(parent), id(fam.attach_s))
+        if key not in found:
+            cm = _coefficients(parent.cmatrix_at(fam.attach_s(sigmas)),
+                               len(sigmas), kappa,
+                               f"{parent.label} cmatrix_at")
+            found[key] = np.linalg.eigvalsh(cm)[:, 0]
+        lows.append(found[key])
+    return lows
+
+
+def _family_checks(solver, families: Sequence[EndpointFamily], values: list,
+                   sigmas: np.ndarray, dims) -> list:
+    """The ``psd``, ``product`` and ``reconstruction`` checks of each halt
+    family in turn, with its coefficient samples from ``values``
+    (:func:`_family_values`), in one stacked pass over the families of
+    each density form: real diagonals (n, d) and matrices (n, d, d) each
+    take one eigvalsh of every such family's samples, one product defect
+    and one residual call, and each family's checks read its own slice."""
+    n = len(sigmas)
+    dens = [_operators(fam.density_at(sigmas), n, solver.dim,
+                       f"{fam.label} density_at") for fam in families]
+    parent_lows = _parent_lows(families, sigmas, solver.kappa)
+    found: list = [None] * len(families)
+    for ndim in (2, 3):
+        members = [i for i, d in enumerate(dens) if d.ndim == ndim]
+        if not members:
+            continue
+        samples = np.concatenate([values[i][1] for i in members])
+        stack = np.concatenate([dens[i] for i in members])
+        shape = (len(members), n)
+        lows = np.linalg.eigvalsh(samples)[:, 0].reshape(shape)
+        products = product_defect(stack, dims, ndim == 2).reshape(shape)
+        recons = _residuals(solver, samples, stack).reshape(shape)
+        for i, low, product, recon in zip(members, lows, products, recons):
+            lbl = families[i].label
+            # lambda_min is concave, so the segment mixtures
+            # (1 - x) C_parent + x C_r are lowest at x = 0 or x = 1.
+            if parent_lows[i] is not None:
+                low = np.minimum(low, parent_lows[i])
+            found[i] = [
+                # On a tie np.maximum returns its second argument: +0.0,
+                # not -0.0.
+                _worst(f"{lbl}:psd", np.maximum(-low, 0.0), MIXTURE_PSD_TOL,
+                       "sigma", sigmas),
+                _worst(f"{lbl}:product", product, PRODUCT_TOL, "sigma",
+                       sigmas),
+                _worst(f"{lbl}:reconstruction", recon, RECON_TOL, "sigma",
+                       sigmas),
+            ]
+    return [check for checks in found for check in checks]
 
 
 def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
@@ -248,6 +319,7 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     :func:`~loccverify.linalg.sqrt_smooth_nodes` and the sigma samples
     together: the node values give its witness integrals and its part of
     the resolution, the samples its psd and reconstruction checks.
+    Coefficient stacks stay real when their callbacks return real arrays.
     Operators and densities that come as real diagonals are checked as
     diagonals: the trace is a row sum, the product defect takes the SVD
     of each cut's reshape of the diagonal, the endpoint root is the
@@ -313,29 +385,8 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
                                  grid))
         total = total + c_end.matrix
 
-    for fam, (nodes, samples) in zip(families, values):
-        lbl = fam.label
-        dens = _operators(fam.density_at(sigmas), SIGMA_SAMPLES, dim,
-                          f"{lbl} density_at")
-        # lambda_min is concave, so the segment mixtures
-        # (1 - x) C_parent + x C_r are lowest at x = 0 or x = 1.
-        low = np.linalg.eigvalsh(samples)[:, 0]
-        if fam.parent.cmatrix_at is not None:
-            parent = _coefficients(
-                fam.parent.cmatrix_at(fam.attach_s(sigmas)), SIGMA_SAMPLES,
-                kappa, f"{fam.parent.label} cmatrix_at")
-            low = np.minimum(low, np.linalg.eigvalsh(parent)[:, 0])
-        checks += [
-            # On a tie np.maximum returns its second argument: +0.0, not -0.0.
-            _worst(f"{lbl}:psd", np.maximum(-low, 0.0), MIXTURE_PSD_TOL,
-                   "sigma", sigmas),
-            _worst(f"{lbl}:product",
-                   product_defect(dens, dims, dens.ndim == 2), PRODUCT_TOL,
-                   "sigma", sigmas),
-            _worst(f"{lbl}:reconstruction",
-                   _residuals(solver, samples, dens), RECON_TOL, "sigma",
-                   sigmas),
-        ]
+    checks += _family_checks(solver, families, values, sigmas, dims)
+    for nodes, _ in values:
         total = total + sqrt_smooth_total(nodes)
 
     # A valid endpoint or integral is zero outside its own block, so the

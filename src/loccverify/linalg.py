@@ -314,6 +314,18 @@ def sqrt_smooth_total(vals: np.ndarray,
     return 0.5 * _per_node(w, vals).sum(axis=0)
 
 
+def _singular_values_2x2(r: np.ndarray) -> np.ndarray:
+    """Singular values, largest first, of each real 2 x 2 matrix
+    [[a, b], [c, d]] of the stack ``r``, in closed form: with
+    p = |(a + d, b - c)| and q = |(a - d, b + c)| they are (p + q) / 2 and
+    |p - q| / 2. One array expression over the stack, where the SVD takes
+    one LAPACK call per matrix."""
+    a, b = r[..., 0, 0], r[..., 0, 1]
+    c, d = r[..., 1, 0], r[..., 1, 1]
+    p, q = np.hypot(a + d, b - c), np.hypot(a - d, b + c)
+    return 0.5 * np.stack([p + q, np.abs(p - q)], axis=-1)
+
+
 def product_defect(m, dims, diagonal: bool = False):
     """Relative distance from the nearest single-cut product structure.
 
@@ -323,7 +335,8 @@ def product_defect(m, dims, diagonal: bool = False):
     diagonals of diagonal matrices, shape (..., D): the realignment of a
     diagonal matrix at a cut D1 x D2 has its nonzeros at the entries
     (i i, j j), so its singular values are those of the (D1, D2) reshape of
-    the diagonal, and each cut takes one real SVD of that reshape.
+    the diagonal, and each cut takes one real SVD of that reshape, or
+    :func:`_singular_values_2x2` when the reshape is 2 x 2.
     """
     a = np.asarray(m, dtype=np.float64 if diagonal else np.complex128)
     d = _dims_tuple(dims)
@@ -341,7 +354,8 @@ def product_defect(m, dims, diagonal: bool = False):
         else:
             r = a.reshape(batch + (d1, d2, d1, d2)).swapaxes(-3, -2).reshape(
                 batch + (d1 * d1, d2 * d2))
-        s = np.linalg.svd(r, compute_uv=False)
+        s = (_singular_values_2x2(r) if diagonal and r.shape[-2:] == (2, 2)
+             else np.linalg.svd(r, compute_uv=False))
         if s.shape[-1] > 1:
             worst = np.maximum(worst,
                                s[..., 1] / np.maximum(s[..., 0], 1e-300))

@@ -15,6 +15,7 @@ s |-> M(s)^(x P) with M(s) = (s^(1/P) - 1)|0><0| + |1><1|.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -159,6 +160,15 @@ class ProtocolTree:
             self._overrides[i] = element
 
 
+def _powers(eta: float, exponents) -> np.ndarray:
+    """eta ** n for each n of ``exponents`` (a range or a list), bitwise as
+    Python's float power gives them: both that and math.pow call the C
+    library's pow, while np.power differs from it by an ulp in some
+    entries."""
+    return np.fromiter(map(math.pow, itertools.repeat(eta), exponents),
+                       float, len(exponents))
+
+
 def _built_table(params: ProtocolParams) -> np.ndarray:
     """The preorder diagonal table of the built tree, column-major: shape
     (2**parties, 2 parties rounds + 1), column j the diagonal of row j.
@@ -172,8 +182,7 @@ def _built_table(params: ProtocolParams) -> np.ndarray:
     p, rounds = params.parties, params.rounds
     eps = params.epsilon
     eta = 1.0 - eps
-    # Python powers: np.power differs from them by an ulp in some entries.
-    powers = np.array([eta ** k for k in range(rounds + 1)])
+    powers = _powers(eta, range(rounds + 1))
     n, ahead = np.divmod(np.arange(p * rounds), p)
     now, later = powers[n], powers[n + 1]
     cols = np.empty((2 ** p, 2 * p * rounds + 1))
@@ -587,7 +596,7 @@ def main_branch_path(parties: int, rounds: int, exponent: float
         cycle, ahead = np.divmod(np.arange(start, min(start + step, nodes)),
                                  parties)
         first = int(cycle[0])
-        powers = np.array([eta ** n for n in range(first, int(cycle[-1]) + 2)])
+        powers = _powers(eta, range(first, int(cycle[-1]) + 2))
         cols = _node_diagonals(parties, powers[cycle - first],
                                powers[cycle + 1 - first], ahead)
         traces = np.concatenate([last, _traces(cols)])
@@ -746,10 +755,9 @@ def main_branch_diagonals(parties: int, rounds: int, exponent: float,
         lo[rest], hi[rest] = left, right
     k = np.concatenate([lo, hi])
     n = np.floor(k / parties)
-    # Python powers of the few cycles the grid needs, as in _built_table.
+    # Powers of the few cycles the grid needs, as in _built_table.
     cycles, at = np.unique(np.concatenate([n, n + 1.0]), return_inverse=True)
-    now, later = np.split(
-        np.array([eta ** x for x in cycles.tolist()])[at], 2)
+    now, later = np.split(_powers(eta, cycles.tolist())[at], 2)
     top, bottom = np.split(
         _node_diagonals(parties, now, later, k - n * parties), 2, axis=1)
     t_top, t_bottom = _traces(top), _traces(bottom)

@@ -80,7 +80,8 @@ W_GROUPING.setflags(write=False)
 
 def c_matrix_stack(name: str, s) -> np.ndarray:
     """Closed-form coefficient families of the worked two-qubit channel over
-    :data:`K_REDUCED`, at every s of a 1-D array in [1, 4]; shape (n, 4, 4).
+    :data:`K_REDUCED`, at every s of a 1-D array in [1, 4]; real, shape
+    (n, 4, 4).
 
     With sigma = sqrt(s) - 1, "C1" is the main-path witness, and "C2" and
     "C3" are the rank-1 halt densities w w^T with respect to d sigma, w
@@ -101,11 +102,11 @@ def c_matrix_stack(name: str, s) -> np.ndarray:
         c[..., 1, 3] = c[..., 3, 1] = sigma * beta
         c[..., 2, 3] = c[..., 3, 2] = sigma * beta
         c[..., 3, 3] = sigma * gamma
-        return c.astype(np.complex128)
+        return c
     w = np.zeros(sigma.shape + (4,))
     w[..., 1 if name == "C2" else 2] = 1.0
     w[..., 3] = 3.0 * np.sqrt(sigma) - 2.0
-    return (w[..., :, None] * w[..., None, :]).astype(np.complex128)
+    return w[..., :, None] * w[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -158,6 +159,23 @@ def continuous_isometry_check() -> IntegralCheck:
     return IntegralCheck(float(total[3, 3]), float(total[1, 3]), weight)
 
 
+@cache
+def _grouped_fits() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per grouped block (1, 2) and (3, 4) of :data:`K_GROUPED`, its
+    diagonals as the columns of a (4, 2) matrix A and the pseudo-inverse
+    A^+, (2, 4). Built on first use and read-only, since every call of
+    :func:`blocked_isometry_check` reads the same arrays."""
+    grouped = K_GROUPED.diagonal(axis1=1, axis2=2).real
+    fits = []
+    for block in ((1, 2), (3, 4)):
+        a = grouped[list(block)].T
+        pinv = np.linalg.pinv(a)
+        a.setflags(write=False)
+        pinv.setflags(write=False)
+        fits.append((a, pinv))
+    return tuple(fits)
+
+
 @dataclass(frozen=True)
 class BlockedIsometryCheck:
     max_row_residual: float
@@ -174,21 +192,20 @@ def blocked_isometry_check() -> BlockedIsometryCheck:
     dependent, so a global fit cannot localize blocks); the fitted
     coefficients are also compared against the closed form. A block's
     matrix does not depend on sigma, so one least-squares solve per block
-    takes every sigma sample as a right-hand side. The halt and grouped
-    operators are all diagonal, so the fit runs on their diagonals.
+    takes every sigma sample as a right-hand side, through the block's
+    pseudo-inverse (:func:`_grouped_fits`). The halt and grouped operators
+    are all diagonal, so the fit runs on their diagonals.
     """
     sigmas = np.linspace(0.0, 1.0, SIGMA_SAMPLES)
     rt = np.sqrt(sigmas)
     want = np.stack([np.sqrt(3.0) * (2.0 * rt - 1.0),
                      np.sqrt(6.0) * (1.0 - rt)])
     kraus = np.sqrt(derivative_diagonals(2, sigmas))
-    grouped = K_GROUPED.diagonal(axis1=1, axis2=2).real
     worst_res = 0.0
     worst_coef = 0.0
-    for party, block in ((1, (1, 2)), (0, (3, 4))):
+    for party, (a, pinv) in zip((1, 0), _grouped_fits()):
         vecs = kraus[:, party].T
-        a = grouped[list(block)].T
-        coef, *_ = np.linalg.lstsq(a, vecs, rcond=None)
+        coef = pinv @ vecs
         worst_res = max(worst_res, float(
             np.linalg.norm(a @ coef - vecs, axis=0).max()))
         worst_coef = max(worst_coef, float(np.abs(coef - want).max()))
@@ -385,12 +402,14 @@ def blocked_limiting_family(spec: ZonoidSpec | None = None):
     expanded block by block so the per-outcome identity resolutions can be
     checked. The halt density at each sigma stays inside its own block; the
     coefficients are recovered by least squares against that block, through
-    the block's expansion map, which the spec's solver holds.
+    the block's expansion map, which the spec's solver holds. The
+    densities are real when the spec's basis is.
     """
     if spec is None:
         spec = instrument_zonoid()
     blocks = spec.block_list()
-    maps = spec.solver().expansions()
+    solver = spec.solver()
+    maps = solver.expansions()
     d = spec.dim
 
     def blocked_density(party: int):
@@ -398,10 +417,12 @@ def blocked_limiting_family(spec: ZonoidSpec | None = None):
         # The expansion of a diagonal k reads only the diagonal entries of
         # k, so it needs only the map's columns there.
         a = maps[2 - party][1][:, ::d + 1]
+        if solver.real:
+            a = a.real
 
         def f(sigma: np.ndarray) -> np.ndarray:
             k = np.sqrt(derivative_diagonals(2, sigma)[:, party])
-            w = np.zeros((len(k), spec.kappa), dtype=np.complex128)
+            w = np.zeros((len(k), spec.kappa), dtype=a.dtype)
             w[:, block] = k @ a.T
             return w[:, :, None] * w[:, None, :].conj()
         return f

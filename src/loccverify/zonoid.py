@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Instrument, KrausSet, index_partition, minimal_kraus
-from .linalg import as_matrix, has_finite_norm, is_hermitian
+from .linalg import as_matrix
 from .tolerances import (INDEPENDENCE_TOL, INPUT_HERMITICITY_TOL,
                          MEMBERSHIP_TOL, ROUNDING_TOL, SPAN_TOL)
 
@@ -46,8 +46,11 @@ def coefficient_stack(m) -> np.ndarray:
     Raises ValueError unless every matrix is square and Hermitian to
     INPUT_HERMITICITY_TOL relative to 1 + its largest entry, the rule of
     :class:`CoefficientMatrix`, which keeps the result for one matrix.
+    A real stack gives a real float64 result, anything else a complex one.
     """
-    a = np.asarray(m, dtype=np.complex128)
+    a = np.asarray(m)
+    a = a.astype(np.float64 if a.dtype.kind in "biuf" else np.complex128,
+                 copy=False)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("coefficient matrix must be square")
     ah = a.conj().swapaxes(-1, -2)
@@ -749,9 +752,11 @@ def _hermitian_input(z, d: int, caller: str) -> np.ndarray:
     if z.shape != (d, d):
         raise ValueError(f"{caller} expects a {d} x {d} operator, got shape "
                          f"{z.shape}")
-    if not has_finite_norm(z):
+    # The tests of has_finite_norm and is_hermitian, on the one array.
+    if not math.isfinite(np.vdot(z, z).real):
         raise ValueError(f"{caller} expects a finite operator")
-    if not is_hermitian(z, INPUT_HERMITICITY_TOL):
+    if not (np.abs(z - z.conj().T).max()
+            <= INPUT_HERMITICITY_TOL * (1.0 + np.abs(z).max())):
         raise ValueError(f"{caller} expects a Hermitian operator")
     return z
 

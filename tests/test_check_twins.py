@@ -8,7 +8,10 @@ check alone failing). Checks of the condition verifier are twinned on its
 reports the same way; where the mathematics makes a second check fail with
 the first, the twin names both. Some twins patch a function the command
 calls instead; the link twins among them alter a quantity a check reads
-from another module, and pin that the check, and only it, sees it.
+from another module, and pin that the check, and only it, sees it. The
+last tests pin the verifier's stacked pass over its halt families: a fault
+in one family's stack shows in that family's checks alone, at its sigma,
+and each family's checks read as they do when it is verified alone.
 """
 
 import dataclasses
@@ -21,6 +24,7 @@ from loccverify import (blocked_limiting_family, channel_zonoid, cli,
                         instrument_zonoid, limiting_family, pqubit,
                         twoqubit, verify_theorem_conditions)
 from loccverify.channels import KrausSet
+from loccverify.linalg import diagonal_stack
 
 
 def run(capsys, argv):
@@ -208,3 +212,65 @@ def test_non_product_halt_density_fails_product(label):
     assert product.defect == pytest.approx(1.0, abs=1e-12)
     assert product.where == "sigma=0"
     assert twin["resolution"].defect == pytest.approx(9.6047, abs=1e-4)
+
+
+SIGMA_37 = np.linspace(0.0, 1.0, 101)[37]
+
+
+@pytest.mark.parametrize("label", ["halt-B", "halt-A"])
+@pytest.mark.parametrize("family, make_spec", [
+    (limiting_family, channel_zonoid),
+    (blocked_limiting_family, instrument_zonoid),
+])
+def test_stacked_psd_names_its_family_and_sigma(family, make_spec, label):
+    # One family's coefficient density shifted by -1e-6 I at the one sample
+    # sigma = 0.37: its psd fails there, and so does its reconstruction,
+    # since L(I) is not 0. The stacked pass runs both families through one
+    # eigvalsh, yet every check of the other family keeps its value.
+    spec = make_spec()
+    paths, fams = family(spec)
+    base = verify_theorem_conditions(spec, paths, fams, s_samples=11)
+    assert base.passed
+    i = [f.label for f in fams].index(label)
+    shift = 1e-6 * np.eye(spec.kappa)
+
+    def shifted(sg, f=fams[i].cdensity_at):
+        return f(sg) - (np.asarray(sg) == SIGMA_37)[:, None, None] * shift
+
+    fams[i] = dataclasses.replace(fams[i], cdensity_at=shifted)
+    rep = verify_theorem_conditions(spec, paths, fams, s_samples=11)
+    bad = failed(rep)
+    assert sorted(bad) == sorted([f"{label}:psd", f"{label}:reconstruction"])
+    assert bad[f"{label}:psd"].where == "sigma=0.37"
+    assert bad[f"{label}:psd"].defect == pytest.approx(1e-6, rel=1e-6)
+    assert bad[f"{label}:reconstruction"].where == "sigma=0.37"
+    assert [c.name for c in rep.checks] == [c.name for c in base.checks]
+    for c in rep.checks:
+        if not c.name.startswith(f"{label}:"):
+            assert c == base.check(c.name)
+
+
+@pytest.mark.parametrize("forms", ["diagonal", "mixed"])
+@pytest.mark.parametrize("family, make_spec", [
+    (limiting_family, channel_zonoid),
+    (blocked_limiting_family, instrument_zonoid),
+])
+def test_stacked_family_checks_match_each_family_alone(family, make_spec,
+                                                       forms):
+    # Each family verified alone takes the per-family route: a stack of
+    # one. Stacked with the other, in one density form or with halt-B's
+    # densities as matrices and halt-A's as diagonals, its psd, product
+    # and reconstruction checks are the same, bit for bit.
+    spec = make_spec()
+    paths, fams = family(spec)
+    if forms == "mixed":
+        fams[0] = dataclasses.replace(
+            fams[0], density_at=lambda sg, f=fams[0].density_at:
+            diagonal_stack(f(sg)))
+    both = verify_theorem_conditions(spec, paths, fams, s_samples=11)
+    assert both.passed
+    for fam in fams:
+        alone = verify_theorem_conditions(spec, paths, [fam], s_samples=11)
+        for kind in ("psd", "product", "reconstruction"):
+            name = f"{fam.label}:{kind}"
+            assert both.check(name) == alone.check(name)

@@ -371,8 +371,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["theorem1", "--samples", "400000"],
         ["theorem1", "--nu", "1000", "--samples", "400000"],
-        ["theorem8", "--samples", "200000"],
-        ["theorem8", "--tol", "1e-3", "--samples", "200000"],
+        ["theorem8", "--samples", "300000"],
+        ["theorem8", "--tol", "1e-3", "--samples", "300000"],
         ["paths", "--grid", "1000000"],
         ["paths", "--parties", "6", "--grid", "200000"],
         ["hausdorff", "--samples", "300000"],
@@ -400,9 +400,9 @@ class TestExitCodes:
         assert "MiB budget" in captured.err
 
     def test_theorem_refusal_names_its_samples(self, capsys):
-        assert cli.main(["theorem8", "--samples", "200000"]) == 2
+        assert cli.main(["theorem8", "--samples", "300000"]) == 2
         assert capsys.readouterr().err.startswith(
-            "error: --samples 200000 needs ")
+            "error: --samples 300000 needs ")
 
     @pytest.mark.parametrize("argv", [
         ["theorem1", "--samples", "2000"],

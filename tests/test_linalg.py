@@ -378,3 +378,20 @@ class TestProductStructure:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
         assert (got[4:] <= 1e-15).all()
         assert product_defect(diags[0], dims, diagonal=True) == got[0]
+
+    def test_two_by_two_singular_values_match_the_svd(self, rng):
+        # A two-qubit diagonal reshapes to 2 x 2 at its one cut, and those
+        # singular values come in closed form: rank two, rank one (the
+        # products, whose second value is rounding), equal values, zero.
+        u, v = rng.uniform(-1.0, 1.0, (2, 20, 2))
+        r = np.concatenate([rng.uniform(-1.0, 1.0, (40, 2, 2)),
+                            u[:, :, None] * v[:, None, :],
+                            [np.eye(2), [[0.0, 1.0], [-1.0, 0.0]],
+                             np.zeros((2, 2))]])
+        got = linalg._singular_values_2x2(r)
+        want = np.linalg.svd(r, compute_uv=False)
+        assert got.shape == want.shape == (63, 2)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+        assert (got[:, 0] >= got[:, 1]).all()
+        assert (got[40:60, 1] <= 1e-15).all()
+        assert np.array_equal(got[60:], [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])

@@ -663,6 +663,42 @@ class TestLeafDiagonals:
         assert diags.min() >= 0.0
 
 
+class TestPowers:
+    """The eta powers of the protocol tables and the main branch are
+    bitwise the Python float powers they replaced."""
+
+    @staticmethod
+    def _assert_bitwise(eta, exponents):
+        want = np.array([eta ** n for n in exponents], dtype=float)
+        got = protocols._powers(eta, exponents)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_seeded_protocol_parameters(self, rng):
+        # Few rounds and c near 0 put eta = 1 - rounds^-c near 0 (eta is 0
+        # at one round); many rounds and c near 1 put it near 1.
+        cases = [(int(rng.integers(1, 4)), float(rng.uniform(0.001, 0.1)))
+                 for _ in range(8)]
+        cases += [(int(rng.integers(1000, 9001)), float(rng.uniform(0.5,
+                                                                    0.999)))
+                  for _ in range(8)]
+        etas = []
+        for rounds, c in cases:
+            eta = 1.0 - ProtocolParams(2, rounds, c).epsilon
+            etas.append(eta)
+            self._assert_bitwise(eta, range(rounds + 2))
+            # main_branch_diagonals passes its cycles as a list of floats.
+            self._assert_bitwise(eta, [float(n) for n in range(0, rounds + 2,
+                                                             7)])
+        assert min(etas) < 0.1 and max(etas) > 0.99
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-3, 0.137, 0.5, 1.0 - 1e-3,
+                                     1.0 - 2.0 ** -40, 1.0])
+    def test_fixed_eta(self, eta):
+        self._assert_bitwise(eta, range(9002))
+        self._assert_bitwise(eta, range(4000, 4100))
+
+
 def _reference_steps(parties, rounds, exponent):
     """Halt and continue diagonals, each step the kron of its local factors."""
     eps = ProtocolParams(parties, rounds, exponent).epsilon
@@ -1781,3 +1817,54 @@ class TestLimitFamilies:
                                   bfam.density_at(sigmas))
             assert np.array_equal(fam.attach_s(sigmas), bfam.attach_s(sigmas))
             assert np.array_equal(fam.sigma_at(grid), bfam.sigma_at(grid))
+
+
+class TestRealStacks:
+    """Real callbacks keep the verifier's coefficient stacks real; complex
+    ones take the complex route, which reports the same checks."""
+
+    @pytest.mark.parametrize("family, spec", [
+        (limiting_family, channel_zonoid),
+        (blocked_limiting_family, instrument_zonoid),
+    ])
+    def test_worked_families_are_real(self, family, spec):
+        paths, fams = family(spec())
+        sigmas = np.linspace(0.0, 1.0, 5)
+        for fam in fams:
+            assert fam.cdensity_at(sigmas).dtype == np.float64
+        if paths[0].cmatrix_at is not None:
+            assert paths[0].cmatrix_at(np.array([1.0, 4.0])).dtype == float
+        got = conditions._coefficients(fams[0].cdensity_at(sigmas), 5,
+                                       spec().kappa, "cdensity_at")
+        assert got.dtype == np.float64
+
+    @pytest.mark.parametrize("s_samples", [11, None])
+    @pytest.mark.parametrize("family, spec", [
+        (limiting_family, channel_zonoid),
+        (blocked_limiting_family, instrument_zonoid),
+    ])
+    def test_complex_callbacks_report_as_real_ones(self, family, spec,
+                                                   s_samples):
+        # Every coefficient callback's output cast to complex. Operator
+        # callbacks answer with real diagonals, a form only real arrays
+        # take, so they stay as they are.
+        spec = spec()
+        paths, fams = family(spec)
+        real = verify_theorem_conditions(spec, paths, fams,
+                                         s_samples=s_samples)
+
+        def complex_of(f):
+            return lambda x: np.asarray(f(x), dtype=complex)
+
+        cpaths = [dataclasses.replace(p, cmatrix_at=complex_of(p.cmatrix_at))
+                  if p.cmatrix_at is not None else p for p in paths]
+        cfams = [dataclasses.replace(f, parent=cpaths[paths.index(f.parent)],
+                                     cdensity_at=complex_of(f.cdensity_at))
+                 for f in fams]
+        cplx = verify_theorem_conditions(spec, cpaths, cfams,
+                                         s_samples=s_samples)
+        assert real.passed
+        assert ([(c.name, c.passed, c.where) for c in cplx.checks]
+                == [(c.name, c.passed, c.where) for c in real.checks])
+        for a, b in zip(real.checks, cplx.checks):
+            assert abs(a.defect - b.defect) <= 1e-15, a.name
