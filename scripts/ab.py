@@ -47,7 +47,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leave no cache files in the checkout
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "scripts"), str(ROOT / "perfbench")]
+from bench import child_env  # noqa: E402
 from run import BLAS_ENV, BLAS_THREADS  # noqa: E402
 
 # Before numpy loads: BLAS reads its thread count once.
@@ -114,7 +115,7 @@ EXTRA_REPORTS = (["theorem1", "--nu", "1000"], ["paper-pq", "--parties", "6"])
 
 def report_argvs() -> list:
     """The verification battery's argv lists, then ``EXTRA_REPORTS``."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
+    sys.path.insert(0, str(ROOT / "src"))
     from run_verification_suite import BATTERY
     return [argv for argv, _ in BATTERY] + [list(a) for a in EXTRA_REPORTS]
 
@@ -124,8 +125,7 @@ def run_report(src: Path, argv: list, kernel: str | None = None
     """Exit status and stdout of one CLI run on the package under ``src``,
     in a fresh process with BLAS at one thread, and with OpenBLAS forced to
     ``kernel`` when one is named."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
-               **{name: BLAS_THREADS for name in BLAS_ENV})
+    env = child_env(src)
     if kernel:
         env["OPENBLAS_CORETYPE"] = kernel
     out = subprocess.run([sys.executable, "-m", "loccverify.cli", *argv],

@@ -11,8 +11,10 @@ its peak RSS is ``ru_maxrss`` of its own resource usage, from
 median of each over the runs, every run's values and every run's exit
 status; any other section of an existing record is kept. The cases are
 ``theorem1`` and ``theorem8`` on the dense default grid, ``theorem1 --nu
-1000`` and ``scripts/run_verification_suite.py``: sizes at which a run
-is more than its imports. Standard library only.
+1000``, ``scripts/run_verification_suite.py`` and
+``scripts/convergence_study.py`` at its defaults: sizes at which a run
+is more than its imports. Standard library only. ``child_env`` is the
+environment of every child, here and in ``scripts/ab.py``.
 """
 
 import argparse
@@ -43,15 +45,22 @@ CASES = {
     "theorem1 --nu 1000": cli("theorem1", "--nu", "1000"),
     "verification suite": [str(ROOT / "scripts" /
                                 "run_verification_suite.py")],
+    "convergence study": [str(ROOT / "scripts" / "convergence_study.py")],
 }
+
+
+def child_env(src: Path) -> dict:
+    """The environment of a child run on the package under ``src``: this
+    one, with that package importable, no bytecode cache written and BLAS
+    at one thread."""
+    return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
+                **{name: BLAS_THREADS for name in BLAS_ENV})
 
 
 def run_once(argv: list) -> tuple[float, float, int]:
     """Wall seconds, peak RSS in MiB and exit status of one child
     ``python argv``."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
-               PYTHONDONTWRITEBYTECODE="1",
-               **{name: BLAS_THREADS for name in BLAS_ENV})
+    env = child_env(ROOT / "src")
     quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
     t0 = time.perf_counter()
     pid = os.posix_spawn(sys.executable, [sys.executable, *argv], env,

@@ -9,7 +9,6 @@ certifies which limits finite protocols can reach.
 
 from .linalg import (
     PartyDims,
-    gauss_legendre,
     integrate_sqrt_smooth,
     kron,
     partial_trace,
@@ -83,7 +82,6 @@ from .twoqubit import (
 )
 from .pqubit import (
     LimitCheckReport,
-    PQubitSpec,
     moment_identity_check,
     multiplier_distance,
     multiplier_kraus,
@@ -91,7 +89,6 @@ from .pqubit import (
     pqubit_choi_formula,
     pqubit_coefficients,
     pqubit_limit_check,
-    pqubit_spec,
     prelimit_coefficients,
     quadrature_coefficients,
 )
@@ -99,8 +96,8 @@ from .pqubit import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PartyDims", "gauss_legendre", "integrate_sqrt_smooth", "kron",
-    "partial_trace", "product_defect", "sqrt_psd", "trace_norm",
+    "PartyDims", "integrate_sqrt_smooth", "kron", "partial_trace",
+    "product_defect", "sqrt_psd", "trace_norm",
     "ChoiOperator", "Instrument", "KrausSet",
     "channel_from_leaf_povm", "choi", "choi_distance",
     "isometric_relation", "kraus_from_operators", "kraus_rank",
@@ -120,9 +117,8 @@ __all__ = [
     "concurrence", "continuous_isometry_check", "instrument_zonoid",
     "limiting_choi_2q", "limiting_family", "prelimit_channel",
     "two_qubit_instrument", "wstate_analysis",
-    "LimitCheckReport", "PQubitSpec", "moment_identity_check",
+    "LimitCheckReport", "moment_identity_check",
     "multiplier_distance", "multiplier_kraus", "pqubit_apply",
     "pqubit_choi_formula", "pqubit_coefficients", "pqubit_limit_check",
-    "pqubit_spec",
     "prelimit_coefficients", "quadrature_coefficients",
 ]

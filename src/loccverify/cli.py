@@ -119,7 +119,7 @@ def _interval_basis() -> KrausSet:
 
 def _finite(kraus: KrausSet, flag: str) -> None:
     """InputError unless the operator stack has a finite norm."""
-    if not has_finite_norm(kraus.operators.reshape(kraus.n_operators, -1)):
+    if not has_finite_norm(kraus.operators):
         raise InputError(f"{flag} must have finite entries and a finite norm")
 
 

@@ -321,10 +321,10 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     the resolution, the samples its psd and reconstruction checks.
     Coefficient stacks stay real when their callbacks return real arrays.
     Operators and densities that come as real diagonals are checked as
-    diagonals: the trace is a row sum, the product defect takes the SVD
-    of each cut's reshape of the diagonal, the endpoint root is the
-    entrywise root, and residuals are taken on the solver's reached
-    entries; only samples sent to the solver are made matrices.
+    diagonals: the trace is a row sum, the product defect reads each
+    cut's reshape of the diagonal (a closed form when 2 x 2, else an SVD),
+    the endpoint root is the entrywise root, and residuals are taken on
+    the solver's reached entries; only solver samples are made matrices.
     Sampled checks report the s or sigma of their largest defect as
     ``where``; a membership check also reports how many samples the
     solver answered and, when any, how many of those it left undecided.

@@ -146,20 +146,25 @@ def operator_norm(m) -> float:
     return float(np.linalg.svd(a, compute_uv=False).max())
 
 
-def has_finite_norm(m) -> bool:
-    """Whether the Frobenius norm of m is finite: every entry finite and
-    the sum of their squares below overflow. A dot product, unlike a
-    ufunc, raises no floating-point warning when it overflows."""
-    a = as_matrix(m)
-    return math.isfinite(float(np.vdot(a, a).real))
+def has_finite_norm(a: np.ndarray) -> bool:
+    """Whether an array's entries and Frobenius norm are finite; a dot
+    product, unlike a ufunc, does not warn when the norm overflows."""
+    return math.isfinite(np.vdot(a, a).real)
 
 
-def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        return False
-    scale = 1.0 + float(np.abs(a).max(initial=0.0))
-    return float(np.abs(a - a.conj().T).max(initial=0.0)) <= tol * scale
+# The ufunc's own reduce, without the cost of the ndarray.max wrapper.
+_largest = np.maximum.reduce
+
+
+def hermitian_within(a: np.ndarray, tol: float,
+                     ah: np.ndarray | None = None) -> np.ndarray:
+    """Whether the square matrix ``a``, or each of a stack (..., k, k), is
+    Hermitian to ``tol``: max|a - a^H| <= tol (1 + max|a|). ``ah`` is a^H,
+    from a caller that holds it already."""
+    if ah is None:
+        ah = a.conj().swapaxes(-1, -2)
+    scale = 1.0 + _largest(np.abs(a), axis=(-2, -1), initial=0.0)
+    return _largest(np.abs(a - ah), axis=(-2, -1), initial=0.0) <= tol * scale
 
 
 def sqrt_psd(m) -> np.ndarray:
@@ -175,9 +180,10 @@ def sqrt_psd(m) -> np.ndarray:
             raise ValueError("sqrt_psd requires a real diagonal")
         return np.sqrt(_clipped_spectrum(a.astype(np.float64)))
     a = as_matrix(a)
-    if not is_hermitian(a):
+    ah = a.conj().T
+    if a.shape != ah.shape or not hermitian_within(a, HERMITICITY_TOL, ah):
         raise ValueError("sqrt_psd requires a Hermitian matrix")
-    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    w, v = np.linalg.eigh(0.5 * (a + ah))
     return (v * np.sqrt(_clipped_spectrum(w))) @ v.conj().T
 
 
@@ -219,38 +225,16 @@ def _node_values(f: Callable[[np.ndarray], np.ndarray],
     return vals
 
 
-def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                   nodes: int = QUAD_NODES):
-    """Fixed-order Gauss-Legendre quadrature of ``f`` over [a, b].
-
-    Exact for polynomial integrands up to degree 2*nodes - 1. ``f`` is
-    called once, on the 1-D array of all nodes, and returns its values
-    stacked along a new first axis: shape (nodes,) for a scalar integrand,
-    (nodes, ...) for an array one. The result has the shape of one value.
-    """
-    if nodes < 1:
-        raise ValueError("need at least one node")
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError("integration limits must be finite")
-    x, w, _ = _leggauss(int(nodes))
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    out = half * _per_node(w, _node_values(f, mid + half * x)).sum(axis=0)
-    if out.ndim == 0:
-        return out[()]
-    return out
-
-
 def integrate_sqrt_smooth(f: Callable[[np.ndarray], np.ndarray],
                           nodes: int = QUAD_NODES):
     """Integrate f(sigma) over [0, 1] when f is smooth in sqrt(sigma).
 
     Substitutes sigma = u^2 so integrands polynomial in sqrt(sigma) become
-    polynomial in u and the fixed-order rule is exact. Plain Gauss-Legendre
-    converges slowly on such integrands: 2e-5 off on sqrt(sigma) at 16
-    nodes. ``f`` is stacked as for :func:`gauss_legendre`: it is called
-    once, at the squares of :func:`sqrt_smooth_nodes`, and
-    :func:`sqrt_smooth_total` sums its node values.
+    polynomial in u, where the ``nodes``-node Gauss-Legendre rule is exact
+    to degree 2 nodes - 1; plain Gauss-Legendre in sigma is 2e-5 off on
+    sqrt(sigma) at 16 nodes. ``f`` is called once, at the squares of
+    :func:`sqrt_smooth_nodes`, and returns one value per node stacked on a
+    new first axis, which :func:`sqrt_smooth_total` sums.
     """
     if nodes < 1:
         raise ValueError("need at least one node")

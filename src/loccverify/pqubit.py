@@ -21,44 +21,29 @@ MIN_PARTIES = 2
 MAX_PARTIES = 6
 
 
-@dataclass(frozen=True)
-class PQubitSpec:
-    """Bit-count data driving the closed-form coefficients.
-
-    ``zeros[i]`` counts the parties seeing |0> in basis index i (party 1 is
-    the most significant bit); ``joint_zeros[i, j]`` counts positions where
-    both indices do.
-    """
-
-    parties: int
-    zeros: np.ndarray
-    joint_zeros: np.ndarray
-
-
-def pqubit_spec(parties: int) -> PQubitSpec:
+def _check_parties(parties: int) -> None:
     if not MIN_PARTIES <= parties <= MAX_PARTIES:
         raise ValueError(
             f"parties must lie in [{MIN_PARTIES}, {MAX_PARTIES}]")
-    prefix = prefix_zeros(parties)
-    zero = prefix[:, 1:] - prefix[:, :-1]
-    return PQubitSpec(parties, zero.sum(axis=1), zero @ zero.T)
 
 
 def pqubit_coefficients(parties: int) -> np.ndarray:
     """Hadamard multiplier S of the limit channel.
 
     S[i, j] = 2 m_ij / (l_i + l_j) away from the all-ones index, where l
-    counts zeros and m joint zeros; the all-ones diagonal entry is 1 and
-    its cross terms vanish because the main-branch outcome only touches
-    that index.
+    counts zeros and m joint zeros, both read off the bit-count table
+    :func:`~loccverify.protocols.prefix_zeros`; the all-ones diagonal
+    entry is 1 and its cross terms vanish because the main-branch outcome
+    only touches that index.
     """
-    spec = pqubit_spec(parties)
-    d = 2 ** parties
-    l = spec.zeros.astype(float)
+    _check_parties(parties)
+    prefix = prefix_zeros(parties)
+    zero = prefix[:, 1:] - prefix[:, :-1]
+    l = prefix[:, -1].astype(float)
     denom = l[:, None] + l[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(denom > 0, 2.0 * spec.joint_zeros / denom, 0.0)
-    s[d - 1, d - 1] = 1.0
+        s = np.where(denom > 0, 2.0 * (zero @ zero.T) / denom, 0.0)
+    s[-1, -1] = 1.0
     return s
 
 
@@ -184,14 +169,14 @@ def quadrature_coefficients(parties: int) -> np.ndarray:
     :func:`~loccverify.protocols.derivative_diagonals` density, the one the
     theorem verifier checks; the main path supplies the all-ones entry.
     """
-    d = len(pqubit_spec(parties).zeros)
+    _check_parties(parties)
 
     def integrand(sigma: np.ndarray) -> np.ndarray:
         r = np.sqrt(derivative_diagonals(parties, sigma))
         return np.einsum("nai,naj->nij", r, r)
 
     s = integrate_sqrt_smooth(integrand)
-    s[d - 1, d - 1] = 1.0
+    s[-1, -1] = 1.0
     return s
 
 

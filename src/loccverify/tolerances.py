@@ -16,7 +16,7 @@ SIGMA_SAMPLES = 101  # uniform samples of the halt parameter sigma in [0, 1]
 ROUNDING_TOL = 1e-12
 
 # Input validity.
-HERMITICITY_TOL = 1e-12        # is_hermitian default, relative to 1 + max|a|
+HERMITICITY_TOL = 1e-12        # sqrt_psd's input, relative to 1 + max|a|
 INPUT_HERMITICITY_TOL = 1e-10  # Hermiticity of targets and coefficients
 PSD_TOL = 1e-9                 # lowest eigenvalue, relative to 1 + max|eig|
 DENSITY_TRACE_TOL = 1e-8       # |Tr rho - 1| of a density matrix

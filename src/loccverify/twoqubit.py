@@ -6,12 +6,13 @@ competing descriptions of it: the five product Kraus operators grouped by
 outcome, and the four-operator reduced set spanning the same channel. The
 continuum limit of the halting protocol supplies a third description as a
 one-parameter family, and the functions below cross-check all three. Its
-halt outcomes 2 (party B halts) and 3 (party A halts) are the two-party
-derivative outcomes of party index 1 and 0.
+halt outcomes 1 (party B halts) and 2 (party A halts), one table in
+:data:`HALTS`, are the two-party derivative outcomes of party 1 and 0.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache
 
@@ -22,7 +23,6 @@ from .linalg import (
     as_matrix,
     clamped,
     diagonal_stack,
-    gauss_legendre,
     integrate_sqrt_smooth,
     kron,
     partial_trace,
@@ -45,7 +45,20 @@ def _diag4(a, b, c, d) -> np.ndarray:
     return np.diag([a, b, c, d]).astype(np.complex128)
 
 
-# Five product Kraus operators, grouped (0,), (1, 2), (3, 4) by outcome.
+# K_GROUPED's operators in each outcome: all-ones outcome 0, then the halts.
+OUTCOME_GROUPS = ((0,), (1, 2), (3, 4))
+
+# The halt outcomes in report order. ``party`` is the halting party's index
+# on the outcome axis of protocols.derivative_diagonals; ``outcome`` is the
+# outcome's index in the instrument, which is also its block of
+# instrument_zonoid, its group of OUTCOME_GROUPS and the K_REDUCED operator
+# that its closed-form ``density`` of c_matrix_stack weights by 1.
+Halt = namedtuple("Halt", "label party outcome density")
+HALTS = (Halt("halt-B", party=1, outcome=1, density="C2"),
+         Halt("halt-A", party=0, outcome=2, density="C3"))
+
+
+# Five product Kraus operators, grouped by outcome as OUTCOME_GROUPS says.
 K_GROUPED = np.stack([
     _diag4(0.0, 0.0, 0.0, 1.0),
     _diag4(1.0, 0.0, 1.0, 0.0) / np.sqrt(3.0),
@@ -84,13 +97,13 @@ def c_matrix_stack(name: str, s) -> np.ndarray:
     (n, 4, 4).
 
     With sigma = sqrt(s) - 1, "C1" is the main-path witness, and "C2" and
-    "C3" are the rank-1 halt densities w w^T with respect to d sigma, w
-    weighting operator 2 or 3 by 1 and operator 4 by 3 sqrt(sigma) - 2. The
-    densities may leave the unit box; only assembled witnesses are box
-    constrained. A caller that needs checked coefficient matrices passes
-    the stack through :func:`~loccverify.zonoid.coefficient_stack`.
+    "C3" are the rank-1 densities w w^T (d sigma) of the :data:`HALTS`
+    naming them: w weights operator 3 by 3 sqrt(sigma) - 2 and their own
+    operator by 1. They may leave the unit box; only assembled witnesses
+    are box constrained. A caller that needs checked coefficient matrices
+    passes the stack through :func:`~loccverify.zonoid.coefficient_stack`.
     """
-    if name not in ("C1", "C2", "C3"):
+    if name != "C1" and name not in [h.density for h in HALTS]:
         raise ValueError(f"unknown family {name!r}")
     sigma = _sigma_of(clamped(s, 4.0, f"{name} needs s in [1, 4]"))
     if name == "C1":
@@ -104,7 +117,8 @@ def c_matrix_stack(name: str, s) -> np.ndarray:
         c[..., 3, 3] = sigma * gamma
         return c
     w = np.zeros(sigma.shape + (4,))
-    w[..., 1 if name == "C2" else 2] = 1.0
+    (outcome,) = [h.outcome for h in HALTS if h.density == name]
+    w[..., outcome] = 1.0
     w[..., 3] = 3.0 * np.sqrt(sigma) - 2.0
     return w[..., :, None] * w[..., None, :]
 
@@ -119,7 +133,7 @@ class TwoQubitExample:
 
 def two_qubit_instrument() -> TwoQubitExample:
     grouped = kraus_from_operators(list(K_GROUPED), (2, 2))
-    inst = Instrument(grouped, ((0,), (1, 2), (3, 4)))
+    inst = Instrument(grouped, OUTCOME_GROUPS)
     minimal = kraus_from_operators(list(K_REDUCED), (2, 2))
     return TwoQubitExample(inst, minimal)
 
@@ -140,7 +154,6 @@ def limiting_choi_2q() -> ChoiOperator:
 class IntegralCheck:
     last_column_norm: float
     cross_overlap: float
-    weight: float
 
 
 def continuous_isometry_check() -> IntegralCheck:
@@ -152,23 +165,21 @@ def continuous_isometry_check() -> IntegralCheck:
     last column's norm at (3, 3) and a cross overlap at (1, 3). It is
     smooth in sqrt(sigma), so the substituted rule evaluates it exactly.
     """
-    total = integrate_sqrt_smooth(
-        lambda sg: c_matrix_stack("C2", _s_of(sg))
-        + c_matrix_stack("C3", _s_of(sg))).real
-    weight = float(gauss_legendre(np.ones_like, 0.0, 1.0))
-    return IntegralCheck(float(total[3, 3]), float(total[1, 3]), weight)
+    total = integrate_sqrt_smooth(lambda sg: sum(
+        c_matrix_stack(halt.density, _s_of(sg)) for halt in HALTS)).real
+    return IntegralCheck(float(total[3, 3]), float(total[1, 3]))
 
 
 @cache
 def _grouped_fits() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per grouped block (1, 2) and (3, 4) of :data:`K_GROUPED`, its
-    diagonals as the columns of a (4, 2) matrix A and the pseudo-inverse
+    """Per halt of :data:`HALTS`, its group of :data:`K_GROUPED`, as the
+    diagonals in the columns of a (4, 2) matrix A, and the pseudo-inverse
     A^+, (2, 4). Built on first use and read-only, since every call of
     :func:`blocked_isometry_check` reads the same arrays."""
     grouped = K_GROUPED.diagonal(axis1=1, axis2=2).real
     fits = []
-    for block in ((1, 2), (3, 4)):
-        a = grouped[list(block)].T
+    for halt in HALTS:
+        a = grouped[list(OUTCOME_GROUPS[halt.outcome])].T
         pinv = np.linalg.pinv(a)
         a.setflags(write=False)
         pinv.setflags(write=False)
@@ -203,8 +214,8 @@ def blocked_isometry_check() -> BlockedIsometryCheck:
     kraus = np.sqrt(derivative_diagonals(2, sigmas))
     worst_res = 0.0
     worst_coef = 0.0
-    for party, (a, pinv) in zip((1, 0), _grouped_fits()):
-        vecs = kraus[:, party].T
+    for halt, (a, pinv) in zip(HALTS, _grouped_fits()):
+        vecs = kraus[:, halt.party].T
         coef = pinv @ vecs
         worst_res = max(worst_res, float(
             np.linalg.norm(a @ coef - vecs, axis=0).max()))
@@ -226,19 +237,22 @@ def coarse_grain_check(nodes: int = QUAD_NODES) -> CoarseGrainCheck:
     the matrix k conj(k)^T entry by entry. So the image of the unit
     |a><d| is that matrix's entry (a, d) there, and comparing the
     integrated multiplier matrix with the branch's own, entry by entry,
-    gives the defect of all 16 units at once. The branches are outcomes 1
-    and 2 of the worked instrument, the grouped pairs (1, 2) and (3, 4) of
-    K_GROUPED. Every check runs the default order QUAD_NODES; ``nodes``
-    stays only because ``perfbench/workloads.py`` passes it.
+    gives the defect of all 16 units at once. The branches are the halt
+    outcomes of :data:`HALTS`, each against its group of K_GROUPED. Every
+    check runs the default order QUAD_NODES; ``nodes`` stays only because
+    ``perfbench/workloads.py`` passes it.
     """
+    parties = [halt.party for halt in HALTS]
+
     def integrand(sigma: np.ndarray) -> np.ndarray:
-        # Outcomes 2 and 3, in the order of the branches below.
-        kd = np.sqrt(derivative_diagonals(2, sigma)[:, ::-1])
+        kd = np.sqrt(derivative_diagonals(2, sigma).take(parties, axis=1))
         return np.einsum("nra,nrd->nrad", kd, kd)
 
     got = integrate_sqrt_smooth(integrand, nodes=nodes)
-    k = K_GROUPED[1:].diagonal(axis1=1, axis2=2).reshape(2, 2, -1)
-    want = np.einsum("rka,rkd->rad", k, k.conj())
+    # The grouped operators' diagonals are real, so k conj(k)^T is k k^T.
+    k = K_GROUPED.diagonal(axis1=1, axis2=2).real.take(
+        [OUTCOME_GROUPS[halt.outcome] for halt in HALTS], axis=0)
+    want = np.einsum("rka,rkd->rad", k, k)
     return CoarseGrainCheck(float(np.abs(got - want).max()))
 
 
@@ -289,15 +303,14 @@ def wstate_analysis() -> WStateReport:
         v = kron([k, eye2]) @ w
         return v[:, :, None] * v[:, None, :].conj()
 
-    rho2 = integrate_sqrt_smooth(lambda sg: outcome(sg, 1))
-    rho3 = integrate_sqrt_smooth(lambda sg: outcome(sg, 0))
-    prob = float(np.real(np.trace(rho2)))
+    rho_b, rho_a = (integrate_sqrt_smooth(lambda sg, p=halt.party:
+                                          outcome(sg, p)) for halt in HALTS)
+    prob = float(np.real(np.trace(rho_b)))
 
     dims3 = PartyDims((2, 2, 2))
-    # Outcome 2 halts party B, leaving A and C entangled; outcome 3 is the
-    # mirror image.
-    ac = partial_trace(rho2 / np.trace(rho2), dims3, keep=(1, 3))
-    bc = partial_trace(rho3 / np.trace(rho3), dims3, keep=(2, 3))
+    # Halt-B leaves A and C entangled; halt-A is the mirror image.
+    ac = partial_trace(rho_b / np.trace(rho_b), dims3, keep=(1, 3))
+    bc = partial_trace(rho_a / np.trace(rho_a), dims3, keep=(2, 3))
     return WStateReport(k1_norm, prob, ac, bc, concurrence(ac))
 
 
@@ -343,13 +356,12 @@ def _sigma_of(s):
 
 
 def _limit_family(cdensity, cmatrix_at):
-    """Main path and the halt-B and halt-A continua of the limit.
+    """Main path and the halt continua of :data:`HALTS` of the limit.
 
-    The main path and the halt densities come as real diagonals. Halt
-    family ``party`` (1 for B, 0 for A) has the derivative outcome of that
-    party as its density and ``cdensity(party)`` as its
-    coefficient-density callback; it is instrument outcome 3 - party. The
-    main path carries ``cmatrix_at`` as its witness family, or none.
+    The main path and the halt densities come as real diagonals. The
+    family of each halt has the derivative outcome of its party as its
+    density and ``cdensity(halt)`` as its coefficient-density callback.
+    The main path carries ``cmatrix_at`` as its witness family, or none.
     """
     main = CheckedPath(
         label="main",
@@ -360,14 +372,15 @@ def _limit_family(cdensity, cmatrix_at):
     )
     fams = [
         EndpointFamily(
-            label=f"halt-{'AB'[party]}",
+            label=halt.label,
             parent=main,
-            density_at=lambda sg, a=party: derivative_diagonals(2, sg)[:, a],
-            cdensity_at=cdensity(party),
+            density_at=lambda sg, a=halt.party:
+                derivative_diagonals(2, sg)[:, a],
+            cdensity_at=cdensity(halt),
             attach_s=_s_of,
             sigma_at=_sigma_of,
         )
-        for party in (1, 0)
+        for halt in HALTS
     ]
     return [main], fams
 
@@ -381,7 +394,7 @@ def limiting_family(spec: ZonoidSpec | None = None):
     resolution. The densities are closed forms, so ``spec`` is not read.
     """
     return _limit_family(
-        lambda party: lambda sg: c_matrix_stack(f"C{3 - party}", _s_of(sg)),
+        lambda halt: lambda sg: c_matrix_stack(halt.density, _s_of(sg)),
         lambda s: c_matrix_stack("C1", s))
 
 
@@ -412,16 +425,16 @@ def blocked_limiting_family(spec: ZonoidSpec | None = None):
     maps = solver.expansions()
     d = spec.dim
 
-    def blocked_density(party: int):
-        block = list(blocks[2 - party])
+    def blocked_density(halt: Halt):
+        block = list(blocks[halt.outcome])
         # The expansion of a diagonal k reads only the diagonal entries of
         # k, so it needs only the map's columns there.
-        a = maps[2 - party][1][:, ::d + 1]
+        a = maps[halt.outcome][1][:, ::d + 1]
         if solver.real:
             a = a.real
 
         def f(sigma: np.ndarray) -> np.ndarray:
-            k = np.sqrt(derivative_diagonals(2, sigma)[:, party])
+            k = np.sqrt(derivative_diagonals(2, sigma)[:, halt.party])
             w = np.zeros((len(k), spec.kappa), dtype=a.dtype)
             w[:, block] = k @ a.T
             return w[:, :, None] * w[:, None, :].conj()

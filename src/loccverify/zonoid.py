@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channels import Instrument, KrausSet, index_partition, minimal_kraus
-from .linalg import as_matrix
+from .linalg import as_matrix, has_finite_norm, hermitian_within
 from .tolerances import (INDEPENDENCE_TOL, INPUT_HERMITICITY_TOL,
                          MEMBERSHIP_TOL, ROUNDING_TOL, SPAN_TOL)
 
@@ -44,8 +45,9 @@ def coefficient_stack(m) -> np.ndarray:
     """Hermitian parts of a coefficient matrix or a stack (..., k, k) of them.
 
     Raises ValueError unless every matrix is square and Hermitian to
-    INPUT_HERMITICITY_TOL relative to 1 + its largest entry, the rule of
-    :class:`CoefficientMatrix`, which keeps the result for one matrix.
+    INPUT_HERMITICITY_TOL (:func:`~loccverify.linalg.hermitian_within`),
+    the rule of :class:`CoefficientMatrix`, which keeps the result for one
+    matrix.
     A real stack gives a real float64 result, anything else a complex one.
     """
     a = np.asarray(m)
@@ -54,9 +56,7 @@ def coefficient_stack(m) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("coefficient matrix must be square")
     ah = a.conj().swapaxes(-1, -2)
-    scale = 1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0)
-    skew = np.abs(a - ah).max(axis=(-2, -1), initial=0.0)
-    if not (skew <= INPUT_HERMITICITY_TOL * scale).all():
+    if not hermitian_within(a, INPUT_HERMITICITY_TOL, ah).all():
         raise ValueError("coefficient matrix must be Hermitian")
     return 0.5 * (a + ah)
 
@@ -309,10 +309,28 @@ class _MembershipSolver:
         every block: a masked matrix is block diagonal up to a permutation,
         so its spectrum is the union of its blocks' spectra."""
         # Transposed, the extreme eigenvalues are rows 0 and -1 for any
-        # stack, and plain scalars for one matrix, as on the candidate path,
-        # where 0-d arrays would cost more than the comparison.
+        # stack, and plain scalars for one matrix.
         w = np.linalg.eigvalsh(cs).T
         return ((w[0] >= -ROUNDING_TOL) & (w[-1] <= 1.0 + ROUNDING_TOL)).T
+
+    @cached_property
+    def l_norm(self) -> float:
+        """||L||_2, the largest singular value of ``a``."""
+        return float(np.linalg.svd(self.a, compute_uv=False)[0])
+
+    def admits(self, c: np.ndarray, res: float, gate: float) -> bool:
+        """Whether the masked Hermitian ``c`` of residual ``res`` answers
+        within ``gate``: it passes the rule of :meth:`in_box`, and ``res``
+        plus its box excess e (largest eigenvalue distance outside [0, 1])
+        times ||L||_2 sqrt(kappa), the most that clipping its eigenvalues
+        can move L(c), is at most ``gate``, however large L is."""
+        if res > gate:
+            return False
+        w = np.linalg.eigvalsh(c).tolist()
+        excess = max(-w[0], w[-1] - 1.0, 0.0)
+        return excess <= ROUNDING_TOL and (
+            not excess
+            or res + self.l_norm * math.sqrt(self.kappa) * excess <= gate)
 
     def overlap(self, xt: np.ndarray) -> np.ndarray:
         """A[m', m] = Tr(x Khat_m^dag Khat_m') of each direction x of a
@@ -365,7 +383,8 @@ class _MembershipSolver:
         One answers when its own residual ||a c - z|| is at most ``gate``
         and it lies in the box. That of c0 is ||off||, the part of z off the
         slice's span, and every slice point's is at least it, so a large
-        ``off`` skips both before any eigenvalue call."""
+        ``off`` skips both before any eigenvalue call; :meth:`admits`
+        judges a slice point."""
         res = _norm(self.ident_image - zvec)
         if res <= gate:
             return self.ident, "identity", res
@@ -373,9 +392,10 @@ class _MembershipSolver:
         if res > gate:
             return None
         near = _norm(self.a @ centre - zvec)
-        if near <= gate and self.in_box(self.to_matrix(centre)):
+        if near <= gate and self.admits(self.to_matrix(centre), near, gate):
             return centre, "affine", near
-        return (c0, "affine", res) if self.in_box(self.to_matrix(c0)) else None
+        found = self.admits(self.to_matrix(c0), res, gate)
+        return (c0, "affine", res) if found else None
 
     def constraints(self, real: bool) -> tuple:
         """The slice L(C) = z as <G_j, C> = b_j, built on first use.
@@ -492,8 +512,8 @@ class _MembershipSolver:
         or 0 is fixed there: 0 <= C <= 1 then leaves row i of every box
         witness zero off the diagonal. The solver without those indices
         (:meth:`reduced`) answers z minus the K_i^dag K_i of those at 1,
-        with at most ``budget`` steps. Its witness, lifted, must lie in the
-        box and reproduce z within the gate of its kind: min(tol,
+        with at most ``budget`` steps. Its witness, lifted, must answer
+        within the gate of its kind (:meth:`admits`): min(tol,
         ROUNDING_TOL) for a candidate, reported ``affine``, and ``tol`` for
         a barrier witness, reported ``face``. Otherwise the report is None.
         """
@@ -516,8 +536,8 @@ class _MembershipSolver:
         x = lifted[self.mask]
         res = _norm(zvec - self.a @ x)
         candidate = rep.phase == "candidate"
-        if res > (min(tol, ROUNDING_TOL) if candidate else tol) \
-                or not self.in_box(lifted):
+        if not self.admits(lifted, res,
+                           min(tol, ROUNDING_TOL) if candidate else tol):
             return None, rep.iterations
         return MembershipReport(
             True, _witness(lifted), res, rep.iterations,
@@ -533,9 +553,9 @@ class _MembershipSolver:
         1) and F, the rest. The slice <G_j, W> = b_j is solved in least
         squares over W = V_H V_H^H + V_F X V_F^H, X Hermitian, by the
         minimum-norm change of X from diag(lam_F). The masked W and its
-        residual target(z) - a W answer when W lies in the box and the
-        residual is at most 0.005 tol, the barrier's face rule; otherwise
-        None, as when L and H are both empty.
+        residual target(z) - a W answer when W answers within 0.005 tol,
+        the barrier's face rule (:meth:`admits`); otherwise None, as when L
+        and H are both empty.
         """
         low, high = lam < FACE_SPLIT, lam > 1.0 - FACE_SPLIT
         if not (low.any() or high.any()):
@@ -565,7 +585,7 @@ class _MembershipSolver:
             w = w + vf @ x @ vfh
         w = self.to_matrix(0.5 * (w + w.conj().T)[self.mask])
         r = zvec - self.a @ w[self.mask]
-        if np.vdot(r, r).real <= (0.005 * tol) ** 2 and self.in_box(w):
+        if self.admits(w, _norm(r), 0.005 * tol):
             return w, r
         return None
 
@@ -730,7 +750,9 @@ def membership(z, spec: ZonoidSpec, tol: float = MEMBERSHIP_TOL
     """Decide whether ``z`` lies in the zonoid of ``spec``.
 
     The report's residual is ||L(C) - z||_F at the returned witness, which
-    is always box feasible; ``feasible`` is the comparison against ``tol``.
+    is box feasible to ROUNDING_TOL in its eigenvalues; ``feasible`` is the
+    comparison against ``tol``, and a feasible witness, clipped into the
+    box, still reproduces z within ``tol``.
     A point whose part outside the linear span of the Gram operators
     K_m^dag K_n separates it from the zonoid by more than ``tol`` is
     answered before any Newton step (phase ``span``, 0 iterations) with
@@ -752,11 +774,9 @@ def _hermitian_input(z, d: int, caller: str) -> np.ndarray:
     if z.shape != (d, d):
         raise ValueError(f"{caller} expects a {d} x {d} operator, got shape "
                          f"{z.shape}")
-    # The tests of has_finite_norm and is_hermitian, on the one array.
-    if not math.isfinite(np.vdot(z, z).real):
+    if not has_finite_norm(z):
         raise ValueError(f"{caller} expects a finite operator")
-    if not (np.abs(z - z.conj().T).max()
-            <= INPUT_HERMITICITY_TOL * (1.0 + np.abs(z).max())):
+    if not hermitian_within(z, INPUT_HERMITICITY_TOL):
         raise ValueError(f"{caller} expects a Hermitian operator")
     return z
 

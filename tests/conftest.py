@@ -74,7 +74,7 @@ def cumulative_integrals(f, sigmas):
     [0, 1], stacked in their order: ``cumulative_weights`` at u = sqrt(sigma)
     against the node values 2 t f(t^2), t the nodes of
     ``sqrt_smooth_nodes``. ``f`` is called once, on the squares of the
-    nodes, and is stacked as for ``gauss_legendre``."""
+    nodes, and is stacked as for ``integrate_sqrt_smooth``."""
     t = sqrt_smooth_nodes()
     vals = np.asarray(f(t * t))
     weights = cumulative_weights(np.sqrt(np.asarray(sigmas, dtype=float)))

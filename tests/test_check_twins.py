@@ -8,7 +8,9 @@ check alone failing). Checks of the condition verifier are twinned on its
 reports the same way; where the mathematics makes a second check fail with
 the first, the twin names both. Some twins patch a function the command
 calls instead; the link twins among them alter a quantity a check reads
-from another module, and pin that the check, and only it, sees it. The
+from another module, and pin that the check, and only it, sees it. One
+exchanges the halting parties of the worked instrument's halt table, and
+pins that every check reading a halt takes it from that table. The
 last tests pin the verifier's stacked pass over its halt families: a fault
 in one family's stack shows in that family's checks alone, at its sigma,
 and each family's checks read as they do when it is verified alone.
@@ -137,6 +139,43 @@ def test_all_ones_annihilates(capsys, monkeypatch):
         "all-ones-annihilates")
     assert base["defect"] == 0.0
     assert twin["defect"] == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-12)
+
+
+# Exchanging the two halting parties of twoqubit.HALTS: each check that
+# pairs a halt's party with its outcome fails, with its defect, and every
+# other check keeps its verdict.
+EXCHANGED_HALTS = {
+    ("theorem1", "--samples", "11"): {
+        "halt-B:reconstruction": 1.4142135623730951,
+        "halt-A:reconstruction": 1.4142135623730951},
+    ("theorem8",): {
+        "halt-B:reconstruction": 1.0, "halt-A:reconstruction": 1.0,
+        "resolution[1]": 8.0622577482985, "resolution[2]": 8.0622577482985,
+        "blocked-isometry": 1.0, "blocked-coefficients": 2.449489742783178,
+        "coarse-grain": 1.0},
+    ("wstate",): {"concurrence": 8.0 / 9.0},
+}
+
+
+@pytest.mark.parametrize("argv", list(EXCHANGED_HALTS))
+def test_every_halt_reader_takes_its_outcome_from_the_table(
+        capsys, monkeypatch, argv):
+    status, base = run(capsys, list(argv))
+    assert status == 0 and all(c["pass"] for c in base.values())
+    monkeypatch.setattr(twoqubit, "HALTS", tuple(
+        halt._replace(party=1 - halt.party) for halt in twoqubit.HALTS))
+    status, checks = run(capsys, list(argv))
+    assert status == 1 and list(checks) == list(base)
+    want = EXCHANGED_HALTS[argv]
+    assert [n for n, c in checks.items() if not c["pass"]] == list(want)
+    for name, defect in want.items():
+        assert checks[name]["defect"] == pytest.approx(defect, abs=1e-12)
+        if name.endswith(":reconstruction"):
+            assert checks[name]["where"] == "sigma=0"
+    if argv == ("theorem8",):
+        # The blocked witness no longer reproduces the main path, so the
+        # solver answers every sample but the top one, and still passes.
+        assert checks["main:membership"]["where"].endswith("solver 300/301")
 
 
 def test_hausdorff_decreasing(capsys):

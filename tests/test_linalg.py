@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from loccverify import (
     PartyDims,
-    gauss_legendre,
     integrate_sqrt_smooth,
     kron,
     partial_trace,
@@ -17,9 +16,9 @@ from loccverify import (
 )
 from loccverify import linalg
 from loccverify.linalg import (cumulative_weights, diagonal_stack,
-                               is_hermitian, operator_norm, sqrt_smooth_nodes,
-                               sqrt_smooth_total)
-from loccverify.tolerances import QUAD_NODES
+                               hermitian_within, operator_norm,
+                               sqrt_smooth_nodes, sqrt_smooth_total)
+from loccverify.tolerances import HERMITICITY_TOL, QUAD_NODES
 
 from conftest import (cumulative_integrals, haar_unitary,
                       loop_gauss_legendre, loop_sqrt_smooth, random_density,
@@ -168,7 +167,19 @@ class TestPsd:
         p = g @ g.conj().T
         r = sqrt_psd(p)
         np.testing.assert_allclose(r @ r, p, atol=1e-10)
-        assert is_hermitian(r)
+        assert hermitian_within(r, HERMITICITY_TOL)
+
+    def test_hermitian_rule_of_a_matrix_and_a_stack(self):
+        # max|a - a^H| <= tol (1 + max|a|): here the skew is 2e-10 and the
+        # scale 1 + 2.
+        a = np.array([[1.0, 2.0], [2.0 + 2e-10, 0.0]])
+        assert hermitian_within(a, 1e-10)
+        assert not hermitian_within(a, 0.5e-10)
+        stack = np.stack([a, np.triu(np.ones((2, 2))), 1j * np.eye(2)])
+        assert hermitian_within(stack, 1e-10).tolist() == [True, False,
+                                                           False]
+        assert hermitian_within(np.zeros((3, 0, 0)), 0.0).tolist() == [
+            True] * 3
 
     def test_sqrt_rejects_indefinite(self):
         with pytest.raises(ValueError):
@@ -216,16 +227,17 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 19, 31])
     def test_monomials_exact(self, k):
-        # 16-node Gauss-Legendre integrates degree <= 31 exactly
-        got = gauss_legendre(lambda x: x ** k, 0.0, 1.0, nodes=16)
+        # 16 Gauss-Legendre nodes in u integrate degree <= 31 exactly: the
+        # integrand sigma^((k - 1) / 2) / 2 is u^k / (2 u) at sigma = u^2.
+        got = integrate_sqrt_smooth(lambda s: 0.5 * np.sqrt(s) ** (k - 1),
+                                    nodes=16)
         assert got == pytest.approx(1.0 / (k + 1), abs=1e-13)
 
     def test_matrix_valued(self):
-        got = gauss_legendre(
-            stacked(lambda x: np.array([[x, x ** 2], [0.0, 1.0]])), 0.0, 2.0,
-            nodes=8)
+        got = integrate_sqrt_smooth(
+            stacked(lambda s: np.array([[s, s ** 2], [0.0, 1.0]])), nodes=8)
         np.testing.assert_allclose(
-            got, np.array([[2.0, 8.0 / 3.0], [0.0, 2.0]]), atol=1e-12)
+            got, np.array([[0.5, 1.0 / 3.0], [0.0, 1.0]]), atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 3, 5, 9])
     def test_sqrt_rule_handles_half_powers(self, k):
@@ -236,7 +248,7 @@ class TestQuadrature:
     def test_sqrt_rule_beats_plain_rule_at_sqrt(self):
         # sqrt has unbounded derivatives at 0, which caps the plain rule
         # around 2e-5 at 16 nodes; the substituted rule is exact
-        plain = gauss_legendre(np.sqrt, 0.0, 1.0)
+        plain = loop_gauss_legendre(np.sqrt, 0.0, 1.0, QUAD_NODES)
         assert abs(plain - 2.0 / 3.0) > 1e-8
         sub = integrate_sqrt_smooth(lambda s: np.sqrt(s))
         assert sub == pytest.approx(2.0 / 3.0, abs=1e-14)
@@ -259,19 +271,13 @@ class TestQuadrature:
         np.testing.assert_allclose(got[-1], integrate_sqrt_smooth(f),
                                    rtol=0.0, atol=1e-14)
 
-    def test_interval_scaling(self):
-        got = gauss_legendre(np.cos, 0.0, np.pi / 2, nodes=32)
-        assert got == pytest.approx(1.0, abs=1e-14)
-
     @pytest.mark.parametrize("nodes", [1, 2, 7, 16, 64])
     @pytest.mark.parametrize("f", [np.cos, np.sqrt, _mixed_integrand])
     def test_stacked_rules_match_the_node_loop(self, f, nodes):
-        got = gauss_legendre(f, 0.25, 2.0, nodes=nodes)
+        got = integrate_sqrt_smooth(f, nodes=nodes)
         assert np.shape(got) == np.shape(f(1.0))
-        assert _relative_gap(got, loop_gauss_legendre(
-            f, 0.25, 2.0, nodes)) <= 1e-15
-        assert _relative_gap(integrate_sqrt_smooth(f, nodes=nodes),
-                             loop_sqrt_smooth(f, 0.0, 1.0, nodes)) <= 1e-15
+        assert _relative_gap(got, loop_sqrt_smooth(f, 0.0, 1.0,
+                                                   nodes)) <= 1e-15
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
@@ -308,7 +314,7 @@ class TestQuadrature:
 
     def test_integrand_must_return_one_value_per_node(self):
         with pytest.raises(ValueError, match="one value per node"):
-            gauss_legendre(lambda x: 1.0, 0.0, 1.0)
+            integrate_sqrt_smooth(lambda x: 1.0)
         with pytest.raises(ValueError, match="one value per node"):
             integrate_sqrt_smooth(lambda x: np.eye(2))
 

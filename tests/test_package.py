@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import loccverify
-from loccverify import (channels, linalg, protocols, serialize, twoqubit,
-                        zonoid)
+from loccverify import (channels, linalg, pqubit, protocols, serialize,
+                        twoqubit, zonoid)
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -41,6 +41,10 @@ def test_all_names_exactly_the_bound_public_names():
     (channels, "_check_density"),
     (linalg, "cumulative_sqrt_smooth"),
     (protocols, "derivative_outcomes"),
+    (linalg, "gauss_legendre"),
+    (pqubit, "PQubitSpec"),
+    (pqubit, "pqubit_spec"),
+    (linalg, "is_hermitian"),
 ])
 def test_retired_names_are_gone(module, name):
     assert not hasattr(module, name)

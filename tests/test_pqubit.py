@@ -15,7 +15,6 @@ from loccverify import (
     pqubit_choi_formula,
     pqubit_coefficients,
     pqubit_limit_check,
-    pqubit_spec,
     prelimit_coefficients,
     protocol_leaf_diagonals,
     quadrature_coefficients,
@@ -26,15 +25,21 @@ from loccverify.tolerances import QUADRATURE_TOL
 from conftest import random_density
 
 
+def zero_counts(parties):
+    """Zeros of each basis index and joint zeros of each pair, from the
+    bit-count table ``protocols.prefix_zeros``."""
+    prefix = protocols.prefix_zeros(parties)
+    zero = prefix[:, 1:] - prefix[:, :-1]
+    return prefix[:, -1], zero @ zero.T
+
+
 class TestSpec:
     def test_two_party_zero_counts(self):
-        spec = pqubit_spec(2)
         # indices 00, 01, 10, 11; party 1 is the most significant bit
-        np.testing.assert_array_equal(np.asarray(spec.zeros), [2, 1, 1, 0])
+        np.testing.assert_array_equal(zero_counts(2)[0], [2, 1, 1, 0])
 
     def test_joint_zeros_symmetry(self):
-        spec = pqubit_spec(3)
-        jz = np.asarray(spec.joint_zeros)
+        jz = zero_counts(3)[1]
         np.testing.assert_array_equal(jz, jz.T)
         assert jz[0, 0] == 3
         assert jz[0, 7] == 0
@@ -42,10 +47,11 @@ class TestSpec:
         assert jz[2, 3] == 1
 
     def test_party_bounds(self):
-        with pytest.raises(ValueError):
-            pqubit_spec(1)
-        with pytest.raises(ValueError):
-            pqubit_spec(7)
+        for parties in (1, 7):
+            for limit in (pqubit_coefficients, quadrature_coefficients):
+                with pytest.raises(ValueError,
+                                   match=r"^parties must lie in \[2, 6\]$"):
+                    limit(parties)
 
 
 class TestCoefficients:
@@ -64,13 +70,12 @@ class TestCoefficients:
     def test_entry_formula(self):
         # S_ij = 2 m_ij / (l_i + l_j) away from the all-ones corner
         for parties in (2, 3, 4):
-            spec = pqubit_spec(parties)
+            zeros, jz = zero_counts(parties)
             s = pqubit_coefficients(parties)
             d = 2 ** parties
-            jz = np.asarray(spec.joint_zeros)
             for i in range(d):
                 for j in range(d):
-                    li, lj = spec.zeros[i], spec.zeros[j]
+                    li, lj = zeros[i], zeros[j]
                     if li + lj == 0:
                         assert s[i, j] == pytest.approx(1.0)
                     else:
@@ -193,7 +198,8 @@ class TestClosedFormMultiplier:
         assert table is protocols.prefix_zeros(3)
         with pytest.raises(ValueError):
             table[0, 1] = 5
-        np.testing.assert_array_equal(table[:, -1], pqubit_spec(3).zeros)
+        np.testing.assert_array_equal(table[:, -1],
+                                      [3, 2, 2, 1, 2, 1, 1, 0])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 6),

@@ -258,10 +258,8 @@ class TestIsometryIntegrals:
         rep = continuous_isometry_check()
         assert abs(rep.last_column_norm - 1.0) <= ISOMETRY_TOL
         assert abs(rep.cross_overlap) <= ISOMETRY_TOL
-        assert abs(rep.weight - 1.0) <= ISOMETRY_TOL
         assert rep.last_column_norm == pytest.approx(1.0, abs=1e-10)
         assert rep.cross_overlap == pytest.approx(0.0, abs=1e-10)
-        assert rep.weight == pytest.approx(1.0, abs=1e-10)
 
     def test_blocked_relation(self):
         rep = blocked_isometry_check()

@@ -34,7 +34,7 @@ from loccverify import (
     zonoid_spec_for_instrument,
     two_qubit_instrument,
 )
-from loccverify import twoqubit, zonoid
+from loccverify import cli, twoqubit, zonoid
 from loccverify.linalg import diagonal_stack
 from loccverify.protocols import limit_path_diagonals
 from loccverify.tolerances import MEMBERSHIP_TOL, ROUNDING_TOL
@@ -1757,3 +1757,67 @@ class TestDiagonalResiduals:
                                    rtol=1e-14, atol=0.0)
         assert s.diagonal_residuals(cs[0], v[0]) == pytest.approx(
             want[0], rel=1e-14)
+
+
+def _scaled_diagonal_spec(r, d, scale):
+    """d diagonal operators on C^d, largest entry ``scale``: the 1 x 1
+    basis [[scale]] for d = 1, else independent diagonals drawn from r."""
+    diag = np.eye(d) + r.uniform(0.0, 0.5, (d, d))
+    diag *= scale / diag.max()
+    return ZonoidSpec(kraus_from_operators(
+        [np.diag(v).astype(complex) for v in diag], (d,)))
+
+
+def _clipped_residual(rep, spec, z):
+    """||L(W') - z||, W' the witness with its eigenvalues clipped into
+    [0, 1]: a box point, as the witness is block diagonal."""
+    lam, v = np.linalg.eigh(rep.witness.matrix)
+    w = (v * np.clip(lam, 0.0, 1.0)) @ v.conj().T
+    ops = spec.basis.operators
+    image = np.einsum("mn,mba,nbc->ac", w, ops.conj(), ops)
+    return float(np.linalg.norm(image - z))
+
+
+class TestBoxExcess:
+    """A witness may leave the box by ROUNDING_TOL in its eigenvalues, and
+    L scales that slack by up to ||L||_2 sqrt(kappa): the solver charges
+    it to the witness's gate, so a large basis cannot pass a point outside
+    its zonoid on a witness outside the box."""
+
+    @pytest.mark.parametrize("scale, z", [(1e3, -5e-7), (1e4, -1e-5)])
+    def test_slack_outside_the_box_is_not_inside(self, scale, z):
+        # Every point of this zonoid is in [0, scale^2], so the distance
+        # from z is |z|, above tol. The slice point z / scale^2 lies within
+        # ROUNDING_TOL of the box, and reproduces z exactly.
+        spec = ZonoidSpec(kraus_from_operators([[[scale]]], (1,)))
+        rep = membership([[z]], spec, tol=1e-7)
+        assert not rep.feasible and rep.stop == "outside"
+        _check_certificate(rep, np.array([[z]]), spec)
+        assert rep.gap == pytest.approx(-z, rel=1e-9)
+
+    def test_cli_refuses_the_slack(self, capsys):
+        basis = ('{"dims": {"in": [1], "out": [1]}, "operators": [{"rows": '
+                 '1, "cols": 1, "data": [[1000.0, 0.0]]}]}')
+        z = '{"rows": 1, "cols": 1, "data": [[-5e-7, 0.0]]}'
+        assert cli.main(["zonoid-check", "--basis", basis, "--z", z]) == 1
+        assert '"stop": "outside"' in capsys.readouterr().out
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 3]))
+    def test_clipped_witnesses_reproduce_z(self, seed, d):
+        # Targets L(C) of diagonal C with entries on the box's faces or
+        # up to twice ROUNDING_TOL beyond them, on bases scaled from 1 to
+        # 1e4: a feasible answer's witness, clipped into the box, still
+        # reproduces z within tol, up to a few ulps of z, the rounding of
+        # L itself (a barrier witness is clipped already, but rounds).
+        r = np.random.default_rng(seed)
+        spec = _scaled_diagonal_spec(r, d, 10.0 ** r.uniform(0.0, 4.0))
+        beyond = r.uniform(0.0, 2.0 * ROUNDING_TOL, d)
+        c = np.where(r.random(d) < 0.5, -beyond, 1.0 + beyond)
+        c = np.where(r.random(d) < 0.25, r.random(d), c)
+        ops = spec.basis.operators
+        z = np.einsum("m,mba,mbc->ac", c, ops.conj(), ops)
+        rep = membership(z, spec)
+        if rep.feasible:
+            assert _clipped_residual(rep, spec, z) <= (
+                MEMBERSHIP_TOL + 4.0 * np.finfo(float).eps * np.linalg.norm(z))
