@@ -10,8 +10,9 @@ its peak RSS is ``ru_maxrss`` of its own resource usage, from
 ``os.wait4``. The record's ``"quick"`` section gets, per case, the
 median of each over the runs, every run's values and every run's exit
 status; any other section of an existing record is kept. The cases are
-``theorem1`` and ``theorem8`` on the dense default grid, ``theorem1 --nu
-1000``, ``scripts/run_verification_suite.py`` and
+``theorem1`` and ``theorem8`` on the dense default grid, ``theorem8
+--samples 4000``, whose stacked sample tables set its peak, ``theorem1
+--nu 1000``, ``scripts/run_verification_suite.py`` and
 ``scripts/convergence_study.py`` at its defaults: sizes at which a run
 is more than its imports. Standard library only. ``child_env`` is the
 environment of every child, here and in ``scripts/ab.py``.
@@ -42,6 +43,7 @@ def cli(*argv: str) -> list:
 CASES = {
     "theorem1": cli("theorem1"),
     "theorem8": cli("theorem8"),
+    "theorem8 --samples 4000": cli("theorem8", "--samples", "4000"),
     "theorem1 --nu 1000": cli("theorem1", "--nu", "1000"),
     "verification suite": [str(ROOT / "scripts" /
                                 "run_verification_suite.py")],

@@ -131,11 +131,19 @@ def _operators(stack, n: int, dim: int, what: str) -> np.ndarray:
                     what, f", or real diagonals {(n, dim)}")
 
 
+def _real_when_zero(a: np.ndarray) -> np.ndarray:
+    """``a``, or its real part when its imaginary part is zero: a real
+    stack takes real arithmetic throughout, whatever its dtype was."""
+    if a.dtype.kind == "c" and not a.imag.any():
+        return np.ascontiguousarray(a.real)
+    return a
+
+
 def _coefficients(stack, n: int, kappa: int, what: str) -> np.ndarray:
     """A callback's coefficient stack, checked and symmetrised: real when
-    the callback's is, complex otherwise."""
-    return coefficient_stack(_checked(np.asarray(stack), (n, kappa, kappa),
-                                      what))
+    its entries are, complex otherwise."""
+    return _real_when_zero(coefficient_stack(
+        _checked(np.asarray(stack), (n, kappa, kappa), what)))
 
 
 def _residuals(solver, cs: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -160,19 +168,6 @@ def _as_matrix(op: np.ndarray) -> np.ndarray:
     return diagonal_stack(op) if op.ndim == 1 else op
 
 
-def _endpoint_check(path: CheckedPath, spec: ZonoidSpec):
-    op = _operators(path.op_at(np.array([path.s_bottom])), 1, spec.dim,
-                    f"{path.label} op_at")[0]
-    c = endpoint_cmatrix(_as_matrix(sqrt_psd(op)), spec)
-    recon = float(_residuals(spec.solver(), c.matrix, op))
-    # Ascending: the largest eigenvalue is the last, the rank excess is
-    # every other one, and the lowest is the first.
-    w = c.eigenvalues()
-    rank_excess = float(np.abs(w[:-1]).max(initial=0.0))
-    box_excess = max(0.0, float(w[-1]) - 1.0, -float(w[0]))
-    return c, max(recon, rank_excess, box_excess)
-
-
 def _family_values(fam: EndpointFamily, sigmas: np.ndarray, kappa: int):
     """A halt family's coefficient densities from its one ``cdensity_at``
     call: the node values 2 t C(t^2) at the nodes t of
@@ -185,27 +180,24 @@ def _family_values(fam: EndpointFamily, sigmas: np.ndarray, kappa: int):
     return (2.0 * t)[:, None, None] * cd[:t.size], cd[t.size:]
 
 
-def _witness_defects(solver, c_end: np.ndarray,
-                     families: Sequence[tuple[EndpointFamily, np.ndarray]],
-                     grid: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Membership defect of the integrated witness at each sample s.
+def _integrated_witness(solver, c_end: np.ndarray,
+                        families: Sequence[tuple[EndpointFamily, np.ndarray]],
+                        grid: np.ndarray):
+    """The integrated witness at each sample s, and whether it is
+    Hermitian to rounding.
 
     The halt families peel off the path continuously, so
     C(s) = C_end + sum_f int_0^sigma_f(s) cdensity_f is a coefficient
     matrix for op(s). ``families`` pairs each family with its node values
     (:func:`_family_values`), and the integrals over [0, sigma_f(s)] are
     their products with :func:`~loccverify.linalg.cumulative_weights`.
-    A sample's witness is the block-supported
-    Hermitian part of C(s); it counts only if it passes the solver's box
-    test and differs from C(s) by rounding, and then its defect is
-    ||L(C) - op(s)||_F. Every other sample gets an infinite defect, which
-    sends it to the solver. The test is exact on the assembled C, so
+    A sample's witness is the block-supported Hermitian part of C(s),
+    returned as a stack; it counts only where it differs from C(s) by
+    rounding and passes the solver's box test, and then its defect is
+    ||L(C) - op(s)||_F. The test is exact on the assembled C, so
     quadrature error can raise a defect but never hide a bad witness.
     """
     kappa = solver.kappa
-    # A real endpoint keeps C(s) real when the node values are.
-    if not c_end.imag.any():
-        c_end = c_end.real
     cs = np.broadcast_to(c_end, (len(grid),) + c_end.shape)
     sigma, weights = None, None
     for fam, nodes in families:
@@ -218,74 +210,89 @@ def _witness_defects(solver, c_end: np.ndarray,
             len(grid), kappa, kappa)
     herm = np.where(solver.mask, 0.5 * (cs + cs.conj().swapaxes(-1, -2)),
                     0.0)
-    ok = ((np.linalg.norm(cs - herm, axis=(1, 2)) <= ROUNDING_TOL)
-          & solver.in_box(herm))
-    return np.where(ok, _residuals(solver, herm, ops), np.inf)
+    return herm, np.linalg.norm(cs - herm, axis=(1, 2)) <= ROUNDING_TOL
 
 
-def _parent_lows(families: Sequence[EndpointFamily], sigmas: np.ndarray,
-                 kappa: int) -> list:
-    """Per family, the lowest eigenvalue of its parent's witness at each
-    sigma, or None when the parent has no ``cmatrix_at``: one
-    ``cmatrix_at`` call and one eigvalsh for each (parent, ``attach_s``)
+def _parent_witnesses(families: Sequence[EndpointFamily], sigmas: np.ndarray,
+                      kappa: int) -> dict:
+    """Per (parent, ``attach_s``) pair of the families whose parent has a
+    ``cmatrix_at``, the parent's witness at each sigma: one call for each
     pair, which families attached alike share."""
     found: dict[tuple[int, int], np.ndarray] = {}
-    lows = []
     for fam in families:
         parent = fam.parent
-        if parent.cmatrix_at is None:
-            lows.append(None)
-            continue
         key = (id(parent), id(fam.attach_s))
-        if key not in found:
-            cm = _coefficients(parent.cmatrix_at(fam.attach_s(sigmas)),
-                               len(sigmas), kappa,
-                               f"{parent.label} cmatrix_at")
-            found[key] = np.linalg.eigvalsh(cm)[:, 0]
-        lows.append(found[key])
-    return lows
+        if parent.cmatrix_at is not None and key not in found:
+            found[key] = _coefficients(
+                parent.cmatrix_at(fam.attach_s(sigmas)), len(sigmas), kappa,
+                f"{parent.label} cmatrix_at")
+    return found
 
 
-def _family_checks(solver, families: Sequence[EndpointFamily], values: list,
-                   sigmas: np.ndarray, dims) -> list:
-    """The ``psd``, ``product`` and ``reconstruction`` checks of each halt
-    family in turn, with its coefficient samples from ``values``
-    (:func:`_family_values`), in one stacked pass over the families of
-    each density form: real diagonals (n, d) and matrices (n, d, d) each
-    take one eigvalsh of every such family's samples, one product defect
-    and one residual call, and each family's checks read its own slice."""
-    n = len(sigmas)
-    dens = [_operators(fam.density_at(sigmas), n, solver.dim,
-                       f"{fam.label} density_at") for fam in families]
-    parent_lows = _parent_lows(families, sigmas, solver.kappa)
-    found: list = [None] * len(families)
-    for ndim in (2, 3):
-        members = [i for i, d in enumerate(dens) if d.ndim == ndim]
-        if not members:
-            continue
-        samples = np.concatenate([values[i][1] for i in members])
-        stack = np.concatenate([dens[i] for i in members])
-        shape = (len(members), n)
-        lows = np.linalg.eigvalsh(samples)[:, 0].reshape(shape)
-        products = product_defect(stack, dims, ndim == 2).reshape(shape)
-        recons = _residuals(solver, samples, stack).reshape(shape)
-        for i, low, product, recon in zip(members, lows, products, recons):
-            lbl = families[i].label
-            # lambda_min is concave, so the segment mixtures
-            # (1 - x) C_parent + x C_r are lowest at x = 0 or x = 1.
-            if parent_lows[i] is not None:
-                low = np.minimum(low, parent_lows[i])
-            found[i] = [
-                # On a tie np.maximum returns its second argument: +0.0,
-                # not -0.0.
-                _worst(f"{lbl}:psd", np.maximum(-low, 0.0), MIXTURE_PSD_TOL,
-                       "sigma", sigmas),
-                _worst(f"{lbl}:product", product, PRODUCT_TOL, "sigma",
-                       sigmas),
-                _worst(f"{lbl}:reconstruction", recon, RECON_TOL, "sigma",
-                       sigmas),
-            ]
-    return [check for checks in found for check in checks]
+# The order of the table's segments, each the samples of one kind of check
+# whose operators have one form: real diagonals (2), matrices (3), or none
+# (0, the parents' witnesses). In this order the rows that take an
+# eigvalsh (endpoint, membership, family and parent) are one slice, those
+# that take a residual are one slice for each form, and so are those whose
+# operators take a product defect (membership and family).
+_ORDER = ((2, "witness-family"), (2, "endpoint"), (2, "membership"),
+          (2, "family"), (0, "parent"), (3, "endpoint"), (3, "membership"),
+          (3, "family"), (3, "witness-family"))
+
+
+class _SamplePass:
+    """Every coefficient sample of one verification and the operator each
+    pairs with, gathered into one table in the order of :data:`_ORDER`,
+    so that one eigvalsh, and one residual call and one product defect
+    for each operator form, serve every check; each check reads its own
+    rows (``rows[kind, key]``)."""
+
+    def __init__(self):
+        self.parts: dict = {segment: [] for segment in _ORDER}
+
+    def add(self, kind: str, key, coefficients: np.ndarray,
+            operators: np.ndarray | None = None) -> None:
+        """Coefficient samples of a ``kind`` of check, and the operators,
+        matrices or real diagonals, that they pair with, one per sample."""
+        form = 0 if operators is None else operators.ndim
+        self.parts[form, kind].append((key, coefficients, operators))
+
+    def run(self, solver, dims) -> None:
+        """One eigvalsh, and per form one residual call and one product
+        defect, over the gathered table."""
+        self.rows: dict = {}
+        blocks, ops, ends = [], {2: [], 3: []}, {}
+        row = 0
+        for segment in _ORDER:
+            start = row
+            for key, c, o in self.parts[segment]:
+                self.rows[segment[1], key] = slice(row, row + len(c))
+                blocks.append(c)
+                if o is not None:
+                    ops[segment[0]].append(o)
+                row += len(c)
+            ends[segment] = (start, row)
+
+        def span(first, last):
+            return slice(ends[first][0], ends[last][1])
+
+        self.table = np.concatenate(blocks) if blocks else np.empty((0, 0, 0))
+        self.spectra = np.empty((row, self.table.shape[-1]))
+        eig = span((2, "endpoint"), (3, "family"))
+        if eig.stop > eig.start:
+            self.spectra[eig] = np.linalg.eigvalsh(self.table[eig])
+        self.residuals, self.products = np.empty(row), np.empty(row)
+        for form, first, last in ((2, "witness-family", "family"),
+                                  (3, "endpoint", "witness-family")):
+            paired = span((form, first), (form, last))
+            if paired.stop == paired.start:
+                continue
+            o = np.concatenate(ops[form])
+            self.residuals[paired] = _residuals(solver, self.table[paired], o)
+            product = span((form, "membership"), (form, "family"))
+            self.products[product] = product_defect(
+                o[product.start - paired.start:product.stop - paired.start],
+                dims, form == 2)
 
 
 def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
@@ -314,12 +321,22 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     ``SIGMA_SAMPLES`` values of sigma.
 
     Every callback is called on a whole grid at once, so the number of
-    calls does not depend on the sample counts. Each family's
-    ``cdensity_at`` is called once, on the Gauss nodes of
+    calls does not depend on the sample counts. Each path's ``op_at`` is
+    called once, on its grid and its bottom end together, and each
+    family's ``cdensity_at`` once, on the Gauss nodes of
     :func:`~loccverify.linalg.sqrt_smooth_nodes` and the sigma samples
     together: the node values give its witness integrals and its part of
     the resolution, the samples its psd and reconstruction checks.
-    Coefficient stacks stay real when their callbacks return real arrays.
+
+    The sample arithmetic is one stacked pass. The coefficient samples
+    (each path's endpoint matrix, integrated witness at every s and
+    witness family, each family's sigma samples, and the parent witness
+    at those sigma) form one table, and the operators they pair with one
+    table of each form, real diagonals or matrices. One eigvalsh of the
+    table serves the endpoint, box and psd tests, one residual call of
+    each form every reconstruction and membership defect, and one
+    product defect of each form every product check; each check reads
+    its own rows. Coefficient stacks whose entries are real stay real.
     Operators and densities that come as real diagonals are checked as
     diagonals: the trace is a row sum, the product defect reads each
     cut's reshape of the diagonal (a closed form when 2 x 2, else an SVD),
@@ -331,31 +348,61 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     """
     if s_samples is not None and s_samples < 1:
         raise ValueError("s_samples must be at least 1")
-    checks: list[ConditionCheck] = []
     solver = spec.solver()
     kappa, dim, dims = spec.kappa, spec.dim, spec.basis.input_dims
-    total = np.zeros((kappa, kappa), dtype=np.complex128)
     sigmas = np.linspace(0.0, 1.0, SIGMA_SAMPLES)
     values = [_family_values(fam, sigmas, kappa) for fam in families]
+    samples = _SamplePass()
 
-    for path in paths:
-        lbl = path.label
-        c_end, end_defect = _endpoint_check(path, spec)
+    sampled = []
+    for p, path in enumerate(paths):
         grid = path.sample_grid(s_samples)
         n = len(grid)
-        ops = _operators(path.op_at(grid), n, dim, f"{lbl} op_at")
-        diagonal = ops.ndim == 2
-        if diagonal:
-            trace = np.abs(ops.sum(axis=1) - grid)
-        else:
-            trace = np.abs(np.trace(ops, axis1=1, axis2=2).real - grid)
+        # One call gives the operators on the grid and, last, the one at
+        # the bottom end, whose root gives the endpoint matrix.
+        ops = _operators(path.op_at(np.append(grid, path.s_bottom)), n + 1,
+                         dim, f"{path.label} op_at")
+        ops, op_end = ops[:-1], ops[-1:]
+        c_end = _real_when_zero(
+            endpoint_cmatrix(sqrt_psd(op_end[0]), spec).matrix)
+        samples.add("endpoint", p, c_end[None], op_end)
         attached = [(fam, nodes) for fam, (nodes, _) in zip(families, values)
                     if fam.parent is path]
         if attached:
-            defects = _witness_defects(solver, c_end.matrix, attached, grid,
-                                       ops)
+            witness, hermitian = _integrated_witness(solver, c_end, attached,
+                                                     grid)
         else:
-            defects = np.full(n, np.inf)
+            # No witness: every sample goes to the solver.
+            witness, hermitian = np.zeros((n, kappa, kappa)), np.zeros(n, bool)
+        samples.add("membership", p, witness, ops)
+        if path.cmatrix_at is not None:
+            samples.add("witness-family", p, _coefficients(
+                path.cmatrix_at(grid), n, kappa, f"{path.label} cmatrix_at"),
+                ops)
+        sampled.append((grid, ops, c_end, hermitian))
+
+    for f, (fam, (_, cs)) in enumerate(zip(families, values)):
+        samples.add("family", f, cs, _operators(
+            fam.density_at(sigmas), len(sigmas), dim,
+            f"{fam.label} density_at"))
+    for key, cs in _parent_witnesses(families, sigmas, kappa).items():
+        samples.add("parent", key, cs)
+    samples.run(solver, dims)
+
+    checks: list[ConditionCheck] = []
+    total = np.zeros((kappa, kappa), dtype=np.complex128)
+    for p, (path, (grid, ops, c_end, hermitian)) in enumerate(
+            zip(paths, sampled)):
+        lbl = path.label
+        n = len(grid)
+        if ops.ndim == 2:
+            trace = np.abs(ops.sum(axis=1) - grid)
+        else:
+            trace = np.abs(np.trace(ops, axis1=1, axis2=2).real - grid)
+        rows = samples.rows["membership", p]
+        ok = hermitian & solver.in_box(samples.table[rows],
+                                       samples.spectra[rows])
+        defects = np.where(ok, samples.residuals[rows], np.inf)
         # The solver answers only where the integrated witness does not.
         solve = np.flatnonzero(defects > membership_tol)
         undecided = 0
@@ -369,25 +416,49 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
         worst = int(np.argmax(defects))
         if defects[worst] > 0.0:
             mem_where = f"s={grid[worst]:.6g}; {mem_where}"
+        end = samples.rows["endpoint", p]
+        # Ascending: the largest eigenvalue is the last, the rank excess is
+        # every other one, and the lowest is the first.
+        (w,) = samples.spectra[end]
+        end_defect = max(float(samples.residuals[end][0]),
+                         float(np.abs(w[:-1]).max(initial=0.0)),
+                         0.0, float(w[-1]) - 1.0, -float(w[0]))
         checks += [
             _worst(f"{lbl}:trace", trace, TRACE_TOL, "s", grid),
-            _worst(f"{lbl}:product", product_defect(ops, dims, diagonal),
-                   PRODUCT_TOL, "s", grid),
+            _worst(f"{lbl}:product", samples.products[rows], PRODUCT_TOL,
+                   "s", grid),
             ConditionCheck(f"{lbl}:membership", float(defects[worst]),
                            membership_tol, mem_where),
             ConditionCheck(f"{lbl}:endpoint", end_defect, RECON_TOL),
         ]
         if path.cmatrix_at is not None:
-            cm = _coefficients(path.cmatrix_at(grid), n, kappa,
-                               f"{lbl} cmatrix_at")
-            checks.append(_worst(f"{lbl}:witness-family",
-                                 _residuals(solver, cm, ops), RECON_TOL, "s",
-                                 grid))
-        total = total + c_end.matrix
+            checks.append(_worst(
+                f"{lbl}:witness-family",
+                samples.residuals[samples.rows["witness-family", p]],
+                RECON_TOL, "s", grid))
+        total = total + c_end
 
-    checks += _family_checks(solver, families, values, sigmas, dims)
-    for nodes, _ in values:
-        total = total + sqrt_smooth_total(nodes)
+    for f, fam in enumerate(families):
+        lbl = fam.label
+        rows = samples.rows["family", f]
+        low = samples.spectra[rows, 0]
+        # lambda_min is concave, so the segment mixtures
+        # (1 - x) C_parent + x C_r are lowest at x = 0 or x = 1.
+        key = (id(fam.parent), id(fam.attach_s))
+        if fam.parent.cmatrix_at is not None:
+            low = np.minimum(low, samples.spectra[samples.rows["parent", key],
+                                                  0])
+        checks += [
+            # On a tie np.maximum returns its second argument: +0.0, not
+            # -0.0.
+            _worst(f"{lbl}:psd", np.maximum(-low, 0.0), MIXTURE_PSD_TOL,
+                   "sigma", sigmas),
+            _worst(f"{lbl}:product", samples.products[rows], PRODUCT_TOL,
+                   "sigma", sigmas),
+            _worst(f"{lbl}:reconstruction", samples.residuals[rows],
+                   RECON_TOL, "sigma", sigmas),
+        ]
+        total = total + sqrt_smooth_total(values[f][0])
 
     # A valid endpoint or integral is zero outside its own block, so the
     # rows of block b of the total are the sum of that block's parts.

@@ -87,14 +87,25 @@ def diagonal_stack(diag) -> np.ndarray:
     return out
 
 
+# The ufuncs' own reduces, without the cost of the ndarray wrappers.
+_largest = np.maximum.reduce
+_smallest = np.minimum.reduce
+
+
 def clamped(s, top: float, message: str, bottom: float = 1.0) -> np.ndarray:
-    """s clipped to [bottom, top]; ValueError if an entry is further out
-    than rounding."""
+    """s clipped to [bottom, top], or s itself as a float array when it
+    lies inside; ValueError if an entry is further out than rounding."""
     s = np.asarray(s, dtype=float)
-    inside = (s >= bottom - ROUNDING_TOL) & (s <= top + ROUNDING_TOL)
-    if not inside.all():
+    if not s.size:
+        return s
+    # The extremes decide, and carry any NaN; most grids need no clipping.
+    low, high = _smallest(s, axis=None), _largest(s, axis=None)
+    if not (low >= bottom - ROUNDING_TOL and high <= top + ROUNDING_TOL):
+        inside = (s >= bottom - ROUNDING_TOL) & (s <= top + ROUNDING_TOL)
         raise ValueError(f"{message} (got s={s[~inside].flat[0]})")
-    return np.clip(s, bottom, top)
+    if low < bottom or high > top:
+        return np.clip(s, bottom, top)
+    return s
 
 
 def partial_trace(m, dims, keep: Iterable[int]) -> np.ndarray:
@@ -150,10 +161,6 @@ def has_finite_norm(a: np.ndarray) -> bool:
     """Whether an array's entries and Frobenius norm are finite; a dot
     product, unlike a ufunc, does not warn when the norm overflows."""
     return math.isfinite(np.vdot(a, a).real)
-
-
-# The ufunc's own reduce, without the cost of the ndarray.max wrapper.
-_largest = np.maximum.reduce
 
 
 def hermitian_within(a: np.ndarray, tol: float,

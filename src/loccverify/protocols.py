@@ -795,18 +795,32 @@ def _placement_guess(parties: int, rounds: int, eta: float,
     return n * parties + l
 
 
-def _party_product(factors: np.ndarray) -> np.ndarray:
-    """Outer product of the per-party 2-vectors factors[..., p, :], party 1
-    first, taken left to right as :func:`~loccverify.linalg.kron` takes
-    them; shape factors.shape[:-2] + (2^P,). Each party's two entries
-    scale the product so far into the even and odd slots of the next."""
-    diag = factors[..., 0, :]
-    for p in range(1, factors.shape[-2]):
-        nxt = np.empty(factors.shape[:-2] + (2 ** (p + 1),))
-        np.multiply(diag, factors[..., p, 0, None], out=nxt[..., 0::2])
-        np.multiply(diag, factors[..., p, 1, None], out=nxt[..., 1::2])
-        diag = nxt
-    return diag
+@lru_cache(maxsize=8)
+def _power_slots(parties: int) -> np.ndarray:
+    """Where each entry of the halt densities of :func:`derivative_diagonals`
+    reads its power of sigma: entry [alpha, i] is the number of parties
+    other than alpha + 1 that see |0> in index i, or P + 1, the slot of 0,
+    where party alpha + 1 sees |1>; shape (P, 2^P), read-only."""
+    bits = (np.arange(2 ** parties)
+            >> np.arange(parties - 1, -1, -1)[:, None]) & 1
+    slots = np.where(bits == 1, parties + 1, prefix_zeros(parties)[:, -1] - 1)
+    slots.flags.writeable = False
+    return slots
+
+
+def _party_powers(x: np.ndarray, parties: int) -> np.ndarray:
+    """1, x, x x, (x x) x, ... up to x^P, each power the product of the
+    last and x, as the left-to-right outer product of P factors (x, 1) or
+    (1, 0) forms it, and then 0; shape x.shape + (P + 2,). A factor 1
+    leaves a product bit for bit as it is, so each entry of such an outer
+    product is one of these."""
+    out = np.empty(x.shape + (parties + 2,))
+    out[..., 0] = 1.0
+    out[..., 1] = x
+    for k in range(2, parties + 1):
+        np.multiply(out[..., k - 1], x, out=out[..., k])
+    out[..., -1] = 0.0
+    return out
 
 
 def limit_path_diagonals(parties: int, s) -> np.ndarray:
@@ -814,12 +828,12 @@ def limit_path_diagonals(parties: int, s) -> np.ndarray:
     M(s) = (s^(1/P)-1)|0><0| + |1><1|, at every s of a 1-D array in
     [1, 2^P]; real, shape (n, 2^P). The outer product of the factors
     (s^(1/P) - 1, 1), taken left to right as :func:`~loccverify.linalg.kron`
-    takes them."""
+    takes them: entry i is the power of s^(1/P) - 1 that counts the
+    parties seeing |0> in i (:func:`_party_powers`)."""
     top = float(2 ** parties)
     s = clamped(s, top, f"s outside [1, {top}]")
-    factors = np.ones(s.shape + (parties, 2))
-    factors[..., 0] = (s ** (1.0 / parties) - 1.0)[..., None]
-    return _party_product(factors)
+    return _party_powers(s ** (1.0 / parties) - 1.0, parties).take(
+        prefix_zeros(parties)[:, -1], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -878,18 +892,13 @@ def derivative_diagonals(parties: int, sigma) -> np.ndarray:
     so the all-ones projector plus the integral of their sum over sigma in
     [0, 1] resolves the identity. Their entrywise square roots, as
     matrices through :func:`~loccverify.linalg.diagonal_stack`, are the
-    limiting measurement operators.
+    limiting measurement operators. Each entry is a power of sigma or 0
+    (:func:`_party_powers`).
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.size and not 0.0 <= sigma.min() <= sigma.max() <= 1.0:
         raise ValueError("sigma outside [0, 1]")
-    # factors[..., alpha, p, :] is party p's diagonal in outcome alpha.
-    factors = np.empty(sigma.shape + (parties, parties, 2))
-    factors[..., 0] = sigma[..., None, None]
-    factors[..., 1] = 1.0
-    factors.reshape(sigma.shape + (parties * parties, 2))[
-        ..., ::parties + 1, :] = (1.0, 0.0)
-    return _party_product(factors)
+    return _party_powers(sigma, parties).take(_power_slots(parties), axis=-1)
 
 
 # perfbench's span table looks the verifier up on this module; it lives in

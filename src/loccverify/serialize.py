@@ -20,7 +20,8 @@ def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError("only two-dimensional arrays serialize as matrices")
-    data = [[float(v.real), float(v.imag)] for row in m for v in row]
+    # Row-major [re, im] pairs, as Python floats, in one conversion.
+    data = np.ascontiguousarray(m).view(np.float64).reshape(-1, 2).tolist()
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 

@@ -68,7 +68,8 @@ class CoefficientMatrix:
     Frozen, with a read-only array, so the matrix checked and symmetrised
     here is the one it keeps; compared and hashed by identity, as arrays
     have no truth value. The membership solver wraps the witnesses it
-    builds by :func:`_witness`, which skips the check.
+    builds, and :func:`endpoint_cmatrix` its rank-one matrices, by
+    :func:`_witness`, which skips the check.
     """
 
     matrix: np.ndarray
@@ -83,9 +84,9 @@ class CoefficientMatrix:
 
 
 def _witness(m: np.ndarray) -> CoefficientMatrix:
-    """The :class:`CoefficientMatrix` of a witness the solver built, without
-    the input check: its Hermitian part, by the arithmetic of
-    :func:`coefficient_stack`, made read-only."""
+    """The :class:`CoefficientMatrix` of a matrix the package built
+    Hermitian, without the input check: its Hermitian part, by the
+    arithmetic of :func:`coefficient_stack`, made read-only."""
     sym = 0.5 * (m + m.conj().T)
     sym.setflags(write=False)
     c = object.__new__(CoefficientMatrix)
@@ -214,6 +215,9 @@ class _MembershipSolver:
         # lmap[e, m, n] = (Khat_m^dag Khat_n)[rows[e], cols[e]].
         self.lmap = lmap = np.einsum("mbe,nbe->emn", ops[:, :, rows].conj(),
                                      ops[:, :, cols])
+        # On a real basis the map is real, and contracts the real and the
+        # imaginary part of a coefficient matrix separately (:meth:`reached`).
+        self.rmap = np.ascontiguousarray(lmap.real) if self.real else None
         # The flat reached entries, then a slot for the norm of z off them.
         self.slots = np.append(rows * d + cols, 0)
         self.off = np.delete(np.arange(d * d), self.slots[:-1])
@@ -262,26 +266,46 @@ class _MembershipSolver:
         zvec[-1] = math.sqrt(np.vdot(off, off).real)
         return zvec
 
+    def reached(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """L(C) at the reached entries of a coefficient matrix, or of each
+        of a stack (..., k, k), as its real and imaginary parts; the
+        imaginary part is None where it is zero by construction. On a real
+        basis one real map serves every C: a real C takes one real
+        contraction, a complex one takes its real and imaginary parts in
+        one call."""
+        if self.rmap is None:
+            out = np.einsum("...mn,emn->...e", c, self.lmap)
+            return out.real, out.imag
+        if c.dtype.kind != "c":
+            return np.einsum("...mn,emn->...e", c, self.rmap), None
+        re, im = np.einsum("...mn,emn->...e", np.stack([c.real, c.imag]),
+                           self.rmap)
+        return re, im
+
     def image(self, c: np.ndarray) -> np.ndarray:
         """L(C) of a coefficient matrix, or of each of a stack (..., k, k):
-        the map's values scattered into zero d x d matrices."""
+        the map's values (:meth:`reached`) scattered into zero d x d
+        matrices."""
+        re, im = self.reached(c)
         out = np.zeros(c.shape[:-2] + (self.dim, self.dim), dtype=complex)
-        out[..., self.rows, self.cols] = np.einsum("...mn,emn->...e", c,
-                                                   self.lmap)
+        out.real[..., self.rows, self.cols] = re
+        if im is not None:
+            out.imag[..., self.rows, self.cols] = im
         return out
 
     def diagonal_residuals(self, c: np.ndarray, v: np.ndarray) -> np.ndarray:
         """||L(C) - diag v||_F for a coefficient matrix and a real diagonal,
         or pairwise for stacks (..., k, k) and (..., d): the gap on the
-        reached entries, where diag v is v on the diagonal ones and 0 on
-        the others, and the entries of v that no entry reaches, as
-        :meth:`target` splits z."""
-        gap = np.einsum("...mn,emn->...e", c, self.lmap)
+        reached entries (:meth:`reached`), where diag v is v on the
+        diagonal ones and 0 on the others, and the entries of v that no
+        entry reaches, as :meth:`target` splits z."""
+        gap, im = self.reached(c)
         gap[..., self.on_diagonal] -= v[..., self.rows[self.on_diagonal]]
         off = v[..., self.off_diagonal]
-        return np.sqrt(np.einsum("...e,...e->...", gap.real, gap.real)
-                       + np.einsum("...e,...e->...", gap.imag, gap.imag)
-                       + np.einsum("...e,...e->...", off, off))
+        total = np.einsum("...e,...e->...", gap, gap)
+        if im is not None:
+            total = total + np.einsum("...e,...e->...", im, im)
+        return np.sqrt(total + np.einsum("...e,...e->...", off, off))
 
     def to_matrix(self, x: np.ndarray) -> np.ndarray:
         """Scatter a masked vector into its kappa x kappa matrix."""
@@ -302,15 +326,20 @@ class _MembershipSolver:
         w = np.minimum(np.maximum(w, 0.0), 1.0)
         return ((v * w) @ v.conj().T)[self.mask]
 
-    def in_box(self, cs: np.ndarray) -> np.ndarray:
+    def in_box(self, cs: np.ndarray, w: np.ndarray | None = None
+               ) -> np.ndarray:
         """Whether each matrix of the stack ``cs``, (..., k, k), already
         masked and Hermitian, lies in the box: every block's eigenvalues in
         [0, 1] to ``ROUNDING_TOL``. One eigvalsh of each matrix serves
         every block: a masked matrix is block diagonal up to a permutation,
-        so its spectrum is the union of its blocks' spectra."""
+        so its spectrum is the union of its blocks' spectra. ``w`` is that
+        ascending spectrum, (..., k), from a caller that holds it already.
+        """
+        if w is None:
+            w = np.linalg.eigvalsh(cs)
         # Transposed, the extreme eigenvalues are rows 0 and -1 for any
         # stack, and plain scalars for one matrix.
-        w = np.linalg.eigvalsh(cs).T
+        w = w.T
         return ((w[0] >= -ROUNDING_TOL) & (w[-1] <= 1.0 + ROUNDING_TOL)).T
 
     @cached_property
@@ -795,10 +824,11 @@ def support_function(x, spec: ZonoidSpec) -> float:
 def zonoid_bytes(basis: KrausSet | Instrument, real_target: bool) -> int:
     """Traced peak bytes of a zonoid-check run on ``basis`` as parsed from
     JSON (200 bytes an operator entry): a Choi matrix for each outcome of
-    two or more operators, or, if larger, the map on E entries, ``a``, the
-    slice's lift from the coordinates of z to the m masked coefficients
-    and six copies of its r constraints of kappa^2 entries in the barrier
-    solve, with 300 bytes an entry of the d x d target and report. E is
+    two or more operators, or, if larger, the map on E entries (with its
+    real copy on a real basis), ``a``, the slice's lift from the
+    coordinates of z to the m masked coefficients and six copies of its r
+    constraints of kappa^2 entries in the barrier solve, with 300 bytes an
+    entry of the d x d target and report. E is
     bounded without a d x d array: each distinct nonzero pattern S of an
     output row reaches S x S. With a real basis and target the slice is
     real, on the real parts of at most (E + d) / 2 entries with r at most
@@ -811,14 +841,16 @@ def zonoid_bytes(basis: KrausSet | Instrument, real_target: bool) -> int:
     m = sum(len(b) ** 2 for b in blocks)
     k2 = len(ops) ** 2
     coords = (n - 1 + d) // 2
-    if real_target and not ops.imag.any():
+    real = not ops.imag.any()
+    if real_target and real:
         width, r = 8, min(coords, sum(len(b) * (len(b) + 1) // 2
                                       for b in blocks))
     else:
         width, r, coords = 16, min(n - 1, m), 2 * coords
     choi = kraus is not basis and max(map(len, blocks)) > 1
     return max(36 * choi * (d * kraus.output_dim) ** 2, 200 * ops.size,
-               16 * n * (k2 + m) + width * (m * coords + 6 * r * k2)
+               (24 if real else 16) * n * k2 + 16 * n * m
+               + width * (m * coords + 6 * r * k2)
                + 300 * d * d)
 
 
@@ -892,34 +924,46 @@ def endpoint_cmatrix(k_leaf, spec: ZonoidSpec) -> CoefficientMatrix:
 
     Expands the leaf operator over the basis, k = sum_m w_m Khat_m (within
     one block when blocks are present), and returns C = conj(w) w^T so that
-    L(C) = k^dag k. Raises NotInSpanError when no block admits the
-    expansion.
+    L(C) = k^dag k. A 1-D real ``k_leaf`` is the diagonal of a diagonal
+    operator: its expansion reads only the diagonal columns of each
+    block's map, and C is real when the basis is. Raises NotInSpanError
+    when no block admits the expansion.
     """
-    k = as_matrix(k_leaf)
-    ops = spec.basis.operators
-    if k.shape != ops.shape[1:]:
-        raise ValueError(
-            f"operator shape {k.shape} does not match basis {ops.shape[1:]}"
-        )
+    solver = spec.solver()
+    d = solver.dim
+    k = np.asarray(k_leaf)
+    diagonal = k.ndim == 1 and k.dtype.kind in "biuf"
+    if not diagonal:
+        k = as_matrix(k)
+    if k.shape != ((d,) if diagonal else (d, d)):
+        raise ValueError(f"operator shape {k.shape} does not match basis "
+                         f"{spec.basis.operators.shape[1:]}")
     kvec = k.reshape(-1)
     scale = max(1.0, float(np.linalg.norm(kvec)))
     best_res = np.inf
     best_w = None
-    for blk, (cols, pinv) in zip(spec.block_list(),
-                                 spec.solver().expansions()):
-        x = pinv @ kvec
-        res = float(np.linalg.norm(cols @ x - kvec))
+    for blk, (cols, pinv) in zip(spec.block_list(), solver.expansions()):
+        if diagonal:
+            if solver.real:
+                cols, pinv = cols.real, pinv.real
+            x = pinv[:, ::d + 1] @ kvec
+            gap = cols @ x
+            gap[::d + 1] -= kvec
+        else:
+            x = pinv @ kvec
+            gap = cols @ x - kvec
+        res = float(np.linalg.norm(gap))
         if res < best_res:
             best_res = res
-            w = np.zeros(spec.kappa, dtype=np.complex128)
-            w[list(blk)] = x
-            best_w = w
+            best_w = np.zeros(spec.kappa, dtype=x.dtype)
+            best_w[list(blk)] = x
     if best_w is None or best_res > SPAN_TOL * scale:
         raise NotInSpanError(
             f"endpoint operator is outside the basis span "
             f"(best residual {best_res:.3e})"
         )
-    return CoefficientMatrix(np.outer(best_w.conj(), best_w))
+    # conj(w) w^T is Hermitian bit for bit, so it needs no input check.
+    return _witness(np.outer(best_w.conj(), best_w))
 
 
 def zonoid_spec_for_channel(k: KrausSet) -> ZonoidSpec:

@@ -11,9 +11,11 @@ calls instead; the link twins among them alter a quantity a check reads
 from another module, and pin that the check, and only it, sees it. One
 exchanges the halting parties of the worked instrument's halt table, and
 pins that every check reading a halt takes it from that table. The
-last tests pin the verifier's stacked pass over its halt families: a fault
+last tests pin the verifier's stacked pass over its sample table: a fault
 in one family's stack shows in that family's checks alone, at its sigma,
-and each family's checks read as they do when it is verified alone.
+and each family's checks read as they do when it is verified alone; a
+fault in one family's or path's samples of one kind fails that one check,
+at its sigma or s, with every other check as it was, bit for bit.
 """
 
 import dataclasses
@@ -313,3 +315,118 @@ def test_stacked_family_checks_match_each_family_alone(family, make_spec,
         for kind in ("psd", "product", "reconstruction"):
             name = f"{fam.label}:{kind}"
             assert both.check(name) == alone.check(name)
+
+
+def changed_at(f, at, change):
+    """The callback ``f`` with its answer at the one parameter ``at``
+    replaced by ``change`` of it; every other answer as ``f`` gives it."""
+    def changed(x):
+        out = np.array(f(x))
+        hit = np.asarray(x) == at
+        out[hit] = change(out[hit])
+        return out
+    return changed
+
+
+def assert_alone(base, rep, name, where):
+    """``rep`` fails ``name`` alone, at ``where``, and every other check
+    reads as in ``base``, bit for bit. Returns the failed check."""
+    assert base.passed
+    assert list(failed(rep)) == [name]
+    assert [c.name for c in rep.checks] == [c.name for c in base.checks]
+    for c in rep.checks:
+        if c.name != name:
+            assert c == base.check(c.name)
+    check = rep.check(name)
+    assert check.where == where
+    return check
+
+
+@pytest.mark.parametrize("label", ["halt-B", "halt-A"])
+@pytest.mark.parametrize("family, make_spec", [
+    (limiting_family, channel_zonoid),
+    (blocked_limiting_family, instrument_zonoid),
+])
+def test_psd_alone_reads_its_family_rows(family, make_spec, label):
+    # Basis operator 0, |11><11|, is orthogonal to every other one, so
+    # X = E_0j + E_j0 lies in the kernel of L, bit for bit. One family's
+    # coefficient density minus 1e-3 X at sigma = 0.37 reconstructs the
+    # same density, and, being 0 at (0, 0), is no longer PSD there.
+    spec = make_spec()
+    paths, fams = family(spec)
+    base = verify_theorem_conditions(spec, paths, fams, s_samples=11)
+    i = [f.label for f in fams].index(label)
+    (c,) = fams[i].cdensity_at(np.array([SIGMA_37]))
+    j = int(np.argmax(np.diag(c)))
+    kernel = np.zeros((spec.kappa, spec.kappa))
+    kernel[0, j] = kernel[j, 0] = 1e-3
+    fams[i] = dataclasses.replace(fams[i], cdensity_at=changed_at(
+        fams[i].cdensity_at, SIGMA_37, lambda c: c - kernel))
+    rep = verify_theorem_conditions(spec, paths, fams, s_samples=11)
+    psd = assert_alone(base, rep, f"{label}:psd", "sigma=0.37")
+    assert psd.defect == pytest.approx(
+        -np.linalg.eigvalsh(c - kernel)[0], rel=1e-9)
+
+
+@pytest.mark.parametrize("family, make_spec", [
+    (limiting_family, channel_zonoid),
+    (blocked_limiting_family, instrument_zonoid),
+])
+def test_reconstruction_alone_reads_its_family_rows(family, make_spec):
+    # Halt-B's density 0.1% too large at sigma = 0.37 is still a product,
+    # and its coefficient density still PSD, but L no longer maps the one
+    # to the other there.
+    spec = make_spec()
+    paths, fams = family(spec)
+    base = verify_theorem_conditions(spec, paths, fams, s_samples=11)
+    i = [f.label for f in fams].index("halt-B")
+    fams[i] = dataclasses.replace(fams[i], density_at=changed_at(
+        fams[i].density_at, SIGMA_37, lambda d: 1.001 * d))
+    rep = verify_theorem_conditions(spec, paths, fams, s_samples=11)
+    recon = assert_alone(base, rep, "halt-B:reconstruction", "sigma=0.37")
+    # The density there is (sigma, 1, 0, 0) for halt-B.
+    assert recon.defect == pytest.approx(1e-3 * np.hypot(SIGMA_37, 1.0),
+                                         rel=1e-6)
+
+
+def test_witness_family_alone_reads_its_path_rows():
+    # theorem1's witness family C1 0.1% too large at s = 2.5, a grid point
+    # that no halt attaches to among the sigma samples: still PSD, but
+    # 0.1% of the path operator away from it.
+    spec = channel_zonoid()
+    paths, fams = limiting_family(spec)
+    base = verify_theorem_conditions(spec, paths, fams, s_samples=11)
+    main = paths[0]
+    grid = main.sample_grid(11)
+    assert grid[5] == 2.5
+    assert not np.isin(2.5, fams[0].attach_s(np.linspace(0.0, 1.0, 101)))
+    paths[0] = dataclasses.replace(main, cmatrix_at=changed_at(
+        main.cmatrix_at, 2.5, lambda c: 1.001 * c))
+    fams = [dataclasses.replace(f, parent=paths[0]) for f in fams]
+    rep = verify_theorem_conditions(spec, paths, fams, s_samples=11)
+    family = assert_alone(base, rep, "main:witness-family", "s=2.5")
+    (op,) = main.op_at(np.array([2.5]))
+    assert family.defect == pytest.approx(1e-3 * np.linalg.norm(op),
+                                          rel=1e-6)
+
+
+def test_membership_alone_names_its_solver_count():
+    # theorem8's main path at s = 3.7 replaced by diag(1/2, 1) x diag(y, 1)
+    # with (1 + 1/2)(1 + y) = 3.7: a product of trace 3.7, so trace and
+    # product still pass, but its entry y > 1 puts it outside the zonoid,
+    # whose operators lie below L(I) = I. The integrated witness does not
+    # reproduce it, so that one sample goes to the solver, which fails it.
+    spec = instrument_zonoid()
+    paths, fams = blocked_limiting_family(spec)
+    base = verify_theorem_conditions(spec, paths, fams, s_samples=11)
+    main = paths[0]
+    assert main.sample_grid(11)[1] == 3.7
+    y = 3.7 / 1.5 - 1.0
+    outside = np.kron([0.5, 1.0], [y, 1.0])
+    paths[0] = dataclasses.replace(main, op_at=changed_at(
+        main.op_at, 3.7, lambda op: outside))
+    fams = [dataclasses.replace(f, parent=paths[0]) for f in fams]
+    rep = verify_theorem_conditions(spec, paths, fams, s_samples=11)
+    membership = assert_alone(base, rep, "main:membership",
+                              "s=3.7; solver 1/11")
+    assert membership.defect > 0.1

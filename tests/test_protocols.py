@@ -1192,6 +1192,38 @@ class TestPartyProduct:
         sigma[0, :2] = 0.0, 1.0
         assert np.array_equal(derivative_diagonals(parties, sigma),
                               _own_loop_derivative(parties, sigma))
+        # The grids their callers build: the verifier's s grid from 2^P
+        # down to 1, path_distance_bound's up from 1, the attach points
+        # (1 + sigma)^P of the sigma samples and the two ends alone; the
+        # quadrature nodes t^2 with the sigma samples, as one cdensity_at
+        # call takes them, and sigma = 0, 1 alone.
+        top = 2.0 ** parties
+        sigmas = np.linspace(0.0, 1.0, 101)
+        for s in (np.linspace(top, 1.0, 37), np.linspace(1.0, top, 401),
+                  (1.0 + sigmas) ** parties, np.array([1.0, top])):
+            assert np.array_equal(limit_path_diagonals(parties, s),
+                                  _own_loop_limit(parties, s))
+        t = linalg.sqrt_smooth_nodes()
+        for sigma in (np.concatenate([t * t, sigmas]), np.array([0.0, 1.0])):
+            assert np.array_equal(derivative_diagonals(parties, sigma),
+                                  _own_loop_derivative(parties, sigma))
+
+    @pytest.mark.parametrize("parties", [2, 3, 4, 5, 6])
+    def test_out_of_range_parameters_are_refused(self, parties):
+        # Beyond rounding, or not finite: refused. Within rounding of an
+        # end: clamped to it.
+        top = 2.0 ** parties
+        for s in ([1.0 - 1e-9, 2.0], [2.0, top + 1e-9], [np.nan, 2.0],
+                  [2.0, np.inf]):
+            with pytest.raises(ValueError, match="s outside"):
+                limit_path_diagonals(parties, s)
+        assert np.array_equal(
+            limit_path_diagonals(parties, [1.0 - 1e-13, top + 1e-13]),
+            limit_path_diagonals(parties, [1.0, top]))
+        for sigma in ([-1e-9, 0.5], [0.5, 1.0 + 1e-9], [np.nan],
+                      [[0.5], [np.inf]]):
+            with pytest.raises(ValueError, match="sigma outside"):
+                derivative_diagonals(parties, sigma)
 
 
 def _s_of(parties: int, sigma):
@@ -1412,7 +1444,8 @@ class TestVerifyTheoremConditions:
             assert rep.passed
             counts.append(calls)
         assert counts[0] == counts[1]
-        assert counts[0]["main.op_at"] == 2
+        # One op_at call answers the grid and the bottom end together.
+        assert counts[0]["main.op_at"] == 1
         assert all(counts[0][f"{fam.label}.cdensity_at"] == 1 for fam in fams)
 
     def test_non_product_diagonal_density_fails_product(self):
@@ -1704,6 +1737,13 @@ def _count_membership_calls(monkeypatch) -> list:
     return calls
 
 
+def _endpoint(path, spec):
+    """The endpoint matrix the verifier derives from a path: the expansion
+    of the root of its operator at the bottom end."""
+    (op,) = path.op_at(np.array([path.s_bottom]))
+    return zonoid.endpoint_cmatrix(linalg.sqrt_psd(op), spec)
+
+
 class TestIntegratedWitness:
     """C(sigma) = C_end + sum_f int_0^sigma cdensity_f certifies the path."""
 
@@ -1718,7 +1758,7 @@ class TestIntegratedWitness:
         spec = spec()
         solver = spec.solver()
         (main,), fams = family(spec)
-        c_end, _ = conditions._endpoint_check(main, spec)
+        c_end = _endpoint(main, spec)
         cs = c_end.matrix + sum(cumulative_integrals(fam.cdensity_at, sigmas)
                                 for fam in fams)
         for sigma, c in zip(sigmas, cs):
@@ -1773,11 +1813,12 @@ class TestLimitFamilies:
     """The reduced and blocked families share their paths and densities."""
 
     def test_derived_endpoint_is_the_closed_form_c1(self):
-        (main,), _ = limiting_family()
-        c_end, defect = conditions._endpoint_check(main, channel_zonoid())
+        (main,), fams = limiting_family()
+        spec = channel_zonoid()
         (c1,) = coefficient_stack(c_matrix_stack("C1", [1.0]))
-        assert np.array_equal(c_end.matrix, c1)
-        assert defect <= 1e-12
+        assert np.array_equal(_endpoint(main, spec).matrix, c1)
+        rep = verify_theorem_conditions(spec, [main], fams, s_samples=5)
+        assert rep.check("main:endpoint").defect <= 1e-12
 
     @pytest.mark.parametrize("s_samples", [5, 25, None])
     @pytest.mark.parametrize("family", [limiting_family,
@@ -1821,7 +1862,8 @@ class TestLimitFamilies:
 
 class TestRealStacks:
     """Real callbacks keep the verifier's coefficient stacks real; complex
-    ones take the complex route, which reports the same checks."""
+    ones whose entries are real take the same route, and report the same
+    checks bit for bit."""
 
     @pytest.mark.parametrize("family, spec", [
         (limiting_family, channel_zonoid),
@@ -1864,7 +1906,9 @@ class TestRealStacks:
         cplx = verify_theorem_conditions(spec, cpaths, cfams,
                                          s_samples=s_samples)
         assert real.passed
-        assert ([(c.name, c.passed, c.where) for c in cplx.checks]
-                == [(c.name, c.passed, c.where) for c in real.checks])
-        for a, b in zip(real.checks, cplx.checks):
-            assert abs(a.defect - b.defect) <= 1e-15, a.name
+        # Both routes share the real map and real arithmetic throughout,
+        # so every defect is the same bit for bit.
+        assert ([(c.name, c.passed, c.where, c.defect.hex())
+                 for c in cplx.checks]
+                == [(c.name, c.passed, c.where, c.defect.hex())
+                    for c in real.checks])

@@ -511,6 +511,30 @@ class TestEndpointFits:
         expect[:2, :2] = 1.0
         np.testing.assert_allclose(c, expect, atol=1e-12)
 
+    @pytest.mark.parametrize("spec", [channel_zonoid, instrument_zonoid])
+    def test_diagonal_endpoint_reads_the_diagonal_columns(self, spec):
+        # A diagonal in the span of each block, given as its real diagonal,
+        # expands through the diagonal columns of the block's map alone:
+        # real on this real basis, and the matrix's expansion to rounding.
+        spec = spec()
+        ops = spec.basis.operators
+        rng = np.random.default_rng(41)
+        for blk in spec.block_list():
+            k = rng.standard_normal(len(blk)) @ np.diagonal(
+                ops[list(blk)], axis1=1, axis2=2).real
+            got = endpoint_cmatrix(k, spec).matrix
+            assert got.dtype == np.float64
+            np.testing.assert_allclose(
+                got, endpoint_cmatrix(np.diag(k), spec).matrix, rtol=0.0,
+                atol=1e-12)
+
+    def test_diagonal_outside_every_block_raises(self):
+        # Blocks 1 and 2 reach the diagonal entries (0, 2) and (0, 1), so no
+        # block holds weight on entries 1 and 2 together.
+        with pytest.raises(NotInSpanError):
+            endpoint_cmatrix(np.array([0.0, 1.0, 1.0, 0.0]),
+                             instrument_zonoid())
+
     def test_outside_span_raises(self):
         off = np.zeros((4, 4), dtype=complex)
         off[0, 1] = 1.0
