@@ -11,8 +11,8 @@ its peak RSS is ``ru_maxrss`` of its own resource usage, from
 median of each over the runs, every run's values and every run's exit
 status; any other section of an existing record is kept. The cases are
 ``theorem1`` and ``theorem8`` on the dense default grid, ``theorem8
---samples 4000``, whose stacked sample tables set its peak, ``theorem1
---nu 1000``, ``scripts/run_verification_suite.py`` and
+--samples 4000`` and ``theorem1 --samples 4000``, whose stacked sample
+tables set their peaks, ``theorem1 --nu 1000``, ``scripts/run_verification_suite.py`` and
 ``scripts/convergence_study.py`` at its defaults: sizes at which a run
 is more than its imports. Standard library only. ``child_env`` is the
 environment of every child, here and in ``scripts/ab.py``.
@@ -44,6 +44,7 @@ CASES = {
     "theorem1": cli("theorem1"),
     "theorem8": cli("theorem8"),
     "theorem8 --samples 4000": cli("theorem8", "--samples", "4000"),
+    "theorem1 --samples 4000": cli("theorem1", "--samples", "4000"),
     "theorem1 --nu 1000": cli("theorem1", "--nu", "1000"),
     "verification suite": [str(ROOT / "scripts" /
                                 "run_verification_suite.py")],

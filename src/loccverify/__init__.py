@@ -58,6 +58,7 @@ from .protocols import (
 from .conditions import (
     CheckedPath,
     EndpointFamily,
+    FamilyTable,
     PathConditionReport,
     verify_theorem_conditions,
 )
@@ -106,7 +107,7 @@ __all__ = [
     "endpoint_cmatrix", "hausdorff_estimate", "membership",
     "separation_gap", "support_function",
     "zonoid_spec_for_channel", "zonoid_spec_for_instrument",
-    "CheckedPath", "EndpointFamily", "NodeView", "PathConditionReport",
+    "CheckedPath", "EndpointFamily", "FamilyTable", "NodeView", "PathConditionReport",
     "PiecewisePath", "ProtocolParams", "ProtocolTree", "TreeReport",
     "build_protocol_pq", "main_branch_diagonals",
     "main_branch_path", "path_distance_bound", "protocol_leaf_diagonals",

@@ -62,12 +62,15 @@ TREE_BYTES_BUDGET = 2 ** 28
 # check holds: its operator is a real diagonal, and its coefficient
 # stacks, real and dense kappa x kappa, hold the rest.
 _FIXED_BYTES = 2 ** 19
-_THEOREM_SAMPLE_BYTES = {"theorem1": 896, "theorem8": 1024}
+_THEOREM_SAMPLE_BYTES = {"theorem1": 800, "theorem8": 800}
 # Bytes each direction of a two-qubit Hausdorff estimate holds.
 _HAUSDORFF_SAMPLE_BYTES = 1344
 # Bytes each entry of a Choi matrix holds: in `choi` with its printed JSON,
-# in `distance` as the padded Choi matrices and their difference.
-_CHOI_ENTRY_BYTES = {"choi": 300, "distance": 52}
+# in `distance` as the padded Choi matrices and their difference. A `choi`
+# run on real Kraus operators prints each imaginary part as 0.0, which
+# holds `_REAL_CHOI_SAVING` bytes an entry less.
+_CHOI_ENTRY_BYTES = {"choi": 336, "distance": 52}
+_REAL_CHOI_SAVING = 36
 _SIZE_FLAGS = ("samples", "grid")
 _INPUT_COMMANDS = ("choi", "distance", "zonoid-check")
 
@@ -178,7 +181,8 @@ def work_bytes(args, *inputs, z: np.ndarray | None = None) -> int:
     paper-2q, paper-pq, wstate or hausdorff run from its parsed flags
     alone, of a choi, distance or zonoid-check run from the shapes of its
     parsed ``inputs`` (the Kraus sets, or the basis as a KrausSet or an
-    Instrument) and the parsed target ``z`` (None for the identity).
+    Instrument), whether choi's operators are real, and the parsed target
+    ``z`` (None for the identity).
 
     Each part grows with one size flag or input: the theorem checks with
     their s samples, the path gap with its grid (2^P entries a
@@ -194,7 +198,10 @@ def work_bytes(args, *inputs, z: np.ndarray | None = None) -> int:
     if args.command in _CHOI_ENTRY_BYTES:
         d = inputs[0].input_dim
         out = max(k.output_dim for k in inputs)
-        parts.append(_CHOI_ENTRY_BYTES[args.command] * (d * out) ** 2)
+        per = _CHOI_ENTRY_BYTES[args.command]
+        if args.command == "choi" and not inputs[0].operators.imag.any():
+            per -= _REAL_CHOI_SAVING
+        parts.append(per * (d * out) ** 2)
     if args.command == "zonoid-check":
         parts.append(zonoid_bytes(*inputs, z is None or not z.imag.any()))
     if args.command in _THEOREM_SAMPLE_BYTES:

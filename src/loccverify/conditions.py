@@ -14,9 +14,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import (clamped, cumulative_weights, diagonal_stack,
-                     product_defect, sqrt_psd, sqrt_smooth_nodes,
-                     sqrt_smooth_total)
+from .linalg import (clamped, diagonal_stack, integrate_sqrt_smooth,
+                     lowest_eigenvalues, polynomial_values, product_defect,
+                     sqrt_psd)
 from .tolerances import (MEMBERSHIP_TOL, MIXTURE_PSD_TOL, PRODUCT_TOL,
                          RECON_TOL, RESOLUTION_TOL, ROUNDING_TOL,
                          SIGMA_SAMPLES, TRACE_TOL)
@@ -60,6 +60,86 @@ class CheckedPath:
         return np.linspace(self.s_bottom, self.s_top, n)[::-1]
 
 
+@dataclass(frozen=True, eq=False)
+class FamilyTable:
+    """A halt family that is a polynomial in u = sqrt(sigma).
+
+    Its coefficient density is conj(w) w^T and its operator density the
+    real diagonal r * r, with w = sum_k w_k u^k and r = sum_k r_k u^k:
+    ``w`` holds the rows w_k, (deg + 1, kappa), ``root`` the rows r_k,
+    (deg' + 1, d), and ``block`` the basis indices off which every w_k is
+    zero. :meth:`cdensity_at` and :meth:`density_at` evaluate the table by
+    Horner's rule, and serve as its family's callbacks.
+
+    With sigma = t^2, the integral of conj(w) w^T over [0, u^2] is that of
+    2 t conj(w(t)) w(t)^T over [0, u], a polynomial in u whose
+    coefficient of u^(m + 2) is 2 G_m / (m + 2), G_m = sum_{j + k = m}
+    conj(w_j) w_k^T: ``antiderivative`` holds those, (2 deg + 1, kappa,
+    kappa), each Hermitian bit for bit and zero off the block.
+    Frozen, with read-only arrays, and compared by identity.
+    """
+
+    w: np.ndarray
+    root: np.ndarray
+    block: tuple[int, ...]
+
+    def __post_init__(self):
+        w = np.array(self.w)
+        w = w.astype(np.float64 if w.dtype.kind in "biuf" else np.complex128)
+        root = np.array(self.root, dtype=np.float64)
+        if w.ndim != 2 or root.ndim != 2 or not len(w) or not len(root):
+            raise ValueError("a family table needs coefficient rows, (deg + "
+                             "1, kappa) for w and (deg + 1, d) for its root")
+        block = tuple(sorted({int(b) for b in self.block}))
+        if not block or not 0 <= block[0] <= block[-1] < w.shape[1]:
+            raise ValueError(f"block {self.block!r} is outside the basis")
+        if not (np.isfinite(w).all() and np.isfinite(root).all()):
+            raise ValueError("a family table needs finite coefficients")
+        if np.delete(w, block, axis=1).any():
+            raise ValueError(f"w is not zero off its block {block}")
+        deg = len(w) - 1
+        g = np.zeros((2 * deg + 1,) + w.shape[1:] * 2, dtype=w.dtype)
+        for j in range(deg + 1):
+            g[j:j + deg + 1] += w[j].conj()[:, None] * w[:, None, :]
+        g = 0.5 * (g + g.conj().swapaxes(-1, -2))
+        g *= (2.0 / np.arange(2, 2 * deg + 3))[:, None, None]
+        for name, a in (("w", w), ("root", root), ("antiderivative", g)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "block", block)
+
+    @staticmethod
+    def _roots(sigma) -> np.ndarray:
+        return np.sqrt(clamped(sigma, 1.0, "sigma outside [0, 1]", 0.0))
+
+    def cdensity_at(self, sigma) -> np.ndarray:
+        """conj(w) w^T at every sigma of a 1-D array in [0, 1]; (n, kappa,
+        kappa), real when w is."""
+        w = polynomial_values(self.w, self._roots(sigma))
+        return (w.conj() if w.dtype.kind == "c" else w)[:, :, None] * w[
+            :, None, :]
+
+    def density_at(self, sigma) -> np.ndarray:
+        """The real diagonals r * r at every sigma of a 1-D array in
+        [0, 1]; (n, d)."""
+        r = polynomial_values(self.root, self._roots(sigma))
+        return r * r
+
+    def integrals(self, u: np.ndarray) -> np.ndarray:
+        """The integral of conj(w) w^T over [0, u^2] at each u of a 1-D
+        array in [0, 1]; (n, kappa, kappa). Horner's rule takes every
+        entry through the same operations, so the integrals are Hermitian
+        bit for bit, as a BLAS product is not."""
+        out = polynomial_values(self.antiderivative, u)
+        out *= (u * u)[:, None, None]
+        return out
+
+    @property
+    def total(self) -> np.ndarray:
+        """The integral of conj(w) w^T over [0, 1]."""
+        return self.antiderivative.sum(axis=0)
+
+
 @dataclass
 class EndpointFamily:
     """Continuum of halt outcomes peeling off a parent path.
@@ -71,7 +151,9 @@ class EndpointFamily:
     ``attach_s`` maps sigma to the parent path parameter where the outcome
     branches off, and ``sigma_at`` is its inverse, with sigma = 0 at the
     parent's bottom end and at most 1 on the parent's grid; both act
-    elementwise on arrays.
+    elementwise on arrays. ``table``, for a family that is a polynomial
+    in sqrt(sigma), gives its integrals in closed form, and its evaluators
+    serve as the two density callbacks.
     """
 
     label: str
@@ -80,6 +162,15 @@ class EndpointFamily:
     cdensity_at: Callable[[np.ndarray], np.ndarray]
     attach_s: Callable[[np.ndarray], np.ndarray]
     sigma_at: Callable[[np.ndarray], np.ndarray]
+    table: FamilyTable | None = None
+
+    @property
+    def rank_one(self) -> bool:
+        """Whether ``cdensity_at`` is its table's own evaluator, so that
+        every sample is conj(w) w^T: Hermitian bit for bit and zero off
+        the table's block."""
+        return (self.table is not None
+                and self.cdensity_at == self.table.cdensity_at)
 
 
 @dataclass(frozen=True)
@@ -168,49 +259,36 @@ def _as_matrix(op: np.ndarray) -> np.ndarray:
     return diagonal_stack(op) if op.ndim == 1 else op
 
 
-def _family_values(fam: EndpointFamily, sigmas: np.ndarray, kappa: int):
-    """A halt family's coefficient densities from its one ``cdensity_at``
-    call: the node values 2 t C(t^2) at the nodes t of
-    :func:`~loccverify.linalg.sqrt_smooth_nodes`, and C at each sigma of
-    ``sigmas``."""
-    t = sqrt_smooth_nodes()
-    at = np.concatenate([t * t, sigmas])
-    cd = _coefficients(fam.cdensity_at(at), at.size, kappa,
-                       f"{fam.label} cdensity_at")
-    return (2.0 * t)[:, None, None] * cd[:t.size], cd[t.size:]
-
-
 def _integrated_witness(solver, c_end: np.ndarray,
-                        families: Sequence[tuple[EndpointFamily, np.ndarray]],
-                        grid: np.ndarray):
-    """The integrated witness at each sample s, and whether it is
-    Hermitian to rounding.
+                        families: Sequence[EndpointFamily], grid: np.ndarray,
+                        out: np.ndarray) -> np.ndarray:
+    """Write the integrated witness at each sample s into ``out``, and
+    return whether each is Hermitian to rounding.
 
     The halt families peel off the path continuously, so
     C(s) = C_end + sum_f int_0^sigma_f(s) cdensity_f is a coefficient
-    matrix for op(s). ``families`` pairs each family with its node values
-    (:func:`_family_values`), and the integrals over [0, sigma_f(s)] are
-    their products with :func:`~loccverify.linalg.cumulative_weights`.
-    A sample's witness is the block-supported Hermitian part of C(s),
-    returned as a stack; it counts only where it differs from C(s) by
-    rounding and passes the solver's box test, and then its defect is
-    ||L(C) - op(s)||_F. The test is exact on the assembled C, so
-    quadrature error can raise a defect but never hide a bad witness.
+    matrix for op(s); each integral is one product of its family's
+    antiderivative table (:meth:`FamilyTable.integrals`). A sample's
+    witness is the block-supported Hermitian part of C(s); it counts only
+    where it differs from C(s) by rounding and passes the solver's box
+    test, and then its defect is ||L(C) - op(s)||_F.
     """
-    kappa = solver.kappa
-    cs = np.broadcast_to(c_end, (len(grid),) + c_end.shape)
-    sigma, weights = None, None
-    for fam, nodes in families:
+    out[...] = c_end
+    sigma, u = None, None
+    for fam in families:
         at = clamped(fam.sigma_at(grid), 1.0,
-                      f"{fam.label} sigma_at leaves [0, 1]", 0.0)
-        # Families that attach alike share their weights.
+                     f"{fam.label} sigma_at leaves [0, 1]", 0.0)
+        # Families that attach alike share their roots.
         if sigma is None or not np.array_equal(at, sigma):
-            sigma, weights = at, cumulative_weights(np.sqrt(at))
-        cs = cs + (weights @ nodes.reshape(len(nodes), -1)).reshape(
-            len(grid), kappa, kappa)
-    herm = np.where(solver.mask, 0.5 * (cs + cs.conj().swapaxes(-1, -2)),
-                    0.0)
-    return herm, np.linalg.norm(cs - herm, axis=(1, 2)) <= ROUNDING_TOL
+            sigma, u = at, np.sqrt(at)
+        out += fam.table.integrals(u)
+    herm = out + (out.conj() if out.dtype.kind == "c" else out).swapaxes(
+        -1, -2)
+    herm *= 0.5 * solver.mask
+    out -= herm
+    hermitian = np.linalg.norm(out, axis=(1, 2)) <= ROUNDING_TOL
+    out[...] = herm
+    return hermitian
 
 
 def _parent_witnesses(families: Sequence[EndpointFamily], sigmas: np.ndarray,
@@ -229,15 +307,27 @@ def _parent_witnesses(families: Sequence[EndpointFamily], sigmas: np.ndarray,
     return found
 
 
+def _lowest(samples: np.ndarray, fam: EndpointFamily) -> np.ndarray:
+    """The lowest eigenvalue of each of a rank-one family's samples, which
+    are zero off its table's block: its block's, in closed form when the
+    block has at most two indices, and at most 0 when the block leaves
+    out some index."""
+    block = np.array(fam.table.block)
+    low = lowest_eigenvalues(samples[:, block[:, None], block])
+    return low if len(block) == samples.shape[-1] else np.minimum(low, 0.0)
+
+
 # The order of the table's segments, each the samples of one kind of check
 # whose operators have one form: real diagonals (2), matrices (3), or none
 # (0, the parents' witnesses). In this order the rows that take an
-# eigvalsh (endpoint, membership, family and parent) are one slice, those
-# that take a residual are one slice for each form, and so are those whose
-# operators take a product defect (membership and family).
-_ORDER = ((2, "witness-family"), (2, "endpoint"), (2, "membership"),
-          (2, "family"), (0, "parent"), (3, "endpoint"), (3, "membership"),
-          (3, "family"), (3, "witness-family"))
+# eigvalsh (endpoint, membership, checked family and parent) are one
+# slice, those that take a residual are one slice for each form, and so
+# are those whose operators take a product defect (membership and both
+# kinds of family). A rank-one family's rows take no eigvalsh.
+_ORDER = ((2, "witness-family"), (2, "rank-one"), (2, "family"),
+          (2, "membership"), (2, "endpoint"), (0, "parent"), (3, "endpoint"),
+          (3, "membership"), (3, "family"), (3, "rank-one"),
+          (3, "witness-family"))
 
 
 class _SamplePass:
@@ -250,46 +340,60 @@ class _SamplePass:
     def __init__(self):
         self.parts: dict = {segment: [] for segment in _ORDER}
 
-    def add(self, kind: str, key, coefficients: np.ndarray,
-            operators: np.ndarray | None = None) -> None:
+    def add(self, kind: str, key, coefficients, operators=None) -> None:
         """Coefficient samples of a ``kind`` of check, and the operators,
-        matrices or real diagonals, that they pair with, one per sample."""
+        matrices or real diagonals, that they pair with, one per sample.
+        ``coefficients`` is a stack, or the pair (samples, dtype) of a
+        stack that the caller writes into its rows of ``table`` after
+        :meth:`allocate`."""
         form = 0 if operators is None else operators.ndim
         self.parts[form, kind].append((key, coefficients, operators))
 
-    def run(self, solver, dims) -> None:
-        """One eigvalsh, and per form one residual call and one product
-        defect, over the gathered table."""
+    def allocate(self, kappa: int) -> None:
+        """The table, allocated once every size is known, with each given
+        stack written into its rows and then let go: ``parts`` keeps only
+        the operators."""
         self.rows: dict = {}
-        blocks, ops, ends = [], {2: [], 3: []}, {}
-        row = 0
+        self.ends: dict = {}
+        row, dtypes = 0, [np.float64]
         for segment in _ORDER:
             start = row
-            for key, c, o in self.parts[segment]:
-                self.rows[segment[1], key] = slice(row, row + len(c))
-                blocks.append(c)
-                if o is not None:
-                    ops[segment[0]].append(o)
-                row += len(c)
-            ends[segment] = (start, row)
+            for key, c, _ in self.parts[segment]:
+                n, dtype = (len(c), c.dtype) if isinstance(c, np.ndarray) else c
+                self.rows[segment[1], key] = slice(row, row + n)
+                dtypes.append(dtype)
+                row += n
+            self.ends[segment] = (start, row)
+        self.table = np.empty((row, kappa, kappa), np.result_type(*dtypes))
+        for segment in _ORDER:
+            for key, c, _ in self.parts[segment]:
+                if isinstance(c, np.ndarray):
+                    self.table[self.rows[segment[1], key]] = c
+            self.parts[segment] = [o for _, _, o in self.parts[segment]]
 
+    def run(self, solver, dims) -> None:
+        """One eigvalsh, and per form one residual call and one product
+        defect, over the table."""
         def span(first, last):
-            return slice(ends[first][0], ends[last][1])
+            return slice(self.ends[first][0], self.ends[last][1])
 
-        self.table = np.concatenate(blocks) if blocks else np.empty((0, 0, 0))
+        row = len(self.table)
         self.spectra = np.empty((row, self.table.shape[-1]))
-        eig = span((2, "endpoint"), (3, "family"))
+        eig = span((2, "family"), (3, "family"))
         if eig.stop > eig.start:
             self.spectra[eig] = np.linalg.eigvalsh(self.table[eig])
         self.residuals, self.products = np.empty(row), np.empty(row)
-        for form, first, last in ((2, "witness-family", "family"),
-                                  (3, "endpoint", "witness-family")):
+        for form, first, last, low, high in (
+                (2, "witness-family", "endpoint", "rank-one", "membership"),
+                (3, "endpoint", "witness-family", "membership", "rank-one")):
             paired = span((form, first), (form, last))
             if paired.stop == paired.start:
                 continue
-            o = np.concatenate(ops[form])
+            o = np.concatenate([o for segment in _ORDER
+                                if segment[0] == form
+                                for o in self.parts[segment]])
             self.residuals[paired] = _residuals(solver, self.table[paired], o)
-            product = span((form, "membership"), (form, "family"))
+            product = span((form, low), (form, high))
             self.products[product] = product_defect(
                 o[product.start - paired.start:product.stop - paired.start],
                 dims, form == 2)
@@ -306,16 +410,23 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     membership at sampled parameters, and a valid rank-one endpoint witness.
     Membership is certified by the witness integrated from the families
     attached to the path; the solver answers only the samples where that
-    witness fails, or every sample of a path without families.
+    witness fails, or every sample of a path with a family that has no
+    :class:`FamilyTable`, or with no family at all. A Hermitian witness
+    that leaves the box by delta = max(0, -lambda_min, lambda_max - 1),
+    from the spectrum the pass already holds, is first retried as
+    (C + delta I) / (1 + 2 delta), which answers only if it passes the
+    same box test and its own residual is within ``membership_tol``.
     For each halt family: positivity of the segment mixtures, product
     structure and basis reconstruction of the densities. Product checks
     take the parties of the spec's basis. Finally the endpoint matrices
     and integrated halt densities must sum to the identity: one check,
     ``resolution``, for an unblocked spec, and for a blocked one a check
     ``resolution[b]`` on the rows of each block b of
-    ``spec.block_list()``, so a block that nothing covers fails. Family
-    densities are assumed smooth in sqrt(sigma); integrals substitute
-    accordingly. Tolerances come from :mod:`loccverify.tolerances`.
+    ``spec.block_list()``, so a block that nothing covers fails. A
+    family's integrals come from its table in closed form; one without a
+    table is integrated by :func:`~loccverify.linalg.integrate_sqrt_smooth`
+    for its part of the resolution, which assumes it smooth in
+    sqrt(sigma). Tolerances come from :mod:`loccverify.tolerances`.
     ``s_samples`` None selects each path's dense grid; ``s_samples``
     below 1 raises ValueError. Halt families are sampled at
     ``SIGMA_SAMPLES`` values of sigma.
@@ -323,10 +434,9 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     Every callback is called on a whole grid at once, so the number of
     calls does not depend on the sample counts. Each path's ``op_at`` is
     called once, on its grid and its bottom end together, and each
-    family's ``cdensity_at`` once, on the Gauss nodes of
-    :func:`~loccverify.linalg.sqrt_smooth_nodes` and the sigma samples
-    together: the node values give its witness integrals and its part of
-    the resolution, the samples its psd and reconstruction checks.
+    family's ``density_at`` and ``cdensity_at`` once, on the sigma
+    samples (a family without a table calls ``cdensity_at`` once more,
+    on the quadrature nodes).
 
     The sample arithmetic is one stacked pass. The coefficient samples
     (each path's endpoint matrix, integrated witness at every s and
@@ -336,7 +446,14 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     table serves the endpoint, box and psd tests, one residual call of
     each form every reconstruction and membership defect, and one
     product defect of each form every product check; each check reads
-    its own rows. Coefficient stacks whose entries are real stay real.
+    its own rows. A family whose ``cdensity_at`` is its table's own
+    (:attr:`EndpointFamily.rank_one`) skips the input check and the
+    eigvalsh: its samples conj(w) w^T are Hermitian bit for bit and zero
+    off the table's block, and their lowest eigenvalue is its block's,
+    in closed form for blocks of at most two indices
+    (:func:`~loccverify.linalg.lowest_eigenvalues`). Any other
+    ``cdensity_at`` is checked, and takes the eigvalsh. Coefficient
+    stacks whose entries are real stay real.
     Operators and densities that come as real diagonals are checked as
     diagonals: the trace is a row sum, the product defect reads each
     cut's reshape of the diagonal (a closed form when 2 x 2, else an SVD),
@@ -351,7 +468,6 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     solver = spec.solver()
     kappa, dim, dims = spec.kappa, spec.dim, spec.basis.input_dims
     sigmas = np.linspace(0.0, 1.0, SIGMA_SAMPLES)
-    values = [_family_values(fam, sigmas, kappa) for fam in families]
     samples = _SamplePass()
 
     sampled = []
@@ -366,33 +482,45 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
         c_end = _real_when_zero(
             endpoint_cmatrix(sqrt_psd(op_end[0]), spec).matrix)
         samples.add("endpoint", p, c_end[None], op_end)
-        attached = [(fam, nodes) for fam, (nodes, _) in zip(families, values)
-                    if fam.parent is path]
-        if attached:
-            witness, hermitian = _integrated_witness(solver, c_end, attached,
-                                                     grid)
-        else:
-            # No witness: every sample goes to the solver.
-            witness, hermitian = np.zeros((n, kappa, kappa)), np.zeros(n, bool)
-        samples.add("membership", p, witness, ops)
+        attached = [fam for fam in families if fam.parent is path]
+        # Without a table for every family no witness is integrated, and
+        # every sample goes to the solver.
+        integrated = bool(attached) and all(fam.table is not None
+                                            for fam in attached)
+        samples.add("membership", p, (n, np.result_type(
+            c_end, *[fam.table.w for fam in attached if integrated])), ops)
         if path.cmatrix_at is not None:
             samples.add("witness-family", p, _coefficients(
                 path.cmatrix_at(grid), n, kappa, f"{path.label} cmatrix_at"),
                 ops)
-        sampled.append((grid, ops, c_end, hermitian))
+        sampled.append((grid, ops, c_end, attached if integrated else None))
 
-    for f, (fam, (_, cs)) in enumerate(zip(families, values)):
-        samples.add("family", f, cs, _operators(
-            fam.density_at(sigmas), len(sigmas), dim,
-            f"{fam.label} density_at"))
+    for f, fam in enumerate(families):
+        cs = fam.cdensity_at(sigmas)
+        if not fam.rank_one:
+            cs = _coefficients(cs, len(sigmas), kappa,
+                               f"{fam.label} cdensity_at")
+        samples.add("rank-one" if fam.rank_one else "family", f, cs,
+                    _operators(fam.density_at(sigmas), len(sigmas), dim,
+                               f"{fam.label} density_at"))
     for key, cs in _parent_witnesses(families, sigmas, kappa).items():
         samples.add("parent", key, cs)
+    samples.allocate(kappa)
+
+    hermitian = []
+    for p, (grid, _, c_end, attached) in enumerate(sampled):
+        witness = samples.table[samples.rows["membership", p]]
+        if attached is None:
+            witness[...] = 0.0
+            hermitian.append(np.zeros(len(grid), bool))
+        else:
+            hermitian.append(_integrated_witness(solver, c_end, attached,
+                                                 grid, witness))
     samples.run(solver, dims)
 
     checks: list[ConditionCheck] = []
     total = np.zeros((kappa, kappa), dtype=np.complex128)
-    for p, (path, (grid, ops, c_end, hermitian)) in enumerate(
-            zip(paths, sampled)):
+    for p, (path, (grid, ops, c_end, _)) in enumerate(zip(paths, sampled)):
         lbl = path.label
         n = len(grid)
         if ops.ndim == 2:
@@ -400,9 +528,23 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
         else:
             trace = np.abs(np.trace(ops, axis1=1, axis2=2).real - grid)
         rows = samples.rows["membership", p]
-        ok = hermitian & solver.in_box(samples.table[rows],
-                                       samples.spectra[rows])
-        defects = np.where(ok, samples.residuals[rows], np.inf)
+        witness, spectra = samples.table[rows], samples.spectra[rows]
+        boxed = solver.in_box(witness, spectra)
+        defects = np.where(hermitian[p] & boxed, samples.residuals[rows],
+                           np.inf)
+        # A Hermitian witness just outside the box, repaired by the
+        # spectrum's own excess delta; the eigenvalues (lambda + delta) /
+        # (1 + 2 delta) of the repair lie in [0, 1] in exact arithmetic.
+        near = np.flatnonzero(hermitian[p] & ~boxed)
+        if near.size:
+            delta = np.maximum(np.maximum(-spectra[near, 0],
+                                          spectra[near, -1] - 1.0), 0.0)
+            repaired = ((witness[near] + delta[:, None, None] * np.eye(kappa))
+                        / (1.0 + 2.0 * delta)[:, None, None])
+            res = _residuals(solver, repaired, ops[near])
+            defects[near] = np.where(
+                solver.in_box(repaired) & (res <= membership_tol), res,
+                np.inf)
         # The solver answers only where the integrated witness does not.
         solve = np.flatnonzero(defects > membership_tol)
         undecided = 0
@@ -440,8 +582,12 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
 
     for f, fam in enumerate(families):
         lbl = fam.label
-        rows = samples.rows["family", f]
-        low = samples.spectra[rows, 0]
+        if fam.rank_one:
+            rows = samples.rows["rank-one", f]
+            low = _lowest(samples.table[rows], fam)
+        else:
+            rows = samples.rows["family", f]
+            low = samples.spectra[rows, 0]
         # lambda_min is concave, so the segment mixtures
         # (1 - x) C_parent + x C_r are lowest at x = 0 or x = 1.
         key = (id(fam.parent), id(fam.attach_s))
@@ -458,7 +604,13 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
             _worst(f"{lbl}:reconstruction", samples.residuals[rows],
                    RECON_TOL, "sigma", sigmas),
         ]
-        total = total + sqrt_smooth_total(values[f][0])
+        if fam.table is not None:
+            total = total + fam.table.total
+        else:
+            total = total + integrate_sqrt_smooth(
+                lambda sg, fam=fam: _coefficients(
+                    fam.cdensity_at(sg), len(sg), kappa,
+                    f"{fam.label} cdensity_at"))
 
     # A valid endpoint or integral is zero outside its own block, so the
     # rows of block b of the total are the sum of that block's parts.

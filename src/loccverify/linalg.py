@@ -204,17 +204,9 @@ def _clipped_spectrum(w: np.ndarray) -> np.ndarray:
 
 
 @lru_cache
-def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-node Gauss-Legendre rule on [-1, 1], and
-    the (n + 1, n) map from values at the nodes to the Legendre
-    coefficients of an antiderivative of their interpolant."""
-    leg = np.polynomial.legendre
-    x, w = leg.leggauss(nodes)
-    # The rule integrates P_j P_k exactly (degree <= 2n - 2), so the
-    # interpolant's coefficients are (k + 1/2) sum_i w_i P_k(x_i) g_i.
-    to_coefficients = (leg.legvander(x, nodes - 1).T * w
-                       * (np.arange(nodes) + 0.5)[:, None])
-    return x, w, leg.legint(to_coefficients)
+def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-node Gauss-Legendre rule on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(nodes)
 
 
 def _per_node(v: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -253,47 +245,12 @@ def integrate_sqrt_smooth(f: Callable[[np.ndarray], np.ndarray],
     return out
 
 
-def _legendre_rows(y: np.ndarray, degree: int) -> np.ndarray:
-    """P_0..P_degree at the points ``y``, one row per degree; shape
-    (degree + 1, len(y)). The three-term recurrence of
-    ``np.polynomial.legendre.legvander``, P_i = (P_{i-1} y (2i - 1) -
-    P_{i-2} (i - 1)) / i, in its order of operations, so the values equal
-    its transpose bit for bit, written in place row by row."""
-    v = np.empty((degree + 1, y.size))
-    v[0] = 1.0
-    if degree > 0:
-        v[1] = y
-    scratch = np.empty(y.size)
-    for i in range(2, degree + 1):
-        row = v[i]
-        np.multiply(v[i - 1], y, out=row)
-        np.multiply(row, 2.0 * i - 1.0, out=row)
-        np.multiply(v[i - 2], i - 1.0, out=scratch)
-        np.subtract(row, scratch, out=row)
-        np.divide(row, float(i), out=row)
-    return v
-
-
 def sqrt_smooth_nodes(nodes: int = QUAD_NODES) -> np.ndarray:
     """The points t of [0, 1] at whose squares sigma = t^2
     :func:`integrate_sqrt_smooth` samples its integrand: t = (x + 1) / 2
     for the ``nodes`` Gauss-Legendre nodes x."""
-    x, _, _ = _leggauss(int(nodes))
+    x, _ = _leggauss(int(nodes))
     return 0.5 * (x + 1.0)
-
-
-def cumulative_weights(u: np.ndarray) -> np.ndarray:
-    """Weights of the node values 2 t f(t^2), t the QUAD_NODES nodes of
-    :func:`sqrt_smooth_nodes`, in the integrals of f over [0, u^2] for
-    every u of ``u`` in [0, 1]; shape (len(u), QUAD_NODES). These integrate
-    the interpolant of 2 t f(t^2) at the nodes from 0 to u, so they are
-    exact when 2 t f(t^2) is a polynomial in t of degree below
-    QUAD_NODES."""
-    x, _, antiderivative = _leggauss(QUAD_NODES)
-    # Minus P_k(-1) = (-1)^k, the value at u = 0: sigma = 0 gives exactly 0.
-    ends = _legendre_rows(2.0 * u - 1.0, x.size)
-    ends -= ((-1.0) ** np.arange(x.size + 1))[:, None]
-    return 0.5 * (ends.T @ antiderivative)
 
 
 def sqrt_smooth_total(vals: np.ndarray,
@@ -301,8 +258,46 @@ def sqrt_smooth_total(vals: np.ndarray,
     """The integral of f over [0, 1] from its values 2 t f(t^2) at the
     ``nodes`` nodes t of :func:`sqrt_smooth_nodes` on [0, 1], stacked on the
     first axis: the Gauss-Legendre rule of :func:`integrate_sqrt_smooth`."""
-    _, w, _ = _leggauss(int(nodes))
+    _, w = _leggauss(int(nodes))
     return 0.5 * _per_node(w, vals).sum(axis=0)
+
+
+def polynomial_values(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k c_k x^k at each point of the 1-D array ``x``, by Horner's rule;
+    the c_k are the rows of ``coefficients``, (deg + 1, ...), lowest degree
+    first. Shape (len(x), ...)."""
+    if len(coefficients) == 1:
+        return np.repeat(coefficients, len(x), axis=0)
+    x = x.reshape(x.shape + (1,) * (coefficients.ndim - 1))
+    out = coefficients[-1] * x + coefficients[-2]
+    for c in coefficients[-3::-1]:
+        out *= x
+        out += c
+    return out
+
+
+def lowest_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """The lowest eigenvalue of each Hermitian matrix of the stack ``h``,
+    (n, b, b). For b = 1 it is the entry. For b = 2, [[p, r], [conj(r), q]]
+    with mean m = (p + q) / 2 and half-gap g = |((p - q) / 2, |r|)|, it is
+    the determinant over the top eigenvalue, (p q - |r|^2) / (m + g), where
+    m > 0, and m - g elsewhere, where the two do not cancel: so a rank-one
+    matrix whose products p q and |r|^2 round alike gives exactly 0, where
+    m - g would leave rounding. Larger b takes an eigvalsh."""
+    b = h.shape[-1]
+    if b > 2:
+        return np.linalg.eigvalsh(h)[:, 0]
+    p = h[:, 0, 0].real
+    if b == 1:
+        return p
+    q, r = h[:, 1, 1].real, h[:, 0, 1]
+    r2 = r.real * r.real + r.imag * r.imag if r.dtype.kind == "c" else r * r
+    m = 0.5 * (p + q)
+    g = np.hypot(0.5 * (p - q), np.abs(r))
+    low = m - g
+    top = m > 0.0
+    np.divide(p * q - r2, m + g, out=low, where=top)
+    return low
 
 
 def _singular_values_2x2(r: np.ndarray) -> np.ndarray:

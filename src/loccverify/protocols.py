@@ -901,6 +901,19 @@ def derivative_diagonals(parties: int, sigma) -> np.ndarray:
     return _party_powers(sigma, parties).take(_power_slots(parties), axis=-1)
 
 
+@lru_cache(maxsize=8)
+def derivative_roots(parties: int) -> np.ndarray:
+    """The entrywise roots of the halt densities of
+    :func:`derivative_diagonals` as polynomials in u = sqrt(sigma): entry
+    [alpha, k, i] is the coefficient of u^k in the root of outcome alpha's
+    entry i, which is 1 where that entry is sigma^k and 0 elsewhere; shape
+    (P, P, 2^P), read-only."""
+    slots = _power_slots(parties)
+    roots = (slots[:, None, :] == np.arange(parties)[:, None]).astype(float)
+    roots.flags.writeable = False
+    return roots
+
+
 # perfbench's span table looks the verifier up on this module; it lives in
 # conditions, which does not import this module.
 from .conditions import verify_theorem_conditions  # noqa: E402,F401

@@ -12,6 +12,7 @@ halt outcomes 1 (party B halts) and 2 (party A halts), one table in
 
 from __future__ import annotations
 
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache
@@ -35,8 +36,9 @@ from .channels import (
 )
 from .pqubit import (multiplier_choi_matrix, multiplier_kraus,
                      prelimit_coefficients, quadrature_coefficients)
-from .conditions import CheckedPath, EndpointFamily
-from .protocols import derivative_diagonals, limit_path_diagonals
+from .conditions import CheckedPath, EndpointFamily, FamilyTable
+from .protocols import (derivative_diagonals, derivative_roots,
+                        limit_path_diagonals)
 from .tolerances import DENSITY_TRACE_TOL, QUAD_NODES, SIGMA_SAMPLES
 from .zonoid import ZonoidSpec, zonoid_spec_for_instrument
 
@@ -96,31 +98,37 @@ def c_matrix_stack(name: str, s) -> np.ndarray:
     :data:`K_REDUCED`, at every s of a 1-D array in [1, 4]; real, shape
     (n, 4, 4).
 
-    With sigma = sqrt(s) - 1, "C1" is the main-path witness, and "C2" and
-    "C3" are the rank-1 densities w w^T (d sigma) of the :data:`HALTS`
-    naming them: w weights operator 3 by 3 sqrt(sigma) - 2 and their own
-    operator by 1. They may leave the unit box; only assembled witnesses
-    are box constrained. A caller that needs checked coefficient matrices
-    passes the stack through :func:`~loccverify.zonoid.coefficient_stack`.
+    With sigma = sqrt(s) - 1, "C2" and "C3" are the rank-1 densities
+    w w^T (d sigma) of the :data:`HALTS` naming them, read from their
+    tables (:func:`_reduced_table`): w weights operator 3 by
+    3 sqrt(sigma) - 2 and their own operator by 1. "C1", the main-path
+    witness, is the endpoint e_0 e_0^T plus the integrals of C2 and C3
+    over [0, sigma]. The densities may leave the unit box; only assembled
+    witnesses are box constrained. A caller that needs checked coefficient
+    matrices passes the stack through
+    :func:`~loccverify.zonoid.coefficient_stack`.
     """
     if name != "C1" and name not in [h.density for h in HALTS]:
         raise ValueError(f"unknown family {name!r}")
     sigma = _sigma_of(clamped(s, 4.0, f"{name} needs s in [1, 4]"))
     if name == "C1":
-        beta = 2.0 * (np.sqrt(sigma) - 1.0)
-        gamma = 9.0 * sigma + 8.0 - 16.0 * np.sqrt(sigma)
-        c = np.zeros(sigma.shape + (4, 4))
-        c[..., 0, 0] = 1.0
-        c[..., 1, 1] = c[..., 2, 2] = sigma
-        c[..., 1, 3] = c[..., 3, 1] = sigma * beta
-        c[..., 2, 3] = c[..., 3, 2] = sigma * beta
-        c[..., 3, 3] = sigma * gamma
+        u = np.sqrt(sigma)
+        c = sum(_reduced_table(halt).integrals(u) for halt in HALTS)
+        c[:, 0, 0] += 1.0
         return c
-    w = np.zeros(sigma.shape + (4,))
-    (outcome,) = [h.outcome for h in HALTS if h.density == name]
-    w[..., outcome] = 1.0
-    w[..., 3] = 3.0 * np.sqrt(sigma) - 2.0
-    return w[..., :, None] * w[..., None, :]
+    (halt,) = [h for h in HALTS if h.density == name]
+    return _reduced_table(halt).cdensity_at(sigma)
+
+
+@cache
+def _reduced_table(halt: Halt) -> FamilyTable:
+    """The halt's family over :data:`K_REDUCED`, of degree 1 in
+    u = sqrt(sigma): w = e_outcome + (3 u - 2) e_3, whose block is those
+    two operators, and the root of its party's derivative density."""
+    w = np.zeros((2, 4))
+    w[0, halt.outcome] = 1.0
+    w[:, 3] = (-2.0, 3.0)
+    return FamilyTable(w, derivative_roots(2)[halt.party], (halt.outcome, 3))
 
 
 @dataclass(frozen=True)
@@ -355,13 +363,13 @@ def _sigma_of(s):
     return np.sqrt(s) - 1.0
 
 
-def _limit_family(cdensity, cmatrix_at):
+def _limit_family(table, cmatrix_at):
     """Main path and the halt continua of :data:`HALTS` of the limit.
 
     The main path and the halt densities come as real diagonals. The
-    family of each halt has the derivative outcome of its party as its
-    density and ``cdensity(halt)`` as its coefficient-density callback.
-    The main path carries ``cmatrix_at`` as its witness family, or none.
+    family of each halt carries ``table(halt)``, whose evaluators are its
+    density callbacks. The main path carries ``cmatrix_at`` as its witness
+    family, or none.
     """
     main = CheckedPath(
         label="main",
@@ -370,18 +378,18 @@ def _limit_family(cdensity, cmatrix_at):
         s_bottom=1.0,
         cmatrix_at=cmatrix_at,
     )
-    fams = [
-        EndpointFamily(
+    fams = []
+    for halt in HALTS:
+        t = table(halt)
+        fams.append(EndpointFamily(
             label=halt.label,
             parent=main,
-            density_at=lambda sg, a=halt.party:
-                derivative_diagonals(2, sg)[:, a],
-            cdensity_at=cdensity(halt),
+            density_at=t.density_at,
+            cdensity_at=t.cdensity_at,
             attach_s=_s_of,
             sigma_at=_sigma_of,
-        )
-        for halt in HALTS
-    ]
+            table=t,
+        ))
     return [main], fams
 
 
@@ -393,9 +401,7 @@ def limiting_family(spec: ZonoidSpec | None = None):
     closed-form coefficient densities C2 and C3 integrate into the identity
     resolution. The densities are closed forms, so ``spec`` is not read.
     """
-    return _limit_family(
-        lambda halt: lambda sg: c_matrix_stack(halt.density, _s_of(sg)),
-        lambda s: c_matrix_stack("C1", s))
+    return _limit_family(_reduced_table, lambda s: c_matrix_stack("C1", s))
 
 
 @cache
@@ -408,36 +414,41 @@ def instrument_zonoid() -> ZonoidSpec:
         zonoid_spec_for_instrument(two_qubit_instrument().instrument))
 
 
+# Per spec, its blocked halt tables by halt: built on first use, and let go
+# with the spec.
+_BLOCKED_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _blocked_table(spec: ZonoidSpec, halt: Halt) -> FamilyTable:
+    """The halt's family over the blocked basis of ``spec``: the root of
+    its party's derivative density, and w = root a^T on the halt's block,
+    with a the block's expansion map, which the spec's solver holds. Real
+    when the spec's basis is."""
+    tables = _BLOCKED_TABLES.setdefault(spec, {})
+    if halt not in tables:
+        solver = spec.solver()
+        d = spec.dim
+        block = spec.block_list()[halt.outcome]
+        # The expansion of a diagonal k reads only the diagonal entries of
+        # k, so it needs only the map's columns there.
+        a = solver.expansions()[halt.outcome][1][:, ::d + 1]
+        if solver.real:
+            a = a.real
+        root = derivative_roots(2)[halt.party]
+        w = np.zeros((len(root), spec.kappa), dtype=a.dtype)
+        w[:, list(block)] = root @ a.T
+        tables[halt] = FamilyTable(w, root, block)
+    return tables[halt]
+
+
 def blocked_limiting_family(spec: ZonoidSpec | None = None):
     """Limit paths over the blocked instrument basis.
 
     Same geometry as :func:`limiting_family`, but coefficient densities are
     expanded block by block so the per-outcome identity resolutions can be
-    checked. The halt density at each sigma stays inside its own block; the
-    coefficients are recovered by least squares against that block, through
-    the block's expansion map, which the spec's solver holds. The
-    densities are real when the spec's basis is.
+    checked. The halt density at each sigma stays inside its own block;
+    each halt's table (:func:`_blocked_table`) is built once per spec.
     """
     if spec is None:
         spec = instrument_zonoid()
-    blocks = spec.block_list()
-    solver = spec.solver()
-    maps = solver.expansions()
-    d = spec.dim
-
-    def blocked_density(halt: Halt):
-        block = list(blocks[halt.outcome])
-        # The expansion of a diagonal k reads only the diagonal entries of
-        # k, so it needs only the map's columns there.
-        a = maps[halt.outcome][1][:, ::d + 1]
-        if solver.real:
-            a = a.real
-
-        def f(sigma: np.ndarray) -> np.ndarray:
-            k = np.sqrt(derivative_diagonals(2, sigma)[:, halt.party])
-            w = np.zeros((len(k), spec.kappa), dtype=a.dtype)
-            w[:, block] = k @ a.T
-            return w[:, :, None] * w[:, None, :].conj()
-        return f
-
-    return _limit_family(blocked_density, None)
+    return _limit_family(lambda halt: _blocked_table(spec, halt), None)

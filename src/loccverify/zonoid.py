@@ -79,9 +79,6 @@ class CoefficientMatrix:
         sym.setflags(write=False)
         object.__setattr__(self, "matrix", sym)
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
 
 def _witness(m: np.ndarray) -> CoefficientMatrix:
     """The :class:`CoefficientMatrix` of a matrix the package built

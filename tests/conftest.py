@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from loccverify import PartyDims, kraus_from_operators
-from loccverify.linalg import cumulative_weights, sqrt_smooth_nodes
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -67,19 +66,6 @@ def apply_branches(inst, rho):
     """An instrument's unnormalized output of each outcome, in order."""
     ops = inst.kraus.operators
     return [apply_kraus(ops[list(part)], rho) for part in inst.partition]
-
-
-def cumulative_integrals(f, sigmas):
-    """Integrals of f over [0, sigma] for every sigma of ``sigmas`` in
-    [0, 1], stacked in their order: ``cumulative_weights`` at u = sqrt(sigma)
-    against the node values 2 t f(t^2), t the nodes of
-    ``sqrt_smooth_nodes``. ``f`` is called once, on the squares of the
-    nodes, and is stacked as for ``integrate_sqrt_smooth``."""
-    t = sqrt_smooth_nodes()
-    vals = np.asarray(f(t * t))
-    weights = cumulative_weights(np.sqrt(np.asarray(sigmas, dtype=float)))
-    out = weights @ (2.0 * t[:, None] * vals.reshape(t.size, -1))
-    return out.reshape(weights.shape[:1] + vals.shape[1:])
 
 
 @pytest.fixture

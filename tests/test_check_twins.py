@@ -24,9 +24,10 @@ import json
 import numpy as np
 import pytest
 
-from loccverify import (blocked_limiting_family, channel_zonoid, cli,
-                        instrument_zonoid, limiting_family, pqubit,
-                        twoqubit, verify_theorem_conditions)
+from loccverify import (FamilyTable, blocked_limiting_family,
+                        channel_zonoid, cli, instrument_zonoid,
+                        limiting_family, pqubit, twoqubit,
+                        verify_theorem_conditions)
 from loccverify.channels import KrausSet
 from loccverify.linalg import diagonal_stack
 
@@ -235,18 +236,17 @@ def test_non_product_halt_density_fails_product(label):
     # product, and w w^T with w = (1, 0, 0, 3) reconstructs it: w weights
     # the reduced basis to diag(1, 0, 0, 1), whose square it is. Such a
     # density cannot also resolve the identity (see CHANGES.md), so the
-    # resolution fails with it.
+    # resolution, which reads the family's table, fails with it.
     spec = channel_zonoid()
     paths, fams = limiting_family(spec)
     rep = verify_theorem_conditions(spec, paths, fams, s_samples=11)
     assert rep.passed and rep.check(f"{label}:product").defect == 0.0
-    w = np.array([1.0, 0.0, 0.0, 3.0])
+    table = FamilyTable([[1.0, 0.0, 0.0, 3.0]], [[1.0, 0.0, 0.0, 1.0]],
+                        (0, 3))
     i = [f.label for f in fams].index(label)
     fams[i] = dataclasses.replace(
-        fams[i],
-        density_at=lambda sg: np.tile([1.0, 0.0, 0.0, 1.0], (len(sg), 1)),
-        cdensity_at=lambda sg: np.broadcast_to(np.outer(w, w),
-                                               (len(sg), 4, 4)))
+        fams[i], density_at=table.density_at, cdensity_at=table.cdensity_at,
+        table=table)
     twin = failed(verify_theorem_conditions(spec, paths, fams, s_samples=11))
     assert sorted(twin) == sorted([f"{label}:product", "resolution"])
     product = twin[f"{label}:product"]

@@ -84,6 +84,14 @@ def inline_kraus_with(value):
             f'"cols": 2, "data": [[{value}, 0], [0, 0], [0, 0], [1, 0]]}}]}}')
 
 
+def _complex_operators(count, d):
+    """``count`` seeded random complex d x d operators, dense: a Choi
+    matrix with every entry complex and nonzero."""
+    rng = np.random.default_rng(16)
+    return (rng.standard_normal((count, d, d))
+            + 1j * rng.standard_normal((count, d, d)))
+
+
 def _face_unit_argv():
     """zonoid-check of 24 random real operators of shape 2 x 16 at a point
     of the face that the first diagonal unit exposes."""
@@ -371,8 +379,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["theorem1", "--samples", "400000"],
         ["theorem1", "--nu", "1000", "--samples", "400000"],
-        ["theorem8", "--samples", "300000"],
-        ["theorem8", "--tol", "1e-3", "--samples", "300000"],
+        ["theorem8", "--samples", "400000"],
+        ["theorem8", "--tol", "1e-3", "--samples", "400000"],
         ["paths", "--grid", "1000000"],
         ["paths", "--parties", "6", "--grid", "200000"],
         ["hausdorff", "--samples", "300000"],
@@ -400,9 +408,9 @@ class TestExitCodes:
         assert "MiB budget" in captured.err
 
     def test_theorem_refusal_names_its_samples(self, capsys):
-        assert cli.main(["theorem8", "--samples", "300000"]) == 2
+        assert cli.main(["theorem8", "--samples", "400000"]) == 2
         assert capsys.readouterr().err.startswith(
-            "error: --samples 300000 needs ")
+            "error: --samples 400000 needs ")
 
     @pytest.mark.parametrize("argv", [
         ["theorem1", "--samples", "2000"],
@@ -484,6 +492,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["choi", "--kraus",
          inline_kraus(np.arange(192.0).reshape(2, 6, 16), (16,), (6,))],
+        ["choi", "--kraus", inline_kraus(_complex_operators(2, 16), (16,),
+                                         (16,))],
         ["distance", "--a", inline_kraus(np.ones((1, 4, 32)), (32,), (4,)),
          "--b", inline_kraus(np.ones((3, 8, 32)), (32,), (8,))],
         ["zonoid-check", "--basis", inline_kraus(matrix_units(5), (5,), (5,))],
@@ -842,8 +852,8 @@ class TestQuadratureOrder:
     """Why every check integrates at QUAD_NODES and no flag changes it:
     the integrands have degree at most 11 in u = sqrt(sigma), so the Gauss
     sum of any rule of 6 or more nodes gives the same reports, and 5 nodes
-    do not. The cumulative integrals of the theorem checks interpolate at
-    the nodes instead, which is exact below QUAD_NODES = 16 in degree."""
+    do not. The theorem checks take no rule: they integrate their halt
+    families in closed form, from the families' polynomial tables."""
 
     @pytest.mark.parametrize("argv", [
         ["paper-2q"],

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loccverify import (
+    FamilyTable,
     PartyDims,
     integrate_sqrt_smooth,
     kron,
@@ -15,14 +16,14 @@ from loccverify import (
     trace_norm,
 )
 from loccverify import linalg
-from loccverify.linalg import (cumulative_weights, diagonal_stack,
-                               hermitian_within, operator_norm,
-                               sqrt_smooth_nodes, sqrt_smooth_total)
+from loccverify.linalg import (diagonal_stack, hermitian_within,
+                               lowest_eigenvalues, operator_norm,
+                               polynomial_values, sqrt_smooth_nodes,
+                               sqrt_smooth_total)
 from loccverify.tolerances import HERMITICITY_TOL, QUAD_NODES
 
-from conftest import (cumulative_integrals, haar_unitary,
-                      loop_gauss_legendre, loop_sqrt_smooth, random_density,
-                      stacked)
+from conftest import (haar_unitary, loop_gauss_legendre, loop_sqrt_smooth,
+                      random_density, stacked)
 
 
 def complex_matrix(rng, shape):
@@ -37,12 +38,20 @@ def _mixed_integrand(t):
                     axis=-1)
 
 
+def _table(w) -> FamilyTable:
+    """A family table of the coefficient rows ``w``, (deg + 1, kappa), on
+    the whole basis, with a constant root."""
+    w = np.asarray(w)
+    return FamilyTable(w, np.ones((1, 1)), range(w.shape[1]))
+
+
 def _monomial_error(sigmas) -> float:
     """Largest error of the cumulative rule on sigma^(k/2), k <= 14, whose
-    integrals from 0 are 2 u^(k+2) / (k + 2), u = sqrt(sigma). In u the
-    integrands 2 u^(k+1) have degree below QUAD_NODES."""
+    integrals from 0 are 2 u^(k+2) / (k + 2), u = sqrt(sigma): row 0 of
+    conj(w) w^T with w = e_0 + sum_k u^k e_k reads u^k at column k. In u
+    the integrands 2 u^(k+1) have degree below QUAD_NODES."""
     k = np.arange(15)
-    got = cumulative_integrals(lambda t: np.sqrt(t)[:, None] ** k, sigmas)
+    got = _table(np.eye(15)).integrals(np.sqrt(np.asarray(sigmas, dtype=float)))[:, 0]
     u = np.sqrt(np.asarray(sigmas, dtype=float))[:, None]
     return float(np.abs(got - 2.0 * u ** (k + 2) / (k + 2)).max())
 
@@ -200,30 +209,25 @@ class TestPsd:
 
 
 class TestQuadrature:
-    @pytest.mark.parametrize("size", [1, 12, 301])
-    def test_legendre_rows_equal_legvander(self, rng, size):
-        # The recurrence keeps legvander's order of operations, so its
-        # values are the same bit for bit.
-        y = rng.uniform(-1.0, 1.0, size)
-        y[:2] = (-1.0, 1.0)[:size]
-        for degree in (0, 1, QUAD_NODES):
-            assert np.array_equal(
-                linalg._legendre_rows(y, degree).T,
-                np.polynomial.legendre.legvander(y, degree))
+    """The Gauss rule of ``integrate_sqrt_smooth``, and the cumulative rule
+    of the theorem checks: a family table's integrals over [0, sigma]
+    (``FamilyTable.integrals``)."""
 
     def test_node_values_give_both_integrals(self):
-        # From one set of node values: the cumulative integrals start at
-        # exactly 0 and end at the total, which equals
-        # integrate_sqrt_smooth's bit for bit.
+        # From one table: the cumulative integrals start at exactly 0 and
+        # end at the total, which the Gauss sum of the node values of its
+        # coefficient density gives to rounding.
+        table = _table([[1.0, 2.0, -1.0], [0.5, 0.0, 3.0]])
         t = sqrt_smooth_nodes()
-        vals = 2.0 * t[:, None] * _mixed_integrand(t * t)
-        sigmas = np.array([0.0, 0.09, 0.5, 1.0])
-        got = cumulative_weights(np.sqrt(sigmas)) @ vals
-        assert np.array_equal(got[0], np.zeros(3))
-        np.testing.assert_allclose(got[-1], sqrt_smooth_total(vals),
+        vals = 2.0 * t[:, None, None] * table.cdensity_at(t * t)
+        got = table.integrals(np.sqrt([0.0, 0.09, 0.5, 1.0]))
+        assert np.array_equal(got[0], np.zeros((3, 3)))
+        np.testing.assert_allclose(got[-1], table.total, rtol=0.0,
+                                   atol=1e-14)
+        np.testing.assert_allclose(sqrt_smooth_total(vals), table.total,
                                    rtol=0.0, atol=1e-14)
         assert np.array_equal(sqrt_smooth_total(vals),
-                              integrate_sqrt_smooth(_mixed_integrand))
+                              integrate_sqrt_smooth(table.cdensity_at))
 
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 19, 31])
     def test_monomials_exact(self, k):
@@ -257,19 +261,20 @@ class TestQuadrature:
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
     def test_cumulative_rule_matches_closed_form(self, sigmas):
         # int_0^sigma (3 sqrt(t) - 2) dt = 2 sigma^(3/2) - 2 sigma, for every
-        # point of an unsorted grid with repeats.
-        got = cumulative_integrals(lambda t: 3.0 * np.sqrt(t) - 2.0,
-                                   sigmas + sigmas[:1])
-        want = [2.0 * s ** 1.5 - 2.0 * s for s in sigmas + sigmas[:1]]
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+        # point of an unsorted grid with repeats: the entry (0, 1) of a
+        # table with w = (1, 3 u - 2).
+        sigmas = sigmas + sigmas[:1]
+        got = _table([[1.0, -2.0], [0.0, 3.0]]).integrals(np.sqrt(sigmas))
+        want = [2.0 * s ** 1.5 - 2.0 * s for s in sigmas]
+        np.testing.assert_allclose(got[:, 0, 1], want, rtol=0.0, atol=1e-14)
 
     def test_cumulative_rule_ends_at_the_full_integral(self):
-        f = stacked(lambda t: np.array([[t, np.sqrt(t)], [1.0, t ** 1.5]]))
-        got = cumulative_integrals(f, np.linspace(0.0, 1.0, 7))
+        table = _table([[1.0, 0.0], [0.0, 1.0], [2.0, -1.0]])
+        got = table.integrals(np.sqrt(np.linspace(0.0, 1.0, 7)))
         assert got.shape == (7, 2, 2)
         np.testing.assert_array_equal(got[0], np.zeros((2, 2)))
-        np.testing.assert_allclose(got[-1], integrate_sqrt_smooth(f),
-                                   rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(got[-1], integrate_sqrt_smooth(
+            table.cdensity_at), rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("nodes", [1, 2, 7, 16, 64])
     @pytest.mark.parametrize("f", [np.cos, np.sqrt, _mixed_integrand])
@@ -293,12 +298,12 @@ class TestQuadrature:
         assert _monomial_error(s ** (1.0 / parties) - 1.0) <= 2e-15
 
     def test_cumulative_rule_calls_the_integrand_once(self):
-        # The weights need only the QUAD_NODES node values, whatever the
-        # number of samples, and the total calls its integrand once.
+        # A table's integrals call no integrand at all, whatever the number
+        # of samples, and the Gauss total calls its integrand once.
+        table = _table([[1.0, -2.0], [0.0, 3.0]])
         for samples in (1, 2, 101, 6301):
-            weights = cumulative_weights(np.sqrt(np.linspace(0.0, 1.0,
-                                                             samples)))
-            assert weights.shape == (samples, QUAD_NODES)
+            got = table.integrals(np.sqrt(np.linspace(0.0, 1.0, samples)))
+            assert got.shape == (samples, 2, 2)
         calls = []
 
         def f(t):
@@ -309,14 +314,74 @@ class TestQuadrature:
         assert calls == [(QUAD_NODES,)]
 
     def test_cumulative_rule_of_zero_sigmas_is_zero(self):
-        np.testing.assert_array_equal(cumulative_weights(np.zeros(2)),
-                                      np.zeros((2, QUAD_NODES)))
+        np.testing.assert_array_equal(
+            _table([[1.0, -2.0], [0.0, 3.0]]).integrals(np.zeros(2)),
+            np.zeros((2, 2, 2)))
 
     def test_integrand_must_return_one_value_per_node(self):
         with pytest.raises(ValueError, match="one value per node"):
             integrate_sqrt_smooth(lambda x: 1.0)
         with pytest.raises(ValueError, match="one value per node"):
             integrate_sqrt_smooth(lambda x: np.eye(2))
+
+
+class TestLowestEigenvalues:
+    """The closed-form lowest eigenvalue of small Hermitian stacks, and the
+    Horner evaluation that family tables use."""
+
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_matches_eigvalsh_on_hermitian_stacks(self, rng, b, kind):
+        g = rng.standard_normal((200, b, b))
+        if kind is complex:
+            g = g + 1j * rng.standard_normal((200, b, b))
+        # Scales from 1e-3 to 1e3, and definite, indefinite and negative
+        # definite matrices among them.
+        h = (g @ g.conj().swapaxes(1, 2) - rng.uniform(0.0, 4.0, (200, 1, 1))
+             * np.eye(b)) * 10.0 ** rng.uniform(-3.0, 3.0, (200, 1, 1))
+        want = np.linalg.eigvalsh(h)[:, 0]
+        scale = np.abs(np.linalg.eigvalsh(h)).max(axis=1)
+        got = lowest_eigenvalues(h)
+        assert got.shape == (200,)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+    def test_zero_and_rank_one_stacks(self, rng):
+        # w w^T with a unit entry, as each reduced halt density has: p q
+        # and r^2 are then the same product, so the lowest eigenvalue is
+        # exactly 0, never below it, where m - g leaves rounding of either
+        # sign.
+        w = np.stack([np.ones(500), rng.standard_normal(500)
+                      * 10.0 ** rng.uniform(-3.0, 3.0, 500)], axis=1)
+        h = w[:, :, None] * w[:, None, :]
+        assert not lowest_eigenvalues(h).any()
+        m, g = 0.5 * (1.0 + h[:, 1, 1]), np.hypot(0.5 * (1.0 - h[:, 1, 1]),
+                                                  h[:, 0, 1])
+        assert (m - g).any()
+        assert np.array_equal(lowest_eigenvalues(np.zeros((3, 2, 2))),
+                              np.zeros(3))
+        # Any rank-one stack, real or complex: within rounding of the
+        # smaller diagonal entry, which bounds the error of p q - |r|^2
+        # over m + g. The rounded entries themselves can make the matrix
+        # indefinite by that much, so its sign is not pinned.
+        v = rng.standard_normal((500, 2)) * 10.0 ** rng.uniform(
+            -3.0, 3.0, (500, 2))
+        for u in (v, v * np.exp(1j * rng.uniform(0.0, 6.0, (500, 2)))):
+            h = u.conj()[:, :, None] * u[:, None, :]
+            small = np.minimum(h[:, 0, 0].real, h[:, 1, 1].real)
+            assert np.all(np.abs(lowest_eigenvalues(h)) <= 8e-16 * small)
+
+    def test_horner_matches_polyval(self, rng):
+        c = rng.standard_normal((4, 3, 2))
+        x = rng.uniform(-1.0, 1.0, 9)
+        np.testing.assert_allclose(
+            polynomial_values(c, x),
+            np.moveaxis(np.polynomial.polynomial.polyval(x, c), -1, 0),
+            rtol=0.0, atol=1e-14)
+        assert np.array_equal(polynomial_values(c[:1], x),
+                              np.broadcast_to(c[0], (9, 3, 2)))
+        # Degree 1: c_1 x + c_0, bit for bit.
+        assert np.array_equal(polynomial_values(c[:2, :, 0], x),
+                              c[1, :, 0] * x[:, None] + c[0, :, 0])
 
 
 class TestProductStructure:

@@ -45,12 +45,20 @@ def test_all_names_exactly_the_bound_public_names():
     (pqubit, "PQubitSpec"),
     (pqubit, "pqubit_spec"),
     (linalg, "is_hermitian"),
+    (linalg, "cumulative_weights"),
+    (linalg, "_legendre_rows"),
 ])
 def test_retired_names_are_gone(module, name):
     assert not hasattr(module, name)
     assert not hasattr(loccverify, name)
     # As a whole word: limit_path_diagonals is not the retired limit_path.
     assert not re.search(rf"(?<!\w){name}(?!\w)", README.read_text())
+
+
+def test_coefficient_matrix_has_no_eigenvalues():
+    # Nothing called it; the verifier takes every spectrum from its one
+    # stacked eigvalsh.
+    assert not hasattr(zonoid.CoefficientMatrix, "eigenvalues")
 
 
 def test_tree_navigation_views_are_gone():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loccverify import (
+    FamilyTable,
     PartyDims,
     ProtocolParams,
     ProtocolTree,
@@ -34,7 +35,7 @@ from loccverify import (
     verify_tree,
     zonoid_spec_for_instrument,
 )
-from loccverify import conditions, linalg, protocols, zonoid
+from loccverify import conditions, linalg, protocols, twoqubit, zonoid
 from loccverify.linalg import diagonal_stack
 from loccverify.protocols import (TreeFailure, derivative_diagonals,
                                   limit_path_diagonals, protocol_check_bytes,
@@ -42,7 +43,6 @@ from loccverify.protocols import (TreeFailure, derivative_diagonals,
 from loccverify.twoqubit import K_REDUCED, c_matrix_stack
 from loccverify.zonoid import coefficient_stack
 
-from conftest import cumulative_integrals
 
 
 
@@ -1590,9 +1590,7 @@ class TestVerifyTheoremConditions:
         # A family whose density is 1% off no longer assembles a witness, so
         # the solver answers membership and the resolution still fails.
         paths, fams = limiting_family()
-        fams[0] = dataclasses.replace(
-            fams[0], cdensity_at=lambda sg, f=fams[0].cdensity_at:
-            1.01 * f(sg))
+        fams[0] = _with_table(fams[0], np.sqrt(1.01) * fams[0].table.w)
         calls = _count_membership_calls(monkeypatch)
         rep = verify_theorem_conditions(channel_zonoid(), paths,
                                         families=fams, s_samples=11)
@@ -1606,31 +1604,37 @@ class TestVerifyTheoremConditions:
                                       "anti-hermitian"])
     def test_witness_off_by_more_than_rounding_goes_to_the_solver(
             self, monkeypatch, flaw):
-        # Each flaw has size 1e-9, so the witness residual stays far below
-        # membership_tol; the witness counts only where it is a valid
-        # coefficient matrix to rounding, as the solver's candidates are.
+        # Each flaw leaves the witness residual far below membership_tol;
+        # the witness counts only where it is a valid coefficient matrix to
+        # rounding, as the solver's candidates are. Each is written into a
+        # coefficient of a family's table. Off the box it takes a kernel
+        # direction of L on the reduced basis, E_03 + E_30, whose top
+        # eigenvalue excess of about 1e-6 u^4 the near-box repair takes
+        # near u = 0 only: beyond, the repair moves L(C) by more than the
+        # tolerance.
         spec = instrument_zonoid()
         paths, fams = blocked_limiting_family(spec)
+        if flaw == "outside-box":
+            spec = channel_zonoid()
+            paths, fams = limiting_family(spec)
         blocks = spec.block_list()
-        bump = np.zeros((spec.kappa, spec.kappa))
-        real = fams[0].cdensity_at
-
-        def flawed(sg):
-            c = real(sg)
+        table = fams[0].table
+        g = np.array(table.antiderivative)
+        if flaw == "block-coupling":
+            w = np.array(table.w)
+            w[0, blocks[0][0]] = 1e-9
+            fams[0] = _with_table(fams[0], w, blocks[0] + table.block)
+        else:
+            # No table integrates to a non-Hermitian matrix or leaves L's
+            # image alone, so the flaw is written into its antiderivative.
+            x = np.zeros((spec.kappa, spec.kappa))
             if flaw == "outside-box":
-                return (1.0 + 1e-9) * c
-            if flaw == "block-coupling":
-                bump[blocks[0][0], blocks[1][0]] = 1e-9
-                return c + bump + bump.T
-            bump[blocks[1][0], blocks[1][1]] = 1e-9
-            return c + bump - bump.T
-
-        if flaw == "anti-hermitian":
-            # The verifier refuses a non-Hermitian coefficient stack, so its
-            # check is lifted here; the witness gate must still catch it.
-            monkeypatch.setattr(conditions, "coefficient_stack",
-                                lambda m: np.asarray(m, dtype=complex))
-        fams[0] = dataclasses.replace(fams[0], cdensity_at=flawed)
+                x[0, 3] = x[3, 0] = 1e-3
+            else:
+                x[blocks[1][0], blocks[1][1]] = 1e-9
+                x -= x.T
+            fams[0] = _with_table(fams[0], table.w)
+            object.__setattr__(fams[0].table, "antiderivative", g + x)
         calls = _count_membership_calls(monkeypatch)
         rep = verify_theorem_conditions(spec, paths, families=fams,
                                         s_samples=11)
@@ -1641,6 +1645,30 @@ class TestVerifyTheoremConditions:
         if flaw != "outside-box":
             # Only the bottom sample, sigma = 0, integrates nothing.
             assert len(calls) == 10
+
+    @pytest.mark.parametrize("family, spec", [
+        (limiting_family, channel_zonoid),
+        (blocked_limiting_family, instrument_zonoid),
+    ])
+    def test_family_without_a_table_sends_its_path_to_the_solver(
+            self, monkeypatch, family, spec):
+        # Without its table, halt-B's integral is not known in closed
+        # form: every sample of its path goes to the solver, which passes
+        # them, and its part of the resolution is the Gauss rule's.
+        spec = spec()
+        paths, fams = family(spec)
+        base = verify_theorem_conditions(spec, paths, fams, s_samples=7)
+        fams[0] = dataclasses.replace(fams[0], table=None)
+        calls = _count_membership_calls(monkeypatch)
+        rep = verify_theorem_conditions(spec, paths, fams, s_samples=7)
+        assert rep.passed and len(calls) == 7
+        assert rep.check("main:membership").where.endswith("solver 7/7")
+        for c in rep.checks:
+            if c.name.startswith("resolution"):
+                assert c.defect == pytest.approx(
+                    base.check(c.name).defect, abs=1e-14)
+            elif c.name.startswith("halt-A:"):
+                assert c == base.check(c.name)
 
     def test_path_without_families_asks_the_solver_everywhere(
             self, monkeypatch):
@@ -1689,9 +1717,9 @@ class TestVerifyTheoremConditions:
         assert mem.where.endswith("; solver 0/301")
 
     def test_a_repeated_run_builds_no_quadrature_rule(self):
-        # Every integral of a run, at any s_samples, takes the QUAD_NODES
-        # rule with its antiderivative map; an identical second run finds
-        # it cached.
+        # Every integral of a run, at any s_samples, comes from the
+        # families' tables, which the spec's first run built; a second
+        # run builds no quadrature rule.
         spec = instrument_zonoid()
 
         def run():
@@ -1701,9 +1729,9 @@ class TestVerifyTheoremConditions:
                                           s_samples=s_samples)
 
         run()
-        misses = linalg._leggauss.cache_info().misses
+        info = linalg._leggauss.cache_info()
         run()
-        assert linalg._leggauss.cache_info().misses == misses
+        assert linalg._leggauss.cache_info() == info
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1),
@@ -1722,6 +1750,14 @@ class TestVerifyTheoremConditions:
         low = min(np.linalg.eigvalsh(a)[0], np.linalg.eigvalsh(b)[0])
         slack = 1e-12 * (1.0 + np.linalg.norm(a, 2) + np.linalg.norm(b, 2))
         assert np.linalg.eigvalsh((1.0 - x) * a + x * b)[0] >= low - slack
+
+
+def _with_table(fam, w, block=None):
+    """``fam`` with a table of coefficient rows ``w`` (on ``block``, or its
+    table's), its table's root, and that table's evaluators as callbacks."""
+    table = FamilyTable(w, fam.table.root, block or fam.table.block)
+    return dataclasses.replace(fam, density_at=table.density_at,
+                               cdensity_at=table.cdensity_at, table=table)
 
 
 def _count_membership_calls(monkeypatch) -> list:
@@ -1759,8 +1795,8 @@ class TestIntegratedWitness:
         solver = spec.solver()
         (main,), fams = family(spec)
         c_end = _endpoint(main, spec)
-        cs = c_end.matrix + sum(cumulative_integrals(fam.cdensity_at, sigmas)
-                                for fam in fams)
+        u = np.sqrt(np.asarray(sigmas, dtype=float))
+        cs = c_end.matrix + sum(fam.table.integrals(u) for fam in fams)
         for sigma, c in zip(sigmas, cs):
             assert np.abs(np.where(solver.mask, 0.0, c)).max() == 0.0
             for grid in solver.grids:
@@ -1860,6 +1896,255 @@ class TestLimitFamilies:
             assert np.array_equal(fam.sigma_at(grid), bfam.sigma_at(grid))
 
 
+def _closed_form_c1(s):
+    """The main-path witness of the reduced basis as a closed form in
+    sigma = sqrt(s) - 1, as it was written before it became the integral
+    of the halt densities."""
+    sigma = np.sqrt(np.asarray(s, dtype=float)) - 1.0
+    beta = 2.0 * (np.sqrt(sigma) - 1.0)
+    gamma = 9.0 * sigma + 8.0 - 16.0 * np.sqrt(sigma)
+    c = np.zeros(sigma.shape + (4, 4))
+    c[..., 0, 0] = 1.0
+    c[..., 1, 1] = c[..., 2, 2] = sigma
+    c[..., 1, 3] = c[..., 3, 1] = sigma * beta
+    c[..., 2, 3] = c[..., 3, 2] = sigma * beta
+    c[..., 3, 3] = sigma * gamma
+    return c
+
+
+def _callback_densities(family, spec, sigma):
+    """Per halt, in report order, the coefficient and operator densities
+    at ``sigma`` as the limit families' callbacks computed them before the
+    tables: the reduced w = e_outcome + (3 sqrt(sigma) - 2) e_3, and the
+    blocked w = k a^T from the root k of the derivative density and the
+    block's expansion map a."""
+    out = []
+    for halt in twoqubit.HALTS:
+        density = derivative_diagonals(2, sigma)[:, halt.party]
+        w = np.zeros((len(sigma), spec.kappa))
+        if family is limiting_family:
+            w[:, halt.outcome] = 1.0
+            w[:, 3] = 3.0 * np.sqrt(sigma) - 2.0
+        else:
+            block = list(spec.block_list()[halt.outcome])
+            a = spec.solver().expansions()[halt.outcome][1][
+                :, ::spec.dim + 1].real
+            w[:, block] = np.sqrt(density) @ a.T
+        out.append((w[:, :, None] * w[:, None, :], density))
+    return out
+
+
+class TestFamilyTables:
+    """Every built-in halt family is a polynomial table in u = sqrt(sigma),
+    whose evaluators are its callbacks and whose antiderivative gives its
+    integrals."""
+
+    @pytest.mark.parametrize("family, spec", [
+        (limiting_family, channel_zonoid),
+        (blocked_limiting_family, instrument_zonoid),
+    ])
+    def test_tables_reproduce_the_closed_form_callbacks(self, family, spec):
+        rng = np.random.default_rng(4601)
+        sigma = np.concatenate([[0.0, 1.0], rng.random(300)])
+        spec = spec()
+        _, fams = family(spec)
+        for fam, (cd, d) in zip(fams, _callback_densities(family, spec,
+                                                          sigma)):
+            assert fam.rank_one
+            assert fam.density_at == fam.table.density_at
+            np.testing.assert_allclose(fam.cdensity_at(sigma), cd,
+                                       rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(fam.density_at(sigma), d, rtol=0.0,
+                                       atol=1e-15)
+            # The table's integral against the substituted Gauss rule.
+            np.testing.assert_allclose(
+                fam.table.total, integrate_sqrt_smooth(fam.cdensity_at),
+                rtol=0.0, atol=1e-14)
+
+    def test_derived_c1_is_the_closed_form(self):
+        # 1e-15 of the entries' largest terms: C1[3, 3] = 9 sigma^2 + 8
+        # sigma - 16 sigma^(3/2) cancels terms of up to 33 sigma in both
+        # forms, so each is off the exact value by a few 1e-15 there.
+        rng = np.random.default_rng(4602)
+        s = np.concatenate([[1.0, 4.0], 1.0 + 3.0 * rng.random(300)])
+        scale = 1.0 + 33.0 * (np.sqrt(s) - 1.0)
+        gap = np.abs(c_matrix_stack("C1", s) - _closed_form_c1(s))
+        assert np.all(gap <= 1e-15 * scale[:, None, None])
+        assert np.array_equal(c_matrix_stack("C1", [1.0, 4.0]),
+                              [np.diag([1.0, 0.0, 0.0, 0.0]), np.eye(4)])
+
+    def test_tables_are_built_once_per_spec(self):
+        spec = instrument_zonoid()
+        first = [f.table for f in blocked_limiting_family(spec)[1]]
+        again = [f.table for f in blocked_limiting_family(spec)[1]]
+        assert all(a is b for a, b in zip(first, again))
+        fresh = zonoid_spec_for_instrument(two_qubit_instrument().instrument)
+        other = [f.table for f in blocked_limiting_family(fresh)[1]]
+        assert not any(a is b for a, b in zip(first, other))
+        for a, b in zip(first, other):
+            assert np.array_equal(a.w, b.w) and a.block == b.block
+        reduced = [f.table for f in limiting_family()[1]]
+        assert all(a is b for a, b in zip(
+            reduced, [f.table for f in limiting_family()[1]]))
+
+    @pytest.mark.parametrize("family, spec", [
+        (limiting_family, channel_zonoid),
+        (blocked_limiting_family, instrument_zonoid),
+    ])
+    def test_too_low_a_degree_fails_reconstruction(self, family, spec):
+        # A table of halt-B that declares w of degree 0, its constant row
+        # alone, against the true root of its density: L(w w^T) then
+        # misses the density wherever u > 0, most at sigma = 1.
+        spec = spec()
+        paths, fams = family(spec)
+        base = verify_theorem_conditions(spec, paths, fams, s_samples=11)
+        assert base.passed
+        fams[0] = _with_table(fams[0], fams[0].table.w[:1])
+        rep = verify_theorem_conditions(spec, paths, fams, s_samples=11)
+        recon = rep.check("halt-B:reconstruction")
+        assert not recon.passed and recon.where == "sigma=1"
+        assert recon.defect > 0.1
+        assert rep.check("halt-B:psd").passed
+        assert rep.check("halt-A:reconstruction") == base.check(
+            "halt-A:reconstruction")
+
+    @pytest.mark.parametrize("family, spec", [
+        (limiting_family, channel_zonoid),
+        (blocked_limiting_family, instrument_zonoid),
+    ])
+    @pytest.mark.parametrize("s_samples", [11, None])
+    def test_rank_one_route_reports_as_the_checked_one(self, family, spec,
+                                                       s_samples):
+        # The same samples through a wrapper take the checked route: the
+        # input check and the eigvalsh. Each check keeps its verdict, and
+        # the two routes differ only by rounding, in psd alone.
+        spec = spec()
+        paths, fams = family(spec)
+        table = verify_theorem_conditions(spec, paths, fams,
+                                          s_samples=s_samples)
+        wrapped = [dataclasses.replace(f, cdensity_at=lambda sg,
+                                       g=f.cdensity_at: g(sg)) for f in fams]
+        assert not any(f.rank_one for f in wrapped)
+        checked = verify_theorem_conditions(spec, paths, wrapped,
+                                            s_samples=s_samples)
+        assert table.passed and checked.passed
+        for a, b in zip(table.checks, checked.checks):
+            assert a.name == b.name
+            if a.name.endswith(":psd"):
+                assert max(a.defect, b.defect) <= 1e-15
+            else:
+                assert a == b
+
+    def test_table_input_is_refused(self):
+        w = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="not zero off its block"):
+            FamilyTable(w, np.ones((1, 1)), (0,))
+        with pytest.raises(ValueError, match="outside the basis"):
+            FamilyTable(w, np.ones((1, 1)), (0, 2))
+        with pytest.raises(ValueError, match="finite"):
+            FamilyTable(w * np.nan, np.ones((1, 1)), (0, 1))
+        with pytest.raises(ValueError, match="coefficient rows"):
+            FamilyTable(w[0], np.ones((1, 1)), (0, 1))
+        table = FamilyTable(w, np.ones((1, 1)), (1, 0, 1))
+        assert table.block == (0, 1)
+        assert not table.w.flags.writeable
+        with pytest.raises(ValueError, match="sigma outside"):
+            table.cdensity_at(np.array([0.5, 1.5]))
+
+    def test_integrals_are_hermitian_and_zero_off_the_block(self):
+        rng = np.random.default_rng(4603)
+        w = np.zeros((4, 5), dtype=complex)
+        w[:, [1, 3]] = (rng.standard_normal((4, 2))
+                        + 1j * rng.standard_normal((4, 2)))
+        table = FamilyTable(w, np.ones((1, 1)), (1, 3))
+        got = table.integrals(np.sqrt(rng.random(50)))
+        assert np.array_equal(got, got.conj().swapaxes(1, 2))
+        off = np.ones((5, 5), dtype=bool)
+        off[np.ix_([1, 3], [1, 3])] = False
+        assert not got[:, off].any()
+
+
+class TestNearBoxRepair:
+    """A Hermitian integrated witness that leaves the box by delta is
+    retried as (C + delta I) / (1 + 2 delta) before the solver."""
+
+    def test_scaled_witness_is_repaired(self, monkeypatch):
+        # The halt tables scaled by 1 + 1e-10 put the top of the path
+        # outside the box by about 1e-10; the repair answers there, and its
+        # defect is its own residual, of the order of that excess.
+        spec = channel_zonoid()
+        paths, fams = limiting_family(spec)
+        fams = [_with_table(f, np.sqrt(1.0 + 1e-10) * f.table.w)
+                for f in fams]
+        boxes = _count_box_tests(monkeypatch, spec)
+        calls = _count_membership_calls(monkeypatch)
+        rep = verify_theorem_conditions(spec, paths, fams, s_samples=11)
+        mem = rep.check("main:membership")
+        assert rep.passed and not calls
+        assert mem.where.endswith("; solver 0/11")
+        assert len(boxes) == 2 and 0 < boxes[1] < 11
+        assert 1e-12 < mem.defect <= 1e-9
+
+    def test_far_witness_goes_to_the_solver(self, monkeypatch):
+        spec = channel_zonoid()
+        paths, fams = limiting_family(spec)
+        fams = [_with_table(f, np.sqrt(1.0 + 1e-3) * f.table.w)
+                for f in fams]
+        calls = _count_membership_calls(monkeypatch)
+        rep = verify_theorem_conditions(spec, paths, fams, s_samples=11)
+        mem = rep.check("main:membership")
+        assert calls and mem.passed
+        assert mem.where.endswith(f"; solver {len(calls)}/11")
+
+    @pytest.mark.parametrize("family, spec", [
+        (limiting_family, channel_zonoid),
+        (blocked_limiting_family, instrument_zonoid),
+    ])
+    @pytest.mark.parametrize("s_samples", [11, None])
+    def test_two_party_runs_need_no_repair(self, monkeypatch, family, spec,
+                                           s_samples):
+        # Every integrated witness of the worked families passes the plain
+        # box test, so the box test runs once and the reports are those
+        # of the plain witness.
+        spec = spec()
+        paths, fams = family(spec)
+        boxes = _count_box_tests(monkeypatch, spec)
+        rep = verify_theorem_conditions(spec, paths, fams,
+                                        s_samples=s_samples)
+        assert rep.passed and len(boxes) == 1
+
+    def test_shifted_density_still_fails_psd(self):
+        # The repair touches the path's witness only: a coefficient density
+        # shifted by -1e-6 I still fails its psd check, and membership
+        # keeps its witness.
+        spec = instrument_zonoid()
+        paths, fams = blocked_limiting_family(spec)
+        base = verify_theorem_conditions(spec, paths, fams, s_samples=11)
+        fams[0] = dataclasses.replace(
+            fams[0], cdensity_at=lambda sg, f=fams[0].cdensity_at:
+            f(sg) - 1e-6 * np.eye(spec.kappa))
+        rep = verify_theorem_conditions(spec, paths, fams, s_samples=11)
+        psd = rep.check("halt-B:psd")
+        assert not psd.passed
+        assert psd.defect == pytest.approx(1e-6, rel=1e-6)
+        assert rep.check("main:membership") == base.check("main:membership")
+
+
+def _count_box_tests(monkeypatch, spec) -> list:
+    """Record how many matrices each box test of the spec's solver
+    takes."""
+    solver = spec.solver()
+    sizes = []
+    real = solver.in_box
+
+    def counting(cs, w=None):
+        sizes.append(len(cs))
+        return real(cs, w)
+
+    monkeypatch.setattr(solver, "in_box", counting)
+    return sizes
+
+
 class TestRealStacks:
     """Real callbacks keep the verifier's coefficient stacks real; complex
     ones whose entries are real take the same route, and report the same
@@ -1889,22 +2174,24 @@ class TestRealStacks:
                                                    s_samples):
         # Every coefficient callback's output cast to complex. Operator
         # callbacks answer with real diagonals, a form only real arrays
-        # take, so they stay as they are.
+        # take, so they stay as they are. A family whose cdensity_at is its
+        # table's own skips the input check, which a cast callback takes,
+        # so the real side answers through a wrapper too: both take the
+        # checked route.
         spec = spec()
-        paths, fams = family(spec)
-        real = verify_theorem_conditions(spec, paths, fams,
-                                         s_samples=s_samples)
 
-        def complex_of(f):
-            return lambda x: np.asarray(f(x), dtype=complex)
+        def run(cast):
+            paths, fams = family(spec)
+            paths = [dataclasses.replace(p, cmatrix_at=cast(p.cmatrix_at))
+                     if p.cmatrix_at is not None else p for p in paths]
+            fams = [dataclasses.replace(f, parent=paths[0],
+                                        cdensity_at=cast(f.cdensity_at))
+                    for f in fams]
+            return verify_theorem_conditions(spec, paths, fams,
+                                             s_samples=s_samples)
 
-        cpaths = [dataclasses.replace(p, cmatrix_at=complex_of(p.cmatrix_at))
-                  if p.cmatrix_at is not None else p for p in paths]
-        cfams = [dataclasses.replace(f, parent=cpaths[paths.index(f.parent)],
-                                     cdensity_at=complex_of(f.cdensity_at))
-                 for f in fams]
-        cplx = verify_theorem_conditions(spec, cpaths, cfams,
-                                         s_samples=s_samples)
+        real = run(lambda f: lambda x: f(x))
+        cplx = run(lambda f: lambda x: np.asarray(f(x), dtype=complex))
         assert real.passed
         # Both routes share the real map and real arithmetic throughout,
         # so every defect is the same bit for bit.
