@@ -13,8 +13,10 @@ status; any other section of an existing record is kept. The cases are
 ``theorem1`` and ``theorem8`` on the dense default grid, ``theorem8
 --samples 4000`` and ``theorem1 --samples 4000``, whose stacked sample
 tables set their peaks, ``theorem1 --nu 1000``, ``scripts/run_verification_suite.py`` and
-``scripts/convergence_study.py`` at its defaults: sizes at which a run
-is more than its imports. Standard library only. ``child_env`` is the
+``scripts/convergence_study.py`` at its defaults, and ``protocol
+--parties 2 --nu 300000`` and ``protocol --parties 6 --nu 10000``, whose
+tree build and check set their peaks: sizes at which a run is more than
+its imports. Standard library only. ``child_env`` is the
 environment of every child, here and in ``scripts/ab.py``.
 """
 
@@ -49,6 +51,10 @@ CASES = {
     "verification suite": [str(ROOT / "scripts" /
                                 "run_verification_suite.py")],
     "convergence study": [str(ROOT / "scripts" / "convergence_study.py")],
+    "protocol --parties 2 --nu 300000": cli("protocol", "--parties", "2",
+                                            "--nu", "300000"),
+    "protocol --parties 6 --nu 10000": cli("protocol", "--parties", "6",
+                                           "--nu", "10000"),
 }
 
 
@@ -110,7 +116,7 @@ def main() -> int:
     section = quick_section(CASES)
     merge(args.out, section)
     for name, case in section["cases"].items():
-        print(f"{name:22s} {case['wall_s']:8.3f} s {case['peak_rss_mb']:8.1f}"
+        print(f"{name:32s} {case['wall_s']:8.3f} s {case['peak_rss_mb']:8.1f}"
               f" MiB  exit {case['exit']}")
     return 0 if all(s == 0 for case in section["cases"].values()
                     for s in case["exit"]) else 1

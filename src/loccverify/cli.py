@@ -35,7 +35,7 @@ from .protocols import (
     protocol_check_bytes,
     verify_tree,
 )
-from .conditions import verify_theorem_conditions
+from .conditions import sample_pass_bytes, verify_theorem_conditions
 from .zonoid import (
     ZonoidSpec,
     _hermitian_input,
@@ -58,11 +58,15 @@ class InputError(Exception):
 # `protocol_check_bytes` counts it, the others as `work_bytes` does.
 TREE_BYTES_BUDGET = 2 ** 28
 
-# Fixed part of `work_bytes`, and the bytes each s sample of a theorem
-# check holds: its operator is a real diagonal, and its coefficient
-# stacks, real and dense kappa x kappa, hold the rest.
+# Fixed part of `work_bytes`.
 _FIXED_BYTES = 2 ** 19
-_THEOREM_SAMPLE_BYTES = {"theorem1": 800, "theorem8": 800}
+# The sample table of each theorem check (`sample_pass_bytes`), real: its
+# basis size kappa, its operators' size d (real diagonals), whether its
+# main path has a witness family (a row per s sample besides the
+# membership row), and its halt families and parent witnesses, each of
+# SIGMA_SAMPLES rows; one more row holds the endpoint.
+_THEOREM_LAYOUT = {"theorem1": (4, 4, True, 2, 1),
+                   "theorem8": (5, 4, False, 2, 0)}
 # Bytes each direction of a two-qubit Hausdorff estimate holds.
 _HAUSDORFF_SAMPLE_BYTES = 1344
 # Bytes each entry of a Choi matrix holds: in `choi` with its printed JSON,
@@ -185,9 +189,10 @@ def work_bytes(args, *inputs, z: np.ndarray | None = None) -> int:
     ``z`` (None for the identity).
 
     Each part grows with one size flag or input: the theorem checks with
-    their s samples, the path gap with its grid (2^P entries a
-    point), Hausdorff estimates with their directions, and choi and
-    distance with the (d d_out)^2 entries of a Choi matrix. A
+    their s samples, as :func:`~loccverify.conditions.sample_pass_bytes`
+    counts their sample table from its layout, the path gap with its grid
+    (2^P entries a point), Hausdorff estimates with their directions, and
+    choi and distance with the (d d_out)^2 entries of a Choi matrix. A
     zonoid-check run is as :func:`~loccverify.zonoid.zonoid_bytes` counts
     it. The parts are held one after another, so the estimate is a fixed
     part plus the largest.
@@ -204,10 +209,15 @@ def work_bytes(args, *inputs, z: np.ndarray | None = None) -> int:
         parts.append(per * (d * out) ** 2)
     if args.command == "zonoid-check":
         parts.append(zonoid_bytes(*inputs, z is None or not z.imag.any()))
-    if args.command in _THEOREM_SAMPLE_BYTES:
+    if args.command in _THEOREM_LAYOUT:
+        kappa, d, witness_family, families, parents = \
+            _THEOREM_LAYOUT[args.command]
         # --samples 0 is the dense grid: spacing 0.01 on [1, 4].
-        parts.append(_THEOREM_SAMPLE_BYTES[args.command]
-                     * (args.samples or 301))
+        n = args.samples or 301
+        sigmas = tolerances.SIGMA_SAMPLES
+        paired = n * (1 + witness_family) + 1 + families * sigmas
+        parts.append(sample_pass_bytes(kappa, d, paired + parents * sigmas,
+                                       paired, n))
     if args.command == "paths":
         parts.append(args.grid * (36 * 2 ** args.parties + 192))
     if args.command == "hausdorff":

@@ -399,6 +399,30 @@ class _SamplePass:
                 dims, form == 2)
 
 
+def sample_pass_bytes(kappa: int, dim: int, rows: int, paired: int,
+                      witness: int) -> int:
+    """Peak bytes of a real :class:`_SamplePass`, from its layout alone:
+    a table of ``rows`` coefficient samples, ``paired`` of them with a real
+    diagonal operator of ``dim`` entries and ``witness`` of them integrated
+    witnesses on an s grid.
+
+    The table holds kappa^2 entries a row, and the operators a diagonal
+    each per paired row, twice: their stacks and their concatenation in
+    :meth:`_SamplePass.run`. On top of these, the larger of two phases.
+    While the witnesses are integrated, two more stacks of their rows
+    (the product and the sum of Horner's rule) and their s grid, twice.
+    While the pass runs, a spectrum of kappa entries, a residual and a
+    product defect per row, and three diagonals of the residual's
+    temporaries per paired row.
+    """
+    entry = 8
+    table = rows * kappa ** 2 * entry
+    operators = 2 * paired * dim * entry
+    integrate = witness * (2 * kappa ** 2 + 2) * entry
+    run = (rows * (kappa + 2) + 3 * paired * dim) * entry
+    return table + operators + max(integrate, run)
+
+
 def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
                               families: Sequence[EndpointFamily] = (),
                               s_samples: int | None = None,

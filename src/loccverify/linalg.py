@@ -40,9 +40,6 @@ class PartyDims:
     def n_parties(self) -> int:
         return len(self.dims)
 
-    def __iter__(self):
-        return iter(self.dims)
-
 
 def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)

@@ -175,21 +175,42 @@ def _built_table(params: ProtocolParams) -> np.ndarray:
 
     Column 0 is the root. Step n*P + l, party l + 1 measuring in cycle n,
     has its halt leaf in column 2(n P + l) + 1 and its continue node in the
-    next. The continue node is the node after the step and the halt leaf
-    the node before it, with the acting party's factor set to
-    diag(eps * eta^n, 0), eta = 1 - eps (:func:`_node_diagonals`).
+    next (:func:`_step_factors`); both are built in one pass of products,
+    written straight into the table.
     """
-    p, rounds = params.parties, params.rounds
+    p = params.parties
     eps = params.epsilon
-    eta = 1.0 - eps
-    powers = _powers(eta, range(rounds + 1))
-    n, ahead = np.divmod(np.arange(p * rounds), p)
-    now, later = powers[n], powers[n + 1]
-    cols = np.empty((2 ** p, 2 * p * rounds + 1))
+    powers = _powers(1.0 - eps, range(params.rounds + 1))
+    cols = np.empty((2 ** p, 2 * p * params.rounds + 1))
     cols[:, 0] = 1.0
-    _node_diagonals(p, now, later, ahead, halt=eps * now, out=cols[:, 1::2])
-    _node_diagonals(p, now, later, ahead + 1, out=cols[:, 2::2])
+    _left_products(cols[:, 1:], _step_factors(p, powers, eps))
     return cols
+
+
+def _step_factors(parties: int, powers: np.ndarray, eps: float):
+    """Each party's factors in the columns of the built table after its
+    root, for :func:`_left_products`: the halt leaf and continue node of
+    every step, in pairs, step n P + l in columns 2(n P + l) and
+    2(n P + l) + 1, powers[n] = eta^n.
+
+    The continue node is the node after the step: parties 1..l + 1 have
+    diag(eta^(n+1), 1), the others diag(eta^n, 1). The halt leaf is the
+    node before it, parties 1..l at eta^(n+1) and the others at eta^n,
+    with party l + 1's factor set to diag(eps * eta^n, 0). So a party's
+    |0> entries in a cycle depend only on l and on the column's kind, and
+    its |1> entry is 0 in the halt columns of the steps it takes. One
+    buffer of |0> entries is refilled for each party.
+    """
+    zero = np.empty((len(powers) - 1, parties, 2))
+    now, later = powers[:-1, None, None], powers[1:, None, None]
+    halt = eps * powers[:-1]
+    for party in range(parties):
+        # Steps l < party come before this party's turn, l > party after.
+        zero[:, :party] = now
+        zero[:, party, 0] = halt
+        zero[:, party, 1] = powers[1:]
+        zero[:, party + 1:] = later
+        yield zero.reshape(-1), slice(2 * party, None, 2 * parties)
 
 
 def build_protocol_pq(parties: int, rounds: int, exponent: float
@@ -215,8 +236,8 @@ def protocol_tree_bytes(parties: int, rounds: int) -> int:
     return nodes * 8 * 2 ** parties + 5 * 2 ** 10
 
 
-# Entries verify_tree reads at a time in its factor and leaf-sum passes.
-# Its memory beyond a few values per node does not grow with the tree.
+# Entries verify_tree reads at a time in its column ranges. Its memory
+# beyond a few values per node does not grow with the tree.
 _CHUNK_ENTRIES = 2 ** 16
 
 
@@ -225,22 +246,25 @@ def protocol_check_bytes(parties: int, rounds: int) -> int:
     it, in bytes.
 
     On top of :func:`protocol_tree_bytes`, ``verify_tree`` holds per node
-    a copy of its table column (8 * 2^P bytes), its party factors'
-    diagonals and edge distances (18 P) and its edge arrays, flags and
-    defects (72); at once, up to 30 bytes per entry of a column range of
-    diagonals; and 4 KiB of fixed objects. Fitted under tracemalloc on
-    CPython 3.11 over 61 (P, rounds) points, P = 2..6 and 5 to 80001
-    nodes: 1.03 to 1.45 times the measured peak. A tree with dense
-    overrides needs in addition a few times their size. When one of them
-    has an imaginary part, the leaf sums are complex: up to 8 (D + 2 m)
-    bytes more per node, m the off-diagonal entries the overrides set, and
-    16 more per entry of one column range (``_CHUNK_ENTRIES`` entries).
+    its party factors' diagonals, one (2 P, n) array, its edge distances,
+    its flags and its defects (12 + 38 P bytes); at once, up to 21 bytes
+    per entry of one column range of diagonals (its factor products, leaf
+    sums and factor differences); and numpy's buffers for strided
+    operands, up to 18 bytes per table entry for the first 4096 entries.
+    The build's own temporaries, O(P rounds), stay below that. Fitted
+    under tracemalloc on CPython 3.11 over 61 (P, rounds) points, P = 2..6
+    and 5 to 80001 nodes: 1.03 to 1.37 times the measured peak. A tree
+    with dense overrides needs in addition a few times their size. When
+    one of them has an imaginary part, the leaf sums are complex: up to
+    16 (D + 2 m) bytes more per column of one range, m the off-diagonal
+    entries the overrides set.
     """
     nodes = 2 * parties * rounds + 1
     width = 2 ** parties
-    chunk = 30 * width * min(nodes, _CHUNK_ENTRIES // width)
-    return (protocol_tree_bytes(parties, rounds)
-            + nodes * (72 + 8 * width + 18 * parties) + chunk + 2 ** 12)
+    chunk = 21 * width * min(nodes, _CHUNK_ENTRIES // width)
+    buffers = 18 * min(width * nodes, 2 ** 12)
+    return (protocol_tree_bytes(parties, rounds) + nodes * (12 + 38 * parties)
+            + chunk + buffers)
 
 
 def protocol_leaf_diagonals(parties: int, rounds: int, exponent: float
@@ -319,129 +343,72 @@ def _marginal_selector(dims: tuple[int, ...]) -> np.ndarray:
     return sel
 
 
-def _diagonal_factors(e: np.ndarray, dims: PartyDims):
+def _diagonal_factors(e: np.ndarray, dims: PartyDims, out: np.ndarray):
     """:func:`_dense_factors` of real diagonal elements from their
-    diagonals, the columns of ``e``, shape (D, c): the factors are marginal
-    sums, returned as (k, c) columns of diagonals. All marginals come from
-    one product of :func:`_marginal_selector` with the diagonals."""
+    diagonals, the columns of ``e``, shape (D, c): the unit-trace factors
+    are marginal sums, written into ``out`` as (sum k_p, c) rows of
+    diagonals, party after party, by one product of
+    :func:`_marginal_selector` with the diagonals. Returns the traceless
+    flags and the product defects."""
     c = e.shape[1]
-    both = _marginal_selector(dims.dims) @ e
+    np.matmul(_marginal_selector(dims.dims), e, out=out)
     norm = _column_norms(e)
     tr = _traces(e)
     zero = _traceless(tr, norm)
     tr = np.where(zero, 1.0, tr)
-    both /= tr
-    ends = np.cumsum(dims.dims).tolist()
-    marginals = [both[i - k:i] for i, k in zip(ends, dims.dims)]
+    out /= tr
+    ends = itertools.accumulate(dims.dims)
+    marginals = [out[i - k:i] for i, k in zip(ends, dims.dims)]
     product = marginals[0]
     for f in marginals[1:]:
         product = (product[:, None] * f[None]).reshape(-1, c)
     product *= tr
     defect = _column_norms(np.subtract(e, product, out=product))
-    return marginals, zero, np.where(zero, 1.0, defect / np.maximum(1.0, norm))
+    return zero, np.where(zero, 1.0, defect / np.maximum(1.0, norm))
 
 
-def _summed_entries(cols: np.ndarray, rows: np.ndarray, dense: np.ndarray):
-    """The entries the leaf-sum pass adds, as one (D + m, n) array, a
-    column per node: the node's diagonal, then the m off-diagonal entries
-    that some dense override ``dense`` (at preorder ``rows``, shape
-    (c, D, D)) sets. ``cols`` is the (D, n) table; an override's column
-    holds its own diagonal. The array is complex when some override has an
-    imaginary part, and real otherwise."""
-    d, n = cols.shape
-    flat = dense.reshape(len(dense), d * d)
+def _override_entries(dense: np.ndarray) -> np.ndarray:
+    """The entries the leaf sums add for the dense overrides ``dense``,
+    shape (c, D, D), one row each: its diagonal, then the m off-diagonal
+    entries that some override sets; shape (c, D + m). Complex when some
+    override has an imaginary part, real otherwise."""
+    c, d, _ = dense.shape
+    flat = dense.reshape(c, d * d)
     if not flat.imag.any():
         flat = flat.real
     off = ~np.eye(d, dtype=bool).reshape(-1)
     entries = np.flatnonzero(off & flat.any(axis=0))
-    x = np.zeros((d + entries.size, n), flat.dtype)
-    x[:d] = cols
-    x[:d, rows] = flat[:, ::d + 1].T
-    x[d:, rows] = flat[:, entries].T
-    return x
+    return np.hstack([flat[:, ::d + 1], flat[:, entries]])
 
 
-def _leaf_sums(x: np.ndarray) -> np.ndarray:
-    """Each node's largest entry modulus of deviation from its sum of
-    descendant leaves (0 at leaves), from ``x``, the node entries in
-    preorder laid out as :func:`_summed_entries` lays them out, real or
-    complex. The root's column is replaced by its sum.
-
-    The inner nodes form the main branch, and each one's sum is its halt
-    leaf plus the sum of its continue node, S(2k) = x(2k + 1) + S(2k + 2),
-    bitwise as a bottom-up fold adds them. So the sums are one cumulative
-    sum of the halt columns from the main leaf up, in column ranges of
-    about ``_CHUNK_ENTRIES`` entries with the running sum carried from one
-    range to the next.
-    """
-    width, n = x.shape
-    defects = np.zeros(n)
-    step = max(1, _CHUNK_ENTRIES // width)
-    nodes = np.arange(n - 3, -1, -2)
-    below = x[:, n - 1]
-    for lo in range(0, nodes.size, step):
-        seg = nodes[lo:lo + step]
-        seq = np.empty((width, seg.size + 1), x.dtype)
-        seq[:, 0] = below
-        seq[:, 1:] = x.take(seg + 1, axis=1)
-        np.cumsum(seq, axis=1, out=seq)
-        gap = x.take(seg, axis=1)
-        gap -= seq[:, 1:]
-        defects[seg] = np.abs(gap).max(axis=0)
-        below = seq[:, -1]
-    x[:, 0] = below
-    return defects
-
-
-def _party_factors(cols: np.ndarray, dims: PartyDims):
-    """Unit-trace party factors, traceless flags and product defects of
-    every column of the (D, n) table, in column ranges of about
-    ``_CHUNK_ENTRIES`` entries. Each party's factors are a (k, n) stack of
-    diagonals, one column per node."""
-    d, n = cols.shape
-    factors = [np.empty((k, n)) for k in dims]
-    traceless = np.empty(n, dtype=bool)
-    prod = np.empty(n)
-    step = max(1, _CHUNK_ENTRIES // d)
-    for lo in range(0, n, step):
-        part = slice(lo, lo + step)
-        facs, traceless[part], prod[part] = _diagonal_factors(cols[:, part],
-                                                              dims)
-        for full, f in zip(factors, facs):
-            full[:, part] = f
-    return factors, traceless, prod
-
-
-def _factor_matrices(f: np.ndarray, g: np.ndarray, at: np.ndarray,
-                     nodes: np.ndarray) -> np.ndarray:
-    """One party's factors of ``nodes`` as matrices: a dense node's own,
-    ``g[at[node]]``, and every other node's diagonal, a column of ``f``."""
-    m = diagonal_stack(f[:, nodes].T)
-    own = at[nodes] >= 0
-    m[own] = g[at[nodes[own]]]
-    return m
-
-
-def _edge_distances(factors: list, up: np.ndarray, kid: np.ndarray,
-                    rows: np.ndarray, dense: list) -> np.ndarray:
-    """Frobenius distance between the party factors of each edge's child
-    ``kid`` and its parent ``up``, shape (parties, edges). ``factors``
-    holds one (k, n) stack of diagonals per party; an edge at one of the
-    dense ``rows`` is measured on the matrices, with ``dense`` holding
-    those rows' factors per party."""
-    out = np.empty((len(factors), kid.size))
-    for p, f in enumerate(factors):
-        g = f.take(up, axis=1)
-        out[p] = _column_norms(np.subtract(f.take(kid, axis=1), g, out=g))
-    if rows.size:
-        at = np.full(factors[0].shape[1], -1)
-        at[rows] = np.arange(rows.size)
-        edges = np.flatnonzero((at[kid] >= 0) | (at[up] >= 0))
-        for p, (f, g) in enumerate(zip(factors, dense)):
-            out[p, edges] = _row_norms(
-                _factor_matrices(f, g, at, kid[edges])
-                - _factor_matrices(f, g, at, up[edges]))
+def _column_entries(cols: np.ndarray, lo: int, hi: int, rows: np.ndarray,
+                    entries: np.ndarray) -> np.ndarray:
+    """The summed entries of the table columns lo, lo + 2, ... below
+    ``hi``, the last one first, shape (W, m): a view of the (D, n) table
+    when there are no overrides; otherwise a copy in which a column is its
+    table diagonal and zeros, or the ``entries`` row of the override at
+    that preorder row (``rows``, sorted)."""
+    view = cols[:, lo:hi:2][:, ::-1]
+    if not rows.size:
+        return view
+    out = np.zeros((entries.shape[1], view.shape[1]), entries.dtype)
+    out[:len(cols)] = view
+    a, b = np.searchsorted(rows, [lo, hi]).tolist()
+    at = np.arange(a, b)[(rows[a:b] - lo) % 2 == 0]
+    out[:, view.shape[1] - 1 - (rows[at] - lo) // 2] = entries[at].T
     return out
+
+
+def _party_groups(dims: PartyDims) -> list[tuple[int, int, int, int]]:
+    """Runs of consecutive parties of one local dimension k, as (first
+    factor row, first party, parties, k): the factor rows of a run are a
+    (parties, k, n) stack."""
+    groups, row, party = [], 0, 0
+    for k, run in itertools.groupby(dims.dims):
+        m = len(list(run))
+        groups.append((row, party, m, k))
+        row, party = row + m * k, party + m
+    return groups
 
 
 def verify_tree(tree: ProtocolTree) -> TreeReport:
@@ -456,63 +423,147 @@ def verify_tree(tree: ProtocolTree) -> TreeReport:
     products (preorder), locality (by parent, child, party) and
     completeness. The tree is read as it is when this is called.
 
-    Every check runs on arrays read from the transpose of the tree's
-    column-major table, a contiguous (D, n) array, with every reduction
-    over its long node axis, in column ranges of about ``_CHUNK_ENTRIES``
-    entries. The edges, the leaf sums along the main branch and each
-    failure's node path follow from the caterpillar's shape in closed
-    form. Only the dense overrides go through :func:`_dense_factors`. The
-    leaf sums take the overrides' diagonals whole and the off-diagonal
-    entries they set as extra rows, in complex arithmetic when one of them
-    has an imaginary part.
+    Every check runs in one pass over column ranges of about
+    ``_CHUNK_ENTRIES`` entries of the transpose of the tree's column-major
+    table, a contiguous (D, n) array, from the main leaf up. Each range
+    gives its columns' party factors, as columns of one (sum k_p, n)
+    array, then the leaf sums and the edges of the inner nodes it holds.
+    An inner node's sum is its halt leaf plus its continue node's sum,
+    S(2k) = x(2k + 1) + S(2k + 2), bitwise as a bottom-up fold adds them:
+    one cumulative sum of the halt columns, with the running sum carried
+    from one range to the next. Its edges run to columns 2k + 1 and
+    2k + 2, the first of the range below when the range ends at 2k + 1.
+    Parents, halt leaves and continue nodes are strided views of the table
+    and of the factors, and the root's sum is kept, not written back. Only
+    the dense overrides go through :func:`_dense_factors`. The leaf sums
+    take the overrides' diagonals whole and the off-diagonal entries they
+    set as extra rows, in complex arithmetic when one of them has an
+    imaginary part.
     """
     dims = tree.dims
-    d = dims.total
+    d, parties = dims.total, dims.n_parties
     cols = tree._table.T
-    rows = np.array(sorted(tree._overrides), dtype=np.intp)
-    dense = np.array([tree._overrides[i] for i in rows.tolist()],
-                     dtype=np.complex128).reshape(-1, d, d)
-    x = _summed_entries(cols, rows, dense)
     n = cols.shape[1]
-    failed: list[tuple[int, str, float]] = []
-
-    factors, traceless, prod = _party_factors(cols, dims)
+    steps = n // 2
+    rows = np.array(sorted(tree._overrides), dtype=np.intp)
+    entries = np.empty((0, d))
     dense_factors = []
     if rows.size:
-        dense_factors, traceless[rows], prod[rows] = _dense_factors(dense,
-                                                                    dims)
-    sums = _leaf_sums(x)
-    x[:d, 0] -= 1.0
-    comp = float(np.abs(x[:, 0]).max())
-    del x  # freed before the locality pass allocates
-    failed.extend((int(i), "leaf-sum", float(sums[i]))
-                  for i in np.flatnonzero(sums > NODE_SUM_TOL)[::-1])
-    failed.extend((int(i), "product", float(prod[i]))
-                  for i in np.flatnonzero(prod > PRODUCT_TOL))
+        dense = np.array([tree._overrides[i] for i in rows.tolist()])
+        entries = _override_entries(dense)
+        dense_factors, dense_zero, dense_prod = _dense_factors(dense, dims)
+    factors = np.empty((sum(dims.dims), n))
+    traceless = np.empty(n, dtype=bool)
+    prod = np.empty(n)
+    sums = np.empty(steps)
+    loc = np.empty((parties, 2 * steps))
+    groups = _party_groups(dims)
+    below = np.array(_column_entries(cols, n - 1, n, rows, entries)[:, 0])
 
-    # Locality over every edge, ordered by parent then child index, which
-    # is preorder: step k's edges run from row 2k to rows 2k + 1 and 2k + 2.
-    # The parent's acting party and edges at traceless nodes are masked.
-    steps = np.arange(n // 2)
-    up, kid = 2 * steps.repeat(2), np.arange(1, n)
-    acting = (steps % dims.n_parties + 1).repeat(2)
-    loc = _edge_distances(factors, up, kid, rows, dense_factors)
-    parties = np.arange(1, dims.n_parties + 1)[:, None]
-    compared = (parties != acting) & ~(traceless.take(kid)
-                                       | traceless.take(up))
-    loc = np.where(compared, loc, 0.0)
-    over = zip(*np.divmod(np.flatnonzero(loc > LOCALITY_TOL), kid.size))
-    failed.extend((int(kid[e]), f"locality-party-{p + 1}", float(loc[p, e]))
-                  for p, e in sorted(over, key=lambda pe: pe[1]))
+    step = max(1, _CHUNK_ENTRIES // d)
+    for lo in reversed(range(0, n, step)):
+        hi = min(lo + step, n)
+        traceless[lo:hi], prod[lo:hi] = _diagonal_factors(
+            cols[:, lo:hi], dims, factors[:, lo:hi])
+        if rows.size:
+            a, b = np.searchsorted(rows, [lo, hi]).tolist()
+            traceless[rows[a:b]] = dense_zero[a:b]
+            prod[rows[a:b]] = dense_prod[a:b]
+        # The inner nodes 2s of this range, s0 <= s < s1, bottom first.
+        s0, s1 = (lo + 1) // 2, min((hi + 1) // 2, steps)
+        if s0 >= s1:
+            continue
+        seq = np.empty((entries.shape[1], s1 - s0 + 1), entries.dtype)
+        seq[:, 0] = below
+        seq[:, 1:] = _column_entries(cols, 2 * s0 + 1, 2 * s1, rows, entries)
+        np.cumsum(seq, axis=1, out=seq)
+        gap = np.subtract(_column_entries(cols, 2 * s0, 2 * s1, rows,
+                                          entries), seq[:, 1:])
+        sums[s0:s1] = np.abs(gap).max(axis=0)[::-1]
+        below = seq[:, -1]
 
+        # Edge 2s + j runs from column 2s to column 2s + 1 + j; each party's
+        # distance is the norm of its rows of the factor differences.
+        up = factors[:, 2 * s0:2 * s1:2]
+        diff = np.empty((len(factors), 2, s1 - s0))
+        np.subtract(factors[:, 2 * s0 + 1:2 * s1:2], up, out=diff[:, 0])
+        np.subtract(factors[:, 2 * s0 + 2:2 * s1 + 1:2], up, out=diff[:, 1])
+        edges = loc[:, 2 * s0:2 * s1].reshape(parties, s1 - s0, 2)
+        for row, party, m, k in groups:
+            q = diff[row:row + m * k].reshape(m, k, 2, s1 - s0)
+            np.einsum("pijs,pijs->pjs", q, q,
+                      out=edges[party:party + m].transpose(0, 2, 1))
+        np.sqrt(edges, out=edges)
+        # The acting party and edges at traceless nodes are masked.
+        for p in range(parties):
+            edges[p, (p - s0) % parties::parties] = 0.0
+        if traceless[2 * s0:2 * s1 + 1].any():
+            edges[:, traceless[2 * s0 + 1:2 * s1 + 1].reshape(-1, 2)
+                  | traceless[2 * s0:2 * s1:2, None]] = 0.0
+
+    if rows.size:
+        _dense_edges(loc, factors, dims, traceless, rows, dense_factors)
+    below[:d] -= 1.0
+    comp = float(np.abs(below).max())
+    worst = (float(sums.max(initial=0.0)), float(loc.max(initial=0.0)),
+             float(prod.max()))
+    failed: list[tuple[int, str, float]] = []
+    if worst[0] > NODE_SUM_TOL:
+        failed.extend((2 * int(s), "leaf-sum", float(sums[s]))
+                      for s in np.flatnonzero(sums > NODE_SUM_TOL)[::-1])
+    if worst[2] > PRODUCT_TOL:
+        failed.extend((int(i), "product", float(prod[i]))
+                      for i in np.flatnonzero(prod > PRODUCT_TOL))
+    if worst[1] > LOCALITY_TOL:
+        # By edge, which is preorder by parent then child, then by party.
+        over = np.flatnonzero(loc.T > LOCALITY_TOL)
+        failed.extend((int(e) + 1, f"locality-party-{p + 1}",
+                       float(loc[p, e]))
+                      for e, p in zip(*np.divmod(over, parties)))
     if comp > COMPLETENESS_TOL:
         failed.append((0, "completeness", comp))
 
     failures = tuple(TreeFailure((1,) * (i // 2) + (0,) * (i % 2), kind,
                                  defect) for i, kind, defect in failed)
-    return TreeReport(not failures, n, (n + 1) // 2, float(sums.max()),
-                      float(loc.max(initial=0.0)), float(prod.max()), comp,
-                      failures)
+    return TreeReport(not failures, n, (n + 1) // 2, *worst, comp, failures)
+
+
+def _factor_matrices(f: np.ndarray, g: np.ndarray, at: np.ndarray,
+                     nodes: np.ndarray) -> np.ndarray:
+    """One party's factors of ``nodes`` as matrices: a dense node's own,
+    ``g[at[node]]``, and every other node's diagonal, a column of ``f``."""
+    m = diagonal_stack(f[:, nodes].T)
+    own = at[nodes] >= 0
+    m[own] = g[at[nodes[own]]]
+    return m
+
+
+def _dense_edges(loc: np.ndarray, factors: np.ndarray, dims: PartyDims,
+                 traceless: np.ndarray, rows: np.ndarray, dense: list) -> None:
+    """Measure again in ``loc``, shape (parties, edges), the edges at the
+    dense override ``rows`` on the factor matrices, ``dense`` holding those
+    rows' factors per party, and mask them as :func:`verify_tree` does.
+    ``factors`` holds the (sum k_p, n) diagonals of every node."""
+    n = len(traceless)
+    at = np.full(n, -1)
+    at[rows] = np.arange(rows.size)
+    # Edge e runs from column e & ~1 to column e + 1: a row r is the child
+    # of edge r - 1 and, when it is an inner node, the parent of r, r + 1.
+    touched = np.zeros(n - 1, dtype=bool)
+    touched[rows[rows > 0] - 1] = True
+    inner = rows[(rows % 2 == 0) & (rows < n - 1)]
+    touched[inner] = touched[inner + 1] = True
+    edge = np.flatnonzero(touched)
+    kid, up = edge + 1, edge & ~1
+    ends = np.cumsum(dims.dims).tolist()
+    dist = np.array([
+        _row_norms(_factor_matrices(factors[i - k:i], g, at, kid)
+                   - _factor_matrices(factors[i - k:i], g, at, up))
+        for i, k, g in zip(ends, dims.dims, dense)])
+    parties = np.arange(dims.n_parties)[:, None]
+    compared = (parties != edge // 2 % dims.n_parties) & ~(traceless[kid]
+                                                            | traceless[up])
+    loc[:, edge] = np.where(compared, dist, 0.0)
 
 
 @dataclass
@@ -587,9 +638,15 @@ def main_branch_path(parties: int, rounds: int, exponent: float
     trace kept before it; their traces are added in the order of a row sum
     (:func:`_traces`). So the memory is that of the n kept diagonals,
     O(n 2^P), plus one range.
+
+    The branch stops at its floor (:func:`_floor_cycle`): from cycle n_f
+    on every node's trace is exactly 1.0, which no kept trace, at least
+    1.0, drops below, so no node after node P n_f is built. The cost is
+    O(min(rounds, n_f) P 2^P), with n_f about (37.4 + ln(P 2^(P-1))) / eps:
+    O(rounds^c) columns, not O(rounds).
     """
     eta = 1.0 - ProtocolParams(parties, rounds, exponent).epsilon
-    nodes = parties * rounds + 1
+    nodes = parties * min(rounds, _floor_cycle(parties, eta)) + 1
     step = max(1, _PATH_CHUNK_ENTRIES >> parties)
     kept_s, kept_d, last = [], [], np.empty(0)
     for start in range(0, nodes, step):
@@ -610,6 +667,26 @@ def main_branch_path(parties: int, rounds: int, exponent: float
         # kept diagonals need no second copy.
         return PiecewisePath(kept_s[0], kept_d[0])
     return PiecewisePath(np.concatenate(kept_s), np.concatenate(kept_d))
+
+
+def _floor_cycle(parties: int, eta: float) -> float:
+    """The first cycle n_f from which every main-branch node has trace
+    exactly 1.0 however its entries are added; infinite at eta = 0, where
+    the one cycle of the branch is built whole.
+
+    A node of cycle n has the entry 1 where every party sees |1>, and its
+    other 2^P - 1 entries, products with at least one factor eta^n or
+    eta^(n+1) and the rest at most 1, sum to at most
+    (1 + eta^n)^P - 1 <= P 2^(P-1) eta^n. From
+    n_f = ceil(log(2^-54 / (P 2^(P-1))) / log eta) + 1 on, that is below
+    2^-54, one more cycle covering the rounding of the logarithms. In any
+    order of addition a partial sum of those entries stays below 2^-53,
+    half an ulp of 1.0, so adding it to a partial sum of 1.0 gives 1.0.
+    """
+    if eta <= 0.0:
+        return math.inf
+    return math.ceil(math.log(2.0 ** -54 / (parties * 2 ** (parties - 1)))
+                     / math.log(eta)) + 1
 
 
 def _traces(cols: np.ndarray) -> np.ndarray:
@@ -673,35 +750,44 @@ def prefix_zeros(parties: int) -> np.ndarray:
 
 
 def _node_diagonals(parties: int, now: np.ndarray, later: np.ndarray,
-                    ahead: np.ndarray, halt: np.ndarray | None = None,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Diagonals of main-branch nodes as columns, shape (2^P, len(ahead)),
-    written into ``out`` when it is given.
+                    ahead: np.ndarray) -> np.ndarray:
+    """Diagonals of main-branch nodes as columns, shape (2^P, len(ahead)).
 
     The node after k = n P + l steps (0 <= l <= P) is the product of
     diag(eta^(n+1), 1) for parties 1..l and diag(eta^n, 1) for the others;
     ``now`` and ``later`` hold eta^n and eta^(n+1) per node and ``ahead``
-    holds l. With ``halt``, each column is instead the halt leaf of the step
-    from that node: party l + 1's factor is diag(halt, 0). The product is
-    built one party at a time, left to right, so given Python powers every
-    column that :func:`_built_table` and :func:`main_branch_path` share is
-    the same bit for bit.
+    holds l. The product is built one party at a time, left to right
+    (:func:`_left_products`), as :func:`_built_table` builds it, so given
+    Python powers every column that :func:`_built_table` and
+    :func:`main_branch_path` share is the same bit for bit.
     """
-    if out is None:
-        out = np.empty((2 ** parties, ahead.size))
-    diag = np.ones((1, ahead.size))
-    for party in range(1, parties + 1):
-        zero = np.where(party <= ahead, later, now)
-        one = diag
-        if halt is not None:
-            acting = party == ahead + 1
-            zero = np.where(acting, halt, zero)
-            one = np.where(acting, 0.0, diag)
-        nxt = out if party == parties else np.empty((2 ** party, ahead.size))
-        np.multiply(diag, zero, out=nxt[0::2])
-        nxt[1::2] = one
-        diag = nxt
-    return diag
+    return _left_products(
+        np.empty((2 ** parties, ahead.size)),
+        ((np.where(party <= ahead, later, now), None)
+         for party in range(1, parties + 1)))
+
+
+def _left_products(out: np.ndarray, factors) -> np.ndarray:
+    """The products of diagonal party factors (z, 1) taken left to right,
+    one per column, written into ``out``, shape (2^P, n), and returned.
+    ``factors`` yields for each party in turn its |0> entries z, an (n,)
+    array, and the columns (an index, or None for none) in which its |1>
+    entry is 0 instead. A factor 1 leaves a product bit for bit as it is.
+
+    The product of the first p factors is held in place, in the rows of
+    ``out`` that are multiples of 2^(P - p); its row j becomes rows 2j,
+    for |0>, and 2j + 1, for |1>, of the next product.
+    """
+    out[0] = 1.0
+    gap = len(out)
+    for zero, halted in factors:
+        gap //= 2
+        diag = out[::2 * gap]
+        out[gap::2 * gap] = diag
+        if halted is not None:
+            out[gap::2 * gap, halted] = 0.0
+        diag *= zero
+    return out
 
 
 def main_branch_diagonals(parties: int, rounds: int, exponent: float,

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 import loccverify
-from loccverify import cli, linalg, protocols, serialize, zonoid
+from loccverify import (cli, conditions, linalg, protocols, serialize,
+                        zonoid)
 from loccverify.channels import kraus_from_operators
 from loccverify.serialize import (dumps, kraus_to_json, matrix_from_json,
                                   matrix_to_json)
-from loccverify.tolerances import QUAD_NODES
+from loccverify.tolerances import QUAD_NODES, SIGMA_SAMPLES
 from loccverify.twoqubit import (blocked_limiting_family, coarse_grain_check,
                                  limiting_family)
 
@@ -437,6 +438,33 @@ class TestExitCodes:
         # twice the peak; it must still not fall below it.
         peak = traced_peak(argv)
         assert peak <= cli.work_bytes(cli._build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("samples", ["1", "37", "0"])
+    @pytest.mark.parametrize("command", ["theorem1", "theorem8"])
+    def test_theorem_layout_is_the_sample_table(self, monkeypatch, command,
+                                                samples):
+        # The estimate reads its layout from the table the verifier fills:
+        # the rows, those paired with an operator, and their sizes.
+        seen = []
+        allocate = conditions._SamplePass.allocate
+
+        def record(self, kappa):
+            allocate(self, kappa)
+            ops = [o for segment in conditions._ORDER
+                   for o in self.parts[segment] if o is not None]
+            seen.append((kappa, {o.shape[1:] for o in ops}, self.table.shape,
+                         self.table.dtype, sum(len(o) for o in ops)))
+
+        monkeypatch.setattr(conditions._SamplePass, "allocate", record)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([command, "--samples", samples]) == 0
+        kappa, d, witness_family, families, parents = \
+            cli._THEOREM_LAYOUT[command]
+        n = int(samples) or 301
+        paired = n * (1 + witness_family) + 1 + families * SIGMA_SAMPLES
+        rows = paired + parents * SIGMA_SAMPLES
+        assert seen == [(kappa, {(d,)}, (rows, kappa, kappa), np.float64,
+                         paired)]
 
     @pytest.mark.parametrize("command, family", [
         ("theorem1", limiting_family),

@@ -434,6 +434,57 @@ class TestChunkBoundaries:
                                           for f in got.failures}
         _assert_same_report(got, _reference_verify_tree(tree))
 
+
+def _fault(tree, kind, rng):
+    """One fault of ``kind`` at a drawn node: a scaled halt leaf, a real
+    off-diagonal pair, a complex override, a traceless element, or none."""
+    n, d = tree.n_nodes, tree.dims.total
+    if kind == "leaf-scale":
+        leaf = tree.node_at(_node_path(2 * int(rng.integers(0, n // 2)) + 1))
+        leaf.povm_element = 1.01 * leaf.povm_element
+    elif kind == "offdiag":
+        node = tree.node_at(_node_path(int(rng.integers(0, n))))
+        bumped = node.povm_element.copy()
+        bumped[0, 1] += 1e-3
+        bumped[1, 0] += 1e-3
+        node.povm_element = bumped
+    elif kind == "complex":
+        _bump_complex(tree.node_at(_node_path(int(rng.integers(0, n)))))
+        view = tree.node_at(_node_path(int(rng.integers(0, n))))
+        element = view.povm_element.copy()
+        element[d // 2, d // 2] += 0.003j
+        view.povm_element = element
+    elif kind == "traceless":
+        flip = [np.diag([1.0, -1.0])] + [np.eye(2)] * (tree.dims.n_parties - 1)
+        node = tree.node_at(_node_path(int(rng.integers(0, n))))
+        node.povm_element = kron(flip)
+
+
+class TestStackedVerify:
+    """verify_tree in column ranges of a few columns: range boundaries fall
+    inside the carried leaf sums and between a parent and its children."""
+
+    @pytest.mark.parametrize("columns", [1, 2, 3, 5])
+    @pytest.mark.parametrize("kind", ["clean", "leaf-scale", "offdiag",
+                                      "complex", "traceless"])
+    @pytest.mark.parametrize("parties,rounds", [(2, 9), (3, 6), (4, 4),
+                                                (5, 3), (6, 2)])
+    def test_ranges_match_the_reference(self, monkeypatch, parties, rounds,
+                                        kind, columns):
+        tree = build_protocol_pq(parties, rounds, 0.5)
+        _fault(tree, kind, np.random.default_rng([parties, columns,
+                                                  len(kind)]))
+        whole = verify_tree(tree)
+        monkeypatch.setattr(protocols, "_CHUNK_ENTRIES",
+                            columns * tree.dims.total)
+        got = verify_tree(tree)
+        assert got.ok == (kind == "clean")
+        _assert_same_report(got, _reference_verify_tree(tree), tol=4.4e-16)
+        # The leaf sums add in the same order whatever the ranges.
+        assert (got.max_node_sum_defect, got.completeness_defect) == \
+            (whole.max_node_sum_defect, whole.completeness_defect)
+
+
 def _corrupt_rows(table, picks):
     """Scale a halt row, bump one entry of a continue row so that it is no
     longer a product, and make a row traceless, at the drawn rows."""
@@ -837,6 +888,117 @@ class TestMainBranchRanges:
             tracemalloc.stop()
         assert path.s_values.size == 101
         assert peak < 64 * 2 ** 20
+
+
+def _vector_reference_branch(parties, rounds, exponent, block=2 ** 15):
+    """Main-branch breakpoints by the sequential drop rule over every node:
+    each node's diagonal the product of its factors taken left to right,
+    as np.kron takes them, and its trace the sum of that row; the nodes
+    are made a block at a time."""
+    eta = 1.0 - ProtocolParams(parties, rounds, exponent).epsilon
+    powers = np.array([eta ** n for n in range(rounds + 2)])
+    s_list, kept = [], []
+    for start in range(0, parties * rounds + 1, block):
+        n, ahead = np.divmod(np.arange(start, min(start + block,
+                                                  parties * rounds + 1)),
+                             parties)
+        rows = np.ones((n.size, 1))
+        for party in range(1, parties + 1):
+            factor = np.ones((n.size, 2))
+            factor[:, 0] = np.where(party <= ahead, powers[n + 1], powers[n])
+            rows = (rows[:, :, None] * factor[:, None, :]).reshape(n.size, -1)
+        for i, s in enumerate(rows.sum(axis=1).tolist()):
+            if s_list and not s < s_list[-1] * (1.0 - 1e-15):
+                continue
+            s_list.append(s)
+            kept.append(rows[i])
+    return np.array(s_list), np.array(kept)
+
+
+def _floor_node(parties, rounds, exponent):
+    """The first main-branch node that main_branch_path does not build,
+    P n_f + 1 with n_f as the floor's derivation gives it, and eta."""
+    eta = 1.0 - ProtocolParams(parties, rounds, exponent).epsilon
+    n_f = math.ceil(math.log(2.0 ** -54 / (parties * 2 ** (parties - 1)))
+                    / math.log(eta)) + 1
+    return parties * n_f + 1, eta
+
+
+_FLOOR_EXPONENTS = (0.05, 0.25, 0.4, 0.5, 0.6, 0.75)
+_FLOOR_ROUNDS = {2: (9000, 40000), 3: (3000,), 4: (900,), 5: (300,),
+                 6: (100,)}
+
+
+class TestMainBranchFloor:
+    """main_branch_path stops at the floor: from cycle n_f on every node's
+    trace is exactly 1.0, and no node after P n_f is built."""
+
+    @pytest.mark.parametrize("exponent", _FLOOR_EXPONENTS)
+    @pytest.mark.parametrize("parties,rounds", [
+        (p, r) for p, rs in _FLOOR_ROUNDS.items() for r in rs])
+    def test_path_is_the_whole_branch_bit_for_bit(self, parties, rounds,
+                                                  exponent):
+        s_ref, d_ref = _vector_reference_branch(parties, rounds, exponent)
+        path = main_branch_path(parties, rounds, exponent)
+        assert path.s_values.tobytes() == s_ref.tobytes()
+        assert path.diagonals.tobytes() == d_ref.tobytes()
+
+    @pytest.mark.parametrize("exponent", [0.25, 0.5])
+    def test_a_million_rounds(self, exponent):
+        s_ref, d_ref = _vector_reference_branch(2, 10 ** 6, exponent)
+        path = main_branch_path(2, 10 ** 6, exponent)
+        assert path.s_values.tobytes() == s_ref.tobytes()
+        assert path.diagonals.tobytes() == d_ref.tobytes()
+
+    @pytest.mark.parametrize("parties,rounds,exponent", [
+        (2, 40, 0.4), (2, 900, 0.4), (3, 200, 0.25), (4, 90, 0.6),
+        (6, 30, 0.05)])
+    def test_vector_reference_is_the_sequential_one(self, parties, rounds,
+                                                    exponent):
+        s_ref, ops = _reference_main_branch(parties, rounds, exponent)
+        s_vec, d_vec = _vector_reference_branch(parties, rounds, exponent)
+        assert s_vec.tobytes() == s_ref.tobytes()
+        assert np.array_equal(
+            d_vec, np.array([np.diagonal(op).real for op in ops]))
+
+    @pytest.mark.parametrize("exponent", _FLOOR_EXPONENTS)
+    @pytest.mark.parametrize("parties", [2, 3, 4, 5, 6])
+    def test_nodes_past_the_floor_have_trace_one(self, parties, exponent):
+        rounds = 10 ** 8
+        first, eta = _floor_node(parties, rounds, exponent)
+        assert first <= parties * rounds
+        # The first node not built, the rest of its cycle and the next,
+        # and the main leaf.
+        k = np.array(list(range(first, first + 2 * parties))
+                     + [parties * rounds], dtype=float)
+        n = np.floor(k / parties)
+        now = np.array([eta ** c for c in n.tolist()])
+        later = np.array([eta ** (c + 1.0) for c in n.tolist()])
+        cols = protocols._node_diagonals(parties, now, later, k - n * parties)
+        assert protocols._traces(cols).tolist() == [1.0] * k.size
+
+    @pytest.mark.parametrize("parties,rounds,exponent", [
+        (2, 10 ** 6, 0.5), (2, 10 ** 5, 0.3), (4, 10 ** 5, 0.4),
+        (3, 9000, 0.05), (6, 10 ** 4, 0.25), (2, 9000, 0.6), (2, 1, 0.5)])
+    def test_columns_built_stop_at_the_floor(self, monkeypatch, parties,
+                                             rounds, exponent):
+        asked = []
+        node_diagonals = protocols._node_diagonals
+
+        def counted(p, now, later, ahead):
+            asked.append(ahead.size)
+            return node_diagonals(p, now, later, ahead)
+
+        monkeypatch.setattr(protocols, "_node_diagonals", counted)
+        main_branch_path(parties, rounds, exponent)
+        eta = 1.0 - ProtocolParams(parties, rounds, exponent).epsilon
+        if eta > 0.0:
+            first, _ = _floor_node(parties, rounds, exponent)
+            assert sum(asked) <= first
+        assert sum(asked) <= parties * rounds + 1
+        # O(rounds^c): about 37 / eps cycles, not rounds.
+        if (parties, rounds) == (2, 10 ** 6):
+            assert sum(asked) < 10 ** 5
 
 
 class TestPaths:
