@@ -13,10 +13,11 @@ status; any other section of an existing record is kept. The cases are
 ``theorem1`` and ``theorem8`` on the dense default grid, ``theorem8
 --samples 4000`` and ``theorem1 --samples 4000``, whose stacked sample
 tables set their peaks, ``theorem1 --nu 1000``, ``scripts/run_verification_suite.py`` and
-``scripts/convergence_study.py`` at its defaults, and ``protocol
+``scripts/convergence_study.py`` at its defaults, ``protocol
 --parties 2 --nu 300000`` and ``protocol --parties 6 --nu 10000``, whose
 tree build and check set their peaks: sizes at which a run is more than
-its imports. Standard library only. ``child_env`` is the
+its imports, and the Tier-1 suite, ``python -m pytest -q -p
+no:cacheprovider tests``. Standard library only. ``child_env`` is the
 environment of every child, here and in ``scripts/ab.py``.
 """
 
@@ -55,6 +56,8 @@ CASES = {
                                             "--nu", "300000"),
     "protocol --parties 6 --nu 10000": cli("protocol", "--parties", "6",
                                            "--nu", "10000"),
+    "tier-1 tests": ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                     str(ROOT / "tests")],
 }
 
 

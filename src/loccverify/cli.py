@@ -54,8 +54,8 @@ class InputError(Exception):
     """Bad user input (file, JSON, or token); maps to exit status 2."""
 
 
-# Largest peak memory a subcommand may need, in bytes: `protocol` as
-# `protocol_check_bytes` counts it, the others as `work_bytes` does.
+# Largest peak memory a subcommand may need, in bytes, as `work_bytes`
+# counts it.
 TREE_BYTES_BUDGET = 2 ** 28
 
 # Fixed part of `work_bytes`.
@@ -75,7 +75,10 @@ _HAUSDORFF_SAMPLE_BYTES = 1344
 # holds `_REAL_CHOI_SAVING` bytes an entry less.
 _CHOI_ENTRY_BYTES = {"choi": 336, "distance": 52}
 _REAL_CHOI_SAVING = 36
-_SIZE_FLAGS = ("samples", "grid")
+# The flags that size a subcommand's run, which its refusal names.
+_SIZE_FLAGS = {"protocol": ("parties", "nu"), "paths": ("grid",),
+               "theorem1": ("samples",), "theorem8": ("samples",),
+               "hausdorff": ("samples",)}
 _INPUT_COMMANDS = ("choi", "distance", "zonoid-check")
 
 
@@ -181,14 +184,17 @@ def _resolve_target(token: str, dim: int) -> np.ndarray | None:
 
 
 def work_bytes(args, *inputs, z: np.ndarray | None = None) -> int:
-    """Peak memory of a run, in bytes: of a theorem1, theorem8, paths,
-    paper-2q, paper-pq, wstate or hausdorff run from its parsed flags
+    """Peak memory of a run, in bytes: of a protocol, theorem1, theorem8,
+    paths, paper-2q, paper-pq, wstate or hausdorff run from its parsed flags
     alone, of a choi, distance or zonoid-check run from the shapes of its
     parsed ``inputs`` (the Kraus sets, or the basis as a KrausSet or an
     Instrument), whether choi's operators are real, and the parsed target
     ``z`` (None for the identity).
 
-    Each part grows with one size flag or input: the theorem checks with
+    Each part grows with one size flag or input: the protocol tree with
+    its rounds and parties, as
+    :func:`~loccverify.protocols.protocol_check_bytes` counts its build
+    and check, the theorem checks with
     their s samples, as :func:`~loccverify.conditions.sample_pass_bytes`
     counts their sample table from its layout, the path gap with its grid
     (2^P entries a point), Hausdorff estimates with their directions, and
@@ -218,6 +224,8 @@ def work_bytes(args, *inputs, z: np.ndarray | None = None) -> int:
         paired = n * (1 + witness_family) + 1 + families * sigmas
         parts.append(sample_pass_bytes(kappa, d, paired + parents * sigmas,
                                        paired, n))
+    if args.command == "protocol":
+        parts.append(protocol_check_bytes(args.parties, args.nu))
     if args.command == "paths":
         parts.append(args.grid * (36 * 2 ** args.parties + 192))
     if args.command == "hausdorff":
@@ -230,8 +238,8 @@ def _refuse_over_budget(args, *inputs, z: np.ndarray | None = None) -> None:
     the budget."""
     need = work_bytes(args, *inputs, z=z)
     if need > TREE_BYTES_BUDGET:
-        sizes = [f"--{name.replace('_', '-')} {getattr(args, name)}"
-                 for name in _SIZE_FLAGS if hasattr(args, name)]
+        sizes = [f"--{name} {getattr(args, name)}"
+                 for name in _SIZE_FLAGS.get(args.command, ())]
         if inputs:
             shapes = [(x.kraus if isinstance(x, Instrument) else x)
                       .operators.shape for x in inputs]
@@ -309,12 +317,6 @@ def _protocol_params(parties: int, rounds: int, exponent: float
 
 def _cmd_protocol(args) -> dict:
     params = _protocol_params(args.parties, args.nu, args.c)
-    need = protocol_check_bytes(params.parties, params.rounds)
-    if need > TREE_BYTES_BUDGET:
-        raise InputError(
-            f"--nu {params.rounds} at --parties {params.parties} needs "
-            f"{need / 2 ** 20:.1f} MiB to build and check the tree, above "
-            f"the {TREE_BYTES_BUDGET // 2 ** 20} MiB budget")
     tree = build_protocol_pq(params.parties, params.rounds, params.exponent)
     report = verify_tree(tree)
     checks = [
@@ -634,8 +636,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         # Runs sized by their flags are refused here; choi, distance and
-        # zonoid-check once their inputs are parsed, and protocol by the
-        # bytes of its tree.
+        # zonoid-check once their inputs are parsed.
         if args.command not in _INPUT_COMMANDS:
             _refuse_over_budget(args)
         start = time.monotonic()

@@ -14,9 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import (clamped, diagonal_stack, integrate_sqrt_smooth,
-                     lowest_eigenvalues, polynomial_values, product_defect,
-                     sqrt_psd)
+from .linalg import (clamped, diagonal_stack, lowest_eigenvalues,
+                     polynomial_values, product_defect, sqrt_psd)
 from .tolerances import (MEMBERSHIP_TOL, MIXTURE_PSD_TOL, PRODUCT_TOL,
                          RECON_TOL, RESOLUTION_TOL, ROUNDING_TOL,
                          SIGMA_SAMPLES, TRACE_TOL)
@@ -151,9 +150,10 @@ class EndpointFamily:
     ``attach_s`` maps sigma to the parent path parameter where the outcome
     branches off, and ``sigma_at`` is its inverse, with sigma = 0 at the
     parent's bottom end and at most 1 on the parent's grid; both act
-    elementwise on arrays. ``table``, for a family that is a polynomial
-    in sqrt(sigma), gives its integrals in closed form, and its evaluators
-    serve as the two density callbacks.
+    elementwise on arrays. ``table``, the family as a polynomial in
+    sqrt(sigma), gives its integrals in closed form, and its evaluators
+    serve as the two density callbacks; a family without a
+    :class:`FamilyTable` is refused with a TypeError.
     """
 
     label: str
@@ -162,15 +162,19 @@ class EndpointFamily:
     cdensity_at: Callable[[np.ndarray], np.ndarray]
     attach_s: Callable[[np.ndarray], np.ndarray]
     sigma_at: Callable[[np.ndarray], np.ndarray]
-    table: FamilyTable | None = None
+    table: FamilyTable
+
+    def __post_init__(self):
+        if not isinstance(self.table, FamilyTable):
+            raise TypeError(f"halt family {self.label!r} needs a "
+                            "FamilyTable")
 
     @property
     def rank_one(self) -> bool:
         """Whether ``cdensity_at`` is its table's own evaluator, so that
         every sample is conj(w) w^T: Hermitian bit for bit and zero off
         the table's block."""
-        return (self.table is not None
-                and self.cdensity_at == self.table.cdensity_at)
+        return self.cdensity_at == self.table.cdensity_at
 
 
 @dataclass(frozen=True)
@@ -434,12 +438,12 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     membership at sampled parameters, and a valid rank-one endpoint witness.
     Membership is certified by the witness integrated from the families
     attached to the path; the solver answers only the samples where that
-    witness fails, or every sample of a path with a family that has no
-    :class:`FamilyTable`, or with no family at all. A Hermitian witness
-    that leaves the box by delta = max(0, -lambda_min, lambda_max - 1),
-    from the spectrum the pass already holds, is first retried as
-    (C + delta I) / (1 + 2 delta), which answers only if it passes the
-    same box test and its own residual is within ``membership_tol``.
+    witness fails, or every sample of a path with no family. A Hermitian
+    witness that leaves the box by delta = max(0, -lambda_min,
+    lambda_max - 1), from the spectrum the pass already holds, is first
+    retried as (C + delta I) / (1 + 2 delta), which answers only if it
+    passes the same box test and its own residual is within
+    ``membership_tol``.
     For each halt family: positivity of the segment mixtures, product
     structure and basis reconstruction of the densities. Product checks
     take the parties of the spec's basis. Finally the endpoint matrices
@@ -447,10 +451,8 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     ``resolution``, for an unblocked spec, and for a blocked one a check
     ``resolution[b]`` on the rows of each block b of
     ``spec.block_list()``, so a block that nothing covers fails. A
-    family's integrals come from its table in closed form; one without a
-    table is integrated by :func:`~loccverify.linalg.integrate_sqrt_smooth`
-    for its part of the resolution, which assumes it smooth in
-    sqrt(sigma). Tolerances come from :mod:`loccverify.tolerances`.
+    family's integrals come from its table in closed form. Tolerances
+    come from :mod:`loccverify.tolerances`.
     ``s_samples`` None selects each path's dense grid; ``s_samples``
     below 1 raises ValueError. Halt families are sampled at
     ``SIGMA_SAMPLES`` values of sigma.
@@ -459,8 +461,7 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     calls does not depend on the sample counts. Each path's ``op_at`` is
     called once, on its grid and its bottom end together, and each
     family's ``density_at`` and ``cdensity_at`` once, on the sigma
-    samples (a family without a table calls ``cdensity_at`` once more,
-    on the quadrature nodes).
+    samples.
 
     The sample arithmetic is one stacked pass. The coefficient samples
     (each path's endpoint matrix, integrated witness at every s and
@@ -507,17 +508,13 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
             endpoint_cmatrix(sqrt_psd(op_end[0]), spec).matrix)
         samples.add("endpoint", p, c_end[None], op_end)
         attached = [fam for fam in families if fam.parent is path]
-        # Without a table for every family no witness is integrated, and
-        # every sample goes to the solver.
-        integrated = bool(attached) and all(fam.table is not None
-                                            for fam in attached)
         samples.add("membership", p, (n, np.result_type(
-            c_end, *[fam.table.w for fam in attached if integrated])), ops)
+            c_end, *[fam.table.w for fam in attached])), ops)
         if path.cmatrix_at is not None:
             samples.add("witness-family", p, _coefficients(
                 path.cmatrix_at(grid), n, kappa, f"{path.label} cmatrix_at"),
                 ops)
-        sampled.append((grid, ops, c_end, attached if integrated else None))
+        sampled.append((grid, ops, c_end, attached))
 
     for f, fam in enumerate(families):
         cs = fam.cdensity_at(sigmas)
@@ -534,7 +531,9 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     hermitian = []
     for p, (grid, _, c_end, attached) in enumerate(sampled):
         witness = samples.table[samples.rows["membership", p]]
-        if attached is None:
+        # A path with no family has no witness: the solver answers every
+        # sample.
+        if not attached:
             witness[...] = 0.0
             hermitian.append(np.zeros(len(grid), bool))
         else:
@@ -628,13 +627,7 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
             _worst(f"{lbl}:reconstruction", samples.residuals[rows],
                    RECON_TOL, "sigma", sigmas),
         ]
-        if fam.table is not None:
-            total = total + fam.table.total
-        else:
-            total = total + integrate_sqrt_smooth(
-                lambda sg, fam=fam: _coefficients(
-                    fam.cdensity_at(sg), len(sg), kappa,
-                    f"{fam.label} cdensity_at"))
+        total = total + fam.table.total
 
     # A valid endpoint or integral is zero outside its own block, so the
     # rows of block b of the total are the sum of that block's parts.

@@ -206,57 +206,32 @@ def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(nodes)
 
 
-def _per_node(v: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Scale each node's slice of the stack ``vals`` by its entry of ``v``."""
-    return v.reshape(v.shape + (1,) * (vals.ndim - 1)) * vals
-
-
-def _node_values(f: Callable[[np.ndarray], np.ndarray],
-                 x: np.ndarray) -> np.ndarray:
-    """f called once on every node; one value per node on the first axis."""
-    vals = np.asarray(f(x))
-    if vals.shape[:1] != x.shape:
-        raise ValueError(f"integrand returned shape {vals.shape} for "
-                         f"{x.size} nodes; it must return one value per node")
-    return vals
-
-
 def integrate_sqrt_smooth(f: Callable[[np.ndarray], np.ndarray],
                           nodes: int = QUAD_NODES):
     """Integrate f(sigma) over [0, 1] when f is smooth in sqrt(sigma).
 
-    Substitutes sigma = u^2 so integrands polynomial in sqrt(sigma) become
-    polynomial in u, where the ``nodes``-node Gauss-Legendre rule is exact
+    Substitutes sigma = t^2 so integrands polynomial in sqrt(sigma) become
+    polynomial in t, where the ``nodes``-node Gauss-Legendre rule is exact
     to degree 2 nodes - 1; plain Gauss-Legendre in sigma is 2e-5 off on
-    sqrt(sigma) at 16 nodes. ``f`` is called once, at the squares of
-    :func:`sqrt_smooth_nodes`, and returns one value per node stacked on a
-    new first axis, which :func:`sqrt_smooth_total` sums.
+    sqrt(sigma) at 16 nodes. ``f`` is called once, at the squares of the
+    nodes t = (x + 1) / 2 of [0, 1], x the Gauss-Legendre nodes, and
+    returns one value per node stacked on a new first axis; the integral
+    is the weighted sum of 2 t f(t^2), halved.
     """
     if nodes < 1:
         raise ValueError("need at least one node")
-    t = sqrt_smooth_nodes(nodes=nodes)
-    out = sqrt_smooth_total(_per_node(2.0 * t, _node_values(f, t * t)),
-                            nodes)
+    x, w = _leggauss(int(nodes))
+    t = 0.5 * (x + 1.0)
+    vals = np.asarray(f(t * t))
+    if vals.shape[:1] != t.shape:
+        raise ValueError(f"integrand returned shape {vals.shape} for "
+                         f"{t.size} nodes; it must return one value per node")
+    per_node = (len(t),) + (1,) * (vals.ndim - 1)
+    out = 0.5 * (w.reshape(per_node)
+                 * ((2.0 * t).reshape(per_node) * vals)).sum(axis=0)
     if out.ndim == 0:
         return out[()]
     return out
-
-
-def sqrt_smooth_nodes(nodes: int = QUAD_NODES) -> np.ndarray:
-    """The points t of [0, 1] at whose squares sigma = t^2
-    :func:`integrate_sqrt_smooth` samples its integrand: t = (x + 1) / 2
-    for the ``nodes`` Gauss-Legendre nodes x."""
-    x, _ = _leggauss(int(nodes))
-    return 0.5 * (x + 1.0)
-
-
-def sqrt_smooth_total(vals: np.ndarray,
-                      nodes: int = QUAD_NODES) -> np.ndarray:
-    """The integral of f over [0, 1] from its values 2 t f(t^2) at the
-    ``nodes`` nodes t of :func:`sqrt_smooth_nodes` on [0, 1], stacked on the
-    first axis: the Gauss-Legendre rule of :func:`integrate_sqrt_smooth`."""
-    _, w = _leggauss(int(nodes))
-    return 0.5 * _per_node(w, vals).sum(axis=0)
 
 
 def polynomial_values(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:

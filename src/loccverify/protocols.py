@@ -280,9 +280,19 @@ def protocol_leaf_diagonals(parties: int, rounds: int, exponent: float
 
 @dataclass(frozen=True)
 class TreeFailure:
-    node_path: tuple[int, ...]
+    """A failed check at the node of preorder index ``row``."""
+
+    row: int
     kind: str
     defect: float
+
+    @property
+    def node_path(self) -> tuple[int, ...]:
+        """The child indices that :meth:`ProtocolTree.node_at` takes
+        to the node: (1,) * k for row 2k, (1,) * k + (0,) for row 2k + 1.
+        Made on each read, so a report of many deep failures holds one
+        row each, not one path each."""
+        return (1,) * (self.row // 2) + (0,) * (self.row % 2)
 
 
 @dataclass(frozen=True)
@@ -523,8 +533,7 @@ def verify_tree(tree: ProtocolTree) -> TreeReport:
     if comp > COMPLETENESS_TOL:
         failed.append((0, "completeness", comp))
 
-    failures = tuple(TreeFailure((1,) * (i // 2) + (0,) * (i % 2), kind,
-                                 defect) for i, kind, defect in failed)
+    failures = tuple(TreeFailure(*f) for f in failed)
     return TreeReport(not failures, n, (n + 1) // 2, *worst, comp, failures)
 
 

@@ -374,8 +374,9 @@ class TestExitCodes:
         status = cli.main(["protocol", "--parties", "2", "--nu", "1000000"])
         captured = capsys.readouterr()
         assert status == 2
-        assert captured.err.startswith("error:")
-        assert "to build and check the tree" in captured.err
+        assert captured.err.startswith("error: --parties 2 --nu 1000000 "
+                                       "needs ")
+        assert captured.err.endswith("MiB budget\n")
 
     @pytest.mark.parametrize("argv", [
         ["theorem1", "--samples", "400000"],
@@ -385,6 +386,7 @@ class TestExitCodes:
         ["paths", "--grid", "1000000"],
         ["paths", "--parties", "6", "--grid", "200000"],
         ["hausdorff", "--samples", "300000"],
+        ["protocol", "--parties", "6", "--nu", "100000"],
     ])
     def test_memory_budget_refuses_before_any_work(self, capsys, monkeypatch,
                                                    argv):
@@ -397,6 +399,7 @@ class TestExitCodes:
         monkeypatch.setattr(cli.pq, "pqubit_limit_check", refuse)
         monkeypatch.setattr(cli, "verify_theorem_conditions", refuse)
         monkeypatch.setattr(cli, "path_distance_bound", refuse)
+        monkeypatch.setattr(cli, "build_protocol_pq", refuse)
         monkeypatch.setattr(linalg, "_leggauss", refuse)
         assert cli.work_bytes(cli._build_parser().parse_args(argv)) > \
             cli.TREE_BYTES_BUDGET

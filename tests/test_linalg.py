@@ -18,8 +18,7 @@ from loccverify import (
 from loccverify import linalg
 from loccverify.linalg import (diagonal_stack, hermitian_within,
                                lowest_eigenvalues, operator_norm,
-                               polynomial_values, sqrt_smooth_nodes,
-                               sqrt_smooth_total)
+                               polynomial_values)
 from loccverify.tolerances import HERMITICITY_TOL, QUAD_NODES
 
 from conftest import (haar_unitary, loop_gauss_legendre, loop_sqrt_smooth,
@@ -215,19 +214,15 @@ class TestQuadrature:
 
     def test_node_values_give_both_integrals(self):
         # From one table: the cumulative integrals start at exactly 0 and
-        # end at the total, which the Gauss sum of the node values of its
-        # coefficient density gives to rounding.
+        # end at the total, which the Gauss rule on its coefficient
+        # density gives to rounding.
         table = _table([[1.0, 2.0, -1.0], [0.5, 0.0, 3.0]])
-        t = sqrt_smooth_nodes()
-        vals = 2.0 * t[:, None, None] * table.cdensity_at(t * t)
         got = table.integrals(np.sqrt([0.0, 0.09, 0.5, 1.0]))
         assert np.array_equal(got[0], np.zeros((3, 3)))
         np.testing.assert_allclose(got[-1], table.total, rtol=0.0,
                                    atol=1e-14)
-        np.testing.assert_allclose(sqrt_smooth_total(vals), table.total,
-                                   rtol=0.0, atol=1e-14)
-        assert np.array_equal(sqrt_smooth_total(vals),
-                              integrate_sqrt_smooth(table.cdensity_at))
+        np.testing.assert_allclose(integrate_sqrt_smooth(table.cdensity_at),
+                                   table.total, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 19, 31])
     def test_monomials_exact(self, k):

@@ -47,6 +47,10 @@ def test_all_names_exactly_the_bound_public_names():
     (linalg, "is_hermitian"),
     (linalg, "cumulative_weights"),
     (linalg, "_legendre_rows"),
+    (linalg, "sqrt_smooth_nodes"),
+    (linalg, "sqrt_smooth_total"),
+    (linalg, "_per_node"),
+    (linalg, "_node_values"),
 ])
 def test_retired_names_are_gone(module, name):
     assert not hasattr(module, name)

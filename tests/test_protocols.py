@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loccverify import (
+    EndpointFamily,
     FamilyTable,
     PartyDims,
     ProtocolParams,
@@ -123,6 +124,26 @@ class TestTreeStructure:
 
 
 class TestVerifyTree:
+    def test_deep_fault_reports_in_linear_memory(self):
+        # A fault at the halt leaf of step 5998 fails the leaf sum of each
+        # of its 5999 ancestors; each failure holds its row, not its path.
+        tracemalloc.start()
+        try:
+            tree = build_protocol_pq(2, 3000, 0.5)
+            leaf = tree.node_at((1,) * 5998 + (0,))
+            leaf.povm_element = (leaf.povm_element
+                                 + 1e-3 * np.diag([1.0, 0.0, 0.0, 0.0]))
+            rep = verify_tree(tree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rep.failures) == 6001
+        assert peak <= protocol_check_bytes(2, 3000) + 512 * 6001
+        first = rep.failures[0]
+        assert (first.kind, first.row) == ("leaf-sum", 2 * 5998)
+        assert first.node_path == (1,) * 5998
+        assert rep.failures[-1].node_path == ()
+
     @pytest.mark.parametrize("rounds", [1, 5, 20])
     def test_2q_trees_pass(self, rounds):
         rep = verify_tree(build_protocol_pq(2, rounds, 0.5))
@@ -284,7 +305,7 @@ def _reference_verify_tree(tree):
     return TreeReport(
         not failed, len(order), sum(1 for j in order if _is_leaf(tree, j)),
         max_sum, max_loc, max_prod, comp,
-        tuple(TreeFailure(_node_path(j), k, d) for j, k, d in failed))
+        tuple(TreeFailure(j, k, d) for j, k, d in failed))
 
 
 def _inject_one_fault_of_each_kind(tree, picks):
@@ -977,6 +998,16 @@ class TestMainBranchFloor:
         cols = protocols._node_diagonals(parties, now, later, k - n * parties)
         assert protocols._traces(cols).tolist() == [1.0] * k.size
 
+    @pytest.mark.parametrize("parties", range(2, 11))
+    def test_traces_add_in_numpy_row_sum_order(self, parties):
+        # Past 128 entries a row sum splits into halves; ProtocolParams
+        # allows such widths, from P = 8 on.
+        rng = np.random.default_rng(parties)
+        cols = rng.random((2 ** parties, 7)) * 10.0 ** rng.uniform(
+            -20, 3, (2 ** parties, 1))
+        want = np.ascontiguousarray(cols.T).sum(axis=1)
+        assert protocols._traces(cols).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("parties,rounds,exponent", [
         (2, 10 ** 6, 0.5), (2, 10 ** 5, 0.3), (4, 10 ** 5, 0.4),
         (3, 9000, 0.05), (6, 10 ** 4, 0.25), (2, 9000, 0.6), (2, 1, 0.5)])
@@ -1365,7 +1396,7 @@ class TestPartyProduct:
                   (1.0 + sigmas) ** parties, np.array([1.0, top])):
             assert np.array_equal(limit_path_diagonals(parties, s),
                                   _own_loop_limit(parties, s))
-        t = linalg.sqrt_smooth_nodes()
+        t = 0.5 * (np.polynomial.legendre.leggauss(16)[0] + 1.0)
         for sigma in (np.concatenate([t * t, sigmas]), np.array([0.0, 1.0])):
             assert np.array_equal(derivative_diagonals(parties, sigma),
                                   _own_loop_derivative(parties, sigma))
@@ -1812,25 +1843,17 @@ class TestVerifyTheoremConditions:
         (limiting_family, channel_zonoid),
         (blocked_limiting_family, instrument_zonoid),
     ])
-    def test_family_without_a_table_sends_its_path_to_the_solver(
-            self, monkeypatch, family, spec):
-        # Without its table, halt-B's integral is not known in closed
-        # form: every sample of its path goes to the solver, which passes
-        # them, and its part of the resolution is the Gauss rule's.
-        spec = spec()
-        paths, fams = family(spec)
-        base = verify_theorem_conditions(spec, paths, fams, s_samples=7)
-        fams[0] = dataclasses.replace(fams[0], table=None)
-        calls = _count_membership_calls(monkeypatch)
-        rep = verify_theorem_conditions(spec, paths, fams, s_samples=7)
-        assert rep.passed and len(calls) == 7
-        assert rep.check("main:membership").where.endswith("solver 7/7")
-        for c in rep.checks:
-            if c.name.startswith("resolution"):
-                assert c.defect == pytest.approx(
-                    base.check(c.name).defect, abs=1e-14)
-            elif c.name.startswith("halt-A:"):
-                assert c == base.check(c.name)
+    def test_family_without_a_table_is_refused(self, family, spec):
+        # A halt family is its table: built or replaced without one, it is
+        # refused, and the error names it.
+        fam = family(spec())[1][0]
+        for table in (None, fam.table.w):
+            with pytest.raises(TypeError, match="halt-B.*FamilyTable"):
+                EndpointFamily(fam.label, fam.parent, fam.density_at,
+                               fam.cdensity_at, fam.attach_s, fam.sigma_at,
+                               table)
+            with pytest.raises(TypeError, match="halt-B.*FamilyTable"):
+                dataclasses.replace(fam, table=table)
 
     def test_path_without_families_asks_the_solver_everywhere(
             self, monkeypatch):
