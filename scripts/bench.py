@@ -16,7 +16,9 @@ tables set their peaks, ``theorem1 --nu 1000``, ``scripts/run_verification_suite
 ``scripts/convergence_study.py`` at its defaults, ``protocol
 --parties 2 --nu 300000`` and ``protocol --parties 6 --nu 10000``, whose
 tree build and check set their peaks: sizes at which a run is more than
-its imports, and the Tier-1 suite, ``python -m pytest -q -p
+its imports, ``zonoid-check --basis twoqubit-blocks``, whose memory
+estimate is its first call of the package's zonoid layer in a fresh
+process, and the Tier-1 suite, ``python -m pytest -q -p
 no:cacheprovider tests``. Standard library only. ``child_env`` is the
 environment of every child, here and in ``scripts/ab.py``.
 """
@@ -56,6 +58,8 @@ CASES = {
                                             "--nu", "300000"),
     "protocol --parties 6 --nu 10000": cli("protocol", "--parties", "6",
                                            "--nu", "10000"),
+    "zonoid-check --basis twoqubit-blocks": cli("zonoid-check", "--basis",
+                                                "twoqubit-blocks"),
     "tier-1 tests": ["-m", "pytest", "-q", "-p", "no:cacheprovider",
                      str(ROOT / "tests")],
 }

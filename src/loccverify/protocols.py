@@ -643,10 +643,10 @@ def main_branch_path(parties: int, rounds: int, exponent: float
     (:func:`_kept_breakpoints`), and its operator agrees with the kept one
     to the same precision. The nodes are built as columns, about
     ``_PATH_CHUNK_ENTRIES`` entries at a time, each range with the powers
-    of its own cycles, and the rule runs on each range behind the last
-    trace kept before it; their traces are added in the order of a row sum
-    (:func:`_traces`). So the memory is that of the n kept diagonals,
-    O(n 2^P), plus one range.
+    of its own cycles, and the rule, one search over the range, runs on
+    each range behind the last trace kept before it; their traces are
+    added in the order of a row sum (:func:`_traces`). So the memory is
+    that of the n kept diagonals, O(n 2^P), plus one range.
 
     The branch stops at its floor (:func:`_floor_cycle`): from cycle n_f
     on every node's trace is exactly 1.0, which no kept trace, at least
@@ -659,16 +659,21 @@ def main_branch_path(parties: int, rounds: int, exponent: float
     step = max(1, _PATH_CHUNK_ENTRIES >> parties)
     kept_s, kept_d, last = [], [], np.empty(0)
     for start in range(0, nodes, step):
-        cycle, ahead = np.divmod(np.arange(start, min(start + step, nodes)),
-                                 parties)
-        first = int(cycle[0])
-        powers = _powers(eta, range(first, int(cycle[-1]) + 2))
-        cols = _node_diagonals(parties, powers[cycle - first],
-                               powers[cycle + 1 - first], ahead)
+        end = min(start + step, nodes)
+        first = start // parties
+        powers = _powers(eta, range(first, (end - 1) // parties + 2))
+        # Node n P + l reads eta^n and eta^(n+1) and has l = 0..P - 1: its
+        # cycle's powers repeated P times and the steps tiled, cut to the
+        # range, with no per-node division or gather.
+        part = slice(start - first * parties, end - first * parties)
+        cols = _node_diagonals(
+            parties, np.repeat(powers[:-1], parties)[part],
+            np.repeat(powers[1:], parties)[part],
+            np.tile(np.arange(parties), len(powers) - 1)[part])
         traces = np.concatenate([last, _traces(cols)])
         keep = _kept_breakpoints(traces)[last.size:]
         kept_s.append(traces[keep])
-        kept_d.append(cols[:, keep - last.size].T)
+        kept_d.append(cols.take(keep - last.size, axis=1).T)
         if keep.size:
             last = traces[keep[-1:]]
     if len(kept_d) == 1:
@@ -722,22 +727,27 @@ def _kept_breakpoints(traces: np.ndarray) -> np.ndarray:
     The rule compares with the last kept trace, not with the neighbour,
     but every trace before the last kept one is at least that one. So
     while consecutive traces drop by more than the margin all are kept
-    (the head, one vectorised comparison); after it, the next kept index
-    is the first at which the running minimum falls below the margin, one
-    ``searchsorted`` on the negated running minimum per kept breakpoint.
+    (the head, one vectorised comparison). After it, the kept index that
+    follows a kept j is the first at which the running minimum falls below
+    trace j's margin: one ``searchsorted`` of every tail trace's margin on
+    the negated running minimum gives each index its successor, and the
+    kept ones are the chain of successors from the head's last index,
+    followed in Python, one step per kept breakpoint.
     """
-    drop = 1.0 - 1e-15
-    steep = traces[1:] < traces[:-1] * drop
+    margin = traces * (1.0 - 1e-15)
+    steep = traces[1:] < margin[:-1]
     last = steep.size if steep.all() else int(np.argmin(steep))
-    floor = -np.minimum.accumulate(traces[last:])
-    tail, j = [], 0
-    while True:
-        j = int(np.searchsorted(floor, -(traces[last + j] * drop),
-                                side="right"))
-        if j == floor.size:
-            break
-        tail.append(last + j)
-    return np.concatenate([np.arange(last + 1), np.array(tail, dtype=int)])
+    floor = np.minimum.accumulate(traces[last:])
+    after = np.searchsorted(np.negative(floor, out=floor),
+                            np.negative(margin[last:]), side="right")
+    # item() reads one successor as a Python int; a tolist() of the whole
+    # tail costs more than the few kept steps it would speed up.
+    tail, j = [], after.item(0)
+    while j < after.size:
+        tail.append(j)
+        j = after.item(j)
+    return np.concatenate([np.arange(last + 1),
+                           np.array(tail, dtype=int) + last])
 
 
 # Cached: building the table costs about a third of a closed-form
@@ -831,17 +841,19 @@ def main_branch_diagonals(parties: int, rounds: int, exponent: float,
     # Invariant: node_trace(lo) >= s > node_trace(hi), so the bracket
     # halves to a single segment. Below the branch's floor lo = hi = last;
     # above 2^P it ends at (0, 1) and the weight clips to 1. Both clamp.
-    floor = s <= node_trace(np.array([last]))
-    lo = np.where(floor, last, 0.0)
-    hi = np.full(s.shape, last)
     guess = _placement_guess(parties, rounds, eta, s)
-    # One node_trace call over [k, k + 1] tests every guess.
-    ends = node_trace(np.concatenate([guess, guess + 1.0]))
-    found = ~floor & (ends[:s.size] >= s) & (s > ends[s.size:])
-    lo[found], hi[found] = guess[found], guess[found] + 1.0
-    rest = np.flatnonzero(~floor & ~found)
+    up = guess + 1.0
+    # One node_trace call over [k, k + 1] tests every guess, and gives the
+    # floor's trace.
+    ends = node_trace(np.concatenate([guess, up, [last]]))
+    above_floor = s > ends[-1]
+    found = above_floor & (ends[:s.size] >= s) & (s > ends[s.size:-1])
+    lo = np.where(found, guess, last)
+    hi = np.where(found, up, last)
+    # found lies inside above_floor: the rest start from [0, last].
+    rest = np.flatnonzero(above_floor ^ found)
     if rest.size:
-        left, right, target = lo[rest], hi[rest], s[rest]
+        left, right, target = np.zeros(rest.size), hi[rest], s[rest]
         for _ in range(int(np.ceil(np.log2(last)))):
             mid = np.floor(0.5 * (left + right))
             above = node_trace(mid) >= target
@@ -852,15 +864,20 @@ def main_branch_diagonals(parties: int, rounds: int, exponent: float,
     n = np.floor(k / parties)
     # Powers of the few cycles the grid needs, as in _built_table.
     cycles, at = np.unique(np.concatenate([n, n + 1.0]), return_inverse=True)
-    now, later = np.split(_powers(eta, cycles.tolist())[at], 2)
-    top, bottom = np.split(
-        _node_diagonals(parties, now, later, k - n * parties), 2, axis=1)
-    t_top, t_bottom = _traces(top), _traces(bottom)
-    span = t_top - t_bottom
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where(span > 0.0, (s - t_bottom) / span, 0.0)
-    lam = np.clip(lam, 0.0, 1.0)
-    return np.ascontiguousarray((lam * top + (1.0 - lam) * bottom).T)
+    powers = _powers(eta, cycles.tolist())[at]
+    cols = _node_diagonals(parties, powers[:k.size], powers[k.size:],
+                           k - n * parties)
+    traces = _traces(cols)
+    t_bottom = traces[s.size:]
+    span = traces[:s.size] - t_bottom
+    lam = np.divide(s - t_bottom, span, out=np.zeros(s.shape),
+                    where=span > 0.0)
+    np.clip(lam, 0.0, 1.0, out=lam)
+    # Rows of the result, written in place: lam top + (1 - lam) bottom.
+    out = np.multiply(cols[:, :s.size].T, lam[:, None],
+                      out=np.empty((s.size, len(cols))))
+    out += cols[:, s.size:].T * (1.0 - lam)[:, None]
+    return out
 
 
 def _placement_guess(parties: int, rounds: int, eta: float,
@@ -878,15 +895,13 @@ def _placement_guess(parties: int, rounds: int, eta: float,
     with np.errstate(divide="ignore", invalid="ignore"):
         if eta > 0.0:
             n = np.floor(np.log(s ** (1.0 / parties) - 1.0) / math.log(eta))
-            n = np.clip(np.nan_to_num(n, nan=0.0, posinf=rounds - 1.0,
-                                      neginf=0.0), 0.0, rounds - 1.0)
+            n = np.clip(np.where(np.isnan(n), 0.0, n), 0.0, rounds - 1.0)
         else:
             n = np.zeros(s.shape)
-        now = np.log1p(eta ** n)
-        l = np.floor((parties * now - np.log(s))
-                     / (now - np.log1p(eta ** (n + 1.0))))
-    l = np.clip(np.nan_to_num(l, nan=0.0, posinf=parties - 1.0, neginf=0.0),
-                0.0, parties - 1.0)
+        # log1p of eta^n and eta^(n+1), from one power.
+        now, later = np.log1p(eta ** (n + np.array([[0.0], [1.0]])))
+        l = np.floor((parties * now - np.log(s)) / (now - later))
+    l = np.clip(np.where(np.isnan(l), 0.0, l), 0.0, parties - 1.0)
     return n * parties + l
 
 
@@ -962,8 +977,9 @@ def path_distance_bound(parties: int, rounds: int, exponent: float,
     if grid_points < 1:
         raise ValueError("grid_points must be at least 1")
     grid = np.linspace(1.0, float(2 ** parties), grid_points)
-    pre = main_branch_diagonals(parties, rounds, exponent, grid)
-    gaps = np.abs(pre - limit_path_diagonals(parties, grid)).sum(axis=1)
+    diff = main_branch_diagonals(parties, rounds, exponent, grid)
+    diff -= limit_path_diagonals(parties, grid)
+    gaps = np.abs(diff, out=diff).sum(axis=1)
     worst = int(np.argmax(gaps))
     eps = params.epsilon
     if parties == 2:

@@ -833,8 +833,10 @@ def zonoid_bytes(basis: KrausSet | Instrument, real_target: bool) -> int:
     kraus = basis.kraus if isinstance(basis, Instrument) else basis
     blocks = getattr(basis, "partition", [range(kraus.n_operators)])
     ops, d = kraus.operators, kraus.input_dim
-    rows = np.unique((ops != 0).any(axis=0), axis=0)
-    n = min(d * d, int((rows.sum(axis=1) ** 2).sum())) + 1
+    # The distinct patterns as bytes of the boolean rows, one byte an
+    # entry: a set, where np.unique(..., axis=0) imports numpy.ma.
+    patterns = {row.tobytes() for row in (ops != 0).any(axis=0)}
+    n = min(d * d, sum(p.count(1) ** 2 for p in patterns)) + 1
     m = sum(len(b) ** 2 for b in blocks)
     k2 = len(ops) ** 2
     coords = (n - 1 + d) // 2

@@ -224,6 +224,15 @@ class TestQuadrature:
         np.testing.assert_allclose(integrate_sqrt_smooth(table.cdensity_at),
                                    table.total, rtol=0.0, atol=1e-14)
 
+    def test_rule_is_numpys_bit_for_bit(self):
+        # The package computes the rule itself, so the first quadrature of
+        # a process does not import numpy.polynomial.
+        for n in range(1, 129):
+            want = np.polynomial.legendre.leggauss(n)
+            got = linalg._leggauss.__wrapped__(n)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), n
+
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 19, 31])
     def test_monomials_exact(self, k):
         # 16 Gauss-Legendre nodes in u integrate degree <= 31 exactly: the

@@ -3,7 +3,10 @@
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -85,6 +88,32 @@ def test_every_benchmark_span_target_is_bound_on_its_module():
         home = importlib.import_module(f"{spans.PACKAGE}.{mod}")
         for fn in funcs:
             assert callable(getattr(home, fn, None)), f"{mod}.{fn}"
+
+
+# Run in a fresh interpreter: the test process has imported everything.
+COLD_CHILD = """
+import sys
+import loccverify as lv
+from loccverify import cli, zonoid
+lv.limiting_choi_2q()
+spec = lv.channel_zonoid()
+paths, families = lv.limiting_family(spec)
+assert lv.verify_theorem_conditions(spec, paths, families, s_samples=5).passed
+assert lv.path_distance_bound(2, 900, 0.5).passed
+zonoid.zonoid_bytes(cli._BASES["twoqubit-blocks"](), True)
+print(" ".join(name for name in sys.modules
+               if name.split(".")[:2] in (["numpy", "polynomial"],
+                                          ["numpy", "ma"])))
+"""
+
+
+def test_first_calls_import_neither_polynomial_nor_masked_arrays():
+    # Either import costs milliseconds in a fresh process: numpy.polynomial
+    # on the first quadrature, numpy.ma on np.unique(..., axis=0).
+    out = subprocess.run([sys.executable, "-c", COLD_CHILD],
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
 
 
 def test_module_seams():

@@ -1,6 +1,7 @@
 """Tests for protocol trees, operator paths, and the condition verifier."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -871,6 +872,67 @@ class TestAgainstKronReference:
     def test_kept_breakpoints_follow_the_last_kept(self, traces, kept):
         got = protocols._kept_breakpoints(np.array(traces))
         assert got.tolist() == kept
+
+
+def _sequential_kept(traces):
+    """The drop rule as a plain loop: keep the first trace, then each one
+    below the last kept by a relative 1e-15."""
+    kept = [0]
+    for i in range(1, len(traces)):
+        if traces[i] < traces[kept[-1]] * (1.0 - 1e-15):
+            kept.append(i)
+    return kept
+
+
+def _ulp_staircase(top, steps, stride):
+    """``steps`` traces from ``top`` down, ``stride`` ulps of 1.0 apart."""
+    return top - np.arange(steps) * stride * np.spacing(1.0)
+
+
+_SYNTHETIC_TRACES = {
+    "steep": 4.0 * 0.5 ** np.arange(60),
+    "equal": np.full(40, 3.0),
+    "one-ulp staircase": _ulp_staircase(1.5, 200, 1),
+    "two-ulp staircase": _ulp_staircase(3.0, 200, 2),
+    "steep then staircase": np.concatenate(
+        [4.0 - np.arange(10) * 0.25, _ulp_staircase(1.5, 100, 1)]),
+    "plateaus then drops": np.repeat([4.0, 3.0, 3.0 * (1 - 5e-16), 2.5,
+                                      2.5 * (1 - 2e-15), 2.0],
+                                     [3, 1, 5, 2, 7, 4]),
+    "rise after a drop": np.array([4.0, 3.0, 3.5, 3.5, 3.0 * (1 - 5e-16),
+                                   2.9, 3.2, 2.9 * (1 - 2e-15)]),
+}
+_SHORT_VALUES = (2.0, 2.0 * (1 - 5e-16), 2.0 * (1 - 2e-15), 1.0, 3.0)
+
+
+class TestDropRule:
+    """_kept_breakpoints is the sequential drop rule, on traces that reach
+    its head, its successor chain and the ends of both."""
+
+    @pytest.mark.parametrize("name", sorted(_SYNTHETIC_TRACES))
+    def test_synthetic_traces(self, name):
+        traces = _SYNTHETIC_TRACES[name]
+        assert protocols._kept_breakpoints(traces).tolist() == \
+            _sequential_kept(traces)
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_every_short_sequence(self, length):
+        for traces in itertools.product(_SHORT_VALUES, repeat=length):
+            traces = np.array(traces)
+            assert protocols._kept_breakpoints(traces).tolist() == \
+                _sequential_kept(traces), traces
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_walks_of_plateaus_and_ulp_steps(self, seed):
+        # Steps of 0 to 12 ulps down, with the odd rise, so plateaus,
+        # drops just below and just above the margin and steep runs mix.
+        r = np.random.default_rng(seed)
+        steps = r.integers(0, 13, 400) * np.spacing(1.0)
+        steps[r.random(400) < 0.05] *= -3.0
+        steps[r.random(400) < 0.05] = 0.01
+        traces = 2.0 - np.concatenate([[0.0], np.cumsum(steps)])
+        assert protocols._kept_breakpoints(traces).tolist() == \
+            _sequential_kept(traces)
 
 
 class TestMainBranchRanges:

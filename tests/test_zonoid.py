@@ -1419,6 +1419,64 @@ class TestEntryMap:
         np.testing.assert_array_equal(reaching, on_reached)
 
 
+def _reference_zonoid_bytes(basis, real_target):
+    """zonoid_bytes with the distinct nonzero patterns of the output rows
+    counted by np.unique over the rows."""
+    kraus = basis.kraus if isinstance(basis, Instrument) else basis
+    blocks = getattr(basis, "partition", [range(kraus.n_operators)])
+    ops, d = kraus.operators, kraus.input_dim
+    rows = np.unique((ops != 0).any(axis=0), axis=0)
+    n = min(d * d, int((rows.sum(axis=1) ** 2).sum())) + 1
+    m = sum(len(b) ** 2 for b in blocks)
+    k2 = len(ops) ** 2
+    coords = (n - 1 + d) // 2
+    real = not ops.imag.any()
+    if real_target and real:
+        width, r = 8, min(coords, sum(len(b) * (len(b) + 1) // 2
+                                      for b in blocks))
+    else:
+        width, r, coords = 16, min(n - 1, m), 2 * coords
+    choi = kraus is not basis and max(map(len, blocks)) > 1
+    return max(36 * choi * (d * kraus.output_dim) ** 2, 200 * ops.size,
+               (24 if real else 16) * n * k2 + 16 * n * m
+               + width * (m * coords + 6 * r * k2)
+               + 300 * d * d)
+
+
+def _masked_basis(seed):
+    """A seeded basis whose operators share a random nonzero pattern with
+    repeated rows; real or complex, as a Kraus set or an instrument."""
+    r = np.random.default_rng(seed)
+    k, d_in, d_out = (int(v) for v in r.integers(1, 7, 3))
+    pattern = r.random((int(r.integers(1, 4)), d_in)) < 0.5
+    mask = pattern[r.integers(0, len(pattern), d_out)]
+    ops = r.standard_normal((k, d_out, d_in)) * mask
+    if seed % 2:
+        ops = ops + 1j * r.standard_normal(ops.shape) * mask
+    kraus = kraus_from_operators(ops, (d_in,), (d_out,))
+    if seed % 3:
+        return kraus
+    cut = int(r.integers(0, k + 1))
+    blocks = [tuple(range(cut)), tuple(range(cut, k))]
+    return Instrument(kraus, tuple(b for b in blocks if b))
+
+
+class TestZonoidBytes:
+    @pytest.mark.parametrize("token", sorted(cli._BASES))
+    @pytest.mark.parametrize("real_target", [True, False])
+    def test_builtin_bases_keep_their_estimate(self, token, real_target):
+        basis = cli._BASES[token]()
+        assert zonoid.zonoid_bytes(basis, real_target) == \
+            _reference_zonoid_bytes(basis, real_target)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_masked_bases_keep_their_estimate(self, seed):
+        basis = _masked_basis(seed)
+        for real_target in (True, False):
+            assert zonoid.zonoid_bytes(basis, real_target) == \
+                _reference_zonoid_bytes(basis, real_target)
+
+
 def test_six_party_box_images_are_candidates():
     # The P = 6 map has five rounding singular directions. The slice drops
     # them, so the candidates answer interior box images exactly: a
