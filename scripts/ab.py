@@ -24,8 +24,9 @@ then those of ``EXTRA_REPORTS`` (``theorem1 --nu 1000`` and ``paper-pq
 --parties 6``), as a fresh ``python -m loccverify.cli`` process on each
 side. Per report it prints whether stdout matches byte for byte once the
 ``wall_time_s`` line is dropped, and whether the check names, verdicts and
-exit status match; under a report whose bytes differ it lists each check
-whose defect or ``where`` moved, base -> tree. With ``--kernels`` it
+exit status match; under a report whose bytes differ it lists, paired
+by name, each check whose defect or ``where`` moved, base -> tree, and
+each check that only one side prints. With ``--kernels`` it
 runs the tree's side again under each named BLAS kernel
 (``OPENBLAS_CORETYPE``, for example ``Haswell,Prescott``) and compares
 each run with the tree's run under the default kernel in the same way. It
@@ -152,9 +153,9 @@ def checks_of(text: str) -> list:
 def compare_runs(base: tuple[int, str], tree: tuple[int, str],
                  label: str) -> bool:
     """Print whether two runs of one report match, in bytes apart from
-    ``wall_time_s`` and in check names, verdicts and exit status, then
-    each check whose defect or ``where`` moved; whether the verdicts
-    match."""
+    ``wall_time_s`` and in check names, verdicts and exit status, then,
+    paired by name, each check whose defect or ``where`` moved and each
+    that only one side prints; whether the verdicts match."""
     (b_status, b_out), (t_status, t_out) = base, tree
     same_bytes = without_wall_time(b_out) == without_wall_time(t_out)
     b_checks, t_checks = checks_of(b_out), checks_of(t_out)
@@ -164,10 +165,18 @@ def compare_runs(base: tuple[int, str], tree: tuple[int, str],
           f"{'same' if same_verdicts else 'DIFF'}  exit {b_status}/"
           f"{t_status}  {label}")
     if not same_bytes:
-        for b, t in zip(b_checks, t_checks):
-            if b[2:] != t[2:]:
+        b_names = {b[0] for b in b_checks}
+        t_by_name = {t[0]: t for t in t_checks}
+        for b in b_checks:
+            t = t_by_name.get(b[0])
+            if t is None:
+                print(f"    {b[0]}: only in base")
+            elif b[2:] != t[2:]:
                 print(f"    {b[0]}: {b[2]!r} at {b[3]!r} -> "
                       f"{t[2]!r} at {t[3]!r}")
+        for t in t_checks:
+            if t[0] not in b_names:
+                print(f"    {t[0]}: only in tree")
     return same_verdicts
 
 

@@ -61,12 +61,10 @@ TREE_BYTES_BUDGET = 2 ** 28
 # Fixed part of `work_bytes`.
 _FIXED_BYTES = 2 ** 19
 # The sample table of each theorem check (`sample_pass_bytes`), real: its
-# basis size kappa, its operators' size d (real diagonals), whether its
-# main path has a witness family (a row per s sample besides the
-# membership row), and its halt families and parent witnesses, each of
-# SIGMA_SAMPLES rows; one more row holds the endpoint.
-_THEOREM_LAYOUT = {"theorem1": (4, 4, True, 2, 1),
-                   "theorem8": (5, 4, False, 2, 0)}
+# basis size kappa, its operators' size d (real diagonals) and its halt
+# families, each of SIGMA_SAMPLES rows; besides these, a membership row
+# per s sample and one endpoint row.
+_THEOREM_LAYOUT = {"theorem1": (4, 4, 2), "theorem8": (5, 4, 2)}
 # Bytes each direction of a two-qubit Hausdorff estimate holds.
 _HAUSDORFF_SAMPLE_BYTES = 1344
 # Bytes each entry of a Choi matrix holds: in `choi` with its printed JSON,
@@ -216,14 +214,11 @@ def work_bytes(args, *inputs, z: np.ndarray | None = None) -> int:
     if args.command == "zonoid-check":
         parts.append(zonoid_bytes(*inputs, z is None or not z.imag.any()))
     if args.command in _THEOREM_LAYOUT:
-        kappa, d, witness_family, families, parents = \
-            _THEOREM_LAYOUT[args.command]
+        kappa, d, families = _THEOREM_LAYOUT[args.command]
         # --samples 0 is the dense grid: spacing 0.01 on [1, 4].
         n = args.samples or 301
-        sigmas = tolerances.SIGMA_SAMPLES
-        paired = n * (1 + witness_family) + 1 + families * sigmas
-        parts.append(sample_pass_bytes(kappa, d, paired + parents * sigmas,
-                                       paired, n))
+        rows = n + 1 + families * tolerances.SIGMA_SAMPLES
+        parts.append(sample_pass_bytes(kappa, d, rows, n))
     if args.command == "protocol":
         parts.append(protocol_check_bytes(args.parties, args.nu))
     if args.command == "paths":

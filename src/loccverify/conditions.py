@@ -19,30 +19,26 @@ from .linalg import (clamped, diagonal_stack, lowest_eigenvalues,
 from .tolerances import (MEMBERSHIP_TOL, MIXTURE_PSD_TOL, PRODUCT_TOL,
                          RECON_TOL, RESOLUTION_TOL, ROUNDING_TOL,
                          SIGMA_SAMPLES, TRACE_TOL)
-from .zonoid import ZonoidSpec, coefficient_stack, endpoint_cmatrix, membership
+from .zonoid import ZonoidSpec, endpoint_cmatrix, membership
 
 
 @dataclass
 class CheckedPath:
     """A path handed to the condition verifier.
 
-    ``op_at`` evaluates the operator at every trace parameter s of a 1-D
-    array on [s_bottom, s_top] and returns the stack (n, d, d), or, for
-    diagonal operators, their real diagonals (n, d).
-    ``cmatrix_at`` optionally supplies a closed-form witness family, as a
-    stack (n, kappa, kappa) of coefficient matrices that the verifier
-    checks and symmetrises by the rule of
-    :class:`~loccverify.zonoid.CoefficientMatrix`.
-    The endpoint coefficient matrix is always derived from the operator at
-    ``s_bottom``. The parties and blocks the path is checked against come
-    from the verifier's spec.
+    ``op_at`` evaluates the operators, which are diagonal, at every trace
+    parameter s of a 1-D array on [s_bottom, s_top] and returns their real
+    diagonals, (n, d); any other stack is refused with a ValueError that
+    names the callback. The endpoint coefficient matrix is always derived
+    from the operator at ``s_bottom``. The parties and blocks the path is
+    checked against, and the point s = (1 + sigma)^P where a halt family
+    at sigma attaches to it, come from the verifier's spec.
     """
 
     label: str
     op_at: Callable[[np.ndarray], np.ndarray]
     s_top: float
     s_bottom: float
-    cmatrix_at: Callable[[np.ndarray], np.ndarray] | None = None
 
     def sample_grid(self, s_samples: int | None) -> np.ndarray:
         """Uniform s grid from the top; None means a spacing near 0.01.
@@ -68,7 +64,7 @@ class FamilyTable:
     ``w`` holds the rows w_k, (deg + 1, kappa), ``root`` the rows r_k,
     (deg' + 1, d), and ``block`` the basis indices off which every w_k is
     zero. :meth:`cdensity_at` and :meth:`density_at` evaluate the table by
-    Horner's rule, and serve as its family's callbacks.
+    Horner's rule; they are the samples the verifier checks.
 
     With sigma = t^2, the integral of conj(w) w^T over [0, u^2] is that of
     2 t conj(w(t)) w(t)^T over [0, u], a polynomial in u whose
@@ -143,38 +139,22 @@ class FamilyTable:
 class EndpointFamily:
     """Continuum of halt outcomes peeling off a parent path.
 
-    ``density_at`` gives the operator densities at every sigma of a 1-D
-    array in [0, 1], stacked (n, d, d) or as real diagonals (n, d), and
-    ``cdensity_at`` their coefficient densities, stacked (n, kappa, kappa)
-    and checked as :class:`CheckedPath` checks ``cmatrix_at``.
-    ``attach_s`` maps sigma to the parent path parameter where the outcome
-    branches off, and ``sigma_at`` is its inverse, with sigma = 0 at the
-    parent's bottom end and at most 1 on the parent's grid; both act
-    elementwise on arrays. ``table``, the family as a polynomial in
-    sqrt(sigma), gives its integrals in closed form, and its evaluators
-    serve as the two density callbacks; a family without a
-    :class:`FamilyTable` is refused with a TypeError.
+    ``table``, the family as a polynomial in sqrt(sigma), gives its
+    operator and coefficient densities at each sigma in [0, 1] and their
+    integrals in closed form; a family without a :class:`FamilyTable` is
+    refused with a TypeError. The outcome at sigma branches off the parent
+    at s = (1 + sigma)^P, P the parties of the verifier's spec, so sigma =
+    0 is the parent's bottom end.
     """
 
     label: str
     parent: CheckedPath
-    density_at: Callable[[np.ndarray], np.ndarray]
-    cdensity_at: Callable[[np.ndarray], np.ndarray]
-    attach_s: Callable[[np.ndarray], np.ndarray]
-    sigma_at: Callable[[np.ndarray], np.ndarray]
     table: FamilyTable
 
     def __post_init__(self):
         if not isinstance(self.table, FamilyTable):
             raise TypeError(f"halt family {self.label!r} needs a "
                             "FamilyTable")
-
-    @property
-    def rank_one(self) -> bool:
-        """Whether ``cdensity_at`` is its table's own evaluator, so that
-        every sample is conj(w) w^T: Hermitian bit for bit and zero off
-        the table's block."""
-        return self.cdensity_at == self.table.cdensity_at
 
 
 @dataclass(frozen=True)
@@ -204,26 +184,18 @@ class PathConditionReport:
         raise KeyError(name)
 
 
-def _checked(a: np.ndarray, shape: tuple, what: str, hint: str = ""
-             ) -> np.ndarray:
-    """``a``, a stack that the callback ``what`` returned, if it has
-    ``shape`` and finite entries; ValueError otherwise."""
-    if a.shape != shape:
-        raise ValueError(f"{what} returned shape {a.shape} for {shape[0]} "
-                         f"parameters; expected {shape}{hint}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{what} returned a non-finite entry")
-    return a
-
-
-def _operators(stack, n: int, dim: int, what: str) -> np.ndarray:
-    """A callback's operator stack: matrices, complex (n, dim, dim), or the
-    real diagonals of diagonal operators, (n, dim)."""
+def _diagonals(stack, n: int, dim: int, what: str) -> np.ndarray:
+    """The operators that the callback ``what`` returned for ``n``
+    parameters, if they are finite real diagonals (n, dim); ValueError
+    otherwise."""
     ops = np.asarray(stack)
-    if ops.ndim == 2 and ops.dtype.kind in "biuf":
-        return _checked(ops.astype(np.float64, copy=False), (n, dim), what)
-    return _checked(ops.astype(np.complex128, copy=False), (n, dim, dim),
-                    what, f", or real diagonals {(n, dim)}")
+    if ops.shape != (n, dim) or ops.dtype.kind not in "biuf":
+        raise ValueError(f"{what} returned shape {ops.shape} of "
+                         f"{ops.dtype} for {n} parameters; expected real "
+                         f"diagonals {(n, dim)}")
+    if not np.isfinite(ops).all():
+        raise ValueError(f"{what} returned a non-finite entry")
+    return ops.astype(np.float64, copy=False)
 
 
 def _real_when_zero(a: np.ndarray) -> np.ndarray:
@@ -234,22 +206,6 @@ def _real_when_zero(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _coefficients(stack, n: int, kappa: int, what: str) -> np.ndarray:
-    """A callback's coefficient stack, checked and symmetrised: real when
-    its entries are, complex otherwise."""
-    return _real_when_zero(coefficient_stack(
-        _checked(np.asarray(stack), (n, kappa, kappa), what)))
-
-
-def _residuals(solver, cs: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """||L(C) - op||_F for each pair of coefficient matrices ``cs`` and
-    operators ``ops``, matrices or real diagonals as :func:`_operators`
-    returns them."""
-    if ops.ndim == cs.ndim - 1:
-        return solver.diagonal_residuals(cs, ops)
-    return np.linalg.norm(solver.image(cs) - ops, axis=(-2, -1))
-
-
 def _worst(name: str, defects: np.ndarray, tol: float, param: str,
            values: np.ndarray) -> ConditionCheck:
     """Check reporting the largest defect and the parameter where it is."""
@@ -258,33 +214,22 @@ def _worst(name: str, defects: np.ndarray, tol: float, param: str,
                           f"{param}={values[i]:.6g}")
 
 
-def _as_matrix(op: np.ndarray) -> np.ndarray:
-    """An operator as :func:`_operators` returns it, as a matrix."""
-    return diagonal_stack(op) if op.ndim == 1 else op
-
-
 def _integrated_witness(solver, c_end: np.ndarray,
-                        families: Sequence[EndpointFamily], grid: np.ndarray,
+                        families: Sequence[EndpointFamily], u: np.ndarray,
                         out: np.ndarray) -> np.ndarray:
     """Write the integrated witness at each sample s into ``out``, and
     return whether each is Hermitian to rounding.
 
     The halt families peel off the path continuously, so
-    C(s) = C_end + sum_f int_0^sigma_f(s) cdensity_f is a coefficient
-    matrix for op(s); each integral is one product of its family's
-    antiderivative table (:meth:`FamilyTable.integrals`). A sample's
-    witness is the block-supported Hermitian part of C(s); it counts only
-    where it differs from C(s) by rounding and passes the solver's box
-    test, and then its defect is ||L(C) - op(s)||_F.
+    C(s) = C_end + sum_f int_0^sigma(s) cdensity_f is a coefficient matrix
+    for op(s); each integral is one product of its family's antiderivative
+    table (:meth:`FamilyTable.integrals`) at u = sqrt(sigma(s)). A
+    sample's witness is the block-supported Hermitian part of C(s); it
+    counts only where it differs from C(s) by rounding and passes the
+    solver's box test, and then its defect is ||L(C) - op(s)||_F.
     """
     out[...] = c_end
-    sigma, u = None, None
     for fam in families:
-        at = clamped(fam.sigma_at(grid), 1.0,
-                     f"{fam.label} sigma_at leaves [0, 1]", 0.0)
-        # Families that attach alike share their roots.
-        if sigma is None or not np.array_equal(at, sigma):
-            sigma, u = at, np.sqrt(at)
         out += fam.table.integrals(u)
     herm = out + (out.conj() if out.dtype.kind == "c" else out).swapaxes(
         -1, -2)
@@ -295,135 +240,105 @@ def _integrated_witness(solver, c_end: np.ndarray,
     return hermitian
 
 
-def _parent_witnesses(families: Sequence[EndpointFamily], sigmas: np.ndarray,
-                      kappa: int) -> dict:
-    """Per (parent, ``attach_s``) pair of the families whose parent has a
-    ``cmatrix_at``, the parent's witness at each sigma: one call for each
-    pair, which families attached alike share."""
-    found: dict[tuple[int, int], np.ndarray] = {}
-    for fam in families:
-        parent = fam.parent
-        key = (id(parent), id(fam.attach_s))
-        if parent.cmatrix_at is not None and key not in found:
-            found[key] = _coefficients(
-                parent.cmatrix_at(fam.attach_s(sigmas)), len(sigmas), kappa,
-                f"{parent.label} cmatrix_at")
-    return found
-
-
-def _lowest(samples: np.ndarray, fam: EndpointFamily) -> np.ndarray:
-    """The lowest eigenvalue of each of a rank-one family's samples, which
-    are zero off its table's block: its block's, in closed form when the
-    block has at most two indices, and at most 0 when the block leaves
-    out some index."""
-    block = np.array(fam.table.block)
+def _lowest(samples: np.ndarray, block: tuple[int, ...]) -> np.ndarray:
+    """The lowest eigenvalue of each of a family's samples conj(w) w^T,
+    which are zero off its table's ``block``: its block's, in closed form
+    when the block has at most two indices, and at most 0 when the block
+    leaves out some index."""
+    block = np.array(block)
     low = lowest_eigenvalues(samples[:, block[:, None], block])
     return low if len(block) == samples.shape[-1] else np.minimum(low, 0.0)
 
 
-# The order of the table's segments, each the samples of one kind of check
-# whose operators have one form: real diagonals (2), matrices (3), or none
-# (0, the parents' witnesses). In this order the rows that take an
-# eigvalsh (endpoint, membership, checked family and parent) are one
-# slice, those that take a residual are one slice for each form, and so
-# are those whose operators take a product defect (membership and both
-# kinds of family). A rank-one family's rows take no eigvalsh.
-_ORDER = ((2, "witness-family"), (2, "rank-one"), (2, "family"),
-          (2, "membership"), (2, "endpoint"), (0, "parent"), (3, "endpoint"),
-          (3, "membership"), (3, "family"), (3, "rank-one"),
-          (3, "witness-family"))
+# The order of the table's segments, each the samples of one kind of
+# check, all paired with real diagonals. In this order the rows that take
+# an eigvalsh (membership and endpoint) are one slice, and so are those
+# whose operators take a product defect (family and membership); every
+# row takes a residual. A family's rows take no eigvalsh: their lowest
+# eigenvalue is their block's (:func:`_lowest`).
+_ORDER = ("family", "membership", "endpoint")
 
 
 class _SamplePass:
-    """Every coefficient sample of one verification and the operator each
-    pairs with, gathered into one table in the order of :data:`_ORDER`,
-    so that one eigvalsh, and one residual call and one product defect
-    for each operator form, serve every check; each check reads its own
-    rows (``rows[kind, key]``)."""
+    """Every coefficient sample of one verification and the real diagonal
+    each pairs with, gathered into one table in the order of
+    :data:`_ORDER`, so that one eigvalsh, one residual call and one
+    product defect serve every check; each check reads its own rows
+    (``rows[kind, key]``)."""
 
     def __init__(self):
-        self.parts: dict = {segment: [] for segment in _ORDER}
+        self.parts: dict = {kind: [] for kind in _ORDER}
 
-    def add(self, kind: str, key, coefficients, operators=None) -> None:
-        """Coefficient samples of a ``kind`` of check, and the operators,
-        matrices or real diagonals, that they pair with, one per sample.
-        ``coefficients`` is a stack, or the pair (samples, dtype) of a
-        stack that the caller writes into its rows of ``table`` after
-        :meth:`allocate`."""
-        form = 0 if operators is None else operators.ndim
-        self.parts[form, kind].append((key, coefficients, operators))
+    def add(self, kind: str, key, coefficients, operators) -> None:
+        """Coefficient samples of a ``kind`` of check, and the real
+        diagonals that they pair with, one per sample. ``coefficients`` is
+        a stack, or the pair (samples, dtype) of a stack that the caller
+        writes into its rows of ``table`` after :meth:`allocate`."""
+        self.parts[kind].append((key, coefficients, operators))
 
     def allocate(self, kappa: int) -> None:
         """The table, allocated once every size is known, with each given
-        stack written into its rows and then let go: ``parts`` keeps only
-        the operators."""
+        stack written into its rows and then let go, and the operators
+        concatenated in the same order."""
         self.rows: dict = {}
         self.ends: dict = {}
         row, dtypes = 0, [np.float64]
-        for segment in _ORDER:
+        for kind in _ORDER:
             start = row
-            for key, c, _ in self.parts[segment]:
+            for key, c, _ in self.parts[kind]:
                 n, dtype = (len(c), c.dtype) if isinstance(c, np.ndarray) else c
-                self.rows[segment[1], key] = slice(row, row + n)
+                self.rows[kind, key] = slice(row, row + n)
                 dtypes.append(dtype)
                 row += n
-            self.ends[segment] = (start, row)
+            self.ends[kind] = (start, row)
         self.table = np.empty((row, kappa, kappa), np.result_type(*dtypes))
-        for segment in _ORDER:
-            for key, c, _ in self.parts[segment]:
+        ops = []
+        for kind in _ORDER:
+            for key, c, o in self.parts[kind]:
                 if isinstance(c, np.ndarray):
-                    self.table[self.rows[segment[1], key]] = c
-            self.parts[segment] = [o for _, _, o in self.parts[segment]]
+                    self.table[self.rows[kind, key]] = c
+                ops.append(o)
+        self.operators = np.concatenate(ops) if ops else None
+        del self.parts
 
     def run(self, solver, dims) -> None:
-        """One eigvalsh, and per form one residual call and one product
-        defect, over the table."""
-        def span(first, last):
-            return slice(self.ends[first][0], self.ends[last][1])
-
+        """One eigvalsh, one residual call and one product defect over the
+        table."""
         row = len(self.table)
         self.spectra = np.empty((row, self.table.shape[-1]))
-        eig = span((2, "family"), (3, "family"))
+        self.residuals, self.products = np.empty(row), np.empty(row)
+        if not row:
+            return
+        eig = slice(self.ends["membership"][0], self.ends["endpoint"][1])
         if eig.stop > eig.start:
             self.spectra[eig] = np.linalg.eigvalsh(self.table[eig])
-        self.residuals, self.products = np.empty(row), np.empty(row)
-        for form, first, last, low, high in (
-                (2, "witness-family", "endpoint", "rank-one", "membership"),
-                (3, "endpoint", "witness-family", "membership", "rank-one")):
-            paired = span((form, first), (form, last))
-            if paired.stop == paired.start:
-                continue
-            o = np.concatenate([o for segment in _ORDER
-                                if segment[0] == form
-                                for o in self.parts[segment]])
-            self.residuals[paired] = _residuals(solver, self.table[paired], o)
-            product = span((form, low), (form, high))
-            self.products[product] = product_defect(
-                o[product.start - paired.start:product.stop - paired.start],
-                dims, form == 2)
+        self.residuals[:] = solver.diagonal_residuals(self.table,
+                                                      self.operators)
+        product = slice(0, self.ends["membership"][1])
+        self.products[product] = product_defect(self.operators[product],
+                                                dims, True)
 
 
-def sample_pass_bytes(kappa: int, dim: int, rows: int, paired: int,
-                      witness: int) -> int:
+def sample_pass_bytes(kappa: int, dim: int, rows: int, witness: int) -> int:
     """Peak bytes of a real :class:`_SamplePass`, from its layout alone:
-    a table of ``rows`` coefficient samples, ``paired`` of them with a real
-    diagonal operator of ``dim`` entries and ``witness`` of them integrated
+    a table of ``rows`` coefficient samples, each paired with a real
+    diagonal operator of ``dim`` entries, ``witness`` of them integrated
     witnesses on an s grid.
 
     The table holds kappa^2 entries a row, and the operators a diagonal
-    each per paired row, twice: their stacks and their concatenation in
-    :meth:`_SamplePass.run`. On top of these, the larger of two phases.
-    While the witnesses are integrated, two more stacks of their rows
-    (the product and the sum of Horner's rule) and their s grid, twice.
-    While the pass runs, a spectrum of kappa entries, a residual and a
-    product defect per row, and three diagonals of the residual's
-    temporaries per paired row.
+    each per row, twice: their stacks and their concatenation in
+    :meth:`_SamplePass.allocate`. On top of these, the larger of two
+    phases. While the witnesses are integrated, two more stacks of their
+    rows (the product and the sum of Horner's rule) and their s grid,
+    twice. While the pass runs, a spectrum of kappa entries, a residual
+    and a product defect per row, and three diagonals of the residual's
+    temporaries per row.
     """
     entry = 8
     table = rows * kappa ** 2 * entry
-    operators = 2 * paired * dim * entry
+    operators = 2 * rows * dim * entry
     integrate = witness * (2 * kappa ** 2 + 2) * entry
-    run = (rows * (kappa + 2) + 3 * paired * dim) * entry
+    run = (rows * (kappa + 2) + 3 * rows * dim) * entry
     return table + operators + max(integrate, run)
 
 
@@ -451,39 +366,39 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     ``resolution``, for an unblocked spec, and for a blocked one a check
     ``resolution[b]`` on the rows of each block b of
     ``spec.block_list()``, so a block that nothing covers fails. A
-    family's integrals come from its table in closed form. Tolerances
-    come from :mod:`loccverify.tolerances`.
+    family's samples and integrals come from its table in closed form.
+    Tolerances come from :mod:`loccverify.tolerances`.
     ``s_samples`` None selects each path's dense grid; ``s_samples``
     below 1 raises ValueError. Halt families are sampled at
-    ``SIGMA_SAMPLES`` values of sigma.
+    ``SIGMA_SAMPLES`` values of sigma, and a family at sigma attaches to
+    its parent at s = (1 + sigma)^P, P the parties of the spec.
 
-    Every callback is called on a whole grid at once, so the number of
-    calls does not depend on the sample counts. Each path's ``op_at`` is
-    called once, on its grid and its bottom end together, and each
-    family's ``density_at`` and ``cdensity_at`` once, on the sigma
-    samples.
+    Each path's ``op_at`` is called once, on its grid and its bottom end
+    together, so the number of calls does not depend on the sample
+    counts.
 
     The sample arithmetic is one stacked pass. The coefficient samples
-    (each path's endpoint matrix, integrated witness at every s and
-    witness family, each family's sigma samples, and the parent witness
-    at those sigma) form one table, and the operators they pair with one
-    table of each form, real diagonals or matrices. One eigvalsh of the
-    table serves the endpoint, box and psd tests, one residual call of
-    each form every reconstruction and membership defect, and one
-    product defect of each form every product check; each check reads
-    its own rows. A family whose ``cdensity_at`` is its table's own
-    (:attr:`EndpointFamily.rank_one`) skips the input check and the
-    eigvalsh: its samples conj(w) w^T are Hermitian bit for bit and zero
-    off the table's block, and their lowest eigenvalue is its block's,
-    in closed form for blocks of at most two indices
-    (:func:`~loccverify.linalg.lowest_eigenvalues`). Any other
-    ``cdensity_at`` is checked, and takes the eigvalsh. Coefficient
-    stacks whose entries are real stay real.
-    Operators and densities that come as real diagonals are checked as
-    diagonals: the trace is a row sum, the product defect reads each
-    cut's reshape of the diagonal (a closed form when 2 x 2, else an SVD),
-    the endpoint root is the entrywise root, and residuals are taken on
-    the solver's reached entries; only solver samples are made matrices.
+    (each family's sigma samples, each path's integrated witness at every
+    s and its endpoint matrix) form one table, and the real diagonals they
+    pair with another. One eigvalsh of the path rows serves the endpoint
+    and box tests, one residual call every reconstruction and membership
+    defect, and one product defect every product check; each check reads
+    its own rows. A family's samples conj(w) w^T are Hermitian bit for
+    bit and zero off its table's block, so they take no input check and
+    no eigvalsh: their lowest eigenvalue is their block's, in closed form
+    for blocks of at most two indices
+    (:func:`~loccverify.linalg.lowest_eigenvalues`). The psd check's
+    parent side is the lowest eigenvalue of the parent's endpoint matrix,
+    which the pass holds: the parent's witness at sigma is that matrix
+    plus integrals of conj(w) w^T, masked to its blocks, and neither
+    adds nor masking lowers its lowest eigenvalue. A family whose parent
+    is not among ``paths`` has its own samples alone. Coefficient stacks
+    whose entries are real stay real.
+    The operators are real diagonals: the trace is a row sum, the product
+    defect reads each cut's reshape of the diagonal (a closed form when
+    2 x 2, else an SVD), the endpoint root is the entrywise root, and
+    residuals are taken on the solver's reached entries; only solver
+    samples are made matrices.
     Sampled checks report the s or sigma of their largest defect as
     ``where``; a membership check also reports how many samples the
     solver answered and, when any, how many of those it left undecided.
@@ -492,8 +407,17 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
         raise ValueError("s_samples must be at least 1")
     solver = spec.solver()
     kappa, dim, dims = spec.kappa, spec.dim, spec.basis.input_dims
+    parties = dims.n_parties
     sigmas = np.linspace(0.0, 1.0, SIGMA_SAMPLES)
     samples = _SamplePass()
+
+    for f, fam in enumerate(families):
+        t = fam.table
+        if t.w.shape[1] != kappa or t.root.shape[1] != dim:
+            raise ValueError(f"{fam.label} has a table over {t.w.shape[1]} "
+                             f"operators of {t.root.shape[1]} entries; the "
+                             f"spec has {kappa} of {dim}")
+        samples.add("family", f, t.cdensity_at(sigmas), t.density_at(sigmas))
 
     sampled = []
     for p, path in enumerate(paths):
@@ -501,44 +425,33 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
         n = len(grid)
         # One call gives the operators on the grid and, last, the one at
         # the bottom end, whose root gives the endpoint matrix.
-        ops = _operators(path.op_at(np.append(grid, path.s_bottom)), n + 1,
+        ops = _diagonals(path.op_at(np.append(grid, path.s_bottom)), n + 1,
                          dim, f"{path.label} op_at")
         ops, op_end = ops[:-1], ops[-1:]
         c_end = _real_when_zero(
             endpoint_cmatrix(sqrt_psd(op_end[0]), spec).matrix)
-        samples.add("endpoint", p, c_end[None], op_end)
         attached = [fam for fam in families if fam.parent is path]
         samples.add("membership", p, (n, np.result_type(
             c_end, *[fam.table.w for fam in attached])), ops)
-        if path.cmatrix_at is not None:
-            samples.add("witness-family", p, _coefficients(
-                path.cmatrix_at(grid), n, kappa, f"{path.label} cmatrix_at"),
-                ops)
+        samples.add("endpoint", p, c_end[None], op_end)
         sampled.append((grid, ops, c_end, attached))
-
-    for f, fam in enumerate(families):
-        cs = fam.cdensity_at(sigmas)
-        if not fam.rank_one:
-            cs = _coefficients(cs, len(sigmas), kappa,
-                               f"{fam.label} cdensity_at")
-        samples.add("rank-one" if fam.rank_one else "family", f, cs,
-                    _operators(fam.density_at(sigmas), len(sigmas), dim,
-                               f"{fam.label} density_at"))
-    for key, cs in _parent_witnesses(families, sigmas, kappa).items():
-        samples.add("parent", key, cs)
     samples.allocate(kappa)
 
     hermitian = []
-    for p, (grid, _, c_end, attached) in enumerate(sampled):
+    for p, (path, (grid, _, c_end, attached)) in enumerate(zip(paths,
+                                                               sampled)):
         witness = samples.table[samples.rows["membership", p]]
         # A path with no family has no witness: the solver answers every
         # sample.
         if not attached:
             witness[...] = 0.0
             hermitian.append(np.zeros(len(grid), bool))
-        else:
-            hermitian.append(_integrated_witness(solver, c_end, attached,
-                                                 grid, witness))
+            continue
+        sigma = clamped(grid ** (1.0 / parties) - 1.0, 1.0,
+                        f"{path.label} s outside [1, {2 ** parties}], where "
+                        "its families attach", 0.0)
+        hermitian.append(_integrated_witness(solver, c_end, attached,
+                                             np.sqrt(sigma), witness))
     samples.run(solver, dims)
 
     checks: list[ConditionCheck] = []
@@ -546,10 +459,7 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     for p, (path, (grid, ops, c_end, _)) in enumerate(zip(paths, sampled)):
         lbl = path.label
         n = len(grid)
-        if ops.ndim == 2:
-            trace = np.abs(ops.sum(axis=1) - grid)
-        else:
-            trace = np.abs(np.trace(ops, axis1=1, axis2=2).real - grid)
+        trace = np.abs(ops.sum(axis=1) - grid)
         rows = samples.rows["membership", p]
         witness, spectra = samples.table[rows], samples.spectra[rows]
         boxed = solver.in_box(witness, spectra)
@@ -564,7 +474,7 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
                                           spectra[near, -1] - 1.0), 0.0)
             repaired = ((witness[near] + delta[:, None, None] * np.eye(kappa))
                         / (1.0 + 2.0 * delta)[:, None, None])
-            res = _residuals(solver, repaired, ops[near])
+            res = solver.diagonal_residuals(repaired, ops[near])
             defects[near] = np.where(
                 solver.in_box(repaired) & (res <= membership_tol), res,
                 np.inf)
@@ -572,7 +482,7 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
         solve = np.flatnonzero(defects > membership_tol)
         undecided = 0
         for i in solve:
-            rep = membership(_as_matrix(ops[i]), spec, tol=membership_tol)
+            rep = membership(diagonal_stack(ops[i]), spec, tol=membership_tol)
             defects[i] = rep.residual
             undecided += rep.stop == "undecided"
         mem_where = f"solver {len(solve)}/{n}"
@@ -596,27 +506,19 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
                            membership_tol, mem_where),
             ConditionCheck(f"{lbl}:endpoint", end_defect, RECON_TOL),
         ]
-        if path.cmatrix_at is not None:
-            checks.append(_worst(
-                f"{lbl}:witness-family",
-                samples.residuals[samples.rows["witness-family", p]],
-                RECON_TOL, "s", grid))
         total = total + c_end
 
+    verified = {id(path): p for p, path in enumerate(paths)}
     for f, fam in enumerate(families):
         lbl = fam.label
-        if fam.rank_one:
-            rows = samples.rows["rank-one", f]
-            low = _lowest(samples.table[rows], fam)
-        else:
-            rows = samples.rows["family", f]
-            low = samples.spectra[rows, 0]
+        rows = samples.rows["family", f]
+        low = _lowest(samples.table[rows], fam.table.block)
         # lambda_min is concave, so the segment mixtures
-        # (1 - x) C_parent + x C_r are lowest at x = 0 or x = 1.
-        key = (id(fam.parent), id(fam.attach_s))
-        if fam.parent.cmatrix_at is not None:
-            low = np.minimum(low, samples.spectra[samples.rows["parent", key],
-                                                  0])
+        # (1 - x) C_parent + x C_r are lowest at x = 0 or x = 1, and
+        # lambda_min(C_parent) >= lambda_min(C_end).
+        if id(fam.parent) in verified:
+            end = samples.rows["endpoint", verified[id(fam.parent)]]
+            low = np.minimum(low, samples.spectra[end][0, 0])
         checks += [
             # On a tie np.maximum returns its second argument: +0.0, not
             # -0.0.

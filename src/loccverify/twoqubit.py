@@ -363,45 +363,31 @@ def _sigma_of(s):
     return np.sqrt(s) - 1.0
 
 
-def _limit_family(table, cmatrix_at):
+def _limit_family(table):
     """Main path and the halt continua of :data:`HALTS` of the limit.
 
-    The main path and the halt densities come as real diagonals. The
-    family of each halt carries ``table(halt)``, whose evaluators are its
-    density callbacks. The main path carries ``cmatrix_at`` as its witness
-    family, or none.
+    The main path comes as real diagonals, and the family of each halt is
+    ``table(halt)``.
     """
     main = CheckedPath(
         label="main",
         op_at=lambda s: limit_path_diagonals(2, s),
         s_top=4.0,
         s_bottom=1.0,
-        cmatrix_at=cmatrix_at,
     )
-    fams = []
-    for halt in HALTS:
-        t = table(halt)
-        fams.append(EndpointFamily(
-            label=halt.label,
-            parent=main,
-            density_at=t.density_at,
-            cdensity_at=t.cdensity_at,
-            attach_s=_s_of,
-            sigma_at=_sigma_of,
-            table=t,
-        ))
-    return [main], fams
+    return [main], [EndpointFamily(halt.label, main, table(halt))
+                    for halt in HALTS]
 
 
 def limiting_family(spec: ZonoidSpec | None = None):
     """Main path and halt families of the limit, ready for verification.
 
-    Returns (paths, families) over the reduced basis: the main path with
-    its closed-form witness family, and the two halt continua whose
-    closed-form coefficient densities C2 and C3 integrate into the identity
-    resolution. The densities are closed forms, so ``spec`` is not read.
+    Returns (paths, families) over the reduced basis: the main path and
+    the two halt continua whose closed-form coefficient densities C2 and
+    C3 integrate into the identity resolution. The densities are closed
+    forms, so ``spec`` is not read.
     """
-    return _limit_family(_reduced_table, lambda s: c_matrix_stack("C1", s))
+    return _limit_family(_reduced_table)
 
 
 @cache
@@ -451,4 +437,4 @@ def blocked_limiting_family(spec: ZonoidSpec | None = None):
     """
     if spec is None:
         spec = instrument_zonoid()
-    return _limit_family(lambda halt: _blocked_table(spec, halt), None)
+    return _limit_family(lambda halt: _blocked_table(spec, halt))

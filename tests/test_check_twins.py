@@ -11,15 +11,19 @@ calls instead; the link twins among them alter a quantity a check reads
 from another module, and pin that the check, and only it, sees it. One
 exchanges the halting parties of the worked instrument's halt table, and
 pins that every check reading a halt takes it from that table. The
-last tests pin the verifier's stacked pass over its sample table: a fault
-in one family's stack shows in that family's checks alone, at its sigma,
-and each family's checks read as they do when it is verified alone; a
-fault in one family's or path's samples of one kind fails that one check,
-at its sigma or s, with every other check as it was, bit for bit.
+verifier's twins fault a family's table or a path's operators and pin its
+stacked pass over its sample table: a fault in one family's samples shows
+in that family's checks alone, at its sigma, and each family's checks
+read as they do when it is verified alone; a fault in one family's or
+path's samples of one kind fails that one check, at its sigma or s, with
+every other check as it was, bit for bit. The last test pins that every
+check the theorem commands print has a twin, or is exact by construction.
 """
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +33,6 @@ from loccverify import (FamilyTable, blocked_limiting_family,
                         limiting_family, pqubit, twoqubit,
                         verify_theorem_conditions)
 from loccverify.channels import KrausSet
-from loccverify.linalg import diagonal_stack
 
 
 def run(capsys, argv):
@@ -244,9 +247,7 @@ def test_non_product_halt_density_fails_product(label):
     table = FamilyTable([[1.0, 0.0, 0.0, 3.0]], [[1.0, 0.0, 0.0, 1.0]],
                         (0, 3))
     i = [f.label for f in fams].index(label)
-    fams[i] = dataclasses.replace(
-        fams[i], density_at=table.density_at, cdensity_at=table.cdensity_at,
-        table=table)
+    fams[i] = dataclasses.replace(fams[i], table=table)
     twin = failed(verify_theorem_conditions(spec, paths, fams, s_samples=11))
     assert sorted(twin) == sorted([f"{label}:product", "resolution"])
     product = twin[f"{label}:product"]
@@ -267,18 +268,15 @@ def test_stacked_psd_names_its_family_and_sigma(family, make_spec, label):
     # One family's coefficient density shifted by -1e-6 I at the one sample
     # sigma = 0.37: its psd fails there, and so does its reconstruction,
     # since L(I) is not 0. The stacked pass runs both families through one
-    # eigvalsh, yet every check of the other family keeps its value.
+    # pass, yet every check of the other family keeps its value.
     spec = make_spec()
     paths, fams = family(spec)
     base = verify_theorem_conditions(spec, paths, fams, s_samples=11)
     assert base.passed
     i = [f.label for f in fams].index(label)
-    shift = 1e-6 * np.eye(spec.kappa)
-
-    def shifted(sg, f=fams[i].cdensity_at):
-        return f(sg) - (np.asarray(sg) == SIGMA_37)[:, None, None] * shift
-
-    fams[i] = dataclasses.replace(fams[i], cdensity_at=shifted)
+    fams[i] = dataclasses.replace(fams[i], table=faulted_table(
+        fams[i].table, "cdensity_at", SIGMA_37,
+        lambda c: c - 1e-6 * np.eye(spec.kappa)))
     rep = verify_theorem_conditions(spec, paths, fams, s_samples=11)
     bad = failed(rep)
     assert sorted(bad) == sorted([f"{label}:psd", f"{label}:reconstruction"])
@@ -291,23 +289,16 @@ def test_stacked_psd_names_its_family_and_sigma(family, make_spec, label):
             assert c == base.check(c.name)
 
 
-@pytest.mark.parametrize("forms", ["diagonal", "mixed"])
 @pytest.mark.parametrize("family, make_spec", [
     (limiting_family, channel_zonoid),
     (blocked_limiting_family, instrument_zonoid),
 ])
-def test_stacked_family_checks_match_each_family_alone(family, make_spec,
-                                                       forms):
+def test_stacked_family_checks_match_each_family_alone(family, make_spec):
     # Each family verified alone takes the per-family route: a stack of
-    # one. Stacked with the other, in one density form or with halt-B's
-    # densities as matrices and halt-A's as diagonals, its psd, product
-    # and reconstruction checks are the same, bit for bit.
+    # one. Stacked with the other, its psd, product and reconstruction
+    # checks are the same, bit for bit.
     spec = make_spec()
     paths, fams = family(spec)
-    if forms == "mixed":
-        fams[0] = dataclasses.replace(
-            fams[0], density_at=lambda sg, f=fams[0].density_at:
-            diagonal_stack(f(sg)))
     both = verify_theorem_conditions(spec, paths, fams, s_samples=11)
     assert both.passed
     for fam in fams:
@@ -326,6 +317,37 @@ def changed_at(f, at, change):
         out[hit] = change(out[hit])
         return out
     return changed
+
+
+def faulted_table(table, evaluator, at, change):
+    """A copy of ``table`` whose ``evaluator``, ``cdensity_at`` or
+    ``density_at``, answers ``change`` of its sample at the one sigma
+    ``at``: a fault in the samples the verifier reads, which no table of
+    coefficient rows can write."""
+    sound = getattr(FamilyTable, evaluator)
+
+    class Faulted(FamilyTable):
+        pass
+
+    setattr(Faulted, evaluator, lambda self, sigma: changed_at(
+        lambda x: sound(self, x), at, change)(sigma))
+    return Faulted(table.w, table.root, table.block)
+
+
+def kernel_on_block(spec, block):
+    """A real symmetric X, zero off ``block`` and of norm 1, that L maps
+    to 0 on the spec's diagonal basis: the null vector of the map from
+    the block's entries to the image's diagonal."""
+    k = spec.basis.operators.diagonal(axis1=1, axis2=2).real[list(block)]
+    pairs = [(a, b) for a in range(len(block)) for b in range(a, len(block))]
+    image = np.stack([(1.0 if a == b else 2.0) * k[a] * k[b]
+                      for a, b in pairs], axis=1)
+    _, sv, vt = np.linalg.svd(image)
+    assert sv[-1] <= 1e-15 * sv[0]
+    x = np.zeros((spec.kappa, spec.kappa))
+    for (a, b), v in zip(pairs, vt[-1]):
+        x[block[a], block[b]] = x[block[b], block[a]] = v
+    return x / np.linalg.norm(x)
 
 
 def assert_alone(base, rep, name, where):
@@ -348,20 +370,22 @@ def assert_alone(base, rep, name, where):
     (blocked_limiting_family, instrument_zonoid),
 ])
 def test_psd_alone_reads_its_family_rows(family, make_spec, label):
-    # Basis operator 0, |11><11|, is orthogonal to every other one, so
-    # X = E_0j + E_j0 lies in the kernel of L, bit for bit. One family's
-    # coefficient density minus 1e-3 X at sigma = 0.37 reconstructs the
-    # same density, and, being 0 at (0, 0), is no longer PSD there.
+    # Both bases reach each halt's block of two operators on only two
+    # diagonal entries, so some X on the block lies in the kernel of L.
+    # One family's coefficient density plus 1e-3 X at sigma = 0.37,
+    # signed so that the rank-one density w w^T leaves the PSD cone,
+    # reconstructs the same density, to rounding, and is no longer PSD.
     spec = make_spec()
     paths, fams = family(spec)
     base = verify_theorem_conditions(spec, paths, fams, s_samples=11)
     i = [f.label for f in fams].index(label)
-    (c,) = fams[i].cdensity_at(np.array([SIGMA_37]))
-    j = int(np.argmax(np.diag(c)))
-    kernel = np.zeros((spec.kappa, spec.kappa))
-    kernel[0, j] = kernel[j, 0] = 1e-3
-    fams[i] = dataclasses.replace(fams[i], cdensity_at=changed_at(
-        fams[i].cdensity_at, SIGMA_37, lambda c: c - kernel))
+    table = fams[i].table
+    (c,) = table.cdensity_at(np.array([SIGMA_37]))
+    kernel = 1e-3 * kernel_on_block(spec, table.block)
+    if np.linalg.eigvalsh(c + kernel)[0] < np.linalg.eigvalsh(c - kernel)[0]:
+        kernel = -kernel
+    fams[i] = dataclasses.replace(fams[i], table=faulted_table(
+        table, "cdensity_at", SIGMA_37, lambda c: c - kernel))
     rep = verify_theorem_conditions(spec, paths, fams, s_samples=11)
     psd = assert_alone(base, rep, f"{label}:psd", "sigma=0.37")
     assert psd.defect == pytest.approx(
@@ -373,41 +397,23 @@ def test_psd_alone_reads_its_family_rows(family, make_spec, label):
     (blocked_limiting_family, instrument_zonoid),
 ])
 def test_reconstruction_alone_reads_its_family_rows(family, make_spec):
-    # Halt-B's density 0.1% too large at sigma = 0.37 is still a product,
-    # and its coefficient density still PSD, but L no longer maps the one
-    # to the other there.
+    # Halt-B's root r(u) = u e_0 + e_2 with its u row 0.1% too large: its
+    # density (1.002001 sigma, 0, 1, 0) is still a product, and its
+    # coefficient density conj(w) w^T still PSD, but L no longer maps the
+    # one to the other, most at sigma = 1.
     spec = make_spec()
     paths, fams = family(spec)
     base = verify_theorem_conditions(spec, paths, fams, s_samples=11)
     i = [f.label for f in fams].index("halt-B")
-    fams[i] = dataclasses.replace(fams[i], density_at=changed_at(
-        fams[i].density_at, SIGMA_37, lambda d: 1.001 * d))
+    table = fams[i].table
+    root = np.array(table.root)
+    assert np.array_equal(root, [[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    root[1] *= 1.001
+    fams[i] = dataclasses.replace(fams[i], table=FamilyTable(
+        table.w, root, table.block))
     rep = verify_theorem_conditions(spec, paths, fams, s_samples=11)
-    recon = assert_alone(base, rep, "halt-B:reconstruction", "sigma=0.37")
-    # The density there is (sigma, 1, 0, 0) for halt-B.
-    assert recon.defect == pytest.approx(1e-3 * np.hypot(SIGMA_37, 1.0),
-                                         rel=1e-6)
-
-
-def test_witness_family_alone_reads_its_path_rows():
-    # theorem1's witness family C1 0.1% too large at s = 2.5, a grid point
-    # that no halt attaches to among the sigma samples: still PSD, but
-    # 0.1% of the path operator away from it.
-    spec = channel_zonoid()
-    paths, fams = limiting_family(spec)
-    base = verify_theorem_conditions(spec, paths, fams, s_samples=11)
-    main = paths[0]
-    grid = main.sample_grid(11)
-    assert grid[5] == 2.5
-    assert not np.isin(2.5, fams[0].attach_s(np.linspace(0.0, 1.0, 101)))
-    paths[0] = dataclasses.replace(main, cmatrix_at=changed_at(
-        main.cmatrix_at, 2.5, lambda c: 1.001 * c))
-    fams = [dataclasses.replace(f, parent=paths[0]) for f in fams]
-    rep = verify_theorem_conditions(spec, paths, fams, s_samples=11)
-    family = assert_alone(base, rep, "main:witness-family", "s=2.5")
-    (op,) = main.op_at(np.array([2.5]))
-    assert family.defect == pytest.approx(1e-3 * np.linalg.norm(op),
-                                          rel=1e-6)
+    recon = assert_alone(base, rep, "halt-B:reconstruction", "sigma=1")
+    assert recon.defect == pytest.approx(1.001 ** 2 - 1.0, rel=1e-9)
 
 
 def test_membership_alone_names_its_solver_count():
@@ -430,3 +436,55 @@ def test_membership_alone_names_its_solver_count():
     membership = assert_alone(base, rep, "main:membership",
                               "s=3.7; solver 1/11")
     assert membership.defect > 0.1
+
+
+# Per check that theorem1 and theorem8 print, with each halt's label read
+# as "halt" and each block's index as "b": the test that makes it fail, as
+# "module::[class::]test", or why it cannot fail on any input the verifier
+# takes.
+CHECK_TWINS = {
+    "main:trace": "test_protocols::TestVerifyTheoremConditions::"
+                  "test_diagonal_trace_off_fails_trace_at_its_s",
+    "main:product": "test_protocols::TestVerifyTheoremConditions::"
+                    "test_product_check_takes_the_spec_parties",
+    "main:membership": "test_check_twins::"
+                       "test_membership_alone_names_its_solver_count",
+    "main:endpoint": "test_protocols::TestVerifyTheoremConditions::"
+                     "test_scaled_main_path_fails_endpoint",
+    "halt:psd": "test_check_twins::test_psd_alone_reads_its_family_rows",
+    "halt:product": "test_check_twins::"
+                    "test_non_product_halt_density_fails_product",
+    "halt:reconstruction": "test_check_twins::"
+                           "test_reconstruction_alone_reads_its_family_rows",
+    "resolution": "test_check_twins::"
+                  "test_non_product_halt_density_fails_product",
+    "resolution[b]": "test_check_twins::"
+                     "test_uncovered_block_fails_its_resolution",
+    "cross-sector": "test_check_twins::test_cross_sector",
+    "blocked-isometry": "test_check_twins::"
+                        "test_every_halt_reader_takes_its_outcome_from_the_table",
+    "blocked-coefficients": "test_check_twins::"
+                            "test_every_halt_reader_takes_its_outcome_from_the_table",
+    "coarse-grain": "test_check_twins::"
+                    "test_every_halt_reader_takes_its_outcome_from_the_table",
+}
+EXACT = "exact by construction: "
+
+
+def test_every_theorem_check_has_a_twin(capsys):
+    names = set()
+    for argv in (["theorem1", "--samples", "11"], ["theorem8"]):
+        status, checks = run(capsys, argv)
+        assert status == 0
+        names |= {re.sub(r"\[\d+\]$", "[b]", re.sub(r"^halt-\w+:", "halt:",
+                                                     name))
+                  for name in checks}
+    assert sorted(n for n in names if n not in CHECK_TWINS) == []
+    for name, twin in CHECK_TWINS.items():
+        if twin.startswith(EXACT):
+            continue
+        module, *path = twin.split("::")
+        text = (Path(__file__).parent / f"{module}.py").read_text()
+        *owner, test = path
+        assert all(f"\nclass {c}:" in text for c in owner), (name, twin)
+        assert re.search(rf"\n\s*def {test}\(", text), (name, twin)

@@ -379,8 +379,8 @@ class TestExitCodes:
         assert captured.err.endswith("MiB budget\n")
 
     @pytest.mark.parametrize("argv", [
-        ["theorem1", "--samples", "400000"],
-        ["theorem1", "--nu", "1000", "--samples", "400000"],
+        ["theorem1", "--samples", "600000"],
+        ["theorem1", "--nu", "1000", "--samples", "600000"],
         ["theorem8", "--samples", "400000"],
         ["theorem8", "--tol", "1e-3", "--samples", "400000"],
         ["paths", "--grid", "1000000"],
@@ -447,27 +447,23 @@ class TestExitCodes:
     def test_theorem_layout_is_the_sample_table(self, monkeypatch, command,
                                                 samples):
         # The estimate reads its layout from the table the verifier fills:
-        # the rows, those paired with an operator, and their sizes.
+        # its rows, each paired with a real diagonal, and their sizes.
         seen = []
         allocate = conditions._SamplePass.allocate
 
         def record(self, kappa):
             allocate(self, kappa)
-            ops = [o for segment in conditions._ORDER
-                   for o in self.parts[segment] if o is not None]
-            seen.append((kappa, {o.shape[1:] for o in ops}, self.table.shape,
-                         self.table.dtype, sum(len(o) for o in ops)))
+            seen.append((kappa, self.operators.shape, self.operators.dtype,
+                         self.table.shape, self.table.dtype))
 
         monkeypatch.setattr(conditions._SamplePass, "allocate", record)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main([command, "--samples", samples]) == 0
-        kappa, d, witness_family, families, parents = \
-            cli._THEOREM_LAYOUT[command]
+        kappa, d, families = cli._THEOREM_LAYOUT[command]
         n = int(samples) or 301
-        paired = n * (1 + witness_family) + 1 + families * SIGMA_SAMPLES
-        rows = paired + parents * SIGMA_SAMPLES
-        assert seen == [(kappa, {(d,)}, (rows, kappa, kappa), np.float64,
-                         paired)]
+        rows = n + 1 + families * SIGMA_SAMPLES
+        assert seen == [(kappa, (rows, d), np.float64, (rows, kappa, kappa),
+                         np.float64)]
 
     @pytest.mark.parametrize("command, family", [
         ("theorem1", limiting_family),

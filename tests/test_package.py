@@ -1,6 +1,7 @@
 """The package's exported names and the seams between its modules."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -13,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import loccverify
-from loccverify import (channels, linalg, pqubit, protocols, serialize,
-                        twoqubit, zonoid)
+from loccverify import (channels, conditions, linalg, pqubit, protocols,
+                        serialize, twoqubit, zonoid)
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -54,12 +55,26 @@ def test_all_names_exactly_the_bound_public_names():
     (linalg, "sqrt_smooth_total"),
     (linalg, "_per_node"),
     (linalg, "_node_values"),
+    (conditions, "_coefficients"),
+    (conditions, "_residuals"),
+    (conditions, "_as_matrix"),
+    (conditions, "_parent_witnesses"),
 ])
 def test_retired_names_are_gone(module, name):
     assert not hasattr(module, name)
     assert not hasattr(loccverify, name)
     # As a whole word: limit_path_diagonals is not the retired limit_path.
     assert not re.search(rf"(?<!\w){name}(?!\w)", README.read_text())
+
+
+def test_verifier_inputs_are_tables_and_diagonals():
+    # A halt family is its table; a path hands in real diagonals and no
+    # witness family of its own.
+    assert [f.name for f in dataclasses.fields(conditions.EndpointFamily)] \
+        == ["label", "parent", "table"]
+    assert [f.name for f in dataclasses.fields(conditions.CheckedPath)] == [
+        "label", "op_at", "s_top", "s_bottom"]
+    assert not hasattr(conditions.EndpointFamily, "rank_one")
 
 
 def test_coefficient_matrix_has_no_eigenvalues():

@@ -1584,14 +1584,14 @@ class TestVerifyTheoremConditions:
             "resolution[0]", "resolution[1]", "resolution[2]"]
 
     def test_product_check_takes_the_spec_parties(self):
-        # A Bell projector added along the main path entangles the spec's
-        # two qubits; the product check reads them from the spec, so no
-        # path can restate them as one party of dimension 4.
+        # The diagonal of a Bell projector, (|00><00| + |11><11|) / 2,
+        # added along the main path correlates the spec's two qubits; the
+        # product check reads them from the spec, so no path can restate
+        # them as one party of dimension 4.
         paths, fams = limiting_family()
-        bell = np.zeros((4, 4))
-        bell[np.ix_([0, 3], [0, 3])] = 0.5
-        paths[0].op_at = lambda s, f=paths[0].op_at: diagonal_stack(
-            f(s)) + 0.01 * (np.asarray(s) - 1.0)[:, None, None] * bell
+        bell = np.array([0.5, 0.0, 0.0, 0.5])
+        paths[0].op_at = lambda s, f=paths[0].op_at: f(s) + 0.01 * (
+            np.asarray(s) - 1.0)[:, None] * bell
         rep = verify_theorem_conditions(channel_zonoid(), paths,
                                         families=fams, s_samples=11)
         product = rep.check("main:product")
@@ -1626,9 +1626,7 @@ class TestVerifyTheoremConditions:
         # The mixtures are checked at their ends only, so a density pushed
         # below zero by 1e-6 must still show up with that defect.
         paths, fams = limiting_family()
-        fam = fams[0]
-        fam.cdensity_at = lambda sg, f=fam.cdensity_at: (f(sg)
-                                                         - 1e-6 * np.eye(4))
+        fams[0] = fam = _shifted(fams[0], lambda sg: 1e-6 * np.eye(4))
         rep = verify_theorem_conditions(channel_zonoid(), paths,
                                         families=fams, s_samples=5)
         psd = rep.check(f"{fam.label}:psd")
@@ -1639,9 +1637,8 @@ class TestVerifyTheoremConditions:
     def test_psd_names_the_sigma_of_the_lowest_eigenvalue(self):
         # A dip of depth 1e-6 centred on sigma = 0.3, a grid point.
         paths, fams = limiting_family()
-        fam = fams[0]
-        fam.cdensity_at = lambda sg, f=fam.cdensity_at: f(sg) - 1e-6 * (
-            np.exp(-((sg - 0.3) / 0.1) ** 2)[:, None, None] * np.eye(4))
+        fams[0] = fam = _shifted(fams[0], lambda sg: 1e-6 * (
+            np.exp(-((sg - 0.3) / 0.1) ** 2)[:, None, None] * np.eye(4)))
         rep = verify_theorem_conditions(channel_zonoid(), paths,
                                         families=fams, s_samples=5)
         psd = rep.check(f"{fam.label}:psd")
@@ -1650,18 +1647,18 @@ class TestVerifyTheoremConditions:
 
     def test_path_checks_name_their_worst_s(self):
         # A bump on the |00><00| entry, largest at s = 2.5, breaks the
-        # trace, the product structure and the C1 reconstruction there.
+        # trace and the product structure there.
         paths, fams = limiting_family()
 
         def bumped(s):
-            op = diagonal_stack(limit_path_diagonals(2, s))
-            op[:, 0, 0] += 1e-6 * np.exp(-((s - 2.5) / 0.3) ** 2)
+            op = limit_path_diagonals(2, s)
+            op[:, 0] += 1e-6 * np.exp(-((s - 2.5) / 0.3) ** 2)
             return op
 
         paths[0].op_at = bumped
         rep = verify_theorem_conditions(channel_zonoid(), paths,
                                         families=fams, s_samples=7)
-        for name in ("trace", "product", "witness-family"):
+        for name in ("trace", "product"):
             check = rep.check(f"main:{name}")
             assert not check.passed
             assert check.where == "s=2.5"
@@ -1671,58 +1668,39 @@ class TestVerifyTheoremConditions:
         (blocked_limiting_family, instrument_zonoid),
     ])
     def test_callbacks_are_called_once_per_grid(self, family, spec):
-        # Each callback answers a whole grid, so its call count cannot
-        # depend on the number of s samples; a per-sample loop would.
-        def counted(owner, attr, calls, key):
-            real = getattr(owner, attr)
-            if real is None:
-                return
-
-            def wrapper(x):
-                calls[key] = calls.get(key, 0) + 1
-                return real(x)
-            setattr(owner, attr, wrapper)
-
-        counts = []
+        # The path's callback answers a whole grid, so its call count
+        # cannot depend on the number of s samples; a per-sample loop
+        # would. One call answers the grid and the bottom end together.
         for samples in (11, 101):
             paths, fams = family()
-            calls = {}
-            for path in paths:
-                for attr in ("op_at", "cmatrix_at"):
-                    counted(path, attr, calls, f"{path.label}.{attr}")
-            for fam in fams:
-                for attr in ("density_at", "cdensity_at", "attach_s",
-                             "sigma_at"):
-                    counted(fam, attr, calls, f"{fam.label}.{attr}")
+            calls = []
+
+            def counted(s, real=paths[0].op_at):
+                calls.append(len(s))
+                return real(s)
+
+            paths[0].op_at = counted
             rep = verify_theorem_conditions(spec(), paths, families=fams,
                                             s_samples=samples)
             assert rep.passed
-            counts.append(calls)
-        assert counts[0] == counts[1]
-        # One op_at call answers the grid and the bottom end together.
-        assert counts[0]["main.op_at"] == 1
-        assert all(counts[0][f"{fam.label}.cdensity_at"] == 1 for fam in fams)
+            assert calls == [samples + 1]
 
     def test_non_product_diagonal_density_fails_product(self):
-        # Halt-B's diagonal (sigma, 1, 0, 0) reshapes to a rank-one 2 x 2
-        # matrix; a weight on |11> makes it rank two at every sigma > 0.
+        # Halt-B's diagonal (sigma, 0, 1, 0) reshapes to a rank-one 2 x 2
+        # matrix; a root weight 0.1 u on |11> adds 0.01 sigma there and
+        # makes it rank two at every sigma > 0.
         paths, fams = limiting_family()
-        fams[0].density_at = lambda sg, f=fams[0].density_at: f(sg) + (
-            0.01 * np.asarray(sg)[:, None] * np.array([0.0, 0.0, 0.0, 1.0]))
+        table = fams[0].table
+        root = np.array(table.root)
+        root[1, 3] = 0.1
+        fams[0] = dataclasses.replace(fams[0], table=FamilyTable(
+            table.w, root, table.block))
         rep = verify_theorem_conditions(channel_zonoid(), paths,
                                         families=fams, s_samples=5)
         product = rep.check("halt-B:product")
         assert not product.passed
         assert product.defect > 1e-3
         assert rep.check("halt-A:product").passed
-        dense = dataclasses.replace(
-            fams[0], density_at=lambda sg, f=fams[0].density_at:
-            diagonal_stack(f(sg)))
-        twin = verify_theorem_conditions(channel_zonoid(), paths,
-                                         families=[dense, fams[1]],
-                                         s_samples=5).check("halt-B:product")
-        assert twin.where == product.where
-        assert twin.defect == pytest.approx(product.defect, abs=1e-14)
 
     def test_diagonal_trace_off_fails_trace_at_its_s(self):
         # A bump on the |11> entry of the diagonal, largest at s = 2.5.
@@ -1737,107 +1715,82 @@ class TestVerifyTheoremConditions:
         assert trace.where == "s=2.5"
         assert trace.defect == pytest.approx(1e-6, rel=1e-9)
 
-    @pytest.mark.parametrize("owner, attr", [("path", "op_at"),
-                                             ("family", "density_at")])
     @pytest.mark.parametrize("flaw, message", [
-        ("wide", "returned shape"), ("nan", "returned a non-finite entry"),
-        ("complex", "returned shape")])
-    def test_bad_diagonal_stack_is_refused(self, owner, attr, flaw,
-                                           message):
+        ("wide", r"returned shape \(6, 5\) of float64 for 6 parameters; "
+         r"expected real diagonals \(6, 4\)"),
+        ("nan", "returned a non-finite entry"),
+        ("complex", r"returned shape \(6, 4\) of complex128"),
+        ("matrix", r"returned shape \(6, 4, 4\) of float64 for 6 "
+         r"parameters; expected real diagonals \(6, 4\)")])
+    def test_bad_diagonal_stack_is_refused(self, flaw, message):
+        # The operators are real diagonals, (n, d); a matrix stack, the
+        # diagonals made matrices, is refused like any other shape.
         paths, fams = limiting_family()
-        obj = paths[0] if owner == "path" else fams[0]
 
-        def bad(x, real=getattr(obj, attr)):
+        def bad(x, real=paths[0].op_at):
             out = real(x)
             if flaw == "wide":
                 return np.hstack([out, np.zeros((len(out), 1))])
             if flaw == "complex":
                 return out + 0j
+            if flaw == "matrix":
+                return diagonal_stack(out).real
             out = out.copy()
             out[-1, 0] = np.nan
             return out
 
-        setattr(obj, attr, bad)
-        with pytest.raises(ValueError, match=f"{obj.label} {attr} {message}"):
+        paths[0].op_at = bad
+        with pytest.raises(ValueError, match=f"main op_at {message}"):
             verify_theorem_conditions(channel_zonoid(), paths, families=fams,
                                       s_samples=5)
 
     def test_sigma_outside_the_unit_interval_is_refused(self):
+        # A family at sigma attaches at s = (1 + sigma)^2, so a path that
+        # reaches beyond s = 4 would attach its families past sigma = 1.
         paths, fams = limiting_family()
-        fams[0].sigma_at = lambda s: np.sqrt(s)
-        with pytest.raises(ValueError, match="sigma_at leaves"):
-            verify_theorem_conditions(channel_zonoid(), paths, families=fams,
-                                      s_samples=5)
-
-    @pytest.mark.parametrize("family, spec", [
-        (limiting_family, channel_zonoid),
-        (blocked_limiting_family, instrument_zonoid),
-    ])
-    @pytest.mark.parametrize("s_samples", [None, 11, 25])
-    def test_dense_callbacks_give_the_same_report(self, family, spec,
-                                                  s_samples):
-        # The built-in families answer with diagonals; made matrices, they
-        # take the dense route, with the same checks to rounding. Where the
-        # two routes' defects differ, both are rounding values, and so is
-        # the position of their largest: main:product's.
-        reports = []
-        for dense in (False, True):
-            paths, fams = family()
-            if dense:
-                for path in paths:
-                    path.op_at = lambda s, f=path.op_at: diagonal_stack(f(s))
-                for fam in fams:
-                    fam.density_at = lambda sg, f=fam.density_at: (
-                        diagonal_stack(f(sg)))
-            reports.append(verify_theorem_conditions(
-                spec(), paths, families=fams, s_samples=s_samples))
-        diag, dense = reports
-        assert [(c.name, c.passed) for c in diag.checks] == [
-            (c.name, c.passed) for c in dense.checks]
-        for a, b in zip(diag.checks, dense.checks):
-            assert abs(a.defect - b.defect) <= 1e-14, a.name
-            if a.defect != b.defect:
-                assert a.name == "main:product"
-                assert max(a.defect, b.defect) <= 1e-15
-            else:
-                assert a.where == b.where, a.name
-
-    def test_non_hermitian_coefficient_stack_is_refused(self):
-        # The verifier applies CoefficientMatrix's rule to every stack.
-        paths, fams = limiting_family()
-        skew = np.zeros((4, 4))
-        skew[1, 3] = 1e-6
-        fams[0].cdensity_at = lambda sg, f=fams[0].cdensity_at: f(sg) + skew
-        with pytest.raises(ValueError, match="Hermitian"):
+        paths[0].s_top = 4.5
+        paths[0].op_at = lambda s: limit_path_diagonals(2, np.minimum(s, 4))
+        with pytest.raises(ValueError, match=r"main s outside \[1, 4\], "
+                           "where its families attach"):
             verify_theorem_conditions(channel_zonoid(), paths, families=fams,
                                       s_samples=5)
 
     @pytest.mark.parametrize("owner, attr", [
-        ("path", "op_at"), ("path", "cmatrix_at"),
-        ("family", "density_at"), ("family", "cdensity_at")])
+        ("path", "op_at"), ("family", "density_at"),
+        ("family", "cdensity_at")])
     def test_non_finite_callback_stack_is_refused(self, owner, attr):
-        # Before, NaN operators ended in an SVD that did not converge and
-        # NaN coefficients in "must be Hermitian".
+        # Before, NaN operators ended in an SVD that did not converge. A
+        # family's samples are its table's evaluations, so a non-finite
+        # root (density_at) or coefficient row (cdensity_at) is refused
+        # when the table is built.
         paths, fams = limiting_family()
-        obj = paths[0] if owner == "path" else fams[0]
+        if owner == "family":
+            table = fams[0].table
+            rows = {"density_at": np.array(table.root),
+                    "cdensity_at": np.array(table.w)}
+            rows[attr][-1, table.block[0]] = np.inf
+            with pytest.raises(ValueError, match="a family table needs "
+                               "finite coefficients"):
+                FamilyTable(rows["cdensity_at"], rows["density_at"],
+                            table.block)
+            return
 
-        def poisoned(x, real=getattr(obj, attr)):
+        def poisoned(x, real=paths[0].op_at):
             out = np.array(real(x))
-            if out.ndim == 2:
-                out = diagonal_stack(out)
-            out[-1, 0, 0] = np.nan
+            out[-1, 0] = np.inf
             return out
 
-        setattr(obj, attr, poisoned)
-        with pytest.raises(ValueError, match=f"{obj.label} {attr} returned "
-                           "a non-finite entry"):
+        paths[0].op_at = poisoned
+        with pytest.raises(ValueError, match="main op_at returned a "
+                           "non-finite entry"):
             verify_theorem_conditions(channel_zonoid(), paths, families=fams,
                                       s_samples=5)
 
     def test_callback_answering_one_parameter_is_refused(self):
         paths, fams = limiting_family()
-        fams[0].density_at = lambda sg, w=fams[0].density_at: w(sg)[0]
-        with pytest.raises(ValueError, match="density_at returned shape"):
+        paths[0].op_at = lambda s, f=paths[0].op_at: f(s)[0]
+        with pytest.raises(ValueError, match=r"op_at returned shape "
+                           r"\(4,\) of float64 for 6 parameters"):
             verify_theorem_conditions(channel_zonoid(), paths, families=fams,
                                       s_samples=5)
 
@@ -1911,11 +1864,20 @@ class TestVerifyTheoremConditions:
         fam = family(spec())[1][0]
         for table in (None, fam.table.w):
             with pytest.raises(TypeError, match="halt-B.*FamilyTable"):
-                EndpointFamily(fam.label, fam.parent, fam.density_at,
-                               fam.cdensity_at, fam.attach_s, fam.sigma_at,
-                               table)
+                EndpointFamily(fam.label, fam.parent, table)
             with pytest.raises(TypeError, match="halt-B.*FamilyTable"):
                 dataclasses.replace(fam, table=table)
+
+    def test_table_over_another_basis_is_refused(self):
+        # A blocked table has a coefficient per operator of the blocked
+        # basis, five, where the reduced spec has four.
+        paths, fams = limiting_family()
+        fams[0] = dataclasses.replace(
+            fams[0], table=blocked_limiting_family()[1][0].table)
+        with pytest.raises(ValueError, match="halt-B has a table over 5 "
+                           "operators of 4 entries; the spec has 4 of 4"):
+            verify_theorem_conditions(channel_zonoid(), paths, fams,
+                                      s_samples=5)
 
     def test_path_without_families_asks_the_solver_everywhere(
             self, monkeypatch):
@@ -2001,10 +1963,21 @@ class TestVerifyTheoremConditions:
 
 def _with_table(fam, w, block=None):
     """``fam`` with a table of coefficient rows ``w`` (on ``block``, or its
-    table's), its table's root, and that table's evaluators as callbacks."""
-    table = FamilyTable(w, fam.table.root, block or fam.table.block)
-    return dataclasses.replace(fam, density_at=table.density_at,
-                               cdensity_at=table.cdensity_at, table=table)
+    table's) and its table's root."""
+    return dataclasses.replace(fam, table=FamilyTable(
+        w, fam.table.root, block or fam.table.block))
+
+
+def _shifted(fam, shift):
+    """``fam`` with a table whose coefficient density at each sigma is its
+    own minus ``shift(sigma)``, (n, kappa, kappa): a fault in the samples
+    the psd check reads, which no table of coefficient rows can write."""
+    class Shifted(FamilyTable):
+        def cdensity_at(self, sigma):
+            return super().cdensity_at(sigma) - shift(np.asarray(sigma))
+
+    t = fam.table
+    return dataclasses.replace(fam, table=Shifted(t.w, t.root, t.block))
 
 
 def _count_membership_calls(monkeypatch) -> list:
@@ -2054,6 +2027,35 @@ class TestIntegratedWitness:
             np.testing.assert_allclose(solver.image(c), want, rtol=0.0,
                                        atol=1e-12)
 
+    @pytest.mark.parametrize("family, spec", [
+        (limiting_family, channel_zonoid),
+        (blocked_limiting_family, instrument_zonoid),
+    ])
+    def test_parent_witness_is_no_lower_than_the_endpoint(self, family,
+                                                          spec):
+        # The psd check's parent side is lambda_min(C_end). The parent's
+        # witness at s = (1 + sigma)^2 is C_end plus the integrals of
+        # conj(w) w^T over [0, sigma], masked to the blocks; neither adds
+        # nor masking lowers the lowest eigenvalue, so the check is no
+        # looser than one on the witness at every sigma sample. On the
+        # reduced basis that witness is the retired parent route's, C1 of
+        # c_matrix_stack, bit for bit.
+        spec = spec()
+        (main,), fams = family(spec)
+        c_end = _endpoint(main, spec).matrix
+        s = (1.0 + np.linspace(0.0, 1.0, 101)) ** 2
+        u = np.sqrt(linalg.clamped(np.sqrt(s) - 1.0, 1.0, "sigma", 0.0))
+        witness = np.empty((len(s),) + c_end.shape)
+        assert conditions._integrated_witness(spec.solver(), c_end, fams, u,
+                                              witness).all()
+        end_low = np.linalg.eigvalsh(c_end)[0]
+        assert end_low == 0.0
+        assert np.linalg.eigvalsh(witness)[:, 0].min() >= end_low - 1e-15
+        if family is limiting_family:
+            parent = coefficient_stack(c_matrix_stack("C1", s))
+            assert np.array_equal(witness, parent)
+            assert np.linalg.eigvalsh(parent)[:, 0].min() >= end_low - 1e-15
+
     @pytest.mark.parametrize("s_samples", [0, -1])
     def test_no_samples_is_rejected(self, s_samples):
         # An empty grid would pass every path check vacuously.
@@ -2075,7 +2077,7 @@ class TestIntegratedWitness:
         # A lowest eigenvalue of exactly +0.0 negates to -0.0, which the
         # psd check must not report as its defect.
         paths, fams = limiting_family()
-        fams[0].cdensity_at = lambda sg: np.zeros((len(sg), 4, 4))
+        fams[0] = _with_table(fams[0], np.zeros((1, 4)))
         rep = verify_theorem_conditions(channel_zonoid(), paths,
                                         families=fams, s_samples=5)
         psd = rep.check(f"{fams[0].label}:psd")
@@ -2085,11 +2087,29 @@ class TestIntegratedWitness:
     @pytest.mark.parametrize("family", [limiting_family,
                                         blocked_limiting_family])
     @pytest.mark.parametrize("s_samples", [None, 11, 25])
-    def test_sigma_at_inverts_attach_s(self, family, s_samples):
+    def test_sigma_at_inverts_attach_s(self, family, s_samples, monkeypatch):
+        # The verifier integrates the families at sigma(s) = s^(1/2) - 1,
+        # the parameter of c_matrix_stack, and a family at sigma attaches
+        # at s = (1 + sigma)^2 (twoqubit._s_of): each map inverts the other
+        # on every grid.
         (main,), fams = family()
-        for fam in fams:
-            for s in main.sample_grid(s_samples):
-                assert abs(fam.attach_s(fam.sigma_at(float(s))) - s) <= 1e-15
+        grid = main.sample_grid(s_samples)
+        seen = []
+        integrals = FamilyTable.integrals
+
+        def recording(self, u):
+            seen.append(u)
+            return integrals(self, u)
+
+        monkeypatch.setattr(FamilyTable, "integrals", recording)
+        spec = (channel_zonoid() if family is limiting_family
+                else instrument_zonoid())
+        verify_theorem_conditions(spec, [main], fams, s_samples=s_samples)
+        sigma = twoqubit._sigma_of(grid)
+        assert len(seen) == len(fams)
+        for u in seen:
+            assert np.array_equal(u, np.sqrt(sigma))
+        assert np.abs(twoqubit._s_of(sigma) - grid).max() <= 1e-15
 
 
 class TestLimitFamilies:
@@ -2137,10 +2157,8 @@ class TestLimitFamilies:
         sigmas = np.linspace(0.0, 1.0, 101)
         assert [f.label for f in fams] == [f.label for f in bfams]
         for fam, bfam in zip(fams, bfams):
-            assert np.array_equal(fam.density_at(sigmas),
-                                  bfam.density_at(sigmas))
-            assert np.array_equal(fam.attach_s(sigmas), bfam.attach_s(sigmas))
-            assert np.array_equal(fam.sigma_at(grid), bfam.sigma_at(grid))
+            assert np.array_equal(fam.table.density_at(sigmas),
+                                  bfam.table.density_at(sigmas))
 
 
 def _closed_form_c1(s):
@@ -2183,7 +2201,7 @@ def _callback_densities(family, spec, sigma):
 
 class TestFamilyTables:
     """Every built-in halt family is a polynomial table in u = sqrt(sigma),
-    whose evaluators are its callbacks and whose antiderivative gives its
+    whose evaluators give its samples and whose antiderivative gives its
     integrals."""
 
     @pytest.mark.parametrize("family, spec", [
@@ -2197,15 +2215,14 @@ class TestFamilyTables:
         _, fams = family(spec)
         for fam, (cd, d) in zip(fams, _callback_densities(family, spec,
                                                           sigma)):
-            assert fam.rank_one
-            assert fam.density_at == fam.table.density_at
-            np.testing.assert_allclose(fam.cdensity_at(sigma), cd,
+            table = fam.table
+            np.testing.assert_allclose(table.cdensity_at(sigma), cd,
                                        rtol=0.0, atol=1e-15)
-            np.testing.assert_allclose(fam.density_at(sigma), d, rtol=0.0,
+            np.testing.assert_allclose(table.density_at(sigma), d, rtol=0.0,
                                        atol=1e-15)
             # The table's integral against the substituted Gauss rule.
             np.testing.assert_allclose(
-                fam.table.total, integrate_sqrt_smooth(fam.cdensity_at),
+                table.total, integrate_sqrt_smooth(table.cdensity_at),
                 rtol=0.0, atol=1e-14)
 
     def test_derived_c1_is_the_closed_form(self):
@@ -2254,33 +2271,6 @@ class TestFamilyTables:
         assert rep.check("halt-B:psd").passed
         assert rep.check("halt-A:reconstruction") == base.check(
             "halt-A:reconstruction")
-
-    @pytest.mark.parametrize("family, spec", [
-        (limiting_family, channel_zonoid),
-        (blocked_limiting_family, instrument_zonoid),
-    ])
-    @pytest.mark.parametrize("s_samples", [11, None])
-    def test_rank_one_route_reports_as_the_checked_one(self, family, spec,
-                                                       s_samples):
-        # The same samples through a wrapper take the checked route: the
-        # input check and the eigvalsh. Each check keeps its verdict, and
-        # the two routes differ only by rounding, in psd alone.
-        spec = spec()
-        paths, fams = family(spec)
-        table = verify_theorem_conditions(spec, paths, fams,
-                                          s_samples=s_samples)
-        wrapped = [dataclasses.replace(f, cdensity_at=lambda sg,
-                                       g=f.cdensity_at: g(sg)) for f in fams]
-        assert not any(f.rank_one for f in wrapped)
-        checked = verify_theorem_conditions(spec, paths, wrapped,
-                                            s_samples=s_samples)
-        assert table.passed and checked.passed
-        for a, b in zip(table.checks, checked.checks):
-            assert a.name == b.name
-            if a.name.endswith(":psd"):
-                assert max(a.defect, b.defect) <= 1e-15
-            else:
-                assert a == b
 
     def test_table_input_is_refused(self):
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -2367,9 +2357,7 @@ class TestNearBoxRepair:
         spec = instrument_zonoid()
         paths, fams = blocked_limiting_family(spec)
         base = verify_theorem_conditions(spec, paths, fams, s_samples=11)
-        fams[0] = dataclasses.replace(
-            fams[0], cdensity_at=lambda sg, f=fams[0].cdensity_at:
-            f(sg) - 1e-6 * np.eye(spec.kappa))
+        fams[0] = _shifted(fams[0], lambda sg: 1e-6 * np.eye(spec.kappa))
         rep = verify_theorem_conditions(spec, paths, fams, s_samples=11)
         psd = rep.check("halt-B:psd")
         assert not psd.passed
@@ -2393,24 +2381,29 @@ def _count_box_tests(monkeypatch, spec) -> list:
 
 
 class TestRealStacks:
-    """Real callbacks keep the verifier's coefficient stacks real; complex
-    ones whose entries are real take the same route, and report the same
-    checks bit for bit."""
+    """Real tables keep the verifier's coefficient stacks real; complex
+    ones whose entries are real report the same checks bit for bit."""
 
     @pytest.mark.parametrize("family, spec", [
         (limiting_family, channel_zonoid),
         (blocked_limiting_family, instrument_zonoid),
     ])
-    def test_worked_families_are_real(self, family, spec):
+    def test_worked_families_are_real(self, family, spec, monkeypatch):
         paths, fams = family(spec())
         sigmas = np.linspace(0.0, 1.0, 5)
         for fam in fams:
-            assert fam.cdensity_at(sigmas).dtype == np.float64
-        if paths[0].cmatrix_at is not None:
-            assert paths[0].cmatrix_at(np.array([1.0, 4.0])).dtype == float
-        got = conditions._coefficients(fams[0].cdensity_at(sigmas), 5,
-                                       spec().kappa, "cdensity_at")
-        assert got.dtype == np.float64
+            assert fam.table.w.dtype == np.float64
+            assert fam.table.cdensity_at(sigmas).dtype == np.float64
+        dtypes = []
+        allocate = conditions._SamplePass.allocate
+
+        def record(self, kappa):
+            allocate(self, kappa)
+            dtypes.append(self.table.dtype)
+
+        monkeypatch.setattr(conditions._SamplePass, "allocate", record)
+        verify_theorem_conditions(spec(), paths, fams, s_samples=5)
+        assert dtypes == [np.float64]
 
     @pytest.mark.parametrize("s_samples", [11, None])
     @pytest.mark.parametrize("family, spec", [
@@ -2419,29 +2412,22 @@ class TestRealStacks:
     ])
     def test_complex_callbacks_report_as_real_ones(self, family, spec,
                                                    s_samples):
-        # Every coefficient callback's output cast to complex. Operator
-        # callbacks answer with real diagonals, a form only real arrays
-        # take, so they stay as they are. A family whose cdensity_at is its
-        # table's own skips the input check, which a cast callback takes,
-        # so the real side answers through a wrapper too: both take the
-        # checked route.
+        # Every family's table with its coefficient rows cast to complex.
+        # The path's operators are real diagonals, a form only real arrays
+        # take, so they stay as they are.
         spec = spec()
 
         def run(cast):
             paths, fams = family(spec)
-            paths = [dataclasses.replace(p, cmatrix_at=cast(p.cmatrix_at))
-                     if p.cmatrix_at is not None else p for p in paths]
-            fams = [dataclasses.replace(f, parent=paths[0],
-                                        cdensity_at=cast(f.cdensity_at))
-                    for f in fams]
+            fams = [_with_table(f, cast(f.table.w)) for f in fams]
             return verify_theorem_conditions(spec, paths, fams,
                                              s_samples=s_samples)
 
-        real = run(lambda f: lambda x: f(x))
-        cplx = run(lambda f: lambda x: np.asarray(f(x), dtype=complex))
+        real = run(lambda w: w)
+        cplx = run(lambda w: w.astype(complex))
         assert real.passed
-        # Both routes share the real map and real arithmetic throughout,
-        # so every defect is the same bit for bit.
+        # Both routes share the real map, so every defect is the same bit
+        # for bit.
         assert ([(c.name, c.passed, c.where, c.defect.hex())
                  for c in cplx.checks]
                 == [(c.name, c.passed, c.where, c.defect.hex())
