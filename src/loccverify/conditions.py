@@ -449,7 +449,7 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
             continue
         sigma = clamped(grid ** (1.0 / parties) - 1.0, 1.0,
                         f"{path.label} s outside [1, {2 ** parties}], where "
-                        "its families attach", 0.0)
+                        "its families attach: sigma outside [0, 1]", 0.0)
         hermitian.append(_integrated_witness(solver, c_end, attached,
                                              np.sqrt(sigma), witness))
     samples.run(solver, dims)

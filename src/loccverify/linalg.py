@@ -91,7 +91,8 @@ _smallest = np.minimum.reduce
 
 def clamped(s, top: float, message: str, bottom: float = 1.0) -> np.ndarray:
     """s clipped to [bottom, top], or s itself as a float array when it
-    lies inside; ValueError if an entry is further out than rounding."""
+    lies inside; ValueError if an entry is further out than rounding,
+    giving ``message``, which names the parameter, and that entry."""
     s = np.asarray(s, dtype=float)
     if not s.size:
         return s
@@ -99,7 +100,7 @@ def clamped(s, top: float, message: str, bottom: float = 1.0) -> np.ndarray:
     low, high = _smallest(s, axis=None), _largest(s, axis=None)
     if not (low >= bottom - ROUNDING_TOL and high <= top + ROUNDING_TOL):
         inside = (s >= bottom - ROUNDING_TOL) & (s <= top + ROUNDING_TOL)
-        raise ValueError(f"{message} (got s={s[~inside].flat[0]})")
+        raise ValueError(f"{message} (got {s[~inside].flat[0]})")
     if low < bottom or high > top:
         return np.clip(s, bottom, top)
     return s

@@ -4,18 +4,23 @@ The two-qubit example extends to any number of parties: everyone measures
 the same biased two-outcome POVM round-robin, and the limit channel has a
 closed-form Choi operator supported on matched input-output pairs. Its
 coefficients depend only on how many parties see |0> in each index, so the
-whole channel is a Hadamard multiplier determined by bit counts.
+whole channel is a Hadamard multiplier determined by bit counts. The limit's
+main path and halt families over any of its bases, the two-qubit ones
+among them, come from one builder, :func:`limit_tables`.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import as_matrix, integrate_sqrt_smooth, trace_norm
 from .channels import ChoiOperator, KrausSet
-from .protocols import ProtocolParams, derivative_diagonals, prefix_zeros
+from .conditions import CheckedPath, EndpointFamily, FamilyTable
+from .protocols import (ProtocolParams, derivative_diagonals,
+                        derivative_roots, limit_path_diagonals, prefix_zeros)
 
 MIN_PARTIES = 2
 MAX_PARTIES = 6
@@ -225,3 +230,50 @@ def pqubit_limit_check(parties: int, rounds_list,
         red_defect = float(np.abs(sub - small).max())
     return LimitCheckReport(parties, rounds_list, dists, decreasing,
                             quad_defect, red_defect)
+
+
+# Per spec, its halt tables by (party, block): built on first use, and let
+# go with the spec.
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def limit_tables(spec, halts):
+    """Main path and halt families of the limit over the basis of
+    ``spec``, as :func:`~loccverify.conditions.verify_theorem_conditions`
+    takes them.
+
+    P is the parties of the spec's input, and the main path is
+    :func:`~loccverify.protocols.limit_path_diagonals` on [1, 2^P]. Each
+    (label, party, block) of ``halts`` gives the family of that party's
+    halts over block ``block`` of ``spec.block_list()``: its root r is
+    that of the party's derivative density, and w solves w K = r, K the
+    block's operators as diagonals, by ``solve`` when K is square and
+    otherwise through the block's least-squares expansion map, which the
+    spec's solver holds. The table's block is the support of w; it is
+    real when the basis is, and built once per spec. The path and
+    families are new on every call, so a caller may edit them.
+    """
+    parties = spec.basis.input_dims.n_parties
+    solver, d, tables = spec.solver(), spec.dim, _TABLES.setdefault(spec, {})
+    main = CheckedPath("main", lambda s: limit_path_diagonals(parties, s),
+                       2.0 ** parties, 1.0)
+    families = []
+    for label, party, block in halts:
+        if (party, block) not in tables:
+            root = derivative_roots(parties)[party]
+            indices = list(spec.block_list()[block])
+            if len(indices) == d:
+                k = spec.basis.operators[indices].diagonal(axis1=1, axis2=2)
+                rows = np.linalg.solve((k.real if solver.real else k).T,
+                                       root.T).T
+            else:
+                # A diagonal's expansion reads only the map's columns at
+                # the diagonal entries.
+                a = solver.expansions()[block][1][:, ::d + 1]
+                rows = root @ (a.real if solver.real else a).T
+            w = np.zeros((len(root), spec.kappa), dtype=rows.dtype)
+            w[:, indices] = rows
+            tables[party, block] = FamilyTable(w, root,
+                                               np.flatnonzero(w.any(axis=0)))
+        families.append(EndpointFamily(label, main, tables[party, block]))
+    return [main], families

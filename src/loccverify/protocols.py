@@ -161,12 +161,12 @@ class ProtocolTree:
 
 
 def _powers(eta: float, exponents) -> np.ndarray:
-    """eta ** n for each n of ``exponents`` (a range or a list), bitwise as
-    Python's float power gives them: both that and math.pow call the C
-    library's pow, while np.power differs from it by an ulp in some
-    entries."""
-    return np.fromiter(map(math.pow, itertools.repeat(eta), exponents),
-                       float, len(exponents))
+    """eta ** n for each n of ``exponents``, a float array or a sequence,
+    as Python's float power gives them: that, math.pow and np.float_power
+    call the C library's pow, while np.power differs from it by an ulp in
+    some entries. A float array is taken as it is; a range is converted
+    one element at a time, which costs more than the powers."""
+    return np.float_power(eta, np.asarray(exponents, dtype=float))
 
 
 def _built_table(params: ProtocolParams) -> np.ndarray:
@@ -180,7 +180,7 @@ def _built_table(params: ProtocolParams) -> np.ndarray:
     """
     p = params.parties
     eps = params.epsilon
-    powers = _powers(1.0 - eps, range(params.rounds + 1))
+    powers = _powers(1.0 - eps, np.arange(params.rounds + 1.0))
     cols = np.empty((2 ** p, 2 * p * params.rounds + 1))
     cols[:, 0] = 1.0
     _left_products(cols[:, 1:], _step_factors(p, powers, eps))
@@ -661,7 +661,7 @@ def main_branch_path(parties: int, rounds: int, exponent: float
     for start in range(0, nodes, step):
         end = min(start + step, nodes)
         first = start // parties
-        powers = _powers(eta, range(first, (end - 1) // parties + 2))
+        powers = _powers(eta, np.arange(first, (end - 1) // parties + 2.0))
         # Node n P + l reads eta^n and eta^(n+1) and has l = 0..P - 1: its
         # cycle's powers repeated P times and the steps tiled, cut to the
         # range, with no per-node division or gather.
@@ -864,7 +864,7 @@ def main_branch_diagonals(parties: int, rounds: int, exponent: float,
     n = np.floor(k / parties)
     # Powers of the few cycles the grid needs, as in _built_table.
     cycles, at = np.unique(np.concatenate([n, n + 1.0]), return_inverse=True)
-    powers = _powers(eta, cycles.tolist())[at]
+    powers = _powers(eta, cycles)[at]
     cols = _node_diagonals(parties, powers[:k.size], powers[k.size:],
                            k - n * parties)
     traces = _traces(cols)

@@ -12,7 +12,6 @@ halt outcomes 1 (party B halts) and 2 (party A halts), one table in
 
 from __future__ import annotations
 
-import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache
@@ -34,11 +33,9 @@ from .channels import (
     KrausSet,
     kraus_from_operators,
 )
-from .pqubit import (multiplier_choi_matrix, multiplier_kraus,
+from .pqubit import (limit_tables, multiplier_choi_matrix, multiplier_kraus,
                      prelimit_coefficients, quadrature_coefficients)
-from .conditions import CheckedPath, EndpointFamily, FamilyTable
-from .protocols import (derivative_diagonals, derivative_roots,
-                        limit_path_diagonals)
+from .protocols import derivative_diagonals
 from .tolerances import DENSITY_TRACE_TOL, QUAD_NODES, SIGMA_SAMPLES
 from .zonoid import ZonoidSpec, zonoid_spec_for_instrument
 
@@ -100,35 +97,25 @@ def c_matrix_stack(name: str, s) -> np.ndarray:
 
     With sigma = sqrt(s) - 1, "C2" and "C3" are the rank-1 densities
     w w^T (d sigma) of the :data:`HALTS` naming them, read from their
-    tables (:func:`_reduced_table`): w weights operator 3 by
-    3 sqrt(sigma) - 2 and their own operator by 1. "C1", the main-path
-    witness, is the endpoint e_0 e_0^T plus the integrals of C2 and C3
-    over [0, sigma]. The densities may leave the unit box; only assembled
-    witnesses are box constrained. A caller that needs checked coefficient
-    matrices passes the stack through
+    tables in :func:`limiting_family`: w weights operator 3 by
+    3 sqrt(sigma) - 2 and the halt's outcome operator by 1. "C1", the
+    main-path witness, is the endpoint e_0 e_0^T plus the integrals of C2
+    and C3 over [0, sigma]. The densities may leave the unit box; only
+    assembled witnesses are box constrained. A caller that needs checked
+    coefficient matrices passes the stack through
     :func:`~loccverify.zonoid.coefficient_stack`.
     """
-    if name != "C1" and name not in [h.density for h in HALTS]:
+    tables = {halt.density: fam.table
+              for halt, fam in zip(HALTS, limiting_family()[1])}
+    if name != "C1" and name not in tables:
         raise ValueError(f"unknown family {name!r}")
     sigma = _sigma_of(clamped(s, 4.0, f"{name} needs s in [1, 4]"))
     if name == "C1":
         u = np.sqrt(sigma)
-        c = sum(_reduced_table(halt).integrals(u) for halt in HALTS)
+        c = sum(table.integrals(u) for table in tables.values())
         c[:, 0, 0] += 1.0
         return c
-    (halt,) = [h for h in HALTS if h.density == name]
-    return _reduced_table(halt).cdensity_at(sigma)
-
-
-@cache
-def _reduced_table(halt: Halt) -> FamilyTable:
-    """The halt's family over :data:`K_REDUCED`, of degree 1 in
-    u = sqrt(sigma): w = e_outcome + (3 u - 2) e_3, whose block is those
-    two operators, and the root of its party's derivative density."""
-    w = np.zeros((2, 4))
-    w[0, halt.outcome] = 1.0
-    w[:, 3] = (-2.0, 3.0)
-    return FamilyTable(w, derivative_roots(2)[halt.party], (halt.outcome, 3))
+    return tables[name].cdensity_at(sigma)
 
 
 @dataclass(frozen=True)
@@ -363,31 +350,16 @@ def _sigma_of(s):
     return np.sqrt(s) - 1.0
 
 
-def _limit_family(table):
-    """Main path and the halt continua of :data:`HALTS` of the limit.
-
-    The main path comes as real diagonals, and the family of each halt is
-    ``table(halt)``.
-    """
-    main = CheckedPath(
-        label="main",
-        op_at=lambda s: limit_path_diagonals(2, s),
-        s_top=4.0,
-        s_bottom=1.0,
-    )
-    return [main], [EndpointFamily(halt.label, main, table(halt))
-                    for halt in HALTS]
-
-
 def limiting_family(spec: ZonoidSpec | None = None):
-    """Main path and halt families of the limit, ready for verification.
-
-    Returns (paths, families) over the reduced basis: the main path and
-    the two halt continua whose closed-form coefficient densities C2 and
-    C3 integrate into the identity resolution. The densities are closed
-    forms, so ``spec`` is not read.
-    """
-    return _limit_family(_reduced_table)
+    """Main path and halt families of the limit, ready for verification:
+    the continua of :data:`HALTS`, each its party's halts over the single
+    block of ``spec`` (by default :func:`channel_zonoid`), built by
+    :func:`~loccverify.pqubit.limit_tables`. Over the reduced basis each
+    w is e_outcome + (3 sqrt(sigma) - 2) e_3, solved exactly."""
+    if spec is None:
+        spec = channel_zonoid()
+    return limit_tables(spec, [(halt.label, halt.party, 0)
+                               for halt in HALTS])
 
 
 @cache
@@ -400,41 +372,13 @@ def instrument_zonoid() -> ZonoidSpec:
         zonoid_spec_for_instrument(two_qubit_instrument().instrument))
 
 
-# Per spec, its blocked halt tables by halt: built on first use, and let go
-# with the spec.
-_BLOCKED_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _blocked_table(spec: ZonoidSpec, halt: Halt) -> FamilyTable:
-    """The halt's family over the blocked basis of ``spec``: the root of
-    its party's derivative density, and w = root a^T on the halt's block,
-    with a the block's expansion map, which the spec's solver holds. Real
-    when the spec's basis is."""
-    tables = _BLOCKED_TABLES.setdefault(spec, {})
-    if halt not in tables:
-        solver = spec.solver()
-        d = spec.dim
-        block = spec.block_list()[halt.outcome]
-        # The expansion of a diagonal k reads only the diagonal entries of
-        # k, so it needs only the map's columns there.
-        a = solver.expansions()[halt.outcome][1][:, ::d + 1]
-        if solver.real:
-            a = a.real
-        root = derivative_roots(2)[halt.party]
-        w = np.zeros((len(root), spec.kappa), dtype=a.dtype)
-        w[:, list(block)] = root @ a.T
-        tables[halt] = FamilyTable(w, root, block)
-    return tables[halt]
-
-
 def blocked_limiting_family(spec: ZonoidSpec | None = None):
-    """Limit paths over the blocked instrument basis.
-
-    Same geometry as :func:`limiting_family`, but coefficient densities are
-    expanded block by block so the per-outcome identity resolutions can be
-    checked. The halt density at each sigma stays inside its own block;
-    each halt's table (:func:`_blocked_table`) is built once per spec.
-    """
+    """Limit paths over the blocked instrument basis of ``spec``, by
+    default :func:`instrument_zonoid`: as :func:`limiting_family`, but
+    each halt's family is the least-squares expansion of its density's
+    root over its outcome's block, so the per-outcome identity
+    resolutions can be checked."""
     if spec is None:
         spec = instrument_zonoid()
-    return _limit_family(lambda halt: _blocked_table(spec, halt))
+    return limit_tables(spec, [(halt.label, halt.party, halt.outcome)
+                               for halt in HALTS])

@@ -59,6 +59,10 @@ def test_all_names_exactly_the_bound_public_names():
     (conditions, "_residuals"),
     (conditions, "_as_matrix"),
     (conditions, "_parent_witnesses"),
+    (twoqubit, "_reduced_table"),
+    (twoqubit, "_blocked_table"),
+    (twoqubit, "_BLOCKED_TABLES"),
+    (twoqubit, "_limit_family"),
 ])
 def test_retired_names_are_gone(module, name):
     assert not hasattr(module, name)
@@ -143,7 +147,13 @@ def test_module_seams():
                 if isinstance(node, ast.ImportFrom) and node.level == 1}
 
     assert "zonoid" not in sources("protocols")
-    assert not sources("conditions") & {"protocols", "twoqubit"}
+    assert not sources("conditions") & {"protocols", "twoqubit", "pqubit"}
+    # One builder makes every halt table the package hands out.
+    builds = {name for name, tree in trees.items()
+              for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              == "FamilyTable"}
+    assert builds == {"pqubit"}
     defines = [name for name, tree in trees.items()
                if any(isinstance(node, ast.FunctionDef)
                       and node.name == "c_matrix_stack"

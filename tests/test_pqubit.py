@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loccverify import (
+    ZonoidSpec,
     choi_distance,
     limiting_choi_2q,
     moment_identity_check,
@@ -18,8 +19,10 @@ from loccverify import (
     prelimit_coefficients,
     protocol_leaf_diagonals,
     quadrature_coefficients,
+    verify_theorem_conditions,
 )
 from loccverify import protocols
+from loccverify.pqubit import limit_tables
 from loccverify.tolerances import QUADRATURE_TOL
 
 from conftest import random_density
@@ -263,3 +266,24 @@ class TestLimitCheck:
         # One distance, or none, is "strictly decreasing" vacuously.
         with pytest.raises(ValueError, match="at least two round counts"):
             pqubit_limit_check(3, rounds_list)
+
+
+class TestLimitTables:
+    """The P-party limit's main path and halt families, from the one table
+    builder, meet the theorem conditions."""
+
+    @pytest.mark.parametrize("parties", range(2, 7))
+    def test_every_party_count_meets_the_conditions(self, parties):
+        spec = ZonoidSpec(multiplier_kraus(pqubit_coefficients(parties),
+                                           (2,) * parties))
+        paths, fams = limit_tables(
+            spec, [(f"halt-{a}", a, 0) for a in range(parties)])
+        rep = verify_theorem_conditions(spec, paths, fams, s_samples=11)
+        assert rep.passed
+        # The integrated witness answers every sample without the solver.
+        assert rep.check("main:membership").where.endswith("solver 0/11")
+        # Without one party's halts the identity is not resolved, and that
+        # alone fails.
+        rep = verify_theorem_conditions(spec, paths, fams[1:], s_samples=11)
+        assert [c.name for c in rep.checks if not c.passed] == ["resolution"]
+        assert rep.check("resolution").defect > 1.0

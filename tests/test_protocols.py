@@ -760,9 +760,8 @@ class TestPowers:
             eta = 1.0 - ProtocolParams(2, rounds, c).epsilon
             etas.append(eta)
             self._assert_bitwise(eta, range(rounds + 2))
-            # main_branch_diagonals passes its cycles as a list of floats.
-            self._assert_bitwise(eta, [float(n) for n in range(0, rounds + 2,
-                                                             7)])
+            # main_branch_diagonals passes its cycles as a float array.
+            self._assert_bitwise(eta, np.arange(0.0, rounds + 2, 7))
         assert min(etas) < 0.1 and max(etas) > 0.99
 
     @pytest.mark.parametrize("eta", [0.0, 1e-3, 0.137, 0.5, 1.0 - 1e-3,
@@ -770,6 +769,16 @@ class TestPowers:
     def test_fixed_eta(self, eta):
         self._assert_bitwise(eta, range(9002))
         self._assert_bitwise(eta, range(4000, 4100))
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0 - 1e-15] + [
+        1.0 - ProtocolParams(p, rounds, c).epsilon
+        for p, rounds, c in ((2, 9000, 0.6), (2, 9180, 0.4), (3, 900, 0.4))])
+    def test_float_power_is_math_pow(self, eta):
+        # np.float_power calls the C library's pow once per entry; a numpy
+        # that vectorised it could round otherwise.
+        want = np.array([math.pow(eta, n) for n in range(20001)])
+        got = protocols._powers(eta, range(20001))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _reference_steps(parties, rounds, exponent):
@@ -2250,6 +2259,11 @@ class TestFamilyTables:
         reduced = [f.table for f in limiting_family()[1]]
         assert all(a is b for a, b in zip(
             reduced, [f.table for f in limiting_family()[1]]))
+        # The path and families are the caller's to edit, so they are new
+        # on every call.
+        paths, fams = limiting_family()
+        assert paths[0] is not limiting_family()[0][0]
+        assert fams[0] is not limiting_family()[1][0]
 
     @pytest.mark.parametrize("family, spec", [
         (limiting_family, channel_zonoid),
@@ -2285,8 +2299,28 @@ class TestFamilyTables:
         table = FamilyTable(w, np.ones((1, 1)), (1, 0, 1))
         assert table.block == (0, 1)
         assert not table.w.flags.writeable
-        with pytest.raises(ValueError, match="sigma outside"):
-            table.cdensity_at(np.array([0.5, 1.5]))
+        # The message names the parameter once; the refusal adds the value.
+        with pytest.raises(ValueError, match=r"^sigma outside \[0, 1\] "
+                           r"\(got 1\.5\)$"):
+            table.cdensity_at([0.5, 1.5])
+
+    def test_reduced_tables_are_the_exact_solution(self):
+        # w K = r solved over the square K_REDUCED: w = e_outcome +
+        # (3 u - 2) e_3, exact to the last bit, and zero elsewhere.
+        for halt, fam in zip(twoqubit.HALTS, limiting_family()[1]):
+            want = np.zeros((2, 4))
+            want[0, halt.outcome] = 1.0
+            want[:, 3] = (-2.0, 3.0)
+            assert np.array_equal(fam.table.w, want)
+            assert fam.table.block == (halt.outcome, 3)
+
+    def test_blocked_tables_stay_in_their_outcome_block(self):
+        spec = instrument_zonoid()
+        for halt, fam in zip(twoqubit.HALTS,
+                             blocked_limiting_family(spec)[1]):
+            block = spec.block_list()[halt.outcome]
+            assert fam.table.block == block
+            assert not np.delete(fam.table.w, block, axis=1).any()
 
     def test_integrals_are_hermitian_and_zero_off_the_block(self):
         rng = np.random.default_rng(4603)
