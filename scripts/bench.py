@@ -18,15 +18,19 @@ tables set their peaks, ``theorem1 --nu 1000``, ``scripts/run_verification_suite
 tree build and check set their peaks: sizes at which a run is more than
 its imports, ``zonoid-check --basis twoqubit-blocks``, whose memory
 estimate is its first call of the package's zonoid layer in a fresh
-process, and the Tier-1 suite, ``python -m pytest -q -p
+process, ``choi`` on two seeded random complex 16 x 16 operators given
+inline (``complex_kraus``), whose 256 x 256 complex Choi matrix it
+prints, and the Tier-1 suite, ``python -m pytest -q -p
 no:cacheprovider tests``. Standard library only. ``child_env`` is the
 environment of every child, here and in ``scripts/ab.py``.
 """
 
 import argparse
 import json
+import math
 import os
 import platform
+import random
 import statistics
 import sys
 import time
@@ -45,6 +49,23 @@ def cli(*argv: str) -> list:
     return ["-m", "loccverify.cli", *argv]
 
 
+def complex_kraus(count: int, d: int, seed: int = 16) -> str:
+    """Inline JSON of ``count`` seeded random complex d x d operators on
+    C^d, dense, as ``tests/test_cli.py`` builds its complex Choi case, but
+    drawn by the standard library: a Choi matrix with every entry complex
+    and nonzero. They are scaled so that sum_k Tr K_k^dag K_k = d, which
+    is what ``choi``'s trace check asks, so the run exits 0."""
+    rng = random.Random(seed)
+    parts = [rng.gauss(0.0, 1.0) for _ in range(2 * count * d * d)]
+    scale = math.sqrt(d / math.fsum(x * x for x in parts))
+    pairs = [[scale * re, scale * im]
+             for re, im in zip(parts[::2], parts[1::2])]
+    ops = [{"rows": d, "cols": d, "data": pairs[k * d * d:(k + 1) * d * d]}
+           for k in range(count)]
+    return json.dumps({"dims": {"in": [d], "out": [d]}, "operators": ops},
+                      separators=(",", ":"))
+
+
 CASES = {
     "theorem1": cli("theorem1"),
     "theorem8": cli("theorem8"),
@@ -60,6 +81,8 @@ CASES = {
                                            "--nu", "10000"),
     "zonoid-check --basis twoqubit-blocks": cli("zonoid-check", "--basis",
                                                 "twoqubit-blocks"),
+    "choi --kraus <2 complex 16 x 16>": cli("choi", "--kraus",
+                                            complex_kraus(2, 16)),
     "tier-1 tests": ["-m", "pytest", "-q", "-p", "no:cacheprovider",
                      str(ROOT / "tests")],
 }

@@ -60,11 +60,6 @@ TREE_BYTES_BUDGET = 2 ** 28
 
 # Fixed part of `work_bytes`.
 _FIXED_BYTES = 2 ** 19
-# The sample table of each theorem check (`sample_pass_bytes`), real: its
-# basis size kappa, its operators' size d (real diagonals) and its halt
-# families, each of SIGMA_SAMPLES rows; besides these, a membership row
-# per s sample and one endpoint row.
-_THEOREM_LAYOUT = {"theorem1": (4, 4, 2), "theorem8": (5, 4, 2)}
 # Bytes each direction of a two-qubit Hausdorff estimate holds.
 _HAUSDORFF_SAMPLE_BYTES = 1344
 # Bytes each entry of a Choi matrix holds: in `choi` with its printed JSON,
@@ -194,7 +189,8 @@ def work_bytes(args, *inputs, z: np.ndarray | None = None) -> int:
     :func:`~loccverify.protocols.protocol_check_bytes` counts its build
     and check, the theorem checks with
     their s samples, as :func:`~loccverify.conditions.sample_pass_bytes`
-    counts their sample table from its layout, the path gap with its grid
+    counts their sample table and their tables' held samples from the
+    layout :func:`_theorem_layout` reads, the path gap with its grid
     (2^P entries a point), Hausdorff estimates with their directions, and
     choi and distance with the (d d_out)^2 entries of a Choi matrix. A
     zonoid-check run is as :func:`~loccverify.zonoid.zonoid_bytes` counts
@@ -213,12 +209,11 @@ def work_bytes(args, *inputs, z: np.ndarray | None = None) -> int:
         parts.append(per * (d * out) ** 2)
     if args.command == "zonoid-check":
         parts.append(zonoid_bytes(*inputs, z is None or not z.imag.any()))
-    if args.command in _THEOREM_LAYOUT:
-        kappa, d, families = _THEOREM_LAYOUT[args.command]
+    if args.command in ("theorem1", "theorem8"):
+        kappa, d, families = _theorem_layout(args.command)
         # --samples 0 is the dense grid: spacing 0.01 on [1, 4].
-        n = args.samples or 301
-        rows = n + 1 + families * tolerances.SIGMA_SAMPLES
-        parts.append(sample_pass_bytes(kappa, d, rows, n))
+        parts.append(sample_pass_bytes(kappa, d, args.samples or 301,
+                                       families))
     if args.command == "protocol":
         parts.append(protocol_check_bytes(args.parties, args.nu))
     if args.command == "paths":
@@ -226,6 +221,17 @@ def work_bytes(args, *inputs, z: np.ndarray | None = None) -> int:
     if args.command == "hausdorff":
         parts.append(_HAUSDORFF_SAMPLE_BYTES * args.samples)
     return _FIXED_BYTES + max(parts)
+
+
+def _theorem_layout(command: str) -> tuple[int, int, int]:
+    """The basis size kappa, the operators' size d and the number of halt
+    families of a theorem command's sample table, read without building
+    its spec: theorem1's basis is the reduced set K_REDUCED and theorem8's
+    the outcome groups of K_GROUPED, each a set of linearly independent
+    diagonal operators, so kappa is their count and d their diagonal's
+    length; each command verifies one family per halt of HALTS."""
+    ops = twoqubit.K_REDUCED if command == "theorem1" else twoqubit.K_GROUPED
+    return len(ops), ops.shape[-1], len(twoqubit.HALTS)
 
 
 def _refuse_over_budget(args, *inputs, z: np.ndarray | None = None) -> None:

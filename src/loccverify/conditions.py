@@ -9,8 +9,9 @@ samples those conditions on caller-supplied paths and families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,6 +21,11 @@ from .tolerances import (MEMBERSHIP_TOL, MIXTURE_PSD_TOL, PRODUCT_TOL,
                          RECON_TOL, RESOLUTION_TOL, ROUNDING_TOL,
                          SIGMA_SAMPLES, TRACE_TOL)
 from .zonoid import ZonoidSpec, endpoint_cmatrix, membership
+
+# The SIGMA_SAMPLES values of sigma at which every halt family is checked,
+# and at which each FamilyTable holds its samples; read-only.
+SIGMA_GRID = np.linspace(0.0, 1.0, SIGMA_SAMPLES)
+SIGMA_GRID.setflags(write=False)
 
 
 @dataclass
@@ -55,6 +61,18 @@ class CheckedPath:
         return np.linspace(self.s_bottom, self.s_top, n)[::-1]
 
 
+class FamilySamples(NamedTuple):
+    """A family table at :data:`SIGMA_GRID`, one row per sigma: its
+    coefficient densities conj(w) w^T, (n, kappa, kappa), its operator
+    densities, (n, d), the lowest eigenvalue of each coefficient density,
+    (n,), and its roots r, (n, d). Read-only."""
+
+    cdensity: np.ndarray
+    density: np.ndarray
+    lowest: np.ndarray
+    root: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class FamilyTable:
     """A halt family that is a polynomial in u = sqrt(sigma).
@@ -63,20 +81,23 @@ class FamilyTable:
     real diagonal r * r, with w = sum_k w_k u^k and r = sum_k r_k u^k:
     ``w`` holds the rows w_k, (deg + 1, kappa), ``root`` the rows r_k,
     (deg' + 1, d), and ``block`` the basis indices off which every w_k is
-    zero. :meth:`cdensity_at` and :meth:`density_at` evaluate the table by
-    Horner's rule; they are the samples the verifier checks.
+    zero. :meth:`cdensity_at`, :meth:`density_at` and :meth:`root_at`
+    evaluate the table by Horner's rule; :attr:`samples` holds them at
+    :data:`SIGMA_GRID`, the samples the verifier checks.
 
     With sigma = t^2, the integral of conj(w) w^T over [0, u^2] is that of
     2 t conj(w(t)) w(t)^T over [0, u], a polynomial in u whose
     coefficient of u^(m + 2) is 2 G_m / (m + 2), G_m = sum_{j + k = m}
     conj(w_j) w_k^T: ``antiderivative`` holds those, (2 deg + 1, kappa,
-    kappa), each Hermitian bit for bit and zero off the block.
+    kappa), each Hermitian bit for bit and zero off the block, and
+    ``total`` their sum, the integral over [0, 1].
     Frozen, with read-only arrays, and compared by identity.
     """
 
     w: np.ndarray
     root: np.ndarray
     block: tuple[int, ...]
+    total: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.array(self.w)
@@ -98,7 +119,8 @@ class FamilyTable:
             g[j:j + deg + 1] += w[j].conj()[:, None] * w[:, None, :]
         g = 0.5 * (g + g.conj().swapaxes(-1, -2))
         g *= (2.0 / np.arange(2, 2 * deg + 3))[:, None, None]
-        for name, a in (("w", w), ("root", root), ("antiderivative", g)):
+        for name, a in (("w", w), ("root", root), ("antiderivative", g),
+                        ("total", g.sum(axis=0))):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         object.__setattr__(self, "block", block)
@@ -114,11 +136,32 @@ class FamilyTable:
         return (w.conj() if w.dtype.kind == "c" else w)[:, :, None] * w[
             :, None, :]
 
+    def root_at(self, sigma) -> np.ndarray:
+        """The real roots r at every sigma of a 1-D array in [0, 1];
+        (n, d)."""
+        return polynomial_values(self.root, self._roots(sigma))
+
     def density_at(self, sigma) -> np.ndarray:
         """The real diagonals r * r at every sigma of a 1-D array in
         [0, 1]; (n, d)."""
-        r = polynomial_values(self.root, self._roots(sigma))
+        r = self.root_at(sigma)
         return r * r
+
+    @cached_property
+    def samples(self) -> FamilySamples:
+        """The table at :data:`SIGMA_GRID`, built on first use and then
+        held, since every verification reads the same samples. Each is
+        taken through this table's own evaluators, so a subclass's are
+        the ones sampled, and the lowest eigenvalues are
+        :func:`_lowest`'s, in closed form for blocks of at most two
+        indices."""
+        cdensity = self.cdensity_at(SIGMA_GRID)
+        samples = FamilySamples(cdensity, self.density_at(SIGMA_GRID),
+                                _lowest(cdensity, self.block),
+                                self.root_at(SIGMA_GRID))
+        for a in samples:
+            a.setflags(write=False)
+        return samples
 
     def integrals(self, u: np.ndarray) -> np.ndarray:
         """The integral of conj(w) w^T over [0, u^2] at each u of a 1-D
@@ -128,11 +171,6 @@ class FamilyTable:
         out = polynomial_values(self.antiderivative, u)
         out *= (u * u)[:, None, None]
         return out
-
-    @property
-    def total(self) -> np.ndarray:
-        """The integral of conj(w) w^T over [0, 1]."""
-        return self.antiderivative.sum(axis=0)
 
 
 @dataclass
@@ -319,27 +357,33 @@ class _SamplePass:
                                                 dims, True)
 
 
-def sample_pass_bytes(kappa: int, dim: int, rows: int, witness: int) -> int:
-    """Peak bytes of a real :class:`_SamplePass`, from its layout alone:
-    a table of ``rows`` coefficient samples, each paired with a real
-    diagonal operator of ``dim`` entries, ``witness`` of them integrated
-    witnesses on an s grid.
+def sample_pass_bytes(kappa: int, dim: int, samples: int,
+                      families: int) -> int:
+    """Peak bytes of a real :class:`_SamplePass` over one path of
+    ``samples`` s samples with ``families`` halt families attached, from
+    its layout alone, and of the samples those families' tables hold.
 
-    The table holds kappa^2 entries a row, and the operators a diagonal
-    each per row, twice: their stacks and their concatenation in
+    The table has a row per s sample (its integrated witness), one
+    endpoint row and ``SIGMA_SAMPLES`` rows per family, each with kappa^2
+    entries and paired with a real diagonal operator of ``dim`` entries,
+    which are held twice: their stacks and their concatenation in
     :meth:`_SamplePass.allocate`. On top of these, the larger of two
     phases. While the witnesses are integrated, two more stacks of their
     rows (the product and the sum of Horner's rule) and their s grid,
     twice. While the pass runs, a spectrum of kappa entries, a residual
     and a product defect per row, and three diagonals of the residual's
-    temporaries per row.
+    temporaries per row. Each family's table holds, per sigma, its
+    coefficient density, its density, its root and its lowest eigenvalue
+    (:attr:`FamilyTable.samples`).
     """
     entry = 8
+    rows = samples + 1 + families * SIGMA_SAMPLES
     table = rows * kappa ** 2 * entry
     operators = 2 * rows * dim * entry
-    integrate = witness * (2 * kappa ** 2 + 2) * entry
+    held = families * SIGMA_SAMPLES * (kappa ** 2 + 2 * dim + 1) * entry
+    integrate = samples * (2 * kappa ** 2 + 2) * entry
     run = (rows * (kappa + 2) + 3 * rows * dim) * entry
-    return table + operators + max(integrate, run)
+    return table + operators + held + max(integrate, run)
 
 
 def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
@@ -370,8 +414,11 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     Tolerances come from :mod:`loccverify.tolerances`.
     ``s_samples`` None selects each path's dense grid; ``s_samples``
     below 1 raises ValueError. Halt families are sampled at
-    ``SIGMA_SAMPLES`` values of sigma, and a family at sigma attaches to
-    its parent at s = (1 + sigma)^P, P the parties of the spec.
+    :data:`SIGMA_GRID`, ``SIGMA_SAMPLES`` values of sigma, and a family at
+    sigma attaches to its parent at s = (1 + sigma)^P, P the parties of
+    the spec. Each table evaluates those samples once and holds them
+    (:attr:`FamilyTable.samples`), so a table verified again is not
+    evaluated again; every check still runs on every call.
 
     Each path's ``op_at`` is called once, on its grid and its bottom end
     together, so the number of calls does not depend on the sample
@@ -387,7 +434,8 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     bit and zero off its table's block, so they take no input check and
     no eigvalsh: their lowest eigenvalue is their block's, in closed form
     for blocks of at most two indices
-    (:func:`~loccverify.linalg.lowest_eigenvalues`). The psd check's
+    (:func:`~loccverify.linalg.lowest_eigenvalues`), and its table holds
+    it with the samples. The psd check's
     parent side is the lowest eigenvalue of the parent's endpoint matrix,
     which the pass holds: the parent's witness at sigma is that matrix
     plus integrals of conj(w) w^T, masked to its blocks, and neither
@@ -408,7 +456,6 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     solver = spec.solver()
     kappa, dim, dims = spec.kappa, spec.dim, spec.basis.input_dims
     parties = dims.n_parties
-    sigmas = np.linspace(0.0, 1.0, SIGMA_SAMPLES)
     samples = _SamplePass()
 
     for f, fam in enumerate(families):
@@ -417,7 +464,7 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
             raise ValueError(f"{fam.label} has a table over {t.w.shape[1]} "
                              f"operators of {t.root.shape[1]} entries; the "
                              f"spec has {kappa} of {dim}")
-        samples.add("family", f, t.cdensity_at(sigmas), t.density_at(sigmas))
+        samples.add("family", f, t.samples.cdensity, t.samples.density)
 
     sampled = []
     for p, path in enumerate(paths):
@@ -512,7 +559,7 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     for f, fam in enumerate(families):
         lbl = fam.label
         rows = samples.rows["family", f]
-        low = _lowest(samples.table[rows], fam.table.block)
+        low = fam.table.samples.lowest
         # lambda_min is concave, so the segment mixtures
         # (1 - x) C_parent + x C_r are lowest at x = 0 or x = 1, and
         # lambda_min(C_parent) >= lambda_min(C_end).
@@ -523,11 +570,11 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
             # On a tie np.maximum returns its second argument: +0.0, not
             # -0.0.
             _worst(f"{lbl}:psd", np.maximum(-low, 0.0), MIXTURE_PSD_TOL,
-                   "sigma", sigmas),
+                   "sigma", SIGMA_GRID),
             _worst(f"{lbl}:product", samples.products[rows], PRODUCT_TOL,
-                   "sigma", sigmas),
+                   "sigma", SIGMA_GRID),
             _worst(f"{lbl}:reconstruction", samples.residuals[rows],
-                   RECON_TOL, "sigma", sigmas),
+                   RECON_TOL, "sigma", SIGMA_GRID),
         ]
         total = total + fam.table.total
 

@@ -9,6 +9,7 @@ documents.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -86,7 +87,7 @@ def load_json(path: str) -> Any:
 
 
 def _format_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite value {x!r} cannot be serialized")
     if x == int(x) and abs(x) < 1e16:
         return f"{x:.1f}"
@@ -110,7 +111,9 @@ def dumps(obj: Any, indent: int = 2) -> str:
 
     Keys are sorted; a list whose items are all numbers or strings (no
     bools) stays on one line, and every other nonempty container puts one
-    item on each line.
+    item on each line. A list of lists of Python floats, such as the
+    [re, im] pairs of :func:`matrix_to_json`, is written row by row
+    without the general recursion, to the same bytes.
     """
     pad = " " * indent
 
@@ -127,11 +130,17 @@ def dumps(obj: Any, indent: int = 2) -> str:
                      for key in sorted(value, key=str)]
             ends = "{}"
         elif isinstance(value, list):
-            items = [write(v, depth + 1) for v in value]
-            if all(isinstance(_normalize(v), (int, float, str))
-                   and not isinstance(v, bool) for v in value):
-                return "[" + ", ".join(items) + "]"
             ends = "[]"
+            if value and all(type(v) is list and all(type(x) is float
+                                                     for x in v)
+                             for v in value):
+                items = ["[" + ", ".join(map(_format_float, v)) + "]"
+                         for v in value]
+            else:
+                items = [write(v, depth + 1) for v in value]
+                if all(isinstance(_normalize(v), (int, float, str))
+                       and not isinstance(v, bool) for v in value):
+                    return "[" + ", ".join(items) + "]"
         else:
             raise TypeError(f"cannot serialize {type(value).__name__}")
         if not items:

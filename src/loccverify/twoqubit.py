@@ -33,10 +33,11 @@ from .channels import (
     KrausSet,
     kraus_from_operators,
 )
+from .conditions import SIGMA_GRID
 from .pqubit import (limit_tables, multiplier_choi_matrix, multiplier_kraus,
                      prelimit_coefficients, quadrature_coefficients)
 from .protocols import derivative_diagonals
-from .tolerances import DENSITY_TRACE_TOL, QUAD_NODES, SIGMA_SAMPLES
+from .tolerances import DENSITY_TRACE_TOL, QUAD_NODES
 from .zonoid import ZonoidSpec, zonoid_spec_for_instrument
 
 
@@ -200,17 +201,18 @@ def blocked_isometry_check() -> BlockedIsometryCheck:
     matrix does not depend on sigma, so one least-squares solve per block
     takes every sigma sample as a right-hand side, through the block's
     pseudo-inverse (:func:`_grouped_fits`). The halt and grouped operators
-    are all diagonal, so the fit runs on their diagonals.
+    are all diagonal, so the fit runs on their diagonals: each halt's are
+    the root samples of its table in :func:`blocked_limiting_family`, at
+    the sigma grid the theorem verifier checks, which the table holds.
     """
-    sigmas = np.linspace(0.0, 1.0, SIGMA_SAMPLES)
-    rt = np.sqrt(sigmas)
+    rt = np.sqrt(SIGMA_GRID)
     want = np.stack([np.sqrt(3.0) * (2.0 * rt - 1.0),
                      np.sqrt(6.0) * (1.0 - rt)])
-    kraus = np.sqrt(derivative_diagonals(2, sigmas))
     worst_res = 0.0
     worst_coef = 0.0
-    for halt, (a, pinv) in zip(HALTS, _grouped_fits()):
-        vecs = kraus[:, halt.party].T
+    _, families = blocked_limiting_family()
+    for fam, (a, pinv) in zip(families, _grouped_fits()):
+        vecs = fam.table.samples.root.T
         coef = pinv @ vecs
         worst_res = max(worst_res, float(
             np.linalg.norm(a @ coef - vecs, axis=0).max()))

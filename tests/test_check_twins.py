@@ -192,6 +192,33 @@ def test_every_halt_reader_takes_its_outcome_from_the_table(
         assert checks["main:membership"]["where"].endswith("solver 300/301")
 
 
+def test_blocked_coefficients_read_the_blocked_root_samples(capsys,
+                                                           monkeypatch):
+    # Halt-B's blocked table with its root rows scaled by -1: its density
+    # r * r, its w and so every verifier check are unchanged, and so is
+    # the blocked-isometry residual, since -r lies in its group's span as
+    # r does; only the fitted coefficients turn to minus the closed form,
+    # off by twice its largest value, 2 sqrt(6) at sigma = 0. A scaling
+    # that keeps the sign moves the density too, and fails halt-B's
+    # reconstruction with it.
+    def altered(blocked):
+        def scaled(spec=None):
+            paths, fams = blocked(spec)
+            t = fams[0].table
+            fams[0] = dataclasses.replace(fams[0], table=FamilyTable(
+                t.w, -t.root, t.block))
+            return paths, fams
+        return scaled
+
+    base, twin = assert_patched_twin(
+        capsys, monkeypatch, ["theorem8"], twoqubit,
+        "blocked_limiting_family", altered, "blocked-coefficients")
+    assert base["defect"] <= 1e-14
+    assert twin["defect"] == pytest.approx(2.0 * np.sqrt(6.0), abs=1e-12)
+    _, checks = run(capsys, ["theorem8"])
+    assert checks["blocked-isometry"]["defect"] <= 1e-14
+
+
 def test_hausdorff_decreasing(capsys):
     checks = assert_twin(
         capsys, ["hausdorff", "--nu-list", "100,1000", "--samples", "50"],
@@ -295,6 +322,8 @@ def test_stacked_psd_names_its_family_and_sigma(family, make_spec, label):
     for c in rep.checks:
         if not c.name.startswith(f"{label}:"):
             assert c == base.check(c.name)
+    # The faulted table now holds its samples; a second run reads them.
+    assert verify_theorem_conditions(spec, paths, fams, s_samples=11) == rep
 
 
 @pytest.mark.parametrize("family, make_spec", [
@@ -398,6 +427,7 @@ def test_psd_alone_reads_its_family_rows(family, make_spec, label):
     psd = assert_alone(base, rep, f"{label}:psd", "sigma=0.37")
     assert psd.defect == pytest.approx(
         -np.linalg.eigvalsh(c - kernel)[0], rel=1e-9)
+    assert verify_theorem_conditions(spec, paths, fams, s_samples=11) == rep
 
 
 @pytest.mark.parametrize("family, make_spec", [
@@ -472,7 +502,7 @@ CHECK_TWINS = {
     "blocked-isometry": "test_check_twins::"
                         "test_every_halt_reader_takes_its_outcome_from_the_table",
     "blocked-coefficients": "test_check_twins::"
-                            "test_every_halt_reader_takes_its_outcome_from_the_table",
+                            "test_blocked_coefficients_read_the_blocked_root_samples",
     "coarse-grain": "test_check_twins::"
                     "test_every_halt_reader_takes_its_outcome_from_the_table",
 }

@@ -15,7 +15,7 @@ import pytest
 
 import loccverify
 from loccverify import (cli, conditions, linalg, protocols, serialize,
-                        zonoid)
+                        twoqubit, zonoid)
 from loccverify.channels import kraus_from_operators
 from loccverify.serialize import (dumps, kraus_to_json, matrix_from_json,
                                   matrix_to_json)
@@ -447,7 +447,15 @@ class TestExitCodes:
     def test_theorem_layout_is_the_sample_table(self, monkeypatch, command,
                                                 samples):
         # The estimate reads its layout from the table the verifier fills:
-        # its rows, each paired with a real diagonal, and their sizes.
+        # its rows, each paired with a real diagonal, and their sizes,
+        # which are those of the command's spec and its halt families.
+        spec, family = {
+            "theorem1": (twoqubit.channel_zonoid, limiting_family),
+            "theorem8": (twoqubit.instrument_zonoid,
+                         blocked_limiting_family)}[command]
+        spec = spec()
+        kappa, d, families = spec.kappa, spec.dim, len(family(spec)[1])
+        assert cli._theorem_layout(command) == (kappa, d, families)
         seen = []
         allocate = conditions._SamplePass.allocate
 
@@ -459,7 +467,6 @@ class TestExitCodes:
         monkeypatch.setattr(conditions._SamplePass, "allocate", record)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main([command, "--samples", samples]) == 0
-        kappa, d, families = cli._THEOREM_LAYOUT[command]
         n = int(samples) or 301
         rows = n + 1 + families * SIGMA_SAMPLES
         assert seen == [(kappa, (rows, d), np.float64, (rows, kappa, kappa),

@@ -42,6 +42,7 @@ from loccverify.linalg import diagonal_stack
 from loccverify.protocols import (TreeFailure, derivative_diagonals,
                                   limit_path_diagonals, protocol_check_bytes,
                                   protocol_tree_bytes)
+from loccverify.tolerances import SIGMA_SAMPLES
 from loccverify.twoqubit import K_REDUCED, c_matrix_stack
 from loccverify.zonoid import coefficient_stack
 
@@ -1642,6 +1643,9 @@ class TestVerifyTheoremConditions:
         assert not psd.passed
         assert psd.defect == pytest.approx(1e-6, rel=1e-6)
         assert rep.check(f"{fams[1].label}:psd").passed
+        # The shifted table now holds its samples; a second run reads them.
+        assert verify_theorem_conditions(channel_zonoid(), paths,
+                                         families=fams, s_samples=5) == rep
 
     def test_psd_names_the_sigma_of_the_lowest_eigenvalue(self):
         # A dip of depth 1e-6 centred on sigma = 0.3, a grid point.
@@ -1653,6 +1657,8 @@ class TestVerifyTheoremConditions:
         psd = rep.check(f"{fam.label}:psd")
         assert psd.defect == pytest.approx(1e-6, rel=1e-6)
         assert psd.where == "sigma=0.3"
+        assert verify_theorem_conditions(channel_zonoid(), paths,
+                                         families=fams, s_samples=5) == rep
 
     def test_path_checks_name_their_worst_s(self):
         # A bump on the |00><00| entry, largest at s = 2.5, breaks the
@@ -2269,6 +2275,85 @@ class TestFamilyTables:
         (limiting_family, channel_zonoid),
         (blocked_limiting_family, instrument_zonoid),
     ])
+    def test_samples_are_built_once_through_the_evaluators(self, family,
+                                                           spec):
+        # A table whose evaluators count their calls: three verifications
+        # evaluate it once, at the verifier's sigma grid.
+        calls = []
+
+        class Counting(FamilyTable):
+            def cdensity_at(self, sigma):
+                calls.append(("cdensity_at", np.array(sigma)))
+                return super().cdensity_at(sigma)
+
+            def density_at(self, sigma):
+                calls.append(("density_at", np.array(sigma)))
+                return super().density_at(sigma)
+
+        spec = spec()
+        paths, fams = family(spec)
+        fams = [dataclasses.replace(f, table=Counting(
+            f.table.w, f.table.root, f.table.block)) for f in fams]
+        reports = [verify_theorem_conditions(spec, paths, fams, s_samples=5)
+                   for _ in range(3)]
+        assert reports[0].passed and reports[1:] == reports[:2]
+        assert [name for name, _ in calls] == ["cdensity_at",
+                                               "density_at"] * len(fams)
+        for _, sigma in calls:
+            assert np.array_equal(sigma, conditions.SIGMA_GRID)
+        assert all(f.table.samples is f.table.samples for f in fams)
+
+    @pytest.mark.parametrize("family, spec", [
+        (limiting_family, channel_zonoid),
+        (blocked_limiting_family, instrument_zonoid),
+    ])
+    def test_samples_are_the_evaluators_at_the_grid(self, family, spec):
+        grid = conditions.SIGMA_GRID
+        assert grid.shape == (SIGMA_SAMPLES,) and not grid.flags.writeable
+        assert np.array_equal(grid, np.linspace(0.0, 1.0, SIGMA_SAMPLES))
+        for fam in family(spec())[1]:
+            table = fam.table
+            got = table.samples
+            assert np.array_equal(got.cdensity, table.cdensity_at(grid))
+            assert np.array_equal(got.density, table.density_at(grid))
+            assert np.array_equal(got.lowest, conditions._lowest(
+                table.cdensity_at(grid), table.block))
+            assert np.array_equal(got.root, linalg.polynomial_values(
+                table.root, np.sqrt(grid)))
+            assert np.array_equal(table.total,
+                                  table.antiderivative.sum(axis=0))
+            for a in (*got, table.total):
+                assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                got.cdensity[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("s_samples", [None, 11, 26])
+    @pytest.mark.parametrize("family, spec", [
+        (limiting_family, channel_zonoid),
+        (blocked_limiting_family, instrument_zonoid),
+    ])
+    def test_fresh_and_warm_tables_report_alike(self, family, spec,
+                                                s_samples):
+        # The built-in tables hold their samples from earlier runs; copies
+        # of them hold none until this run. The reports are equal, and a
+        # second run on the now warm copies is too.
+        spec = spec()
+        paths, fams = family(spec)
+        warm = verify_theorem_conditions(spec, paths, fams,
+                                         s_samples=s_samples)
+        fresh = [dataclasses.replace(f, table=FamilyTable(
+            f.table.w, f.table.root, f.table.block)) for f in fams]
+        assert all("samples" not in vars(f.table) for f in fresh)
+        assert verify_theorem_conditions(
+            spec, paths, fresh, s_samples=s_samples) == warm
+        assert verify_theorem_conditions(
+            spec, paths, fresh, s_samples=s_samples) == warm
+        assert warm.passed
+
+    @pytest.mark.parametrize("family, spec", [
+        (limiting_family, channel_zonoid),
+        (blocked_limiting_family, instrument_zonoid),
+    ])
     def test_too_low_a_degree_fails_reconstruction(self, family, spec):
         # A table of halt-B that declares w of degree 0, its constant row
         # alone, against the true root of its density: L(w w^T) then
@@ -2397,6 +2482,8 @@ class TestNearBoxRepair:
         assert not psd.passed
         assert psd.defect == pytest.approx(1e-6, rel=1e-6)
         assert rep.check("main:membership") == base.check("main:membership")
+        assert verify_theorem_conditions(spec, paths, fams,
+                                         s_samples=11) == rep
 
 
 def _count_box_tests(monkeypatch, spec) -> list:

@@ -1,5 +1,6 @@
 """Round-trip and determinism tests for the JSON interchange layer."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -174,6 +175,38 @@ class TestDumps:
     def test_determinism(self):
         obj = {"z": [1.0, {"k": 2.5}], "a": (1, 2)}
         assert dumps(obj) == dumps(obj)
+
+    def test_large_complex_matrix_bytes_are_pinned(self):
+        # A seeded 256 x 256 complex matrix, the size of a choi report on
+        # two 16 x 16 operators, with signed zeros, a whole float, 1e20
+        # and 1e-300 in its first row: the SHA-256 of its bytes at both
+        # indents, as the general recursive writer printed them.
+        rng = np.random.default_rng(16)
+        m = rng.standard_normal((256, 256)) + 1j * rng.standard_normal(
+            (256, 256))
+        m[0, :4] = [complex(-0.0, -0.0), 1j, 1e20, 3.0 - 1e-300j]
+        obj = {"matrix": matrix_to_json(m), "rows": [[], [1.0], [0.5, -2.0]]}
+        digests = {indent: hashlib.sha256(dumps(obj, indent).encode())
+                   .hexdigest() for indent in (2, 0)}
+        assert digests == {
+            2: "20e07ebb0a4de1911957a43586485314defb77d844897f0be31eb2485d68e92d",
+            0: "b10d734d344f49a2a23d801d488dd87f8b6c55b9039575bfd32d6389a19439d3",
+        }
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 4),
+                                        st.integers(0, 3)), elements=finite))
+    @settings(max_examples=50, deadline=None)
+    def test_rows_of_floats_print_as_numpy_rows(self, rows):
+        # Rows of Python floats take the row-by-row route; the same rows of
+        # numpy floats take the general recursion. Both print alike.
+        plain = rows.tolist()
+        boxed = [[np.float64(x) for x in row] for row in plain]
+        assert dumps({"r": plain}) == dumps({"r": boxed})
+        assert json.loads(dumps(plain)) == plain
+
+    def test_non_finite_row_entry_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps([[1.0, float("nan")]])
 
     def test_unserializable_type(self):
         with pytest.raises(TypeError):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from loccverify import (
     blocked_isometry_check,
+    blocked_limiting_family,
     channel_from_leaf_povm,
     channel_zonoid,
     choi,
@@ -21,6 +22,7 @@ from loccverify import (
     kraus_from_operators,
     kraus_rank,
     limiting_choi_2q,
+    limiting_family,
     minimal_kraus,
     multiplier_distance,
     pqubit_coefficients,
@@ -33,6 +35,7 @@ from loccverify import (
     ZonoidSpec,
 )
 from loccverify import twoqubit, zonoid_spec_for_channel
+from loccverify.conditions import SIGMA_GRID
 from loccverify.linalg import diagonal_stack, integrate_sqrt_smooth
 from loccverify.pqubit import multiplier_choi_matrix
 from loccverify.protocols import derivative_diagonals
@@ -267,6 +270,17 @@ class TestIsometryIntegrals:
         assert rep.coefficient_defect <= ISOMETRY_TOL
         assert rep.max_row_residual <= 1e-10
         assert rep.coefficient_defect <= 1e-10
+
+    @pytest.mark.parametrize("family", [limiting_family,
+                                        blocked_limiting_family])
+    def test_root_samples_are_the_halt_kraus_diagonals(self, family):
+        # blocked_isometry_check reads each halt's Kraus diagonals from its
+        # blocked table's root samples: bit for bit the roots of the halt
+        # densities at the verifier's sigma grid, over either basis.
+        kraus = np.sqrt(derivative_diagonals(2, SIGMA_GRID))
+        for halt, fam in zip(twoqubit.HALTS, family()[1]):
+            assert np.array_equal(fam.table.samples.root,
+                                  kraus[:, halt.party])
 
     def test_blocked_relation_matches_per_sample_loop(self):
         rep = blocked_isometry_check()
