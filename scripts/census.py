@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""List the package functions that no workflow reaches.
+"""List the package functions, or statements, that no workflow reaches.
 
     python3 scripts/census.py
+    python3 scripts/census.py --statements
 
 The workflows are the ones the paper's claims are checked through: the
 verification battery and the extra reports of ``scripts/ab.py --reports``
@@ -13,8 +14,14 @@ function and method defined there that no workflow called, with its line
 count (decorators and docstring included), and a total. Nested functions
 count as part of the function that defines them. What only tests or
 README reach shows up here as a candidate for deletion.
+
+With ``--statements`` the workflows run under line events instead, and
+the script prints, for each function that some workflow calls, the
+statements that none executes, as ranges of source lines, and a total: a
+route inside a reached function that no workflow takes.
 """
 
+import argparse
 import ast
 import contextlib
 import io
@@ -36,25 +43,55 @@ REFUSED = (["protocol", "--nu", "0"], ["zonoid-check", "--z", "{broken"],
            ["theorem1", "--samples", "100000000"])
 
 
+def _functions():
+    """(file name, qualified name) and the AST node of every top-level
+    function and every method (classes nested in classes too) of the
+    package."""
+    def visit(body, prefix, name):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, f"{prefix}{node.name}.", name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield (name, prefix + node.name), node
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield from visit(ast.parse(path.read_text()).body, "", path.name)
+
+
+def _first_line(node) -> int:
+    """The first line of a statement, its decorators included."""
+    return min([d.lineno for d in getattr(node, "decorator_list", ())]
+               + [node.lineno])
+
+
 def package_functions() -> dict:
     """Line count of every top-level function and every method (classes
     nested in classes too) of the package, keyed by (file name,
     qualified name); a property's getter and setter share one key."""
     found = {}
-
-    def visit(body, prefix, name):
-        for node in body:
-            if isinstance(node, ast.ClassDef):
-                visit(node.body, f"{prefix}{node.name}.", name)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([d.lineno for d in node.decorator_list]
-                            + [node.lineno])
-                key = (name, prefix + node.name)
-                found[key] = found.get(key, 0) + node.end_lineno - first + 1
-
-    for path in sorted(PACKAGE.glob("*.py")):
-        visit(ast.parse(path.read_text()).body, "", path.name)
+    for key, node in _functions():
+        lines = node.end_lineno - _first_line(node) + 1
+        found[key] = found.get(key, 0) + lines
     return found
+
+
+def package_statements() -> dict:
+    """The (first line, last line) of each statement of every function, in
+    order, keyed as :func:`package_functions` keys them. Statements that
+    run no code, so that no line event reports them, are left out:
+    docstrings and other constant expressions, and global and nonlocal
+    declarations."""
+    found = {}
+    for key, node in _functions():
+        for stmt in ast.walk(node):
+            if (stmt is node or not isinstance(stmt, ast.stmt)
+                    or isinstance(stmt, (ast.Global, ast.Nonlocal))
+                    or (isinstance(stmt, ast.Expr)
+                        and isinstance(stmt.value, ast.Constant))):
+                continue
+            found.setdefault(key, []).append((_first_line(stmt),
+                                              stmt.end_lineno))
+    return {key: sorted(lines) for key, lines in found.items()}
 
 
 def cli_run(argv):
@@ -113,8 +150,66 @@ def unreached(runs) -> dict:
             if key not in hit}
 
 
-def main() -> int:
+def executed(runs) -> set:
+    """(file name, line) of every line of the package that the callables
+    ``runs`` execute."""
+    seen = set()
+    prefix = str(PACKAGE) + "/"
+
+    def line(frame, event, arg):
+        if event == "line":
+            seen.add((frame.f_code.co_filename, frame.f_lineno))
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename.startswith(prefix) else None
+
+    sys.settrace(call)
+    try:
+        for run in runs:
+            run()
+    finally:
+        sys.settrace(None)
+    return {(Path(path).name, lineno) for path, lineno in seen}
+
+
+def unexecuted(runs) -> dict:
+    """For each package function that ``runs`` call, the statements that
+    they never execute: how many, and their (first line, last line)
+    ranges, each a run of consecutive statements."""
+    hit = executed(runs)
+    missed = {}
+    for key, statements in package_statements().items():
+        ran = [(key[0], first) in hit for first, _ in statements]
+        if not any(ran) or all(ran):
+            continue
+        ranges = []
+        for (first, last), done, before in zip(statements, ran,
+                                               [True] + ran):
+            if not done and before:
+                ranges.append((first, last))
+            elif not done:
+                ranges[-1] = (ranges[-1][0], max(ranges[-1][1], last))
+        missed[key] = (ran.count(False), ranges)
+    return missed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--statements", action="store_true",
+                        help="list the statements that no workflow executes")
+    args = parser.parse_args(argv)
     runs = workflows()
+    if args.statements:
+        missed = unexecuted(runs)
+        for (name, qualname), (_, ranges) in sorted(missed.items()):
+            print(f"{name}:{qualname}  " + ", ".join(
+                str(first) if first == last else f"{first}-{last}"
+                for first, last in ranges))
+        print(f"{sum(count for count, _ in missed.values())} statements in "
+              f"{len(missed)} reached functions, executed by none of "
+              f"{len(runs)} workflows")
+        return 0
     total = len(package_functions())
     missed = unreached(runs)
     for (name, qualname), lines in sorted(missed.items()):

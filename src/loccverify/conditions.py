@@ -288,102 +288,39 @@ def _lowest(samples: np.ndarray, block: tuple[int, ...]) -> np.ndarray:
     return low if len(block) == samples.shape[-1] else np.minimum(low, 0.0)
 
 
-# The order of the table's segments, each the samples of one kind of
-# check, all paired with real diagonals. In this order the rows that take
-# an eigvalsh (membership and endpoint) are one slice, and so are those
-# whose operators take a product defect (family and membership); every
-# row takes a residual. A family's rows take no eigvalsh: their lowest
-# eigenvalue is their block's (:func:`_lowest`).
-_ORDER = ("family", "membership", "endpoint")
-
-
-class _SamplePass:
-    """Every coefficient sample of one verification and the real diagonal
-    each pairs with, gathered into one table in the order of
-    :data:`_ORDER`, so that one eigvalsh, one residual call and one
-    product defect serve every check; each check reads its own rows
-    (``rows[kind, key]``)."""
-
-    def __init__(self):
-        self.parts: dict = {kind: [] for kind in _ORDER}
-
-    def add(self, kind: str, key, coefficients, operators) -> None:
-        """Coefficient samples of a ``kind`` of check, and the real
-        diagonals that they pair with, one per sample. ``coefficients`` is
-        a stack, or the pair (samples, dtype) of a stack that the caller
-        writes into its rows of ``table`` after :meth:`allocate`."""
-        self.parts[kind].append((key, coefficients, operators))
-
-    def allocate(self, kappa: int) -> None:
-        """The table, allocated once every size is known, with each given
-        stack written into its rows and then let go, and the operators
-        concatenated in the same order."""
-        self.rows: dict = {}
-        self.ends: dict = {}
-        row, dtypes = 0, [np.float64]
-        for kind in _ORDER:
-            start = row
-            for key, c, _ in self.parts[kind]:
-                n, dtype = (len(c), c.dtype) if isinstance(c, np.ndarray) else c
-                self.rows[kind, key] = slice(row, row + n)
-                dtypes.append(dtype)
-                row += n
-            self.ends[kind] = (start, row)
-        self.table = np.empty((row, kappa, kappa), np.result_type(*dtypes))
-        ops = []
-        for kind in _ORDER:
-            for key, c, o in self.parts[kind]:
-                if isinstance(c, np.ndarray):
-                    self.table[self.rows[kind, key]] = c
-                ops.append(o)
-        self.operators = np.concatenate(ops) if ops else None
-        del self.parts
-
-    def run(self, solver, dims) -> None:
-        """One eigvalsh, one residual call and one product defect over the
-        table."""
-        row = len(self.table)
-        self.spectra = np.empty((row, self.table.shape[-1]))
-        self.residuals, self.products = np.empty(row), np.empty(row)
-        if not row:
-            return
-        eig = slice(self.ends["membership"][0], self.ends["endpoint"][1])
-        if eig.stop > eig.start:
-            self.spectra[eig] = np.linalg.eigvalsh(self.table[eig])
-        self.residuals[:] = solver.diagonal_residuals(self.table,
-                                                      self.operators)
-        product = slice(0, self.ends["membership"][1])
-        self.products[product] = product_defect(self.operators[product],
-                                                dims, True)
-
-
 def sample_pass_bytes(kappa: int, dim: int, samples: int,
                       families: int) -> int:
-    """Peak bytes of a real :class:`_SamplePass` over one path of
-    ``samples`` s samples with ``families`` halt families attached, from
-    its layout alone, and of the samples those families' tables hold.
+    """Peak bytes of :func:`verify_theorem_conditions` over one path of
+    ``samples`` s samples with ``families`` halt families attached, and
+    real tables, from its sample table's layout alone, with the samples
+    those families' tables hold and the spec's expansion maps.
 
     The table has a row per s sample (its integrated witness), one
     endpoint row and ``SIGMA_SAMPLES`` rows per family, each with kappa^2
     entries and paired with a real diagonal operator of ``dim`` entries,
-    which are held twice: their stacks and their concatenation in
-    :meth:`_SamplePass.allocate`. On top of these, the larger of two
-    phases. While the witnesses are integrated, two more stacks of their
-    rows (the product and the sum of Horner's rule) and their s grid,
-    twice. While the pass runs, a spectrum of kappa entries, a residual
-    and a product defect per row, and three diagonals of the residual's
-    temporaries per row. Each family's table holds, per sigma, its
-    coefficient density, its density, its root and its lowest eigenvalue
-    (:attr:`FamilyTable.samples`).
+    which are held twice: their stacks and their concatenation. On top of
+    these, the larger of two phases. While the witnesses are integrated,
+    two more stacks of their rows (the product and the sum of Horner's
+    rule), the buffer numpy gives the broadcast product, as many entries
+    as a stack up to its 8192, and three vectors over the s grid (s,
+    sigma and sqrt(sigma)). While the table is checked, a spectrum of
+    kappa entries, a residual and a product defect per row, and three
+    diagonals of the residual's temporaries per row. Each family's table
+    holds, per sigma, its coefficient density, its density, its root and
+    its lowest eigenvalue (:attr:`FamilyTable.samples`). The endpoint
+    matrix reads the spec's expansion maps, two complex (dim^2, kappa)
+    arrays built on first use.
     """
     entry = 8
     rows = samples + 1 + families * SIGMA_SAMPLES
     table = rows * kappa ** 2 * entry
     operators = 2 * rows * dim * entry
     held = families * SIGMA_SAMPLES * (kappa ** 2 + 2 * dim + 1) * entry
-    integrate = samples * (2 * kappa ** 2 + 2) * entry
+    expansions = 2 * dim ** 2 * kappa * 2 * entry
+    integrate = (samples * (2 * kappa ** 2 + 3)
+                 + min(samples * kappa ** 2, 8192)) * entry
     run = (rows * (kappa + 2) + 3 * rows * dim) * entry
-    return table + operators + held + max(integrate, run)
+    return table + operators + held + expansions + max(integrate, run)
 
 
 def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
@@ -424,24 +361,24 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     together, so the number of calls does not depend on the sample
     counts.
 
-    The sample arithmetic is one stacked pass. The coefficient samples
-    (each family's sigma samples, each path's integrated witness at every
-    s and its endpoint matrix) form one table, and the real diagonals they
-    pair with another. One eigvalsh of the path rows serves the endpoint
-    and box tests, one residual call every reconstruction and membership
-    defect, and one product defect every product check; each check reads
-    its own rows. A family's samples conj(w) w^T are Hermitian bit for
-    bit and zero off its table's block, so they take no input check and
-    no eigvalsh: their lowest eigenvalue is their block's, in closed form
-    for blocks of at most two indices
+    The sample arithmetic runs over one table of coefficient samples:
+    each family's sigma samples, then each path's integrated witness at
+    every s followed by its endpoint matrix. Each row pairs with a real
+    diagonal, and the diagonals are concatenated once. One eigvalsh of the
+    path rows serves the endpoint and box tests, one residual call every
+    reconstruction and membership defect, and one product defect every
+    product check; each check reads its own rows. A family's samples
+    conj(w) w^T are Hermitian bit for bit and zero off its table's block,
+    so they take no input check and no eigvalsh: their lowest eigenvalue
+    is their block's, in closed form for blocks of at most two indices
     (:func:`~loccverify.linalg.lowest_eigenvalues`), and its table holds
-    it with the samples. The psd check's
-    parent side is the lowest eigenvalue of the parent's endpoint matrix,
-    which the pass holds: the parent's witness at sigma is that matrix
-    plus integrals of conj(w) w^T, masked to its blocks, and neither
-    adds nor masking lowers its lowest eigenvalue. A family whose parent
-    is not among ``paths`` has its own samples alone. Coefficient stacks
-    whose entries are real stay real.
+    it with the samples. The psd check's parent side is the lowest
+    eigenvalue of the parent's endpoint matrix, from the endpoint row's
+    spectrum: the parent's witness at sigma is that matrix plus integrals
+    of conj(w) w^T, masked to its blocks, and neither adds nor masking
+    lowers its lowest eigenvalue. A family whose parent is not among
+    ``paths`` has its own samples alone. Coefficient stacks whose entries
+    are real stay real.
     The operators are real diagonals: the trace is a row sum, the product
     defect reads each cut's reshape of the diagonal (a closed form when
     2 x 2, else an SVD), the endpoint root is the entrywise root, and
@@ -456,69 +393,77 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
     solver = spec.solver()
     kappa, dim, dims = spec.kappa, spec.dim, spec.basis.input_dims
     parties = dims.n_parties
-    samples = _SamplePass()
-
-    for f, fam in enumerate(families):
+    for fam in families:
         t = fam.table
         if t.w.shape[1] != kappa or t.root.shape[1] != dim:
             raise ValueError(f"{fam.label} has a table over {t.w.shape[1]} "
                              f"operators of {t.root.shape[1]} entries; the "
                              f"spec has {kappa} of {dim}")
-        samples.add("family", f, t.samples.cdensity, t.samples.density)
 
+    # The families' rows come first; each path's n witness rows and its
+    # endpoint row follow from a running offset.
+    start = row = len(families) * SIGMA_SAMPLES
+    dtypes = [np.float64] + [fam.table.samples.cdensity for fam in families]
+    ops = [fam.table.samples.density for fam in families]
     sampled = []
-    for p, path in enumerate(paths):
+    for path in paths:
         grid = path.sample_grid(s_samples)
         n = len(grid)
         # One call gives the operators on the grid and, last, the one at
         # the bottom end, whose root gives the endpoint matrix.
-        ops = _diagonals(path.op_at(np.append(grid, path.s_bottom)), n + 1,
-                         dim, f"{path.label} op_at")
-        ops, op_end = ops[:-1], ops[-1:]
+        ops.append(_diagonals(path.op_at(np.append(grid, path.s_bottom)),
+                              n + 1, dim, f"{path.label} op_at"))
         c_end = _real_when_zero(
-            endpoint_cmatrix(sqrt_psd(op_end[0]), spec).matrix)
+            endpoint_cmatrix(sqrt_psd(ops[-1][-1]), spec).matrix)
         attached = [fam for fam in families if fam.parent is path]
-        samples.add("membership", p, (n, np.result_type(
-            c_end, *[fam.table.w for fam in attached])), ops)
-        samples.add("endpoint", p, c_end[None], op_end)
-        sampled.append((grid, ops, c_end, attached))
-    samples.allocate(kappa)
+        dtypes += [c_end] + [fam.table.w for fam in attached]
+        sampled.append((path, grid, row, c_end, attached))
+        row += n + 1
+    table = np.empty((row, kappa, kappa), np.result_type(*dtypes))
+    operators = np.concatenate(ops) if ops else np.empty((0, dim))
+    for f, fam in enumerate(families):
+        table[f * SIGMA_SAMPLES:(f + 1) * SIGMA_SAMPLES] = \
+            fam.table.samples.cdensity
 
     hermitian = []
-    for p, (path, (grid, _, c_end, attached)) in enumerate(zip(paths,
-                                                               sampled)):
-        witness = samples.table[samples.rows["membership", p]]
+    for path, grid, row, c_end, attached in sampled:
+        n = len(grid)
+        table[row + n] = c_end
         # A path with no family has no witness: the solver answers every
         # sample.
         if not attached:
-            witness[...] = 0.0
-            hermitian.append(np.zeros(len(grid), bool))
+            table[row:row + n] = 0.0
+            hermitian.append(np.zeros(n, bool))
             continue
         sigma = clamped(grid ** (1.0 / parties) - 1.0, 1.0,
                         f"{path.label} s outside [1, {2 ** parties}], where "
                         "its families attach: sigma outside [0, 1]", 0.0)
         hermitian.append(_integrated_witness(solver, c_end, attached,
-                                             np.sqrt(sigma), witness))
-    samples.run(solver, dims)
+                                             np.sqrt(sigma),
+                                             table[row:row + n]))
+    spectra = np.linalg.eigvalsh(table[start:])
+    residuals = solver.diagonal_residuals(table, operators)
+    products = product_defect(operators, dims, True)
 
     checks: list[ConditionCheck] = []
     total = np.zeros((kappa, kappa), dtype=np.complex128)
-    for p, (path, (grid, ops, c_end, _)) in enumerate(zip(paths, sampled)):
+    end_lowest = {}
+    for (path, grid, row, c_end, _), herm in zip(sampled, hermitian):
         lbl = path.label
         n = len(grid)
+        rows, end = slice(row, row + n), row + n
+        ops, witness = operators[rows], table[rows]
+        eig = spectra[row - start:end - start]
         trace = np.abs(ops.sum(axis=1) - grid)
-        rows = samples.rows["membership", p]
-        witness, spectra = samples.table[rows], samples.spectra[rows]
-        boxed = solver.in_box(witness, spectra)
-        defects = np.where(hermitian[p] & boxed, samples.residuals[rows],
-                           np.inf)
+        boxed = solver.in_box(witness, eig)
+        defects = np.where(herm & boxed, residuals[rows], np.inf)
         # A Hermitian witness just outside the box, repaired by the
         # spectrum's own excess delta; the eigenvalues (lambda + delta) /
         # (1 + 2 delta) of the repair lie in [0, 1] in exact arithmetic.
-        near = np.flatnonzero(hermitian[p] & ~boxed)
+        near = np.flatnonzero(herm & ~boxed)
         if near.size:
-            delta = np.maximum(np.maximum(-spectra[near, 0],
-                                          spectra[near, -1] - 1.0), 0.0)
+            delta = np.maximum(np.maximum(-eig[near, 0],
+                                          eig[near, -1] - 1.0), 0.0)
             repaired = ((witness[near] + delta[:, None, None] * np.eye(kappa))
                         / (1.0 + 2.0 * delta)[:, None, None])
             res = solver.diagonal_residuals(repaired, ops[near])
@@ -538,43 +483,41 @@ def verify_theorem_conditions(spec: ZonoidSpec, paths: Sequence[CheckedPath],
         worst = int(np.argmax(defects))
         if defects[worst] > 0.0:
             mem_where = f"s={grid[worst]:.6g}; {mem_where}"
-        end = samples.rows["endpoint", p]
         # Ascending: the largest eigenvalue is the last, the rank excess is
         # every other one, and the lowest is the first.
-        (w,) = samples.spectra[end]
-        end_defect = max(float(samples.residuals[end][0]),
+        w = spectra[end - start]
+        end_lowest[id(path)] = w[0]
+        end_defect = max(float(residuals[end]),
                          float(np.abs(w[:-1]).max(initial=0.0)),
                          0.0, float(w[-1]) - 1.0, -float(w[0]))
         checks += [
             _worst(f"{lbl}:trace", trace, TRACE_TOL, "s", grid),
-            _worst(f"{lbl}:product", samples.products[rows], PRODUCT_TOL,
-                   "s", grid),
+            _worst(f"{lbl}:product", products[rows], PRODUCT_TOL, "s",
+                   grid),
             ConditionCheck(f"{lbl}:membership", float(defects[worst]),
                            membership_tol, mem_where),
             ConditionCheck(f"{lbl}:endpoint", end_defect, RECON_TOL),
         ]
         total = total + c_end
 
-    verified = {id(path): p for p, path in enumerate(paths)}
     for f, fam in enumerate(families):
         lbl = fam.label
-        rows = samples.rows["family", f]
+        rows = slice(f * SIGMA_SAMPLES, (f + 1) * SIGMA_SAMPLES)
         low = fam.table.samples.lowest
         # lambda_min is concave, so the segment mixtures
         # (1 - x) C_parent + x C_r are lowest at x = 0 or x = 1, and
         # lambda_min(C_parent) >= lambda_min(C_end).
-        if id(fam.parent) in verified:
-            end = samples.rows["endpoint", verified[id(fam.parent)]]
-            low = np.minimum(low, samples.spectra[end][0, 0])
+        if id(fam.parent) in end_lowest:
+            low = np.minimum(low, end_lowest[id(fam.parent)])
         checks += [
             # On a tie np.maximum returns its second argument: +0.0, not
             # -0.0.
             _worst(f"{lbl}:psd", np.maximum(-low, 0.0), MIXTURE_PSD_TOL,
                    "sigma", SIGMA_GRID),
-            _worst(f"{lbl}:product", samples.products[rows], PRODUCT_TOL,
+            _worst(f"{lbl}:product", products[rows], PRODUCT_TOL,
                    "sigma", SIGMA_GRID),
-            _worst(f"{lbl}:reconstruction", samples.residuals[rows],
-                   RECON_TOL, "sigma", SIGMA_GRID),
+            _worst(f"{lbl}:reconstruction", residuals[rows], RECON_TOL,
+                   "sigma", SIGMA_GRID),
         ]
         total = total + fam.table.total
 

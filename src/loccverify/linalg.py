@@ -299,10 +299,12 @@ def lowest_eigenvalues(h: np.ndarray) -> np.ndarray:
     the determinant over the top eigenvalue, (p q - |r|^2) / (m + g), where
     m > 0, and m - g elsewhere, where the two do not cancel: so a rank-one
     matrix whose products p q and |r|^2 round alike gives exactly 0, where
-    m - g would leave rounding. Larger b takes an eigvalsh."""
+    m - g would leave rounding. Larger b takes an eigvalsh, whose lowest
+    column is copied out, so that a caller holding it does not hold the
+    whole spectrum."""
     b = h.shape[-1]
     if b > 2:
-        return np.linalg.eigvalsh(h)[:, 0]
+        return np.linalg.eigvalsh(h)[:, 0].copy()
     p = h[:, 0, 0].real
     if b == 1:
         return p

@@ -5,7 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 # Run in a child process, so the script's BLAS cap and sys.path stay out of
 # the test process.
@@ -19,11 +20,36 @@ print(json.dumps({"seconds": time.perf_counter() - t0,
                   "missed": [qualname for _, qualname in missed]}))
 """
 
+STATEMENTS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import census
+missed = census.unexecuted([census.cli_run(["wstate"])])
+print(json.dumps({f"{name}:{qualname}": [count, ranges]
+                  for (name, qualname), (count, ranges) in missed.items()}))
+"""
+
+
+def child(code: str):
+    out = subprocess.run([sys.executable, "-c", code, str(SCRIPTS)],
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
 
 def test_census_of_one_workflow():
-    out = subprocess.run([sys.executable, "-c", CHILD, str(SCRIPTS)],
-                         capture_output=True, text=True, check=True)
-    got = json.loads(out.stdout)
+    got = child(CHILD)
     assert "wstate_analysis" not in got["missed"]
     assert "verify_tree" in got["missed"]
     assert got["seconds"] < 2.0
+
+
+def test_statement_census_of_one_workflow():
+    got = child(STATEMENTS)
+    # wstate exits 0, so main's error route is one range of two
+    # statements; a function the run never calls is not listed.
+    source = (ROOT / "src" / "loccverify" / "cli.py").read_text()
+    lines = source.splitlines()
+    first = lines.index('        print(f"error: {exc}", file=sys.stderr)') + 1
+    assert lines[first] == "        return 2"
+    assert got["cli.py:main"] == [2, [[first, first + 1]]]
+    assert not any(key.startswith("conditions.py:") for key in got)

@@ -12,12 +12,13 @@ from another module, and pin that the check, and only it, sees it. One
 exchanges the halting parties of the worked instrument's halt table, and
 pins that every check reading a halt takes it from that table. The
 verifier's twins fault a family's table or a path's operators and pin its
-stacked pass over its sample table: a fault in one family's samples shows
-in that family's checks alone, at its sigma, and each family's checks
-read as they do when it is verified alone; a fault in one family's or
-path's samples of one kind fails that one check, at its sigma or s, with
-every other check as it was, bit for bit. The last test pins that every
-check the theorem commands print has a twin, or is exact by construction.
+one sample table, which every check reads: a fault in one family's
+samples shows in that family's checks alone, at its sigma, and each
+family's checks read as they do when it is verified alone; a fault in one
+family's or path's samples of one kind fails that one check, at its
+sigma or s, with every other check as it was, bit for bit. The last test
+pins that every check the theorem commands print has a twin, or is exact
+by construction.
 """
 
 import dataclasses
@@ -302,8 +303,8 @@ SIGMA_37 = np.linspace(0.0, 1.0, 101)[37]
 def test_stacked_psd_names_its_family_and_sigma(family, make_spec, label):
     # One family's coefficient density shifted by -1e-6 I at the one sample
     # sigma = 0.37: its psd fails there, and so does its reconstruction,
-    # since L(I) is not 0. The stacked pass runs both families through one
-    # pass, yet every check of the other family keeps its value.
+    # since L(I) is not 0. Both families' rows share one sample table, yet
+    # every check of the other family keeps its value.
     spec = make_spec()
     paths, fams = family(spec)
     base = verify_theorem_conditions(spec, paths, fams, s_samples=11)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line entry point."""
 
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -139,6 +140,172 @@ def _face_search_argv():
     z = np.einsum("mn,mnac->ac", c, gram)
     return ["zonoid-check", "--basis", inline_kraus(ops, (8,), (4,)),
             "--z", inline(0.5 * (z + z.T))]
+
+
+SRC = ROOT / "src" / "loccverify"
+# The CLI's resolvers: their own raises are input checks; the others
+# re-raise a caught ValueError as InputError(str(exc)).
+RESOLVERS = ("_load_obj", "_finite", "_resolve_kraus", "_resolve_basis",
+             "_resolve_target")
+_TWO_OPERATORS = [np.eye(2), np.diag([1.0, 0.0])]
+
+
+def _z(rows, cols, data):
+    return ["zonoid-check", "--basis", "square", "--z",
+            '{"rows": %s, "cols": %s, "data": [%s]}' % (rows, cols, data)]
+
+
+# Every input-validation raise a CLI input may reach: each raise of
+# ValueError in serialize, channels and zonoid, and each own raise of the
+# CLI's resolvers. Keyed by (module, function, message with each field as
+# {}), each maps to an argv that must exit 2 with that message, or to the
+# reason no CLI input reaches it.
+INPUT_RAISES = {
+    ("serialize", "matrix_to_json",
+     "only two-dimensional arrays serialize as matrices"):
+        "output: writes only matrices that a command computed",
+    ("serialize", "_count", "count {} is not a whole number of at least {}"):
+        _z("2.5", "2", "[1, 0], [0, 0], [0, 0], [1, 0]"),
+    ("serialize", "matrix_from_json",
+     "matrix entries must be numbers, not booleans"):
+        _z("2", "2", "[true, 0], [0, 0], [0, 0], [false, 0]"),
+    ("serialize", "matrix_from_json", "malformed matrix object: {}"):
+        _z("2", "2", "[1, 0], [0, 0], [0, 0], [1]"),
+    ("serialize", "matrix_from_json",
+     "matrix data length does not match rows * cols"):
+        _z("2", "2", "[1, 0]"),
+    ("serialize", "matrix_from_json", "matrix entries must be finite"):
+        _z("2", "2", "[NaN, 0], [0, 0], [0, 0], [1, 0]"),
+    ("serialize", "kraus_from_json", "malformed Kraus set: {}"):
+        ["choi", "--kraus", '{"operators": []}'],
+    ("serialize", "instrument_from_json", "malformed instrument: {}"):
+        ["zonoid-check", "--basis",
+         inline_kraus(_TWO_OPERATORS, (2,), (2,), 5)],
+    ("serialize", "_format_float", "non-finite value {} cannot be serialized"):
+        "output: guards the report writer, which parses no input",
+    ("channels", "_stack_operators",
+     "expected a stack of matrices, got shape {}"):
+        ["zonoid-check", "--basis",
+         '{"dims": {"in": [2], "out": [2]}, "operators": []}'],
+    ("channels", "_stack_operators", "need at least one operator"):
+        "an empty JSON operator list is a 1-D array, which the shape check "
+        "refuses first",
+    ("channels", "index_partition", "empty {}"):
+        ["zonoid-check", "--basis",
+         inline_kraus(_TWO_OPERATORS, (2,), (2,), [[], [0, 1]])],
+    ("channels", "index_partition",
+     "the {}s must hold each index 0..{} once, not {}"):
+        ["zonoid-check", "--basis",
+         inline_kraus(_TWO_OPERATORS, (2,), (2,), [[0], [0]])],
+    ("channels", "KrausSet.__post_init__",
+     "operator input dimension {} != {}"):
+        ["choi", "--kraus", inline_identity_kraus(2).replace(
+            '"in": [2]', '"in": [3]')],
+    ("channels", "KrausSet.__post_init__",
+     "operator output dimension {} != {}"):
+        ["choi", "--kraus", inline_identity_kraus(2).replace(
+            '"out": [2]', '"out": [3]')],
+    ("channels", "ChoiOperator.__post_init__",
+     "Choi shape {} does not match dims ({}, {})"):
+        "internal: choi builds the matrix from the Kraus set's own dims",
+    ("channels", "minimal_kraus", "zero channel has no Kraus decomposition"):
+        ["zonoid-check", "--basis",
+         inline_kraus([np.eye(2), np.zeros((2, 2))], (2,), (2,), [[0], [1]])],
+    ("channels", "isometric_relation", "operator shapes differ"):
+        "no command calls isometric_relation",
+    ("channels", "choi_distance", "input dimensions differ"):
+        "distance refuses --a and --b of different input dimensions first",
+    ("channels", "channel_from_leaf_povm",
+     "expected a 2-D array of POVM diagonals"):
+        "no command calls channel_from_leaf_povm",
+    ("channels", "channel_from_leaf_povm",
+     "POVM diagonals must be nonnegative"):
+        "no command calls channel_from_leaf_povm",
+    ("zonoid", "coefficient_stack", "coefficient matrix must be square"):
+        "internal: the solver's witnesses are kappa x kappa",
+    ("zonoid", "coefficient_stack", "coefficient matrix must be Hermitian"):
+        "internal: the solver's witnesses are Hermitian by construction",
+    ("zonoid", "ZonoidSpec.__post_init__",
+     "basis operators {} are linearly dependent"):
+        ["zonoid-check", "--basis",
+         inline_kraus([np.eye(2), 2 * np.eye(2)], (2,), (2,))],
+    ("zonoid", "_hermitian_input",
+     "{} expects a {} x {} operator, got shape {}"):
+        ["zonoid-check", "--z", inline(np.eye(2))],
+    ("zonoid", "_hermitian_input", "{} expects a finite operator"):
+        ["zonoid-check", "--basis", "square",
+         "--z", inline(np.diag([1e160, 1e160]))],
+    ("zonoid", "_hermitian_input", "{} expects a Hermitian operator"):
+        ["zonoid-check", "--z", inline([[1, 1, 0, 0], [0, 1, 0, 0],
+                                        [0, 0, 1, 0], [0, 0, 0, 1]])],
+    ("zonoid", "hausdorff_estimate", "zonoids live on different spaces"):
+        "internal: hausdorff compares zonoids it builds on one space",
+    ("zonoid", "endpoint_cmatrix",
+     "operator shape {} does not match basis {}"):
+        "internal: the theorem commands pass their own spec's diagonals",
+    ("cli", "_load_obj", "cannot read {}: {}"):
+        ["choi", "--kraus", "no-such-dir/kraus.json"],
+    ("cli", "_load_obj", "{} is not valid JSON: {}"):
+        ["zonoid-check", "--z", "{broken"],
+    ("cli", "_finite", "{} must have finite entries and a finite norm"):
+        ["choi", "--kraus", inline_kraus_with("1e300")],
+}
+
+
+def input_raises() -> list:
+    """(module, function, message template) of every raise that
+    :data:`INPUT_RAISES` must map, read from the source."""
+    found = []
+
+    def template(node):
+        if isinstance(node, ast.JoinedStr):
+            return "".join(v.value if isinstance(v, ast.Constant) else "{}"
+                           for v in node.values)
+        return node.value if isinstance(node, ast.Constant) else None
+
+    def visit(node, module, qualname):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, module, qualname + [child.name])
+                continue
+            if (isinstance(child, ast.Raise)
+                    and isinstance(child.exc, ast.Call)
+                    and isinstance(child.exc.func, ast.Name)):
+                kind, function = child.exc.func.id, ".".join(qualname)
+                own = (kind == "ValueError" if module != "cli" else
+                       function in RESOLVERS and kind == "InputError"
+                       and template(child.exc.args[0]) is not None)
+                if own:
+                    found.append((module, function,
+                                  template(child.exc.args[0])))
+            visit(child, module, qualname)
+
+    for module in ("serialize", "channels", "zonoid", "cli"):
+        visit(ast.parse((SRC / f"{module}.py").read_text()), module, [])
+    return found
+
+
+class TestInputRaises:
+    """Every input check a CLI input reaches exits 2 with its message."""
+
+    def test_every_raise_is_mapped(self):
+        found = input_raises()
+        assert None not in [message for _, _, message in found]
+        assert sorted(found) == sorted(INPUT_RAISES)
+
+    @pytest.mark.parametrize("key", [key for key, argv in INPUT_RAISES.items()
+                                     if isinstance(argv, list)],
+                             ids=lambda key: f"{key[0]}.{key[1]}-" + re.sub(
+                                 r"\W+", "-", key[2]).strip("-"))
+    def test_raise_exits_2_with_its_message(self, capsys, key):
+        status = cli.main(INPUT_RAISES[key])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        for part in key[2].split("{}"):
+            assert part in line
 
 
 class TestReportShape:
@@ -333,6 +500,13 @@ class TestExitCodes:
         # One round count would pass "decreasing" vacuously.
         ["paper-pq", "--nu-list", "100"],
         ["hausdorff", "--nu-list", "100"],
+        # A basis without operators, and instrument partitions that hold
+        # an index twice or none at all.
+        ["zonoid-check", "--basis",
+         '{"dims": {"in": [2], "out": [2]}, "operators": []}'],
+        *[["zonoid-check", "--basis", inline_kraus(
+            [np.eye(2), np.diag([1.0, 0.0])], (2,), (2,), partition)]
+          for partition in ([[0], [0]], [])],
     ])
     def test_bad_protocol_parameters_are_2(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
@@ -457,19 +631,20 @@ class TestExitCodes:
         kappa, d, families = spec.kappa, spec.dim, len(family(spec)[1])
         assert cli._theorem_layout(command) == (kappa, d, families)
         seen = []
-        allocate = conditions._SamplePass.allocate
+        residuals = zonoid._MembershipSolver.diagonal_residuals
 
-        def record(self, kappa):
-            allocate(self, kappa)
-            seen.append((kappa, self.operators.shape, self.operators.dtype,
-                         self.table.shape, self.table.dtype))
+        def record(self, table, operators):
+            seen.append((operators.shape, operators.dtype, table.shape,
+                         table.dtype))
+            return residuals(self, table, operators)
 
-        monkeypatch.setattr(conditions._SamplePass, "allocate", record)
+        monkeypatch.setattr(zonoid._MembershipSolver, "diagonal_residuals",
+                            record)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main([command, "--samples", samples]) == 0
         n = int(samples) or 301
         rows = n + 1 + families * SIGMA_SAMPLES
-        assert seen == [(kappa, (rows, d), np.float64, (rows, kappa, kappa),
+        assert seen == [((rows, d), np.float64, (rows, kappa, kappa),
                          np.float64)]
 
     @pytest.mark.parametrize("command, family", [

@@ -1,5 +1,7 @@
 """Tests for the P-qubit coefficient matrices and their limit checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from loccverify import (
     verify_theorem_conditions,
 )
 from loccverify import protocols
+from loccverify.conditions import sample_pass_bytes
 from loccverify.pqubit import limit_tables
 from loccverify.tolerances import QUADRATURE_TOL
 
@@ -287,3 +290,21 @@ class TestLimitTables:
         rep = verify_theorem_conditions(spec, paths, fams[1:], s_samples=11)
         assert [c.name for c in rep.checks if not c.passed] == ["resolution"]
         assert rep.check("resolution").defect > 1.0
+
+    @pytest.mark.parametrize("parties, s_samples", [
+        (2, 11), (3, 11), (4, 11), (5, 11), (2, None), (3, None), (4, None)])
+    def test_sample_pass_bytes_bound_a_cold_run(self, parties, s_samples):
+        # A fresh spec, so its expansion maps and its tables' held samples
+        # are built inside the trace, as on a first verification.
+        spec = ZonoidSpec(multiplier_kraus(pqubit_coefficients(parties),
+                                           (2,) * parties))
+        paths, fams = limit_tables(
+            spec, [(f"halt-{a}", a, 0) for a in range(parties)])
+        n = len(paths[0].sample_grid(s_samples))
+        tracemalloc.start()
+        try:
+            verify_theorem_conditions(spec, paths, fams, s_samples=s_samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= sample_pass_bytes(spec.kappa, spec.dim, n, len(fams))

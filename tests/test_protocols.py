@@ -2501,6 +2501,27 @@ def _count_box_tests(monkeypatch, spec) -> list:
     return sizes
 
 
+def _record_passes(monkeypatch) -> dict:
+    """Record the arguments of every call the verifier makes to its
+    solver's ``diagonal_residuals`` and to ``product_defect``."""
+    calls = {"diagonal_residuals": [], "product_defect": []}
+    residuals = zonoid._MembershipSolver.diagonal_residuals
+    defect = conditions.product_defect
+
+    def record_residuals(self, c, v):
+        calls["diagonal_residuals"].append((c, v))
+        return residuals(self, c, v)
+
+    def record_defect(m, dims, diagonal=False):
+        calls["product_defect"].append(m)
+        return defect(m, dims, diagonal)
+
+    monkeypatch.setattr(zonoid._MembershipSolver, "diagonal_residuals",
+                        record_residuals)
+    monkeypatch.setattr(conditions, "product_defect", record_defect)
+    return calls
+
+
 class TestRealStacks:
     """Real tables keep the verifier's coefficient stacks real; complex
     ones whose entries are real report the same checks bit for bit."""
@@ -2515,16 +2536,38 @@ class TestRealStacks:
         for fam in fams:
             assert fam.table.w.dtype == np.float64
             assert fam.table.cdensity_at(sigmas).dtype == np.float64
-        dtypes = []
-        allocate = conditions._SamplePass.allocate
+        spec = spec()
+        calls = _record_passes(monkeypatch)
+        verify_theorem_conditions(spec, paths, fams, s_samples=5)
+        rows = 5 + 1 + len(fams) * SIGMA_SAMPLES
+        assert [(c.shape, c.dtype, v.shape, v.dtype)
+                for c, v in calls["diagonal_residuals"]] == [
+            ((rows, spec.kappa, spec.kappa), np.float64, (rows, spec.dim),
+             np.float64)]
 
-        def record(self, kappa):
-            allocate(self, kappa)
-            dtypes.append(self.table.dtype)
-
-        monkeypatch.setattr(conditions._SamplePass, "allocate", record)
-        verify_theorem_conditions(spec(), paths, fams, s_samples=5)
-        assert dtypes == [np.float64]
+    @pytest.mark.parametrize("s_samples", [5, None])
+    @pytest.mark.parametrize("family, spec", [
+        (limiting_family, channel_zonoid),
+        (blocked_limiting_family, instrument_zonoid),
+    ])
+    def test_one_residual_call_and_one_product_defect(self, family, spec,
+                                                       s_samples,
+                                                       monkeypatch):
+        # Every family row, witness row and endpoint row takes its
+        # residual and its product defect in one call each, and no sample
+        # is repaired or sent to the solver.
+        spec = spec()
+        paths, fams = family(spec)
+        calls = _record_passes(monkeypatch)
+        rep = verify_theorem_conditions(spec, paths, fams,
+                                        s_samples=s_samples)
+        assert rep.passed
+        n = len(paths[0].sample_grid(s_samples))
+        assert rep.check("main:membership").where.endswith(f"solver 0/{n}")
+        rows = n + 1 + len(fams) * SIGMA_SAMPLES
+        assert [len(c) for c, _ in calls["diagonal_residuals"]] == [rows]
+        assert [m.shape for m in calls["product_defect"]] == [
+            (rows, spec.dim)]
 
     @pytest.mark.parametrize("s_samples", [11, None])
     @pytest.mark.parametrize("family, spec", [
